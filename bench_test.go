@@ -174,6 +174,7 @@ func BenchmarkTextTallyFraction(b *testing.B) {
 func BenchmarkTextXSSearch(b *testing.B) {
 	runFigure(b, "text-search", func(f *Figure, b *testing.B) {
 		reportValue(b, f, "production-cached", "speedup-vs-binary", "cached-speedup")
+		reportValue(b, f, "production-hashed", "speedup-vs-binary", "hashed-speedup")
 	})
 }
 

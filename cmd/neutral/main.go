@@ -266,7 +266,7 @@ func printResult(res *core.Result) {
 		core.PerParticle(c.CollisionEvents, cfg.Particles))
 	fmt.Printf("throughput   %.2f Mevents/s\n",
 		float64(c.TotalEvents())/res.Wall.Seconds()/1e6)
-	fmt.Printf("memory ops   %d density reads, %d tally flushes, %d xs lookups (mean walk %.1f bins)\n",
+	fmt.Printf("memory ops   %d density reads, %d tally flushes, %d xs lookups (mean walk %.2f bins after the bucket jump)\n",
 		c.DensityReads, c.TallyFlushes, c.XSLookups,
 		float64(c.XSSearchSteps)/float64(max(c.XSLookups, 1)))
 	if c.OERounds > 0 {

@@ -29,7 +29,7 @@ type Counters struct {
 
 	// Cross-section activity (paper §IV-D, §VI-A).
 	XSLookups     uint64 // capture+scatter pair lookups
-	XSSearchSteps uint64 // linear-walk steps across both tables
+	XSSearchSteps uint64 // forward-walk steps after the bucket jump
 
 	// Memory behaviour proxies.
 	DensityReads uint64 // cell-centred density loads (random access)

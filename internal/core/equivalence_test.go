@@ -71,6 +71,61 @@ func TestSchemeEquivalence(t *testing.T) {
 	}
 }
 
+// TestXSSearchStepsSchemeInvariant pins the search-step counter: Over
+// Particles and Over Events agree on it for every table size, across two
+// steps, at any thread count and across a mid-run snapshot/restore, and the
+// walk after the bucket jump stays short.
+func TestXSSearchStepsSchemeInvariant(t *testing.T) {
+	for _, points := range []int{2, 3, 100, 1024, 4096} {
+		cfg := smallConfig(mesh.CSP)
+		cfg.XSPoints = points
+		cfg.Steps = 2
+		cfg.Threads = 1
+		ref, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := ref.Counter
+		if want.XSLookups == 0 {
+			t.Fatalf("points=%d: no lookups", points)
+		}
+		if mean := float64(want.XSSearchSteps) / float64(want.XSLookups); points >= 100 && mean > 1.5 {
+			t.Errorf("points=%d: mean walk %.2f steps per lookup, want < 1.5", points, mean)
+		}
+		for _, scheme := range []Scheme{OverParticles, OverEvents} {
+			cfg.Scheme = scheme
+			cfg.Threads = 3
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Counter.XSLookups != want.XSLookups || res.Counter.XSSearchSteps != want.XSSearchSteps {
+				t.Errorf("points=%d %v: %d lookups / %d steps, want %d / %d", points, scheme,
+					res.Counter.XSLookups, res.Counter.XSSearchSteps, want.XSLookups, want.XSSearchSteps)
+			}
+
+			sim, err := NewSimulation(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sim.Step(); err != nil {
+				t.Fatal(err)
+			}
+			resumed, err := RestoreSimulation(cfg, sim.Snapshot())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := resumed.Step(); err != nil {
+				t.Fatal(err)
+			}
+			if got := resumed.Finalize().Counter.XSSearchSteps; got != want.XSSearchSteps {
+				t.Errorf("points=%d %v: %d steps after snapshot/restore, want %d", points, scheme,
+					got, want.XSSearchSteps)
+			}
+		}
+	}
+}
+
 // TestSchemeEquivalenceMultiStep extends the equivalence across census
 // revival boundaries.
 func TestSchemeEquivalenceMultiStep(t *testing.T) {

@@ -212,7 +212,7 @@ func (r *run) stepOverEvents(res *Result) {
 				nd := r.ndCache[r.mesh.StorageIndex(int(p.CellX), int(p.CellY))]
 				ws.c.DensityReads++
 				if p.CachedSigmaA < 0 {
-					lookupXS(ws, p)
+					r.lookupXS(ws, p)
 				}
 				speed := spd[i]
 				if speed == 0 {

@@ -64,7 +64,7 @@ func (r *run) history(ws *workerState, p *particle.Particle) {
 	nd := r.ndCache[m.StorageIndex(int(p.CellX), int(p.CellY))]
 	ws.c.DensityReads++
 	if p.CachedSigmaA < 0 {
-		lookupXS(ws, p)
+		r.lookupXS(ws, p)
 	}
 	speed := events.Speed(p.Energy)
 
@@ -89,7 +89,7 @@ func (r *run) history(ws *workerState, p *particle.Particle) {
 			// The energy changed: refresh the register-cached
 			// cross sections and speed. Consecutive facet
 			// encounters reuse them without touching the tables.
-			lookupXS(ws, p)
+			r.lookupXS(ws, p)
 			speed = events.Speed(p.Energy)
 
 		case events.Facet:

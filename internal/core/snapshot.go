@@ -236,11 +236,10 @@ func (s *Simulation) Snapshot() []byte {
 	w.u64(uint64(s.next))
 
 	// Counters aggregated exactly as finish would: any prior snapshot
-	// base, the live per-worker counters, and the cursor walk steps.
+	// base plus the live per-worker counters.
 	agg := r.base
 	for _, ws := range r.workers {
 		agg.Add(&ws.c)
-		agg.XSSearchSteps += ws.capCur.Steps + ws.scatCur.Steps
 	}
 	vec := counterVector(&agg)
 	w.u32(uint32(len(vec)))

@@ -71,16 +71,13 @@ func (r *Result) LoadImbalance() float64 {
 	return float64(max) / mean
 }
 
-// workerState is the per-worker private state: instrumentation counters,
-// the per-edge leakage accumulators, and the cross-section cursors that play
-// the role of the per-thread cached lookup index in the C implementation.
+// workerState is the per-worker private state: instrumentation counters
+// and the per-edge leakage accumulators.
 type workerState struct {
-	id      int
-	c       Counters
-	leak    Leakage
-	capCur  *xs.Cursor
-	scatCur *xs.Cursor
-	busy    time.Duration
+	id   int
+	c    Counters
+	leak Leakage
+	busy time.Duration
 	// pfSink anchors the event kernel's prefetch touches: accumulating
 	// the touched bytes into worker state keeps the ahead-of-loop loads
 	// from being dead-code-eliminated. The value itself is meaningless.
@@ -283,16 +280,11 @@ func (r *run) buildNDCache() {
 	}
 }
 
-// buildWorkers allocates fresh per-worker state (counters and cursors) over
-// the current cross-section tables.
+// buildWorkers allocates fresh per-worker state.
 func (r *run) buildWorkers() {
 	r.workers = make([]*workerState, r.cfg.Threads)
 	for w := range r.workers {
-		r.workers[w] = &workerState{
-			id:      w,
-			capCur:  xs.NewCursor(r.ctx.XS.Capture),
-			scatCur: xs.NewCursor(r.ctx.XS.Scatter),
-		}
+		r.workers[w] = &workerState{id: w}
 	}
 }
 
@@ -649,7 +641,7 @@ func (s *Simulation) Reset(cfg Config) error {
 	r.cfg = cfg
 	r.canLeak = r.mesh.HasVacuum()
 	r.buildNDCache()
-	r.buildWorkers() // fresh counters and cursors, as newRun would
+	r.buildWorkers() // fresh counters, as newRun would
 	if cfg.Scheme == OverEvents {
 		r.ensureOE() // reuses prior scratch when it still fits
 	}
@@ -716,7 +708,6 @@ func (r *run) finish(res *Result) {
 	res.Leakage = r.baseLeak
 	for w, ws := range r.workers {
 		res.Counter.Add(&ws.c)
-		res.Counter.XSSearchSteps += ws.capCur.Steps + ws.scatCur.Steps
 		res.Leakage.add(&ws.leak)
 		res.WorkerBusy[w] = ws.busy
 	}
@@ -842,22 +833,18 @@ func advance(m *mesh.Mesh, p *particle.Particle, sigmaT, speed float64) (ev even
 	return ev, axis, dir
 }
 
-// lookupXS refreshes the particle's cached microscopic cross sections using
-// the worker's cursors. A particle's first lookup has no useful cached bin
-// (the index is zero while the source energy sits near the top of the
-// table), so it seeds the cursor with a binary search; every later lookup
-// walks linearly from the per-particle cached index, the paper's 1.3x
-// optimisation (§VI-A).
-func lookupXS(ws *workerState, p *particle.Particle) {
-	if p.CachedSigmaA < 0 && p.XSIndex == 0 {
-		ws.capCur.Seek(p.Energy)
-		ws.scatCur.Seek(p.Energy)
-	} else {
-		ws.capCur.SetIndex(int(p.XSIndex))
-		ws.scatCur.SetIndex(int(p.XSIndex))
-	}
-	p.CachedSigmaA = ws.capCur.Lookup(p.Energy)
-	p.CachedSigmaS = ws.scatCur.Lookup(p.Energy)
-	p.XSIndex = int32(ws.capCur.Index())
+// lookupXS refreshes the particle's cached microscopic cross sections: one
+// bucket-table bin search on the tables' shared grid and both interpolations
+// from that bin (xs.Pair.Lookup). The search starts from the energy alone, so
+// a particle's previous bin no longer steers it; XSIndex still records the
+// bin found, because the snapshot format carries it (write-only now: drop it
+// at the next format bump). Both schemes call this one function. It is over
+// the inlining budget, which is wanted: the fused loop's facet path never
+// runs it and should not carry its spills.
+func (r *run) lookupXS(ws *workerState, p *particle.Particle) {
+	sigmaA, sigmaS, bin, steps := r.ctx.XS.Lookup(p.Energy)
+	p.CachedSigmaA, p.CachedSigmaS = sigmaA, sigmaS
+	p.XSIndex = int32(bin)
 	ws.c.XSLookups++
+	ws.c.XSSearchSteps += uint64(steps)
 }

@@ -272,9 +272,11 @@ func Collide(ctx *Context, p *particle.Particle, s *rng.Stream, sigmaA, sigmaS f
 	res.Deposited += absorbed * p.Energy
 	p.Weight -= absorbed
 
-	// Elastic scatter: redirect and dampen. The three paper draws:
-	theta := 2 * math.Pi * s.Uniform() // angle of scattering
-	damp := s.UniformOpen()            // energy dampening level
+	// Elastic scatter: redirect and dampen. The three paper draws — angle
+	// of scattering, energy dampening level, new mean-free-path budget —
+	// come from consecutive counters, so they are drawn as one batch.
+	wTheta, wDamp, wMFP := s.Next3()
+	damp := rng.UnitOpen(wDamp)
 	// E' is uniform on (alpha*E, E) with alpha = ((A-1)/(A+1))^2 = 0.3,
 	// a light (helium-like) average target: strong moderation, but
 	// per-collision energy steps small enough that the cached
@@ -282,9 +284,8 @@ func Collide(ctx *Context, p *particle.Particle, s *rng.Stream, sigmaA, sigmaS f
 	newEnergy := p.Energy * (ScatterAlpha + (1-ScatterAlpha)*damp)
 	res.Deposited += p.Weight * (p.Energy - newEnergy)
 	p.Energy = newEnergy
-	p.UX = math.Cos(theta)
-	p.UY = math.Sin(theta)
-	p.MFPToCollision = rng.MeanFreePaths(s) // new mean-free-path budget
+	p.UX, p.UY = rng.DirectionOf(wTheta)
+	p.MFPToCollision = rng.MeanFreePathsOf(wMFP)
 
 	// Cutoff termination: deposit what remains so energy is conserved.
 	if p.Weight < ctx.WeightCutoff || p.Energy < ctx.EnergyCutoff {

@@ -50,6 +50,7 @@ func recordNative(res *core.Result) {
 	mEvents.With("census").Add(float64(c.CensusEvents))
 	mWork.With("segments").Add(float64(c.Segments))
 	mWork.With("xs_lookups").Add(float64(c.XSLookups))
+	mWork.With("xs_search_steps").Add(float64(c.XSSearchSteps))
 	mWork.With("tally_flushes").Add(float64(c.TallyFlushes))
 	mWork.With("rng_draws").Add(float64(c.RNGDraws))
 }

@@ -80,8 +80,10 @@ type Particle struct {
 	CachedSigmaA, CachedSigmaS float64
 
 	CellX, CellY int32 // containing mesh cell
-	// XSIndex caches the cross-section table bin of the last lookup so a
-	// linear walk replaces a binary search (§VI-A).
+	// XSIndex is the cross-section table bin of the last lookup. It once
+	// seeded the cached linear walk (§VI-A); the bucket search starts from
+	// the energy alone, so the solver only writes it. The snapshot format
+	// carries it: remove the field at the next format bump.
 	XSIndex int32
 
 	// RNGCounter resumes the particle's counter-based random stream.

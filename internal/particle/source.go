@@ -91,8 +91,11 @@ func PopulateSources(b *Bank, m *mesh.Mesh, terms []SourceTerm, dt float64, seed
 		}
 		t := &terms[term]
 		s := rng.NewStream(seed, idBase+uint64(i))
-		x, y := rng.PointInBox(&s, t.Box.X0, t.Box.X1, t.Box.Y0, t.Box.Y1)
-		ux, uy := rng.IsotropicDirection(&s)
+		// The four fixed draws: position and direction as one batch,
+		// then the mean-free-path budget.
+		wx, wy, wDir := s.Next3()
+		x, y := rng.PointInBoxOf(wx, wy, t.Box.X0, t.Box.X1, t.Box.Y0, t.Box.Y1)
+		ux, uy := rng.DirectionOf(wDir)
 		mfp := rng.MeanFreePaths(&s)
 		energy := t.Energy
 		if t.EnergyJitter > 0 {

@@ -8,26 +8,34 @@ import "math"
 // until the next collision (paper §IV-F). The samplers below are the single
 // authority for those draws so that Over Particles and Over Events consume
 // identical variate sequences.
+//
+// The …Of forms map raw words already drawn, by a batched Stream.Next3; a
+// stream form draws with Next and maps through the same word form, so the
+// two cannot disagree.
 
-// IsotropicDirection samples a uniformly distributed unit direction in 2D.
-func IsotropicDirection(s *Stream) (ux, uy float64) {
-	theta := 2 * math.Pi * s.Uniform()
+// DirectionOf maps one raw word to a uniformly distributed unit direction
+// in 2D.
+func DirectionOf(w uint64) (ux, uy float64) {
+	theta := 2 * math.Pi * Unit(w)
 	return math.Cos(theta), math.Sin(theta)
 }
 
-// MeanFreePaths samples the number of mean free paths until the next
-// collision: an Exp(1) variate, the standard analogue sampling of the
-// exponential free-flight kernel.
-func MeanFreePaths(s *Stream) float64 {
-	return -math.Log(s.UniformOpen())
-}
+// IsotropicDirection samples a uniformly distributed unit direction in 2D.
+func IsotropicDirection(s *Stream) (ux, uy float64) { return DirectionOf(s.Next()) }
 
-// PointInBox samples a uniform position inside the axis-aligned box
-// [x0,x1) x [y0,y1).
-func PointInBox(s *Stream, x0, x1, y0, y1 float64) (x, y float64) {
-	x = x0 + (x1-x0)*s.Uniform()
-	y = y0 + (y1-y0)*s.Uniform()
-	return x, y
+// MeanFreePathsOf maps one raw word to a number of mean free paths until
+// the next collision: an Exp(1) variate, the standard analogue sampling of
+// the exponential free-flight kernel.
+func MeanFreePathsOf(w uint64) float64 { return -math.Log(UnitOpen(w)) }
+
+// MeanFreePaths samples the number of mean free paths until the next
+// collision.
+func MeanFreePaths(s *Stream) float64 { return MeanFreePathsOf(s.Next()) }
+
+// PointInBoxOf maps two raw words to a uniform position inside the
+// axis-aligned box [x0,x1) x [y0,y1).
+func PointInBoxOf(wx, wy uint64, x0, x1, y0, y1 float64) (x, y float64) {
+	return x0 + (x1-x0)*Unit(wx), y0 + (y1-y0)*Unit(wy)
 }
 
 // ScatterCosine samples the cosine of the centre-of-mass scattering angle,

@@ -77,7 +77,8 @@ func TestPointInBoxBounds(t *testing.T) {
 		x0 := math.Min(a, b)
 		x1 := math.Max(a, b) + 1 // ensure non-empty
 		s := NewStream(seed, 0)
-		x, y := PointInBox(&s, x0, x1, -2, 5)
+		wx, wy, _ := s.Next3()
+		x, y := PointInBoxOf(wx, wy, x0, x1, -2, 5)
 		return x >= x0 && x < x1 && y >= -2 && y < 5
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {

@@ -46,9 +46,9 @@ func (s *Stream) Counter() uint64 { return s.ctr }
 
 // NextBlock draws the next two raw 64-bit words, advancing the counter once.
 func (s *Stream) NextBlock() [2]uint64 {
-	b := Threefry2x64(s.key, [2]uint64{s.ctr, 0})
+	x0, x1 := threefry(s.key[0], s.key[1], s.ctr, 0)
 	s.ctr++
-	return b
+	return [2]uint64{x0, x1}
 }
 
 // Next draws a single raw 64-bit word. One counter increment per draw keeps
@@ -59,26 +59,41 @@ func (s *Stream) Next() uint64 {
 	return s.NextBlock()[0]
 }
 
+// Next3 draws three raw 64-bit words at once: exactly the words three
+// consecutive Next calls would return, in order, leaving the counter three
+// further on. The three counters are known up front — the point of a
+// counter-based generator — so the blocks run interleaved (see threefry3)
+// instead of one after another. Callers with a fixed draw count per event
+// (a collision's three, the first three of a birth) use it in place of
+// serial draws; the variates and the persisted counter are the same.
+func (s *Stream) Next3() (w0, w1, w2 uint64) {
+	w0, w1, w2 = threefry3(s.key[0], s.key[1], s.ctr)
+	s.ctr += 3
+	return w0, w1, w2
+}
+
 // twoTo53 is 2^53; dividing a 53-bit integer by it yields a double with a
 // fully random mantissa.
 const twoTo53 = 9007199254740992.0
 
+// Unit maps a raw word to a float64 in the half-open interval [0, 1).
+func Unit(w uint64) float64 { return float64(w>>11) / twoTo53 }
+
+// UnitOpen maps a raw word to a float64 in the open interval (0, 1).
+func UnitOpen(w uint64) float64 { return (float64(w>>11) + 0.5) / twoTo53 }
+
 // Uniform returns a uniformly distributed float64 in the half-open interval
 // [0, 1).
-func (s *Stream) Uniform() float64 {
-	return float64(s.Next()>>11) / twoTo53
-}
+func (s *Stream) Uniform() float64 { return Unit(s.Next()) }
 
 // UniformOpen returns a uniformly distributed float64 in the open interval
 // (0, 1). Use it wherever a logarithm of the variate is taken.
-func (s *Stream) UniformOpen() float64 {
-	return (float64(s.Next()>>11) + 0.5) / twoTo53
-}
+func (s *Stream) UniformOpen() float64 { return UnitOpen(s.Next()) }
 
 // UniformPair returns two independent uniforms in [0, 1) from a single
 // cipher block. Samplers that always consume variates in pairs may use it
 // to halve generator cost; both schemes must then call the same sampler.
 func (s *Stream) UniformPair() (float64, float64) {
 	b := s.NextBlock()
-	return float64(b[0]>>11) / twoTo53, float64(b[1]>>11) / twoTo53
+	return Unit(b[0]), Unit(b[1])
 }

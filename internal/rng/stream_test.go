@@ -21,6 +21,26 @@ func TestStreamResume(t *testing.T) {
 	}
 }
 
+// TestNext3MatchesSerialDraws is the batched-draw contract: Next3 returns the
+// words of three serial Next calls, in order, and leaves the same counter —
+// from any stream position, including across counter wrap-around.
+func TestNext3MatchesSerialDraws(t *testing.T) {
+	f := func(seed, id, ctr uint64) bool {
+		batched, serial := ResumeStream(seed, id, ctr), ResumeStream(seed, id, ctr)
+		w0, w1, w2 := batched.Next3()
+		return w0 == serial.Next() && w1 == serial.Next() && w2 == serial.Next() &&
+			batched.Counter() == serial.Counter() && batched.Next() == serial.Next()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Fatal(err)
+	}
+	for _, ctr := range []uint64{0, ^uint64(0), ^uint64(0) - 1, ^uint64(0) - 2} {
+		if !f(1, 2, ctr) {
+			t.Errorf("Next3 differs from serial draws at counter %#x", ctr)
+		}
+	}
+}
+
 func TestStreamCounterAdvances(t *testing.T) {
 	s := NewStream(1, 2)
 	if s.Counter() != 0 {

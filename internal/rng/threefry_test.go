@@ -45,6 +45,26 @@ func TestThreefryMatchesReference(t *testing.T) {
 	}
 }
 
+// TestThreefryKnownAnswers pins the cipher to Random123's published
+// known-answer vectors for threefry2x64 with 20 rounds (kat_vectors), so the
+// implementation is checked against the reference library and not only
+// against this package's own second transcription.
+func TestThreefryKnownAnswers(t *testing.T) {
+	const ff = ^uint64(0)
+	for _, v := range []struct{ ctr, key, want [2]uint64 }{
+		{[2]uint64{0, 0}, [2]uint64{0, 0},
+			[2]uint64{0xc2b6e3a8c2c69865, 0x6f81ed42f350084d}},
+		{[2]uint64{ff, ff}, [2]uint64{ff, ff},
+			[2]uint64{0xe02cb7c4d95d277a, 0xd06633d0893b8b68}},
+		{[2]uint64{0x243f6a8885a308d3, 0x13198a2e03707344}, [2]uint64{0xa4093822299f31d0, 0x082efa98ec4e6c89},
+			[2]uint64{0x263c7d30bb0f0af1, 0x56be8361d3311526}},
+	} {
+		if got := Threefry2x64(v.key, v.ctr); got != v.want {
+			t.Errorf("Threefry2x64(key %x, ctr %x) = %x, want %x", v.key, v.ctr, got, v.want)
+		}
+	}
+}
+
 func TestThreefryDeterministic(t *testing.T) {
 	key := [2]uint64{0xDEADBEEF, 42}
 	ctr := [2]uint64{7, 0}

@@ -283,11 +283,11 @@ type JobView struct {
 	Reschedules    int    `json:"reschedules,omitempty"`
 	// Warnings lists non-fatal degradations the job survived — failed
 	// checkpoint writes, fleet fallback to local execution.
-	Warnings    []string   `json:"warnings,omitempty"`
-	Error       string     `json:"error,omitempty"`
-	Submitted   time.Time  `json:"submitted"`
-	Started     *time.Time `json:"started,omitempty"`
-	Finished    *time.Time `json:"finished,omitempty"`
+	Warnings  []string   `json:"warnings,omitempty"`
+	Error     string     `json:"error,omitempty"`
+	Submitted time.Time  `json:"submitted"`
+	Started   *time.Time `json:"started,omitempty"`
+	Finished  *time.Time `json:"finished,omitempty"`
 }
 
 func viewOf(j *Job) JobView {
@@ -335,8 +335,8 @@ type ResultView struct {
 	// WallNS is the solver wallclock in integer nanoseconds — the exact
 	// transport twin of the rounded WallSeconds, so a coordinator
 	// reconstructing a remote result loses nothing.
-	WallNS int64  `json:"wall_ns,omitempty"`
-	Events uint64 `json:"events"`
+	WallNS            int64     `json:"wall_ns,omitempty"`
+	Events            uint64    `json:"events"`
 	FacetEvents       uint64    `json:"facet_events"`
 	CollisionEvents   uint64    `json:"collision_events"`
 	CensusEvents      uint64    `json:"census_events"`

@@ -19,16 +19,16 @@ type engineMetrics struct {
 	blobResultHits          *telemetry.Counter
 	blobResultWrites        *telemetry.Counter
 	streamSubscribers       *telemetry.Gauge
-	jobDuration       *telemetry.HistogramVec
-	particleRate      *telemetry.HistogramVec
-	solverEvents      *telemetry.CounterVec
-	solverHistories   *telemetry.CounterVec
-	solverWork        *telemetry.CounterVec
-	httpRequests      *telemetry.CounterVec
-	tenantRequests    *telemetry.CounterVec
-	tenantShed        *telemetry.CounterVec
-	tenantDenied      *telemetry.CounterVec
-	queueWait         *telemetry.HistogramVec
+	jobDuration             *telemetry.HistogramVec
+	particleRate            *telemetry.HistogramVec
+	solverEvents            *telemetry.CounterVec
+	solverHistories         *telemetry.CounterVec
+	solverWork              *telemetry.CounterVec
+	httpRequests            *telemetry.CounterVec
+	tenantRequests          *telemetry.CounterVec
+	tenantShed              *telemetry.CounterVec
+	tenantDenied            *telemetry.CounterVec
+	queueWait               *telemetry.HistogramVec
 }
 
 // newEngineMetrics registers the engine's metric vocabulary on r. Called
@@ -166,6 +166,7 @@ func (m *engineMetrics) observeRun(res *core.Result, dur time.Duration) {
 	m.solverHistories.With("census").Add(float64(c.CensusEvents))
 	m.solverWork.With("segments").Add(float64(c.Segments))
 	m.solverWork.With("xs_lookups").Add(float64(c.XSLookups))
+	m.solverWork.With("xs_search_steps").Add(float64(c.XSSearchSteps))
 	m.solverWork.With("tally_flushes").Add(float64(c.TallyFlushes))
 	m.solverWork.With("rng_draws").Add(float64(c.RNGDraws))
 }

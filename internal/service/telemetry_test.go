@@ -81,6 +81,8 @@ func TestAPIMetricsAfterJob(t *testing.T) {
 		`neutral_cache_hits_total 1`,
 		`neutral_jobs_submitted_total 2`,
 		`neutral_solver_events_total{kind="census"}`,
+		`neutral_solver_work_total{kind="xs_lookups"}`,
+		`neutral_solver_work_total{kind="xs_search_steps"}`,
 		`neutral_job_duration_seconds_count{scheme="over-particles"} 1`,
 		`neutral_particles_per_second_count{scheme="over-particles"} 1`,
 	} {

@@ -89,8 +89,8 @@ type Job struct {
 	// replicas and ensemble are the per-replica history and merged
 	// statistics of an ensemble job (Config.Replicas > 1); empty/nil
 	// otherwise.
-	replicas  []ReplicaView
-	ensemble  *stats.Ensemble
+	replicas []ReplicaView
+	ensemble *stats.Ensemble
 	// timings is the per-step wallclock attribution the worker's trace
 	// hook records while solving; empty for cached jobs and ensemble
 	// parents (their replicas carry the timings).

@@ -76,44 +76,38 @@ func scatterSigma(e float64) float64 {
 	return s
 }
 
+// generate tabulates sigma on the grid g, whose bucket table is grid.
+func generate(kind Kind, g []float64, grid gridIndex, sigma func(float64) float64) *Table {
+	s := make([]float64, len(g))
+	for i, e := range g {
+		s[i] = sigma(e)
+	}
+	return &Table{kind: kind, energies: g, sigmas: s, grid: grid}
+}
+
 // GenerateCapture builds the synthetic capture table on an n-point grid.
 func GenerateCapture(n int) *Table {
 	g := EnergyGrid(n)
-	s := make([]float64, n)
-	for i, e := range g {
-		s[i] = captureSigma(e)
-	}
-	t, err := NewTable(Capture, g, s)
-	if err != nil {
-		panic("xs: internal error generating capture table: " + err.Error())
-	}
-	return t
+	return generate(Capture, g, newGridIndex(g), captureSigma)
 }
 
 // GenerateScatter builds the synthetic elastic-scatter table on an n-point
 // grid.
 func GenerateScatter(n int) *Table {
 	g := EnergyGrid(n)
-	s := make([]float64, n)
-	for i, e := range g {
-		s[i] = scatterSigma(e)
-	}
-	t, err := NewTable(ElasticScatter, g, s)
-	if err != nil {
-		panic("xs: internal error generating scatter table: " + err.Error())
-	}
-	return t
+	return generate(ElasticScatter, g, newGridIndex(g), scatterSigma)
 }
 
-// Pair bundles the two channels the mini-app considers.
-type Pair struct {
-	Capture *Table
-	Scatter *Table
-}
-
-// GeneratePair builds both tables on a shared n-point grid.
+// GeneratePair builds both tables on a shared n-point grid: one energy
+// slice and one bucket table serve both channels.
 func GeneratePair(n int) Pair {
-	return Pair{Capture: GenerateCapture(n), Scatter: GenerateScatter(n)}
+	g := EnergyGrid(n)
+	grid := newGridIndex(g)
+	return Pair{
+		Capture: generate(Capture, g, grid, captureSigma),
+		Scatter: generate(ElasticScatter, g, grid, scatterSigma),
+		shared:  true,
+	}
 }
 
 // Avogadro is the Avogadro constant in 1/mol.

@@ -1,10 +1,13 @@
 package xs
 
-// Cursor performs table lookups with a cached bin index. Collisions change a
-// particle's energy by a bounded factor, so the next lookup lands near the
-// previous bin; a short linear walk from the cached index then beats a
-// binary search by staying in cache (paper §VI-A: 1.3x on csp). Each worker
-// carries its own cursors — they are deliberately not safe for concurrent
+// Cursor performs table lookups with a cached bin index — the paper's
+// optimisation (§VI-A: 1.3x on csp): collisions change a particle's energy
+// by a bounded factor, so the next lookup lands near the previous bin and a
+// short linear walk from the cached index beats a binary search by staying
+// in cache. The solver no longer searches this way (see gridIndex: the bin
+// comes from the energy's bit pattern, with no cached state); Cursor stays
+// as the paper's method for the harness text-search comparison, the
+// benchmark's xs probe and the tests. A Cursor is not safe for concurrent
 // use, mirroring the per-thread cached index of the C implementation.
 type Cursor struct {
 	table *Table
@@ -21,14 +24,6 @@ type Cursor struct {
 func NewCursor(t *Table) *Cursor {
 	return &Cursor{table: t}
 }
-
-// Table returns the underlying table.
-func (c *Cursor) Table() *Table { return c.table }
-
-// Reset forgets the cached index (e.g. when a worker switches particles in
-// the Over Events scheme, where nothing can be cached in registers and the
-// index would have to be stored per particle).
-func (c *Cursor) Reset() { c.idx = 0 }
 
 // SetIndex installs a per-particle cached index (Over Events stores it in
 // the particle record; Over Particles keeps it in a register).

@@ -4,12 +4,15 @@
 // The paper (§IV-D) generates two dummy microscopic cross-section tables —
 // capture and elastic scatter for a single material — sized to be
 // representative of real nuclear data, and looks them up with a linear
-// interpolation after locating the particle's energy bin. The bin search
-// caches the previous lookup index so a short linear walk usually replaces a
-// binary search; the paper measured a 1.3x speedup from that optimisation on
-// the csp problem. Macroscopic cross sections scale the microscopic values
-// by the number density of the cell the particle occupies, which introduces
-// the particle→mesh dependency at the heart of the study.
+// interpolation after locating the particle's energy bin. The paper's bin
+// search caches the previous lookup index so a short linear walk usually
+// replaces a binary search (1.3x on csp, §VI-A; kept here as Cursor); the
+// solver locates the bin through a bucket table over the energy's bit
+// pattern instead (hash.go) — the same bin, found in about half a step, once
+// for both tables of a Pair. Macroscopic cross sections scale the
+// microscopic values by the number density of the cell the particle
+// occupies, which introduces the particle→mesh dependency at the heart of
+// the study.
 package xs
 
 import (
@@ -49,6 +52,7 @@ type Table struct {
 	kind     Kind
 	energies []float64 // eV, strictly increasing
 	sigmas   []float64 // barns
+	grid     gridIndex // bucket table over energies, see hash.go
 }
 
 // NewTable builds a table from parallel energy/sigma slices. The energy grid
@@ -62,14 +66,14 @@ func NewTable(kind Kind, energies, sigmas []float64) (*Table, error) {
 		return nil, errors.New("xs: table needs at least two points")
 	}
 	for i, e := range energies {
-		if i > 0 && e <= energies[i-1] {
+		if math.IsNaN(e) || (i > 0 && e <= energies[i-1]) {
 			return nil, fmt.Errorf("xs: energy grid not strictly increasing at index %d", i)
 		}
 		if math.IsNaN(sigmas[i]) || math.IsInf(sigmas[i], 0) || sigmas[i] < 0 {
 			return nil, fmt.Errorf("xs: invalid sigma %v at index %d", sigmas[i], i)
 		}
 	}
-	return &Table{kind: kind, energies: energies, sigmas: sigmas}, nil
+	return &Table{kind: kind, energies: energies, sigmas: sigmas, grid: newGridIndex(energies)}, nil
 }
 
 // Kind reports the reaction channel the table describes.
@@ -92,9 +96,8 @@ func (t *Table) interpolate(e float64, i int) float64 {
 	return s0 + (s1-s0)*(e-e0)/(e1-e0)
 }
 
-// clampIndex maps an energy to a valid bin index by clamping to the table
-// domain; energies outside the grid use the end bins (constant
-// extrapolation of the boundary segment).
+// clamp maps an energy into the table domain; energies outside the grid
+// evaluate at the nearest endpoint.
 func (t *Table) clamp(e float64) float64 {
 	if e < t.energies[0] {
 		return t.energies[0]
@@ -106,10 +109,15 @@ func (t *Table) clamp(e float64) float64 {
 }
 
 // LookupBinary evaluates sigma(e) in barns using a binary search for the
-// energy bin. It is the reference path the cached linear search is measured
-// against.
+// energy bin. It is the reference the bucket lookup and the cached linear
+// search are tested and measured against.
 func (t *Table) LookupBinary(e float64) float64 {
 	e = t.clamp(e)
+	return t.interpolate(e, t.binBinary(e))
+}
+
+// binBinary returns the bin of a clamped energy by binary search.
+func (t *Table) binBinary(e float64) int {
 	lo, hi := 0, len(t.energies)-1
 	for hi-lo > 1 {
 		mid := int(uint(lo+hi) >> 1)
@@ -119,5 +127,5 @@ func (t *Table) LookupBinary(e float64) float64 {
 			hi = mid
 		}
 	}
-	return t.interpolate(e, lo)
+	return lo
 }
