@@ -5,9 +5,11 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/events"
 	"repro/internal/mesh"
 	"repro/internal/particle"
 	"repro/internal/tally"
+	"repro/internal/xs"
 )
 
 // TestSchemeEquivalence is the central correctness property of the
@@ -281,5 +283,174 @@ func TestPhaseTimingsByScheme(t *testing.T) {
 	}
 	if rop.Phases.EventKernel != 0 {
 		t.Error("over-particles recorded kernel time")
+	}
+}
+
+// TestStreakEquivalenceMatrix pins the Over Particles facet streak to
+// event-by-event transport. The reference is Over Events at one thread —
+// one event per kernel pass, reciprocals recomputed at every pass, no streak
+// anywhere — and every Over Particles cell of bank layout × mesh ordering ×
+// tally mode × thread count × {straight run, snapshot→restore after step 1}
+// must end with the same bank bit for bit, the same physics counters, the
+// same leakage and the same per-cell tally (to reassociation: the schemes
+// flush in different orders). Scenes: stream (streaks hundreds of cells long,
+// ended by reflections and census), csp (collisions in the dense square hand
+// a deposit to the next crossing, whose general-path flush empties the
+// register before the streak resumes), and the csp geometry with two vacuum
+// edges (streaks that end in an escape).
+func TestStreakEquivalenceMatrix(t *testing.T) {
+	scenes := []struct {
+		name string
+		cfg  func() Config
+	}{
+		{"stream", func() Config { return goldenConfig(mesh.Stream) }},
+		{"csp", func() Config { return goldenConfig(mesh.CSP) }},
+		{"vacuum", func() Config { return leakConfig(t) }},
+	}
+	for _, sc := range scenes {
+		ref := sc.cfg()
+		ref.Scheme = OverEvents
+		want, err := Run(ref)
+		if err != nil {
+			t.Fatalf("%s reference: %v", sc.name, err)
+		}
+		if sc.name == "vacuum" && want.Counter.Escapes == 0 {
+			t.Fatal("vacuum scene produced no escapes")
+		}
+		for _, layout := range []particle.Layout{particle.AoS, particle.SoA} {
+			for _, ord := range []mesh.Ordering{mesh.RowMajor, mesh.Morton} {
+				for _, tm := range []tally.Mode{tally.ModeAtomic, tally.ModeBuffered} {
+					for _, threads := range []int{1, 4} {
+						for _, restore := range []bool{false, true} {
+							name := fmt.Sprintf("%s/%v/%v/%v/threads=%d/restore=%t", sc.name, layout, ord, tm, threads, restore)
+							t.Run(name, func(t *testing.T) {
+								cfg := sc.cfg()
+								cfg.Scheme = OverParticles
+								cfg.Layout, cfg.Ordering, cfg.Tally, cfg.Threads = layout, ord, tm, threads
+								sim, err := NewSimulation(cfg)
+								if err != nil {
+									t.Fatal(err)
+								}
+								if restore {
+									if err := sim.Step(); err != nil {
+										t.Fatal(err)
+									}
+									if sim, err = RestoreSimulation(cfg, sim.Snapshot()); err != nil {
+										t.Fatal(err)
+									}
+								}
+								got, err := sim.Run()
+								if err != nil {
+									t.Fatal(err)
+								}
+								compareBanks(t, want.Bank, got.Bank)
+								wc, gc := want.Counter, got.Counter
+								// Scheme-local bookkeeping: Over Events re-reads
+								// the density every pass and counts its rounds.
+								wc.DensityReads, wc.OERounds, wc.OESlotSweeps, wc.OEActiveVisits = gc.DensityReads, 0, 0, 0
+								if wc != gc {
+									t.Errorf("counters differ:\nevent-by-event %+v\nstreak         %+v", wc, gc)
+								}
+								for e := 0; e < mesh.NumEdges; e++ {
+									if relDiff(want.Leakage.Energy[e], got.Leakage.Energy[e]) > 1e-12 ||
+										relDiff(want.Leakage.Weight[e], got.Leakage.Weight[e]) > 1e-12 {
+										t.Errorf("edge %v leakage differs: %g/%g vs %g/%g", mesh.Edge(e),
+											want.Leakage.Weight[e], want.Leakage.Energy[e],
+											got.Leakage.Weight[e], got.Leakage.Energy[e])
+									}
+								}
+								if relDiff(want.TallyTotal, got.TallyTotal) > 1e-12 {
+									t.Errorf("tally totals differ: %.17g vs %.17g", want.TallyTotal, got.TallyTotal)
+								}
+								for i := range want.Cells {
+									if relDiff(want.Cells[i], got.Cells[i]) > 1e-9 {
+										t.Fatalf("cell %d differs: %v vs %v", i, want.Cells[i], got.Cells[i])
+									}
+								}
+								if got.Conservation.RelativeError > 1e-12 {
+									t.Errorf("conservation error %.3g", got.Conservation.RelativeError)
+								}
+							})
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestStreakContract is the streak's entry/exit contract, checked on every
+// in-flight particle of a csp run after its first step: from the same state,
+// the streak and event-by-event advance/ApplyFacet reach the same record
+// after the same number of interior crossings, bit for bit, with the same
+// number density in hand; the streak counted exactly those crossings; and
+// the event it stopped short of is left whole — the next advance from the
+// written-back state is a collision, census, reflection or escape, never
+// another interior crossing.
+func TestStreakContract(t *testing.T) {
+	for _, name := range []string{"csp", "vacuum"} {
+		cfg := goldenConfig(mesh.CSP)
+		if name == "vacuum" {
+			cfg = leakConfig(t)
+		}
+		sim, err := NewSimulation(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sim.Step(); err != nil {
+			t.Fatal(err)
+		}
+		r := sim.r
+		r.reviveCensus()
+		streaks, longest := 0, uint64(0)
+		for i := 0; i < r.bank.Len(); i++ {
+			if r.bank.StatusOf(i) != particle.Alive {
+				continue
+			}
+			var start particle.Particle
+			r.bank.Load(i, &start)
+			ws := &workerState{}
+			if start.CachedSigmaA < 0 {
+				r.lookupXS(ws, &start)
+			}
+			sigma := (start.CachedSigmaA + start.CachedSigmaS) * xs.BarnsToSquareMetres
+			speed := events.Speed(start.Energy)
+			invSpeed, invUX, invUY := 1/speed, 1/start.UX, 1/start.UY
+			nd0 := r.ndCache[r.mesh.StorageIndex(int(start.CellX), int(start.CellY))]
+
+			fast := start
+			fastWS := &workerState{}
+			ndFast := r.streak(fastWS, &fast, nd0, sigma, invSpeed, invUX, invUY)
+			n := fastWS.c.FacetEvents
+			if fastWS.c.Segments != n || fastWS.c.TallyFlushes != n || fastWS.c.DensityReads != n {
+				t.Fatalf("%s particle %d: streak counted %+v for %d crossings", name, i, fastWS.c, n)
+			}
+
+			slow, ndSlow := start, nd0
+			for k := uint64(0); k < n; k++ {
+				ev, axis, dir := advance(r.mesh, &slow, sigma*ndSlow, speed, invSpeed, invUX, invUY)
+				if ev != events.Facet || events.ApplyFacet(r.mesh, &slow, axis, dir) != events.FacetCrossed {
+					t.Fatalf("%s particle %d: event-by-event crossing %d of %d is not an interior crossing", name, i, k, n)
+				}
+				ndSlow = r.ndCache[r.mesh.StorageIndex(int(slow.CellX), int(slow.CellY))]
+			}
+			if fast != slow || ndFast != ndSlow {
+				t.Fatalf("%s particle %d after %d crossings:\n streak         %+v nd=%v\n event-by-event %+v nd=%v", name, i, n, fast, ndFast, slow, ndSlow)
+			}
+			next := fast
+			if ev, axis, dir := advance(r.mesh, &next, sigma*ndFast, speed, invSpeed, invUX, invUY); ev == events.Facet &&
+				events.ApplyFacet(r.mesh, &next, axis, dir) == events.FacetCrossed {
+				t.Fatalf("%s particle %d: streak stopped before an interior crossing", name, i)
+			}
+			if n > 0 {
+				streaks++
+			}
+			if n > longest {
+				longest = n
+			}
+		}
+		if streaks < 10 || longest < 10 {
+			t.Fatalf("%s: only %d streaks, longest %d crossings: the test did not exercise the loop", name, streaks, longest)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/mesh"
 	"repro/internal/particle"
+	"repro/internal/tally"
 )
 
 // This file holds the cache-locality execution machinery of DESIGN.md §15:
@@ -38,6 +39,20 @@ func (r *run) tallyCellsLogical() []float64 {
 		}
 	}
 	return out
+}
+
+// tallyNonZeroLogical returns the tally's non-zero cells keyed by logical
+// index, ascending — the sparse view a snapshot stores. Under row-major
+// storage the tally's own sparse view is already that, read without
+// materialising the dense one; other orderings scan the remapped view. The
+// slice is scratch owned by the run, valid until the next call.
+func (r *run) tallyNonZeroLogical() []tally.Cell {
+	if r.mesh.Ordering() == mesh.RowMajor {
+		r.sparseCells = r.tly.NonZero(r.sparseCells[:0])
+	} else {
+		r.sparseCells = tally.AppendNonZero(r.sparseCells[:0], r.tallyCellsLogical())
+	}
+	return r.sparseCells
 }
 
 // tallyTotal sums the tally in logical cell order whatever the storage

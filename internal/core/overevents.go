@@ -223,7 +223,10 @@ func (r *run) stepOverEvents(res *Result) {
 				// memoised factor: ((sigma*B)*nd), the order the
 				// function evaluates.
 				sigmaT := (p.CachedSigmaA + p.CachedSigmaS) * xs.BarnsToSquareMetres * nd
-				ev, axis, dir := advance(r.mesh, p, sigmaT, speed)
+				// The reciprocals are recomputed here, every pass —
+				// nothing is carried between kernels — and depend only
+				// on loaded fields, so the three divides overlap.
+				ev, axis, dir := advance(r.mesh, p, sigmaT, speed, 1/speed, 1/p.UX, 1/p.UY)
 				ws.c.Segments++
 				switch ev {
 				case events.Collision:

@@ -117,14 +117,24 @@ func counterScatter(v []uint64) Counters {
 	}
 }
 
-// snapshotWriter accumulates the little-endian payload.
-type snapshotWriter struct{ buf []byte }
+// snapshotWriter fills a buffer of the snapshot's exact size with the
+// little-endian payload, front to back.
+type snapshotWriter struct {
+	buf []byte
+	off int
+}
 
-func (w *snapshotWriter) u8(v uint8)    { w.buf = append(w.buf, v) }
-func (w *snapshotWriter) u32(v uint32)  { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
-func (w *snapshotWriter) u64(v uint64)  { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
+func (w *snapshotWriter) bytes(b []byte) { w.off += copy(w.buf[w.off:], b) }
+func (w *snapshotWriter) u8(v uint8)     { w.buf[w.off] = v; w.off++ }
+func (w *snapshotWriter) u32(v uint32) {
+	binary.LittleEndian.PutUint32(w.buf[w.off:], v)
+	w.off += 4
+}
+func (w *snapshotWriter) u64(v uint64) {
+	binary.LittleEndian.PutUint64(w.buf[w.off:], v)
+	w.off += 8
+}
 func (w *snapshotWriter) f64(v float64) { w.u64(math.Float64bits(v)) }
-func (w *snapshotWriter) i32(v int32)   { w.u32(uint32(v)) }
 
 // snapshotReader consumes the payload with bounds checking; the first
 // overrun poisons the reader and every later read reports failure.
@@ -168,27 +178,32 @@ func (r *snapshotReader) u64() uint64 {
 func (r *snapshotReader) f64() float64 { return math.Float64frombits(r.u64()) }
 func (r *snapshotReader) i32() int32   { return int32(r.u32()) }
 
-// writeParticle appends one particle record in the canonical field order.
+// writeParticle writes one particle record in the canonical field order.
 // The order is shared with readParticle and is layout-independent: an AoS
-// snapshot restores into an SoA bank and vice versa.
+// snapshot restores into an SoA bank and vice versa. The record is
+// particle.BytesPerParticle bytes; slicing it off once lets every field
+// store below go to a constant offset with no further bounds check.
 func (w *snapshotWriter) writeParticle(p *particle.Particle) {
-	w.f64(p.X)
-	w.f64(p.Y)
-	w.f64(p.UX)
-	w.f64(p.UY)
-	w.f64(p.Energy)
-	w.f64(p.Weight)
-	w.f64(p.MFPToCollision)
-	w.f64(p.TimeToCensus)
-	w.f64(p.Deposit)
-	w.f64(p.CachedSigmaA)
-	w.f64(p.CachedSigmaS)
-	w.i32(p.CellX)
-	w.i32(p.CellY)
-	w.i32(p.XSIndex)
-	w.u64(p.RNGCounter)
-	w.u64(p.ID)
-	w.u8(uint8(p.Status))
+	b := w.buf[w.off : w.off+particle.BytesPerParticle]
+	w.off += particle.BytesPerParticle
+	le := binary.LittleEndian
+	le.PutUint64(b[0:], math.Float64bits(p.X))
+	le.PutUint64(b[8:], math.Float64bits(p.Y))
+	le.PutUint64(b[16:], math.Float64bits(p.UX))
+	le.PutUint64(b[24:], math.Float64bits(p.UY))
+	le.PutUint64(b[32:], math.Float64bits(p.Energy))
+	le.PutUint64(b[40:], math.Float64bits(p.Weight))
+	le.PutUint64(b[48:], math.Float64bits(p.MFPToCollision))
+	le.PutUint64(b[56:], math.Float64bits(p.TimeToCensus))
+	le.PutUint64(b[64:], math.Float64bits(p.Deposit))
+	le.PutUint64(b[72:], math.Float64bits(p.CachedSigmaA))
+	le.PutUint64(b[80:], math.Float64bits(p.CachedSigmaS))
+	le.PutUint32(b[88:], uint32(p.CellX))
+	le.PutUint32(b[92:], uint32(p.CellY))
+	le.PutUint32(b[96:], uint32(p.XSIndex))
+	le.PutUint64(b[100:], p.RNGCounter)
+	le.PutUint64(b[108:], p.ID)
+	b[116] = uint8(p.Status)
 }
 
 func (r *snapshotReader) readParticle(p *particle.Particle) {
@@ -211,6 +226,25 @@ func (r *snapshotReader) readParticle(p *particle.Particle) {
 	p.Status = particle.Status(r.u8())
 }
 
+// snapshotIdentity returns the two blocks of a snapshot that depend on the
+// configuration alone: the physics hash and the scene in canonical JSON. The
+// scene rides along to make the checkpoint self-describing — restore verifies
+// it against the offered config, and tooling can read a checkpoint's geometry
+// without the config that produced it. A service job snapshots at every step,
+// so both are computed once per configuration (Reset drops them).
+func (r *run) snapshotIdentity() (hash [sha256.Size]byte, sceneJSON []byte) {
+	if r.snapScene == nil {
+		sceneJSON, err := r.cfg.Scene.CanonicalJSON()
+		if err != nil {
+			// The scene was validated at construction; a failure here is a
+			// programming error, not an I/O condition.
+			panic(fmt.Sprintf("core: snapshot scene serialisation: %v", err))
+		}
+		r.snapHash, r.snapScene = physicsHash(r.cfg), sceneJSON
+	}
+	return r.snapHash, r.snapScene
+}
+
 // Snapshot serialises the simulation's resumable state. It is only valid at
 // a step boundary: after NewSimulation, between successful Steps, or inside
 // a Drive onStep callback — never after ErrInterrupted, when workers may
@@ -228,44 +262,51 @@ func (r *snapshotReader) readParticle(p *particle.Particle) {
 //	crc32(payload):u32
 func (s *Simulation) Snapshot() []byte {
 	r := s.r
-	w := &snapshotWriter{buf: make([]byte, 0, 64+particle.BytesPerParticle*r.bank.Len())}
-	w.buf = append(w.buf, snapshotMagic...)
-	w.u32(snapshotVersion)
-	hash := physicsHash(r.cfg)
-	w.buf = append(w.buf, hash[:]...)
-	w.u64(uint64(s.next))
 
 	// Counters aggregated exactly as finish would: any prior snapshot
 	// base plus the live per-worker counters.
 	agg := r.base
+	leak := r.baseLeak
 	for _, ws := range r.workers {
 		agg.Add(&ws.c)
+		leak.add(&ws.leak)
 	}
 	vec := counterVector(&agg)
+
+	hash, sceneJSON := r.snapshotIdentity()
+
+	// Sparse tally: deposition concentrates around the source, so most
+	// cells of a large mesh are zero and storing (cell, value) pairs
+	// beats a dense dump. Null tallies serialise as empty. Cells are keyed
+	// by logical index whatever the storage ordering, so checkpoints are
+	// portable across orderings.
+	cells := r.tallyNonZeroLogical()
+	n := r.bank.Len()
+
+	// Everything is sized now: one allocation, filled front to back.
+	size := len(snapshotMagic) + 4 + sha256.Size + 8 + // magic version hash step
+		4 + 8*len(vec) + // counters
+		4 + len(sceneJSON) + // scene
+		8*2 + 8*2*mesh.NumEdges + // audit, leakage
+		1 + 1 + 8 + n*particle.BytesPerParticle + // bank
+		8 + 16*len(cells) + // tally
+		4 // crc
+	w := &snapshotWriter{buf: make([]byte, size)}
+	w.bytes([]byte(snapshotMagic))
+	w.u32(snapshotVersion)
+	w.bytes(hash[:])
+	w.u64(uint64(s.next))
+
 	w.u32(uint32(len(vec)))
 	for _, v := range vec {
 		w.u64(v)
 	}
 
-	// The scene rides along in canonical JSON, making the checkpoint
-	// self-describing: restore verifies the embedded scene against the
-	// offered config, and tooling can read a checkpoint's geometry
-	// without the config that produced it.
-	sceneJSON, err := r.cfg.Scene.CanonicalJSON()
-	if err != nil {
-		// The scene was validated at construction; a failure here is a
-		// programming error, not an I/O condition.
-		panic(fmt.Sprintf("core: snapshot scene serialisation: %v", err))
-	}
 	w.u32(uint32(len(sceneJSON)))
-	w.buf = append(w.buf, sceneJSON...)
+	w.bytes(sceneJSON)
 
 	w.f64(r.birthWeight)
 	w.f64(r.birthEnergy)
-	leak := r.baseLeak
-	for _, ws := range r.workers {
-		leak.add(&ws.leak)
-	}
 	for e := 0; e < mesh.NumEdges; e++ {
 		w.f64(leak.Weight[e])
 	}
@@ -275,34 +316,25 @@ func (s *Simulation) Snapshot() []byte {
 
 	w.u8(uint8(r.bank.Layout()))
 	w.u8(uint8(r.mesh.Ordering()))
-	w.u64(uint64(r.bank.Len()))
-	var p particle.Particle
-	for i := 0; i < r.bank.Len(); i++ {
-		r.bank.Load(i, &p)
-		w.writeParticle(&p)
+	w.u64(uint64(n))
+	var scratch particle.Particle
+	for i := 0; i < n; i++ {
+		// AoS records are serialised in place; SoA gathers the columns.
+		p := r.bank.Ref(i)
+		if p == nil {
+			r.bank.Load(i, &scratch)
+			p = &scratch
+		}
+		w.writeParticle(p)
 	}
 
-	// Sparse tally: deposition concentrates around the source, so most
-	// cells of a large mesh are zero and storing (cell, value) pairs
-	// beats a dense dump. Null tallies serialise as empty. Cells are keyed
-	// by logical index whatever the storage ordering, so checkpoints are
-	// portable across orderings.
-	cells := r.tallyCellsLogical()
-	nonzero := uint64(0)
-	for _, v := range cells {
-		if v != 0 {
-			nonzero++
-		}
-	}
-	w.u64(nonzero)
-	for i, v := range cells {
-		if v != 0 {
-			w.u64(uint64(i))
-			w.f64(v)
-		}
+	w.u64(uint64(len(cells)))
+	for _, c := range cells {
+		w.u64(uint64(c.Index))
+		w.f64(c.Value)
 	}
 
-	w.u32(crc32.ChecksumIEEE(w.buf))
+	w.u32(crc32.ChecksumIEEE(w.buf[:w.off]))
 	return w.buf
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"math"
@@ -126,6 +127,13 @@ type run struct {
 	// tally remapped from storage order to the logical row-major order
 	// every external view speaks. Nil until a non-row-major run first asks.
 	logicalCells []float64
+	// sparseCells is the reusable scratch behind tallyNonZeroLogical.
+	sparseCells []tally.Cell
+
+	// snapHash and snapScene memoise snapshotIdentity for the current cfg;
+	// a nil snapScene means "not computed yet".
+	snapHash  [sha256.Size]byte
+	snapScene []byte
 
 	// sortKeys/sortPerm are the reusable scratch of the periodic bank sort
 	// (SortEvery): packed (cell key, slot) values and the permutation the
@@ -265,18 +273,23 @@ func (r *run) idBase() uint64 {
 }
 
 // buildNDCache fills ndCache (see the field comment) from the mesh the run
-// was just (re)built around. Storage-indexed, so the kernels address it with
-// the same StorageIndex mapping they use for the tally.
+// was just (re)built around. Both arrays are in storage order, so the fill is
+// one flat pass whatever the ordering. A scene is a few uniform regions, so
+// the conversion — an FP divide — is redone only where the density differs
+// from the previous cell's: the same function of the same input, the same
+// bits, and setup at 1536² loses two million divides.
 func (r *run) buildNDCache() {
 	m := r.mesh
 	if cap(r.ndCache) < m.NumCells() {
 		r.ndCache = make([]float64, m.NumCells())
 	}
 	r.ndCache = r.ndCache[:m.NumCells()]
-	for cy := 0; cy < m.NY; cy++ {
-		for cx := 0; cx < m.NX; cx++ {
-			r.ndCache[m.StorageIndex(cx, cy)] = xs.NumberDensity(m.Density(cx, cy))
+	rho, nd := math.NaN(), 0.0
+	for i := range r.ndCache {
+		if d := m.DensityAt(i); d != rho {
+			rho, nd = d, xs.NumberDensity(d)
 		}
+		r.ndCache[i] = nd
 	}
 }
 
@@ -639,6 +652,7 @@ func (s *Simulation) Reset(cfg Config) error {
 		r.tly.Reset()
 	}
 	r.cfg = cfg
+	r.snapScene = nil
 	r.canLeak = r.mesh.HasVacuum()
 	r.buildNDCache()
 	r.buildWorkers() // fresh counters, as newRun would
@@ -802,33 +816,50 @@ func (r *run) flushSlot(ws *workerState, i int) {
 	ws.c.TallyFlushes++
 }
 
-// advance computes the three competing distances for the particle's next
-// segment, moves the particle to the nearest event, and returns the event
-// type (with facet geometry when applicable). It is shared verbatim by both
-// schemes so their histories agree bit for bit.
-func advance(m *mesh.Mesh, p *particle.Particle, sigmaT, speed float64) (ev events.Type, axis, dir int) {
-	dColl := events.DistanceToCollision(p.MFPToCollision, sigmaT)
-	dFacet, axis, dir := events.DistanceToFacet(m, p.X, p.Y, p.UX, p.UY, p.CellX, p.CellY)
-	dCensus := events.DistanceToCensus(p.TimeToCensus, speed)
-
-	var d float64
-	switch {
-	case dColl <= dFacet && dColl <= dCensus:
-		d, ev = dColl, events.Collision
-	case dFacet <= dCensus:
-		d, ev = dFacet, events.Facet
-	default:
-		d, ev = dCensus, events.Census
+// advance moves the particle along its next segment to the nearest event
+// and returns the event type (with facet geometry when applicable). This is
+// the canonical segment arithmetic, shared by both schemes so their histories
+// agree bit for bit:
+//
+//   - the facet distance d is (facet − x)·(1/u) per axis (events.AxisDistance);
+//   - census competes in time: it wins iff ttc < d·(1/speed), so a tie crosses
+//     the facet, and the clock a crossing leaves behind is never negative;
+//   - the collision competes in mean free paths: it wins iff mfp ≤ d·σt, ties
+//     included, so mfp/σt — the segment's one divide — is paid only when a
+//     collision actually happens.
+//
+// invUX, invUY and invSpeed are the reciprocals of p.UX, p.UY and speed. Over
+// Particles keeps them in registers and recomputes them when the direction or
+// energy changes; Over Events recomputes them at every call. Either way they
+// are the same bits. The Over Particles facet streak evaluates the same
+// expressions on locals (see (*run).streak).
+func advance(m *mesh.Mesh, p *particle.Particle, sigmaT, speed, invSpeed, invUX, invUY float64) (ev events.Type, axis, dir int) {
+	d, axis, dir := events.DistanceToFacetRecip(m, p.X, p.Y, p.UX, p.UY, invUX, invUY, p.CellX, p.CellY)
+	ev = events.Facet
+	if p.TimeToCensus < float64(d*invSpeed) {
+		d, ev = events.DistanceToCensus(p.TimeToCensus, speed), events.Census
+	}
+	collides := sigmaT >= events.MinSigmaT
+	if collides && p.MFPToCollision <= float64(d*sigmaT) {
+		// The quotient can round an ulp past the distance it just beat.
+		if dColl := events.DistanceToCollision(p.MFPToCollision, sigmaT); dColl < d {
+			d = dColl
+		}
+		ev = events.Collision
 	}
 
-	p.X += p.UX * d
-	p.Y += p.UY * d
-	p.TimeToCensus -= d / speed
-	if sigmaT >= events.MinSigmaT {
-		p.MFPToCollision -= d * sigmaT
-	}
+	// Every product that feeds a sum is converted first: the spec's barrier
+	// against fusing it into the sum on FMA targets, so this function and
+	// the streak round alike whatever each one's compiler pass saw.
+	p.X += float64(p.UX * d)
+	p.Y += float64(p.UY * d)
 	if ev == events.Census {
 		p.TimeToCensus = 0
+	} else {
+		p.TimeToCensus -= float64(d * invSpeed)
+	}
+	if collides {
+		p.MFPToCollision -= float64(d * sigmaT)
 	}
 	return ev, axis, dir
 }

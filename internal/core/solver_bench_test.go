@@ -62,3 +62,31 @@ func BenchmarkOverEvents(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSnapshot times the per-step checkpoint of the service's reference
+// job (csp, 256², 2 000 particles, mid-run so the tally is populated): the
+// fixed cost every service step pays next to the solve. B/op is the snapshot:
+// one allocation of its exact size.
+func BenchmarkSnapshot(b *testing.B) {
+	cfg := Default(mesh.CSP)
+	cfg.NX, cfg.NY = 256, 256
+	cfg.Particles = 2000
+	cfg.Steps = 20
+	cfg.Threads = 1
+	sim, err := NewSimulation(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if err := sim.Step(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var n int
+	for i := 0; i < b.N; i++ {
+		n = len(sim.Snapshot())
+	}
+	b.SetBytes(int64(n))
+}

@@ -106,43 +106,69 @@ func DistanceToCensus(timeToCensus, speed float64) float64 {
 	return timeToCensus * speed
 }
 
-// DistanceToFacet performs the Cartesian ray–grid intersection (paper
+// AxisDistance is the canonical distance along the flight path to one facet
+// plane: plane f of a family spaced pitch apart, seen from coordinate pos by a
+// particle whose reciprocal direction cosine on that axis is inv —
+// (f·pitch − pos)·inv. A multiply by the reciprocal replaces the divide by the
+// cosine: the reciprocal changes only when the direction does, so the divide
+// leaves the per-segment dependency chain. Floating point can leave a
+// just-crossed facet epsilon behind the particle; the clamp means the particle
+// never moves backwards, and that the distance is +0 exactly when it is zero
+// (a particle on the facet would otherwise see 0·inv = −0).
+//
+// Every site that needs a facet distance — DistanceToFacetRecip here, the
+// Over Particles facet streak in core — evaluates this one function, so they
+// agree bit for bit. The conversion around the product is the spec's barrier
+// against fusing it into the subtraction on FMA targets, which would make the
+// result depend on what each call site's compiler pass saw.
+func AxisDistance(f int, pitch, pos, inv float64) float64 {
+	d := (float64(float64(f)*pitch) - pos) * inv
+	if !(d > 0) {
+		d = 0
+	}
+	return d
+}
+
+// DistanceToFacetRecip performs the Cartesian ray–grid intersection (paper
 // §IV-C): the distance from (x, y) travelling along (ux, uy) to the nearest
-// face of cell (cx, cy). axis reports 0 for an x-facet, 1 for a y-facet;
-// dir reports +1 or -1, the direction of cell transition along that axis.
-func DistanceToFacet(m *mesh.Mesh, x, y, ux, uy float64, cx, cy int32) (d float64, axis, dir int) {
+// face of cell (cx, cy), given the reciprocals invUX = 1/ux and invUY = 1/uy.
+// axis reports 0 for an x-facet, 1 for a y-facet; dir reports +1 or -1, the
+// direction of cell transition along that axis. An exact tie goes to the
+// x-facet. A zero cosine never reaches its reciprocal (±Inf): that axis
+// simply has no facet ahead.
+func DistanceToFacetRecip(m *mesh.Mesh, x, y, ux, uy, invUX, invUY float64, cx, cy int32) (d float64, axis, dir int) {
 	dx := Infinity
 	dirX := 0
 	switch {
 	case ux > 0:
-		dx = (m.FacetX(int(cx)+1) - x) / ux
+		dx = AxisDistance(int(cx)+1, m.DX, x, invUX)
 		dirX = 1
 	case ux < 0:
-		dx = (m.FacetX(int(cx)) - x) / ux
+		dx = AxisDistance(int(cx), m.DX, x, invUX)
 		dirX = -1
 	}
 	dy := Infinity
 	dirY := 0
 	switch {
 	case uy > 0:
-		dy = (m.FacetY(int(cy)+1) - y) / uy
+		dy = AxisDistance(int(cy)+1, m.DY, y, invUY)
 		dirY = 1
 	case uy < 0:
-		dy = (m.FacetY(int(cy)) - y) / uy
+		dy = AxisDistance(int(cy), m.DY, y, invUY)
 		dirY = -1
-	}
-	// Floating point can leave a just-crossed facet epsilon behind the
-	// particle; clamp to zero so the particle never moves backwards.
-	if dx < 0 {
-		dx = 0
-	}
-	if dy < 0 {
-		dy = 0
 	}
 	if dx <= dy {
 		return dx, 0, dirX
 	}
 	return dy, 1, dirY
+}
+
+// DistanceToFacet is the one-shot form of DistanceToFacetRecip for callers
+// that hold no reciprocals: it pays the two divides itself. -(1/u) == 1/(-u)
+// exactly, so a caller that keeps reciprocals across reflections and one that
+// recomputes them here see the same bits.
+func DistanceToFacet(m *mesh.Mesh, x, y, ux, uy float64, cx, cy int32) (d float64, axis, dir int) {
+	return DistanceToFacetRecip(m, x, y, ux, uy, 1/ux, 1/uy, cx, cy)
 }
 
 // FacetOutcome reports what a facet encounter did to the particle.

@@ -2,6 +2,7 @@ package events
 
 import (
 	"math"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -349,3 +350,116 @@ func TestEventTypeString(t *testing.T) {
 		t.Fatal("event type names wrong")
 	}
 }
+
+// distanceToFacetDiv is the division form of the facet search — (facet − x)/u
+// per axis — that was the canonical arithmetic before the reciprocals. It
+// lives on here, only, as the reference the multiply form is held against.
+func distanceToFacetDiv(m *mesh.Mesh, x, y, ux, uy float64, cx, cy int32) (dx, dy float64, dirX, dirY int) {
+	dx, dy = Infinity, Infinity
+	switch {
+	case ux > 0:
+		dx, dirX = (m.FacetX(int(cx)+1)-x)/ux, 1
+	case ux < 0:
+		dx, dirX = (m.FacetX(int(cx))-x)/ux, -1
+	}
+	switch {
+	case uy > 0:
+		dy, dirY = (m.FacetY(int(cy)+1)-y)/uy, 1
+	case uy < 0:
+		dy, dirY = (m.FacetY(int(cy))-y)/uy, -1
+	}
+	return math.Max(dx, 0), math.Max(dy, 0), dirX, dirY
+}
+
+// ulpsApart counts the representable float64 values between two
+// non-negative numbers.
+func ulpsApart(a, b float64) uint64 {
+	ba, bb := math.Float64bits(a), math.Float64bits(b)
+	if ba > bb {
+		return ba - bb
+	}
+	return bb - ba
+}
+
+// TestDistanceToFacetAgainstDivision holds the divide-free facet search to
+// the division form: never negative, within 2 ulp of the division form's
+// nearest facet (a rounded reciprocal and a rounded product against one
+// rounded quotient), and the same axis and direction unless the two
+// candidates are themselves within that tolerance of a tie. Random states
+// over the whole mesh, plus the states the samplers can really produce at the
+// edges of the arithmetic: a zero cosine (DirectionOf(0) is exactly (1, 0)),
+// a particle exactly on a facet or an epsilon past it, the first and last
+// cells.
+func TestDistanceToFacetAgainstDivision(t *testing.T) {
+	m, err := mesh.New(24, 16, 2.5, 1.5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(x, y, ux, uy float64, cx, cy int) {
+		t.Helper()
+		d, axis, dir := DistanceToFacet(m, x, y, ux, uy, int32(cx), int32(cy))
+		dx, dy, dirX, dirY := distanceToFacetDiv(m, x, y, ux, uy, int32(cx), int32(cy))
+		state := func() string {
+			return "x=" + fmtG(x) + " y=" + fmtG(y) + " u=(" + fmtG(ux) + "," + fmtG(uy) + ")"
+		}
+		if !(d >= 0) {
+			t.Fatalf("%s: distance %v is negative", state(), d)
+		}
+		if got := ulpsApart(d, math.Min(dx, dy)); got > 2 {
+			t.Fatalf("%s: distance %v is %d ulp from the division form's %v", state(), d, got, math.Min(dx, dy))
+		}
+		wantAxis, wantDir := 1, dirY
+		if dx <= dy {
+			wantAxis, wantDir = 0, dirX
+		}
+		if (axis != wantAxis || dir != wantDir) && ulpsApart(dx, dy) > 4 {
+			t.Fatalf("%s: facet (axis %d, dir %d), division form (axis %d, dir %d) with dx=%v dy=%v",
+				state(), axis, dir, wantAxis, wantDir, dx, dy)
+		}
+		// The form that keeps its reciprocals is the same function, also
+		// when a reflection has negated one instead of recomputing it.
+		if d2, a2, r2 := DistanceToFacetRecip(m, x, y, ux, uy, 1/ux, 1/uy, int32(cx), int32(cy)); d2 != d || a2 != axis || r2 != dir {
+			t.Fatalf("%s: one-shot (%v,%d,%d) != reciprocal form (%v,%d,%d)", state(), d, axis, dir, d2, a2, r2)
+		}
+		dr, ar, rr := DistanceToFacet(m, x, y, -ux, uy, int32(cx), int32(cy))
+		if d2, a2, r2 := DistanceToFacetRecip(m, x, y, -ux, uy, -(1 / ux), 1/uy, int32(cx), int32(cy)); d2 != dr || a2 != ar || r2 != rr {
+			t.Fatalf("%s: negated reciprocal (%v,%d,%d) != recomputed (%v,%d,%d)", state(), d2, a2, r2, dr, ar, rr)
+		}
+	}
+
+	s := rng.NewStream(2024, 0)
+	for i := 0; i < 20000; i++ {
+		cx, cy := int(s.Uniform()*float64(m.NX)), int(s.Uniform()*float64(m.NY))
+		switch i % 8 { // an eighth each in the corner cells
+		case 0:
+			cx, cy = 0, 0
+		case 1:
+			cx, cy = m.NX-1, m.NY-1
+		}
+		x := m.FacetX(cx) + s.Uniform()*m.DX
+		y := m.FacetY(cy) + s.Uniform()*m.DY
+		ux, uy := rng.IsotropicDirection(&s)
+		check(x, y, ux, uy, cx, cy)
+
+		// Axis-aligned flight: one cosine exactly zero.
+		check(x, y, math.Copysign(1, ux), 0, cx, cy)
+		check(x, y, 0, math.Copysign(1, uy), cx, cy)
+
+		// Exactly on a facet, leaving through it (distance 0) and
+		// crossing the whole cell; an ulp outside the cell, where the
+		// clamp holds the distance at zero.
+		fx, fy := m.FacetX(cx), m.FacetY(cy+1)
+		check(fx, y, ux, uy, cx, cy)
+		check(x, fy, ux, uy, cx, cy)
+		check(math.Nextafter(fx, math.Inf(-1)), y, -math.Abs(ux), uy, cx, cy)
+		check(x, math.Nextafter(fy, math.Inf(1)), ux, math.Abs(uy), cx, cy)
+	}
+	// The direction sampler's own extreme: theta = 0.
+	ux, uy := rng.DirectionOf(0)
+	if uy != 0 {
+		t.Fatalf("DirectionOf(0) = (%v, %v), want a zero sine", ux, uy)
+	}
+	check(0.3, 0.7, ux, uy, 2, 7)
+}
+
+func fmtG(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }

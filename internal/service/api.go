@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
+	"reflect"
 	"strconv"
 	"time"
 
@@ -432,6 +433,245 @@ func ensembleViewOf(ens *stats.Ensemble, keepCells bool) *EnsembleView {
 	return v
 }
 
+// UnmarshalJSON decodes a ResultView with the cells array — 65 536 numbers
+// of a 256² result, nearly all of a view's bytes — taken off encoding/json,
+// which scans those bytes three times and parses each element through
+// reflection. The array is located in the top-level object, its numbers go
+// straight to strconv.ParseFloat (what encoding/json calls for each one, so
+// every value is the same bits), and encoding/json decodes the rest of the
+// document with null in the array's place. A coordinator pays this decode for
+// every remote result and an engine for every blob-tier hit.
+//
+// The fast path commits only when all of it is unambiguous: exactly one
+// top-level member folds to "cells", its value is a non-empty array of
+// well-formed JSON numbers in range, and the remaining document decodes
+// without error. Anything else — null, [], a string element, a duplicate or
+// escaped key, malformed input — is decoded by encoding/json alone, so values
+// and errors there are exactly the standard ones.
+func (v *ResultView) UnmarshalJSON(data []byte) error {
+	type plain ResultView // the same fields without this method
+	if start, end, ok := cellsArray(data); ok {
+		if cells, ok := parseNumberArray(data[start:end]); ok {
+			rest := make([]byte, 0, len(data)-(end-start)+len("null"))
+			rest = append(append(append(rest, data[:start]...), "null"...), data[end:]...)
+			if json.Unmarshal(rest, (*plain)(v)) == nil {
+				v.Cells = cells
+				return nil
+			}
+		}
+	}
+	err := json.Unmarshal(data, (*plain)(v))
+	var typeErr *json.UnmarshalTypeError
+	if errors.As(err, &typeErr) {
+		// The message names the wire type, as it always has.
+		if typeErr.Struct == "plain" {
+			typeErr.Struct = "ResultView"
+		}
+		if typeErr.Type == reflect.TypeOf(plain{}) {
+			typeErr.Type = reflect.TypeOf(ResultView{})
+		}
+	}
+	return err
+}
+
+// cellsArray locates the value of the one top-level member whose name
+// encoding/json would match to the cells field, when that value opens an
+// array: data[start:end] runs from its '[' through the first ']' after it,
+// which closes the array whenever it holds only numbers (parseNumberArray
+// rejects it otherwise). ok is false when there is no such member, more than
+// one, or anything the walk does not expect; on well-formed JSON the walk
+// tracks strings, escapes and nesting exactly, and what it skips over is left
+// in the document for encoding/json to judge.
+func cellsArray(data []byte) (start, end int, ok bool) {
+	i := skipSpace(data, 0)
+	if i == len(data) || data[i] != '{' {
+		return 0, 0, false
+	}
+	i = skipSpace(data, i+1)
+	if i < len(data) && data[i] == '}' {
+		return 0, 0, false
+	}
+	for {
+		if i == len(data) || data[i] != '"' {
+			return 0, 0, false
+		}
+		keyEnd := skipString(data, i)
+		if keyEnd < 0 {
+			return 0, 0, false
+		}
+		key := data[i+1 : keyEnd-1]
+		if bytes.IndexByte(key, '\\') >= 0 {
+			return 0, 0, false // an escaped name could spell anything
+		}
+		i = skipSpace(data, keyEnd)
+		if i == len(data) || data[i] != ':' {
+			return 0, 0, false
+		}
+		i = skipSpace(data, i+1)
+		if bytes.EqualFold(key, []byte("cells")) {
+			if ok || i == len(data) || data[i] != '[' {
+				return 0, 0, false
+			}
+			n := bytes.IndexByte(data[i:], ']')
+			if n < 0 {
+				return 0, 0, false
+			}
+			start, end, ok = i, i+n+1, true
+			i = end
+		} else if i = skipValue(data, i); i < 0 {
+			return 0, 0, false
+		}
+		i = skipSpace(data, i)
+		if i == len(data) {
+			return 0, 0, false
+		}
+		switch data[i] {
+		case ',':
+			i = skipSpace(data, i+1)
+		case '}':
+			return start, end, ok
+		default:
+			return 0, 0, false
+		}
+	}
+}
+
+// skipString returns the index just past the string whose opening quote is
+// at b[i], or -1 if it does not close.
+func skipString(b []byte, i int) int {
+	for i++; i < len(b); i++ {
+		switch b[i] {
+		case '\\':
+			i++
+		case '"':
+			return i + 1
+		}
+	}
+	return -1
+}
+
+// skipValue returns the index just past the JSON value starting at b[i]: a
+// string ends at its closing quote, an object or array at its matching
+// closer, any other scalar at the next comma or closer of the enclosing
+// object. -1 if the input ends first.
+func skipValue(b []byte, i int) int {
+	depth := 0
+	for i < len(b) {
+		switch b[i] {
+		case '"':
+			if i = skipString(b, i); i < 0 || depth == 0 {
+				return i
+			}
+			continue
+		case '{', '[':
+			depth++
+		case '}', ']':
+			if depth == 0 {
+				return i
+			}
+			if depth--; depth == 0 {
+				return i + 1
+			}
+		case ',':
+			if depth == 0 {
+				return i
+			}
+		}
+		i++
+	}
+	return -1
+}
+
+// parseNumberArray parses a JSON array holding at least one element and
+// nothing but numbers; ok is false for every other shape, for a number that
+// breaks the JSON grammar, and for one float64 cannot hold.
+func parseNumberArray(raw []byte) (vals []float64, ok bool) {
+	// raw[0] is '['. One number per comma is the exact count for an array
+	// of numbers.
+	vals = make([]float64, 0, bytes.Count(raw, []byte{','})+1)
+	i := 1
+	for {
+		i = skipSpace(raw, i)
+		start := i
+		for i < len(raw) && isNumberByte(raw[i]) {
+			i++
+		}
+		tok := raw[start:i]
+		if len(tok) == 1 && tok[0] == '0' {
+			vals = append(vals, 0) // most of a tally
+		} else {
+			if !validNumber(tok) {
+				return nil, false
+			}
+			f, err := strconv.ParseFloat(string(tok), 64)
+			if err != nil {
+				return nil, false
+			}
+			vals = append(vals, f)
+		}
+		i = skipSpace(raw, i)
+		if i == len(raw) {
+			return nil, false
+		}
+		switch raw[i] {
+		case ',':
+			i++
+		case ']':
+			return vals, i+1 == len(raw)
+		default:
+			return nil, false
+		}
+	}
+}
+
+// validNumber reports whether tok is a number in the JSON grammar:
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?. strconv.ParseFloat alone
+// is laxer (+1, 01, .5, 5.).
+func validNumber(tok []byte) bool {
+	i := 0
+	if i < len(tok) && tok[i] == '-' {
+		i++
+	}
+	digits := func() bool {
+		start := i
+		for i < len(tok) && tok[i] >= '0' && tok[i] <= '9' {
+			i++
+		}
+		return i > start
+	}
+	switch {
+	case i < len(tok) && tok[i] == '0':
+		i++
+	case !digits():
+		return false
+	}
+	if i < len(tok) && tok[i] == '.' {
+		if i++; !digits() {
+			return false
+		}
+	}
+	if i < len(tok) && (tok[i] == 'e' || tok[i] == 'E') {
+		if i++; i < len(tok) && (tok[i] == '+' || tok[i] == '-') {
+			i++
+		}
+		if !digits() {
+			return false
+		}
+	}
+	return i == len(tok)
+}
+
+func skipSpace(b []byte, i int) int {
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
+		i++
+	}
+	return i
+}
+
+func isNumberByte(c byte) bool {
+	return c >= '0' && c <= '9' || c == '-' || c == '+' || c == '.' || c == 'e' || c == 'E'
+}
+
 func resultViewOf(res *core.Result) ResultView {
 	var phases map[string]float64
 	res.Phases.Each(func(name string, d time.Duration) {
@@ -854,11 +1094,27 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	case err != nil:
 		s.writeError(w, r, http.StatusConflict, err)
 	default:
-		v := resultViewOf(res)
 		if ens := j.Ensemble(); ens != nil {
+			v := resultViewOf(res)
 			v.Ensemble = ensembleViewOf(ens, j.Config().KeepCells)
+			writeJSON(w, http.StatusOK, v)
+			return
 		}
-		writeJSON(w, http.StatusOK, v)
+		// A single run's view is a function of the result alone, so its
+		// bytes are encoded once per result (Cache.resultJSON), not per
+		// request: the job that computed it is served the bytes
+		// persistResult encoded and lets them go, a cache-hit job leaves
+		// them for the next hit. Marshal plus a newline is what
+		// writeJSON's Encoder writes.
+		data, err := s.engine.Cache().resultJSON(j.key, res, !j.Status().Cached)
+		if err != nil {
+			writeJSON(w, http.StatusOK, resultViewOf(res)) // as before: the encoder's own failure mode
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		w.Write(data)
+		w.Write([]byte{'\n'})
 	}
 }
 

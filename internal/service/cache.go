@@ -2,6 +2,7 @@ package service
 
 import (
 	"container/list"
+	"encoding/json"
 	"sync"
 
 	"repro/internal/core"
@@ -31,6 +32,18 @@ type cacheEntry struct {
 	// ens carries the merged ensemble statistics of an ensemble job;
 	// nil for single-run results.
 	ens *stats.Ensemble
+
+	// wire is the result's JSON wire form while the entry holds one (see
+	// resultJSON); nil otherwise.
+	wire *encodedResult
+}
+
+// encodedResult is one result's wire form, encoded by the first caller that
+// needs it and shared by every later one.
+type encodedResult struct {
+	once sync.Once
+	data []byte
+	err  error
 }
 
 // NewCache returns a cache holding at most capacity results. Capacity 0
@@ -82,8 +95,9 @@ func (c *Cache) PutEntry(key string, res *core.Result, ens *stats.Ensemble) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
-		e := el.Value.(*cacheEntry)
-		e.res, e.ens = res, ens
+		// A fresh entry, not an update in place: the old one's encoded
+		// bytes belong to the old result.
+		el.Value = &cacheEntry{key: key, res: res, ens: ens}
 		c.order.MoveToFront(el)
 		return
 	}
@@ -94,6 +108,39 @@ func (c *Cache) PutEntry(key string, res *core.Result, ens *stats.Ensemble) {
 		delete(c.items, oldest.Value.(*cacheEntry).key)
 		c.evictions++
 	}
+}
+
+// resultJSON returns json.Marshal(resultViewOf(res)) — the bytes of a
+// single-run result on the wire. While the cache holds res under key they are
+// encoded once and kept with the entry, so the store's persistent tier, the
+// job that computed the result and every job later born from a hit on the
+// entry write the same slice (callers must not modify it). release drops the
+// entry's copy after this call: the computing job's own fetch passes true —
+// nobody is known to want the bytes again, and 137 KB per entry is real
+// memory — while a cache-hit job's fetch passes false, since a result asked
+// for twice is likely to be asked for again. A result the cache does not hold
+// (evicted, uncacheable, caching off) is encoded for the caller alone. The
+// lookup is not a cache access: it moves no entry and counts no hit.
+func (c *Cache) resultJSON(key string, res *core.Result, release bool) ([]byte, error) {
+	var enc *encodedResult
+	c.mu.Lock()
+	if el, ok := c.items[key]; ok {
+		if e := el.Value.(*cacheEntry); e.res == res {
+			if e.wire == nil {
+				e.wire = &encodedResult{}
+			}
+			enc = e.wire
+			if release {
+				e.wire = nil
+			}
+		}
+	}
+	c.mu.Unlock()
+	if enc == nil {
+		return json.Marshal(resultViewOf(res))
+	}
+	enc.once.Do(func() { enc.data, enc.err = json.Marshal(resultViewOf(res)) })
+	return enc.data, enc.err
 }
 
 // Len reports the number of cached results.

@@ -1,0 +1,342 @@
+package service
+
+import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"math"
+	"math/rand"
+	"net/http"
+	"reflect"
+	"strconv"
+	"strings"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/mesh"
+	"repro/internal/service/blob"
+)
+
+// referenceResult is the service's reference job — csp, 256², 2 000
+// particles, keep_cells — solved once: the 137 KB result every benchmark
+// workload of the serving tier moves around.
+func referenceResult(tb testing.TB) *core.Result {
+	tb.Helper()
+	cfg := core.Default(mesh.CSP)
+	cfg.NX, cfg.NY = 256, 256
+	cfg.Particles = 2000
+	cfg.Steps = 2
+	cfg.Threads = 1
+	cfg.KeepCells = true
+	res, err := core.Run(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
+// BenchmarkResultJSON times the two fixed costs a result pays on the wire:
+// encoding the view (once per result: the bytes are kept with the cache
+// entry) and decoding it (every remote result on a coordinator, every
+// blob-tier hit).
+func BenchmarkResultJSON(b *testing.B) {
+	res := referenceResult(b)
+	data, err := json.Marshal(resultViewOf(res))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("encode", func(b *testing.B) {
+		b.SetBytes(int64(len(data)))
+		for i := 0; i < b.N; i++ {
+			if _, err := json.Marshal(resultViewOf(res)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.SetBytes(int64(len(data)))
+		for i := 0; i < b.N; i++ {
+			var rv ResultView
+			if err := json.Unmarshal(data, &rv); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// plainResultView is ResultView without its UnmarshalJSON: what
+// encoding/json alone makes of a document.
+type plainResultView ResultView
+
+// checkDecodeMatchesStdlib decodes doc both ways and requires the same
+// outcome: both fail or both succeed, every cell the same bits (nil and empty
+// told apart), every other field equal.
+func checkDecodeMatchesStdlib(t *testing.T, doc string) {
+	t.Helper()
+	var got ResultView
+	var want plainResultView
+	gerr := json.Unmarshal([]byte(doc), &got)
+	werr := json.Unmarshal([]byte(doc), &want)
+	if (gerr == nil) != (werr == nil) {
+		t.Fatalf("doc %.80q: err %v, encoding/json %v", doc, gerr, werr)
+	}
+	if werr != nil {
+		// The reference type's name appears in type errors; the wire type's
+		// must appear in ours.
+		if gerr.Error() != strings.ReplaceAll(werr.Error(), "plainResultView", "ResultView") {
+			t.Fatalf("doc %.80q: error %q, encoding/json %q", doc, gerr, werr)
+		}
+		return
+	}
+	if (got.Cells == nil) != (want.Cells == nil) || len(got.Cells) != len(want.Cells) {
+		t.Fatalf("doc %.80q: cells %v, encoding/json %v", doc, got.Cells, want.Cells)
+	}
+	for i := range want.Cells {
+		if math.Float64bits(got.Cells[i]) != math.Float64bits(want.Cells[i]) {
+			t.Fatalf("doc %.80q: cell %d = %x, encoding/json %x", doc, i,
+				math.Float64bits(got.Cells[i]), math.Float64bits(want.Cells[i]))
+		}
+	}
+	got.Cells, want.Cells = nil, nil
+	if !reflect.DeepEqual(got, ResultView(want)) {
+		t.Fatalf("doc %.80q: fields differ:\n got  %+v\n want %+v", doc, got, ResultView(want))
+	}
+}
+
+// TestResultViewDecodeMatchesStdlib pins ResultView.UnmarshalJSON to
+// encoding/json: on every shape of cells member it recognises it must
+// produce the same bits, and on everything else the same value or error.
+func TestResultViewDecodeMatchesStdlib(t *testing.T) {
+	for _, doc := range []string{
+		// Recognised: plain number arrays in every spelling JSON allows.
+		`{"tally_total":1.5,"cells":[0,1,2.5],"events":7}`,
+		`{"cells":[0]}`,
+		`{"cells":[-0]}`,
+		`{"cells":[-0.0,0.0,0e0,-0E-0]}`,
+		`{"cells":[-1,-2.5e-3,1E+2,1e2,1.25E-7]}`,
+		`{"cells":[5e-324,4.9406564584124654e-324,2.2250738585072014e-308,1e-320,-3e-310]}`,
+		`{"cells":[1.7976931348623157e308,-1.7976931348623157e308]}`,
+		`{"cells":[0.1,0.2,0.30000000000000004,123456789012345678901234567890]}`,
+		`{"cells" : [ 1 ,	2
+		, 3 ] , "deaths" : 4}`,
+		`  {"events":3,"counters":{"FacetEvents":2},"cells":[1,2],"leakage":{"weight":{"x-hi":1},"energy":{"x-hi":2},"total_energy":2}}  `,
+		`{"phase_timings":{"fused":0.25},"cells":[3],"ensemble":{"replicas":2,"rel_err":[0.5,"x"]}}`,
+		// A nested member called cells is not the field.
+		`{"leakage":{"weight":{"cells":1},"energy":{},"total_energy":0,"cells":[9]},"cells":[1]}`,
+		`{"counters":{"cells":[1,2]}}`,
+		`{"unknown":{"cells":[1,[2],{"cells":[3]}]},"s":"a \\"cells\\":[4] ]} \\\\","cells":[5]}`,
+		// Not a non-empty number array: encoding/json's business.
+		`{"cells":null}`,
+		`{"cells":[]}`,
+		`{"cells":[ ]}`,
+		`{"tally_total":2}`,
+		`{}`,
+		`{"cells":[1,null,2]}`,
+		`{"cells":[1,"2"]}`,
+		`{"cells":[[1]]}`,
+		`{"cells":[1,[2],3]}`,
+		`{"cells":[true]}`,
+		`{"cells":{"0":1}}`,
+		`{"cells":"[1,2]"}`,
+		`{"cells":7}`,
+		// Names encoding/json folds onto the field, duplicates, escapes.
+		`{"CELLS":[1,2]}`,
+		`{"Cells":[1],"cells":[2]}`,
+		`{"cells":[1],"cells":[2,3]}`,
+		`{"cells":[1],"cells":null}`,
+		`{"cells":[4]}`,
+		`{"cells":[1],"cells":[4]}`,
+		`{"cellſ":[6]}`,
+		`{"cells":[1],"cellſ":[6]}`,
+		`{"Kells":[1]}`,
+		// Numbers outside the JSON grammar or float64's range.
+		`{"cells":[+1]}`,
+		`{"cells":[01]}`,
+		`{"cells":[.5]}`,
+		`{"cells":[5.]}`,
+		`{"cells":[1e]}`,
+		`{"cells":[1e+]}`,
+		`{"cells":[--1]}`,
+		`{"cells":[-]}`,
+		`{"cells":[1.2.3]}`,
+		`{"cells":[1e5e5]}`,
+		`{"cells":[0x10]}`,
+		`{"cells":[1_000]}`,
+		`{"cells":[NaN]}`,
+		`{"cells":[Infinity]}`,
+		`{"cells":[1e400]}`,
+		`{"cells":[1,-1e999,2]}`,
+		// Malformed documents.
+		``,
+		`null`,
+		`[1,2]`,
+		`"cells"`,
+		`{"cells":[1,2]`,
+		`{"cells":[1,2`,
+		`{"cells":[1,,2]}`,
+		`{"cells":[1,]}`,
+		`{"cells":[,1]}`,
+		`{"cells":[1 2]}`,
+		`{"cells":[1]]}`,
+		`{"cells":[1],}`,
+		`{"cells":[1]} x`,
+		`{"cells":[1]}{"cells":[2]}`,
+		`{"cells" [1]}`,
+		`{cells:[1]}`,
+		`{"cells":[1],"events":}`,
+		`{"cells":[1],"events":1e}`,
+		`{"events":"unterminated,"cells":[1]}`,
+		`{"events":"bad \x escape","cells":[1]}`,
+		`{"cells":[1],"events":-1}`,
+		`{"cells":[1],"events":"7"}`,
+		`{"a":{"cells":[1]},"cells":[2}`,
+	} {
+		checkDecodeMatchesStdlib(t, doc)
+	}
+
+	// Generated arrays: every float formatting Go has, random bit patterns
+	// (subnormals and extremes included), random whitespace.
+	rnd := rand.New(rand.NewSource(13))
+	special := []float64{0, math.Copysign(0, -1), 1, -1, math.SmallestNonzeroFloat64,
+		-math.SmallestNonzeroFloat64, math.MaxFloat64, -math.MaxFloat64, 2.2250738585072014e-308,
+		2.225073858507201e-308, 1e22, 1e23, 9007199254740993, 0.1, 1e-7, 2e9}
+	spaces := []string{"", "", "", " ", "\n", "\t ", "\r\n"}
+	for trial := 0; trial < 300; trial++ {
+		var sb strings.Builder
+		sb.WriteString(`{"tally_total":`)
+		sb.WriteString(strconv.FormatFloat(rnd.NormFloat64(), 'g', -1, 64))
+		sb.WriteString(`,"cells":` + spaces[rnd.Intn(len(spaces))] + `[`)
+		n := 1 + rnd.Intn(40)
+		for i := 0; i < n; i++ {
+			var f float64
+			switch rnd.Intn(4) {
+			case 0:
+				f = special[rnd.Intn(len(special))]
+			case 1:
+				f = math.Float64frombits(rnd.Uint64())
+				if math.IsNaN(f) || math.IsInf(f, 0) {
+					f = 0
+				}
+			case 2:
+				f = math.Float64frombits(rnd.Uint64() & (1<<52 - 1)) // subnormal
+			default:
+				f = rnd.ExpFloat64() * 1e9
+			}
+			if i > 0 {
+				sb.WriteString(spaces[rnd.Intn(len(spaces))] + "," + spaces[rnd.Intn(len(spaces))])
+			}
+			format := []byte{'g', 'e', 'E', 'G'}[rnd.Intn(4)]
+			prec := -1
+			if rnd.Intn(3) == 0 {
+				prec = rnd.Intn(20)
+			}
+			sb.WriteString(strconv.FormatFloat(f, format, prec, 64))
+		}
+		sb.WriteString(spaces[rnd.Intn(len(spaces))] + `],"events":` + strconv.Itoa(rnd.Intn(1000)) + `}`)
+		doc := sb.String()
+		checkDecodeMatchesStdlib(t, doc)
+		// And with one byte damaged or the tail cut: still the same verdict.
+		damaged := []byte(doc)
+		damaged[rnd.Intn(len(damaged))] = `]}[{,:"e+-.x0 `[rnd.Intn(14)]
+		checkDecodeMatchesStdlib(t, string(damaged))
+		checkDecodeMatchesStdlib(t, doc[:rnd.Intn(len(doc))])
+	}
+
+	// The real thing round-trips: the reference result through the wire.
+	res := referenceResult(t)
+	data, err := json.Marshal(resultViewOf(res))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDecodeMatchesStdlib(t, string(data))
+	var rv ResultView
+	if err := json.Unmarshal(data, &rv); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rv.Cells, res.Cells) {
+		t.Fatal("cells changed across encode/decode")
+	}
+}
+
+// TestResultEncodedOnce: the three writers of a single-run result — the blob
+// store's persistent tier, GET /result on the job that computed it, and GET
+// /result on jobs born from an LRU hit — emit the bytes of an encoding kept
+// with the cache entry, and those bytes are exactly what encoding the view
+// per request produced. The computing job's fetch releases the entry's copy;
+// hit jobs' fetches keep it.
+func TestResultEncodedOnce(t *testing.T) {
+	store := blob.NewMem()
+	ts, e := newTestServer(t, Options{Shards: 1, QueueDepth: 4, Blobs: store})
+	spec := `{"problem":"csp","nx":64,"particles":200,"threads":1,"seed":7,"keep_cells":true}`
+	get := func(id string) []byte {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/result?wait=true")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("result: status %d, err %v", resp.StatusCode, err)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+			t.Fatalf("content type %q", ct)
+		}
+		return body
+	}
+
+	first, code := postJob(t, ts, spec)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit status %d", code)
+	}
+	body := get(first.ID)
+	j, err := e.Job(first.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := j.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := json.NewEncoder(&want).Encode(resultViewOf(res)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, want.Bytes()) {
+		t.Fatal("GET /result is not the per-request encoding of the view")
+	}
+	stored, err := store.Get("results/" + j.key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(append(stored, '\n'), body) {
+		t.Fatal("persisted result differs from the served one")
+	}
+
+	// The computing job's own fetch let the entry's copy go.
+	if el := e.Cache().items[j.key]; el == nil || el.Value.(*cacheEntry).wire != nil {
+		t.Fatal("computing job's fetch should release the entry's encoded bytes")
+	}
+
+	hit, code := postJob(t, ts, spec)
+	if code != http.StatusOK || !hit.Cached {
+		t.Fatalf("repeat submit: status %d, view %+v", code, hit)
+	}
+	if !bytes.Equal(get(hit.ID), body) {
+		t.Fatal("LRU-hit job served different bytes")
+	}
+	// A hit job's fetch keeps them: the next hit is served the same slice.
+	a, _ := e.Cache().resultJSON(j.key, res, false)
+	b, _ := e.Cache().resultJSON(j.key, res, false)
+	if len(a) == 0 || &a[0] != &b[0] {
+		t.Fatal("cache entry re-encoded its result")
+	}
+	if !bytes.Equal(get(hit.ID), body) {
+		t.Fatal("second fetch of the hit job served different bytes")
+	}
+	// A result the cache does not hold still encodes, for that caller.
+	other := *res
+	if c, err := e.Cache().resultJSON(j.key, &other, false); err != nil || !bytes.Equal(c, a) || &c[0] == &a[0] {
+		t.Fatal("foreign result must be encoded afresh to the same bytes")
+	}
+}

@@ -993,7 +993,7 @@ func (e *Engine) persistResult(j *Job, res *core.Result) {
 	if rk == "" || j.cfg.Replicas > 1 || j.cfg.KeepBank {
 		return
 	}
-	data, err := json.Marshal(resultViewOf(res))
+	data, err := e.cache.resultJSON(j.key, res, false)
 	if err != nil {
 		return
 	}

@@ -15,7 +15,7 @@ package tally
 // Concurrency contract: Add and FlushWorker are per-worker — worker w's
 // buffer is touched only by calls carrying worker index w, so concurrent
 // calls for distinct workers need no synchronisation beyond a thread-safe
-// base. Flush, Cells, Total and Reset drain every buffer and must not run
+// base. Flush, Cells, Total, NonZero and Reset drain every buffer and must not run
 // concurrently with Add (the solver calls them only at step boundaries, the
 // same contract Private.Merge already has).
 type Buffered struct {
@@ -145,6 +145,12 @@ func (b *Buffered) Cells() []float64 {
 func (b *Buffered) Total() float64 {
 	b.Flush()
 	return b.base.Total()
+}
+
+// NonZero flushes and appends the base tally's non-zero cells to dst.
+func (b *Buffered) NonZero(dst []Cell) []Cell {
+	b.Flush()
+	return b.base.NonZero(dst)
 }
 
 // Reset discards buffered deposits, zeroes the base tally and the

@@ -37,6 +37,10 @@ type Tally interface {
 	Cells() []float64
 	// Total returns the sum over all cells.
 	Total() float64
+	// NonZero appends the cells holding a non-zero total to dst, in
+	// ascending cell order, and returns the extended slice — the sparse
+	// view a checkpoint stores, read without materialising Cells.
+	NonZero(dst []Cell) []Cell
 	// Reset zeroes the tally for the next timestep.
 	Reset()
 	// Name identifies the implementation for reports.
@@ -121,6 +125,13 @@ func New(mode Mode, cells, workers int) Tally {
 	}
 }
 
+// Cell is one entry of a tally's sparse view: a flat cell index and the
+// total it holds.
+type Cell struct {
+	Index int
+	Value float64
+}
+
 // sum is a shared helper.
 func sum(cells []float64) float64 {
 	var t float64
@@ -128,6 +139,17 @@ func sum(cells []float64) float64 {
 		t += v
 	}
 	return t
+}
+
+// AppendNonZero appends the non-zero entries of cells to dst in ascending
+// index order.
+func AppendNonZero(dst []Cell, cells []float64) []Cell {
+	for i, v := range cells {
+		if v != 0 {
+			dst = append(dst, Cell{i, v})
+		}
+	}
+	return dst
 }
 
 // Atomic accumulates with compare-and-swap loops on the raw float bits —
@@ -138,7 +160,9 @@ type Atomic struct {
 	// Conflicts counts CAS retries; it is a direct measure of tally
 	// contention ("the atomic operations conflict less often", §VII-A).
 	conflicts atomic.Uint64
-	scratch   []float64
+	// scratch backs Cells; allocated by the first call, so a run that only
+	// ever asks for Total and NonZero never pays for a second mesh.
+	scratch []float64
 	// serial marks a tally with exactly one writer (workers == 1): Add
 	// skips the lock-prefixed CAS for a plain read-modify-write, which
 	// computes the identical sum in the identical order — an uncontended
@@ -149,7 +173,7 @@ type Atomic struct {
 
 // NewAtomic allocates an atomic tally over cells cells.
 func NewAtomic(cells int) *Atomic {
-	return &Atomic{bits: make([]uint64, cells), scratch: make([]float64, cells)}
+	return &Atomic{bits: make([]uint64, cells)}
 }
 
 // Add deposits v into cell with a CAS loop (plain read-modify-write for a
@@ -172,14 +196,68 @@ func (a *Atomic) Add(_, cell int, v float64) {
 
 // Cells returns the per-cell totals.
 func (a *Atomic) Cells() []float64 {
+	if a.scratch == nil {
+		a.scratch = make([]float64, len(a.bits))
+	}
 	for i := range a.bits {
 		a.scratch[i] = math.Float64frombits(atomic.LoadUint64(&a.bits[i]))
 	}
 	return a.scratch
 }
 
-// Total returns the sum over cells.
-func (a *Atomic) Total() float64 { return sum(a.Cells()) }
+// wordBlock is how many cell words Total and NonZero test at once: a tally is
+// mostly zeros, and one OR over a block skips them eight at a time.
+const wordBlock = 8
+
+func blockIsZero(b *[wordBlock]uint64) bool {
+	return b[0]|b[1]|b[2]|b[3]|b[4]|b[5]|b[6]|b[7] == 0
+}
+
+// Total returns the sum over cells, adding the cell words in index order —
+// the order sum(Cells()) adds them — without the copy. Zero blocks are
+// skipped: x + 0 is x bit for bit (no cell holds -0), so the sum's
+// dependent-add chain only runs where deposits are. Like Cells, Total is a
+// step-boundary read: the workers have joined.
+func (a *Atomic) Total() float64 {
+	var t float64
+	bits := a.bits
+	n := len(bits) - len(bits)%wordBlock
+	for i := 0; i < n; i += wordBlock {
+		if b := (*[wordBlock]uint64)(bits[i:]); !blockIsZero(b) {
+			for _, w := range b {
+				t += math.Float64frombits(w)
+			}
+		}
+	}
+	for _, w := range bits[n:] {
+		t += math.Float64frombits(w)
+	}
+	return t
+}
+
+// NonZero appends the non-zero cells to dst, read straight off the cell
+// words with the same zero-block skip as Total.
+func (a *Atomic) NonZero(dst []Cell) []Cell {
+	bits := a.bits
+	n := len(bits) - len(bits)%wordBlock
+	for i := 0; i < n; i += wordBlock {
+		if b := (*[wordBlock]uint64)(bits[i:]); !blockIsZero(b) {
+			dst = appendNonZeroWords(dst, i, b[:])
+		}
+	}
+	return appendNonZeroWords(dst, n, bits[n:])
+}
+
+// appendNonZeroWords appends the non-zero words of a run starting at cell
+// index base (the shift drops the sign bit, so ±0 both read as zero).
+func appendNonZeroWords(dst []Cell, base int, words []uint64) []Cell {
+	for j, w := range words {
+		if w<<1 != 0 {
+			dst = append(dst, Cell{base + j, math.Float64frombits(w)})
+		}
+	}
+	return dst
+}
 
 // Conflicts reports the number of CAS retries observed so far.
 func (a *Atomic) Conflicts() uint64 { return a.conflicts.Load() }
@@ -244,6 +322,9 @@ func (p *Private) Cells() []float64 { return p.Merge() }
 // Total returns the sum over cells.
 func (p *Private) Total() float64 { return sum(p.Cells()) }
 
+// NonZero merges and appends the non-zero cells to dst.
+func (p *Private) NonZero(dst []Cell) []Cell { return AppendNonZero(dst, p.Merge()) }
+
 // Reset zeroes every shard.
 func (p *Private) Reset() {
 	for _, shard := range p.shards {
@@ -285,6 +366,9 @@ func (s *Serial) Cells() []float64 { return s.cells }
 // Total returns the sum over cells.
 func (s *Serial) Total() float64 { return sum(s.cells) }
 
+// NonZero appends the non-zero cells to dst.
+func (s *Serial) NonZero(dst []Cell) []Cell { return AppendNonZero(dst, s.cells) }
+
 // Reset zeroes the tally.
 func (s *Serial) Reset() {
 	for i := range s.cells {
@@ -307,6 +391,9 @@ func (Null) Cells() []float64 { return nil }
 
 // Total returns zero.
 func (Null) Total() float64 { return 0 }
+
+// NonZero appends nothing: a null tally holds no data.
+func (Null) NonZero(dst []Cell) []Cell { return dst }
 
 // Reset does nothing.
 func (Null) Reset() {}

@@ -211,3 +211,71 @@ func BenchmarkPrivateAdd(b *testing.B) {
 		p.Add(0, i&0xFFFF, 1.0)
 	}
 }
+
+// TestSparseViewsMatchCells pins the two reads that skip the dense view to
+// it, for every implementation: Total is the in-order sum of Cells bit for
+// bit (the atomic tally skips zero blocks and never materialises the view),
+// and NonZero lists exactly the non-zero entries of Cells in ascending order.
+// The sizes straddle the eight-word blocks; the deposits leave empty blocks,
+// full blocks and a ragged tail.
+func TestSparseViewsMatchCells(t *testing.T) {
+	for _, cells := range []int{1, 7, 8, 9, 64, 1000} {
+		for _, mode := range []Mode{ModeAtomic, ModePrivate, ModeSerial, ModeBuffered, ModeNull} {
+			for _, workers := range []int{1, 3} {
+				if mode == ModeSerial && workers > 1 {
+					continue
+				}
+				tl := New(mode, cells, workers)
+				if got := tl.NonZero(nil); len(got) != 0 || tl.Total() != 0 {
+					t.Fatalf("%v/%d: fresh tally reads %v / %v", mode, cells, got, tl.Total())
+				}
+				x := uint64(cells)*2654435761 + 1
+				for i := 0; i < 3*cells; i++ {
+					x ^= x << 13
+					x ^= x >> 7
+					x ^= x << 17
+					cell := int(x % uint64(cells))
+					if cell%16 >= 11 && cells > 16 {
+						continue // leave whole blocks empty
+					}
+					tl.Add(i%workers, cell, float64(x>>40)*0x1p-20+1e-9)
+				}
+				dense := tl.Cells()
+				var want float64
+				var wantNZ []Cell
+				for i, v := range dense {
+					want += v
+					if v != 0 {
+						wantNZ = append(wantNZ, Cell{i, v})
+					}
+				}
+				if got := tl.Total(); math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("%v/%d/%d: Total %v, in-order sum of Cells %v", mode, cells, workers, got, want)
+				}
+				prefix := []Cell{{-1, -1}}
+				got := tl.NonZero(prefix)
+				if len(got) != 1+len(wantNZ) || got[0] != prefix[0] {
+					t.Fatalf("%v/%d/%d: NonZero returned %d entries after the prefix, want %d", mode, cells, workers, len(got)-1, len(wantNZ))
+				}
+				for i, c := range wantNZ {
+					if got[1+i] != c {
+						t.Fatalf("%v/%d/%d: NonZero[%d] = %+v, want %+v", mode, cells, workers, i, got[1+i], c)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAtomicCellsAllocatesOnDemand: the dense view's backing array exists
+// only once someone has asked for it.
+func TestAtomicCellsAllocatesOnDemand(t *testing.T) {
+	a := NewAtomic(100)
+	a.Add(0, 3, 1.5)
+	if a.Total() != 1.5 || len(a.NonZero(nil)) != 1 || a.scratch != nil {
+		t.Fatal("Total/NonZero must not materialise the dense view")
+	}
+	if c := a.Cells(); len(c) != 100 || c[3] != 1.5 {
+		t.Fatalf("Cells = %v", c[:5])
+	}
+}
