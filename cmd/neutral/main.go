@@ -270,8 +270,9 @@ func printResult(res *core.Result) {
 		c.DensityReads, c.TallyFlushes, c.XSLookups,
 		float64(c.XSSearchSteps)/float64(max(c.XSLookups, 1)))
 	if c.OERounds > 0 {
-		fmt.Printf("over-events  %d rounds, %d naive slot sweeps, %d visited (active fraction %.3f)\n",
-			c.OERounds, c.OESlotSweeps, c.OEActiveVisits, c.OEActiveFraction())
+		ev, coll, facet := res.OEVisitNs()
+		fmt.Printf("over-events  %d rounds, %d naive slot sweeps, %d visited (active fraction %.3f); ns/visit event %.1f, collision %.1f, facet %.1f\n",
+			c.OERounds, c.OESlotSweeps, c.OEActiveVisits, c.OEActiveFraction(), ev, coll, facet)
 	}
 	if res.AtomicConflicts > 0 {
 		fmt.Printf("atomics      %d CAS conflicts (%.4f per flush)\n",

@@ -31,8 +31,13 @@ type Counters struct {
 	XSLookups     uint64 // capture+scatter pair lookups
 	XSSearchSteps uint64 // forward-walk steps after the bucket jump
 
-	// Memory behaviour proxies.
-	DensityReads uint64 // cell-centred density loads (random access)
+	// Memory behaviour proxies. DensityReads counts cell-centred density
+	// loads (random access): one per history start and per cell entered in
+	// Over Particles, one per event-kernel visit in Over Events, whose kernels
+	// carry nothing between rounds (§V-B) — the value the cost model prices
+	// the paper's implementation from. The Over Events event frame holds no
+	// density, so the count is also the solver's real number of mesh reads.
+	DensityReads uint64
 	TallyFlushes uint64 // atomic read-modify-writes onto the tally mesh
 	RNGDraws     uint64 // cipher blocks generated
 
@@ -129,6 +134,21 @@ type PhaseTimings struct {
 	Control time.Duration
 	// Sort is the serial periodic bank sort (Config.SortEvery only).
 	Sort time.Duration
+}
+
+// OEVisitNs reports the Over Events kernel budget in nanoseconds per visited
+// slot: each per-round kernel's phase time over its share of
+// Counters.OEActiveVisits — Segments for the event kernel, CollisionEvents and
+// FacetEvents for the two handlers. Zero for a kernel that visited nothing.
+func (r *Result) OEVisitNs() (event, collision, facet float64) {
+	per := func(d time.Duration, visits uint64) float64 {
+		if visits == 0 {
+			return 0
+		}
+		return float64(d.Nanoseconds()) / float64(visits)
+	}
+	c, ph := &r.Counter, &r.Phases
+	return per(ph.EventKernel, c.Segments), per(ph.CollisionKernel, c.CollisionEvents), per(ph.FacetKernel, c.FacetEvents)
 }
 
 // Total sums all phases.

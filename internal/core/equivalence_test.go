@@ -297,7 +297,9 @@ func TestPhaseTimingsByScheme(t *testing.T) {
 // ended by reflections and census), csp (collisions in the dense square hand
 // a deposit to the next crossing, whose general-path flush empties the
 // register before the streak resumes), and the csp geometry with two vacuum
-// edges (streaks that end in an escape).
+// edges (streaks that end in an escape). On the vacuum scene at four threads
+// the matrix also holds Over Events itself to its one-thread reference,
+// counters included.
 func TestStreakEquivalenceMatrix(t *testing.T) {
 	scenes := []struct {
 		name string
@@ -322,55 +324,69 @@ func TestStreakEquivalenceMatrix(t *testing.T) {
 				for _, tm := range []tally.Mode{tally.ModeAtomic, tally.ModeBuffered} {
 					for _, threads := range []int{1, 4} {
 						for _, restore := range []bool{false, true} {
-							name := fmt.Sprintf("%s/%v/%v/%v/threads=%d/restore=%t", sc.name, layout, ord, tm, threads, restore)
-							t.Run(name, func(t *testing.T) {
-								cfg := sc.cfg()
-								cfg.Scheme = OverParticles
-								cfg.Layout, cfg.Ordering, cfg.Tally, cfg.Threads = layout, ord, tm, threads
-								sim, err := NewSimulation(cfg)
-								if err != nil {
-									t.Fatal(err)
+							// Over Events joins the matrix where its kernels share the
+							// most: four workers writing the event frame and compacting
+							// escapes out of their segments.
+							schemes := []Scheme{OverParticles}
+							if sc.name == "vacuum" && threads == 4 {
+								schemes = append(schemes, OverEvents)
+							}
+							for _, scheme := range schemes {
+								name := fmt.Sprintf("%s/%v/%v/%v/threads=%d/restore=%t", sc.name, layout, ord, tm, threads, restore)
+								if scheme == OverEvents {
+									name += "/over-events"
 								}
-								if restore {
-									if err := sim.Step(); err != nil {
+								t.Run(name, func(t *testing.T) {
+									cfg := sc.cfg()
+									cfg.Scheme = scheme
+									cfg.Layout, cfg.Ordering, cfg.Tally, cfg.Threads = layout, ord, tm, threads
+									sim, err := NewSimulation(cfg)
+									if err != nil {
 										t.Fatal(err)
 									}
-									if sim, err = RestoreSimulation(cfg, sim.Snapshot()); err != nil {
+									if restore {
+										if err := sim.Step(); err != nil {
+											t.Fatal(err)
+										}
+										if sim, err = RestoreSimulation(cfg, sim.Snapshot()); err != nil {
+											t.Fatal(err)
+										}
+									}
+									got, err := sim.Run()
+									if err != nil {
 										t.Fatal(err)
 									}
-								}
-								got, err := sim.Run()
-								if err != nil {
-									t.Fatal(err)
-								}
-								compareBanks(t, want.Bank, got.Bank)
-								wc, gc := want.Counter, got.Counter
-								// Scheme-local bookkeeping: Over Events re-reads
-								// the density every pass and counts its rounds.
-								wc.DensityReads, wc.OERounds, wc.OESlotSweeps, wc.OEActiveVisits = gc.DensityReads, 0, 0, 0
-								if wc != gc {
-									t.Errorf("counters differ:\nevent-by-event %+v\nstreak         %+v", wc, gc)
-								}
-								for e := 0; e < mesh.NumEdges; e++ {
-									if relDiff(want.Leakage.Energy[e], got.Leakage.Energy[e]) > 1e-12 ||
-										relDiff(want.Leakage.Weight[e], got.Leakage.Weight[e]) > 1e-12 {
-										t.Errorf("edge %v leakage differs: %g/%g vs %g/%g", mesh.Edge(e),
-											want.Leakage.Weight[e], want.Leakage.Energy[e],
-											got.Leakage.Weight[e], got.Leakage.Energy[e])
+									compareBanks(t, want.Bank, got.Bank)
+									wc, gc := want.Counter, got.Counter
+									if scheme == OverParticles {
+										// Scheme-local bookkeeping: Over Events counts a
+										// density read every pass, and its rounds.
+										wc.DensityReads, wc.OERounds, wc.OESlotSweeps, wc.OEActiveVisits = gc.DensityReads, 0, 0, 0
 									}
-								}
-								if relDiff(want.TallyTotal, got.TallyTotal) > 1e-12 {
-									t.Errorf("tally totals differ: %.17g vs %.17g", want.TallyTotal, got.TallyTotal)
-								}
-								for i := range want.Cells {
-									if relDiff(want.Cells[i], got.Cells[i]) > 1e-9 {
-										t.Fatalf("cell %d differs: %v vs %v", i, want.Cells[i], got.Cells[i])
+									if wc != gc {
+										t.Errorf("counters differ:\nevent-by-event %+v\nstreak         %+v", wc, gc)
 									}
-								}
-								if got.Conservation.RelativeError > 1e-12 {
-									t.Errorf("conservation error %.3g", got.Conservation.RelativeError)
-								}
-							})
+									for e := 0; e < mesh.NumEdges; e++ {
+										if relDiff(want.Leakage.Energy[e], got.Leakage.Energy[e]) > 1e-12 ||
+											relDiff(want.Leakage.Weight[e], got.Leakage.Weight[e]) > 1e-12 {
+											t.Errorf("edge %v leakage differs: %g/%g vs %g/%g", mesh.Edge(e),
+												want.Leakage.Weight[e], want.Leakage.Energy[e],
+												got.Leakage.Weight[e], got.Leakage.Energy[e])
+										}
+									}
+									if relDiff(want.TallyTotal, got.TallyTotal) > 1e-12 {
+										t.Errorf("tally totals differ: %.17g vs %.17g", want.TallyTotal, got.TallyTotal)
+									}
+									for i := range want.Cells {
+										if relDiff(want.Cells[i], got.Cells[i]) > 1e-9 {
+											t.Fatalf("cell %d differs: %v vs %v", i, want.Cells[i], got.Cells[i])
+										}
+									}
+									if got.Conservation.RelativeError > 1e-12 {
+										t.Errorf("conservation error %.3g", got.Conservation.RelativeError)
+									}
+								})
+							}
 						}
 					}
 				}

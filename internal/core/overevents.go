@@ -38,12 +38,44 @@ type oeState struct {
 	facetG []uint8 // facet geometry aligned with facet: axis<<1 | (dir>0)
 	census []int32 // slots that reached census this step (grows per round)
 
+	// frame is the event frame: per bank slot, the derived state the event
+	// kernel needs beside the record. See oeFrame.
+	frame []oeFrame
+
 	// Per-worker segment bookkeeping for the gather kernels.
 	segLo  []int32
 	nColl  []int32
 	nFacet []int32
 	nCens  []int32
 	nKeep  []int32
+}
+
+// oeFrame is one slot of the event frame: the part of a segment's arithmetic
+// that depends only on the particle's energy and direction — a square root and
+// three divides the event kernel would otherwise retire at every visit — kept
+// beside the bank, indexed by slot whatever the bank layout. The kernel that
+// changes an input rewrites the fields: the collision kernel calls setMotion
+// for its survivors, the facet kernel negates one reciprocal on a reflection
+// (-(1/u) is 1/(-u) exactly). The event kernel fills the frame for the step's
+// alive set in its first round, so nothing survives a step boundary and
+// whatever moves or adds slots between steps — the bank sort, weight-window
+// splits, a restore — needs no invalidation. Derived state only: never
+// serialised, and every value is the same expression of the same inputs the
+// kernels used to evaluate in place.
+//
+// The cell's number density is deliberately not here. Kept in the frame and
+// refreshed by the facet kernel at each crossing it is the same number of
+// mesh reads on csp (99 % of visits cross), but the read is a cache miss, and
+// the facet kernel has no arithmetic to hide it behind where the event kernel
+// does: measured on csp_oe, 55 against 59 M events/s (DESIGN.md §18).
+type oeFrame struct {
+	speed, invSpeed float64 // events.Speed(Energy) and its reciprocal
+	invUX, invUY    float64 // 1/UX, 1/UY
+}
+
+func (f *oeFrame) setMotion(p *particle.Particle) {
+	f.speed = events.Speed(p.Energy)
+	f.invSpeed, f.invUX, f.invUY = 1/f.speed, 1/p.UX, 1/p.UY
 }
 
 // ensureOE sizes the compaction scratch for the current bank and worker
@@ -66,6 +98,7 @@ func (r *run) ensureOE() {
 		sc.facet = make([]int32, n)
 		sc.facetG = make([]uint8, n)
 		sc.census = make([]int32, n)
+		sc.frame = make([]oeFrame, n)
 	}
 	if len(sc.segLo) < threads {
 		sc.segLo = make([]int32, threads)
@@ -74,24 +107,7 @@ func (r *run) ensureOE() {
 		sc.nCens = make([]int32, threads)
 		sc.nKeep = make([]int32, threads)
 	}
-	if cap(r.speedCache) < n {
-		r.speedCache = make([]float64, n)
-	}
-	// Fresh step: recompute every slot's speed on first touch. See the
-	// field comment for why per-step clearing is the whole invalidation
-	// story for slot identity.
-	spd := r.speedCache[:n]
-	for i := range spd {
-		spd[i] = 0
-	}
-	r.speedCache = spd
 }
-
-// prefetchAhead is how many active-list entries ahead of the working
-// iteration the event kernel touches the bank. Far enough that the lines
-// arrive before the loop does (~8 iterations of divides is hundreds of
-// cycles), near enough to stay inside the round's working set.
-const prefetchAhead = 8
 
 // oeWorkers caps a kernel's worker count by the work available: a tail
 // round carrying a few dozen in-flight particles runs on one or two workers
@@ -133,14 +149,14 @@ func packSegments(buf []int32, base int, segLo, counts []int32) int {
 
 // stepOverEvents runs one timestep with the Over Events scheme (paper §V-B,
 // Listing 2): rounds of tight kernels. Nothing is cached in registers across
-// kernels — all state lives in the particle store — and every kernel ends in
-// a synchronisation, exactly as in the paper. The deviation (DESIGN.md §9)
-// is purely in iteration: where the paper's kernels each sweep the entire
-// particle list testing a per-slot event tag, these kernels iterate a
-// compacted active-index list and per-event buckets gathered by kernel 1,
-// so the per-round cost is O(active particles), not O(bank size). Per-
-// particle work, event order and RNG consumption are unchanged, which keeps
-// the scheme bit-identical to Over Particles.
+// kernels — all state lives in the particle store and the event frame beside
+// it — and every kernel ends in a synchronisation, exactly as in the paper.
+// The deviation (DESIGN.md §9) is purely in iteration: where the paper's
+// kernels each sweep the entire particle list testing a per-slot event tag,
+// these kernels iterate a compacted active-index list and per-event buckets
+// gathered by kernel 1, so the per-round cost is O(active particles), not
+// O(bank size). Per-particle work, event order and RNG consumption are
+// unchanged, which keeps the scheme bit-identical to Over Particles.
 //
 // Kernel order per round:
 //
@@ -151,115 +167,36 @@ func packSegments(buf []int32, base int, segLo, counts []int32) int {
 //  3. facet kernel (fusing the paper's kernels 3 and 4): flush each
 //     facet-encountering particle's deposit into the cell it is leaving
 //     (the separate tally loop of §VI-G — a vectorisation workaround a
-//     scalar backend does not need), then cross the facet or reflect.
+//     scalar backend does not need), then cross the facet, reflect or escape.
 //
 // The next round's active list is the collision survivors followed by the
-// facet particles. After the last round a census kernel flushes every
+// facet survivors. After the last round a census kernel flushes every
 // particle that reached census.
 func (r *run) stepOverEvents(res *Result) {
 	r.ensureOE() // the bank may have grown since the last step
 	sc := r.oe
 	threads := r.cfg.Threads
 	bankN := uint64(r.bank.Len())
-	// Hoisted: only a mesh with vacuum edges can retire facet particles,
-	// so all-reflective scenes skip the survivor bookkeeping and keep the
-	// inlined reflective facet handler.
-	canLeak := r.canLeak
 
 	// One status sweep builds the step's initial active set; every later
 	// round compacts it in place from the event buckets.
 	sc.active = r.bank.GatherStatus(sc.active[:0], particle.Alive)
 	censusLen := 0
 
-	for len(sc.active) > 0 {
+	for first := true; len(sc.active) > 0; first = false {
 		// Cancellation poll: bounded by one round of kernels.
 		if r.stop.Load() {
 			return
 		}
 		n := len(sc.active)
 		for w := 0; w < threads; w++ {
-			sc.segLo[w], sc.nColl[w], sc.nFacet[w], sc.nCens[w] = 0, 0, 0, 0
+			sc.nColl[w], sc.nFacet[w], sc.nCens[w], sc.nKeep[w] = 0, 0, 0, 0
 		}
 
-		// Kernel 1: calculate_time_to_events + determine_next_event,
-		// gathering the handler buckets. The kinematic views load the
-		// fields advance reads and store the fields it can modify —
-		// for SoA that skips the weight/deposit/RNG/id/status columns
-		// a pure mover never touches.
 		r.regionStart("event-kernel")
 		t0 := time.Now()
 		parallelFor(oeWorkers(threads, n), n, oeSchedule, func(w, lo, hi int) {
-			ws := r.workers[w]
-			start := time.Now()
-			var scratch particle.Particle
-			var pfSink uint64
-			spd := r.speedCache
-			nc, nf, ncen := 0, 0, 0
-			for k := lo; k < hi; k++ {
-				// Software pipeline: start pulling the record a few
-				// iterations ahead into cache while this iteration's
-				// divides retire. The sink keeps the touch loads live.
-				if prefetchAhead > 0 && k+prefetchAhead < hi {
-					pfSink += r.bank.TouchSlot(int(sc.active[k+prefetchAhead]))
-				}
-				i := int(sc.active[k])
-				p := r.bank.View(i, &scratch)
-				// No register caching of the transport state across
-				// events: the density and cross sections are re-read
-				// from memory for every round. The read lands on the
-				// memoised number-density field (same cell, same
-				// storage order as the raw densities).
-				nd := r.ndCache[r.mesh.StorageIndex(int(p.CellX), int(p.CellY))]
-				ws.c.DensityReads++
-				if p.CachedSigmaA < 0 {
-					r.lookupXS(ws, p)
-				}
-				speed := spd[i]
-				if speed == 0 {
-					speed = events.Speed(p.Energy)
-					spd[i] = speed
-				}
-				// Bit-identical expansion of xs.Macroscopic over the
-				// memoised factor: ((sigma*B)*nd), the order the
-				// function evaluates.
-				sigmaT := (p.CachedSigmaA + p.CachedSigmaS) * xs.BarnsToSquareMetres * nd
-				// The reciprocals are recomputed here, every pass —
-				// nothing is carried between kernels — and depend only
-				// on loaded fields, so the three divides overlap.
-				ev, axis, dir := advance(r.mesh, p, sigmaT, speed, 1/speed, 1/p.UX, 1/p.UY)
-				ws.c.Segments++
-				switch ev {
-				case events.Collision:
-					sc.coll[lo+nc] = int32(i)
-					nc++
-				case events.Facet:
-					g := uint8(axis) << 1
-					if dir > 0 {
-						g |= 1
-					}
-					sc.facet[lo+nf] = int32(i)
-					sc.facetG[lo+nf] = g
-					nf++
-				case events.Census:
-					ws.c.CensusEvents++
-					sc.census[censusLen+lo+ncen] = int32(i)
-					ncen++
-				}
-				r.bank.CommitKinematics(i, p)
-				if ev == events.Census {
-					// After the commit: status is outside
-					// the kinematic field set.
-					r.bank.SetStatus(i, particle.Census)
-				}
-			}
-			sc.segLo[w] = int32(lo)
-			sc.nColl[w], sc.nFacet[w], sc.nCens[w] = int32(nc), int32(nf), int32(ncen)
-			ws.c.OEActiveVisits += uint64(hi - lo)
-			ws.pfSink = pfSink
-			if ncen > 0 {
-				r.done.Add(int64(ncen))
-			}
-			ws.busy += time.Since(start)
+			r.eventKernel(w, lo, hi, censusLen, first)
 		})
 		nColl := packSegments(sc.coll, 0, sc.segLo, sc.nColl[:threads])
 		nFacet := packSegments(sc.facet, 0, sc.segLo, sc.nFacet[:threads])
@@ -268,165 +205,22 @@ func (r *run) stepOverEvents(res *Result) {
 		res.Phases.EventKernel += time.Since(t0)
 		r.regionEnd("event-kernel")
 
-		// Kernel 2: handle_collision for every colliding particle.
-		// Survivors are gathered into the next-round shadow; deaths
-		// retire here.
 		r.regionStart("collision-kernel")
 		t0 = time.Now()
-		for w := 0; w < threads; w++ {
-			sc.segLo[w], sc.nKeep[w] = 0, 0
-		}
-		parallelFor(oeWorkers(threads, nColl), nColl, oeSchedule, func(w, lo, hi int) {
-			ws := r.workers[w]
-			start := time.Now()
-			var p particle.Particle
-			nk, died := 0, 0
-			for k := lo; k < hi; k++ {
-				i := int(sc.coll[k])
-				r.bank.Load(i, &p)
-				s := p.Stream(r.cfg.Seed)
-				ws.c.CollisionEvents++
-				ws.c.RNGDraws += 3
-				cr := events.Collide(&r.ctx, &p, &s, p.CachedSigmaA, p.CachedSigmaS)
-				// A collision is the one mid-step energy change:
-				// drop the memoised speed with the cross sections.
-				r.speedCache[i] = 0
-				if cr.Died {
-					ws.c.Deaths++
-					r.flush(ws, &p)
-					died++
-				} else {
-					// Invalidate the stored cross sections;
-					// next round's event kernel re-looks
-					// them up (nothing stays in registers).
-					p.CachedSigmaA = -1
-					p.CachedSigmaS = -1
-					sc.next[lo+nk] = int32(i)
-					nk++
-				}
-				p.SaveStream(&s)
-				r.bank.Store(i, &p)
-			}
-			sc.segLo[w], sc.nKeep[w] = int32(lo), int32(nk)
-			ws.c.OEActiveVisits += uint64(hi - lo)
-			if died > 0 {
-				r.done.Add(int64(died))
-			}
-			ws.busy += time.Since(start)
-		})
+		parallelFor(oeWorkers(threads, nColl), nColl, oeSchedule, r.collisionKernel)
 		nSurv := packSegments(sc.next, 0, sc.segLo, sc.nKeep[:threads])
 		res.Phases.CollisionKernel += time.Since(t0)
 		r.regionEnd("collision-kernel")
 
-		// Kernels 3+4 fused: handle_facet — flush the deposit register
-		// into the cell being left (the paper's separate tally loop,
-		// §VI-G), then cross into the neighbour cell, reflect at a
-		// reflective boundary, or escape through a vacuum one, all
-		// through field views. The paper splits these into two kernels
-		// only because OpenMP's vectoriser could not digest the atomic
-		// inside the facet kernel; a scalar Go backend gains nothing
-		// from the split, and fusing removes a second full pass over
-		// the facet bucket. Per-particle order is unchanged (flush,
-		// then move), so the fusion is invisible to the physics.
-		//
-		// On a mesh with vacuum edges, survivors are compacted in place
-		// within each worker's segment (escaped slots drop out of the
-		// round like collision deaths do), keeping the next active list
-		// sorted. An all-reflective mesh cannot escape anything, so the
-		// compaction bookkeeping — a survivor store per facet particle —
-		// is skipped and the whole bucket survives, exactly the paper
-		// hot path. The flush time is attributed to FacetKernel;
-		// TallyKernel times the census flush pass.
+		// The flush time is attributed to FacetKernel; TallyKernel times the
+		// census flush pass.
 		r.regionStart("facet-kernel")
 		t0 = time.Now()
-		if !canLeak {
-			parallelFor(oeWorkers(threads, nFacet), nFacet, oeSchedule, func(w, lo, hi int) {
-				ws := r.workers[w]
-				start := time.Now()
-				for k := lo; k < hi; k++ {
-					i := int(sc.facet[k])
-					ws.c.FacetEvents++
-					g := sc.facetG[k]
-					axis := int(g >> 1)
-					dir := -1
-					if g&1 != 0 {
-						dir = 1
-					}
-					if p := r.bank.Ref(i); p != nil {
-						// AoS: flush and cross in place — one
-						// record touch, no call layers. Same
-						// operations as the view path below.
-						if p.Deposit != 0 {
-							r.tly.Add(ws.id, r.mesh.StorageIndex(int(p.CellX), int(p.CellY)), p.Deposit)
-							p.Deposit = 0
-						}
-						ws.c.TallyFlushes++
-						if events.ApplyFacetReflective(r.mesh, p, axis, dir) {
-							ws.c.Reflections++
-						}
-					} else {
-						r.flushSlot(ws, i)
-						if events.ApplyFacetBank(r.mesh, r.bank, i, axis, dir) == events.FacetReflected {
-							ws.c.Reflections++
-						}
-					}
-				}
-				ws.c.OEActiveVisits += uint64(hi - lo)
-				ws.busy += time.Since(start)
-			})
-		} else {
-			for w := 0; w < threads; w++ {
-				sc.segLo[w], sc.nKeep[w] = 0, 0
-			}
-			parallelFor(oeWorkers(threads, nFacet), nFacet, oeSchedule, func(w, lo, hi int) {
-				ws := r.workers[w]
-				start := time.Now()
-				nk, escaped := 0, 0
-				for k := lo; k < hi; k++ {
-					i := int(sc.facet[k])
-					ws.c.FacetEvents++
-					g := sc.facetG[k]
-					axis := int(g >> 1)
-					dir := -1
-					if g&1 != 0 {
-						dir = 1
-					}
-					var outcome events.FacetOutcome
-					if p := r.bank.Ref(i); p != nil {
-						if p.Deposit != 0 {
-							r.tly.Add(ws.id, r.mesh.StorageIndex(int(p.CellX), int(p.CellY)), p.Deposit)
-							p.Deposit = 0
-						}
-						ws.c.TallyFlushes++
-						outcome = events.ApplyFacet(r.mesh, p, axis, dir)
-					} else {
-						r.flushSlot(ws, i)
-						outcome = events.ApplyFacetBank(r.mesh, r.bank, i, axis, dir)
-					}
-					switch outcome {
-					case events.FacetReflected:
-						ws.c.Reflections++
-					case events.FacetEscaped:
-						ws.c.Escapes++
-						edge := mesh.EdgeOf(axis, dir)
-						wgt, we := r.bank.Escape(i)
-						ws.leak.Weight[edge] += wgt
-						ws.leak.Energy[edge] += we
-						escaped++
-						continue // retired: not a survivor
-					}
-					sc.facet[lo+nk] = int32(i)
-					nk++
-				}
-				sc.segLo[w], sc.nKeep[w] = int32(lo), int32(nk)
-				ws.c.OEActiveVisits += uint64(hi - lo)
-				if escaped > 0 {
-					r.done.Add(int64(escaped))
-				}
-				ws.busy += time.Since(start)
-			})
-			nFacet = packSegments(sc.facet, 0, sc.segLo, sc.nKeep[:threads])
+		for w := 0; w < threads; w++ {
+			sc.nKeep[w] = 0
 		}
+		parallelFor(oeWorkers(threads, nFacet), nFacet, oeSchedule, r.facetKernel)
+		nFacet = packSegments(sc.facet, 0, sc.segLo, sc.nKeep[:threads])
 		res.Phases.FacetKernel += time.Since(t0)
 		r.regionEnd("facet-kernel")
 
@@ -462,6 +256,214 @@ func (r *run) stepOverEvents(res *Result) {
 	r.regionEnd("tally-kernel")
 	// The naive scheme's census sweep visits the whole bank once per step.
 	r.workers[0].c.OESlotSweeps += bankN
+}
+
+// eventKernel is kernel 1 over active[lo:hi]: calculate_time_to_events and
+// determine_next_event, gathering the handler buckets. In the step's first
+// round (fill) it first builds the chunk's event frame.
+//
+// Consecutive iterations are unrelated particles, so anything data-dependent
+// the body branches on is mispredicted about as often as it varies. The body
+// is therefore flat: the facet search is straight-line code on the frame's
+// reciprocals (events.FacetAhead, events.NearerFacet), and one test — is this
+// anything but a plain facet segment? — guards the hand-off. When the facet
+// wins, 99 % of csp, the move is committed here with advance's expressions on
+// locals and the slot joins the facet bucket. A census or collision segment,
+// or axis-aligned flight the straight-line search cannot take, is handed to
+// advance with the record and frame untouched: it computes the same segment
+// again from the same values, so it picks the same event at the same bits (the
+// exit contract of the Over Particles streak). The kinematic views load the
+// fields advance reads and store the fields it can modify — for SoA that
+// skips the weight/deposit/RNG/id/status columns a pure mover never touches.
+func (r *run) eventKernel(w, lo, hi, censusBase int, fill bool) {
+	ws, sc, m := r.workers[w], r.oe, r.mesh
+	start := time.Now()
+	var scratch particle.Particle
+	if fill {
+		for _, slot := range sc.active[lo:hi] {
+			p := r.bank.View(int(slot), &scratch)
+			sc.frame[slot].setMotion(p)
+		}
+	}
+	nc, nf, ncen := 0, 0, 0
+	for k := lo; k < hi; k++ {
+		i := int(sc.active[k])
+		p := r.bank.View(i, &scratch)
+		fr := &sc.frame[i]
+		// No register caching of the transport state across events: the
+		// density is re-read from memory for every round, on the memoised
+		// number-density field (same cell, same storage order as the raw
+		// densities). sigmaT is the bit-identical expansion of
+		// xs.Macroscopic over that factor: ((sigma*B)*nd), the order the
+		// function evaluates.
+		nd := r.ndCache[m.StorageIndex(int(p.CellX), int(p.CellY))]
+		sigmaA := p.CachedSigmaA
+		sigmaT := (sigmaA + p.CachedSigmaS) * xs.BarnsToSquareMetres * nd
+
+		x, y, ux, uy := p.X, p.Y, p.UX, p.UY
+		dx, negX := events.FacetAhead(p.CellX, m.DX, x, ux, fr.invUX)
+		dy, negY := events.FacetAhead(p.CellY, m.DY, y, uy, fr.invUY)
+		d, axis, dir := events.NearerFacet(dx, dy, negX, negY)
+		dt, dm := float64(d*fr.invSpeed), float64(d*sigmaT)
+		collides := sigmaT >= events.MinSigmaT
+		ev, g := events.Facet, facetGeom(axis, dir)
+		if sigmaA < 0 || !events.Moving(ux, uy) || p.TimeToCensus < dt || collides && p.MFPToCollision <= dm {
+			ev, g = r.handOff(ws, p, fr, nd)
+		} else {
+			p.X = x + float64(ux*d)
+			p.Y = y + float64(uy*d)
+			p.TimeToCensus -= dt
+			if collides {
+				p.MFPToCollision -= dm
+			}
+		}
+		switch ev {
+		case events.Facet:
+			sc.facet[lo+nf] = int32(i)
+			sc.facetG[lo+nf] = g
+			nf++
+		case events.Collision:
+			sc.coll[lo+nc] = int32(i)
+			nc++
+		case events.Census:
+			sc.census[censusBase+lo+ncen] = int32(i)
+			ncen++
+		}
+		r.bank.CommitKinematics(i, p)
+		if ev == events.Census {
+			// After the commit: status is outside the kinematic field set.
+			r.bank.SetStatus(i, particle.Census)
+		}
+	}
+	sc.segLo[w] = int32(lo)
+	sc.nColl[w], sc.nFacet[w], sc.nCens[w] = int32(nc), int32(nf), int32(ncen)
+	visits := uint64(hi - lo)
+	ws.c.Segments += visits
+	ws.c.DensityReads += visits
+	ws.c.OEActiveVisits += visits
+	ws.c.CensusEvents += uint64(ncen)
+	if ncen > 0 {
+		r.done.Add(int64(ncen))
+	}
+	ws.busy += time.Since(start)
+}
+
+// handOff is the event kernel's general path, one particle's visit as the
+// kernel ran it before it had a flat path: refresh the cross sections a
+// collision invalidated, then advance. It is out of line so the kernel's loop
+// has one cold call site and keeps its state in registers around the hot path.
+func (r *run) handOff(ws *workerState, p *particle.Particle, fr *oeFrame, nd float64) (events.Type, uint8) {
+	if p.CachedSigmaA < 0 {
+		r.lookupXS(ws, p)
+	}
+	sigmaT := (p.CachedSigmaA + p.CachedSigmaS) * xs.BarnsToSquareMetres * nd
+	ev, axis, dir := advance(r.mesh, p, sigmaT, fr.speed, fr.invSpeed, fr.invUX, fr.invUY)
+	return ev, facetGeom(axis, dir)
+}
+
+// facetGeom packs a facet's axis and cell step into the byte that rides
+// beside the facet bucket: axis<<1 | (dir > 0).
+func facetGeom(axis, dir int) uint8 { return uint8(axis<<1 | (dir+1)>>1) }
+
+// collisionKernel is kernel 2 over coll[lo:hi]: handle_collision for every
+// colliding particle. Survivors are gathered into the next-round shadow with
+// their frame motion recomputed — a collision is the one mid-step change of
+// energy and direction; deaths retire here.
+func (r *run) collisionKernel(w, lo, hi int) {
+	ws, sc := r.workers[w], r.oe
+	start := time.Now()
+	var p particle.Particle
+	nk := 0
+	for k := lo; k < hi; k++ {
+		i := int(sc.coll[k])
+		r.bank.Load(i, &p)
+		s := p.Stream(r.cfg.Seed)
+		cr := events.Collide(&r.ctx, &p, &s, p.CachedSigmaA, p.CachedSigmaS)
+		if cr.Died {
+			r.flush(ws, &p)
+		} else {
+			// Invalidate the stored cross sections; next round's event
+			// kernel re-looks them up (nothing stays in registers).
+			p.CachedSigmaA = -1
+			p.CachedSigmaS = -1
+			sc.frame[i].setMotion(&p)
+			sc.next[lo+nk] = int32(i)
+			nk++
+		}
+		p.SaveStream(&s)
+		r.bank.Store(i, &p)
+	}
+	sc.segLo[w], sc.nKeep[w] = int32(lo), int32(nk)
+	visits, died := uint64(hi-lo), uint64(hi-lo-nk)
+	ws.c.CollisionEvents += visits
+	ws.c.RNGDraws += 3 * visits
+	ws.c.OEActiveVisits += visits
+	ws.c.Deaths += died
+	if died > 0 {
+		r.done.Add(int64(died))
+	}
+	ws.busy += time.Since(start)
+}
+
+// facetKernel is kernels 3+4 fused over facet[lo:hi]: handle_facet — flush
+// the deposit register into the cell being left (the paper's separate tally
+// loop, §VI-G), then cross into the neighbour cell, reflect at a reflective
+// boundary, or escape through a vacuum one. The paper splits these into two
+// kernels only because OpenMP's vectoriser could not digest the atomic inside
+// the facet kernel; a scalar Go backend gains nothing from the split, and
+// fusing removes a second full pass over the facet bucket. Per-particle order
+// is unchanged (flush, then move), so the fusion is invisible to the physics.
+//
+// Like the event kernel the body does not branch on its data: the neighbour
+// cell is cell + dir along the facet's axis computed for both axes, and the
+// one branch — the neighbour is outside the domain — is rare and is the only
+// place the scene's boundary conditions are consulted. Survivors are compacted
+// in place within the worker's segment (escaped slots drop out of the round
+// like collision deaths do), keeping the next active list sorted.
+func (r *run) facetKernel(w, lo, hi int) {
+	ws, sc, m := r.workers[w], r.oe, r.mesh
+	start := time.Now()
+	nk, reflected := 0, uint64(0)
+	for k := lo; k < hi; k++ {
+		i := int(sc.facet[k])
+		cx, cy, dep := r.bank.FlushDeposit(i)
+		if dep != 0 {
+			r.tly.Add(ws.id, m.StorageIndex(int(cx), int(cy)), dep)
+		}
+		g := int(sc.facetG[k])
+		axis, dir := g>>1, 2*(g&1)-1
+		nx, ny := int(cx)+dir&(axis-1), int(cy)+dir&-axis
+		if uint(nx) < uint(m.NX) && uint(ny) < uint(m.NY) {
+			r.bank.SetCellAxis(i, 0, int32(nx))
+			r.bank.SetCellAxis(i, 1, int32(ny))
+		} else if edge := mesh.EdgeOf(axis, dir); m.EdgeBC(edge) == mesh.Vacuum {
+			wgt, we := r.bank.Escape(i)
+			ws.leak.Weight[edge] += wgt
+			ws.leak.Energy[edge] += we
+			continue // retired: not a survivor
+		} else {
+			r.bank.NegateUAxis(i, axis)
+			if fr := &sc.frame[i]; axis == 0 {
+				fr.invUX = -fr.invUX
+			} else {
+				fr.invUY = -fr.invUY
+			}
+			reflected++
+		}
+		sc.facet[lo+nk] = int32(i)
+		nk++
+	}
+	sc.segLo[w], sc.nKeep[w] = int32(lo), int32(nk)
+	visits, escaped := uint64(hi-lo), uint64(hi-lo-nk)
+	ws.c.FacetEvents += visits
+	ws.c.TallyFlushes += visits
+	ws.c.OEActiveVisits += visits
+	ws.c.Reflections += reflected
+	ws.c.Escapes += escaped
+	if escaped > 0 {
+		r.done.Add(int64(escaped))
+	}
+	ws.busy += time.Since(start)
 }
 
 // packGeom mirrors packSegments for the geometry bytes that ride alongside

@@ -79,10 +79,6 @@ type workerState struct {
 	c    Counters
 	leak Leakage
 	busy time.Duration
-	// pfSink anchors the event kernel's prefetch touches: accumulating
-	// the touched bytes into worker state keeps the ahead-of-loop loads
-	// from being dead-code-eliminated. The value itself is meaningless.
-	pfSink uint64
 }
 
 // run holds the solver state for one configuration.
@@ -140,17 +136,6 @@ type run struct {
 	// sort hands to Bank.Permute.
 	sortKeys []uint64
 	sortPerm []int32
-
-	// speedCache memoises events.Speed(Energy) per bank slot for the Over
-	// Events event kernel: a particle's speed is constant between
-	// collisions, and the kernel otherwise pays the sqrt on every one of
-	// its ~1 segment per round. Zero means "recompute". The cache is
-	// cleared at the start of every Over Events step — slots move only at
-	// step boundaries (bank sort, splitting), so mid-step the only
-	// invalidation is the collision kernel zeroing the slots it changed
-	// the energy of. Values are derived data, never snapshotted: a restore
-	// recomputes them, so the cache cannot change any observable result.
-	speedCache []float64
 
 	// ndCache memoises xs.NumberDensity over the mesh cells, in storage
 	// order. The number density is the only use the transport kernels
@@ -806,8 +791,8 @@ func (r *run) flush(ws *workerState, p *particle.Particle) {
 
 // flushSlot is flush through the bank's deposit field view: it empties slot
 // i's deposit register into the tally cell the particle occupies without
-// streaming the whole record through a working copy. The Over Events tally
-// and census kernels use it; like flush it elides the zero-deposit no-op.
+// streaming the whole record through a working copy. The Over Events census
+// kernel uses it; like flush it elides the zero-deposit no-op.
 func (r *run) flushSlot(ws *workerState, i int) {
 	cx, cy, dep := r.bank.FlushDeposit(i)
 	if dep != 0 {
@@ -829,10 +814,11 @@ func (r *run) flushSlot(ws *workerState, i int) {
 //     collision actually happens.
 //
 // invUX, invUY and invSpeed are the reciprocals of p.UX, p.UY and speed. Over
-// Particles keeps them in registers and recomputes them when the direction or
-// energy changes; Over Events recomputes them at every call. Either way they
-// are the same bits. The Over Particles facet streak evaluates the same
-// expressions on locals (see (*run).streak).
+// Particles keeps them in registers, Over Events in its event frame (oeFrame);
+// both recompute them when a collision changes the direction and energy and
+// negate one on a reflection, so they are the same bits. The Over Particles
+// facet streak and the Over Events event kernel evaluate the same expressions
+// on locals for a plain facet segment (see (*run).streak, (*run).eventKernel).
 func advance(m *mesh.Mesh, p *particle.Particle, sigmaT, speed, invSpeed, invUX, invUY float64) (ev events.Type, axis, dir int) {
 	d, axis, dir := events.DistanceToFacetRecip(m, p.X, p.Y, p.UX, p.UY, invUX, invUY, p.CellX, p.CellY)
 	ev = events.Facet

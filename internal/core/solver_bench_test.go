@@ -31,7 +31,8 @@ func BenchmarkUninterruptedSolve(b *testing.B) {
 // bank layouts crossed with the locality strategies of DESIGN.md §15
 // (row-major storage versus Morton ordering plus the cell-sorted bank),
 // reporting the active fraction — the share of the naive scheme's slot
-// sweeps that touched in-flight work — alongside ns/op.
+// sweeps that touched in-flight work — and each per-round kernel's
+// nanoseconds per visited slot (Result.OEVisitNs) alongside ns/op.
 func BenchmarkOverEvents(b *testing.B) {
 	for _, layout := range []particle.Layout{particle.AoS, particle.SoA} {
 		for _, loc := range []struct {
@@ -48,7 +49,7 @@ func BenchmarkOverEvents(b *testing.B) {
 				cfg.Layout = layout
 				cfg.Ordering = loc.ord
 				cfg.SortEvery = loc.sort
-				var frac float64
+				var frac, ev, coll, facet float64
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					res, err := Run(cfg)
@@ -56,8 +57,13 @@ func BenchmarkOverEvents(b *testing.B) {
 						b.Fatal(err)
 					}
 					frac = res.Counter.OEActiveFraction()
+					e, c, f := res.OEVisitNs()
+					ev, coll, facet = ev+e, coll+c, facet+f
 				}
 				b.ReportMetric(frac, "active-fraction")
+				b.ReportMetric(ev/float64(b.N), "event-ns/visit")
+				b.ReportMetric(coll/float64(b.N), "collision-ns/visit")
+				b.ReportMetric(facet/float64(b.N), "facet-ns/visit")
 			})
 		}
 	}

@@ -129,6 +129,41 @@ func AxisDistance(f int, pitch, pos, inv float64) float64 {
 	return d
 }
 
+// FacetAhead and NearerFacet are the facet search for a particle moving along
+// both axes, as straight-line code. Event-ordered loops visit unrelated
+// particles back to back, so the three comparisons of the textbook search
+// (ux > 0, uy > 0, dx ≤ dy) are coin flips to a branch predictor there; this
+// form has nothing to predict. It is two inlinable pieces because one function
+// holding both axes is past the compiler's inlining budget.
+//
+// FacetAhead is one axis: with neg = signbit(u), the plane ahead of cell c is
+// c + 1 − neg (the high face when moving up) and a crossing steps the cell by
+// 1 − 2·neg. It returns the AxisDistance to that plane. u must be a non-zero
+// number (see Moving): a zero cosine's reciprocal is ±Inf, which this form
+// would multiply.
+func FacetAhead(c int32, pitch, pos, u, inv float64) (dist float64, neg int) {
+	neg = int(math.Float64bits(u) >> 63)
+	return AxisDistance(int(c)+1-neg, pitch, pos, inv), neg
+}
+
+// NearerFacet picks between the two axes' FacetAhead results. AxisDistance is
+// never negative and never NaN, so IEEE order is the integer order of the bit
+// patterns, both are below 2^63, and the sign bit of their difference is
+// dy < dx — an exact tie goes to x. The selection is integer arithmetic on
+// that bit.
+func NearerFacet(dx, dy float64, negX, negY int) (d float64, axis, dir int) {
+	axis = int((math.Float64bits(dy) - math.Float64bits(dx)) >> 63)
+	return min(dx, dy), axis, 1 - 2*(negX^(negX^negY)&-axis)
+}
+
+// Moving reports whether both direction cosines are non-zero numbers — the
+// precondition of FacetAhead. False for ±0 and NaN, and for a product that
+// underflows to zero, which no unit vector has: a false negative only sends
+// the caller to the general search.
+func Moving(ux, uy float64) bool {
+	return math.Abs(ux*uy) > 0
+}
+
 // DistanceToFacetRecip performs the Cartesian ray–grid intersection (paper
 // §IV-C): the distance from (x, y) travelling along (ux, uy) to the nearest
 // face of cell (cx, cy), given the reciprocals invUX = 1/ux and invUY = 1/uy.
@@ -137,6 +172,12 @@ func AxisDistance(f int, pitch, pos, inv float64) float64 {
 // x-facet. A zero cosine never reaches its reciprocal (±Inf): that axis
 // simply has no facet ahead.
 func DistanceToFacetRecip(m *mesh.Mesh, x, y, ux, uy, invUX, invUY float64, cx, cy int32) (d float64, axis, dir int) {
+	if Moving(ux, uy) {
+		dx, negX := FacetAhead(cx, m.DX, x, ux, invUX)
+		dy, negY := FacetAhead(cy, m.DY, y, uy, invUY)
+		return NearerFacet(dx, dy, negX, negY)
+	}
+	// Axis-aligned (or NaN) flight: at most one axis has a facet ahead.
 	dx := Infinity
 	dirX := 0
 	switch {
@@ -240,33 +281,6 @@ func ApplyFacetReflective(m *mesh.Mesh, p *particle.Particle, axis, dir int) (re
 	}
 	p.CellY = int32(next)
 	return false
-}
-
-// ApplyFacetBank is ApplyFacet operating directly on a bank slot through
-// the axis field views, so the Over Events facet kernel can cross or
-// reflect a particle without streaming its whole record through a working
-// copy. It must stay semantically identical to ApplyFacet — the scheme
-// equivalence tests (Over Particles uses ApplyFacet, Over Events this)
-// pin the two together bit for bit.
-func ApplyFacetBank(m *mesh.Mesh, b *particle.Bank, i, axis, dir int) FacetOutcome {
-	if p := b.Ref(i); p != nil {
-		// AoS: operate on the record in place through the shared code.
-		return ApplyFacet(m, p, axis, dir)
-	}
-	limit := m.NX
-	if axis == 1 {
-		limit = m.NY
-	}
-	next := int(b.CellAxis(i, axis)) + dir
-	if next < 0 || next >= limit {
-		if m.EdgeBC(mesh.EdgeOf(axis, dir)) == mesh.Vacuum {
-			return FacetEscaped
-		}
-		b.NegateUAxis(i, axis)
-		return FacetReflected
-	}
-	b.SetCellAxis(i, axis, int32(next))
-	return FacetCrossed
 }
 
 // CollisionResult reports what a collision did, for instrumentation and

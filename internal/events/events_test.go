@@ -197,8 +197,7 @@ func TestReflectiveSpecialisation(t *testing.T) {
 }
 
 // TestApplyFacetVacuumEscape: a boundary facet whose edge is vacuum reports
-// an escape and leaves the record untouched, on every edge, through both the
-// working-copy path and the bank field-view path.
+// an escape and leaves the record untouched, on every edge.
 func TestApplyFacetVacuumEscape(t *testing.T) {
 	cases := []struct {
 		edge      mesh.Edge
@@ -226,21 +225,6 @@ func TestApplyFacetVacuumEscape(t *testing.T) {
 		q := &particle.Particle{CellX: 3 - c.cx, CellY: 3 - c.cy, UX: 0.6, UY: 0.8}
 		if out := ApplyFacet(m, q, c.axis, -c.dir); out != FacetReflected {
 			t.Fatalf("%v: opposite edge outcome %v, want reflection", c.edge, out)
-		}
-
-		// Bank path, both layouts.
-		for _, layout := range []particle.Layout{particle.AoS, particle.SoA} {
-			b := particle.NewBank(layout, 1)
-			rec := particle.Particle{CellX: c.cx, CellY: c.cy, UX: 0.6, UY: 0.8, Status: particle.Alive}
-			b.Store(0, &rec)
-			if out := ApplyFacetBank(m, b, 0, c.axis, c.dir); out != FacetEscaped {
-				t.Fatalf("%v/%v: bank outcome %v, want escape", c.edge, layout, out)
-			}
-			var got particle.Particle
-			b.Load(0, &got)
-			if got != rec {
-				t.Fatalf("%v/%v: bank escape mutated the record", c.edge, layout)
-			}
 		}
 	}
 }
@@ -463,3 +447,119 @@ func TestDistanceToFacetAgainstDivision(t *testing.T) {
 }
 
 func fmtG(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+
+// distanceToFacetSwitch is the facet search as a pair of three-way switches
+// and a float compare — the form DistanceToFacetRecip had before its
+// straight-line path, kept here as the reference the straight-line form
+// (FacetAhead, NearerFacet) must reproduce bit for bit.
+func distanceToFacetSwitch(m *mesh.Mesh, x, y, ux, uy, invUX, invUY float64, cx, cy int32) (d float64, axis, dir int) {
+	dx, dirX := Infinity, 0
+	switch {
+	case ux > 0:
+		dx, dirX = AxisDistance(int(cx)+1, m.DX, x, invUX), 1
+	case ux < 0:
+		dx, dirX = AxisDistance(int(cx), m.DX, x, invUX), -1
+	}
+	dy, dirY := Infinity, 0
+	switch {
+	case uy > 0:
+		dy, dirY = AxisDistance(int(cy)+1, m.DY, y, invUY), 1
+	case uy < 0:
+		dy, dirY = AxisDistance(int(cy), m.DY, y, invUY), -1
+	}
+	if dx <= dy {
+		return dx, 0, dirX
+	}
+	return dy, 1, dirY
+}
+
+// TestFacetSearchMatchesSwitchForm pins the straight-line facet search to the
+// switch form: the same distance bits, axis and direction for every state —
+// through DistanceToFacetRecip for all of them, and through FacetAhead and
+// NearerFacet directly wherever Moving admits the state. Random states over
+// the mesh, plus the edges of the arithmetic: cosines +0, −0 and NaN (their
+// reciprocals ±Inf and NaN), a particle exactly on the facet ahead or behind
+// (0·Inf, clamped), an exact dx == dy tie (goes to x), the first and last
+// cell, a reciprocal a reflection negated instead of recomputing.
+func TestFacetSearchMatchesSwitchForm(t *testing.T) {
+	m, err := mesh.New(24, 16, 2.5, 1.5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat, ties := 0, 0
+	check := func(x, y, ux, uy, invUX, invUY float64, cx, cy int) {
+		t.Helper()
+		wd, wa, wr := distanceToFacetSwitch(m, x, y, ux, uy, invUX, invUY, int32(cx), int32(cy))
+		state := func() string {
+			return "x=" + fmtG(x) + " y=" + fmtG(y) + " u=(" + fmtG(ux) + "," + fmtG(uy) + ") cell=(" +
+				strconv.Itoa(cx) + "," + strconv.Itoa(cy) + ")"
+		}
+		d, axis, dir := DistanceToFacetRecip(m, x, y, ux, uy, invUX, invUY, int32(cx), int32(cy))
+		if math.Float64bits(d) != math.Float64bits(wd) || axis != wa || dir != wr {
+			t.Fatalf("%s: DistanceToFacetRecip (%v,%d,%d), switch form (%v,%d,%d)", state(), d, axis, dir, wd, wa, wr)
+		}
+		if !Moving(ux, uy) {
+			return
+		}
+		flat++
+		dx, negX := FacetAhead(int32(cx), m.DX, x, ux, invUX)
+		dy, negY := FacetAhead(int32(cy), m.DY, y, uy, invUY)
+		if dx == dy {
+			ties++
+		}
+		d, axis, dir = NearerFacet(dx, dy, negX, negY)
+		if math.Float64bits(d) != math.Float64bits(wd) || axis != wa || dir != wr {
+			t.Fatalf("%s: straight-line (%v,%d,%d), switch form (%v,%d,%d)", state(), d, axis, dir, wd, wa, wr)
+		}
+	}
+
+	negZero := math.Copysign(0, -1)
+	s := rng.NewStream(2025, 0)
+	for i := 0; i < 20000; i++ {
+		cx, cy := int(s.Uniform()*float64(m.NX)), int(s.Uniform()*float64(m.NY))
+		switch i % 8 { // an eighth each in the corner cells
+		case 0:
+			cx, cy = 0, 0
+		case 1:
+			cx, cy = m.NX-1, m.NY-1
+		}
+		x := m.FacetX(cx) + s.Uniform()*m.DX
+		y := m.FacetY(cy) + s.Uniform()*m.DY
+		ux, uy := rng.IsotropicDirection(&s)
+		check(x, y, ux, uy, 1/ux, 1/uy, cx, cy)
+		check(x, y, -ux, uy, -(1 / ux), 1/uy, cx, cy) // after a reflection
+
+		// On the facet ahead, on the facet behind, an ulp outside the cell.
+		lo, hi := m.FacetX(cx), m.FacetX(cx+1)
+		for _, fx := range []float64{lo, hi, math.Nextafter(lo, math.Inf(-1)), math.Nextafter(hi, math.Inf(1))} {
+			check(fx, y, ux, uy, 1/ux, 1/uy, cx, cy)
+			check(fx, y, negZero, math.Copysign(1, uy), 1/negZero, math.Copysign(1, uy), cx, cy)
+		}
+		// Zero and NaN cosines, each sign, on either axis.
+		for _, z := range []float64{0, negZero, math.NaN()} {
+			check(x, y, z, math.Copysign(1, uy), 1/z, math.Copysign(1, uy), cx, cy)
+			check(x, y, math.Copysign(1, ux), z, math.Copysign(1, ux), 1/z, cx, cy)
+			check(x, y, z, z, 1/z, 1/z, cx, cy)
+		}
+	}
+
+	// Exact ties: from the centre of a square cell along each diagonal, the
+	// two distances are the same product of the same operands. x wins.
+	if m, err = mesh.New(8, 8, 1, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	before := ties
+	for _, sgn := range [][2]float64{{1, 1}, {1, -1}, {-1, 1}, {-1, -1}} {
+		ux, uy := sgn[0]*math.Sqrt2/2, sgn[1]*math.Sqrt2/2
+		check(0.3125, 0.3125, ux, uy, 1/ux, 1/uy, 2, 2)
+		if _, axis, _ := DistanceToFacetRecip(m, 0.3125, 0.3125, ux, uy, 1/ux, 1/uy, 2, 2); axis != 0 {
+			t.Fatalf("tie along (%v,%v) went to axis %d, want x", ux, uy, axis)
+		}
+	}
+	if ties != before+4 {
+		t.Fatalf("%d of the 4 diagonal cases were exact dx == dy ties", ties-before)
+	}
+	if flat < 100000 {
+		t.Fatalf("only %d states took the straight-line path", flat)
+	}
+}

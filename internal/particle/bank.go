@@ -2,7 +2,6 @@ package particle
 
 import (
 	"fmt"
-	"math"
 	"unsafe"
 )
 
@@ -277,20 +276,6 @@ func (b *Bank) StoreKinematics(i int, p *Particle) {
 	b.sigmaA[i] = p.CachedSigmaA
 	b.sigmaS[i] = p.CachedSigmaS
 	b.xsIndex[i] = p.XSIndex
-}
-
-// TouchSlot reads one field from each cache line of slot i's kinematic
-// state and folds the bytes into a value the caller must keep live — a
-// portable software prefetch for kernels that know which slot they will
-// visit a few iterations ahead. AoS touches both lines of the record; SoA
-// touches the two columns the event kernel's address computations need
-// first.
-func (b *Bank) TouchSlot(i int) uint64 {
-	if b.layout == AoS {
-		p := &b.aos[i]
-		return math.Float64bits(p.X) + uint64(p.CellX)
-	}
-	return math.Float64bits(b.x[i]) + uint64(b.cellX[i])
 }
 
 // Ref returns a pointer to slot i's record for in-place access when the
