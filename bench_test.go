@@ -9,6 +9,7 @@ package neutral
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/archmodel"
@@ -210,30 +211,36 @@ func BenchmarkSolverOverEvents(b *testing.B) {
 	benchSolver(b, core.OverEvents)
 }
 
-// BenchmarkSolverSchemeTallyMatrix crosses both schemes with the hot-path
-// tally implementations (atomic and write-combining buffered) at the
-// default configuration — the native counterpart of the paper's Fig 7
-// tally study, extended with this repo's buffered mode.
+// BenchmarkSolverSchemeTallyMatrix is the native counterpart of the paper's
+// Fig 7 tally study: both schemes on csp and on scatter (the contended case:
+// every history deposits around the source), through the shared atomic
+// tally, the privatised one, and the privatised one merged at every step —
+// the realistic coupled-physics case the paper found slower than atomics —
+// at every thread count the host has. Two steps, so the per-step merge runs
+// twice.
 func BenchmarkSolverSchemeTallyMatrix(b *testing.B) {
+	legs := []struct {
+		name  string
+		mode  tally.Mode
+		merge bool
+	}{{"atomic", tally.ModeAtomic, false}, {"private", tally.ModePrivate, false}, {"private+merge", tally.ModePrivate, true}}
 	for _, scheme := range []core.Scheme{core.OverParticles, core.OverEvents} {
-		for _, mode := range []tally.Mode{tally.ModeAtomic, tally.ModeBuffered} {
-			b.Run(scheme.String()+"/"+mode.String(), func(b *testing.B) {
-				cfg := core.Default(mesh.CSP)
-				cfg.Scheme = scheme
-				cfg.Tally = mode
-				var deposits, writes uint64
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res, err := core.Run(cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					deposits, writes = res.TallyDeposits, res.TallyBaseWrites
+		for _, p := range []mesh.Problem{mesh.CSP, mesh.Scatter} {
+			for _, leg := range legs {
+				for threads := 1; threads <= runtime.NumCPU(); threads++ {
+					b.Run(fmt.Sprintf("%v/%v/%s/t%d", scheme, p, leg.name, threads), func(b *testing.B) {
+						cfg := core.Default(p)
+						cfg.Steps = 2
+						cfg.Scheme, cfg.Threads = scheme, threads
+						cfg.Tally, cfg.MergePerStep = leg.mode, leg.merge
+						for i := 0; i < b.N; i++ {
+							if _, err := core.Run(cfg); err != nil {
+								b.Fatal(err)
+							}
+						}
+					})
 				}
-				if writes > 0 {
-					b.ReportMetric(float64(deposits)/float64(writes), "coalesce-x")
-				}
-			})
+			}
 		}
 	}
 }

@@ -50,12 +50,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if tm == tally.ModeBuffered {
-		// The device model prices the paper's implementations only; the
-		// write-combining buffer is a native-solver optimisation it does
-		// not model.
-		return fmt.Errorf("the device model does not price the buffered tally; model atomic or private instead")
-	}
 
 	devices := archmodel.Devices()
 	if *device != "" {

@@ -164,10 +164,10 @@ func run() error {
 		}
 
 	case "tally":
-		if err := w.Write([]string{"tally", "seconds", "conflicts"}); err != nil {
+		if err := w.Write([]string{"tally", "seconds"}); err != nil {
 			return err
 		}
-		for _, m := range []tally.Mode{tally.ModeAtomic, tally.ModePrivate, tally.ModeBuffered, tally.ModeNull} {
+		for _, m := range []tally.Mode{tally.ModeAtomic, tally.ModePrivate, tally.ModeNull} {
 			cfg := base
 			cfg.Tally = m
 			res, err := sweeper.run(cfg)
@@ -175,8 +175,7 @@ func run() error {
 				return err
 			}
 			if err := w.Write([]string{m.String(),
-				fmt.Sprintf("%.6f", res.Wall.Seconds()),
-				strconv.FormatUint(res.AtomicConflicts, 10)}); err != nil {
+				fmt.Sprintf("%.6f", res.Wall.Seconds())}); err != nil {
 				return err
 			}
 		}

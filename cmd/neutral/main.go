@@ -274,15 +274,6 @@ func printResult(res *core.Result) {
 		fmt.Printf("over-events  %d rounds, %d naive slot sweeps, %d visited (active fraction %.3f); ns/visit event %.1f, collision %.1f, facet %.1f\n",
 			c.OERounds, c.OESlotSweeps, c.OEActiveVisits, c.OEActiveFraction(), ev, coll, facet)
 	}
-	if res.AtomicConflicts > 0 {
-		fmt.Printf("atomics      %d CAS conflicts (%.4f per flush)\n",
-			res.AtomicConflicts, float64(res.AtomicConflicts)/float64(max(c.TallyFlushes, 1)))
-	}
-	if res.TallyDeposits > 0 {
-		fmt.Printf("buffered     %d deposits -> %d mesh writes (%.1fx write-combining)\n",
-			res.TallyDeposits, res.TallyBaseWrites,
-			float64(res.TallyDeposits)/float64(max(res.TallyBaseWrites, 1)))
-	}
 	printWeightWindow(c)
 	printLeakage(res)
 	fmt.Printf("population   %d dead, %d escaped, weight %.1f -> %.1f\n",

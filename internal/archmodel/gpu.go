@@ -136,9 +136,9 @@ func predictGPU(d *Device, w Workload, opt Options) Prediction {
 		if !d.HWAtomicFP64 || opt.ForceSoftwareAtomics {
 			atomicNs *= d.CASEmulationFactor
 		}
-		conflictPenalty := 1 + 6*w.AtomicConflictRate
+		conflictPenalty := 1.0
 		if w.Scheme == core.OverEvents {
-			conflictPenalty *= 1.6
+			conflictPenalty = 1.6
 		}
 		// Atomic units pipeline across SMs; serialisation shows up per
 		// SM, softened by warp concurrency.

@@ -311,12 +311,12 @@ func predictCPU(d *Device, w Workload, opt Options) Prediction {
 
 	// ---- Atomics -----------------------------------------------------
 	if opt.Tally == tally.ModeAtomic {
-		conflictPenalty := 1 + 6*w.AtomicConflictRate
 		// Over Events batches every flush into one tight loop,
 		// colliding in time; Over Particles spreads them along
 		// histories (§VII-A.1).
+		conflictPenalty := 1.0
 		if w.Scheme == core.OverEvents {
-			conflictPenalty *= 1.6
+			conflictPenalty = 1.6
 		}
 		// Every hardware thread can keep one atomic in flight.
 		atomicNs := w.TallyFlushes * d.AtomicExtraNs * conflictPenalty

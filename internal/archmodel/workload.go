@@ -50,11 +50,6 @@ type Workload struct {
 	DensityWorkingSetBytes float64
 	TallyWorkingSetBytes   float64
 
-	// AtomicConflictRate is CAS retries per tally flush, measured on the
-	// host run; it proxies tally contention, which is problem dependent
-	// (scatter concentrates deposits in few cells).
-	AtomicConflictRate float64
-
 	// XSTableBytes is the cross-section tables' footprint.
 	XSTableBytes float64
 }
@@ -87,8 +82,7 @@ func FromResult(res *core.Result, targetParticles, targetNX int) Workload {
 		XSSearchSteps: float64(c.XSSearchSteps) * pf,
 		RNGDraws:      float64(c.RNGDraws) * pf,
 
-		AtomicConflictRate: conflictRate(res),
-		XSTableBytes:       float64(cfg.XSPoints) * 16 * 2,
+		XSTableBytes: float64(cfg.XSPoints) * 16 * 2,
 	}
 	w.Segments = w.Facets + w.Collisions + w.Census
 	// Density reads differ by scheme: Over Particles re-reads only after
@@ -128,13 +122,6 @@ func FromResult(res *core.Result, targetParticles, targetNX int) Workload {
 		w.TallyWorkingSetBytes = meshBytes
 	}
 	return w
-}
-
-func conflictRate(res *core.Result) float64 {
-	if res.Counter.TallyFlushes == 0 {
-		return 0
-	}
-	return float64(res.AtomicConflicts) / float64(res.Counter.TallyFlushes)
 }
 
 // MeasureWorkload runs the solver at a reduced calibration scale and scales

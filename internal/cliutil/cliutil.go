@@ -47,7 +47,7 @@ func Register(fs *flag.FlagSet) *RunFlags {
 		Schedule: fs.String("schedule", "static", "schedule: static, static-chunk, dynamic, guided"),
 		Chunk:    fs.Int("chunk", 0, "schedule chunk size"),
 		Layout:   fs.String("layout", "aos", "particle layout: aos or soa"),
-		Tally:    fs.String("tally", "atomic", "tally: atomic, private, serial, null or buffered"),
+		Tally:    fs.String("tally", "atomic", "tally: atomic, private or null"),
 		Ordering: fs.String("ordering", "row-major",
 			"mesh storage ordering: row-major or morton (Z-order curve)"),
 		SortEvery: fs.Int("sort-every", 0,

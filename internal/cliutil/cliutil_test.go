@@ -43,7 +43,7 @@ func TestConfigDefaults(t *testing.T) {
 func TestConfigFullBlock(t *testing.T) {
 	f, _ := parse(t,
 		"-problem", "scatter", "-scheme", "oe", "-schedule", "dynamic",
-		"-chunk", "16", "-layout", "soa", "-tally", "buffered")
+		"-chunk", "16", "-layout", "soa", "-tally", "private")
 	cfg, err := f.Config(true)
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +51,7 @@ func TestConfigFullBlock(t *testing.T) {
 	if cfg.Problem != mesh.Scatter || cfg.Particles != 10_000_000 {
 		t.Errorf("paper scatter scale not applied: %+v", cfg)
 	}
-	if cfg.Scheme != core.OverEvents || cfg.Layout != particle.SoA || cfg.Tally != tally.ModeBuffered {
+	if cfg.Scheme != core.OverEvents || cfg.Layout != particle.SoA || cfg.Tally != tally.ModePrivate {
 		t.Errorf("strategy flags not applied")
 	}
 	if cfg.Schedule.Kind != core.ScheduleDynamic || cfg.Schedule.Chunk != 16 {

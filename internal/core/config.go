@@ -216,6 +216,10 @@ func (c Config) sceneKey() string {
 // cache.
 func (c Config) Fingerprint() (string, bool) {
 	h := sha256.New()
+	// The arithmetic epoch: results and checkpoints keyed before the
+	// fixed-point tally were accumulated in floating point, in an order that
+	// varied from run to run, and must never be served as this code's.
+	h.Write([]byte("arith=fixed-point-1 "))
 	fmt.Fprintf(h, "scene=%s nx=%d ny=%d particles=%d dt=%x steps=%d seed=%d ",
 		c.sceneKey(), c.NX, c.NY, c.Particles,
 		math.Float64bits(c.Timestep), c.Steps, c.Seed)
@@ -333,8 +337,8 @@ func (c *Config) Validate() error {
 	if c.SortEvery < 0 {
 		return fmt.Errorf("core: sort interval %d must be non-negative", c.SortEvery)
 	}
-	if c.Tally == tally.ModeSerial && c.Threads > 1 {
-		return fmt.Errorf("core: serial tally requires a single thread, got %d", c.Threads)
+	if c.Tally < tally.ModeAtomic || c.Tally > tally.ModeNull {
+		return fmt.Errorf("core: unknown tally mode %d", int(c.Tally))
 	}
 	if c.Replicas < 0 {
 		return fmt.Errorf("core: replica count %d must be non-negative", c.Replicas)

@@ -227,14 +227,6 @@ func (l *Leakage) TotalEnergy() float64 {
 	return l.Energy[0] + l.Energy[1] + l.Energy[2] + l.Energy[3]
 }
 
-// add accumulates other into l.
-func (l *Leakage) add(other *Leakage) {
-	for e := 0; e < mesh.NumEdges; e++ {
-		l.Weight[e] += other.Weight[e]
-		l.Energy[e] += other.Energy[e]
-	}
-}
-
 // Conservation is the per-run audit: with exact loss bookkeeping, birth
 // weight-energy must equal deposits plus vacuum leakage plus what is still
 // carried by census particles.

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/events"
@@ -12,12 +12,41 @@ import (
 	"repro/internal/xs"
 )
 
+// tallyLeg is one way of running the tally through a test matrix.
+type tallyLeg struct {
+	name         string
+	mode         tally.Mode
+	mergePerStep bool
+	threads      int // 0 leaves the thread count to the matrix
+}
+
+// The tally legs of the equivalence matrices. "buffered" and "serial" keep
+// the names of the two modes the fixed-point tally made redundant — tier-1's
+// floor list pins subtest names — and run what is left of each: per-worker
+// buffers merged at every step boundary, and the single-writer plain add.
+var (
+	legAtomic   = tallyLeg{name: "atomic", mode: tally.ModeAtomic}
+	legPrivate  = tallyLeg{name: "private", mode: tally.ModePrivate}
+	legBuffered = tallyLeg{name: "buffered", mode: tally.ModePrivate, mergePerStep: true}
+	legSerial   = tallyLeg{name: "serial", mode: tally.ModeAtomic, threads: 1}
+)
+
+func (l tallyLeg) String() string { return l.name }
+
+func (l tallyLeg) apply(cfg *Config) {
+	cfg.Tally, cfg.MergePerStep = l.mode, l.mergePerStep
+	if l.threads != 0 {
+		cfg.Threads = l.threads
+	}
+}
+
 // TestSchemeEquivalence is the central correctness property of the
 // reproduction: Over Particles and Over Events must produce identical
 // physics. The counter-based RNG gives every particle its own stream, so
 // the two traversal orders consume identical variates and the final
-// particle records must agree bit for bit; tallies agree to floating-point
-// reassociation tolerance, and every event counter matches exactly.
+// particle records must agree bit for bit; the tally is a sum of the same
+// deposits in integer ticks, so it agrees bit for bit too, and every event
+// counter matches exactly.
 func TestSchemeEquivalence(t *testing.T) {
 	for _, p := range []mesh.Problem{mesh.Stream, mesh.Scatter, mesh.CSP} {
 		cfgOP := smallConfig(p)
@@ -58,17 +87,11 @@ func TestSchemeEquivalence(t *testing.T) {
 			}
 		}
 
-		if rop.TallyTotal == 0 && roe.TallyTotal == 0 {
-			continue // stream deposits nothing
+		if rop.TallyTotal != roe.TallyTotal {
+			t.Errorf("%v: tallies differ: %.17g vs %.17g", p, rop.TallyTotal, roe.TallyTotal)
 		}
-		if rel := math.Abs(rop.TallyTotal-roe.TallyTotal) / rop.TallyTotal; rel > 1e-9 {
-			t.Errorf("%v: tallies differ by %.3g relative", p, rel)
-		}
-		for i := range rop.Cells {
-			d := math.Abs(rop.Cells[i] - roe.Cells[i])
-			if d > 1e-6*(1+math.Abs(rop.Cells[i])) {
-				t.Fatalf("%v: cell %d differs: %v vs %v", p, i, rop.Cells[i], roe.Cells[i])
-			}
+		if !slices.Equal(rop.Cells, roe.Cells) {
+			t.Errorf("%v: per-cell tallies differ", p)
 		}
 	}
 }
@@ -82,7 +105,6 @@ func TestXSSearchStepsSchemeInvariant(t *testing.T) {
 		cfg := smallConfig(mesh.CSP)
 		cfg.XSPoints = points
 		cfg.Steps = 2
-		cfg.Threads = 1
 		ref, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -201,11 +223,11 @@ func TestOverEventsBookkeeping(t *testing.T) {
 }
 
 // TestCompactionEquivalenceMatrix pins the compacted Over Events scheme to
-// the Over Particles reference across both bank layouts and both hot-path
-// tally modes (atomic and buffered): final particle records bit for bit,
-// every physics counter exactly, tallies to floating-point reassociation
-// tolerance. This is the safety net the compaction rewrite and the
-// write-combining tally lean on — neither may change per-particle physics.
+// the Over Particles reference across both bank layouts and both tally
+// implementations (the shared atomic mesh, and per-worker meshes merged every
+// step): final particle records, every physics counter, the tally total and
+// every tally cell, all exactly. This is the safety net the compaction
+// rewrite leans on — it may not change per-particle physics.
 func TestCompactionEquivalenceMatrix(t *testing.T) {
 	for _, p := range []mesh.Problem{mesh.Scatter, mesh.CSP} {
 		ref := smallConfig(p)
@@ -215,12 +237,12 @@ func TestCompactionEquivalenceMatrix(t *testing.T) {
 			t.Fatalf("%v reference: %v", p, err)
 		}
 		for _, layout := range []particle.Layout{particle.AoS, particle.SoA} {
-			for _, tm := range []tally.Mode{tally.ModeAtomic, tally.ModeBuffered} {
-				t.Run(fmt.Sprintf("%v/%v/%v", p, layout, tm), func(t *testing.T) {
+			for _, leg := range []tallyLeg{legAtomic, legBuffered} {
+				t.Run(fmt.Sprintf("%v/%v/%v", p, layout, leg), func(t *testing.T) {
 					cfg := smallConfig(p)
 					cfg.Scheme = OverEvents
 					cfg.Layout = layout
-					cfg.Tally = tm
+					leg.apply(&cfg)
 					roe, err := Run(cfg)
 					if err != nil {
 						t.Fatal(err)
@@ -232,22 +254,12 @@ func TestCompactionEquivalenceMatrix(t *testing.T) {
 						rop.Counter.RNGDraws != roe.Counter.RNGDraws {
 						t.Errorf("physics counters differ:\nop %+v\noe %+v", rop.Counter, roe.Counter)
 					}
-					if rel := math.Abs(rop.TallyTotal-roe.TallyTotal) / rop.TallyTotal; rel > 1e-9 {
-						t.Errorf("tally totals differ by %.3g relative", rel)
+					if rop.TallyTotal != roe.TallyTotal {
+						t.Errorf("tally totals differ: %.17g vs %.17g", rop.TallyTotal, roe.TallyTotal)
 					}
 					for i := range rop.Cells {
-						d := math.Abs(rop.Cells[i] - roe.Cells[i])
-						if d > 1e-6*(1+math.Abs(rop.Cells[i])) {
+						if rop.Cells[i] != roe.Cells[i] {
 							t.Fatalf("cell %d differs: %v vs %v", i, rop.Cells[i], roe.Cells[i])
-						}
-					}
-					if tm == tally.ModeBuffered {
-						if roe.TallyDeposits == 0 {
-							t.Error("buffered run reported no deposits")
-						}
-						if roe.TallyBaseWrites > roe.TallyDeposits {
-							t.Errorf("base writes %d exceed deposits %d",
-								roe.TallyBaseWrites, roe.TallyDeposits)
 						}
 					}
 				})
@@ -290,10 +302,9 @@ func TestPhaseTimingsByScheme(t *testing.T) {
 // event-by-event transport. The reference is Over Events at one thread —
 // one event per kernel pass, reciprocals recomputed at every pass, no streak
 // anywhere — and every Over Particles cell of bank layout × mesh ordering ×
-// tally mode × thread count × {straight run, snapshot→restore after step 1}
-// must end with the same bank bit for bit, the same physics counters, the
-// same leakage and the same per-cell tally (to reassociation: the schemes
-// flush in different orders). Scenes: stream (streaks hundreds of cells long,
+// tally leg × thread count × {straight run, snapshot→restore after step 1}
+// must end with the same bank, the same physics counters, the same leakage
+// and the same per-cell tally, all bit for bit. Scenes: stream (streaks hundreds of cells long,
 // ended by reflections and census), csp (collisions in the dense square hand
 // a deposit to the next crossing, whose general-path flush empties the
 // register before the streak resumes), and the csp geometry with two vacuum
@@ -321,7 +332,7 @@ func TestStreakEquivalenceMatrix(t *testing.T) {
 		}
 		for _, layout := range []particle.Layout{particle.AoS, particle.SoA} {
 			for _, ord := range []mesh.Ordering{mesh.RowMajor, mesh.Morton} {
-				for _, tm := range []tally.Mode{tally.ModeAtomic, tally.ModeBuffered} {
+				for _, tm := range []tallyLeg{legAtomic, legBuffered} {
 					for _, threads := range []int{1, 4} {
 						for _, restore := range []bool{false, true} {
 							// Over Events joins the matrix where its kernels share the
@@ -339,7 +350,8 @@ func TestStreakEquivalenceMatrix(t *testing.T) {
 								t.Run(name, func(t *testing.T) {
 									cfg := sc.cfg()
 									cfg.Scheme = scheme
-									cfg.Layout, cfg.Ordering, cfg.Tally, cfg.Threads = layout, ord, tm, threads
+									cfg.Layout, cfg.Ordering, cfg.Threads = layout, ord, threads
+									tm.apply(&cfg)
 									sim, err := NewSimulation(cfg)
 									if err != nil {
 										t.Fatal(err)
@@ -366,19 +378,14 @@ func TestStreakEquivalenceMatrix(t *testing.T) {
 									if wc != gc {
 										t.Errorf("counters differ:\nevent-by-event %+v\nstreak         %+v", wc, gc)
 									}
-									for e := 0; e < mesh.NumEdges; e++ {
-										if relDiff(want.Leakage.Energy[e], got.Leakage.Energy[e]) > 1e-12 ||
-											relDiff(want.Leakage.Weight[e], got.Leakage.Weight[e]) > 1e-12 {
-											t.Errorf("edge %v leakage differs: %g/%g vs %g/%g", mesh.Edge(e),
-												want.Leakage.Weight[e], want.Leakage.Energy[e],
-												got.Leakage.Weight[e], got.Leakage.Energy[e])
-										}
+									if want.Leakage != got.Leakage {
+										t.Errorf("leakage differs:\nevent-by-event %+v\nstreak         %+v", want.Leakage, got.Leakage)
 									}
-									if relDiff(want.TallyTotal, got.TallyTotal) > 1e-12 {
+									if want.TallyTotal != got.TallyTotal {
 										t.Errorf("tally totals differ: %.17g vs %.17g", want.TallyTotal, got.TallyTotal)
 									}
 									for i := range want.Cells {
-										if relDiff(want.Cells[i], got.Cells[i]) > 1e-9 {
+										if want.Cells[i] != got.Cells[i] {
 											t.Fatalf("cell %d differs: %v vs %v", i, want.Cells[i], got.Cells[i])
 										}
 									}

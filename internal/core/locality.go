@@ -41,33 +41,29 @@ func (r *run) tallyCellsLogical() []float64 {
 	return out
 }
 
-// tallyNonZeroLogical returns the tally's non-zero cells keyed by logical
-// index, ascending — the sparse view a snapshot stores. Under row-major
-// storage the tally's own sparse view is already that, read without
-// materialising the dense one; other orderings scan the remapped view. The
-// slice is scratch owned by the run, valid until the next call.
+// tallyNonZeroLogical returns the tally's non-zero cells, in ticks, keyed by
+// logical index, ascending — the sparse view a snapshot stores. Under
+// row-major storage that is the sparse view of the ticks as they lie; other
+// orderings walk the logical cells and look each one up. The slice is scratch
+// owned by the run, valid until the next call.
 func (r *run) tallyNonZeroLogical() []tally.Cell {
-	if r.mesh.Ordering() == mesh.RowMajor {
-		r.sparseCells = r.tly.NonZero(r.sparseCells[:0])
-	} else {
-		r.sparseCells = tally.AppendNonZero(r.sparseCells[:0], r.tallyCellsLogical())
+	m, ticks := r.mesh, r.tly.Ticks()
+	if m.Ordering() == mesh.RowMajor {
+		r.sparseCells = tally.AppendNonZero(r.sparseCells[:0], ticks)
+		return r.sparseCells
 	}
-	return r.sparseCells
-}
-
-// tallyTotal sums the tally in logical cell order whatever the storage
-// ordering. Floating-point addition is order-sensitive, and under row-major
-// storage the tally's own Total already sums in logical order — summing the
-// remapped view keeps the reported total bit-identical across orderings.
-func (r *run) tallyTotal() float64 {
-	if r.mesh.Ordering() == mesh.RowMajor {
-		return r.tly.Total()
+	out := r.sparseCells[:0]
+	if ticks != nil {
+		for cy := 0; cy < m.NY; cy++ {
+			for cx := 0; cx < m.NX; cx++ {
+				if t := ticks[m.StorageIndex(cx, cy)]; t != 0 {
+					out = append(out, tally.Cell{Index: m.Index(cx, cy), Ticks: t})
+				}
+			}
+		}
 	}
-	var sum float64
-	for _, v := range r.tallyCellsLogical() {
-		sum += v
-	}
-	return sum
+	r.sparseCells = out
+	return out
 }
 
 // retiredSlotKey sorts after every live cell key, parking dead and escaped

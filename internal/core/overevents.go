@@ -438,8 +438,8 @@ func (r *run) facetKernel(w, lo, hi int) {
 			r.bank.SetCellAxis(i, 1, int32(ny))
 		} else if edge := mesh.EdgeOf(axis, dir); m.EdgeBC(edge) == mesh.Vacuum {
 			wgt, we := r.bank.Escape(i)
-			ws.leak.Weight[edge] += wgt
-			ws.leak.Energy[edge] += we
+			r.leakWeight.Add(ws.id, int(edge), wgt)
+			r.leakEnergy.Add(ws.id, int(edge), we)
 			continue // retired: not a survivor
 		} else {
 			r.bank.NegateUAxis(i, axis)

@@ -73,16 +73,8 @@ func TestVacuumSceneSchemeEquivalence(t *testing.T) {
 					rop.Counter.Reflections != roe.Counter.Reflections {
 					t.Errorf("counters differ:\nop %+v\noe %+v", rop.Counter, roe.Counter)
 				}
-				// Leakage is accumulated in bank-slot order per edge in
-				// both schemes only at one thread; across thread counts
-				// it is a reassociated sum, so compare to tolerance.
-				for e := 0; e < mesh.NumEdges; e++ {
-					if relDiff(rop.Leakage.Energy[e], roe.Leakage.Energy[e]) > 1e-12 ||
-						relDiff(rop.Leakage.Weight[e], roe.Leakage.Weight[e]) > 1e-12 {
-						t.Errorf("edge %v leakage differs: op %g/%g oe %g/%g",
-							mesh.Edge(e), rop.Leakage.Weight[e], rop.Leakage.Energy[e],
-							roe.Leakage.Weight[e], roe.Leakage.Energy[e])
-					}
+				if rop.Leakage != roe.Leakage {
+					t.Errorf("leakage differs:\nop %+v\noe %+v", rop.Leakage, roe.Leakage)
 				}
 				if roe.Conservation.RelativeError > 1e-9 {
 					t.Errorf("conservation error %.3g under leakage", roe.Conservation.RelativeError)

@@ -20,6 +20,7 @@ import (
 	"repro/internal/mesh"
 	"repro/internal/particle"
 	"repro/internal/scene"
+	"repro/internal/tally"
 )
 
 // Snapshot format constants. The magic and version head every checkpoint;
@@ -31,12 +32,15 @@ import (
 // baselines, the per-edge leakage tallies, and the escape counter; version 5
 // records the mesh storage ordering next to the bank layout (informational,
 // like the layout — tally cells are stored by *logical* index, so a
-// checkpoint taken under one ordering resumes under any other). Older
-// checkpoints are refused with the version error, not misreported as
-// corrupt.
+// checkpoint taken under one ordering resumes under any other); version 6
+// stores the tally and leakage blocks as int64 ticks, the accumulators'
+// own fixed-point form, in the 8 bytes per value the floats took (the tick
+// size is not stored: it is a function of the audit baselines, see
+// run.setBirth). Older checkpoints are refused with the version error, not
+// misreported as corrupt.
 const (
 	snapshotMagic   = "NEUTSNAP"
-	snapshotVersion = uint32(5)
+	snapshotVersion = uint32(6)
 )
 
 // ErrSnapshotCorrupt reports a snapshot that failed structural validation:
@@ -135,6 +139,7 @@ func (w *snapshotWriter) u64(v uint64) {
 	w.off += 8
 }
 func (w *snapshotWriter) f64(v float64) { w.u64(math.Float64bits(v)) }
+func (w *snapshotWriter) i64(v int64)   { w.u64(uint64(v)) }
 
 // snapshotReader consumes the payload with bounds checking; the first
 // overrun poisons the reader and every later read reports failure.
@@ -177,6 +182,7 @@ func (r *snapshotReader) u64() uint64 {
 
 func (r *snapshotReader) f64() float64 { return math.Float64frombits(r.u64()) }
 func (r *snapshotReader) i32() int32   { return int32(r.u32()) }
+func (r *snapshotReader) i64() int64   { return int64(r.u64()) }
 
 // writeParticle writes one particle record in the canonical field order.
 // The order is shared with readParticle and is layout-independent: an AoS
@@ -256,9 +262,9 @@ func (r *run) snapshotIdentity() (hash [sha256.Size]byte, sceneJSON []byte) {
 //	counters: count:u32 then count u64 fields
 //	scene: len:u32 then canonical JSON bytes
 //	audit: birthWeight:f64 birthEnergy:f64
-//	leakage: 4 edge weights then 4 edge energies, f64 each
+//	leakage: 4 edge weights then 4 edge energies, i64 ticks each
 //	bank: layout:u8 ordering:u8 n:u64 then n canonical particle records
-//	tally: nonzero:u64 then (logical cell:u64 value:f64) pairs
+//	tally: nonzero:u64 then (logical cell:u64 ticks:i64) pairs
 //	crc32(payload):u32
 func (s *Simulation) Snapshot() []byte {
 	r := s.r
@@ -266,10 +272,8 @@ func (s *Simulation) Snapshot() []byte {
 	// Counters aggregated exactly as finish would: any prior snapshot
 	// base plus the live per-worker counters.
 	agg := r.base
-	leak := r.baseLeak
 	for _, ws := range r.workers {
 		agg.Add(&ws.c)
-		leak.add(&ws.leak)
 	}
 	vec := counterVector(&agg)
 
@@ -307,11 +311,10 @@ func (s *Simulation) Snapshot() []byte {
 
 	w.f64(r.birthWeight)
 	w.f64(r.birthEnergy)
-	for e := 0; e < mesh.NumEdges; e++ {
-		w.f64(leak.Weight[e])
-	}
-	for e := 0; e < mesh.NumEdges; e++ {
-		w.f64(leak.Energy[e])
+	for _, leak := range []*tally.Private{r.leakWeight, r.leakEnergy} {
+		for _, t := range leak.Ticks() {
+			w.i64(t)
+		}
 	}
 
 	w.u8(uint8(r.bank.Layout()))
@@ -331,7 +334,7 @@ func (s *Simulation) Snapshot() []byte {
 	w.u64(uint64(len(cells)))
 	for _, c := range cells {
 		w.u64(uint64(c.Index))
-		w.f64(c.Value)
+		w.i64(c.Ticks)
 	}
 
 	w.u32(crc32.ChecksumIEEE(w.buf[:w.off]))
@@ -421,12 +424,11 @@ func RestoreSimulation(cfg Config, data []byte) (*Simulation, error) {
 
 	birthWeight := rd.f64()
 	birthEnergy := rd.f64()
-	var leak Leakage
-	for e := 0; e < mesh.NumEdges; e++ {
-		leak.Weight[e] = rd.f64()
-	}
-	for e := 0; e < mesh.NumEdges; e++ {
-		leak.Energy[e] = rd.f64()
+	var leak [2 * mesh.NumEdges]int64
+	for i := range leak {
+		if leak[i] = rd.i64(); leak[i] < 0 {
+			return nil, fmt.Errorf("%w: negative leakage", ErrSnapshotCorrupt)
+		}
 	}
 
 	_ = rd.u8() // layout the snapshot was taken under; informational
@@ -469,6 +471,12 @@ func RestoreSimulation(cfg Config, data []byte) (*Simulation, error) {
 			ErrSnapshotCorrupt, next, r.cfg.Steps)
 	}
 
+	r.setBirth(birthWeight, birthEnergy)
+	for e := 0; e < mesh.NumEdges; e++ {
+		r.leakWeight.AddTicks(e, leak[e])
+		r.leakEnergy.AddTicks(e, leak[mesh.NumEdges+e])
+	}
+
 	var p particle.Particle
 	for i := 0; i < int(n); i++ {
 		rd.readParticle(&p)
@@ -482,28 +490,26 @@ func RestoreSimulation(cfg Config, data []byte) (*Simulation, error) {
 	nonzero := rd.u64()
 	for i := uint64(0); i < nonzero; i++ {
 		cell := rd.u64()
-		v := rd.f64()
+		ticks := rd.i64()
 		if rd.bad {
 			return nil, fmt.Errorf("%w: truncated tally", ErrSnapshotCorrupt)
 		}
 		if cell >= cells {
 			return nil, fmt.Errorf("%w: tally cell %d outside %d-cell mesh", ErrSnapshotCorrupt, cell, cells)
 		}
-		// Depositing into a zeroed tally reproduces the stored value
-		// exactly (0 + v = v), for every tally implementation. Stored
-		// cells are logical; the restoring run's ordering decides where
-		// they live.
+		if ticks < 0 {
+			return nil, fmt.Errorf("%w: tally cell %d is negative", ErrSnapshotCorrupt, cell)
+		}
+		// Stored cells are logical; the restoring run's ordering decides
+		// where they live.
 		cx, cy := int(cell)%r.mesh.NX, int(cell)/r.mesh.NX
-		r.tly.Add(0, r.mesh.StorageIndex(cx, cy), v)
+		r.tly.AddTicks(r.mesh.StorageIndex(cx, cy), ticks)
 	}
 	if rd.off != len(payload) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrSnapshotCorrupt, len(payload)-rd.off)
 	}
 
 	r.base = counterScatter(vec)
-	r.baseLeak = leak
-	r.birthWeight = birthWeight
-	r.birthEnergy = birthEnergy
 	r.step.Store(int64(next))
 	alive, census, _ := r.bank.CountStatus()
 	r.stepTotal.Store(int64(alive + census))

@@ -2,37 +2,45 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/mesh"
 	"repro/internal/particle"
-	"repro/internal/tally"
 )
 
-// TestSnapshotParentCompat pins the v5 checkpoint format to a file: the
-// fixture was written by the commit before the divide-free arithmetic and the
-// single-allocation Snapshot (csp, 16², 32 particles, after step 1 of 2). It
-// must restore, a Snapshot of the restored state must reproduce it byte for
-// byte — for either bank layout and any tally that can hold it — and the
-// resumed run must finish conserving energy.
+// compatConfig is the configuration both fixtures were written under: csp,
+// 16², 32 particles, after step 1 of 2.
+func compatConfig() Config {
+	cfg := Default(mesh.CSP)
+	cfg.NX, cfg.NY = 16, 16
+	cfg.Particles = 32
+	cfg.Steps = 2
+	return cfg
+}
+
+// TestSnapshotParentCompat pins the v6 checkpoint format to a file written
+// by the commit that introduced it (AoS, row-major, atomic tally). It must
+// restore, a Snapshot of the restored state must reproduce it byte for byte —
+// for either bank layout, either ordering, every tally leg and whatever the
+// thread budget, since the tally and leakage blocks are integer ticks — and
+// the resumed run must finish conserving energy.
 func TestSnapshotParentCompat(t *testing.T) {
-	fixture, err := os.ReadFile("testdata/snapshot_v5_parent.bin")
+	fixture, err := os.ReadFile("testdata/snapshot_v6.bin")
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := Default(mesh.CSP)
-	base.NX, base.NY = 16, 16
-	base.Particles = 32
-	base.Steps = 2
-	base.Threads = 1
+	base := compatConfig()
 	for _, layout := range []particle.Layout{particle.AoS, particle.SoA} {
-		for _, tm := range []tally.Mode{tally.ModeAtomic, tally.ModeBuffered, tally.ModePrivate, tally.ModeSerial} {
+		for _, leg := range []tallyLeg{legAtomic, legBuffered, legPrivate, legSerial} {
 			for _, ord := range []mesh.Ordering{mesh.RowMajor, mesh.Morton} {
-				t.Run(fmt.Sprintf("%v/%v/%v", layout, tm, ord), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%v/%v/%v", layout, leg, ord), func(t *testing.T) {
 					cfg := base
-					cfg.Layout, cfg.Tally, cfg.Ordering = layout, tm, ord
+					cfg.Layout, cfg.Ordering = layout, ord
+					leg.apply(&cfg)
 					sim, err := RestoreSimulation(cfg, fixture)
 					if err != nil {
 						t.Fatal(err)
@@ -46,7 +54,7 @@ func TestSnapshotParentCompat(t *testing.T) {
 					// the fixture is AoS, row-major.
 					if layout == particle.AoS && ord == mesh.RowMajor {
 						if !bytes.Equal(got, fixture) {
-							t.Fatalf("re-snapshot differs from the parent-written bytes (%d vs %d bytes)", len(got), len(fixture))
+							t.Fatalf("re-snapshot differs from the fixture (%d vs %d bytes)", len(got), len(fixture))
 						}
 					} else if len(got) != len(fixture) {
 						t.Fatalf("re-snapshot is %d bytes, fixture %d", len(got), len(fixture))
@@ -68,5 +76,19 @@ func TestSnapshotParentCompat(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestSnapshotV5Refused: a checkpoint written before the fixed-point tally
+// (the last v5 one, same configuration) holds float sums this code cannot
+// adopt; it is refused by version, not misreported as damaged or mismatched.
+func TestSnapshotV5Refused(t *testing.T) {
+	old, err := os.ReadFile("testdata/snapshot_v5_parent.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = RestoreSimulation(compatConfig(), old)
+	if !errors.Is(err, ErrSnapshotCorrupt) || !strings.Contains(err.Error(), "unsupported version 5") {
+		t.Fatalf("restoring a v5 snapshot: %v, want the unsupported-version error", err)
 	}
 }

@@ -18,7 +18,6 @@ func fuzzConfig() Config {
 	cfg.NX, cfg.NY = 48, 48
 	cfg.Particles = 60
 	cfg.Steps = 2
-	cfg.Threads = 1
 	cfg.WeightWindow = WeightWindow{Enabled: true}
 	return cfg
 }

@@ -74,8 +74,8 @@ func TestRunEqualsStepwiseSnapshotRestore(t *testing.T) {
 				if full.Counter != res.Counter {
 					t.Errorf("counters differ:\nfull    %+v\nresumed %+v", full.Counter, res.Counter)
 				}
-				if rel := relDiff(full.TallyTotal, res.TallyTotal); rel > 1e-9 {
-					t.Errorf("tally totals differ by %.3g relative", rel)
+				if full.TallyTotal != res.TallyTotal {
+					t.Errorf("tally totals differ: %.17g vs %.17g", full.TallyTotal, res.TallyTotal)
 				}
 				if res.Conservation.RelativeError > 1e-9 {
 					t.Errorf("resumed conservation error %.3g", res.Conservation.RelativeError)
@@ -274,8 +274,8 @@ func TestSimulationResetMatchesFresh(t *testing.T) {
 		if want.Counter != got.Counter {
 			t.Errorf("reset %d: counters differ:\nfresh %+v\nreset %+v", i, want.Counter, got.Counter)
 		}
-		if rel := relDiff(want.TallyTotal, got.TallyTotal); rel > 1e-9 {
-			t.Errorf("reset %d: tally totals differ by %.3g relative", i, rel)
+		if want.TallyTotal != got.TallyTotal {
+			t.Errorf("reset %d: tally totals differ: %.17g vs %.17g", i, want.TallyTotal, got.TallyTotal)
 		}
 	}
 }
@@ -320,16 +320,10 @@ func TestSnapshotVacuumSceneRoundTrip(t *testing.T) {
 		if full.Counter != res.Counter {
 			t.Errorf("%v: counters differ:\nfull    %+v\nresumed %+v", scheme, full.Counter, res.Counter)
 		}
-		// Leakage is a floating-point accumulation, like the tally: the
-		// restore boundary reassociates the per-edge sums, so compare at
-		// the tally tolerance, not bit for bit.
-		for e := 0; e < mesh.NumEdges; e++ {
-			if relDiff(full.Leakage.Weight[e], res.Leakage.Weight[e]) > 1e-9 ||
-				relDiff(full.Leakage.Energy[e], res.Leakage.Energy[e]) > 1e-9 {
-				t.Errorf("%v: edge %v leakage differs:\nfull    %g/%g\nresumed %g/%g",
-					scheme, mesh.Edge(e), full.Leakage.Weight[e], full.Leakage.Energy[e],
-					res.Leakage.Weight[e], res.Leakage.Energy[e])
-			}
+		// Leakage accumulates in ticks, like the tally, so the restore
+		// boundary leaves no trace in it.
+		if full.Leakage != res.Leakage {
+			t.Errorf("%v: leakage differs:\nfull    %+v\nresumed %+v", scheme, full.Leakage, res.Leakage)
 		}
 		if full.Conservation.BirthWeight != res.Conservation.BirthWeight ||
 			full.Conservation.BirthEnergy != res.Conservation.BirthEnergy {

@@ -33,16 +33,11 @@ type Result struct {
 	Cells []float64
 	// Conservation is the population/energy audit.
 	Conservation Conservation
-	// AtomicConflicts counts CAS retries in the atomic tally (also
-	// reported for a buffered tally over an atomic base).
+	// AtomicConflicts is always 0: the atomic tally adds with one
+	// instruction that cannot retry. The field stays only because
+	// benchmark/solver.go reads it, and goes with the next change to
+	// benchmark/.
 	AtomicConflicts uint64
-	// TallyDeposits and TallyBaseWrites report write-combining for the
-	// buffered tally: logical deposits absorbed by the per-worker buffers
-	// and the batches that actually reached the shared mesh. Zero unless
-	// the run used tally.ModeBuffered. Like AtomicConflicts they describe
-	// only the live run (they are not carried across snapshot/resume).
-	TallyDeposits   uint64
-	TallyBaseWrites uint64
 	// Leakage is the per-edge vacuum-boundary loss tally: the weight and
 	// weight-energy carried out by escaped histories. All-zero on
 	// reflective scenes; carried across snapshot/resume like the
@@ -73,11 +68,10 @@ func (r *Result) LoadImbalance() float64 {
 }
 
 // workerState is the per-worker private state: instrumentation counters
-// and the per-edge leakage accumulators.
+// and busy time.
 type workerState struct {
 	id   int
 	c    Counters
-	leak Leakage
 	busy time.Duration
 }
 
@@ -88,22 +82,32 @@ type run struct {
 	sources []particle.SourceTerm
 	ctx     events.Context
 	bank    *particle.Bank
-	tly     tally.Tally
 	workers []*workerState
 
 	// birthWeight and birthEnergy are the conservation-audit baselines:
 	// exact sums over the records the source sampling stored (weighted
 	// and jittered sources make them run-specific). Restored from the
-	// snapshot on resume.
+	// snapshot on resume. They also size the tick of every accumulator
+	// below (see setBirth).
 	birthWeight float64
 	birthEnergy float64
 
+	// tly is the energy-deposition tally; leakWeight and leakEnergy are the
+	// per-edge vacuum losses, four-cell privatised tallies indexed by
+	// mesh.Edge. All three accumulate in fixed point, so what they hold does
+	// not depend on which worker deposited what, or when. A nil tly asks
+	// setBirth to build all three.
+	tly        tally.Tally
+	leakWeight *tally.Private
+	leakEnergy *tally.Private
+	// overflow latches tally.ErrOverflow from a step-boundary read; the
+	// next Step and the end of Drive fail with it.
+	overflow error
+
 	// base carries counters restored from a snapshot; finish adds it to
 	// the live per-worker counters so a resumed run reports the same
-	// totals as an uninterrupted one. baseLeak does the same for the
-	// per-edge leakage tallies.
-	base     Counters
-	baseLeak Leakage
+	// totals as an uninterrupted one.
+	base Counters
 
 	// Over Events compaction scratch: the persistent active-index list
 	// and per-event gather buckets (see oeState in overevents.go).
@@ -206,7 +210,6 @@ func newRun(cfg Config, populate bool) (*run, error) {
 			EnergyCutoff: cfg.EnergyCutoff,
 		},
 		bank: particle.NewBank(cfg.Layout, cfg.Particles),
-		tly:  tally.New(cfg.Tally, m.NumCells(), cfg.Threads),
 	}
 	r.canLeak = m.HasVacuum()
 	r.buildNDCache()
@@ -218,10 +221,31 @@ func newRun(cfg Config, populate bool) (*run, error) {
 		r.wwRhoMax = r.maxDensity()
 	}
 	if populate {
-		r.birthWeight, r.birthEnergy = particle.PopulateSources(
-			r.bank, m, r.sources, cfg.Timestep, cfg.Seed, r.idBase())
+		r.setBirth(particle.PopulateSources(
+			r.bank, m, r.sources, cfg.Timestep, cfg.Seed, r.idBase()))
 	}
 	return r, nil
+}
+
+// setBirth records the conservation baselines and readies the accumulators
+// for a run born with them: one tick is the finest power of two that keeps
+// the birth energy (the birth weight, for the leaked weight) below 2^61, so
+// the scale is a function of the run's inputs alone. Accumulators left by a
+// previous configuration are zeroed in place; Reset drops them when their
+// shape no longer fits.
+func (r *run) setBirth(weight, energy float64) {
+	r.birthWeight, r.birthEnergy = weight, energy
+	r.overflow = nil
+	ws, es := tally.ScaleFor(weight), tally.ScaleFor(energy)
+	if r.tly != nil {
+		r.tly.Reset(es)
+		r.leakWeight.Reset(ws)
+		r.leakEnergy.Reset(es)
+		return
+	}
+	r.tly = tally.NewScaled(r.cfg.Tally, r.mesh.NumCells(), r.cfg.Threads, es)
+	r.leakWeight = tally.NewPrivate(mesh.NumEdges, r.cfg.Threads, ws)
+	r.leakEnergy = tally.NewPrivate(mesh.NumEdges, r.cfg.Threads, es)
 }
 
 // runSources resolves the source terms a validated config samples from: the
@@ -242,10 +266,10 @@ func runSources(cfg Config) []particle.SourceTerm {
 // and the record is marked Escaped with zero weight. The deposit register
 // was already flushed by the facet handling, so nothing is lost.
 func (r *run) escape(ws *workerState, p *particle.Particle, axis, dir int) {
-	edge := mesh.EdgeOf(axis, dir)
+	edge := int(mesh.EdgeOf(axis, dir))
 	ws.c.Escapes++
-	ws.leak.Weight[edge] += p.Weight
-	ws.leak.Energy[edge] += p.Weight * p.Energy
+	r.leakWeight.Add(ws.id, edge, p.Weight)
+	r.leakEnergy.Add(ws.id, edge, p.Weight*p.Energy)
 	p.Weight = 0
 	p.Status = particle.Escaped
 }
@@ -420,8 +444,9 @@ func (s *Simulation) Interrupt() { s.r.stop.Store(true) }
 
 // Step executes the next timestep: census revival (steps after the first),
 // one pass of the configured scheme, and the optional per-step tally merge.
-// It fails with ErrFinished once every step has run and ErrInterrupted when
-// stopped mid-step.
+// It fails with ErrFinished once every step has run, ErrInterrupted when
+// stopped mid-step, and tally.ErrOverflow (wrapped) once a read at an earlier
+// boundary has found the deposits outside the fixed-point range.
 func (s *Simulation) Step() error {
 	if s.Done() {
 		return ErrFinished
@@ -429,6 +454,9 @@ func (s *Simulation) Step() error {
 	r := s.r
 	if r.stop.Load() {
 		return ErrInterrupted
+	}
+	if r.overflow != nil {
+		return r.overflow
 	}
 	cfg := r.cfg
 	start := time.Now()
@@ -468,7 +496,7 @@ func (s *Simulation) Step() error {
 	if cfg.Tally == tally.ModePrivate && cfg.MergePerStep {
 		r.regionStart("merge")
 		t0 := time.Now()
-		r.tly.(*tally.Private).Merge()
+		r.tly.Ticks()
 		s.res.Phases.Merge += time.Since(t0)
 		r.regionEnd("merge")
 	}
@@ -510,6 +538,8 @@ func (s *Simulation) Run() (*Result, error) {
 // stop flag the solver loops poll, and a monitor goroutine samples live
 // counters for progress so user callbacks never run inside timed regions.
 // onStep, when non-nil, runs between timesteps at each completed boundary.
+// A run whose deposits left the fixed-point range returns tally.ErrOverflow
+// (wrapped) in place of a Result whose totals would be meaningless.
 func (s *Simulation) Drive(ctx context.Context, progress ProgressFunc, onStep StepFunc) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -576,7 +606,11 @@ func (s *Simulation) Drive(ctx context.Context, progress ProgressFunc, onStep St
 	if progress != nil {
 		progress(r.progress())
 	}
-	return s.Finalize(), nil
+	res := s.Finalize()
+	if r.overflow != nil {
+		return nil, r.overflow
+	}
+	return res, nil
 }
 
 // Reset rebinds the simulation to a new configuration, reusing every
@@ -631,10 +665,8 @@ func (s *Simulation) Reset(cfg Config) error {
 		// reallocate the bank.
 		r.bank.Resize(cfg.Particles)
 	}
-	if cells := r.mesh.NumCells(); cfg.Tally != old.Tally || cfg.Threads != old.Threads || cells != oldCells {
-		r.tly = tally.New(cfg.Tally, cells, cfg.Threads)
-	} else {
-		r.tly.Reset()
+	if cfg.Tally != old.Tally || cfg.Threads != old.Threads || r.mesh.NumCells() != oldCells {
+		r.tly = nil // setBirth rebuilds the accumulators
 	}
 	r.cfg = cfg
 	r.snapScene = nil
@@ -650,13 +682,12 @@ func (s *Simulation) Reset(cfg Config) error {
 		r.wwRhoMax = r.maxDensity()
 	}
 	r.base = Counters{}
-	r.baseLeak = Leakage{}
 	r.stop.Store(false)
 	r.done.Store(0)
 	r.step.Store(0)
 	r.stepTotal.Store(int64(cfg.Particles))
-	r.birthWeight, r.birthEnergy = particle.PopulateSources(
-		r.bank, r.mesh, r.sources, cfg.Timestep, cfg.Seed, r.idBase())
+	r.setBirth(particle.PopulateSources(
+		r.bank, r.mesh, r.sources, cfg.Timestep, cfg.Seed, r.idBase()))
 
 	s.next = 0
 	s.finalized = false
@@ -704,16 +735,13 @@ func (r *run) finish(res *Result) {
 	cfg := r.cfg
 	res.WorkerBusy = make([]time.Duration, len(r.workers))
 	res.Counter = r.base
-	res.Leakage = r.baseLeak
 	for w, ws := range r.workers {
 		res.Counter.Add(&ws.c)
-		res.Leakage.add(&ws.leak)
 		res.WorkerBusy[w] = ws.busy
 	}
+	res.Leakage = r.leakage()
 
-	// Conservation audit (meaningless for the null tally). The total is
-	// summed in logical cell order so it is bit-identical across storage
-	// orderings.
+	// Conservation audit (meaningless for the null tally).
 	res.TallyTotal = r.tallyTotal()
 	inFlight := r.bank.TotalEnergy()
 	leaked := res.Leakage.TotalEnergy()
@@ -730,25 +758,36 @@ func (r *run) finish(res *Result) {
 			math.Abs(r.birthEnergy-(res.TallyTotal+inFlight+leaked)) / r.birthEnergy
 	}
 
-	// Tally-implementation statistics, read after Total() above so the
-	// buffered tally's final flush is included in its write count.
-	switch t := r.tly.(type) {
-	case *tally.Atomic:
-		res.AtomicConflicts = t.Conflicts()
-	case *tally.Buffered:
-		res.TallyDeposits = t.Deposits()
-		res.TallyBaseWrites = t.BaseWrites()
-		if a, ok := t.Base().(*tally.Atomic); ok {
-			res.AtomicConflicts = a.Conflicts()
-		}
-	}
-
 	if cfg.KeepCells && cfg.Tally != tally.ModeNull {
 		res.Cells = append([]float64(nil), r.tallyCellsLogical()...)
 	}
 	if cfg.KeepBank {
 		res.Bank = r.bank
 	}
+}
+
+// tallyTotal reads the deposited total at a step boundary. An overflow is
+// latched rather than returned: the callers report a number, and the run
+// fails at its next Step or at the end of Drive.
+func (r *run) tallyTotal() float64 {
+	total, err := r.tly.Total()
+	if err != nil {
+		r.overflow = fmt.Errorf("core: deposition %w", err)
+	}
+	return total
+}
+
+// leakage reads the per-edge vacuum losses off their accumulators, latching
+// an overflow as tallyTotal does.
+func (r *run) leakage() (l Leakage) {
+	copy(l.Weight[:], r.leakWeight.Cells())
+	copy(l.Energy[:], r.leakEnergy.Cells())
+	for _, t := range []*tally.Private{r.leakWeight, r.leakEnergy} {
+		if _, err := t.Total(); err != nil {
+			r.overflow = fmt.Errorf("core: leakage %w", err)
+		}
+	}
+	return l
 }
 
 // reviveCensus returns census particles to flight for the next timestep,
@@ -774,12 +813,11 @@ func (r *run) reviveCensus() int {
 // read-modify-write the paper identifies at every facet encounter and at
 // census. The C mini-app performs the update unconditionally; only
 // collisions ever charge the register, so on facet-dominated problems the
-// overwhelming majority of those RMWs add exactly 0.0 — a floating-point
-// identity (cells never hold -0, so x+0 == x bit for bit). The Go solver
-// elides that no-op memory operation. TallyFlushes still counts every
-// logical flush — the scheme-equivalence invariant and the architecture
-// model (which prices the paper's unconditional update) both key off the
-// counter, not the elided CAS.
+// overwhelming majority of those RMWs add exactly 0.0 — zero ticks, the
+// additive identity. The Go solver elides that no-op memory operation.
+// TallyFlushes still counts every logical flush — the scheme-equivalence
+// invariant and the architecture model (which prices the paper's
+// unconditional update) both key off the counter, not the elided add.
 func (r *run) flush(ws *workerState, p *particle.Particle) {
 	if p.Deposit != 0 {
 		cell := r.mesh.StorageIndex(int(p.CellX), int(p.CellY))

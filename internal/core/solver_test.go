@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -158,7 +159,6 @@ func TestDeterminismAcrossSchedules(t *testing.T) {
 func TestDeterminismAcrossLayouts(t *testing.T) {
 	cfgA := smallConfig(mesh.CSP)
 	cfgA.Layout = particle.AoS
-	cfgA.Threads = 1
 	cfgS := cfgA
 	cfgS.Layout = particle.SoA
 	ra, err := Run(cfgA)
@@ -170,18 +170,16 @@ func TestDeterminismAcrossLayouts(t *testing.T) {
 		t.Fatal(err)
 	}
 	compareBanks(t, ra.Bank, rs.Bank)
-	// Single-threaded: identical flush order, so tallies are bitwise equal.
 	if ra.TallyTotal != rs.TallyTotal {
-		t.Errorf("single-thread AoS vs SoA tallies differ: %v vs %v", ra.TallyTotal, rs.TallyTotal)
+		t.Errorf("AoS vs SoA tallies differ: %v vs %v", ra.TallyTotal, rs.TallyTotal)
 	}
 }
 
-// TestTallyModesAgree: atomic, private and serial tallies accumulate the
-// same physics.
+// TestTallyModesAgree: the shared atomic tally, its single-writer path and
+// the privatised tally accumulate the same cells, bit for bit.
 func TestTallyModesAgree(t *testing.T) {
 	base := smallConfig(mesh.Scatter)
 	base.Threads = 1
-	base.Tally = tally.ModeSerial
 	ref, err := Run(base)
 	if err != nil {
 		t.Fatal(err)
@@ -193,14 +191,12 @@ func TestTallyModesAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rel := math.Abs(res.TallyTotal-ref.TallyTotal) / ref.TallyTotal; rel > 1e-9 {
-			t.Errorf("%v tally differs from serial by %.3g", mode, rel)
+		if res.TallyTotal != ref.TallyTotal {
+			t.Errorf("%v tally %.17g, single-writer %.17g", mode, res.TallyTotal, ref.TallyTotal)
 		}
-		// Per-cell agreement.
 		for i := range ref.Cells {
-			if d := math.Abs(res.Cells[i] - ref.Cells[i]); d > 1e-6*(1+math.Abs(ref.Cells[i])) {
+			if res.Cells[i] != ref.Cells[i] {
 				t.Fatalf("%v: cell %d differs: %v vs %v", mode, i, res.Cells[i], ref.Cells[i])
-
 			}
 		}
 	}
@@ -213,6 +209,43 @@ func TestTallyModesAgree(t *testing.T) {
 	}
 	if res.TallyTotal != 0 {
 		t.Error("null tally retained deposits")
+	}
+}
+
+// TestTallyOverflowFailsRun: deposits can exceed the birth energy the tick
+// was sized from only through weight-window roulette, which restores a
+// survivor to the window's target weight. A lone history boosted 64-fold
+// deposits far past the fixed-point range; such a run must fail with the
+// typed error, from Run and from the next Step alike — and the runs whose
+// history lost the roulette must still succeed.
+func TestTallyOverflowFailsRun(t *testing.T) {
+	cfg := smallConfig(mesh.Scatter)
+	cfg.Particles = 1
+	cfg.Steps = 2
+	cfg.WeightWindow = WeightWindow{Enabled: true, Target: 64}
+	overflowed := 0
+	for seed := uint64(0); seed < 200; seed++ {
+		cfg.Seed = seed
+		if _, err := Run(cfg); err == nil {
+			continue
+		} else if !errors.Is(err, tally.ErrOverflow) {
+			t.Fatalf("seed %d: %v, want tally.ErrOverflow", seed, err)
+		}
+		overflowed++
+		sim, err := NewSimulation(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sim.Step(); err != nil {
+			t.Fatalf("seed %d: first step: %v", seed, err)
+		}
+		sim.TallyTotal() // the step-boundary read that sees it
+		if err := sim.Step(); !errors.Is(err, tally.ErrOverflow) {
+			t.Fatalf("seed %d: step after an overflowed read: %v, want tally.ErrOverflow", seed, err)
+		}
+	}
+	if overflowed == 0 {
+		t.Fatal("no seed in 200 survived the roulette; the test exercises nothing")
 	}
 }
 
@@ -259,7 +292,7 @@ func TestValidateErrors(t *testing.T) {
 		func(c *Config) { c.EnergyCutoff = -1 },
 		func(c *Config) { c.XSPoints = 1 },
 		func(c *Config) { c.Schedule.Chunk = -2 },
-		func(c *Config) { c.Tally = tally.ModeSerial; c.Threads = 4 },
+		func(c *Config) { c.Tally = tally.ModeNull + 1 },
 	}
 	for i, mutate := range bad {
 		cfg := Default(mesh.CSP)

@@ -114,8 +114,8 @@ func TestWeightWindowSchemeEquivalence(t *testing.T) {
 				t.Errorf("counters differ under weight window:\nop %+v\noe %+v",
 					rop.Counter, roe.Counter)
 			}
-			if rel := relDiff(rop.TallyTotal, roe.TallyTotal); rel > 1e-9 {
-				t.Errorf("tallies differ by %.3g relative", rel)
+			if rop.TallyTotal != roe.TallyTotal {
+				t.Errorf("tallies differ: %.17g vs %.17g", rop.TallyTotal, roe.TallyTotal)
 			}
 		})
 	}
@@ -186,8 +186,8 @@ func TestWeightWindowSnapshotRoundTrip(t *testing.T) {
 			t.Errorf("restore into %v: counters differ:\nfull    %+v\nresumed %+v",
 				restoreLayout, full.Counter, res.Counter)
 		}
-		if rel := relDiff(full.TallyTotal, res.TallyTotal); rel > 1e-9 {
-			t.Errorf("restore into %v: tallies differ by %.3g", restoreLayout, rel)
+		if full.TallyTotal != res.TallyTotal {
+			t.Errorf("restore into %v: tallies differ: %.17g vs %.17g", restoreLayout, full.TallyTotal, res.TallyTotal)
 		}
 	}
 }
@@ -272,10 +272,8 @@ func TestReplicaZeroBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	compareBanks(t, want.Bank, got.Bank)
-	// The banks are bit-identical; the multi-threaded atomic tally only
-	// agrees to flush-order reassociation.
-	if rel := relDiff(want.TallyTotal, got.TallyTotal); rel > 1e-9 {
-		t.Errorf("replica 0 tally %v != base %v (%.3g relative)", got.TallyTotal, want.TallyTotal, rel)
+	if want.TallyTotal != got.TallyTotal {
+		t.Errorf("replica 0 tally %v != base %v", got.TallyTotal, want.TallyTotal)
 	}
 
 	r1 := r0

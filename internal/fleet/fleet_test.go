@@ -18,21 +18,22 @@ import (
 	"repro/internal/telemetry"
 )
 
-// fastConfig is a small deterministic single-thread run: one thread keeps
-// the arithmetic bit-reproducible, so remote and local executions of the
-// same config must agree to the last bit.
+// fastConfig is a small run at whatever thread budget the executing engine
+// gives it: results do not depend on it, so remote and local executions of
+// the same config must agree to the last bit.
 func fastConfig(seed uint64) core.Config {
 	cfg := core.Default(mesh.CSP)
 	cfg.NX, cfg.NY = 32, 32
 	cfg.Particles = 300
 	cfg.Steps = 4
-	cfg.Threads = 1
 	cfg.Seed = seed
 	cfg.KeepCells = true
 	return cfg
 }
 
 // slowConfig spans many SSE ticks, leaving room to kill a worker mid-run.
+// One thread, for its duration alone (results do not depend on it): with a
+// many-core budget the run would be over before the kill or the cancel lands.
 func slowConfig() core.Config {
 	cfg := core.Default(mesh.CSP)
 	cfg.NX, cfg.NY = 64, 64
@@ -623,7 +624,12 @@ func TestAgentLifecycle(t *testing.T) {
 
 	// Stale-shard delivery: plant a long job, mark it stale, and the next
 	// heartbeat must cancel it on the worker's engine.
-	j, err := engine.Submit(slowConfig())
+	// Four times slowConfig's length: at one core the heartbeat that carries
+	// the cancel queues behind the solver, and a ~90 ms job can be over
+	// before it lands. The job is canceled, so the extra steps never run.
+	long := slowConfig()
+	long.Steps *= 4
+	j, err := engine.Submit(long)
 	if err != nil {
 		t.Fatal(err)
 	}

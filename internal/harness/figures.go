@@ -694,52 +694,38 @@ func TextXSSearch(opt Options) (*Figure, error) {
 }
 
 // TextCompaction measures the active-set compaction of the Over Events
-// scheme and the write-combining buffered tally — this repo's optimisation
-// beyond the paper (the paper's kernels sweep the full particle bank every
-// round; event-based GPU transport codes compact instead). Rows cover both
-// bank layouts for csp (facet-dominated: compaction carries the win) and
-// the contended scatter problem (deposit-concentrated: write combining
-// carries it).
+// scheme — this repo's optimisation beyond the paper (the paper's kernels
+// sweep the full particle bank every round; event-based GPU transport codes
+// compact instead). Rows cover both bank layouts for csp (facet-dominated,
+// long histories) and scatter (histories that die within a few rounds).
 func TextCompaction(opt Options) (*Figure, error) {
 	f := &Figure{
 		ID:    "text-compaction",
-		Title: "Over Events active-set compaction and write-combining tally",
-		Paper: "each kernel visits the entire list of particles (§V-B); the separate tally loop flushes atomically per facet (§VI-G)",
+		Title: "Over Events active-set compaction",
+		Paper: "each kernel visits the entire list of particles (§V-B)",
 		Columns: []string{"wall-s", "rounds", "active-fraction",
-			"naive-sweeps-M", "visited-M", "coalesce-x"},
+			"naive-sweeps-M", "visited-M"},
 	}
 	for _, p := range []mesh.Problem{mesh.CSP, mesh.Scatter} {
 		for _, layout := range []particle.Layout{particle.AoS, particle.SoA} {
-			for _, tm := range []tally.Mode{tally.ModeAtomic, tally.ModeBuffered} {
-				cfg := nativeConfig(p, opt)
-				cfg.Scheme = core.OverEvents
-				cfg.Layout = layout
-				cfg.Tally = tm
-				res, err := runNative(cfg)
-				if err != nil {
-					return nil, err
-				}
-				coalesce := 1.0
-				if res.TallyBaseWrites > 0 {
-					coalesce = float64(res.TallyDeposits) / float64(res.TallyBaseWrites)
-				}
-				f.AddRow(fmt.Sprintf("%v-%v-%v", p, layout, tm),
-					res.Wall.Seconds(),
-					float64(res.Counter.OERounds),
-					res.Counter.OEActiveFraction(),
-					float64(res.Counter.OESlotSweeps)/1e6,
-					float64(res.Counter.OEActiveVisits)/1e6,
-					coalesce)
+			cfg := nativeConfig(p, opt)
+			cfg.Scheme = core.OverEvents
+			cfg.Layout = layout
+			res, err := runNative(cfg)
+			if err != nil {
+				return nil, err
 			}
+			f.AddRow(fmt.Sprintf("%v-%v", p, layout),
+				res.Wall.Seconds(),
+				float64(res.Counter.OERounds),
+				res.Counter.OEActiveFraction(),
+				float64(res.Counter.OESlotSweeps)/1e6,
+				float64(res.Counter.OEActiveVisits)/1e6)
 		}
 	}
-	if v, ok := f.Value("csp-aos-atomic", "active-fraction"); ok {
+	if v, ok := f.Value("csp-aos", "active-fraction"); ok {
 		f.Finding("csp touches only %.0f%% of the naive scheme's slot sweeps — compaction removes the rest",
 			v*100)
-	}
-	if v, ok := f.Value("scatter-aos-buffered", "coalesce-x"); ok {
-		f.Finding("scatter's concentrated deposits coalesce %.1fx in the per-worker buffers before reaching the shared mesh",
-			v)
 	}
 	f.Note("the architecture model continues to price the paper's naive sweeps (OESlotSweeps); these rows describe the native Go solver")
 	return f, nil

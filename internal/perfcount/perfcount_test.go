@@ -3,6 +3,7 @@ package perfcount
 import (
 	"errors"
 	"os/exec"
+	"runtime"
 	"testing"
 )
 
@@ -17,11 +18,22 @@ func burn() float64 {
 
 var sink float64
 
+// pinToThread keeps the test on the OS thread its counters are opened on:
+// perf_event_open(pid=0) follows a thread, and a goroutine that migrates
+// between opening the group and burning CPU reads all-zero counters (seen 4
+// runs in 20 at GOMAXPROCS=1 on a loaded host). The solver's workers are not
+// pinned yet — that is ROADMAP's open perfcount item, not this.
+func pinToThread(t *testing.T) {
+	runtime.LockOSThread()
+	t.Cleanup(runtime.UnlockOSThread)
+}
+
 // TestGroupCountsSomething opens the default event set, burns CPU, and
 // expects at least one counter to have advanced. Skips — never fails — when
 // the system refuses every event (no PMU and perf_event_paranoid too high),
 // which is the degradation contract under test on restricted machines.
 func TestGroupCountsSomething(t *testing.T) {
+	pinToThread(t)
 	g, err := Open(DefaultEvents()...)
 	if errors.Is(err, ErrUnsupported) {
 		t.Skip("perf_event_open unsupported here:", err)
@@ -52,6 +64,7 @@ func TestGroupCountsSomething(t *testing.T) {
 // CPU, must both accumulate counts, and a region that never ran must be
 // absent. Skips when counters are unsupported.
 func TestCollectorRegions(t *testing.T) {
+	pinToThread(t)
 	c, err := NewCollector(DefaultEvents()...)
 	if errors.Is(err, ErrUnsupported) {
 		t.Skip("perf_event_open unsupported here:", err)

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -86,7 +87,6 @@ func TestAPIResultMatchesDirectRun(t *testing.T) {
 	cfg := core.Default(mesh.Scatter)
 	cfg.NX, cfg.NY = 64, 64
 	cfg.Particles = 300
-	cfg.Threads = 1 // single worker: tally order fixed, totals bit-identical
 	cfg.Seed = 4242
 	direct, err := core.Run(cfg)
 	if err != nil {
@@ -94,7 +94,7 @@ func TestAPIResultMatchesDirectRun(t *testing.T) {
 	}
 
 	ts, _ := newTestServer(t, Options{Shards: 1, QueueDepth: 4})
-	spec := `{"problem":"scatter","nx":64,"particles":300,"threads":1,"seed":4242}`
+	spec := `{"problem":"scatter","nx":64,"particles":300,"seed":4242}`
 	v, code := postJob(t, ts, spec)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit status %d", code)
@@ -237,10 +237,28 @@ func TestAPIStream(t *testing.T) {
 	}
 }
 
+// TestAPIRetiredTallyModes: the tally names this code no longer has are
+// refused at the door, and the 400 says what to ask for instead.
+func TestAPIRetiredTallyModes(t *testing.T) {
+	ts, _ := newTestServer(t, Options{Shards: 1, QueueDepth: 4})
+	for _, mode := range []string{"serial", "buffered"} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
+			strings.NewReader(`{"problem":"csp","tally":"`+mode+`"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), `use \"atomic\"`) {
+			t.Errorf("tally %q: status %d, body %s; want 400 naming atomic", mode, resp.StatusCode, body)
+		}
+	}
+}
+
 func TestAPIListAndStats(t *testing.T) {
 	ts, _ := newTestServer(t, Options{Shards: 2, QueueDepth: 8})
 	for i := 0; i < 3; i++ {
-		spec := fmt.Sprintf(`{"problem":"csp","nx":64,"particles":100,"threads":1,"seed":%d}`, i)
+		spec := fmt.Sprintf(`{"problem":"csp","nx":64,"particles":100,"seed":%d}`, i)
 		if _, code := postJob(t, ts, spec); code != http.StatusAccepted {
 			t.Fatalf("submit %d: status %d", i, code)
 		}
@@ -394,9 +412,9 @@ func TestAPIStreamStepEvents(t *testing.T) {
 func TestAPIBatch(t *testing.T) {
 	ts, _ := newTestServer(t, Options{Shards: 2, QueueDepth: 8})
 	body := `{"specs":[
-		{"problem":"csp","nx":64,"particles":200,"steps":2,"threads":1,"seed":1},
+		{"problem":"csp","nx":64,"particles":200,"steps":2,"seed":1},
 		{"problem":"no-such-problem"},
-		{"problem":"scatter","nx":64,"particles":200,"threads":1,"seed":2}
+		{"problem":"scatter","nx":64,"particles":200,"seed":2}
 	]}`
 	resp, err := http.Post(ts.URL+"/v1/batch", "application/json", strings.NewReader(body))
 	if err != nil {

@@ -61,7 +61,7 @@ func doReq(t *testing.T, method, url, key, body string) *http.Response {
 	return resp
 }
 
-const tinySpec = `{"problem":"csp","nx":32,"particles":50,"steps":1,"threads":1,"seed":7}`
+const tinySpec = `{"problem":"csp","nx":32,"particles":50,"steps":1,"seed":7}`
 
 // TestAuthFailureModes pins the authentication state machine: no token and
 // unknown tokens are 401 (with a WWW-Authenticate challenge), a revoked key
@@ -164,7 +164,7 @@ func TestQueueFull503RetryAfter(t *testing.T) {
 	// the rest overflow with 503.
 	var last *http.Response
 	for seed := 0; seed < 4; seed++ {
-		spec := `{"problem":"csp","nx":32,"particles":50,"steps":1,"threads":1,"seed":` + strconv.Itoa(100+seed) + `}`
+		spec := `{"problem":"csp","nx":32,"particles":50,"steps":1,"seed":` + strconv.Itoa(100+seed) + `}`
 		last = doReq(t, "POST", ts.URL+"/v1/jobs", "", spec)
 		if last.StatusCode == http.StatusServiceUnavailable {
 			break

@@ -10,18 +10,19 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mesh"
-	"repro/internal/tally"
 )
 
-// ckptConfig is a deterministic multi-step configuration: single-threaded
-// with a serial-friendly tally so resumed results can be compared exactly.
+// ckptConfig is a multi-step configuration, validated so that its thread
+// count — and with it the fingerprint the tests name checkpoints by — is the
+// one a one-shard engine resolves a zero Threads to.
 func ckptConfig(steps int) core.Config {
 	cfg := core.Default(mesh.CSP)
 	cfg.NX, cfg.NY = 128, 128
 	cfg.Particles = 400
 	cfg.Steps = steps
-	cfg.Threads = 1
-	cfg.Tally = tally.ModeSerial
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	return cfg
 }
 
@@ -164,6 +165,61 @@ func TestCanceledJobResumesFromCheckpoint(t *testing.T) {
 	}
 	if res.Conservation.RelativeError > 1e-9 {
 		t.Errorf("resumed run conservation error %.3g", res.Conservation.RelativeError)
+	}
+}
+
+// TestCheckpointOlderFormatDiscarded: a checkpoint in a snapshot format this
+// code refuses (a real v5 file, from before the fixed-point tally) found under
+// a job's key is discarded and the job runs fresh — never failed, never
+// resumed from sums accumulated in another arithmetic.
+func TestCheckpointOlderFormatDiscarded(t *testing.T) {
+	old, err := os.ReadFile("../core/testdata/snapshot_v5_parent.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := ckptConfig(2)
+	cfg.NX, cfg.NY, cfg.Particles = 16, 16, 32 // the configuration the file was written under
+	if _, err := core.RestoreSimulation(cfg, old); err == nil {
+		t.Fatal("the v5 fixture restored; it must be refused for this test to mean anything")
+	}
+	want, err := core.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	key, _ := cfg.Fingerprint()
+	ckpt := filepath.Join(dir, "checkpoints", key)
+	if err := os.MkdirAll(filepath.Dir(ckpt), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(ckpt, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	e := New(Options{Shards: 1, CheckpointDir: dir})
+	defer e.Close()
+	j, err := e.Submit(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := j.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	st := j.Status()
+	if st.State != StateDone || st.ResumedFrom >= 0 {
+		t.Fatalf("state %v, resumed from %d, err %v; want a fresh, finished run", st.State, st.ResumedFrom, st.Err)
+	}
+	res, err := j.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TallyTotal != want.TallyTotal || res.Counter != want.Counter {
+		t.Errorf("fresh run after the discard differs from a direct run: tally %v vs %v", res.TallyTotal, want.TallyTotal)
+	}
+	if _, err := os.Stat(ckpt); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("the refused checkpoint is still on disk: %v", err)
 	}
 }
 

@@ -22,7 +22,6 @@ func ensembleConfig(replicas int) core.Config {
 	cfg := core.Default(mesh.CSP)
 	cfg.NX, cfg.NY = 96, 96
 	cfg.Particles = 250
-	cfg.Threads = 1
 	cfg.Replicas = replicas
 	return cfg
 }
@@ -32,7 +31,7 @@ func ensembleConfig(replicas int) core.Config {
 // same configuration — both must fold identical per-replica physics.
 func TestEnsembleJobMergesReplicas(t *testing.T) {
 	const reps = 4
-	e := New(Options{Shards: 2, ThreadsPerJob: 1})
+	e := New(Options{Shards: 2})
 	defer e.Close()
 
 	cfg := ensembleConfig(reps)
@@ -98,7 +97,7 @@ func TestEnsembleJobMergesReplicas(t *testing.T) {
 // be served from the cache, statistics included, without re-running any
 // replica.
 func TestEnsembleJobCacheHit(t *testing.T) {
-	e := New(Options{Shards: 2, ThreadsPerJob: 1})
+	e := New(Options{Shards: 2})
 	defer e.Close()
 
 	cfg := ensembleConfig(3)
@@ -134,7 +133,7 @@ func TestEnsembleJobCacheHit(t *testing.T) {
 // tally keeps nothing — mirroring stats.RunEnsemble — instead of completing
 // with all-zero statistics.
 func TestEnsembleRejectsNullTally(t *testing.T) {
-	e := New(Options{Shards: 1, ThreadsPerJob: 1})
+	e := New(Options{Shards: 1})
 	defer e.Close()
 	cfg := ensembleConfig(3)
 	cfg.Tally = tally.ModeNull
@@ -151,7 +150,7 @@ func TestEnsembleRejectsNullTally(t *testing.T) {
 // TestEnsembleJobCancel cancels an in-flight ensemble and checks the parent
 // lands canceled without wedging the engine.
 func TestEnsembleJobCancel(t *testing.T) {
-	e := New(Options{Shards: 1, ThreadsPerJob: 1})
+	e := New(Options{Shards: 1})
 	defer e.Close()
 
 	cfg := ensembleConfig(6)
@@ -179,13 +178,13 @@ func TestEnsembleJobCancel(t *testing.T) {
 // replicas, per-replica SSE events, the /replicas endpoint and the merged
 // statistics in the result payload.
 func TestEnsembleHTTP(t *testing.T) {
-	e := New(Options{Shards: 2, ThreadsPerJob: 1})
+	e := New(Options{Shards: 2})
 	defer e.Close()
 	srv := httptest.NewServer(NewServer(e))
 	defer srv.Close()
 
 	const reps = 3
-	body := fmt.Sprintf(`{"problem":"csp","nx":96,"particles":250,"threads":1,"replicas":%d,"keep_cells":true,"weight_window":{}}`, reps)
+	body := fmt.Sprintf(`{"problem":"csp","nx":96,"particles":250,"replicas":%d,"keep_cells":true,"weight_window":{}}`, reps)
 	resp, err := srv.Client().Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)

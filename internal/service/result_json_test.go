@@ -26,7 +26,6 @@ func referenceResult(tb testing.TB) *core.Result {
 	cfg.NX, cfg.NY = 256, 256
 	cfg.Particles = 2000
 	cfg.Steps = 2
-	cfg.Threads = 1
 	cfg.KeepCells = true
 	res, err := core.Run(cfg)
 	if err != nil {
@@ -267,7 +266,7 @@ func TestResultViewDecodeMatchesStdlib(t *testing.T) {
 func TestResultEncodedOnce(t *testing.T) {
 	store := blob.NewMem()
 	ts, e := newTestServer(t, Options{Shards: 1, QueueDepth: 4, Blobs: store})
-	spec := `{"problem":"csp","nx":64,"particles":200,"threads":1,"seed":7,"keep_cells":true}`
+	spec := `{"problem":"csp","nx":64,"particles":200,"seed":7,"keep_cells":true}`
 	get := func(id string) []byte {
 		t.Helper()
 		resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/result?wait=true")

@@ -79,7 +79,9 @@ func TestAPISceneSubmissionsShareCacheEntry(t *testing.T) {
 
 	// A physics change (moving the vacuum edge) must miss.
 	v3, code := postJob(t, ts, strings.Replace(sceneSpec("box-c", "air"), `"x_hi"`, `"y_lo"`, 1))
-	if code != http.StatusAccepted || v3.Cached {
+	// (A job this small can finish before the response is written and
+	// answer 200; what must not happen is a cache hit.)
+	if v3.Cached || (code != http.StatusAccepted && code != http.StatusOK) {
 		t.Errorf("different-physics scene unexpectedly cached (status %d)", code)
 	}
 }
@@ -116,7 +118,7 @@ func TestAPIDefaultScene(t *testing.T) {
 	}
 	ts, e := newTestServer(t, Options{Shards: 1, QueueDepth: 4, DefaultScene: def})
 
-	v, code := postJob(t, ts, `{"nx":64,"particles":100,"threads":1,"seed":7}`)
+	v, code := postJob(t, ts, `{"nx":64,"particles":100,"seed":7}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("default-scene submit status %d", code)
 	}
@@ -137,7 +139,7 @@ func TestAPIDefaultScene(t *testing.T) {
 	}
 
 	// An explicit problem bypasses the default scene.
-	v2, code := postJob(t, ts, `{"problem":"csp","nx":64,"particles":100,"threads":1,"seed":7}`)
+	v2, code := postJob(t, ts, `{"problem":"csp","nx":64,"particles":100,"seed":7}`)
 	if code != http.StatusAccepted && code != http.StatusOK {
 		t.Fatalf("explicit-problem submit status %d", code)
 	}

@@ -355,9 +355,12 @@ func TestEngineQueueFull(t *testing.T) {
 	e.runFn = func(ctx context.Context, cfg core.Config, p core.ProgressFunc) (*core.Result, error) {
 		select {
 		case <-block:
+			// Unblocked at teardown with the context still live: a
+			// result, not (nil, nil), which the worker would dereference.
+			return &core.Result{Config: cfg}, nil
 		case <-ctx.Done():
+			return nil, ctx.Err()
 		}
-		return nil, ctx.Err()
 	}
 	// First job occupies the worker, second fills the queue slot; give
 	// the worker a moment to pop the first.

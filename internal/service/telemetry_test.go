@@ -52,6 +52,15 @@ func TestAPIMetricsAfterJob(t *testing.T) {
 	if err := j.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	// The worker publishes a job as done just before it records the run
+	// (finish, then observeRun), so wait for the last series observeRun
+	// writes rather than scrape between the two.
+	for deadline := time.Now().Add(10 * time.Second); e.metrics.solverWork.With("rng_draws").Value() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the run never reached the metrics")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	// A repeat submission exercises the cache-hit series.
 	if _, code := postJob(t, ts, spec); code != http.StatusOK {
 		t.Fatalf("cached submit status %d", code)
@@ -226,7 +235,7 @@ func TestAPIResultPhaseTimings(t *testing.T) {
 // ran a solver.
 func TestAPITrace(t *testing.T) {
 	ts, e := newTestServer(t, Options{Shards: 1, QueueDepth: 4})
-	spec := `{"problem":"scatter","nx":64,"particles":150,"threads":1,"seed":9,"steps":3}`
+	spec := `{"problem":"scatter","nx":64,"particles":150,"seed":9,"steps":3}`
 	v, code := postJob(t, ts, spec)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit status %d", code)
@@ -366,7 +375,7 @@ func TestAPIAccessLog(t *testing.T) {
 		ts.Close()
 		e.Close()
 	})
-	v, code := postJob(t, ts, `{"problem":"stream","nx":64,"particles":100,"threads":1,"seed":3}`)
+	v, code := postJob(t, ts, `{"problem":"stream","nx":64,"particles":100,"seed":3}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit status %d", code)
 	}

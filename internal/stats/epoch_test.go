@@ -36,7 +36,6 @@ func TestEpochAgreement(t *testing.T) {
 		cfg.NX, cfg.NY = 64, 64
 		cfg.Particles = 200
 		cfg.Steps = 2
-		cfg.Threads = 1
 		cfg.Replicas = replicas
 		ens, err := RunEnsemble(context.Background(), cfg, Options{Workers: 1})
 		if err != nil {

@@ -10,39 +10,92 @@
 // by the thread count, and if tallies must be merged every timestep (the
 // realistic coupled-physics case) the merge costs more than the atomics.
 //
-// Four implementations share the Tally interface:
+// Every implementation accumulates in one fixed-point arithmetic: a deposit
+// is rounded to a whole number of ticks (Scale) and added as an int64.
+// Integer addition is associative and commutative, so the cells a set of
+// deposits leaves behind do not depend on how many workers made them, in
+// what order, or through which implementation:
 //
-//   - Atomic: lock-free CAS-loop float64 accumulation (thread-safe).
-//   - Private: per-worker meshes merged on demand (thread-safe, no atomics).
-//   - Serial: plain adds, for single-threaded reference runs.
+//   - Atomic: one shared mesh, one atomic add per deposit.
+//   - Private: per-worker meshes merged on demand (no atomics).
 //   - Null: discards deposits; differential timing against it isolates the
 //     cost of tallying (how the harness reproduces the paper's 50%/22%
 //     profile figures).
 package tally
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync/atomic"
 )
 
+// ErrOverflow reports a tally that left the fixed-point range: a deposit
+// outside [0, 2^63) ticks, a cell that reached 2^63 ticks, or a total that
+// did. The accumulated values are meaningless from then on.
+var ErrOverflow = errors.New("tally: fixed-point overflow")
+
+// Scale fixes the size of a tick, 2^-k of the deposited unit. It is the one
+// place a float64 becomes an accumulator integer and back.
+type Scale struct {
+	mul, inv float64 // 2^k and 2^-k
+}
+
+// ScaleFor returns the scale that maps bound below 2^61 ticks: the finest
+// power-of-two tick that still leaves a sum of deposits two bits of headroom
+// over bound before it overflows an int64. The solver passes the run's birth
+// energy, which deposits can only exceed through weight-window roulette.
+func ScaleFor(bound float64) Scale {
+	_, e := math.Frexp(bound) // bound < 2^e
+	k := min(61-e, 1022)      // 2^±k stay normal for the tiniest bounds
+	return Scale{mul: math.Ldexp(1, k), inv: math.Ldexp(1, -k)}
+}
+
+// DefaultScale is the scale of a tally built without one (New): ticks of
+// 2^-30 and room for a total of 2^33, for stand-alone use with deposits of
+// order one.
+var DefaultScale = ScaleFor(1 << 30)
+
+// Ticks quantises a deposit, which must not be negative: v·2^k rounded to the
+// nearest integer, halves up. Rounding rather than truncating keeps the
+// expected error of a sum of deposits at zero. A v of 2^63 ticks or more, or
+// NaN, returns math.MinInt64, which drives any cell it is added to negative.
+func (s Scale) Ticks(v float64) int64 {
+	x := v * s.mul
+	switch {
+	case x < 1<<52:
+		return int64(x + 0.5)
+	case x < 1<<63:
+		return int64(x) // already a whole number
+	}
+	return math.MinInt64
+}
+
+// Value converts ticks back: exact up to 2^53 ticks, correctly rounded above.
+func (s Scale) Value(ticks int64) float64 { return float64(ticks) * s.inv }
+
 // Tally accumulates per-cell energy deposition. Add is called from worker
 // goroutines identified by worker (0-based); implementations decide whether
-// worker matters. Cells returns the merged per-cell totals.
+// worker matters. Every other method is a step-boundary operation: the
+// workers have joined.
 type Tally interface {
-	// Add deposits v into the flat cell index.
+	// Add deposits v, which must not be negative, into the flat cell index.
 	Add(worker, cell int, v float64)
-	// Cells merges (if needed) and returns the per-cell totals. The
-	// returned slice must not be mutated by the caller.
+	// AddTicks deposits an amount that is already quantised — how a
+	// checkpoint's cells return to a zeroed tally.
+	AddTicks(cell int, ticks int64)
+	// Ticks merges (if needed) and returns the per-cell totals in ticks, nil
+	// for a tally that holds no data. The returned slice must not be mutated
+	// by the caller.
+	Ticks() []int64
+	// Cells returns the per-cell totals converted at the read, under the
+	// same contract as Ticks.
 	Cells() []float64
-	// Total returns the sum over all cells.
-	Total() float64
-	// NonZero appends the cells holding a non-zero total to dst, in
-	// ascending cell order, and returns the extended slice — the sparse
-	// view a checkpoint stores, read without materialising Cells.
-	NonZero(dst []Cell) []Cell
-	// Reset zeroes the tally for the next timestep.
-	Reset()
+	// Total returns the sum over all cells, summed in ticks, or ErrOverflow.
+	Total() (float64, error)
+	// Reset zeroes the tally and sets the scale of the next run's deposits.
+	Reset(s Scale)
 	// Name identifies the implementation for reports.
 	Name() string
 }
@@ -51,19 +104,12 @@ type Tally interface {
 type Mode int
 
 const (
-	// ModeAtomic uses CAS-loop atomic float adds — the mini-app default.
+	// ModeAtomic uses atomic integer adds — the mini-app default.
 	ModeAtomic Mode = iota
 	// ModePrivate privatises the tally per worker and merges lazily.
 	ModePrivate
-	// ModeSerial uses plain adds; valid only with one worker.
-	ModeSerial
 	// ModeNull discards deposits (profiling baseline).
 	ModeNull
-	// ModeBuffered interposes a per-worker write-combining deposit buffer
-	// in front of an atomic tally: repeated deposits into the same cell
-	// coalesce locally and reach the shared mesh in batches, cutting CAS
-	// traffic on the contended hot cells (paper §V-C/§VI-F).
-	ModeBuffered
 )
 
 // String names the mode.
@@ -73,201 +119,186 @@ func (m Mode) String() string {
 		return "atomic"
 	case ModePrivate:
 		return "private"
-	case ModeSerial:
-		return "serial"
 	case ModeNull:
 		return "null"
-	case ModeBuffered:
-		return "buffered"
 	default:
 		return fmt.Sprintf("Mode(%d)", int(m))
 	}
 }
 
-// ParseMode converts a name to a Mode.
+// ParseMode converts a name to a Mode. The retired names get an error that
+// says what replaced them.
 func ParseMode(s string) (Mode, error) {
 	switch s {
 	case "atomic":
 		return ModeAtomic, nil
 	case "private":
 		return ModePrivate, nil
-	case "serial":
-		return ModeSerial, nil
 	case "null":
 		return ModeNull, nil
-	case "buffered":
-		return ModeBuffered, nil
+	case "serial", "buffered":
+		return 0, fmt.Errorf("tally: mode %q was removed: every tally now accumulates in order-independent fixed point, use \"atomic\"", s)
 	default:
-		return 0, fmt.Errorf("tally: unknown mode %q", s)
+		return 0, fmt.Errorf("tally: unknown mode %q (want atomic, private or null)", s)
 	}
 }
 
 // New constructs a tally of the given mode over cells cells for workers
-// workers.
-func New(mode Mode, cells, workers int) Tally {
+// workers, at DefaultScale.
+func New(mode Mode, cells, workers int) Tally { return NewScaled(mode, cells, workers, DefaultScale) }
+
+// NewScaled is New at a chosen scale.
+func NewScaled(mode Mode, cells, workers int, s Scale) Tally {
 	switch mode {
 	case ModeAtomic:
-		a := NewAtomic(cells)
-		a.serial = workers == 1
-		return a
+		return &Atomic{scale: s, cells: make([]int64, cells), single: workers == 1}
 	case ModePrivate:
-		return NewPrivate(cells, workers)
-	case ModeSerial:
-		return NewSerial(cells)
+		return NewPrivate(cells, workers, s)
 	case ModeNull:
 		return Null{}
-	case ModeBuffered:
-		b := NewAtomic(cells)
-		b.serial = workers == 1
-		return NewBuffered(b, workers)
 	default:
 		panic(fmt.Sprintf("tally: unknown mode %v", mode))
 	}
 }
 
 // Cell is one entry of a tally's sparse view: a flat cell index and the
-// total it holds.
+// ticks it holds.
 type Cell struct {
 	Index int
-	Value float64
+	Ticks int64
 }
 
-// sum is a shared helper.
-func sum(cells []float64) float64 {
-	var t float64
-	for _, v := range cells {
-		t += v
-	}
-	return t
-}
+// tickBlock is how many cells tickSum and AppendNonZero test at once: a
+// tally is mostly zeros, and one OR over a block skips them eight at a time.
+const tickBlock = 8
 
-// AppendNonZero appends the non-zero entries of cells to dst in ascending
-// index order.
-func AppendNonZero(dst []Cell, cells []float64) []Cell {
-	for i, v := range cells {
-		if v != 0 {
-			dst = append(dst, Cell{i, v})
-		}
-	}
-	return dst
-}
-
-// Atomic accumulates with compare-and-swap loops on the raw float bits —
-// the software equivalent of the hardware double-precision atomicAdd the
-// paper highlights on the P100 (and had to emulate on the K20X).
-type Atomic struct {
-	bits []uint64
-	// Conflicts counts CAS retries; it is a direct measure of tally
-	// contention ("the atomic operations conflict less often", §VII-A).
-	conflicts atomic.Uint64
-	// scratch backs Cells; allocated by the first call, so a run that only
-	// ever asks for Total and NonZero never pays for a second mesh.
-	scratch []float64
-	// serial marks a tally with exactly one writer (workers == 1): Add
-	// skips the lock-prefixed CAS for a plain read-modify-write, which
-	// computes the identical sum in the identical order — an uncontended
-	// CAS always succeeds on the first try — without the ~20-cycle
-	// serialisation tax per deposit.
-	serial bool
-}
-
-// NewAtomic allocates an atomic tally over cells cells.
-func NewAtomic(cells int) *Atomic {
-	return &Atomic{bits: make([]uint64, cells)}
-}
-
-// Add deposits v into cell with a CAS loop (plain read-modify-write for a
-// single-writer tally — same bits, no lock prefix).
-func (a *Atomic) Add(_, cell int, v float64) {
-	addr := &a.bits[cell]
-	if a.serial {
-		*addr = math.Float64bits(math.Float64frombits(*addr) + v)
-		return
-	}
-	for {
-		old := atomic.LoadUint64(addr)
-		new := math.Float64bits(math.Float64frombits(old) + v)
-		if atomic.CompareAndSwapUint64(addr, old, new) {
-			return
-		}
-		a.conflicts.Add(1)
-	}
-}
-
-// Cells returns the per-cell totals.
-func (a *Atomic) Cells() []float64 {
-	if a.scratch == nil {
-		a.scratch = make([]float64, len(a.bits))
-	}
-	for i := range a.bits {
-		a.scratch[i] = math.Float64frombits(atomic.LoadUint64(&a.bits[i]))
-	}
-	return a.scratch
-}
-
-// wordBlock is how many cell words Total and NonZero test at once: a tally is
-// mostly zeros, and one OR over a block skips them eight at a time.
-const wordBlock = 8
-
-func blockIsZero(b *[wordBlock]uint64) bool {
+func blockIsZero(b *[tickBlock]int64) bool {
 	return b[0]|b[1]|b[2]|b[3]|b[4]|b[5]|b[6]|b[7] == 0
 }
 
-// Total returns the sum over cells, adding the cell words in index order —
-// the order sum(Cells()) adds them — without the copy. Zero blocks are
-// skipped: x + 0 is x bit for bit (no cell holds -0), so the sum's
-// dependent-add chain only runs where deposits are. Like Cells, Total is a
-// step-boundary read: the workers have joined.
-func (a *Atomic) Total() float64 {
-	var t float64
-	bits := a.bits
-	n := len(bits) - len(bits)%wordBlock
-	for i := 0; i < n; i += wordBlock {
-		if b := (*[wordBlock]uint64)(bits[i:]); !blockIsZero(b) {
-			for _, w := range b {
-				t += math.Float64frombits(w)
-			}
+// AppendNonZero appends the non-zero entries of ticks to dst in ascending
+// index order — the sparse view a checkpoint stores.
+func AppendNonZero(dst []Cell, ticks []int64) []Cell {
+	n := len(ticks) - len(ticks)%tickBlock
+	for i := 0; i < n; i += tickBlock {
+		if b := (*[tickBlock]int64)(ticks[i:]); !blockIsZero(b) {
+			dst = appendNonZeroRun(dst, i, b[:])
 		}
 	}
-	for _, w := range bits[n:] {
-		t += math.Float64frombits(w)
-	}
-	return t
+	return appendNonZeroRun(dst, n, ticks[n:])
 }
 
-// NonZero appends the non-zero cells to dst, read straight off the cell
-// words with the same zero-block skip as Total.
-func (a *Atomic) NonZero(dst []Cell) []Cell {
-	bits := a.bits
-	n := len(bits) - len(bits)%wordBlock
-	for i := 0; i < n; i += wordBlock {
-		if b := (*[wordBlock]uint64)(bits[i:]); !blockIsZero(b) {
-			dst = appendNonZeroWords(dst, i, b[:])
-		}
-	}
-	return appendNonZeroWords(dst, n, bits[n:])
-}
-
-// appendNonZeroWords appends the non-zero words of a run starting at cell
-// index base (the shift drops the sign bit, so ±0 both read as zero).
-func appendNonZeroWords(dst []Cell, base int, words []uint64) []Cell {
-	for j, w := range words {
-		if w<<1 != 0 {
-			dst = append(dst, Cell{base + j, math.Float64frombits(w)})
+func appendNonZeroRun(dst []Cell, base int, ticks []int64) []Cell {
+	for j, t := range ticks {
+		if t != 0 {
+			dst = append(dst, Cell{base + j, t})
 		}
 	}
 	return dst
 }
 
-// Conflicts reports the number of CAS retries observed so far.
-func (a *Atomic) Conflicts() uint64 { return a.conflicts.Load() }
+// tickSum adds non-negative ticks in 128 bits, so a total past the int64
+// range is seen rather than wrapped.
+type tickSum struct{ lo, hi uint64 }
 
-// Reset zeroes the tally and its conflict counter.
-func (a *Atomic) Reset() {
-	for i := range a.bits {
-		atomic.StoreUint64(&a.bits[i], 0)
+func (s *tickSum) add(ticks []int64) {
+	lo, hi := s.lo, s.hi
+	n := len(ticks) - len(ticks)%tickBlock
+	for i := 0; i < n; i += tickBlock {
+		b := (*[tickBlock]int64)(ticks[i:])
+		if blockIsZero(b) {
+			continue
+		}
+		for _, t := range b {
+			var c uint64
+			lo, c = bits.Add64(lo, uint64(t), 0)
+			hi += c
+		}
 	}
-	a.conflicts.Store(0)
+	for _, t := range ticks[n:] {
+		var c uint64
+		lo, c = bits.Add64(lo, uint64(t), 0)
+		hi += c
+	}
+	s.lo, s.hi = lo, hi
+}
+
+// value converts the sum once, at the read. over is what the deposits
+// already reported; a negative cell reads as 2^63 or more and trips the
+// range check by itself.
+func (s *tickSum) value(sc Scale, over bool) (float64, error) {
+	if over || s.hi != 0 || int64(s.lo) < 0 {
+		return 0, ErrOverflow
+	}
+	return sc.Value(int64(s.lo)), nil
+}
+
+// values converts ticks into dst, allocated by the first call: a run that
+// only ever asks for Total and Ticks never pays for a float mesh.
+func values(dst []float64, ticks []int64, s Scale) []float64 {
+	if dst == nil {
+		dst = make([]float64, len(ticks))
+	}
+	for i, t := range ticks {
+		dst[i] = s.Value(t)
+	}
+	return dst
+}
+
+// Atomic accumulates into one shared mesh with an atomic integer add per
+// deposit (LOCK XADD) — the hardware atomicAdd the paper highlights on the
+// P100, which never retries.
+type Atomic struct {
+	scale Scale
+	cells []int64
+	// single marks a tally with exactly one writer (workers == 1): Add
+	// skips the lock prefix for a plain add — the same integer sum.
+	single bool
+	// over latches the first deposit that drove a cell negative, which
+	// later deposits could otherwise carry back into range.
+	over   atomic.Bool
+	values []float64 // backs Cells
+}
+
+// Add deposits v into cell.
+func (a *Atomic) Add(_, cell int, v float64) {
+	t := a.scale.Ticks(v)
+	var sum int64
+	if a.single {
+		sum = a.cells[cell] + t
+		a.cells[cell] = sum
+	} else {
+		sum = atomic.AddInt64(&a.cells[cell], t)
+	}
+	if sum < 0 {
+		a.over.Store(true)
+	}
+}
+
+// AddTicks deposits quantised ticks into cell.
+func (a *Atomic) AddTicks(cell int, ticks int64) { a.cells[cell] += ticks }
+
+// Ticks returns the per-cell ticks.
+func (a *Atomic) Ticks() []int64 { return a.cells }
+
+// Cells returns the per-cell totals.
+func (a *Atomic) Cells() []float64 {
+	a.values = values(a.values, a.cells, a.scale)
+	return a.values
+}
+
+// Total returns the sum over cells.
+func (a *Atomic) Total() (float64, error) {
+	var sum tickSum
+	sum.add(a.cells)
+	return sum.value(a.scale, a.over.Load())
+}
+
+// Reset zeroes the tally.
+func (a *Atomic) Reset(s Scale) {
+	clear(a.cells)
+	a.over.Store(false)
+	a.scale = s
 }
 
 // Name identifies the implementation.
@@ -277,18 +308,22 @@ func (a *Atomic) Name() string { return "atomic" }
 // the cost moves to memory footprint (workers x mesh — the paper's KNL
 // example grows 0.3 GB to 31 GB at 256 threads) and to the merge.
 type Private struct {
-	shards [][]float64
-	merged []float64
+	scale  Scale
+	shards [][]int64
+	// over[w] latches worker w's first deposit that drove a cell negative;
+	// each worker writes only its own element.
+	over   []bool
+	merged []int64
+	values []float64 // backs Cells
 }
 
 // NewPrivate allocates a privatised tally for the given worker count.
-func NewPrivate(cells, workers int) *Private {
-	if workers < 1 {
-		workers = 1
-	}
-	p := &Private{shards: make([][]float64, workers), merged: make([]float64, cells)}
+func NewPrivate(cells, workers int, s Scale) *Private {
+	workers = max(workers, 1)
+	p := &Private{scale: s, shards: make([][]int64, workers),
+		over: make([]bool, workers), merged: make([]int64, cells)}
 	for w := range p.shards {
-		p.shards[w] = make([]float64, cells)
+		p.shards[w] = make([]int64, cells)
 	}
 	return p
 }
@@ -296,45 +331,56 @@ func NewPrivate(cells, workers int) *Private {
 // Add deposits v into worker w's shard. Workers touch only their own shard,
 // so no synchronisation is needed — that is the whole optimisation.
 func (p *Private) Add(worker, cell int, v float64) {
-	p.shards[worker][cell] += v
+	shard := p.shards[worker]
+	sum := shard[cell] + p.scale.Ticks(v)
+	shard[cell] = sum
+	if sum < 0 {
+		p.over[worker] = true
+	}
 }
 
-// Merge folds all shards into the merged mesh. It is exposed separately so
-// the harness can charge its cost explicitly: the paper found per-timestep
-// merging made privatisation slower than atomics on every architecture.
-func (p *Private) Merge() []float64 {
-	for i := range p.merged {
-		p.merged[i] = 0
-	}
-	for _, shard := range p.shards {
-		for i, v := range shard {
-			p.merged[i] += v
+// AddTicks deposits quantised ticks into cell.
+func (p *Private) AddTicks(cell int, ticks int64) { p.shards[0][cell] += ticks }
+
+// Ticks folds all shards into the merged mesh and returns it. Merging is
+// idempotent, and it is the cost the paper charges privatisation with: merged
+// every timestep it was slower than atomics on every architecture (the solver
+// times it under Config.MergePerStep).
+func (p *Private) Ticks() []int64 {
+	copy(p.merged, p.shards[0])
+	for _, shard := range p.shards[1:] {
+		for i, t := range shard {
+			p.merged[i] += t
 		}
 	}
 	return p.merged
 }
 
-// Cells merges and returns the totals. Merging is idempotent; callers that
-// care about its cost (the paper's per-timestep merge finding) should call
-// Merge explicitly and time it.
-func (p *Private) Cells() []float64 { return p.Merge() }
+// Cells merges and returns the per-cell totals.
+func (p *Private) Cells() []float64 {
+	p.values = values(p.values, p.Ticks(), p.scale)
+	return p.values
+}
 
-// Total returns the sum over cells.
-func (p *Private) Total() float64 { return sum(p.Cells()) }
-
-// NonZero merges and appends the non-zero cells to dst.
-func (p *Private) NonZero(dst []Cell) []Cell { return AppendNonZero(dst, p.Merge()) }
+// Total returns the sum over cells, taken over the shards: a total in range
+// bounds every merged cell, so the merge cannot have wrapped unseen.
+func (p *Private) Total() (float64, error) {
+	var sum tickSum
+	over := false
+	for w, shard := range p.shards {
+		sum.add(shard)
+		over = over || p.over[w]
+	}
+	return sum.value(p.scale, over)
+}
 
 // Reset zeroes every shard.
-func (p *Private) Reset() {
+func (p *Private) Reset(s Scale) {
 	for _, shard := range p.shards {
-		for i := range shard {
-			shard[i] = 0
-		}
+		clear(shard)
 	}
-	for i := range p.merged {
-		p.merged[i] = 0
-	}
+	clear(p.over)
+	p.scale = s
 }
 
 // Name identifies the implementation.
@@ -345,39 +391,7 @@ func (p *Private) Workers() int { return len(p.shards) }
 
 // FootprintBytes reports the privatised tally's memory footprint — the
 // paper's capacity concern (§VI-F).
-func (p *Private) FootprintBytes() int {
-	return len(p.shards) * len(p.merged) * 8
-}
-
-// Serial is a plain single-threaded tally.
-type Serial struct {
-	cells []float64
-}
-
-// NewSerial allocates a serial tally.
-func NewSerial(cells int) *Serial { return &Serial{cells: make([]float64, cells)} }
-
-// Add deposits v; only valid from a single goroutine.
-func (s *Serial) Add(_, cell int, v float64) { s.cells[cell] += v }
-
-// Cells returns the totals.
-func (s *Serial) Cells() []float64 { return s.cells }
-
-// Total returns the sum over cells.
-func (s *Serial) Total() float64 { return sum(s.cells) }
-
-// NonZero appends the non-zero cells to dst.
-func (s *Serial) NonZero(dst []Cell) []Cell { return AppendNonZero(dst, s.cells) }
-
-// Reset zeroes the tally.
-func (s *Serial) Reset() {
-	for i := range s.cells {
-		s.cells[i] = 0
-	}
-}
-
-// Name identifies the implementation.
-func (s *Serial) Name() string { return "serial" }
+func (p *Private) FootprintBytes() int { return len(p.shards) * len(p.merged) * 8 }
 
 // Null discards all deposits. Timing a run with Null against the same run
 // with Atomic isolates the tallying cost.
@@ -386,17 +400,20 @@ type Null struct{}
 // Add discards v.
 func (Null) Add(_, _ int, _ float64) {}
 
+// AddTicks discards ticks.
+func (Null) AddTicks(_ int, _ int64) {}
+
+// Ticks returns nil: a null tally holds no data.
+func (Null) Ticks() []int64 { return nil }
+
 // Cells returns nil: a null tally holds no data.
 func (Null) Cells() []float64 { return nil }
 
 // Total returns zero.
-func (Null) Total() float64 { return 0 }
-
-// NonZero appends nothing: a null tally holds no data.
-func (Null) NonZero(dst []Cell) []Cell { return dst }
+func (Null) Total() (float64, error) { return 0, nil }
 
 // Reset does nothing.
-func (Null) Reset() {}
+func (Null) Reset(Scale) {}
 
 // Name identifies the implementation.
 func (Null) Name() string { return "null" }

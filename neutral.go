@@ -213,11 +213,7 @@ func PresetScene(problem string) (*Scene, error) {
 const (
 	TallyAtomic  = tally.ModeAtomic
 	TallyPrivate = tally.ModePrivate
-	TallySerial  = tally.ModeSerial
 	TallyNull    = tally.ModeNull
-	// TallyBuffered wraps the atomic tally in per-worker write-combining
-	// deposit buffers — the contended-tally optimisation.
-	TallyBuffered = tally.ModeBuffered
 )
 
 // Schedule kind constants.
@@ -272,6 +268,10 @@ var (
 	// ErrSnapshotMismatch reports a checkpoint whose physics identity
 	// does not match the config offered to RestoreSimulation.
 	ErrSnapshotMismatch = core.ErrSnapshotMismatch
+	// ErrTallyOverflow reports deposits that left the fixed-point range of
+	// the tally (see the Determinism section of the README); Run, Drive and
+	// Step wrap it.
+	ErrTallyOverflow = tally.ErrOverflow
 )
 
 // NewSimulation builds a stateful simulation ready for its first Step: the

@@ -27,8 +27,9 @@ W2="127.0.0.1:$((PORT + 2))"
 REF="127.0.0.1:$((PORT + 3))"
 BIN=$(mktemp -d)/neutral-serve
 # An ensemble wide and slow enough that shards are in flight when the
-# worker dies; threads=1 keeps every replica bit-reproducible.
-SPEC='{"problem":"csp","nx":64,"particles":20000,"steps":10,"threads":1,"seed":42,"replicas":3,"keep_cells":true}'
+# worker dies. Every replica is bit-reproducible at whatever thread budget
+# the worker that runs it has.
+SPEC='{"problem":"csp","nx":64,"particles":20000,"steps":10,"seed":42,"replicas":3,"keep_cells":true}'
 
 go build -o "$BIN" ./cmd/neutral-serve
 
@@ -130,7 +131,7 @@ cat > "$KEYS" <<'JSON'
   {"name": "limited", "key": "limited-secret", "rate": 0.1, "burst": 1}
 ]}
 JSON
-TINY='{"problem":"csp","nx":32,"particles":200,"steps":1,"threads":1,"seed":7}'
+TINY='{"problem":"csp","nx":32,"particles":200,"steps":1,"seed":7}'
 
 start_coordinator() {
   "$BIN" -addr "$C2" -fleet -lease 2s -keys "$KEYS" -blob "$BLOB" -fleet-key fleet-secret &
