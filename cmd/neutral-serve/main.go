@@ -42,7 +42,7 @@
 //
 // The server drains gracefully on SIGINT/SIGTERM: in-flight HTTP requests
 // get a shutdown window, a worker leaves its fleet and checkpoints its
-// in-flight shards to the checkpoint directory, then every queued and
+// in-flight shards to the blob store, then every queued and
 // running simulation is canceled through its context.
 package main
 
@@ -82,8 +82,6 @@ func run() error {
 		queueDepth = flag.Int("queue-depth", 0, "queued jobs per shard (0 = 64)")
 		cacheSize  = flag.Int("cache", 0, "result cache entries (0 = 128, negative disables)")
 		threads    = flag.Int("threads-per-job", 0, "solver threads per job (0 = GOMAXPROCS/shards)")
-		ckptDir    = flag.String("checkpoint-dir", "", "job checkpoint directory (empty disables); resubmitting a config found here resumes it")
-		ckptEvery  = flag.Int("checkpoint-every", 0, "checkpoint every n completed steps (0 = 1)")
 		sceneFile  = flag.String("scene", "", "JSON scene file served as the default problem for submissions that name neither a problem nor an inline scene")
 		drain      = flag.Duration("drain", 10*time.Second, "graceful shutdown window")
 		pprofOn    = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
@@ -99,7 +97,7 @@ func run() error {
 		chaosSpec = flag.String("chaos", "", "deterministic fault injection on fleet HTTP traffic, e.g. drop=0.1,delay=0.05:200ms,err500=0.02,partial=0.01,seed=42")
 
 		keysFile = flag.String("keys", "", "JSON tenant key file ({\"tenants\":[{\"name\":...,\"key\":...,\"rate\":...,\"burst\":...}]}); enables bearer-token auth and per-tenant rate limits")
-		blobSpec = flag.String("blob", "", "blob store for checkpoints and persisted results: 'mem' or a directory path (empty falls back to -checkpoint-dir)")
+		blobSpec = flag.String("blob", "", "blob store for checkpoints and persisted results: 'mem' or a directory path (empty = no durability); resubmitting physics found here resumes or serves it")
 		fleetKey = flag.String("fleet-key", "", "bearer key this process presents on fleet traffic (worker->coordinator and coordinator->worker requests)")
 		maxBody  = flag.Int64("max-body", 0, "request body cap in bytes on decoding endpoints, answered 413 beyond it (0 = 32 MiB)")
 	)
@@ -136,23 +134,9 @@ func run() error {
 		}
 	}
 
-	// Fail fast on an unusable checkpoint directory: the engine would
-	// silently run without durability, which is worse than not starting.
-	if *ckptDir != "" {
-		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
-			return fmt.Errorf("checkpoint dir: %w", err)
-		}
-		probe, err := os.CreateTemp(*ckptDir, ".probe-*")
-		if err != nil {
-			return fmt.Errorf("checkpoint dir not writable: %w", err)
-		}
-		probe.Close()
-		os.Remove(probe.Name())
-	}
-
 	// The blob store is the durability tier: checkpoints, persisted
-	// results, and (on a coordinator) pulled shard snapshots. -blob wins
-	// over -checkpoint-dir; both empty means no durability.
+	// results, and (on a coordinator) pulled shard snapshots. Empty means
+	// no durability.
 	var blobs blob.Store
 	switch {
 	case *blobSpec == "mem":
@@ -161,6 +145,15 @@ func run() error {
 		if blobs, err = blob.NewFS(*blobSpec); err != nil {
 			return fmt.Errorf("blob store: %w", err)
 		}
+		// Fail fast on an unwritable directory: checkpoint and result
+		// writes are best-effort, so the engine would run without
+		// durability, which is worse than not starting.
+		probe, err := os.CreateTemp(*blobSpec, ".probe-*")
+		if err != nil {
+			return fmt.Errorf("blob store not writable: %w", err)
+		}
+		probe.Close()
+		os.Remove(probe.Name())
 	}
 
 	// Tenant keys: the file and any -key flags combine into one set; any
@@ -223,15 +216,13 @@ func run() error {
 	}
 
 	opts := service.Options{
-		Shards:          *shards,
-		QueueDepth:      *queueDepth,
-		CacheEntries:    *cacheSize,
-		ThreadsPerJob:   *threads,
-		Blobs:           blobs,
-		CheckpointDir:   *ckptDir,
-		CheckpointEvery: *ckptEvery,
-		DefaultScene:    defaultScene,
-		Registry:        registry,
+		Shards:        *shards,
+		QueueDepth:    *queueDepth,
+		CacheEntries:  *cacheSize,
+		ThreadsPerJob: *threads,
+		Blobs:         blobs,
+		DefaultScene:  defaultScene,
+		Registry:      registry,
 	}
 	if coordinator != nil {
 		opts.Remote = coordinator

@@ -8,7 +8,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"math"
 	"runtime"
 
 	"repro/internal/events"
@@ -207,47 +206,29 @@ func (c Config) sceneKey() string {
 	return sc.Hash()
 }
 
-// Fingerprint returns a canonical content hash of the configuration: every
-// field that determines the physics, scheduling and instrumentation of a
-// run. Two configs with equal fingerprints and equal seeds replay the same
-// particle histories, so the hash is a safe result-cache key. The second
-// return is false when the config carries a CustomDensity hook — arbitrary
-// code cannot be canonicalised, so such runs must never be served from a
-// cache.
+// Fingerprint is a job's identity: the physics (physicsHash — the one place
+// the history-determining fields are listed) plus the shape of what is handed
+// back. Equal fingerprints mean equal tally total, cells and leakage, bit for
+// bit, so it keys the result cache, the blob store and the fleet's
+// duplicate-discard. How the answer is computed — Threads, Scheme, Schedule,
+// Layout, atomic or private Tally, MergePerStep, Ordering, SortEvery — is not
+// part of it; Result.Config, timings and the scheme-local counters of a
+// served result describe the run that produced it. A kept bank is the
+// exception: its layout tag and slot order are the producing run's, so those
+// three fields key a KeepBank request. The second return is false when the
+// config carries a CustomDensity hook — arbitrary code cannot be
+// canonicalised, so such runs must never be served from a cache.
 func (c Config) Fingerprint() (string, bool) {
 	h := sha256.New()
-	// The arithmetic epoch: results and checkpoints keyed before the
-	// fixed-point tally were accumulated in floating point, in an order that
-	// varied from run to run, and must never be served as this code's.
-	h.Write([]byte("arith=fixed-point-1 "))
-	fmt.Fprintf(h, "scene=%s nx=%d ny=%d particles=%d dt=%x steps=%d seed=%d ",
-		c.sceneKey(), c.NX, c.NY, c.Particles,
-		math.Float64bits(c.Timestep), c.Steps, c.Seed)
-	fmt.Fprintf(h, "threads=%d scheme=%d sched=%d chunk=%d layout=%d tally=%d merge=%t ",
-		c.Threads, int(c.Scheme), int(c.Schedule.Kind), c.Schedule.Chunk,
-		int(c.Layout), int(c.Tally), c.MergePerStep)
-	fmt.Fprintf(h, "ord=%d sortevery=%d ", int(c.Ordering), c.SortEvery)
-	fmt.Fprintf(h, "xs=%d wcut=%x ecut=%x bank=%t cells=%t ",
-		c.XSPoints, math.Float64bits(c.WeightCutoff),
-		math.Float64bits(c.EnergyCutoff), c.KeepBank, c.KeepCells)
-	// Normalised so validated and as-built configs hash identically:
-	// Validate turns Replicas 0 into 1 and fills the window defaults.
-	replicas := c.Replicas
-	if replicas == 0 {
-		replicas = 1
-	}
-	ww := c.WeightWindow
-	if ww.Enabled {
-		ww = ww.withDefaults()
-	}
-	fmt.Fprintf(h, "replicas=%d replica=%d ww=%t,%x,%x,%d ",
-		replicas, c.Replica, ww.Enabled,
-		math.Float64bits(ww.Target), math.Float64bits(ww.Ratio), ww.SplitMax)
-	if c.CustomSource != nil {
-		s := *c.CustomSource
-		fmt.Fprintf(h, "src=%x,%x,%x,%x ",
-			math.Float64bits(s.X0), math.Float64bits(s.X1),
-			math.Float64bits(s.Y0), math.Float64bits(s.Y1))
+	// The epoch: keys written when the hash still covered execution strategy
+	// (and, before that, a float tally) must never be read with this meaning.
+	h.Write([]byte("fixed-point-1 physics+shape-1 "))
+	physics := physicsHash(c)
+	h.Write(physics[:])
+	fmt.Fprintf(h, " replicas=%d cells=%t bank=%t null=%t ",
+		max(c.Replicas, 1), c.KeepCells, c.KeepBank, c.Tally == tally.ModeNull)
+	if c.KeepBank {
+		fmt.Fprintf(h, "layout=%d ord=%d sortevery=%d ", int(c.Layout), int(c.Ordering), c.SortEvery)
 	}
 	return hex.EncodeToString(h.Sum(nil)), c.CustomDensity == nil
 }

@@ -142,14 +142,21 @@ func TestFingerprintCoversEnsembleFields(t *testing.T) {
 	}
 }
 
-// TestFingerprintArithmeticEpoch: the same configuration keyed before the
-// fixed-point tally (the hash below is the parent commit's, whose results
-// varied in their last bits from run to run) must not key the same now, or a
-// blob store written then would be served as this code's result.
+// TestFingerprintArithmeticEpoch: the same configuration keyed by an earlier
+// meaning of the fingerprint must not key the same now, or a blob store
+// written then would be served as this code's result. The hashes below are
+// the default csp config's before the fixed-point tally (results varied in
+// their last bits from run to run) and while the key still covered the
+// execution strategy.
 func TestFingerprintArithmeticEpoch(t *testing.T) {
-	const floatEpoch = "64c4dfcb6587f99be00275899be9b9c90dd7bce8b044341f7186e6c8f09ad700"
-	if k, _ := Default(mesh.CSP).Fingerprint(); k == floatEpoch {
-		t.Fatal("fingerprint of the default csp config is still the float-accumulation epoch's")
+	k, _ := Default(mesh.CSP).Fingerprint()
+	for epoch, retired := range map[string]string{
+		"float-accumulation": "64c4dfcb6587f99be00275899be9b9c90dd7bce8b044341f7186e6c8f09ad700",
+		"strategy-keyed":     "433c02715e61c85eba6f6b5984ffcc91b8d3db7814094c2b462bae4969b48df7",
+	} {
+		if k == retired {
+			t.Fatalf("fingerprint of the default csp config is still the %s epoch's", epoch)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/mesh"
+	"repro/internal/particle"
 	"repro/internal/tally"
 )
 
@@ -126,43 +127,119 @@ func TestRunCtxProgress(t *testing.T) {
 	}
 }
 
-// TestFingerprint checks the cache-key contract: equal configs agree,
-// any physics field perturbs the hash, and CustomDensity poisons
-// cacheability.
+// TestFingerprint is the identity contract, stated once: a job is its physics
+// plus the shape of what it hands back. Every physics field and every shape
+// field moves the key; no execution-strategy field does, except the three
+// that decide a kept bank's layout tag and slot order, and only when the bank
+// is kept; Fingerprint and physicsHash agree on which configs are the same
+// physics, so the one field list cannot drift from the key; and CustomDensity
+// poisons cacheability.
 func TestFingerprint(t *testing.T) {
-	base := smallConfig(mesh.CSP)
-	k1, ok := base.Fingerprint()
-	if !ok {
-		t.Fatal("plain config reported uncacheable")
-	}
-	k2, _ := base.Fingerprint()
-	if k1 != k2 {
-		t.Fatal("fingerprint not deterministic")
-	}
-
-	perturb := []func(*Config){
-		func(c *Config) { c.Seed++ },
-		func(c *Config) { c.Particles++ },
-		func(c *Config) { c.NX++ },
-		func(c *Config) { c.Steps++ },
-		func(c *Config) { c.Scheme = OverEvents },
-		func(c *Config) { c.Schedule.Chunk = 128 },
-		func(c *Config) { c.Timestep *= 2 },
-		func(c *Config) { c.KeepCells = !c.KeepCells },
-		func(c *Config) { c.CustomSource = &mesh.SourceBox{X0: 1, X1: 2, Y0: 1, Y1: 2} },
-	}
-	seen := map[string]bool{k1: true}
-	for i, f := range perturb {
-		c := base
-		f(&c)
+	fp := func(c Config) string {
+		t.Helper()
 		k, ok := c.Fingerprint()
 		if !ok {
-			t.Fatalf("perturbation %d reported uncacheable", i)
+			t.Fatal("hookless config reported uncacheable")
 		}
-		if seen[k] {
-			t.Fatalf("perturbation %d collided with an earlier fingerprint", i)
+		return k
+	}
+	type mutation struct {
+		name string
+		f    func(*Config)
+	}
+	physics := []mutation{
+		{"seed", func(c *Config) { c.Seed++ }},
+		{"particles", func(c *Config) { c.Particles++ }},
+		{"nx", func(c *Config) { c.NX++ }},
+		{"ny", func(c *Config) { c.NY++ }},
+		{"steps", func(c *Config) { c.Steps++ }},
+		{"timestep", func(c *Config) { c.Timestep *= 2 }},
+		{"weight cutoff", func(c *Config) { c.WeightCutoff *= 2 }},
+		{"energy cutoff", func(c *Config) { c.EnergyCutoff *= 2 }},
+		{"xs points", func(c *Config) { c.XSPoints++ }},
+		{"preset scene", func(c *Config) { c.Problem = mesh.Scatter }},
+		{"inline scene", func(c *Config) { c.Scene = leakScene(t) }},
+		{"custom source", func(c *Config) { c.CustomSource = &mesh.SourceBox{X0: 1, X1: 2, Y0: 1, Y1: 2} }},
+		{"replica", func(c *Config) { c.Replica = 3 }},
+		{"weight window", func(c *Config) { c.WeightWindow = WeightWindow{Enabled: true} }},
+		{"weight window target", func(c *Config) { c.WeightWindow = WeightWindow{Enabled: true, Target: 0.5} }},
+	}
+	shape := []mutation{
+		{"replicas", func(c *Config) { c.Replicas = 8 }},
+		{"keep cells", func(c *Config) { c.KeepCells = true }},
+		{"keep bank", func(c *Config) { c.KeepBank = true }},
+		{"null tally", func(c *Config) { c.Tally = tally.ModeNull }},
+	}
+	bankOrder := []mutation{
+		{"layout", func(c *Config) { c.Layout = particle.SoA }},
+		{"ordering", func(c *Config) { c.Ordering = mesh.Morton }},
+		{"sort every", func(c *Config) { c.SortEvery = 1 }},
+	}
+	strategy := []mutation{
+		{"threads 1", func(c *Config) { c.Threads = 1 }},
+		{"threads 2", func(c *Config) { c.Threads = 2 }},
+		{"threads 8", func(c *Config) { c.Threads = 8 }},
+		{"over particles", func(c *Config) { c.Scheme = OverParticles }},
+		{"over events", func(c *Config) { c.Scheme = OverEvents }},
+		{"static", func(c *Config) { c.Schedule.Kind = ScheduleStatic }},
+		{"static chunk", func(c *Config) { c.Schedule.Kind = ScheduleStaticChunk }},
+		{"dynamic", func(c *Config) { c.Schedule.Kind = ScheduleDynamic }},
+		{"guided", func(c *Config) { c.Schedule.Kind = ScheduleGuided }},
+		{"chunk", func(c *Config) { c.Schedule.Chunk = 128 }},
+		{"private tally", func(c *Config) { c.Tally = tally.ModePrivate }},
+		{"merge per step", func(c *Config) { c.MergePerStep = true }},
+	}
+	apply := func(base Config, m mutation) Config {
+		m.f(&base)
+		return base
+	}
+
+	base := Default(mesh.CSP)
+	ref := fp(base)
+	if fp(base) != ref {
+		t.Fatal("fingerprint not deterministic")
+	}
+	seen := map[string]string{ref: "the base config"}
+	for _, m := range append(physics, shape...) {
+		k := fp(apply(base, m))
+		if prev, dup := seen[k]; dup {
+			t.Errorf("%s keys the same as %s", m.name, prev)
 		}
-		seen[k] = true
+		seen[k] = m.name
+	}
+	for _, m := range append(strategy, bankOrder...) {
+		if fp(apply(base, m)) != ref {
+			t.Errorf("%s moved the key of a request that keeps no bank", m.name)
+		}
+	}
+
+	banked := base
+	banked.KeepBank = true
+	bankRef := fp(banked)
+	for _, m := range bankOrder {
+		k := fp(apply(banked, m))
+		if prev, dup := seen[k]; dup {
+			t.Errorf("%s did not move the key of a KeepBank request (keys the same as %s)", m.name, prev)
+		}
+		seen[k] = "keep bank + " + m.name
+	}
+	for _, m := range strategy {
+		if fp(apply(banked, m)) != bankRef {
+			t.Errorf("%s moved the key of a KeepBank request", m.name)
+		}
+	}
+
+	// Shape held fixed, the key separates exactly what physicsHash separates.
+	all := []Config{base}
+	for _, m := range append(append(physics, strategy...), bankOrder...) {
+		all = append(all, apply(base, m))
+	}
+	for i, a := range all {
+		for _, b := range all[i+1:] {
+			if (fp(a) == fp(b)) != (physicsHash(a) == physicsHash(b)) {
+				t.Errorf("Fingerprint and physicsHash disagree on whether %+v and %+v are one job", a, b)
+			}
+		}
 	}
 
 	c := base

@@ -54,7 +54,9 @@ var ErrSnapshotMismatch = fmt.Errorf("core: snapshot does not match config")
 
 // physicsHash digests the configuration fields that determine particle
 // histories — the identity a snapshot must share with the config it resumes
-// under. Execution-strategy fields (scheme, threads, schedule, layout,
+// under, and the physics half of Config.Fingerprint; this is the only list of
+// them. Its input bytes are part of the snapshot format (the hash is in the
+// header). Execution-strategy fields (scheme, threads, schedule, layout,
 // tally mode) are deliberately excluded: the schemes are bit-equivalent and
 // the counter-based RNG makes histories ownership-independent, so a
 // checkpoint taken under one strategy may legally resume under another.

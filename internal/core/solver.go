@@ -19,6 +19,13 @@ import (
 
 // Result reports everything a run produced: wallclock and phase timings,
 // the instrumentation counters, the tally, and the conservation audit.
+//
+// A Result served under a fingerprint (Config.Fingerprint) may have been
+// computed under another execution strategy than the request's. The tally,
+// cells, leakage, conservation audit and physics counters are the same bits
+// either way; Config, Wall, Phases, WorkerBusy (hence LoadImbalance) and the
+// scheme-local counters (OERounds, OESlotSweeps, OEActiveVisits,
+// DensityReads) describe the run that produced it.
 type Result struct {
 	Config  Config
 	Wall    time.Duration

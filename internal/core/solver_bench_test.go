@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/mesh"
@@ -65,6 +66,50 @@ func BenchmarkOverEvents(b *testing.B) {
 				b.ReportMetric(coll/float64(b.N), "collision-ns/visit")
 				b.ReportMetric(facet/float64(b.N), "facet-ns/visit")
 			})
+		}
+	}
+}
+
+// BenchmarkLocality separates the two locality knobs the BenchmarkOverEvents
+// rows (and BENCH_pr10) only ever measured together: Morton storage order
+// alone, the per-step bank sort alone, and the pair, against row-major — for
+// both schemes and layouts, on csp and stream, at the mesh size where the
+// mesh-shaped arrays are many times the cache (2048², 2 000 particles, one
+// step, one thread). solve-ms is Result.Wall, which excludes the setup that
+// dominates ns/op at this size; repeat the whole matrix (not each row) to
+// alternate configurations, and take each row's minimum.
+func BenchmarkLocality(b *testing.B) {
+	for _, problem := range []mesh.Problem{mesh.CSP, mesh.Stream} {
+		for _, scheme := range []Scheme{OverParticles, OverEvents} {
+			for _, layout := range []particle.Layout{particle.AoS, particle.SoA} {
+				for _, loc := range []struct {
+					name string
+					ord  mesh.Ordering
+					sort int
+				}{
+					{"row-major", mesh.RowMajor, 0},
+					{"morton", mesh.Morton, 0},
+					{"sort", mesh.RowMajor, 1},
+					{"morton+sort", mesh.Morton, 1},
+				} {
+					b.Run(fmt.Sprintf("%v/%v/layout=%v/%s", problem, scheme, layout, loc.name), func(b *testing.B) {
+						cfg := Default(problem)
+						cfg.NX, cfg.NY = 2048, 2048
+						cfg.Threads = 1
+						cfg.Scheme, cfg.Layout = scheme, layout
+						cfg.Ordering, cfg.SortEvery = loc.ord, loc.sort
+						best := math.Inf(1)
+						for i := 0; i < b.N; i++ {
+							res, err := Run(cfg)
+							if err != nil {
+								b.Fatal(err)
+							}
+							best = min(best, res.Wall.Seconds()*1e3)
+						}
+						b.ReportMetric(best, "solve-ms")
+					})
+				}
+			}
 		}
 	}
 }

@@ -63,7 +63,7 @@ func (c *Coordinator) RunShard(ctx context.Context, cfg core.Config, update func
 	// seeds the first dispatch, so a restarted coordinator resumes every
 	// re-submitted shard instead of re-running completed steps.
 	if c.opts.Blobs != nil && sr.key != "" {
-		if snap, err := c.opts.Blobs.Get("checkpoints/" + sr.key); err == nil {
+		if snap, err := c.opts.Blobs.Get(service.CheckpointKey(sr.key)); err == nil {
 			sr.snap = snap
 			c.metrics.storeSeeds.Inc()
 			c.log.Info("fleet: shard seeded from blob store", "fingerprint", sr.key)
@@ -81,7 +81,7 @@ func (c *Coordinator) RunShard(ctx context.Context, cfg core.Config, update func
 			c.metrics.dispatches.With("done").Inc()
 			if c.opts.Blobs != nil && sr.key != "" {
 				// Best-effort: a finished shard's checkpoint is dead weight.
-				c.opts.Blobs.Delete("checkpoints/" + sr.key)
+				c.opts.Blobs.Delete(service.CheckpointKey(sr.key))
 			}
 			return res, nil
 		case outcomeFailed:
@@ -275,7 +275,7 @@ func (c *Coordinator) handleEvent(ctx context.Context, w *worker, jobID string, 
 			if c.opts.Blobs != nil && sr.key != "" {
 				// Durable copy: a coordinator killed right now still
 				// re-dispatches the shard from this boundary.
-				c.opts.Blobs.Put("checkpoints/"+sr.key, got)
+				c.opts.Blobs.Put(service.CheckpointKey(sr.key), got)
 			}
 		}
 		sr.update(service.RemoteUpdate{

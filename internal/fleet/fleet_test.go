@@ -107,6 +107,13 @@ type cluster struct {
 // plane) with the given options; add workers with addWorker.
 func newCluster(t *testing.T, opts Options) *cluster {
 	t.Helper()
+	return newClusterWith(t, opts, service.Options{Shards: 2})
+}
+
+// newClusterWith is newCluster with the coordinator-side engine's options
+// (Registry and Remote are filled in).
+func newClusterWith(t *testing.T, opts Options, eopts service.Options) *cluster {
+	t.Helper()
 	if opts.Registry == nil {
 		opts.Registry = telemetry.NewRegistry()
 	}
@@ -115,11 +122,8 @@ func newCluster(t *testing.T, opts Options) *cluster {
 	}
 	coord := NewCoordinator(opts)
 	t.Cleanup(coord.Close)
-	engine := service.New(service.Options{
-		Shards:   2,
-		Registry: opts.Registry,
-		Remote:   coord,
-	})
+	eopts.Registry, eopts.Remote = opts.Registry, coord
+	engine := service.New(eopts)
 	t.Cleanup(engine.Close)
 	srv := httptest.NewServer(service.NewServerWith(engine, service.ServerOptions{
 		Mounts: coord.Routes(),
@@ -148,7 +152,13 @@ func (c *cluster) postJSON(path string, in, out any) error {
 // heartbeat loop.
 func (c *cluster) addWorker(name string) *clusterWorker {
 	c.t.Helper()
-	engine := service.New(service.Options{Shards: 1})
+	return c.addWorkerWith(name, service.Options{Shards: 1})
+}
+
+// addWorkerWith is addWorker with the worker engine's options.
+func (c *cluster) addWorkerWith(name string, eopts service.Options) *clusterWorker {
+	c.t.Helper()
+	engine := service.New(eopts)
 	srv := httptest.NewServer(service.NewServer(engine))
 	w := &clusterWorker{
 		name:     name,
@@ -244,6 +254,38 @@ func TestFleetRunsShardRemotely(t *testing.T) {
 	// The worker really ran it: its engine completed one job.
 	if runs := w.engine.Stats().Runs; runs != 1 {
 		t.Errorf("worker runs = %d, want 1", runs)
+	}
+}
+
+// TestFleetWorkerRunsItsOwnThreadBudget: how a job is executed is decided
+// where it is solved. A request that names no thread count travels without
+// one and runs on the worker's budget, not the coordinator's; a count the
+// client did name travels with it.
+func TestFleetWorkerRunsItsOwnThreadBudget(t *testing.T) {
+	c := newClusterWith(t, Options{}, service.Options{Shards: 2, ThreadsPerJob: 1})
+	w := c.addWorkerWith("w1", service.Options{Shards: 1, ThreadsPerJob: 2})
+	for i, tc := range []struct{ requested, want int }{{0, 2}, {3, 3}} {
+		cfg := fastConfig(uint64(100 + i))
+		cfg.Threads = tc.requested
+		j, err := c.engine.Submit(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, j, 30*time.Second)
+		if _, err := j.Result(); err != nil {
+			t.Fatalf("fleet job failed: %v", err)
+		}
+		jobs := w.engine.Jobs()
+		if len(jobs) != i+1 {
+			t.Fatalf("worker holds %d jobs after %d dispatches", len(jobs), i+1)
+		}
+		res, err := jobs[i].Result()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(res.WorkerBusy); got != tc.want {
+			t.Errorf("threads requested %d: the worker solved on %d threads, want %d", tc.requested, got, tc.want)
+		}
 	}
 }
 

@@ -70,11 +70,6 @@ func TestDefaultRetryPoliciesJitter(t *testing.T) {
 func TestStoreSeededDispatch(t *testing.T) {
 	store := blob.NewMem()
 	cfg := fastConfig(4242)
-	// Validated first: the fingerprint covers the thread count, which an
-	// engine would otherwise resolve from its own budget.
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	key, cacheable := cfg.Fingerprint()
 	if !cacheable {
 		t.Fatal("test config must be cacheable")

@@ -88,9 +88,9 @@ type SourceSpec struct {
 }
 
 // Config resolves the spec to a validated-shape core.Config (final
-// validation happens at Submit, which also applies the engine thread
-// budget). A spec names a problem preset, carries an inline scene, or both
-// — in which case the scene wins, exactly as in core.Config.
+// validation happens at Submit; a zero thread count is resolved by the
+// engine that solves the job). A spec names a problem preset, carries an
+// inline scene, or both — in which case the scene wins, as in core.Config.
 func (s Spec) Config() (core.Config, error) {
 	var p mesh.Problem
 	var err error
@@ -208,9 +208,10 @@ func (s Spec) Config() (core.Config, error) {
 // SpecOf inverts Config: the wire Spec that, resolved through Spec.Config
 // and Validate, reproduces cfg exactly — same fingerprint, same physics.
 // This is the fleet coordinator's transport encoding for dispatching a
-// shard to a remote worker. It requires a validated config (Validate
-// resolves the scene and fills every default) and fails on the one thing no
-// wire format can carry: a CustomDensity hook.
+// shard to a remote worker: a thread count the client left unset stays off
+// the wire, so the worker applies its own budget. It requires a validated
+// config (Validate resolves the scene and fills every default) and fails on
+// the one thing no wire format can carry: a CustomDensity hook.
 func SpecOf(cfg core.Config) (Spec, error) {
 	if cfg.CustomDensity != nil {
 		return Spec{}, fmt.Errorf("service: config with a CustomDensity hook cannot be transported")
@@ -700,13 +701,13 @@ func resultViewOf(res *core.Result) ResultView {
 	}
 }
 
-// Result reconstructs the core.Result a remote worker computed — the
-// coordinator-side inverse of resultViewOf. cfg is the coordinator's own
-// config for the shard (the wire view carries none). Lossless for
-// everything the ensemble merger and the result API consume: tally, cells,
-// integer-nanosecond wallclock, the full counter vector, conservation error
-// and per-edge leakage. Phase timings and per-worker busy spans stay
-// behind; they describe the remote process, not this one.
+// Result reconstructs the core.Result a remote worker computed or the blob
+// tier stored — the inverse of resultViewOf. cfg is the caller's own config
+// for the job, standing in for the producing run's (the view carries none).
+// Lossless for everything the ensemble merger and the result API consume:
+// tally, cells, integer-nanosecond wallclock, the full counter vector,
+// conservation error and per-edge leakage. Phase timings and per-worker busy
+// spans stay behind; they describe the remote process, not this one.
 func (v ResultView) Result(cfg core.Config) *core.Result {
 	res := &core.Result{
 		Config:     cfg,

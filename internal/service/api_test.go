@@ -43,13 +43,31 @@ func postJob(t *testing.T, ts *httptest.Server, spec string) (JobView, int) {
 	return v, resp.StatusCode
 }
 
+// submitJob posts a spec whose status code is not the test's subject and
+// returns the admitted job's view. A submit answers 202 while the job is
+// queued or running and 200 once it is terminal — which a tiny job can be
+// before the response is written — so the code says nothing about where the
+// answer came from. What is asserted is that: wantCached demands a terminal
+// job served from the store (always 200), otherwise the job must be one the
+// engine computes, whichever of the two codes announced it.
+func submitJob(t *testing.T, ts *httptest.Server, spec string, wantCached bool) JobView {
+	t.Helper()
+	v, code := postJob(t, ts, spec)
+	switch {
+	case v.Cached != wantCached:
+		t.Fatalf("submit of %s: cached = %t, want %t (status %d, view %+v)", spec, v.Cached, wantCached, code, v)
+	case wantCached && (code != http.StatusOK || v.State != StateDone):
+		t.Fatalf("cached submit of %s: status %d, state %s; want 200 and done", spec, code, v.State)
+	case code != http.StatusOK && code != http.StatusAccepted:
+		t.Fatalf("submit of %s: status %d", spec, code)
+	}
+	return v
+}
+
 func TestAPISubmitAndResult(t *testing.T) {
 	ts, _ := newTestServer(t, Options{Shards: 2, QueueDepth: 8})
 	spec := `{"problem":"csp","nx":64,"particles":200,"threads":2,"seed":42}`
-	v, code := postJob(t, ts, spec)
-	if code != http.StatusAccepted {
-		t.Fatalf("submit status %d", code)
-	}
+	v := submitJob(t, ts, spec, false)
 	if v.ID == "" || v.State == "" {
 		t.Fatalf("bad job view %+v", v)
 	}
@@ -72,13 +90,7 @@ func TestAPISubmitAndResult(t *testing.T) {
 
 	// The same spec resolves to the same config: a repeat submission is a
 	// cache hit answered 200 with a terminal view.
-	v2, code2 := postJob(t, ts, spec)
-	if code2 != http.StatusOK {
-		t.Fatalf("cached submit status %d", code2)
-	}
-	if v2.State != StateDone || !v2.Cached {
-		t.Fatalf("cached view %+v", v2)
-	}
+	submitJob(t, ts, spec, true)
 }
 
 // TestAPIResultMatchesDirectRun asserts the service pipeline (JSON spec →
@@ -95,10 +107,7 @@ func TestAPIResultMatchesDirectRun(t *testing.T) {
 
 	ts, _ := newTestServer(t, Options{Shards: 1, QueueDepth: 4})
 	spec := `{"problem":"scatter","nx":64,"particles":300,"seed":4242}`
-	v, code := postJob(t, ts, spec)
-	if code != http.StatusAccepted {
-		t.Fatalf("submit status %d", code)
-	}
+	v := submitJob(t, ts, spec, false)
 	resp, err := http.Get(ts.URL + "/v1/jobs/" + v.ID + "/result?wait=true")
 	if err != nil {
 		t.Fatal(err)
@@ -154,10 +163,7 @@ func TestAPICancel(t *testing.T) {
 	// Big enough that a single step takes ~a second: the job cannot
 	// finish before the cancel lands.
 	spec := `{"problem":"csp","nx":512,"particles":200000,"steps":10,"threads":2,"seed":1}`
-	v, code := postJob(t, ts, spec)
-	if code != http.StatusAccepted {
-		t.Fatalf("submit status %d", code)
-	}
+	v := submitJob(t, ts, spec, false)
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+v.ID, nil)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -201,10 +207,7 @@ func TestAPICancel(t *testing.T) {
 func TestAPIStream(t *testing.T) {
 	ts, _ := newTestServer(t, Options{Shards: 1, QueueDepth: 4})
 	spec := `{"problem":"csp","nx":64,"particles":400,"steps":4,"threads":2,"seed":7}`
-	v, code := postJob(t, ts, spec)
-	if code != http.StatusAccepted {
-		t.Fatalf("submit status %d", code)
-	}
+	v := submitJob(t, ts, spec, false)
 	resp, err := http.Get(ts.URL + "/v1/jobs/" + v.ID + "/stream")
 	if err != nil {
 		t.Fatal(err)
@@ -259,9 +262,7 @@ func TestAPIListAndStats(t *testing.T) {
 	ts, _ := newTestServer(t, Options{Shards: 2, QueueDepth: 8})
 	for i := 0; i < 3; i++ {
 		spec := fmt.Sprintf(`{"problem":"csp","nx":64,"particles":100,"seed":%d}`, i)
-		if _, code := postJob(t, ts, spec); code != http.StatusAccepted {
-			t.Fatalf("submit %d: status %d", i, code)
-		}
+		submitJob(t, ts, spec, false)
 	}
 	resp, err := http.Get(ts.URL + "/v1/jobs")
 	if err != nil {
@@ -340,10 +341,7 @@ func TestSpecConfigDefaults(t *testing.T) {
 func TestAPIStreamStepEvents(t *testing.T) {
 	ts, _ := newTestServer(t, Options{Shards: 1, QueueDepth: 4})
 	spec := `{"problem":"csp","nx":64,"particles":400,"steps":3,"threads":2,"seed":11}`
-	v, code := postJob(t, ts, spec)
-	if code != http.StatusAccepted {
-		t.Fatalf("submit status %d", code)
-	}
+	v := submitJob(t, ts, spec, false)
 	resp, err := http.Get(ts.URL + "/v1/jobs/" + v.ID + "/stream")
 	if err != nil {
 		t.Fatal(err)

@@ -9,12 +9,12 @@ import (
 	"repro/internal/stats"
 )
 
-// Cache is a content-addressed LRU result cache. Keys are canonical
-// fingerprints of the full run configuration (core.Config.Fingerprint), so
-// a hit is guaranteed to carry the exact Result a fresh solve would
-// reproduce: identical config and seed replay identical particle
-// histories. Configs with non-canonicalisable hooks (CustomDensity) never
-// reach the cache — Submit refuses to key them.
+// Cache is a content-addressed LRU result cache — the memory tier of the
+// engine's store. Keys are job fingerprints (core.Config.Fingerprint), so a
+// hit is guaranteed to carry the tally, cells and leakage a fresh solve
+// would reproduce, under whatever execution strategy: identical physics
+// replays identical particle histories. Configs with non-canonicalisable
+// hooks (CustomDensity) never reach the cache — Submit refuses to key them.
 type Cache struct {
 	mu    sync.Mutex
 	cap   int

@@ -10,20 +10,27 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mesh"
+	"repro/internal/particle"
+	"repro/internal/service/blob"
 )
 
-// ckptConfig is a multi-step configuration, validated so that its thread
-// count — and with it the fingerprint the tests name checkpoints by — is the
-// one a one-shard engine resolves a zero Threads to.
+// ckptConfig is a multi-step configuration.
 func ckptConfig(steps int) core.Config {
 	cfg := core.Default(mesh.CSP)
 	cfg.NX, cfg.NY = 128, 128
 	cfg.Particles = 400
 	cfg.Steps = steps
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
 	return cfg
+}
+
+// fsStore opens a filesystem blob store over dir.
+func fsStore(t *testing.T, dir string) *blob.FS {
+	t.Helper()
+	fs, err := blob.NewFS(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fs
 }
 
 // TestCheckpointResumeAcrossEngineRestart is the acceptance scenario: an
@@ -64,7 +71,7 @@ func TestCheckpointResumeAcrossEngineRestart(t *testing.T) {
 	}
 
 	// The "restarted" engine over the same checkpoint directory.
-	e := New(Options{Shards: 1, CheckpointDir: dir})
+	e := New(Options{Shards: 1, Blobs: fsStore(t, dir)})
 	defer e.Close()
 	j, err := e.Submit(cfg)
 	if err != nil {
@@ -103,15 +110,22 @@ func TestCheckpointResumeAcrossEngineRestart(t *testing.T) {
 }
 
 // TestCanceledJobResumesFromCheckpoint cancels a running checkpointed job
-// and resubmits it: the second run must pick up from the canceled run's
-// last snapshot, not from scratch.
+// and resubmits its physics under another execution strategy (Over Events on
+// an SoA bank, after Over Particles on AoS): a checkpoint is filed under the
+// job's identity, which has no strategy in it, so the second run must pick up
+// from the canceled run's last snapshot, not from scratch — and end on the
+// tally of a run that was never interrupted.
 func TestCanceledJobResumesFromCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	cfg := ckptConfig(40)
 	cfg.NX, cfg.NY = 192, 192
 	cfg.Particles = 1500
+	want, err := core.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	e := New(Options{Shards: 1, CheckpointDir: dir})
+	e := New(Options{Shards: 1, Blobs: fsStore(t, dir)})
 	defer e.Close()
 	j, err := e.Submit(cfg)
 	if err != nil {
@@ -143,6 +157,7 @@ func TestCanceledJobResumesFromCheckpoint(t *testing.T) {
 		t.Fatalf("canceled job left no checkpoint: %v", err)
 	}
 
+	cfg.Scheme, cfg.Layout = core.OverEvents, particle.SoA
 	j2, err := e.Submit(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -165,6 +180,9 @@ func TestCanceledJobResumesFromCheckpoint(t *testing.T) {
 	}
 	if res.Conservation.RelativeError > 1e-9 {
 		t.Errorf("resumed run conservation error %.3g", res.Conservation.RelativeError)
+	}
+	if res.TallyTotal != want.TallyTotal {
+		t.Errorf("resumed under another strategy: tally %v, uninterrupted %v", res.TallyTotal, want.TallyTotal)
 	}
 }
 
@@ -196,7 +214,7 @@ func TestCheckpointOlderFormatDiscarded(t *testing.T) {
 	if err := os.WriteFile(ckpt, old, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	e := New(Options{Shards: 1, CheckpointDir: dir})
+	e := New(Options{Shards: 1, Blobs: fsStore(t, dir)})
 	defer e.Close()
 	j, err := e.Submit(cfg)
 	if err != nil {

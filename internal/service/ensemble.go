@@ -73,19 +73,13 @@ func (j *Job) addReplica(v ReplicaView) {
 // replica — routed by fingerprint across the engine's sharded worker pool
 // exactly like user submissions, so replicas run concurrently, dedupe
 // against the cache, and checkpoint individually — then folds the per-cell
-// tallies into ensemble statistics in replica order and caches the merged
+// tallies into ensemble statistics in replica order and stores the merged
 // result under the parent's fingerprint. The coordinator is a goroutine, not
 // a worker: a wide ensemble never starves the pool of its own replicas.
 func (e *Engine) runEnsemble(j *Job) {
-	j.mu.Lock()
-	if j.state != StateQueued { // canceled before the coordinator started
-		j.mu.Unlock()
+	if !j.start() { // canceled before the coordinator started
 		return
 	}
-	j.state = StateRunning
-	j.started = time.Now()
-	j.mu.Unlock()
-
 	e.running.Add(1)
 	defer e.running.Add(-1)
 
@@ -114,9 +108,7 @@ func (e *Engine) runEnsemble(j *Job) {
 		child, err := e.submit(ccfg, nil, SubmitOptions{Tenant: j.tenant})
 		if err != nil {
 			cancelChildren()
-			if j.finish(StateFailed, nil, fmt.Errorf("service: ensemble replica %d: %w", r, err), false) {
-				e.failed.Add(1)
-			}
+			e.finish(j, StateFailed, nil, fmt.Errorf("service: ensemble replica %d: %w", r, err), false)
 			return
 		}
 		children = append(children, child)
@@ -132,17 +124,13 @@ func (e *Engine) runEnsemble(j *Job) {
 		case <-child.Done():
 		case <-j.ctx.Done():
 			cancelChildren()
-			if j.finish(StateCanceled, nil, j.ctx.Err(), false) {
-				e.canceled.Add(1)
-			}
+			e.finish(j, StateCanceled, nil, j.ctx.Err(), false)
 			return
 		}
 		res, err := child.Result()
 		if err != nil {
 			cancelChildren()
-			if j.finish(StateFailed, nil, fmt.Errorf("service: ensemble replica %d: %w", r, err), false) {
-				e.failed.Add(1)
-			}
+			e.finish(j, StateFailed, nil, fmt.Errorf("service: ensemble replica %d: %w", r, err), false)
 			return
 		}
 		acc.Add(res.Cells)
@@ -179,10 +167,6 @@ func (e *Engine) runEnsemble(j *Job) {
 	j.mu.Lock()
 	j.ensemble = ens
 	j.mu.Unlock()
-	if j.key != "" {
-		e.cache.PutEntry(j.key, res, ens)
-	}
-	if j.finish(StateDone, res, nil, false) {
-		e.completed.Add(1)
-	}
+	e.store.put(j.key, cfg, res, ens)
+	e.finish(j, StateDone, res, nil, false)
 }

@@ -112,10 +112,7 @@ func countEvents(events []sseEvent, name string) int {
 func TestAPIStreamLastEventIDResume(t *testing.T) {
 	ts, _ := newTestServer(t, Options{Shards: 1, QueueDepth: 4})
 	spec := `{"problem":"csp","nx":64,"particles":400,"steps":4,"threads":2,"seed":11}`
-	v, code := postJob(t, ts, spec)
-	if code != http.StatusAccepted {
-		t.Fatalf("submit status %d", code)
-	}
+	v := submitJob(t, ts, spec, false)
 
 	// First subscriber: full history. Step events must carry cumulative
 	// "s<steps>r<replicas>" ids.
@@ -171,10 +168,7 @@ func TestAPIStreamLastEventIDResume(t *testing.T) {
 // step recorded in a header, other jobs 404.
 func TestAPISnapshotEndpoint(t *testing.T) {
 	ts, _ := newTestServer(t, Options{Shards: 1, QueueDepth: 4})
-	v, code := postJob(t, ts, `{"problem":"csp","nx":32,"particles":200,"steps":3,"retain_snapshot":true,"seed":5}`)
-	if code != http.StatusAccepted {
-		t.Fatalf("submit status %d", code)
-	}
+	v := submitJob(t, ts, `{"problem":"csp","nx":32,"particles":200,"steps":3,"retain_snapshot":true,"seed":5}`, false)
 	waitState(t, ts, v.ID, StateDone)
 
 	resp, err := http.Get(ts.URL + "/v1/jobs/" + v.ID + "/snapshot")
@@ -266,6 +260,20 @@ func TestSpecOfRoundTrip(t *testing.T) {
 		t.Errorf("fingerprint changed across SpecOf round-trip:\n got %s\nwant %s", got, want)
 	}
 
+	// A thread count travels only when the client set one: a job's config
+	// keeps 0 as 0, and the worker that receives no count applies its own.
+	if wire, _ := json.Marshal(spec); !strings.Contains(string(wire), `"threads":3`) {
+		t.Errorf("a requested thread count is missing from the encoded spec: %s", wire)
+	}
+	unset := cfg
+	unset.Threads = 0
+	if spec, err = SpecOf(unset); err != nil {
+		t.Fatal(err)
+	}
+	if wire, _ := json.Marshal(spec); strings.Contains(string(wire), `"threads"`) {
+		t.Errorf("an unset thread count was put on the wire: %s", wire)
+	}
+
 	// The two untransportables fail loudly instead of dispatching a shard
 	// that computes different physics.
 	bad := cfg
@@ -286,7 +294,7 @@ func TestCheckpointWriteFailureSurfaces(t *testing.T) {
 	if err := os.Mkdir(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	ts, e := newTestServer(t, Options{Shards: 1, QueueDepth: 4, CheckpointDir: dir})
+	ts, e := newTestServer(t, Options{Shards: 1, QueueDepth: 4, Blobs: fsStore(t, dir)})
 	// Break the directory after the engine adopted it: replace it with a
 	// regular file, so every snapshot write fails with ENOTDIR — the
 	// failure mode of a yanked volume, which permissions cannot simulate
@@ -298,10 +306,7 @@ func TestCheckpointWriteFailureSurfaces(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	v, code := postJob(t, ts, `{"problem":"csp","nx":32,"particles":200,"steps":3,"seed":8}`)
-	if code != http.StatusAccepted {
-		t.Fatalf("submit status %d", code)
-	}
+	v := submitJob(t, ts, `{"problem":"csp","nx":32,"particles":200,"steps":3,"seed":8}`, false)
 	waitState(t, ts, v.ID, StateDone)
 
 	j, err := e.Job(v.ID)

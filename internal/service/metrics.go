@@ -12,23 +12,20 @@ import (
 // layer bump on the hot path. Everything the engine already counts through
 // its atomics — queue depths, cache statistics, lifetime job counters — is
 // exported as scrape-time callbacks instead, so the metrics layer adds no
-// second source of truth to drift from the one /v1/stats reports.
+// second source of truth to drift from the one /v1/stats reports. (The blob
+// tier's and the checkpoints' counters are the store's.)
 type engineMetrics struct {
-	checkpointWrites        *telemetry.Counter
-	checkpointWriteFailures *telemetry.Counter
-	blobResultHits          *telemetry.Counter
-	blobResultWrites        *telemetry.Counter
-	streamSubscribers       *telemetry.Gauge
-	jobDuration             *telemetry.HistogramVec
-	particleRate            *telemetry.HistogramVec
-	solverEvents            *telemetry.CounterVec
-	solverHistories         *telemetry.CounterVec
-	solverWork              *telemetry.CounterVec
-	httpRequests            *telemetry.CounterVec
-	tenantRequests          *telemetry.CounterVec
-	tenantShed              *telemetry.CounterVec
-	tenantDenied            *telemetry.CounterVec
-	queueWait               *telemetry.HistogramVec
+	streamSubscribers *telemetry.Gauge
+	jobDuration       *telemetry.HistogramVec
+	particleRate      *telemetry.HistogramVec
+	solverEvents      *telemetry.CounterVec
+	solverHistories   *telemetry.CounterVec
+	solverWork        *telemetry.CounterVec
+	httpRequests      *telemetry.CounterVec
+	tenantRequests    *telemetry.CounterVec
+	tenantShed        *telemetry.CounterVec
+	tenantDenied      *telemetry.CounterVec
+	queueWait         *telemetry.HistogramVec
 }
 
 // newEngineMetrics registers the engine's metric vocabulary on r. Called
@@ -36,10 +33,6 @@ type engineMetrics struct {
 // live state at scrape time.
 func newEngineMetrics(e *Engine, r *telemetry.Registry) *engineMetrics {
 	m := &engineMetrics{
-		checkpointWrites: r.Counter("neutral_checkpoint_writes_total",
-			"Snapshot files written at timestep boundaries."),
-		checkpointWriteFailures: r.Counter("neutral_checkpoint_write_failures_total",
-			"Snapshot writes that failed; each also surfaces as a job warning."),
 		streamSubscribers: r.Gauge("neutral_stream_subscribers",
 			"Currently connected SSE job-stream clients."),
 		jobDuration: r.HistogramVec("neutral_job_duration_seconds",
@@ -75,10 +68,6 @@ func newEngineMetrics(e *Engine, r *telemetry.Registry) *engineMetrics {
 			"Queue residency from admission to worker pickup, by tenant — the fair-share scheduler's output variable.",
 			telemetry.ExpBuckets(0.0001, 4, 10), // 0.1ms .. ~26s
 			"tenant"),
-		blobResultHits: r.Counter("neutral_blob_result_hits_total",
-			"Submissions served from the blob store's persistent result tier (memory-cache misses that skipped a solve)."),
-		blobResultWrites: r.Counter("neutral_blob_result_writes_total",
-			"Completed results persisted into the blob store."),
 	}
 
 	r.GaugeFunc("neutral_shards", "Worker-pool width.",
@@ -119,15 +108,15 @@ func newEngineMetrics(e *Engine, r *telemetry.Registry) *engineMetrics {
 	}
 
 	r.CounterFunc("neutral_cache_hits_total", "Result-cache hits.",
-		func() float64 { return float64(e.cache.Stats().Hits) })
+		func() float64 { return float64(e.store.lru.Stats().Hits) })
 	r.CounterFunc("neutral_cache_misses_total", "Result-cache misses.",
-		func() float64 { return float64(e.cache.Stats().Misses) })
+		func() float64 { return float64(e.store.lru.Stats().Misses) })
 	r.CounterFunc("neutral_cache_evictions_total", "Result-cache LRU evictions.",
-		func() float64 { return float64(e.cache.Stats().Evictions) })
+		func() float64 { return float64(e.store.lru.Stats().Evictions) })
 	r.GaugeFunc("neutral_cache_entries", "Results currently cached.",
-		func() float64 { return float64(e.cache.Stats().Entries) })
+		func() float64 { return float64(e.store.lru.Stats().Entries) })
 	r.GaugeFunc("neutral_cache_capacity", "Result-cache capacity.",
-		func() float64 { return float64(e.cache.Stats().Capacity) })
+		func() float64 { return float64(e.store.lru.Stats().Capacity) })
 
 	return m
 }

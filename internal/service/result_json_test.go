@@ -284,10 +284,7 @@ func TestResultEncodedOnce(t *testing.T) {
 		return body
 	}
 
-	first, code := postJob(t, ts, spec)
-	if code != http.StatusAccepted {
-		t.Fatalf("submit status %d", code)
-	}
+	first := submitJob(t, ts, spec, false)
 	body := get(first.ID)
 	j, err := e.Job(first.ID)
 	if err != nil {

@@ -32,10 +32,7 @@ func sceneSpec(name, material string) string {
 func TestAPISceneSubmissionsShareCacheEntry(t *testing.T) {
 	ts, e := newTestServer(t, Options{Shards: 2, QueueDepth: 8})
 
-	v1, code := postJob(t, ts, sceneSpec("box-a", "air"))
-	if code != http.StatusAccepted {
-		t.Fatalf("first submit status %d", code)
-	}
+	v1 := submitJob(t, ts, sceneSpec("box-a", "air"), false)
 	j1, err := e.Job(v1.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -66,24 +63,13 @@ func TestAPISceneSubmissionsShareCacheEntry(t *testing.T) {
 	}
 
 	// Equivalent physics, different names: born terminal from the cache.
-	v2, code := postJob(t, ts, sceneSpec("box-b", "void"))
-	if code != http.StatusOK {
-		t.Fatalf("equivalent resubmit status %d, want 200 (cache hit)", code)
-	}
-	if !v2.Cached {
-		t.Error("equivalent scene submission missed the cache")
-	}
+	submitJob(t, ts, sceneSpec("box-b", "void"), true)
 	if runs := e.Stats().Runs; runs != 1 {
 		t.Errorf("engine ran %d solves, want 1", runs)
 	}
 
 	// A physics change (moving the vacuum edge) must miss.
-	v3, code := postJob(t, ts, strings.Replace(sceneSpec("box-c", "air"), `"x_hi"`, `"y_lo"`, 1))
-	// (A job this small can finish before the response is written and
-	// answer 200; what must not happen is a cache hit.)
-	if v3.Cached || (code != http.StatusAccepted && code != http.StatusOK) {
-		t.Errorf("different-physics scene unexpectedly cached (status %d)", code)
-	}
+	submitJob(t, ts, strings.Replace(sceneSpec("box-c", "air"), `"x_hi"`, `"y_lo"`, 1), false)
 }
 
 // TestAPISceneValidation: malformed and physically invalid inline scenes are
@@ -118,10 +104,7 @@ func TestAPIDefaultScene(t *testing.T) {
 	}
 	ts, e := newTestServer(t, Options{Shards: 1, QueueDepth: 4, DefaultScene: def})
 
-	v, code := postJob(t, ts, `{"nx":64,"particles":100,"seed":7}`)
-	if code != http.StatusAccepted {
-		t.Fatalf("default-scene submit status %d", code)
-	}
+	v := submitJob(t, ts, `{"nx":64,"particles":100,"seed":7}`, false)
 	j, err := e.Job(v.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -139,10 +122,7 @@ func TestAPIDefaultScene(t *testing.T) {
 	}
 
 	// An explicit problem bypasses the default scene.
-	v2, code := postJob(t, ts, `{"problem":"csp","nx":64,"particles":100,"seed":7}`)
-	if code != http.StatusAccepted && code != http.StatusOK {
-		t.Fatalf("explicit-problem submit status %d", code)
-	}
+	v2 := submitJob(t, ts, `{"problem":"csp","nx":64,"particles":100,"seed":7}`, false)
 	j2, _ := e.Job(v2.ID)
 	<-j2.Done()
 	if sc := j2.Config().Scene; sc == nil || sc.Name != "csp" {

@@ -1,0 +1,139 @@
+package service
+
+import (
+	"encoding/json"
+
+	"repro/internal/core"
+	"repro/internal/service/blob"
+	"repro/internal/stats"
+	"repro/internal/telemetry"
+)
+
+// CheckpointKey is the blob-store address of the checkpoint filed under a
+// job fingerprint. The engine and the fleet coordinator write the same
+// address, which is how either resumes what the other left behind.
+func CheckpointKey(fingerprint string) string { return "checkpoints/" + fingerprint }
+
+func resultKey(fingerprint string) string { return "results/" + fingerprint }
+
+// store owns everything the engine files under a job fingerprint: finished
+// results — an in-memory LRU over the blob store's persistent tier — and the
+// step-boundary checkpoints of unfinished ones. A "" key (an uncacheable
+// config) stores and finds nothing; neither do the durable halves when blobs
+// is nil.
+type store struct {
+	lru   *Cache
+	blobs blob.Store
+
+	blobHits, blobWrites, checkpointWrites, checkpointFails *telemetry.Counter
+}
+
+func newStore(cacheEntries int, blobs blob.Store, r *telemetry.Registry) *store {
+	return &store{
+		lru:   NewCache(cacheEntries),
+		blobs: blobs,
+		blobHits: r.Counter("neutral_blob_result_hits_total",
+			"Submissions served from the blob store's persistent result tier (memory-cache misses that skipped a solve)."),
+		blobWrites: r.Counter("neutral_blob_result_writes_total",
+			"Completed results persisted into the blob store."),
+		checkpointWrites: r.Counter("neutral_checkpoint_writes_total",
+			"Snapshot files written at timestep boundaries."),
+		checkpointFails: r.Counter("neutral_checkpoint_write_failures_total",
+			"Snapshot writes that failed; each also surfaces as a job warning."),
+	}
+}
+
+// persists reports whether cfg's result lives in the blob tier as well as
+// the LRU. Only plain single runs do: the wire form carries no particle bank,
+// and an ensemble's per-replica history and statistics live with its entry.
+func (s *store) persists(key string, cfg core.Config) bool {
+	return s.durable(key) && cfg.Replicas <= 1 && !cfg.KeepBank
+}
+
+// get finds the result filed under key: in the LRU, else in the blob tier —
+// left by another engine over the same store, or by this process before a
+// restart — which promotes it into the LRU. cfg is the requesting config; a
+// result decoded from the blob tier, whose wire form carries none, echoes it.
+func (s *store) get(key string, cfg core.Config) (*core.Result, *stats.Ensemble, bool) {
+	if key == "" {
+		return nil, nil, false
+	}
+	if res, ens, ok := s.lru.GetEntry(key); ok || !s.persists(key, cfg) {
+		return res, ens, ok
+	}
+	data, err := s.blobs.Get(resultKey(key))
+	if err != nil {
+		return nil, nil, false
+	}
+	var rv ResultView
+	if json.Unmarshal(data, &rv) != nil {
+		// Corrupt entry: drop it so the next put re-persists cleanly.
+		s.blobs.Delete(resultKey(key))
+		return nil, nil, false
+	}
+	res := rv.Result(cfg)
+	s.lru.Put(key, res)
+	s.blobHits.Inc()
+	return res, nil, true
+}
+
+// recent is get against the LRU alone — the worker's pop-time re-check for
+// an identical job this engine finished while the asker queued.
+func (s *store) recent(key string) (*core.Result, bool) {
+	if key == "" {
+		return nil, false
+	}
+	return s.lru.Get(key)
+}
+
+// put files a finished result (with an ensemble's merged statistics) under
+// key. The blob write is best-effort: a restarted process, or a stateless
+// replica sharing the store, then serves it without a solve.
+func (s *store) put(key string, cfg core.Config, res *core.Result, ens *stats.Ensemble) {
+	if key == "" {
+		return
+	}
+	s.lru.PutEntry(key, res, ens)
+	if !s.persists(key, cfg) {
+		return
+	}
+	if data, err := s.lru.resultJSON(key, res, false); err == nil && s.blobs.Put(resultKey(key), data) == nil {
+		s.blobWrites.Inc()
+	}
+}
+
+// durable reports whether anything filed under key reaches the blob store —
+// in particular, whether its jobs are checkpointed at all.
+func (s *store) durable(key string) bool { return s.blobs != nil && key != "" }
+
+// loadCheckpoint returns the checkpoint filed under key, if any. It may have
+// been taken under another execution strategy than the job now asking, which
+// core.RestoreSimulation accepts by design.
+func (s *store) loadCheckpoint(key string) ([]byte, bool) {
+	if !s.durable(key) {
+		return nil, false
+	}
+	data, err := s.blobs.Get(CheckpointKey(key))
+	return data, err == nil
+}
+
+// saveCheckpoint files a step-boundary snapshot under a durable key.
+// Store puts are atomic, so even a batch-pinned duplicate of a routed job
+// cannot publish a torn checkpoint.
+func (s *store) saveCheckpoint(key string, snapshot []byte) error {
+	err := s.blobs.Put(CheckpointKey(key), snapshot)
+	if err == nil {
+		s.checkpointWrites.Inc()
+	} else {
+		s.checkpointFails.Inc()
+	}
+	return err
+}
+
+// dropCheckpoint removes key's checkpoint: the job finished, or the
+// checkpoint would not restore.
+func (s *store) dropCheckpoint(key string) {
+	if s.durable(key) {
+		s.blobs.Delete(CheckpointKey(key))
+	}
+}

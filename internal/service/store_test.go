@@ -1,0 +1,95 @@
+package service
+
+import (
+	"context"
+	"slices"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/mesh"
+	"repro/internal/particle"
+	"repro/internal/tally"
+)
+
+// finished submits cfg and waits for the job, reporting whether it was served
+// from the store.
+func finished(t *testing.T, e *Engine, cfg core.Config) (*core.Result, bool) {
+	t.Helper()
+	j, err := e.Submit(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := j.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	res, err := j.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, j.Status().Cached
+}
+
+// TestStrategyVariantsShareOneStoredResult: a job is its physics. The same
+// physics asked for under another execution strategy is the same job — served
+// from the LRU without a second solve, and, by a new engine over the same
+// blob store, from the persistent tier, with the tally and every cell equal.
+func TestStrategyVariantsShareOneStoredResult(t *testing.T) {
+	blobs := fsStore(t, t.TempDir())
+	cfg := ckptConfig(2)
+	cfg.Threads = 1
+	cfg.KeepCells = true
+
+	e := New(Options{Shards: 1, Blobs: blobs})
+	defer e.Close()
+	first, cached := finished(t, e, cfg)
+	if cached {
+		t.Fatal("first submission was served from an empty store")
+	}
+	variant := cfg
+	variant.Threads, variant.Scheme, variant.Layout = 2, core.OverEvents, particle.SoA
+	variant.Tally, variant.Schedule.Kind = tally.ModePrivate, core.ScheduleDynamic
+	if res, cached := finished(t, e, variant); !cached || res != first {
+		t.Errorf("strategy variant: cached = %t, same result = %t; want the first job's result from the LRU", cached, res == first)
+	}
+	if st := e.Stats(); st.Runs != 1 || st.Cache.Entries != 1 {
+		t.Errorf("after two strategies of one physics: %d runs, %d cache entries; want 1 and 1", st.Runs, st.Cache.Entries)
+	}
+
+	restarted := New(Options{Shards: 1, Blobs: blobs})
+	defer restarted.Close()
+	variant.Threads, variant.Ordering, variant.SortEvery = 0, mesh.Morton, 1
+	res, cached := finished(t, restarted, variant)
+	if !cached || restarted.Stats().Runs != 0 || restarted.store.blobHits.Value() != 1 {
+		t.Fatalf("third strategy on a restarted engine: cached = %t, %d runs, %v blob hits; want a blob-tier hit and no solve",
+			cached, restarted.Stats().Runs, restarted.store.blobHits.Value())
+	}
+	if res.TallyTotal != first.TallyTotal || !slices.Equal(res.Cells, first.Cells) {
+		t.Error("the blob tier's result differs from the one computed")
+	}
+}
+
+// TestKeepBankKeysItsLayout: the one place strategy shows in what is handed
+// back is a kept bank, whose layout tag and slot order are the producing
+// run's — so a KeepBank request under another layout is another job, while
+// one under another scheme or thread count is not.
+func TestKeepBankKeysItsLayout(t *testing.T) {
+	e := New(Options{Shards: 1})
+	defer e.Close()
+	cfg := ckptConfig(1)
+	cfg.KeepBank = true
+	if _, cached := finished(t, e, cfg); cached {
+		t.Fatal("first submission was served from an empty store")
+	}
+	soa := cfg
+	soa.Layout = particle.SoA
+	if res, cached := finished(t, e, soa); cached || res.Bank.Layout() != particle.SoA {
+		t.Errorf("KeepBank under SoA: cached = %t, bank layout %v; want a solve that returns an SoA bank", cached, res.Bank.Layout())
+	}
+	cfg.Scheme, cfg.Threads = core.OverEvents, 2
+	if _, cached := finished(t, e, cfg); !cached {
+		t.Error("KeepBank under another scheme and thread count missed the store")
+	}
+}

@@ -41,10 +41,7 @@ var coreMetricFamilies = []string{
 func TestAPIMetricsAfterJob(t *testing.T) {
 	ts, e := newTestServer(t, Options{Shards: 2, QueueDepth: 8})
 	spec := `{"problem":"csp","nx":64,"particles":200,"threads":2,"seed":42}`
-	v, code := postJob(t, ts, spec)
-	if code != http.StatusAccepted {
-		t.Fatalf("submit status %d", code)
-	}
+	v := submitJob(t, ts, spec, false)
 	j, err := e.Job(v.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -52,19 +49,8 @@ func TestAPIMetricsAfterJob(t *testing.T) {
 	if err := j.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	// The worker publishes a job as done just before it records the run
-	// (finish, then observeRun), so wait for the last series observeRun
-	// writes rather than scrape between the two.
-	for deadline := time.Now().Add(10 * time.Second); e.metrics.solverWork.With("rng_draws").Value() == 0; {
-		if time.Now().After(deadline) {
-			t.Fatal("the run never reached the metrics")
-		}
-		time.Sleep(time.Millisecond)
-	}
 	// A repeat submission exercises the cache-hit series.
-	if _, code := postJob(t, ts, spec); code != http.StatusOK {
-		t.Fatalf("cached submit status %d", code)
-	}
+	submitJob(t, ts, spec, true)
 
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -207,10 +193,7 @@ func (e errorString) Error() string { return string(e) }
 // wallclock to kernel phases.
 func TestAPIResultPhaseTimings(t *testing.T) {
 	ts, _ := newTestServer(t, Options{Shards: 1, QueueDepth: 4})
-	v, code := postJob(t, ts, `{"problem":"csp","nx":64,"particles":200,"threads":2,"seed":7,"scheme":"events"}`)
-	if code != http.StatusAccepted {
-		t.Fatalf("submit status %d", code)
-	}
+	v := submitJob(t, ts, `{"problem":"csp","nx":64,"particles":200,"threads":2,"seed":7,"scheme":"events"}`, false)
 	resp, err := http.Get(ts.URL + "/v1/jobs/" + v.ID + "/result?wait=true")
 	if err != nil {
 		t.Fatal(err)
@@ -236,10 +219,7 @@ func TestAPIResultPhaseTimings(t *testing.T) {
 func TestAPITrace(t *testing.T) {
 	ts, e := newTestServer(t, Options{Shards: 1, QueueDepth: 4})
 	spec := `{"problem":"scatter","nx":64,"particles":150,"seed":9,"steps":3}`
-	v, code := postJob(t, ts, spec)
-	if code != http.StatusAccepted {
-		t.Fatalf("submit status %d", code)
-	}
+	v := submitJob(t, ts, spec, false)
 	j, err := e.Job(v.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -365,8 +345,14 @@ func (s *syncBuffer) String() string {
 
 // TestAPIAccessLog: the middleware emits one structured line per request
 // carrying method, path, status and the submit handler's job annotations.
+// The job cannot finish (its solve blocks until teardown), so this is also
+// where "a job still queued or running is announced 202" is pinned.
 func TestAPIAccessLog(t *testing.T) {
 	e := New(Options{Shards: 1})
+	e.runFn = func(ctx context.Context, cfg core.Config, p core.ProgressFunc) (*core.Result, error) {
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}
 	var logBuf syncBuffer
 	ts := httptest.NewServer(NewServerWith(e, ServerOptions{
 		Logger: slog.New(slog.NewTextHandler(&logBuf, nil)),
@@ -376,8 +362,8 @@ func TestAPIAccessLog(t *testing.T) {
 		e.Close()
 	})
 	v, code := postJob(t, ts, `{"problem":"stream","nx":64,"particles":100,"seed":3}`)
-	if code != http.StatusAccepted {
-		t.Fatalf("submit status %d", code)
+	if code != http.StatusAccepted || v.State.Terminal() {
+		t.Fatalf("submit of a job that cannot finish: status %d, state %s; want 202 and in flight", code, v.State)
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	wants := []string{"method=POST", "path=/v1/jobs", "status=202", "job_id=" + v.ID, "fingerprint="}

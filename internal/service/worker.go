@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -61,12 +60,14 @@ type StepView struct {
 }
 
 // Job is one simulation managed by the engine: a validated config, its
-// cache key, and the lifecycle state machine. All mutable state is behind
-// the mutex; the done channel closes exactly once when the job reaches a
-// terminal state.
+// identity (the fingerprint everything about it is stored under), and the
+// lifecycle state machine. All mutable state is behind the mutex; the done
+// channel closes exactly once when the job reaches a terminal state.
 type Job struct {
 	id  string
 	key string // config fingerprint; empty for uncacheable configs
+	// cfg is the request, validated: Threads stays as asked, 0 meaning the
+	// budget of whichever engine ends up solving it.
 	cfg core.Config
 	// tenant names the submitting tenant — the fair-share scheduling key
 	// and the queue-wait metric label. AnonymousTenant when the engine
@@ -152,7 +153,9 @@ type Status struct {
 // ID returns the engine-issued job identifier.
 func (j *Job) ID() string { return j.id }
 
-// Config returns the validated configuration the job runs.
+// Config returns the validated configuration the job was submitted with —
+// the request. A result served from the store may have been computed under
+// another execution strategy (see core.Result).
 func (j *Job) Config() core.Config { return j.cfg }
 
 // Done returns a channel closed when the job reaches a terminal state.
@@ -338,17 +341,34 @@ func (j *Job) setProgress(p core.Progress) {
 }
 
 // finish moves the job to a terminal state exactly once, reporting whether
-// this call won the transition.
-func (j *Job) finish(state State, res *core.Result, err error, cached bool) bool {
+// this call won the transition. The lifetime counter and a solved run's
+// metrics are recorded before the state change publishes the job, so whoever
+// sees it done (a waiter, a scrape right after) sees those too.
+func (e *Engine) finish(j *Job, state State, res *core.Result, err error, cached bool) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.finishLocked(state, res, err, cached)
+	return e.finishLocked(j, state, res, err, cached)
 }
 
 // finishLocked is finish with j.mu already held.
-func (j *Job) finishLocked(state State, res *core.Result, err error, cached bool) bool {
+func (e *Engine) finishLocked(j *Job, state State, res *core.Result, err error, cached bool) bool {
 	if j.state.Terminal() {
 		return false
+	}
+	switch state {
+	case StateDone:
+		e.completed.Add(1)
+		// Ensemble parents are not runs: each replica passes through here
+		// itself, so observing the parent would count every event twice.
+		if !cached && j.cfg.Replicas <= 1 {
+			dur := time.Since(j.started)
+			e.observeRunDuration(dur)
+			e.metrics.observeRun(res, dur)
+		}
+	case StateFailed:
+		e.failed.Add(1)
+	case StateCanceled:
+		e.canceled.Add(1)
 	}
 	j.state = state
 	j.result = res
@@ -384,10 +404,10 @@ type Options struct {
 	// CacheEntries bounds the result cache. 0 means 128; negative
 	// disables caching.
 	CacheEntries int
-	// ThreadsPerJob is the solver thread count given to jobs that leave
-	// Config.Threads at 0, so concurrent simulations share the machine
-	// instead of each claiming every core. 0 means GOMAXPROCS/Shards,
-	// floored at 1.
+	// ThreadsPerJob is the solver thread count this engine gives the jobs
+	// it solves that leave Config.Threads at 0, so concurrent simulations
+	// share the machine instead of each claiming every core. 0 means
+	// GOMAXPROCS/Shards, floored at 1.
 	ThreadsPerJob int
 	// Blobs, when non-nil, is the engine's durable storage: checkpoints
 	// land under "checkpoints/<fingerprint>" and completed results under
@@ -396,16 +416,6 @@ type Options struct {
 	// a volume — resumes in-flight work and serves finished work without
 	// recomputing. The store is the precondition for stateless workers.
 	Blobs blob.Store
-	// CheckpointDir, when non-empty and Blobs is nil, wraps the directory
-	// in a filesystem blob store — the backward-compatible spelling of
-	// Blobs. Checkpoints are removed on successful completion.
-	// Best-effort: a directory that cannot be created disables it
-	// silently, so callers that need durability guaranteed should verify
-	// writability first (as cmd/neutral-serve does).
-	CheckpointDir string
-	// CheckpointEvery writes a snapshot every n completed steps. 0 means
-	// every step.
-	CheckpointEvery int
 	// DefaultScene, when non-nil, is the scene applied by the HTTP layer
 	// to submissions that name neither a problem nor an inline scene —
 	// how cmd/neutral-serve's -scene flag sets a server-wide default
@@ -473,9 +483,6 @@ func (o Options) withDefaults() Options {
 	if o.ThreadsPerJob <= 0 {
 		o.ThreadsPerJob = max(1, runtime.GOMAXPROCS(0)/o.Shards)
 	}
-	if o.CheckpointEvery <= 0 {
-		o.CheckpointEvery = 1
-	}
 	return o
 }
 
@@ -486,7 +493,7 @@ type Engine struct {
 	opts   Options
 	ctx    context.Context
 	cancel context.CancelFunc
-	cache  *Cache
+	store  *store
 	shards []*Queue
 	wg     sync.WaitGroup
 
@@ -520,19 +527,11 @@ type Engine struct {
 // New builds an engine and starts its worker pool.
 func New(opts Options) *Engine {
 	opts = opts.withDefaults()
-	if opts.Blobs == nil && opts.CheckpointDir != "" {
-		// Checkpointing is best-effort: an unusable directory disables
-		// it rather than failing the engine.
-		if fs, err := blob.NewFS(opts.CheckpointDir); err == nil {
-			opts.Blobs = fs
-		}
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	e := &Engine{
 		opts:   opts,
 		ctx:    ctx,
 		cancel: cancel,
-		cache:  NewCache(opts.CacheEntries),
 		jobs:   make(map[string]*Job),
 	}
 	e.shards = make([]*Queue, opts.Shards)
@@ -543,6 +542,7 @@ func New(opts Options) *Engine {
 	if e.registry == nil {
 		e.registry = telemetry.NewRegistry()
 	}
+	e.store = newStore(opts.CacheEntries, opts.Blobs, e.registry)
 	e.metrics = newEngineMetrics(e, e.registry)
 	e.wg.Add(opts.Shards)
 	for i := range e.shards {
@@ -551,10 +551,9 @@ func New(opts Options) *Engine {
 	return e
 }
 
-// Submit validates the config, applies the engine thread budget, and
-// either serves it from the cache (returning an already-Done job without
-// touching a worker) or enqueues it. A full shard queue fails with
-// ErrQueueFull; a closed engine with ErrClosed.
+// Submit validates the config and either serves it from the store (returning
+// an already-Done job without touching a worker) or enqueues it. A full shard
+// queue fails with ErrQueueFull; a closed engine with ErrClosed.
 func (e *Engine) Submit(cfg core.Config) (*Job, error) {
 	return e.submit(cfg, nil, SubmitOptions{})
 }
@@ -585,15 +584,9 @@ func (e *Engine) SubmitWith(cfg core.Config, so SubmitOptions) (*Job, error) {
 // submit is Submit with queue routing factored out: a nil queue routes by
 // fingerprint shard; a non-nil queue pins the job (batch submissions).
 func (e *Engine) submit(cfg core.Config, pinned *Queue, so SubmitOptions) (*Job, error) {
-	if cfg.Threads == 0 {
-		cfg.Threads = e.opts.ThreadsPerJob
-	}
-	if err := cfg.Validate(); err != nil {
+	key, err := identify(&cfg)
+	if err != nil {
 		return nil, err
-	}
-	key, cacheable := cfg.Fingerprint()
-	if !cacheable {
-		key = ""
 	}
 
 	e.mu.Lock()
@@ -626,35 +619,15 @@ func (e *Engine) submit(cfg core.Config, pinned *Queue, so SubmitOptions) (*Job,
 	}
 	e.submitted.Add(1)
 
-	// Cache hit: the job is born terminal, no worker involved. Ensemble
-	// entries carry their merged statistics alongside the result.
-	if key != "" {
-		if res, ens, ok := e.cache.GetEntry(key); ok {
-			j.mu.Lock()
-			j.ensemble = ens
-			j.mu.Unlock()
-			j.finish(StateDone, res, nil, true)
-			e.completed.Add(1)
-			e.record(j)
-			return j, nil
-		}
-		// Persistent tier: a result another engine — or this process
-		// before a restart — stored in the blob store serves the job
-		// without a solve, exactly like a memory cache hit.
-		if res, ok := e.storedResult(key, cfg); ok {
-			e.cache.Put(key, res)
-			j.finish(StateDone, res, nil, true)
-			e.completed.Add(1)
-			e.metrics.blobResultHits.Inc()
-			e.record(j)
-			return j, nil
-		}
-	}
-
-	// Ensemble jobs are coordinated by a dedicated goroutine that fans
-	// the replicas out as child jobs across the shard queues; the parent
-	// itself never occupies a queue slot or a worker.
-	if cfg.Replicas > 1 {
+	if res, ens, ok := e.store.get(key, cfg); ok {
+		// Stored result: the job is born terminal, no worker involved.
+		// Ensemble entries carry their merged statistics alongside it.
+		j.ensemble = ens
+		e.finish(j, StateDone, res, nil, true)
+	} else if cfg.Replicas > 1 {
+		// Ensemble jobs are coordinated by a dedicated goroutine that fans
+		// the replicas out as child jobs across the shard queues; the
+		// parent itself never occupies a queue slot or a worker.
 		if cfg.Tally == tally.ModeNull {
 			// Mirrors stats.RunEnsemble: a null tally has no cells to
 			// fold, so the ensemble would complete with silently
@@ -665,15 +638,14 @@ func (e *Engine) submit(cfg core.Config, pinned *Queue, so SubmitOptions) (*Job,
 		e.record(j)
 		go e.runEnsemble(j)
 		return j, nil
-	}
-
-	q := pinned
-	if q == nil {
-		q = e.shardFor(key)
-	}
-	if err := q.Push(j); err != nil {
-		jcancel()
-		return nil, err
+	} else {
+		if pinned == nil {
+			pinned = e.shardFor(key)
+		}
+		if err := pinned.Push(j); err != nil {
+			jcancel()
+			return nil, err
+		}
 	}
 	e.record(j)
 	return j, nil
@@ -705,33 +677,39 @@ func (e *Engine) SubmitBatch(cfgs []core.Config) []BatchItem {
 // SubmitBatchAs is SubmitBatch on behalf of a named tenant, so every item
 // lands in the tenant's fair-share lane.
 func (e *Engine) SubmitBatchAs(tenant string, cfgs []core.Config) []BatchItem {
-	// Pin the whole batch to the home shard of its first cacheable
-	// config so duplicate batches still serialise behind each other.
-	var pinned *Queue
+	// Pin the whole batch to the home shard of its first valid config so
+	// duplicate batches still serialise behind each other.
+	key := ""
 	for _, cfg := range cfgs {
-		c := cfg
-		if c.Threads == 0 {
-			c.Threads = e.opts.ThreadsPerJob
+		if k, err := identify(&cfg); err == nil {
+			key = k
+			break
 		}
-		if c.Validate() != nil {
-			continue
-		}
-		key, cacheable := c.Fingerprint()
-		if !cacheable {
-			key = ""
-		}
-		pinned = e.shardFor(key)
-		break
 	}
-	if pinned == nil && len(e.shards) > 0 {
-		pinned = e.shards[e.rr.Add(1)%uint64(len(e.shards))]
-	}
+	pinned := e.shardFor(key)
 
 	items := make([]BatchItem, len(cfgs))
 	for i, cfg := range cfgs {
 		items[i].Job, items[i].Err = e.submit(cfg, pinned, SubmitOptions{Tenant: tenant})
 	}
 	return items
+}
+
+// identify validates cfg in place and returns the fingerprint it is stored
+// under, "" when a hook makes it uncacheable. Threads stays as requested: it
+// is no part of the identity, and 0 is resolved by the engine that solves the
+// job (see solve), which in a fleet is not the one that admitted it.
+func identify(cfg *core.Config) (string, error) {
+	threads := cfg.Threads
+	if err := cfg.Validate(); err != nil {
+		return "", err
+	}
+	cfg.Threads = threads
+	key, cacheable := cfg.Fingerprint()
+	if !cacheable {
+		key = ""
+	}
+	return key, nil
 }
 
 // record indexes the job for lookup and listing.
@@ -772,61 +750,46 @@ func (e *Engine) worker(q *Queue) {
 	}
 }
 
-// execute runs one job to a terminal state.
-func (e *Engine) execute(j *Job, reuse **core.Simulation) {
+// start moves a queued job to running; false if it was canceled meanwhile.
+func (j *Job) start() bool {
 	j.mu.Lock()
-	if j.state != StateQueued { // canceled while queued
-		j.mu.Unlock()
-		return
+	defer j.mu.Unlock()
+	if j.state != StateQueued {
+		return false
 	}
 	j.state = StateRunning
 	j.started = time.Now()
-	j.mu.Unlock()
+	return true
+}
 
+// execute runs one job to a terminal state.
+func (e *Engine) execute(j *Job, reuse **core.Simulation) {
+	if !j.start() {
+		return
+	}
 	e.running.Add(1)
 	defer e.running.Add(-1)
 
 	// An identical job may have completed while this one queued; shard
 	// affinity makes this re-check catch every same-key dupe.
-	if j.key != "" {
-		if res, ok := e.cache.Get(j.key); ok {
-			if j.finish(StateDone, res, nil, true) {
-				e.completed.Add(1)
-			}
-			return
-		}
+	if res, ok := e.store.recent(j.key); ok {
+		e.finish(j, StateDone, res, nil, true)
+		return
 	}
 
 	e.runs.Add(1)
-	var res *core.Result
-	var err error
-	remote := false
-	if e.runFn != nil {
-		res, err = e.runFn(j.ctx, j.cfg, j.setProgress)
-	} else {
-		if res, err, remote = e.tryRemote(j); !remote {
-			res, err = e.solve(j, reuse)
-		}
+	res, err, remote := e.tryRemote(j)
+	if !remote {
+		res, err = e.solve(j, reuse)
 	}
 	switch {
 	case err == nil:
-		if j.key != "" {
-			e.cache.Put(j.key, res)
-			e.persistResult(j, res)
-		}
-		if j.finish(StateDone, res, nil, false) {
-			e.completed.Add(1)
-			e.observeRunDuration(time.Since(j.started))
-			e.metrics.observeRun(res, time.Since(j.started))
-		}
+		e.store.put(j.key, j.cfg, res, nil)
+		e.finish(j, StateDone, res, nil, false)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		if j.finish(StateCanceled, nil, err, false) {
-			e.canceled.Add(1)
-		}
+		e.finish(j, StateCanceled, nil, err, false)
 	default:
-		if j.finish(StateFailed, nil, err, false) {
-			e.failed.Add(1)
-		}
+		e.finish(j, StateFailed, nil, err, false)
 	}
 }
 
@@ -851,42 +814,45 @@ func (e *Engine) tryRemote(j *Job) (*core.Result, error, bool) {
 // solve drives one job through the core Simulation lifecycle: resume from a
 // submission-seeded snapshot or a stored checkpoint when one exists,
 // otherwise Reset the worker's retained engine or build a fresh one; stream
-// per-step results onto the job; checkpoint at step boundaries; drop the
-// checkpoint on success.
+// per-step results onto the job; checkpoint at every step boundary (a
+// constant cadence until a measured cost budget replaces it); drop the
+// checkpoint on success. The one place execution strategy is resolved: a
+// request that names no thread count gets this engine's budget.
 func (e *Engine) solve(j *Job, reuse **core.Simulation) (*core.Result, error) {
-	ckpt := e.checkpointKey(j.key)
+	if e.runFn != nil {
+		return e.runFn(j.ctx, j.cfg, j.setProgress)
+	}
+	cfg := j.cfg
+	if cfg.Threads == 0 {
+		cfg.Threads = e.opts.ThreadsPerJob
+	}
 	var sim *core.Simulation
+	var err error
 	if seed := j.takeSeedSnap(); seed != nil {
 		// A seeded snapshot outranks any stored checkpoint: the
 		// coordinator hands the freshest resume point it pulled, while the
 		// store holds whatever an earlier attempt left behind.
-		if restored, rerr := core.RestoreSimulation(j.cfg, seed); rerr == nil {
-			sim = restored
-			j.setResumedFrom(restored.StepIndex())
-		} else {
-			j.addWarning(fmt.Sprintf("checkpoint: seeded snapshot rejected, running fresh: %v", rerr))
-		}
-	}
-	if sim == nil && ckpt != "" {
-		if data, err := e.opts.Blobs.Get(ckpt); err == nil {
-			if restored, rerr := core.RestoreSimulation(j.cfg, data); rerr == nil {
-				sim = restored
-				j.setResumedFrom(restored.StepIndex())
-			} else {
-				// Corrupt or mismatched checkpoint: discard it and
-				// run fresh rather than failing the job.
-				e.opts.Blobs.Delete(ckpt)
-			}
+		if sim, err = core.RestoreSimulation(cfg, seed); err != nil {
+			j.addWarning(fmt.Sprintf("checkpoint: seeded snapshot rejected, running fresh: %v", err))
 		}
 	}
 	if sim == nil {
-		if *reuse != nil && (*reuse).Reset(j.cfg) == nil {
-			sim = *reuse
-		} else {
-			var err error
-			if sim, err = core.NewSimulation(j.cfg); err != nil {
-				return nil, err
+		if data, ok := e.store.loadCheckpoint(j.key); ok {
+			// Corrupt or mismatched checkpoint: discard it and run fresh
+			// rather than failing the job.
+			if sim, err = core.RestoreSimulation(cfg, data); err != nil {
+				e.store.dropCheckpoint(j.key)
 			}
+		}
+	}
+	switch {
+	case sim != nil:
+		j.setResumedFrom(sim.StepIndex())
+	case *reuse != nil && (*reuse).Reset(cfg) == nil:
+		sim = *reuse
+	default:
+		if sim, err = core.NewSimulation(cfg); err != nil {
+			return nil, err
 		}
 	}
 	*reuse = sim
@@ -897,36 +863,27 @@ func (e *Engine) solve(j *Job, reuse **core.Simulation) (*core.Result, error) {
 	sim.SetTrace(j.addTiming)
 	defer sim.SetTrace(nil)
 
+	checkpointed := e.store.durable(j.key)
 	res, err := sim.Drive(j.ctx, j.setProgress, func(s *core.Simulation) {
 		j.addStep(stepViewOf(s))
-		if s.StepIndex()%e.opts.CheckpointEvery != 0 {
+		if !j.retainSnap && !checkpointed {
 			return
 		}
-		var data []byte // one Snapshot() serves both sinks
+		data := s.Snapshot() // one Snapshot() serves both sinks
 		if j.retainSnap {
-			data = s.Snapshot()
 			j.setSnapshot(data, s.StepIndex())
 		}
-		if ckpt != "" {
-			if data == nil {
-				data = s.Snapshot()
-			}
-			// Store puts are atomic and collision-safe, so even a
-			// batch-pinned duplicate of a routed job cannot publish a
-			// torn checkpoint. Best-effort — but never silent: a failed
-			// write surfaces as a job warning and a counter, because an
-			// operator who configured checkpointing is owed the news
-			// that durability is gone.
-			if werr := e.opts.Blobs.Put(ckpt, data); werr == nil {
-				e.metrics.checkpointWrites.Inc()
-			} else {
-				e.metrics.checkpointWriteFailures.Inc()
+		if checkpointed {
+			// Best-effort — but never silent: a failed write surfaces as a
+			// job warning and a counter, because an operator who configured
+			// checkpointing is owed the news that durability is gone.
+			if werr := e.store.saveCheckpoint(j.key, data); werr != nil {
 				j.addWarning(fmt.Sprintf("checkpoint: write failed: %v", werr))
 			}
 		}
 	})
-	if err == nil && ckpt != "" {
-		e.opts.Blobs.Delete(ckpt)
+	if err == nil {
+		e.store.dropCheckpoint(j.key)
 	}
 	return res, err
 }
@@ -942,63 +899,6 @@ func stepViewOf(s *core.Simulation) StepView {
 		Alive:       alive,
 		Census:      census,
 		Dead:        dead,
-	}
-}
-
-// checkpointKey maps a cacheable fingerprint to its blob-store checkpoint
-// key; "" (never checkpointed) without a store or a canonical fingerprint.
-func (e *Engine) checkpointKey(key string) string {
-	if e.opts.Blobs == nil || key == "" {
-		return ""
-	}
-	return "checkpoints/" + key
-}
-
-// resultKey maps a cacheable fingerprint to its blob-store persisted-result
-// key; "" without a store or a canonical fingerprint.
-func (e *Engine) resultKey(key string) string {
-	if e.opts.Blobs == nil || key == "" {
-		return ""
-	}
-	return "results/" + key
-}
-
-// storedResult consults the blob store's persistent result tier on a memory
-// cache miss. Only plain single runs participate: the wire view carries no
-// particle banks (KeepBank) and no per-replica histories, and an ensemble
-// parent's merged statistics live with the in-memory cache entry.
-func (e *Engine) storedResult(key string, cfg core.Config) (*core.Result, bool) {
-	rk := e.resultKey(key)
-	if rk == "" || cfg.Replicas > 1 || cfg.KeepBank {
-		return nil, false
-	}
-	data, err := e.opts.Blobs.Get(rk)
-	if err != nil {
-		return nil, false
-	}
-	var rv ResultView
-	if json.Unmarshal(data, &rv) != nil {
-		// Corrupt entry: drop it so the next miss re-persists cleanly.
-		e.opts.Blobs.Delete(rk)
-		return nil, false
-	}
-	return rv.Result(cfg), true
-}
-
-// persistResult writes a completed result into the store's persistent tier
-// (best-effort, same eligibility as storedResult) so a restarted process —
-// or a stateless replica sharing the store — serves it without a solve.
-func (e *Engine) persistResult(j *Job, res *core.Result) {
-	rk := e.resultKey(j.key)
-	if rk == "" || j.cfg.Replicas > 1 || j.cfg.KeepBank {
-		return
-	}
-	data, err := e.cache.resultJSON(j.key, res, false)
-	if err != nil {
-		return
-	}
-	if e.opts.Blobs.Put(rk, data) == nil {
-		e.metrics.blobResultWrites.Inc()
 	}
 }
 
@@ -1034,10 +934,9 @@ func (e *Engine) Cancel(id string) error {
 	// returns — never both.
 	j.mu.Lock()
 	wonQueued := j.state == StateQueued &&
-		j.finishLocked(StateCanceled, nil, context.Canceled, false)
+		e.finishLocked(j, StateCanceled, nil, context.Canceled, false)
 	j.mu.Unlock()
 	if wonQueued {
-		e.canceled.Add(1)
 		for _, q := range e.shards {
 			if q.Remove(id) {
 				break
@@ -1077,7 +976,7 @@ func (e *Engine) Stats() Stats {
 		Failed:        e.failed.Load(),
 		Canceled:      e.canceled.Load(),
 		Runs:          e.runs.Load(),
-		Cache:         e.cache.Stats(),
+		Cache:         e.store.lru.Stats(),
 	}
 	for _, q := range e.shards {
 		s.Queued += q.Len()
@@ -1088,7 +987,7 @@ func (e *Engine) Stats() Stats {
 }
 
 // Cache exposes the result cache (read-mostly; shared with the API layer).
-func (e *Engine) Cache() *Cache { return e.cache }
+func (e *Engine) Cache() *Cache { return e.store.lru }
 
 // DefaultScene reports the engine's default scene for problem-less
 // submissions; nil when none was configured.
@@ -1102,24 +1001,15 @@ func (e *Engine) DefaultScene() *scene.Scene { return e.opts.DefaultScene }
 // snapshots written. A no-op without a store; jobs that retain no snapshot
 // rely on their regular per-step checkpoints, which Close leaves in place.
 func (e *Engine) CheckpointInFlight() int {
-	if e.opts.Blobs == nil {
-		return 0
-	}
 	n := 0
 	for _, j := range e.Jobs() {
 		j.mu.Lock()
 		terminal := j.state.Terminal()
 		snap := j.snap
-		key := j.key
 		j.mu.Unlock()
-		if terminal || snap == nil || key == "" {
-			continue
-		}
-		if e.opts.Blobs.Put(e.checkpointKey(key), snap) == nil {
-			e.metrics.checkpointWrites.Inc()
+		if !terminal && snap != nil && e.store.durable(j.key) &&
+			e.store.saveCheckpoint(j.key, snap) == nil {
 			n++
-		} else {
-			e.metrics.checkpointWriteFailures.Inc()
 		}
 	}
 	return n
@@ -1147,11 +1037,6 @@ func (e *Engine) Close() {
 	// Workers drained the queues; anything popped after the cancel came
 	// back canceled. Sweep stragglers that were queued but skipped.
 	for _, j := range e.Jobs() {
-		j.mu.Lock()
-		terminal := j.state.Terminal()
-		j.mu.Unlock()
-		if !terminal && j.finish(StateCanceled, nil, ErrClosed, false) {
-			e.canceled.Add(1)
-		}
+		e.finish(j, StateCanceled, nil, ErrClosed, false)
 	}
 }
