@@ -138,7 +138,11 @@ type Config struct {
 	// CustomDensity, when non-nil, adjusts the density mesh after the
 	// scene is painted — an escape hatch for density fields (gradients,
 	// phantoms) the axis-aligned region language cannot express. Prefer
-	// Scene: a hooked config cannot be fingerprinted or cached.
+	// Scene: a hooked config cannot be fingerprinted or cached. A mesh
+	// holds at most mesh.MaxDensities (256) distinct densities, so a
+	// gradient is painted in that many bands or fewer; one value more, or
+	// a NaN or negative one, fails the build with mesh.ErrTooManyDensities
+	// or mesh.ErrBadDensity.
 	CustomDensity func(m *mesh.Mesh)
 	// CustomSource, when non-nil, replaces the scene's source list with a
 	// single unit-weight box — the pre-scene override the service's

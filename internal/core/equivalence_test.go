@@ -402,6 +402,13 @@ func TestStreakEquivalenceMatrix(t *testing.T) {
 	}
 }
 
+// numberDensity is the kernels' density gather by its definition — the
+// conversion applied to the cell's own density — so a test that feeds it to
+// the reference side also checks the per-material table against the field.
+func (r *run) numberDensity(cx, cy int32) float64 {
+	return xs.NumberDensity(r.mesh.Density(int(cx), int(cy)))
+}
+
 // TestStreakContract is the streak's entry/exit contract, checked on every
 // in-flight particle of a csp run after its first step: from the same state,
 // the streak and event-by-event advance/ApplyFacet reach the same record
@@ -439,7 +446,7 @@ func TestStreakContract(t *testing.T) {
 			sigma := (start.CachedSigmaA + start.CachedSigmaS) * xs.BarnsToSquareMetres
 			speed := events.Speed(start.Energy)
 			invSpeed, invUX, invUY := 1/speed, 1/start.UX, 1/start.UY
-			nd0 := r.ndCache[r.mesh.StorageIndex(int(start.CellX), int(start.CellY))]
+			nd0 := r.numberDensity(start.CellX, start.CellY)
 
 			fast := start
 			fastWS := &workerState{}
@@ -455,7 +462,7 @@ func TestStreakContract(t *testing.T) {
 				if ev != events.Facet || events.ApplyFacet(r.mesh, &slow, axis, dir) != events.FacetCrossed {
 					t.Fatalf("%s particle %d: event-by-event crossing %d of %d is not an interior crossing", name, i, k, n)
 				}
-				ndSlow = r.ndCache[r.mesh.StorageIndex(int(slow.CellX), int(slow.CellY))]
+				ndSlow = r.numberDensity(slow.CellX, slow.CellY)
 			}
 			if fast != slow || ndFast != ndSlow {
 				t.Fatalf("%s particle %d after %d crossings:\n streak         %+v nd=%v\n event-by-event %+v nd=%v", name, i, n, fast, ndFast, slow, ndSlow)

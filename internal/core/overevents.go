@@ -291,12 +291,12 @@ func (r *run) eventKernel(w, lo, hi, censusBase int, fill bool) {
 		p := r.bank.View(i, &scratch)
 		fr := &sc.frame[i]
 		// No register caching of the transport state across events: the
-		// density is re-read from memory for every round, on the memoised
-		// number-density field (same cell, same storage order as the raw
-		// densities). sigmaT is the bit-identical expansion of
+		// density is re-read from memory for every round, through the
+		// cell's material into the memoised number densities (run.nd).
+		// sigmaT is the bit-identical expansion of
 		// xs.Macroscopic over that factor: ((sigma*B)*nd), the order the
 		// function evaluates.
-		nd := r.ndCache[m.StorageIndex(int(p.CellX), int(p.CellY))]
+		nd := r.nd[m.Material(int(p.CellX), int(p.CellY))]
 		sigmaA := p.CachedSigmaA
 		sigmaT := (sigmaA + p.CachedSigmaS) * xs.BarnsToSquareMetres * nd
 

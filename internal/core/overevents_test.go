@@ -92,7 +92,7 @@ func TestOEKernelContract(t *testing.T) {
 						r.lookupXS(refWS, &want)
 					}
 					fr := frameOf(r, i)
-					nd := r.ndCache[r.mesh.StorageIndex(int(want.CellX), int(want.CellY))]
+					nd := r.numberDensity(want.CellX, want.CellY)
 					sigmaT := (want.CachedSigmaA + want.CachedSigmaS) * xs.BarnsToSquareMetres * nd
 					ev, axis, dir := advance(r.mesh, &want, sigmaT, fr.speed, fr.invSpeed, fr.invUX, fr.invUY)
 					if ev == events.Census {

@@ -62,8 +62,8 @@ func (r *run) history(ws *workerState, p *particle.Particle) {
 	s := p.Stream(r.cfg.Seed)
 
 	// Register-cached state for the whole history. The density read lands
-	// on the memoised number-density field (see run.ndCache).
-	nd := r.ndCache[m.StorageIndex(int(p.CellX), int(p.CellY))]
+	// on the memoised per-material number density (see run.nd).
+	nd := r.nd[m.Material(int(p.CellX), int(p.CellY))]
 	ws.c.DensityReads++
 	if p.CachedSigmaA < 0 {
 		r.lookupXS(ws, p)
@@ -115,7 +115,7 @@ func (r *run) history(ws *workerState, p *particle.Particle) {
 			}
 			switch out {
 			case events.FacetCrossed:
-				nd = r.ndCache[m.StorageIndex(int(p.CellX), int(p.CellY))]
+				nd = r.nd[m.Material(int(p.CellX), int(p.CellY))]
 				ws.c.DensityReads++
 				nd = r.streak(ws, p, nd, sigma, invSpeed, invUX, invUY)
 			case events.FacetReflected:
@@ -210,7 +210,7 @@ func (r *run) streak(ws *workerState, p *particle.Particle, nd, sigma, invSpeed,
 			mfp -= dm
 		}
 		cx, cy = nx, ny
-		nd = r.ndCache[m.StorageIndex(cx, cy)]
+		nd = r.nd[m.Material(cx, cy)]
 		crossed++
 	}
 

@@ -148,15 +148,15 @@ type run struct {
 	sortKeys []uint64
 	sortPerm []int32
 
-	// ndCache memoises xs.NumberDensity over the mesh cells, in storage
-	// order. The number density is the only use the transport kernels
-	// have for a cell's mass density, and the conversion carries an FP
-	// divide; converting once per cell at build time instead of once per
-	// segment deletes that divide from the hot loops while leaving every
-	// sigmaT bit-identical — the kernels multiply the memoised factor in
-	// the exact order xs.Macroscopic evaluates. Densities are painted
-	// only at (re)build time, so the cache needs no invalidation.
-	ndCache []float64
+	// nd memoises xs.NumberDensity per material, over mesh.Palette(): a
+	// kernel's density gather is nd[mesh.Material(cx, cy)], one byte from
+	// the mesh into a table that lives in L1. The number density is the
+	// only use the kernels have for a mass density, and the conversion
+	// carries an FP divide; doing it once per material at build time
+	// leaves every sigmaT bit-identical — the kernels multiply the factor
+	// in the exact order xs.Macroscopic evaluates. Densities are painted
+	// only at (re)build time, so the table needs no invalidation.
+	nd [mesh.MaxDensities]float64
 
 	// probe, when non-nil, observes the timed kernel regions (see
 	// RegionProbe). Nil-guarded at every site: a disabled probe costs one
@@ -195,12 +195,9 @@ func newRun(cfg Config, populate bool) (*run, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	m, err := cfg.Scene.Build(cfg.NX, cfg.NY)
+	m, err := buildMesh(cfg)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.CustomDensity != nil {
-		cfg.CustomDensity(m)
 	}
 	// Storage ordering is applied after the scene paint and density hook:
 	// both speak logical coordinates, so they never need to know where a
@@ -219,13 +216,13 @@ func newRun(cfg Config, populate bool) (*run, error) {
 		bank: particle.NewBank(cfg.Layout, cfg.Particles),
 	}
 	r.canLeak = m.HasVacuum()
-	r.buildNDCache()
+	r.buildND()
 	r.buildWorkers()
 	if cfg.Scheme == OverEvents {
 		r.ensureOE()
 	}
 	if cfg.WeightWindow.Enabled {
-		r.wwRhoMax = r.maxDensity()
+		r.wwRhoMax = m.MaxDensity()
 	}
 	if populate {
 		r.setBirth(particle.PopulateSources(
@@ -288,24 +285,28 @@ func (r *run) idBase() uint64 {
 	return uint64(r.cfg.Replica) * uint64(r.cfg.Particles)
 }
 
-// buildNDCache fills ndCache (see the field comment) from the mesh the run
-// was just (re)built around. Both arrays are in storage order, so the fill is
-// one flat pass whatever the ordering. A scene is a few uniform regions, so
-// the conversion — an FP divide — is redone only where the density differs
-// from the previous cell's: the same function of the same input, the same
-// bits, and setup at 1536² loses two million divides.
-func (r *run) buildNDCache() {
-	m := r.mesh
-	if cap(r.ndCache) < m.NumCells() {
-		r.ndCache = make([]float64, m.NumCells())
+// buildMesh paints the config's scene and runs the density hook over it. A
+// paint the mesh refused (mesh.ErrBadDensity, mesh.ErrTooManyDensities)
+// surfaces here: the painting methods a hook calls return nothing.
+func buildMesh(cfg Config) (*mesh.Mesh, error) {
+	m, err := cfg.Scene.Build(cfg.NX, cfg.NY)
+	if err != nil {
+		return nil, err
 	}
-	r.ndCache = r.ndCache[:m.NumCells()]
-	rho, nd := math.NaN(), 0.0
-	for i := range r.ndCache {
-		if d := m.DensityAt(i); d != rho {
-			rho, nd = d, xs.NumberDensity(d)
-		}
-		r.ndCache[i] = nd
+	if cfg.CustomDensity != nil {
+		cfg.CustomDensity(m)
+	}
+	if err := m.Err(); err != nil {
+		return nil, fmt.Errorf("core: density field: %w", err)
+	}
+	return m, nil
+}
+
+// buildND fills nd (see the field comment) from the mesh the run was just
+// (re)built around.
+func (r *run) buildND() {
+	for k, rho := range r.mesh.Palette() {
+		r.nd[k] = xs.NumberDensity(rho)
 	}
 }
 
@@ -642,12 +643,9 @@ func (s *Simulation) Reset(cfg Config) error {
 	// scene file reuses the painted mesh.
 	if cfg.Scene.Hash() != old.Scene.Hash() || cfg.NX != old.NX || cfg.NY != old.NY ||
 		cfg.CustomDensity != nil || old.CustomDensity != nil {
-		m, err := cfg.Scene.Build(cfg.NX, cfg.NY)
+		m, err := buildMesh(cfg)
 		if err != nil {
 			return err
-		}
-		if cfg.CustomDensity != nil {
-			cfg.CustomDensity(m)
 		}
 		r.mesh = m
 		r.ctx.Mesh = m
@@ -678,7 +676,7 @@ func (s *Simulation) Reset(cfg Config) error {
 	r.cfg = cfg
 	r.snapScene = nil
 	r.canLeak = r.mesh.HasVacuum()
-	r.buildNDCache()
+	r.buildND()
 	r.buildWorkers() // fresh counters, as newRun would
 	if cfg.Scheme == OverEvents {
 		r.ensureOE() // reuses prior scratch when it still fits
@@ -686,7 +684,7 @@ func (s *Simulation) Reset(cfg Config) error {
 
 	r.wwRhoMax = 0
 	if cfg.WeightWindow.Enabled {
-		r.wwRhoMax = r.maxDensity()
+		r.wwRhoMax = r.mesh.MaxDensity()
 	}
 	r.base = Counters{}
 	r.stop.Store(false)

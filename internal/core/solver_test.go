@@ -249,6 +249,69 @@ func TestTallyOverflowFailsRun(t *testing.T) {
 	}
 }
 
+// TestRefusedDensityFailsBuild: a CustomDensity hook is arbitrary code
+// painting through methods that return nothing, so a density the mesh cannot
+// hold — NaN, negative, or one distinct value more than mesh.MaxDensities —
+// must come back as the typed error from every door that builds a mesh
+// (NewSimulation, Reset, RestoreSimulation) instead of a panic or a NaN
+// cross-section that silently never collides. A refused Reset leaves the
+// simulation on its previous configuration.
+func TestRefusedDensityFailsBuild(t *testing.T) {
+	good := goldenConfig(mesh.CSP)
+	good.CustomDensity = func(m *mesh.Mesh) { m.SetRegion(0, 0, 8, 8, 2.5) }
+	sim, err := NewSimulation(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.Step(); err != nil {
+		t.Fatal(err)
+	}
+	snap := sim.Snapshot()
+
+	hooks := []struct {
+		name string
+		hook func(*mesh.Mesh)
+		want error
+	}{
+		{"NaN", func(m *mesh.Mesh) { m.SetDensity(3, 3, math.NaN()) }, mesh.ErrBadDensity},
+		{"negative", func(m *mesh.Mesh) { m.PaintRegion(0, 0, 1, 1, -2) }, mesh.ErrBadDensity},
+		{"257th", func(m *mesh.Mesh) {
+			// csp paints two densities already: 255 more is one too many.
+			for k := 0; k < mesh.MaxDensities-1; k++ {
+				m.SetRegion(k%64, k/64, k%64+1, k/64+1, float64(k+1))
+			}
+		}, mesh.ErrTooManyDensities},
+	}
+	for _, h := range hooks {
+		bad := good
+		bad.CustomDensity = h.hook
+		if _, err := NewSimulation(bad); !errors.Is(err, h.want) {
+			t.Errorf("%s: NewSimulation = %v, want %v", h.name, err, h.want)
+		}
+		if _, err := RestoreSimulation(bad, snap); !errors.Is(err, h.want) {
+			t.Errorf("%s: RestoreSimulation = %v, want %v", h.name, err, h.want)
+		}
+		if err := sim.Reset(bad); !errors.Is(err, h.want) {
+			t.Errorf("%s: Reset = %v, want %v", h.name, err, h.want)
+		}
+	}
+
+	// The refused Resets changed nothing: the simulation finishes the run it
+	// was on, bit for bit.
+	got, err := sim.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Run(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.TallyTotal != want.TallyTotal || got.Counter != want.Counter {
+		t.Errorf("after refused Resets: tally %.17g counters %+v, want %.17g %+v",
+			got.TallyTotal, got.Counter, want.TallyTotal, want.Counter)
+	}
+}
+
 func TestMultiStepConservation(t *testing.T) {
 	cfg := smallConfig(mesh.CSP)
 	cfg.Steps = 3

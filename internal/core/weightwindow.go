@@ -72,19 +72,6 @@ func (w WeightWindow) validate() error {
 	return nil
 }
 
-// maxDensity scans the mesh for its peak density — the normalisation of the
-// per-cell window target. Computed once per (re)build, never in the step
-// loop.
-func (r *run) maxDensity() float64 {
-	max := 0.0
-	for i := 0; i < r.mesh.NumCells(); i++ {
-		if d := r.mesh.DensityAt(i); d > max {
-			max = d
-		}
-	}
-	return max
-}
-
 // wwTarget is the window target weight for a cell: Target scaled by the
 // cell's share of the peak density, floored at MinTargetFraction.
 func (r *run) wwTarget(cx, cy int32) float64 {

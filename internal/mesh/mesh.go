@@ -3,6 +3,9 @@
 // densities with per-edge boundary conditions (reflective by default, as in
 // the paper; optionally vacuum, through which particles leak out).
 //
+// A cell is a material: one byte, an index into the palette of the distinct
+// densities painted so far, so a mesh holds at most MaxDensities of them.
+//
 // The paper (§IV-C) deliberately chooses a simple structured geometry so the
 // study exposes issues independent of geometric complexity: facet
 // intersection checking reduces to a Cartesian ray–grid intersection, and
@@ -13,6 +16,7 @@ package mesh
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // BC is a boundary condition on one edge of the domain.
@@ -87,6 +91,16 @@ func EdgeOf(axis, dir int) Edge {
 	return Edge(axis<<1 | ((dir + 1) >> 1))
 }
 
+// MaxDensities is the number of distinct densities one mesh can hold.
+const MaxDensities = 256
+
+// The causes of a refused paint (see Mesh.Err): one distinct density more
+// than MaxDensities, and a NaN, infinite or negative one.
+var (
+	ErrTooManyDensities = fmt.Errorf("mesh: more than %d distinct densities", MaxDensities)
+	ErrBadDensity       = errors.New("mesh: density must be finite and non-negative")
+)
+
 // Mesh is a uniform 2D structured grid over [0, Width) x [0, Height) with
 // NX x NY cells, a cell-centred mass density field in kg/m^3, and a boundary
 // condition per domain edge.
@@ -94,8 +108,13 @@ type Mesh struct {
 	NX, NY        int
 	Width, Height float64 // physical extent in metres
 	DX, DY        float64 // cell pitch in metres
-	density       []float64
-	bc            [NumEdges]BC // all Reflective unless SetEdgeBC says otherwise
+	// The density field: cell i (storage order) is material mat[i], of
+	// density rho[mat[i]]. Scenes have a handful of materials, so a kernel's
+	// per-cell gather is one byte and every per-material table stays in L1.
+	mat []uint8
+	rho []float64
+	err error        // first refused paint, sticky (see Err)
+	bc  [NumEdges]BC // all Reflective unless SetEdgeBC says otherwise
 
 	// Storage-order state (see Ordering): row-major unless SetOrdering says
 	// otherwise. mortonX/mortonY are the per-axis spread tables of the
@@ -115,23 +134,51 @@ func New(nx, ny int, width, height, density float64) (*Mesh, error) {
 	if width <= 0 || height <= 0 {
 		return nil, errors.New("mesh: physical extent must be positive")
 	}
-	if density < 0 {
-		return nil, errors.New("mesh: density must be non-negative")
-	}
 	m := &Mesh{
-		NX:      nx,
-		NY:      ny,
-		Width:   width,
-		Height:  height,
-		DX:      width / float64(nx),
-		DY:      height / float64(ny),
-		density: make([]float64, nx*ny),
+		NX:     nx,
+		NY:     ny,
+		Width:  width,
+		Height: height,
+		DX:     width / float64(nx),
+		DY:     height / float64(ny),
+		mat:    make([]uint8, nx*ny), // every cell is material 0: density
 	}
-	for i := range m.density {
-		m.density[i] = density
+	if _, ok := m.intern(density); !ok {
+		return nil, m.err
 	}
 	return m, nil
 }
+
+// intern returns the palette index of density d, adding it when new. It is
+// the one door a density enters the mesh through, so it validates there; a
+// refused paint is dropped and the first refusal latches Err. Values match by
+// bit pattern (-0 is not 0): a cell reads back exactly what was painted.
+func (m *Mesh) intern(d float64) (uint8, bool) {
+	for k, v := range m.rho {
+		if math.Float64bits(v) == math.Float64bits(d) {
+			return uint8(k), true
+		}
+	}
+	var err error
+	if !(d >= 0) || math.IsInf(d, 1) {
+		err = ErrBadDensity
+	} else if len(m.rho) == MaxDensities {
+		err = ErrTooManyDensities
+	}
+	if err == nil {
+		m.rho = append(m.rho, d)
+		return uint8(len(m.rho) - 1), true
+	}
+	if m.err == nil {
+		m.err = fmt.Errorf("%w (painting %v)", err, d)
+	}
+	return 0, false
+}
+
+// Err reports the first paint the mesh refused, wrapping ErrBadDensity or
+// ErrTooManyDensities, or nil. The painting methods return nothing, so
+// whoever hands the mesh to a density hook checks here afterwards.
+func (m *Mesh) Err() error { return m.err }
 
 // NumCells reports the total cell count.
 func (m *Mesh) NumCells() int { return m.NX * m.NY }
@@ -180,20 +227,40 @@ func (m *Mesh) CellOf(x, y float64) (cx, cy int) {
 
 // Density returns the mass density of cell (cx, cy) in kg/m^3. This is the
 // random-access read the paper identifies as a primary latency bottleneck.
-func (m *Mesh) Density(cx, cy int) float64 {
-	if m.ord == RowMajor {
-		return m.density[cy*m.NX+cx]
-	}
-	return m.density[m.mortonIndex(cx, cy)]
-}
+func (m *Mesh) Density(cx, cy int) float64 { return m.rho[m.Material(cx, cy)] }
 
-// DensityAt returns the density at flat *storage* index i; whole-field scans
-// that do not care where a value came from (peak-density searches) use it.
-func (m *Mesh) DensityAt(i int) float64 { return m.density[i] }
+// DensityAt returns the density at flat *storage* index i.
+func (m *Mesh) DensityAt(i int) float64 { return m.rho[m.mat[i]] }
+
+// Material returns the palette index of cell (cx, cy): the transport
+// kernels' per-crossing gather, into tables they build over Palette.
+func (m *Mesh) Material(cx, cy int) uint8 { return m.mat[m.StorageIndex(cx, cy)] }
+
+// Palette returns the distinct densities painted so far, indexed by
+// Material, read-only. An entry may since have been painted over everywhere.
+func (m *Mesh) Palette() []float64 { return m.rho }
+
+// MaxDensity returns the peak density over the cells: the largest palette
+// entry some cell still refers to.
+func (m *Mesh) MaxDensity() float64 {
+	var used [MaxDensities]bool
+	for _, k := range m.mat {
+		used[k] = true
+	}
+	max := 0.0
+	for k, d := range m.rho {
+		if used[k] && d > max {
+			max = d
+		}
+	}
+	return max
+}
 
 // SetDensity overwrites the density of cell (cx, cy).
 func (m *Mesh) SetDensity(cx, cy int, rho float64) {
-	m.density[m.StorageIndex(cx, cy)] = rho
+	if k, ok := m.intern(rho); ok {
+		m.mat[m.StorageIndex(cx, cy)] = k
+	}
 }
 
 // SetRegion fills the axis-aligned box of cells [cx0,cx1) x [cy0,cy1) with
@@ -211,18 +278,22 @@ func (m *Mesh) SetRegion(cx0, cy0, cx1, cy1 int, rho float64) {
 	if cy1 > m.NY {
 		cy1 = m.NY
 	}
+	k, ok := m.intern(rho)
+	if !ok {
+		return
+	}
 	if m.ord == RowMajor {
 		for cy := cy0; cy < cy1; cy++ {
-			row := m.density[cy*m.NX : (cy+1)*m.NX]
+			row := m.mat[cy*m.NX : (cy+1)*m.NX]
 			for cx := cx0; cx < cx1; cx++ {
-				row[cx] = rho
+				row[cx] = k
 			}
 		}
 		return
 	}
 	for cy := cy0; cy < cy1; cy++ {
 		for cx := cx0; cx < cx1; cx++ {
-			m.density[m.mortonIndex(cx, cy)] = rho
+			m.mat[m.mortonIndex(cx, cy)] = k
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package mesh
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -17,6 +18,8 @@ func TestNewValidation(t *testing.T) {
 		{10, 10, 0, 1, 1},
 		{10, 10, 1, -1, 1},
 		{10, 10, 1, 1, -5},
+		{10, 10, 1, 1, math.NaN()},
+		{10, 10, 1, 1, math.Inf(1)},
 	}
 	for _, c := range cases {
 		if _, err := New(c.nx, c.ny, c.w, c.h, c.density); err == nil {
@@ -97,6 +100,51 @@ func TestSetRegionAndDensity(t *testing.T) {
 	m.SetRegion(-5, -5, 100, 2, 7)
 	if m.Density(0, 0) != 7 || m.Density(8, 1) != 7 || m.Density(0, 2) == 7 {
 		t.Error("SetRegion clamping wrong")
+	}
+}
+
+// TestRefusedDensities: a density the mesh cannot hold — NaN, negative,
+// infinite, or the 257th distinct value — is refused by every painting
+// method: the cells keep what they had, the first refusal latches Err with
+// its typed cause, and the mesh goes on accepting values it can hold.
+func TestRefusedDensities(t *testing.T) {
+	paints := map[string]func(m *Mesh, rho float64){
+		"SetDensity":  func(m *Mesh, rho float64) { m.SetDensity(1, 1, rho) },
+		"SetRegion":   func(m *Mesh, rho float64) { m.SetRegion(0, 0, 3, 3, rho) },
+		"PaintRegion": func(m *Mesh, rho float64) { m.PaintRegion(0, 0, 1, 1, rho) },
+	}
+	for name, paint := range paints {
+		for _, bad := range []float64{math.NaN(), -1, math.Inf(1), math.Inf(-1)} {
+			m, _ := New(4, 4, 1, 1, 2)
+			paint(m, bad)
+			if err := m.Err(); !errors.Is(err, ErrBadDensity) {
+				t.Errorf("%s(%v): Err = %v, want ErrBadDensity", name, bad, err)
+			}
+			paint(m, 5)
+			if m.Density(1, 1) != 5 || !errors.Is(m.Err(), ErrBadDensity) {
+				t.Errorf("%s after a refused %v: density %v, Err %v; want the paint applied and Err kept", name, bad, m.Density(1, 1), m.Err())
+			}
+		}
+
+		m, _ := New(4, 4, 1, 1, 0)
+		for k := 1; k < MaxDensities; k++ {
+			m.SetDensity(k%4, k/4%4, float64(k))
+		}
+		if err := m.Err(); err != nil || len(m.Palette()) != MaxDensities {
+			t.Fatalf("%d distinct densities: Err = %v, palette %d", MaxDensities, err, len(m.Palette()))
+		}
+		before := m.Density(1, 1)
+		paint(m, 1e6)
+		if err := m.Err(); !errors.Is(err, ErrTooManyDensities) {
+			t.Errorf("%s of density %d: Err = %v, want ErrTooManyDensities", name, MaxDensities+1, err)
+		}
+		if got := m.Density(1, 1); got != before {
+			t.Errorf("%s of a refused density changed cell (1,1): %v -> %v", name, before, got)
+		}
+		paint(m, 7) // already in the palette: a full mesh still repaints
+		if m.Density(1, 1) != 7 {
+			t.Errorf("%s of a held density on a full palette: got %v, want 7", name, m.Density(1, 1))
+		}
 	}
 }
 

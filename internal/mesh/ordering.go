@@ -7,7 +7,7 @@ import (
 )
 
 // Ordering selects the storage order of the mesh's cell-centred fields (the
-// density array here, and the tally mesh the solver allocates alongside it).
+// material index here, and the tally mesh the solver allocates alongside it).
 // The logical mesh is always the same NX x NY row-major grid — cell (cx, cy)
 // keeps its meaning, scene painting and every externally visible per-cell
 // view stay in row-major order — but the *storage* index a cell's value
@@ -15,11 +15,12 @@ import (
 //
 // The paper attributes the solver's profile to the particle→mesh dependency:
 // a streaming particle reads the density of its cell and writes the tally of
-// the cell it leaves, and under row-major storage a vertical neighbour is
-// NX*8 bytes away — a different cache line for any mesh wider than 8 cells.
-// A Z-order (Morton) curve stores the four neighbours of a 2x2 block in one
-// 32-byte span and keeps every 2^k x 2^k tile contiguous, so a particle
-// random-walking through a neighbourhood touches far fewer distinct lines.
+// the cell it leaves, and under row-major storage a vertical neighbour is a
+// whole row away — NX*8 bytes in the tally, a different cache line for any
+// mesh wider than 8 cells (64 for the one-byte cell field). A Z-order
+// (Morton) curve stores the four neighbours of a 2x2 block adjacently and
+// keeps every 2^k x 2^k tile contiguous, so a particle random-walking
+// through a neighbourhood touches far fewer distinct lines.
 type Ordering uint8
 
 const (
@@ -78,7 +79,7 @@ func mortonCode(x, y uint64) uint64 {
 }
 
 // setOrdering installs o as the mesh's storage order parameters without
-// touching the density array; SetOrdering wraps it with the permutation.
+// touching the cell field; SetOrdering wraps it with the permutation.
 func (m *Mesh) setOrdering(o Ordering) {
 	m.ord = o
 	m.mortonX = nil
@@ -147,16 +148,16 @@ func (m *Mesh) SetOrdering(o Ordering) {
 	if o == m.ord {
 		return
 	}
-	logical := make([]float64, len(m.density))
+	logical := make([]uint8, len(m.mat))
 	for cy := 0; cy < m.NY; cy++ {
 		for cx := 0; cx < m.NX; cx++ {
-			logical[cy*m.NX+cx] = m.Density(cx, cy)
+			logical[cy*m.NX+cx] = m.Material(cx, cy)
 		}
 	}
 	m.setOrdering(o)
 	for cy := 0; cy < m.NY; cy++ {
 		for cx := 0; cx < m.NX; cx++ {
-			m.density[m.StorageIndex(cx, cy)] = logical[cy*m.NX+cx]
+			m.mat[m.StorageIndex(cx, cy)] = logical[cy*m.NX+cx]
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package mesh
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -65,51 +66,101 @@ func TestMortonLocality(t *testing.T) {
 	}
 }
 
-// TestSetOrderingPreservesField checks that re-storing the density field
-// under another ordering never changes a logical cell's value, through a
-// full RowMajor -> Morton -> RowMajor round trip on an awkward shape.
+// TestSetOrderingPreservesField is the cell field's property test: random
+// SetDensity / SetRegion / PaintRegion sequences over at most MaxDensities
+// values, against a dense []float64 reference painted the obvious way. The
+// two must agree bit for bit (-0 is not 0) under row-major, closed-form
+// Morton (power-of-two shapes) and rank-table Morton, before and after each
+// leg of a RowMajor -> Morton -> RowMajor round trip, with painting through
+// the logical accessors continuing under every ordering.
 func TestSetOrderingPreservesField(t *testing.T) {
-	const nx, ny = 37, 22
-	m, err := New(nx, ny, 1, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(42))
-	want := make([]float64, nx*ny)
-	for cy := 0; cy < ny; cy++ {
-		for cx := 0; cx < nx; cx++ {
-			want[cy*nx+cx] = r.Float64()
-			m.SetDensity(cx, cy, want[cy*nx+cx])
-		}
-	}
-	check := func(stage string) {
-		t.Helper()
-		for cy := 0; cy < ny; cy++ {
-			for cx := 0; cx < nx; cx++ {
-				if got := m.Density(cx, cy); got != want[cy*nx+cx] {
-					t.Fatalf("%s: density(%d,%d) = %g, want %g", stage, cx, cy, got, want[cy*nx+cx])
+	shapes := [][2]int{{37, 22}, {64, 16}, {32, 32}, {1, 9}}
+	for _, sh := range shapes {
+		nx, ny := sh[0], sh[1]
+		for seed := int64(1); seed <= 4; seed++ {
+			r := rand.New(rand.NewSource(seed))
+			// The value pool: 0 (the fill), -0, and random others, so a
+			// long sequence reaches a full palette without overflowing it.
+			pool := make([]float64, MaxDensities)
+			pool[1] = math.Copysign(0, -1)
+			for i := 2; i < len(pool); i++ {
+				pool[i] = r.Float64() * 1e3
+			}
+			m, err := New(nx, ny, 3, 2, pool[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([]float64, nx*ny)
+			box := func(cx0, cy0, cx1, cy1 int, rho float64) {
+				for cy := max(cy0, 0); cy < min(cy1, ny); cy++ {
+					for cx := max(cx0, 0); cx < min(cx1, nx); cx++ {
+						want[cy*nx+cx] = rho
+					}
 				}
 			}
-		}
-	}
-	m.SetOrdering(Morton)
-	check("after morton")
-	// Painting through the logical accessors must land correctly under the
-	// new ordering too.
-	m.SetRegion(3, 5, 11, 9, 7.5)
-	for cy := 5; cy < 9; cy++ {
-		for cx := 3; cx < 11; cx++ {
-			want[cy*nx+cx] = 7.5
-		}
-	}
-	check("after region paint under morton")
-	m.SetOrdering(RowMajor)
-	check("after round trip")
-	// Back under row-major, storage and logical indices coincide again.
-	for cy := 0; cy < ny; cy++ {
-		for cx := 0; cx < nx; cx++ {
-			if m.StorageIndex(cx, cy) != m.Index(cx, cy) {
-				t.Fatalf("row-major storage index diverged at (%d,%d)", cx, cy)
+			paint := func(ops int) {
+				for ; ops > 0; ops-- {
+					rho := pool[r.Intn(len(pool))]
+					// Boxes reach past the mesh on every side and are
+					// sometimes empty or inverted.
+					cx0, cy0 := r.Intn(nx+4)-2, r.Intn(ny+4)-2
+					cx1, cy1 := cx0+r.Intn(nx/2+2)-1, cy0+r.Intn(ny/2+2)-1
+					switch r.Intn(3) {
+					case 0:
+						cx, cy := r.Intn(nx), r.Intn(ny)
+						m.SetDensity(cx, cy, rho)
+						want[cy*nx+cx] = rho
+					case 1:
+						m.SetRegion(cx0, cy0, cx1, cy1, rho)
+						box(cx0, cy0, cx1, cy1, rho)
+					default:
+						// Facet-aligned physical bounds name the same box.
+						m.PaintRegion(m.FacetX(cx0), m.FacetY(cy0), m.FacetX(cx1), m.FacetY(cy1), rho)
+						box(cx0, cy0, cx1, cy1, rho)
+					}
+				}
+			}
+			check := func(stage string) {
+				t.Helper()
+				if err := m.Err(); err != nil {
+					t.Fatalf("%dx%d seed %d %s: %v", nx, ny, seed, stage, err)
+				}
+				peak := 0.0
+				for cy := 0; cy < ny; cy++ {
+					for cx := 0; cx < nx; cx++ {
+						w := want[cy*nx+cx]
+						got, at := m.Density(cx, cy), m.DensityAt(m.StorageIndex(cx, cy))
+						if math.Float64bits(got) != math.Float64bits(w) || math.Float64bits(at) != math.Float64bits(w) {
+							t.Fatalf("%dx%d seed %d %s: density(%d,%d) = %v (at storage index: %v), want %v",
+								nx, ny, seed, stage, cx, cy, got, at, w)
+						}
+						if m.Palette()[m.Material(cx, cy)] != got {
+							t.Fatalf("%dx%d seed %d %s: Palette/Material disagree with Density at (%d,%d)", nx, ny, seed, stage, cx, cy)
+						}
+						peak = math.Max(peak, w)
+					}
+				}
+				if got := m.MaxDensity(); got != peak {
+					t.Fatalf("%dx%d seed %d %s: MaxDensity = %v, want %v", nx, ny, seed, stage, got, peak)
+				}
+			}
+			paint(60)
+			check("row-major")
+			m.SetOrdering(Morton)
+			check("after morton")
+			paint(400)
+			check("painted under morton")
+			m.SetOrdering(RowMajor)
+			check("after round trip")
+			paint(400)
+			check("painted after round trip")
+			// Back under row-major, storage and logical indices coincide.
+			for cy := 0; cy < ny; cy++ {
+				for cx := 0; cx < nx; cx++ {
+					if m.StorageIndex(cx, cy) != m.Index(cx, cy) {
+						t.Fatalf("row-major storage index diverged at (%d,%d)", cx, cy)
+					}
+				}
 			}
 		}
 	}

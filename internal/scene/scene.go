@@ -144,13 +144,23 @@ func (s *Scene) Validate() error {
 	if _, ok := byName[s.Background]; !ok {
 		return fmt.Errorf("scene: background material %q not defined", s.Background)
 	}
+	// A mesh cell is a one-byte material index, so a scene may paint at most
+	// mesh.MaxDensities distinct densities: counted here, so the scene is
+	// refused whole rather than at whichever region's paint is one too many.
+	painted := map[uint64]bool{math.Float64bits(byName[s.Background]): true}
 	for i, r := range s.Regions {
-		if _, ok := byName[r.Material]; !ok {
+		rho, ok := byName[r.Material]
+		if !ok {
 			return fmt.Errorf("scene: region %d references unknown material %q", i, r.Material)
 		}
 		if !(r.X1 > r.X0) || !(r.Y1 > r.Y0) {
 			return fmt.Errorf("scene: region %d box [%g,%g)x[%g,%g) is empty", i, r.X0, r.X1, r.Y0, r.Y1)
 		}
+		painted[math.Float64bits(rho)] = true
+	}
+	if len(painted) > mesh.MaxDensities {
+		return fmt.Errorf("scene: background and regions use %d distinct material densities: %w",
+			len(painted), mesh.ErrTooManyDensities)
 	}
 	if len(s.Sources) == 0 {
 		return fmt.Errorf("scene: no sources")

@@ -1,6 +1,8 @@
 package scene
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -243,6 +245,43 @@ func TestValidateErrors(t *testing.T) {
 	}
 	if err := base().Validate(); err != nil {
 		t.Fatalf("base scene rejected: %v", err)
+	}
+}
+
+// TestMaterialLimit: a mesh cell is a one-byte material index, so a scene
+// painting mesh.MaxDensities distinct densities builds and one more is
+// refused by Validate in the scene's own words — however many materials it
+// merely declares, and however many names share a density.
+func TestMaterialLimit(t *testing.T) {
+	stripes := func(used, declared int) *Scene {
+		s := &Scene{Sources: []Source{{X0: 0, X1: 1, Y0: 0, Y1: 1}}}
+		for i := 0; i < declared; i++ {
+			s.Materials = append(s.Materials, Material{Name: fmt.Sprint("m", i), Density: float64(i % used)})
+		}
+		w := mesh.Extent / float64(declared)
+		for i := 1; i < declared; i++ {
+			s.Regions = append(s.Regions, Region{Material: fmt.Sprint("m", i),
+				X0: float64(i) * w, X1: float64(i+1) * w, Y0: 0, Y1: mesh.Extent})
+		}
+		return s
+	}
+	m, err := stripes(mesh.MaxDensities, 300).Build(600, 2)
+	if err != nil {
+		t.Fatalf("%d distinct densities under 300 names: %v", mesh.MaxDensities, err)
+	}
+	if got := len(m.Palette()); got != mesh.MaxDensities {
+		t.Errorf("palette holds %d densities, want %d", got, mesh.MaxDensities)
+	}
+	err = stripes(mesh.MaxDensities+1, 300).Validate()
+	if !errors.Is(err, mesh.ErrTooManyDensities) || !strings.Contains(err.Error(), "257 distinct material densities") {
+		t.Errorf("257 distinct densities: Validate = %v", err)
+	}
+	unused := stripes(3, 3)
+	for i := 0; i < 400; i++ {
+		unused.Materials = append(unused.Materials, Material{Name: fmt.Sprint("spare", i), Density: 100 + float64(i)})
+	}
+	if err := unused.Validate(); err != nil {
+		t.Errorf("400 declared but unpainted materials: %v", err)
 	}
 }
 

@@ -58,7 +58,8 @@ type (
 	Figure = harness.Figure
 	// SourceBox is an axis-aligned particle birth region.
 	SourceBox = mesh.SourceBox
-	// Mesh is the structured density mesh (for Config.CustomDensity).
+	// Mesh is the structured density mesh (for Config.CustomDensity). It
+	// holds at most 256 distinct densities; see ErrTooManyDensities.
 	Mesh = mesh.Mesh
 	// Particle is the per-particle record (position, direction, energy,
 	// weight, RNG counter); read them from Result.Bank when
@@ -272,6 +273,14 @@ var (
 	// the tally (see the Determinism section of the README); Run, Drive and
 	// Step wrap it.
 	ErrTallyOverflow = tally.ErrOverflow
+	// ErrTooManyDensities reports a density field with more than 256
+	// distinct values — a mesh cell is a one-byte material index — from a
+	// Config.CustomDensity hook or a scene; NewSimulation, Reset and
+	// RestoreSimulation return it.
+	ErrTooManyDensities = mesh.ErrTooManyDensities
+	// ErrBadDensity reports a NaN, infinite or negative density painted by
+	// a Config.CustomDensity hook.
+	ErrBadDensity = mesh.ErrBadDensity
 )
 
 // NewSimulation builds a stateful simulation ready for its first Step: the
