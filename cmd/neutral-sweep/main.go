@@ -186,32 +186,26 @@ func run() error {
 	return nil
 }
 
-// runner owns the sweep's single Simulation: the first point builds it,
-// every later point Resets it to the new configuration, reusing whatever
+// runner owns the sweep's single Simulation: every point Resets it to the
+// new configuration — the first builds it, later ones reuse whatever
 // allocations the change permits. With tracing on, every point gets its
 // own track — Reset clears the solver's trace hook, so it is re-attached
 // per point.
 type runner struct {
-	sim   *core.Simulation
+	sim   core.Simulation
 	trace *telemetry.Trace
 	point int
 }
 
 func (r *runner) run(cfg core.Config) (*core.Result, error) {
-	if r.sim == nil {
-		sim, err := core.NewSimulation(cfg)
-		if err != nil {
-			return nil, err
-		}
-		r.sim = sim
-	} else if err := r.sim.Reset(cfg); err != nil {
+	if err := r.sim.Reset(cfg); err != nil {
 		return nil, err
 	}
 	if r.trace != nil {
 		label := fmt.Sprintf("%02d %s t%d %s %s %s", r.point,
 			cliutil.Describe(cfg), cfg.Threads, cfg.Schedule.String(),
 			cfg.Layout.String(), cfg.Tally.String())
-		cliutil.AttachTrace(r.sim, r.trace.Track(label))
+		cliutil.AttachTrace(&r.sim, r.trace.Track(label))
 	}
 	r.point++
 	return r.sim.Run()

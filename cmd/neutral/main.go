@@ -105,27 +105,21 @@ func run() error {
 	// Build the engine: restored from the checkpoint when resuming, fresh
 	// otherwise. A missing checkpoint file is a fresh start, not an error,
 	// so restart scripts can pass -resume unconditionally.
-	var sim *core.Simulation
+	sim := new(core.Simulation)
+	var data []byte
 	if *resume {
-		data, err := os.ReadFile(*ckpt)
-		switch {
-		case err == nil:
-			if sim, err = core.RestoreSimulation(cfg, data); err != nil {
-				return fmt.Errorf("resume from %s: %w", *ckpt, err)
-			}
-			fmt.Fprintf(os.Stderr, "neutral: resumed from %s at step %d/%d\n",
-				*ckpt, sim.StepIndex(), sim.Steps())
-		case os.IsNotExist(err):
-			// fall through to a fresh simulation
-		default:
+		if data, err = os.ReadFile(*ckpt); err != nil && !os.IsNotExist(err) {
 			return err
 		}
 	}
-	if sim == nil {
-		var err error
-		if sim, err = core.NewSimulation(cfg); err != nil {
-			return err
+	if data != nil {
+		if err := sim.Restore(cfg, data); err != nil {
+			return fmt.Errorf("resume from %s: %w", *ckpt, err)
 		}
+		fmt.Fprintf(os.Stderr, "neutral: resumed from %s at step %d/%d\n",
+			*ckpt, sim.StepIndex(), sim.Steps())
+	} else if err := sim.Reset(cfg); err != nil {
+		return err
 	}
 
 	var tr *telemetry.Trace
@@ -369,11 +363,4 @@ func renderMap(cells []float64, nx, ny int, logScale bool) {
 		}
 		fmt.Printf("  %s\n", row)
 	}
-}
-
-func max(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

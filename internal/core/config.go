@@ -1,7 +1,9 @@
 // Package core implements the neutral mini-app solver: the Over Particles
 // and Over Events parallelisation schemes (paper §V), the thread scheduling
 // strategies (§VI-C), and the instrumentation that feeds the architecture
-// performance model.
+// performance model. A Simulation is built, reused and resumed through one
+// path — Reset and Restore, both over (*run).bind — so a reused or restored
+// engine is a fresh one by construction.
 package core
 
 import (

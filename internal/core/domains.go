@@ -72,10 +72,11 @@ func RunDomains(cfg Config, domains int) (*Result, *DomainStats, error) {
 	}
 	cfg.Scheme = OverParticles
 	cfg.Threads = domains // one worker per domain
-	r, err := newRun(cfg, true)
-	if err != nil {
+	r := new(run)
+	if err := r.bind(cfg); err != nil {
 		return nil, nil, err
 	}
+	r.populate()
 	cfg = r.cfg
 
 	stats := &DomainStats{

@@ -97,7 +97,9 @@ func (s Schedule) validate() error {
 
 // parallelFor runs body over [0, n) split across workers per the schedule.
 // body receives the worker index and a half-open range. It is the
-// goroutine equivalent of `#pragma omp parallel for schedule(...)`.
+// goroutine equivalent of `#pragma omp parallel for schedule(...)`: one
+// launch loop, in which each worker runs the ranges its schedule's claim
+// function hands it until there are none left.
 func parallelFor(workers, n int, sched Schedule, body func(worker, lo, hi int)) {
 	if n == 0 {
 		return
@@ -106,87 +108,64 @@ func parallelFor(workers, n int, sched Schedule, body func(worker, lo, hi int)) 
 		body(0, 0, n)
 		return
 	}
+	claim := sched.claimer(workers, n)
 	var wg sync.WaitGroup
 	wg.Add(workers)
-	switch sched.Kind {
-	case ScheduleStatic:
-		for w := 0; w < workers; w++ {
-			go func(w int) {
-				defer wg.Done()
-				lo := w * n / workers
-				hi := (w + 1) * n / workers
-				if lo < hi {
-					body(w, lo, hi)
+	for w := 0; w < workers; w++ {
+		go func(w int) {
+			defer wg.Done()
+			for k := 0; ; k++ {
+				lo, hi, ok := claim(w, k)
+				if !ok {
+					return
 				}
-			}(w)
+				body(w, lo, hi)
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// claimer returns the schedule's claim function for one launch over [0, n):
+// worker w's k-th call yields its next half-open range, ok false once it has
+// none. The static kinds compute the range from (w, k) alone; dynamic and
+// guided take it off a cursor the workers share.
+func (s Schedule) claimer(workers, n int) func(w, k int) (lo, hi int, ok bool) {
+	chunk := s.chunk()
+	switch s.Kind {
+	case ScheduleStatic:
+		return func(w, k int) (int, int, bool) {
+			lo, hi := w*n/workers, (w+1)*n/workers
+			return lo, hi, k == 0 && lo < hi
 		}
 	case ScheduleStaticChunk:
-		chunk := sched.chunk()
-		for w := 0; w < workers; w++ {
-			go func(w int) {
-				defer wg.Done()
-				for lo := w * chunk; lo < n; lo += workers * chunk {
-					hi := lo + chunk
-					if hi > n {
-						hi = n
-					}
-					body(w, lo, hi)
-				}
-			}(w)
+		return func(w, k int) (int, int, bool) {
+			lo := (k*workers + w) * chunk
+			return lo, min(lo+chunk, n), lo < n
 		}
 	case ScheduleDynamic:
-		chunk := sched.chunk()
 		var next atomic.Int64
-		for w := 0; w < workers; w++ {
-			go func(w int) {
-				defer wg.Done()
-				for {
-					lo := int(next.Add(int64(chunk))) - chunk
-					if lo >= n {
-						return
-					}
-					hi := lo + chunk
-					if hi > n {
-						hi = n
-					}
-					body(w, lo, hi)
-				}
-			}(w)
+		return func(int, int) (int, int, bool) {
+			lo := int(next.Add(int64(chunk))) - chunk
+			return lo, min(lo+chunk, n), lo < n
 		}
 	case ScheduleGuided:
-		minChunk := sched.chunk()
+		// A chunk proportional to the work remaining at claim time,
+		// floored at the minimum chunk, via CAS on the cursor.
 		var next atomic.Int64
-		for w := 0; w < workers; w++ {
-			go func(w int) {
-				defer wg.Done()
-				for {
-					// Claim a chunk proportional to the work
-					// remaining at claim time, floored at the
-					// minimum chunk, via CAS on the cursor.
-					for {
-						lo := next.Load()
-						if int(lo) >= n {
-							return
-						}
-						remaining := n - int(lo)
-						size := remaining / workers
-						if size < minChunk {
-							size = minChunk
-						}
-						hi := int(lo) + size
-						if hi > n {
-							hi = n
-						}
-						if next.CompareAndSwap(lo, int64(hi)) {
-							body(w, int(lo), hi)
-							break
-						}
-					}
+		return func(int, int) (int, int, bool) {
+			for {
+				lo := int(next.Load())
+				if lo >= n {
+					return 0, 0, false
 				}
-			}(w)
+				hi := min(lo+max((n-lo)/workers, chunk), n)
+				if next.CompareAndSwap(int64(lo), int64(hi)) {
+					return lo, hi, true
+				}
+			}
 		}
 	default:
 		panic("core: unreachable schedule kind")
 	}
-	wg.Wait()
 }

@@ -3,7 +3,7 @@
 // layouts serialise through the same per-record form), the tally mesh, the
 // aggregated instrumentation counters, and the step index. The RNG needs no
 // stream objects saved: it is counter-based, and each particle's counter
-// rides in its record, so RestoreSimulation replays the exact variate
+// rides in its record, so Restore replays the exact variate
 // sequence an uninterrupted run would have consumed.
 package core
 
@@ -49,7 +49,7 @@ var ErrSnapshotCorrupt = fmt.Errorf("core: snapshot corrupt")
 
 // ErrSnapshotMismatch reports a snapshot whose physics identity (problem,
 // mesh, population, timestep, steps, seed, cutoffs, source, tables) does
-// not match the configuration offered to RestoreSimulation.
+// not match the configuration offered to Restore.
 var ErrSnapshotMismatch = fmt.Errorf("core: snapshot does not match config")
 
 // physicsHash digests the configuration fields that determine particle
@@ -65,7 +65,7 @@ var ErrSnapshotMismatch = fmt.Errorf("core: snapshot does not match config")
 // A CustomDensity hook has no canonical form, so only its presence is
 // hashed: restoring a hooked snapshot under a hookless config (or vice
 // versa) is refused, while the caller remains responsible for re-supplying
-// the same hook — as RestoreSimulation documents.
+// the same hook — as Restore documents.
 func physicsHash(cfg Config) [sha256.Size]byte {
 	h := sha256.New()
 	fmt.Fprintf(h, "scene=%s nx=%d ny=%d particles=%d dt=%x steps=%d seed=%d ",
@@ -239,7 +239,7 @@ func (r *snapshotReader) readParticle(p *particle.Particle) {
 // scene rides along to make the checkpoint self-describing — restore verifies
 // it against the offered config, and tooling can read a checkpoint's geometry
 // without the config that produced it. A service job snapshots at every step,
-// so both are computed once per configuration (Reset drops them).
+// so both are computed once per configuration (bind drops them).
 func (r *run) snapshotIdentity() (hash [sha256.Size]byte, sceneJSON []byte) {
 	if r.snapScene == nil {
 		sceneJSON, err := r.cfg.Scene.CanonicalJSON()
@@ -370,32 +370,48 @@ func WriteSnapshotFile(path string, data []byte) error {
 }
 
 // RestoreSimulation rebuilds a simulation from a Snapshot taken under an
-// equivalent configuration: same physics identity (see below), any
-// execution strategy. The config must be supplied by the caller because it
-// can carry function hooks (CustomDensity) that no serialisation can
-// round-trip; the snapshot's embedded physics hash guards against resuming
-// under the wrong one, including under a config whose density-hook presence
-// differs. A hook's *body* cannot be checked — callers restoring a hooked
-// config must pass the same hook the snapshot ran under, or histories
-// diverge silently. The restored simulation continues from the recorded
-// step boundary and, run to completion, produces the same bank and counters
-// an uninterrupted run of cfg would have — bit for bit.
+// equivalent configuration: Restore on a zero Simulation.
 func RestoreSimulation(cfg Config, data []byte) (*Simulation, error) {
+	s := new(Simulation)
+	if err := s.Restore(cfg, data); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// Restore is Reset from a Snapshot taken under an equivalent configuration —
+// same physics identity (see physicsHash), any execution strategy — instead
+// of from the source, so a resume lands on the allocations the simulation
+// already holds. The config must be supplied by the caller because it can
+// carry function hooks (CustomDensity) that no serialisation can round-trip;
+// the snapshot's embedded physics hash guards against resuming under the
+// wrong one, including under a config whose density-hook presence differs. A
+// hook's *body* cannot be checked — callers restoring a hooked config must
+// pass the same hook the snapshot ran under, or histories diverge silently.
+// The restored simulation continues from the recorded step boundary and, run
+// to completion, produces the same bank and counters an uninterrupted run of
+// cfg would have — bit for bit.
+//
+// A snapshot refused before the bind (framing, identity, a config or density
+// field that does not build) leaves the previous configuration in place, like
+// a refused Reset; one whose records fail to decode after it has overwritten
+// state, and leaves the zero Simulation for the next Reset or Restore.
+func (s *Simulation) Restore(cfg Config, data []byte) error {
 	// Structural validation up front, before paying for mesh and table
 	// construction.
 	headLen := len(snapshotMagic) + 4
 	if len(data) < headLen+sha256.Size+8+4 {
-		return nil, fmt.Errorf("%w: truncated header (%d bytes)", ErrSnapshotCorrupt, len(data))
+		return fmt.Errorf("%w: truncated header (%d bytes)", ErrSnapshotCorrupt, len(data))
 	}
 	if !bytes.Equal(data[:len(snapshotMagic)], []byte(snapshotMagic)) {
-		return nil, fmt.Errorf("%w: bad magic", ErrSnapshotCorrupt)
+		return fmt.Errorf("%w: bad magic", ErrSnapshotCorrupt)
 	}
 	if v := binary.LittleEndian.Uint32(data[len(snapshotMagic):]); v != snapshotVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrSnapshotCorrupt, v)
+		return fmt.Errorf("%w: unsupported version %d", ErrSnapshotCorrupt, v)
 	}
 	payload, tail := data[:len(data)-4], data[len(data)-4:]
 	if crc := binary.LittleEndian.Uint32(tail); crc != crc32.ChecksumIEEE(payload) {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrSnapshotCorrupt)
+		return fmt.Errorf("%w: checksum mismatch", ErrSnapshotCorrupt)
 	}
 
 	rd := &snapshotReader{buf: payload, off: headLen}
@@ -405,7 +421,7 @@ func RestoreSimulation(cfg Config, data []byte) (*Simulation, error) {
 	nCounters := int(rd.u32())
 	want := len(counterVector(&Counters{}))
 	if rd.bad || nCounters != want {
-		return nil, fmt.Errorf("%w: counter vector length %d, want %d", ErrSnapshotCorrupt, nCounters, want)
+		return fmt.Errorf("%w: counter vector length %d, want %d", ErrSnapshotCorrupt, nCounters, want)
 	}
 	vec := make([]uint64, nCounters)
 	for i := range vec {
@@ -417,11 +433,11 @@ func RestoreSimulation(cfg Config, data []byte) (*Simulation, error) {
 	// self-describing guard alongside the physics hash.
 	sceneLen := int(rd.u32())
 	if rd.bad || sceneLen > len(payload)-rd.off {
-		return nil, fmt.Errorf("%w: truncated scene block", ErrSnapshotCorrupt)
+		return fmt.Errorf("%w: truncated scene block", ErrSnapshotCorrupt)
 	}
 	storedScene, err := scene.Parse(rd.take(sceneLen))
 	if err != nil {
-		return nil, fmt.Errorf("%w: embedded scene: %v", ErrSnapshotCorrupt, err)
+		return fmt.Errorf("%w: embedded scene: %v", ErrSnapshotCorrupt, err)
 	}
 
 	birthWeight := rd.f64()
@@ -429,7 +445,7 @@ func RestoreSimulation(cfg Config, data []byte) (*Simulation, error) {
 	var leak [2 * mesh.NumEdges]int64
 	for i := range leak {
 		if leak[i] = rd.i64(); leak[i] < 0 {
-			return nil, fmt.Errorf("%w: negative leakage", ErrSnapshotCorrupt)
+			return fmt.Errorf("%w: negative leakage", ErrSnapshotCorrupt)
 		}
 	}
 
@@ -437,42 +453,47 @@ func RestoreSimulation(cfg Config, data []byte) (*Simulation, error) {
 	_ = rd.u8() // mesh ordering it was taken under; informational
 	n := rd.u64()
 	if rd.bad {
-		return nil, fmt.Errorf("%w: truncated bank header", ErrSnapshotCorrupt)
+		return fmt.Errorf("%w: truncated bank header", ErrSnapshotCorrupt)
 	}
 	// Bound the bank length by the bytes that could actually hold it
 	// before allocating anything: a corrupt (or adversarial) length field
 	// must fail cleanly, not attempt a gigantic allocation.
 	if rest := len(payload) - rd.off; n > uint64(rest)/uint64(particle.BytesPerParticle) {
-		return nil, fmt.Errorf("%w: bank length %d exceeds payload", ErrSnapshotCorrupt, n)
+		return fmt.Errorf("%w: bank length %d exceeds payload", ErrSnapshotCorrupt, n)
 	}
 
-	// The run is built unpopulated: every record is about to be
-	// overwritten from the snapshot.
-	r, err := newRun(cfg, false)
-	if err != nil {
-		return nil, err
+	// Identity, on the validated config (validation fills defaults the hash
+	// covers), still before anything is built or touched.
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
-	if hash := physicsHash(r.cfg); hash != storedHash {
-		return nil, ErrSnapshotMismatch
+	if physicsHash(cfg) != storedHash {
+		return ErrSnapshotMismatch
 	}
-	if storedScene.Hash() != r.cfg.Scene.Hash() {
-		return nil, fmt.Errorf("%w: embedded scene differs from config scene", ErrSnapshotMismatch)
+	if storedScene.Hash() != cfg.Scene.Hash() {
+		return fmt.Errorf("%w: embedded scene differs from config scene", ErrSnapshotMismatch)
 	}
-	switch {
-	case int(n) == r.cfg.Particles:
-	case r.cfg.WeightWindow.Enabled && int(n) > r.cfg.Particles:
-		// Splitting grew the bank past the source population; Resize the
-		// unpopulated bank to receive every record.
-		r.bank.Resize(int(n))
-	default:
-		return nil, fmt.Errorf("%w: bank holds %d particles, config wants %d",
-			ErrSnapshotMismatch, n, r.cfg.Particles)
+	// Splitting may have grown the bank past the source population.
+	if int(n) != cfg.Particles && !(cfg.WeightWindow.Enabled && int(n) > cfg.Particles) {
+		return fmt.Errorf("%w: bank holds %d particles, config wants %d",
+			ErrSnapshotMismatch, n, cfg.Particles)
 	}
-	if next > uint64(r.cfg.Steps) {
-		return nil, fmt.Errorf("%w: step %d beyond configured %d steps",
-			ErrSnapshotCorrupt, next, r.cfg.Steps)
+	if next > uint64(cfg.Steps) {
+		return fmt.Errorf("%w: step %d beyond configured %d steps",
+			ErrSnapshotCorrupt, next, cfg.Steps)
 	}
 
+	// The bank stays unpopulated: every record is about to be overwritten.
+	if err := s.bind(cfg); err != nil {
+		return err
+	}
+	r := s.r
+	// fail unbinds: from here on, state has been overwritten.
+	fail := func(err error) error {
+		*s = Simulation{}
+		return err
+	}
+	r.bank.Resize(int(n))
 	r.setBirth(birthWeight, birthEnergy)
 	for e := 0; e < mesh.NumEdges; e++ {
 		r.leakWeight.AddTicks(e, leak[e])
@@ -483,7 +504,7 @@ func RestoreSimulation(cfg Config, data []byte) (*Simulation, error) {
 	for i := 0; i < int(n); i++ {
 		rd.readParticle(&p)
 		if rd.bad {
-			return nil, fmt.Errorf("%w: truncated bank", ErrSnapshotCorrupt)
+			return fail(fmt.Errorf("%w: truncated bank", ErrSnapshotCorrupt))
 		}
 		r.bank.Store(i, &p)
 	}
@@ -494,13 +515,13 @@ func RestoreSimulation(cfg Config, data []byte) (*Simulation, error) {
 		cell := rd.u64()
 		ticks := rd.i64()
 		if rd.bad {
-			return nil, fmt.Errorf("%w: truncated tally", ErrSnapshotCorrupt)
+			return fail(fmt.Errorf("%w: truncated tally", ErrSnapshotCorrupt))
 		}
 		if cell >= cells {
-			return nil, fmt.Errorf("%w: tally cell %d outside %d-cell mesh", ErrSnapshotCorrupt, cell, cells)
+			return fail(fmt.Errorf("%w: tally cell %d outside %d-cell mesh", ErrSnapshotCorrupt, cell, cells))
 		}
 		if ticks < 0 {
-			return nil, fmt.Errorf("%w: tally cell %d is negative", ErrSnapshotCorrupt, cell)
+			return fail(fmt.Errorf("%w: tally cell %d is negative", ErrSnapshotCorrupt, cell))
 		}
 		// Stored cells are logical; the restoring run's ordering decides
 		// where they live.
@@ -508,12 +529,13 @@ func RestoreSimulation(cfg Config, data []byte) (*Simulation, error) {
 		r.tly.AddTicks(r.mesh.StorageIndex(cx, cy), ticks)
 	}
 	if rd.off != len(payload) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrSnapshotCorrupt, len(payload)-rd.off)
+		return fail(fmt.Errorf("%w: %d trailing bytes", ErrSnapshotCorrupt, len(payload)-rd.off))
 	}
 
 	r.base = counterScatter(vec)
 	r.step.Store(int64(next))
 	alive, census, _ := r.bank.CountStatus()
 	r.stepTotal.Store(int64(alive + census))
-	return &Simulation{r: r, res: &Result{Config: r.cfg}, next: int(next)}, nil
+	s.next = int(next)
+	return nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -80,7 +81,66 @@ func TestRunEqualsStepwiseSnapshotRestore(t *testing.T) {
 				if res.Conservation.RelativeError > 1e-9 {
 					t.Errorf("resumed conservation error %.3g", res.Conservation.RelativeError)
 				}
+
+				// In place: a simulation that ran something else (another
+				// problem, the other scheme, another thread count) resumes
+				// the same snapshot over its own bank, which it never lent
+				// out and so reuses, stale records and all, and ends where
+				// the uninterrupted run does, final snapshot bytes included.
+				other := stepsConfig(mesh.Scatter, 1)
+				other.Layout = layout
+				other.KeepBank = false
+				other.Threads = 3
+				if scheme == OverParticles {
+					other.Scheme = OverEvents
+				}
+				host, err := NewSimulation(other)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := host.Run(); err != nil {
+					t.Fatal(err)
+				}
+				if err := host.Restore(cfg, snap); err != nil {
+					t.Fatal(err)
+				}
+				if got := host.StepIndex(); got != 2 {
+					t.Fatalf("in-place restore at step %d, want 2", got)
+				}
+				inPlace, err := host.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameRun(t, "in-place restore", full, inPlace)
+				if !bytes.Equal(host.Snapshot(), resumed.Snapshot()) {
+					t.Error("in-place restore: final snapshot bytes differ from the fresh restore's")
+				}
 			})
+		}
+	}
+}
+
+// sameRun fails unless got reports the bank, counters, tally total, cells and
+// leakage of want — everything a result carries that the execution strategy
+// and the simulation's history must not move.
+func sameRun(t *testing.T, what string, want, got *Result) {
+	t.Helper()
+	compareBanks(t, want.Bank, got.Bank)
+	if want.Counter != got.Counter {
+		t.Errorf("%s: counters differ:\nwant %+v\ngot  %+v", what, want.Counter, got.Counter)
+	}
+	if want.TallyTotal != got.TallyTotal {
+		t.Errorf("%s: tally totals differ: %.17g vs %.17g", what, want.TallyTotal, got.TallyTotal)
+	}
+	if want.Leakage != got.Leakage {
+		t.Errorf("%s: leakage differs: %+v vs %+v", what, want.Leakage, got.Leakage)
+	}
+	if len(want.Cells) != len(got.Cells) {
+		t.Fatalf("%s: %d cells, want %d", what, len(got.Cells), len(want.Cells))
+	}
+	for i := range want.Cells {
+		if want.Cells[i] != got.Cells[i] {
+			t.Fatalf("%s: cell %d = %.17g, want %.17g", what, i, got.Cells[i], want.Cells[i])
 		}
 	}
 }
@@ -278,6 +338,57 @@ func TestSimulationResetMatchesFresh(t *testing.T) {
 			t.Errorf("reset %d: tally totals differ: %.17g vs %.17g", i, want.TallyTotal, got.TallyTotal)
 		}
 	}
+
+	// Restore is the same path: the simulation, last bound to the case before
+	// (another problem, or another layout, scheme and thread count), resumes
+	// each case from a mid-run snapshot another simulation took, and ends
+	// where the uninterrupted run of that case does, snapshot bytes included.
+	for i, cfg := range cases {
+		fresh, err := NewSimulation(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mid []byte
+		for !fresh.Done() {
+			if fresh.StepIndex() == cfg.Steps/2 {
+				mid = fresh.Snapshot()
+			}
+			if err := fresh.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := fresh.Finalize()
+
+		if err := sim.Restore(cfg, mid); err != nil {
+			t.Fatalf("restore %d: %v", i, err)
+		}
+		if sim.StepIndex() != cfg.Steps/2 {
+			t.Fatalf("restore %d: at step %d, want %d", i, sim.StepIndex(), cfg.Steps/2)
+		}
+		got, err := sim.Run()
+		if err != nil {
+			t.Fatalf("restore %d run: %v", i, err)
+		}
+		sameRun(t, fmt.Sprintf("restore %d", i), want, got)
+		if !bytes.Equal(sim.Snapshot(), fresh.Snapshot()) {
+			t.Errorf("restore %d: final snapshot bytes differ from the uninterrupted run's", i)
+		}
+	}
+
+	// And back: a Reset after a Restore carries nothing the snapshot brought
+	// (restored counters, a mid-run step index, tally contents).
+	if err := sim.Reset(cases[0]); err != nil {
+		t.Fatal(err)
+	}
+	got, err := sim.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Run(cases[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRun(t, "reset after restore", want, got)
 }
 
 // TestSnapshotVacuumSceneRoundTrip: a run over a vacuum-leakage scene split

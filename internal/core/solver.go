@@ -86,7 +86,6 @@ type workerState struct {
 type run struct {
 	cfg     Config
 	mesh    *mesh.Mesh
-	sources []particle.SourceTerm
 	ctx     events.Context
 	bank    *particle.Bank
 	workers []*workerState
@@ -121,11 +120,11 @@ type run struct {
 	oe *oeState
 
 	// wwRhoMax is the mesh's peak density, the normalisation of the
-	// per-cell weight-window target. Computed at (re)build time, only
-	// when the window is enabled.
+	// per-cell weight-window target. Computed at bind time, only when the
+	// window is enabled.
 	wwRhoMax float64
 
-	// canLeak caches mesh.HasVacuum() at (re)build time: all-reflective
+	// canLeak caches mesh.HasVacuum() at bind time: all-reflective
 	// scenes take the historical inlined facet path, vacuum scenes the
 	// boundary-condition-aware one.
 	canLeak bool
@@ -155,7 +154,7 @@ type run struct {
 	// carries an FP divide; doing it once per material at build time
 	// leaves every sigmaT bit-identical — the kernels multiply the factor
 	// in the exact order xs.Macroscopic evaluates. Densities are painted
-	// only at (re)build time, so the table needs no invalidation.
+	// only at bind time, so the table needs no invalidation.
 	nd [mesh.MaxDensities]float64
 
 	// probe, when non-nil, observes the timed kernel regions (see
@@ -187,56 +186,105 @@ func (r *run) progress() Progress {
 	}
 }
 
-// newRun validates the configuration, builds the scene's mesh, the tables,
-// tally and worker state, and (when populate is set) fills the source.
-// Shared by NewSimulation, RestoreSimulation and RunDomains; restores skip
-// the populate because the snapshot overwrites every particle record anyway.
-func newRun(cfg Config, populate bool) (*run, error) {
+// bind points the run at cfg: the only code that turns a Config into solver
+// state. Everything that can fail — validation, the scene build, the density
+// hook, a paint the mesh refused — happens before the receiver is touched, so
+// a refused bind leaves the previous binding runnable. What the previous
+// binding allocated is kept where it still fits; a zero run has nothing to
+// keep and is built from scratch. The bank is left unfilled: the caller fills
+// it from the sources (populate) or from a snapshot (Simulation.Restore).
+func (r *run) bind(cfg Config) error {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return err
 	}
-	m, err := buildMesh(cfg)
-	if err != nil {
-		return nil, err
+	old := r.cfg
+	// Mesh: rebuilt on any geometry or scene change, and whenever a density
+	// hook is (or was) involved — the hook mutates the mesh in place, so a
+	// hooked mesh has no pristine state to return to. Scene identity is
+	// content, not pointer: a re-parsed copy of the same scene file reuses
+	// the painted mesh.
+	m := r.mesh
+	if m == nil || cfg.Scene.Hash() != old.Scene.Hash() || cfg.NX != old.NX || cfg.NY != old.NY ||
+		cfg.CustomDensity != nil || old.CustomDensity != nil {
+		var err error
+		if m, err = buildMesh(cfg); err != nil {
+			return err
+		}
 	}
+
+	// Nothing below can fail.
+	if r.tly != nil && (cfg.Tally != old.Tally || cfg.Threads != old.Threads || m.NumCells() != r.mesh.NumCells()) {
+		r.tly = nil // setBirth rebuilds the accumulators
+	}
+	r.mesh, r.ctx.Mesh = m, m
 	// Storage ordering is applied after the scene paint and density hook:
 	// both speak logical coordinates, so they never need to know where a
-	// cell's value lives.
+	// cell's value lives. A kept mesh is re-permuted in place.
 	m.SetOrdering(cfg.Ordering)
-	r := &run{
-		cfg:     cfg,
-		mesh:    m,
-		sources: runSources(cfg),
-		ctx: events.Context{
-			Mesh:         m,
-			XS:           xs.GeneratePair(cfg.XSPoints),
-			WeightCutoff: cfg.WeightCutoff,
-			EnergyCutoff: cfg.EnergyCutoff,
-		},
-		bank: particle.NewBank(cfg.Layout, cfg.Particles),
+	for k, rho := range m.Palette() {
+		r.nd[k] = xs.NumberDensity(rho)
 	}
 	r.canLeak = m.HasVacuum()
-	r.buildND()
-	r.buildWorkers()
-	if cfg.Scheme == OverEvents {
-		r.ensureOE()
-	}
+	r.wwRhoMax = 0
 	if cfg.WeightWindow.Enabled {
-		r.wwRhoMax = m.MaxDensity()
+		r.wwRhoMax = m.MaxDensity() // a pass over the cells
 	}
-	if populate {
-		r.setBirth(particle.PopulateSources(
-			r.bank, m, r.sources, cfg.Timestep, cfg.Seed, r.idBase()))
+	if r.ctx.XS.Capture == nil || cfg.XSPoints != old.XSPoints {
+		r.ctx.XS = xs.GeneratePair(cfg.XSPoints)
 	}
-	return r, nil
+	r.ctx.WeightCutoff = cfg.WeightCutoff
+	r.ctx.EnergyCutoff = cfg.EnergyCutoff
+	if r.bank == nil || cfg.Layout != old.Layout || old.KeepBank {
+		// A bank handed out through KeepBank belongs to the previous Result.
+		r.bank = particle.NewBank(cfg.Layout, cfg.Particles)
+	} else {
+		// A population change, or a bank a weight-window run grew: Resize
+		// reuses the backing arrays whenever capacity allows, so ensemble
+		// replicas never reallocate the bank.
+		r.bank.Resize(cfg.Particles)
+	}
+	r.cfg = cfg
+	r.workers = make([]*workerState, cfg.Threads) // fresh counters
+	for w := range r.workers {
+		r.workers[w] = &workerState{id: w}
+	}
+	if cfg.Scheme == OverEvents {
+		r.ensureOE() // keeps prior scratch when it still fits
+	}
+	r.snapScene = nil
+	r.base = Counters{}
+	r.probe = nil
+	r.stop.Store(false)
+	r.done.Store(0)
+	r.step.Store(0)
+	r.stepTotal.Store(int64(cfg.Particles))
+	return nil
+}
+
+// populate fills the bound bank from the config's sources and seed: the
+// scene's sources, unless a CustomSource override replaces them with a single
+// unit-weight box.
+func (r *run) populate() {
+	cfg := r.cfg
+	sources := cfg.Scene.SourceTerms()
+	if cfg.CustomSource != nil {
+		sources = []particle.SourceTerm{{
+			Box: *cfg.CustomSource, Share: 1,
+			Weight: particle.SourceWeight, Energy: particle.SourceEnergy,
+		}}
+	}
+	// Replica r of an ensemble owns RNG stream identities
+	// [r*Particles, (r+1)*Particles), so replica families never overlap.
+	idBase := uint64(cfg.Replica) * uint64(cfg.Particles)
+	r.setBirth(particle.PopulateSources(r.bank, r.mesh, sources, cfg.Timestep, cfg.Seed, idBase))
 }
 
 // setBirth records the conservation baselines and readies the accumulators
 // for a run born with them: one tick is the finest power of two that keeps
 // the birth energy (the birth weight, for the leaked weight) below 2^61, so
 // the scale is a function of the run's inputs alone. Accumulators left by a
-// previous configuration are zeroed in place; Reset drops them when their
-// shape no longer fits.
+// previous binding are zeroed in place; bind drops them when their shape no
+// longer fits.
 func (r *run) setBirth(weight, energy float64) {
 	r.birthWeight, r.birthEnergy = weight, energy
 	r.overflow = nil
@@ -252,19 +300,6 @@ func (r *run) setBirth(weight, energy float64) {
 	r.leakEnergy = tally.NewPrivate(mesh.NumEdges, r.cfg.Threads, es)
 }
 
-// runSources resolves the source terms a validated config samples from: the
-// scene's sources, unless a CustomSource override replaces them with a
-// single unit-weight box.
-func runSources(cfg Config) []particle.SourceTerm {
-	if cfg.CustomSource != nil {
-		return []particle.SourceTerm{{
-			Box: *cfg.CustomSource, Share: 1,
-			Weight: particle.SourceWeight, Energy: particle.SourceEnergy,
-		}}
-	}
-	return cfg.Scene.SourceTerms()
-}
-
 // escape retires a history at a vacuum boundary: the carried weight-energy
 // is charged to the exit edge's leakage tally (never the deposition tally)
 // and the record is marked Escaped with zero weight. The deposit register
@@ -276,13 +311,6 @@ func (r *run) escape(ws *workerState, p *particle.Particle, axis, dir int) {
 	r.leakEnergy.Add(ws.id, edge, p.Weight*p.Energy)
 	p.Weight = 0
 	p.Status = particle.Escaped
-}
-
-// idBase is the first RNG stream identity of this run's source family:
-// replica r of an ensemble owns identities [r*Particles, (r+1)*Particles),
-// so replica families never overlap.
-func (r *run) idBase() uint64 {
-	return uint64(r.cfg.Replica) * uint64(r.cfg.Particles)
 }
 
 // buildMesh paints the config's scene and runs the density hook over it. A
@@ -300,22 +328,6 @@ func buildMesh(cfg Config) (*mesh.Mesh, error) {
 		return nil, fmt.Errorf("core: density field: %w", err)
 	}
 	return m, nil
-}
-
-// buildND fills nd (see the field comment) from the mesh the run was just
-// (re)built around.
-func (r *run) buildND() {
-	for k, rho := range r.mesh.Palette() {
-		r.nd[k] = xs.NumberDensity(rho)
-	}
-}
-
-// buildWorkers allocates fresh per-worker state.
-func (r *run) buildWorkers() {
-	r.workers = make([]*workerState, r.cfg.Threads)
-	for w := range r.workers {
-		r.workers[w] = &workerState{id: w}
-	}
 }
 
 // Lifecycle errors.
@@ -352,7 +364,9 @@ type StepFunc func(*Simulation)
 // makes every history independent of traversal and of when the process
 // hosting it restarts. Reset rebinds the engine to a new configuration
 // while reusing every compatible allocation (mesh, cross-section tables,
-// bank), which is how sweeps amortise setup across points.
+// bank), which is how sweeps amortise setup across points; Restore does the
+// same from a snapshot. The zero Simulation is unbound: it answers only Reset
+// and Restore, which build it.
 //
 // A Simulation is not safe for concurrent use; it owns goroutine pools
 // internally during Step.
@@ -386,8 +400,8 @@ type StepTiming struct {
 type TraceFunc func(StepTiming)
 
 // SetTrace installs (or, with nil, removes) the per-step trace hook and
-// re-anchors the timing baselines at the current step boundary. Reset
-// clears the hook: a reused simulation traces only if the new owner
+// re-anchors the timing baselines at the current step boundary. Reset and
+// Restore clear the hook: a reused simulation traces only if the new owner
 // re-attaches.
 func (s *Simulation) SetTrace(f TraceFunc) {
 	s.trace = f
@@ -397,14 +411,28 @@ func (s *Simulation) SetTrace(f TraceFunc) {
 
 // NewSimulation validates the configuration and builds a simulation ready
 // for its first Step: mesh, cross-section tables, tally, worker state and
-// the populated source bank.
+// the populated source bank. It is Reset on a zero Simulation.
 func NewSimulation(cfg Config) (*Simulation, error) {
-	r, err := newRun(cfg, true)
-	if err != nil {
+	s := new(Simulation)
+	if err := s.Reset(cfg); err != nil {
 		return nil, err
 	}
-	r.stepTotal.Store(int64(r.cfg.Particles))
-	return &Simulation{r: r, res: &Result{Config: r.cfg}}, nil
+	return s, nil
+}
+
+// bind rebinds the simulation to cfg at step zero, the bank still to be
+// filled; a refused bind changes nothing. The trace hook and region probe are
+// cleared: a reused simulation reports only to an owner that re-attaches.
+func (s *Simulation) bind(cfg Config) error {
+	r := s.r
+	if r == nil {
+		r = new(run)
+	}
+	if err := r.bind(cfg); err != nil {
+		return err
+	}
+	*s = Simulation{r: r, res: &Result{Config: r.cfg}}
+	return nil
 }
 
 // Config returns the validated configuration the simulation runs.
@@ -624,83 +652,16 @@ func (s *Simulation) Drive(ctx context.Context, progress ProgressFunc, onStep St
 // Reset rebinds the simulation to a new configuration, reusing every
 // allocation the change permits: the mesh and its cross-section tables
 // survive resolution-compatible sweeps, and the particle bank survives
-// layout- and population-compatible ones (a bank handed out through
-// KeepBank is never reused — the previous Result owns it). The bank is
-// repopulated from the new config's source and seed, so a Reset simulation
-// is indistinguishable from a fresh NewSimulation(cfg).
+// layout-compatible ones (a bank handed out through KeepBank is never
+// reused — the previous Result owns it). The bank is repopulated from the
+// new config's source and seed. NewSimulation is Reset on a zero Simulation,
+// so a Reset simulation is a fresh one by construction. A refused Reset
+// leaves the simulation on its previous configuration.
 func (s *Simulation) Reset(cfg Config) error {
-	if err := cfg.Validate(); err != nil {
+	if err := s.bind(cfg); err != nil {
 		return err
 	}
-	r := s.r
-	old := r.cfg
-	oldCells := r.mesh.NumCells()
-
-	// Mesh: rebuild on any geometry or scene change, and whenever a
-	// density hook is (or was) involved — the hook mutates the mesh in
-	// place, so a hooked mesh has no pristine state to return to. Scene
-	// identity is content, not pointer: a re-parsed copy of the same
-	// scene file reuses the painted mesh.
-	if cfg.Scene.Hash() != old.Scene.Hash() || cfg.NX != old.NX || cfg.NY != old.NY ||
-		cfg.CustomDensity != nil || old.CustomDensity != nil {
-		m, err := buildMesh(cfg)
-		if err != nil {
-			return err
-		}
-		r.mesh = m
-		r.ctx.Mesh = m
-	}
-	// A reused mesh may carry the previous config's storage order;
-	// SetOrdering re-permutes the field in place (no-op when unchanged).
-	r.mesh.SetOrdering(cfg.Ordering)
-	r.sources = runSources(cfg)
-
-	if cfg.XSPoints != old.XSPoints {
-		r.ctx.XS = xs.GeneratePair(cfg.XSPoints)
-	}
-	r.ctx.WeightCutoff = cfg.WeightCutoff
-	r.ctx.EnergyCutoff = cfg.EnergyCutoff
-
-	if cfg.Layout != old.Layout || old.KeepBank {
-		r.bank = particle.NewBank(cfg.Layout, cfg.Particles)
-	} else if r.bank.Len() != cfg.Particles {
-		// Covers both a population change and a bank a weight-window run
-		// grew past its source population: Resize reuses the backing
-		// arrays whenever capacity allows, so ensemble replicas never
-		// reallocate the bank.
-		r.bank.Resize(cfg.Particles)
-	}
-	if cfg.Tally != old.Tally || cfg.Threads != old.Threads || r.mesh.NumCells() != oldCells {
-		r.tly = nil // setBirth rebuilds the accumulators
-	}
-	r.cfg = cfg
-	r.snapScene = nil
-	r.canLeak = r.mesh.HasVacuum()
-	r.buildND()
-	r.buildWorkers() // fresh counters, as newRun would
-	if cfg.Scheme == OverEvents {
-		r.ensureOE() // reuses prior scratch when it still fits
-	}
-
-	r.wwRhoMax = 0
-	if cfg.WeightWindow.Enabled {
-		r.wwRhoMax = r.mesh.MaxDensity()
-	}
-	r.base = Counters{}
-	r.stop.Store(false)
-	r.done.Store(0)
-	r.step.Store(0)
-	r.stepTotal.Store(int64(cfg.Particles))
-	r.setBirth(particle.PopulateSources(
-		r.bank, r.mesh, r.sources, cfg.Timestep, cfg.Seed, r.idBase()))
-
-	s.next = 0
-	s.finalized = false
-	s.res = &Result{Config: cfg}
-	s.trace = nil
-	s.traceWall = 0
-	s.tracePrev = PhaseTimings{}
-	r.probe = nil
+	s.r.populate()
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"testing"
@@ -294,10 +295,23 @@ func TestRefusedDensityFailsBuild(t *testing.T) {
 		if err := sim.Reset(bad); !errors.Is(err, h.want) {
 			t.Errorf("%s: Reset = %v, want %v", h.name, err, h.want)
 		}
+		if err := sim.Restore(bad, snap); !errors.Is(err, h.want) {
+			t.Errorf("%s: Restore = %v, want %v", h.name, err, h.want)
+		}
+	}
+	// So is a snapshot of other physics, and one whose framing is broken:
+	// both are turned away before the bind.
+	other := good
+	other.Seed++
+	if err := sim.Restore(other, snap); !errors.Is(err, ErrSnapshotMismatch) {
+		t.Errorf("Restore under another seed = %v, want ErrSnapshotMismatch", err)
+	}
+	if err := sim.Restore(good, snap[:len(snap)-1]); !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Errorf("Restore of a truncated snapshot = %v, want ErrSnapshotCorrupt", err)
 	}
 
-	// The refused Resets changed nothing: the simulation finishes the run it
-	// was on, bit for bit.
+	// The refused Resets and Restores changed nothing: the simulation
+	// finishes the run it was on, bit for bit.
 	got, err := sim.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -308,6 +322,29 @@ func TestRefusedDensityFailsBuild(t *testing.T) {
 	}
 	if got.TallyTotal != want.TallyTotal || got.Counter != want.Counter {
 		t.Errorf("after refused Resets: tally %.17g counters %+v, want %.17g %+v",
+			got.TallyTotal, got.Counter, want.TallyTotal, want.Counter)
+	}
+
+	// A snapshot that passes every check made before the bind and then fails
+	// mid-decode — its last tally entry names a cell outside the mesh — has
+	// overwritten state by the time it is refused: the simulation is left
+	// unbound, and the next Reset builds it again.
+	bent := append([]byte(nil), snap...)
+	binary.LittleEndian.PutUint64(bent[len(bent)-4-16:], 1<<40)
+	if err := sim.Restore(good, fixCRC(bent)); !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Fatalf("Restore of a snapshot with a stray tally cell = %v, want ErrSnapshotCorrupt", err)
+	}
+	if sim.r != nil {
+		t.Error("a Restore that failed mid-decode left the simulation bound")
+	}
+	if err := sim.Reset(good); err != nil {
+		t.Fatalf("Reset of the unbound simulation: %v", err)
+	}
+	if got, err = sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got.TallyTotal != want.TallyTotal || got.Counter != want.Counter {
+		t.Errorf("after rebuilding the unbound simulation: tally %.17g counters %+v, want %.17g %+v",
 			got.TallyTotal, got.Counter, want.TallyTotal, want.Counter)
 	}
 }

@@ -130,7 +130,7 @@ func (c *Coordinator) runOn(ctx context.Context, w *worker, sr *shardRun) (*core
 	spec.Snapshot = sr.snap
 	var jv service.JobView
 	if err := c.post(attempt, w.url+"/v1/jobs", spec, &jv); err != nil {
-		return nil, c.classify(ctx, attempt, err), fmt.Errorf("fleet: submit to %s: %w", w.name, err)
+		return nil, classify(ctx), fmt.Errorf("fleet: submit to %s: %w", w.name, err)
 	}
 	ls := c.grantLease(w.name, jv.ID, cancel)
 	defer c.releaseLease(ls.id)
@@ -140,18 +140,16 @@ func (c *Coordinator) runOn(ctx context.Context, w *worker, sr *shardRun) (*core
 	for {
 		final, err := c.watch(attempt, w, jv.ID, ls.id, sr, &sent)
 		if err != nil {
-			if out := c.classify(ctx, attempt, err); out != outcomeLost {
-				if out == outcomeCanceled {
-					c.cancelRemote(w, jv.ID)
-				}
-				return nil, out, err
+			if classify(ctx) == outcomeCanceled {
+				c.cancelRemote(w, jv.ID)
+				return nil, outcomeCanceled, err
 			}
 			// The stream broke but the attempt is still live: ask once
 			// (with retries) whether the job survived; reconnecting with
 			// Last-Event-ID resumes exactly after the last step seen.
 			var st service.JobView
 			if perr := c.get(attempt, w.url+"/v1/jobs/"+jv.ID, &st); perr != nil {
-				return nil, c.classify(ctx, attempt, perr),
+				return nil, classify(ctx),
 					fmt.Errorf("fleet: worker %s unreachable: %w", w.name, perr)
 			}
 			if !st.State.Terminal() {
@@ -181,20 +179,15 @@ func (c *Coordinator) runOn(ctx context.Context, w *worker, sr *shardRun) (*core
 	}
 }
 
-// classify maps an attempt error to its outcome: the caller's context
-// ending is a cancellation, the attempt context alone ending is a lease
-// expiry (lost), anything else is a lost worker.
-func (c *Coordinator) classify(ctx, attempt context.Context, err error) outcome {
-	switch {
-	case ctx.Err() != nil:
+// classify maps a failed attempt to its outcome: the caller's context ending
+// is a cancellation; anything else — the attempt context alone ending (lease
+// expiry, worker departed), a request the worker rejected outright, a broken
+// connection — is a lost worker.
+func classify(ctx context.Context) outcome {
+	if ctx.Err() != nil {
 		return outcomeCanceled
-	case attempt.Err() != nil:
-		return outcomeLost // lease expired or worker departed
-	case retry.IsPermanent(err):
-		return outcomeLost // the worker rejected the request outright
-	default:
-		return outcomeLost
 	}
+	return outcomeLost
 }
 
 // watch consumes the job's SSE stream, renewing the lease on every event

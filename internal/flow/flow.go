@@ -125,10 +125,3 @@ func (s *Solver) Run(n, threads int) float64 {
 func (s *Solver) BytesPerStep() float64 {
 	return float64(s.NX*s.NY) * 8 * 2
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

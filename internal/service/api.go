@@ -1238,12 +1238,13 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleSnapshot serves the job's latest retained in-memory checkpoint as
-// the raw snapshot binary — the pull side of fleet rescheduling: a
-// coordinator fetches the dying worker's last step boundary here and seeds
-// the replacement shard with it. 404 until the first step boundary of a
-// retain_snapshot run; the X-Neutral-Step header carries the step index
-// the snapshot was taken at.
+// handleSnapshot serves the job's latest checkpoint (Job.ckpt) as the raw
+// snapshot binary — the pull side of fleet rescheduling: a coordinator
+// fetches the dying worker's last step boundary here and seeds the
+// replacement shard with it. 404 while the job holds none (an unseeded
+// retain_snapshot run before its first step boundary); the X-Neutral-Step
+// header carries the step index the snapshot was taken at, -1 for one the
+// job was handed rather than took.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.job(w, r)
 	if !ok {

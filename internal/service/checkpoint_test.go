@@ -70,9 +70,21 @@ func TestCheckpointResumeAcrossEngineRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The "restarted" engine over the same checkpoint directory.
+	// The "restarted" engine over the same checkpoint directory. Its one
+	// worker first runs another job (another problem, layout, scheme and
+	// thread count), so the resume lands in place on a simulation that is
+	// already holding something else.
 	e := New(Options{Shards: 1, Blobs: fsStore(t, dir)})
 	defer e.Close()
+	other := core.Default(mesh.Scatter)
+	other.NX, other.NY = 64, 64
+	other.Particles = 300
+	other.Layout, other.Scheme, other.Threads = particle.SoA, core.OverEvents, 3
+	if jo, err := e.Submit(other); err != nil {
+		t.Fatal(err)
+	} else if st := waitDone(t, jo); st.State != StateDone {
+		t.Fatalf("first job: state %v, err %v", st.State, st.Err)
+	}
 	j, err := e.Submit(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -73,23 +73,20 @@ func (j *Job) addReplica(v ReplicaView) {
 // replica — routed by fingerprint across the engine's sharded worker pool
 // exactly like user submissions, so replicas run concurrently, dedupe
 // against the cache, and checkpoint individually — then folds the per-cell
-// tallies into ensemble statistics in replica order and stores the merged
-// result under the parent's fingerprint. The coordinator is a goroutine, not
-// a worker: a wide ensemble never starves the pool of its own replicas.
-func (e *Engine) runEnsemble(j *Job) {
-	if !j.start() { // canceled before the coordinator started
-		return
-	}
-	e.running.Add(1)
-	defer e.running.Add(-1)
-
+// tallies into ensemble statistics in replica order and returns the merged
+// result for execute to settle under the parent's fingerprint. It runs on a
+// goroutine of its own, not a worker: a wide ensemble never starves the pool
+// of its own replicas.
+func (e *Engine) runEnsemble(j *Job) (*core.Result, *stats.Ensemble, error) {
 	cfg := j.cfg
 	reps := cfg.Replicas
 	children := make([]*Job, 0, reps)
-	cancelChildren := func() {
+	// fail cancels the children still running and reports why.
+	fail := func(err error) (*core.Result, *stats.Ensemble, error) {
 		for _, c := range children {
 			e.Cancel(c.ID())
 		}
+		return nil, nil, err
 	}
 	for r := 0; r < reps; r++ {
 		ccfg := cfg
@@ -107,9 +104,7 @@ func (e *Engine) runEnsemble(j *Job) {
 		// charges the fan-out to the submitting tenant's lanes.
 		child, err := e.submit(ccfg, nil, SubmitOptions{Tenant: j.tenant})
 		if err != nil {
-			cancelChildren()
-			e.finish(j, StateFailed, nil, fmt.Errorf("service: ensemble replica %d: %w", r, err), false)
-			return
+			return fail(fmt.Errorf("service: ensemble replica %d: %w", r, err))
 		}
 		children = append(children, child)
 	}
@@ -123,15 +118,11 @@ func (e *Engine) runEnsemble(j *Job) {
 		select {
 		case <-child.Done():
 		case <-j.ctx.Done():
-			cancelChildren()
-			e.finish(j, StateCanceled, nil, j.ctx.Err(), false)
-			return
+			return fail(j.ctx.Err())
 		}
 		res, err := child.Result()
 		if err != nil {
-			cancelChildren()
-			e.finish(j, StateFailed, nil, fmt.Errorf("service: ensemble replica %d: %w", r, err), false)
-			return
+			return fail(fmt.Errorf("service: ensemble replica %d: %w", r, err))
 		}
 		acc.Add(res.Cells)
 		totals[r] = res.TallyTotal
@@ -164,9 +155,5 @@ func (e *Engine) runEnsemble(j *Job) {
 	if cfg.KeepCells {
 		res.Cells = ens.Mean
 	}
-	j.mu.Lock()
-	j.ensemble = ens
-	j.mu.Unlock()
-	e.store.put(j.key, cfg, res, ens)
-	e.finish(j, StateDone, res, nil, false)
+	return res, ens, nil
 }

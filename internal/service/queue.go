@@ -1,10 +1,11 @@
 // Package service turns the single-shot neutral solver into a long-running
 // simulation service: a bounded fair-share job queue (this file), a sharded
-// worker pool multiplexing concurrent core.RunCtx executions (worker.go), a
-// content-addressed result cache keyed by the canonical config fingerprint
-// (cache.go) with an optional blob-store persistent tier (blob/), per-tenant
-// authentication and admission control (auth.go, quota.go), and an
-// HTTP/JSON front end with streaming progress (api.go).
+// worker pool whose every started job takes one path — start, acquire the
+// worker's core.Simulation, run, settle (worker.go) — a result store keyed
+// by the canonical config fingerprint (store.go) with an optional blob-store
+// persistent tier (blob/), per-tenant authentication and admission control
+// (auth.go, quota.go), and an HTTP/JSON front end with streaming progress
+// (api.go).
 //
 // The design follows the client/server job frameworks the transport-code
 // literature converged on (Kostin et al.; MC/DC): the solver stays a pure

@@ -102,15 +102,14 @@ type Job struct {
 	started   time.Time
 	finished  time.Time
 
-	// Fleet state. retainSnap keeps the latest step-boundary snapshot in
-	// memory (snap/snapStep) so a coordinator can pull it over
-	// /v1/jobs/{id}/snapshot; seedSnap is a snapshot handed in at
-	// submission (or reported back by a failed remote dispatch) that the
-	// solver resumes from instead of running the completed steps again.
+	// ckpt is the job's latest checkpoint: the snapshot handed in at
+	// submission, then whichever step boundary last replaced it — a local one
+	// (retainSnap jobs only: a snapshot is bank-sized) or one a RemoteRunner
+	// pulled. GET /v1/jobs/{id}/snapshot, CheckpointInFlight and acquire read
+	// it; the terminal transition releases it, except on a retainSnap job
+	// that ran here, because a coordinator's last pulls arrive after done.
 	retainSnap bool
-	seedSnap   []byte
-	snap       []byte
-	snapStep   int
+	ckpt       checkpoint
 	// worker and reschedules describe remote execution: the fleet worker
 	// currently (or last) assigned the job, and how many times the shard
 	// moved after its worker died. Both zero for locally solved jobs.
@@ -201,39 +200,35 @@ func (j *Job) addWarning(w string) {
 	j.warnings = append(j.warnings, w)
 }
 
-// Snapshot returns the latest retained step-boundary snapshot and the step
-// it was taken at; nil when the job does not retain snapshots or has not
-// reached a boundary yet.
+// checkpoint is a step-boundary snapshot and the boundary it was taken at;
+// -1 for one that came from outside (handed in at submission, or pulled from
+// a worker that may have moved on since), which only restoring it will tell.
+type checkpoint struct {
+	data []byte
+	step int
+}
+
+// Snapshot returns the job's latest checkpoint and the step it was taken at;
+// nil when the job was not seeded and does not retain snapshots, has not
+// reached a boundary yet, or has released it at its end.
 func (j *Job) Snapshot() ([]byte, int) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.snap, j.snapStep
+	return j.ckpt.data, j.ckpt.step
 }
 
-// setSnapshot retains the latest step-boundary snapshot.
-func (j *Job) setSnapshot(data []byte, step int) {
-	j.mu.Lock()
-	j.snap = data
-	j.snapStep = step
-	j.mu.Unlock()
-}
-
-// takeSeedSnap consumes the submission-time (or fallback-reported) resume
-// snapshot; the seed is one-shot so a later Reset cannot resurrect it.
-func (j *Job) takeSeedSnap() []byte {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	s := j.seedSnap
-	j.seedSnap = nil
-	return s
+// setCheckpoint moves the job's latest checkpoint to a newer boundary; nil
+// data releases it. Callers hold j.mu.
+func (j *Job) setCheckpoint(data []byte, step int) {
+	j.ckpt = checkpoint{data, step}
 }
 
 // applyRemoteUpdate is the callback a RemoteRunner drives while a shard
 // runs remotely: worker assignment and reschedule count land on the job
 // view, forwarded step results land on the step history (guarded to stay
 // monotonic across worker reconnects and rescheduled resumes), and the
-// latest pulled snapshot becomes the local resume seed should the fleet
-// degrade to in-process execution.
+// latest pulled snapshot becomes the job's checkpoint, the local resume
+// point should the fleet degrade to in-process execution.
 func (j *Job) applyRemoteUpdate(u RemoteUpdate) {
 	j.mu.Lock()
 	if u.Worker != "" {
@@ -243,7 +238,7 @@ func (j *Job) applyRemoteUpdate(u RemoteUpdate) {
 		j.reschedules = u.Reschedules
 	}
 	if u.Snapshot != nil {
-		j.seedSnap = u.Snapshot
+		j.setCheckpoint(u.Snapshot, -1)
 	}
 	step := u.Step
 	if step != nil && len(j.steps) > 0 && step.Step <= j.steps[len(j.steps)-1].Step {
@@ -300,13 +295,6 @@ func (j *Job) Timings() []core.StepTiming {
 	return append([]core.StepTiming(nil), j.timings...)
 }
 
-// setResumedFrom records the checkpoint boundary the solver resumed at.
-func (j *Job) setResumedFrom(step int) {
-	j.mu.Lock()
-	j.resumedFrom = step
-	j.mu.Unlock()
-}
-
 // Wait blocks until the job is terminal or ctx expires.
 func (j *Job) Wait(ctx context.Context) error {
 	select {
@@ -344,14 +332,14 @@ func (j *Job) setProgress(p core.Progress) {
 // this call won the transition. The lifetime counter and a solved run's
 // metrics are recorded before the state change publishes the job, so whoever
 // sees it done (a waiter, a scrape right after) sees those too.
-func (e *Engine) finish(j *Job, state State, res *core.Result, err error, cached bool) bool {
+func (e *Engine) finish(j *Job, state State, res *core.Result, ens *stats.Ensemble, err error, cached bool) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return e.finishLocked(j, state, res, err, cached)
+	return e.finishLocked(j, state, res, ens, err, cached)
 }
 
 // finishLocked is finish with j.mu already held.
-func (e *Engine) finishLocked(j *Job, state State, res *core.Result, err error, cached bool) bool {
+func (e *Engine) finishLocked(j *Job, state State, res *core.Result, ens *stats.Ensemble, err error, cached bool) bool {
 	if j.state.Terminal() {
 		return false
 	}
@@ -372,6 +360,7 @@ func (e *Engine) finishLocked(j *Job, state State, res *core.Result, err error, 
 	}
 	j.state = state
 	j.result = res
+	j.ensemble = ens
 	j.err = err
 	j.cached = cached
 	j.finished = time.Now()
@@ -383,6 +372,11 @@ func (e *Engine) finishLocked(j *Job, state State, res *core.Result, err error, 
 			Done:  1,
 			Total: 1,
 		}
+	}
+	if !j.retainSnap || j.worker != "" {
+		// Nothing resumes a terminal job, and the engine keeps every job it
+		// ever ran (see Job.ckpt for the exception).
+		j.setCheckpoint(nil, 0)
 	}
 	close(j.done)
 	// Release the job's context registration on the engine context; a
@@ -615,15 +609,14 @@ func (e *Engine) submit(cfg core.Config, pinned *Queue, so SubmitOptions) (*Job,
 		resumedFrom: -1,
 		submitted:   time.Now(),
 		retainSnap:  so.RetainSnapshot,
-		seedSnap:    so.Snapshot,
+		ckpt:        checkpoint{so.Snapshot, -1},
 	}
 	e.submitted.Add(1)
 
 	if res, ens, ok := e.store.get(key, cfg); ok {
 		// Stored result: the job is born terminal, no worker involved.
 		// Ensemble entries carry their merged statistics alongside it.
-		j.ensemble = ens
-		e.finish(j, StateDone, res, nil, true)
+		e.finish(j, StateDone, res, ens, nil, true)
 	} else if cfg.Replicas > 1 {
 		// Ensemble jobs are coordinated by a dedicated goroutine that fans
 		// the replicas out as child jobs across the shard queues; the
@@ -636,7 +629,7 @@ func (e *Engine) submit(cfg core.Config, pinned *Queue, so SubmitOptions) (*Job,
 			return nil, errors.New("service: ensemble statistics need a live tally, not null")
 		}
 		e.record(j)
-		go e.runEnsemble(j)
+		go e.execute(j, nil)
 		return j, nil
 	} else {
 		if pinned == nil {
@@ -731,13 +724,13 @@ func (e *Engine) shardFor(key string) *Queue {
 	return e.shards[h.Sum32()%uint32(len(e.shards))]
 }
 
-// worker drains one shard queue until the engine closes. Each worker keeps
-// the Simulation of its last job alive so a compatible next job Resets it
-// instead of rebuilding mesh, tables and bank — the shared-setup
-// amortisation batches and sweeps rely on.
+// worker drains one shard queue until the engine closes. Each worker owns
+// one Simulation that every job rebinds, so a compatible next job keeps the
+// mesh, tables and bank of the last one — the shared-setup amortisation
+// batches and sweeps rely on.
 func (e *Engine) worker(q *Queue) {
 	defer e.wg.Done()
-	var reuse *core.Simulation
+	var sim core.Simulation
 	for {
 		j, ok := q.Pop()
 		if !ok {
@@ -746,7 +739,7 @@ func (e *Engine) worker(q *Queue) {
 		if !j.enqueued.IsZero() {
 			e.metrics.queueWait.With(j.tenant).Observe(time.Since(j.enqueued).Seconds())
 		}
-		e.execute(j, &reuse)
+		e.execute(j, &sim)
 	}
 }
 
@@ -762,116 +755,94 @@ func (j *Job) start() bool {
 	return true
 }
 
-// execute runs one job to a terminal state.
-func (e *Engine) execute(j *Job, reuse **core.Simulation) {
+// execute is the one route from started to terminal — for plain jobs, remote
+// dispatches and their local fallback, and ensemble parents (which solve
+// nothing themselves and carry no simulation) alike.
+func (e *Engine) execute(j *Job, sim *core.Simulation) {
 	if !j.start() {
 		return
 	}
 	e.running.Add(1)
 	defer e.running.Add(-1)
 
-	// An identical job may have completed while this one queued; shard
-	// affinity makes this re-check catch every same-key dupe.
-	if res, ok := e.store.recent(j.key); ok {
-		e.finish(j, StateDone, res, nil, true)
+	if j.cfg.Replicas > 1 {
+		res, ens, err := e.runEnsemble(j)
+		e.settle(j, res, ens, err, false)
 		return
 	}
-
-	e.runs.Add(1)
-	res, err, remote := e.tryRemote(j)
-	if !remote {
-		res, err = e.solve(j, reuse)
+	// An identical job may have completed while this one queued; shard
+	// affinity makes this re-check catch every same-key dupe.
+	res, cached := e.store.recent(j.key)
+	var err error
+	if !cached {
+		e.runs.Add(1)
+		if res, err = e.tryRemote(j); errors.Is(err, ErrNoWorkers) {
+			res, err = e.solve(j, sim)
+		}
 	}
+	e.settle(j, res, nil, err, cached)
+}
+
+// settle is the terminal transition of a started job: a fresh result is
+// filed and the checkpoint it makes obsolete dropped.
+func (e *Engine) settle(j *Job, res *core.Result, ens *stats.Ensemble, err error, cached bool) {
 	switch {
 	case err == nil:
-		e.store.put(j.key, j.cfg, res, nil)
-		e.finish(j, StateDone, res, nil, false)
+		if !cached {
+			e.store.put(j.key, j.cfg, res, ens)
+			e.store.dropCheckpoint(j.key)
+		}
+		e.finish(j, StateDone, res, ens, nil, cached)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		e.finish(j, StateCanceled, nil, err, false)
+		e.finish(j, StateCanceled, nil, nil, err, false)
 	default:
-		e.finish(j, StateFailed, nil, err, false)
+		e.finish(j, StateFailed, nil, nil, err, false)
 	}
 }
 
-// tryRemote dispatches an eligible job to the fleet. The third return is
-// false when the job was not (or could not be) dispatched and must be
-// solved locally: no runner configured, an ineligible config, or no
-// healthy workers — the graceful-degradation path, which also seeds the
-// local solve with the last checkpoint the runner pulled before giving up.
-func (e *Engine) tryRemote(j *Job) (*core.Result, error, bool) {
+// tryRemote dispatches an eligible job to the fleet. It answers ErrNoWorkers
+// when the job was not (or could not be) dispatched and must be solved
+// locally: no runner configured, an ineligible config, or no healthy workers
+// — the graceful-degradation path, which leaves the last checkpoint the
+// runner pulled before giving up on the job for acquire.
+func (e *Engine) tryRemote(j *Job) (*core.Result, error) {
 	r := e.opts.Remote
-	if r == nil || j.key == "" || j.cfg.KeepBank || j.cfg.Replicas > 1 {
-		return nil, nil, false
+	if r == nil || j.key == "" || j.cfg.KeepBank {
+		return nil, ErrNoWorkers
 	}
 	res, err := r.RunShard(j.ctx, j.cfg, j.applyRemoteUpdate)
-	if err != nil && errors.Is(err, ErrNoWorkers) {
+	if errors.Is(err, ErrNoWorkers) {
 		j.addWarning("fleet: no workers reachable; degraded to local execution")
-		return nil, nil, false
 	}
-	return res, err, true
+	return res, err
 }
 
-// solve drives one job through the core Simulation lifecycle: resume from a
-// submission-seeded snapshot or a stored checkpoint when one exists,
-// otherwise Reset the worker's retained engine or build a fresh one; stream
-// per-step results onto the job; checkpoint at every step boundary (a
-// constant cadence until a measured cost budget replaces it); drop the
-// checkpoint on success. The one place execution strategy is resolved: a
-// request that names no thread count gets this engine's budget.
-func (e *Engine) solve(j *Job, reuse **core.Simulation) (*core.Result, error) {
+// solve drives one job through the core Simulation lifecycle: acquire binds
+// the worker's simulation, Drive streams per-step results onto the job and
+// checkpoints at every step boundary (a constant cadence until a measured
+// cost budget replaces it).
+func (e *Engine) solve(j *Job, sim *core.Simulation) (*core.Result, error) {
 	if e.runFn != nil {
 		return e.runFn(j.ctx, j.cfg, j.setProgress)
 	}
-	cfg := j.cfg
-	if cfg.Threads == 0 {
-		cfg.Threads = e.opts.ThreadsPerJob
+	if err := e.acquire(j, sim); err != nil {
+		return nil, err
 	}
-	var sim *core.Simulation
-	var err error
-	if seed := j.takeSeedSnap(); seed != nil {
-		// A seeded snapshot outranks any stored checkpoint: the
-		// coordinator hands the freshest resume point it pulled, while the
-		// store holds whatever an earlier attempt left behind.
-		if sim, err = core.RestoreSimulation(cfg, seed); err != nil {
-			j.addWarning(fmt.Sprintf("checkpoint: seeded snapshot rejected, running fresh: %v", err))
-		}
-	}
-	if sim == nil {
-		if data, ok := e.store.loadCheckpoint(j.key); ok {
-			// Corrupt or mismatched checkpoint: discard it and run fresh
-			// rather than failing the job.
-			if sim, err = core.RestoreSimulation(cfg, data); err != nil {
-				e.store.dropCheckpoint(j.key)
-			}
-		}
-	}
-	switch {
-	case sim != nil:
-		j.setResumedFrom(sim.StepIndex())
-	case *reuse != nil && (*reuse).Reset(cfg) == nil:
-		sim = *reuse
-	default:
-		if sim, err = core.NewSimulation(cfg); err != nil {
-			return nil, err
-		}
-	}
-	*reuse = sim
-
 	// Per-step timing spans land on the job for /v1/jobs/{id}/trace; the
-	// hook is removed before the simulation goes back into worker reuse
-	// (Reset would clear it too — this covers the no-Reset fresh path).
+	// next job's rebind clears the hook.
 	sim.SetTrace(j.addTiming)
-	defer sim.SetTrace(nil)
 
 	checkpointed := e.store.durable(j.key)
-	res, err := sim.Drive(j.ctx, j.setProgress, func(s *core.Simulation) {
+	return sim.Drive(j.ctx, j.setProgress, func(s *core.Simulation) {
 		j.addStep(stepViewOf(s))
 		if !j.retainSnap && !checkpointed {
 			return
 		}
 		data := s.Snapshot() // one Snapshot() serves both sinks
 		if j.retainSnap {
-			j.setSnapshot(data, s.StepIndex())
+			j.mu.Lock()
+			j.setCheckpoint(data, s.StepIndex())
+			j.mu.Unlock()
 		}
 		if checkpointed {
 			// Best-effort — but never silent: a failed write surfaces as a
@@ -882,10 +853,42 @@ func (e *Engine) solve(j *Job, reuse **core.Simulation) (*core.Result, error) {
 			}
 		}
 	})
-	if err == nil {
+}
+
+// acquire binds the worker's simulation to the job: the one place execution
+// strategy is resolved (a request that names no thread count gets this
+// engine's budget) and the one call into core's build path. Resume points are
+// tried freshest first — the job's own checkpoint, which a coordinator handed
+// in or pulled, then the store's, left by an earlier attempt; one that does
+// not restore is discarded and the run starts fresh rather than failing.
+func (e *Engine) acquire(j *Job, sim *core.Simulation) error {
+	cfg := j.cfg
+	if cfg.Threads == 0 {
+		cfg.Threads = e.opts.ThreadsPerJob
+	}
+	resume := func(data []byte) error {
+		err := sim.Restore(cfg, data)
+		if err == nil {
+			j.mu.Lock()
+			j.resumedFrom = sim.StepIndex()
+			j.mu.Unlock()
+		}
+		return err
+	}
+	if own, _ := j.Snapshot(); own != nil {
+		err := resume(own)
+		if err == nil {
+			return nil
+		}
+		j.addWarning(fmt.Sprintf("checkpoint: seeded snapshot rejected, running fresh: %v", err))
+	}
+	if stored, ok := e.store.loadCheckpoint(j.key); ok {
+		if resume(stored) == nil {
+			return nil
+		}
 		e.store.dropCheckpoint(j.key)
 	}
-	return res, err
+	return sim.Reset(cfg)
 }
 
 // stepViewOf summarises the simulation at the boundary it just completed.
@@ -934,7 +937,7 @@ func (e *Engine) Cancel(id string) error {
 	// returns — never both.
 	j.mu.Lock()
 	wonQueued := j.state == StateQueued &&
-		e.finishLocked(j, StateCanceled, nil, context.Canceled, false)
+		e.finishLocked(j, StateCanceled, nil, nil, context.Canceled, false)
 	j.mu.Unlock()
 	if wonQueued {
 		for _, q := range e.shards {
@@ -993,8 +996,8 @@ func (e *Engine) Cache() *Cache { return e.store.lru }
 // submissions; nil when none was configured.
 func (e *Engine) DefaultScene() *scene.Scene { return e.opts.DefaultScene }
 
-// CheckpointInFlight writes the latest retained snapshot of every
-// non-terminal job into the blob store — the SIGTERM drain path: called
+// CheckpointInFlight writes the latest checkpoint of every non-terminal job
+// that holds one into the blob store — the SIGTERM drain path: called
 // before Close, it persists each in-flight shard at its last step boundary
 // so a process restarted over the same store (or a coordinator rescheduling
 // the shard elsewhere) resumes instead of re-running. Returns the number of
@@ -1005,7 +1008,7 @@ func (e *Engine) CheckpointInFlight() int {
 	for _, j := range e.Jobs() {
 		j.mu.Lock()
 		terminal := j.state.Terminal()
-		snap := j.snap
+		snap := j.ckpt.data
 		j.mu.Unlock()
 		if !terminal && snap != nil && e.store.durable(j.key) &&
 			e.store.saveCheckpoint(j.key, snap) == nil {
@@ -1037,6 +1040,6 @@ func (e *Engine) Close() {
 	// Workers drained the queues; anything popped after the cancel came
 	// back canceled. Sweep stragglers that were queued but skipped.
 	for _, j := range e.Jobs() {
-		e.finish(j, StateCanceled, nil, ErrClosed, false)
+		e.finish(j, StateCanceled, nil, nil, ErrClosed, false)
 	}
 }

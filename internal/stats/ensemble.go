@@ -144,7 +144,7 @@ func RunEnsemble(ctx context.Context, cfg core.Config, opts Options) (*Ensemble,
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			var sim *core.Simulation
+			var sim core.Simulation // rebound per replica: built once, reused after
 			for rep := w; rep < reps; rep += workers {
 				if ectx.Err() != nil {
 					return
@@ -154,13 +154,8 @@ func RunEnsemble(ctx context.Context, cfg core.Config, opts Options) (*Ensemble,
 				cfgR.Replica = rep
 				cfgR.KeepBank = false
 				cfgR.KeepCells = false
-				var err error
-				if sim == nil {
-					sim, err = core.NewSimulation(cfgR)
-				} else {
-					err = sim.Reset(cfgR)
-				}
 				var res *core.Result
+				err := sim.Reset(cfgR)
 				if err == nil {
 					res, err = sim.Drive(ectx, nil, nil)
 				}

@@ -275,8 +275,8 @@ var (
 	ErrTallyOverflow = tally.ErrOverflow
 	// ErrTooManyDensities reports a density field with more than 256
 	// distinct values — a mesh cell is a one-byte material index — from a
-	// Config.CustomDensity hook or a scene; NewSimulation, Reset and
-	// RestoreSimulation return it.
+	// Config.CustomDensity hook or a scene; NewSimulation, Reset, Restore
+	// and RestoreSimulation return it.
 	ErrTooManyDensities = mesh.ErrTooManyDensities
 	// ErrBadDensity reports a NaN, infinite or negative density painted by
 	// a Config.CustomDensity hook.
@@ -285,7 +285,8 @@ var (
 
 // NewSimulation builds a stateful simulation ready for its first Step: the
 // explicit lifecycle behind Run, for callers that need per-step control,
-// checkpointing (Snapshot/RestoreSimulation) or setup reuse (Reset).
+// checkpointing (Snapshot/RestoreSimulation) or setup reuse (Reset, and
+// Restore to resume in place).
 func NewSimulation(cfg Config) (*Simulation, error) { return core.NewSimulation(cfg) }
 
 // RestoreSimulation rebuilds a simulation from a Snapshot taken under an
