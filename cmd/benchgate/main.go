@@ -13,7 +13,7 @@
 // Usage:
 //
 //	go test -bench 'OverEvents|UninterruptedSolve' -benchtime 3x -count 4 -run '^$' ./internal/core |
-//	    benchgate -baseline BENCH_pr21.json
+//	    benchgate -baseline BENCH_pr23.json
 //
 // The baseline file carries a "benchmarks" object mapping benchmark name
 // (as printed by go test, minus the -GOMAXPROCS suffix) to ns/op. Repeated
@@ -46,7 +46,7 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) 
 
 func run() error {
 	var (
-		baselinePath = flag.String("baseline", "BENCH_pr21.json", "baseline JSON with a benchmarks{name: ns/op} object")
+		baselinePath = flag.String("baseline", "BENCH_pr23.json", "baseline JSON with a benchmarks{name: ns/op} object")
 		inPath       = flag.String("in", "", "benchmark output to check (default stdin)")
 		threshold    = flag.Float64("threshold", 1.10, "fail when normalised current/baseline exceeds this")
 	)

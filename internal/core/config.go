@@ -28,9 +28,11 @@ const (
 	// worker: data cached in registers, minimal synchronisation, deep
 	// branches, possible load imbalance.
 	OverParticles Scheme = iota
-	// OverEvents advances all particles one event at a time through
-	// tight kernels: more data parallelism, no register caching,
-	// gathered memory access, a synchronisation per kernel.
+	// OverEvents advances particles one event at a time through tight
+	// kernels: more data parallelism, no register caching, gathered
+	// memory access. The paper synchronises every thread after every
+	// kernel; here each worker runs the rounds of its own share of the
+	// particles and the workers join once a step (see stepOverEvents).
 	OverEvents
 )
 

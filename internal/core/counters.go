@@ -41,7 +41,8 @@ type Counters struct {
 	TallyFlushes uint64 // atomic read-modify-writes onto the tally mesh
 	RNGDraws     uint64 // cipher blocks generated
 
-	// Over Events bookkeeping. OERounds counts rounds of the outer loop.
+	// Over Events bookkeeping. OERounds counts rounds: a step has as many
+	// as its longest history has events, whichever worker ran it.
 	// OESlotSweeps counts the particle slots the paper's naive scheme
 	// sweeps ("each kernel visits the entire list of particles", §V-B):
 	// 4 kernels x bank size per round plus one census sweep per step. It
@@ -114,7 +115,12 @@ func PerParticle(count uint64, particles int) float64 {
 
 // PhaseTimings records where wallclock went. For Over Events the four
 // kernels are timed separately (the paper profiles them individually in
-// Fig 8); Over Particles has a single fused loop.
+// Fig 8); Over Particles has a single fused loop. An Over Events worker runs
+// its kernels on its own share of the particles with no barrier between them,
+// so a kernel has no wall of its own: its entry is the mean over workers of
+// the time each spent inside it — the kernel's wall at one thread, and at any
+// thread count a share of the step's wall. Every other entry is the wall of a
+// launch or a serial pass.
 type PhaseTimings struct {
 	// EventKernel is time computing distances and moving particles
 	// (Over Events kernel 1).
@@ -140,6 +146,9 @@ type PhaseTimings struct {
 // slot: each per-round kernel's phase time over its share of
 // Counters.OEActiveVisits — Segments for the event kernel, CollisionEvents and
 // FacetEvents for the two handlers. Zero for a kernel that visited nothing.
+// The phase time is a mean over workers and the visits a total, so at P
+// threads this is the wall a visit costs the step, 1/P of what it costs the
+// worker that makes it.
 func (r *Result) OEVisitNs() (event, collision, facet float64) {
 	per := func(d time.Duration, visits uint64) float64 {
 		if visits == 0 {

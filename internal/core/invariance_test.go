@@ -22,6 +22,12 @@ import (
 // layout tag and — under the sort — the bank's slot order, so those two are
 // held to the one-thread atomic run of the same scheme, layout and sort
 // interval.
+//
+// Each scene then adds the edges of the Over Events partition, where a worker
+// owns one window of the step's active list until it is empty: populations of
+// 1, 3 and 257 at two and eight threads — more workers than work, windows that
+// empty rounds apart — held the same way to the one-thread run of that
+// population.
 func TestResultInvariance(t *testing.T) {
 	scenes := []struct {
 		name string
@@ -58,6 +64,24 @@ func TestResultInvariance(t *testing.T) {
 			snap := sim.Snapshot()
 			return outcome{sim.Finalize(), snap}
 		}
+		// hold compares a run's results to ref and its bookkeeping to same.
+		hold := func(name string, got outcome, ref *Result, same *outcome) {
+			if got.res.TallyTotal != ref.TallyTotal {
+				t.Errorf("%s: tally total %.17g, reference %.17g", name, got.res.TallyTotal, ref.TallyTotal)
+			}
+			if !slices.Equal(got.res.Cells, ref.Cells) {
+				t.Errorf("%s: tally cells differ from the reference", name)
+			}
+			if got.res.Leakage != ref.Leakage {
+				t.Errorf("%s: leakage %+v, reference %+v", name, got.res.Leakage, ref.Leakage)
+			}
+			if got.res.Counter != same.res.Counter {
+				t.Errorf("%s: counters\n got %+v\nwant %+v", name, got.res.Counter, same.res.Counter)
+			}
+			if !bytes.Equal(got.snap, same.snap) {
+				t.Errorf("%s: final snapshot differs from the one-thread atomic run's", name)
+			}
+		}
 		var ref *Result
 		for _, scheme := range []Scheme{OverParticles, OverEvents} {
 			for _, layout := range []particle.Layout{particle.AoS, particle.SoA} {
@@ -84,25 +108,30 @@ func TestResultInvariance(t *testing.T) {
 									if same == nil {
 										same = &got
 									}
-									if got.res.TallyTotal != ref.TallyTotal {
-										t.Errorf("%s: tally total %.17g, reference %.17g", name, got.res.TallyTotal, ref.TallyTotal)
-									}
-									if !slices.Equal(got.res.Cells, ref.Cells) {
-										t.Errorf("%s: tally cells differ from the reference", name)
-									}
-									if got.res.Leakage != ref.Leakage {
-										t.Errorf("%s: leakage %+v, reference %+v", name, got.res.Leakage, ref.Leakage)
-									}
-									if got.res.Counter != same.res.Counter {
-										t.Errorf("%s: counters\n got %+v\nwant %+v", name, got.res.Counter, same.res.Counter)
-									}
-									if !bytes.Equal(got.snap, same.snap) {
-										t.Errorf("%s: final snapshot differs from the one-thread atomic run's", name)
-									}
+									hold(name, got, ref, same)
 								}
 							}
 						}
 					}
+				}
+			}
+		}
+		for _, layout := range []particle.Layout{particle.AoS, particle.SoA} {
+			for _, particles := range []int{1, 3, 257} {
+				var one outcome
+				for _, threads := range []int{1, 2, 8} {
+					cfg := sc.cfg()
+					cfg.Steps = 3
+					cfg.KeepBank = false
+					cfg.Scheme, cfg.Layout, cfg.Particles, cfg.Threads = OverEvents, layout, particles, threads
+					got := run(t, cfg, false)
+					if threads == 1 {
+						one = got
+						if got.res.Counter.OERounds == 0 {
+							t.Fatalf("%s/%v/particles=%d: no rounds", sc.name, layout, particles)
+						}
+					}
+					hold(fmt.Sprintf("%s/%v/%v/particles=%d/threads=%d", sc.name, OverEvents, layout, particles, threads), got, one.res, &one)
 				}
 			}
 		}

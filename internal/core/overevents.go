@@ -9,30 +9,29 @@ import (
 	"repro/internal/xs"
 )
 
-// oeSchedule is the schedule used by the Over Events kernels. The amount of
-// work in each kernel is known before the loop, so a static schedule is
-// appropriate (paper §V-B).
+// oeSchedule is the schedule of the one Over Events launch per step: the
+// step's active list is cut into one contiguous window per worker, known
+// before the loop, so a static schedule is appropriate (paper §V-B).
 var oeSchedule = Schedule{Kind: ScheduleStatic}
 
-// oeState is the Over Events compaction scratch, allocated once per run and
-// reused across rounds and steps (nothing here is allocated inside the
-// timestep loop). The paper's scheme re-sweeps the full particle bank in
-// every kernel of every round; this solver instead keeps a persistent list
-// of active slot indices and per-event gather buckets, so each kernel
-// iterates exactly the particles it applies to — stream compaction in the
-// sense of the event-based GPU transport codes (MC/DC; Tramm et al. 2024).
+// oeState is the Over Events scratch, allocated once per run and reused across
+// rounds and steps (nothing here is allocated inside the timestep loop). The
+// paper's scheme re-sweeps the full particle bank in every kernel of every
+// round; this solver instead keeps a list of active slot indices and per-event
+// gather buckets, so each kernel iterates exactly the particles it applies to
+// — stream compaction in the sense of the event-based GPU transport codes
+// (MC/DC; Tramm et al. 2024).
 //
-// All bucket builds are deterministic: the static schedule assigns each
-// worker one contiguous segment of the iterated list, the worker appends
-// matches in segment order into a shadow region starting at its segment
-// offset (a worker can never produce more entries than its segment holds),
-// and packSegments compacts the regions in worker order. A list that starts
-// sorted therefore stays sorted, and the whole round structure is a pure
-// function of the bank state — which is what keeps stepwise/snapshot runs
-// bit-identical to uninterrupted ones.
+// Every array is cut the same way: a worker owns the window [lo, hi) of the
+// step's active list and the same window of every other array, and every list
+// a round builds from that window — next, collision, facet + geometry, census
+// — is built inside it. That is always room enough: a slot is in at most one
+// of a round's lists, and the slots a window has retired to census plus the
+// ones it still carries never outnumber the ones it started with. So workers
+// share no scratch, and no list is ever moved between them.
 type oeState struct {
-	active []int32 // active slot indices for the current round (sorted)
-	next   []int32 // next round's active list (double buffer / K2 shadow)
+	active []int32 // the step's active slot indices, as gathered (sorted)
+	next   []int32 // the other half of each window's active double buffer
 	coll   []int32 // collision bucket for the round
 	facet  []int32 // facet bucket for the round
 	facetG []uint8 // facet geometry aligned with facet: axis<<1 | (dir>0)
@@ -41,13 +40,13 @@ type oeState struct {
 	// frame is the event frame: per bank slot, the derived state the event
 	// kernel needs beside the record. See oeFrame.
 	frame []oeFrame
+}
 
-	// Per-worker segment bookkeeping for the gather kernels.
-	segLo  []int32
-	nColl  []int32
-	nFacet []int32
-	nCens  []int32
-	nKeep  []int32
+// oeShare is what one worker reports from its window of a step; stepOverEvents
+// reads and clears it at the join.
+type oeShare struct {
+	rounds uint64       // rounds until the window was empty
+	phases PhaseTimings // time in each kernel
 }
 
 // oeFrame is one slot of the event frame: the part of a segment's arithmetic
@@ -78,15 +77,11 @@ func (f *oeFrame) setMotion(p *particle.Particle) {
 	f.invSpeed, f.invUX, f.invUY = 1/f.speed, 1/p.UX, 1/p.UY
 }
 
-// ensureOE sizes the compaction scratch for the current bank and worker
-// count, reusing prior allocations when they fit. stepOverEvents re-checks
-// at every step because weight-window splitting can grow the bank between
-// steps.
+// ensureOE sizes the scratch for the current bank, reusing prior allocations
+// when they fit. stepOverEvents re-checks at every step because weight-window
+// splitting can grow the bank between steps.
 func (r *run) ensureOE() {
-	n, threads := r.bank.Len(), r.cfg.Threads
-	if n < r.cfg.Particles {
-		n = r.cfg.Particles
-	}
+	n := max(r.bank.Len(), r.cfg.Particles)
 	if r.oe == nil {
 		r.oe = &oeState{}
 	}
@@ -100,65 +95,58 @@ func (r *run) ensureOE() {
 		sc.census = make([]int32, n)
 		sc.frame = make([]oeFrame, n)
 	}
-	if len(sc.segLo) < threads {
-		sc.segLo = make([]int32, threads)
-		sc.nColl = make([]int32, threads)
-		sc.nFacet = make([]int32, threads)
-		sc.nCens = make([]int32, threads)
-		sc.nKeep = make([]int32, threads)
-	}
-}
-
-// oeWorkers caps a kernel's worker count by the work available: a tail
-// round carrying a few dozen in-flight particles runs on one or two workers
-// instead of paying a full fork-join for sub-chunk segments. The count is a
-// pure function of the iteration length, so bucket builds stay
-// deterministic.
-func oeWorkers(threads, n int) int {
-	const grain = 256 // minimum slots that justify another worker
-	if w := (n + grain - 1) / grain; w < threads {
-		threads = w
-	}
-	if threads < 1 {
-		return 1
-	}
-	return threads
-}
-
-// packSegments compacts per-worker shadow regions of buf into a contiguous
-// block starting at base: worker w wrote counts[w] entries at
-// base+segLo[w]. Segments are in ascending offset order and each holds no
-// more entries than its span, so every destination is at or before its
-// source and the forward copies never clobber unread data. Returns the
-// packed length.
-func packSegments(buf []int32, base int, segLo, counts []int32) int {
-	n := 0
-	for w := range counts {
-		c := int(counts[w])
-		if c == 0 {
-			continue
-		}
-		src := base + int(segLo[w])
-		if dst := base + n; dst != src {
-			copy(buf[dst:dst+c], buf[src:src+c])
-		}
-		n += c
-	}
-	return n
 }
 
 // stepOverEvents runs one timestep with the Over Events scheme (paper §V-B,
 // Listing 2): rounds of tight kernels. Nothing is cached in registers across
 // kernels — all state lives in the particle store and the event frame beside
-// it — and every kernel ends in a synchronisation, exactly as in the paper.
-// The deviation (DESIGN.md §9) is purely in iteration: where the paper's
-// kernels each sweep the entire particle list testing a per-slot event tag,
-// these kernels iterate a compacted active-index list and per-event buckets
-// gathered by kernel 1, so the per-round cost is O(active particles), not
-// O(bank size). Per-particle work, event order and RNG consumption are
-// unchanged, which keeps the scheme bit-identical to Over Particles.
+// it. Two things differ from the paper, neither in the physics (DESIGN.md §9).
+// Where its kernels each sweep the entire particle list testing a per-slot
+// event tag, these iterate an active-index list and per-event buckets gathered
+// by kernel 1, so a round costs O(active particles), not O(bank size). And
+// where it synchronises every thread after every kernel, here a step is one
+// launch: each worker takes one window of the step's active list and runs the
+// rounds of that window to the end (oeWindow), as the event-queue codes keep a
+// particle's events on the unit that owns it. A history never reads another
+// history's state and deposits commute (the fixed-point tally and leakage), so
+// no result depends on which worker visited a slot or when: per-particle work,
+// event order and RNG consumption are those of Over Particles, bit for bit.
 //
-// Kernel order per round:
+// What the join makes of the workers' reports is the same at every thread
+// count. A step has as many rounds as its longest history, so OERounds is the
+// maximum of the workers' round counts, and OESlotSweeps prices the paper's
+// naive scheme from it: four full-bank kernels a round and one census sweep
+// (see Counters.OESlotSweeps). A kernel's PhaseTimings entry is the mean over
+// workers of the time they spent in it.
+func (r *run) stepOverEvents(res *Result) {
+	r.ensureOE() // the bank may have grown since the last step
+	sc := r.oe
+	// The step's one status sweep, then its one launch.
+	sc.active = r.bank.GatherStatus(sc.active[:0], particle.Alive)
+	parallelFor(r.cfg.Threads, len(sc.active), oeSchedule, func(w, lo, hi int) {
+		r.oeWindow(r.workers[w], lo, hi)
+	})
+
+	var rounds uint64
+	var sum PhaseTimings
+	for _, ws := range r.workers {
+		rounds = max(rounds, ws.oe.rounds)
+		sum = sum.Add(ws.oe.phases)
+		ws.oe = oeShare{}
+	}
+	k := time.Duration(len(r.workers))
+	res.Phases.EventKernel += sum.EventKernel / k
+	res.Phases.CollisionKernel += sum.CollisionKernel / k
+	res.Phases.FacetKernel += sum.FacetKernel / k
+	res.Phases.TallyKernel += sum.TallyKernel / k
+	c := &r.workers[0].c
+	c.OERounds += rounds
+	c.OESlotSweeps += (4*rounds + 1) * uint64(r.bank.Len())
+}
+
+// oeWindow is one worker's share of a step: rounds of the three kernels over
+// its window [lo, hi) of the active list until every slot in it has retired,
+// then the census flush. Kernel order per round:
 //
 //  1. event kernel: compute times to events, pick the nearest, move the
 //     particle; gathers each particle's index into the collision or facet
@@ -170,97 +158,70 @@ func packSegments(buf []int32, base int, segLo, counts []int32) int {
 //     scalar backend does not need), then cross the facet, reflect or escape.
 //
 // The next round's active list is the collision survivors followed by the
-// facet survivors. After the last round a census kernel flushes every
-// particle that reached census.
-func (r *run) stepOverEvents(res *Result) {
-	r.ensureOE() // the bank may have grown since the last step
-	sc := r.oe
-	threads := r.cfg.Threads
-	bankN := uint64(r.bank.Len())
+// facet survivors. After the last round the census kernel flushes the slots
+// the window retired to census, visiting exactly those instead of sweeping the
+// bank. Worker 0 alone reports its kernels to the region probe, so the
+// callbacks stay paired and never nested at any thread count.
+func (r *run) oeWindow(ws *workerState, lo, hi int) {
+	sc, ph := r.oe, &ws.oe.phases
+	cur, nxt := sc.active[lo:hi], sc.next[lo:hi]
+	coll, facet, facetG, census := sc.coll[lo:hi], sc.facet[lo:hi], sc.facetG[lo:hi], sc.census[lo:hi]
+	lead := ws.id == 0 // the worker the region probe hears from
+	enter := func(name string) time.Time {
+		if lead {
+			r.regionStart(name)
+		}
+		return time.Now()
+	}
+	leave := func(name string, t0 time.Time, d *time.Duration) {
+		*d += time.Since(t0)
+		if lead {
+			r.regionEnd(name)
+		}
+	}
 
-	// One status sweep builds the step's initial active set; every later
-	// round compacts it in place from the event buckets.
-	sc.active = r.bank.GatherStatus(sc.active[:0], particle.Alive)
-	censusLen := 0
-
-	for first := true; len(sc.active) > 0; first = false {
+	start := time.Now()
+	n, retired, rounds := hi-lo, 0, uint64(0)
+	for ; n > 0; rounds++ {
 		// Cancellation poll: bounded by one round of kernels.
 		if r.stop.Load() {
 			return
 		}
-		n := len(sc.active)
-		for w := 0; w < threads; w++ {
-			sc.nColl[w], sc.nFacet[w], sc.nCens[w], sc.nKeep[w] = 0, 0, 0, 0
-		}
+		t0 := enter("event-kernel")
+		nc, nf, ncen := r.eventKernel(ws, cur[:n], coll, facet, facetG, census[retired:], rounds == 0)
+		leave("event-kernel", t0, &ph.EventKernel)
+		retired += ncen
 
-		r.regionStart("event-kernel")
-		t0 := time.Now()
-		parallelFor(oeWorkers(threads, n), n, oeSchedule, func(w, lo, hi int) {
-			r.eventKernel(w, lo, hi, censusLen, first)
-		})
-		nColl := packSegments(sc.coll, 0, sc.segLo, sc.nColl[:threads])
-		nFacet := packSegments(sc.facet, 0, sc.segLo, sc.nFacet[:threads])
-		packGeom(sc.facetG, sc.segLo, sc.nFacet[:threads])
-		censusLen += packSegments(sc.census, censusLen, sc.segLo, sc.nCens[:threads])
-		res.Phases.EventKernel += time.Since(t0)
-		r.regionEnd("event-kernel")
-
-		r.regionStart("collision-kernel")
-		t0 = time.Now()
-		parallelFor(oeWorkers(threads, nColl), nColl, oeSchedule, r.collisionKernel)
-		nSurv := packSegments(sc.next, 0, sc.segLo, sc.nKeep[:threads])
-		res.Phases.CollisionKernel += time.Since(t0)
-		r.regionEnd("collision-kernel")
+		t0 = enter("collision-kernel")
+		n = r.collisionKernel(ws, coll[:nc], nxt)
+		leave("collision-kernel", t0, &ph.CollisionKernel)
 
 		// The flush time is attributed to FacetKernel; TallyKernel times the
 		// census flush pass.
-		r.regionStart("facet-kernel")
-		t0 = time.Now()
-		for w := 0; w < threads; w++ {
-			sc.nKeep[w] = 0
-		}
-		parallelFor(oeWorkers(threads, nFacet), nFacet, oeSchedule, r.facetKernel)
-		nFacet = packSegments(sc.facet, 0, sc.segLo, sc.nKeep[:threads])
-		res.Phases.FacetKernel += time.Since(t0)
-		r.regionEnd("facet-kernel")
+		t0 = enter("facet-kernel")
+		nf = r.facetKernel(ws, facet[:nf], facetG)
+		leave("facet-kernel", t0, &ph.FacetKernel)
 
-		r.workers[0].c.OERounds++
-		// The logical cost of the paper's naive round: four full-bank
-		// kernels (see Counters.OESlotSweeps).
-		r.workers[0].c.OESlotSweeps += 4 * bankN
-
-		// Compact the active set: collision survivors then facet
-		// particles, both sorted, so the list stays two ordered runs
-		// and bank access stays near-sequential.
-		copy(sc.next[nSurv:nSurv+nFacet], sc.facet[:nFacet])
-		full := sc.next[:cap(sc.next)]
-		sc.next = sc.active[:cap(sc.active)]
-		sc.active = full[:nSurv+nFacet]
+		// Both runs are in the order the kernels visited them, so bank
+		// access stays near-sequential.
+		n += copy(nxt[n:], facet[:nf])
+		cur, nxt = nxt, cur
 	}
 
-	// Census kernel: flush everything that reached census this step. The
-	// census list was gathered round by round, so this visits exactly the
-	// retiring particles instead of sweeping the bank.
-	r.regionStart("tally-kernel")
-	t0 := time.Now()
-	parallelFor(oeWorkers(threads, censusLen), censusLen, oeSchedule, func(w, lo, hi int) {
-		ws := r.workers[w]
-		start := time.Now()
-		for k := lo; k < hi; k++ {
-			r.flushSlot(ws, int(sc.census[k]))
-		}
-		ws.c.OEActiveVisits += uint64(hi - lo)
-		ws.busy += time.Since(start)
-	})
-	res.Phases.TallyKernel += time.Since(t0)
-	r.regionEnd("tally-kernel")
-	// The naive scheme's census sweep visits the whole bank once per step.
-	r.workers[0].c.OESlotSweeps += bankN
+	t0 := enter("tally-kernel")
+	for _, slot := range census[:retired] {
+		r.flushSlot(ws, int(slot))
+	}
+	ws.c.OEActiveVisits += uint64(retired)
+	leave("tally-kernel", t0, &ph.TallyKernel)
+	ws.oe.rounds = rounds
+	ws.busy += time.Since(start)
 }
 
-// eventKernel is kernel 1 over active[lo:hi]: calculate_time_to_events and
-// determine_next_event, gathering the handler buckets. In the step's first
-// round (fill) it first builds the chunk's event frame.
+// eventKernel is kernel 1 over active: calculate_time_to_events and
+// determine_next_event, gathering each slot into coll, facet (its geometry
+// beside it in facetG) or census, whose new lengths it returns. In the window's
+// first round (fill) it first builds the event frame of its slots.
 //
 // Consecutive iterations are unrelated particles, so anything data-dependent
 // the body branches on is mispredicted about as often as it varies. The body
@@ -275,21 +236,19 @@ func (r *run) stepOverEvents(res *Result) {
 // exit contract of the Over Particles streak). The kinematic views load the
 // fields advance reads and store the fields it can modify — for SoA that
 // skips the weight/deposit/RNG/id/status columns a pure mover never touches.
-func (r *run) eventKernel(w, lo, hi, censusBase int, fill bool) {
-	ws, sc, m := r.workers[w], r.oe, r.mesh
-	start := time.Now()
+func (r *run) eventKernel(ws *workerState, active, coll, facet []int32, facetG []uint8, census []int32, fill bool) (nc, nf, ncen int) {
+	frame, m := r.oe.frame, r.mesh
 	var scratch particle.Particle
 	if fill {
-		for _, slot := range sc.active[lo:hi] {
+		for _, slot := range active {
 			p := r.bank.View(int(slot), &scratch)
-			sc.frame[slot].setMotion(p)
+			frame[slot].setMotion(p)
 		}
 	}
-	nc, nf, ncen := 0, 0, 0
-	for k := lo; k < hi; k++ {
-		i := int(sc.active[k])
+	for _, slot := range active {
+		i := int(slot)
 		p := r.bank.View(i, &scratch)
-		fr := &sc.frame[i]
+		fr := &frame[i]
 		// No register caching of the transport state across events: the
 		// density is re-read from memory for every round, through the
 		// cell's material into the memoised number densities (run.nd).
@@ -319,14 +278,14 @@ func (r *run) eventKernel(w, lo, hi, censusBase int, fill bool) {
 		}
 		switch ev {
 		case events.Facet:
-			sc.facet[lo+nf] = int32(i)
-			sc.facetG[lo+nf] = g
+			facet[nf] = slot
+			facetG[nf] = g
 			nf++
 		case events.Collision:
-			sc.coll[lo+nc] = int32(i)
+			coll[nc] = slot
 			nc++
 		case events.Census:
-			sc.census[censusBase+lo+ncen] = int32(i)
+			census[ncen] = slot
 			ncen++
 		}
 		r.bank.CommitKinematics(i, p)
@@ -335,9 +294,7 @@ func (r *run) eventKernel(w, lo, hi, censusBase int, fill bool) {
 			r.bank.SetStatus(i, particle.Census)
 		}
 	}
-	sc.segLo[w] = int32(lo)
-	sc.nColl[w], sc.nFacet[w], sc.nCens[w] = int32(nc), int32(nf), int32(ncen)
-	visits := uint64(hi - lo)
+	visits := uint64(len(active))
 	ws.c.Segments += visits
 	ws.c.DensityReads += visits
 	ws.c.OEActiveVisits += visits
@@ -345,7 +302,7 @@ func (r *run) eventKernel(w, lo, hi, censusBase int, fill bool) {
 	if ncen > 0 {
 		r.done.Add(int64(ncen))
 	}
-	ws.busy += time.Since(start)
+	return nc, nf, ncen
 }
 
 // handOff is the event kernel's general path, one particle's visit as the
@@ -365,17 +322,15 @@ func (r *run) handOff(ws *workerState, p *particle.Particle, fr *oeFrame, nd flo
 // beside the facet bucket: axis<<1 | (dir > 0).
 func facetGeom(axis, dir int) uint8 { return uint8(axis<<1 | (dir+1)>>1) }
 
-// collisionKernel is kernel 2 over coll[lo:hi]: handle_collision for every
-// colliding particle. Survivors are gathered into the next-round shadow with
+// collisionKernel is kernel 2 over coll: handle_collision for every colliding
+// particle. Survivors are gathered into next, whose length it returns, with
 // their frame motion recomputed — a collision is the one mid-step change of
 // energy and direction; deaths retire here.
-func (r *run) collisionKernel(w, lo, hi int) {
-	ws, sc := r.workers[w], r.oe
-	start := time.Now()
+func (r *run) collisionKernel(ws *workerState, coll, next []int32) (nk int) {
+	frame := r.oe.frame
 	var p particle.Particle
-	nk := 0
-	for k := lo; k < hi; k++ {
-		i := int(sc.coll[k])
+	for _, slot := range coll {
+		i := int(slot)
 		r.bank.Load(i, &p)
 		s := p.Stream(r.cfg.Seed)
 		cr := events.Collide(&r.ctx, &p, &s, p.CachedSigmaA, p.CachedSigmaS)
@@ -386,15 +341,14 @@ func (r *run) collisionKernel(w, lo, hi int) {
 			// kernel re-looks them up (nothing stays in registers).
 			p.CachedSigmaA = -1
 			p.CachedSigmaS = -1
-			sc.frame[i].setMotion(&p)
-			sc.next[lo+nk] = int32(i)
+			frame[i].setMotion(&p)
+			next[nk] = slot
 			nk++
 		}
 		p.SaveStream(&s)
 		r.bank.Store(i, &p)
 	}
-	sc.segLo[w], sc.nKeep[w] = int32(lo), int32(nk)
-	visits, died := uint64(hi-lo), uint64(hi-lo-nk)
+	visits, died := uint64(len(coll)), uint64(len(coll)-nk)
 	ws.c.CollisionEvents += visits
 	ws.c.RNGDraws += 3 * visits
 	ws.c.OEActiveVisits += visits
@@ -402,10 +356,10 @@ func (r *run) collisionKernel(w, lo, hi int) {
 	if died > 0 {
 		r.done.Add(int64(died))
 	}
-	ws.busy += time.Since(start)
+	return nk
 }
 
-// facetKernel is kernels 3+4 fused over facet[lo:hi]: handle_facet — flush
+// facetKernel is kernels 3+4 fused over facet: handle_facet — flush
 // the deposit register into the cell being left (the paper's separate tally
 // loop, §VI-G), then cross into the neighbour cell, reflect at a reflective
 // boundary, or escape through a vacuum one. The paper splits these into two
@@ -418,19 +372,18 @@ func (r *run) collisionKernel(w, lo, hi int) {
 // cell is cell + dir along the facet's axis computed for both axes, and the
 // one branch — the neighbour is outside the domain — is rare and is the only
 // place the scene's boundary conditions are consulted. Survivors are compacted
-// in place within the worker's segment (escaped slots drop out of the round
-// like collision deaths do), keeping the next active list sorted.
-func (r *run) facetKernel(w, lo, hi int) {
-	ws, sc, m := r.workers[w], r.oe, r.mesh
-	start := time.Now()
-	nk, reflected := 0, uint64(0)
-	for k := lo; k < hi; k++ {
-		i := int(sc.facet[k])
+// in place to the front of facet (escaped slots drop out of the round like
+// collision deaths do); it returns how many there are.
+func (r *run) facetKernel(ws *workerState, facet []int32, facetG []uint8) (nk int) {
+	frame, m := r.oe.frame, r.mesh
+	reflected := uint64(0)
+	for k, slot := range facet {
+		i := int(slot)
 		cx, cy, dep := r.bank.FlushDeposit(i)
 		if dep != 0 {
 			r.tly.Add(ws.id, m.StorageIndex(int(cx), int(cy)), dep)
 		}
-		g := int(sc.facetG[k])
+		g := int(facetG[k])
 		axis, dir := g>>1, 2*(g&1)-1
 		nx, ny := int(cx)+dir&(axis-1), int(cy)+dir&-axis
 		if uint(nx) < uint(m.NX) && uint(ny) < uint(m.NY) {
@@ -443,18 +396,17 @@ func (r *run) facetKernel(w, lo, hi int) {
 			continue // retired: not a survivor
 		} else {
 			r.bank.NegateUAxis(i, axis)
-			if fr := &sc.frame[i]; axis == 0 {
+			if fr := &frame[i]; axis == 0 {
 				fr.invUX = -fr.invUX
 			} else {
 				fr.invUY = -fr.invUY
 			}
 			reflected++
 		}
-		sc.facet[lo+nk] = int32(i)
+		facet[nk] = slot
 		nk++
 	}
-	sc.segLo[w], sc.nKeep[w] = int32(lo), int32(nk)
-	visits, escaped := uint64(hi-lo), uint64(hi-lo-nk)
+	visits, escaped := uint64(len(facet)), uint64(len(facet)-nk)
 	ws.c.FacetEvents += visits
 	ws.c.TallyFlushes += visits
 	ws.c.OEActiveVisits += visits
@@ -463,22 +415,5 @@ func (r *run) facetKernel(w, lo, hi int) {
 	if escaped > 0 {
 		r.done.Add(int64(escaped))
 	}
-	ws.busy += time.Since(start)
-}
-
-// packGeom mirrors packSegments for the geometry bytes that ride alongside
-// the facet bucket.
-func packGeom(buf []uint8, segLo, counts []int32) {
-	n := 0
-	for w := range counts {
-		c := int(counts[w])
-		if c == 0 {
-			continue
-		}
-		src := int(segLo[w])
-		if n != src {
-			copy(buf[n:n+c], buf[src:src+c])
-		}
-		n += c
-	}
+	return nk
 }

@@ -29,7 +29,7 @@ func sameFrame(a, b oeFrame) bool {
 }
 
 // TestOEKernelContract is the event kernel's per-particle contract, checked by
-// running the kernel on one-slot active lists: whichever path a visit takes —
+// calling the kernel with one-slot lists: whichever path a visit takes —
 // the flat facet path or the hand-off to advance — the record ends where
 // advance alone would have left it, bit for bit; the slot lands in exactly the
 // bucket of the event advance picks, with its geometry; the visit is counted
@@ -99,10 +99,8 @@ func TestOEKernelContract(t *testing.T) {
 						want.Status = particle.Census
 					}
 
-					sc.active = append(sc.active[:0], int32(i))
-					sc.nColl[0], sc.nFacet[0], sc.nCens[0] = 0, 0, 0
 					before := ws.c
-					r.eventKernel(0, 0, 1, 0, true)
+					nc, nf, ncen := r.eventKernel(ws, []int32{int32(i)}, sc.coll, sc.facet, sc.facetG, sc.census, true)
 
 					var got particle.Particle
 					r.bank.Load(i, &got)
@@ -112,8 +110,8 @@ func TestOEKernelContract(t *testing.T) {
 					if !sameFrame(sc.frame[i], fr) {
 						t.Fatalf("%s/%v slot %d %s: frame %+v, recomputed %+v", scene, layout, i, v.name, sc.frame[i], fr)
 					}
-					wantN := map[events.Type][3]int32{events.Collision: {1, 0, 0}, events.Facet: {0, 1, 0}, events.Census: {0, 0, 1}}[ev]
-					if gotN := [3]int32{sc.nColl[0], sc.nFacet[0], sc.nCens[0]}; gotN != wantN {
+					wantN := map[events.Type][3]int{events.Collision: {1, 0, 0}, events.Facet: {0, 1, 0}, events.Census: {0, 0, 1}}[ev]
+					if gotN := [3]int{nc, nf, ncen}; gotN != wantN {
 						t.Fatalf("%s/%v slot %d %s: buckets (coll, facet, census) = %v for a %v", scene, layout, i, v.name, gotN, ev)
 					}
 					bucket := map[events.Type][]int32{events.Collision: sc.coll, events.Facet: sc.facet, events.Census: sc.census}[ev]
@@ -146,25 +144,40 @@ func TestOEKernelContract(t *testing.T) {
 	}
 }
 
-// frameProbe checks the event frame at the end of every event kernel: for
-// every slot of the round's active list, the frame must equal the values
+// frameProbe checks the event frame at the end of every event kernel it hears
+// of, which are worker 0's: for every slot of that worker's window still in
+// flight — the round's active list — the frame must equal the values
 // recomputed from the record. The first round of a step checks the fill;
 // every later round checks what the previous round's collision and facet
-// kernels maintained.
+// kernels maintained. The other workers are mid-round on their own windows
+// meanwhile, which is the point: nothing they do reaches these slots.
 type frameProbe struct {
 	t      *testing.T
 	r      *run
 	rounds int
+	window []int32 // worker 0's window of the step's gathered list; nil between steps
 }
 
 func (p *frameProbe) StartRegion(string) {}
 
 func (p *frameProbe) EndRegion(name string) {
+	if name == "tally-kernel" {
+		p.window = nil
+	}
 	if name != "event-kernel" || p.t.Failed() {
 		return
 	}
 	p.rounds++
-	for _, slot := range p.r.oe.active {
+	if p.window == nil {
+		// A window's first round reads the gathered list and writes only the
+		// buckets, so the static schedule's first share is still in place.
+		all := p.r.oe.active
+		p.window = append(p.window, all[:len(all)/p.r.cfg.Threads]...)
+	}
+	for _, slot := range p.window {
+		if p.r.bank.StatusOf(int(slot)) != particle.Alive {
+			continue
+		}
 		if got, want := p.r.oe.frame[slot], frameOf(p.r, int(slot)); !sameFrame(got, want) {
 			p.t.Errorf("round %d slot %d: frame %+v, recomputed %+v", p.rounds, slot, got, want)
 			return
@@ -215,8 +228,12 @@ func TestOEFrameCoherent(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
+						// A step has as many rounds as its longest window: the one
+						// window of a one-thread run, and at four threads maybe
+						// not worker 0's.
 						c := res.Counter
-						if uint64(probe.rounds) != c.OERounds || c.CollisionEvents == 0 || c.Reflections == 0 {
+						if n := uint64(probe.rounds); n == 0 || n > c.OERounds || threads == 1 && n != c.OERounds ||
+							c.CollisionEvents == 0 || c.Reflections == 0 {
 							t.Fatalf("probe saw %d of %d rounds; %d collisions, %d reflections", probe.rounds, c.OERounds, c.CollisionEvents, c.Reflections)
 						}
 						if sc.name == "vacuum" && c.Escapes == 0 {

@@ -74,12 +74,13 @@ func (r *Result) LoadImbalance() float64 {
 	return float64(max) / mean
 }
 
-// workerState is the per-worker private state: instrumentation counters
-// and busy time.
+// workerState is the per-worker private state: instrumentation counters,
+// busy time, and what an Over Events worker reports at a step's join.
 type workerState struct {
 	id   int
 	c    Counters
 	busy time.Duration
+	oe   oeShare
 }
 
 // run holds the solver state for one configuration.
@@ -115,8 +116,8 @@ type run struct {
 	// totals as an uninterrupted one.
 	base Counters
 
-	// Over Events compaction scratch: the persistent active-index list
-	// and per-event gather buckets (see oeState in overevents.go).
+	// Over Events scratch: the step's active-index list and the per-event
+	// gather buckets (see oeState in overevents.go).
 	oe *oeState
 
 	// wwRhoMax is the mesh's peak density, the normalisation of the

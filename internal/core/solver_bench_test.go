@@ -27,22 +27,27 @@ func BenchmarkUninterruptedSolve(b *testing.B) {
 	}
 }
 
-// BenchmarkOverEvents times the compacted Over Events scheme at the exact
-// default configuration (the BENCH_pr3.json acceptance point), for both
-// bank layouts crossed with the locality strategies of DESIGN.md §15
-// (row-major storage versus Morton ordering plus the cell-sorted bank),
-// reporting the active fraction — the share of the naive scheme's slot
-// sweeps that touched in-flight work — and each per-round kernel's
-// nanoseconds per visited slot (Result.OEVisitNs) alongside ns/op.
+// BenchmarkOverEvents times the compacted Over Events scheme at the default
+// configuration (the BENCH_pr3.json acceptance point), for both bank layouts
+// crossed with the locality strategies of DESIGN.md §15 (row-major storage
+// versus Morton ordering plus the cell-sorted bank), reporting the active
+// fraction — the share of the naive scheme's slot sweeps that touched
+// in-flight work — and each per-round kernel's nanoseconds per visited slot
+// (Result.OEVisitNs) alongside ns/op. The thread count is in the row's name,
+// not the runner's core count: benchgate compares a row to a baseline recorded
+// elsewhere.
 func BenchmarkOverEvents(b *testing.B) {
 	for _, layout := range []particle.Layout{particle.AoS, particle.SoA} {
 		for _, loc := range []struct {
-			name string
-			ord  mesh.Ordering
-			sort int
+			name    string
+			ord     mesh.Ordering
+			sort    int
+			threads int
 		}{
-			{"row-major", mesh.RowMajor, 0},
-			{"morton+sort", mesh.Morton, 1},
+			{"row-major/t1", mesh.RowMajor, 0, 1},
+			{"row-major/t2", mesh.RowMajor, 0, 2},
+			{"morton+sort/t1", mesh.Morton, 1, 1},
+			{"morton+sort/t2", mesh.Morton, 1, 2},
 		} {
 			b.Run(fmt.Sprintf("layout=%v/%s", layout, loc.name), func(b *testing.B) {
 				cfg := Default(mesh.CSP)
@@ -50,6 +55,7 @@ func BenchmarkOverEvents(b *testing.B) {
 				cfg.Layout = layout
 				cfg.Ordering = loc.ord
 				cfg.SortEvery = loc.sort
+				cfg.Threads = loc.threads
 				var frac, ev, coll, facet float64
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

@@ -5,8 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -68,20 +68,21 @@ func TestEnsembleJobMergesReplicas(t *testing.T) {
 		}
 	}
 
-	// The stats driver over the same config must produce identical
-	// per-replica totals (replica physics is engine-independent) and the
-	// same folded mean.
-	direct, err := stats.RunEnsemble(context.Background(), cfg, stats.Options{Workers: 1})
+	// The stats driver over the same config, on three workers of its own,
+	// must produce the same statistics to the bit: replica physics is
+	// engine-independent and both fold in replica order.
+	direct, err := stats.RunEnsemble(context.Background(), cfg, stats.Options{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for r := range direct.Totals {
-		if direct.Totals[r] != ens.Totals[r] {
-			t.Errorf("replica %d: direct total %v != service total %v", r, direct.Totals[r], ens.Totals[r])
-		}
+	if !slices.Equal(direct.Totals, ens.Totals) || direct.MeanTotal != ens.MeanTotal {
+		t.Errorf("totals: direct %v (mean %v), service %v (mean %v)", direct.Totals, direct.MeanTotal, ens.Totals, ens.MeanTotal)
 	}
-	if rel := math.Abs(direct.MeanTotal-ens.MeanTotal) / direct.MeanTotal; rel > 1e-12 {
-		t.Errorf("mean totals differ by %.3g relative", rel)
+	if !slices.Equal(direct.Mean, ens.Mean) || !slices.Equal(direct.Variance, ens.Variance) || !slices.Equal(direct.RelErr, ens.RelErr) {
+		t.Error("per-cell mean, variance or relative error differs between the stats driver and the service")
+	}
+	if direct.AvgRelErr != ens.AvgRelErr || direct.MaxRelErr != ens.MaxRelErr {
+		t.Errorf("relative error: direct avg %v max %v, service avg %v max %v", direct.AvgRelErr, direct.MaxRelErr, ens.AvgRelErr, ens.MaxRelErr)
 	}
 
 	res, err := j.Result()

@@ -20,9 +20,9 @@ type Options struct {
 	// bank are allocated once per worker, not once per replica. 0 means
 	// min(replicas, GOMAXPROCS).
 	Workers int
-	// OnReplica, when non-nil, observes each replica as it completes. It
+	// OnReplica, when non-nil, observes each replica as it is folded in. It
 	// is called from worker goroutines (serialised by the driver), in
-	// completion order, which is not necessarily replica order.
+	// replica order.
 	OnReplica func(ReplicaView)
 }
 
@@ -51,8 +51,7 @@ type Ensemble struct {
 	Variance []float64
 	RelErr   []float64
 
-	// Totals holds each replica's total tally in replica order —
-	// deterministic regardless of worker count or completion order.
+	// Totals holds each replica's total tally in replica order.
 	Totals []float64
 	// MeanTotal and TotalRelErr summarise Totals.
 	MeanTotal   float64
@@ -88,9 +87,10 @@ type Ensemble struct {
 // Replicas ≤ 1 the ensemble is the run itself: Mean is bit-identical to the
 // per-cell tally Run produces.
 //
-// Per-cell statistics are folded through per-worker Welford accumulators
-// merged in worker order, so the result is deterministic for a fixed
-// (config, worker count); Totals is deterministic regardless.
+// Replicas are folded into one Welford accumulator in replica order, so every
+// statistic is a function of the config alone: the worker count, and which
+// replica finished first, change only the wallclock. The service folds its
+// ensemble jobs the same way and reports the same bits (see Assemble).
 func RunEnsemble(ctx context.Context, cfg core.Config, opts Options) (*Ensemble, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -127,10 +127,16 @@ func RunEnsemble(ctx context.Context, cfg core.Config, opts Options) (*Ensemble,
 		Totals:   make([]float64, reps),
 	}
 
-	accs := make([]*Accumulator, workers)
+	acc := NewAccumulator(cells)
 	var (
-		wg         sync.WaitGroup
-		mu         sync.Mutex // guards the shared fold-in state below
+		wg sync.WaitGroup
+		// mu guards everything the workers fold into: acc, ens and the sums
+		// below. Replicas fold in replica order whichever finishes first —
+		// turn wakes the workers waiting for theirs — so the statistics do
+		// not depend on the worker count.
+		mu         sync.Mutex
+		turn       = sync.NewCond(&mu)
+		next       int // the replica whose fold is due
 		firstErr   error
 		solverWall time.Duration
 		counters   core.Counters
@@ -139,39 +145,40 @@ func RunEnsemble(ctx context.Context, cfg core.Config, opts Options) (*Ensemble,
 	defer cancel()
 
 	for w := 0; w < workers; w++ {
-		acc := NewAccumulator(cells)
-		accs[w] = acc
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			var sim core.Simulation // rebound per replica: built once, reused after
 			for rep := w; rep < reps; rep += workers {
-				if ectx.Err() != nil {
-					return
-				}
 				cfgR := base
 				cfgR.Replicas = 1 // a replica is a plain single run
 				cfgR.Replica = rep
 				cfgR.KeepBank = false
 				cfgR.KeepCells = false
 				var res *core.Result
-				err := sim.Reset(cfgR)
+				err := ectx.Err() // a dead ensemble builds nothing more
+				if err == nil {
+					err = sim.Reset(cfgR)
+				}
 				if err == nil {
 					res, err = sim.Drive(ectx, nil, nil)
 				}
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("stats: replica %d: %w", rep, err)
-					}
+				mu.Lock()
+				for err == nil && firstErr == nil && next != rep {
+					turn.Wait()
+				}
+				if err != nil && firstErr == nil {
+					firstErr = fmt.Errorf("stats: replica %d: %w", rep, err)
+				}
+				if firstErr != nil {
 					mu.Unlock()
 					cancel()
+					turn.Broadcast()
 					return
 				}
 				// Fold the live tally in place: replicas add no
 				// per-replica tally copies.
 				acc.Add(sim.TallyCells())
-				mu.Lock()
 				ens.Totals[rep] = res.TallyTotal
 				solverWall += res.Wall
 				counters.Add(&res.Counter)
@@ -183,23 +190,20 @@ func RunEnsemble(ctx context.Context, cfg core.Config, opts Options) (*Ensemble,
 						Wall:       res.Wall,
 					})
 				}
+				next++
 				mu.Unlock()
+				turn.Broadcast()
 			}
 		}(w)
 	}
 	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("stats: ensemble canceled: %w", err)
 	}
-
-	merged := accs[0]
-	for _, acc := range accs[1:] {
-		merged.Merge(acc)
+	if firstErr != nil {
+		return nil, firstErr
 	}
-	assemble(ens, merged, solverWall, time.Since(start), counters)
+	assemble(ens, acc, solverWall, time.Since(start), counters)
 	return ens, nil
 }
 

@@ -3,6 +3,7 @@ package stats
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -164,8 +165,9 @@ func pearson(a, b []float64) (float64, int) {
 }
 
 // TestTotalsDeterministicAcrossWorkers: per-replica totals live in replica
-// order, so they must not depend on how replicas were scheduled onto
-// workers.
+// order and the per-cell moments are folded in replica order, so neither may
+// depend on how replicas were scheduled onto workers — every statistic is ==,
+// not close.
 func TestTotalsDeterministicAcrossWorkers(t *testing.T) {
 	var ref *Ensemble
 	for _, workers := range []int{1, 2, 5} {
@@ -184,6 +186,18 @@ func TestTotalsDeterministicAcrossWorkers(t *testing.T) {
 		}
 		if ens.Counters != ref.Counters {
 			t.Errorf("workers=%d: summed counters differ", workers)
+		}
+		for _, c := range []struct {
+			name      string
+			got, want []float64
+		}{{"mean", ens.Mean, ref.Mean}, {"variance", ens.Variance, ref.Variance}, {"relative error", ens.RelErr, ref.RelErr}} {
+			if !slices.Equal(c.got, c.want) {
+				t.Errorf("workers=%d: per-cell %s differs from the one-worker fold", workers, c.name)
+			}
+		}
+		if ens.AvgRelErr != ref.AvgRelErr || ens.MaxRelErr != ref.MaxRelErr {
+			t.Errorf("workers=%d: relative error avg %v max %v, one worker %v %v",
+				workers, ens.AvgRelErr, ens.MaxRelErr, ref.AvgRelErr, ref.MaxRelErr)
 		}
 	}
 }

@@ -10,10 +10,8 @@ package stats
 import "math"
 
 // Accumulator folds per-replica per-cell tallies into running first and
-// second moments with Welford's algorithm, and combines accumulators with
-// the Chan et al. parallel update. Each ensemble worker owns one; the
-// driver merges them in worker order, so the folded statistics are a
-// deterministic function of (config, worker count).
+// second moments with Welford's algorithm. An ensemble has one, fed in
+// replica order, so the folded statistics are a function of the config alone.
 type Accumulator struct {
 	n    int
 	mean []float64
@@ -42,6 +40,8 @@ func (a *Accumulator) Add(cells []float64) {
 }
 
 // Merge folds b into a (Chan et al. pairwise combination). b is unchanged.
+// No driver merges — the result would depend on how the replicas were split —
+// so only its test calls it.
 func (a *Accumulator) Merge(b *Accumulator) {
 	if b.n == 0 {
 		return
