@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
@@ -18,14 +19,18 @@ import (
 
 // shardRun is the coordinator-side state of one shard across however many
 // workers it takes: the latest pulled checkpoint survives worker deaths,
-// so every reassignment resumes instead of restarting. key is the shard
-// config's fingerprint — its checkpoint address in the blob store ("" for
-// uncacheable configs, which are never dispatched anyway).
+// so every reassignment resumes instead of restarting. snapStep is the step
+// boundary snap was taken at (0 for none, or one seeded from the store whose
+// boundary is not known); a worker is pulled again only once it advertises a
+// newer one. key is the shard config's fingerprint — its checkpoint address in
+// the blob store ("" for uncacheable configs, which are never dispatched
+// anyway).
 type shardRun struct {
 	cfg         core.Config
 	spec        service.Spec
 	key         string
 	snap        []byte
+	snapStep    int
 	reschedules int
 	update      func(service.RemoteUpdate)
 }
@@ -192,9 +197,10 @@ func classify(ctx context.Context) outcome {
 
 // watch consumes the job's SSE stream, renewing the lease on every event
 // (keepalives included — a quiet stream from a live process is not
-// death), forwarding step results, and pulling the retained checkpoint at
-// each step boundary. Returns the final JobView when the stream delivered
-// the "done" event, or an error when the stream broke first.
+// death), forwarding step results, and pulling the worker's retained
+// checkpoint whenever a step advertises a newer one than the shard holds.
+// Returns the final JobView when the stream delivered the "done" event, or
+// an error when the stream broke first.
 func (c *Coordinator) watch(ctx context.Context, w *worker, jobID string, leaseID int64, sr *shardRun, sent *int) (*service.JobView, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.url+"/v1/jobs/"+jobID+"/stream", nil)
 	if err != nil {
@@ -248,7 +254,10 @@ func (c *Coordinator) watch(ctx context.Context, w *worker, jobID string, leaseI
 }
 
 // handleEvent processes one SSE event; a non-nil JobView is the stream's
-// terminal "done" payload.
+// terminal "done" payload. A step event is always forwarded; it costs a
+// snapshot pull (and the durable copy's put) only when the checkpoint it
+// advertises is newer than the one held, so a burst of events written in one
+// flush pulls once, and a worker is pulled at most as often as it checkpoints.
 func (c *Coordinator) handleEvent(ctx context.Context, w *worker, jobID string, leaseID int64, sr *shardRun, sent *int, event string, data []byte) (*service.JobView, error) {
 	c.renewLease(leaseID)
 	switch event {
@@ -258,17 +267,20 @@ func (c *Coordinator) handleEvent(ctx context.Context, w *worker, jobID string, 
 			return nil, fmt.Errorf("fleet: bad step event: %w", err)
 		}
 		*sent++
-		// Pull the checkpoint this step boundary retained; losing one
-		// pull only costs resume granularity, never correctness.
+		// Losing a pull only costs resume granularity, never correctness:
+		// the next newer advertisement tries again.
 		var snap []byte
-		if got, err := c.getRaw(ctx, w.url+"/v1/jobs/"+jobID+"/snapshot"); err == nil {
-			snap = got
-			sr.snap = got
-			c.metrics.snapshotPulls.Inc()
-			if c.opts.Blobs != nil && sr.key != "" {
-				// Durable copy: a coordinator killed right now still
-				// re-dispatches the shard from this boundary.
-				c.opts.Blobs.Put(service.CheckpointKey(sr.key), got)
+		if sv.Checkpoint > sr.snapStep {
+			if got, step, err := c.pullSnapshot(ctx, w, jobID); err == nil {
+				snap = got
+				// The worker may have moved past what this event advertised.
+				sr.snap, sr.snapStep = got, max(step, sv.Checkpoint)
+				c.metrics.snapshotPulls.Inc()
+				if c.opts.Blobs != nil && sr.key != "" {
+					// Durable copy: a coordinator killed right now still
+					// re-dispatches the shard from this boundary.
+					c.opts.Blobs.Put(service.CheckpointKey(sr.key), got)
+				}
 			}
 		}
 		sr.update(service.RemoteUpdate{
@@ -319,15 +331,21 @@ func (c *Coordinator) get(ctx context.Context, url string, out any) error {
 	})
 }
 
-// getRaw fetches one binary document under the retry policy.
-func (c *Coordinator) getRaw(ctx context.Context, url string) ([]byte, error) {
+// pullSnapshot fetches the job's retained checkpoint from its worker under the
+// retry policy, with the step boundary the worker says it was taken at (-1
+// when the header is missing or not a number).
+func (c *Coordinator) pullSnapshot(ctx context.Context, w *worker, jobID string) ([]byte, int, error) {
 	var data []byte
-	err := c.do(ctx, http.MethodGet, url, nil, func(resp *http.Response) error {
+	step := -1
+	err := c.do(ctx, http.MethodGet, w.url+"/v1/jobs/"+jobID+"/snapshot", nil, func(resp *http.Response) error {
+		if n, perr := strconv.Atoi(resp.Header.Get("X-Neutral-Step")); perr == nil {
+			step = n
+		}
 		var rerr error
 		data, rerr = io.ReadAll(resp.Body)
 		return rerr
 	})
-	return data, err
+	return data, step, err
 }
 
 // do is the shared retrying request core: transient transport errors, 5xx

@@ -31,14 +31,22 @@ func fastConfig(seed uint64) core.Config {
 	return cfg
 }
 
-// slowConfig spans many SSE ticks, leaving room to kill a worker mid-run.
-// One thread, for its duration alone (results do not depend on it): with a
-// many-core budget the run would be over before the kill or the cancel lands.
+// slowConfig outlasts several of the worker's 100 ms SSE flushes at one
+// thread (~0.4 s of solve), leaving room to kill a worker, steal a lease or
+// announce a departure mid-run — on the run's own length: checkpoints are
+// spaced by their cost and add next to nothing to it. A csp population decays,
+// so a run's work is set by particles × mesh resolution, and steps only divide
+// it: the finer mesh makes it long, the quarter timestep and 80 steps make the
+// pieces small (several boundaries reached before the first flush, none over
+// ~40 ms) without a larger bank to snapshot. One thread, for its duration
+// alone (results do not depend on it): with a many-core budget the run would
+// be over before the kill or the cancel lands.
 func slowConfig() core.Config {
 	cfg := core.Default(mesh.CSP)
-	cfg.NX, cfg.NY = 64, 64
+	cfg.NX, cfg.NY = 256, 256
 	cfg.Particles = 20000
-	cfg.Steps = 10
+	cfg.Timestep /= 4
+	cfg.Steps = 80
 	cfg.Threads = 1
 	cfg.Seed = 42
 	cfg.KeepCells = true
@@ -666,8 +674,8 @@ func TestAgentLifecycle(t *testing.T) {
 
 	// Stale-shard delivery: plant a long job, mark it stale, and the next
 	// heartbeat must cancel it on the worker's engine.
-	// Four times slowConfig's length: at one core the heartbeat that carries
-	// the cancel queues behind the solver, and a ~90 ms job can be over
+	// Four times slowConfig's steps: at one core the heartbeat that carries
+	// the cancel queues behind the solver, and the job must not be over
 	// before it lands. The job is canceled, so the extra steps never run.
 	long := slowConfig()
 	long.Steps *= 4

@@ -36,7 +36,7 @@ func newFleetMetrics(c *Coordinator, r *telemetry.Registry) *fleetMetrics {
 		duplicateCompletions: r.Counter("fleet_duplicate_completions_total",
 			"Shard completions reported under a lease no longer held — late answers from presumed-dead workers, discarded."),
 		snapshotPulls: r.Counter("fleet_snapshot_pulls_total",
-			"Checkpoint snapshots pulled from workers at step boundaries."),
+			"Checkpoint snapshots pulled from workers — one per step event advertising a checkpoint newer than the one held."),
 		storeSeeds: r.Counter("fleet_store_seeds_total",
 			"Shard dispatches seeded from a blob-store checkpoint — resumes that survived a coordinator restart."),
 		dispatches: r.CounterVec("fleet_dispatches_total",

@@ -58,9 +58,11 @@ type Spec struct {
 	// stream-family offset. Set by a fleet coordinator transporting an
 	// ensemble child to a remote worker; plain clients leave it 0.
 	Replica int `json:"replica,omitempty"`
-	// RetainSnapshot keeps the latest step-boundary snapshot in memory
-	// for GET /v1/jobs/{id}/snapshot — how a coordinator pulls the
-	// checkpoint it would reschedule this shard from.
+	// RetainSnapshot keeps the job's latest checkpoint in memory for
+	// GET /v1/jobs/{id}/snapshot — how a coordinator pulls the checkpoint
+	// it would reschedule this shard from. Checkpoints are taken at the
+	// first step boundary and then by measured cost, not at every step; the
+	// "checkpoint" field of each step event names the boundary served.
 	RetainSnapshot bool `json:"retain_snapshot,omitempty"`
 	// Snapshot (base64 in JSON) seeds the run from a checkpoint: the
 	// solver restores it and continues from its recorded step boundary —
@@ -1134,7 +1136,8 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 // handleStream pushes the job over server-sent events until it is terminal
 // or the client disconnects: a "step" event for every completed timestep
 // (each carrying its tally total, wallclock and population — the per-step
-// results a coupled client consumes), a "progress" snapshot whenever the
+// results a coupled client consumes — and, on a retain_snapshot job, the
+// boundary of the checkpoint /snapshot serves), a "progress" snapshot whenever the
 // job view changed (sampled every 100 ms), a keepalive comment on the
 // server's heartbeat interval so idle streams survive proxy idle timeouts,
 // and a final "done" event with the closing snapshot. Step events already
@@ -1240,11 +1243,13 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 
 // handleSnapshot serves the job's latest checkpoint (Job.ckpt) as the raw
 // snapshot binary — the pull side of fleet rescheduling: a coordinator
-// fetches the dying worker's last step boundary here and seeds the
-// replacement shard with it. 404 while the job holds none (an unseeded
-// retain_snapshot run before its first step boundary); the X-Neutral-Step
-// header carries the step index the snapshot was taken at, -1 for one the
-// job was handed rather than took.
+// fetches the worker's last checkpointed boundary here and seeds the
+// replacement shard with it. That is the boundary the cost cadence last
+// picked, not necessarily the last step completed, and it stays served after
+// the job is done. 404 while the job holds none (an unseeded retain_snapshot
+// run before its first step boundary); the X-Neutral-Step header carries the
+// step index the snapshot restores to, -1 for one the job was handed rather
+// than took.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.job(w, r)
 	if !ok {

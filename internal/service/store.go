@@ -26,6 +26,11 @@ type store struct {
 	blobs blob.Store
 
 	blobHits, blobWrites, checkpointWrites, checkpointFails *telemetry.Counter
+	// What the checkpoint cadence acts on and what it decides (see
+	// Engine.checkpoint): taken / (taken + skipped) is the share of step
+	// boundaries that checkpointed.
+	checkpointSeconds *telemetry.Histogram
+	checkpointSkipped *telemetry.Counter
 }
 
 func newStore(cacheEntries int, blobs blob.Store, r *telemetry.Registry) *store {
@@ -40,6 +45,11 @@ func newStore(cacheEntries int, blobs blob.Store, r *telemetry.Registry) *store 
 			"Snapshot files written at timestep boundaries."),
 		checkpointFails: r.Counter("neutral_checkpoint_write_failures_total",
 			"Snapshot writes that failed; each also surfaces as a job warning."),
+		checkpointSeconds: r.Histogram("neutral_checkpoint_seconds",
+			"Measured cost of one checkpoint (snapshot encode plus, for a durable key, the store put) — the number the checkpoint cadence spaces the next one by.",
+			telemetry.ExpBuckets(0.0001, 4, 8)), // 0.1ms .. ~1.6s
+		checkpointSkipped: r.Counter("neutral_checkpoint_skipped_total",
+			"Step boundaries that took no checkpoint because the cost budget since the last one was not yet spent."),
 	}
 }
 
@@ -103,7 +113,7 @@ func (s *store) put(key string, cfg core.Config, res *core.Result, ens *stats.En
 }
 
 // durable reports whether anything filed under key reaches the blob store —
-// in particular, whether its jobs are checkpointed at all.
+// in particular, whether its jobs' checkpoints are written there.
 func (s *store) durable(key string) bool { return s.blobs != nil && key != "" }
 
 // loadCheckpoint returns the checkpoint filed under key, if any. It may have

@@ -33,6 +33,8 @@ var coreMetricFamilies = []string{
 	"neutral_particles_per_second",
 	"neutral_solver_events_total",
 	"neutral_http_requests_total",
+	"neutral_checkpoint_seconds",
+	"neutral_checkpoint_skipped_total",
 }
 
 // TestAPIMetricsAfterJob scrapes /metrics after a completed job and asserts

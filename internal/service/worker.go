@@ -44,7 +44,8 @@ var ErrUnknownJob = errors.New("service: unknown job")
 var ErrNotFinished = errors.New("service: job not finished")
 
 // StepView summarises one completed timestep of a running job — the
-// payload of the per-step SSE events and the job's step history.
+// payload of the per-step SSE events and the job's step history. Every
+// boundary produces one; only some of them checkpoint (see cadence).
 type StepView struct {
 	// Step is the completed 0-based timestep; Steps the configured count.
 	Step  int `json:"step"`
@@ -57,6 +58,11 @@ type StepView struct {
 	Alive  int `json:"alive"`
 	Census int `json:"census"`
 	Dead   int `json:"dead"`
+	// Checkpoint is the step boundary of the latest snapshot the job had
+	// taken when this step was recorded — what GET /v1/jobs/{id}/snapshot
+	// serves at least as fresh as. A coordinator pulls when it reads one
+	// newer than the boundary it holds. 0 (omitted) while there is none.
+	Checkpoint int `json:"checkpoint,omitempty"`
 }
 
 // Job is one simulation managed by the engine: a validated config, its
@@ -272,9 +278,11 @@ func (j *Job) StepsFrom(n int) []StepView {
 	return append([]StepView(nil), j.steps[n:]...)
 }
 
-// addStep records a completed timestep.
+// addStep records a completed timestep, advertising the boundary of the
+// checkpoint the job holds by now.
 func (j *Job) addStep(v StepView) {
 	j.mu.Lock()
+	v.Checkpoint = max(j.ckpt.step, 0)
 	j.steps = append(j.steps, v)
 	j.mu.Unlock()
 }
@@ -561,8 +569,9 @@ type SubmitOptions struct {
 	// (corrupt, or taken under a different config) is discarded and the
 	// run starts fresh.
 	Snapshot []byte
-	// RetainSnapshot keeps the latest step-boundary snapshot in memory on
-	// the job for GET /v1/jobs/{id}/snapshot — the coordinator's pull
+	// RetainSnapshot keeps the job's latest checkpoint — taken at the step
+	// boundaries the cost cadence picks, the first one included — in memory
+	// on the job for GET /v1/jobs/{id}/snapshot, the coordinator's pull
 	// path. Off by default: a snapshot is bank-sized.
 	RetainSnapshot bool
 	// Tenant names the submitting tenant for fair-share scheduling and
@@ -817,10 +826,38 @@ func (e *Engine) tryRemote(j *Job) (*core.Result, error) {
 	return res, err
 }
 
+// checkpointBudget is k of the checkpoint cadence: a boundary checkpoints once
+// the run has gone k times the last checkpoint's measured cost without one. So
+// checkpointing takes at most 1/(k+1) of a run (~6 %), and a crash, a cancel
+// or a drain loses at most k times one checkpoint's cost plus one step of
+// work; a finished job loses nothing.
+const checkpointBudget = 16
+
+// cadence decides which step boundaries of one run checkpoint, from what the
+// last checkpoint cost rather than from a step count. The caller supplies the
+// clock readings.
+type cadence struct {
+	last time.Time     // when the latest checkpoint ended; zero before the first
+	cost time.Duration // what it took
+}
+
+// due reports whether a boundary reached at now checkpoints: the first one a
+// run reaches always does (it is also the measurement), a later one when the
+// budget since the last checkpoint ended is spent.
+func (c *cadence) due(now time.Time) bool {
+	return c.last.IsZero() || now.Sub(c.last) >= checkpointBudget*c.cost
+}
+
+// took records a checkpoint that ran from start to end.
+func (c *cadence) took(start, end time.Time) {
+	c.cost, c.last = end.Sub(start), end
+}
+
 // solve drives one job through the core Simulation lifecycle: acquire binds
-// the worker's simulation, Drive streams per-step results onto the job and
-// checkpoints at every step boundary (a constant cadence until a measured
-// cost budget replaces it).
+// the worker's simulation, Drive streams every step's result onto the job and
+// checkpoints at the boundaries the cadence finds due — the first one reached
+// and then whenever checkpointBudget times the last checkpoint's cost has
+// passed, so what an interrupted job loses is bounded by cost, not by steps.
 func (e *Engine) solve(j *Job, sim *core.Simulation) (*core.Result, error) {
 	if e.runFn != nil {
 		return e.runFn(j.ctx, j.cfg, j.setProgress)
@@ -832,27 +869,45 @@ func (e *Engine) solve(j *Job, sim *core.Simulation) (*core.Result, error) {
 	// next job's rebind clears the hook.
 	sim.SetTrace(j.addTiming)
 
-	checkpointed := e.store.durable(j.key)
+	var cad cadence
 	return sim.Drive(j.ctx, j.setProgress, func(s *core.Simulation) {
+		e.checkpoint(j, s, &cad)
+		// Published after the checkpoint, so the boundary the step advertises
+		// (StepView.Checkpoint) is one the job already serves.
 		j.addStep(stepViewOf(s))
-		if !j.retainSnap && !checkpointed {
-			return
-		}
-		data := s.Snapshot() // one Snapshot() serves both sinks
-		if j.retainSnap {
-			j.mu.Lock()
-			j.setCheckpoint(data, s.StepIndex())
-			j.mu.Unlock()
-		}
-		if checkpointed {
-			// Best-effort — but never silent: a failed write surfaces as a
-			// job warning and a counter, because an operator who configured
-			// checkpointing is owed the news that durability is gone.
-			if werr := e.store.saveCheckpoint(j.key, data); werr != nil {
-				j.addWarning(fmt.Sprintf("checkpoint: write failed: %v", werr))
-			}
-		}
 	})
+}
+
+// checkpoint takes the job's checkpoint at the boundary s stands on, if the
+// job has a sink for one and cad finds it due, and gives cad the measured cost.
+// One Snapshot() serves both sinks: the job itself (retainSnap, for a
+// coordinator to pull) and the store (a durable key).
+func (e *Engine) checkpoint(j *Job, s *core.Simulation, cad *cadence) {
+	durable := e.store.durable(j.key)
+	if !j.retainSnap && !durable {
+		return
+	}
+	start := time.Now()
+	if !cad.due(start) {
+		e.store.checkpointSkipped.Inc()
+		return
+	}
+	data := s.Snapshot()
+	if j.retainSnap {
+		j.mu.Lock()
+		j.setCheckpoint(data, s.StepIndex())
+		j.mu.Unlock()
+	}
+	if durable {
+		// Best-effort — but never silent: a failed write surfaces as a
+		// job warning and a counter, because an operator who configured
+		// checkpointing is owed the news that durability is gone.
+		if werr := e.store.saveCheckpoint(j.key, data); werr != nil {
+			j.addWarning(fmt.Sprintf("checkpoint: write failed: %v", werr))
+		}
+	}
+	cad.took(start, time.Now())
+	e.store.checkpointSeconds.Observe(cad.cost.Seconds())
 }
 
 // acquire binds the worker's simulation to the job: the one place execution
@@ -1001,8 +1056,10 @@ func (e *Engine) DefaultScene() *scene.Scene { return e.opts.DefaultScene }
 // before Close, it persists each in-flight shard at its last step boundary
 // so a process restarted over the same store (or a coordinator rescheduling
 // the shard elsewhere) resumes instead of re-running. Returns the number of
-// snapshots written. A no-op without a store; jobs that retain no snapshot
-// rely on their regular per-step checkpoints, which Close leaves in place.
+// snapshots written. A no-op without a store; a job that retains no snapshot
+// has its latest cadence checkpoint in the store already (Close leaves it in
+// place), at most checkpointBudget times one checkpoint's cost plus one step
+// behind the run.
 func (e *Engine) CheckpointInFlight() int {
 	n := 0
 	for _, j := range e.Jobs() {

@@ -27,9 +27,12 @@ W2="127.0.0.1:$((PORT + 2))"
 REF="127.0.0.1:$((PORT + 3))"
 BIN=$(mktemp -d)/neutral-serve
 # An ensemble wide and slow enough that shards are in flight when the
-# worker dies. Every replica is bit-reproducible at whatever thread budget
-# the worker that runs it has.
-SPEC='{"problem":"csp","nx":64,"particles":20000,"steps":10,"seed":42,"replicas":3,"keep_cells":true}'
+# worker dies, and that a pulled checkpoint sits in the store for several of
+# phase 2's 0.1 s polls: ~0.6 s a shard at one thread. (A 0.1 s shard is over
+# within one SSE flush of its first pull, and its checkpoint is deleted with
+# it.) Every replica is bit-reproducible at whatever thread budget the worker
+# that runs it has.
+SPEC='{"problem":"csp","nx":256,"particles":20000,"steps":40,"seed":42,"replicas":3,"keep_cells":true}'
 
 go build -o "$BIN" ./cmd/neutral-serve
 
