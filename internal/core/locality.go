@@ -18,7 +18,7 @@ import (
 
 // tallyCellsLogical returns the live per-cell tally indexed by logical
 // row-major cell index. Under row-major storage that is the tally's own
-// slice (zero copy, the historical behaviour); under any other ordering the
+// dense view (built at the call); under any other ordering the
 // values are remapped into a scratch slice owned by the run and reused
 // across calls, with the same validity contract as the underlying slice:
 // invalidated by the next Step or Reset.
@@ -43,17 +43,18 @@ func (r *run) tallyCellsLogical() []float64 {
 
 // tallyNonZeroLogical returns the tally's non-zero cells, in ticks, keyed by
 // logical index, ascending — the sparse view a snapshot stores. Under
-// row-major storage that is the sparse view of the ticks as they lie; other
-// orderings walk the logical cells and look each one up. The slice is scratch
-// owned by the run, valid until the next call.
+// row-major storage that is the tally's own sparse view, which costs what was
+// deposited; other orderings walk the logical cells and look each one up in
+// the dense ticks. The slice is scratch owned by the run, valid until the
+// next call.
 func (r *run) tallyNonZeroLogical() []tally.Cell {
-	m, ticks := r.mesh, r.tly.Ticks()
+	m := r.mesh
 	if m.Ordering() == mesh.RowMajor {
-		r.sparseCells = tally.AppendNonZero(r.sparseCells[:0], ticks)
+		r.sparseCells = r.tly.NonZero(r.sparseCells[:0])
 		return r.sparseCells
 	}
 	out := r.sparseCells[:0]
-	if ticks != nil {
+	if ticks := r.tly.Ticks(); ticks != nil {
 		for cy := 0; cy < m.NY; cy++ {
 			for cx := 0; cx < m.NX; cx++ {
 				if t := ticks[m.StorageIndex(cx, cy)]; t != 0 {

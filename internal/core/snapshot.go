@@ -509,9 +509,12 @@ func (s *Simulation) Restore(cfg Config, data []byte) error {
 		r.bank.Store(i, &p)
 	}
 
+	// The writer emits strictly ascending cells, and the read holds it to
+	// that: a cell named twice would be summed, and four entries of 2^62
+	// ticks wrap a cell to exactly zero with every entry in range.
 	cells := uint64(r.mesh.NumCells())
 	nonzero := rd.u64()
-	for i := uint64(0); i < nonzero; i++ {
+	for i, prev := uint64(0), uint64(0); i < nonzero; i++ {
 		cell := rd.u64()
 		ticks := rd.i64()
 		if rd.bad {
@@ -520,6 +523,10 @@ func (s *Simulation) Restore(cfg Config, data []byte) error {
 		if cell >= cells {
 			return fail(fmt.Errorf("%w: tally cell %d outside %d-cell mesh", ErrSnapshotCorrupt, cell, cells))
 		}
+		if i > 0 && cell <= prev {
+			return fail(fmt.Errorf("%w: tally cell %d after cell %d", ErrSnapshotCorrupt, cell, prev))
+		}
+		prev = cell
 		if ticks < 0 {
 			return fail(fmt.Errorf("%w: tally cell %d is negative", ErrSnapshotCorrupt, cell))
 		}

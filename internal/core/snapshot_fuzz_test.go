@@ -22,8 +22,9 @@ func fuzzConfig() Config {
 	return cfg
 }
 
-// fuzzSeeds builds the valid-snapshot corpus: both layouts, every step
-// boundary of the fuzz config, plus an analog (fixed-population) variant.
+// fuzzSeeds builds the snapshot corpus: both layouts, every step boundary of
+// the fuzz config and one well-framed snapshot with a repeated tally cell,
+// plus an analog (fixed-population) variant.
 func fuzzSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
 	var seeds [][]byte
@@ -41,6 +42,9 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 			}
 			seeds = append(seeds, sim.Snapshot())
 		}
+		// Checksum-valid, every tally entry in range, one cell named four
+		// times: the decoder must refuse it, not sum it to zero.
+		seeds = append(seeds, repeatTallyCell(tb, sim, 4))
 	}
 	analog := fuzzConfig()
 	analog.WeightWindow = WeightWindow{}

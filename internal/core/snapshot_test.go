@@ -280,6 +280,21 @@ func TestSnapshotDecodeErrors(t *testing.T) {
 			t.Errorf("dropped density hook: %v, want ErrSnapshotMismatch", err)
 		}
 	})
+	t.Run("tally-out-of-order", func(t *testing.T) {
+		// Every entry in range and the CRC right, but the cells are not the
+		// strictly ascending list the writer emits: one cell named four
+		// times with 2^62 ticks would sum to exactly zero.
+		if _, err := RestoreSimulation(cfg, repeatTallyCell(t, sim, 4)); !errors.Is(err, ErrSnapshotCorrupt) {
+			t.Errorf("one cell four times: %v, want ErrSnapshotCorrupt", err)
+		}
+		tail := len(snap) - 4 - 16*len(sim.r.tallyNonZeroLogical())
+		swapped := append([]byte(nil), snap...)
+		copy(swapped[tail:], snap[tail+16:tail+32])
+		copy(swapped[tail+16:], snap[tail:tail+16])
+		if _, err := RestoreSimulation(cfg, fixCRC(swapped)); !errors.Is(err, ErrSnapshotCorrupt) {
+			t.Errorf("two cells swapped: %v, want ErrSnapshotCorrupt", err)
+		}
+	})
 	t.Run("strategy-change-allowed", func(t *testing.T) {
 		// Scheme, threads and tally are execution strategy, not physics:
 		// a checkpoint resumes under any of them.
@@ -291,6 +306,24 @@ func TestSnapshotDecodeErrors(t *testing.T) {
 			t.Errorf("strategy change: %v, want success", err)
 		}
 	})
+}
+
+// repeatTallyCell returns sim's snapshot with the first n entries of its tally
+// block all naming the first entry's cell with 2^62 ticks each, and the
+// checksum recomputed.
+func repeatTallyCell(tb testing.TB, sim *Simulation, n int) []byte {
+	tb.Helper()
+	snap := sim.Snapshot()
+	nonzero := len(sim.r.tallyNonZeroLogical())
+	if nonzero < n {
+		tb.Fatalf("snapshot holds %d tally cells, need %d", nonzero, n)
+	}
+	tail := len(snap) - 4 - 16*nonzero
+	for i := 0; i < n; i++ {
+		copy(snap[tail+16*i:], snap[tail:tail+8])
+		binary.LittleEndian.PutUint64(snap[tail+16*i+8:], 1<<62)
+	}
+	return fixCRC(snap)
 }
 
 // TestSimulationResetMatchesFresh pins the sweep-amortisation contract: a

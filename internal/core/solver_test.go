@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/mesh"
@@ -460,4 +461,54 @@ func compareBanks(t *testing.T, a, b *particle.Bank) {
 			t.Fatalf("particle %d differs:\n a: %+v\n b: %+v", i, pa, pb)
 		}
 	}
+}
+
+// TestFixedCostsFollowDeposits: what a run pays around its steps — building
+// the simulation, the step-boundary total, a snapshot, the final audit —
+// follows the cells it deposited into, not the cells the mesh has. A stream
+// run deposits nothing, so its whole lifecycle must allocate a fraction of
+// what a dense tally alone would; a csp run deposits around its source, so
+// its tally must hold well under the dense array's bytes.
+func TestFixedCostsFollowDeposits(t *testing.T) {
+	cfg := Default(mesh.Stream)
+	cfg.NX, cfg.NY = 2048, 2048
+	cfg.Particles = 200
+	cfg.Threads = 1
+	dense := uint64(8 * cfg.NX * cfg.NY)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sim, err := NewSimulation(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.Step(); err != nil {
+		t.Fatal(err)
+	}
+	snap := sim.Snapshot()
+	res := sim.Finalize()
+	runtime.ReadMemStats(&after)
+	if res.TallyTotal != 0 || len(snap) == 0 {
+		t.Fatalf("stream deposited %v", res.TallyTotal)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= dense/4 {
+		t.Errorf("stream 2048²: NewSimulation + Step + Snapshot + Finalize allocated %d bytes, want under a quarter of the dense tally's %d", got, dense)
+	}
+
+	cfg = Default(mesh.CSP)
+	cfg.NX, cfg.NY = 1024, 1024
+	cfg.Threads = 1
+	if sim, err = NewSimulation(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.Step(); err != nil {
+		t.Fatal(err)
+	}
+	if sim.TallyTotal() == 0 {
+		t.Fatal("csp deposited nothing")
+	}
+	held, full := sim.r.tly.(*tally.Atomic).FootprintBytes(), 8*cfg.NX*cfg.NY
+	if held >= full/2 {
+		t.Errorf("csp 1024²: the tally holds %d bytes, want under half of the dense %d", held, full)
+	}
+	t.Logf("csp 1024²: tally holds %d of a dense %d bytes", held, full)
 }

@@ -14,10 +14,12 @@ import "math"
 // two cannot disagree.
 
 // DirectionOf maps one raw word to a uniformly distributed unit direction
-// in 2D.
+// in 2D. math.Sincos reduces the angle once and evaluates the two polynomials
+// math.Cos and math.Sin evaluate, so the bits are theirs at two thirds of the
+// cost (TestDirectionOfMatchesCosSin holds a toolchain to that).
 func DirectionOf(w uint64) (ux, uy float64) {
-	theta := 2 * math.Pi * Unit(w)
-	return math.Cos(theta), math.Sin(theta)
+	uy, ux = math.Sincos(2 * math.Pi * Unit(w))
+	return ux, uy
 }
 
 // IsotropicDirection samples a uniformly distributed unit direction in 2D.

@@ -17,6 +17,36 @@ func TestIsotropicDirectionUnit(t *testing.T) {
 	}
 }
 
+// TestDirectionOfMatchesCosSin: DirectionOf takes both components from one
+// math.Sincos, and every golden in the repository was recorded with separate
+// math.Cos and math.Sin calls. The three agree bit for bit on the toolchains
+// this was written on; one where they do not must fail here, not move a
+// golden.
+func TestDirectionOfMatchesCosSin(t *testing.T) {
+	check := func(w uint64) {
+		theta := 2 * math.Pi * Unit(w)
+		ux, uy := DirectionOf(w)
+		if wx, wy := math.Cos(theta), math.Sin(theta); math.Float64bits(ux) != math.Float64bits(wx) ||
+			math.Float64bits(uy) != math.Float64bits(wy) {
+			t.Fatalf("word %#x: DirectionOf = (%x, %x), Cos/Sin = (%x, %x)", w, ux, uy, wx, wy)
+		}
+	}
+	check(0)
+	check(^uint64(0))
+	// The words on each octant boundary of the argument reduction (the
+	// angle is k·π/4 at Unit = k/8) and the representable angles beside them.
+	const ulp = 1 << 11 // Unit drops the low 11 bits
+	for k := uint64(0); k < 8; k++ {
+		for _, w := range []uint64{k<<61 - ulp, k << 61, k<<61 + ulp} {
+			check(w)
+		}
+	}
+	s := NewStream(2026, 0)
+	for i := 0; i < 10_000_000; i++ {
+		check(s.Next())
+	}
+}
+
 func TestIsotropicDirectionCoversQuadrants(t *testing.T) {
 	s := NewStream(17, 0)
 	var quad [4]int

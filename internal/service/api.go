@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"reflect"
@@ -434,6 +435,70 @@ func ensembleViewOf(ens *stats.Ensemble, keepCells bool) *EnsembleView {
 		v.RelErr = ens.RelErr
 	}
 	return v
+}
+
+// encodeResultView returns the bytes of json.Marshal(v) with the cells array
+// — 65 200 zeros of a 256² result's 65 536 numbers — appended by a loop
+// instead of reflected over: a result's bytes cost what was deposited, as its
+// tally does. encoding/json encodes the view with a one-zero array in the
+// array's place (every field before cells is a number, so the first
+// `"cells":[0]` in the document is that one), and the numbers are spliced in
+// under encoding/json's own formatting rules. A view without cells, or with a
+// cell JSON cannot carry (NaN, ±Inf), goes to encoding/json whole, so the
+// bytes and the error there are the standard ones. It is a function and not a
+// MarshalJSON method: json.Marshal re-scans and copies what a Marshaler
+// returns, which makes a call that is on every job's path to its result cost
+// four times as much (BENCH_pr26.json, result_encode).
+func encodeResultView(v ResultView) ([]byte, error) {
+	cells, nonZero := v.Cells, 0
+	if len(cells) == 0 {
+		return json.Marshal(v)
+	}
+	for _, f := range cells {
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return json.Marshal(v)
+		}
+		if math.Float64bits(f) != 0 {
+			nonZero++
+		}
+	}
+	const placeholder = `"cells":[0]`
+	v.Cells = []float64{0}
+	doc, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
+	}
+	at := bytes.Index(doc, []byte(placeholder)) + len(placeholder) - len("0]")
+	out := make([]byte, 0, len(doc)+2*len(cells)+24*nonZero)
+	out = append(out, doc[:at]...)
+	for i, f := range cells {
+		if i > 0 {
+			out = append(out, ',')
+		}
+		out = appendJSONFloat(out, f)
+	}
+	return append(out, doc[at+1:]...), nil
+}
+
+// appendJSONFloat appends a finite f as encoding/json writes a float64: the
+// shortest digits that round-trip, in exponent form iff the magnitude is
+// non-zero and below 1e-6 or at least 1e21, a two-digit negative exponent
+// cut to one (e-09 → e-9). Positive zero — nearly every cell — skips the
+// formatter; negative zero is "-0" and does not.
+func appendJSONFloat(b []byte, f float64) []byte {
+	if math.Float64bits(f) == 0 {
+		return append(b, '0')
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
 }
 
 // UnmarshalJSON decodes a ResultView with the cells array — 65 536 numbers

@@ -2,7 +2,6 @@ package service
 
 import (
 	"container/list"
-	"encoding/json"
 	"sync"
 
 	"repro/internal/core"
@@ -110,8 +109,9 @@ func (c *Cache) PutEntry(key string, res *core.Result, ens *stats.Ensemble) {
 	}
 }
 
-// resultJSON returns json.Marshal(resultViewOf(res)) — the bytes of a
-// single-run result on the wire. While the cache holds res under key they are
+// resultJSON returns the bytes of json.Marshal(resultViewOf(res)), built by
+// encodeResultView — a single-run result on the wire. While the cache holds
+// res under key they are
 // encoded once and kept with the entry, so the store's persistent tier, the
 // job that computed the result and every job later born from a hit on the
 // entry write the same slice (callers must not modify it). release drops the
@@ -137,9 +137,9 @@ func (c *Cache) resultJSON(key string, res *core.Result, release bool) ([]byte, 
 	}
 	c.mu.Unlock()
 	if enc == nil {
-		return json.Marshal(resultViewOf(res))
+		return encodeResultView(resultViewOf(res))
 	}
-	enc.once.Do(func() { enc.data, enc.err = json.Marshal(resultViewOf(res)) })
+	enc.once.Do(func() { enc.data, enc.err = encodeResultView(resultViewOf(res)) })
 	return enc.data, enc.err
 }
 

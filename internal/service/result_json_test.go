@@ -47,7 +47,7 @@ func BenchmarkResultJSON(b *testing.B) {
 	b.Run("encode", func(b *testing.B) {
 		b.SetBytes(int64(len(data)))
 		for i := 0; i < b.N; i++ {
-			if _, err := json.Marshal(resultViewOf(res)); err != nil {
+			if _, err := encodeResultView(resultViewOf(res)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -61,6 +61,73 @@ func BenchmarkResultJSON(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestResultEncodeMatchesStdlib pins encodeResultView to json.Marshal: the
+// same bytes for any cells JSON can carry — positive zero (the fast path) and
+// negative zero (which must not take it), both sides of each exponent-form
+// cutoff, subnormals, the extremes and a million random bit patterns — with
+// and without the optional blocks after the array, and the same error for the
+// cells it cannot.
+func TestResultEncodeMatchesStdlib(t *testing.T) {
+	check := func(name string, v ResultView) {
+		t.Helper()
+		got, gerr := encodeResultView(v)
+		want, werr := json.Marshal(v)
+		if (gerr == nil) != (werr == nil) || (werr != nil && gerr.Error() != werr.Error()) {
+			t.Fatalf("%s: err %v, encoding/json %v", name, gerr, werr)
+		}
+		if !bytes.Equal(got, want) {
+			i := 0
+			for i < len(got) && i < len(want) && got[i] == want[i] {
+				i++
+			}
+			t.Fatalf("%s: differs at byte %d: %.40q, encoding/json %.40q", name, i, got[max(i-10, 0):], want[max(i-10, 0):])
+		}
+	}
+
+	negZero := math.Copysign(0, -1)
+	edges := []float64{0, negZero, 1, -1, 0.1, 1e-7, 1e-6, math.Nextafter(1e-6, 0), 9.5e-10, 1e-10, 1e-100,
+		1e20, 1e21, math.Nextafter(1e21, 0), 1e22, 1e100, math.MaxFloat64, -math.MaxFloat64,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1022, 0x0.8p-1022, 1 << 53, 1<<53 + 2, 123456.789}
+	for _, f := range edges {
+		check(strconv.FormatFloat(f, 'g', -1, 64), ResultView{Cells: []float64{f}})
+	}
+
+	cells := make([]float64, 0, 1_100_000)
+	cells = append(cells, edges...)
+	rnd := rand.New(rand.NewSource(26))
+	for len(cells) < cap(cells) {
+		switch f := math.Float64frombits(rnd.Uint64()); {
+		case math.IsNaN(f) || math.IsInf(f, 0):
+		case rnd.Intn(10) == 0:
+			cells = append(cells, f) // any magnitude
+		case rnd.Intn(3) == 0:
+			cells = append(cells, math.Ldexp(rnd.Float64(), rnd.Intn(120)-60)) // around the cutoffs
+		default:
+			cells = append(cells, 0, negZero, 0) // a tally is mostly zeros
+		}
+	}
+	check("random", ResultView{TallyTotal: 1.5, Events: 7, Cells: cells})
+
+	full := resultViewOf(referenceResult(t))
+	check("reference", full)
+	full.Escapes = 3
+	full.Leakage = &LeakageView{Weight: map[string]float64{"x-lo": 1e-9}, Energy: map[string]float64{"x-lo": 2.5}, TotalEnergy: 2.5}
+	full.Ensemble = &EnsembleView{Replicas: 2, MeanTotal: 1e21, ReplicaTotals: []float64{0, 1}, RelErr: []float64{0, 0.5}}
+	full.PhaseTimings = map[string]float64{"fused": 0.25, "merge": 1e-7}
+	check("every block set", full)
+	full.Cells = full.Cells[:1]
+	check("one cell", full)
+	full.Cells = []float64{}
+	check("empty cells", full)
+	full.Cells = nil
+	check("nil cells", full)
+
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		check("unsupported cell", ResultView{Cells: []float64{0, bad, 1}})
+		check("unsupported field", ResultView{TallyTotal: bad, Cells: []float64{0, 1}})
+	}
 }
 
 // plainResultView is ResultView without its UnmarshalJSON: what

@@ -16,7 +16,8 @@
 // deposits leaves behind do not depend on how many workers made them, in
 // what order, or through which implementation:
 //
-//   - Atomic: one shared mesh, one atomic add per deposit.
+//   - Atomic: one shared mesh, one atomic add per deposit, held as blocks
+//     that exist from the first deposit into them.
 //   - Private: per-worker meshes merged on demand (no atomics).
 //   - Null: discards deposits; differential timing against it isolates the
 //     cost of tallying (how the harness reproduces the paper's 50%/22%
@@ -87,11 +88,15 @@ type Tally interface {
 	AddTicks(cell int, ticks int64)
 	// Ticks merges (if needed) and returns the per-cell totals in ticks, nil
 	// for a tally that holds no data. The returned slice must not be mutated
-	// by the caller.
+	// by the caller, and is valid until the next call or deposit.
 	Ticks() []int64
 	// Cells returns the per-cell totals converted at the read, under the
 	// same contract as Ticks.
 	Cells() []float64
+	// NonZero appends the cells that hold ticks to dst in ascending index
+	// order — the sparse view a checkpoint stores. Unlike Ticks and Cells it
+	// never builds a mesh-sized slice for a tally that does not keep one.
+	NonZero(dst []Cell) []Cell
 	// Total returns the sum over all cells, summed in ticks, or ErrOverflow.
 	Total() (float64, error)
 	// Reset zeroes the tally and sets the scale of the next run's deposits.
@@ -151,7 +156,8 @@ func New(mode Mode, cells, workers int) Tally { return NewScaled(mode, cells, wo
 func NewScaled(mode Mode, cells, workers int, s Scale) Tally {
 	switch mode {
 	case ModeAtomic:
-		return &Atomic{scale: s, cells: make([]int64, cells), single: workers == 1}
+		return &Atomic{scale: s, n: cells, single: workers == 1,
+			dir: make([]atomic.Pointer[block], (cells+blockCells-1)>>blockShift)}
 	case ModePrivate:
 		return NewPrivate(cells, workers, s)
 	case ModeNull:
@@ -168,7 +174,7 @@ type Cell struct {
 	Ticks int64
 }
 
-// tickBlock is how many cells tickSum and AppendNonZero test at once: a
+// tickBlock is how many cells tickSum and appendNonZero test at once: a
 // tally is mostly zeros, and one OR over a block skips them eight at a time.
 const tickBlock = 8
 
@@ -176,16 +182,16 @@ func blockIsZero(b *[tickBlock]int64) bool {
 	return b[0]|b[1]|b[2]|b[3]|b[4]|b[5]|b[6]|b[7] == 0
 }
 
-// AppendNonZero appends the non-zero entries of ticks to dst in ascending
-// index order — the sparse view a checkpoint stores.
-func AppendNonZero(dst []Cell, ticks []int64) []Cell {
+// appendNonZero appends the non-zero entries of ticks, whose first element is
+// cell base, to dst in ascending index order.
+func appendNonZero(dst []Cell, base int, ticks []int64) []Cell {
 	n := len(ticks) - len(ticks)%tickBlock
 	for i := 0; i < n; i += tickBlock {
 		if b := (*[tickBlock]int64)(ticks[i:]); !blockIsZero(b) {
-			dst = appendNonZeroRun(dst, i, b[:])
+			dst = appendNonZeroRun(dst, base+i, b[:])
 		}
 	}
-	return appendNonZeroRun(dst, n, ticks[n:])
+	return appendNonZeroRun(dst, base+n, ticks[n:])
 }
 
 func appendNonZeroRun(dst []Cell, base int, ticks []int64) []Cell {
@@ -245,60 +251,151 @@ func values(dst []float64, ticks []int64, s Scale) []float64 {
 	return dst
 }
 
+// blockCells is how many cells one block of the atomic tally holds: 512, one
+// 4 KB page of int64. Chosen by measurement (BENCH_pr26.json,
+// block_size_table; sizes 64 to 4096). A smaller block holds fewer bytes —
+// after a csp_op op 212 KB at 64 cells against 705 KB at 256 and above, where
+// a block is a mesh row or more and deposits span the rows around the source
+// — but a run pays for its directory whatever it deposits: at 64 cells
+// stream_big allocates, zeroes and walks 295 KB of entries for a tally that
+// stays empty, and setup_s and overhead_x read worse than at 512 in every
+// pair on csp_op and stream_big. 4096 is within spread of 512 on both and
+// triples what csp 1536² holds (6.3 MB against 2.1 MB of a dense 18.9 MB).
+const (
+	blockShift = 9
+	blockCells = 1 << blockShift
+)
+
+type block = [blockCells]int64
+
 // Atomic accumulates into one shared mesh with an atomic integer add per
 // deposit (LOCK XADD) — the hardware atomicAdd the paper highlights on the
 // P100, which never retries.
+//
+// The mesh is a directory of fixed-size blocks, and a block exists from the
+// first deposit that lands in it: a nil entry reads as zeros. Deposition
+// concentrates around the source (a run touches well under 1 % of a large
+// mesh), so what construction, Total, NonZero and Reset cost follows what was
+// deposited rather than what the mesh could hold. A deposit that finds no
+// block allocates one and publishes it with a compare-and-swap; a worker that
+// loses that race drops its copy and adds into the winner's, so no deposit is
+// ever made into a block the directory does not hold.
 type Atomic struct {
 	scale Scale
-	cells []int64
+	n     int // cells
+	dir   []atomic.Pointer[block]
 	// single marks a tally with exactly one writer (workers == 1): Add
 	// skips the lock prefix for a plain add — the same integer sum.
 	single bool
 	// over latches the first deposit that drove a cell negative, which
 	// later deposits could otherwise carry back into range.
 	over   atomic.Bool
+	ticks  []int64   // backs Ticks
 	values []float64 // backs Cells
 }
 
-// Add deposits v into cell.
+// Add deposits v into cell, which must be below the cell count. Beside the
+// add it costs one pointer load and a branch only the first deposit into a
+// block takes.
 func (a *Atomic) Add(_, cell int, v float64) {
 	t := a.scale.Ticks(v)
+	b := a.dir[cell>>blockShift].Load()
+	if b == nil {
+		b = a.block(cell >> blockShift)
+	}
+	c := &b[cell&(blockCells-1)]
 	var sum int64
 	if a.single {
-		sum = a.cells[cell] + t
-		a.cells[cell] = sum
+		sum = *c + t
+		*c = sum
 	} else {
-		sum = atomic.AddInt64(&a.cells[cell], t)
+		sum = atomic.AddInt64(c, t)
 	}
 	if sum < 0 {
 		a.over.Store(true)
 	}
 }
 
+// block returns the block at directory entry i, publishing a zeroed one if
+// the entry is nil. A worker whose compare-and-swap finds the entry already
+// filled lost the race to publish: it drops its copy and takes the winner's.
+func (a *Atomic) block(i int) *block {
+	if b := a.dir[i].Load(); b != nil {
+		return b
+	}
+	b := new(block)
+	if a.dir[i].CompareAndSwap(nil, b) {
+		return b
+	}
+	return a.dir[i].Load()
+}
+
 // AddTicks deposits quantised ticks into cell.
-func (a *Atomic) AddTicks(cell int, ticks int64) { a.cells[cell] += ticks }
+func (a *Atomic) AddTicks(cell int, ticks int64) {
+	a.block(cell >> blockShift)[cell&(blockCells-1)] += ticks
+}
 
-// Ticks returns the per-cell ticks.
-func (a *Atomic) Ticks() []int64 { return a.cells }
+// held calls f with each block the directory holds and the index of its
+// first cell, in ascending order, cut to the cell count.
+func (a *Atomic) held(f func(base int, ticks []int64)) {
+	for i := range a.dir {
+		if b := a.dir[i].Load(); b != nil {
+			base := i << blockShift
+			f(base, b[:min(blockCells, a.n-base)])
+		}
+	}
+}
 
-// Cells returns the per-cell totals.
+// Ticks returns the per-cell ticks as one dense slice, built at the call.
+func (a *Atomic) Ticks() []int64 {
+	if a.ticks == nil {
+		a.ticks = make([]int64, a.n)
+	} else {
+		clear(a.ticks)
+	}
+	a.held(func(base int, ticks []int64) { copy(a.ticks[base:], ticks) })
+	return a.ticks
+}
+
+// Cells returns the per-cell totals as one dense slice, built at the call.
 func (a *Atomic) Cells() []float64 {
-	a.values = values(a.values, a.cells, a.scale)
+	if a.values == nil {
+		a.values = make([]float64, a.n)
+	} else {
+		clear(a.values)
+	}
+	a.held(func(base int, ticks []int64) { values(a.values[base:], ticks, a.scale) })
 	return a.values
+}
+
+// NonZero appends the cells that hold ticks.
+func (a *Atomic) NonZero(dst []Cell) []Cell {
+	a.held(func(base int, ticks []int64) { dst = appendNonZero(dst, base, ticks) })
+	return dst
 }
 
 // Total returns the sum over cells.
 func (a *Atomic) Total() (float64, error) {
 	var sum tickSum
-	sum.add(a.cells)
+	a.held(func(_ int, ticks []int64) { sum.add(ticks) })
 	return sum.value(a.scale, a.over.Load())
 }
 
-// Reset zeroes the tally.
+// Reset zeroes the tally. The blocks it holds are cleared and kept, as a
+// dense array would be: the next run of the same scene deposits into the same
+// neighbourhood.
 func (a *Atomic) Reset(s Scale) {
-	clear(a.cells)
+	a.held(func(_ int, ticks []int64) { clear(ticks) })
 	a.over.Store(false)
 	a.scale = s
+}
+
+// FootprintBytes reports the memory the directory and the blocks it holds
+// occupy.
+func (a *Atomic) FootprintBytes() int {
+	held := 0
+	a.held(func(int, []int64) { held++ })
+	return 8*len(a.dir) + 8*blockCells*held
 }
 
 // Name identifies the implementation.
@@ -356,6 +453,9 @@ func (p *Private) Ticks() []int64 {
 	return p.merged
 }
 
+// NonZero merges and appends the cells that hold ticks.
+func (p *Private) NonZero(dst []Cell) []Cell { return appendNonZero(dst, 0, p.Ticks()) }
+
 // Cells merges and returns the per-cell totals.
 func (p *Private) Cells() []float64 {
 	p.values = values(p.values, p.Ticks(), p.scale)
@@ -408,6 +508,9 @@ func (Null) Ticks() []int64 { return nil }
 
 // Cells returns nil: a null tally holds no data.
 func (Null) Cells() []float64 { return nil }
+
+// NonZero appends nothing.
+func (Null) NonZero(dst []Cell) []Cell { return dst }
 
 // Total returns zero.
 func (Null) Total() (float64, error) { return 0, nil }

@@ -386,15 +386,15 @@ func BenchmarkPrivateAdd(b *testing.B) {
 // TestSparseViewsMatchCells pins the reads that skip the dense view to it,
 // for every implementation: Total is the sum of Ticks converted once (the
 // sum skips zero blocks), Cells is Ticks converted cell by cell, and
-// AppendNonZero lists exactly the non-zero ticks in ascending order. The
-// sizes straddle the eight-word blocks; the deposits leave empty blocks, full
-// blocks and a ragged tail.
+// NonZero lists exactly the non-zero ticks in ascending order. The sizes
+// straddle the eight-word blocks; the deposits leave empty blocks, full blocks
+// and a ragged tail.
 func TestSparseViewsMatchCells(t *testing.T) {
 	for _, cells := range []int{1, 7, 8, 9, 64, 1000} {
 		for _, mode := range []Mode{ModeAtomic, ModePrivate, ModeNull} {
 			for _, workers := range []int{1, 3} {
 				tl := New(mode, cells, workers)
-				if got := AppendNonZero(nil, tl.Ticks()); len(got) != 0 || mustTotal(t, tl) != 0 {
+				if got := tl.NonZero(nil); len(got) != 0 || mustTotal(t, tl) != 0 {
 					t.Fatalf("%v/%d: fresh tally reads %v / %v", mode, cells, got, mustTotal(t, tl))
 				}
 				x := uint64(cells)*2654435761 + 1
@@ -424,27 +424,176 @@ func TestSparseViewsMatchCells(t *testing.T) {
 					t.Errorf("%v/%d/%d: Total %v, sum of Ticks %v", mode, cells, workers, got, want)
 				}
 				prefix := []Cell{{-1, -1}}
-				got := AppendNonZero(prefix, ticks)
+				got := tl.NonZero(prefix)
 				if len(got) != 1+len(wantNZ) || got[0] != prefix[0] {
-					t.Fatalf("%v/%d/%d: AppendNonZero returned %d entries after the prefix, want %d", mode, cells, workers, len(got)-1, len(wantNZ))
+					t.Fatalf("%v/%d/%d: NonZero returned %d entries after the prefix, want %d", mode, cells, workers, len(got)-1, len(wantNZ))
 				}
 				if !slices.Equal(got[1:], wantNZ) {
-					t.Fatalf("%v/%d/%d: AppendNonZero = %+v, want %+v", mode, cells, workers, got[1:], wantNZ)
+					t.Fatalf("%v/%d/%d: NonZero = %+v, want %+v", mode, cells, workers, got[1:], wantNZ)
 				}
 			}
 		}
 	}
 }
 
-// TestAtomicCellsAllocatesOnDemand: the dense view's backing array exists
-// only once someone has asked for it.
+// TestAtomicCellsAllocatesOnDemand: a dense view's backing array exists only
+// once someone has asked for it.
 func TestAtomicCellsAllocatesOnDemand(t *testing.T) {
 	a := newAtomic(100, 1)
 	a.Add(0, 3, 1.5)
-	if mustTotal(t, a) != 1.5 || len(AppendNonZero(nil, a.Ticks())) != 1 || a.values != nil {
-		t.Fatal("Total/Ticks must not materialise the dense view")
+	if mustTotal(t, a) != 1.5 || len(a.NonZero(nil)) != 1 || a.values != nil || a.ticks != nil {
+		t.Fatal("Total/NonZero must not materialise a dense view")
 	}
 	if c := a.Cells(); len(c) != 100 || c[3] != 1.5 {
 		t.Fatalf("Cells = %v", c[:5])
+	}
+}
+
+// TestBlockedMatchesDenseModel drives the atomic tally's directory of blocks
+// with random step sequences — a batch of deposits split across the workers
+// and made concurrently, restored ticks, a Reset at the same or a new scale —
+// and after every step compares each read with a dense reference model: one
+// int64 per cell, added to serially. The cell counts leave a ragged last
+// block, fit inside one block, and span many.
+func TestBlockedMatchesDenseModel(t *testing.T) {
+	for _, cells := range []int{1, blockCells - 1, blockCells, blockCells + 1, 3*blockCells + 17, 40*blockCells - 5} {
+		for _, workers := range []int{1, 2, 8} {
+			rng := rand.New(rand.NewSource(int64(cells*31 + workers)))
+			scale := DefaultScale
+			a := NewScaled(ModeAtomic, cells, workers, scale).(*Atomic)
+			model := make([]int64, cells)
+			// Deposits cluster, as a source region does: most blocks of the
+			// larger meshes stay unallocated.
+			pick := func() int {
+				if rng.Intn(4) == 0 {
+					return rng.Intn(cells)
+				}
+				return min(cells-1, cells/3+rng.Intn(1+cells/16))
+			}
+			for step := 0; step < 60; step++ {
+				switch op := rng.Intn(10); {
+				case op < 6:
+					batch := make([][]deposit, workers)
+					for i := rng.Intn(400); i > 0; i-- {
+						d := deposit{pick(), rng.Float64() * math.Ldexp(1, rng.Intn(11))}
+						w := rng.Intn(workers)
+						batch[w] = append(batch[w], d)
+						model[d.cell] += scale.Ticks(d.v)
+					}
+					var wg sync.WaitGroup
+					for w := range batch {
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							for _, d := range batch[w] {
+								a.Add(w, d.cell, d.v)
+							}
+						}()
+					}
+					wg.Wait()
+				case op < 8:
+					for i := rng.Intn(20); i > 0; i-- {
+						cell, ticks := pick(), rng.Int63n(1<<40)
+						a.AddTicks(cell, ticks)
+						model[cell] += ticks
+					}
+				default:
+					if rng.Intn(2) == 0 {
+						scale = ScaleFor(math.Ldexp(1, 30+rng.Intn(20)))
+					}
+					a.Reset(scale)
+					clear(model)
+				}
+
+				var sum int64
+				var sparse []Cell
+				for i, v := range model {
+					sum += v
+					if v != 0 {
+						sparse = append(sparse, Cell{i, v})
+					}
+				}
+				if got := mustTotal(t, a); got != scale.Value(sum) {
+					t.Fatalf("%d cells, %d workers, step %d: Total %v, model %v", cells, workers, step, got, scale.Value(sum))
+				}
+				if got := a.NonZero(nil); !slices.Equal(got, sparse) {
+					t.Fatalf("%d cells, %d workers, step %d: NonZero has %d entries, model %d", cells, workers, step, len(got), len(sparse))
+				}
+				if !slices.Equal(a.Ticks(), model) {
+					t.Fatalf("%d cells, %d workers, step %d: Ticks differ from the model", cells, workers, step)
+				}
+				dense := a.Cells()
+				if len(dense) != cells {
+					t.Fatalf("%d cells: Cells has %d", cells, len(dense))
+				}
+				for i, v := range model {
+					if dense[i] != scale.Value(v) {
+						t.Fatalf("%d cells, %d workers, step %d: Cells[%d] = %v, model %v", cells, workers, step, i, dense[i], scale.Value(v))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFirstDepositRace: workers whose first deposits land in the same fresh
+// blocks at the same moment each find the block unallocated; one publishes
+// its copy and the others must add into that one. No deposit may be lost to a
+// dropped copy, and a block is held exactly once.
+func TestFirstDepositRace(t *testing.T) {
+	const (
+		workers = 8
+		blocks  = 64
+		rounds  = 50
+	)
+	for round := 0; round < rounds; round++ {
+		a := newAtomic(blocks*blockCells, workers)
+		var start, wg sync.WaitGroup
+		start.Add(1)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				start.Wait()
+				for b := 0; b < blocks; b++ {
+					a.Add(w, b*blockCells+w, 1)   // a cell of its own
+					a.Add(w, b*blockCells+100, 1) // and one every worker hits
+				}
+			}()
+		}
+		start.Done()
+		wg.Wait()
+		if got := mustTotal(t, a); got != 2*workers*blocks {
+			t.Fatalf("round %d: total %v, want %d (a deposit went into a dropped block)", round, got, 2*workers*blocks)
+		}
+		ticks := a.Ticks()
+		for b := 0; b < blocks; b++ {
+			if got := DefaultScale.Value(ticks[b*blockCells+100]); got != workers {
+				t.Fatalf("round %d: shared cell of block %d holds %v, want %d", round, b, got, workers)
+			}
+		}
+		if got, want := a.FootprintBytes(), 8*blocks+8*blockCells*blocks; got != want {
+			t.Fatalf("round %d: footprint %d bytes, want %d", round, got, want)
+		}
+	}
+}
+
+// TestFootprintFollowsDeposits: a fresh tally holds its directory and nothing
+// else, a deposit costs one block, and Reset keeps what was allocated.
+func TestFootprintFollowsDeposits(t *testing.T) {
+	const cells = 1000 * blockCells
+	a := newAtomic(cells, 2)
+	if got := a.FootprintBytes(); got != 8*1000 {
+		t.Fatalf("fresh tally holds %d bytes, want the %d of its directory", got, 8*1000)
+	}
+	a.Add(0, 5, 1)
+	a.Add(1, 7, 1)
+	a.Add(0, cells-1, 1)
+	if got, want := a.FootprintBytes(), 8*1000+2*8*blockCells; got != want {
+		t.Fatalf("after deposits into two blocks: %d bytes, want %d", got, want)
+	}
+	a.Reset(DefaultScale)
+	if got, want := a.FootprintBytes(), 8*1000+2*8*blockCells; got != want || mustTotal(t, a) != 0 {
+		t.Fatalf("after Reset: %d bytes (want %d kept), total %v", got, want, mustTotal(t, a))
 	}
 }
