@@ -78,8 +78,8 @@ func main() {
 func run() error {
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
-		shards     = flag.Int("shards", 0, "worker shards (0 = min(4, GOMAXPROCS))")
-		queueDepth = flag.Int("queue-depth", 0, "queued jobs per shard (0 = 64)")
+		shards     = flag.Int("shards", 0, "workers popping the job queue (0 = min(4, GOMAXPROCS))")
+		queueDepth = flag.Int("queue-depth", 0, "admitted backlog per worker: the queue holds shards × this (0 = 64)")
 		cacheSize  = flag.Int("cache", 0, "result cache entries (0 = 128, negative disables)")
 		threads    = flag.Int("threads-per-job", 0, "solver threads per job (0 = GOMAXPROCS/shards)")
 		sceneFile  = flag.String("scene", "", "JSON scene file served as the default problem for submissions that name neither a problem nor an inline scene")

@@ -1058,7 +1058,7 @@ type BatchResponse struct {
 }
 
 // maxBatchSpecs bounds one batch request; larger sweeps should be split so
-// admission control (per-shard queue depth) stays meaningful.
+// admission control (the queue bound) stays meaningful.
 const maxBatchSpecs = 1024
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -1082,7 +1082,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Resolve specs first so config errors surface per item while every
-	// resolvable config still reaches the engine as one pinned batch.
+	// resolvable config still reaches the engine as one batch.
 	cfgs := make([]core.Config, 0, len(req.Specs))
 	cfgIdx := make([]int, 0, len(req.Specs))
 	resp := BatchResponse{Items: make([]BatchItemView, len(req.Specs))}

@@ -70,13 +70,13 @@ func (j *Job) addReplica(v ReplicaView) {
 }
 
 // runEnsemble coordinates one ensemble job: it submits one child job per
-// replica — routed by fingerprint across the engine's sharded worker pool
-// exactly like user submissions, so replicas run concurrently, dedupe
-// against the cache, and checkpoint individually — then folds the per-cell
-// tallies into ensemble statistics in replica order and returns the merged
-// result for execute to settle under the parent's fingerprint. It runs on a
-// goroutine of its own, not a worker: a wide ensemble never starves the pool
-// of its own replicas.
+// replica — through the engine's queue exactly like user submissions, so
+// replicas run on every worker that is free, dedupe against the cache and
+// against a twin in flight, and checkpoint individually — then folds the
+// per-cell tallies into ensemble statistics in replica order and returns the
+// merged result for execute to settle under the parent's fingerprint. It
+// runs on a goroutine of its own, not a worker: a wide ensemble never
+// starves the pool of its own replicas.
 func (e *Engine) runEnsemble(j *Job) (*core.Result, *stats.Ensemble, error) {
 	cfg := j.cfg
 	reps := cfg.Replicas
@@ -102,7 +102,7 @@ func (e *Engine) runEnsemble(j *Job) (*core.Result, *stats.Ensemble, error) {
 		ccfg.KeepBank = false
 		// Children inherit the parent's tenant so the fair-share scheduler
 		// charges the fan-out to the submitting tenant's lanes.
-		child, err := e.submit(ccfg, nil, SubmitOptions{Tenant: j.tenant})
+		child, err := e.submit(ccfg, SubmitOptions{Tenant: j.tenant})
 		if err != nil {
 			return fail(fmt.Errorf("service: ensemble replica %d: %w", r, err))
 		}

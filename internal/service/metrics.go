@@ -1,7 +1,6 @@
 package service
 
 import (
-	"strconv"
 	"time"
 
 	"repro/internal/core"
@@ -59,7 +58,7 @@ func newEngineMetrics(e *Engine, r *telemetry.Registry) *engineMetrics {
 			"Authenticated HTTP requests, by tenant.",
 			"tenant"),
 		tenantShed: r.CounterVec("neutral_tenant_shed_total",
-			"Requests shed by admission control, by tenant and reason (rate = over token-bucket budget, queue = shard queue full).",
+			"Requests shed by admission control, by tenant and reason (rate = over token-bucket budget, queue = queue full).",
 			"tenant", "reason"),
 		tenantDenied: r.CounterVec("neutral_tenant_denied_total",
 			"Requests refused by authentication, by reason (missing, unknown, revoked).",
@@ -94,18 +93,14 @@ func newEngineMetrics(e *Engine, r *telemetry.Registry) *engineMetrics {
 		jobs.Func(func() float64 { return float64(e.countJobs(st)) }, string(st))
 	}
 
-	depth := r.GaugeVec("neutral_queue_depth", "Queued jobs per shard.", "shard")
-	rejected := r.GaugeVec("neutral_queue_rejected_total",
-		"Submissions refused by a full shard queue. Monotonic; a gauge only because the value is read from the queue, not owned here.", "shard")
-	for i, q := range e.shards {
-		q := q
-		shard := strconv.Itoa(i)
-		depth.Func(func() float64 { return float64(q.Len()) }, shard)
-		rejected.Func(func() float64 {
-			_, dropped := q.Stats()
+	r.GaugeFunc("neutral_queue_depth", "Queued jobs.",
+		func() float64 { return float64(e.queue.Len()) })
+	r.GaugeFunc("neutral_queue_rejected_total",
+		"Submissions refused by a full queue. Monotonic; a gauge only because the value is read from the queue, not owned here.",
+		func() float64 {
+			_, dropped := e.queue.Stats()
 			return float64(dropped)
-		}, shard)
-	}
+		})
 
 	r.CounterFunc("neutral_cache_hits_total", "Result-cache hits.",
 		func() float64 { return float64(e.store.lru.Stats().Hits) })

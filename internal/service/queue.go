@@ -1,11 +1,11 @@
 // Package service turns the single-shot neutral solver into a long-running
-// simulation service: a bounded fair-share job queue (this file), a sharded
-// worker pool whose every started job takes one path — start, acquire the
-// worker's core.Simulation, run, settle (worker.go) — a result store keyed
-// by the canonical config fingerprint (store.go) with an optional blob-store
-// persistent tier (blob/), per-tenant authentication and admission control
-// (auth.go, quota.go), and an HTTP/JSON front end with streaming progress
-// (api.go).
+// simulation service: a bounded fair-share job queue (this file), a pool of
+// workers that each take its next runnable job when free, every started job
+// on one path — start, acquire the worker's core.Simulation, run, settle
+// (worker.go) — a result store keyed by the canonical config fingerprint
+// (store.go) with an optional blob-store persistent tier (blob/), per-tenant
+// authentication and admission control (auth.go, quota.go), and an HTTP/JSON
+// front end with streaming progress (api.go).
 //
 // The design follows the client/server job frameworks the transport-code
 // literature converged on (Kostin et al.; MC/DC): the solver stays a pure
@@ -28,9 +28,10 @@ var (
 	ErrClosed = errors.New("service: closed")
 )
 
-// Queue is a bounded, tenant-fair job queue. Push never blocks — a full
-// queue rejects, pushing back-pressure to the client — while Pop blocks
-// until a job arrives or the queue is closed and drained.
+// Queue is a bounded, tenant-fair job queue shared by every worker of an
+// engine. Push never blocks — a full queue rejects, pushing back-pressure to
+// the client — while Pop blocks until a job can run or the queue is closed
+// and drained.
 //
 // Jobs are held in per-tenant FIFO lanes and Pop round-robins across the
 // lanes with queued work, so order is FIFO within a tenant but interleaved
@@ -38,12 +39,19 @@ var (
 // while another tenant's single job is picked up after at most one
 // round-robin turn. The capacity bound stays global (total queued jobs),
 // which is what the 503 load-shedding path keys off.
+//
+// A popped job's fingerprint is held until its worker calls Release, and Pop
+// passes over queued jobs whose fingerprint is held: identical submissions
+// run one after another, never beside each other, so the second finds the
+// first's result instead of solving it again. Uncacheable jobs (key "") are
+// never held.
 type Queue struct {
 	mu       sync.Mutex
-	nonEmpty *sync.Cond
+	runnable *sync.Cond // a push, a release or Close may have made Pop's wait moot
 	lanes    map[string][]*Job
-	ring     []string // tenants with queued work, in round-robin order
-	next     int      // ring cursor
+	ring     []string            // tenants with queued work, in round-robin order
+	next     int                 // ring cursor
+	held     map[string]struct{} // fingerprints popped and not yet released
 	size     int
 	cap      int
 	closed   bool
@@ -57,8 +65,8 @@ func NewQueue(capacity int) *Queue {
 	if capacity < 1 {
 		capacity = 1
 	}
-	q := &Queue{cap: capacity, lanes: map[string][]*Job{}}
-	q.nonEmpty = sync.NewCond(&q.mu)
+	q := &Queue{cap: capacity, lanes: map[string][]*Job{}, held: map[string]struct{}{}}
+	q.runnable = sync.NewCond(&q.mu)
 	return q
 }
 
@@ -82,39 +90,75 @@ func (q *Queue) Push(j *Job) error {
 	q.lanes[j.tenant] = append(lane, j)
 	q.size++
 	q.pushed++
-	q.nonEmpty.Signal()
+	q.runnable.Signal()
 	return nil
 }
 
-// Pop removes and returns the next job under tenant round-robin, blocking
-// while the queue is empty. After Close it drains the remaining jobs, then
-// reports false.
+// Pop removes and returns the next runnable job — under tenant round-robin,
+// the oldest job of the lane whose turn it is that no hold covers; a lane
+// with nothing runnable passes its turn — and holds its fingerprint. It
+// blocks while nothing queued is runnable. After Close holds no longer apply
+// (the engine has canceled every job by then, so nothing popped is solved):
+// Pop drains the remaining jobs without waiting, then reports false.
 func (q *Queue) Pop() (*Job, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for q.size == 0 {
+	for {
+		for n := range q.ring {
+			ri := (q.next + n) % len(q.ring)
+			lane := q.lanes[q.ring[ri]]
+			for i, j := range lane {
+				if _, busy := q.held[j.key]; busy && !q.closed {
+					continue
+				}
+				if j.key != "" {
+					q.held[j.key] = struct{}{}
+				}
+				q.removeAt(ri, i)
+				q.next = ri // an emptied lane gave its slot to the next one
+				if len(lane) > 1 {
+					q.next++
+				}
+				return j, true
+			}
+		}
 		if q.closed {
 			return nil, false
 		}
-		q.nonEmpty.Wait()
+		q.runnable.Wait()
 	}
-	q.next %= len(q.ring)
-	tenant := q.ring[q.next]
+}
+
+// Release ends the hold Pop placed on the fingerprint of a job whose worker
+// is done with it, and wakes the parked workers: a queued twin is runnable
+// now.
+func (q *Queue) Release(key string) {
+	if key == "" {
+		return
+	}
+	q.mu.Lock()
+	delete(q.held, key)
+	q.mu.Unlock()
+	q.runnable.Broadcast()
+}
+
+// removeAt takes job i out of the lane of ring slot ri, retiring the slot
+// with its last job; a cursor past the slot moves down with it.
+func (q *Queue) removeAt(ri, i int) {
+	tenant := q.ring[ri]
 	lane := q.lanes[tenant]
-	j := lane[0]
-	lane[0] = nil
-	lane = lane[1:]
-	if len(lane) == 0 {
+	copy(lane[i:], lane[i+1:])
+	lane[len(lane)-1] = nil
+	if lane = lane[:len(lane)-1]; len(lane) == 0 {
 		delete(q.lanes, tenant)
-		q.ring = append(q.ring[:q.next], q.ring[q.next+1:]...)
-		// The cursor now points at the next tenant already; wrap handled
-		// on the next Pop.
+		q.ring = append(q.ring[:ri], q.ring[ri+1:]...)
+		if ri < q.next {
+			q.next--
+		}
 	} else {
 		q.lanes[tenant] = lane
-		q.next++
 	}
 	q.size--
-	return j, true
 }
 
 // Remove deletes a queued job by ID, reporting whether it was found. A
@@ -123,28 +167,12 @@ func (q *Queue) Pop() (*Job, bool) {
 func (q *Queue) Remove(id string) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for tenant, lane := range q.lanes {
-		for i, j := range lane {
-			if j.id != id {
-				continue
+	for ri, tenant := range q.ring {
+		for i, j := range q.lanes[tenant] {
+			if j.id == id {
+				q.removeAt(ri, i)
+				return true
 			}
-			lane = append(lane[:i], lane[i+1:]...)
-			if len(lane) == 0 {
-				delete(q.lanes, tenant)
-				for ri, name := range q.ring {
-					if name == tenant {
-						q.ring = append(q.ring[:ri], q.ring[ri+1:]...)
-						if ri < q.next {
-							q.next--
-						}
-						break
-					}
-				}
-			} else {
-				q.lanes[tenant] = lane
-			}
-			q.size--
-			return true
 		}
 	}
 	return false
@@ -163,7 +191,7 @@ func (q *Queue) Close() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.closed = true
-	q.nonEmpty.Broadcast()
+	q.runnable.Broadcast()
 }
 
 // Stats reports lifetime admission counts: jobs accepted and jobs rejected

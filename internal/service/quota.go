@@ -108,21 +108,18 @@ func setRetryAfter(w http.ResponseWriter, d time.Duration) {
 }
 
 // ShedDelay estimates how long a shed client should wait before retrying:
-// the queue backlog per worker shard times the moving-average job service
-// time — i.e. roughly when a queue slot will have drained. Clamped to
-// [1s, 2m] so a cold engine (no average yet) and a deep backlog both give
-// usable guidance. This is the Retry-After on queue-full and shutdown
-// 503s; rate-limit 429s use the exact bucket refill time instead.
+// the queue backlog per worker (plus the job each is on) times the
+// moving-average job service time — i.e. roughly when a queue slot will have
+// drained. Clamped to [1s, 2m] so a cold engine (no average yet) and a deep
+// backlog both give usable guidance. This is the Retry-After on queue-full
+// and shutdown 503s; rate-limit 429s use the exact bucket refill time
+// instead.
 func (e *Engine) ShedDelay() time.Duration {
 	avg := time.Duration(e.avgRunNS.Load())
 	if avg <= 0 {
 		avg = time.Second
 	}
-	queued := 0
-	for _, q := range e.shards {
-		queued += q.Len()
-	}
-	d := time.Duration(queued/len(e.shards)+1) * avg
+	d := time.Duration(e.queue.Len()/e.opts.Shards+1) * avg
 	return min(max(d, time.Second), 2*time.Minute)
 }
 

@@ -128,8 +128,6 @@ func (s *store) loadCheckpoint(key string) ([]byte, bool) {
 }
 
 // saveCheckpoint files a step-boundary snapshot under a durable key.
-// Store puts are atomic, so even a batch-pinned duplicate of a routed job
-// cannot publish a torn checkpoint.
 func (s *store) saveCheckpoint(key string, snapshot []byte) error {
 	err := s.blobs.Put(CheckpointKey(key), snapshot)
 	if err == nil {

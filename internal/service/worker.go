@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -395,13 +394,15 @@ func (e *Engine) finishLocked(j *Job, state State, res *core.Result, ens *stats.
 
 // Options configures an engine.
 type Options struct {
-	// Shards is the worker-pool width: each shard owns one queue and one
-	// worker goroutine, and cacheable jobs are routed to a shard by
-	// fingerprint so identical submissions serialise behind each other
-	// (maximising cache reuse instead of racing duplicate solves).
+	// Shards is the worker-pool width: that many worker goroutines pop the
+	// engine's one queue, each taking the next runnable job the moment it
+	// is free. Identical submissions still run one after another (the queue
+	// holds a fingerprint while a worker runs it), so the second is served
+	// the first's result instead of racing a duplicate solve.
 	// 0 means min(4, GOMAXPROCS).
 	Shards int
-	// QueueDepth bounds each shard's backlog. 0 means 64.
+	// QueueDepth is the admitted backlog per worker: the queue holds up to
+	// Shards × QueueDepth jobs. 0 means 64.
 	QueueDepth int
 	// CacheEntries bounds the result cache. 0 means 128; negative
 	// disables caching.
@@ -496,7 +497,7 @@ type Engine struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 	store  *store
-	shards []*Queue
+	queue  *Queue
 	wg     sync.WaitGroup
 
 	mu     sync.Mutex
@@ -504,8 +505,6 @@ type Engine struct {
 	jobs   map[string]*Job
 	order  []*Job // submission order, for listing
 	seq    uint64
-
-	rr atomic.Uint64 // round-robin cursor for uncacheable jobs
 
 	registry *telemetry.Registry
 	metrics  *engineMetrics
@@ -535,10 +534,7 @@ func New(opts Options) *Engine {
 		ctx:    ctx,
 		cancel: cancel,
 		jobs:   make(map[string]*Job),
-	}
-	e.shards = make([]*Queue, opts.Shards)
-	for i := range e.shards {
-		e.shards[i] = NewQueue(opts.QueueDepth)
+		queue:  NewQueue(opts.Shards * opts.QueueDepth),
 	}
 	e.registry = opts.Registry
 	if e.registry == nil {
@@ -547,17 +543,17 @@ func New(opts Options) *Engine {
 	e.store = newStore(opts.CacheEntries, opts.Blobs, e.registry)
 	e.metrics = newEngineMetrics(e, e.registry)
 	e.wg.Add(opts.Shards)
-	for i := range e.shards {
-		go e.worker(e.shards[i])
+	for range opts.Shards {
+		go e.worker()
 	}
 	return e
 }
 
 // Submit validates the config and either serves it from the store (returning
-// an already-Done job without touching a worker) or enqueues it. A full shard
+// an already-Done job without touching a worker) or enqueues it. A full
 // queue fails with ErrQueueFull; a closed engine with ErrClosed.
 func (e *Engine) Submit(cfg core.Config) (*Job, error) {
-	return e.submit(cfg, nil, SubmitOptions{})
+	return e.submit(cfg, SubmitOptions{})
 }
 
 // SubmitOptions carries the fleet-transport extras of a submission.
@@ -581,12 +577,12 @@ type SubmitOptions struct {
 
 // SubmitWith is Submit with fleet-transport options.
 func (e *Engine) SubmitWith(cfg core.Config, so SubmitOptions) (*Job, error) {
-	return e.submit(cfg, nil, so)
+	return e.submit(cfg, so)
 }
 
-// submit is Submit with queue routing factored out: a nil queue routes by
-// fingerprint shard; a non-nil queue pins the job (batch submissions).
-func (e *Engine) submit(cfg core.Config, pinned *Queue, so SubmitOptions) (*Job, error) {
+// submit is the one admission path: user submissions, batch items and
+// ensemble replicas alike.
+func (e *Engine) submit(cfg core.Config, so SubmitOptions) (*Job, error) {
 	key, err := identify(&cfg)
 	if err != nil {
 		return nil, err
@@ -628,7 +624,7 @@ func (e *Engine) submit(cfg core.Config, pinned *Queue, so SubmitOptions) (*Job,
 		e.finish(j, StateDone, res, ens, nil, true)
 	} else if cfg.Replicas > 1 {
 		// Ensemble jobs are coordinated by a dedicated goroutine that fans
-		// the replicas out as child jobs across the shard queues; the
+		// the replicas out as child jobs through the queue; the
 		// parent itself never occupies a queue slot or a worker.
 		if cfg.Tally == tally.ModeNull {
 			// Mirrors stats.RunEnsemble: a null tally has no cells to
@@ -640,14 +636,9 @@ func (e *Engine) submit(cfg core.Config, pinned *Queue, so SubmitOptions) (*Job,
 		e.record(j)
 		go e.execute(j, nil)
 		return j, nil
-	} else {
-		if pinned == nil {
-			pinned = e.shardFor(key)
-		}
-		if err := pinned.Push(j); err != nil {
-			jcancel()
-			return nil, err
-		}
+	} else if err := e.queue.Push(j); err != nil {
+		jcancel()
+		return nil, err
 	}
 	e.record(j)
 	return j, nil
@@ -660,18 +651,13 @@ type BatchItem struct {
 	Err error
 }
 
-// SubmitBatch submits the configs as one batch pinned to a single shard, so
-// one worker runs them back to back in order and its engine reuse kicks in:
-// consecutive compatible configs share one Simulation allocation (mesh,
-// cross-section tables, particle bank survive Reset), amortising setup
-// across the batch exactly as a sweep does. Admission is per item — a full
-// queue or invalid config fails that item, never the batch.
-//
-// Pinning trades the fingerprint-shard serialisation guarantee for shared
-// setup: a batch item can race an identical Submit routed to its home
-// shard, costing at most a duplicate solve (the pop-time cache re-check
-// still dedups the sequential case, and checkpoint writes are
-// collision-safe).
+// SubmitBatch submits the configs in order into one tenant lane, so they
+// start in order on as many workers as are free, and each worker's engine
+// reuse kicks in: a job compatible with the worker's last one shares its
+// Simulation allocation (mesh, cross-section tables, particle bank survive
+// Reset), amortising setup across the batch as a sweep does. Admission is
+// per item — a full queue or invalid config fails that item, never the
+// batch.
 func (e *Engine) SubmitBatch(cfgs []core.Config) []BatchItem {
 	return e.SubmitBatchAs("", cfgs)
 }
@@ -679,20 +665,9 @@ func (e *Engine) SubmitBatch(cfgs []core.Config) []BatchItem {
 // SubmitBatchAs is SubmitBatch on behalf of a named tenant, so every item
 // lands in the tenant's fair-share lane.
 func (e *Engine) SubmitBatchAs(tenant string, cfgs []core.Config) []BatchItem {
-	// Pin the whole batch to the home shard of its first valid config so
-	// duplicate batches still serialise behind each other.
-	key := ""
-	for _, cfg := range cfgs {
-		if k, err := identify(&cfg); err == nil {
-			key = k
-			break
-		}
-	}
-	pinned := e.shardFor(key)
-
 	items := make([]BatchItem, len(cfgs))
 	for i, cfg := range cfgs {
-		items[i].Job, items[i].Err = e.submit(cfg, pinned, SubmitOptions{Tenant: tenant})
+		items[i].Job, items[i].Err = e.submit(cfg, SubmitOptions{Tenant: tenant})
 	}
 	return items
 }
@@ -722,26 +697,17 @@ func (e *Engine) record(j *Job) {
 	e.mu.Unlock()
 }
 
-// shardFor routes a cacheable fingerprint to its home shard — identical
-// configs always land together — and spreads uncacheable jobs round-robin.
-func (e *Engine) shardFor(key string) *Queue {
-	if key == "" {
-		return e.shards[e.rr.Add(1)%uint64(len(e.shards))]
-	}
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return e.shards[h.Sum32()%uint32(len(e.shards))]
-}
-
-// worker drains one shard queue until the engine closes. Each worker owns
-// one Simulation that every job rebinds, so a compatible next job keeps the
-// mesh, tables and bank of the last one — the shared-setup amortisation
-// batches and sweeps rely on.
-func (e *Engine) worker(q *Queue) {
+// worker takes the queue's next runnable job whenever it is free, until the
+// engine closes. Each worker owns one Simulation that every job rebinds, so a
+// compatible next job keeps the mesh, tables and bank of the last one — the
+// shared-setup amortisation batches and sweeps rely on. The queue holds the
+// job's fingerprint from Pop until the Release here: at most one worker of
+// this engine runs a key at a time.
+func (e *Engine) worker() {
 	defer e.wg.Done()
 	var sim core.Simulation
 	for {
-		j, ok := q.Pop()
+		j, ok := e.queue.Pop()
 		if !ok {
 			return
 		}
@@ -749,6 +715,7 @@ func (e *Engine) worker(q *Queue) {
 			e.metrics.queueWait.With(j.tenant).Observe(time.Since(j.enqueued).Seconds())
 		}
 		e.execute(j, &sim)
+		e.queue.Release(j.key)
 	}
 }
 
@@ -779,8 +746,8 @@ func (e *Engine) execute(j *Job, sim *core.Simulation) {
 		e.settle(j, res, ens, err, false)
 		return
 	}
-	// An identical job may have completed while this one queued; shard
-	// affinity makes this re-check catch every same-key dupe.
+	// An identical job may have completed while this one was queued or
+	// held; the hold makes this re-check catch every same-key dupe.
 	res, cached := e.store.recent(j.key)
 	var err error
 	if !cached {
@@ -995,11 +962,7 @@ func (e *Engine) Cancel(id string) error {
 		e.finishLocked(j, StateCanceled, nil, nil, context.Canceled, false)
 	j.mu.Unlock()
 	if wonQueued {
-		for _, q := range e.shards {
-			if q.Remove(id) {
-				break
-			}
-		}
+		e.queue.Remove(id)
 		return nil
 	}
 	j.cancel()
@@ -1034,13 +997,10 @@ func (e *Engine) Stats() Stats {
 		Failed:        e.failed.Load(),
 		Canceled:      e.canceled.Load(),
 		Runs:          e.runs.Load(),
+		Queued:        e.queue.Len(),
 		Cache:         e.store.lru.Stats(),
 	}
-	for _, q := range e.shards {
-		s.Queued += q.Len()
-		_, dropped := q.Stats()
-		s.Rejected += dropped
-	}
+	_, s.Rejected = e.queue.Stats()
 	return s
 }
 
@@ -1089,12 +1049,10 @@ func (e *Engine) Close() {
 	e.mu.Unlock()
 
 	e.cancel() // aborts running solvers and queued-job contexts
-	for _, q := range e.shards {
-		q.Close()
-	}
+	e.queue.Close()
 	e.wg.Wait()
 
-	// Workers drained the queues; anything popped after the cancel came
+	// Workers drained the queue; anything popped after the cancel came
 	// back canceled. Sweep stragglers that were queued but skipped.
 	for _, j := range e.Jobs() {
 		e.finish(j, StateCanceled, nil, nil, ErrClosed, false)

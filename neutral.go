@@ -137,10 +137,10 @@ type (
 	// to EnsembleOptions.OnReplica.
 	EnsembleReplicaView = stats.ReplicaView
 
-	// Service is the simulation service engine: bounded job queue,
-	// sharded worker pool, and content-addressed result cache.
+	// Service is the simulation service engine: one bounded job queue, a
+	// pool of workers popping it, and content-addressed result cache.
 	Service = service.Engine
-	// ServiceOptions sizes a Service (shards, queue depth, cache).
+	// ServiceOptions sizes a Service (workers, queue depth, cache).
 	ServiceOptions = service.Options
 	// Job is one simulation managed by a Service.
 	Job = service.Job
@@ -306,7 +306,7 @@ func RunEnsemble(ctx context.Context, cfg Config, opts EnsembleOptions) (*Ensemb
 }
 
 // NewService starts a simulation service engine: jobs submitted to it are
-// queued, scheduled onto a sharded worker pool, cached by config content,
+// queued, run on the first free worker of its pool, cached by config content,
 // and cancelable mid-flight. Stop it with Close.
 func NewService(opts ServiceOptions) *Service { return service.New(opts) }
 
