@@ -17,380 +17,8 @@ import (
 	"repro/internal/telemetry"
 )
 
-// State is a job's lifecycle position.
-type State string
-
-// Job lifecycle states. Queued and Running are transient; Done, Failed and
-// Canceled are terminal.
-const (
-	StateQueued   State = "queued"
-	StateRunning  State = "running"
-	StateDone     State = "done"
-	StateFailed   State = "failed"
-	StateCanceled State = "canceled"
-)
-
-// Terminal reports whether the state is final.
-func (s State) Terminal() bool {
-	return s == StateDone || s == StateFailed || s == StateCanceled
-}
-
 // ErrUnknownJob reports a lookup of an ID the engine never issued.
 var ErrUnknownJob = errors.New("service: unknown job")
-
-// ErrNotFinished reports a result request for a job that has not reached a
-// terminal state.
-var ErrNotFinished = errors.New("service: job not finished")
-
-// StepView summarises one completed timestep of a running job — the
-// payload of the per-step SSE events and the job's step history. Every
-// boundary produces one; only some of them checkpoint (see cadence).
-type StepView struct {
-	// Step is the completed 0-based timestep; Steps the configured count.
-	Step  int `json:"step"`
-	Steps int `json:"steps"`
-	// TallyTotal is the cumulative deposited weight-eV after this step.
-	TallyTotal float64 `json:"tally_total"`
-	// WallSeconds is the cumulative solver wallclock after this step.
-	WallSeconds float64 `json:"wall_seconds"`
-	// Alive, Census, Dead partition the bank after this step.
-	Alive  int `json:"alive"`
-	Census int `json:"census"`
-	Dead   int `json:"dead"`
-	// Checkpoint is the step boundary of the latest snapshot the job had
-	// taken when this step was recorded — what GET /v1/jobs/{id}/snapshot
-	// serves at least as fresh as. A coordinator pulls when it reads one
-	// newer than the boundary it holds. 0 (omitted) while there is none.
-	Checkpoint int `json:"checkpoint,omitempty"`
-}
-
-// Job is one simulation managed by the engine: a validated config, its
-// identity (the fingerprint everything about it is stored under), and the
-// lifecycle state machine. All mutable state is behind the mutex; the done
-// channel closes exactly once when the job reaches a terminal state.
-type Job struct {
-	id  string
-	key string // config fingerprint; empty for uncacheable configs
-	// cfg is the request, validated: Threads stays as asked, 0 meaning the
-	// budget of whichever engine ends up solving it.
-	cfg core.Config
-	// tenant names the submitting tenant — the fair-share scheduling key
-	// and the queue-wait metric label. AnonymousTenant when the engine
-	// runs without authentication.
-	tenant string
-	// enqueued is stamped by Queue.Push; the queue-wait metric is the
-	// pop-to-push delta.
-	enqueued time.Time
-
-	ctx    context.Context
-	cancel context.CancelFunc
-	done   chan struct{}
-
-	mu          sync.Mutex
-	state       State
-	cached      bool
-	progress    core.Progress
-	steps       []StepView
-	resumedFrom int // step the solver resumed from; -1 for a fresh run
-	// replicas and ensemble are the per-replica history and merged
-	// statistics of an ensemble job (Config.Replicas > 1); empty/nil
-	// otherwise.
-	replicas []ReplicaView
-	ensemble *stats.Ensemble
-	// timings is the per-step wallclock attribution the worker's trace
-	// hook records while solving; empty for cached jobs and ensemble
-	// parents (their replicas carry the timings).
-	timings   []core.StepTiming
-	result    *core.Result
-	err       error
-	submitted time.Time
-	started   time.Time
-	finished  time.Time
-
-	// ckpt is the job's latest checkpoint: the snapshot handed in at
-	// submission, then whichever step boundary last replaced it — a local one
-	// (retainSnap jobs only: a snapshot is bank-sized) or one a RemoteRunner
-	// pulled. GET /v1/jobs/{id}/snapshot, CheckpointInFlight and acquire read
-	// it; the terminal transition releases it, except on a retainSnap job
-	// that ran here, because a coordinator's last pulls arrive after done.
-	retainSnap bool
-	ckpt       checkpoint
-	// worker and reschedules describe remote execution: the fleet worker
-	// currently (or last) assigned the job, and how many times the shard
-	// moved after its worker died. Both zero for locally solved jobs.
-	worker      string
-	reschedules int
-	// warnings records non-fatal trouble the job survived — a failed
-	// checkpoint write, a remote dispatch that fell back to local
-	// execution — so clients see degraded durability instead of silence.
-	warnings []string
-}
-
-// Status is an immutable snapshot of a job.
-type Status struct {
-	ID        string
-	State     State
-	Cached    bool
-	Progress  core.Progress
-	StepsDone int
-	// Replicas is the ensemble width of an ensemble job (0 for plain
-	// jobs); ReplicasDone counts the replicas merged so far.
-	Replicas     int
-	ReplicasDone int
-	// ResumedFrom is the checkpointed step the run resumed at, -1 when it
-	// started fresh.
-	ResumedFrom int
-	// Worker is the fleet worker the job ran (or is running) on, empty
-	// for local execution; Reschedules counts how many times the shard
-	// was moved to a new worker after its assigned worker died.
-	Worker      string
-	Reschedules int
-	// Warnings lists the non-fatal trouble the job survived (failed
-	// checkpoint writes, remote dispatch falling back to local).
-	Warnings  []string
-	Err       error
-	Submitted time.Time
-	Started   time.Time
-	Finished  time.Time
-}
-
-// ID returns the engine-issued job identifier.
-func (j *Job) ID() string { return j.id }
-
-// Config returns the validated configuration the job was submitted with —
-// the request. A result served from the store may have been computed under
-// another execution strategy (see core.Result).
-func (j *Job) Config() core.Config { return j.cfg }
-
-// Done returns a channel closed when the job reaches a terminal state.
-func (j *Job) Done() <-chan struct{} { return j.done }
-
-// Status snapshots the job.
-func (j *Job) Status() Status {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	ens := 0
-	if j.cfg.Replicas > 1 {
-		ens = j.cfg.Replicas
-	}
-	return Status{
-		ID:           j.id,
-		State:        j.state,
-		Cached:       j.cached,
-		Progress:     j.progress,
-		StepsDone:    len(j.steps),
-		Replicas:     ens,
-		ReplicasDone: len(j.replicas),
-		ResumedFrom:  j.resumedFrom,
-		Worker:       j.worker,
-		Reschedules:  j.reschedules,
-		Warnings:     append([]string(nil), j.warnings...),
-		Err:          j.err,
-		Submitted:    j.submitted,
-		Started:      j.started,
-		Finished:     j.finished,
-	}
-}
-
-// addWarning records non-fatal trouble on the job, deduplicating exact
-// repeats (a flaky checkpoint directory must not grow the list per step).
-func (j *Job) addWarning(w string) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	for _, have := range j.warnings {
-		if have == w {
-			return
-		}
-	}
-	j.warnings = append(j.warnings, w)
-}
-
-// checkpoint is a step-boundary snapshot and the boundary it was taken at;
-// -1 for one that came from outside (handed in at submission, or pulled from
-// a worker that may have moved on since), which only restoring it will tell.
-type checkpoint struct {
-	data []byte
-	step int
-}
-
-// Snapshot returns the job's latest checkpoint and the step it was taken at;
-// nil when the job was not seeded and does not retain snapshots, has not
-// reached a boundary yet, or has released it at its end.
-func (j *Job) Snapshot() ([]byte, int) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.ckpt.data, j.ckpt.step
-}
-
-// setCheckpoint moves the job's latest checkpoint to a newer boundary; nil
-// data releases it. Callers hold j.mu.
-func (j *Job) setCheckpoint(data []byte, step int) {
-	j.ckpt = checkpoint{data, step}
-}
-
-// applyRemoteUpdate is the callback a RemoteRunner drives while a shard
-// runs remotely: worker assignment and reschedule count land on the job
-// view, forwarded step results land on the step history (guarded to stay
-// monotonic across worker reconnects and rescheduled resumes), and the
-// latest pulled snapshot becomes the job's checkpoint, the local resume
-// point should the fleet degrade to in-process execution.
-func (j *Job) applyRemoteUpdate(u RemoteUpdate) {
-	j.mu.Lock()
-	if u.Worker != "" {
-		j.worker = u.Worker
-	}
-	if u.Reschedules > j.reschedules {
-		j.reschedules = u.Reschedules
-	}
-	if u.Snapshot != nil {
-		j.setCheckpoint(u.Snapshot, -1)
-	}
-	step := u.Step
-	if step != nil && len(j.steps) > 0 && step.Step <= j.steps[len(j.steps)-1].Step {
-		step = nil // duplicate replay after a reconnect or reschedule
-	}
-	if step != nil {
-		j.steps = append(j.steps, *step)
-		j.progress = core.Progress{Step: step.Step, Steps: step.Steps}
-	}
-	j.mu.Unlock()
-}
-
-// Steps returns the per-timestep results recorded so far, oldest first
-// (never nil, so the wire encoding is always a JSON array). A resumed job's
-// history starts at the checkpointed step, not zero.
-func (j *Job) Steps() []StepView {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return append([]StepView{}, j.steps...)
-}
-
-// StepsFrom returns only the step results recorded after the first n, so a
-// streaming subscriber polls at O(new) cost instead of copying the whole
-// history every tick; nil when nothing new arrived.
-func (j *Job) StepsFrom(n int) []StepView {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if n >= len(j.steps) {
-		return nil
-	}
-	return append([]StepView(nil), j.steps[n:]...)
-}
-
-// addStep records a completed timestep, advertising the boundary of the
-// checkpoint the job holds by now.
-func (j *Job) addStep(v StepView) {
-	j.mu.Lock()
-	v.Checkpoint = max(j.ckpt.step, 0)
-	j.steps = append(j.steps, v)
-	j.mu.Unlock()
-}
-
-// addTiming is the core.TraceFunc the worker installs on its simulation.
-func (j *Job) addTiming(st core.StepTiming) {
-	j.mu.Lock()
-	j.timings = append(j.timings, st)
-	j.mu.Unlock()
-}
-
-// Timings returns the per-step timing spans recorded while solving, oldest
-// first. Empty for cached jobs and ensemble parents. A resumed job's
-// timings start at the checkpointed step.
-func (j *Job) Timings() []core.StepTiming {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return append([]core.StepTiming(nil), j.timings...)
-}
-
-// Wait blocks until the job is terminal or ctx expires.
-func (j *Job) Wait(ctx context.Context) error {
-	select {
-	case <-j.done:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// Result returns the completed result. It fails with ErrNotFinished while
-// the job is in flight, the run's own error for a failed job, and a
-// cancellation error for a canceled one.
-func (j *Job) Result() (*core.Result, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	switch j.state {
-	case StateDone:
-		return j.result, nil
-	case StateFailed, StateCanceled:
-		return nil, j.err
-	default:
-		return nil, ErrNotFinished
-	}
-}
-
-// setProgress is the core.ProgressFunc the worker threads into RunCtx.
-func (j *Job) setProgress(p core.Progress) {
-	j.mu.Lock()
-	j.progress = p
-	j.mu.Unlock()
-}
-
-// finish moves the job to a terminal state exactly once, reporting whether
-// this call won the transition. The lifetime counter and a solved run's
-// metrics are recorded before the state change publishes the job, so whoever
-// sees it done (a waiter, a scrape right after) sees those too.
-func (e *Engine) finish(j *Job, state State, res *core.Result, ens *stats.Ensemble, err error, cached bool) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return e.finishLocked(j, state, res, ens, err, cached)
-}
-
-// finishLocked is finish with j.mu already held.
-func (e *Engine) finishLocked(j *Job, state State, res *core.Result, ens *stats.Ensemble, err error, cached bool) bool {
-	if j.state.Terminal() {
-		return false
-	}
-	switch state {
-	case StateDone:
-		e.completed.Add(1)
-		// Ensemble parents are not runs: each replica passes through here
-		// itself, so observing the parent would count every event twice.
-		if !cached && j.cfg.Replicas <= 1 {
-			dur := time.Since(j.started)
-			e.observeRunDuration(dur)
-			e.metrics.observeRun(res, dur)
-		}
-	case StateFailed:
-		e.failed.Add(1)
-	case StateCanceled:
-		e.canceled.Add(1)
-	}
-	j.state = state
-	j.result = res
-	j.ensemble = ens
-	j.err = err
-	j.cached = cached
-	j.finished = time.Now()
-	if res != nil {
-		// A finished job reads 100% regardless of sampling jitter.
-		j.progress = core.Progress{
-			Step:  res.Config.Steps - 1,
-			Steps: res.Config.Steps,
-			Done:  1,
-			Total: 1,
-		}
-	}
-	if !j.retainSnap || j.worker != "" {
-		// Nothing resumes a terminal job, and the engine keeps every job it
-		// ever ran (see Job.ckpt for the exception).
-		j.setCheckpoint(nil, 0)
-	}
-	close(j.done)
-	// Release the job's context registration on the engine context; a
-	// long-lived engine must not accumulate one child per finished job.
-	j.cancel()
-	return true
-}
 
 // Options configures an engine.
 type Options struct {
@@ -717,18 +345,6 @@ func (e *Engine) worker() {
 		e.execute(j, &sim)
 		e.queue.Release(j.key)
 	}
-}
-
-// start moves a queued job to running; false if it was canceled meanwhile.
-func (j *Job) start() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state != StateQueued {
-		return false
-	}
-	j.state = StateRunning
-	j.started = time.Now()
-	return true
 }
 
 // execute is the one route from started to terminal — for plain jobs, remote

@@ -8,67 +8,6 @@ import (
 	"repro/internal/stats"
 )
 
-// ReplicaView summarises one completed replica of an ensemble job — the
-// payload of the per-replica SSE events and the parent job's replica
-// history.
-type ReplicaView struct {
-	// Replica is the completed 0-based replica; Replicas the ensemble
-	// width.
-	Replica  int `json:"replica"`
-	Replicas int `json:"replicas"`
-	// JobID names the child job that ran the replica.
-	JobID string `json:"job_id"`
-	// Cached reports a replica served from the result cache.
-	Cached bool `json:"cached,omitempty"`
-	// TallyTotal is the replica's deposited weight-eV; WallSeconds its
-	// solver wallclock.
-	TallyTotal  float64 `json:"tally_total"`
-	WallSeconds float64 `json:"wall_seconds"`
-	// Worker names the fleet worker the replica ran on, and Reschedules
-	// counts its lease-expiry reassignments. Both absent outside a fleet
-	// coordinator.
-	Worker      string `json:"worker,omitempty"`
-	Reschedules int    `json:"reschedules,omitempty"`
-}
-
-// Replicas returns the per-replica results recorded so far, in replica
-// order (never nil). Empty for non-ensemble jobs.
-func (j *Job) Replicas() []ReplicaView {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return append([]ReplicaView{}, j.replicas...)
-}
-
-// ReplicasFrom returns only the replica results recorded after the first n,
-// the O(new) polling path the SSE stream uses; nil when nothing new arrived.
-func (j *Job) ReplicasFrom(n int) []ReplicaView {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if n >= len(j.replicas) {
-		return nil
-	}
-	return append([]ReplicaView(nil), j.replicas[n:]...)
-}
-
-// Ensemble returns the merged ensemble statistics of a finished ensemble
-// job, nil for single-run jobs or while replicas are still in flight.
-func (j *Job) Ensemble() *stats.Ensemble {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.ensemble
-}
-
-// addReplica records a completed replica and advances the parent progress.
-// Replica reschedules accumulate onto the parent, so an ensemble view
-// reports the total failover count across its shards.
-func (j *Job) addReplica(v ReplicaView) {
-	j.mu.Lock()
-	j.replicas = append(j.replicas, v)
-	j.progress = core.Progress{Step: len(j.replicas), Steps: v.Replicas}
-	j.reschedules += v.Reschedules
-	j.mu.Unlock()
-}
-
 // runEnsemble coordinates one ensemble job: it submits one child job per
 // replica — through the engine's queue exactly like user submissions, so
 // replicas run on every worker that is free, dedupe against the cache and

@@ -1,0 +1,491 @@
+package service
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"math"
+	"reflect"
+	"strconv"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/mesh"
+	"repro/internal/stats"
+)
+
+// ResultView is the wire representation of a completed run: the quantities
+// a client consumes, flattened from core.Result (whose Config carries
+// non-serialisable hooks).
+type ResultView struct {
+	TallyTotal  float64 `json:"tally_total"`
+	WallSeconds float64 `json:"wall_seconds"`
+	// WallNS is the solver wallclock in integer nanoseconds — the exact
+	// transport twin of the rounded WallSeconds, so a coordinator
+	// reconstructing a remote result loses nothing.
+	WallNS            int64     `json:"wall_ns,omitempty"`
+	Events            uint64    `json:"events"`
+	FacetEvents       uint64    `json:"facet_events"`
+	CollisionEvents   uint64    `json:"collision_events"`
+	CensusEvents      uint64    `json:"census_events"`
+	Deaths            uint64    `json:"deaths"`
+	ConservationError float64   `json:"conservation_error"`
+	LoadImbalance     float64   `json:"load_imbalance"`
+	Cells             []float64 `json:"cells,omitempty"`
+	// Escapes and Leakage report vacuum-boundary losses; both absent on
+	// all-reflective scenes.
+	Escapes uint64       `json:"escapes,omitempty"`
+	Leakage *LeakageView `json:"leakage,omitempty"`
+	// Counters is the full solver counter vector — the lossless transport
+	// block a fleet coordinator folds into merged statistics. The summary
+	// fields above stay for human and dashboard consumption.
+	Counters *core.Counters `json:"counters,omitempty"`
+	// Ensemble carries the merged uncertainty statistics of an ensemble
+	// job; absent for single runs.
+	Ensemble *EnsembleView `json:"ensemble,omitempty"`
+	// PhaseTimings attributes solver wallclock to kernel phases, in
+	// seconds, keyed by canonical phase name (event-kernel,
+	// collision-kernel, facet-kernel, tally-kernel, fused, merge,
+	// control); zero phases are omitted, and the block is absent when no
+	// phase recorded any time.
+	PhaseTimings map[string]float64 `json:"phase_timings,omitempty"`
+}
+
+// LeakageView is the wire form of the per-edge vacuum losses, keyed by edge
+// name (x-lo, x-hi, y-lo, y-hi); edges that leaked nothing are omitted.
+type LeakageView struct {
+	// Weight is the escaped statistical weight per edge; Energy the
+	// escaped weight-energy in weight-eV.
+	Weight map[string]float64 `json:"weight"`
+	Energy map[string]float64 `json:"energy"`
+	// TotalEnergy sums Energy over the edges.
+	TotalEnergy float64 `json:"total_energy"`
+}
+
+func leakageViewOf(res *core.Result) *LeakageView {
+	if res.Counter.Escapes == 0 {
+		return nil
+	}
+	v := &LeakageView{
+		Weight:      map[string]float64{},
+		Energy:      map[string]float64{},
+		TotalEnergy: res.Leakage.TotalEnergy(),
+	}
+	for e := mesh.Edge(0); e < mesh.NumEdges; e++ {
+		if res.Leakage.Weight[e] != 0 || res.Leakage.Energy[e] != 0 {
+			v.Weight[e.String()] = res.Leakage.Weight[e]
+			v.Energy[e.String()] = res.Leakage.Energy[e]
+		}
+	}
+	return v
+}
+
+// EnsembleView is the wire representation of merged ensemble statistics.
+type EnsembleView struct {
+	Replicas int `json:"replicas"`
+	// MeanTotal is the ensemble-mean total tally; TotalRelErr its
+	// relative error (1σ of the mean).
+	MeanTotal   float64 `json:"mean_total"`
+	TotalRelErr float64 `json:"total_rel_err"`
+	// AvgRelErr and MaxRelErr summarise the per-cell relative error over
+	// the ScoredCells cells with a nonzero mean.
+	AvgRelErr   float64 `json:"avg_rel_err"`
+	MaxRelErr   float64 `json:"max_rel_err"`
+	ScoredCells int     `json:"scored_cells"`
+	// FOM is the figure of merit 1/(avg_rel_err² · solver seconds).
+	FOM           float64 `json:"fom"`
+	SolverSeconds float64 `json:"solver_seconds"`
+	// ReplicaTotals lists each replica's total tally in replica order.
+	ReplicaTotals []float64 `json:"replica_totals,omitempty"`
+	// RelErr is the per-cell relative error map (keep_cells only, like
+	// the result's cells).
+	RelErr []float64 `json:"rel_err,omitempty"`
+}
+
+func ensembleViewOf(ens *stats.Ensemble, keepCells bool) *EnsembleView {
+	v := &EnsembleView{
+		Replicas:      ens.Replicas,
+		MeanTotal:     ens.MeanTotal,
+		TotalRelErr:   ens.TotalRelErr,
+		AvgRelErr:     ens.AvgRelErr,
+		MaxRelErr:     ens.MaxRelErr,
+		ScoredCells:   ens.ScoredCells,
+		FOM:           ens.FOM,
+		SolverSeconds: ens.SolverWall.Seconds(),
+		ReplicaTotals: ens.Totals,
+	}
+	if keepCells {
+		v.RelErr = ens.RelErr
+	}
+	return v
+}
+
+// encodeResultView returns the bytes of json.Marshal(v) with the cells array
+// — 65 200 zeros of a 256² result's 65 536 numbers — appended by a loop
+// instead of reflected over: a result's bytes cost what was deposited, as its
+// tally does. encoding/json encodes the view with a one-zero array in the
+// array's place (every field before cells is a number, so the first
+// `"cells":[0]` in the document is that one), and the numbers are spliced in
+// under encoding/json's own formatting rules. A view without cells, or with a
+// cell JSON cannot carry (NaN, ±Inf), goes to encoding/json whole, so the
+// bytes and the error there are the standard ones. It is a function and not a
+// MarshalJSON method: json.Marshal re-scans and copies what a Marshaler
+// returns, which makes a call that is on every job's path to its result cost
+// four times as much (BENCH_pr26.json, result_encode).
+func encodeResultView(v ResultView) ([]byte, error) {
+	cells, nonZero := v.Cells, 0
+	if len(cells) == 0 {
+		return json.Marshal(v)
+	}
+	for _, f := range cells {
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return json.Marshal(v)
+		}
+		if math.Float64bits(f) != 0 {
+			nonZero++
+		}
+	}
+	const placeholder = `"cells":[0]`
+	v.Cells = []float64{0}
+	doc, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
+	}
+	at := bytes.Index(doc, []byte(placeholder)) + len(placeholder) - len("0]")
+	out := make([]byte, 0, len(doc)+2*len(cells)+24*nonZero)
+	out = append(out, doc[:at]...)
+	for i, f := range cells {
+		if i > 0 {
+			out = append(out, ',')
+		}
+		out = appendJSONFloat(out, f)
+	}
+	return append(out, doc[at+1:]...), nil
+}
+
+// appendJSONFloat appends a finite f as encoding/json writes a float64: the
+// shortest digits that round-trip, in exponent form iff the magnitude is
+// non-zero and below 1e-6 or at least 1e21, a two-digit negative exponent
+// cut to one (e-09 → e-9). Positive zero — nearly every cell — skips the
+// formatter; negative zero is "-0" and does not.
+func appendJSONFloat(b []byte, f float64) []byte {
+	if math.Float64bits(f) == 0 {
+		return append(b, '0')
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
+}
+
+// UnmarshalJSON decodes a ResultView with the cells array — 65 536 numbers
+// of a 256² result, nearly all of a view's bytes — taken off encoding/json,
+// which scans those bytes three times and parses each element through
+// reflection. The array is located in the top-level object, its numbers go
+// straight to strconv.ParseFloat (what encoding/json calls for each one, so
+// every value is the same bits), and encoding/json decodes the rest of the
+// document with null in the array's place. A coordinator pays this decode for
+// every remote result and an engine for every blob-tier hit.
+//
+// The fast path commits only when all of it is unambiguous: exactly one
+// top-level member folds to "cells", its value is a non-empty array of
+// well-formed JSON numbers in range, and the remaining document decodes
+// without error. Anything else — null, [], a string element, a duplicate or
+// escaped key, malformed input — is decoded by encoding/json alone, so values
+// and errors there are exactly the standard ones.
+func (v *ResultView) UnmarshalJSON(data []byte) error {
+	type plain ResultView // the same fields without this method
+	if start, end, ok := cellsArray(data); ok {
+		if cells, ok := parseNumberArray(data[start:end]); ok {
+			rest := make([]byte, 0, len(data)-(end-start)+len("null"))
+			rest = append(append(append(rest, data[:start]...), "null"...), data[end:]...)
+			if json.Unmarshal(rest, (*plain)(v)) == nil {
+				v.Cells = cells
+				return nil
+			}
+		}
+	}
+	err := json.Unmarshal(data, (*plain)(v))
+	var typeErr *json.UnmarshalTypeError
+	if errors.As(err, &typeErr) {
+		// The message names the wire type, as it always has.
+		if typeErr.Struct == "plain" {
+			typeErr.Struct = "ResultView"
+		}
+		if typeErr.Type == reflect.TypeOf(plain{}) {
+			typeErr.Type = reflect.TypeOf(ResultView{})
+		}
+	}
+	return err
+}
+
+// cellsArray locates the value of the one top-level member whose name
+// encoding/json would match to the cells field, when that value opens an
+// array: data[start:end] runs from its '[' through the first ']' after it,
+// which closes the array whenever it holds only numbers (parseNumberArray
+// rejects it otherwise). ok is false when there is no such member, more than
+// one, or anything the walk does not expect; on well-formed JSON the walk
+// tracks strings, escapes and nesting exactly, and what it skips over is left
+// in the document for encoding/json to judge.
+func cellsArray(data []byte) (start, end int, ok bool) {
+	i := skipSpace(data, 0)
+	if i == len(data) || data[i] != '{' {
+		return 0, 0, false
+	}
+	i = skipSpace(data, i+1)
+	if i < len(data) && data[i] == '}' {
+		return 0, 0, false
+	}
+	for {
+		if i == len(data) || data[i] != '"' {
+			return 0, 0, false
+		}
+		keyEnd := skipString(data, i)
+		if keyEnd < 0 {
+			return 0, 0, false
+		}
+		key := data[i+1 : keyEnd-1]
+		if bytes.IndexByte(key, '\\') >= 0 {
+			return 0, 0, false // an escaped name could spell anything
+		}
+		i = skipSpace(data, keyEnd)
+		if i == len(data) || data[i] != ':' {
+			return 0, 0, false
+		}
+		i = skipSpace(data, i+1)
+		if bytes.EqualFold(key, []byte("cells")) {
+			if ok || i == len(data) || data[i] != '[' {
+				return 0, 0, false
+			}
+			n := bytes.IndexByte(data[i:], ']')
+			if n < 0 {
+				return 0, 0, false
+			}
+			start, end, ok = i, i+n+1, true
+			i = end
+		} else if i = skipValue(data, i); i < 0 {
+			return 0, 0, false
+		}
+		i = skipSpace(data, i)
+		if i == len(data) {
+			return 0, 0, false
+		}
+		switch data[i] {
+		case ',':
+			i = skipSpace(data, i+1)
+		case '}':
+			return start, end, ok
+		default:
+			return 0, 0, false
+		}
+	}
+}
+
+// skipString returns the index just past the string whose opening quote is
+// at b[i], or -1 if it does not close.
+func skipString(b []byte, i int) int {
+	for i++; i < len(b); i++ {
+		switch b[i] {
+		case '\\':
+			i++
+		case '"':
+			return i + 1
+		}
+	}
+	return -1
+}
+
+// skipValue returns the index just past the JSON value starting at b[i]: a
+// string ends at its closing quote, an object or array at its matching
+// closer, any other scalar at the next comma or closer of the enclosing
+// object. -1 if the input ends first.
+func skipValue(b []byte, i int) int {
+	depth := 0
+	for i < len(b) {
+		switch b[i] {
+		case '"':
+			if i = skipString(b, i); i < 0 || depth == 0 {
+				return i
+			}
+			continue
+		case '{', '[':
+			depth++
+		case '}', ']':
+			if depth == 0 {
+				return i
+			}
+			if depth--; depth == 0 {
+				return i + 1
+			}
+		case ',':
+			if depth == 0 {
+				return i
+			}
+		}
+		i++
+	}
+	return -1
+}
+
+// parseNumberArray parses a JSON array holding at least one element and
+// nothing but numbers; ok is false for every other shape, for a number that
+// breaks the JSON grammar, and for one float64 cannot hold.
+func parseNumberArray(raw []byte) (vals []float64, ok bool) {
+	// raw[0] is '['. One number per comma is the exact count for an array
+	// of numbers.
+	vals = make([]float64, 0, bytes.Count(raw, []byte{','})+1)
+	i := 1
+	for {
+		i = skipSpace(raw, i)
+		start := i
+		for i < len(raw) && isNumberByte(raw[i]) {
+			i++
+		}
+		tok := raw[start:i]
+		if len(tok) == 1 && tok[0] == '0' {
+			vals = append(vals, 0) // most of a tally
+		} else {
+			if !validNumber(tok) {
+				return nil, false
+			}
+			f, err := strconv.ParseFloat(string(tok), 64)
+			if err != nil {
+				return nil, false
+			}
+			vals = append(vals, f)
+		}
+		i = skipSpace(raw, i)
+		if i == len(raw) {
+			return nil, false
+		}
+		switch raw[i] {
+		case ',':
+			i++
+		case ']':
+			return vals, i+1 == len(raw)
+		default:
+			return nil, false
+		}
+	}
+}
+
+// validNumber reports whether tok is a number in the JSON grammar:
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?. strconv.ParseFloat alone
+// is laxer (+1, 01, .5, 5.).
+func validNumber(tok []byte) bool {
+	i := 0
+	if i < len(tok) && tok[i] == '-' {
+		i++
+	}
+	digits := func() bool {
+		start := i
+		for i < len(tok) && tok[i] >= '0' && tok[i] <= '9' {
+			i++
+		}
+		return i > start
+	}
+	switch {
+	case i < len(tok) && tok[i] == '0':
+		i++
+	case !digits():
+		return false
+	}
+	if i < len(tok) && tok[i] == '.' {
+		if i++; !digits() {
+			return false
+		}
+	}
+	if i < len(tok) && (tok[i] == 'e' || tok[i] == 'E') {
+		if i++; i < len(tok) && (tok[i] == '+' || tok[i] == '-') {
+			i++
+		}
+		if !digits() {
+			return false
+		}
+	}
+	return i == len(tok)
+}
+
+func skipSpace(b []byte, i int) int {
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
+		i++
+	}
+	return i
+}
+
+func isNumberByte(c byte) bool {
+	return c >= '0' && c <= '9' || c == '-' || c == '+' || c == '.' || c == 'e' || c == 'E'
+}
+
+func resultViewOf(res *core.Result) ResultView {
+	var phases map[string]float64
+	res.Phases.Each(func(name string, d time.Duration) {
+		if phases == nil {
+			phases = map[string]float64{}
+		}
+		phases[name] = d.Seconds()
+	})
+	counters := res.Counter
+	return ResultView{
+		PhaseTimings:      phases,
+		TallyTotal:        res.TallyTotal,
+		WallSeconds:       res.Wall.Seconds(),
+		WallNS:            res.Wall.Nanoseconds(),
+		Events:            res.Counter.TotalEvents(),
+		FacetEvents:       res.Counter.FacetEvents,
+		CollisionEvents:   res.Counter.CollisionEvents,
+		CensusEvents:      res.Counter.CensusEvents,
+		Deaths:            res.Counter.Deaths,
+		ConservationError: res.Conservation.RelativeError,
+		LoadImbalance:     res.LoadImbalance(),
+		Cells:             res.Cells,
+		Escapes:           res.Counter.Escapes,
+		Leakage:           leakageViewOf(res),
+		Counters:          &counters,
+	}
+}
+
+// Result reconstructs the core.Result a remote worker computed or the blob
+// tier stored — the inverse of resultViewOf. cfg is the caller's own config
+// for the job, standing in for the producing run's (the view carries none).
+// Lossless for everything the ensemble merger and the result API consume:
+// tally, cells, integer-nanosecond wallclock, the full counter vector,
+// conservation error and per-edge leakage. Phase timings and per-worker busy
+// spans stay behind; they describe the remote process, not this one.
+func (v ResultView) Result(cfg core.Config) *core.Result {
+	res := &core.Result{
+		Config:     cfg,
+		TallyTotal: v.TallyTotal,
+		Cells:      v.Cells,
+	}
+	if v.WallNS > 0 {
+		res.Wall = time.Duration(v.WallNS)
+	} else { // older worker: fall back to the rounded seconds
+		res.Wall = time.Duration(v.WallSeconds * float64(time.Second))
+	}
+	if v.Counters != nil {
+		res.Counter = *v.Counters
+	} else {
+		res.Counter = core.Counters{
+			FacetEvents:     v.FacetEvents,
+			CollisionEvents: v.CollisionEvents,
+			CensusEvents:    v.CensusEvents,
+			Deaths:          v.Deaths,
+			Escapes:         v.Escapes,
+		}
+	}
+	res.Conservation.RelativeError = v.ConservationError
+	if v.Leakage != nil {
+		for e := mesh.Edge(0); e < mesh.NumEdges; e++ {
+			res.Leakage.Weight[e] = v.Leakage.Weight[e.String()]
+			res.Leakage.Energy[e] = v.Leakage.Energy[e.String()]
+		}
+	}
+	return res
+}
