@@ -455,6 +455,57 @@ func TestAPIBatch(t *testing.T) {
 		}
 	}
 
+	// Item i of the response is spec i, whatever mix of good and bad specs
+	// surrounds it: the good ones carry ascending job IDs (and, once run,
+	// their own step counts), the bad ones only their own error.
+	mixed := `{"specs":[
+		{"problem":"csp","nx":64,"particles":100,"steps":1,"seed":11},
+		{"problem":"no-such-problem"},
+		{"problem":"csp","nx":64,"particles":100,"steps":2,"seed":12},
+		{"problem":"csp","nx":-3},
+		{"problem":"csp","nx":64,"particles":100,"steps":3,"seed":13}
+	]}`
+	mresp, err := http.Post(ts.URL+"/v1/batch", "application/json", strings.NewReader(mixed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mr BatchResponse
+	err = json.NewDecoder(mresp.Body).Decode(&mr)
+	mresp.Body.Close()
+	if err != nil || len(mr.Items) != 5 {
+		t.Fatalf("mixed batch: %d items, decode error %v", len(mr.Items), err)
+	}
+	for i, wantErr := range map[int]string{1: "no-such-problem", 3: "negative nx"} {
+		if it := mr.Items[i]; it.Accepted || it.Job != nil || !strings.Contains(it.Error, wantErr) {
+			t.Errorf("mixed batch item %d = %+v, want only an error naming %q", i, it, wantErr)
+		}
+	}
+	lastID := br.Items[2].Job.ID
+	for i, steps := range map[int]int{0: 1, 2: 2, 4: 3} {
+		it := mr.Items[i]
+		if !it.Accepted || it.Job == nil || it.Error != "" {
+			t.Fatalf("mixed batch item %d = %+v, want an admitted job", i, it)
+		}
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + it.Job.ID + "/result?wait=true")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		var jv JobView
+		getJSON(t, ts, "/v1/jobs/"+it.Job.ID, &jv)
+		if jv.State != StateDone || jv.Steps != steps {
+			t.Errorf("mixed batch item %d is job %s with %d steps (%s), want spec %d's %d",
+				i, it.Job.ID, jv.Steps, jv.State, i, steps)
+		}
+	}
+	for _, i := range []int{0, 2, 4} {
+		if id := mr.Items[i].Job.ID; id <= lastID {
+			t.Errorf("mixed batch item %d has job ID %s after %s", i, id, lastID)
+		} else {
+			lastID = id
+		}
+	}
+
 	// Malformed batches are rejected wholesale.
 	for _, bad := range []string{`{"specs":[]}`, `{`, `{"nope":1}`} {
 		resp, err := http.Post(ts.URL+"/v1/batch", "application/json", strings.NewReader(bad))

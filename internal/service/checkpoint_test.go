@@ -276,7 +276,7 @@ func TestSubmitBatchPerItemAdmission(t *testing.T) {
 		cfgs[i] = ckptConfig(1)
 		cfgs[i].Seed = uint64(1000 + i)
 	}
-	items := e.SubmitBatch(cfgs)
+	items := submitAll(e, cfgs)
 	accepted, rejected := 0, 0
 	for _, it := range items {
 		switch {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,7 +18,8 @@ import (
 	"repro/internal/telemetry"
 )
 
-// ErrUnknownJob reports a lookup of an ID the engine never issued.
+// ErrUnknownJob reports a lookup of an ID the engine never issued, or one it
+// has forgotten since (see jobHistory).
 var ErrUnknownJob = errors.New("service: unknown job")
 
 // Options configures an engine.
@@ -133,6 +135,8 @@ type Engine struct {
 	jobs   map[string]*Job
 	order  []*Job // submission order, for listing
 	seq    uint64
+	// forgotten counts the finished jobs dropped from jobs and order.
+	forgotten uint64
 
 	registry *telemetry.Registry
 	metrics  *engineMetrics
@@ -177,11 +181,9 @@ func New(opts Options) *Engine {
 	return e
 }
 
-// Submit validates the config and either serves it from the store (returning
-// an already-Done job without touching a worker) or enqueues it. A full
-// queue fails with ErrQueueFull; a closed engine with ErrClosed.
+// Submit is SubmitWith without options.
 func (e *Engine) Submit(cfg core.Config) (*Job, error) {
-	return e.submit(cfg, SubmitOptions{})
+	return e.SubmitWith(cfg, SubmitOptions{})
 }
 
 // SubmitOptions carries the fleet-transport extras of a submission.
@@ -203,14 +205,12 @@ type SubmitOptions struct {
 	Tenant string
 }
 
-// SubmitWith is Submit with fleet-transport options.
+// SubmitWith is the one admission path — user submissions, batch items and
+// ensemble replicas alike. It validates the config and either serves it from
+// the store (returning an already-Done job without touching a worker) or
+// enqueues it. A full queue fails with ErrQueueFull; a closed engine with
+// ErrClosed.
 func (e *Engine) SubmitWith(cfg core.Config, so SubmitOptions) (*Job, error) {
-	return e.submit(cfg, so)
-}
-
-// submit is the one admission path: user submissions, batch items and
-// ensemble replicas alike.
-func (e *Engine) submit(cfg core.Config, so SubmitOptions) (*Job, error) {
 	key, err := identify(&cfg)
 	if err != nil {
 		return nil, err
@@ -225,31 +225,13 @@ func (e *Engine) submit(cfg core.Config, so SubmitOptions) (*Job, error) {
 	id := fmt.Sprintf("job-%06d", e.seq)
 	e.mu.Unlock()
 
-	tenant := so.Tenant
-	if tenant == "" {
-		tenant = AnonymousTenant
-	}
-	jctx, jcancel := context.WithCancel(e.ctx)
-	j := &Job{
-		id:          id,
-		key:         key,
-		cfg:         cfg,
-		tenant:      tenant,
-		ctx:         jctx,
-		cancel:      jcancel,
-		done:        make(chan struct{}),
-		state:       StateQueued,
-		resumedFrom: -1,
-		submitted:   time.Now(),
-		retainSnap:  so.RetainSnapshot,
-		ckpt:        checkpoint{so.Snapshot, -1},
-	}
+	j := newJob(e, id, key, cfg, so)
 	e.submitted.Add(1)
 
 	if res, ens, ok := e.store.get(key, cfg); ok {
 		// Stored result: the job is born terminal, no worker involved.
 		// Ensemble entries carry their merged statistics alongside it.
-		e.finish(j, StateDone, res, ens, nil, true)
+		j.finish(StateQueued, StateDone, res, ens, nil, true)
 	} else if cfg.Replicas > 1 {
 		// Ensemble jobs are coordinated by a dedicated goroutine that fans
 		// the replicas out as child jobs through the queue; the
@@ -258,46 +240,18 @@ func (e *Engine) submit(cfg core.Config, so SubmitOptions) (*Job, error) {
 			// Mirrors stats.RunEnsemble: a null tally has no cells to
 			// fold, so the ensemble would complete with silently
 			// meaningless all-zero statistics.
-			jcancel()
+			j.cancel()
 			return nil, errors.New("service: ensemble statistics need a live tally, not null")
 		}
 		e.record(j)
 		go e.execute(j, nil)
 		return j, nil
 	} else if err := e.queue.Push(j); err != nil {
-		jcancel()
+		j.cancel()
 		return nil, err
 	}
 	e.record(j)
 	return j, nil
-}
-
-// BatchItem is one outcome of SubmitBatch: an admitted job or a per-item
-// admission error.
-type BatchItem struct {
-	Job *Job
-	Err error
-}
-
-// SubmitBatch submits the configs in order into one tenant lane, so they
-// start in order on as many workers as are free, and each worker's engine
-// reuse kicks in: a job compatible with the worker's last one shares its
-// Simulation allocation (mesh, cross-section tables, particle bank survive
-// Reset), amortising setup across the batch as a sweep does. Admission is
-// per item — a full queue or invalid config fails that item, never the
-// batch.
-func (e *Engine) SubmitBatch(cfgs []core.Config) []BatchItem {
-	return e.SubmitBatchAs("", cfgs)
-}
-
-// SubmitBatchAs is SubmitBatch on behalf of a named tenant, so every item
-// lands in the tenant's fair-share lane.
-func (e *Engine) SubmitBatchAs(tenant string, cfgs []core.Config) []BatchItem {
-	items := make([]BatchItem, len(cfgs))
-	for i, cfg := range cfgs {
-		items[i].Job, items[i].Err = e.submit(cfg, SubmitOptions{Tenant: tenant})
-	}
-	return items
 }
 
 // identify validates cfg in place and returns the fingerprint it is stored
@@ -317,12 +271,37 @@ func identify(cfg *core.Config) (string, error) {
 	return key, nil
 }
 
-// record indexes the job for lookup and listing.
+// jobHistory is how many finished jobs the engine remembers. A terminal job
+// pins its result, its step and timing history and, on a retain_snapshot run,
+// its checkpoint, so an engine that kept them all would grow without bound.
+const jobHistory = 1024
+
+// record indexes the job for lookup and listing, and forgets the oldest
+// finished jobs beyond jobHistory: their IDs answer ErrUnknownJob from then
+// on. A job that is not terminal is never forgotten.
 func (e *Engine) record(j *Job) {
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	e.jobs[j.id] = j
 	e.order = append(e.order, j)
-	e.mu.Unlock()
+	// Every terminal transition is on a lifetime counter before the job's
+	// done channel closes, so ended counts the finished jobs remembered (and
+	// at most a few about to be).
+	ended := e.completed.Load() + e.failed.Load() + e.canceled.Load() - e.forgotten
+	e.order = slices.DeleteFunc(e.order, func(o *Job) bool {
+		if ended <= jobHistory {
+			return false
+		}
+		select {
+		case <-o.done:
+		default:
+			return false
+		}
+		delete(e.jobs, o.id)
+		e.forgotten++
+		ended--
+		return true
+	})
 }
 
 // worker takes the queue's next runnable job whenever it is free, until the
@@ -384,11 +363,11 @@ func (e *Engine) settle(j *Job, res *core.Result, ens *stats.Ensemble, err error
 			e.store.put(j.key, j.cfg, res, ens)
 			e.store.dropCheckpoint(j.key)
 		}
-		e.finish(j, StateDone, res, ens, nil, cached)
+		j.finish(StateRunning, StateDone, res, ens, nil, cached)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		e.finish(j, StateCanceled, nil, nil, err, false)
+		j.finish(StateRunning, StateCanceled, nil, nil, err, false)
 	default:
-		e.finish(j, StateFailed, nil, nil, err, false)
+		j.finish(StateRunning, StateFailed, nil, nil, err, false)
 	}
 }
 
@@ -477,9 +456,7 @@ func (e *Engine) checkpoint(j *Job, s *core.Simulation, cad *cadence) {
 	}
 	data := s.Snapshot()
 	if j.retainSnap {
-		j.mu.Lock()
-		j.setCheckpoint(data, s.StepIndex())
-		j.mu.Unlock()
+		j.retain(data, s.StepIndex())
 	}
 	if durable {
 		// Best-effort — but never silent: a failed write surfaces as a
@@ -507,9 +484,7 @@ func (e *Engine) acquire(j *Job, sim *core.Simulation) error {
 	resume := func(data []byte) error {
 		err := sim.Restore(cfg, data)
 		if err == nil {
-			j.mu.Lock()
-			j.resumedFrom = sim.StepIndex()
-			j.mu.Unlock()
+			j.resumed(sim.StepIndex())
 		}
 		return err
 	}
@@ -554,7 +529,8 @@ func (e *Engine) Job(id string) (*Job, error) {
 	return j, nil
 }
 
-// Jobs lists every job in submission order.
+// Jobs lists the jobs the engine remembers — every job in flight and the
+// newest jobHistory finished ones — in submission order.
 func (e *Engine) Jobs() []*Job {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -569,15 +545,11 @@ func (e *Engine) Cancel(id string) error {
 	if err != nil {
 		return err
 	}
-	// Decide the queued case atomically with the state transition: if a
-	// worker wins the race and sets Running first, this only cancels the
-	// context and the worker records the cancellation when the solver
-	// returns — never both.
-	j.mu.Lock()
-	wonQueued := j.state == StateQueued &&
-		e.finishLocked(j, StateCanceled, nil, nil, context.Canceled, false)
-	j.mu.Unlock()
-	if wonQueued {
+	// The queued case is decided by the state transition itself: if a worker
+	// wins the race and sets Running first, this only cancels the context
+	// and the worker records the cancellation when the solver returns —
+	// never both.
+	if j.finish(StateQueued, StateCanceled, nil, nil, context.Canceled, false) {
 		e.queue.Remove(id)
 		return nil
 	}
@@ -639,11 +611,9 @@ func (e *Engine) DefaultScene() *scene.Scene { return e.opts.DefaultScene }
 func (e *Engine) CheckpointInFlight() int {
 	n := 0
 	for _, j := range e.Jobs() {
-		j.mu.Lock()
-		terminal := j.state.Terminal()
-		snap := j.ckpt.data
-		j.mu.Unlock()
-		if !terminal && snap != nil && e.store.durable(j.key) &&
+		// The checkpoint first: a job that finishes in between reads terminal.
+		snap, _ := j.Snapshot()
+		if snap != nil && !j.Status().State.Terminal() && e.store.durable(j.key) &&
 			e.store.saveCheckpoint(j.key, snap) == nil {
 			n++
 		}
@@ -671,6 +641,6 @@ func (e *Engine) Close() {
 	// Workers drained the queue; anything popped after the cancel came
 	// back canceled. Sweep stragglers that were queued but skipped.
 	for _, j := range e.Jobs() {
-		e.finish(j, StateCanceled, nil, nil, ErrClosed, false)
+		j.finish("", StateCanceled, nil, nil, ErrClosed, false)
 	}
 }

@@ -41,7 +41,7 @@ func (e *Engine) runEnsemble(j *Job) (*core.Result, *stats.Ensemble, error) {
 		ccfg.KeepBank = false
 		// Children inherit the parent's tenant so the fair-share scheduler
 		// charges the fan-out to the submitting tenant's lanes.
-		child, err := e.submit(ccfg, SubmitOptions{Tenant: j.tenant})
+		child, err := e.SubmitWith(ccfg, SubmitOptions{Tenant: j.tenant})
 		if err != nil {
 			return fail(fmt.Errorf("service: ensemble replica %d: %w", r, err))
 		}

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"sync"
@@ -54,10 +55,34 @@ type StepView struct {
 	Checkpoint int `json:"checkpoint,omitempty"`
 }
 
+// ReplicaView summarises one completed replica of an ensemble job — the
+// payload of the per-replica SSE events and the parent job's replica
+// history.
+type ReplicaView struct {
+	// Replica is the completed 0-based replica; Replicas the ensemble
+	// width.
+	Replica  int `json:"replica"`
+	Replicas int `json:"replicas"`
+	// JobID names the child job that ran the replica.
+	JobID string `json:"job_id"`
+	// Cached reports a replica served from the result cache.
+	Cached bool `json:"cached,omitempty"`
+	// TallyTotal is the replica's deposited weight-eV; WallSeconds its
+	// solver wallclock.
+	TallyTotal  float64 `json:"tally_total"`
+	WallSeconds float64 `json:"wall_seconds"`
+	// Worker names the fleet worker the replica ran on, and Reschedules
+	// counts its lease-expiry reassignments. Both absent outside a fleet
+	// coordinator.
+	Worker      string `json:"worker,omitempty"`
+	Reschedules int    `json:"reschedules,omitempty"`
+}
+
 // Job is one simulation managed by the engine: a validated config, its
 // identity (the fingerprint everything about it is stored under), and the
-// lifecycle state machine. All mutable state is behind the mutex; the done
-// channel closes exactly once when the job reaches a terminal state.
+// lifecycle state machine. All mutable state is behind the mutex, which only
+// the methods in this file take; the done channel closes exactly once when
+// the job reaches a terminal state.
 type Job struct {
 	id  string
 	key string // config fingerprint; empty for uncacheable configs
@@ -75,6 +100,9 @@ type Job struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 	done   chan struct{}
+	// engine is where the terminal transition books the job: the lifetime
+	// counters and a solved run's metrics (see finish).
+	engine *Engine
 
 	mu          sync.Mutex
 	state       State
@@ -144,6 +172,33 @@ type Status struct {
 	Finished  time.Time
 }
 
+// checkpoint is a step-boundary snapshot and the boundary it was taken at;
+// -1 for one that came from outside (handed in at submission, or pulled from
+// a worker that may have moved on since), which only restoring it will tell.
+type checkpoint struct {
+	data []byte
+	step int
+}
+
+// newJob builds a queued job of engine e, under e's context.
+func newJob(e *Engine, id, key string, cfg core.Config, so SubmitOptions) *Job {
+	j := &Job{
+		id:          id,
+		key:         key,
+		cfg:         cfg,
+		tenant:      cmp.Or(so.Tenant, AnonymousTenant),
+		done:        make(chan struct{}),
+		engine:      e,
+		state:       StateQueued,
+		resumedFrom: -1,
+		submitted:   time.Now(),
+		retainSnap:  so.RetainSnapshot,
+		ckpt:        checkpoint{so.Snapshot, -1},
+	}
+	j.ctx, j.cancel = context.WithCancel(e.ctx)
+	return j
+}
+
 // ID returns the engine-issued job identifier.
 func (j *Job) ID() string { return j.id }
 
@@ -155,10 +210,25 @@ func (j *Job) Config() core.Config { return j.cfg }
 // Done returns a channel closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
+// Wait blocks until the job is terminal or ctx expires.
+func (j *Job) Wait(ctx context.Context) error {
+	select {
+	case <-j.done:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
 // Status snapshots the job.
 func (j *Job) Status() Status {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	return j.status()
+}
+
+// status is Status with j.mu held.
+func (j *Job) status() Status {
 	ens := 0
 	if j.cfg.Replicas > 1 {
 		ens = j.cfg.Replicas
@@ -182,68 +252,16 @@ func (j *Job) Status() Status {
 	}
 }
 
-// addWarning records non-fatal trouble on the job, deduplicating exact
-// repeats (a flaky checkpoint directory must not grow the list per step).
-func (j *Job) addWarning(w string) {
+// since is the streaming subscriber's one read: the step views recorded
+// after the first steps, the replica views after the first replicas (nil
+// when nothing new arrived, so a poll costs O(new)), and the Status of the
+// same instant — never older than the views beside it.
+func (j *Job) since(steps, replicas int) ([]StepView, []ReplicaView, Status) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	for _, have := range j.warnings {
-		if have == w {
-			return
-		}
-	}
-	j.warnings = append(j.warnings, w)
-}
-
-// checkpoint is a step-boundary snapshot and the boundary it was taken at;
-// -1 for one that came from outside (handed in at submission, or pulled from
-// a worker that may have moved on since), which only restoring it will tell.
-type checkpoint struct {
-	data []byte
-	step int
-}
-
-// Snapshot returns the job's latest checkpoint and the step it was taken at;
-// nil when the job was not seeded and does not retain snapshots, has not
-// reached a boundary yet, or has released it at its end.
-func (j *Job) Snapshot() ([]byte, int) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.ckpt.data, j.ckpt.step
-}
-
-// setCheckpoint moves the job's latest checkpoint to a newer boundary; nil
-// data releases it. Callers hold j.mu.
-func (j *Job) setCheckpoint(data []byte, step int) {
-	j.ckpt = checkpoint{data, step}
-}
-
-// applyRemoteUpdate is the callback a RemoteRunner drives while a shard
-// runs remotely: worker assignment and reschedule count land on the job
-// view, forwarded step results land on the step history (guarded to stay
-// monotonic across worker reconnects and rescheduled resumes), and the
-// latest pulled snapshot becomes the job's checkpoint, the local resume
-// point should the fleet degrade to in-process execution.
-func (j *Job) applyRemoteUpdate(u RemoteUpdate) {
-	j.mu.Lock()
-	if u.Worker != "" {
-		j.worker = u.Worker
-	}
-	if u.Reschedules > j.reschedules {
-		j.reschedules = u.Reschedules
-	}
-	if u.Snapshot != nil {
-		j.setCheckpoint(u.Snapshot, -1)
-	}
-	step := u.Step
-	if step != nil && len(j.steps) > 0 && step.Step <= j.steps[len(j.steps)-1].Step {
-		step = nil // duplicate replay after a reconnect or reschedule
-	}
-	if step != nil {
-		j.steps = append(j.steps, *step)
-		j.progress = core.Progress{Step: step.Step, Steps: step.Steps}
-	}
-	j.mu.Unlock()
+	return append([]StepView(nil), j.steps[min(steps, len(j.steps)):]...),
+		append([]ReplicaView(nil), j.replicas[min(replicas, len(j.replicas)):]...),
+		j.status()
 }
 
 // Steps returns the per-timestep results recorded so far, oldest first
@@ -255,32 +273,12 @@ func (j *Job) Steps() []StepView {
 	return append([]StepView{}, j.steps...)
 }
 
-// StepsFrom returns only the step results recorded after the first n, so a
-// streaming subscriber polls at O(new) cost instead of copying the whole
-// history every tick; nil when nothing new arrived.
-func (j *Job) StepsFrom(n int) []StepView {
+// Replicas returns the per-replica results recorded so far, in replica
+// order (never nil). Empty for non-ensemble jobs.
+func (j *Job) Replicas() []ReplicaView {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if n >= len(j.steps) {
-		return nil
-	}
-	return append([]StepView(nil), j.steps[n:]...)
-}
-
-// addStep records a completed timestep, advertising the boundary of the
-// checkpoint the job holds by now.
-func (j *Job) addStep(v StepView) {
-	j.mu.Lock()
-	v.Checkpoint = max(j.ckpt.step, 0)
-	j.steps = append(j.steps, v)
-	j.mu.Unlock()
-}
-
-// addTiming is the core.TraceFunc the worker installs on its simulation.
-func (j *Job) addTiming(st core.StepTiming) {
-	j.mu.Lock()
-	j.timings = append(j.timings, st)
-	j.mu.Unlock()
+	return append([]ReplicaView{}, j.replicas...)
 }
 
 // Timings returns the per-step timing spans recorded while solving, oldest
@@ -292,14 +290,13 @@ func (j *Job) Timings() []core.StepTiming {
 	return append([]core.StepTiming(nil), j.timings...)
 }
 
-// Wait blocks until the job is terminal or ctx expires.
-func (j *Job) Wait(ctx context.Context) error {
-	select {
-	case <-j.done:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+// Snapshot returns the job's latest checkpoint and the step it was taken at;
+// nil when the job was not seeded and does not retain snapshots, has not
+// reached a boundary yet, or has released it at its end.
+func (j *Job) Snapshot() ([]byte, int) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.ckpt.data, j.ckpt.step
 }
 
 // Result returns the completed result. It fails with ErrNotFinished while
@@ -318,6 +315,26 @@ func (j *Job) Result() (*core.Result, error) {
 	}
 }
 
+// Ensemble returns the merged ensemble statistics of a finished ensemble
+// job, nil for single-run jobs or while replicas are still in flight.
+func (j *Job) Ensemble() *stats.Ensemble {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.ensemble
+}
+
+// start moves a queued job to running; false if it was canceled meanwhile.
+func (j *Job) start() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.state != StateQueued {
+		return false
+	}
+	j.state = StateRunning
+	j.started = time.Now()
+	return true
+}
+
 // setProgress is the core.ProgressFunc the worker threads into RunCtx.
 func (j *Job) setProgress(p core.Progress) {
 	j.mu.Lock()
@@ -325,22 +342,103 @@ func (j *Job) setProgress(p core.Progress) {
 	j.mu.Unlock()
 }
 
-// finish moves the job to a terminal state exactly once, reporting whether
-// this call won the transition. The lifetime counter and a solved run's
-// metrics are recorded before the state change publishes the job, so whoever
-// sees it done (a waiter, a scrape right after) sees those too.
-func (e *Engine) finish(j *Job, state State, res *core.Result, ens *stats.Ensemble, err error, cached bool) bool {
+// addStep records a completed timestep, advertising the boundary of the
+// checkpoint the job holds by now.
+func (j *Job) addStep(v StepView) {
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	return e.finishLocked(j, state, res, ens, err, cached)
+	v.Checkpoint = max(j.ckpt.step, 0)
+	j.steps = append(j.steps, v)
+	j.mu.Unlock()
 }
 
-// finishLocked is finish with j.mu already held.
-func (e *Engine) finishLocked(j *Job, state State, res *core.Result, ens *stats.Ensemble, err error, cached bool) bool {
-	if j.state.Terminal() {
+// addTiming is the core.TraceFunc the worker installs on its simulation.
+func (j *Job) addTiming(st core.StepTiming) {
+	j.mu.Lock()
+	j.timings = append(j.timings, st)
+	j.mu.Unlock()
+}
+
+// addReplica records a completed replica and advances the parent progress.
+// Replica reschedules accumulate onto the parent, so an ensemble view
+// reports the total failover count across its shards.
+func (j *Job) addReplica(v ReplicaView) {
+	j.mu.Lock()
+	j.replicas = append(j.replicas, v)
+	j.progress = core.Progress{Step: len(j.replicas), Steps: v.Replicas}
+	j.reschedules += v.Reschedules
+	j.mu.Unlock()
+}
+
+// addWarning records non-fatal trouble on the job, deduplicating exact
+// repeats (a flaky checkpoint directory must not grow the list per step).
+func (j *Job) addWarning(w string) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	for _, have := range j.warnings {
+		if have == w {
+			return
+		}
+	}
+	j.warnings = append(j.warnings, w)
+}
+
+// retain moves the job's latest checkpoint to the boundary step.
+func (j *Job) retain(data []byte, step int) {
+	j.mu.Lock()
+	j.ckpt = checkpoint{data, step}
+	j.mu.Unlock()
+}
+
+// resumed records the checkpointed step the solver resumed at.
+func (j *Job) resumed(step int) {
+	j.mu.Lock()
+	j.resumedFrom = step
+	j.mu.Unlock()
+}
+
+// applyRemoteUpdate is the callback a RemoteRunner drives while a shard
+// runs remotely: worker assignment and reschedule count land on the job
+// view, forwarded step results land on the step history (guarded to stay
+// monotonic across worker reconnects and rescheduled resumes), and the
+// latest pulled snapshot becomes the job's checkpoint, the local resume
+// point should the fleet degrade to in-process execution.
+func (j *Job) applyRemoteUpdate(u RemoteUpdate) {
+	j.mu.Lock()
+	if u.Worker != "" {
+		j.worker = u.Worker
+	}
+	if u.Reschedules > j.reschedules {
+		j.reschedules = u.Reschedules
+	}
+	if u.Snapshot != nil {
+		j.ckpt = checkpoint{u.Snapshot, -1}
+	}
+	step := u.Step
+	if step != nil && len(j.steps) > 0 && step.Step <= j.steps[len(j.steps)-1].Step {
+		step = nil // duplicate replay after a reconnect or reschedule
+	}
+	if step != nil {
+		j.steps = append(j.steps, *step)
+		j.progress = core.Progress{Step: step.Step, Steps: step.Steps}
+	}
+	j.mu.Unlock()
+}
+
+// finish is the one terminal transition: it moves the job from the state from
+// ("" for either non-terminal one) to the terminal state to, exactly once,
+// and reports whether this call won. A call that names StateQueued loses to a
+// worker's start, so a cancel of a queued job and the run of it never both
+// happen. The engine's lifetime counter and a solved run's metrics are
+// recorded before the state change publishes the job, so whoever sees it done
+// (a waiter, a scrape right after) sees those too.
+func (j *Job) finish(from, to State, res *core.Result, ens *stats.Ensemble, err error, cached bool) bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.state.Terminal() || (from != "" && j.state != from) {
 		return false
 	}
-	switch state {
+	e := j.engine
+	switch to {
 	case StateDone:
 		e.completed.Add(1)
 		// Ensemble parents are not runs: each replica passes through here
@@ -355,7 +453,7 @@ func (e *Engine) finishLocked(j *Job, state State, res *core.Result, ens *stats.
 	case StateCanceled:
 		e.canceled.Add(1)
 	}
-	j.state = state
+	j.state = to
 	j.result = res
 	j.ensemble = ens
 	j.err = err
@@ -371,86 +469,13 @@ func (e *Engine) finishLocked(j *Job, state State, res *core.Result, ens *stats.
 		}
 	}
 	if !j.retainSnap || j.worker != "" {
-		// Nothing resumes a terminal job, and the engine keeps every job it
-		// ever ran (see Job.ckpt for the exception).
-		j.setCheckpoint(nil, 0)
+		// Nothing resumes a terminal job, and the engine remembers it for a
+		// while (see Job.ckpt for the exception).
+		j.ckpt = checkpoint{}
 	}
 	close(j.done)
 	// Release the job's context registration on the engine context; a
 	// long-lived engine must not accumulate one child per finished job.
 	j.cancel()
 	return true
-}
-
-// start moves a queued job to running; false if it was canceled meanwhile.
-func (j *Job) start() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state != StateQueued {
-		return false
-	}
-	j.state = StateRunning
-	j.started = time.Now()
-	return true
-}
-
-// ReplicaView summarises one completed replica of an ensemble job — the
-// payload of the per-replica SSE events and the parent job's replica
-// history.
-type ReplicaView struct {
-	// Replica is the completed 0-based replica; Replicas the ensemble
-	// width.
-	Replica  int `json:"replica"`
-	Replicas int `json:"replicas"`
-	// JobID names the child job that ran the replica.
-	JobID string `json:"job_id"`
-	// Cached reports a replica served from the result cache.
-	Cached bool `json:"cached,omitempty"`
-	// TallyTotal is the replica's deposited weight-eV; WallSeconds its
-	// solver wallclock.
-	TallyTotal  float64 `json:"tally_total"`
-	WallSeconds float64 `json:"wall_seconds"`
-	// Worker names the fleet worker the replica ran on, and Reschedules
-	// counts its lease-expiry reassignments. Both absent outside a fleet
-	// coordinator.
-	Worker      string `json:"worker,omitempty"`
-	Reschedules int    `json:"reschedules,omitempty"`
-}
-
-// Replicas returns the per-replica results recorded so far, in replica
-// order (never nil). Empty for non-ensemble jobs.
-func (j *Job) Replicas() []ReplicaView {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return append([]ReplicaView{}, j.replicas...)
-}
-
-// ReplicasFrom returns only the replica results recorded after the first n,
-// the O(new) polling path the SSE stream uses; nil when nothing new arrived.
-func (j *Job) ReplicasFrom(n int) []ReplicaView {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if n >= len(j.replicas) {
-		return nil
-	}
-	return append([]ReplicaView(nil), j.replicas[n:]...)
-}
-
-// Ensemble returns the merged ensemble statistics of a finished ensemble
-// job, nil for single-run jobs or while replicas are still in flight.
-func (j *Job) Ensemble() *stats.Ensemble {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.ensemble
-}
-
-// addReplica records a completed replica and advances the parent progress.
-// Replica reschedules accumulate onto the parent, so an ensemble view
-// reports the total failover count across its shards.
-func (j *Job) addReplica(v ReplicaView) {
-	j.mu.Lock()
-	j.replicas = append(j.replicas, v)
-	j.progress = core.Progress{Step: len(j.replicas), Steps: v.Replicas}
-	j.reschedules += v.Reschedules
-	j.mu.Unlock()
 }

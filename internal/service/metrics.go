@@ -120,11 +120,9 @@ func newEngineMetrics(e *Engine, r *telemetry.Registry) *engineMetrics {
 func (e *Engine) countJobs(st State) int {
 	n := 0
 	for _, j := range e.Jobs() {
-		j.mu.Lock()
-		if j.state == st {
+		if j.Status().State == st {
 			n++
 		}
-		j.mu.Unlock()
 	}
 	return n
 }

@@ -2,10 +2,12 @@
 // simulation service: a bounded fair-share job queue (this file), a pool of
 // workers that each take its next runnable job when free, every started job
 // on one path — start, acquire the worker's core.Simulation, run, settle
-// (worker.go) — a result store keyed by the canonical config fingerprint
+// (engine.go) — the job state machine, whose lock only its own methods take
+// (job.go), a result store keyed by the canonical config fingerprint
 // (store.go) with an optional blob-store persistent tier (blob/), per-tenant
 // authentication and admission control (auth.go, quota.go), and an HTTP/JSON
-// front end with streaming progress (api.go).
+// front end with streaming progress (server.go; spec.go and result.go hold
+// its request and result wire forms).
 //
 // The design follows the client/server job frameworks the transport-code
 // literature converged on (Kostin et al.; MC/DC): the solver stays a pure

@@ -391,7 +391,7 @@ func TestWorkConserving(t *testing.T) {
 			g.mu.Lock()
 			g.peak = 0
 			g.mu.Unlock()
-			items := g.SubmitBatch(cfgs)
+			items := submitAll(g.Engine, cfgs)
 			what := fmt.Sprintf("%d workers, round %d, %d keys", workers, round, k)
 			g.awaitEntered(t, min(workers, k), what)
 			// Let them go one at a time: each release frees one worker
@@ -482,7 +482,7 @@ func TestOneSolvePerKey(t *testing.T) {
 	g := newGatedEngine(workers, func(key string) bool { return key == keyB })
 	defer g.Close()
 
-	batch := g.SubmitBatch([]core.Config{a, b})
+	batch := submitAll(g.Engine, []core.Config{a, b})
 	twin := make(chan *Job)
 	go func() {
 		j, err := g.Submit(b)

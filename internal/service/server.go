@@ -11,7 +11,6 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/telemetry"
 )
 
@@ -48,8 +47,7 @@ type JobView struct {
 	Finished  *time.Time `json:"finished,omitempty"`
 }
 
-func viewOf(j *Job) JobView {
-	st := j.Status()
+func viewOf(st Status) JobView {
 	v := JobView{
 		ID:           st.ID,
 		State:        st.State,
@@ -87,7 +85,7 @@ func viewOf(j *Job) JobView {
 // Server exposes an engine over HTTP/JSON:
 //
 //	POST   /v1/jobs            submit a Spec; 202 (queued) or 200 (cache hit)
-//	POST   /v1/batch           submit N Specs through one worker; per-item statuses
+//	POST   /v1/batch           submit N Specs in order; per-item statuses
 //	GET    /v1/jobs            list jobs
 //	GET    /v1/jobs/{id}       job status
 //	GET    /v1/jobs/{id}/result  result; blocks when ?wait=true
@@ -302,7 +300,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	v := viewOf(j)
+	v := viewOf(j.Status())
 	annotate(r,
 		slog.String("job_id", j.ID()),
 		slog.String("fingerprint", j.key),
@@ -358,28 +356,21 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Resolve specs first so config errors surface per item while every
-	// resolvable config still reaches the engine as one batch.
-	cfgs := make([]core.Config, 0, len(req.Specs))
-	cfgIdx := make([]int, 0, len(req.Specs))
+	// Admission is per item, in request order: a spec that does not resolve,
+	// an invalid config or a full queue fails that item, never the batch.
 	resp := BatchResponse{Items: make([]BatchItemView, len(req.Specs))}
 	for i, spec := range req.Specs {
 		s.applyDefaultScene(&spec)
 		cfg, err := spec.Config()
+		var j *Job
+		if err == nil {
+			j, err = s.engine.SubmitWith(cfg, SubmitOptions{Tenant: TenantName(r.Context())})
+		}
 		if err != nil {
 			resp.Items[i].Error = err.Error()
 			continue
 		}
-		cfgs = append(cfgs, cfg)
-		cfgIdx = append(cfgIdx, i)
-	}
-	for k, item := range s.engine.SubmitBatchAs(TenantName(r.Context()), cfgs) {
-		i := cfgIdx[k]
-		if item.Err != nil {
-			resp.Items[i].Error = item.Err.Error()
-			continue
-		}
-		v := viewOf(item.Job)
+		v := viewOf(j.Status())
 		resp.Items[i] = BatchItemView{Accepted: true, Job: &v}
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -401,7 +392,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	jobs := s.engine.Jobs()
 	views := make([]JobView, len(jobs))
 	for i, j := range jobs {
-		views[i] = viewOf(j)
+		views[i] = viewOf(j.Status())
 	}
 	writeJSON(w, http.StatusOK, views)
 }
@@ -417,7 +408,7 @@ func (s *Server) job(w http.ResponseWriter, r *http.Request) (*Job, bool) {
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if j, ok := s.job(w, r); ok {
-		writeJSON(w, http.StatusOK, viewOf(j))
+		writeJSON(w, http.StatusOK, viewOf(j.Status()))
 	}
 }
 
@@ -435,7 +426,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	res, err := j.Result()
 	switch {
 	case errors.Is(err, ErrNotFinished):
-		writeJSON(w, http.StatusAccepted, viewOf(j))
+		writeJSON(w, http.StatusAccepted, viewOf(j.Status()))
 	case err != nil:
 		s.writeError(w, r, http.StatusConflict, err)
 	default:
@@ -472,7 +463,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusInternalServerError, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, viewOf(j))
+	writeJSON(w, http.StatusOK, viewOf(j.Status()))
 }
 
 // handleStream pushes the job over server-sent events until it is terminal
@@ -508,24 +499,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 
-	var lastProgress []byte
-	emit := func(event string) {
-		data, _ := json.Marshal(viewOf(j))
-		lastProgress = data
-		fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)
-		fl.Flush()
-	}
-	// Progress snapshots are deduplicated against the last sent payload;
-	// heartbeats carry the idle stream instead, at far lower frequency.
-	emitProgress := func() {
-		data, _ := json.Marshal(viewOf(j))
-		if bytes.Equal(data, lastProgress) {
-			return
-		}
-		lastProgress = data
-		fmt.Fprintf(w, "event: progress\ndata: %s\n\n", data)
-		fl.Flush()
-	}
 	sent, sentReps := 0, 0
 	if lastID := r.Header.Get("Last-Event-ID"); lastID != "" {
 		var ls, lr int
@@ -533,28 +506,30 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			sent, sentReps = ls, lr
 		}
 	}
-	emitSteps := func() {
-		fresh := j.StepsFrom(sent)
-		if len(fresh) == 0 {
-			return
-		}
-		for _, sv := range fresh {
+	// flush writes what the job recorded since the last flush, read under
+	// one lock: the fresh steps, the fresh replicas, then the job view as the
+	// named event. Progress snapshots are deduplicated against the last sent
+	// payload; heartbeats carry the idle stream instead, at far lower
+	// frequency.
+	var lastView []byte
+	flush := func(event string) {
+		steps, replicas, st := j.since(sent, sentReps)
+		for _, sv := range steps {
 			data, _ := json.Marshal(sv)
 			sent++
 			fmt.Fprintf(w, "id: s%dr%d\nevent: step\ndata: %s\n\n", sent, sentReps, data)
 		}
-		fl.Flush()
-	}
-	emitReplicas := func() {
-		fresh := j.ReplicasFrom(sentReps)
-		if len(fresh) == 0 {
-			return
-		}
-		for _, rv := range fresh {
+		for _, rv := range replicas {
 			data, _ := json.Marshal(rv)
 			sentReps++
 			fmt.Fprintf(w, "id: s%dr%d\nevent: replica\ndata: %s\n\n", sent, sentReps, data)
 		}
+		data, _ := json.Marshal(viewOf(st))
+		if event == "progress" && bytes.Equal(data, lastView) {
+			return // the view counts steps and replicas: none was written either
+		}
+		lastView = data
+		fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)
 		fl.Flush()
 	}
 	tick := time.NewTicker(100 * time.Millisecond)
@@ -564,16 +539,12 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	for {
 		select {
 		case <-j.Done():
-			emitSteps()
-			emitReplicas()
-			emit("done")
+			flush("done")
 			return
 		case <-r.Context().Done():
 			return
 		case <-tick.C:
-			emitSteps()
-			emitReplicas()
-			emitProgress()
+			flush("progress")
 		case <-heartbeat.C:
 			// SSE comment line: ignored by EventSource clients, but
 			// traffic enough to keep proxies from reaping the stream.
