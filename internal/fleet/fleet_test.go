@@ -265,6 +265,46 @@ func TestFleetRunsShardRemotely(t *testing.T) {
 	}
 }
 
+// TestFinishedShardDropsWorkerCheckpoint: a shard's worker-side job keeps its
+// checkpoint past done — the coordinator may still pull it — but only until
+// its result is fetched, the last request of the attempt. So when RunShard has
+// returned, the worker holds no checkpoint and /snapshot is a 404.
+func TestFinishedShardDropsWorkerCheckpoint(t *testing.T) {
+	c := newCluster(t, Options{})
+	w := c.addWorker("w1")
+	cfg := fastConfig(3)
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	pulled := 0
+	res, err := c.coord.RunShard(context.Background(), cfg, func(u service.RemoteUpdate) {
+		if u.Snapshot != nil {
+			pulled++
+		}
+	})
+	if err != nil || res == nil {
+		t.Fatalf("RunShard: %v", err)
+	}
+	if pulled == 0 {
+		t.Fatal("the coordinator pulled no checkpoint; nothing was retained to drop")
+	}
+	jobs := w.engine.Jobs()
+	if len(jobs) != 1 {
+		t.Fatalf("worker holds %d jobs, want 1", len(jobs))
+	}
+	if data, _ := jobs[0].Snapshot(); data != nil {
+		t.Fatalf("finished shard still pins a %d-byte checkpoint on its worker", len(data))
+	}
+	resp, err := http.Get(w.srv.URL + "/v1/jobs/" + jobs[0].ID() + "/snapshot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("snapshot of a served shard: status %d, want 404", resp.StatusCode)
+	}
+}
+
 // TestFleetWorkerRunsItsOwnThreadBudget: how a job is executed is decided
 // where it is solved. A request that names no thread count travels without
 // one and runs on the worker's budget, not the coordinator's; a count the

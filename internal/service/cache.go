@@ -27,7 +27,7 @@ type Cache struct {
 
 type cacheEntry struct {
 	key string
-	res *core.Result
+	res *filed
 	// ens carries the merged ensemble statistics of an ensemble job;
 	// nil for single-run results.
 	ens *stats.Ensemble
@@ -57,7 +57,8 @@ func NewCache(capacity int) *Cache {
 
 // Get returns the cached result for the key, marking it most recently
 // used. The caller must treat the result as immutable — it is shared by
-// every job served from the same key.
+// every job served from the same key. The entry keeps the cells as runs (see
+// filed); the first call that asks for them builds the dense slice.
 func (c *Cache) Get(key string) (*core.Result, bool) {
 	res, _, ok := c.GetEntry(key)
 	return res, ok
@@ -67,6 +68,15 @@ func (c *Cache) Get(key string) (*core.Result, bool) {
 // job's merged result (nil for single-run entries). Both values are shared
 // and must be treated as immutable.
 func (c *Cache) GetEntry(key string) (*core.Result, *stats.Ensemble, bool) {
+	f, ens, ok := c.entry(key)
+	if !ok {
+		return nil, nil, false
+	}
+	return f.result(), ens, true
+}
+
+// entry is GetEntry without building the dense cells: the store's lookup.
+func (c *Cache) entry(key string) (*filed, *stats.Ensemble, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
@@ -83,11 +93,12 @@ func (c *Cache) GetEntry(key string) (*core.Result, *stats.Ensemble, bool) {
 // Put stores the result under the key, evicting the least recently used
 // entry at capacity.
 func (c *Cache) Put(key string, res *core.Result) {
-	c.PutEntry(key, res, nil)
+	c.put(key, fileResult(res), nil)
 }
 
-// PutEntry stores a result together with its ensemble statistics.
-func (c *Cache) PutEntry(key string, res *core.Result, ens *stats.Ensemble) {
+// put stores a filed result together with its ensemble statistics (nil for
+// single runs).
+func (c *Cache) put(key string, res *filed, ens *stats.Ensemble) {
 	if c.cap <= 0 {
 		return
 	}
@@ -109,9 +120,9 @@ func (c *Cache) PutEntry(key string, res *core.Result, ens *stats.Ensemble) {
 	}
 }
 
-// resultJSON returns the bytes of json.Marshal(resultViewOf(res)), built by
-// encodeResultView — a single-run result on the wire. While the cache holds
-// res under key they are
+// resultJSON returns the bytes of json.Marshal(resultViewOf(res.result())),
+// written from the runs (filed.encode) — a single-run result on the wire.
+// While the cache holds res under key they are
 // encoded once and kept with the entry, so the store's persistent tier, the
 // job that computed the result and every job later born from a hit on the
 // entry write the same slice (callers must not modify it). release drops the
@@ -121,7 +132,7 @@ func (c *Cache) PutEntry(key string, res *core.Result, ens *stats.Ensemble) {
 // for twice is likely to be asked for again. A result the cache does not hold
 // (evicted, uncacheable, caching off) is encoded for the caller alone. The
 // lookup is not a cache access: it moves no entry and counts no hit.
-func (c *Cache) resultJSON(key string, res *core.Result, release bool) ([]byte, error) {
+func (c *Cache) resultJSON(key string, res *filed, release bool) ([]byte, error) {
 	var enc *encodedResult
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {
@@ -137,9 +148,9 @@ func (c *Cache) resultJSON(key string, res *core.Result, release bool) ([]byte, 
 	}
 	c.mu.Unlock()
 	if enc == nil {
-		return encodeResultView(resultViewOf(res))
+		return res.encode()
 	}
-	enc.once.Do(func() { enc.data, enc.err = encodeResultView(resultViewOf(res)) })
+	enc.once.Do(func() { enc.data, enc.err = res.encode() })
 	return enc.data, enc.err
 }
 

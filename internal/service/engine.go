@@ -272,8 +272,10 @@ func identify(cfg *core.Config) (string, error) {
 }
 
 // jobHistory is how many finished jobs the engine remembers. A terminal job
-// pins its result, its step and timing history and, on a retain_snapshot run,
-// its checkpoint, so an engine that kept them all would grow without bound.
+// pins its filed result (shared with the LRU entry it came from or went to),
+// its step and timing history and, on a retain_snapshot run whose result was
+// never served, its checkpoint, so an engine that kept them all would grow
+// without bound.
 const jobHistory = 1024
 
 // record indexes the job for lookup and listing, and forgets the oldest
@@ -338,32 +340,33 @@ func (e *Engine) execute(j *Job, sim *core.Simulation) {
 
 	if j.cfg.Replicas > 1 {
 		res, ens, err := e.runEnsemble(j)
-		e.settle(j, res, ens, err, false)
+		e.settle(j, res, ens, err)
 		return
 	}
 	// An identical job may have completed while this one was queued or
 	// held; the hold makes this re-check catch every same-key dupe.
-	res, cached := e.store.recent(j.key)
-	var err error
-	if !cached {
-		e.runs.Add(1)
-		if res, err = e.tryRemote(j); errors.Is(err, ErrNoWorkers) {
-			res, err = e.solve(j, sim)
-		}
+	if res, ok := e.store.recent(j.key); ok {
+		j.finish(StateRunning, StateDone, res, nil, nil, true)
+		return
 	}
-	e.settle(j, res, nil, err, cached)
+	e.runs.Add(1)
+	res, err := e.tryRemote(j)
+	if errors.Is(err, ErrNoWorkers) {
+		res, err = e.solve(j, sim)
+	}
+	e.settle(j, res, nil, err)
 }
 
-// settle is the terminal transition of a started job: a fresh result is
-// filed and the checkpoint it makes obsolete dropped.
-func (e *Engine) settle(j *Job, res *core.Result, ens *stats.Ensemble, err error, cached bool) {
+// settle is the terminal transition of a started job that computed: a fresh
+// result — solved here, merged from replicas, or a coordinator's RunShard
+// result — is filed (and its dense cells dropped), and the checkpoint it makes
+// obsolete dropped.
+func (e *Engine) settle(j *Job, res *core.Result, ens *stats.Ensemble, err error) {
 	switch {
 	case err == nil:
-		if !cached {
-			e.store.put(j.key, j.cfg, res, ens)
-			e.store.dropCheckpoint(j.key)
-		}
-		j.finish(StateRunning, StateDone, res, ens, nil, cached)
+		f := e.store.put(j.key, j.cfg, res, ens)
+		e.store.dropCheckpoint(j.key)
+		j.finish(StateRunning, StateDone, f, ens, nil, false)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		j.finish(StateRunning, StateCanceled, nil, nil, err, false)
 	default:

@@ -118,8 +118,10 @@ type Job struct {
 	// timings is the per-step wallclock attribution the worker's trace
 	// hook records while solving; empty for cached jobs and ensemble
 	// parents (their replicas carry the timings).
-	timings   []core.StepTiming
-	result    *core.Result
+	timings []core.StepTiming
+	// result is the finished result as the store filed it, shared with every
+	// job served from the same one.
+	result    *filed
 	err       error
 	submitted time.Time
 	started   time.Time
@@ -130,7 +132,9 @@ type Job struct {
 	// (retainSnap jobs only: a snapshot is bank-sized) or one a RemoteRunner
 	// pulled. GET /v1/jobs/{id}/snapshot, CheckpointInFlight and acquire read
 	// it; the terminal transition releases it, except on a retainSnap job
-	// that ran here, because a coordinator's last pulls arrive after done.
+	// that ran here, because a coordinator's last pulls arrive after done:
+	// that one goes when its result is first served (see serve), the last
+	// thing a coordinator's attempt asks of it.
 	retainSnap bool
 	ckpt       checkpoint
 	// worker and reschedules describe remote execution: the fleet worker
@@ -292,7 +296,8 @@ func (j *Job) Timings() []core.StepTiming {
 
 // Snapshot returns the job's latest checkpoint and the step it was taken at;
 // nil when the job was not seeded and does not retain snapshots, has not
-// reached a boundary yet, or has released it at its end.
+// reached a boundary yet, or has released it — at its end, or when its result
+// was first served.
 func (j *Job) Snapshot() ([]byte, int) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -301,10 +306,35 @@ func (j *Job) Snapshot() ([]byte, int) {
 
 // Result returns the completed result. It fails with ErrNotFinished while
 // the job is in flight, the run's own error for a failed job, and a
-// cancellation error for a canceled one.
+// cancellation error for a canceled one. The engine keeps a result's cells as
+// their non-zero runs: the first call builds the dense cells, and every job
+// served from the same stored result returns that same *core.Result after.
 func (j *Job) Result() (*core.Result, error) {
 	j.mu.Lock()
+	res, err := j.outcome()
+	j.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	return res.result(), nil
+}
+
+// serve is GET /result's read: the result as filed, dense cells not built.
+// A finished job's result being served is the last thing a coordinator's
+// attempt asks of its worker — its pulls all happen before — so the job's
+// checkpoint goes here; /snapshot answers 404 from then on.
+func (j *Job) serve() (*filed, error) {
+	j.mu.Lock()
 	defer j.mu.Unlock()
+	res, err := j.outcome()
+	if err == nil {
+		j.ckpt = checkpoint{}
+	}
+	return res, err
+}
+
+// outcome is what Result reports, with j.mu held.
+func (j *Job) outcome() (*filed, error) {
 	switch j.state {
 	case StateDone:
 		return j.result, nil
@@ -431,7 +461,7 @@ func (j *Job) applyRemoteUpdate(u RemoteUpdate) {
 // happen. The engine's lifetime counter and a solved run's metrics are
 // recorded before the state change publishes the job, so whoever sees it done
 // (a waiter, a scrape right after) sees those too.
-func (j *Job) finish(from, to State, res *core.Result, ens *stats.Ensemble, err error, cached bool) bool {
+func (j *Job) finish(from, to State, res *filed, ens *stats.Ensemble, err error, cached bool) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state.Terminal() || (from != "" && j.state != from) {
@@ -446,7 +476,7 @@ func (j *Job) finish(from, to State, res *core.Result, ens *stats.Ensemble, err 
 		if !cached && j.cfg.Replicas <= 1 {
 			dur := time.Since(j.started)
 			e.observeRunDuration(dur)
-			e.metrics.observeRun(res, dur)
+			e.metrics.observeRun(res.res, dur)
 		}
 	case StateFailed:
 		e.failed.Add(1)
@@ -462,15 +492,15 @@ func (j *Job) finish(from, to State, res *core.Result, ens *stats.Ensemble, err 
 	if res != nil {
 		// A finished job reads 100% regardless of sampling jitter.
 		j.progress = core.Progress{
-			Step:  res.Config.Steps - 1,
-			Steps: res.Config.Steps,
+			Step:  res.res.Config.Steps - 1,
+			Steps: res.res.Config.Steps,
 			Done:  1,
 			Total: 1,
 		}
 	}
 	if !j.retainSnap || j.worker != "" {
 		// Nothing resumes a terminal job, and the engine remembers it for a
-		// while (see Job.ckpt for the exception).
+		// while (see Job.ckpt for the exception, and serve for its end).
 		j.ckpt = checkpoint{}
 	}
 	close(j.done)

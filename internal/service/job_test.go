@@ -43,7 +43,7 @@ func TestJobSince(t *testing.T) {
 				}
 				runtime.Gosched() // interleave with the reader on one P too
 			}
-			j.finish("", StateDone, &core.Result{Config: j.cfg}, nil, nil, false)
+			j.finish("", StateDone, fileResult(&core.Result{Config: j.cfg}), nil, nil, false)
 		}()
 
 		var steps []StepView

@@ -7,6 +7,8 @@ import (
 	"math"
 	"reflect"
 	"strconv"
+	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -120,10 +122,159 @@ func ensembleViewOf(ens *stats.Ensemble, keepCells bool) *EnsembleView {
 	return v
 }
 
-// encodeResultView returns the bytes of json.Marshal(v) with the cells array
-// — 65 200 zeros of a 256² result's 65 536 numbers — appended by a loop
-// instead of reflected over: a result's bytes cost what was deposited, as its
-// tally does. encoding/json encodes the view with a one-zero array in the
+// filed is a finished result as the engine keeps it — in a job, in an LRU
+// entry, on the way to the blob tier: the core.Result without its cells, and
+// the cells as their runs of non-zero values. A 256² csp result deposits in
+// 336 of its 65 536 cells, so what an engine remembers grows with what was
+// deposited, as the tally does, not with the mesh. One is filed per fresh
+// result (store.put) and shared by every job served from it.
+type filed struct {
+	// res is the result with Cells nil — or, for a result that had no cells,
+	// the very pointer it arrived as.
+	res   *core.Result
+	cells cellRuns
+
+	// dense is res with its cells expanded, built by the first result call.
+	once  sync.Once
+	dense *core.Result
+}
+
+// fileResult files res. res is not modified; the caller drops it, and with it
+// the dense cells.
+func fileResult(res *core.Result) *filed {
+	if len(res.Cells) == 0 {
+		return &filed{res: res}
+	}
+	r := *res
+	r.Cells = nil
+	return &filed{res: &r, cells: compactCells(res.Cells)}
+}
+
+// result returns the dense result: built on the first call, the same pointer
+// on every later one. The caller must treat it as immutable.
+func (f *filed) result() *core.Result {
+	if f.cells.n == 0 {
+		return f.res
+	}
+	f.once.Do(func() {
+		r := *f.res
+		r.Cells = f.cells.expand()
+		f.dense = &r
+	})
+	return f.dense
+}
+
+// encode returns the bytes of json.Marshal(resultViewOf(f.result())) without
+// building the dense cells.
+func (f *filed) encode() ([]byte, error) {
+	return encodeCells(resultViewOf(f.res), &f.cells)
+}
+
+// cellRuns is a dense []float64 of n cells as its runs of non-zero cells: run
+// r covers cells [start[r], end[r]), and the runs' values lie end to end in
+// vals. A cell is zero when all of its bits are, so -0, subnormals, NaN and
+// ±Inf are kept and expand gives back the dense slice bit for bit. Runs are
+// maximal, so a slice with no zero costs its dense size plus one run.
+type cellRuns struct {
+	n          int
+	start, end []int32
+	vals       []float64
+}
+
+// compactCells files cells as runs. One scan of the dense cells counts the
+// runs and notes their bounds (on the stack, up to 256 runs), then the stored
+// slices are allocated at exactly their size and filled from the run cells.
+func compactCells(cells []float64) cellRuns {
+	bounds, nonZero := make([]int32, 0, 512), 0
+	for s, e := nextRun(cells, 0); s < len(cells); s, e = nextRun(cells, e) {
+		bounds = append(bounds, int32(s), int32(e))
+		nonZero += e - s
+	}
+	c := cellRuns{
+		n:     len(cells),
+		start: make([]int32, len(bounds)/2),
+		end:   make([]int32, len(bounds)/2),
+		vals:  make([]float64, 0, nonZero),
+	}
+	for r := range c.start {
+		s, e := bounds[2*r], bounds[2*r+1]
+		c.start[r], c.end[r] = s, e
+		c.vals = append(c.vals, cells[s:e]...)
+	}
+	return c
+}
+
+// nextRun returns the first run of non-zero cells at or after i; start is
+// len(cells) when there is none. Zeros are skipped eight at a time, as
+// tally.appendNonZero skips them: a tally is mostly zeros.
+func nextRun(cells []float64, i int) (start, end int) {
+	for rest := cells[i:]; len(rest) >= 8; rest = rest[8:] {
+		b := (*[8]float64)(rest)
+		if math.Float64bits(b[0])|math.Float64bits(b[1])|math.Float64bits(b[2])|math.Float64bits(b[3])|
+			math.Float64bits(b[4])|math.Float64bits(b[5])|math.Float64bits(b[6])|math.Float64bits(b[7]) != 0 {
+			break
+		}
+		i += 8
+	}
+	for i < len(cells) && math.Float64bits(cells[i]) == 0 {
+		i++
+	}
+	start = i
+	for i < len(cells) && math.Float64bits(cells[i]) != 0 {
+		i++
+	}
+	return start, i
+}
+
+// expand returns the dense cells.
+func (c *cellRuns) expand() []float64 {
+	cells := make([]float64, c.n)
+	vals := c.vals
+	for r, s := range c.start {
+		vals = vals[copy(cells[s:c.end[r]], vals):]
+	}
+	return cells
+}
+
+// zeroCells is the JSON of a gap of zero cells, copied rather than formatted.
+var zeroCells = strings.Repeat(",0", 512)
+
+// appendJSON appends every cell, each after a comma, as encoding/json writes
+// it.
+func (c *cellRuns) appendJSON(b []byte) []byte {
+	at, vals := 0, c.vals
+	for r, s := range c.start {
+		b = appendZeroCells(b, int(s)-at)
+		at = int(c.end[r])
+		for _, f := range vals[:at-int(s)] {
+			b = appendJSONFloat(append(b, ','), f)
+		}
+		vals = vals[at-int(s):]
+	}
+	return appendZeroCells(b, c.n-at)
+}
+
+func appendZeroCells(b []byte, n int) []byte {
+	for n > 0 {
+		k := min(n, len(zeroCells)/2)
+		b = append(b, zeroCells[:2*k]...)
+		n -= k
+	}
+	return b
+}
+
+// encodeResultView returns the bytes of json.Marshal(v). The cells are
+// compacted and written by encodeCells, the one cell writer.
+func encodeResultView(v ResultView) ([]byte, error) {
+	c := compactCells(v.Cells)
+	v.Cells = nil
+	return encodeCells(v, &c)
+}
+
+// encodeCells returns the bytes of json.Marshal(v) with v.Cells the expansion
+// of c — 65 200 zeros of a 256² result's 65 536 numbers — written from the
+// runs instead of reflected over: a result's bytes cost what was deposited, as
+// its tally does. encoding/json encodes the view with a one-zero array in the
 // array's place (every field before cells is a number, so the first
 // `"cells":[0]` in the document is that one), and the numbers are spliced in
 // under encoding/json's own formatting rules. A view without cells, or with a
@@ -132,17 +283,14 @@ func ensembleViewOf(ens *stats.Ensemble, keepCells bool) *EnsembleView {
 // MarshalJSON method: json.Marshal re-scans and copies what a Marshaler
 // returns, which makes a call that is on every job's path to its result cost
 // four times as much (BENCH_pr26.json, result_encode).
-func encodeResultView(v ResultView) ([]byte, error) {
-	cells, nonZero := v.Cells, 0
-	if len(cells) == 0 {
+func encodeCells(v ResultView, c *cellRuns) ([]byte, error) {
+	if c.n == 0 {
 		return json.Marshal(v)
 	}
-	for _, f := range cells {
+	for _, f := range c.vals {
 		if math.IsNaN(f) || math.IsInf(f, 0) {
+			v.Cells = c.expand()
 			return json.Marshal(v)
-		}
-		if math.Float64bits(f) != 0 {
-			nonZero++
 		}
 	}
 	const placeholder = `"cells":[0]`
@@ -151,27 +299,19 @@ func encodeResultView(v ResultView) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	at := bytes.Index(doc, []byte(placeholder)) + len(placeholder) - len("0]")
-	out := make([]byte, 0, len(doc)+2*len(cells)+24*nonZero)
-	out = append(out, doc[:at]...)
-	for i, f := range cells {
-		if i > 0 {
-			out = append(out, ',')
-		}
-		out = appendJSONFloat(out, f)
-	}
-	return append(out, doc[at+1:]...), nil
+	at := bytes.Index(doc, []byte(placeholder)) + len(placeholder) - len("[0]")
+	out := make([]byte, 0, len(doc)+2*c.n+24*len(c.vals))
+	// The first cell's comma lands on the '[' it then becomes.
+	out = c.appendJSON(append(out, doc[:at]...))
+	out[at] = '['
+	return append(out, doc[at+len("[0"):]...), nil
 }
 
 // appendJSONFloat appends a finite f as encoding/json writes a float64: the
 // shortest digits that round-trip, in exponent form iff the magnitude is
 // non-zero and below 1e-6 or at least 1e21, a two-digit negative exponent
-// cut to one (e-09 → e-9). Positive zero — nearly every cell — skips the
-// formatter; negative zero is "-0" and does not.
+// cut to one (e-09 → e-9). It writes the run values; zero gaps never reach it.
 func appendJSONFloat(b []byte, f float64) []byte {
-	if math.Float64bits(f) == 0 {
-		return append(b, '0')
-	}
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'

@@ -423,34 +423,35 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	res, err := j.Result()
+	res, err := j.serve()
 	switch {
 	case errors.Is(err, ErrNotFinished):
 		writeJSON(w, http.StatusAccepted, viewOf(j.Status()))
 	case err != nil:
 		s.writeError(w, r, http.StatusConflict, err)
 	default:
+		// Both encodings write the cells from their runs, never dense.
+		var data []byte
 		if ens := j.Ensemble(); ens != nil {
-			v := resultViewOf(res)
+			v := resultViewOf(res.res)
 			v.Ensemble = ensembleViewOf(ens, j.Config().KeepCells)
-			writeJSON(w, http.StatusOK, v)
-			return
+			data, err = encodeCells(v, &res.cells)
+		} else {
+			// A single run's view is a function of the result alone, so its
+			// bytes are encoded once per result (Cache.resultJSON), not per
+			// request: the job that computed it is served the bytes store.put
+			// encoded for the blob tier and lets them go, a cache-hit job
+			// leaves them for the next hit.
+			data, err = s.engine.Cache().resultJSON(j.key, res, !j.Status().Cached)
 		}
-		// A single run's view is a function of the result alone, so its
-		// bytes are encoded once per result (Cache.resultJSON), not per
-		// request: the job that computed it is served the bytes
-		// persistResult encoded and lets them go, a cache-hit job leaves
-		// them for the next hit. Marshal plus a newline is what
-		// writeJSON's Encoder writes.
-		data, err := s.engine.Cache().resultJSON(j.key, res, !j.Status().Cached)
-		if err != nil {
-			writeJSON(w, http.StatusOK, resultViewOf(res)) // as before: the encoder's own failure mode
-			return
-		}
+		// Marshal plus a newline is what writeJSON's Encoder writes; a view
+		// it cannot encode is a 200 with an empty body, as it leaves one.
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusOK)
-		w.Write(data)
-		w.Write([]byte{'\n'})
+		if err == nil {
+			w.Write(data)
+			w.Write([]byte{'\n'})
+		}
 	}
 }
 
@@ -559,8 +560,9 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 // fetches the worker's last checkpointed boundary here and seeds the
 // replacement shard with it. That is the boundary the cost cadence last
 // picked, not necessarily the last step completed, and it stays served after
-// the job is done. 404 while the job holds none (an unseeded retain_snapshot
-// run before its first step boundary); the X-Neutral-Step header carries the
+// the job is done, until its result is first served. 404 while the job holds
+// none (an unseeded retain_snapshot run before its first step boundary, or
+// one whose result was fetched); the X-Neutral-Step header carries the
 // step index the snapshot restores to, -1 for one the job was handed rather
 // than took.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {

@@ -62,13 +62,13 @@ func (s *store) persists(key string, cfg core.Config) bool {
 
 // get finds the result filed under key: in the LRU, else in the blob tier —
 // left by another engine over the same store, or by this process before a
-// restart — which promotes it into the LRU. cfg is the requesting config; a
+// restart — which files it into the LRU. cfg is the requesting config; a
 // result decoded from the blob tier, whose wire form carries none, echoes it.
-func (s *store) get(key string, cfg core.Config) (*core.Result, *stats.Ensemble, bool) {
+func (s *store) get(key string, cfg core.Config) (*filed, *stats.Ensemble, bool) {
 	if key == "" {
 		return nil, nil, false
 	}
-	if res, ens, ok := s.lru.GetEntry(key); ok || !s.persists(key, cfg) {
+	if res, ens, ok := s.lru.entry(key); ok || !s.persists(key, cfg) {
 		return res, ens, ok
 	}
 	data, err := s.blobs.Get(resultKey(key))
@@ -81,35 +81,40 @@ func (s *store) get(key string, cfg core.Config) (*core.Result, *stats.Ensemble,
 		s.blobs.Delete(resultKey(key))
 		return nil, nil, false
 	}
-	res := rv.Result(cfg)
-	s.lru.Put(key, res)
+	res := fileResult(rv.Result(cfg))
+	s.lru.put(key, res, nil)
 	s.blobHits.Inc()
 	return res, nil, true
 }
 
 // recent is get against the LRU alone — the worker's pop-time re-check for
 // an identical job this engine finished while the asker queued.
-func (s *store) recent(key string) (*core.Result, bool) {
+func (s *store) recent(key string) (*filed, bool) {
 	if key == "" {
 		return nil, false
 	}
-	return s.lru.Get(key)
+	res, _, ok := s.lru.entry(key)
+	return res, ok
 }
 
-// put files a finished result (with an ensemble's merged statistics) under
-// key. The blob write is best-effort: a restarted process, or a stateless
-// replica sharing the store, then serves it without a solve.
-func (s *store) put(key string, cfg core.Config, res *core.Result, ens *stats.Ensemble) {
+// put files a fresh result (with an ensemble's merged statistics) under key
+// and returns it filed: compacted here, once, for the job, the LRU and the
+// blob tier's bytes alike. An uncacheable result ("" key) is filed for its
+// job alone. The blob write is best-effort: a restarted process, or a
+// stateless replica sharing the store, then serves it without a solve.
+func (s *store) put(key string, cfg core.Config, res *core.Result, ens *stats.Ensemble) *filed {
+	f := fileResult(res)
 	if key == "" {
-		return
+		return f
 	}
-	s.lru.PutEntry(key, res, ens)
+	s.lru.put(key, f, ens)
 	if !s.persists(key, cfg) {
-		return
+		return f
 	}
-	if data, err := s.lru.resultJSON(key, res, false); err == nil && s.blobs.Put(resultKey(key), data) == nil {
+	if data, err := s.lru.resultJSON(key, f, false); err == nil && s.blobs.Put(resultKey(key), data) == nil {
 		s.blobWrites.Inc()
 	}
+	return f
 }
 
 // durable reports whether anything filed under key reaches the blob store —
