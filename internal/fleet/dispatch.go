@@ -52,7 +52,7 @@ const (
 // when no healthy worker exists or the shard exhausted its reschedule
 // budget; by then update has delivered the freshest checkpoint, so the
 // local run resumes rather than restarts.
-func (c *Coordinator) RunShard(ctx context.Context, cfg core.Config, update func(service.RemoteUpdate)) (*core.Result, error) {
+func (c *Coordinator) RunShard(ctx context.Context, cfg core.Config, update func(service.RemoteUpdate)) (*service.Filed, error) {
 	spec, err := service.SpecOf(cfg)
 	if err != nil {
 		// Untransportable configs are not a fleet failure; run locally.
@@ -127,7 +127,7 @@ func (c *Coordinator) suspectWorker(name string) {
 // forwarding steps, pulling checkpoints, renewing the lease — until the
 // job ends or the worker is lost. The lease's cancel func aborts the
 // attempt context, which is how expiry turns into a reschedule.
-func (c *Coordinator) runOn(ctx context.Context, w *worker, sr *shardRun) (*core.Result, outcome, error) {
+func (c *Coordinator) runOn(ctx context.Context, w *worker, sr *shardRun) (*service.Filed, outcome, error) {
 	attempt, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -171,11 +171,11 @@ func (c *Coordinator) runOn(ctx context.Context, w *worker, sr *shardRun) (*core
 		}
 		switch final.State {
 		case service.StateDone:
-			var rv service.ResultView
-			if err := c.get(ctx, w.url+"/v1/jobs/"+jv.ID+"/result", &rv); err != nil {
+			res, err := c.fetchResult(ctx, w, jv.ID, sr.cfg)
+			if err != nil {
 				return nil, outcomeLost, fmt.Errorf("fleet: fetch result from %s: %w", w.name, err)
 			}
-			return rv.Result(sr.cfg), outcomeDone, nil
+			return res, outcomeDone, nil
 		case service.StateFailed:
 			return nil, outcomeFailed, fmt.Errorf("fleet: shard failed on %s: %s", w.name, final.Error)
 		default: // canceled remotely (operator action or stale-cancel race)
@@ -329,6 +329,21 @@ func (c *Coordinator) get(ctx context.Context, url string, out any) error {
 	return c.do(ctx, http.MethodGet, url, nil, func(resp *http.Response) error {
 		return json.NewDecoder(resp.Body).Decode(out)
 	})
+}
+
+// fetchResult fetches and files the job's result inside one retried request,
+// so a body that arrives cut or corrupt is fetched again. Its declared length
+// (up to 256 MB; none from an older worker) sizes the buffer it is read into.
+func (c *Coordinator) fetchResult(ctx context.Context, w *worker, jobID string, cfg core.Config) (res *service.Filed, err error) {
+	err = c.do(ctx, http.MethodGet, w.url+"/v1/jobs/"+jobID+"/result", nil, func(resp *http.Response) (err error) {
+		var body bytes.Buffer
+		body.Grow(int(min(max(resp.ContentLength, 0), 256<<20)) + bytes.MinRead)
+		if _, err = body.ReadFrom(resp.Body); err == nil {
+			res, err = service.ParseFiled(body.Bytes(), cfg)
+		}
+		return err
+	})
+	return res, err
 }
 
 // pullSnapshot fetches the job's retained checkpoint from its worker under the

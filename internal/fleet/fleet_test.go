@@ -5,9 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -671,6 +675,68 @@ func TestChaosClusterCompletes(t *testing.T) {
 	}
 	if got := c.coord.metrics.retries.Value(); got < 1 {
 		t.Errorf("fleet_retries_total = %v, want >= 1 under chaos", got)
+	}
+}
+
+// cutFirstResult is a coordinator transport that delivers the first
+// GET /result body it carries cut in half — a clean end of body at half the
+// bytes, declared as such — and every other response whole.
+type cutFirstResult struct {
+	base http.RoundTripper
+	cut  atomic.Bool
+}
+
+func (c *cutFirstResult) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := c.base.RoundTrip(req)
+	if err != nil || resp.StatusCode != http.StatusOK || !strings.HasSuffix(req.URL.Path, "/result") ||
+		!c.cut.CompareAndSwap(false, true) {
+		return resp, err
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	half := body[:len(body)/2]
+	resp.Body = io.NopCloser(bytes.NewReader(half))
+	resp.ContentLength = int64(len(half))
+	resp.Header.Set("Content-Length", strconv.Itoa(len(half)))
+	return resp, nil
+}
+
+// TestCutResultTransferRetried: a result body that arrives cut parses as no
+// result, and the coordinator parses it inside the retried request — so the
+// fetch is made again, not the shard lost, and the result filed is the whole
+// one, cell for cell.
+func TestCutResultTransferRetried(t *testing.T) {
+	base := &http.Transport{}
+	t.Cleanup(base.CloseIdleConnections)
+	cut := &cutFirstResult{base: base}
+	c := newCluster(t, Options{Client: &http.Client{Transport: cut}})
+	c.addWorker("w1")
+	cfg := fastConfig(5)
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.coord.RunShard(context.Background(), cfg, func(service.RemoteUpdate) {})
+	if err != nil {
+		t.Fatalf("RunShard: %v", err)
+	}
+	if !cut.cut.Load() {
+		t.Fatal("no result body was cut")
+	}
+	if got := c.coord.metrics.retries.Value(); got < 1 {
+		t.Errorf("fleet_retries_total = %v, want >= 1 after a cut result", got)
+	}
+	if got := c.coord.metrics.reschedules.Value(); got != 0 {
+		t.Errorf("fleet_reschedules_total = %v, want 0: a cut transfer is retried, not rescheduled", got)
+	}
+	want, err := core.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Result(); !reflect.DeepEqual(got.Cells, want.Cells) || got.TallyTotal != want.TallyTotal {
+		t.Error("the filed remote result is not core.Run's")
 	}
 }
 

@@ -27,7 +27,7 @@ type Cache struct {
 
 type cacheEntry struct {
 	key string
-	res *filed
+	res *Filed
 	// ens carries the merged ensemble statistics of an ensemble job;
 	// nil for single-run results.
 	ens *stats.Ensemble
@@ -58,7 +58,7 @@ func NewCache(capacity int) *Cache {
 // Get returns the cached result for the key, marking it most recently
 // used. The caller must treat the result as immutable — it is shared by
 // every job served from the same key. The entry keeps the cells as runs (see
-// filed); the first call that asks for them builds the dense slice.
+// Filed); the first call that asks for them builds the dense slice.
 func (c *Cache) Get(key string) (*core.Result, bool) {
 	res, _, ok := c.GetEntry(key)
 	return res, ok
@@ -76,7 +76,7 @@ func (c *Cache) GetEntry(key string) (*core.Result, *stats.Ensemble, bool) {
 }
 
 // entry is GetEntry without building the dense cells: the store's lookup.
-func (c *Cache) entry(key string) (*filed, *stats.Ensemble, bool) {
+func (c *Cache) entry(key string) (*Filed, *stats.Ensemble, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
@@ -98,7 +98,7 @@ func (c *Cache) Put(key string, res *core.Result) {
 
 // put stores a filed result together with its ensemble statistics (nil for
 // single runs).
-func (c *Cache) put(key string, res *filed, ens *stats.Ensemble) {
+func (c *Cache) put(key string, res *Filed, ens *stats.Ensemble) {
 	if c.cap <= 0 {
 		return
 	}
@@ -121,7 +121,7 @@ func (c *Cache) put(key string, res *filed, ens *stats.Ensemble) {
 }
 
 // resultJSON returns the bytes of json.Marshal(resultViewOf(res.result())),
-// written from the runs (filed.encode) — a single-run result on the wire.
+// written from the runs (Filed.encode) — a single-run result on the wire.
 // While the cache holds res under key they are
 // encoded once and kept with the entry, so the store's persistent tier, the
 // job that computed the result and every job later born from a hit on the
@@ -132,7 +132,7 @@ func (c *Cache) put(key string, res *filed, ens *stats.Ensemble) {
 // for twice is likely to be asked for again. A result the cache does not hold
 // (evicted, uncacheable, caching off) is encoded for the caller alone. The
 // lookup is not a cache access: it moves no entry and counts no hit.
-func (c *Cache) resultJSON(key string, res *filed, release bool) ([]byte, error) {
+func (c *Cache) resultJSON(key string, res *Filed, release bool) ([]byte, error) {
 	var enc *encodedResult
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {

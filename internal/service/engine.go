@@ -92,7 +92,7 @@ type RemoteUpdate struct {
 // then runs the job locally), with ctx's error on cancellation, and with
 // the run's own error when the shard failed deterministically.
 type RemoteRunner interface {
-	RunShard(ctx context.Context, cfg core.Config, update func(RemoteUpdate)) (*core.Result, error)
+	RunShard(ctx context.Context, cfg core.Config, update func(RemoteUpdate)) (*Filed, error)
 }
 
 // ErrNoWorkers reports that remote dispatch found no healthy fleet worker;
@@ -350,21 +350,24 @@ func (e *Engine) execute(j *Job, sim *core.Simulation) {
 		return
 	}
 	e.runs.Add(1)
-	res, err := e.tryRemote(j)
+	f, err := e.tryRemote(j)
 	if errors.Is(err, ErrNoWorkers) {
-		res, err = e.solve(j, sim)
+		var res *core.Result
+		if res, err = e.solve(j, sim); err == nil {
+			f = fileResult(res)
+		}
 	}
-	e.settle(j, res, nil, err)
+	e.settle(j, f, nil, err)
 }
 
 // settle is the terminal transition of a started job that computed: a fresh
-// result — solved here, merged from replicas, or a coordinator's RunShard
-// result — is filed (and its dense cells dropped), and the checkpoint it makes
-// obsolete dropped.
-func (e *Engine) settle(j *Job, res *core.Result, ens *stats.Ensemble, err error) {
+// result, filed at its source — a solve here or a replica merge by
+// fileResult, a coordinator's RunShard result as it was parsed — is stored,
+// and the checkpoint it makes obsolete dropped.
+func (e *Engine) settle(j *Job, f *Filed, ens *stats.Ensemble, err error) {
 	switch {
 	case err == nil:
-		f := e.store.put(j.key, j.cfg, res, ens)
+		e.store.put(j.key, j.cfg, f, ens)
 		e.store.dropCheckpoint(j.key)
 		j.finish(StateRunning, StateDone, f, ens, nil, false)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
@@ -379,7 +382,7 @@ func (e *Engine) settle(j *Job, res *core.Result, ens *stats.Ensemble, err error
 // locally: no runner configured, an ineligible config, or no healthy workers
 // — the graceful-degradation path, which leaves the last checkpoint the
 // runner pulled before giving up on the job for acquire.
-func (e *Engine) tryRemote(j *Job) (*core.Result, error) {
+func (e *Engine) tryRemote(j *Job) (*Filed, error) {
 	r := e.opts.Remote
 	if r == nil || j.key == "" || j.cfg.KeepBank {
 		return nil, ErrNoWorkers

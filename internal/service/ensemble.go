@@ -13,15 +13,15 @@ import (
 // replicas run on every worker that is free, dedupe against the cache and
 // against a twin in flight, and checkpoint individually — then folds the
 // per-cell tallies into ensemble statistics in replica order and returns the
-// merged result for execute to settle under the parent's fingerprint. It
-// runs on a goroutine of its own, not a worker: a wide ensemble never
+// merged result, filed, for execute to settle under the parent's fingerprint.
+// It runs on a goroutine of its own, not a worker: a wide ensemble never
 // starves the pool of its own replicas.
-func (e *Engine) runEnsemble(j *Job) (*core.Result, *stats.Ensemble, error) {
+func (e *Engine) runEnsemble(j *Job) (*Filed, *stats.Ensemble, error) {
 	cfg := j.cfg
 	reps := cfg.Replicas
 	children := make([]*Job, 0, reps)
 	// fail cancels the children still running and reports why.
-	fail := func(err error) (*core.Result, *stats.Ensemble, error) {
+	fail := func(err error) (*Filed, *stats.Ensemble, error) {
 		for _, c := range children {
 			e.Cancel(c.ID())
 		}
@@ -94,5 +94,5 @@ func (e *Engine) runEnsemble(j *Job) (*core.Result, *stats.Ensemble, error) {
 	if cfg.KeepCells {
 		res.Cells = ens.Mean
 	}
-	return res, ens, nil
+	return fileResult(res), ens, nil
 }

@@ -121,7 +121,7 @@ type Job struct {
 	timings []core.StepTiming
 	// result is the finished result as the store filed it, shared with every
 	// job served from the same one.
-	result    *filed
+	result    *Filed
 	err       error
 	submitted time.Time
 	started   time.Time
@@ -323,7 +323,7 @@ func (j *Job) Result() (*core.Result, error) {
 // A finished job's result being served is the last thing a coordinator's
 // attempt asks of its worker — its pulls all happen before — so the job's
 // checkpoint goes here; /snapshot answers 404 from then on.
-func (j *Job) serve() (*filed, error) {
+func (j *Job) serve() (*Filed, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	res, err := j.outcome()
@@ -334,7 +334,7 @@ func (j *Job) serve() (*filed, error) {
 }
 
 // outcome is what Result reports, with j.mu held.
-func (j *Job) outcome() (*filed, error) {
+func (j *Job) outcome() (*Filed, error) {
 	switch j.state {
 	case StateDone:
 		return j.result, nil
@@ -461,7 +461,7 @@ func (j *Job) applyRemoteUpdate(u RemoteUpdate) {
 // happen. The engine's lifetime counter and a solved run's metrics are
 // recorded before the state change publishes the job, so whoever sees it done
 // (a waiter, a scrape right after) sees those too.
-func (j *Job) finish(from, to State, res *filed, ens *stats.Ensemble, err error, cached bool) bool {
+func (j *Job) finish(from, to State, res *Filed, ens *stats.Ensemble, err error, cached bool) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state.Terminal() || (from != "" && j.state != from) {

@@ -15,8 +15,12 @@ import (
 // stubRunner is a RemoteRunner whose shard is whatever the test says.
 type stubRunner func(ctx context.Context, cfg core.Config, update func(RemoteUpdate)) (*core.Result, error)
 
-func (f stubRunner) RunShard(ctx context.Context, cfg core.Config, update func(RemoteUpdate)) (*core.Result, error) {
-	return f(ctx, cfg, update)
+func (f stubRunner) RunShard(ctx context.Context, cfg core.Config, update func(RemoteUpdate)) (*Filed, error) {
+	res, err := f(ctx, cfg, update)
+	if err != nil {
+		return nil, err
+	}
+	return fileResult(res), nil
 }
 
 // waitDone fails the test unless the job reaches a terminal state soon.

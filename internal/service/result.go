@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"math"
@@ -122,13 +123,13 @@ func ensembleViewOf(ens *stats.Ensemble, keepCells bool) *EnsembleView {
 	return v
 }
 
-// filed is a finished result as the engine keeps it — in a job, in an LRU
-// entry, on the way to the blob tier: the core.Result without its cells, and
-// the cells as their runs of non-zero values. A 256² csp result deposits in
-// 336 of its 65 536 cells, so what an engine remembers grows with what was
-// deposited, as the tally does, not with the mesh. One is filed per fresh
-// result (store.put) and shared by every job served from it.
-type filed struct {
+// Filed is a finished result as the engine keeps it and a coordinator receives
+// it: the core.Result without its cells, and the cells as their runs of
+// non-zero values. A 256² csp result deposits in 336 of its 65 536 cells, so
+// what an engine remembers grows with what was deposited, not with the mesh.
+// Each result is filed once, at its source (fileResult, ParseFiled), and
+// shared by every job served from it.
+type Filed struct {
 	// res is the result with Cells nil — or, for a result that had no cells,
 	// the very pointer it arrived as.
 	res   *core.Result
@@ -141,18 +142,20 @@ type filed struct {
 
 // fileResult files res. res is not modified; the caller drops it, and with it
 // the dense cells.
-func fileResult(res *core.Result) *filed {
+func fileResult(res *core.Result) *Filed {
 	if len(res.Cells) == 0 {
-		return &filed{res: res}
+		return &Filed{res: res}
 	}
 	r := *res
 	r.Cells = nil
-	return &filed{res: &r, cells: compactCells(res.Cells)}
+	return &Filed{res: &r, cells: compactCells(res.Cells)}
 }
 
-// result returns the dense result: built on the first call, the same pointer
+// Result returns the dense result: built on the first call, the same pointer
 // on every later one. The caller must treat it as immutable.
-func (f *filed) result() *core.Result {
+func (f *Filed) Result() *core.Result { return f.result() }
+
+func (f *Filed) result() *core.Result {
 	if f.cells.n == 0 {
 		return f.res
 	}
@@ -166,7 +169,7 @@ func (f *filed) result() *core.Result {
 
 // encode returns the bytes of json.Marshal(resultViewOf(f.result())) without
 // building the dense cells.
-func (f *filed) encode() ([]byte, error) {
+func (f *Filed) encode() ([]byte, error) {
 	return encodeCells(resultViewOf(f.res), &f.cells)
 }
 
@@ -324,30 +327,50 @@ func appendJSONFloat(b []byte, f float64) []byte {
 	return b
 }
 
-// UnmarshalJSON decodes a ResultView with the cells array — 65 536 numbers
-// of a 256² result, nearly all of a view's bytes — taken off encoding/json,
-// which scans those bytes three times and parses each element through
-// reflection. The array is located in the top-level object, its numbers go
-// straight to strconv.ParseFloat (what encoding/json calls for each one, so
-// every value is the same bits), and encoding/json decodes the rest of the
-// document with null in the array's place. A coordinator pays this decode for
-// every remote result and an engine for every blob-tier hit.
-//
-// The fast path commits only when all of it is unambiguous: exactly one
-// top-level member folds to "cells", its value is a non-empty array of
-// well-formed JSON numbers in range, and the remaining document decodes
-// without error. Anything else — null, [], a string element, a duplicate or
-// escaped key, malformed input — is decoded by encoding/json alone, so values
-// and errors there are exactly the standard ones.
+// UnmarshalJSON is decode with the cells expanded: a Go client's read.
 func (v *ResultView) UnmarshalJSON(data []byte) error {
-	type plain ResultView // the same fields without this method
+	cells, ok, err := v.decode(data)
+	if ok {
+		v.Cells = cells.expand()
+	}
+	return err
+}
+
+// ParseFiled files a result from the JSON GET /result serves and the blob
+// tier stores, its cells straight into runs. cfg stands in for the producing
+// run's config, which the view does not carry. Phase timings and per-worker
+// busy spans describe the producing process and stay behind.
+func ParseFiled(data []byte, cfg core.Config) (*Filed, error) {
+	var v ResultView
+	cells, ok, err := v.decode(data)
+	if err != nil {
+		return nil, err
+	}
+	if !ok {
+		return fileResult(v.result(cfg)), nil
+	}
+	return &Filed{res: v.result(cfg), cells: cells}, nil
+}
+
+// decode decodes data into v but for the cells array — 65 536 numbers of a
+// 256² result, nearly all of its bytes — which it takes off encoding/json
+// (three scans of those bytes, reflection per element): the array is found in
+// the top-level object and scanned into runs, returned with ok, and
+// encoding/json decodes the rest of the document with null in its place.
+//
+// The fast path commits only when unambiguous: one top-level member folding
+// to "cells", a non-empty array of JSON numbers in range, and a rest that
+// decodes. Anything else — null, [], a duplicate or escaped key, malformed
+// input, bytes after the document — goes to encoding/json whole, so values
+// and errors are the standard ones.
+func (v *ResultView) decode(data []byte) (cellRuns, bool, error) {
+	type plain ResultView // the same fields without UnmarshalJSON
 	if start, end, ok := cellsArray(data); ok {
-		if cells, ok := parseNumberArray(data[start:end]); ok {
+		if cells, ok := parseCells(data[start:end]); ok {
 			rest := make([]byte, 0, len(data)-(end-start)+len("null"))
 			rest = append(append(append(rest, data[:start]...), "null"...), data[end:]...)
 			if json.Unmarshal(rest, (*plain)(v)) == nil {
-				v.Cells = cells
-				return nil
+				return cells, true, nil
 			}
 		}
 	}
@@ -362,14 +385,14 @@ func (v *ResultView) UnmarshalJSON(data []byte) error {
 			typeErr.Type = reflect.TypeOf(ResultView{})
 		}
 	}
-	return err
+	return cellRuns{}, false, err
 }
 
 // cellsArray locates the value of the one top-level member whose name
 // encoding/json would match to the cells field, when that value opens an
 // array: data[start:end] runs from its '[' through the first ']' after it,
-// which closes the array whenever it holds only numbers (parseNumberArray
-// rejects it otherwise). ok is false when there is no such member, more than
+// which closes the array whenever it holds only numbers (parseCells rejects
+// it otherwise). ok is false when there is no such member, more than
 // one, or anything the walk does not expect; on well-formed JSON the walk
 // tracks strings, escapes and nesting exactly, and what it skips over is left
 // in the document for encoding/json to judge.
@@ -473,44 +496,56 @@ func skipValue(b []byte, i int) int {
 	return -1
 }
 
-// parseNumberArray parses a JSON array holding at least one element and
-// nothing but numbers; ok is false for every other shape, for a number that
-// breaks the JSON grammar, and for one float64 cannot hold.
-func parseNumberArray(raw []byte) (vals []float64, ok bool) {
-	// raw[0] is '['. One number per comma is the exact count for an array
-	// of numbers.
-	vals = make([]float64, 0, bytes.Count(raw, []byte{','})+1)
-	i := 1
+// parseCells files a JSON array of one or more numbers, and nothing else, as
+// runs; ok is false for any other shape and a number JSON or float64 does not
+// allow. Bare zeros, 65 200 of a 256² result's 65 536, are skipped four to a
+// word; any other element is parsed by strconv.ParseFloat, as encoding/json
+// does, and is a gap when its bits are all zero (0.0, 0e0) as in compactCells.
+func parseCells(raw []byte) (c cellRuns, ok bool) {
+	const fourZeros = 0x2c302c302c302c30 // "0,0,0,0," read little-endian
+	i := 1                               // raw[0] is '['
 	for {
-		i = skipSpace(raw, i)
+		rest := raw[i:]
+		for len(rest) >= 8 && binary.LittleEndian.Uint64(rest) == fourZeros {
+			rest = rest[8:]
+		}
+		for len(rest) >= 2 && rest[0] == '0' && rest[1] == ',' {
+			rest = rest[2:]
+		}
+		c.n += (len(raw) - len(rest) - i) / 2
+		i = skipSpace(raw, len(raw)-len(rest))
 		start := i
 		for i < len(raw) && isNumberByte(raw[i]) {
 			i++
 		}
 		tok := raw[start:i]
-		if len(tok) == 1 && tok[0] == '0' {
-			vals = append(vals, 0) // most of a tally
-		} else {
-			if !validNumber(tok) {
-				return nil, false
-			}
-			f, err := strconv.ParseFloat(string(tok), 64)
-			if err != nil {
-				return nil, false
-			}
-			vals = append(vals, f)
+		if !validNumber(tok) {
+			return cellRuns{}, false
 		}
+		f, err := strconv.ParseFloat(string(tok), 64)
+		if err != nil {
+			return cellRuns{}, false
+		}
+		if math.Float64bits(f) != 0 {
+			if r := len(c.end) - 1; r >= 0 && int(c.end[r]) == c.n {
+				c.end[r]++
+			} else {
+				c.start, c.end = append(c.start, int32(c.n)), append(c.end, int32(c.n+1))
+			}
+			c.vals = append(c.vals, f)
+		}
+		c.n++
 		i = skipSpace(raw, i)
 		if i == len(raw) {
-			return nil, false
+			return cellRuns{}, false
 		}
 		switch raw[i] {
 		case ',':
 			i++
 		case ']':
-			return vals, i+1 == len(raw)
+			return c, i+1 == len(raw)
 		default:
-			return nil, false
+			return cellRuns{}, false
 		}
 	}
 }
@@ -591,14 +626,8 @@ func resultViewOf(res *core.Result) ResultView {
 	}
 }
 
-// Result reconstructs the core.Result a remote worker computed or the blob
-// tier stored — the inverse of resultViewOf. cfg is the caller's own config
-// for the job, standing in for the producing run's (the view carries none).
-// Lossless for everything the ensemble merger and the result API consume:
-// tally, cells, integer-nanosecond wallclock, the full counter vector,
-// conservation error and per-edge leakage. Phase timings and per-worker busy
-// spans stay behind; they describe the remote process, not this one.
-func (v ResultView) Result(cfg core.Config) *core.Result {
+// result is the inverse of resultViewOf for what ParseFiled keeps.
+func (v *ResultView) result(cfg core.Config) *core.Result {
 	res := &core.Result{
 		Config:     cfg,
 		TallyTotal: v.TallyTotal,

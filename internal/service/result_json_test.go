@@ -3,6 +3,10 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
 	"math"
 	"math/rand"
@@ -57,6 +61,16 @@ func BenchmarkResultJSON(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var rv ResultView
 			if err := json.Unmarshal(data, &rv); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	// What a coordinator pays for every remote result and an engine for
+	// every blob-tier hit: the wire form filed without dense cells.
+	b.Run("decode-filed", func(b *testing.B) {
+		b.SetBytes(int64(len(data)))
+		for i := 0; i < b.N; i++ {
+			if _, err := ParseFiled(data, res.Config); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -152,38 +166,59 @@ func TestResultEncodeMatchesStdlib(t *testing.T) {
 // encoding/json alone makes of a document.
 type plainResultView ResultView
 
-// checkDecodeMatchesStdlib decodes doc both ways and requires the same
-// outcome: both fail or both succeed, every cell the same bits (nil and empty
-// told apart), every other field equal.
+// checkDecodeMatchesStdlib decodes doc three ways — json.Unmarshal into a
+// ResultView, a direct UnmarshalJSON call (which skips encoding/json's
+// pre-scan of the document) and ParseFiled — and requires each to reach
+// encoding/json's own outcome: all fail with its error or all succeed, every
+// cell the same bits (nil and empty told apart), every other field equal.
 func checkDecodeMatchesStdlib(t *testing.T, doc string) {
 	t.Helper()
-	var got ResultView
+	var got, direct ResultView
 	var want plainResultView
 	gerr := json.Unmarshal([]byte(doc), &got)
+	derr := direct.UnmarshalJSON([]byte(doc))
+	filed, ferr := ParseFiled([]byte(doc), core.Config{})
 	werr := json.Unmarshal([]byte(doc), &want)
-	if (gerr == nil) != (werr == nil) {
-		t.Fatalf("doc %.80q: err %v, encoding/json %v", doc, gerr, werr)
-	}
-	if werr != nil {
+	for _, path := range []struct {
+		name string
+		err  error
+	}{{"json.Unmarshal", gerr}, {"UnmarshalJSON", derr}, {"ParseFiled", ferr}} {
+		if (path.err == nil) != (werr == nil) {
+			t.Fatalf("doc %.80q: %s err %v, encoding/json %v", doc, path.name, path.err, werr)
+		}
 		// The reference type's name appears in type errors; the wire type's
 		// must appear in ours.
-		if gerr.Error() != strings.ReplaceAll(werr.Error(), "plainResultView", "ResultView") {
-			t.Fatalf("doc %.80q: error %q, encoding/json %q", doc, gerr, werr)
+		if werr != nil && path.err.Error() != strings.ReplaceAll(werr.Error(), "plainResultView", "ResultView") {
+			t.Fatalf("doc %.80q: %s error %q, encoding/json %q", doc, path.name, path.err, werr)
 		}
+	}
+	if werr != nil {
 		return
 	}
-	if (got.Cells == nil) != (want.Cells == nil) || len(got.Cells) != len(want.Cells) {
-		t.Fatalf("doc %.80q: cells %v, encoding/json %v", doc, got.Cells, want.Cells)
-	}
-	for i := range want.Cells {
-		if math.Float64bits(got.Cells[i]) != math.Float64bits(want.Cells[i]) {
-			t.Fatalf("doc %.80q: cell %d = %x, encoding/json %x", doc, i,
-				math.Float64bits(got.Cells[i]), math.Float64bits(want.Cells[i]))
+	for _, path := range []struct {
+		name  string
+		cells []float64
+	}{{"json.Unmarshal", got.Cells}, {"UnmarshalJSON", direct.Cells}, {"ParseFiled", filed.result().Cells}} {
+		if (path.cells == nil) != (want.Cells == nil) || len(path.cells) != len(want.Cells) {
+			t.Fatalf("doc %.80q: %s cells %v, encoding/json %v", doc, path.name, path.cells, want.Cells)
+		}
+		for i := range want.Cells {
+			if math.Float64bits(path.cells[i]) != math.Float64bits(want.Cells[i]) {
+				t.Fatalf("doc %.80q: %s cell %d = %x, encoding/json %x", doc, path.name, i,
+					math.Float64bits(path.cells[i]), math.Float64bits(want.Cells[i]))
+			}
 		}
 	}
-	got.Cells, want.Cells = nil, nil
-	if !reflect.DeepEqual(got, ResultView(want)) {
-		t.Fatalf("doc %.80q: fields differ:\n got  %+v\n want %+v", doc, got, ResultView(want))
+	// ParseFiled keeps what a core.Result carries of the view.
+	wantView := ResultView(want)
+	fres, wres := *filed.result(), *wantView.result(core.Config{})
+	fres.Cells, wres.Cells = nil, nil
+	if !reflect.DeepEqual(fres, wres) {
+		t.Fatalf("doc %.80q: ParseFiled result differs:\n got  %+v\n want %+v", doc, fres, wres)
+	}
+	got.Cells, direct.Cells, want.Cells = nil, nil, nil
+	if !reflect.DeepEqual(got, ResultView(want)) || !reflect.DeepEqual(direct, ResultView(want)) {
+		t.Fatalf("doc %.80q: fields differ:\n got  %+v\n direct %+v\n want %+v", doc, got, direct, ResultView(want))
 	}
 }
 
@@ -340,6 +375,79 @@ func TestResultViewDecodeMatchesStdlib(t *testing.T) {
 	if !reflect.DeepEqual(rv.Cells, res.Cells) {
 		t.Fatal("cells changed across encode/decode")
 	}
+}
+
+// TestResultContentLength: GET /result declares its length, on the job that
+// computed the result and on a job born from a hit on it, so a reader takes
+// the body in one buffer of that size.
+func TestResultContentLength(t *testing.T) {
+	ts, _ := newTestServer(t, Options{Shards: 1, QueueDepth: 4})
+	spec := `{"problem":"csp","nx":64,"particles":200,"seed":7,"keep_cells":true}`
+	check := func(id string) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/result?wait=true")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("result: status %d, err %v", resp.StatusCode, err)
+		}
+		if got := resp.Header.Get("Content-Length"); got != strconv.Itoa(len(body)) || len(body) < 64*64 {
+			t.Fatalf("job %s: Content-Length %q for a %d-byte body", id, got, len(body))
+		}
+	}
+	check(submitJob(t, ts, spec, false).ID)
+	hit, code := postJob(t, ts, spec)
+	if code != http.StatusOK || !hit.Cached {
+		t.Fatalf("repeat submit: status %d, view %+v", code, hit)
+	}
+	check(hit.ID)
+}
+
+// FuzzResultDecode is checkDecodeMatchesStdlib over arbitrary documents. Its
+// seeds are the document list of TestResultViewDecodeMatchesStdlib — read from
+// this file's source, so the list has one copy — and the reference result's
+// wire form.
+func FuzzResultDecode(f *testing.F) {
+	file, err := parser.ParseFile(token.NewFileSet(), "result_json_test.go", nil, 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	seeds := 0
+	for _, decl := range file.Decls {
+		if fn, ok := decl.(*ast.FuncDecl); ok && fn.Name.Name == "TestResultViewDecodeMatchesStdlib" {
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				// The first []string literal in the test is its list.
+				list, ok := n.(*ast.CompositeLit)
+				if !ok || seeds > 0 {
+					return seeds == 0
+				}
+				if typ, ok := list.Type.(*ast.ArrayType); !ok || typ.Len != nil || fmt.Sprint(typ.Elt) != "string" {
+					return true
+				}
+				for _, elt := range list.Elts {
+					doc, err := strconv.Unquote(elt.(*ast.BasicLit).Value)
+					if err != nil {
+						f.Fatal(err)
+					}
+					f.Add(doc)
+					seeds++
+				}
+				return false
+			})
+		}
+	}
+	if seeds < 50 {
+		f.Fatalf("found %d documents in TestResultViewDecodeMatchesStdlib's list", seeds)
+	}
+	data, err := json.Marshal(resultViewOf(referenceResult(f)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(string(data))
+	f.Fuzz(checkDecodeMatchesStdlib)
 }
 
 // TestResultEncodedOnce: the three writers of a single-run result — the blob

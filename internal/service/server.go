@@ -444,11 +444,11 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 			// leaves them for the next hit.
 			data, err = s.engine.Cache().resultJSON(j.key, res, !j.Status().Cached)
 		}
-		// Marshal plus a newline is what writeJSON's Encoder writes; a view
-		// it cannot encode is a 200 with an empty body, as it leaves one.
+		// Marshal plus a newline, as writeJSON's Encoder writes, and its length
+		// for a one-buffer read; a view it cannot encode is an empty 200.
 		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
 		if err == nil {
+			w.Header().Set("Content-Length", strconv.Itoa(len(data)+1))
 			w.Write(data)
 			w.Write([]byte{'\n'})
 		}

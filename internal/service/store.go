@@ -1,8 +1,6 @@
 package service
 
 import (
-	"encoding/json"
-
 	"repro/internal/core"
 	"repro/internal/service/blob"
 	"repro/internal/stats"
@@ -64,7 +62,7 @@ func (s *store) persists(key string, cfg core.Config) bool {
 // left by another engine over the same store, or by this process before a
 // restart — which files it into the LRU. cfg is the requesting config; a
 // result decoded from the blob tier, whose wire form carries none, echoes it.
-func (s *store) get(key string, cfg core.Config) (*filed, *stats.Ensemble, bool) {
+func (s *store) get(key string, cfg core.Config) (*Filed, *stats.Ensemble, bool) {
 	if key == "" {
 		return nil, nil, false
 	}
@@ -75,13 +73,12 @@ func (s *store) get(key string, cfg core.Config) (*filed, *stats.Ensemble, bool)
 	if err != nil {
 		return nil, nil, false
 	}
-	var rv ResultView
-	if json.Unmarshal(data, &rv) != nil {
+	res, err := ParseFiled(data, cfg)
+	if err != nil {
 		// Corrupt entry: drop it so the next put re-persists cleanly.
 		s.blobs.Delete(resultKey(key))
 		return nil, nil, false
 	}
-	res := fileResult(rv.Result(cfg))
 	s.lru.put(key, res, nil)
 	s.blobHits.Inc()
 	return res, nil, true
@@ -89,7 +86,7 @@ func (s *store) get(key string, cfg core.Config) (*filed, *stats.Ensemble, bool)
 
 // recent is get against the LRU alone — the worker's pop-time re-check for
 // an identical job this engine finished while the asker queued.
-func (s *store) recent(key string) (*filed, bool) {
+func (s *store) recent(key string) (*Filed, bool) {
 	if key == "" {
 		return nil, false
 	}
@@ -97,24 +94,20 @@ func (s *store) recent(key string) (*filed, bool) {
 	return res, ok
 }
 
-// put files a fresh result (with an ensemble's merged statistics) under key
-// and returns it filed: compacted here, once, for the job, the LRU and the
-// blob tier's bytes alike. An uncacheable result ("" key) is filed for its
-// job alone. The blob write is best-effort: a restarted process, or a
+// put files a fresh result (with an ensemble's merged statistics) under key,
+// for the LRU and the blob tier's bytes alike; an uncacheable result ("" key)
+// is its job's alone. The blob write is best-effort: a restarted process, or a
 // stateless replica sharing the store, then serves it without a solve.
-func (s *store) put(key string, cfg core.Config, res *core.Result, ens *stats.Ensemble) *filed {
-	f := fileResult(res)
+func (s *store) put(key string, cfg core.Config, f *Filed, ens *stats.Ensemble) {
 	if key == "" {
-		return f
+		return
 	}
 	s.lru.put(key, f, ens)
-	if !s.persists(key, cfg) {
-		return f
+	if s.persists(key, cfg) {
+		if data, err := s.lru.resultJSON(key, f, false); err == nil && s.blobs.Put(resultKey(key), data) == nil {
+			s.blobWrites.Inc()
+		}
 	}
-	if data, err := s.lru.resultJSON(key, f, false); err == nil && s.blobs.Put(resultKey(key), data) == nil {
-		s.blobWrites.Inc()
-	}
-	return f
 }
 
 // durable reports whether anything filed under key reaches the blob store —
