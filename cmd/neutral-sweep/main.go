@@ -1,5 +1,9 @@
-// Command neutral-sweep runs native parameter sweeps of the mini-app on
-// the host and emits CSV, for plotting scaling and configuration studies.
+// Command neutral-sweep runs a native thread-scaling sweep of the mini-app on
+// the host and emits CSV: one row per thread count from 1 to -max, with the
+// wallclock, speedup and efficiency against one thread, and the load
+// imbalance. The schedule, layout and tally axes are paper figures, run by
+// neutral-bench (fig04, fig05, fig07); here they are fixed by the shared run
+// flags, so any one of them can be swept over threads on any problem or scene.
 //
 // All sweep points run through one core.Simulation, Reset between points:
 // allocations the next point can legally reuse (mesh, cross-section
@@ -8,12 +12,9 @@
 //
 // Usage:
 //
-//	neutral-sweep -sweep threads -problem csp -max 16
-//	neutral-sweep -sweep schedule -problem csp
-//	neutral-sweep -sweep layout
-//	neutral-sweep -sweep tally -problem scatter
-//	neutral-sweep -sweep threads -scene examples/scenes/duct.json
-//	neutral-sweep -sweep schedule -trace sweep-trace.json
+//	neutral-sweep -problem csp -max 16
+//	neutral-sweep -scene examples/scenes/duct.json -schedule dynamic
+//	neutral-sweep -trace sweep-trace.json
 //
 // With -trace, every sweep point records its per-step phase spans onto an
 // own-named track in one Chrome trace-event JSON file.
@@ -29,9 +30,6 @@ import (
 
 	"repro/internal/cliutil"
 	"repro/internal/core"
-	"repro/internal/mesh"
-	"repro/internal/particle"
-	"repro/internal/tally"
 	"repro/internal/telemetry"
 )
 
@@ -45,10 +43,9 @@ func main() {
 func run() error {
 	runFlags := cliutil.Register(flag.CommandLine)
 	var (
-		sweep = flag.String("sweep", "threads", "sweep kind: threads, schedule, layout or tally")
 		nx    = flag.Int("nx", 512, "mesh resolution")
 		parts = flag.Int("particles", 2000, "particle count")
-		maxT  = flag.Int("max", 0, "max thread count for the threads sweep (0 = GOMAXPROCS)")
+		maxT  = flag.Int("max", 0, "max thread count (0 = GOMAXPROCS)")
 		trace = flag.String("trace", "", "write a Chrome trace-event JSON profile of every sweep point to this file")
 	)
 	flag.Parse()
@@ -60,153 +57,57 @@ func run() error {
 	base.NX, base.NY = *nx, *nx
 	base.Particles = *parts
 
-	w := csv.NewWriter(os.Stdout)
-	defer w.Flush()
-
-	// One engine for the whole sweep; each point Resets it in place.
-	var sweeper runner
+	var tr *telemetry.Trace
 	if *trace != "" {
-		sweeper.trace = telemetry.NewTrace()
+		tr = telemetry.NewTrace()
 		defer func() {
-			if err := cliutil.WriteTraceFile(*trace, sweeper.trace); err != nil {
+			if err := cliutil.WriteTraceFile(*trace, tr); err != nil {
 				fmt.Fprintln(os.Stderr, "neutral-sweep: trace:", err)
 			}
 		}()
 	}
 
-	switch *sweep {
-	case "threads":
-		max := *maxT
-		if max <= 0 {
-			max = runtime.GOMAXPROCS(0)
-		}
-		if err := w.Write([]string{"threads", "seconds", "speedup", "efficiency", "imbalance"}); err != nil {
-			return err
-		}
-		var t1 float64
-		for t := 1; t <= max; t++ {
-			cfg := base
-			cfg.Threads = t
-			res, err := sweeper.run(cfg)
-			if err != nil {
-				return err
-			}
-			s := res.Wall.Seconds()
-			if t == 1 {
-				t1 = s
-			}
-			rec := []string{
-				strconv.Itoa(t),
-				fmt.Sprintf("%.6f", s),
-				fmt.Sprintf("%.3f", t1/s),
-				fmt.Sprintf("%.3f", t1/s/float64(t)),
-				fmt.Sprintf("%.3f", res.LoadImbalance()),
-			}
-			if err := w.Write(rec); err != nil {
-				return err
-			}
-			w.Flush()
-		}
-
-	case "schedule":
-		if err := w.Write([]string{"schedule", "seconds", "imbalance"}); err != nil {
-			return err
-		}
-		for _, s := range []core.Schedule{
-			{Kind: core.ScheduleStatic},
-			{Kind: core.ScheduleStaticChunk, Chunk: 7},
-			{Kind: core.ScheduleDynamic, Chunk: 1},
-			{Kind: core.ScheduleDynamic, Chunk: 7},
-			{Kind: core.ScheduleDynamic, Chunk: 64},
-			{Kind: core.ScheduleGuided, Chunk: 7},
-		} {
-			cfg := base
-			cfg.Schedule = s
-			res, err := sweeper.run(cfg)
-			if err != nil {
-				return err
-			}
-			if err := w.Write([]string{s.String(),
-				fmt.Sprintf("%.6f", res.Wall.Seconds()),
-				fmt.Sprintf("%.3f", res.LoadImbalance())}); err != nil {
-				return err
-			}
-		}
-
-	case "layout":
-		if err := w.Write([]string{"problem", "layout", "seconds"}); err != nil {
-			return err
-		}
-		// With a scene file the sweep compares layouts on that scene; the
-		// default sweeps all three paper presets.
-		points := []core.Config{base}
-		if base.Scene == nil {
-			points = nil
-			for _, prob := range []mesh.Problem{mesh.Stream, mesh.Scatter, mesh.CSP} {
-				cfg := base
-				cfg.Problem = prob
-				points = append(points, cfg)
-			}
-		}
-		for _, point := range points {
-			for _, l := range []particle.Layout{particle.AoS, particle.SoA} {
-				cfg := point
-				cfg.Layout = l
-				res, err := sweeper.run(cfg)
-				if err != nil {
-					return err
-				}
-				if err := w.Write([]string{cliutil.Describe(cfg), l.String(),
-					fmt.Sprintf("%.6f", res.Wall.Seconds())}); err != nil {
-					return err
-				}
-			}
-		}
-
-	case "tally":
-		if err := w.Write([]string{"tally", "seconds"}); err != nil {
-			return err
-		}
-		for _, m := range []tally.Mode{tally.ModeAtomic, tally.ModePrivate, tally.ModeNull} {
-			cfg := base
-			cfg.Tally = m
-			res, err := sweeper.run(cfg)
-			if err != nil {
-				return err
-			}
-			if err := w.Write([]string{m.String(),
-				fmt.Sprintf("%.6f", res.Wall.Seconds())}); err != nil {
-				return err
-			}
-		}
-
-	default:
-		return fmt.Errorf("unknown sweep %q", *sweep)
+	w := csv.NewWriter(os.Stdout)
+	defer w.Flush()
+	if err := w.Write([]string{"threads", "seconds", "speedup", "efficiency", "imbalance"}); err != nil {
+		return err
 	}
-	return nil
-}
-
-// runner owns the sweep's single Simulation: every point Resets it to the
-// new configuration — the first builds it, later ones reuse whatever
-// allocations the change permits. With tracing on, every point gets its
-// own track — Reset clears the solver's trace hook, so it is re-attached
-// per point.
-type runner struct {
-	sim   core.Simulation
-	trace *telemetry.Trace
-	point int
-}
-
-func (r *runner) run(cfg core.Config) (*core.Result, error) {
-	if err := r.sim.Reset(cfg); err != nil {
-		return nil, err
+	max := *maxT
+	if max <= 0 {
+		max = runtime.GOMAXPROCS(0)
 	}
-	if r.trace != nil {
-		label := fmt.Sprintf("%02d %s t%d %s %s %s", r.point,
-			cliutil.Describe(cfg), cfg.Threads, cfg.Schedule.String(),
-			cfg.Layout.String(), cfg.Tally.String())
-		cliutil.AttachTrace(&r.sim, r.trace.Track(label))
+	// One simulation for the whole sweep; each point Resets it in place.
+	var sim core.Simulation
+	var t1 float64
+	for t := 1; t <= max; t++ {
+		cfg := base
+		cfg.Threads = t
+		if err := sim.Reset(cfg); err != nil {
+			return err
+		}
+		if tr != nil {
+			// Reset clears the trace hook, so each point attaches its own track.
+			cliutil.AttachTrace(&sim, tr.Track(fmt.Sprintf("t%02d %s", t, cliutil.Describe(cfg))))
+		}
+		res, err := sim.Run()
+		if err != nil {
+			return err
+		}
+		s := res.Wall.Seconds()
+		if t == 1 {
+			t1 = s
+		}
+		rec := []string{
+			strconv.Itoa(t),
+			fmt.Sprintf("%.6f", s),
+			fmt.Sprintf("%.3f", t1/s),
+			fmt.Sprintf("%.3f", t1/s/float64(t)),
+			fmt.Sprintf("%.3f", res.LoadImbalance()),
+		}
+		if err := w.Write(rec); err != nil {
+			return err
+		}
+		w.Flush()
 	}
-	r.point++
-	return r.sim.Run()
+	return w.Error()
 }

@@ -345,7 +345,7 @@ func (e *Engine) execute(j *Job, sim *core.Simulation) {
 	}
 	// An identical job may have completed while this one was queued or
 	// held; the hold makes this re-check catch every same-key dupe.
-	if res, ok := e.store.recent(j.key); ok {
+	if res, _, ok := e.store.get(j.key, j.cfg); ok {
 		j.finish(StateRunning, StateDone, res, nil, nil, true)
 		return
 	}
@@ -592,14 +592,11 @@ func (e *Engine) Stats() Stats {
 		Canceled:      e.canceled.Load(),
 		Runs:          e.runs.Load(),
 		Queued:        e.queue.Len(),
-		Cache:         e.store.lru.Stats(),
+		Cache:         e.store.stats(),
 	}
 	_, s.Rejected = e.queue.Stats()
 	return s
 }
-
-// Cache exposes the result cache (read-mostly; shared with the API layer).
-func (e *Engine) Cache() *Cache { return e.store.lru }
 
 // DefaultScene reports the engine's default scene for problem-less
 // submissions; nil when none was configured.

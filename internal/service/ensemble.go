@@ -50,6 +50,9 @@ func (e *Engine) runEnsemble(j *Job) (*Filed, *stats.Ensemble, error) {
 
 	acc := stats.NewAccumulator(cfg.NX * cfg.NY)
 	totals := make([]float64, reps)
+	// Each replica's cells are expanded from its filed runs into this one
+	// slice: what the store keeps of a replica stays runs.
+	var cells []float64
 	var solverWall time.Duration
 	var counters core.Counters
 	start := time.Now()
@@ -59,11 +62,13 @@ func (e *Engine) runEnsemble(j *Job) (*Filed, *stats.Ensemble, error) {
 		case <-j.ctx.Done():
 			return fail(j.ctx.Err())
 		}
-		res, err := child.Result()
+		f, err := child.serve()
 		if err != nil {
 			return fail(fmt.Errorf("service: ensemble replica %d: %w", r, err))
 		}
-		acc.Add(res.Cells)
+		cells = f.cells.expand(cells)
+		acc.Add(cells)
+		res := f.res
 		totals[r] = res.TallyTotal
 		solverWall += res.Wall
 		counters.Add(&res.Counter)

@@ -94,6 +94,45 @@ func TestEnsembleJobMergesReplicas(t *testing.T) {
 	}
 }
 
+// TestEnsembleReplicasStayFiled: folding an ensemble reads each replica's
+// cells from its runs, so what the store keeps of a replica stays runs — no
+// replica's stored result gains a dense copy of the mesh.
+func TestEnsembleReplicasStayFiled(t *testing.T) {
+	const reps = 4
+	e := New(Options{Shards: 2})
+	defer e.Close()
+	cfg := ensembleConfig(reps)
+	cfg.KeepCells = true
+	j, err := e.Submit(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if err := j.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if st := j.Status(); st.State != StateDone {
+		t.Fatalf("ensemble job state %v, err %v", st.State, st.Err)
+	}
+	for _, v := range j.Replicas() {
+		child, err := e.Job(v.JobID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, _, ok := e.store.get(child.key, child.cfg)
+		switch {
+		case !ok:
+			t.Fatalf("replica %d is not in the store", v.Replica)
+		case f.cells.n == 0:
+			t.Fatalf("replica %d was filed without cells", v.Replica)
+		case f.dense != nil:
+			t.Errorf("replica %d: stored result holds %d dense cells beside %d run values",
+				v.Replica, len(f.dense.Cells), len(f.cells.vals))
+		}
+	}
+}
+
 // TestEnsembleJobCacheHit resubmits an identical ensemble: the parent must
 // be served from the cache, statistics included, without re-running any
 // replica.

@@ -39,7 +39,7 @@ func checkFiled(t *testing.T, name string, cells []float64) {
 			t.Fatalf("%s: value %d of the runs is +0", name, i)
 		}
 	}
-	got := c.expand()
+	got := c.expand(nil)
 	if len(got) != len(cells) {
 		t.Fatalf("%s: expands to %d cells, want %d", name, len(got), len(cells))
 	}
@@ -116,7 +116,7 @@ func TestFiledLossless(t *testing.T) {
 	// A result without cells is kept as the very pointer it arrived as; one
 	// with cells builds its dense result once, bit for bit.
 	bare := &core.Result{TallyTotal: 3}
-	if f := fileResult(bare); f.res != bare || f.result() != bare {
+	if f := fileResult(bare); f.res != bare || f.Result() != bare {
 		t.Fatal("a result without cells was not kept as its own pointer")
 	}
 	res := referenceResult(t)
@@ -124,8 +124,8 @@ func TestFiledLossless(t *testing.T) {
 	if f.res.Cells != nil || res.Cells == nil {
 		t.Fatal("filing must take the cells out of a copy, not out of the caller's result")
 	}
-	dense := f.result()
-	if dense != f.result() || dense.TallyTotal != res.TallyTotal || len(dense.Cells) != len(res.Cells) {
+	dense := f.Result()
+	if dense != f.Result() || dense.TallyTotal != res.TallyTotal || len(dense.Cells) != len(res.Cells) {
 		t.Fatal("dense result not built once from the filed one")
 	}
 	for i := range res.Cells {

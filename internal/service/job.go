@@ -316,13 +316,14 @@ func (j *Job) Result() (*core.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return res.result(), nil
+	return res.Result(), nil
 }
 
-// serve is GET /result's read: the result as filed, dense cells not built.
-// A finished job's result being served is the last thing a coordinator's
-// attempt asks of its worker — its pulls all happen before — so the job's
-// checkpoint goes here; /snapshot answers 404 from then on.
+// serve is GET /result's read, and an ensemble parent's of its replicas: the
+// result as filed, dense cells not built. A finished job's result being served
+// is the last thing a coordinator's attempt asks of its worker — its pulls all
+// happen before — so the job's checkpoint goes here; /snapshot answers 404
+// from then on.
 func (j *Job) serve() (*Filed, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -103,15 +103,15 @@ func newEngineMetrics(e *Engine, r *telemetry.Registry) *engineMetrics {
 		})
 
 	r.CounterFunc("neutral_cache_hits_total", "Result-cache hits.",
-		func() float64 { return float64(e.store.lru.Stats().Hits) })
+		func() float64 { return float64(e.store.stats().Hits) })
 	r.CounterFunc("neutral_cache_misses_total", "Result-cache misses.",
-		func() float64 { return float64(e.store.lru.Stats().Misses) })
+		func() float64 { return float64(e.store.stats().Misses) })
 	r.CounterFunc("neutral_cache_evictions_total", "Result-cache LRU evictions.",
-		func() float64 { return float64(e.store.lru.Stats().Evictions) })
+		func() float64 { return float64(e.store.stats().Evictions) })
 	r.GaugeFunc("neutral_cache_entries", "Results currently cached.",
-		func() float64 { return float64(e.store.lru.Stats().Entries) })
+		func() float64 { return float64(e.store.stats().Entries) })
 	r.GaugeFunc("neutral_cache_capacity", "Result-cache capacity.",
-		func() float64 { return float64(e.store.lru.Stats().Capacity) })
+		func() float64 { return float64(e.store.stats().Capacity) })
 
 	return m
 }

@@ -135,7 +135,7 @@ type Filed struct {
 	res   *core.Result
 	cells cellRuns
 
-	// dense is res with its cells expanded, built by the first result call.
+	// dense is res with its cells expanded, built by the first Result call.
 	once  sync.Once
 	dense *core.Result
 }
@@ -152,22 +152,21 @@ func fileResult(res *core.Result) *Filed {
 }
 
 // Result returns the dense result: built on the first call, the same pointer
-// on every later one. The caller must treat it as immutable.
-func (f *Filed) Result() *core.Result { return f.result() }
-
-func (f *Filed) result() *core.Result {
+// on every later one. The caller must treat it as immutable. The engine never
+// calls it: dense cells are built only for a library caller.
+func (f *Filed) Result() *core.Result {
 	if f.cells.n == 0 {
 		return f.res
 	}
 	f.once.Do(func() {
 		r := *f.res
-		r.Cells = f.cells.expand()
+		r.Cells = f.cells.expand(nil)
 		f.dense = &r
 	})
 	return f.dense
 }
 
-// encode returns the bytes of json.Marshal(resultViewOf(f.result())) without
+// encode returns the bytes of json.Marshal(resultViewOf(f.Result())) without
 // building the dense cells.
 func (f *Filed) encode() ([]byte, error) {
 	return encodeCells(resultViewOf(f.res), &f.cells)
@@ -229,14 +228,20 @@ func nextRun(cells []float64, i int) (start, end int) {
 	return start, i
 }
 
-// expand returns the dense cells.
-func (c *cellRuns) expand() []float64 {
-	cells := make([]float64, c.n)
+// expand returns the dense cells: in dst when it has room for them, so the
+// ensemble fold reuses one slice across its replicas, else in a new slice.
+func (c *cellRuns) expand(dst []float64) []float64 {
+	if cap(dst) < c.n {
+		dst = make([]float64, c.n)
+	} else {
+		dst = dst[:c.n]
+		clear(dst)
+	}
 	vals := c.vals
 	for r, s := range c.start {
-		vals = vals[copy(cells[s:c.end[r]], vals):]
+		vals = vals[copy(dst[s:c.end[r]], vals):]
 	}
-	return cells
+	return dst
 }
 
 // zeroCells is the JSON of a gap of zero cells, copied rather than formatted.
@@ -292,7 +297,7 @@ func encodeCells(v ResultView, c *cellRuns) ([]byte, error) {
 	}
 	for _, f := range c.vals {
 		if math.IsNaN(f) || math.IsInf(f, 0) {
-			v.Cells = c.expand()
+			v.Cells = c.expand(nil)
 			return json.Marshal(v)
 		}
 	}
@@ -331,7 +336,7 @@ func appendJSONFloat(b []byte, f float64) []byte {
 func (v *ResultView) UnmarshalJSON(data []byte) error {
 	cells, ok, err := v.decode(data)
 	if ok {
-		v.Cells = cells.expand()
+		v.Cells = cells.expand(nil)
 	}
 	return err
 }

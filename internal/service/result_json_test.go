@@ -198,7 +198,7 @@ func checkDecodeMatchesStdlib(t *testing.T, doc string) {
 	for _, path := range []struct {
 		name  string
 		cells []float64
-	}{{"json.Unmarshal", got.Cells}, {"UnmarshalJSON", direct.Cells}, {"ParseFiled", filed.result().Cells}} {
+	}{{"json.Unmarshal", got.Cells}, {"UnmarshalJSON", direct.Cells}, {"ParseFiled", filed.Result().Cells}} {
 		if (path.cells == nil) != (want.Cells == nil) || len(path.cells) != len(want.Cells) {
 			t.Fatalf("doc %.80q: %s cells %v, encoding/json %v", doc, path.name, path.cells, want.Cells)
 		}
@@ -211,7 +211,7 @@ func checkDecodeMatchesStdlib(t *testing.T, doc string) {
 	}
 	// ParseFiled keeps what a core.Result carries of the view.
 	wantView := ResultView(want)
-	fres, wres := *filed.result(), *wantView.result(core.Config{})
+	fres, wres := *filed.Result(), *wantView.result(core.Config{})
 	fres.Cells, wres.Cells = nil, nil
 	if !reflect.DeepEqual(fres, wres) {
 		t.Fatalf("doc %.80q: ParseFiled result differs:\n got  %+v\n want %+v", doc, fres, wres)
@@ -503,7 +503,7 @@ func TestResultEncodedOnce(t *testing.T) {
 	}
 
 	// The computing job's own fetch let the entry's copy go.
-	if el := e.Cache().items[j.key]; el == nil || el.Value.(*cacheEntry).wire != nil {
+	if el := e.store.items[j.key]; el == nil || el.Value.(*cacheEntry).wire != nil {
 		t.Fatal("computing job's fetch should release the entry's encoded bytes")
 	}
 
@@ -515,8 +515,8 @@ func TestResultEncodedOnce(t *testing.T) {
 		t.Fatal("LRU-hit job served different bytes")
 	}
 	// A hit job's fetch keeps them: the next hit is served the same slice.
-	a, _ := e.Cache().resultJSON(j.key, j.result, false)
-	b, _ := e.Cache().resultJSON(j.key, j.result, false)
+	a, _ := e.store.resultJSON(j.key, j.result, false)
+	b, _ := e.store.resultJSON(j.key, j.result, false)
 	if len(a) == 0 || &a[0] != &b[0] {
 		t.Fatal("cache entry re-encoded its result")
 	}
@@ -525,7 +525,7 @@ func TestResultEncodedOnce(t *testing.T) {
 	}
 	// A result the cache does not hold still encodes, for that caller.
 	other := fileResult(res)
-	if c, err := e.Cache().resultJSON(j.key, other, false); err != nil || !bytes.Equal(c, a) || &c[0] == &a[0] {
+	if c, err := e.store.resultJSON(j.key, other, false); err != nil || !bytes.Equal(c, a) || &c[0] == &a[0] {
 		t.Fatal("foreign result must be encoded afresh to the same bytes")
 	}
 }

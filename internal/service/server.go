@@ -438,11 +438,11 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 			data, err = encodeCells(v, &res.cells)
 		} else {
 			// A single run's view is a function of the result alone, so its
-			// bytes are encoded once per result (Cache.resultJSON), not per
+			// bytes are encoded once per result (store.resultJSON), not per
 			// request: the job that computed it is served the bytes store.put
 			// encoded for the blob tier and lets them go, a cache-hit job
 			// leaves them for the next hit.
-			data, err = s.engine.Cache().resultJSON(j.key, res, !j.Status().Cached)
+			data, err = s.engine.store.resultJSON(j.key, res, !j.Status().Cached)
 		}
 		// Marshal plus a newline, as writeJSON's Encoder writes, and its length
 		// for a one-buffer read; a view it cannot encode is an empty 200.

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mesh"
+	"repro/internal/telemetry"
 )
 
 func smallConfig() core.Config {
@@ -100,30 +101,31 @@ func TestQueuePopBlocksUntilPush(t *testing.T) {
 }
 
 func TestCacheLRU(t *testing.T) {
-	c := NewCache(2)
-	r1, r2, r3 := &core.Result{}, &core.Result{}, &core.Result{}
-	c.Put("a", r1)
-	c.Put("b", r2)
-	if got, ok := c.Get("a"); !ok || got != r1 {
+	s := newStore(2, nil, telemetry.NewRegistry())
+	var cfg core.Config
+	r1, r2, r3 := fileResult(&core.Result{}), fileResult(&core.Result{}), fileResult(&core.Result{})
+	s.put("a", cfg, r1, nil)
+	s.put("b", cfg, r2, nil)
+	if got, _, ok := s.get("a", cfg); !ok || got != r1 {
 		t.Fatal("miss on fresh entry")
 	}
-	c.Put("c", r3) // evicts b (least recently used)
-	if _, ok := c.Get("b"); ok {
+	s.put("c", cfg, r3, nil) // evicts b (least recently used)
+	if _, _, ok := s.get("b", cfg); ok {
 		t.Fatal("LRU entry survived eviction")
 	}
-	if _, ok := c.Get("a"); !ok {
+	if _, _, ok := s.get("a", cfg); !ok {
 		t.Fatal("recently used entry evicted")
 	}
-	st := c.Stats()
+	st := s.stats()
 	if st.Evictions != 1 || st.Entries != 2 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
 
 func TestCacheDisabled(t *testing.T) {
-	c := NewCache(0)
-	c.Put("a", &core.Result{})
-	if _, ok := c.Get("a"); ok {
+	s := newStore(0, nil, telemetry.NewRegistry())
+	s.put("a", core.Config{}, fileResult(&core.Result{}), nil)
+	if _, _, ok := s.get("a", core.Config{}); ok {
 		t.Fatal("disabled cache stored an entry")
 	}
 }

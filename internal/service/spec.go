@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mesh"
-	"repro/internal/particle"
 	"repro/internal/scene"
 	"repro/internal/tally"
 )
@@ -17,28 +16,26 @@ import (
 // Problem optional; two submissions with physically equivalent scenes share
 // one fingerprint, so they hit the same cache entry and checkpoint.
 type Spec struct {
-	Problem      string       `json:"problem,omitempty"`
-	Scene        *scene.Scene `json:"scene,omitempty"`
-	Paper        bool         `json:"paper,omitempty"` // full paper scale baseline
-	NX           int          `json:"nx,omitempty"`
-	NY           int          `json:"ny,omitempty"`
-	Particles    int          `json:"particles,omitempty"`
-	Timestep     float64      `json:"timestep,omitempty"`
-	Steps        int          `json:"steps,omitempty"`
-	Seed         *uint64      `json:"seed,omitempty"` // pointer: 0 is a valid seed
-	Threads      int          `json:"threads,omitempty"`
-	Scheme       string       `json:"scheme,omitempty"`
-	Schedule     string       `json:"schedule,omitempty"`
-	Chunk        int          `json:"chunk,omitempty"`
-	Layout       string       `json:"layout,omitempty"`
-	Tally        string       `json:"tally,omitempty"`
-	MergePerStep bool         `json:"merge_per_step,omitempty"`
-	XSPoints     int          `json:"xs_points,omitempty"`
-	WeightCutoff float64      `json:"weight_cutoff,omitempty"`
-	EnergyCutoff float64      `json:"energy_cutoff,omitempty"`
-	KeepCells    bool         `json:"keep_cells,omitempty"`
-	KeepBank     bool         `json:"keep_bank,omitempty"`
-	Source       *SourceSpec  `json:"source,omitempty"`
+	Problem   string       `json:"problem,omitempty"`
+	Scene     *scene.Scene `json:"scene,omitempty"`
+	Paper     bool         `json:"paper,omitempty"` // full paper scale baseline
+	NX        int          `json:"nx,omitempty"`
+	NY        int          `json:"ny,omitempty"`
+	Particles int          `json:"particles,omitempty"`
+	Timestep  float64      `json:"timestep,omitempty"`
+	Steps     int          `json:"steps,omitempty"`
+	Seed      *uint64      `json:"seed,omitempty"` // pointer: 0 is a valid seed
+	Threads   int          `json:"threads,omitempty"`
+	// Scheme and Tally choose an execution strategy, which changes no result
+	// bit; a null tally keeps no cells, so it is part of the key.
+	Scheme       string      `json:"scheme,omitempty"`
+	Tally        string      `json:"tally,omitempty"`
+	XSPoints     int         `json:"xs_points,omitempty"`
+	WeightCutoff float64     `json:"weight_cutoff,omitempty"`
+	EnergyCutoff float64     `json:"energy_cutoff,omitempty"`
+	KeepCells    bool        `json:"keep_cells,omitempty"`
+	KeepBank     bool        `json:"keep_bank,omitempty"`
+	Source       *SourceSpec `json:"source,omitempty"`
 	// Replicas > 1 turns the submission into an ensemble job: the
 	// replicas fan out across the worker pool and the result carries
 	// merged per-cell uncertainty statistics.
@@ -101,7 +98,7 @@ func (s Spec) Config() (core.Config, error) {
 	// client error rather than something to fall back from silently.
 	for name, v := range map[string]int{
 		"nx": s.NX, "ny": s.NY, "particles": s.Particles, "steps": s.Steps,
-		"threads": s.Threads, "chunk": s.Chunk, "xs_points": s.XSPoints,
+		"threads": s.Threads, "xs_points": s.XSPoints,
 	} {
 		if v < 0 {
 			return core.Config{}, fmt.Errorf("service: negative %s %d", name, v)
@@ -140,26 +137,11 @@ func (s Spec) Config() (core.Config, error) {
 			return core.Config{}, err
 		}
 	}
-	if s.Schedule != "" {
-		kind, err := core.ParseSchedule(s.Schedule)
-		if err != nil {
-			return core.Config{}, err
-		}
-		cfg.Schedule = core.Schedule{Kind: kind, Chunk: s.Chunk}
-	} else if s.Chunk > 0 {
-		cfg.Schedule.Chunk = s.Chunk
-	}
-	if s.Layout != "" {
-		if cfg.Layout, err = particle.ParseLayout(s.Layout); err != nil {
-			return core.Config{}, err
-		}
-	}
 	if s.Tally != "" {
 		if cfg.Tally, err = tally.ParseMode(s.Tally); err != nil {
 			return core.Config{}, err
 		}
 	}
-	cfg.MergePerStep = s.MergePerStep
 	if s.XSPoints > 0 {
 		cfg.XSPoints = s.XSPoints
 	}
@@ -221,11 +203,7 @@ func SpecOf(cfg core.Config) (Spec, error) {
 		Seed:         &seed,
 		Threads:      cfg.Threads,
 		Scheme:       cfg.Scheme.String(),
-		Schedule:     cfg.Schedule.Kind.String(),
-		Chunk:        cfg.Schedule.Chunk,
-		Layout:       cfg.Layout.String(),
 		Tally:        cfg.Tally.String(),
-		MergePerStep: cfg.MergePerStep,
 		XSPoints:     cfg.XSPoints,
 		WeightCutoff: cfg.WeightCutoff,
 		EnergyCutoff: cfg.EnergyCutoff,

@@ -1,6 +1,9 @@
 package service
 
 import (
+	"container/list"
+	"sync"
+
 	"repro/internal/core"
 	"repro/internal/service/blob"
 	"repro/internal/stats"
@@ -16,12 +19,22 @@ func resultKey(fingerprint string) string { return "results/" + fingerprint }
 
 // store owns everything the engine files under a job fingerprint: finished
 // results — an in-memory LRU over the blob store's persistent tier — and the
-// step-boundary checkpoints of unfinished ones. A "" key (an uncacheable
+// step-boundary checkpoints of unfinished ones. Keys are job fingerprints
+// (core.Config.Fingerprint), so a hit carries the tally, cells and leakage a
+// fresh solve would reproduce, under whatever execution strategy: identical
+// physics replays identical particle histories. A "" key (an uncacheable
 // config) stores and finds nothing; neither do the durable halves when blobs
 // is nil.
 type store struct {
-	lru   *Cache
 	blobs blob.Store
+
+	// The LRU: at most cap entries (0 keeps none), the front most recently
+	// used. mu guards it and its counts.
+	mu                      sync.Mutex
+	cap                     int
+	order                   *list.List
+	items                   map[string]*list.Element
+	hits, misses, evictions uint64
 
 	blobHits, blobWrites, checkpointWrites, checkpointFails *telemetry.Counter
 	// What the checkpoint cadence acts on and what it decides (see
@@ -31,10 +44,32 @@ type store struct {
 	checkpointSkipped *telemetry.Counter
 }
 
+type cacheEntry struct {
+	key string
+	res *Filed
+	// ens carries the merged ensemble statistics of an ensemble job;
+	// nil for single-run results.
+	ens *stats.Ensemble
+
+	// wire is the result's JSON wire form while the entry holds one (see
+	// resultJSON); nil otherwise.
+	wire *encodedResult
+}
+
+// encodedResult is one result's wire form, encoded by the first caller that
+// needs it and shared by every later one.
+type encodedResult struct {
+	once sync.Once
+	data []byte
+	err  error
+}
+
 func newStore(cacheEntries int, blobs blob.Store, r *telemetry.Registry) *store {
 	return &store{
-		lru:   NewCache(cacheEntries),
 		blobs: blobs,
+		cap:   cacheEntries,
+		order: list.New(),
+		items: make(map[string]*list.Element),
 		blobHits: r.Counter("neutral_blob_result_hits_total",
 			"Submissions served from the blob store's persistent result tier (memory-cache misses that skipped a solve)."),
 		blobWrites: r.Counter("neutral_blob_result_writes_total",
@@ -58,16 +93,32 @@ func (s *store) persists(key string, cfg core.Config) bool {
 	return s.durable(key) && cfg.Replicas <= 1 && !cfg.KeepBank
 }
 
-// get finds the result filed under key: in the LRU, else in the blob tier —
-// left by another engine over the same store, or by this process before a
-// restart — which files it into the LRU. cfg is the requesting config; a
-// result decoded from the blob tier, whose wire form carries none, echoes it.
+// get finds the result filed under key, with an ensemble's merged statistics
+// (nil for a single run): in the LRU, marking it most recently used, else in
+// the blob tier — left by another engine over the same store, or by this
+// process before a restart — which files it into the LRU. cfg is the
+// requesting config; a result decoded from the blob tier, whose wire form
+// carries none, echoes it. Both values are shared by every job served from the
+// key and must be treated as immutable.
 func (s *store) get(key string, cfg core.Config) (*Filed, *stats.Ensemble, bool) {
 	if key == "" {
 		return nil, nil, false
 	}
-	if res, ens, ok := s.lru.entry(key); ok || !s.persists(key, cfg) {
-		return res, ens, ok
+	var e *cacheEntry
+	s.mu.Lock()
+	if el, ok := s.items[key]; ok {
+		s.hits++
+		s.order.MoveToFront(el)
+		e = el.Value.(*cacheEntry)
+	} else {
+		s.misses++
+	}
+	s.mu.Unlock()
+	if e != nil {
+		return e.res, e.ens, true
+	}
+	if !s.persists(key, cfg) {
+		return nil, nil, false
 	}
 	data, err := s.blobs.Get(resultKey(key))
 	if err != nil {
@@ -79,19 +130,9 @@ func (s *store) get(key string, cfg core.Config) (*Filed, *stats.Ensemble, bool)
 		s.blobs.Delete(resultKey(key))
 		return nil, nil, false
 	}
-	s.lru.put(key, res, nil)
+	s.insert(key, res, nil)
 	s.blobHits.Inc()
 	return res, nil, true
-}
-
-// recent is get against the LRU alone — the worker's pop-time re-check for
-// an identical job this engine finished while the asker queued.
-func (s *store) recent(key string) (*Filed, bool) {
-	if key == "" {
-		return nil, false
-	}
-	res, _, ok := s.lru.entry(key)
-	return res, ok
 }
 
 // put files a fresh result (with an ensemble's merged statistics) under key,
@@ -102,11 +143,90 @@ func (s *store) put(key string, cfg core.Config, f *Filed, ens *stats.Ensemble) 
 	if key == "" {
 		return
 	}
-	s.lru.put(key, f, ens)
+	s.insert(key, f, ens)
 	if s.persists(key, cfg) {
-		if data, err := s.lru.resultJSON(key, f, false); err == nil && s.blobs.Put(resultKey(key), data) == nil {
+		if data, err := s.resultJSON(key, f, false); err == nil && s.blobs.Put(resultKey(key), data) == nil {
 			s.blobWrites.Inc()
 		}
+	}
+}
+
+// insert files f into the LRU, evicting the least recently used entry at
+// capacity.
+func (s *store) insert(key string, f *Filed, ens *stats.Ensemble) {
+	if s.cap <= 0 {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if el, ok := s.items[key]; ok {
+		// A fresh entry, not an update in place: the old one's encoded
+		// bytes belong to the old result.
+		el.Value = &cacheEntry{key: key, res: f, ens: ens}
+		s.order.MoveToFront(el)
+		return
+	}
+	s.items[key] = s.order.PushFront(&cacheEntry{key: key, res: f, ens: ens})
+	for s.order.Len() > s.cap {
+		oldest := s.order.Back()
+		s.order.Remove(oldest)
+		delete(s.items, oldest.Value.(*cacheEntry).key)
+		s.evictions++
+	}
+}
+
+// resultJSON returns the bytes of json.Marshal(resultViewOf(res.Result())),
+// written from the runs (Filed.encode) — a single-run result on the wire.
+// While the LRU holds res under key they are encoded once and kept with the
+// entry, so the blob tier, the job that computed the result and every job later
+// born from a hit on the entry write the same slice (callers must not modify
+// it). release drops the entry's copy after this call: the computing job's own
+// fetch passes true — nobody is known to want the bytes again, and 137 KB per
+// entry is real memory — while a cache-hit job's fetch passes false, since a
+// result asked for twice is likely to be asked for again. A result the LRU
+// does not hold (evicted, uncacheable, caching off) is encoded for the caller
+// alone. The lookup is not a cache access: it moves no entry and counts no hit.
+func (s *store) resultJSON(key string, res *Filed, release bool) ([]byte, error) {
+	var enc *encodedResult
+	s.mu.Lock()
+	if el, ok := s.items[key]; ok {
+		if e := el.Value.(*cacheEntry); e.res == res {
+			if e.wire == nil {
+				e.wire = &encodedResult{}
+			}
+			enc = e.wire
+			if release {
+				e.wire = nil
+			}
+		}
+	}
+	s.mu.Unlock()
+	if enc == nil {
+		return res.encode()
+	}
+	enc.once.Do(func() { enc.data, enc.err = res.encode() })
+	return enc.data, enc.err
+}
+
+// CacheStats is a point-in-time view of the result LRU's effectiveness.
+type CacheStats struct {
+	Entries   int    `json:"entries"`
+	Capacity  int    `json:"capacity"`
+	Hits      uint64 `json:"hits"`
+	Misses    uint64 `json:"misses"`
+	Evictions uint64 `json:"evictions"`
+}
+
+// stats reports the LRU's size and its hit/miss/eviction counts since creation.
+func (s *store) stats() CacheStats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return CacheStats{
+		Entries:   s.order.Len(),
+		Capacity:  s.cap,
+		Hits:      s.hits,
+		Misses:    s.misses,
+		Evictions: s.evictions,
 	}
 }
 

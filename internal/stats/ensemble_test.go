@@ -279,45 +279,3 @@ func TestEnsembleCancellation(t *testing.T) {
 		t.Error("canceled ensemble returned a result")
 	}
 }
-
-// TestAccumulatorMergeMatchesSequential: folding replicas through two
-// accumulators merged afterwards must match one sequential accumulator
-// to floating-point round-off.
-func TestAccumulatorMergeMatchesSequential(t *testing.T) {
-	series := [][]float64{
-		{1, 2, 0, 4},
-		{2, 1, 0, 3},
-		{0, 3, 0, 5},
-		{1, 1, 0, 4},
-		{3, 0, 0, 2},
-	}
-	seq := NewAccumulator(4)
-	for _, s := range series {
-		seq.Add(s)
-	}
-	a, b := NewAccumulator(4), NewAccumulator(4)
-	for i, s := range series {
-		if i%2 == 0 {
-			a.Add(s)
-		} else {
-			b.Add(s)
-		}
-	}
-	a.Merge(b)
-	if a.Count() != seq.Count() {
-		t.Fatalf("merged count %d != %d", a.Count(), seq.Count())
-	}
-	va, vs := a.Variance(), seq.Variance()
-	for i := range seq.Mean() {
-		if math.Abs(a.Mean()[i]-seq.Mean()[i]) > 1e-12 {
-			t.Errorf("cell %d mean %v != %v", i, a.Mean()[i], seq.Mean()[i])
-		}
-		if math.Abs(va[i]-vs[i]) > 1e-12 {
-			t.Errorf("cell %d variance %v != %v", i, va[i], vs[i])
-		}
-	}
-	// Third cell never scores: zero mean, zero relative error.
-	if a.RelErr()[2] != 0 {
-		t.Error("unscored cell reported nonzero relative error")
-	}
-}

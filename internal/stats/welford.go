@@ -39,29 +39,6 @@ func (a *Accumulator) Add(cells []float64) {
 	}
 }
 
-// Merge folds b into a (Chan et al. pairwise combination). b is unchanged.
-// No driver merges — the result would depend on how the replicas were split —
-// so only its test calls it.
-func (a *Accumulator) Merge(b *Accumulator) {
-	if b.n == 0 {
-		return
-	}
-	if a.n == 0 {
-		a.n = b.n
-		copy(a.mean, b.mean)
-		copy(a.m2, b.m2)
-		return
-	}
-	na, nb := float64(a.n), float64(b.n)
-	tot := na + nb
-	for i := range a.mean {
-		d := b.mean[i] - a.mean[i]
-		a.mean[i] += d * nb / tot
-		a.m2[i] += b.m2[i] + d*d*na*nb/tot
-	}
-	a.n += b.n
-}
-
 // Count reports how many replicas have been folded in.
 func (a *Accumulator) Count() int { return a.n }
 
