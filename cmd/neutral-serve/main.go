@@ -305,9 +305,9 @@ func run() error {
 	logger.Info("shutting down", slog.Duration("drain", *drain))
 	// ctx is already done, so a worker's agent has begun leaving the
 	// fleet; wait for the goodbye to land (it has its own 2s timeout) or
-	// the coordinator would only notice this worker's death at lease
-	// expiry. The coordinator reschedules its shards from the checkpoints
-	// it pulled while this drain runs.
+	// the coordinator would only notice this worker's death after a lease
+	// TTL of silence. The coordinator reschedules its shards from the
+	// checkpoints it pulled while this drain runs.
 	select {
 	case <-agentDone:
 	case <-time.After(3 * time.Second):

@@ -44,10 +44,11 @@ type AgentOptions struct {
 // re-register when the coordinator forgot us, and leave gracefully on
 // shutdown.
 type Agent struct {
-	opts     AgentOptions
-	log      *slog.Logger
-	client   *http.Client
-	interval time.Duration
+	opts   AgentOptions
+	log    *slog.Logger
+	client *http.Client
+	// beats paces the heartbeats at the interval of the newest registration.
+	beats *time.Ticker
 }
 
 // NewAgent builds an agent; Run starts its membership loop.
@@ -91,21 +92,21 @@ func (a *Agent) Run(ctx context.Context) error {
 	if err := a.register(ctx); err != nil {
 		return err
 	}
-	t := time.NewTicker(a.interval)
-	defer t.Stop()
+	defer a.beats.Stop()
 	for {
 		select {
 		case <-ctx.Done():
 			a.leave()
 			return ctx.Err()
-		case <-t.C:
+		case <-a.beats.C:
 			a.beat(ctx)
 		}
 	}
 }
 
 // register joins the fleet under the agent's retry policy and adopts the
-// coordinator's advertised heartbeat interval.
+// coordinator's advertised heartbeat interval — on a re-registration too, so
+// a coordinator restarted with a shorter lease is beaten at its own pace.
 func (a *Agent) register(ctx context.Context) error {
 	var resp registerResponse
 	err := retry.Do(ctx, a.opts.Retry, func(ctx context.Context) error {
@@ -115,13 +116,18 @@ func (a *Agent) register(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("fleet: register with %s: %w", a.opts.Coordinator, err)
 	}
-	a.interval = time.Duration(resp.HeartbeatMS) * time.Millisecond
-	if a.interval <= 0 {
-		a.interval = 3 * time.Second
+	interval := time.Duration(resp.HeartbeatMS) * time.Millisecond
+	if interval <= 0 {
+		interval = 3 * time.Second
+	}
+	if a.beats == nil {
+		a.beats = time.NewTicker(interval)
+	} else {
+		a.beats.Reset(interval)
 	}
 	a.log.Info("fleet: joined",
 		"coordinator", a.opts.Coordinator, "name", a.opts.Name,
-		"heartbeat", a.interval,
+		"heartbeat", interval,
 		"lease_ttl", time.Duration(resp.LeaseTTLMS)*time.Millisecond)
 	return nil
 }

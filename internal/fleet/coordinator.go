@@ -1,12 +1,12 @@
 // Package fleet turns one neutral-serve process into the coordinator of a
 // fault-tolerant worker fleet, after the master/worker architecture of the
 // paper's parallel framework: workers register over the same HTTP/JSON API
-// the jobs use, the coordinator dispatches job shards to them under
-// TTL leases renewed by heartbeats and stream activity, and a worker that
-// goes silent has its shards rescheduled onto a healthy peer from the last
-// fingerprint-keyed checkpoint the coordinator pulled. When no worker is
-// reachable at all the engine degrades gracefully to local in-process
-// execution — a fleet of zero is just the single-process server.
+// the jobs use, the coordinator dispatches job shards to them under leases
+// that live as long as their worker, and a worker silent for a TTL (no
+// heartbeat, no stream line) has its shards rescheduled onto a healthy peer
+// from the last fingerprint-keyed checkpoint the coordinator pulled. When
+// no worker is reachable at all the engine degrades gracefully to local
+// in-process execution — a fleet of zero is just the single-process server.
 //
 // Robustness is the design center, so every failure-handling decision is
 // observable (the fleet_* metric families) and injectable (Chaos, a
@@ -34,17 +34,11 @@ import (
 
 // Options tunes a Coordinator.
 type Options struct {
-	// LeaseTTL is how long a shard lease lives without renewal; a worker
-	// whose leases expire is presumed dead and its shards reschedule.
-	// 0 means 10s.
+	// LeaseTTL is how long a worker holding shards may go without proof of
+	// life before it is presumed dead and every shard it holds reschedules.
+	// Workers are told to beat every LeaseTTL/3, keeping two missable beats
+	// inside one TTL. 0 means 10s.
 	LeaseTTL time.Duration
-	// Heartbeat is the interval workers are told to beat at; 0 means
-	// LeaseTTL/3, keeping two missable beats inside one TTL.
-	Heartbeat time.Duration
-	// MaxReschedules bounds how many times one shard may move to a new
-	// worker before the coordinator gives up and degrades the shard to
-	// local execution. 0 means 3.
-	MaxReschedules int
 	// Retry is the policy for coordinator→worker control requests
 	// (submit, status, result, snapshot). The zero policy gets fleet
 	// defaults: 50ms initial, 2s cap, 5 attempts.
@@ -56,10 +50,6 @@ type Options struct {
 	// deterministic fault injection.
 	Client *http.Client
 	Chaos  *Chaos
-	// RequestTimeout bounds each non-streaming worker request (submit,
-	// status, result, snapshot pull). SSE watches are exempt — they live
-	// as long as the shard. 0 means 10s; negative disables.
-	RequestTimeout time.Duration
 	// Blobs, when non-nil, persists every pulled shard checkpoint under
 	// "checkpoints/<fingerprint>" so a restarted coordinator — which lost
 	// its in-memory shardRun state — re-dispatches from the stored resume
@@ -74,15 +64,20 @@ type Options struct {
 	Registry *telemetry.Registry
 }
 
+const (
+	// maxReschedules bounds how many times one shard may move to a new
+	// worker before the coordinator gives up and degrades the shard to
+	// local execution.
+	maxReschedules = 3
+	// requestTimeout bounds each non-streaming worker request (submit,
+	// status, result, snapshot pull). SSE watches are exempt — they live
+	// as long as the shard.
+	requestTimeout = 10 * time.Second
+)
+
 func (o Options) withDefaults() Options {
 	if o.LeaseTTL <= 0 {
 		o.LeaseTTL = 10 * time.Second
-	}
-	if o.Heartbeat <= 0 {
-		o.Heartbeat = o.LeaseTTL / 3
-	}
-	if o.MaxReschedules <= 0 {
-		o.MaxReschedules = 3
 	}
 	if o.Retry.Initial == 0 && o.Retry.Attempts == 0 && o.Retry.Budget == 0 {
 		o.Retry = retry.Policy{
@@ -96,9 +91,6 @@ func (o Options) withDefaults() Options {
 			// that inject their own policy keep deterministic backoff.
 			Rand: rand.Float64,
 		}
-	}
-	if o.RequestTimeout == 0 {
-		o.RequestTimeout = 10 * time.Second
 	}
 	if o.Logger == nil {
 		o.Logger = slog.New(slog.DiscardHandler)
@@ -128,15 +120,21 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// worker is the coordinator's view of one registered worker process.
+// worker is the coordinator's view of one registered worker process. It
+// is the one liveness clock: its leases have none of their own, and live
+// exactly as long as it does.
 type worker struct {
 	name string
 	url  string
-	// lastBeat is the newest proof of life (registration, heartbeat, or
-	// stream activity); zero marks a worker suspected dead after a lost
-	// shard, until its next heartbeat revives it.
+	// lastBeat is the newest proof of life: a registration, a heartbeat, a
+	// job the worker accepted, or any line on one of its streams.
 	lastBeat time.Time
+	// suspect marks a worker that lost a shard; dispatch avoids it until a
+	// heartbeat or a registration vouches for it again.
+	suspect  bool
 	departed bool
+	// leases are the shards this worker holds.
+	leases map[*lease]bool
 	// stale lists remote job IDs this worker should cancel — shards that
 	// were rescheduled away while it was presumed dead. Delivered and
 	// cleared by its next heartbeat.
@@ -147,40 +145,35 @@ type worker struct {
 	failures   uint64
 }
 
-// lease is one shard-to-worker assignment with an expiry deadline. The
-// cancel func aborts the dispatch attempt watching the shard, so expiry
-// and reschedule are the same mechanism: kill the watch, let the dispatch
+// lease is one shard-to-worker assignment. The cancel func aborts the
+// dispatch attempt watching the shard, so losing the worker and
+// rescheduling are the same mechanism: kill the watch, let the dispatch
 // loop pick a new worker.
 type lease struct {
-	id       int64
-	worker   string
-	jobID    string
-	deadline time.Time
-	renewals int
-	cancel   context.CancelFunc
+	worker *worker
+	jobID  string
+	cancel context.CancelFunc
 }
 
-// Coordinator owns the worker registry and lease table, serves the
-// /v1/fleet control plane, and implements service.RemoteRunner: the engine
-// hands it eligible job shards and it returns their results, surviving
-// worker deaths in between.
+// Coordinator owns the worker registry and the leases its workers hold,
+// serves the /v1/fleet control plane, and implements service.RemoteRunner:
+// the engine hands it eligible job shards and it returns their results,
+// surviving worker deaths in between.
 type Coordinator struct {
 	opts    Options
 	log     *slog.Logger
 	client  *http.Client
 	metrics *fleetMetrics
 
-	mu       sync.Mutex
-	workers  map[string]*worker
-	leases   map[int64]*lease
-	leaseSeq int64
-	rr       uint64
+	mu      sync.Mutex
+	workers map[string]*worker
+	rr      uint64
 
 	janitorStop chan struct{}
 	janitorDone chan struct{}
 }
 
-// NewCoordinator builds a coordinator and starts its lease janitor.
+// NewCoordinator builds a coordinator and starts its janitor.
 func NewCoordinator(opts Options) *Coordinator {
 	opts = opts.withDefaults()
 	c := &Coordinator{
@@ -188,7 +181,6 @@ func NewCoordinator(opts Options) *Coordinator {
 		log:         opts.Logger,
 		client:      opts.Client,
 		workers:     map[string]*worker{},
-		leases:      map[int64]*lease{},
 		janitorStop: make(chan struct{}),
 		janitorDone: make(chan struct{}),
 	}
@@ -197,15 +189,15 @@ func NewCoordinator(opts Options) *Coordinator {
 	return c
 }
 
-// Close stops the lease janitor. In-flight dispatches keep their contexts;
-// the engine's own shutdown cancels them.
+// Close stops the janitor. In-flight dispatches keep their contexts; the
+// engine's own shutdown cancels them.
 func (c *Coordinator) Close() {
 	close(c.janitorStop)
 	<-c.janitorDone
 }
 
-// janitor expires overdue leases on a fraction of the TTL, so a dead
-// worker is detected within ~1.25 lease lifetimes at worst.
+// janitor looks for silent workers on a quarter of the TTL, so a dead
+// worker is detected within ~1.25 TTLs at worst.
 func (c *Coordinator) janitor() {
 	defer close(c.janitorDone)
 	tick := max(c.opts.LeaseTTL/4, 5*time.Millisecond)
@@ -216,92 +208,75 @@ func (c *Coordinator) janitor() {
 		case <-c.janitorStop:
 			return
 		case now := <-t.C:
-			c.expireDue(now)
+			c.loseSilent(now)
 		}
 	}
 }
 
-// expireDue expires every lease whose deadline passed: the watch is
-// cancelled (triggering a reschedule), the worker is marked suspect, and
-// the orphaned remote job is queued for cancellation on the worker's next
-// heartbeat — if it ever beats again.
-func (c *Coordinator) expireDue(now time.Time) {
+// loseSilent loses every worker that holds leases and has gone a TTL
+// without proof of life: each of its watches is cancelled (triggering a
+// reschedule), each orphaned remote job is queued for cancellation on its
+// next heartbeat — if it ever beats again — and it is marked suspect.
+func (c *Coordinator) loseSilent(now time.Time) {
 	c.mu.Lock()
-	var expired []*lease
-	for id, l := range c.leases {
-		if now.After(l.deadline) {
-			expired = append(expired, l)
-			delete(c.leases, id)
-			if w := c.workers[l.worker]; w != nil {
-				w.stale = append(w.stale, l.jobID)
-				w.lastBeat = time.Time{} // suspect until it beats again
-				w.failures++
-			}
+	var lost []*lease
+	for _, w := range c.workers {
+		if len(w.leases) == 0 || now.Sub(w.lastBeat) <= c.opts.LeaseTTL {
+			continue
 		}
+		for l := range w.leases {
+			lost = append(lost, l)
+			w.stale = append(w.stale, l.jobID)
+		}
+		w.leases = nil
+		w.suspect = true
 	}
 	c.mu.Unlock()
-	for _, l := range expired {
+	for _, l := range lost {
 		c.metrics.leaseExpirations.Inc()
-		c.log.Info("fleet: lease expired", "worker", l.worker, "job", l.jobID,
-			"renewals", l.renewals)
+		c.log.Info("fleet: worker silent, lease lost", "worker", l.worker.name, "job", l.jobID)
 		l.cancel()
 	}
 }
 
-// grantLease records a shard assignment and returns its lease.
-func (c *Coordinator) grantLease(workerName, jobID string, cancel context.CancelFunc) *lease {
+// grantLease records that w accepted a shard — proof of life — and returns
+// the lease it now holds.
+func (c *Coordinator) grantLease(w *worker, jobID string, cancel context.CancelFunc) *lease {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.leaseSeq++
-	l := &lease{
-		id:       c.leaseSeq,
-		worker:   workerName,
-		jobID:    jobID,
-		deadline: time.Now().Add(c.opts.LeaseTTL),
-		cancel:   cancel,
+	l := &lease{worker: w, jobID: jobID, cancel: cancel}
+	if w.leases == nil {
+		w.leases = map[*lease]bool{}
 	}
-	c.leases[l.id] = l
-	if w := c.workers[workerName]; w != nil {
-		w.dispatches++
-	}
+	w.leases[l] = true
+	w.dispatches++
+	w.lastBeat = time.Now()
 	return l
 }
 
-// renewLease extends one lease from stream activity; false when the lease
-// is no longer held.
-func (c *Coordinator) renewLease(id int64) bool {
-	c.mu.Lock()
-	l, ok := c.leases[id]
-	if ok {
-		l.deadline = time.Now().Add(c.opts.LeaseTTL)
-		l.renewals++
-		if w := c.workers[l.worker]; w != nil {
-			w.lastBeat = time.Now()
-		}
-	}
-	c.mu.Unlock()
-	if ok {
+// renewLocked records proof of life from w: every lease it holds lives on
+// with it. c.mu must be held.
+func (c *Coordinator) renewLocked(w *worker) {
+	w.lastBeat = time.Now()
+	if len(w.leases) > 0 {
 		c.metrics.leaseRenewals.Inc()
 	}
-	return ok
 }
 
-// releaseLease removes a lease; false when it was already expired or
-// released — the stale-lease signal the duplicate-completion counter
+// releaseLease removes a lease from its worker; false when the worker
+// already lost it — the stale-lease signal the duplicate-completion counter
 // hangs off.
-func (c *Coordinator) releaseLease(id int64) bool {
+func (c *Coordinator) releaseLease(l *lease) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.leases[id]; !ok {
-		return false
-	}
-	delete(c.leases, id)
-	return true
+	held := l.worker.leases[l]
+	delete(l.worker.leases, l)
+	return held
 }
 
 // alive reports whether w counts as healthy for dispatch.
 func (c *Coordinator) alive(w *worker, now time.Time) bool {
-	return !w.departed && !w.lastBeat.IsZero() && now.Sub(w.lastBeat) < c.opts.LeaseTTL
+	return !w.departed && !w.suspect && now.Sub(w.lastBeat) < c.opts.LeaseTTL
 }
 
 // pickWorker chooses a healthy worker round-robin, preferring ones not in
@@ -354,7 +329,11 @@ func (c *Coordinator) countWorkers(aliveOnly bool) int {
 func (c *Coordinator) countLeases() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.leases)
+	n := 0
+	for _, w := range c.workers {
+		n += len(w.leases)
+	}
+	return n
 }
 
 // Workers reports the registry for the /v1/fleet/workers view.
@@ -470,14 +449,21 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.mu.Lock()
-	// Re-registration (a restarted worker) replaces the entry wholesale:
-	// the old process's leases will expire on their own and reschedule.
+	// Re-registration (a restarted worker) replaces the entry wholesale,
+	// and the old process's leases die with it: their shards reschedule.
+	var dropped map[*lease]bool
+	if old := c.workers[req.Worker]; old != nil {
+		dropped, old.leases = old.leases, nil
+	}
 	c.workers[req.Worker] = &worker{name: req.Worker, url: req.URL, lastBeat: time.Now()}
 	c.mu.Unlock()
+	for l := range dropped {
+		l.cancel()
+	}
 	c.log.Info("fleet: worker registered", "worker", req.Worker, "url", req.URL)
 	fleetJSON(w, http.StatusOK, registerResponse{
 		LeaseTTLMS:  c.opts.LeaseTTL.Milliseconds(),
-		HeartbeatMS: c.opts.Heartbeat.Milliseconds(),
+		HeartbeatMS: (c.opts.LeaseTTL / 3).Milliseconds(),
 	})
 }
 
@@ -489,22 +475,10 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	wk, ok := c.workers[req.Worker]
 	var stale []string
-	renewed := 0
 	if ok {
-		now := time.Now()
-		wk.lastBeat = now // a beat always revives a suspect
-		wk.departed = false
+		c.renewLocked(wk)
+		wk.suspect, wk.departed = false, false // a beat always revives a suspect
 		stale, wk.stale = wk.stale, nil
-		// A heartbeat proves the process lives, so every lease it holds
-		// extends — steps can be minutes apart on big shards, and the
-		// stream staying quiet must not look like death.
-		for _, l := range c.leases {
-			if l.worker == req.Worker {
-				l.deadline = now.Add(c.opts.LeaseTTL)
-				l.renewals++
-				renewed++
-			}
-		}
 	}
 	c.mu.Unlock()
 	if !ok {
@@ -514,9 +488,6 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.metrics.heartbeats.Inc()
-	for i := 0; i < renewed; i++ {
-		c.metrics.leaseRenewals.Inc()
-	}
 	fleetJSON(w, http.StatusOK, heartbeatResponse{Cancel: stale})
 }
 
@@ -527,15 +498,10 @@ func (c *Coordinator) handleLeave(w http.ResponseWriter, r *http.Request) {
 	}
 	c.mu.Lock()
 	wk, ok := c.workers[req.Worker]
-	var dropped []*lease
+	var dropped map[*lease]bool
 	if ok {
 		wk.departed = true
-		for id, l := range c.leases {
-			if l.worker == req.Worker {
-				dropped = append(dropped, l)
-				delete(c.leases, id)
-			}
-		}
+		dropped, wk.leases = wk.leases, nil
 	}
 	c.mu.Unlock()
 	if !ok {
@@ -545,7 +511,7 @@ func (c *Coordinator) handleLeave(w http.ResponseWriter, r *http.Request) {
 	c.log.Info("fleet: worker departed", "worker", req.Worker, "leases_dropped", len(dropped))
 	// Cancel the watches so their shards reschedule immediately; a
 	// departing worker has already checkpointed what it could.
-	for _, l := range dropped {
+	for l := range dropped {
 		l.cancel()
 	}
 	fleetJSON(w, http.StatusOK, map[string]string{"status": "bye"})

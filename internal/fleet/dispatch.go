@@ -96,13 +96,13 @@ func (c *Coordinator) RunShard(ctx context.Context, cfg core.Config, update func
 			return nil, err
 		default: // outcomeLost
 			c.metrics.dispatches.With("lost").Inc()
-			c.suspectWorker(w.name)
+			c.suspectWorker(w)
 			lost[w.name] = true
 			sr.reschedules++
 			c.metrics.reschedules.Inc()
 			c.log.Warn("fleet: shard lost, rescheduling",
 				"worker", w.name, "reschedules", sr.reschedules, "cause", err)
-			if sr.reschedules > c.opts.MaxReschedules {
+			if sr.reschedules > maxReschedules {
 				c.metrics.dispatches.With("degraded").Inc()
 				return nil, fmt.Errorf("fleet: shard lost %d times (last: %v): %w",
 					sr.reschedules, err, service.ErrNoWorkers)
@@ -111,22 +111,20 @@ func (c *Coordinator) RunShard(ctx context.Context, cfg core.Config, update func
 	}
 }
 
-// suspectWorker zeroes a worker's proof of life after it lost a shard, so
-// dispatch avoids it until its next heartbeat vouches for it again.
-func (c *Coordinator) suspectWorker(name string) {
+// suspectWorker marks a worker suspect after it lost a shard, so dispatch
+// avoids it until its next heartbeat vouches for it again.
+func (c *Coordinator) suspectWorker(w *worker) {
 	c.mu.Lock()
-	if w := c.workers[name]; w != nil {
-		w.lastBeat = time.Time{}
-		w.failures++
-	}
+	w.suspect = true
+	w.failures++
 	c.mu.Unlock()
 }
 
 // runOn executes one dispatch attempt: submit the shard (seeded with the
 // latest checkpoint), take a lease, and watch the job's SSE stream —
-// forwarding steps, pulling checkpoints, renewing the lease — until the
+// forwarding steps, pulling checkpoints, renewing the worker — until the
 // job ends or the worker is lost. The lease's cancel func aborts the
-// attempt context, which is how expiry turns into a reschedule.
+// attempt context, which is how losing the worker turns into a reschedule.
 func (c *Coordinator) runOn(ctx context.Context, w *worker, sr *shardRun) (*service.Filed, outcome, error) {
 	attempt, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -137,13 +135,13 @@ func (c *Coordinator) runOn(ctx context.Context, w *worker, sr *shardRun) (*serv
 	if err := c.post(attempt, w.url+"/v1/jobs", spec, &jv); err != nil {
 		return nil, classify(ctx), fmt.Errorf("fleet: submit to %s: %w", w.name, err)
 	}
-	ls := c.grantLease(w.name, jv.ID, cancel)
-	defer c.releaseLease(ls.id)
+	ls := c.grantLease(w, jv.ID, cancel)
+	defer c.releaseLease(ls)
 	sr.update(service.RemoteUpdate{Worker: w.name, Reschedules: sr.reschedules})
 
 	sent := 0
 	for {
-		final, err := c.watch(attempt, w, jv.ID, ls.id, sr, &sent)
+		final, err := c.watch(attempt, w, jv.ID, sr, &sent)
 		if err != nil {
 			if classify(ctx) == outcomeCanceled {
 				c.cancelRemote(w, jv.ID)
@@ -163,11 +161,11 @@ func (c *Coordinator) runOn(ctx context.Context, w *worker, sr *shardRun) (*serv
 			final = &st
 		}
 		// The shard reached a terminal state. Only the lease holder's
-		// answer counts: a worker finishing after its lease expired is a
+		// answer counts: a worker finishing after it lost its lease is a
 		// duplicate completion — the shard already moved on.
-		if !c.releaseLease(ls.id) {
+		if !c.releaseLease(ls) {
 			c.metrics.duplicateCompletions.Inc()
-			return nil, outcomeLost, fmt.Errorf("fleet: stale completion from %s (lease expired)", w.name)
+			return nil, outcomeLost, fmt.Errorf("fleet: stale completion from %s (lease lost)", w.name)
 		}
 		switch final.State {
 		case service.StateDone:
@@ -185,8 +183,8 @@ func (c *Coordinator) runOn(ctx context.Context, w *worker, sr *shardRun) (*serv
 }
 
 // classify maps a failed attempt to its outcome: the caller's context ending
-// is a cancellation; anything else — the attempt context alone ending (lease
-// expiry, worker departed), a request the worker rejected outright, a broken
+// is a cancellation; anything else — the attempt context alone ending (its
+// worker lost), a request the worker rejected outright, a broken
 // connection — is a lost worker.
 func classify(ctx context.Context) outcome {
 	if ctx.Err() != nil {
@@ -195,13 +193,13 @@ func classify(ctx context.Context) outcome {
 	return outcomeLost
 }
 
-// watch consumes the job's SSE stream, renewing the lease on every event
-// (keepalives included — a quiet stream from a live process is not
+// watch consumes the job's SSE stream, renewing the worker on every line
+// (keepalive comments included — a quiet stream from a live process is not
 // death), forwarding step results, and pulling the worker's retained
 // checkpoint whenever a step advertises a newer one than the shard holds.
 // Returns the final JobView when the stream delivered the "done" event, or
 // an error when the stream broke first.
-func (c *Coordinator) watch(ctx context.Context, w *worker, jobID string, leaseID int64, sr *shardRun, sent *int) (*service.JobView, error) {
+func (c *Coordinator) watch(ctx context.Context, w *worker, jobID string, sr *shardRun, sent *int) (*service.JobView, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.url+"/v1/jobs/"+jobID+"/stream", nil)
 	if err != nil {
 		return nil, err
@@ -225,27 +223,28 @@ func (c *Coordinator) watch(ctx context.Context, w *worker, jobID string, leaseI
 	var data bytes.Buffer
 	for scan.Scan() {
 		line := scan.Text()
+		// A renewal after the worker was lost needs no action here: losing
+		// it cancelled this watch's context, and a completion racing past
+		// that is caught as a duplicate.
+		c.mu.Lock()
+		c.renewLocked(w)
+		c.mu.Unlock()
 		switch {
 		case line == "":
 			if event != "" {
-				if final, err := c.handleEvent(ctx, w, jobID, leaseID, sr, sent, event, data.Bytes()); final != nil || err != nil {
+				if final, err := c.handleEvent(ctx, w, jobID, sr, sent, event, data.Bytes()); final != nil || err != nil {
 					return final, err
 				}
 			}
 			event = ""
 			data.Reset()
-		case strings.HasPrefix(line, ":"):
-			// Keepalive comment: proof of life, nothing else. A failed
-			// renewal (lease already expired) needs no action here — the
-			// expiry path cancels this watch's context itself, and a
-			// completion racing past it is caught as a duplicate.
-			c.renewLease(leaseID)
 		case strings.HasPrefix(line, "event:"):
 			event = strings.TrimSpace(line[len("event:"):])
 		case strings.HasPrefix(line, "data:"):
 			data.WriteString(strings.TrimSpace(line[len("data:"):]))
 		}
-		// id: lines need no parsing here — sent counts steps directly.
+		// id: lines and keepalive comments need nothing more — sent counts
+		// steps directly.
 	}
 	if err := scan.Err(); err != nil {
 		return nil, err
@@ -258,8 +257,7 @@ func (c *Coordinator) watch(ctx context.Context, w *worker, jobID string, leaseI
 // snapshot pull (and the durable copy's put) only when the checkpoint it
 // advertises is newer than the one held, so a burst of events written in one
 // flush pulls once, and a worker is pulled at most as often as it checkpoints.
-func (c *Coordinator) handleEvent(ctx context.Context, w *worker, jobID string, leaseID int64, sr *shardRun, sent *int, event string, data []byte) (*service.JobView, error) {
-	c.renewLease(leaseID)
+func (c *Coordinator) handleEvent(ctx context.Context, w *worker, jobID string, sr *shardRun, sent *int, event string, data []byte) (*service.JobView, error) {
 	switch event {
 	case "step":
 		var sv service.StepView
@@ -376,11 +374,8 @@ func (c *Coordinator) do(ctx context.Context, method, url string, body []byte, r
 		// control-plane exchanges (the SSE watch bypasses do entirely), so
 		// a worker that accepts the connection and then hangs must not
 		// stall the shard for longer than a retry step.
-		if c.opts.RequestTimeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, c.opts.RequestTimeout)
-			defer cancel()
-		}
+		ctx, cancel := context.WithTimeout(ctx, requestTimeout)
+		defer cancel()
 		var rd io.Reader
 		if body != nil {
 			rd = bytes.NewReader(body)

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -540,6 +542,191 @@ func TestLostHeartbeatExpiresLease(t *testing.T) {
 	}
 }
 
+// TestSilentWorkerLosesEveryLease pins the one liveness clock: a stalled
+// worker holding two shards loses both in one janitor pass, both orphans are
+// delivered for cancellation on its next heartbeat, and both shards finish
+// on the healthy worker, bit-identical to local runs.
+func TestSilentWorkerLosesEveryLease(t *testing.T) {
+	c := newCluster(t, Options{
+		LeaseTTL: 500 * time.Millisecond,
+		Retry:    retryFast(),
+	})
+	// The stalled worker accepts every shard, streams nothing, beats never.
+	const view = `{"id":%q,"state":"running","progress":0,"step":0,"steps":4,"submitted":"2026-01-01T00:00:00Z"}`
+	var seq atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusAccepted)
+		fmt.Fprintf(w, view, fmt.Sprintf("job-%06d", seq.Add(1)))
+	})
+	mux.HandleFunc("GET /v1/jobs/{id}/stream", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/event-stream")
+		w.WriteHeader(http.StatusOK)
+		w.(http.Flusher).Flush()
+		<-r.Context().Done()
+	})
+	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		fmt.Fprintf(w, view, r.PathValue("id"))
+	})
+	stall := httptest.NewServer(mux)
+	defer stall.Close()
+	if err := c.postJSON("/v1/fleet/register", registerRequest{Worker: "a-stall", URL: stall.URL}, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	// The stalled worker is the only one registered, so it takes both
+	// shards; the healthy one joins once it holds them.
+	cfgs := []core.Config{fastConfig(3), fastConfig(4)}
+	var jobs []*service.Job
+	for _, cfg := range cfgs {
+		j, err := c.engine.Submit(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, j)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for c.coord.countLeases() < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("the stalled worker never held both shards")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	c.addWorker("b-real")
+
+	// The janitor drops a worker's leases under the lock and counts them
+	// after it, so once a loss is counted, every lease lost with it is gone.
+	for c.coord.metrics.leaseExpirations.Value() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the stalled worker lost no lease")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	c.coord.mu.Lock()
+	stalled := c.coord.workers["a-stall"]
+	held, queued, suspect := len(stalled.leases), len(stalled.stale), stalled.suspect
+	c.coord.mu.Unlock()
+	if held != 0 || queued != 2 || !suspect {
+		t.Errorf("after the first loss: %d leases held, %d jobs queued for cancel, suspect %v; want 0, 2, true",
+			held, queued, suspect)
+	}
+
+	for i, j := range jobs {
+		waitDone(t, j, 60*time.Second)
+		res, err := j.Result()
+		if err != nil {
+			t.Fatalf("job %d failed: %v", i, err)
+		}
+		if st := j.Status(); st.Worker != "b-real" || st.Reschedules < 1 {
+			t.Errorf("job %d: final worker %q after %d reschedules, want b-real after >= 1", i, st.Worker, st.Reschedules)
+		}
+		assertSamePhysics(t, res, localResult(t, cfgs[i]))
+	}
+	if got := c.coord.metrics.leaseExpirations.Value(); got != 2 {
+		t.Errorf("fleet_lease_expirations_total = %v, want 2", got)
+	}
+	var hb heartbeatResponse
+	if err := c.postJSON("/v1/fleet/heartbeat", heartbeatRequest{Worker: "a-stall"}, &hb); err != nil {
+		t.Fatal(err)
+	}
+	slices.Sort(hb.Cancel)
+	if want := []string{"job-000001", "job-000002"}; !slices.Equal(hb.Cancel, want) {
+		t.Errorf("heartbeat cancel list = %v, want %v", hb.Cancel, want)
+	}
+}
+
+// TestStreamKeepsWorkerAlive: any line on any of a worker's streams is proof
+// of life for the whole worker. A worker that never beats while one of its
+// two shards streams steps keeps both leases, the quiet one included, and
+// nothing is rescheduled.
+func TestStreamKeepsWorkerAlive(t *testing.T) {
+	const ttl = 400 * time.Millisecond
+	const view = `{"id":%q,"state":%q,"error":%q,"progress":0,"step":0,"steps":8,"submitted":"2026-01-01T00:00:00Z"}`
+	var seq, stepsSent atomic.Int64
+	finish := make(chan struct{})
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusAccepted)
+		fmt.Fprintf(w, view, fmt.Sprintf("job-%06d", seq.Add(1)), "running", "")
+	})
+	mux.HandleFunc("GET /v1/jobs/{id}/stream", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/event-stream")
+		w.WriteHeader(http.StatusOK)
+		w.(http.Flusher).Flush()
+		// The first shard steps eight times a TTL; the second stays quiet.
+		var steps <-chan time.Time
+		if r.PathValue("id") == "job-000001" {
+			tick := time.NewTicker(ttl / 8)
+			defer tick.Stop()
+			steps = tick.C
+		}
+		for {
+			select {
+			case <-steps:
+				n := stepsSent.Add(1)
+				fmt.Fprintf(w, "id: s%dr0\nevent: step\ndata: {\"step\":%d,\"steps\":8}\n\n", n, n-1)
+				w.(http.Flusher).Flush()
+			case <-finish:
+				// Ending the shards as failed spares the script a result document.
+				fmt.Fprintf(w, "event: done\ndata: "+view+"\n\n", r.PathValue("id"), "failed", "scripted end")
+				return
+			case <-r.Context().Done():
+				return
+			}
+		}
+	})
+	worker := httptest.NewServer(mux)
+	defer worker.Close()
+
+	c := newCluster(t, Options{LeaseTTL: ttl, Retry: retryFast()})
+	if err := c.postJSON("/v1/fleet/register", registerRequest{Worker: "scripted", URL: worker.URL}, nil); err != nil {
+		t.Fatal(err)
+	}
+	ended := make(chan error, 2) // one send per shard
+	for seed := uint64(81); seed <= 82; seed++ {
+		cfg := fastConfig(seed)
+		if err := cfg.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			_, err := c.coord.RunShard(context.Background(), cfg, func(service.RemoteUpdate) {})
+			ended <- err
+		}()
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for c.coord.countLeases() < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("the worker never held both shards")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	// Three TTLs' worth of steps with no heartbeat at all.
+	for stepsSent.Load() < 24 {
+		if time.Now().After(deadline) {
+			t.Fatal("the streaming shard stalled")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := c.coord.metrics.leaseExpirations.Value(); got != 0 {
+		t.Errorf("fleet_lease_expirations_total = %v, want 0: the worker's stream proves it alive", got)
+	}
+	if got := c.coord.countLeases(); got != 2 {
+		t.Errorf("%d leases held, want 2: the quiet shard lives as long as its worker", got)
+	}
+	close(finish)
+	for range 2 {
+		if err := <-ended; err == nil || !strings.Contains(err.Error(), "scripted end") {
+			t.Errorf("shard ended with %v, want the scripted failure", err)
+		}
+	}
+	if got := c.coord.metrics.reschedules.Value(); got != 0 {
+		t.Errorf("fleet_reschedules_total = %v, want 0", got)
+	}
+}
+
 // TestStaleLeaseDuplicateCompletion steals a shard's lease mid-run (the
 // expiry race: lease gone, watch not yet cancelled). The completion
 // arriving under the dead lease must be discarded as a duplicate, and with
@@ -564,13 +751,13 @@ func TestStaleLeaseDuplicateCompletion(t *testing.T) {
 	}
 	w.silence() // no beats: the worker stays suspect after the steal
 	c.coord.mu.Lock()
-	var stolen int64
-	for id := range c.coord.leases {
-		stolen = id
+	var stolen *lease
+	for l := range c.coord.workers["w1"].leases {
+		stolen = l
 	}
 	c.coord.mu.Unlock()
 	c.coord.releaseLease(stolen)
-	c.coord.suspectWorker("w1")
+	c.coord.suspectWorker(stolen.worker)
 
 	waitDone(t, j, 120*time.Second)
 	res, err := j.Result()
@@ -653,9 +840,8 @@ func TestChaosClusterCompletes(t *testing.T) {
 	chaos.Delay = 0.05
 	chaos.DelayDur = 5 * time.Millisecond
 	c := newCluster(t, Options{
-		Chaos:          chaos,
-		MaxReschedules: 8,
-		Retry:          retry.Policy{Initial: 5 * time.Millisecond, Max: 50 * time.Millisecond, Attempts: 6},
+		Chaos: chaos,
+		Retry: retry.Policy{Initial: 5 * time.Millisecond, Max: 50 * time.Millisecond, Attempts: 6},
 	})
 	c.addWorker("w1")
 	c.addWorker("w2")
@@ -740,10 +926,72 @@ func TestCutResultTransferRetried(t *testing.T) {
 	}
 }
 
+// TestAgentAdoptsNewHeartbeatOnReregister: a worker that re-registers with a
+// restarted coordinator beats at the interval that coordinator advertises,
+// not the one it first joined with — a shorter lease would otherwise lose
+// its shards between beats.
+func TestAgentAdoptsNewHeartbeatOnReregister(t *testing.T) {
+	const first, second = time.Second, 10 * time.Millisecond
+	var registrations atomic.Int64
+	beats := make(chan struct{}, 64) // sends never block; only the first few are read
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/fleet/register", func(w http.ResponseWriter, r *http.Request) {
+		hb := first
+		if registrations.Add(1) > 1 {
+			hb = second
+		}
+		fleetJSON(w, http.StatusOK, registerResponse{LeaseTTLMS: (3 * hb).Milliseconds(), HeartbeatMS: hb.Milliseconds()})
+	})
+	mux.HandleFunc("POST /v1/fleet/heartbeat", func(w http.ResponseWriter, r *http.Request) {
+		if registrations.Load() == 1 {
+			// The coordinator restarted and forgot the worker.
+			fleetError(w, http.StatusNotFound, errors.New("unknown worker"))
+			return
+		}
+		select {
+		case beats <- struct{}{}:
+		default:
+		}
+		fleetJSON(w, http.StatusOK, heartbeatResponse{})
+	})
+	mux.HandleFunc("POST /v1/fleet/leave", func(w http.ResponseWriter, r *http.Request) {
+		fleetJSON(w, http.StatusOK, map[string]string{"status": "bye"})
+	})
+	coord := httptest.NewServer(mux)
+	defer coord.Close()
+
+	agent, err := NewAgent(AgentOptions{Coordinator: coord.URL, Self: "http://127.0.0.1:1", Name: "w"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	agentDone := make(chan error, 1)
+	go func() { agentDone <- agent.Run(ctx) }()
+	defer func() { cancel(); <-agentDone }()
+
+	// The first beat, one old interval in, is refused and the agent
+	// re-registers; the beat after that starts the count.
+	select {
+	case <-beats:
+	case <-time.After(30 * time.Second):
+		t.Fatal("no heartbeat after re-registering")
+	}
+	// Four more at the new pace take 40 ms; at the old pace, 4 s.
+	timeout := time.After(first / 2)
+	for i := 0; i < 4; i++ {
+		select {
+		case <-beats:
+		case <-timeout:
+			t.Fatalf("%d heartbeats in %v after re-registering at a %v interval: the agent kept its old pace",
+				i+1, first/2, second)
+		}
+	}
+}
+
 // TestAgentLifecycle drives the real Agent: register, heartbeat, stale
 // cancel delivery, graceful leave.
 func TestAgentLifecycle(t *testing.T) {
-	c := newCluster(t, Options{Heartbeat: 30 * time.Millisecond})
+	c := newCluster(t, Options{LeaseTTL: 90 * time.Millisecond}) // beats every 30 ms
 	engine := service.New(service.Options{Shards: 1})
 	defer engine.Close()
 	srv := httptest.NewServer(service.NewServer(engine))

@@ -19,16 +19,15 @@ type fleetMetrics struct {
 }
 
 // newFleetMetrics registers the coordinator's families on r; the gauge
-// families close over the coordinator and read its live tables at scrape
-// time.
+// families close over the coordinator and read its registry at scrape time.
 func newFleetMetrics(c *Coordinator, r *telemetry.Registry) *fleetMetrics {
 	m := &fleetMetrics{
 		leaseRenewals: r.Counter("fleet_lease_renewals_total",
-			"Shard-lease deadline extensions from heartbeats and stream activity."),
+			"Proofs of life (heartbeats, stream lines) from workers holding leases; each one keeps all of that worker's leases."),
 		leaseExpirations: r.Counter("fleet_lease_expirations_total",
-			"Shard leases that ran out — a worker went silent past the TTL."),
+			"Shard leases lost because their worker went a lease TTL without proof of life."),
 		reschedules: r.Counter("fleet_reschedules_total",
-			"Shards moved to a new worker after their lease expired or their worker died."),
+			"Shards moved to a new worker after losing theirs (silent, crashed, departed or restarted)."),
 		retries: r.Counter("fleet_retries_total",
 			"Coordinator-side HTTP retries against workers, all endpoints."),
 		heartbeats: r.Counter("fleet_heartbeats_total",
@@ -50,7 +49,7 @@ func newFleetMetrics(c *Coordinator, r *telemetry.Registry) *fleetMetrics {
 		"Workers ever registered and not yet departed, alive or not.",
 		func() float64 { return float64(c.countWorkers(false)) })
 	r.GaugeFunc("fleet_leases_active",
-		"Shard leases currently held by workers.",
+		"Shard leases held, summed over workers; a lease lives as long as its worker.",
 		func() float64 { return float64(c.countLeases()) })
 	return m
 }

@@ -29,9 +29,6 @@ func TestDefaultClientsHaveTimeouts(t *testing.T) {
 	if tr.DialContext == nil {
 		t.Error("coordinator default transport has no bounded dialer")
 	}
-	if o.RequestTimeout != 10*time.Second {
-		t.Errorf("RequestTimeout = %v, want 10s default", o.RequestTimeout)
-	}
 
 	a, err := NewAgent(AgentOptions{Coordinator: "http://c", Self: "http://s", Name: "w"})
 	if err != nil {

@@ -134,11 +134,12 @@ type ServerOptions struct {
 	// job-creating endpoints. Nil serves every request as the anonymous
 	// tenant.
 	Auth *Auth
-	// MaxBodyBytes caps request bodies on the decoding endpoints
-	// (submit, batch, and the mounted fleet control plane); oversized
-	// requests are answered 413. 0 means 32 MiB — roomy enough for a
-	// seeded resume snapshot, small enough to stop an accidental or
-	// hostile multi-gigabyte POST from exhausting memory.
+	// MaxBodyBytes caps request bodies on the built-in decoding endpoints
+	// (submit and batch); oversized requests are answered 413. Mounted
+	// handlers cap their own bodies: the fleet control plane refuses more
+	// than 1 MiB. 0 means 32 MiB — roomy enough for a seeded resume
+	// snapshot, small enough to stop an accidental or hostile
+	// multi-gigabyte POST from exhausting memory.
 	MaxBodyBytes int64
 }
 
