@@ -173,41 +173,24 @@ func run() error {
 		}
 	}
 
-	// Fleet traffic authenticates like any other client: -fleet-key rides
-	// along as a bearer token on every coordinator->worker and
-	// worker->coordinator request.
-	var fleetClient *http.Client
-	var agentClient *http.Client
-	if *fleetKey != "" {
-		// Mirrors the fleet defaults: the coordinator client must not
-		// carry a whole-request timeout (it would cut down SSE watches),
-		// the agent client should (it only does short POSTs).
-		fleetClient = &http.Client{Transport: &authTransport{
-			key: *fleetKey,
-			base: &http.Transport{
-				DialContext:           (&net.Dialer{Timeout: 5 * time.Second}).DialContext,
-				ResponseHeaderTimeout: 10 * time.Second,
-			},
-		}}
-		agentClient = &http.Client{
-			Timeout:   10 * time.Second,
-			Transport: &authTransport{key: *fleetKey, base: http.DefaultTransport},
-		}
-	}
-
 	// In either fleet role the engine and the fleet layer share one
 	// registry, so a single /metrics scrape carries the neutral_* and
-	// fleet_* families together.
+	// fleet_* families together. The coordinator keeps no store of its own:
+	// its engine files every checkpoint it pulls.
 	var registry *telemetry.Registry
 	var coordinator *fleet.Coordinator
 	var mounts map[string]http.Handler
 	if *fleetOn {
 		registry = telemetry.NewRegistry()
+		// No whole-request timeout: it would cut down the SSE watches.
+		// Dialing and the response-header wait are bounded instead.
+		base := &http.Transport{
+			DialContext:           (&net.Dialer{Timeout: 5 * time.Second}).DialContext,
+			ResponseHeaderTimeout: 10 * time.Second,
+		}
 		coordinator = fleet.NewCoordinator(fleet.Options{
 			LeaseTTL: *lease,
-			Chaos:    chaos,
-			Client:   fleetClient,
-			Blobs:    blobs,
+			Client:   fleetClient(base, 0, *fleetKey, chaos),
 			Logger:   logger,
 			Registry: registry,
 		})
@@ -276,9 +259,10 @@ func run() error {
 			Self:        self,
 			Name:        wname,
 			Engine:      engine,
-			Client:      agentClient,
-			Chaos:       chaos,
-			Logger:      logger,
+			// The agent only does short POSTs, so a whole-request timeout
+			// is safe.
+			Client: fleetClient(http.DefaultTransport, 10*time.Second, *fleetKey, chaos),
+			Logger: logger,
 		})
 		if err != nil {
 			return err
@@ -325,6 +309,22 @@ func run() error {
 	}
 	logger.Info("bye")
 	return nil
+}
+
+// fleetClient builds one fleet role's HTTP client, its transport chain built
+// once: base, then the bearer key when key is set (fleet traffic
+// authenticates like any other client), then the fault injector when chaos
+// is set.
+func fleetClient(base http.RoundTripper, timeout time.Duration, key string, chaos *fleet.Chaos) *http.Client {
+	rt := base
+	if key != "" {
+		rt = &authTransport{key: key, base: rt}
+	}
+	if chaos != nil {
+		chaos.Base = rt
+		rt = chaos
+	}
+	return &http.Client{Timeout: timeout, Transport: rt}
 }
 
 // authTransport adds the fleet bearer key to every outgoing request, so

@@ -9,6 +9,7 @@ package core
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"runtime"
 
@@ -334,6 +335,11 @@ func (c *Config) Validate() error {
 	}
 	if c.Replicas == 0 {
 		c.Replicas = 1
+	}
+	if c.Replicas > 1 && c.Tally == tally.ModeNull {
+		// A null tally keeps no cells to fold: the ensemble would complete
+		// with silently meaningless all-zero statistics.
+		return errors.New("core: ensemble statistics need a live tally, not null")
 	}
 	// Replica is deliberately not bounded by Replicas: ensemble drivers
 	// run replica r as a plain single-run config (Replicas 1, Replica r),

@@ -26,10 +26,9 @@ type AgentOptions struct {
 	// Engine is this worker's local engine — the agent cancels stale
 	// shards on it when the coordinator says they were rescheduled away.
 	Engine *service.Engine
-	// Client performs coordinator HTTP requests; nil means a fresh
-	// client. Chaos, when non-nil, wraps its transport.
+	// Client performs coordinator HTTP requests; nil means a fresh client
+	// with a whole-request timeout.
 	Client *http.Client
-	Chaos  *Chaos
 	// Retry paces registration and heartbeat attempts. The zero policy
 	// gets agent defaults: 100ms initial, 5s cap, unlimited attempts —
 	// a worker outliving a coordinator restart keeps knocking.
@@ -64,12 +63,6 @@ func NewAgent(opts AgentOptions) (*Agent, error) {
 		// coordinator's client a whole-request timeout is safe — and it
 		// stops a wedged coordinator from hanging a heartbeat forever.
 		opts.Client = &http.Client{Timeout: 10 * time.Second}
-	}
-	if opts.Chaos != nil {
-		opts.Chaos.Base = opts.Client.Transport
-		cl := *opts.Client
-		cl.Transport = opts.Chaos
-		opts.Client = &cl
 	}
 	if opts.Retry.Initial == 0 && opts.Retry.Attempts == 0 && opts.Retry.Budget == 0 {
 		// Rand only on the default policy (injected test policies stay

@@ -13,8 +13,8 @@ import (
 
 // Chaos is the fleet's deterministic fault-injection layer: an
 // http.RoundTripper that, keyed off a seeded RNG, drops requests, delays
-// them, synthesises 500s, and truncates response bodies mid-read. Wrapped
-// around the coordinator's (or agent's) HTTP client it exercises every
+// them, synthesises 500s, and truncates response bodies mid-read. As the
+// transport of a coordinator's (or agent's) HTTP client it exercises every
 // retry, reschedule and duplicate-completion path without real network
 // failures — the same layer the fault-injection tests and the -chaos flag
 // drive.

@@ -4,14 +4,17 @@
 // the jobs use, the coordinator dispatches job shards to them under leases
 // that live as long as their worker, and a worker silent for a TTL (no
 // heartbeat, no stream line) has its shards rescheduled onto a healthy peer
-// from the last fingerprint-keyed checkpoint the coordinator pulled. When
-// no worker is reachable at all the engine degrades gracefully to local
-// in-process execution — a fleet of zero is just the single-process server.
+// from the last checkpoint the coordinator pulled. The coordinator keeps no
+// store: its engine chooses each shard's seed and files every pulled
+// checkpoint. When no worker is reachable at all the engine degrades
+// gracefully to local in-process execution — a fleet of zero is just the
+// single-process server.
 //
 // Robustness is the design center, so every failure-handling decision is
 // observable (the fleet_* metric families) and injectable (Chaos, a
-// deterministic fault layer the tests drive through worker crashes, lost
-// heartbeats, duplicate completions and stale leases).
+// deterministic fault layer a caller wraps its client's transport in, which
+// the tests drive through worker crashes, lost heartbeats, duplicate
+// completions and stale leases).
 package fleet
 
 import (
@@ -46,15 +49,12 @@ type Options struct {
 	// Client performs worker HTTP requests; nil means a client with a
 	// bounded dial and response-header wait but no whole-request timeout
 	// (a whole-request deadline would kill the long-lived SSE watch
-	// streams). Chaos, when non-nil, wraps the client transport with
-	// deterministic fault injection.
+	// streams). Fault injection is a Chaos the caller wraps its transport in.
 	Client *http.Client
-	Chaos  *Chaos
-	// Blobs, when non-nil, persists every pulled shard checkpoint under
-	// "checkpoints/<fingerprint>" so a restarted coordinator — which lost
-	// its in-memory shardRun state — re-dispatches from the stored resume
-	// point instead of from scratch. Pass the engine's store so local
-	// fallback and remote dispatch share one durability tier.
+	// Deprecated: Blobs is not read — the engine files every checkpoint, and
+	// hands RunShard its seed. The field stays only because
+	// benchmark/stack.go sets it, and goes with the next change to
+	// benchmark/.
 	Blobs blob.Store
 	// Logger receives lease and reschedule events; nil discards them.
 	Logger *slog.Logger
@@ -107,15 +107,6 @@ func (o Options) withDefaults() Options {
 			DialContext:           (&net.Dialer{Timeout: 5 * time.Second}).DialContext,
 			ResponseHeaderTimeout: 10 * time.Second,
 		}}
-	}
-	if o.Chaos != nil {
-		base := o.Client.Transport
-		chaos := o.Chaos
-		chaos.Base = base
-		// Copy the client so the caller's is not mutated.
-		cl := *o.Client
-		cl.Transport = chaos
-		o.Client = &cl
 	}
 	return o
 }

@@ -20,15 +20,12 @@ import (
 // shardRun is the coordinator-side state of one shard across however many
 // workers it takes: the latest pulled checkpoint survives worker deaths,
 // so every reassignment resumes instead of restarting. snapStep is the step
-// boundary snap was taken at (0 for none, or one seeded from the store whose
+// boundary snap was taken at (0 for none, or for the engine's seed, whose
 // boundary is not known); a worker is pulled again only once it advertises a
-// newer one. key is the shard config's fingerprint — its checkpoint address in
-// the blob store ("" for uncacheable configs, which are never dispatched
-// anyway).
+// newer one.
 type shardRun struct {
 	cfg         core.Config
 	spec        service.Spec
-	key         string
 	snap        []byte
 	snapStep    int
 	reschedules int
@@ -46,33 +43,24 @@ const (
 )
 
 // RunShard implements service.RemoteRunner: it dispatches one job shard to
-// the fleet and shepherds it to completion, rescheduling from the last
-// pulled checkpoint when the assigned worker dies. It returns an error
-// wrapping service.ErrNoWorkers — the engine's degrade-to-local signal —
-// when no healthy worker exists or the shard exhausted its reschedule
-// budget; by then update has delivered the freshest checkpoint, so the
-// local run resumes rather than restarts.
-func (c *Coordinator) RunShard(ctx context.Context, cfg core.Config, update func(service.RemoteUpdate)) (*service.Filed, error) {
+// the fleet, its first dispatch resuming from seed, and shepherds it to
+// completion, rescheduling from the last pulled checkpoint when the assigned
+// worker dies. Every pulled checkpoint goes to update, whose engine files it;
+// the coordinator keeps no store. It returns an error wrapping
+// service.ErrNoWorkers — the engine's degrade-to-local signal — when no
+// healthy worker exists or the shard exhausted its reschedule budget; by then
+// update has delivered the freshest checkpoint, so the local run resumes
+// rather than restarts.
+func (c *Coordinator) RunShard(ctx context.Context, cfg core.Config, seed []byte, update func(service.RemoteUpdate)) (*service.Filed, error) {
 	spec, err := service.SpecOf(cfg)
 	if err != nil {
 		// Untransportable configs are not a fleet failure; run locally.
 		return nil, fmt.Errorf("fleet: %v: %w", err, service.ErrNoWorkers)
 	}
 	spec.RetainSnapshot = true
-	sr := &shardRun{cfg: cfg, spec: spec, update: update}
-	if key, cacheable := cfg.Fingerprint(); cacheable {
-		sr.key = key
-	}
-	// A checkpoint already in the blob store — left by this process's own
-	// engine, or by a previous coordinator life before it was killed —
-	// seeds the first dispatch, so a restarted coordinator resumes every
-	// re-submitted shard instead of re-running completed steps.
-	if c.opts.Blobs != nil && sr.key != "" {
-		if snap, err := c.opts.Blobs.Get(service.CheckpointKey(sr.key)); err == nil {
-			sr.snap = snap
-			c.metrics.storeSeeds.Inc()
-			c.log.Info("fleet: shard seeded from blob store", "fingerprint", sr.key)
-		}
+	sr := &shardRun{cfg: cfg, spec: spec, snap: seed, update: update}
+	if seed != nil {
+		c.metrics.storeSeeds.Inc()
 	}
 	lost := map[string]bool{}
 	for {
@@ -84,10 +72,6 @@ func (c *Coordinator) RunShard(ctx context.Context, cfg core.Config, update func
 		switch out {
 		case outcomeDone:
 			c.metrics.dispatches.With("done").Inc()
-			if c.opts.Blobs != nil && sr.key != "" {
-				// Best-effort: a finished shard's checkpoint is dead weight.
-				c.opts.Blobs.Delete(service.CheckpointKey(sr.key))
-			}
 			return res, nil
 		case outcomeFailed:
 			c.metrics.dispatches.With("failed").Inc()
@@ -254,9 +238,9 @@ func (c *Coordinator) watch(ctx context.Context, w *worker, jobID string, sr *sh
 
 // handleEvent processes one SSE event; a non-nil JobView is the stream's
 // terminal "done" payload. A step event is always forwarded; it costs a
-// snapshot pull (and the durable copy's put) only when the checkpoint it
-// advertises is newer than the one held, so a burst of events written in one
-// flush pulls once, and a worker is pulled at most as often as it checkpoints.
+// snapshot pull only when the checkpoint it advertises is newer than the one
+// held, so a burst of events written in one flush pulls once, and a worker is
+// pulled at most as often as it checkpoints.
 func (c *Coordinator) handleEvent(ctx context.Context, w *worker, jobID string, sr *shardRun, sent *int, event string, data []byte) (*service.JobView, error) {
 	switch event {
 	case "step":
@@ -274,11 +258,6 @@ func (c *Coordinator) handleEvent(ctx context.Context, w *worker, jobID string, 
 				// The worker may have moved past what this event advertised.
 				sr.snap, sr.snapStep = got, max(step, sv.Checkpoint)
 				c.metrics.snapshotPulls.Inc()
-				if c.opts.Blobs != nil && sr.key != "" {
-					// Durable copy: a coordinator killed right now still
-					// re-dispatches the shard from this boundary.
-					c.opts.Blobs.Put(service.CheckpointKey(sr.key), got)
-				}
 			}
 		}
 		sr.update(service.RemoteUpdate{

@@ -283,7 +283,7 @@ func TestFinishedShardDropsWorkerCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	pulled := 0
-	res, err := c.coord.RunShard(context.Background(), cfg, func(u service.RemoteUpdate) {
+	res, err := c.coord.RunShard(context.Background(), cfg, nil, func(u service.RemoteUpdate) {
 		if u.Snapshot != nil {
 			pulled++
 		}
@@ -692,7 +692,7 @@ func TestStreamKeepsWorkerAlive(t *testing.T) {
 			t.Fatal(err)
 		}
 		go func() {
-			_, err := c.coord.RunShard(context.Background(), cfg, func(service.RemoteUpdate) {})
+			_, err := c.coord.RunShard(context.Background(), cfg, nil, func(service.RemoteUpdate) {})
 			ended <- err
 		}()
 	}
@@ -840,8 +840,8 @@ func TestChaosClusterCompletes(t *testing.T) {
 	chaos.Delay = 0.05
 	chaos.DelayDur = 5 * time.Millisecond
 	c := newCluster(t, Options{
-		Chaos: chaos,
-		Retry: retry.Policy{Initial: 5 * time.Millisecond, Max: 50 * time.Millisecond, Attempts: 6},
+		Client: &http.Client{Transport: chaos},
+		Retry:  retry.Policy{Initial: 5 * time.Millisecond, Max: 50 * time.Millisecond, Attempts: 6},
 	})
 	c.addWorker("w1")
 	c.addWorker("w2")
@@ -904,7 +904,7 @@ func TestCutResultTransferRetried(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.coord.RunShard(context.Background(), cfg, func(service.RemoteUpdate) {})
+	res, err := c.coord.RunShard(context.Background(), cfg, nil, func(service.RemoteUpdate) {})
 	if err != nil {
 		t.Fatalf("RunShard: %v", err)
 	}

@@ -37,7 +37,7 @@ func newFleetMetrics(c *Coordinator, r *telemetry.Registry) *fleetMetrics {
 		snapshotPulls: r.Counter("fleet_snapshot_pulls_total",
 			"Checkpoint snapshots pulled from workers — one per step event advertising a checkpoint newer than the one held."),
 		storeSeeds: r.Counter("fleet_store_seeds_total",
-			"Shard dispatches seeded from a blob-store checkpoint — resumes that survived a coordinator restart."),
+			"Shards whose first dispatch carried a seed the engine handed in — a checkpoint handed in at submission or found in its store, e.g. one left by a coordinator before a restart."),
 		dispatches: r.CounterVec("fleet_dispatches_total",
 			"Shard dispatch attempts by outcome (done, failed, lost, degraded).",
 			"outcome"),

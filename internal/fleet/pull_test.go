@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -14,19 +13,6 @@ import (
 	"repro/internal/service"
 	"repro/internal/service/blob"
 )
-
-// countingPuts is a blob.Store that counts its checkpoint puts.
-type countingPuts struct {
-	blob.Store
-	puts atomic.Int64
-}
-
-func (s *countingPuts) Put(key string, data []byte) error {
-	if strings.HasPrefix(key, "checkpoints/") {
-		s.puts.Add(1)
-	}
-	return s.Store.Put(key, data)
-}
 
 // TestCoordinatorPullsOncePerNewerCheckpoint scripts a worker's SSE stream:
 // a burst of step events written in one flush — what the worker's 100 ms
@@ -80,40 +66,27 @@ func TestCoordinatorPullsOncePerNewerCheckpoint(t *testing.T) {
 	worker := httptest.NewServer(mux)
 	defer worker.Close()
 
-	store := &countingPuts{Store: blob.NewMem()}
-	c := newCluster(t, Options{Blobs: store, LeaseTTL: time.Minute, Retry: retryFast()})
+	store := &countingStore{Store: blob.NewMem()}
+	c := newClusterWith(t, Options{LeaseTTL: time.Minute, Retry: retryFast()}, service.Options{Shards: 2, Blobs: store})
 	if err := c.postJSON("/v1/fleet/register", registerRequest{Worker: "scripted", URL: worker.URL}, nil); err != nil {
 		t.Fatal(err)
 	}
 
-	cfg := fastConfig(77)
-	if err := cfg.Validate(); err != nil {
+	j, err := c.engine.Submit(fastConfig(77))
+	if err != nil {
 		t.Fatal(err)
 	}
-	steps := make(chan int, 8) // one send per scripted step event
-	snapshots := 0             // updates that carried a pulled snapshot; written under RunShard's goroutine, read after it
-	ended := make(chan error, 1)
-	go func() {
-		_, err := c.coord.RunShard(context.Background(), cfg, func(u service.RemoteUpdate) {
-			if u.Snapshot != nil {
-				snapshots++
-			}
-			if u.Step != nil {
-				steps <- u.Step.Step
-			}
-		})
-		ended <- err
-	}()
 	forwarded := func(n int) {
 		t.Helper()
-		for i := 0; i < n; i++ {
-			select {
-			case <-steps:
-			case err := <-ended:
-				t.Fatalf("shard ended early: %v", err)
-			case <-time.After(30 * time.Second):
+		deadline := time.Now().Add(30 * time.Second)
+		for len(j.Steps()) < n {
+			if st := j.Status(); st.State.Terminal() {
+				t.Fatalf("shard ended early: %v", st.Err)
+			}
+			if time.Now().After(deadline) {
 				t.Fatal("step events not forwarded in time")
 			}
+			time.Sleep(5 * time.Millisecond)
 		}
 	}
 	counts := func(when string, want int) {
@@ -122,20 +95,18 @@ func TestCoordinatorPullsOncePerNewerCheckpoint(t *testing.T) {
 			t.Errorf("%s: fleet_snapshot_pulls_total = %d, want %d", when, got, want)
 		}
 		if got := int(store.puts.Load()); got != want {
-			t.Errorf("%s: %d checkpoint puts into the store, want %d", when, got, want)
+			t.Errorf("%s: %d checkpoint puts into the engine's store, want %d", when, got, want)
 		}
 	}
 
 	forwarded(5)
 	counts("after a burst of 5 step events", 1)
 	close(second)
-	forwarded(3)
+	forwarded(8)
 	counts("after a later burst advertising a newer checkpoint", 2)
 	close(finish)
-	if err := <-ended; err == nil || !strings.Contains(err.Error(), "scripted end") {
+	waitDone(t, j, 30*time.Second)
+	if err := j.Status().Err; err == nil || !strings.Contains(err.Error(), "scripted end") {
 		t.Fatalf("shard ended with %v, want the scripted failure", err)
-	}
-	if snapshots != 2 {
-		t.Errorf("%d updates handed the job a pulled snapshot, want 2", snapshots)
 	}
 }

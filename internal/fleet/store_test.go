@@ -1,14 +1,44 @@
 package fleet
 
 import (
+	"bytes"
+	"errors"
 	"net/http"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/service"
 	"repro/internal/service/blob"
 	"repro/internal/telemetry"
 )
+
+// countingStore is a blob.Store that counts the checkpoint puts and deletes
+// it sees, and refuses the puts while failPuts is set.
+type countingStore struct {
+	blob.Store
+	puts, deletes atomic.Int64
+	failPuts      atomic.Bool
+}
+
+func (s *countingStore) Put(key string, data []byte) error {
+	if strings.HasPrefix(key, "checkpoints/") {
+		if s.failPuts.Load() {
+			return errors.New("injected put failure")
+		}
+		s.puts.Add(1)
+	}
+	return s.Store.Put(key, data)
+}
+
+func (s *countingStore) Delete(key string) error {
+	if strings.HasPrefix(key, "checkpoints/") {
+		s.deletes.Add(1)
+	}
+	return s.Store.Delete(key)
+}
 
 // TestDefaultClientsHaveTimeouts pins the client-hygiene satellite: the
 // coordinator's default client bounds dial and header wait (but carries no
@@ -87,9 +117,9 @@ func TestStoreSeededDispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The "restarted" coordinator: fresh registry and lease table, same
-	// store, shard re-submitted from scratch.
-	c := newCluster(t, Options{Blobs: store, Registry: telemetry.NewRegistry()})
+	// The "restarted" coordinator: fresh registry and lease table, its
+	// engine over the same store, shard re-submitted from scratch.
+	c := newClusterWith(t, Options{Registry: telemetry.NewRegistry()}, service.Options{Shards: 2, Blobs: store})
 	c.addWorker("w1")
 	j, err := c.engine.Submit(cfg)
 	if err != nil {
@@ -113,5 +143,116 @@ func TestStoreSeededDispatch(t *testing.T) {
 	}
 	if _, err := store.Get("checkpoints/" + key); err == nil {
 		t.Error("finished shard's checkpoint not removed from the store")
+	}
+}
+
+// TestHandedInSnapshotSeedsDispatch: a snapshot submitted with a spec to a
+// coordinator seeds the shard's dispatch, as it seeds a local run: the worker
+// resumes at the snapshot's step boundary, so the forwarded step history
+// starts there, and the physics is core.Run's.
+func TestHandedInSnapshotSeedsDispatch(t *testing.T) {
+	cfg := fastConfig(4343)
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	sim, err := core.NewSimulation(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := sim.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	spec, err := service.SpecOf(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Snapshot = sim.Snapshot()
+
+	c := newCluster(t, Options{})
+	c.addWorker("w1")
+	var jv service.JobView
+	if err := c.postJSON("/v1/jobs", spec, &jv); err != nil {
+		t.Fatal(err)
+	}
+	j, err := c.engine.Job(jv.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, j, 30*time.Second)
+	res, err := j.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := j.Status(); st.Worker != "w1" {
+		t.Fatalf("shard ran on %q, want w1", st.Worker)
+	}
+	if steps := j.Steps(); len(steps) == 0 || steps[0].Step != 2 {
+		t.Fatalf("forwarded steps %+v, want history starting at step 2", steps)
+	}
+	want, err := core.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSamePhysics(t, res, want)
+	if got := c.coord.metrics.storeSeeds.Value(); got != 1 {
+		t.Errorf("fleet_store_seeds_total = %v, want 1", got)
+	}
+}
+
+// TestEngineFilesShardCheckpoints: a coordinator keeps no store, so its
+// engine's is the only one a shard's checkpoints reach. A pulled checkpoint
+// is filed there, a finished shard's is deleted once, and a failed write of
+// one surfaces as a job warning and on
+// neutral_checkpoint_write_failures_total.
+func TestEngineFilesShardCheckpoints(t *testing.T) {
+	store := &countingStore{Store: blob.NewMem()}
+	c := newClusterWith(t, Options{}, service.Options{Shards: 2, Blobs: store})
+	c.addWorker("w1")
+	run := func(seed uint64) service.Status {
+		t.Helper()
+		j, err := c.engine.Submit(fastConfig(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, j, 30*time.Second)
+		if _, err := j.Result(); err != nil {
+			t.Fatal(err)
+		}
+		return j.Status()
+	}
+
+	if st := run(11); len(st.Warnings) != 0 {
+		t.Errorf("unexpected warnings: %v", st.Warnings)
+	}
+	if got := store.puts.Load(); got < 1 {
+		t.Error("no pulled checkpoint reached the engine's store")
+	}
+	if got := store.deletes.Load(); got != 1 {
+		t.Errorf("the finished shard's checkpoint was deleted %d times, want 1", got)
+	}
+
+	store.failPuts.Store(true)
+	st := run(12)
+	warned := false
+	for _, w := range st.Warnings {
+		warned = warned || strings.HasPrefix(w, "checkpoint: write failed")
+	}
+	if !warned {
+		t.Errorf("warnings %q, want a failed checkpoint write", st.Warnings)
+	}
+	var scrape bytes.Buffer
+	if err := c.coord.opts.Registry.WritePrometheus(&scrape); err != nil {
+		t.Fatal(err)
+	}
+	failures := ""
+	for _, line := range strings.Split(scrape.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, "neutral_checkpoint_write_failures_total "); ok {
+			failures = v
+		}
+	}
+	if failures == "" || failures == "0" {
+		t.Errorf("neutral_checkpoint_write_failures_total = %q, want >= 1", failures)
 	}
 }

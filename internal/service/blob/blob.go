@@ -42,7 +42,7 @@ type Store interface {
 // ValidateKey rejects keys that could escape a path-backed store or
 // round-trip badly: empty keys, absolute keys, dot segments, and control
 // characters. Slashes are allowed and namespace the store
-// ("checkpoints/<fingerprint>", "results/<fingerprint>").
+// ("results/<fingerprint>").
 func ValidateKey(key string) error {
 	if key == "" {
 		return errors.New("blob: empty key")

@@ -14,7 +14,6 @@ import (
 	"repro/internal/scene"
 	"repro/internal/service/blob"
 	"repro/internal/stats"
-	"repro/internal/tally"
 	"repro/internal/telemetry"
 )
 
@@ -42,9 +41,9 @@ type Options struct {
 	// share the machine instead of each claiming every core. 0 means
 	// GOMAXPROCS/Shards, floored at 1.
 	ThreadsPerJob int
-	// Blobs, when non-nil, is the engine's durable storage: checkpoints
-	// land under "checkpoints/<fingerprint>" and completed results under
-	// "results/<fingerprint>", so any engine opened over the same store —
+	// Blobs, when non-nil, is the engine's durable storage: checkpoints —
+	// its own and those its Remote pulled — and completed results land there
+	// under their job fingerprint, so any engine opened over the same store —
 	// this process restarted, or a replica behind a load balancer sharing
 	// a volume — resumes in-flight work and serves finished work without
 	// recomputing. The store is the precondition for stateless workers.
@@ -80,19 +79,20 @@ type RemoteUpdate struct {
 	// Step is a completed remote timestep to forward onto the job's step
 	// history (and its SSE stream).
 	Step *StepView
-	// Snapshot is the latest fingerprint-keyed checkpoint pulled from the
-	// worker — the resume point for rescheduling and local fallback.
+	// Snapshot is a checkpoint newly pulled from the worker, which the engine
+	// files as it files its own: the resume point for fallback and restarts.
 	Snapshot []byte
 }
 
-// RemoteRunner executes one job shard on a remote worker fleet. RunShard
-// blocks until the shard completes somewhere, reporting assignment changes,
-// forwarded steps and checkpoints through update. It fails with an error
-// wrapping ErrNoWorkers when no healthy worker is reachable (the engine
-// then runs the job locally), with ctx's error on cancellation, and with
-// the run's own error when the shard failed deterministically.
+// RemoteRunner executes one job shard on a remote worker fleet, keeping no
+// store. RunShard resumes the shard from seed (nil: from scratch) and blocks
+// until it completes somewhere, reporting assignment changes, forwarded steps
+// and pulled checkpoints through update. It fails with an error wrapping
+// ErrNoWorkers when no healthy worker is reachable (the engine then runs the
+// job locally), with ctx's error on cancellation, and with the run's own
+// error when the shard failed deterministically.
 type RemoteRunner interface {
-	RunShard(ctx context.Context, cfg core.Config, update func(RemoteUpdate)) (*Filed, error)
+	RunShard(ctx context.Context, cfg core.Config, seed []byte, update func(RemoteUpdate)) (*Filed, error)
 }
 
 // ErrNoWorkers reports that remote dispatch found no healthy fleet worker;
@@ -236,13 +236,6 @@ func (e *Engine) SubmitWith(cfg core.Config, so SubmitOptions) (*Job, error) {
 		// Ensemble jobs are coordinated by a dedicated goroutine that fans
 		// the replicas out as child jobs through the queue; the
 		// parent itself never occupies a queue slot or a worker.
-		if cfg.Tally == tally.ModeNull {
-			// Mirrors stats.RunEnsemble: a null tally has no cells to
-			// fold, so the ensemble would complete with silently
-			// meaningless all-zero statistics.
-			j.cancel()
-			return nil, errors.New("service: ensemble statistics need a live tally, not null")
-		}
 		e.record(j)
 		go e.execute(j, nil)
 		return j, nil
@@ -377,17 +370,24 @@ func (e *Engine) settle(j *Job, f *Filed, ens *stats.Ensemble, err error) {
 	}
 }
 
-// tryRemote dispatches an eligible job to the fleet. It answers ErrNoWorkers
-// when the job was not (or could not be) dispatched and must be solved
-// locally: no runner configured, an ineligible config, or no healthy workers
-// — the graceful-degradation path, which leaves the last checkpoint the
-// runner pulled before giving up on the job for acquire.
+// tryRemote dispatches an eligible job to the fleet from its resume point,
+// filing each pulled checkpoint before the step that advertised it. It answers
+// ErrNoWorkers when the job was not (or could not be) dispatched and must be
+// solved locally: no runner configured, an ineligible config, or no healthy
+// workers — the graceful-degradation path, which leaves the last checkpoint
+// the runner pulled before giving up on the job for acquire.
 func (e *Engine) tryRemote(j *Job) (*Filed, error) {
 	r := e.opts.Remote
 	if r == nil || j.key == "" || j.cfg.KeepBank {
 		return nil, ErrNoWorkers
 	}
-	res, err := r.RunShard(j.ctx, j.cfg, j.applyRemoteUpdate)
+	seed, _ := e.resumePoint(j)
+	res, err := r.RunShard(j.ctx, j.cfg, seed, func(u RemoteUpdate) {
+		if u.Snapshot != nil {
+			e.fileCheckpoint(j, u.Snapshot, -1, true)
+		}
+		j.applyRemoteUpdate(u)
+	})
 	if errors.Is(err, ErrNoWorkers) {
 		j.addWarning("fleet: no workers reachable; degraded to local execution")
 	}
@@ -448,11 +448,8 @@ func (e *Engine) solve(j *Job, sim *core.Simulation) (*core.Result, error) {
 
 // checkpoint takes the job's checkpoint at the boundary s stands on, if the
 // job has a sink for one and cad finds it due, and gives cad the measured cost.
-// One Snapshot() serves both sinks: the job itself (retainSnap, for a
-// coordinator to pull) and the store (a durable key).
 func (e *Engine) checkpoint(j *Job, s *core.Simulation, cad *cadence) {
-	durable := e.store.durable(j.key)
-	if !j.retainSnap && !durable {
+	if !j.retainSnap && !e.store.durable(j.key) {
 		return
 	}
 	start := time.Now()
@@ -460,54 +457,62 @@ func (e *Engine) checkpoint(j *Job, s *core.Simulation, cad *cadence) {
 		e.store.checkpointSkipped.Inc()
 		return
 	}
-	data := s.Snapshot()
-	if j.retainSnap {
-		j.retain(data, s.StepIndex())
-	}
-	if durable {
-		// Best-effort — but never silent: a failed write surfaces as a
-		// job warning and a counter, because an operator who configured
-		// checkpointing is owed the news that durability is gone.
-		if werr := e.store.saveCheckpoint(j.key, data); werr != nil {
-			j.addWarning(fmt.Sprintf("checkpoint: write failed: %v", werr))
-		}
-	}
+	e.fileCheckpoint(j, s.Snapshot(), s.StepIndex(), j.retainSnap)
 	cad.took(start, time.Now())
 	e.store.checkpointSeconds.Observe(cad.cost.Seconds())
 }
 
+// fileCheckpoint is the one sink of a job's checkpoints, taken here or pulled
+// (step -1): the job keeps it when keep, and a durable key files it in the
+// store — best-effort, but a failure is a job warning and a counter, because
+// an operator who configured a store is owed the news that durability is gone.
+func (e *Engine) fileCheckpoint(j *Job, data []byte, step int, keep bool) {
+	if keep {
+		j.retain(data, step)
+	}
+	if e.store.durable(j.key) {
+		if werr := e.store.saveCheckpoint(j.key, data); werr != nil {
+			j.addWarning(fmt.Sprintf("checkpoint: write failed: %v", werr))
+		}
+	}
+}
+
+// resumePoint is the one place a job's resume point is chosen, freshest first:
+// its own checkpoint (handed in or pulled), else the store's; stored says
+// which, and data is nil when there is neither.
+func (e *Engine) resumePoint(j *Job) (data []byte, stored bool) {
+	if own, _ := j.Snapshot(); own != nil {
+		return own, false
+	}
+	return e.store.loadCheckpoint(j.key)
+}
+
 // acquire binds the worker's simulation to the job: the one place execution
 // strategy is resolved (a request that names no thread count gets this
-// engine's budget) and the one call into core's build path. Resume points are
-// tried freshest first — the job's own checkpoint, which a coordinator handed
-// in or pulled, then the store's, left by an earlier attempt; one that does
-// not restore is discarded and the run starts fresh rather than failing.
+// engine's budget) and the one call into core's build path. A resume point
+// that does not restore is discarded for the next, or a fresh run.
 func (e *Engine) acquire(j *Job, sim *core.Simulation) error {
 	cfg := j.cfg
 	if cfg.Threads == 0 {
 		cfg.Threads = e.opts.ThreadsPerJob
 	}
-	resume := func(data []byte) error {
+	for {
+		data, stored := e.resumePoint(j)
+		if data == nil {
+			return sim.Reset(cfg)
+		}
 		err := sim.Restore(cfg, data)
 		if err == nil {
 			j.resumed(sim.StepIndex())
-		}
-		return err
-	}
-	if own, _ := j.Snapshot(); own != nil {
-		err := resume(own)
-		if err == nil {
 			return nil
+		}
+		if stored {
+			e.store.dropCheckpoint(j.key)
+			return sim.Reset(cfg)
 		}
 		j.addWarning(fmt.Sprintf("checkpoint: seeded snapshot rejected, running fresh: %v", err))
+		j.retain(nil, -1)
 	}
-	if stored, ok := e.store.loadCheckpoint(j.key); ok {
-		if resume(stored) == nil {
-			return nil
-		}
-		e.store.dropCheckpoint(j.key)
-	}
-	return sim.Reset(cfg)
 }
 
 // stepViewOf summarises the simulation at the boundary it just completed.

@@ -130,8 +130,8 @@ type Job struct {
 	// ckpt is the job's latest checkpoint: the snapshot handed in at
 	// submission, then whichever step boundary last replaced it — a local one
 	// (retainSnap jobs only: a snapshot is bank-sized) or one a RemoteRunner
-	// pulled. GET /v1/jobs/{id}/snapshot, CheckpointInFlight and acquire read
-	// it; the terminal transition releases it, except on a retainSnap job
+	// pulled. GET /v1/jobs/{id}/snapshot, CheckpointInFlight and resumePoint
+	// read it; the terminal transition releases it, except on a retainSnap job
 	// that ran here, because a coordinator's last pulls arrive after done:
 	// that one goes when its result is first served (see serve), the last
 	// thing a coordinator's attempt asks of it.
@@ -427,12 +427,10 @@ func (j *Job) resumed(step int) {
 	j.mu.Unlock()
 }
 
-// applyRemoteUpdate is the callback a RemoteRunner drives while a shard
-// runs remotely: worker assignment and reschedule count land on the job
-// view, forwarded step results land on the step history (guarded to stay
-// monotonic across worker reconnects and rescheduled resumes), and the
-// latest pulled snapshot becomes the job's checkpoint, the local resume
-// point should the fleet degrade to in-process execution.
+// applyRemoteUpdate records a RemoteRunner's report but its snapshot (the
+// engine files that): worker assignment and reschedule count on the job view,
+// forwarded steps on the step history, kept monotonic across worker
+// reconnects and rescheduled resumes.
 func (j *Job) applyRemoteUpdate(u RemoteUpdate) {
 	j.mu.Lock()
 	if u.Worker != "" {
@@ -440,9 +438,6 @@ func (j *Job) applyRemoteUpdate(u RemoteUpdate) {
 	}
 	if u.Reschedules > j.reschedules {
 		j.reschedules = u.Reschedules
-	}
-	if u.Snapshot != nil {
-		j.ckpt = checkpoint{u.Snapshot, -1}
 	}
 	step := u.Step
 	if step != nil && len(j.steps) > 0 && step.Step <= j.steps[len(j.steps)-1].Step {

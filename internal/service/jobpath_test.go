@@ -15,7 +15,7 @@ import (
 // stubRunner is a RemoteRunner whose shard is whatever the test says.
 type stubRunner func(ctx context.Context, cfg core.Config, update func(RemoteUpdate)) (*core.Result, error)
 
-func (f stubRunner) RunShard(ctx context.Context, cfg core.Config, update func(RemoteUpdate)) (*Filed, error) {
+func (f stubRunner) RunShard(ctx context.Context, cfg core.Config, _ []byte, update func(RemoteUpdate)) (*Filed, error) {
 	res, err := f(ctx, cfg, update)
 	if err != nil {
 		return nil, err

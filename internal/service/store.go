@@ -10,10 +10,10 @@ import (
 	"repro/internal/telemetry"
 )
 
-// CheckpointKey is the blob-store address of the checkpoint filed under a
-// job fingerprint. The engine and the fleet coordinator write the same
-// address, which is how either resumes what the other left behind.
-func CheckpointKey(fingerprint string) string { return "checkpoints/" + fingerprint }
+// checkpointKey and resultKey are the blob-store addresses of what is filed
+// under a job fingerprint. The engine is the only code that reads or writes
+// them; a fleet coordinator's pulled checkpoints reach the store through it.
+func checkpointKey(fingerprint string) string { return "checkpoints/" + fingerprint }
 
 func resultKey(fingerprint string) string { return "results/" + fingerprint }
 
@@ -75,7 +75,7 @@ func newStore(cacheEntries int, blobs blob.Store, r *telemetry.Registry) *store 
 		blobWrites: r.Counter("neutral_blob_result_writes_total",
 			"Completed results persisted into the blob store."),
 		checkpointWrites: r.Counter("neutral_checkpoint_writes_total",
-			"Snapshot files written at timestep boundaries."),
+			"Checkpoints written to the blob store: taken here at timestep boundaries, or pulled from a fleet worker."),
 		checkpointFails: r.Counter("neutral_checkpoint_write_failures_total",
 			"Snapshot writes that failed; each also surfaces as a job warning."),
 		checkpointSeconds: r.Histogram("neutral_checkpoint_seconds",
@@ -241,13 +241,13 @@ func (s *store) loadCheckpoint(key string) ([]byte, bool) {
 	if !s.durable(key) {
 		return nil, false
 	}
-	data, err := s.blobs.Get(CheckpointKey(key))
+	data, err := s.blobs.Get(checkpointKey(key))
 	return data, err == nil
 }
 
 // saveCheckpoint files a step-boundary snapshot under a durable key.
 func (s *store) saveCheckpoint(key string, snapshot []byte) error {
-	err := s.blobs.Put(CheckpointKey(key), snapshot)
+	err := s.blobs.Put(checkpointKey(key), snapshot)
 	if err == nil {
 		s.checkpointWrites.Inc()
 	} else {
@@ -260,6 +260,6 @@ func (s *store) saveCheckpoint(key string, snapshot []byte) error {
 // checkpoint would not restore.
 func (s *store) dropCheckpoint(key string) {
 	if s.durable(key) {
-		s.blobs.Delete(CheckpointKey(key))
+		s.blobs.Delete(checkpointKey(key))
 	}
 }

@@ -2,14 +2,12 @@ package stats
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/tally"
 )
 
 // Options configures an ensemble run.
@@ -98,9 +96,6 @@ func RunEnsemble(ctx context.Context, cfg core.Config, opts Options) (*Ensemble,
 	base := cfg
 	if err := base.Validate(); err != nil {
 		return nil, err
-	}
-	if base.Tally == tally.ModeNull {
-		return nil, errors.New("stats: ensemble statistics need a live tally, not null")
 	}
 	if base.Replica != 0 {
 		return nil, fmt.Errorf("stats: ensemble base config carries replica index %d, want 0", base.Replica)
