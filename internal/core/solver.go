@@ -726,7 +726,14 @@ func (r *run) finish(res *Result) {
 	}
 
 	if cfg.KeepCells && cfg.Tally != tally.ModeNull {
-		res.Cells = append([]float64(nil), r.tallyCellsLogical()...)
+		// From the sparse view: one zeroed slice and a store per deposited
+		// cell, in the scale setBirth gave the tally — the same bits as the
+		// dense view, without building that and copying it.
+		res.Cells = make([]float64, r.mesh.NumCells())
+		scale := tally.ScaleFor(r.birthEnergy)
+		for _, c := range r.tallyNonZeroLogical() {
+			res.Cells[c.Index] = scale.Value(c.Ticks)
+		}
 	}
 	if cfg.KeepBank {
 		res.Bank = r.bank

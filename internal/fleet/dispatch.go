@@ -240,7 +240,8 @@ func (c *Coordinator) watch(ctx context.Context, w *worker, jobID string, sr *sh
 // terminal "done" payload. A step event is always forwarded; it costs a
 // snapshot pull only when the checkpoint it advertises is newer than the one
 // held, so a burst of events written in one flush pulls once, and a worker is
-// pulled at most as often as it checkpoints.
+// pulled at most as often as it checkpoints — which, without a store of its
+// own, it does at most as often as it is pulled.
 func (c *Coordinator) handleEvent(ctx context.Context, w *worker, jobID string, sr *shardRun, sent *int, event string, data []byte) (*service.JobView, error) {
 	switch event {
 	case "step":
@@ -309,14 +310,12 @@ func (c *Coordinator) get(ctx context.Context, url string, out any) error {
 }
 
 // fetchResult fetches and files the job's result inside one retried request,
-// so a body that arrives cut or corrupt is fetched again. Its declared length
-// (up to 256 MB; none from an older worker) sizes the buffer it is read into.
+// so a body that arrives cut or corrupt is fetched again.
 func (c *Coordinator) fetchResult(ctx context.Context, w *worker, jobID string, cfg core.Config) (res *service.Filed, err error) {
-	err = c.do(ctx, http.MethodGet, w.url+"/v1/jobs/"+jobID+"/result", nil, func(resp *http.Response) (err error) {
-		var body bytes.Buffer
-		body.Grow(int(min(max(resp.ContentLength, 0), 256<<20)) + bytes.MinRead)
-		if _, err = body.ReadFrom(resp.Body); err == nil {
-			res, err = service.ParseFiled(body.Bytes(), cfg)
+	err = c.do(ctx, http.MethodGet, w.url+"/v1/jobs/"+jobID+"/result", nil, func(resp *http.Response) error {
+		body, err := readBody(resp)
+		if err == nil {
+			res, err = service.ParseFiled(body, cfg)
 		}
 		return err
 	})
@@ -326,18 +325,25 @@ func (c *Coordinator) fetchResult(ctx context.Context, w *worker, jobID string, 
 // pullSnapshot fetches the job's retained checkpoint from its worker under the
 // retry policy, with the step boundary the worker says it was taken at (-1
 // when the header is missing or not a number).
-func (c *Coordinator) pullSnapshot(ctx context.Context, w *worker, jobID string) ([]byte, int, error) {
-	var data []byte
-	step := -1
-	err := c.do(ctx, http.MethodGet, w.url+"/v1/jobs/"+jobID+"/snapshot", nil, func(resp *http.Response) error {
+func (c *Coordinator) pullSnapshot(ctx context.Context, w *worker, jobID string) (data []byte, step int, err error) {
+	step = -1
+	err = c.do(ctx, http.MethodGet, w.url+"/v1/jobs/"+jobID+"/snapshot", nil, func(resp *http.Response) (rerr error) {
 		if n, perr := strconv.Atoi(resp.Header.Get("X-Neutral-Step")); perr == nil {
 			step = n
 		}
-		var rerr error
-		data, rerr = io.ReadAll(resp.Body)
+		data, rerr = readBody(resp)
 		return rerr
 	})
 	return data, step, err
+}
+
+// readBody reads a response body into one buffer sized by its declared length
+// (up to 256 MB; none from an older worker), not grown as it arrives.
+func readBody(resp *http.Response) ([]byte, error) {
+	var body bytes.Buffer
+	body.Grow(int(min(max(resp.ContentLength, 0), 256<<20)) + bytes.MinRead)
+	_, err := body.ReadFrom(resp.Body)
+	return body.Bytes(), err
 }
 
 // do is the shared retrying request core: transient transport errors, 5xx

@@ -1,6 +1,9 @@
 package service
 
 import (
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -42,6 +45,75 @@ func TestCadenceRule(t *testing.T) {
 	if c.due(at(125*ms-1)) || !c.due(at(125*ms)) {
 		t.Error("after a 5 ms checkpoint ending at 45 ms the next is due at 125 ms, not before")
 	}
+}
+
+// TestRetainedCheckpointPacedByPulls: a retain_snapshot job whose key has no
+// durable store checkpoints at its first boundary and replaces that checkpoint
+// only at the first due boundary after GET /snapshot read it, however many
+// boundaries the cost cadence finds due meanwhile; with a store, the same job
+// follows the cadence alone.
+func TestRetainedCheckpointPacedByPulls(t *testing.T) {
+	// 40 steps, each ~100 times what its checkpoint costs: every boundary is
+	// due by cost.
+	cfg := streamConfig(64, 200, 40, 32)
+	submit := func(t *testing.T, opts Options) (*httptest.Server, *Engine, *Job) {
+		t.Helper()
+		ts, e := newTestServer(t, opts)
+		j, err := e.SubmitWith(cfg, SubmitOptions{RetainSnapshot: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ts, e, j
+	}
+	taken := func(e *Engine) int { return int(e.store.checkpointSeconds.Count()) }
+
+	t.Run("no-store", func(t *testing.T) {
+		ts, e, j := submit(t, Options{Shards: 1})
+		deadline := time.Now().Add(30 * time.Second)
+		for j.Status().StepsDone < 3 {
+			if time.Now().After(deadline) || j.Status().State.Terminal() {
+				t.Fatalf("job at %+v before its third boundary was seen", j.Status())
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if _, step := j.Snapshot(); step != 1 || taken(e) != 1 {
+			t.Fatalf("unread: the job holds boundary %d after %d checkpoints, want its first boundary only", step, taken(e))
+		}
+		before := j.Status().StepsDone
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + j.ID() + "/snapshot")
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		after := j.Status().StepsDone
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Neutral-Step") != "1" || resp.ContentLength <= 0 {
+			t.Fatalf("pull: status %d, step %q, length %d", resp.StatusCode, resp.Header.Get("X-Neutral-Step"), resp.ContentLength)
+		}
+		if after >= cfg.Steps {
+			t.Skip("the job ended with the pull; machine too fast for this config")
+		}
+		if st := waitDone(t, j); st.State != StateDone {
+			t.Fatalf("state %v, err %v", st.State, st.Err)
+		}
+		_, step := j.Snapshot()
+		if taken(e) != 2 || step < before+1 || step > after+1 {
+			t.Errorf("after one pull between boundaries %d and %d: %d checkpoints, holding boundary %d; want 2, the first after the pull",
+				before, after+1, taken(e), step)
+		}
+		if skipped := int(e.store.checkpointSkipped.Value()); skipped != cfg.Steps-2 {
+			t.Errorf("%d boundaries counted skipped, want the other %d", skipped, cfg.Steps-2)
+		}
+	})
+	t.Run("durable", func(t *testing.T) {
+		_, e, j := submit(t, Options{Shards: 1, Blobs: blob.NewMem()})
+		if st := waitDone(t, j); st.State != StateDone {
+			t.Fatalf("state %v, err %v", st.State, st.Err)
+		}
+		if taken(e) < cfg.Steps*3/4 {
+			t.Errorf("%d checkpoints over %d unread boundaries each due by cost, want (nearly) all", taken(e), cfg.Steps)
+		}
+	})
 }
 
 // streamConfig is a facet-only run whose population never dies, so every step

@@ -196,9 +196,10 @@ type SubmitOptions struct {
 	// run starts fresh.
 	Snapshot []byte
 	// RetainSnapshot keeps the job's latest checkpoint — taken at the step
-	// boundaries the cost cadence picks, the first one included — in memory
-	// on the job for GET /v1/jobs/{id}/snapshot, the coordinator's pull
-	// path. Off by default: a snapshot is bank-sized.
+	// boundaries the cost cadence picks, the first one included, and without
+	// a durable store only once the last was read — in memory on the job for
+	// GET /v1/jobs/{id}/snapshot, the coordinator's pull path. Off by
+	// default: a snapshot is bank-sized.
 	RetainSnapshot bool
 	// Tenant names the submitting tenant for fair-share scheduling and
 	// the per-tenant metric families; empty means AnonymousTenant.
@@ -448,12 +449,16 @@ func (e *Engine) solve(j *Job, sim *core.Simulation) (*core.Result, error) {
 
 // checkpoint takes the job's checkpoint at the boundary s stands on, if the
 // job has a sink for one and cad finds it due, and gives cad the measured cost.
+// A key without a durable store has one reader, GET /snapshot: after the first
+// boundary, the job's checkpoint is replaced only once that reader has taken
+// the one it holds, so a worker snapshots at most as often as it is pulled.
 func (e *Engine) checkpoint(j *Job, s *core.Simulation, cad *cadence) {
-	if !j.retainSnap && !e.store.durable(j.key) {
+	durable := e.store.durable(j.key)
+	if !j.retainSnap && !durable {
 		return
 	}
 	start := time.Now()
-	if !cad.due(start) {
+	if !cad.due(start) || !durable && !cad.last.IsZero() && !j.pulled.Load() {
 		e.store.checkpointSkipped.Inc()
 		return
 	}

@@ -124,11 +124,11 @@ func TestEnsembleReplicasStayFiled(t *testing.T) {
 		switch {
 		case !ok:
 			t.Fatalf("replica %d is not in the store", v.Replica)
-		case f.cells.n == 0:
+		case f.cells.N == 0:
 			t.Fatalf("replica %d was filed without cells", v.Replica)
 		case f.dense != nil:
 			t.Errorf("replica %d: stored result holds %d dense cells beside %d run values",
-				v.Replica, len(f.dense.Cells), len(f.cells.vals))
+				v.Replica, len(f.dense.Cells), len(f.cells.Vals))
 		}
 	}
 }

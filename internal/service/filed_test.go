@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -20,21 +21,21 @@ import (
 func checkFiled(t *testing.T, name string, cells []float64) {
 	t.Helper()
 	c := compactCells(cells)
-	if c.n != len(cells) || len(c.start) != len(c.end) {
-		t.Fatalf("%s: %d cells filed as n=%d with %d starts and %d ends", name, len(cells), c.n, len(c.start), len(c.end))
+	if c.N != len(cells) || len(c.Start) != len(c.End) {
+		t.Fatalf("%s: %d cells filed as n=%d with %d starts and %d ends", name, len(cells), c.N, len(c.Start), len(c.End))
 	}
 	vals := 0
-	for r := range c.start {
-		s, e := int(c.start[r]), int(c.end[r])
-		if s >= e || (r > 0 && s <= int(c.end[r-1])) {
-			t.Fatalf("%s: run %d is [%d, %d) after one ending at %d: empty, overlapping or not maximal", name, r, s, e, c.end[max(r-1, 0)])
+	for r := range c.Start {
+		s, e := int(c.Start[r]), int(c.End[r])
+		if s >= e || (r > 0 && s <= int(c.End[r-1])) {
+			t.Fatalf("%s: run %d is [%d, %d) after one ending at %d: empty, overlapping or not maximal", name, r, s, e, c.End[max(r-1, 0)])
 		}
 		vals += e - s
 	}
-	if vals != len(c.vals) {
-		t.Fatalf("%s: runs cover %d cells, %d values kept", name, vals, len(c.vals))
+	if vals != len(c.Vals) {
+		t.Fatalf("%s: runs cover %d cells, %d values kept", name, vals, len(c.Vals))
 	}
-	for i, f := range c.vals {
+	for i, f := range c.Vals {
 		if math.Float64bits(f) == 0 {
 			t.Fatalf("%s: value %d of the runs is +0", name, i)
 		}
@@ -164,6 +165,84 @@ func FuzzFiledCells(f *testing.F) {
 		}
 		checkFiled(t, "fuzz", cells)
 	})
+}
+
+// FuzzStoredResult: the blob tier's reader either rejects a document or files
+// runs that lie within their n, and what it files stores back to bytes it
+// reads again to the same result — stored once more, the same bytes. A
+// document it accepts encodes to wire JSON that ParseFiled reads into the
+// same runs.
+func FuzzStoredResult(f *testing.F) {
+	// The wire form only of a small result: encoding/json reading 65 536
+	// cells into a rejected document would slow the fuzzer a thousandfold.
+	small := &core.Result{TallyTotal: 3, Wall: 5, Cells: []float64{0, 1, 0, 0, 2, 3, 0}}
+	for _, res := range []*core.Result{referenceResult(f), small, {TallyTotal: 3}} {
+		data, err := fileResult(res).stored()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	wire, err := fileResult(small).encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(wire)
+	for _, doc := range []string{
+		`{}`, `{"runs":null}`, `{"runs":{"n":0}}`, `{"cells":[1],"runs":{"n":1}}`,
+		`{"runs":{"n":4,"start":[0,3],"end":[2,4],"vals":[1,-0,2.5e-300]}}`,
+		`{"runs":{"n":4,"start":[0,2],"end":[2,4],"vals":[1,2,3,4]}}`,
+		`{"runs":{"n":2,"start":[1],"end":[3],"vals":[1,2]}}`,
+		`{"runs":{"n":2,"start":[0],"end":[1],"vals":[0]}}`,
+		`{"wall_seconds":-1e-9,"leakage":{"weight":{"x-lo":1}},"runs":{"n":1}}`,
+	} {
+		f.Add([]byte(doc))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, ok := parseStored(data, core.Config{})
+		if !ok {
+			return
+		}
+		c := &got.cells
+		for r := range c.Start {
+			if c.Start[r] < 0 || int(c.End[r]) > c.N {
+				t.Fatalf("run %d is [%d, %d) of %d cells", r, c.Start[r], c.End[r], c.N)
+			}
+		}
+		once, err := got.stored()
+		if err != nil {
+			t.Fatalf("an accepted result does not store: %v", err)
+		}
+		back, ok := parseStored(once, core.Config{})
+		if !ok {
+			t.Fatalf("stored form %.200q does not read back", once)
+		}
+		if !sameRuns(&back.cells, c) {
+			t.Fatal("runs changed through the stored form")
+		}
+		if twice, err := back.stored(); err != nil || !bytes.Equal(twice, once) {
+			t.Fatalf("stored again as %.200q, was %.200q (err %v)", twice, once, err)
+		}
+		if c.N > 1<<16 {
+			return // the wire form of a large n is n numbers
+		}
+		wire, err := got.encode()
+		if err != nil {
+			t.Fatalf("an accepted result does not encode: %v", err)
+		}
+		parsed, err := ParseFiled(wire, core.Config{})
+		if err != nil {
+			t.Fatalf("its wire form does not parse: %v", err)
+		}
+		if !sameRuns(&parsed.cells, c) {
+			t.Fatal("its wire form parses to other runs")
+		}
+	})
+}
+
+// sameRuns compares two filings of cells; a nil and an empty slice are alike.
+func sameRuns(a, b *cellRuns) bool {
+	return a.N == b.N && slices.Equal(a.Start, b.Start) && slices.Equal(a.End, b.End) && slices.Equal(a.Vals, b.Vals)
 }
 
 // TestRememberedResultFootprint: what an engine keeps of a finished job grows

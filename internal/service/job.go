@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -130,13 +131,17 @@ type Job struct {
 	// ckpt is the job's latest checkpoint: the snapshot handed in at
 	// submission, then whichever step boundary last replaced it — a local one
 	// (retainSnap jobs only: a snapshot is bank-sized) or one a RemoteRunner
-	// pulled. GET /v1/jobs/{id}/snapshot, CheckpointInFlight and resumePoint
-	// read it; the terminal transition releases it, except on a retainSnap job
-	// that ran here, because a coordinator's last pulls arrive after done:
-	// that one goes when its result is first served (see serve), the last
-	// thing a coordinator's attempt asks of it.
+	// pulled. GET /v1/jobs/{id}/snapshot (which, without a durable store,
+	// serves the first due boundary after its last read), CheckpointInFlight
+	// and resumePoint read it; the terminal transition releases it, except on
+	// a retainSnap job that ran here, because a coordinator's last pulls
+	// arrive after done: that one goes when its result is first served (see
+	// serve), the last thing a coordinator's attempt asks of it.
 	retainSnap bool
 	ckpt       checkpoint
+	// pulled records that GET /snapshot served ckpt. It changes with ckpt,
+	// under mu; the solving worker reads it without (see Engine.checkpoint).
+	pulled atomic.Bool
 	// worker and reschedules describe remote execution: the fleet worker
 	// currently (or last) assigned the job, and how many times the shard
 	// moved after its worker died. Both zero for locally solved jobs.
@@ -304,6 +309,14 @@ func (j *Job) Snapshot() ([]byte, int) {
 	return j.ckpt.data, j.ckpt.step
 }
 
+// pull is Snapshot for GET /snapshot, which marks the checkpoint pulled.
+func (j *Job) pull() ([]byte, int) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.pulled.Store(true)
+	return j.ckpt.data, j.ckpt.step
+}
+
 // Result returns the completed result. It fails with ErrNotFinished while
 // the job is in flight, the run's own error for a failed job, and a
 // cancellation error for a canceled one. The engine keeps a result's cells as
@@ -417,6 +430,7 @@ func (j *Job) addWarning(w string) {
 func (j *Job) retain(data []byte, step int) {
 	j.mu.Lock()
 	j.ckpt = checkpoint{data, step}
+	j.pulled.Store(false)
 	j.mu.Unlock()
 }
 

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -127,8 +128,8 @@ func ensembleViewOf(ens *stats.Ensemble, keepCells bool) *EnsembleView {
 // it: the core.Result without its cells, and the cells as their runs of
 // non-zero values. A 256² csp result deposits in 336 of its 65 536 cells, so
 // what an engine remembers grows with what was deposited, not with the mesh.
-// Each result is filed once, at its source (fileResult, ParseFiled), and
-// shared by every job served from it.
+// Each result is filed once, at its source (fileResult, ParseFiled,
+// parseStored), and shared by every job served from it.
 type Filed struct {
 	// res is the result with Cells nil — or, for a result that had no cells,
 	// the very pointer it arrived as.
@@ -155,7 +156,7 @@ func fileResult(res *core.Result) *Filed {
 // on every later one. The caller must treat it as immutable. The engine never
 // calls it: dense cells are built only for a library caller.
 func (f *Filed) Result() *core.Result {
-	if f.cells.n == 0 {
+	if f.cells.N == 0 {
 		return f.res
 	}
 	f.once.Do(func() {
@@ -172,15 +173,46 @@ func (f *Filed) encode() ([]byte, error) {
 	return encodeCells(resultViewOf(f.res), &f.cells)
 }
 
-// cellRuns is a dense []float64 of n cells as its runs of non-zero cells: run
-// r covers cells [start[r], end[r]), and the runs' values lie end to end in
-// vals. A cell is zero when all of its bits are, so -0, subnormals, NaN and
+// storedResult is a single-run result as the blob tier keeps it: the view as
+// served but its cells, and the cells as their runs. Stored so, the reference
+// 256² csp result is ≈ 9 KB against 137 KB of wire JSON, 99.5 % of whose
+// numbers are zeros.
+type storedResult struct {
+	plainView
+	Runs *cellRuns `json:"runs"`
+}
+
+// plainView is ResultView without its UnmarshalJSON.
+type plainView ResultView
+
+// stored returns f's blob-tier form, which parseStored reads back.
+func (f *Filed) stored() ([]byte, error) {
+	return json.Marshal(storedResult{plainView(resultViewOf(f.res)), &f.cells})
+}
+
+// parseStored files a result from its blob-tier form; cfg stands in for the
+// producing run's config, as in ParseFiled. ok is false for anything else:
+// malformed JSON, a document without runs (the wire form an older engine
+// stored), runs that compactCells would not have written.
+func parseStored(data []byte, cfg core.Config) (f *Filed, ok bool) {
+	var s storedResult
+	if json.Unmarshal(data, &s) != nil || s.Runs == nil || !s.Runs.valid() {
+		return nil, false
+	}
+	return &Filed{res: (*ResultView)(&s.plainView).result(cfg), cells: *s.Runs}, true
+}
+
+// cellRuns is a dense []float64 of N cells as its runs of non-zero cells: run
+// r covers cells [Start[r], End[r]), and the runs' values lie end to end in
+// Vals. A cell is zero when all of its bits are, so -0, subnormals, NaN and
 // ±Inf are kept and expand gives back the dense slice bit for bit. Runs are
-// maximal, so a slice with no zero costs its dense size plus one run.
+// maximal, so a slice with no zero costs its dense size plus one run. The
+// fields are exported for the blob tier's JSON (storedResult).
 type cellRuns struct {
-	n          int
-	start, end []int32
-	vals       []float64
+	N     int       `json:"n"`
+	Start []int32   `json:"start,omitempty"`
+	End   []int32   `json:"end,omitempty"`
+	Vals  []float64 `json:"vals,omitempty"`
 }
 
 // compactCells files cells as runs. One scan of the dense cells counts the
@@ -193,15 +225,15 @@ func compactCells(cells []float64) cellRuns {
 		nonZero += e - s
 	}
 	c := cellRuns{
-		n:     len(cells),
-		start: make([]int32, len(bounds)/2),
-		end:   make([]int32, len(bounds)/2),
-		vals:  make([]float64, 0, nonZero),
+		N:     len(cells),
+		Start: make([]int32, len(bounds)/2),
+		End:   make([]int32, len(bounds)/2),
+		Vals:  make([]float64, 0, nonZero),
 	}
-	for r := range c.start {
+	for r := range c.Start {
 		s, e := bounds[2*r], bounds[2*r+1]
-		c.start[r], c.end[r] = s, e
-		c.vals = append(c.vals, cells[s:e]...)
+		c.Start[r], c.End[r] = s, e
+		c.Vals = append(c.Vals, cells[s:e]...)
 	}
 	return c
 }
@@ -228,18 +260,35 @@ func nextRun(cells []float64, i int) (start, end int) {
 	return start, i
 }
 
+// valid reports whether c is what compactCells files: N within the int32 run
+// bounds, ascending maximal runs inside it, no value +0, and exactly the values
+// the runs cover.
+func (c *cellRuns) valid() bool {
+	if c.N < 0 || c.N > math.MaxInt32 || len(c.Start) != len(c.End) {
+		return false
+	}
+	at, covered := int32(-1), 0
+	for r, s := range c.Start {
+		if s <= at || c.End[r] <= s || int(c.End[r]) > c.N {
+			return false
+		}
+		at, covered = c.End[r], covered+int(c.End[r]-s)
+	}
+	return covered == len(c.Vals) && !slices.ContainsFunc(c.Vals, func(f float64) bool { return math.Float64bits(f) == 0 })
+}
+
 // expand returns the dense cells: in dst when it has room for them, so the
 // ensemble fold reuses one slice across its replicas, else in a new slice.
 func (c *cellRuns) expand(dst []float64) []float64 {
-	if cap(dst) < c.n {
-		dst = make([]float64, c.n)
+	if cap(dst) < c.N {
+		dst = make([]float64, c.N)
 	} else {
-		dst = dst[:c.n]
+		dst = dst[:c.N]
 		clear(dst)
 	}
-	vals := c.vals
-	for r, s := range c.start {
-		vals = vals[copy(dst[s:c.end[r]], vals):]
+	vals := c.Vals
+	for r, s := range c.Start {
+		vals = vals[copy(dst[s:c.End[r]], vals):]
 	}
 	return dst
 }
@@ -250,16 +299,16 @@ var zeroCells = strings.Repeat(",0", 512)
 // appendJSON appends every cell, each after a comma, as encoding/json writes
 // it.
 func (c *cellRuns) appendJSON(b []byte) []byte {
-	at, vals := 0, c.vals
-	for r, s := range c.start {
+	at, vals := 0, c.Vals
+	for r, s := range c.Start {
 		b = appendZeroCells(b, int(s)-at)
-		at = int(c.end[r])
+		at = int(c.End[r])
 		for _, f := range vals[:at-int(s)] {
 			b = appendJSONFloat(append(b, ','), f)
 		}
 		vals = vals[at-int(s):]
 	}
-	return appendZeroCells(b, c.n-at)
+	return appendZeroCells(b, c.N-at)
 }
 
 func appendZeroCells(b []byte, n int) []byte {
@@ -292,10 +341,10 @@ func encodeResultView(v ResultView) ([]byte, error) {
 // returns, which makes a call that is on every job's path to its result cost
 // four times as much (BENCH_pr26.json, result_encode).
 func encodeCells(v ResultView, c *cellRuns) ([]byte, error) {
-	if c.n == 0 {
+	if c.N == 0 {
 		return json.Marshal(v)
 	}
-	for _, f := range c.vals {
+	for _, f := range c.Vals {
 		if math.IsNaN(f) || math.IsInf(f, 0) {
 			v.Cells = c.expand(nil)
 			return json.Marshal(v)
@@ -308,7 +357,7 @@ func encodeCells(v ResultView, c *cellRuns) ([]byte, error) {
 		return nil, err
 	}
 	at := bytes.Index(doc, []byte(placeholder)) + len(placeholder) - len("[0]")
-	out := make([]byte, 0, len(doc)+2*c.n+24*len(c.vals))
+	out := make([]byte, 0, len(doc)+2*c.N+24*len(c.Vals))
 	// The first cell's comma lands on the '[' it then becomes.
 	out = c.appendJSON(append(out, doc[:at]...))
 	out[at] = '['
@@ -341,10 +390,10 @@ func (v *ResultView) UnmarshalJSON(data []byte) error {
 	return err
 }
 
-// ParseFiled files a result from the JSON GET /result serves and the blob
-// tier stores, its cells straight into runs. cfg stands in for the producing
-// run's config, which the view does not carry. Phase timings and per-worker
-// busy spans describe the producing process and stay behind.
+// ParseFiled files a result from the JSON GET /result serves — how a fleet
+// coordinator reads a remote one — its cells straight into runs. cfg stands in
+// for the producing run's config, which the view does not carry. Phase timings
+// and per-worker busy spans describe the producing process and stay behind.
 func ParseFiled(data []byte, cfg core.Config) (*Filed, error) {
 	var v ResultView
 	cells, ok, err := v.decode(data)
@@ -369,24 +418,23 @@ func ParseFiled(data []byte, cfg core.Config) (*Filed, error) {
 // input, bytes after the document — goes to encoding/json whole, so values
 // and errors are the standard ones.
 func (v *ResultView) decode(data []byte) (cellRuns, bool, error) {
-	type plain ResultView // the same fields without UnmarshalJSON
 	if start, end, ok := cellsArray(data); ok {
 		if cells, ok := parseCells(data[start:end]); ok {
 			rest := make([]byte, 0, len(data)-(end-start)+len("null"))
 			rest = append(append(append(rest, data[:start]...), "null"...), data[end:]...)
-			if json.Unmarshal(rest, (*plain)(v)) == nil {
+			if json.Unmarshal(rest, (*plainView)(v)) == nil {
 				return cells, true, nil
 			}
 		}
 	}
-	err := json.Unmarshal(data, (*plain)(v))
+	err := json.Unmarshal(data, (*plainView)(v))
 	var typeErr *json.UnmarshalTypeError
 	if errors.As(err, &typeErr) {
 		// The message names the wire type, as it always has.
-		if typeErr.Struct == "plain" {
+		if typeErr.Struct == "plainView" {
 			typeErr.Struct = "ResultView"
 		}
-		if typeErr.Type == reflect.TypeOf(plain{}) {
+		if typeErr.Type == reflect.TypeOf(plainView{}) {
 			typeErr.Type = reflect.TypeOf(ResultView{})
 		}
 	}
@@ -517,7 +565,7 @@ func parseCells(raw []byte) (c cellRuns, ok bool) {
 		for len(rest) >= 2 && rest[0] == '0' && rest[1] == ',' {
 			rest = rest[2:]
 		}
-		c.n += (len(raw) - len(rest) - i) / 2
+		c.N += (len(raw) - len(rest) - i) / 2
 		i = skipSpace(raw, len(raw)-len(rest))
 		start := i
 		for i < len(raw) && isNumberByte(raw[i]) {
@@ -532,14 +580,14 @@ func parseCells(raw []byte) (c cellRuns, ok bool) {
 			return cellRuns{}, false
 		}
 		if math.Float64bits(f) != 0 {
-			if r := len(c.end) - 1; r >= 0 && int(c.end[r]) == c.n {
-				c.end[r]++
+			if r := len(c.End) - 1; r >= 0 && int(c.End[r]) == c.N {
+				c.End[r]++
 			} else {
-				c.start, c.end = append(c.start, int32(c.n)), append(c.end, int32(c.n+1))
+				c.Start, c.End = append(c.Start, int32(c.N)), append(c.End, int32(c.N+1))
 			}
-			c.vals = append(c.vals, f)
+			c.Vals = append(c.Vals, f)
 		}
-		c.n++
+		c.N++
 		i = skipSpace(raw, i)
 		if i == len(raw) {
 			return cellRuns{}, false
@@ -638,7 +686,7 @@ func (v *ResultView) result(cfg core.Config) *core.Result {
 		TallyTotal: v.TallyTotal,
 		Cells:      v.Cells,
 	}
-	if v.WallNS > 0 {
+	if v.WallNS != 0 {
 		res.Wall = time.Duration(v.WallNS)
 	} else { // older worker: fall back to the rounded seconds
 		res.Wall = time.Duration(v.WallSeconds * float64(time.Second))

@@ -11,6 +11,7 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strconv"
 	"strings"
@@ -79,7 +80,7 @@ func BenchmarkResultJSON(b *testing.B) {
 	// encoding of the stored form costs.
 	b.Run("file", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if fileResult(res).cells.n == 0 {
+			if fileResult(res).cells.N == 0 {
 				b.Fatal("no cells filed")
 			}
 		}
@@ -450,17 +451,19 @@ func FuzzResultDecode(f *testing.F) {
 	f.Fuzz(checkDecodeMatchesStdlib)
 }
 
-// TestResultEncodedOnce: the three writers of a single-run result — the blob
-// store's persistent tier, GET /result on the job that computed it, and GET
-// /result on jobs born from an LRU hit — emit the bytes of an encoding kept
-// with the cache entry, and those bytes are exactly what encoding the view
-// per request produced. The computing job's fetch releases the entry's copy;
-// hit jobs' fetches keep it.
+// TestResultEncodedOnce: GET /result on the job that computed a single-run
+// result and on jobs born from an LRU hit emit the bytes of an encoding kept
+// with the cache entry, and those bytes are exactly what encoding the view per
+// request produced. The computing job's fetch releases the entry's copy; hit
+// jobs' fetches keep it. The blob tier stores the view but its cells, and the
+// cells as runs: under a tenth of the served bytes, it reads back to the
+// served view and to the result a parse of the served bytes files, which is
+// what a blob-tier hit then serves.
 func TestResultEncodedOnce(t *testing.T) {
 	store := blob.NewMem()
 	ts, e := newTestServer(t, Options{Shards: 1, QueueDepth: 4, Blobs: store})
-	spec := `{"problem":"csp","nx":64,"particles":200,"seed":7,"keep_cells":true}`
-	get := func(id string) []byte {
+	spec := `{"problem":"csp","nx":256,"particles":200,"seed":7,"keep_cells":true}`
+	get := func(ts *httptest.Server, id string) []byte {
 		t.Helper()
 		resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/result?wait=true")
 		if err != nil {
@@ -478,7 +481,7 @@ func TestResultEncodedOnce(t *testing.T) {
 	}
 
 	first := submitJob(t, ts, spec, false)
-	body := get(first.ID)
+	body := get(ts, first.ID)
 	j, err := e.Job(first.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -494,12 +497,36 @@ func TestResultEncodedOnce(t *testing.T) {
 	if !bytes.Equal(body, want.Bytes()) {
 		t.Fatal("GET /result is not the per-request encoding of the view")
 	}
+
 	stored, err := store.Get("results/" + j.key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(append(stored, '\n'), body) {
-		t.Fatal("persisted result differs from the served one")
+	t.Logf("stored %d bytes for %d served", len(stored), len(body))
+	if len(stored)*10 >= len(body) {
+		t.Errorf("stored result is %d bytes, not under a tenth of the %d served", len(stored), len(body))
+	}
+	f, ok := parseStored(stored, j.cfg)
+	if !ok {
+		t.Fatal("the stored result does not read back")
+	}
+	var served, kept ResultView
+	if err := json.Unmarshal(body, &served); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(stored, &kept); err != nil {
+		t.Fatal(err)
+	}
+	if kept.Cells = f.cells.expand(nil); !reflect.DeepEqual(kept, served) {
+		t.Fatal("the stored view and runs are not the served view")
+	}
+	parsed, err := ParseFiled(body, j.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromBlob, err := f.encode()
+	if fromWire, werr := parsed.encode(); err != nil || werr != nil || !bytes.Equal(fromBlob, fromWire) {
+		t.Fatalf("the stored result encodes unlike the served bytes parsed (err %v, %v)", err, werr)
 	}
 
 	// The computing job's own fetch let the entry's copy go.
@@ -511,7 +538,7 @@ func TestResultEncodedOnce(t *testing.T) {
 	if code != http.StatusOK || !hit.Cached {
 		t.Fatalf("repeat submit: status %d, view %+v", code, hit)
 	}
-	if !bytes.Equal(get(hit.ID), body) {
+	if !bytes.Equal(get(ts, hit.ID), body) {
 		t.Fatal("LRU-hit job served different bytes")
 	}
 	// A hit job's fetch keeps them: the next hit is served the same slice.
@@ -520,12 +547,19 @@ func TestResultEncodedOnce(t *testing.T) {
 	if len(a) == 0 || &a[0] != &b[0] {
 		t.Fatal("cache entry re-encoded its result")
 	}
-	if !bytes.Equal(get(hit.ID), body) {
+	if !bytes.Equal(get(ts, hit.ID), body) {
 		t.Fatal("second fetch of the hit job served different bytes")
 	}
 	// A result the cache does not hold still encodes, for that caller.
 	other := fileResult(res)
 	if c, err := e.store.resultJSON(j.key, other, false); err != nil || !bytes.Equal(c, a) || &c[0] == &a[0] {
 		t.Fatal("foreign result must be encoded afresh to the same bytes")
+	}
+
+	// A blob-tier hit on an engine over the same store serves those bytes.
+	ts2, e2 := newTestServer(t, Options{Shards: 1, QueueDepth: 4, Blobs: store})
+	blobHit := submitJob(t, ts2, spec, true)
+	if got := get(ts2, blobHit.ID); e2.store.blobHits.Value() != 1 || !bytes.Equal(got, append(fromBlob, '\n')) {
+		t.Fatalf("blob-tier hit (%v hits) served bytes unlike its stored result's", e2.store.blobHits.Value())
 	}
 }

@@ -440,8 +440,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		} else {
 			// A single run's view is a function of the result alone, so its
 			// bytes are encoded once per result (store.resultJSON), not per
-			// request: the job that computed it is served the bytes store.put
-			// encoded for the blob tier and lets them go, a cache-hit job
+			// request: the job that computed it lets them go, a cache-hit job
 			// leaves them for the next hit.
 			data, err = s.engine.store.resultJSON(j.key, res, !j.Status().Cached)
 		}
@@ -559,19 +558,20 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 // handleSnapshot serves the job's latest checkpoint (Job.ckpt) as the raw
 // snapshot binary — the pull side of fleet rescheduling: a coordinator
 // fetches the worker's last checkpointed boundary here and seeds the
-// replacement shard with it. That is the boundary the cost cadence last
-// picked, not necessarily the last step completed, and it stays served after
-// the job is done, until its result is first served. 404 while the job holds
-// none (an unseeded retain_snapshot run before its first step boundary, or
-// one whose result was fetched); the X-Neutral-Step header carries the
-// step index the snapshot restores to, -1 for one the job was handed rather
-// than took.
+// replacement shard with it. Without a durable store that is the job's first
+// boundary, then the first due one after the last read here (see
+// Engine.checkpoint), not necessarily the last step completed, and it stays
+// served after the job is done, until its result is first served. 404 while
+// the job holds none (an unseeded retain_snapshot run before its first step
+// boundary, or one whose result was fetched); X-Neutral-Step carries the step
+// index the snapshot restores to, -1 for one the job was handed rather than
+// took, and Content-Length its size, for a one-buffer read.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.job(w, r)
 	if !ok {
 		return
 	}
-	data, step := j.Snapshot()
+	data, step := j.pull()
 	if data == nil {
 		s.writeError(w, r, http.StatusNotFound,
 			errors.New("service: no retained snapshot (submit with retain_snapshot, then wait for a step boundary)"))
@@ -579,6 +579,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("X-Neutral-Step", strconv.Itoa(step))
+	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 	w.Write(data)
 }
 

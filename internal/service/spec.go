@@ -47,7 +47,8 @@ type Spec struct {
 	// RetainSnapshot keeps the job's latest checkpoint in memory for
 	// GET /v1/jobs/{id}/snapshot — how a coordinator pulls the checkpoint
 	// it would reschedule this shard from. Checkpoints are taken at the
-	// first step boundary and then by measured cost, not at every step; the
+	// first step boundary and then by measured cost — without a durable
+	// store, only once the one held was pulled — not at every step; the
 	// "checkpoint" field of each step event names the boundary served.
 	RetainSnapshot bool `json:"retain_snapshot,omitempty"`
 	// Snapshot (base64 in JSON) seeds the run from a checkpoint: the

@@ -82,12 +82,12 @@ func newStore(cacheEntries int, blobs blob.Store, r *telemetry.Registry) *store 
 			"Measured cost of one checkpoint (snapshot encode plus, for a durable key, the store put) — the number the checkpoint cadence spaces the next one by.",
 			telemetry.ExpBuckets(0.0001, 4, 8)), // 0.1ms .. ~1.6s
 		checkpointSkipped: r.Counter("neutral_checkpoint_skipped_total",
-			"Step boundaries that took no checkpoint because the cost budget since the last one was not yet spent."),
+			"Step boundaries that took no checkpoint because the cost budget since the last one was not yet spent or, without a durable store, GET /snapshot had not yet read the one held."),
 	}
 }
 
 // persists reports whether cfg's result lives in the blob tier as well as
-// the LRU. Only plain single runs do: the wire form carries no particle bank,
+// the LRU. Only plain single runs do: the stored form carries no particle bank,
 // and an ensemble's per-replica history and statistics live with its entry.
 func (s *store) persists(key string, cfg core.Config) bool {
 	return s.durable(key) && cfg.Replicas <= 1 && !cfg.KeepBank
@@ -97,7 +97,7 @@ func (s *store) persists(key string, cfg core.Config) bool {
 // (nil for a single run): in the LRU, marking it most recently used, else in
 // the blob tier — left by another engine over the same store, or by this
 // process before a restart — which files it into the LRU. cfg is the
-// requesting config; a result decoded from the blob tier, whose wire form
+// requesting config; a result read from the blob tier, whose stored form
 // carries none, echoes it. Both values are shared by every job served from the
 // key and must be treated as immutable.
 func (s *store) get(key string, cfg core.Config) (*Filed, *stats.Ensemble, bool) {
@@ -124,9 +124,9 @@ func (s *store) get(key string, cfg core.Config) (*Filed, *stats.Ensemble, bool)
 	if err != nil {
 		return nil, nil, false
 	}
-	res, err := ParseFiled(data, cfg)
-	if err != nil {
-		// Corrupt entry: drop it so the next put re-persists cleanly.
+	res, ok := parseStored(data, cfg)
+	if !ok {
+		// Unreadable (see parseStored): drop it so the next put re-persists.
 		s.blobs.Delete(resultKey(key))
 		return nil, nil, false
 	}
@@ -136,7 +136,7 @@ func (s *store) get(key string, cfg core.Config) (*Filed, *stats.Ensemble, bool)
 }
 
 // put files a fresh result (with an ensemble's merged statistics) under key,
-// for the LRU and the blob tier's bytes alike; an uncacheable result ("" key)
+// in the LRU and, as its runs, in the blob tier; an uncacheable result ("" key)
 // is its job's alone. The blob write is best-effort: a restarted process, or a
 // stateless replica sharing the store, then serves it without a solve.
 func (s *store) put(key string, cfg core.Config, f *Filed, ens *stats.Ensemble) {
@@ -145,7 +145,7 @@ func (s *store) put(key string, cfg core.Config, f *Filed, ens *stats.Ensemble) 
 	}
 	s.insert(key, f, ens)
 	if s.persists(key, cfg) {
-		if data, err := s.resultJSON(key, f, false); err == nil && s.blobs.Put(resultKey(key), data) == nil {
+		if data, err := f.stored(); err == nil && s.blobs.Put(resultKey(key), data) == nil {
 			s.blobWrites.Inc()
 		}
 	}
@@ -178,14 +178,14 @@ func (s *store) insert(key string, f *Filed, ens *stats.Ensemble) {
 // resultJSON returns the bytes of json.Marshal(resultViewOf(res.Result())),
 // written from the runs (Filed.encode) — a single-run result on the wire.
 // While the LRU holds res under key they are encoded once and kept with the
-// entry, so the blob tier, the job that computed the result and every job later
-// born from a hit on the entry write the same slice (callers must not modify
-// it). release drops the entry's copy after this call: the computing job's own
-// fetch passes true — nobody is known to want the bytes again, and 137 KB per
-// entry is real memory — while a cache-hit job's fetch passes false, since a
-// result asked for twice is likely to be asked for again. A result the LRU
-// does not hold (evicted, uncacheable, caching off) is encoded for the caller
-// alone. The lookup is not a cache access: it moves no entry and counts no hit.
+// entry, so every job born from a hit on the entry writes the same slice
+// (callers must not modify it). release drops the entry's copy after this
+// call: the computing job's own fetch passes true — nobody is known to want
+// the bytes again, and 137 KB per entry is real memory — while a cache-hit
+// job's fetch passes false, since a result asked for twice is likely to be
+// asked for again. A result the LRU does not hold (evicted, uncacheable,
+// caching off) is encoded for the caller alone. The lookup is not a cache
+// access: it moves no entry and counts no hit.
 func (s *store) resultJSON(key string, res *Filed, release bool) ([]byte, error) {
 	var enc *encodedResult
 	s.mu.Lock()

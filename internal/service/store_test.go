@@ -9,7 +9,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/mesh"
 	"repro/internal/particle"
+	"repro/internal/service/blob"
 	"repro/internal/tally"
+	"repro/internal/telemetry"
 )
 
 // finished submits cfg and waits for the job, reporting whether it was served
@@ -68,6 +70,55 @@ func TestStrategyVariantsShareOneStoredResult(t *testing.T) {
 	}
 	if res.TallyTotal != first.TallyTotal || !slices.Equal(res.Cells, first.Cells) {
 		t.Error("the blob tier's result differs from the one computed")
+	}
+}
+
+// TestWireFormResultBlobIsAMiss: a result blob left in the wire form an older
+// engine stored is not read: the lookup misses and deletes it, and the job
+// that then solves persists the result as its runs.
+func TestWireFormResultBlobIsAMiss(t *testing.T) {
+	cfg := ckptConfig(1)
+	cfg.KeepCells = true
+	key, err := identify(&cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := core.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire, err := fileResult(ref).encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := blob.NewMem()
+	if err := mem.Put(resultKey(key), wire); err != nil {
+		t.Fatal(err)
+	}
+	s := newStore(0, mem, telemetry.NewRegistry())
+	if _, _, ok := s.get(key, cfg); ok {
+		t.Fatal("a wire-form blob was read as a stored result")
+	}
+	if _, err := mem.Get(resultKey(key)); err == nil {
+		t.Fatal("the unreadable blob was not deleted")
+	}
+
+	mem.Put(resultKey(key), wire)
+	e := New(Options{Shards: 1, Blobs: mem})
+	defer e.Close()
+	res, cached := finished(t, e, cfg)
+	if cached || e.Stats().Runs != 1 || e.store.blobHits.Value() != 0 {
+		t.Fatalf("cached = %t, %d runs, %v blob hits; want one solve", cached, e.Stats().Runs, e.store.blobHits.Value())
+	}
+	if res.TallyTotal != ref.TallyTotal || !slices.Equal(res.Cells, ref.Cells) {
+		t.Error("the solve differs from the reference run")
+	}
+	data, err := mem.Get(resultKey(key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := parseStored(data, cfg); !ok {
+		t.Error("the solve did not re-persist its result as runs")
 	}
 }
 

@@ -181,9 +181,18 @@ echo "rate limit: second submit shed 429 with Retry-After=${RETRY_AFTER}s"
 # Kill the coordinator mid-ensemble once a shard checkpoint reached the
 # store, restart it over the same store, and resubmit: every shard must
 # resume from the store, not start over.
+# The count tolerates a store that has no checkpoints directory yet and skips
+# the .put-* temp file of a write in flight (a glob does not match dot files).
+count_checkpoints() {
+  local n=0 f
+  for f in "$BLOB"/checkpoints/*; do
+    if [ -f "$f" ]; then n=$((n + 1)); fi
+  done
+  echo "$n"
+}
 curl -sf "${AUTH_OPS[@]}" -X POST "http://$C2/v1/jobs" -d "$SPEC" >/dev/null
 for _ in $(seq 1 300); do
-  CKPTS=$(ls "$BLOB/checkpoints" 2>/dev/null | wc -l)
+  CKPTS=$(count_checkpoints)
   [ "$CKPTS" -ge 1 ] && break
   sleep 0.1
 done
