@@ -12,6 +12,12 @@
 //	curl -s localhost:8080/v1/jobs/job-000001/result?wait=true
 //	curl -N localhost:8080/v1/jobs/job-000001/stream
 //
+// A result carries its per-cell tally (keep_cells) as the runs of non-zero
+// cells, "runs":{"n","start","end","vals"}: run r holds cells
+// [start[r], end[r]), whose values lie end to end in vals, and every other of
+// the n cells is zero. These are the bytes the blob store keeps;
+// service.ResultView decodes them into dense cells for a Go client.
+//
 // Running a cluster (see internal/fleet): one coordinator dispatches job
 // shards to worker processes under heartbeat-renewed leases, rescheduling
 // from the last pulled checkpoint when a worker dies:

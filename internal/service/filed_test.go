@@ -16,8 +16,8 @@ import (
 )
 
 // checkFiled files cells and requires the stored form to be what it claims:
-// maximal runs of non-zero cells only, expanding to the same bits, and encoded
-// to json.Marshal's bytes or error.
+// maximal runs of non-zero cells only, expanding to the same bits, and read
+// back from its JSON to the same bits or failing with json.Marshal's error.
 func checkFiled(t *testing.T, name string, cells []float64) {
 	t.Helper()
 	c := compactCells(cells)
@@ -49,20 +49,11 @@ func checkFiled(t *testing.T, name string, cells []float64) {
 			t.Fatalf("%s: cell %d expands to %x, was %x", name, i, math.Float64bits(got[i]), math.Float64bits(cells[i]))
 		}
 	}
-
-	v := ResultView{TallyTotal: 2.5, Events: 9, Cells: cells}
-	enc, eerr := encodeResultView(v)
-	want, werr := json.Marshal(v)
-	if (eerr == nil) != (werr == nil) || (werr != nil && eerr.Error() != werr.Error()) {
-		t.Fatalf("%s: err %v, encoding/json %v", name, eerr, werr)
-	}
-	if !bytes.Equal(enc, want) {
-		t.Fatalf("%s: encodes to %.80q, encoding/json %.80q", name, enc, want)
-	}
+	checkEncodeRoundTrip(t, name, ResultView{TallyTotal: 2.5, Events: 9, Cells: cells})
 }
 
 // TestFiledLossless: filing a result's cells loses nothing — not a bit of any
-// cell, not a byte of its wire form — on every shape a dense slice can take.
+// cell, through its JSON form or not — on every shape a dense slice can take.
 func TestFiledLossless(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	for _, tc := range []struct {
@@ -134,10 +125,12 @@ func TestFiledLossless(t *testing.T) {
 			t.Fatalf("reference cell %d: %v, was %v", i, dense.Cells[i], res.Cells[i])
 		}
 	}
-	enc, err := f.encode()
-	want, werr := json.Marshal(resultViewOf(res))
+	view := resultViewOf(res)
+	view.Cells = nil
+	enc, err := f.encode(nil)
+	want, werr := json.Marshal(storedResult{plainView(view), &f.cells})
 	if err != nil || werr != nil || !bytes.Equal(enc, want) {
-		t.Fatalf("filed reference result encodes differently (err %v, %v)", err, werr)
+		t.Fatalf("filed reference result encodes unlike its view and runs (err %v, %v)", err, werr)
 	}
 }
 
@@ -167,27 +160,24 @@ func FuzzFiledCells(f *testing.F) {
 	})
 }
 
-// FuzzStoredResult: the blob tier's reader either rejects a document or files
-// runs that lie within their n, and what it files stores back to bytes it
-// reads again to the same result — stored once more, the same bytes. A
-// document it accepts encodes to wire JSON that ParseFiled reads into the
-// same runs.
+// FuzzStoredResult: the one parser either rejects a document or files runs
+// that lie within their n, and what it files encodes back to bytes it reads
+// again to the same result — encoded once more, the same bytes.
 func FuzzStoredResult(f *testing.F) {
-	// The wire form only of a small result: encoding/json reading 65 536
-	// cells into a rejected document would slow the fuzzer a thousandfold.
 	small := &core.Result{TallyTotal: 3, Wall: 5, Cells: []float64{0, 1, 0, 0, 2, 3, 0}}
 	for _, res := range []*core.Result{referenceResult(f), small, {TallyTotal: 3}} {
-		data, err := fileResult(res).stored()
+		data, err := fileResult(res).encode(nil)
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(data)
 	}
-	wire, err := fileResult(small).encode()
+	// The dense cells an older engine wrote: a document to reject.
+	dense, err := json.Marshal(resultViewOf(small))
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(wire)
+	f.Add(dense)
 	for _, doc := range []string{
 		`{}`, `{"runs":null}`, `{"runs":{"n":0}}`, `{"cells":[1],"runs":{"n":1}}`,
 		`{"runs":{"n":4,"start":[0,3],"end":[2,4],"vals":[1,-0,2.5e-300]}}`,
@@ -199,8 +189,8 @@ func FuzzStoredResult(f *testing.F) {
 		f.Add([]byte(doc))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, ok := parseStored(data, core.Config{})
-		if !ok {
+		got, err := ParseFiled(data, core.Config{})
+		if err != nil {
 			return
 		}
 		c := &got.cells
@@ -209,33 +199,19 @@ func FuzzStoredResult(f *testing.F) {
 				t.Fatalf("run %d is [%d, %d) of %d cells", r, c.Start[r], c.End[r], c.N)
 			}
 		}
-		once, err := got.stored()
-		if err != nil {
-			t.Fatalf("an accepted result does not store: %v", err)
-		}
-		back, ok := parseStored(once, core.Config{})
-		if !ok {
-			t.Fatalf("stored form %.200q does not read back", once)
-		}
-		if !sameRuns(&back.cells, c) {
-			t.Fatal("runs changed through the stored form")
-		}
-		if twice, err := back.stored(); err != nil || !bytes.Equal(twice, once) {
-			t.Fatalf("stored again as %.200q, was %.200q (err %v)", twice, once, err)
-		}
-		if c.N > 1<<16 {
-			return // the wire form of a large n is n numbers
-		}
-		wire, err := got.encode()
+		once, err := got.encode(nil)
 		if err != nil {
 			t.Fatalf("an accepted result does not encode: %v", err)
 		}
-		parsed, err := ParseFiled(wire, core.Config{})
+		back, err := ParseFiled(once, core.Config{})
 		if err != nil {
-			t.Fatalf("its wire form does not parse: %v", err)
+			t.Fatalf("encoded form %.200q does not read back: %v", once, err)
 		}
-		if !sameRuns(&parsed.cells, c) {
-			t.Fatal("its wire form parses to other runs")
+		if !sameRuns(&back.cells, c) {
+			t.Fatal("runs changed through the encoded form")
+		}
+		if twice, err := back.encode(nil); err != nil || !bytes.Equal(twice, once) {
+			t.Fatalf("encoded again as %.200q, was %.200q (err %v)", twice, once, err)
 		}
 	})
 }

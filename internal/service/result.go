@@ -1,14 +1,11 @@
 package service
 
 import (
-	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"math"
 	"reflect"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -18,9 +15,10 @@ import (
 	"repro/internal/stats"
 )
 
-// ResultView is the wire representation of a completed run: the quantities
-// a client consumes, flattened from core.Result (whose Config carries
-// non-serialisable hooks).
+// ResultView is a completed run as a client reads it: the quantities it
+// consumes, flattened from core.Result (whose Config carries non-serialisable
+// hooks). On the wire the cells travel as their runs (storedResult);
+// UnmarshalJSON expands them into Cells.
 type ResultView struct {
 	TallyTotal  float64 `json:"tally_total"`
 	WallSeconds float64 `json:"wall_seconds"`
@@ -125,16 +123,21 @@ func ensembleViewOf(ens *stats.Ensemble, keepCells bool) *EnsembleView {
 }
 
 // Filed is a finished result as the engine keeps it and a coordinator receives
-// it: the core.Result without its cells, and the cells as their runs of
-// non-zero values. A 256² csp result deposits in 336 of its 65 536 cells, so
-// what an engine remembers grows with what was deposited, not with the mesh.
-// Each result is filed once, at its source (fileResult, ParseFiled,
-// parseStored), and shared by every job served from it.
+// it: the core.Result without its cells, its view as served, and the cells as
+// their runs of non-zero values. A 256² csp result deposits in 336 of its
+// 65 536 cells, so what an engine remembers grows with what was deposited, not
+// with the mesh. Each result is filed once, at its source (fileResult,
+// ParseFiled), and shared by every job served from it.
 type Filed struct {
 	// res is the result with Cells nil — or, for a result that had no cells,
 	// the very pointer it arrived as.
 	res   *core.Result
 	cells cellRuns
+	// view is what encode writes beside the runs: resultViewOf(res) for a
+	// result filed here, the view it arrived with for a parsed one. So every
+	// tier and hop that serves the result writes the same bytes, the phase
+	// timings and load imbalance of the run that produced it included.
+	view plainView
 
 	// dense is res with its cells expanded, built by the first Result call.
 	once  sync.Once
@@ -144,12 +147,14 @@ type Filed struct {
 // fileResult files res. res is not modified; the caller drops it, and with it
 // the dense cells.
 func fileResult(res *core.Result) *Filed {
-	if len(res.Cells) == 0 {
-		return &Filed{res: res}
+	f := &Filed{res: res, view: plainView(resultViewOf(res))}
+	f.view.Cells = nil
+	if len(res.Cells) > 0 {
+		r := *res
+		r.Cells = nil
+		f.res, f.cells = &r, compactCells(res.Cells)
 	}
-	r := *res
-	r.Cells = nil
-	return &Filed{res: &r, cells: compactCells(res.Cells)}
+	return f
 }
 
 // Result returns the dense result: built on the first call, the same pointer
@@ -167,16 +172,10 @@ func (f *Filed) Result() *core.Result {
 	return f.dense
 }
 
-// encode returns the bytes of json.Marshal(resultViewOf(f.Result())) without
-// building the dense cells.
-func (f *Filed) encode() ([]byte, error) {
-	return encodeCells(resultViewOf(f.res), &f.cells)
-}
-
-// storedResult is a single-run result as the blob tier keeps it: the view as
-// served but its cells, and the cells as their runs. Stored so, the reference
-// 256² csp result is ≈ 9 KB against 137 KB of wire JSON, 99.5 % of whose
-// numbers are zeros.
+// storedResult is a result's one JSON form, kept in the blob tier and served
+// by GET /result: the view but its cells, and the cells as their runs. So
+// written, the reference 256² csp result is ≈ 9 KB, where its dense cells
+// alone were 137 KB, 99.5 % of whose numbers were zeros.
 type storedResult struct {
 	plainView
 	Runs *cellRuns `json:"runs"`
@@ -185,21 +184,72 @@ type storedResult struct {
 // plainView is ResultView without its UnmarshalJSON.
 type plainView ResultView
 
-// stored returns f's blob-tier form, which parseStored reads back.
-func (f *Filed) stored() ([]byte, error) {
-	return json.Marshal(storedResult{plainView(resultViewOf(f.res)), &f.cells})
+// encode returns f's JSON form, with ens the merged statistics of an ensemble
+// job (nil for a single run): a single run's blob-tier bytes and, with a
+// newline, the body of GET /result. ParseFiled reads it back.
+func (f *Filed) encode(ens *EnsembleView) ([]byte, error) {
+	v := f.view
+	v.Ensemble = ens
+	return json.Marshal(storedResult{v, &f.cells})
 }
 
-// parseStored files a result from its blob-tier form; cfg stands in for the
-// producing run's config, as in ParseFiled. ok is false for anything else:
-// malformed JSON, a document without runs (the wire form an older engine
-// stored), runs that compactCells would not have written.
-func parseStored(data []byte, cfg core.Config) (f *Filed, ok bool) {
-	var s storedResult
-	if json.Unmarshal(data, &s) != nil || s.Runs == nil || !s.Runs.valid() {
-		return nil, false
+// ParseFiled files a result from its JSON form: a blob-tier entry, or the body
+// of GET /result as a fleet coordinator fetches it. cfg stands in for the
+// producing run's config, which the form does not carry. The core.Result
+// leaves out the phase timings and per-worker busy spans, which describe the
+// producing process; the view it serves keeps them, and drops an ensemble
+// block, which the serving job supplies. It fails on anything encode does not
+// write: malformed JSON, a document without runs (the dense cells an older
+// engine wrote), or one that decodeResult rejects.
+func ParseFiled(data []byte, cfg core.Config) (*Filed, error) {
+	s, err := decodeResult(data)
+	if err == nil && s.Runs == nil {
+		err = errors.New("service: result has no runs")
 	}
-	return &Filed{res: (*ResultView)(&s.plainView).result(cfg), cells: *s.Runs}, true
+	if err != nil {
+		return nil, err
+	}
+	s.Ensemble = nil
+	return &Filed{res: (*ResultView)(&s.plainView).result(cfg), cells: *s.Runs, view: s.plainView}, nil
+}
+
+// UnmarshalJSON reads a result in its JSON form into dense Cells, so a Go
+// client decodes GET /result with encoding/json. A document with dense cells
+// and no runs decodes as encoding/json alone would decode it.
+func (v *ResultView) UnmarshalJSON(data []byte) error {
+	s, err := decodeResult(data)
+	if err != nil {
+		return err
+	}
+	if s.Runs != nil && s.Runs.N > 0 {
+		s.Cells = s.Runs.expand(nil)
+	}
+	*v = ResultView(s.plainView)
+	return nil
+}
+
+// decodeResult decodes data with encoding/json, whose errors name the wire type
+// ResultView. Runs must be what compactCells files, and never beside cells: a
+// document carrying both has no one reading.
+func decodeResult(data []byte) (s storedResult, err error) {
+	err = json.Unmarshal(data, &s)
+	var typeErr *json.UnmarshalTypeError
+	switch {
+	case errors.As(err, &typeErr):
+		if typeErr.Struct == "storedResult" {
+			typeErr.Struct = "ResultView"
+		}
+		typeErr.Field = strings.TrimPrefix(typeErr.Field, "plainView.")
+		if typeErr.Type == reflect.TypeOf(s) {
+			typeErr.Type = reflect.TypeOf(ResultView{})
+		}
+	case err != nil || s.Runs == nil:
+	case s.Cells != nil:
+		err = errors.New("service: result has both cells and runs")
+	case !s.Runs.valid():
+		err = errors.New("service: result runs are not a cell list's")
+	}
+	return s, err
 }
 
 // cellRuns is a dense []float64 of N cells as its runs of non-zero cells: run
@@ -207,7 +257,7 @@ func parseStored(data []byte, cfg core.Config) (f *Filed, ok bool) {
 // Vals. A cell is zero when all of its bits are, so -0, subnormals, NaN and
 // ±Inf are kept and expand gives back the dense slice bit for bit. Runs are
 // maximal, so a slice with no zero costs its dense size plus one run. The
-// fields are exported for the blob tier's JSON (storedResult).
+// fields are exported for the result's JSON form (storedResult).
 type cellRuns struct {
 	N     int       `json:"n"`
 	Start []int32   `json:"start,omitempty"`
@@ -291,364 +341,6 @@ func (c *cellRuns) expand(dst []float64) []float64 {
 		vals = vals[copy(dst[s:c.End[r]], vals):]
 	}
 	return dst
-}
-
-// zeroCells is the JSON of a gap of zero cells, copied rather than formatted.
-var zeroCells = strings.Repeat(",0", 512)
-
-// appendJSON appends every cell, each after a comma, as encoding/json writes
-// it.
-func (c *cellRuns) appendJSON(b []byte) []byte {
-	at, vals := 0, c.Vals
-	for r, s := range c.Start {
-		b = appendZeroCells(b, int(s)-at)
-		at = int(c.End[r])
-		for _, f := range vals[:at-int(s)] {
-			b = appendJSONFloat(append(b, ','), f)
-		}
-		vals = vals[at-int(s):]
-	}
-	return appendZeroCells(b, c.N-at)
-}
-
-func appendZeroCells(b []byte, n int) []byte {
-	for n > 0 {
-		k := min(n, len(zeroCells)/2)
-		b = append(b, zeroCells[:2*k]...)
-		n -= k
-	}
-	return b
-}
-
-// encodeResultView returns the bytes of json.Marshal(v). The cells are
-// compacted and written by encodeCells, the one cell writer.
-func encodeResultView(v ResultView) ([]byte, error) {
-	c := compactCells(v.Cells)
-	v.Cells = nil
-	return encodeCells(v, &c)
-}
-
-// encodeCells returns the bytes of json.Marshal(v) with v.Cells the expansion
-// of c — 65 200 zeros of a 256² result's 65 536 numbers — written from the
-// runs instead of reflected over: a result's bytes cost what was deposited, as
-// its tally does. encoding/json encodes the view with a one-zero array in the
-// array's place (every field before cells is a number, so the first
-// `"cells":[0]` in the document is that one), and the numbers are spliced in
-// under encoding/json's own formatting rules. A view without cells, or with a
-// cell JSON cannot carry (NaN, ±Inf), goes to encoding/json whole, so the
-// bytes and the error there are the standard ones. It is a function and not a
-// MarshalJSON method: json.Marshal re-scans and copies what a Marshaler
-// returns, which makes a call that is on every job's path to its result cost
-// four times as much (BENCH_pr26.json, result_encode).
-func encodeCells(v ResultView, c *cellRuns) ([]byte, error) {
-	if c.N == 0 {
-		return json.Marshal(v)
-	}
-	for _, f := range c.Vals {
-		if math.IsNaN(f) || math.IsInf(f, 0) {
-			v.Cells = c.expand(nil)
-			return json.Marshal(v)
-		}
-	}
-	const placeholder = `"cells":[0]`
-	v.Cells = []float64{0}
-	doc, err := json.Marshal(v)
-	if err != nil {
-		return nil, err
-	}
-	at := bytes.Index(doc, []byte(placeholder)) + len(placeholder) - len("[0]")
-	out := make([]byte, 0, len(doc)+2*c.N+24*len(c.Vals))
-	// The first cell's comma lands on the '[' it then becomes.
-	out = c.appendJSON(append(out, doc[:at]...))
-	out[at] = '['
-	return append(out, doc[at+len("[0"):]...), nil
-}
-
-// appendJSONFloat appends a finite f as encoding/json writes a float64: the
-// shortest digits that round-trip, in exponent form iff the magnitude is
-// non-zero and below 1e-6 or at least 1e21, a two-digit negative exponent
-// cut to one (e-09 → e-9). It writes the run values; zero gaps never reach it.
-func appendJSONFloat(b []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-		b[n-2] = b[n-1]
-		b = b[:n-1]
-	}
-	return b
-}
-
-// UnmarshalJSON is decode with the cells expanded: a Go client's read.
-func (v *ResultView) UnmarshalJSON(data []byte) error {
-	cells, ok, err := v.decode(data)
-	if ok {
-		v.Cells = cells.expand(nil)
-	}
-	return err
-}
-
-// ParseFiled files a result from the JSON GET /result serves — how a fleet
-// coordinator reads a remote one — its cells straight into runs. cfg stands in
-// for the producing run's config, which the view does not carry. Phase timings
-// and per-worker busy spans describe the producing process and stay behind.
-func ParseFiled(data []byte, cfg core.Config) (*Filed, error) {
-	var v ResultView
-	cells, ok, err := v.decode(data)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return fileResult(v.result(cfg)), nil
-	}
-	return &Filed{res: v.result(cfg), cells: cells}, nil
-}
-
-// decode decodes data into v but for the cells array — 65 536 numbers of a
-// 256² result, nearly all of its bytes — which it takes off encoding/json
-// (three scans of those bytes, reflection per element): the array is found in
-// the top-level object and scanned into runs, returned with ok, and
-// encoding/json decodes the rest of the document with null in its place.
-//
-// The fast path commits only when unambiguous: one top-level member folding
-// to "cells", a non-empty array of JSON numbers in range, and a rest that
-// decodes. Anything else — null, [], a duplicate or escaped key, malformed
-// input, bytes after the document — goes to encoding/json whole, so values
-// and errors are the standard ones.
-func (v *ResultView) decode(data []byte) (cellRuns, bool, error) {
-	if start, end, ok := cellsArray(data); ok {
-		if cells, ok := parseCells(data[start:end]); ok {
-			rest := make([]byte, 0, len(data)-(end-start)+len("null"))
-			rest = append(append(append(rest, data[:start]...), "null"...), data[end:]...)
-			if json.Unmarshal(rest, (*plainView)(v)) == nil {
-				return cells, true, nil
-			}
-		}
-	}
-	err := json.Unmarshal(data, (*plainView)(v))
-	var typeErr *json.UnmarshalTypeError
-	if errors.As(err, &typeErr) {
-		// The message names the wire type, as it always has.
-		if typeErr.Struct == "plainView" {
-			typeErr.Struct = "ResultView"
-		}
-		if typeErr.Type == reflect.TypeOf(plainView{}) {
-			typeErr.Type = reflect.TypeOf(ResultView{})
-		}
-	}
-	return cellRuns{}, false, err
-}
-
-// cellsArray locates the value of the one top-level member whose name
-// encoding/json would match to the cells field, when that value opens an
-// array: data[start:end] runs from its '[' through the first ']' after it,
-// which closes the array whenever it holds only numbers (parseCells rejects
-// it otherwise). ok is false when there is no such member, more than
-// one, or anything the walk does not expect; on well-formed JSON the walk
-// tracks strings, escapes and nesting exactly, and what it skips over is left
-// in the document for encoding/json to judge.
-func cellsArray(data []byte) (start, end int, ok bool) {
-	i := skipSpace(data, 0)
-	if i == len(data) || data[i] != '{' {
-		return 0, 0, false
-	}
-	i = skipSpace(data, i+1)
-	if i < len(data) && data[i] == '}' {
-		return 0, 0, false
-	}
-	for {
-		if i == len(data) || data[i] != '"' {
-			return 0, 0, false
-		}
-		keyEnd := skipString(data, i)
-		if keyEnd < 0 {
-			return 0, 0, false
-		}
-		key := data[i+1 : keyEnd-1]
-		if bytes.IndexByte(key, '\\') >= 0 {
-			return 0, 0, false // an escaped name could spell anything
-		}
-		i = skipSpace(data, keyEnd)
-		if i == len(data) || data[i] != ':' {
-			return 0, 0, false
-		}
-		i = skipSpace(data, i+1)
-		if bytes.EqualFold(key, []byte("cells")) {
-			if ok || i == len(data) || data[i] != '[' {
-				return 0, 0, false
-			}
-			n := bytes.IndexByte(data[i:], ']')
-			if n < 0 {
-				return 0, 0, false
-			}
-			start, end, ok = i, i+n+1, true
-			i = end
-		} else if i = skipValue(data, i); i < 0 {
-			return 0, 0, false
-		}
-		i = skipSpace(data, i)
-		if i == len(data) {
-			return 0, 0, false
-		}
-		switch data[i] {
-		case ',':
-			i = skipSpace(data, i+1)
-		case '}':
-			return start, end, ok
-		default:
-			return 0, 0, false
-		}
-	}
-}
-
-// skipString returns the index just past the string whose opening quote is
-// at b[i], or -1 if it does not close.
-func skipString(b []byte, i int) int {
-	for i++; i < len(b); i++ {
-		switch b[i] {
-		case '\\':
-			i++
-		case '"':
-			return i + 1
-		}
-	}
-	return -1
-}
-
-// skipValue returns the index just past the JSON value starting at b[i]: a
-// string ends at its closing quote, an object or array at its matching
-// closer, any other scalar at the next comma or closer of the enclosing
-// object. -1 if the input ends first.
-func skipValue(b []byte, i int) int {
-	depth := 0
-	for i < len(b) {
-		switch b[i] {
-		case '"':
-			if i = skipString(b, i); i < 0 || depth == 0 {
-				return i
-			}
-			continue
-		case '{', '[':
-			depth++
-		case '}', ']':
-			if depth == 0 {
-				return i
-			}
-			if depth--; depth == 0 {
-				return i + 1
-			}
-		case ',':
-			if depth == 0 {
-				return i
-			}
-		}
-		i++
-	}
-	return -1
-}
-
-// parseCells files a JSON array of one or more numbers, and nothing else, as
-// runs; ok is false for any other shape and a number JSON or float64 does not
-// allow. Bare zeros, 65 200 of a 256² result's 65 536, are skipped four to a
-// word; any other element is parsed by strconv.ParseFloat, as encoding/json
-// does, and is a gap when its bits are all zero (0.0, 0e0) as in compactCells.
-func parseCells(raw []byte) (c cellRuns, ok bool) {
-	const fourZeros = 0x2c302c302c302c30 // "0,0,0,0," read little-endian
-	i := 1                               // raw[0] is '['
-	for {
-		rest := raw[i:]
-		for len(rest) >= 8 && binary.LittleEndian.Uint64(rest) == fourZeros {
-			rest = rest[8:]
-		}
-		for len(rest) >= 2 && rest[0] == '0' && rest[1] == ',' {
-			rest = rest[2:]
-		}
-		c.N += (len(raw) - len(rest) - i) / 2
-		i = skipSpace(raw, len(raw)-len(rest))
-		start := i
-		for i < len(raw) && isNumberByte(raw[i]) {
-			i++
-		}
-		tok := raw[start:i]
-		if !validNumber(tok) {
-			return cellRuns{}, false
-		}
-		f, err := strconv.ParseFloat(string(tok), 64)
-		if err != nil {
-			return cellRuns{}, false
-		}
-		if math.Float64bits(f) != 0 {
-			if r := len(c.End) - 1; r >= 0 && int(c.End[r]) == c.N {
-				c.End[r]++
-			} else {
-				c.Start, c.End = append(c.Start, int32(c.N)), append(c.End, int32(c.N+1))
-			}
-			c.Vals = append(c.Vals, f)
-		}
-		c.N++
-		i = skipSpace(raw, i)
-		if i == len(raw) {
-			return cellRuns{}, false
-		}
-		switch raw[i] {
-		case ',':
-			i++
-		case ']':
-			return c, i+1 == len(raw)
-		default:
-			return cellRuns{}, false
-		}
-	}
-}
-
-// validNumber reports whether tok is a number in the JSON grammar:
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?. strconv.ParseFloat alone
-// is laxer (+1, 01, .5, 5.).
-func validNumber(tok []byte) bool {
-	i := 0
-	if i < len(tok) && tok[i] == '-' {
-		i++
-	}
-	digits := func() bool {
-		start := i
-		for i < len(tok) && tok[i] >= '0' && tok[i] <= '9' {
-			i++
-		}
-		return i > start
-	}
-	switch {
-	case i < len(tok) && tok[i] == '0':
-		i++
-	case !digits():
-		return false
-	}
-	if i < len(tok) && tok[i] == '.' {
-		if i++; !digits() {
-			return false
-		}
-	}
-	if i < len(tok) && (tok[i] == 'e' || tok[i] == 'E') {
-		if i++; i < len(tok) && (tok[i] == '+' || tok[i] == '-') {
-			i++
-		}
-		if !digits() {
-			return false
-		}
-	}
-	return i == len(tok)
-}
-
-func skipSpace(b []byte, i int) int {
-	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
-		i++
-	}
-	return i
-}
-
-func isNumberByte(c byte) bool {
-	return c >= '0' && c <= '9' || c == '-' || c == '+' || c == '.' || c == 'e' || c == 'E'
 }
 
 func resultViewOf(res *core.Result) ResultView {

@@ -23,8 +23,8 @@ import (
 )
 
 // referenceResult is the service's reference job — csp, 256², 2 000
-// particles, keep_cells — solved once: the 137 KB result every benchmark
-// workload of the serving tier moves around.
+// particles, keep_cells — solved once: the result every benchmark workload of
+// the serving tier moves around, ≈ 9 KB as runs and 137 KB as dense cells.
 func referenceResult(tb testing.TB) *core.Result {
 	tb.Helper()
 	cfg := core.Default(mesh.CSP)
@@ -39,20 +39,21 @@ func referenceResult(tb testing.TB) *core.Result {
 	return res
 }
 
-// BenchmarkResultJSON times the two fixed costs a result pays on the wire:
-// encoding the view (once per result: the bytes are kept with the cache
-// entry) and decoding it (every remote result on a coordinator, every
-// blob-tier hit).
+// BenchmarkResultJSON times the fixed costs of a result's one JSON form:
+// encoding it (every GET /result and every blob-tier put), decoding it into a
+// Go client's dense view, filing it (every remote result on a coordinator,
+// every blob-tier hit), and filing a fresh result's cells as runs.
 func BenchmarkResultJSON(b *testing.B) {
 	res := referenceResult(b)
-	data, err := json.Marshal(resultViewOf(res))
+	f := fileResult(res)
+	data, err := f.encode(nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("encode", func(b *testing.B) {
 		b.SetBytes(int64(len(data)))
 		for i := 0; i < b.N; i++ {
-			if _, err := encodeResultView(resultViewOf(res)); err != nil {
+			if _, err := f.encode(nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -66,8 +67,6 @@ func BenchmarkResultJSON(b *testing.B) {
 			}
 		}
 	})
-	// What a coordinator pays for every remote result and an engine for
-	// every blob-tier hit: the wire form filed without dense cells.
 	b.Run("decode-filed", func(b *testing.B) {
 		b.SetBytes(int64(len(data)))
 		for i := 0; i < b.N; i++ {
@@ -76,8 +75,6 @@ func BenchmarkResultJSON(b *testing.B) {
 			}
 		}
 	})
-	// What store.put pays once per fresh result, and what every later
-	// encoding of the stored form costs.
 	b.Run("file", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if fileResult(res).cells.N == 0 {
@@ -85,46 +82,59 @@ func BenchmarkResultJSON(b *testing.B) {
 			}
 		}
 	})
-	b.Run("encode-filed", func(b *testing.B) {
-		f := fileResult(res)
-		b.SetBytes(int64(len(data)))
-		for i := 0; i < b.N; i++ {
-			if _, err := f.encode(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
-// TestResultEncodeMatchesStdlib pins encodeResultView to json.Marshal: the
-// same bytes for any cells JSON can carry — positive zero (the fast path) and
-// negative zero (which must not take it), both sides of each exponent-form
-// cutoff, subnormals, the extremes and a million random bit patterns — with
-// and without the optional blocks after the array, and the same error for the
-// cells it cannot.
-func TestResultEncodeMatchesStdlib(t *testing.T) {
-	check := func(name string, v ResultView) {
-		t.Helper()
-		got, gerr := encodeResultView(v)
-		want, werr := json.Marshal(v)
-		if (gerr == nil) != (werr == nil) || (werr != nil && gerr.Error() != werr.Error()) {
-			t.Fatalf("%s: err %v, encoding/json %v", name, gerr, werr)
-		}
-		if !bytes.Equal(got, want) {
-			i := 0
-			for i < len(got) && i < len(want) && got[i] == want[i] {
-				i++
-			}
-			t.Fatalf("%s: differs at byte %d: %.40q, encoding/json %.40q", name, i, got[max(i-10, 0):], want[max(i-10, 0):])
-		}
+// checkEncodeRoundTrip writes v in the one JSON form — the view but its cells,
+// and the cells as their runs — and requires the document to read back through
+// UnmarshalJSON and ParseFiled to every cell's bits (no cells reading as nil)
+// and every other field; a view JSON cannot carry (NaN, ±Inf) must fail with
+// json.Marshal's own error.
+func checkEncodeRoundTrip(t *testing.T, name string, v ResultView) {
+	t.Helper()
+	runs, bare := compactCells(v.Cells), v
+	bare.Cells = nil
+	data, err := json.Marshal(storedResult{plainView(bare), &runs})
+	if _, werr := json.Marshal(v); (err == nil) != (werr == nil) || (werr != nil && err.Error() != werr.Error()) {
+		t.Fatalf("%s: err %v, encoding/json %v", name, err, werr)
 	}
+	if err != nil {
+		return
+	}
+	var back ResultView
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatalf("%s: UnmarshalJSON: %v", name, err)
+	}
+	filed, err := ParseFiled(data, core.Config{})
+	if err != nil {
+		t.Fatalf("%s: ParseFiled: %v", name, err)
+	}
+	want := v.Cells
+	if len(want) == 0 {
+		want = nil
+	}
+	checkSameCells(t, name+": UnmarshalJSON", back.Cells, want)
+	checkSameCells(t, name+": ParseFiled", filed.Result().Cells, want)
+	if back.Cells = nil; !reflect.DeepEqual(back, bare) {
+		t.Fatalf("%s: fields differ through UnmarshalJSON:\n got  %+v\n want %+v", name, back, bare)
+	}
+	fres, wres := *filed.Result(), *bare.result(core.Config{})
+	if fres.Cells = nil; !reflect.DeepEqual(fres, wres) {
+		t.Fatalf("%s: ParseFiled result differs:\n got  %+v\n want %+v", name, fres, wres)
+	}
+}
 
+// TestResultEncodeMatchesStdlib: the one JSON form carries any cells JSON can
+// — positive zero (a gap) and negative zero (a value), both sides of each
+// exponent-form cutoff, subnormals, the extremes and a million random bit
+// patterns — with and without the optional blocks, back to the same bits, and
+// fails with json.Marshal's error on the cells it cannot.
+func TestResultEncodeMatchesStdlib(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	edges := []float64{0, negZero, 1, -1, 0.1, 1e-7, 1e-6, math.Nextafter(1e-6, 0), 9.5e-10, 1e-10, 1e-100,
 		1e20, 1e21, math.Nextafter(1e21, 0), 1e22, 1e100, math.MaxFloat64, -math.MaxFloat64,
 		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1022, 0x0.8p-1022, 1 << 53, 1<<53 + 2, 123456.789}
 	for _, f := range edges {
-		check(strconv.FormatFloat(f, 'g', -1, 64), ResultView{Cells: []float64{f}})
+		checkEncodeRoundTrip(t, strconv.FormatFloat(f, 'g', -1, 64), ResultView{Cells: []float64{f}})
 	}
 
 	cells := make([]float64, 0, 1_100_000)
@@ -141,91 +151,117 @@ func TestResultEncodeMatchesStdlib(t *testing.T) {
 			cells = append(cells, 0, negZero, 0) // a tally is mostly zeros
 		}
 	}
-	check("random", ResultView{TallyTotal: 1.5, Events: 7, Cells: cells})
+	checkEncodeRoundTrip(t, "random", ResultView{TallyTotal: 1.5, Events: 7, Cells: cells})
 
 	full := resultViewOf(referenceResult(t))
-	check("reference", full)
+	checkEncodeRoundTrip(t, "reference", full)
 	full.Escapes = 3
 	full.Leakage = &LeakageView{Weight: map[string]float64{"x-lo": 1e-9}, Energy: map[string]float64{"x-lo": 2.5}, TotalEnergy: 2.5}
 	full.Ensemble = &EnsembleView{Replicas: 2, MeanTotal: 1e21, ReplicaTotals: []float64{0, 1}, RelErr: []float64{0, 0.5}}
 	full.PhaseTimings = map[string]float64{"fused": 0.25, "merge": 1e-7}
-	check("every block set", full)
+	checkEncodeRoundTrip(t, "every block set", full)
 	full.Cells = full.Cells[:1]
-	check("one cell", full)
+	checkEncodeRoundTrip(t, "one cell", full)
 	full.Cells = []float64{}
-	check("empty cells", full)
+	checkEncodeRoundTrip(t, "empty cells", full)
 	full.Cells = nil
-	check("nil cells", full)
+	checkEncodeRoundTrip(t, "nil cells", full)
 
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		check("unsupported cell", ResultView{Cells: []float64{0, bad, 1}})
-		check("unsupported field", ResultView{TallyTotal: bad, Cells: []float64{0, 1}})
+		checkEncodeRoundTrip(t, "unsupported cell", ResultView{Cells: []float64{0, bad, 1}})
+		checkEncodeRoundTrip(t, "unsupported field", ResultView{TallyTotal: bad, Cells: []float64{0, 1}})
 	}
 }
 
-// plainResultView is ResultView without its UnmarshalJSON: what
-// encoding/json alone makes of a document.
+// checkSameCells fails unless got holds want's bits, nil and empty told apart.
+func checkSameCells(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if (got == nil) != (want == nil) || len(got) != len(want) {
+		t.Fatalf("%s: %d cells (nil %t), want %d (nil %t)", what, len(got), got == nil, len(want), want == nil)
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: cell %d = %x, want %x", what, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+		}
+	}
+}
+
+// plainResultView is ResultView without its UnmarshalJSON, and
+// plainStoredView the one JSON form with it: what encoding/json alone makes
+// of a document.
 type plainResultView ResultView
+
+type plainStoredView struct {
+	plainResultView
+	Runs *cellRuns `json:"runs"`
+}
 
 // checkDecodeMatchesStdlib decodes doc three ways — json.Unmarshal into a
 // ResultView, a direct UnmarshalJSON call (which skips encoding/json's
-// pre-scan of the document) and ParseFiled — and requires each to reach
-// encoding/json's own outcome: all fail with its error or all succeed, every
-// cell the same bits (nil and empty told apart), every other field equal.
+// pre-scan of the document) and ParseFiled — against encoding/json's own
+// reading of the one form. A document without runs must decode as
+// encoding/json decodes it: the same error, or every cell the same bits (nil
+// and empty told apart) and every other field equal. A document with runs
+// must fail unless they are runs compactCells files and no cells stand beside
+// them, and then read as their expansion. ParseFiled accepts exactly the
+// valid runs documents.
 func checkDecodeMatchesStdlib(t *testing.T, doc string) {
 	t.Helper()
 	var got, direct ResultView
-	var want plainResultView
+	var want plainStoredView
 	gerr := json.Unmarshal([]byte(doc), &got)
 	derr := direct.UnmarshalJSON([]byte(doc))
 	filed, ferr := ParseFiled([]byte(doc), core.Config{})
 	werr := json.Unmarshal([]byte(doc), &want)
+	runs := werr == nil && want.Runs != nil
+	badRuns := runs && (want.Cells != nil || !want.Runs.valid())
 	for _, path := range []struct {
-		name string
-		err  error
-	}{{"json.Unmarshal", gerr}, {"UnmarshalJSON", derr}, {"ParseFiled", ferr}} {
-		if (path.err == nil) != (werr == nil) {
-			t.Fatalf("doc %.80q: %s err %v, encoding/json %v", doc, path.name, path.err, werr)
+		name    string
+		err     error
+		wantErr bool
+	}{{"json.Unmarshal", gerr, werr != nil || badRuns}, {"UnmarshalJSON", derr, werr != nil || badRuns},
+		{"ParseFiled", ferr, !runs || badRuns}} {
+		if (path.err != nil) != path.wantErr {
+			t.Fatalf("doc %.80q: %s err %v, encoding/json %v (runs %t, malformed %t)", doc, path.name, path.err, werr, runs, badRuns)
 		}
 		// The reference type's name appears in type errors; the wire type's
 		// must appear in ours.
-		if werr != nil && path.err.Error() != strings.ReplaceAll(werr.Error(), "plainResultView", "ResultView") {
+		if werr != nil && path.err.Error() != strings.NewReplacer("plainStoredView", "ResultView", "plainResultView.", "").Replace(werr.Error()) {
 			t.Fatalf("doc %.80q: %s error %q, encoding/json %q", doc, path.name, path.err, werr)
 		}
 	}
-	if werr != nil {
+	if werr != nil || badRuns {
 		return
 	}
-	for _, path := range []struct {
-		name  string
-		cells []float64
-	}{{"json.Unmarshal", got.Cells}, {"UnmarshalJSON", direct.Cells}, {"ParseFiled", filed.Result().Cells}} {
-		if (path.cells == nil) != (want.Cells == nil) || len(path.cells) != len(want.Cells) {
-			t.Fatalf("doc %.80q: %s cells %v, encoding/json %v", doc, path.name, path.cells, want.Cells)
-		}
-		for i := range want.Cells {
-			if math.Float64bits(path.cells[i]) != math.Float64bits(want.Cells[i]) {
-				t.Fatalf("doc %.80q: %s cell %d = %x, encoding/json %x", doc, path.name, i,
-					math.Float64bits(path.cells[i]), math.Float64bits(want.Cells[i]))
-			}
+	if runs {
+		want.Cells = nil
+		if want.Runs.N > 0 {
+			want.Cells = want.Runs.expand(nil)
 		}
 	}
-	// ParseFiled keeps what a core.Result carries of the view.
-	wantView := ResultView(want)
-	fres, wres := *filed.Result(), *wantView.result(core.Config{})
-	fres.Cells, wres.Cells = nil, nil
-	if !reflect.DeepEqual(fres, wres) {
-		t.Fatalf("doc %.80q: ParseFiled result differs:\n got  %+v\n want %+v", doc, fres, wres)
+	what := fmt.Sprintf("doc %.80q: ", doc)
+	checkSameCells(t, what+"json.Unmarshal", got.Cells, want.Cells)
+	checkSameCells(t, what+"UnmarshalJSON", direct.Cells, want.Cells)
+	wantView := ResultView(want.plainResultView)
+	if runs {
+		checkSameCells(t, what+"ParseFiled", filed.Result().Cells, want.Cells)
+		// ParseFiled keeps what a core.Result carries of the view.
+		fres, wres := *filed.Result(), *wantView.result(core.Config{})
+		fres.Cells, wres.Cells = nil, nil
+		if !reflect.DeepEqual(fres, wres) {
+			t.Fatalf("doc %.80q: ParseFiled result differs:\n got  %+v\n want %+v", doc, fres, wres)
+		}
 	}
-	got.Cells, direct.Cells, want.Cells = nil, nil, nil
-	if !reflect.DeepEqual(got, ResultView(want)) || !reflect.DeepEqual(direct, ResultView(want)) {
-		t.Fatalf("doc %.80q: fields differ:\n got  %+v\n direct %+v\n want %+v", doc, got, direct, ResultView(want))
+	got.Cells, direct.Cells, wantView.Cells = nil, nil, nil
+	if !reflect.DeepEqual(got, wantView) || !reflect.DeepEqual(direct, wantView) {
+		t.Fatalf("doc %.80q: fields differ:\n got  %+v\n direct %+v\n want %+v", doc, got, direct, wantView)
 	}
 }
 
-// TestResultViewDecodeMatchesStdlib pins ResultView.UnmarshalJSON to
-// encoding/json: on every shape of cells member it recognises it must
-// produce the same bits, and on everything else the same value or error.
+// TestResultViewDecodeMatchesStdlib pins ResultView.UnmarshalJSON and
+// ParseFiled to encoding/json: a dense cells member in any shape decodes to
+// the same value or error, and a runs member reads as its cells exactly when
+// its runs are well formed.
 func TestResultViewDecodeMatchesStdlib(t *testing.T) {
 	for _, doc := range []string{
 		// Recognised: plain number arrays in every spelling JSON allows.
@@ -313,6 +349,48 @@ func TestResultViewDecodeMatchesStdlib(t *testing.T) {
 	} {
 		checkDecodeMatchesStdlib(t, doc)
 	}
+	for _, doc := range []string{
+		// Well-formed runs, in every spelling JSON allows.
+		`{"runs":{"n":0}}`,
+		`{"tally_total":1.5,"runs":{"n":3,"start":[1],"end":[3],"vals":[1,2.5]},"events":7}`,
+		`{"runs":{"n":4,"start":[0,3],"end":[2,4],"vals":[1,-0,2.5e-300]}}`,
+		`{"runs":{"n":2,"start":[0],"end":[2],"vals":[5e-324,-1.7976931348623157e308]}}`,
+		` {"runs" : { "vals" : [ 1 ] , "end":[1], "start":[0] , "n":1 } , "deaths":4} `,
+		`{"RUNS":{"N":1,"Start":[0],"End":[1],"Vals":[2]}}`,
+		`{"runs":{"n":1,"start":[0],"end":[1],"vals":[1]},"runs":{"n":2}}`,
+		`{"cells":null,"runs":{"n":1,"start":[0],"end":[1],"vals":[1]}}`,
+		`{"runs":{"n":1,"start":[0],"end":[1],"vals":[1],"extra":[1,2]},"counters":{"FacetEvents":2}}`,
+		`{"leakage":{"weight":{"x-hi":1},"energy":{"x-hi":2},"total_energy":2},"runs":{"n":3,"start":null,"end":null}}`,
+		`{"ensemble":{"replicas":2,"rel_err":[0,0.5]},"runs":{"n":2,"start":[1],"end":[2],"vals":[0.5]}}`,
+		// Runs beside cells, or runs compactCells would not file.
+		`{"cells":[1,2,3],"runs":{"n":3}}`,
+		`{"runs":{"n":1,"start":[0],"end":[1],"vals":[1]},"cells":[]}`,
+		`{"Cells":[0],"runs":{"n":0}}`,
+		`{"runs":{"n":-1}}`,
+		`{"runs":{"n":2147483648}}`,
+		`{"runs":{"n":2,"start":[1],"end":[3],"vals":[1,2]}}`,
+		`{"runs":{"n":2,"start":[0],"end":[1],"vals":[0]}}`,
+		`{"runs":{"n":2,"start":[0],"end":[1],"vals":[1,2]}}`,
+		`{"runs":{"n":2,"start":[0],"end":[1],"vals":[]}}`,
+		`{"runs":{"n":4,"start":[0,2],"end":[2,4],"vals":[1,2,3,4]}}`,
+		`{"runs":{"n":4,"start":[2,0],"end":[3,1],"vals":[1,2]}}`,
+		`{"runs":{"n":4,"start":[1,1],"end":[2,2],"vals":[1,2]}}`,
+		`{"runs":{"n":4,"start":[1],"end":[1],"vals":[]}}`,
+		`{"runs":{"n":4,"start":[-1],"end":[1],"vals":[1,2]}}`,
+		`{"runs":{"n":4,"start":[0],"end":[1,2],"vals":[1]}}`,
+		// Runs of the wrong shape: encoding/json's business.
+		`{"runs":{"n":"1"}}`,
+		`{"runs":{"n":1.5}}`,
+		`{"runs":{"n":1,"start":[2147483648],"end":[1]}}`,
+		`{"runs":{"n":1,"start":[0],"end":[1],"vals":["1"]}}`,
+		`{"runs":{"n":1,"start":[0],"end":[1],"vals":[NaN]}}`,
+		`{"runs":[1,2]}`,
+		`{"runs":7}`,
+		`{"runs":{"n":1,"start":[0],"end":[1],"vals":[1]}`,
+		`{"runs":{"n":1,"start":[0],"end":[1],"vals":[1]}} x`,
+	} {
+		checkDecodeMatchesStdlib(t, doc)
+	}
 
 	// Generated arrays: every float formatting Go has, random bit patterns
 	// (subnormals and extremes included), random whitespace.
@@ -362,19 +440,45 @@ func TestResultViewDecodeMatchesStdlib(t *testing.T) {
 		checkDecodeMatchesStdlib(t, doc[:rnd.Intn(len(doc))])
 	}
 
-	// The real thing round-trips: the reference result through the wire.
+	// Generated runs: filed from random cells, then damaged or cut.
+	for trial := 0; trial < 300; trial++ {
+		cells := make([]float64, rnd.Intn(40))
+		for i := range cells {
+			if rnd.Intn(3) == 0 {
+				cells[i] = special[rnd.Intn(len(special))]
+			}
+		}
+		data, err := fileResult(&core.Result{TallyTotal: rnd.NormFloat64(), Cells: cells}).encode(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc := string(data)
+		checkDecodeMatchesStdlib(t, doc)
+		damaged := []byte(doc)
+		damaged[rnd.Intn(len(damaged))] = `]}[{,:"e+-.x0 1`[rnd.Intn(15)]
+		checkDecodeMatchesStdlib(t, string(damaged))
+		checkDecodeMatchesStdlib(t, doc[:rnd.Intn(len(doc))])
+	}
+
+	// The real thing round-trips: the reference result in both forms.
 	res := referenceResult(t)
-	data, err := json.Marshal(resultViewOf(res))
+	dense, err := json.Marshal(resultViewOf(res))
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkDecodeMatchesStdlib(t, string(data))
-	var rv ResultView
-	if err := json.Unmarshal(data, &rv); err != nil {
+	stored, err := fileResult(res).encode(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(rv.Cells, res.Cells) {
-		t.Fatal("cells changed across encode/decode")
+	for _, data := range [][]byte{dense, stored} {
+		checkDecodeMatchesStdlib(t, string(data))
+		var rv ResultView
+		if err := json.Unmarshal(data, &rv); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rv.Cells, res.Cells) {
+			t.Fatal("cells changed across encode/decode")
+		}
 	}
 }
 
@@ -395,8 +499,15 @@ func TestResultContentLength(t *testing.T) {
 		if err != nil || resp.StatusCode != http.StatusOK {
 			t.Fatalf("result: status %d, err %v", resp.StatusCode, err)
 		}
-		if got := resp.Header.Get("Content-Length"); got != strconv.Itoa(len(body)) || len(body) < 64*64 {
+		if got := resp.Header.Get("Content-Length"); got != strconv.Itoa(len(body)) {
 			t.Fatalf("job %s: Content-Length %q for a %d-byte body", id, got, len(body))
+		}
+		var doc struct {
+			Cells json.RawMessage `json:"cells"`
+			Runs  *struct{ N int }
+		}
+		if err := json.Unmarshal(body, &doc); err != nil || doc.Cells != nil || doc.Runs == nil || doc.Runs.N != 64*64 {
+			t.Fatalf("job %s: body %.120q is not a 64×64 result's runs (err %v)", id, body, err)
 		}
 	}
 	check(submitJob(t, ts, spec, false).ID)
@@ -408,57 +519,64 @@ func TestResultContentLength(t *testing.T) {
 }
 
 // FuzzResultDecode is checkDecodeMatchesStdlib over arbitrary documents. Its
-// seeds are the document list of TestResultViewDecodeMatchesStdlib — read from
-// this file's source, so the list has one copy — and the reference result's
-// wire form.
+// seeds are the two document lists of TestResultViewDecodeMatchesStdlib —
+// read from this file's source, so each list has one copy — each followed by
+// the reference result in that list's form: dense cells, then runs.
 func FuzzResultDecode(f *testing.F) {
 	file, err := parser.ParseFile(token.NewFileSet(), "result_json_test.go", nil, 0)
 	if err != nil {
 		f.Fatal(err)
 	}
-	seeds := 0
+	var lists [][]string
 	for _, decl := range file.Decls {
 		if fn, ok := decl.(*ast.FuncDecl); ok && fn.Name.Name == "TestResultViewDecodeMatchesStdlib" {
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
-				// The first []string literal in the test is its list.
+				// The first two []string literals in the test are its lists.
 				list, ok := n.(*ast.CompositeLit)
-				if !ok || seeds > 0 {
-					return seeds == 0
+				if !ok {
+					return true
 				}
 				if typ, ok := list.Type.(*ast.ArrayType); !ok || typ.Len != nil || fmt.Sprint(typ.Elt) != "string" {
 					return true
 				}
+				var docs []string
 				for _, elt := range list.Elts {
 					doc, err := strconv.Unquote(elt.(*ast.BasicLit).Value)
 					if err != nil {
 						f.Fatal(err)
 					}
-					f.Add(doc)
-					seeds++
+					docs = append(docs, doc)
 				}
+				lists = append(lists, docs)
 				return false
 			})
 		}
 	}
-	if seeds < 50 {
-		f.Fatalf("found %d documents in TestResultViewDecodeMatchesStdlib's list", seeds)
+	if len(lists) < 2 || len(lists[0]) < 50 || len(lists[1]) < 20 {
+		f.Fatalf("found %d document lists in TestResultViewDecodeMatchesStdlib", len(lists))
 	}
-	data, err := json.Marshal(resultViewOf(referenceResult(f)))
+	res := referenceResult(f)
+	dense, err := json.Marshal(resultViewOf(res))
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(string(data))
+	stored, err := fileResult(res).encode(nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i, ref := range [][]byte{dense, stored} {
+		for _, doc := range lists[i] {
+			f.Add(doc)
+		}
+		f.Add(string(ref))
+	}
 	f.Fuzz(checkDecodeMatchesStdlib)
 }
 
-// TestResultEncodedOnce: GET /result on the job that computed a single-run
-// result and on jobs born from an LRU hit emit the bytes of an encoding kept
-// with the cache entry, and those bytes are exactly what encoding the view per
-// request produced. The computing job's fetch releases the entry's copy; hit
-// jobs' fetches keep it. The blob tier stores the view but its cells, and the
-// cells as runs: under a tenth of the served bytes, it reads back to the
-// served view and to the result a parse of the served bytes files, which is
-// what a blob-tier hit then serves.
+// TestResultEncodedOnce: a single-run result has one JSON form. GET /result
+// on the job that computed it, on a job born from an LRU hit and on one born
+// from a blob-tier hit serves exactly the blob tier's bytes plus a newline —
+// under a tenth of the dense cells' JSON — and it decodes to the dense view.
 func TestResultEncodedOnce(t *testing.T) {
 	store := blob.NewMem()
 	ts, e := newTestServer(t, Options{Shards: 1, QueueDepth: 4, Blobs: store})
@@ -486,52 +604,31 @@ func TestResultEncodedOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := j.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want bytes.Buffer
-	if err := json.NewEncoder(&want).Encode(resultViewOf(res)); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(body, want.Bytes()) {
-		t.Fatal("GET /result is not the per-request encoding of the view")
-	}
-
 	stored, err := store.Get("results/" + j.key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("stored %d bytes for %d served", len(stored), len(body))
-	if len(stored)*10 >= len(body) {
-		t.Errorf("stored result is %d bytes, not under a tenth of the %d served", len(stored), len(body))
+	if !bytes.Equal(body, append(stored, '\n')) {
+		t.Fatal("GET /result on the computing job is not the blob tier's bytes")
 	}
-	f, ok := parseStored(stored, j.cfg)
-	if !ok {
-		t.Fatal("the stored result does not read back")
-	}
-	var served, kept ResultView
-	if err := json.Unmarshal(body, &served); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(stored, &kept); err != nil {
-		t.Fatal(err)
-	}
-	if kept.Cells = f.cells.expand(nil); !reflect.DeepEqual(kept, served) {
-		t.Fatal("the stored view and runs are not the served view")
-	}
-	parsed, err := ParseFiled(body, j.cfg)
+	res, err := j.Result()
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromBlob, err := f.encode()
-	if fromWire, werr := parsed.encode(); err != nil || werr != nil || !bytes.Equal(fromBlob, fromWire) {
-		t.Fatalf("the stored result encodes unlike the served bytes parsed (err %v, %v)", err, werr)
+	dense, err := json.Marshal(resultViewOf(res))
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// The computing job's own fetch let the entry's copy go.
-	if el := e.store.items[j.key]; el == nil || el.Value.(*cacheEntry).wire != nil {
-		t.Fatal("computing job's fetch should release the entry's encoded bytes")
+	t.Logf("served %d bytes for %d of dense JSON", len(body), len(dense))
+	if len(body)*10 > len(dense) {
+		t.Errorf("served %d bytes, more than a tenth of the %d dense", len(body), len(dense))
+	}
+	var served ResultView
+	if err := json.Unmarshal(body, &served); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(served, resultViewOf(res)) {
+		t.Fatal("the served result does not decode to the dense view")
 	}
 
 	hit, code := postJob(t, ts, spec)
@@ -541,25 +638,11 @@ func TestResultEncodedOnce(t *testing.T) {
 	if !bytes.Equal(get(ts, hit.ID), body) {
 		t.Fatal("LRU-hit job served different bytes")
 	}
-	// A hit job's fetch keeps them: the next hit is served the same slice.
-	a, _ := e.store.resultJSON(j.key, j.result, false)
-	b, _ := e.store.resultJSON(j.key, j.result, false)
-	if len(a) == 0 || &a[0] != &b[0] {
-		t.Fatal("cache entry re-encoded its result")
-	}
-	if !bytes.Equal(get(ts, hit.ID), body) {
-		t.Fatal("second fetch of the hit job served different bytes")
-	}
-	// A result the cache does not hold still encodes, for that caller.
-	other := fileResult(res)
-	if c, err := e.store.resultJSON(j.key, other, false); err != nil || !bytes.Equal(c, a) || &c[0] == &a[0] {
-		t.Fatal("foreign result must be encoded afresh to the same bytes")
-	}
 
 	// A blob-tier hit on an engine over the same store serves those bytes.
 	ts2, e2 := newTestServer(t, Options{Shards: 1, QueueDepth: 4, Blobs: store})
 	blobHit := submitJob(t, ts2, spec, true)
-	if got := get(ts2, blobHit.ID); e2.store.blobHits.Value() != 1 || !bytes.Equal(got, append(fromBlob, '\n')) {
+	if got := get(ts2, blobHit.ID); e2.store.blobHits.Value() != 1 || !bytes.Equal(got, body) {
 		t.Fatalf("blob-tier hit (%v hits) served bytes unlike its stored result's", e2.store.blobHits.Value())
 	}
 }

@@ -431,19 +431,13 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	case err != nil:
 		s.writeError(w, r, http.StatusConflict, err)
 	default:
-		// Both encodings write the cells from their runs, never dense.
-		var data []byte
-		if ens := j.Ensemble(); ens != nil {
-			v := resultViewOf(res.res)
-			v.Ensemble = ensembleViewOf(ens, j.Config().KeepCells)
-			data, err = encodeCells(v, &res.cells)
-		} else {
-			// A single run's view is a function of the result alone, so its
-			// bytes are encoded once per result (store.resultJSON), not per
-			// request: the job that computed it lets them go, a cache-hit job
-			// leaves them for the next hit.
-			data, err = s.engine.store.resultJSON(j.key, res, !j.Status().Cached)
+		// The result's one form, cells as their runs: a single run's body is
+		// its blob-tier bytes.
+		var ens *EnsembleView
+		if e := j.Ensemble(); e != nil {
+			ens = ensembleViewOf(e, j.Config().KeepCells)
 		}
+		data, err := res.encode(ens)
 		// Marshal plus a newline, as writeJSON's Encoder writes, and its length
 		// for a one-buffer read; a view it cannot encode is an empty 200.
 		w.Header().Set("Content-Type", "application/json")

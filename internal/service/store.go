@@ -50,18 +50,6 @@ type cacheEntry struct {
 	// ens carries the merged ensemble statistics of an ensemble job;
 	// nil for single-run results.
 	ens *stats.Ensemble
-
-	// wire is the result's JSON wire form while the entry holds one (see
-	// resultJSON); nil otherwise.
-	wire *encodedResult
-}
-
-// encodedResult is one result's wire form, encoded by the first caller that
-// needs it and shared by every later one.
-type encodedResult struct {
-	once sync.Once
-	data []byte
-	err  error
 }
 
 func newStore(cacheEntries int, blobs blob.Store, r *telemetry.Registry) *store {
@@ -124,9 +112,9 @@ func (s *store) get(key string, cfg core.Config) (*Filed, *stats.Ensemble, bool)
 	if err != nil {
 		return nil, nil, false
 	}
-	res, ok := parseStored(data, cfg)
-	if !ok {
-		// Unreadable (see parseStored): drop it so the next put re-persists.
+	res, err := ParseFiled(data, cfg)
+	if err != nil {
+		// Unreadable (see ParseFiled): drop it so the next put re-persists.
 		s.blobs.Delete(resultKey(key))
 		return nil, nil, false
 	}
@@ -145,7 +133,7 @@ func (s *store) put(key string, cfg core.Config, f *Filed, ens *stats.Ensemble) 
 	}
 	s.insert(key, f, ens)
 	if s.persists(key, cfg) {
-		if data, err := f.stored(); err == nil && s.blobs.Put(resultKey(key), data) == nil {
+		if data, err := f.encode(nil); err == nil && s.blobs.Put(resultKey(key), data) == nil {
 			s.blobWrites.Inc()
 		}
 	}
@@ -160,8 +148,6 @@ func (s *store) insert(key string, f *Filed, ens *stats.Ensemble) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if el, ok := s.items[key]; ok {
-		// A fresh entry, not an update in place: the old one's encoded
-		// bytes belong to the old result.
 		el.Value = &cacheEntry{key: key, res: f, ens: ens}
 		s.order.MoveToFront(el)
 		return
@@ -173,39 +159,6 @@ func (s *store) insert(key string, f *Filed, ens *stats.Ensemble) {
 		delete(s.items, oldest.Value.(*cacheEntry).key)
 		s.evictions++
 	}
-}
-
-// resultJSON returns the bytes of json.Marshal(resultViewOf(res.Result())),
-// written from the runs (Filed.encode) — a single-run result on the wire.
-// While the LRU holds res under key they are encoded once and kept with the
-// entry, so every job born from a hit on the entry writes the same slice
-// (callers must not modify it). release drops the entry's copy after this
-// call: the computing job's own fetch passes true — nobody is known to want
-// the bytes again, and 137 KB per entry is real memory — while a cache-hit
-// job's fetch passes false, since a result asked for twice is likely to be
-// asked for again. A result the LRU does not hold (evicted, uncacheable,
-// caching off) is encoded for the caller alone. The lookup is not a cache
-// access: it moves no entry and counts no hit.
-func (s *store) resultJSON(key string, res *Filed, release bool) ([]byte, error) {
-	var enc *encodedResult
-	s.mu.Lock()
-	if el, ok := s.items[key]; ok {
-		if e := el.Value.(*cacheEntry); e.res == res {
-			if e.wire == nil {
-				e.wire = &encodedResult{}
-			}
-			enc = e.wire
-			if release {
-				e.wire = nil
-			}
-		}
-	}
-	s.mu.Unlock()
-	if enc == nil {
-		return res.encode()
-	}
-	enc.once.Do(func() { enc.data, enc.err = res.encode() })
-	return enc.data, enc.err
 }
 
 // CacheStats is a point-in-time view of the result LRU's effectiveness.

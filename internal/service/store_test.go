@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"slices"
 	"testing"
 	"time"
@@ -73,9 +74,10 @@ func TestStrategyVariantsShareOneStoredResult(t *testing.T) {
 	}
 }
 
-// TestWireFormResultBlobIsAMiss: a result blob left in the wire form an older
-// engine stored is not read: the lookup misses and deletes it, and the job
-// that then solves persists the result as its runs.
+// TestWireFormResultBlobIsAMiss: a result blob that is not the one JSON form
+// is not read — the dense cells an older engine stored, or a document with
+// both cells and runs. The lookup misses and deletes it, and the job that then
+// solves persists the result as its runs.
 func TestWireFormResultBlobIsAMiss(t *testing.T) {
 	cfg := ckptConfig(1)
 	cfg.KeepCells = true
@@ -87,20 +89,22 @@ func TestWireFormResultBlobIsAMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wire, err := fileResult(ref).encode()
+	wire, err := json.Marshal(resultViewOf(ref))
 	if err != nil {
 		t.Fatal(err)
 	}
 	mem := blob.NewMem()
-	if err := mem.Put(resultKey(key), wire); err != nil {
-		t.Fatal(err)
-	}
 	s := newStore(0, mem, telemetry.NewRegistry())
-	if _, _, ok := s.get(key, cfg); ok {
-		t.Fatal("a wire-form blob was read as a stored result")
-	}
-	if _, err := mem.Get(resultKey(key)); err == nil {
-		t.Fatal("the unreadable blob was not deleted")
+	for _, doc := range [][]byte{wire, []byte(`{"cells":[1,2,3],"runs":{"n":3}}`)} {
+		if err := mem.Put(resultKey(key), doc); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, ok := s.get(key, cfg); ok {
+			t.Fatalf("blob %.60q was read as a stored result", doc)
+		}
+		if _, err := mem.Get(resultKey(key)); err == nil {
+			t.Fatalf("the unreadable blob %.60q was not deleted", doc)
+		}
 	}
 
 	mem.Put(resultKey(key), wire)
@@ -117,8 +121,8 @@ func TestWireFormResultBlobIsAMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := parseStored(data, cfg); !ok {
-		t.Error("the solve did not re-persist its result as runs")
+	if _, err := ParseFiled(data, cfg); err != nil {
+		t.Errorf("the solve did not re-persist its result as runs: %v", err)
 	}
 }
 
