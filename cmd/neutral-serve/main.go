@@ -99,7 +99,7 @@ func run() error {
 		join      = flag.String("join", "", "coordinator base URL a -worker registers with (e.g. http://host:8080)")
 		advertise = flag.String("advertise", "", "URL this worker's API is reachable at from the coordinator (default derived from -addr)")
 		name      = flag.String("name", "", "fleet-unique worker name (default derived from the advertise URL)")
-		lease     = flag.Duration("lease", 0, "coordinator shard-lease TTL; a worker silent this long has its shards rescheduled (0 = 10s)")
+		lease     = flag.Duration("lease", 0, "coordinator shard-lease TTL; a worker silent this long has its shards rescheduled. It also paces the coordinator's retries of worker requests: TTL/200 doubling to TTL/5, 5 attempts (0 = 10s)")
 		chaosSpec = flag.String("chaos", "", "deterministic fault injection on fleet HTTP traffic, e.g. drop=0.1,delay=0.05:200ms,err500=0.02,partial=0.01,seed=42")
 
 		keysFile = flag.String("keys", "", "JSON tenant key file ({\"tenants\":[{\"name\":...,\"key\":...,\"rate\":...,\"burst\":...}]}); enables bearer-token auth and per-tenant rate limits")

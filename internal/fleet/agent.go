@@ -1,17 +1,13 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"log/slog"
-	"math/rand/v2"
 	"net/http"
 	"time"
 
-	"repro/internal/fleet/retry"
 	"repro/internal/service"
 )
 
@@ -29,10 +25,6 @@ type AgentOptions struct {
 	// Client performs coordinator HTTP requests; nil means a fresh client
 	// with a whole-request timeout.
 	Client *http.Client
-	// Retry paces registration and heartbeat attempts. The zero policy
-	// gets agent defaults: 100ms initial, 5s cap, unlimited attempts —
-	// a worker outliving a coordinator restart keeps knocking.
-	Retry retry.Policy
 	// Logger receives membership events; nil discards them.
 	Logger *slog.Logger
 }
@@ -43,9 +35,14 @@ type AgentOptions struct {
 // re-register when the coordinator forgot us, and leave gracefully on
 // shutdown.
 type Agent struct {
-	opts   AgentOptions
-	log    *slog.Logger
-	client *http.Client
+	opts AgentOptions
+	log  *slog.Logger
+	// join carries registrations: it registers before it knows a lease TTL,
+	// so its backoff is fixed, 100ms doubling to 5s, and it knocks until
+	// ctx ends — a worker outliving a coordinator restart keeps knocking.
+	// once carries heartbeats and the leave, each a single attempt: the
+	// ticker is a heartbeat's retry.
+	join, once requester
 	// beats paces the heartbeats at the interval of the newest registration.
 	beats *time.Ticker
 }
@@ -64,18 +61,12 @@ func NewAgent(opts AgentOptions) (*Agent, error) {
 		// stops a wedged coordinator from hanging a heartbeat forever.
 		opts.Client = &http.Client{Timeout: 10 * time.Second}
 	}
-	if opts.Retry.Initial == 0 && opts.Retry.Attempts == 0 && opts.Retry.Budget == 0 {
-		// Rand only on the default policy (injected test policies stay
-		// deterministic): a fleet of workers re-registering after a
-		// coordinator restart must not knock in lockstep.
-		opts.Retry = retry.Policy{
-			Initial: 100 * time.Millisecond,
-			Max:     5 * time.Second,
-			Jitter:  0.2,
-			Rand:    rand.Float64,
-		}
-	}
-	return &Agent{opts: opts, log: opts.Logger, client: opts.Client}, nil
+	return &Agent{
+		opts: opts,
+		log:  opts.Logger,
+		join: requester{client: opts.Client, first: 100 * time.Millisecond, cap: 5 * time.Second},
+		once: requester{client: opts.Client, attempts: 1},
+	}, nil
 }
 
 // Run registers and then heartbeats until ctx ends, at which point the
@@ -97,15 +88,13 @@ func (a *Agent) Run(ctx context.Context) error {
 	}
 }
 
-// register joins the fleet under the agent's retry policy and adopts the
-// coordinator's advertised heartbeat interval — on a re-registration too, so
-// a coordinator restarted with a shorter lease is beaten at its own pace.
+// register joins the fleet and adopts the coordinator's advertised heartbeat
+// interval — on a re-registration too, so a coordinator restarted with a
+// shorter lease is beaten at its own pace.
 func (a *Agent) register(ctx context.Context) error {
 	var resp registerResponse
-	err := retry.Do(ctx, a.opts.Retry, func(ctx context.Context) error {
-		return a.post(ctx, "/v1/fleet/register",
-			registerRequest{Worker: a.opts.Name, URL: a.opts.Self}, &resp)
-	})
+	err := a.join.do(ctx, http.MethodPost, a.opts.Coordinator+"/v1/fleet/register",
+		registerRequest{Worker: a.opts.Name, URL: a.opts.Self}, decode(&resp))
 	if err != nil {
 		return fmt.Errorf("fleet: register with %s: %w", a.opts.Coordinator, err)
 	}
@@ -131,9 +120,11 @@ func (a *Agent) register(ctx context.Context) error {
 // know us — it restarted and lost its registry.
 func (a *Agent) beat(ctx context.Context) {
 	var resp heartbeatResponse
-	err := a.post(ctx, "/v1/fleet/heartbeat", heartbeatRequest{Worker: a.opts.Name}, &resp)
+	var se *statusError
+	err := a.once.do(ctx, http.MethodPost, a.opts.Coordinator+"/v1/fleet/heartbeat",
+		heartbeatRequest{Worker: a.opts.Name}, decode(&resp))
 	if err != nil {
-		if retry.IsPermanent(err) {
+		if errors.As(err, &se) && se.code == http.StatusNotFound {
 			a.log.Warn("fleet: coordinator forgot us; re-registering", "error", err)
 			if rerr := a.register(ctx); rerr != nil && ctx.Err() == nil {
 				a.log.Warn("fleet: re-register failed", "error", rerr)
@@ -158,33 +149,10 @@ func (a *Agent) leave() {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	var out map[string]string
-	if err := a.post(ctx, "/v1/fleet/leave", heartbeatRequest{Worker: a.opts.Name}, &out); err != nil {
+	if err := a.once.do(ctx, http.MethodPost, a.opts.Coordinator+"/v1/fleet/leave",
+		heartbeatRequest{Worker: a.opts.Name}, decode(&out)); err != nil {
 		a.log.Warn("fleet: leave failed", "error", err)
 		return
 	}
 	a.log.Info("fleet: left", "coordinator", a.opts.Coordinator)
-}
-
-// post sends one JSON request to the coordinator and decodes the reply.
-func (a *Agent) post(ctx context.Context, path string, in, out any) error {
-	body, err := json.Marshal(in)
-	if err != nil {
-		return retry.Permanent(err)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		a.opts.Coordinator+path, bytes.NewReader(body))
-	if err != nil {
-		return retry.Permanent(err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := a.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if err := retry.CheckResponse(resp); err != nil {
-		io.Copy(io.Discard, resp.Body)
-		return err
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
 }

@@ -23,14 +23,12 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math/rand/v2"
 	"net"
 	"net/http"
 	"sort"
 	"sync"
 	"time"
 
-	"repro/internal/fleet/retry"
 	"repro/internal/service/blob"
 	"repro/internal/telemetry"
 )
@@ -40,12 +38,9 @@ type Options struct {
 	// LeaseTTL is how long a worker holding shards may go without proof of
 	// life before it is presumed dead and every shard it holds reschedules.
 	// Workers are told to beat every LeaseTTL/3, keeping two missable beats
-	// inside one TTL. 0 means 10s.
+	// inside one TTL. It also paces the coordinator's retries of its worker
+	// requests (see Coordinator.req). 0 means 10s.
 	LeaseTTL time.Duration
-	// Retry is the policy for coordinator→worker control requests
-	// (submit, status, result, snapshot). The zero policy gets fleet
-	// defaults: 50ms initial, 2s cap, 5 attempts.
-	Retry retry.Policy
 	// Client performs worker HTTP requests; nil means a client with a
 	// bounded dial and response-header wait but no whole-request timeout
 	// (a whole-request deadline would kill the long-lived SSE watch
@@ -78,19 +73,6 @@ const (
 func (o Options) withDefaults() Options {
 	if o.LeaseTTL <= 0 {
 		o.LeaseTTL = 10 * time.Second
-	}
-	if o.Retry.Initial == 0 && o.Retry.Attempts == 0 && o.Retry.Budget == 0 {
-		o.Retry = retry.Policy{
-			Initial:  50 * time.Millisecond,
-			Max:      2 * time.Second,
-			Attempts: 5,
-			Jitter:   0.2,
-			// Real randomness only on the default policy: without it every
-			// coordinator replica backs off in lockstep (the nil-Rand
-			// midpoint draw) and re-stampedes a recovering worker. Tests
-			// that inject their own policy keep deterministic backoff.
-			Rand: rand.Float64,
-		}
 	}
 	if o.Logger == nil {
 		o.Logger = slog.New(slog.DiscardHandler)
@@ -155,6 +137,11 @@ type Coordinator struct {
 	log     *slog.Logger
 	client  *http.Client
 	metrics *fleetMetrics
+	// req carries every non-streaming worker request. Its backoff is the
+	// lease's: the first retry at TTL/200, doubling to TTL/5, five attempts
+	// — at the default 10s TTL, 50ms to 2s. A test's short lease retries
+	// as fast as it beats.
+	req requester
 
 	mu      sync.Mutex
 	workers map[string]*worker
@@ -176,6 +163,8 @@ func NewCoordinator(opts Options) *Coordinator {
 		janitorDone: make(chan struct{}),
 	}
 	c.metrics = newFleetMetrics(c, opts.Registry)
+	c.req = requester{client: opts.Client, first: opts.LeaseTTL / 200, cap: opts.LeaseTTL / 5,
+		attempts: 5, retries: c.metrics.retries}
 	go c.janitor()
 	return c
 }
@@ -231,10 +220,15 @@ func (c *Coordinator) loseSilent(now time.Time) {
 }
 
 // grantLease records that w accepted a shard — proof of life — and returns
-// the lease it now holds.
+// the lease it now holds; nil when w is no longer the registry's entry under
+// its name (re-registered or departed since it was picked), whose leases no
+// janitor pass would ever visit.
 func (c *Coordinator) grantLease(w *worker, jobID string, cancel context.CancelFunc) *lease {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.workers[w.name] != w || w.departed {
+		return nil
+	}
 	l := &lease{worker: w, jobID: jobID, cancel: cancel}
 	if w.leases == nil {
 		w.leases = map[*lease]bool{}

@@ -10,10 +10,8 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/core"
-	"repro/internal/fleet/retry"
 	"repro/internal/service"
 )
 
@@ -116,10 +114,14 @@ func (c *Coordinator) runOn(ctx context.Context, w *worker, sr *shardRun) (*serv
 	spec := sr.spec
 	spec.Snapshot = sr.snap
 	var jv service.JobView
-	if err := c.post(attempt, w.url+"/v1/jobs", spec, &jv); err != nil {
+	if err := c.req.do(attempt, http.MethodPost, w.url+"/v1/jobs", spec, decode(&jv)); err != nil {
 		return nil, classify(ctx), fmt.Errorf("fleet: submit to %s: %w", w.name, err)
 	}
 	ls := c.grantLease(w, jv.ID, cancel)
+	if ls == nil {
+		c.cancelRemote(w, jv.ID)
+		return nil, outcomeLost, fmt.Errorf("fleet: %s re-registered or left before its lease was granted", w.name)
+	}
 	defer c.releaseLease(ls)
 	sr.update(service.RemoteUpdate{Worker: w.name, Reschedules: sr.reschedules})
 
@@ -135,7 +137,7 @@ func (c *Coordinator) runOn(ctx context.Context, w *worker, sr *shardRun) (*serv
 			// (with retries) whether the job survived; reconnecting with
 			// Last-Event-ID resumes exactly after the last step seen.
 			var st service.JobView
-			if perr := c.get(attempt, w.url+"/v1/jobs/"+jv.ID, &st); perr != nil {
+			if perr := c.req.do(attempt, http.MethodGet, w.url+"/v1/jobs/"+jv.ID, nil, decode(&st)); perr != nil {
 				return nil, classify(ctx),
 					fmt.Errorf("fleet: worker %s unreachable: %w", w.name, perr)
 			}
@@ -196,7 +198,7 @@ func (c *Coordinator) watch(ctx context.Context, w *worker, jobID string, sr *sh
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if err := retry.CheckResponse(resp); err != nil {
+	if err := checkResponse(resp); err != nil {
 		io.Copy(io.Discard, resp.Body)
 		return nil, err
 	}
@@ -277,8 +279,9 @@ func (c *Coordinator) handleEvent(ctx context.Context, w *worker, jobID string, 
 	return nil, nil
 }
 
-// cancelRemote best-effort cancels a remote job when the caller's context
-// ended; the coordinator is shutting the shard down, not the worker.
+// cancelRemote best-effort cancels a remote job whose attempt was abandoned —
+// the caller's context ended, or the lease was refused; the coordinator is
+// shutting the shard down, not the worker.
 func (c *Coordinator) cancelRemote(w *worker, jobID string) {
 	req, err := http.NewRequest(http.MethodDelete, w.url+"/v1/jobs/"+jobID, nil)
 	if err != nil {
@@ -290,29 +293,10 @@ func (c *Coordinator) cancelRemote(w *worker, jobID string) {
 	}
 }
 
-// post sends one JSON request under the retry policy and decodes the JSON
-// response into out.
-func (c *Coordinator) post(ctx context.Context, url string, in, out any) error {
-	body, err := json.Marshal(in)
-	if err != nil {
-		return retry.Permanent(err)
-	}
-	return c.do(ctx, http.MethodPost, url, body, func(resp *http.Response) error {
-		return json.NewDecoder(resp.Body).Decode(out)
-	})
-}
-
-// get fetches one JSON document under the retry policy.
-func (c *Coordinator) get(ctx context.Context, url string, out any) error {
-	return c.do(ctx, http.MethodGet, url, nil, func(resp *http.Response) error {
-		return json.NewDecoder(resp.Body).Decode(out)
-	})
-}
-
 // fetchResult fetches and files the job's result inside one retried request,
 // so a body that arrives cut or corrupt is fetched again.
 func (c *Coordinator) fetchResult(ctx context.Context, w *worker, jobID string, cfg core.Config) (res *service.Filed, err error) {
-	err = c.do(ctx, http.MethodGet, w.url+"/v1/jobs/"+jobID+"/result", nil, func(resp *http.Response) error {
+	err = c.req.do(ctx, http.MethodGet, w.url+"/v1/jobs/"+jobID+"/result", nil, func(resp *http.Response) error {
 		body, err := readBody(resp)
 		if err == nil {
 			res, err = service.ParseFiled(body, cfg)
@@ -322,12 +306,12 @@ func (c *Coordinator) fetchResult(ctx context.Context, w *worker, jobID string, 
 	return res, err
 }
 
-// pullSnapshot fetches the job's retained checkpoint from its worker under the
-// retry policy, with the step boundary the worker says it was taken at (-1
-// when the header is missing or not a number).
+// pullSnapshot fetches the job's retained checkpoint from its worker, with
+// the step boundary the worker says it was taken at (-1 when the header is
+// missing or not a number).
 func (c *Coordinator) pullSnapshot(ctx context.Context, w *worker, jobID string) (data []byte, step int, err error) {
 	step = -1
-	err = c.do(ctx, http.MethodGet, w.url+"/v1/jobs/"+jobID+"/snapshot", nil, func(resp *http.Response) (rerr error) {
+	err = c.req.do(ctx, http.MethodGet, w.url+"/v1/jobs/"+jobID+"/snapshot", nil, func(resp *http.Response) (rerr error) {
 		if n, perr := strconv.Atoi(resp.Header.Get("X-Neutral-Step")); perr == nil {
 			step = n
 		}
@@ -344,48 +328,4 @@ func readBody(resp *http.Response) ([]byte, error) {
 	body.Grow(int(min(max(resp.ContentLength, 0), 256<<20)) + bytes.MinRead)
 	_, err := body.ReadFrom(resp.Body)
 	return body.Bytes(), err
-}
-
-// do is the shared retrying request core: transient transport errors, 5xx
-// and 429 retry under the policy (feeding the fleet_retries counter);
-// other 4xx fail permanently.
-func (c *Coordinator) do(ctx context.Context, method, url string, body []byte, read func(*http.Response) error) error {
-	pol := c.opts.Retry
-	pol.OnRetry = func(attempt int, delay time.Duration, err error) {
-		c.metrics.retries.Inc()
-	}
-	return retry.Do(ctx, pol, func(ctx context.Context) error {
-		// Each attempt gets its own deadline — these are all short
-		// control-plane exchanges (the SSE watch bypasses do entirely), so
-		// a worker that accepts the connection and then hangs must not
-		// stall the shard for longer than a retry step.
-		ctx, cancel := context.WithTimeout(ctx, requestTimeout)
-		defer cancel()
-		var rd io.Reader
-		if body != nil {
-			rd = bytes.NewReader(body)
-		}
-		req, err := http.NewRequestWithContext(ctx, method, url, rd)
-		if err != nil {
-			return retry.Permanent(err)
-		}
-		if body != nil {
-			req.Header.Set("Content-Type", "application/json")
-		}
-		resp, err := c.client.Do(req)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		if err := retry.CheckResponse(resp); err != nil {
-			io.Copy(io.Discard, resp.Body)
-			return err
-		}
-		if err := read(resp); err != nil {
-			// A payload that fails to read or parse is a broken
-			// transfer, not a broken request: retry it.
-			return fmt.Errorf("fleet: read %s: %w", url, err)
-		}
-		return nil
-	})
 }

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/fleet/retry"
 	"repro/internal/mesh"
 	"repro/internal/service"
 	"repro/internal/telemetry"
@@ -398,10 +397,7 @@ func TestEnsembleAcrossFleet(t *testing.T) {
 // from the pulled checkpoint, with physics bit-identical to an
 // uninterrupted single-process run.
 func TestWorkerCrashReschedulesFromCheckpoint(t *testing.T) {
-	c := newCluster(t, Options{
-		LeaseTTL: time.Second,
-		Retry:    retryFast(),
-	})
+	c := newCluster(t, Options{LeaseTTL: time.Second})
 	w1 := c.addWorker("w1")
 	w2 := c.addWorker("w2")
 	cfg := slowConfig()
@@ -468,21 +464,12 @@ func TestWorkerCrashReschedulesFromCheckpoint(t *testing.T) {
 	assertSamePhysics(t, res, localResult(t, cfg))
 }
 
-// retryFast is an aggressive policy so lost-worker detection doesn't
-// dominate test wallclock.
-func retryFast() retry.Policy {
-	return retry.Policy{Initial: 10 * time.Millisecond, Max: 50 * time.Millisecond, Attempts: 3}
-}
-
 // TestLostHeartbeatExpiresLease registers a stalled worker — accepts the
 // shard, streams nothing, beats never — and pins the janitor path: the
 // lease expires, the shard reschedules onto a healthy worker, and the
 // stalled worker's orphan job is queued for cancellation.
 func TestLostHeartbeatExpiresLease(t *testing.T) {
-	c := newCluster(t, Options{
-		LeaseTTL: 200 * time.Millisecond,
-		Retry:    retryFast(),
-	})
+	c := newCluster(t, Options{LeaseTTL: 200 * time.Millisecond})
 	// "a-stall" sorts before "b-real", so the round-robin cursor (at 0)
 	// deterministically dispatches the first shard to the stalled worker.
 	stallJob := `{"id":"job-000001","state":"running","progress":0,"step":0,"steps":4,"submitted":"2026-01-01T00:00:00Z"}`
@@ -547,10 +534,7 @@ func TestLostHeartbeatExpiresLease(t *testing.T) {
 // delivered for cancellation on its next heartbeat, and both shards finish
 // on the healthy worker, bit-identical to local runs.
 func TestSilentWorkerLosesEveryLease(t *testing.T) {
-	c := newCluster(t, Options{
-		LeaseTTL: 500 * time.Millisecond,
-		Retry:    retryFast(),
-	})
+	c := newCluster(t, Options{LeaseTTL: 500 * time.Millisecond})
 	// The stalled worker accepts every shard, streams nothing, beats never.
 	const view = `{"id":%q,"state":"running","progress":0,"step":0,"steps":4,"submitted":"2026-01-01T00:00:00Z"}`
 	var seq atomic.Int64
@@ -637,6 +621,83 @@ func TestSilentWorkerLosesEveryLease(t *testing.T) {
 	}
 }
 
+// TestLeaseOnReplacedWorkerIsLost: a worker that re-registers under its name
+// between dispatch picking it and the lease's grant is a new registry entry,
+// and the picked one is no janitor's to visit, so a lease on it would never be
+// lost however long its stream stalls. The grant is refused instead: the
+// remote job is canceled and the shard reschedules, here onto the new entry.
+func TestLeaseOnReplacedWorkerIsLost(t *testing.T) {
+	const view = `{"id":%q,"state":%q,"error":%q,"progress":0,"step":0,"steps":4,"submitted":"2026-01-01T00:00:00Z"}`
+	c := newCluster(t, Options{LeaseTTL: time.Second})
+	var seq atomic.Int64
+	var workerURL string
+	canceled := make(chan string, 4)
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
+		id := fmt.Sprintf("job-%06d", seq.Add(1))
+		if id == "job-000001" {
+			// The worker restarts while its acceptance is in flight.
+			if err := c.postJSON("/v1/fleet/register", registerRequest{Worker: "w", URL: workerURL}, nil); err != nil {
+				t.Error(err)
+			}
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusAccepted)
+		fmt.Fprintf(w, view, id, "running", "")
+	})
+	mux.HandleFunc("GET /v1/jobs/{id}/stream", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/event-stream")
+		w.WriteHeader(http.StatusOK)
+		if r.PathValue("id") != "job-000001" {
+			// Ending the shard as failed spares the script a result document.
+			fmt.Fprintf(w, "event: done\ndata: "+view+"\n\n", r.PathValue("id"), "failed", "scripted end")
+			return
+		}
+		w.(http.Flusher).Flush()
+		<-r.Context().Done() // the first job streams nothing, ever
+	})
+	mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+		canceled <- r.PathValue("id")
+	})
+	worker := httptest.NewServer(mux)
+	defer worker.Close()
+	workerURL = worker.URL
+	if err := c.postJSON("/v1/fleet/register", registerRequest{Worker: "w", URL: workerURL}, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg := fastConfig(91)
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ended := make(chan error, 1)
+	go func() {
+		_, err := c.coord.RunShard(ctx, cfg, nil, func(service.RemoteUpdate) {})
+		ended <- err
+	}()
+	select {
+	case err := <-ended:
+		if err == nil || !strings.Contains(err.Error(), "scripted end") {
+			t.Errorf("shard ended with %v, want the scripted failure of its second dispatch", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the shard's lease on the replaced worker was never lost")
+	}
+	select {
+	case id := <-canceled:
+		if id != "job-000001" {
+			t.Errorf("canceled %s, want job-000001", id)
+		}
+	default:
+		t.Error("the remote job behind the refused lease was not canceled")
+	}
+	if got := c.coord.metrics.reschedules.Value(); got != 1 {
+		t.Errorf("fleet_reschedules_total = %v, want 1", got)
+	}
+}
+
 // TestStreamKeepsWorkerAlive: any line on any of a worker's streams is proof
 // of life for the whole worker. A worker that never beats while one of its
 // two shards streams steps keeps both leases, the quiet one included, and
@@ -681,7 +742,7 @@ func TestStreamKeepsWorkerAlive(t *testing.T) {
 	worker := httptest.NewServer(mux)
 	defer worker.Close()
 
-	c := newCluster(t, Options{LeaseTTL: ttl, Retry: retryFast()})
+	c := newCluster(t, Options{LeaseTTL: ttl})
 	if err := c.postJSON("/v1/fleet/register", registerRequest{Worker: "scripted", URL: worker.URL}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -733,7 +794,7 @@ func TestStreamKeepsWorkerAlive(t *testing.T) {
 // no healthy worker left the engine must degrade to local execution — with
 // a warning, and still bit-identical physics.
 func TestStaleLeaseDuplicateCompletion(t *testing.T) {
-	c := newCluster(t, Options{Retry: retryFast()})
+	c := newCluster(t, Options{})
 	w := c.addWorker("w1")
 	cfg := slowConfig()
 
@@ -783,7 +844,7 @@ func TestStaleLeaseDuplicateCompletion(t *testing.T) {
 // TestGracefulLeaveReschedules: a worker leaving the fleet has its shards
 // rescheduled immediately, without waiting out the lease TTL.
 func TestGracefulLeaveReschedules(t *testing.T) {
-	c := newCluster(t, Options{Retry: retryFast()})
+	c := newCluster(t, Options{})
 	workers := map[string]*clusterWorker{
 		"w1": c.addWorker("w1"),
 		"w2": c.addWorker("w2"),
@@ -839,10 +900,7 @@ func TestChaosClusterCompletes(t *testing.T) {
 	chaos.Partial = 0.05
 	chaos.Delay = 0.05
 	chaos.DelayDur = 5 * time.Millisecond
-	c := newCluster(t, Options{
-		Client: &http.Client{Transport: chaos},
-		Retry:  retry.Policy{Initial: 5 * time.Millisecond, Max: 50 * time.Millisecond, Attempts: 6},
-	})
+	c := newCluster(t, Options{Client: &http.Client{Transport: chaos}})
 	c.addWorker("w1")
 	c.addWorker("w2")
 

@@ -67,7 +67,7 @@ func TestCoordinatorPullsOncePerNewerCheckpoint(t *testing.T) {
 	defer worker.Close()
 
 	store := &countingStore{Store: blob.NewMem()}
-	c := newClusterWith(t, Options{LeaseTTL: time.Minute, Retry: retryFast()}, service.Options{Shards: 2, Blobs: store})
+	c := newClusterWith(t, Options{LeaseTTL: time.Minute}, service.Options{Shards: 2, Blobs: store})
 	if err := c.postJSON("/v1/fleet/register", registerRequest{Worker: "scripted", URL: worker.URL}, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -64,29 +64,26 @@ func TestDefaultClientsHaveTimeouts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.client.Timeout <= 0 {
+	if a.opts.Client.Timeout <= 0 {
 		t.Error("agent default client has no timeout")
 	}
 }
 
-// TestDefaultRetryPoliciesJitter pins the thundering-herd satellite: the
-// default policies draw real jitter, while injected policies keep the
-// deterministic nil-Rand midpoint.
+// TestDefaultRetryPoliciesJitter pins the thundering-herd satellite: both
+// roles' backoffs spread ±20 % over the jitter draw, which do takes from
+// math/rand/v2, so a fleet recovering from a coordinator restart does not
+// knock in lockstep.
 func TestDefaultRetryPoliciesJitter(t *testing.T) {
-	if o := (Options{}).withDefaults(); o.Retry.Rand == nil {
-		t.Error("coordinator default retry policy has no Rand (lockstep backoff)")
-	}
+	c := NewCoordinator(Options{})
+	defer c.Close()
 	a, err := NewAgent(AgentOptions{Coordinator: "http://c", Self: "http://s", Name: "w"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.opts.Retry.Rand == nil {
-		t.Error("agent default retry policy has no Rand (lockstep backoff)")
-	}
-	// An injected policy is taken verbatim — tests depend on nil Rand
-	// backing off deterministically.
-	if o := (Options{Retry: retryFast()}).withDefaults(); o.Retry.Rand != nil {
-		t.Error("injected retry policy was mutated")
+	for role, r := range map[string]requester{"coordinator": c.req, "agent": a.join} {
+		if lo, mid, hi := r.delay(0, 0), r.delay(0, 0.5), r.delay(0, 1); lo != mid*8/10 || hi != mid*12/10 {
+			t.Errorf("%s backoff jitters over [%v, %v] around %v, want ±20 %%", role, lo, hi, mid)
+		}
 	}
 }
 

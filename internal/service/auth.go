@@ -166,12 +166,12 @@ func (a *Auth) authenticate(r *http.Request) (*tenantState, error) {
 		return nil, ErrNoKey
 	}
 	a.mu.Lock()
+	defer a.mu.Unlock()
 	st := a.byKey[strings.TrimSpace(key)]
-	a.mu.Unlock()
 	if st == nil {
 		return nil, ErrUnknownKey
 	}
-	if st.Revoked {
+	if st.Revoked { // Revoke writes it under a.mu
 		return nil, ErrRevokedKey
 	}
 	return st, nil
@@ -193,12 +193,25 @@ func (a *Auth) Revoke(name string) bool {
 
 const ctxKeyTenant ctxKey = 100
 
+// anonymous is the request-context tenant when authentication is disabled or
+// the path is open; admit never charges it.
+var anonymous = &tenantState{Tenant: Tenant{Name: AnonymousTenant}}
+
+// tenantOf returns the tenant withAuth resolved the request to; nil outside a
+// server request.
+func tenantOf(ctx context.Context) *tenantState {
+	st, _ := ctx.Value(ctxKeyTenant).(*tenantState)
+	return st
+}
+
 // TenantName returns the authenticated tenant of the request context,
 // AnonymousTenant when authentication is disabled, and "" outside a server
 // request.
 func TenantName(ctx context.Context) string {
-	name, _ := ctx.Value(ctxKeyTenant).(string)
-	return name
+	if st := tenantOf(ctx); st != nil {
+		return st.Name
+	}
+	return ""
 }
 
 // openPath reports paths served without authentication even when a key set
@@ -210,16 +223,16 @@ func openPath(path string) bool {
 }
 
 // withAuth is the tenancy middleware: it resolves the bearer token to a
-// tenant (401/403 on failure), stashes the tenant name in the request
-// context for admission control and job routing, counts the request into
-// the per-tenant metric family, and annotates the access log. With no
-// authenticator configured every request is the anonymous tenant.
+// tenant (401/403 on failure), stashes the tenant in the request context for
+// admission control and job routing, counts the request into the per-tenant
+// metric family, and annotates the access log. With no authenticator
+// configured every request is the anonymous tenant.
 func (s *Server) withAuth(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		tenant := AnonymousTenant
+		st := anonymous
 		if s.auth != nil && !openPath(r.URL.Path) {
-			st, err := s.auth.authenticate(r)
-			if err != nil {
+			var err error
+			if st, err = s.auth.authenticate(r); err != nil {
 				code := http.StatusUnauthorized
 				if errors.Is(err, ErrRevokedKey) {
 					code = http.StatusForbidden
@@ -231,11 +244,10 @@ func (s *Server) withAuth(next http.Handler) http.Handler {
 				s.writeError(w, r, code, err)
 				return
 			}
-			tenant = st.Name
 		}
-		s.engine.metrics.tenantRequests.With(tenant).Inc()
-		annotate(r, slog.String("tenant", tenant))
-		ctx := context.WithValue(r.Context(), ctxKeyTenant, tenant)
+		s.engine.metrics.tenantRequests.With(st.Name).Inc()
+		annotate(r, slog.String("tenant", st.Name))
+		ctx := context.WithValue(r.Context(), ctxKeyTenant, st)
 		next.ServeHTTP(w, r.WithContext(ctx))
 	})
 }

@@ -104,6 +104,48 @@ func TestAuthFailureModes(t *testing.T) {
 	}
 }
 
+// TestRevokeDuringRequests races a runtime revocation against requests that
+// present the key: each is answered 200 or 403, and every request after
+// Revoke returns is 403. Under -race it pins that the revoked flag is read
+// under the lock Revoke writes it under.
+func TestRevokeDuringRequests(t *testing.T) {
+	auth := mustAuth(t, Tenant{Name: "alice", Key: "alice-key"})
+	e := New(Options{Shards: 1})
+	defer e.Close()
+	srv := NewServerWith(e, ServerOptions{Auth: auth})
+	get := func() int {
+		req := httptest.NewRequest(http.MethodGet, "/v1/jobs", nil)
+		req.Header.Set("Authorization", "Bearer alice-key")
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		return rec.Code
+	}
+	var wg sync.WaitGroup
+	answered := make(chan struct{}, 4) // one per goroutine, sent after its first answer
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 50 {
+				if code := get(); code != http.StatusOK && code != http.StatusForbidden {
+					t.Errorf("during revocation: %d, want 200 or 403", code)
+				}
+				if i == 0 {
+					answered <- struct{}{}
+				}
+			}
+		}()
+	}
+	<-answered // revoke while the others are mid-flight
+	if !auth.Revoke("alice") {
+		t.Fatal("Revoke(alice) reported no such tenant")
+	}
+	if code := get(); code != http.StatusForbidden {
+		t.Errorf("after revocation: %d, want 403", code)
+	}
+	wg.Wait()
+}
+
 // TestRateLimit429RetryAfter saturates a 1-token bucket: the second rapid
 // submission is shed 429 with a Retry-After the client can actually obey.
 func TestRateLimit429RetryAfter(t *testing.T) {

@@ -56,34 +56,14 @@ func (a *Auth) Admit(st *tenantState, n float64) (bool, time.Duration) {
 	return st.bucket.take(n, a.now())
 }
 
-// tenantStateFor resolves a request-context tenant name back to its state;
-// nil for the anonymous tenant or when authentication is disabled.
-func (a *Auth) tenantStateFor(name string) *tenantState {
-	if a == nil {
-		return nil
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for _, st := range a.byKey {
-		if st.Name == name {
-			return st
-		}
-	}
-	return nil
-}
-
 // admit is the handler-side admission gate for job-creating endpoints:
 // it spends n tokens from the requesting tenant's rate budget and, when
 // the tenant is over budget, answers 429 with a Retry-After computed from
 // the bucket's refill rate. Returns false when the request was already
 // answered.
 func (s *Server) admit(w http.ResponseWriter, r *http.Request, n int) bool {
-	if s.auth == nil {
-		return true
-	}
-	tenant := TenantName(r.Context())
-	st := s.auth.tenantStateFor(tenant)
-	if st == nil { // anonymous (open path) or race with key reload
+	st := tenantOf(r.Context())
+	if st == nil || st == anonymous {
 		return true
 	}
 	ok, wait := s.auth.Admit(st, float64(n))
@@ -91,9 +71,9 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, n int) bool {
 		return true
 	}
 	setRetryAfter(w, wait)
-	s.engine.metrics.tenantShed.With(tenant, "rate").Inc()
+	s.engine.metrics.tenantShed.With(st.Name, "rate").Inc()
 	s.writeError(w, r, http.StatusTooManyRequests,
-		fmt.Errorf("service: tenant %s over rate limit (%g jobs/s)", tenant, st.Rate))
+		fmt.Errorf("service: tenant %s over rate limit (%g jobs/s)", st.Name, st.Rate))
 	return false
 }
 

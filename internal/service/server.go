@@ -221,8 +221,8 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, code int, er
 	// Every shed response tells the client when to come back: 429s usually
 	// arrive with an exact token-refill Retry-After already set (admit);
 	// anything else — queue-full and shutdown 503s included — gets the
-	// engine's queue-drain estimate. Retryable clients (fleet/retry honours
-	// Retry-After) then pace themselves instead of hammering.
+	// engine's queue-drain estimate. Retryable clients (the fleet's request
+	// path honours Retry-After) then pace themselves instead of hammering.
 	if (code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable) &&
 		w.Header().Get("Retry-After") == "" {
 		setRetryAfter(w, s.engine.ShedDelay())
