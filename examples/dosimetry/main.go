@@ -36,13 +36,20 @@ func main() {
 	// cross sections, so the 2 m phantom spans ~13 mean free paths — a
 	// classic attenuating depth-dose profile.
 	const phantomStart = 0.2
-	cfg.CustomDensity = func(m *neutral.Mesh) {
-		m.SetRegion(int(phantomStart*nx), 0, nx, nx, 3.0)
-	}
-	// Narrow beam at mid-height entering from the left edge.
-	cfg.CustomSource = &neutral.SourceBox{
-		X0: 0.02 * width, X1: 0.06 * width,
-		Y0: 0.48 * width, Y1: 0.52 * width,
+	cfg.Scene = &neutral.Scene{
+		Name: "dosimetry",
+		Materials: []neutral.SceneMaterial{
+			{Name: "near-vacuum", Density: 1e-30},
+			{Name: "tissue", Density: 3.0},
+		},
+		Regions: []neutral.SceneRegion{
+			{Material: "tissue", X0: phantomStart * width, X1: width, Y0: 0, Y1: width},
+		},
+		// Narrow beam at mid-height entering from the left edge.
+		Sources: []neutral.SceneSource{{
+			X0: 0.02 * width, X1: 0.06 * width,
+			Y0: 0.48 * width, Y1: 0.52 * width,
+		}},
 	}
 
 	res, err := neutral.Run(cfg)

@@ -3,8 +3,8 @@
 // and criticality calculations").
 //
 // A fast-neutron source on the left face fires into a three-layer shield —
-// a light moderator, a void gap, and a dense absorber — built with the
-// public Config.CustomDensity hook. The example reports the energy
+// a light moderator, a void gap, and a dense absorber — built as an inline
+// scene, one material and region per layer. The example reports the energy
 // deposited in each layer and the population that leaks past the shield.
 //
 //	go run ./examples/reactor_shield
@@ -17,7 +17,10 @@ import (
 	neutral "repro"
 )
 
-const nx = 384
+const (
+	nx    = 384
+	width = 2.5 // domain extent in metres
+)
 
 // Layer boundaries as fractions of the domain width. Densities are chosen
 // so the layers are a few mean free paths thick (the synthetic cross
@@ -35,7 +38,8 @@ var layers = []struct {
 	{"beyond     ", 0.70, 1.00, 1e-30},
 }
 
-// cols returns the layer's column range, matching the SetRegion call.
+// cols returns the layer's column range: its region is painted from facet
+// to facet, so the dose integration below bins by the same columns.
 func cols(from, to float64) (int, int) { return int(from * nx), int(to * nx) }
 
 func main() {
@@ -48,19 +52,23 @@ func main() {
 	cfg.KeepCells = true
 	cfg.KeepBank = true
 
-	// Build the shield stack.
-	cfg.CustomDensity = func(m *neutral.Mesh) {
-		for _, l := range layers {
-			from, to := cols(l.from, l.to)
-			m.SetRegion(from, 0, to, nx, l.density)
-		}
+	// Build the shield stack, with a thin source column at the left face.
+	shield := &neutral.Scene{
+		Name: "reactor-shield",
+		Sources: []neutral.SceneSource{{
+			X0: 0.01 * width, X1: 0.05 * width,
+			Y0: 0.3 * width, Y1: 0.7 * width,
+		}},
 	}
-	// Thin source column at the left face.
-	width := 2.5 // domain extent in metres
-	cfg.CustomSource = &neutral.SourceBox{
-		X0: 0.01 * width, X1: 0.05 * width,
-		Y0: 0.3 * width, Y1: 0.7 * width,
+	for _, l := range layers {
+		from, to := cols(l.from, l.to)
+		shield.Materials = append(shield.Materials, neutral.SceneMaterial{Name: l.name, Density: l.density})
+		shield.Regions = append(shield.Regions, neutral.SceneRegion{
+			Material: l.name, Y0: 0, Y1: width,
+			X0: float64(from) * width / nx, X1: float64(to) * width / nx,
+		})
 	}
+	cfg.Scene = shield
 
 	res, err := neutral.Run(cfg)
 	if err != nil {

@@ -139,20 +139,6 @@ type Config struct {
 	KeepBank bool
 	// KeepCells retains a copy of the per-cell tally on the Result.
 	KeepCells bool
-
-	// CustomDensity, when non-nil, adjusts the density mesh after the
-	// scene is painted — an escape hatch for density fields (gradients,
-	// phantoms) the axis-aligned region language cannot express. Prefer
-	// Scene: a hooked config cannot be fingerprinted or cached. A mesh
-	// holds at most mesh.MaxDensities (256) distinct densities, so a
-	// gradient is painted in that many bands or fewer; one value more, or
-	// a NaN or negative one, fails the build with mesh.ErrTooManyDensities
-	// or mesh.ErrBadDensity.
-	CustomDensity func(m *mesh.Mesh)
-	// CustomSource, when non-nil, replaces the scene's source list with a
-	// single unit-weight box — the pre-scene override the service's
-	// "source" spec field still speaks.
-	CustomSource *mesh.SourceBox
 }
 
 // Progress is a point-in-time completion report for a run started with
@@ -224,9 +210,10 @@ func (c Config) sceneKey() string {
 // part of it; Result.Config, timings and the scheme-local counters of a
 // served result describe the run that produced it. A kept bank is the
 // exception: its layout tag and slot order are the producing run's, so those
-// three fields key a KeepBank request. The second return is false when the
-// config carries a CustomDensity hook — arbitrary code cannot be
-// canonicalised, so such runs must never be served from a cache.
+// three fields key a KeepBank request. Every config has a fingerprint, so
+// the second return is always true: it stays only because
+// benchmark/tracejob.go reads it, and goes with the next change to
+// benchmark/.
 func (c Config) Fingerprint() (string, bool) {
 	h := sha256.New()
 	// The epoch: keys written when the hash still covered execution strategy
@@ -239,7 +226,7 @@ func (c Config) Fingerprint() (string, bool) {
 	if c.KeepBank {
 		fmt.Fprintf(h, "layout=%d ord=%d sortevery=%d ", int(c.Layout), int(c.Ordering), c.SortEvery)
 	}
-	return hex.EncodeToString(h.Sum(nil)), c.CustomDensity == nil
+	return hex.EncodeToString(h.Sum(nil)), true
 }
 
 // Default returns a configuration sized so a full run completes in well

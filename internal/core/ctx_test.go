@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/mesh"
 	"repro/internal/particle"
+	"repro/internal/scene"
 	"repro/internal/tally"
 )
 
@@ -132,14 +133,14 @@ func TestRunCtxProgress(t *testing.T) {
 // field moves the key; no execution-strategy field does, except the three
 // that decide a kept bank's layout tag and slot order, and only when the bank
 // is kept; Fingerprint and physicsHash agree on which configs are the same
-// physics, so the one field list cannot drift from the key; and CustomDensity
-// poisons cacheability.
+// physics, so the one field list cannot drift from the key; and every config
+// has one.
 func TestFingerprint(t *testing.T) {
 	fp := func(c Config) string {
 		t.Helper()
 		k, ok := c.Fingerprint()
 		if !ok {
-			t.Fatal("hookless config reported uncacheable")
+			t.Fatal("config reported no fingerprint")
 		}
 		return k
 	}
@@ -159,7 +160,10 @@ func TestFingerprint(t *testing.T) {
 		{"xs points", func(c *Config) { c.XSPoints++ }},
 		{"preset scene", func(c *Config) { c.Problem = mesh.Scatter }},
 		{"inline scene", func(c *Config) { c.Scene = leakScene(t) }},
-		{"custom source", func(c *Config) { c.CustomSource = &mesh.SourceBox{X0: 1, X1: 2, Y0: 1, Y1: 2} }},
+		{"custom source", func(c *Config) {
+			csp, _ := scene.Preset(mesh.CSP)
+			c.Scene = csp.WithSources(scene.Source{X0: 1, X1: 2, Y0: 1, Y1: 2})
+		}},
 		{"replica", func(c *Config) { c.Replica = 3 }},
 		{"weight window", func(c *Config) { c.WeightWindow = WeightWindow{Enabled: true} }},
 		{"weight window target", func(c *Config) { c.WeightWindow = WeightWindow{Enabled: true, Target: 0.5} }},
@@ -240,11 +244,5 @@ func TestFingerprint(t *testing.T) {
 				t.Errorf("Fingerprint and physicsHash disagree on whether %+v and %+v are one job", a, b)
 			}
 		}
-	}
-
-	c := base
-	c.CustomDensity = func(m *mesh.Mesh) {}
-	if _, ok := c.Fingerprint(); ok {
-		t.Fatal("CustomDensity config reported cacheable")
 	}
 }

@@ -61,19 +61,18 @@ var ErrSnapshotMismatch = fmt.Errorf("core: snapshot does not match config")
 // the counter-based RNG makes histories ownership-independent, so a
 // checkpoint taken under one strategy may legally resume under another.
 // The scene enters through its content hash, so a checkpoint taken under a
-// preset resumes under an equivalent inline scene and vice versa.
-// A CustomDensity hook has no canonical form, so only its presence is
-// hashed: restoring a hooked snapshot under a hookless config (or vice
-// versa) is refused, while the caller remains responsible for re-supplying
-// the same hook — as Restore documents.
+// preset resumes under an equivalent inline scene and vice versa. The
+// density-hook=false literal is a fixed part of the input: it keeps every
+// hash, fingerprint and snapshot written while configs could carry a
+// density hook readable.
 func physicsHash(cfg Config) [sha256.Size]byte {
 	h := sha256.New()
 	fmt.Fprintf(h, "scene=%s nx=%d ny=%d particles=%d dt=%x steps=%d seed=%d ",
 		cfg.sceneKey(), cfg.NX, cfg.NY, cfg.Particles,
 		math.Float64bits(cfg.Timestep), cfg.Steps, cfg.Seed)
-	fmt.Fprintf(h, "xs=%d wcut=%x ecut=%x density-hook=%t ",
+	fmt.Fprintf(h, "xs=%d wcut=%x ecut=%x density-hook=false ",
 		cfg.XSPoints, math.Float64bits(cfg.WeightCutoff),
-		math.Float64bits(cfg.EnergyCutoff), cfg.CustomDensity != nil)
+		math.Float64bits(cfg.EnergyCutoff))
 	// Replica shifts the RNG stream families; the weight window inserts
 	// population-control moves. Both change histories, so both are part of
 	// the identity. The ensemble width (Replicas) is not: it never alters
@@ -86,12 +85,6 @@ func physicsHash(cfg Config) [sha256.Size]byte {
 	fmt.Fprintf(h, "replica=%d ww=%t,%x,%x,%d ",
 		cfg.Replica, ww.Enabled,
 		math.Float64bits(ww.Target), math.Float64bits(ww.Ratio), ww.SplitMax)
-	if cfg.CustomSource != nil {
-		s := *cfg.CustomSource
-		fmt.Fprintf(h, "src=%x,%x,%x,%x ",
-			math.Float64bits(s.X0), math.Float64bits(s.X1),
-			math.Float64bits(s.Y0), math.Float64bits(s.Y1))
-	}
 	var sum [sha256.Size]byte
 	h.Sum(sum[:0])
 	return sum
@@ -382,15 +375,11 @@ func RestoreSimulation(cfg Config, data []byte) (*Simulation, error) {
 // Restore is Reset from a Snapshot taken under an equivalent configuration —
 // same physics identity (see physicsHash), any execution strategy — instead
 // of from the source, so a resume lands on the allocations the simulation
-// already holds. The config must be supplied by the caller because it can
-// carry function hooks (CustomDensity) that no serialisation can round-trip;
-// the snapshot's embedded physics hash guards against resuming under the
-// wrong one, including under a config whose density-hook presence differs. A
-// hook's *body* cannot be checked — callers restoring a hooked config must
-// pass the same hook the snapshot ran under, or histories diverge silently.
-// The restored simulation continues from the recorded step boundary and, run
-// to completion, produces the same bank and counters an uninterrupted run of
-// cfg would have — bit for bit.
+// already holds. The caller supplies the config, execution strategy
+// included; the snapshot's embedded physics hash refuses one of other
+// physics. The restored simulation continues from the recorded step
+// boundary and, run to completion, produces the same bank and counters an
+// uninterrupted run of cfg would have — bit for bit.
 //
 // A snapshot refused before the bind (framing, identity, a config or density
 // field that does not build) leaves the previous configuration in place, like

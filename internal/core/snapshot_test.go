@@ -264,20 +264,26 @@ func TestSnapshotDecodeErrors(t *testing.T) {
 		}
 	})
 	t.Run("density-hook-mismatch", func(t *testing.T) {
-		// A hook's body cannot be canonicalised, but its presence is
-		// hashed: restoring a hookless snapshot under a hooked config
-		// (or vice versa) must be refused.
-		hooked := cfg
-		hooked.CustomDensity = func(m *mesh.Mesh) {}
-		if _, err := RestoreSimulation(hooked, snap); !errors.Is(err, ErrSnapshotMismatch) {
-			t.Errorf("added density hook: %v, want ErrSnapshotMismatch", err)
-		}
-		hsim, err := NewSimulation(hooked)
+		// A density field is a scene's regions, and they are physics:
+		// restoring a snapshot of the plain scene under one with a dense
+		// wall painted across it (or vice versa) must be refused.
+		csp, err := scene.Preset(mesh.CSP)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := RestoreSimulation(cfg, hsim.Snapshot()); !errors.Is(err, ErrSnapshotMismatch) {
-			t.Errorf("dropped density hook: %v, want ErrSnapshotMismatch", err)
+		walled := cfg
+		walled.Scene = csp.WithSources(csp.Sources...)
+		walled.Scene.Regions = append(walled.Scene.Regions,
+			scene.Region{Material: "dense", X0: 0, X1: mesh.Extent, Y0: 1.2, Y1: 1.3})
+		if _, err := RestoreSimulation(walled, snap); !errors.Is(err, ErrSnapshotMismatch) {
+			t.Errorf("added density wall: %v, want ErrSnapshotMismatch", err)
+		}
+		wsim, err := NewSimulation(walled)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := RestoreSimulation(cfg, wsim.Snapshot()); !errors.Is(err, ErrSnapshotMismatch) {
+			t.Errorf("dropped density wall: %v, want ErrSnapshotMismatch", err)
 		}
 	})
 	t.Run("tally-out-of-order", func(t *testing.T) {

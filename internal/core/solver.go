@@ -188,8 +188,8 @@ func (r *run) progress() Progress {
 }
 
 // bind points the run at cfg: the only code that turns a Config into solver
-// state. Everything that can fail — validation, the scene build, the density
-// hook, a paint the mesh refused — happens before the receiver is touched, so
+// state. Everything that can fail — validation, the scene build, a paint the
+// mesh refused — happens before the receiver is touched, so
 // a refused bind leaves the previous binding runnable. What the previous
 // binding allocated is kept where it still fits; a zero run has nothing to
 // keep and is built from scratch. The bank is left unfilled: the caller fills
@@ -199,14 +199,11 @@ func (r *run) bind(cfg Config) error {
 		return err
 	}
 	old := r.cfg
-	// Mesh: rebuilt on any geometry or scene change, and whenever a density
-	// hook is (or was) involved — the hook mutates the mesh in place, so a
-	// hooked mesh has no pristine state to return to. Scene identity is
+	// Mesh: rebuilt on any geometry or scene change. Scene identity is
 	// content, not pointer: a re-parsed copy of the same scene file reuses
 	// the painted mesh.
 	m := r.mesh
-	if m == nil || cfg.Scene.Hash() != old.Scene.Hash() || cfg.NX != old.NX || cfg.NY != old.NY ||
-		cfg.CustomDensity != nil || old.CustomDensity != nil {
+	if m == nil || cfg.Scene.Hash() != old.Scene.Hash() || cfg.NX != old.NX || cfg.NY != old.NY {
 		var err error
 		if m, err = buildMesh(cfg); err != nil {
 			return err
@@ -218,9 +215,9 @@ func (r *run) bind(cfg Config) error {
 		r.tly = nil // setBirth rebuilds the accumulators
 	}
 	r.mesh, r.ctx.Mesh = m, m
-	// Storage ordering is applied after the scene paint and density hook:
-	// both speak logical coordinates, so they never need to know where a
-	// cell's value lives. A kept mesh is re-permuted in place.
+	// Storage ordering is applied after the scene paint, which speaks
+	// logical coordinates, so it never needs to know where a cell's value
+	// lives. A kept mesh is re-permuted in place.
 	m.SetOrdering(cfg.Ordering)
 	for k, rho := range m.Palette() {
 		r.nd[k] = xs.NumberDensity(rho)
@@ -262,22 +259,13 @@ func (r *run) bind(cfg Config) error {
 	return nil
 }
 
-// populate fills the bound bank from the config's sources and seed: the
-// scene's sources, unless a CustomSource override replaces them with a single
-// unit-weight box.
+// populate fills the bound bank from the scene's sources and the seed.
 func (r *run) populate() {
 	cfg := r.cfg
-	sources := cfg.Scene.SourceTerms()
-	if cfg.CustomSource != nil {
-		sources = []particle.SourceTerm{{
-			Box: *cfg.CustomSource, Share: 1,
-			Weight: particle.SourceWeight, Energy: particle.SourceEnergy,
-		}}
-	}
 	// Replica r of an ensemble owns RNG stream identities
 	// [r*Particles, (r+1)*Particles), so replica families never overlap.
 	idBase := uint64(cfg.Replica) * uint64(cfg.Particles)
-	r.setBirth(particle.PopulateSources(r.bank, r.mesh, sources, cfg.Timestep, cfg.Seed, idBase))
+	r.setBirth(particle.PopulateSources(r.bank, r.mesh, cfg.Scene.SourceTerms(), cfg.Timestep, cfg.Seed, idBase))
 }
 
 // setBirth records the conservation baselines and readies the accumulators
@@ -314,16 +302,13 @@ func (r *run) escape(ws *workerState, p *particle.Particle, axis, dir int) {
 	p.Status = particle.Escaped
 }
 
-// buildMesh paints the config's scene and runs the density hook over it. A
-// paint the mesh refused (mesh.ErrBadDensity, mesh.ErrTooManyDensities)
-// surfaces here: the painting methods a hook calls return nothing.
+// buildMesh paints the config's scene. A paint the mesh refused
+// (mesh.ErrBadDensity, mesh.ErrTooManyDensities) surfaces here: the painting
+// methods return nothing.
 func buildMesh(cfg Config) (*mesh.Mesh, error) {
 	m, err := cfg.Scene.Build(cfg.NX, cfg.NY)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.CustomDensity != nil {
-		cfg.CustomDensity(m)
 	}
 	if err := m.Err(); err != nil {
 		return nil, fmt.Errorf("core: density field: %w", err)

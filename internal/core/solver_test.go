@@ -3,12 +3,14 @@ package core
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
 
 	"repro/internal/mesh"
 	"repro/internal/particle"
+	"repro/internal/scene"
 	"repro/internal/tally"
 )
 
@@ -251,16 +253,32 @@ func TestTallyOverflowFailsRun(t *testing.T) {
 	}
 }
 
-// TestRefusedDensityFailsBuild: a CustomDensity hook is arbitrary code
-// painting through methods that return nothing, so a density the mesh cannot
-// hold — NaN, negative, or one distinct value more than mesh.MaxDensities —
-// must come back as the typed error from every door that builds a mesh
-// (NewSimulation, Reset, RestoreSimulation) instead of a panic or a NaN
-// cross-section that silently never collides. A refused Reset leaves the
-// simulation on its previous configuration.
+// TestRefusedDensityFailsBuild: a scene whose densities a mesh cannot hold —
+// a NaN or negative material, or one distinct value more than
+// mesh.MaxDensities — must come back as the typed error from every door that
+// builds a mesh (NewSimulation, Reset, Restore, RestoreSimulation) instead of
+// a panic or a NaN cross-section that silently never collides. A refused
+// Reset leaves the simulation on its previous configuration.
 func TestRefusedDensityFailsBuild(t *testing.T) {
+	csp, err := scene.Preset(mesh.CSP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// paint is csp with one more material per density, each painted over a
+	// cell of its own along the bottom rows of the 64x64 golden mesh.
+	paint := func(rhos ...float64) *scene.Scene {
+		sc := csp.WithSources(csp.Sources...)
+		const pitch = mesh.Extent / 64
+		for k, rho := range rhos {
+			name := fmt.Sprintf("m%d", k)
+			x, y := float64(k%64)*pitch, float64(k/64)*pitch
+			sc.Materials = append(sc.Materials, scene.Material{Name: name, Density: rho})
+			sc.Regions = append(sc.Regions, scene.Region{Material: name, X0: x, X1: x + pitch, Y0: y, Y1: y + pitch})
+		}
+		return sc
+	}
 	good := goldenConfig(mesh.CSP)
-	good.CustomDensity = func(m *mesh.Mesh) { m.SetRegion(0, 0, 8, 8, 2.5) }
+	good.Scene = paint(2.5)
 	sim, err := NewSimulation(good)
 	if err != nil {
 		t.Fatal(err)
@@ -270,23 +288,23 @@ func TestRefusedDensityFailsBuild(t *testing.T) {
 	}
 	snap := sim.Snapshot()
 
-	hooks := []struct {
-		name string
-		hook func(*mesh.Mesh)
-		want error
-	}{
-		{"NaN", func(m *mesh.Mesh) { m.SetDensity(3, 3, math.NaN()) }, mesh.ErrBadDensity},
-		{"negative", func(m *mesh.Mesh) { m.PaintRegion(0, 0, 1, 1, -2) }, mesh.ErrBadDensity},
-		{"257th", func(m *mesh.Mesh) {
-			// csp paints two densities already: 255 more is one too many.
-			for k := 0; k < mesh.MaxDensities-1; k++ {
-				m.SetRegion(k%64, k/64, k%64+1, k/64+1, float64(k+1))
-			}
-		}, mesh.ErrTooManyDensities},
+	// csp paints two densities already: 255 more is one too many.
+	many := make([]float64, mesh.MaxDensities-1)
+	for k := range many {
+		many[k] = float64(k + 1)
 	}
-	for _, h := range hooks {
+	scenes := []struct {
+		name  string
+		scene *scene.Scene
+		want  error
+	}{
+		{"NaN", paint(2.5, math.NaN()), mesh.ErrBadDensity},
+		{"negative", paint(-2), mesh.ErrBadDensity},
+		{"257th", paint(many...), mesh.ErrTooManyDensities},
+	}
+	for _, h := range scenes {
 		bad := good
-		bad.CustomDensity = h.hook
+		bad.Scene = h.scene
 		if _, err := NewSimulation(bad); !errors.Is(err, h.want) {
 			t.Errorf("%s: NewSimulation = %v, want %v", h.name, err, h.want)
 		}

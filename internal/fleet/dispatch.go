@@ -52,7 +52,7 @@ const (
 func (c *Coordinator) RunShard(ctx context.Context, cfg core.Config, seed []byte, update func(service.RemoteUpdate)) (*service.Filed, error) {
 	spec, err := service.SpecOf(cfg)
 	if err != nil {
-		// Untransportable configs are not a fleet failure; run locally.
+		// An unvalidated config is not a fleet failure; run locally.
 		return nil, fmt.Errorf("fleet: %v: %w", err, service.ErrNoWorkers)
 	}
 	spec.RetainSnapshot = true

@@ -177,7 +177,7 @@ func (m *Mesh) intern(d float64) (uint8, bool) {
 
 // Err reports the first paint the mesh refused, wrapping ErrBadDensity or
 // ErrTooManyDensities, or nil. The painting methods return nothing, so
-// whoever hands the mesh to a density hook checks here afterwards.
+// whoever paints a mesh checks here afterwards.
 func (m *Mesh) Err() error { return m.err }
 
 // NumCells reports the total cell count.
@@ -254,13 +254,6 @@ func (m *Mesh) MaxDensity() float64 {
 		}
 	}
 	return max
-}
-
-// SetDensity overwrites the density of cell (cx, cy).
-func (m *Mesh) SetDensity(cx, cy int, rho float64) {
-	if k, ok := m.intern(rho); ok {
-		m.mat[m.StorageIndex(cx, cy)] = k
-	}
 }
 
 // SetRegion fills the axis-aligned box of cells [cx0,cx1) x [cy0,cy1) with

@@ -109,7 +109,6 @@ func TestSetRegionAndDensity(t *testing.T) {
 // its typed cause, and the mesh goes on accepting values it can hold.
 func TestRefusedDensities(t *testing.T) {
 	paints := map[string]func(m *Mesh, rho float64){
-		"SetDensity":  func(m *Mesh, rho float64) { m.SetDensity(1, 1, rho) },
 		"SetRegion":   func(m *Mesh, rho float64) { m.SetRegion(0, 0, 3, 3, rho) },
 		"PaintRegion": func(m *Mesh, rho float64) { m.PaintRegion(0, 0, 1, 1, rho) },
 	}
@@ -128,7 +127,7 @@ func TestRefusedDensities(t *testing.T) {
 
 		m, _ := New(4, 4, 1, 1, 0)
 		for k := 1; k < MaxDensities; k++ {
-			m.SetDensity(k%4, k/4%4, float64(k))
+			m.SetRegion(k%4, k/4%4, k%4+1, k/4%4+1, float64(k))
 		}
 		if err := m.Err(); err != nil || len(m.Palette()) != MaxDensities {
 			t.Fatalf("%d distinct densities: Err = %v, palette %d", MaxDensities, err, len(m.Palette()))

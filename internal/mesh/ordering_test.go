@@ -67,7 +67,7 @@ func TestMortonLocality(t *testing.T) {
 }
 
 // TestSetOrderingPreservesField is the cell field's property test: random
-// SetDensity / SetRegion / PaintRegion sequences over at most MaxDensities
+// single-cell SetRegion / SetRegion / PaintRegion sequences over at most MaxDensities
 // values, against a dense []float64 reference painted the obvious way. The
 // two must agree bit for bit (-0 is not 0) under row-major, closed-form
 // Morton (power-of-two shapes) and rank-table Morton, before and after each
@@ -108,7 +108,7 @@ func TestSetOrderingPreservesField(t *testing.T) {
 					switch r.Intn(3) {
 					case 0:
 						cx, cy := r.Intn(nx), r.Intn(ny)
-						m.SetDensity(cx, cy, rho)
+						m.SetRegion(cx, cy, cx+1, cy+1, rho)
 						want[cy*nx+cx] = rho
 					case 1:
 						m.SetRegion(cx0, cy0, cx1, cy1, rho)

@@ -134,7 +134,7 @@ func (s *Scene) Validate() error {
 			return fmt.Errorf("scene: duplicate material %q", m.Name)
 		}
 		if m.Density < 0 || math.IsNaN(m.Density) || math.IsInf(m.Density, 0) {
-			return fmt.Errorf("scene: material %q density %g must be finite and non-negative", m.Name, m.Density)
+			return fmt.Errorf("scene: material %q density %g: %w", m.Name, m.Density, mesh.ErrBadDensity)
 		}
 		byName[m.Name] = m.Density
 	}
@@ -230,10 +230,7 @@ func (s *Scene) Hash() string {
 	if s.hash != "" {
 		return s.hash
 	}
-	c := *s
-	c.Materials = append([]Material(nil), s.Materials...)
-	c.Regions = append([]Region(nil), s.Regions...)
-	c.Sources = append([]Source(nil), s.Sources...)
+	c := s.WithSources(s.Sources...)
 	if err := c.Validate(); err != nil {
 		// An invalid scene has no physics to identify; hash the raw JSON
 		// form so the value is still deterministic.
@@ -242,6 +239,19 @@ func (s *Scene) Hash() string {
 		return "invalid-" + hex.EncodeToString(sum[:])
 	}
 	return c.hash
+}
+
+// WithSources returns an unvalidated copy of s whose sources are srcs: the
+// copy shares no slice with s and carries none of the state Validate set on
+// s, so validating it resolves its own defaults and hashes its own physics
+// instead of inheriting s's identity.
+func (s *Scene) WithSources(srcs ...Source) *Scene {
+	c := *s
+	c.Materials = append([]Material(nil), s.Materials...)
+	c.Regions = append([]Region(nil), s.Regions...)
+	c.Sources = append([]Source(nil), srcs...)
+	c.hash, c.bcs = "", [mesh.NumEdges]mesh.BC{}
+	return &c
 }
 
 // contentHash digests the validated scene.

@@ -14,6 +14,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mesh"
+	"repro/internal/particle"
+	"repro/internal/scene"
 )
 
 func newTestServer(t *testing.T, opts Options) (*httptest.Server, *Engine) {
@@ -136,6 +138,11 @@ func TestAPIValidation(t *testing.T) {
 		`{"problem":"csp","particles":-4}`,
 		`{"problem":"csp","unknown_field":1}`,
 		`not json`,
+		// A source box is checked against the scene's domain like any
+		// scene source: outside the 2.5 m domain, inverted, or unbounded.
+		`{"problem":"stream","source":{"x0":5,"x1":6,"y0":1,"y1":1.5}}`,
+		`{"problem":"stream","source":{"x0":1,"x1":0.5,"y0":1,"y1":1.5}}`,
+		`{"problem":"stream","source":{"x0":-1e300,"x1":1,"y0":1,"y1":1.5}}`,
 	}
 	for _, spec := range cases {
 		if _, code := postJob(t, ts, spec); code != http.StatusBadRequest {
@@ -325,12 +332,23 @@ func TestSpecConfigDefaults(t *testing.T) {
 		t.Fatalf("paper spec = %+v", paper)
 	}
 
-	src, err := Spec{Problem: "stream", Source: &SourceSpec{X0: 1, X1: 2, Y0: 3, Y1: 4}}.Config()
+	// A source box replaces the preset's sources in a scene of the job's
+	// own: one unit-weight box, the preset itself untouched.
+	src, err := Spec{Problem: "stream", Source: &SourceSpec{X0: 1, X1: 2, Y0: 0.5, Y1: 1.5}}.Config()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if src.CustomSource == nil || src.CustomSource.X1 != 2 {
-		t.Fatal("source spec not applied")
+	stream, err := scene.Preset(mesh.Stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := scene.Source{X0: 1, X1: 2, Y0: 0.5, Y1: 1.5, Share: 1,
+		Weight: particle.SourceWeight, Energy: particle.SourceEnergy}
+	if src.Scene == nil || src.Scene == stream || len(src.Scene.Sources) != 1 || src.Scene.Sources[0] != want {
+		t.Fatalf("source spec not applied: scene %+v", src.Scene)
+	}
+	if stream.Sources[0] == want || src.Scene.Hash() == stream.Hash() {
+		t.Fatal("source spec changed the preset or kept its identity")
 	}
 }
 

@@ -240,7 +240,7 @@ func TestQueueTenantRoundRobin(t *testing.T) {
 	q := NewQueue(8)
 	push := func(id, tenant string) {
 		t.Helper()
-		if err := q.Push(&Job{id: id, tenant: tenant}); err != nil {
+		if err := q.Push(&Job{id: id, tenant: tenant, key: id}); err != nil {
 			t.Fatal(err)
 		}
 	}

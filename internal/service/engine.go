@@ -60,11 +60,10 @@ type Options struct {
 	Registry *telemetry.Registry
 	// Remote, when non-nil, lets the engine dispatch eligible jobs to a
 	// fleet of remote worker processes (internal/fleet.Coordinator). A
-	// job is eligible when it is cacheable (canonical fingerprint) and
-	// does not ask to keep its bank — the result wire format carries
-	// tallies and counters, not banks. Dispatch failing with ErrNoWorkers
-	// degrades gracefully to local in-process execution, resuming from
-	// the last remotely pulled checkpoint when one exists.
+	// job is eligible when it does not ask to keep its bank — the result
+	// wire format carries tallies and counters, not banks. Dispatch failing
+	// with ErrNoWorkers degrades gracefully to local in-process execution,
+	// resuming from the last remotely pulled checkpoint when one exists.
 	Remote RemoteRunner
 }
 
@@ -249,19 +248,16 @@ func (e *Engine) SubmitWith(cfg core.Config, so SubmitOptions) (*Job, error) {
 }
 
 // identify validates cfg in place and returns the fingerprint it is stored
-// under, "" when a hook makes it uncacheable. Threads stays as requested: it
-// is no part of the identity, and 0 is resolved by the engine that solves the
-// job (see solve), which in a fleet is not the one that admitted it.
+// under. Threads stays as requested: it is no part of the identity, and 0 is
+// resolved by the engine that solves the job (see solve), which in a fleet is
+// not the one that admitted it.
 func identify(cfg *core.Config) (string, error) {
 	threads := cfg.Threads
 	if err := cfg.Validate(); err != nil {
 		return "", err
 	}
 	cfg.Threads = threads
-	key, cacheable := cfg.Fingerprint()
-	if !cacheable {
-		key = ""
-	}
+	key, _ := cfg.Fingerprint() // always true
 	return key, nil
 }
 
@@ -379,7 +375,7 @@ func (e *Engine) settle(j *Job, f *Filed, ens *stats.Ensemble, err error) {
 // the runner pulled before giving up on the job for acquire.
 func (e *Engine) tryRemote(j *Job) (*Filed, error) {
 	r := e.opts.Remote
-	if r == nil || j.key == "" || j.cfg.KeepBank {
+	if r == nil || j.cfg.KeepBank {
 		return nil, ErrNoWorkers
 	}
 	seed, _ := e.resumePoint(j)
@@ -449,11 +445,12 @@ func (e *Engine) solve(j *Job, sim *core.Simulation) (*core.Result, error) {
 
 // checkpoint takes the job's checkpoint at the boundary s stands on, if the
 // job has a sink for one and cad finds it due, and gives cad the measured cost.
-// A key without a durable store has one reader, GET /snapshot: after the first
-// boundary, the job's checkpoint is replaced only once that reader has taken
-// the one it holds, so a worker snapshots at most as often as it is pulled.
+// Without a durable store a checkpoint has one reader, GET /snapshot: after
+// the first boundary, the job's checkpoint is replaced only once that reader
+// has taken the one it holds, so a worker snapshots at most as often as it is
+// pulled.
 func (e *Engine) checkpoint(j *Job, s *core.Simulation, cad *cadence) {
-	durable := e.store.durable(j.key)
+	durable := e.store.durable()
 	if !j.retainSnap && !durable {
 		return
 	}
@@ -468,14 +465,14 @@ func (e *Engine) checkpoint(j *Job, s *core.Simulation, cad *cadence) {
 }
 
 // fileCheckpoint is the one sink of a job's checkpoints, taken here or pulled
-// (step -1): the job keeps it when keep, and a durable key files it in the
-// store — best-effort, but a failure is a job warning and a counter, because
-// an operator who configured a store is owed the news that durability is gone.
+// (step -1): the job keeps it when keep, and a durable store files it —
+// best-effort, but a failure is a job warning and a counter, because an
+// operator who configured a store is owed the news that durability is gone.
 func (e *Engine) fileCheckpoint(j *Job, data []byte, step int, keep bool) {
 	if keep {
 		j.retain(data, step)
 	}
-	if e.store.durable(j.key) {
+	if e.store.durable() {
 		if werr := e.store.saveCheckpoint(j.key, data); werr != nil {
 			j.addWarning(fmt.Sprintf("checkpoint: write failed: %v", werr))
 		}
@@ -626,7 +623,7 @@ func (e *Engine) CheckpointInFlight() int {
 	for _, j := range e.Jobs() {
 		// The checkpoint first: a job that finishes in between reads terminal.
 		snap, _ := j.Snapshot()
-		if snap != nil && !j.Status().State.Terminal() && e.store.durable(j.key) &&
+		if snap != nil && !j.Status().State.Terminal() && e.store.durable() &&
 			e.store.saveCheckpoint(j.key, snap) == nil {
 			n++
 		}

@@ -225,7 +225,8 @@ func TestAPISnapshotEndpoint(t *testing.T) {
 
 // TestSpecOfRoundTrip pins the fleet's transport encoding: SpecOf(cfg)
 // resolved back through Spec.Config must reproduce the exact fingerprint,
-// including the optional physics (weight windows, custom source boxes).
+// including the optional physics (weight windows, the scene a source box
+// derives).
 func TestSpecOfRoundTrip(t *testing.T) {
 	cfg := core.Default(mesh.Stream)
 	cfg.NX, cfg.NY = 48, 48
@@ -235,7 +236,11 @@ func TestSpecOfRoundTrip(t *testing.T) {
 	cfg.Threads = 3
 	cfg.KeepCells = true
 	cfg.WeightWindow = core.WeightWindow{Enabled: true, Target: 1.5, Ratio: 8, SplitMax: 4}
-	cfg.CustomSource = &mesh.SourceBox{X0: 0.1, X1: 0.4, Y0: 0.2, Y1: 0.3}
+	src, err := Spec{Problem: "stream", Source: &SourceSpec{X0: 0.1, X1: 0.4, Y0: 0.2, Y1: 0.3}}.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Scene = src.Scene
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -265,8 +270,12 @@ func TestSpecOfRoundTrip(t *testing.T) {
 
 	// A thread count travels only when the client set one: a job's config
 	// keeps 0 as 0, and the worker that receives no count applies its own.
-	if wire, _ := json.Marshal(spec); !strings.Contains(string(wire), `"threads":3`) {
+	wire, _ := json.Marshal(spec)
+	if !strings.Contains(string(wire), `"threads":3`) {
 		t.Errorf("a requested thread count is missing from the encoded spec: %s", wire)
+	}
+	if strings.Contains(string(wire), `"source"`) {
+		t.Errorf("the source box travelled beside its scene: %s", wire)
 	}
 	unset := cfg
 	unset.Threads = 0
@@ -277,13 +286,8 @@ func TestSpecOfRoundTrip(t *testing.T) {
 		t.Errorf("an unset thread count was put on the wire: %s", wire)
 	}
 
-	// The two untransportables fail loudly instead of dispatching a shard
+	// An unvalidated config fails loudly instead of dispatching a shard
 	// that computes different physics.
-	bad := cfg
-	bad.CustomDensity = func(m *mesh.Mesh) {}
-	if _, err := SpecOf(bad); err == nil {
-		t.Error("SpecOf accepted a CustomDensity config")
-	}
 	if _, err := SpecOf(core.Config{}); err == nil {
 		t.Error("SpecOf accepted an unvalidated config")
 	}

@@ -86,7 +86,7 @@ type ReplicaView struct {
 // the job reaches a terminal state.
 type Job struct {
 	id  string
-	key string // config fingerprint; empty for uncacheable configs
+	key string // config fingerprint
 	// cfg is the request, validated: Threads stays as asked, 0 meaning the
 	// budget of whichever engine ends up solving it.
 	cfg core.Config

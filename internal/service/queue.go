@@ -45,8 +45,7 @@ var (
 // A popped job's fingerprint is held until its worker calls Release, and Pop
 // passes over queued jobs whose fingerprint is held: identical submissions
 // run one after another, never beside each other, so the second finds the
-// first's result instead of solving it again. Uncacheable jobs (key "") are
-// never held.
+// first's result instead of solving it again.
 type Queue struct {
 	mu       sync.Mutex
 	runnable *sync.Cond // a push, a release or Close may have made Pop's wait moot
@@ -113,9 +112,7 @@ func (q *Queue) Pop() (*Job, bool) {
 				if _, busy := q.held[j.key]; busy && !q.closed {
 					continue
 				}
-				if j.key != "" {
-					q.held[j.key] = struct{}{}
-				}
+				q.held[j.key] = struct{}{}
 				q.removeAt(ri, i)
 				q.next = ri // an emptied lane gave its slot to the next one
 				if len(lane) > 1 {
@@ -135,9 +132,6 @@ func (q *Queue) Pop() (*Job, bool) {
 // is done with it, and wakes the parked workers: a queued twin is runnable
 // now.
 func (q *Queue) Release(key string) {
-	if key == "" {
-		return
-	}
 	q.mu.Lock()
 	delete(q.held, key)
 	q.mu.Unlock()

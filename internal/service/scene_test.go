@@ -72,6 +72,48 @@ func TestAPISceneSubmissionsShareCacheEntry(t *testing.T) {
 	submitJob(t, ts, strings.Replace(sceneSpec("box-c", "air"), `"x_hi"`, `"y_lo"`, 1), false)
 }
 
+// TestAPISourceIsItsScene: a "source" box is shorthand for the scene with its
+// sources replaced by that box, so a source spec and its inline-scene twin
+// are one job — the second submission is served cached — while the same spec
+// without the box is another.
+func TestAPISourceIsItsScene(t *testing.T) {
+	ts, e := newTestServer(t, Options{Shards: 1, QueueDepth: 4})
+	const (
+		tail   = `"nx":64,"particles":200,"threads":2,"seed":5}`
+		box    = `{"x0":0.25,"x1":0.5,"y0":1,"y1":1.25}`
+		source = `{"problem":"stream","source":` + box + `,` + tail
+		twin   = `{"scene":{"materials":[{"name":"air","density":1e-30}],"sources":[` + box + `]},` + tail
+		plain  = `{"problem":"stream",` + tail
+	)
+	keys := map[string]string{}
+	for _, spec := range []string{source, twin, plain} {
+		var s Spec
+		if err := json.Unmarshal([]byte(spec), &s); err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := s.Config()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys[spec], _ = cfg.Fingerprint()
+	}
+	if keys[source] != keys[twin] || keys[source] == keys[plain] {
+		t.Fatalf("fingerprints: source %s, twin %s, plain %s; want source = twin != plain",
+			keys[source], keys[twin], keys[plain])
+	}
+
+	v := submitJob(t, ts, source, false)
+	j, err := e.Job(v.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-j.Done()
+	submitJob(t, ts, twin, true)
+	if runs := e.Stats().Runs; runs != 1 {
+		t.Errorf("engine ran %d solves, want 1", runs)
+	}
+}
+
 // TestAPISceneValidation: malformed and physically invalid inline scenes are
 // rejected at submission with 400s, as is a spec naming neither a problem
 // nor a scene.

@@ -140,9 +140,7 @@ func (m *queueModel) pop() *Job {
 			if len(m.ring) < before {
 				m.turn = ri
 			}
-			if j.key != "" {
-				m.out[j.key] = true
-			}
+			m.out[j.key] = true
 			return j
 		}
 	}
@@ -155,7 +153,7 @@ func (m *queueModel) pop() *Job {
 // covers, a block exactly when nothing queued is runnable, and after Close
 // every queued job out once, holds or no holds, then false.
 func TestQueueModel(t *testing.T) {
-	keys := []string{"", "k1", "k2", "k3"}
+	keys := []string{"k0", "k1", "k2", "k3"}
 	for seed := int64(1); seed <= 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		tenants := 1 + rng.Intn(4)
@@ -177,7 +175,7 @@ func TestQueueModel(t *testing.T) {
 				if j == nil {
 					return
 				}
-				if j.key != "" && !m.closed {
+				if !m.closed {
 					for _, r := range running {
 						if r.key == j.key {
 							t.Fatalf("seed %d: %s popped while %s holds key %s", seed, j.id, r.id, j.key)

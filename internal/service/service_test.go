@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mesh"
+	"repro/internal/scene"
 	"repro/internal/telemetry"
 )
 
@@ -24,7 +25,7 @@ func smallConfig() core.Config {
 func TestQueueFIFO(t *testing.T) {
 	q := NewQueue(4)
 	for i := 0; i < 4; i++ {
-		if err := q.Push(&Job{id: fmt.Sprintf("j%d", i)}); err != nil {
+		if err := q.Push(&Job{id: fmt.Sprintf("j%d", i), key: fmt.Sprintf("k%d", i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -48,9 +49,9 @@ func TestQueueFIFO(t *testing.T) {
 
 func TestQueueRemove(t *testing.T) {
 	q := NewQueue(4)
-	q.Push(&Job{id: "a"})
-	q.Push(&Job{id: "b"})
-	q.Push(&Job{id: "c"})
+	q.Push(&Job{id: "a", key: "a"})
+	q.Push(&Job{id: "b", key: "b"})
+	q.Push(&Job{id: "c", key: "c"})
 	if !q.Remove("b") {
 		t.Fatal("remove existing failed")
 	}
@@ -246,12 +247,21 @@ func TestEngineCacheHit(t *testing.T) {
 	}
 }
 
-// TestEngineUncacheable: a CustomDensity config must re-run every time.
+// TestEngineUncacheable: no config is uncacheable. A dense wall across the
+// mesh is a scene region, so its job has an identity like any other: the
+// second submission is served from the cache and the solver runs once.
 func TestEngineUncacheable(t *testing.T) {
 	e := New(Options{Shards: 1, QueueDepth: 8})
 	defer e.Close()
+	csp, err := scene.Preset(mesh.CSP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const pitch = mesh.Extent / 64
 	cfg := smallConfig()
-	cfg.CustomDensity = func(m *mesh.Mesh) { m.SetRegion(0, 30, 64, 34, 1e3) }
+	cfg.Scene = csp.WithSources(csp.Sources...)
+	cfg.Scene.Regions = append(cfg.Scene.Regions,
+		scene.Region{Material: "dense", X0: 0, X1: mesh.Extent, Y0: 30 * pitch, Y1: 34 * pitch})
 	for i := 0; i < 2; i++ {
 		j, err := e.Submit(cfg)
 		if err != nil {
@@ -260,12 +270,12 @@ func TestEngineUncacheable(t *testing.T) {
 		if err := j.Wait(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		if j.Status().Cached {
-			t.Fatal("uncacheable job served from cache")
+		if cached := j.Status().Cached; cached != (i == 1) {
+			t.Fatalf("submission %d: cached = %t", i, cached)
 		}
 	}
-	if got := e.Stats().Runs; got != 2 {
-		t.Fatalf("runs = %d, want 2", got)
+	if got := e.Stats().Runs; got != 1 {
+		t.Fatalf("runs = %d, want 1", got)
 	}
 }
 

@@ -68,7 +68,9 @@ type WeightWindowSpec struct {
 	SplitMax int     `json:"split_max,omitempty"`
 }
 
-// SourceSpec overrides the problem's particle birth region.
+// SourceSpec replaces the scene's sources with one unit-weight box, which
+// must lie within the domain. The job's scene is the derived one, so it
+// shares its identity with the equivalent inline scene.
 type SourceSpec struct {
 	X0 float64 `json:"x0"`
 	X1 float64 `json:"x1"`
@@ -80,6 +82,7 @@ type SourceSpec struct {
 // validation happens at Submit; a zero thread count is resolved by the
 // engine that solves the job). A spec names a problem preset, carries an
 // inline scene, or both — in which case the scene wins, as in core.Config.
+// A source box derives the job's own scene from that one (see SourceSpec).
 func (s Spec) Config() (core.Config, error) {
 	var p mesh.Problem
 	var err error
@@ -113,6 +116,21 @@ func (s Spec) Config() (core.Config, error) {
 		cfg = core.Paper(p)
 	}
 	cfg.Scene = s.Scene
+	if s.Source != nil {
+		base := s.Scene
+		if base == nil {
+			if base, err = scene.Preset(p); err != nil {
+				return core.Config{}, err
+			}
+		}
+		cfg.Scene = base.WithSources(scene.Source{
+			X0: s.Source.X0, X1: s.Source.X1,
+			Y0: s.Source.Y0, Y1: s.Source.Y1,
+		})
+		if err := cfg.Scene.Validate(); err != nil {
+			return core.Config{}, fmt.Errorf("service: source: %w", err)
+		}
+	}
 	if s.NX > 0 {
 		cfg.NX = s.NX
 		cfg.NY = s.NX
@@ -170,12 +188,6 @@ func (s Spec) Config() (core.Config, error) {
 			SplitMax: s.WeightWindow.SplitMax,
 		}
 	}
-	if s.Source != nil {
-		cfg.CustomSource = &mesh.SourceBox{
-			X0: s.Source.X0, X1: s.Source.X1,
-			Y0: s.Source.Y0, Y1: s.Source.Y1,
-		}
-	}
 	return cfg, nil
 }
 
@@ -184,12 +196,8 @@ func (s Spec) Config() (core.Config, error) {
 // This is the fleet coordinator's transport encoding for dispatching a
 // shard to a remote worker: a thread count the client left unset stays off
 // the wire, so the worker applies its own budget. It requires a validated
-// config (Validate resolves the scene and fills every default) and fails on
-// the one thing no wire format can carry: a CustomDensity hook.
+// config (Validate resolves the scene and fills every default).
 func SpecOf(cfg core.Config) (Spec, error) {
-	if cfg.CustomDensity != nil {
-		return Spec{}, fmt.Errorf("service: config with a CustomDensity hook cannot be transported")
-	}
 	if cfg.Scene == nil {
 		return Spec{}, fmt.Errorf("service: config not validated (nil scene)")
 	}
@@ -218,12 +226,6 @@ func SpecOf(cfg core.Config) (Spec, error) {
 			Target:   cfg.WeightWindow.Target,
 			Ratio:    cfg.WeightWindow.Ratio,
 			SplitMax: cfg.WeightWindow.SplitMax,
-		}
-	}
-	if cfg.CustomSource != nil {
-		s.Source = &SourceSpec{
-			X0: cfg.CustomSource.X0, X1: cfg.CustomSource.X1,
-			Y0: cfg.CustomSource.Y0, Y1: cfg.CustomSource.Y1,
 		}
 	}
 	return s, nil

@@ -22,9 +22,8 @@ func resultKey(fingerprint string) string { return "results/" + fingerprint }
 // step-boundary checkpoints of unfinished ones. Keys are job fingerprints
 // (core.Config.Fingerprint), so a hit carries the tally, cells and leakage a
 // fresh solve would reproduce, under whatever execution strategy: identical
-// physics replays identical particle histories. A "" key (an uncacheable
-// config) stores and finds nothing; neither do the durable halves when blobs
-// is nil.
+// physics replays identical particle histories. The durable halves store
+// and find nothing when blobs is nil.
 type store struct {
 	blobs blob.Store
 
@@ -77,8 +76,8 @@ func newStore(cacheEntries int, blobs blob.Store, r *telemetry.Registry) *store 
 // persists reports whether cfg's result lives in the blob tier as well as
 // the LRU. Only plain single runs do: the stored form carries no particle bank,
 // and an ensemble's per-replica history and statistics live with its entry.
-func (s *store) persists(key string, cfg core.Config) bool {
-	return s.durable(key) && cfg.Replicas <= 1 && !cfg.KeepBank
+func (s *store) persists(cfg core.Config) bool {
+	return s.durable() && cfg.Replicas <= 1 && !cfg.KeepBank
 }
 
 // get finds the result filed under key, with an ensemble's merged statistics
@@ -89,9 +88,6 @@ func (s *store) persists(key string, cfg core.Config) bool {
 // carries none, echoes it. Both values are shared by every job served from the
 // key and must be treated as immutable.
 func (s *store) get(key string, cfg core.Config) (*Filed, *stats.Ensemble, bool) {
-	if key == "" {
-		return nil, nil, false
-	}
 	var e *cacheEntry
 	s.mu.Lock()
 	if el, ok := s.items[key]; ok {
@@ -105,7 +101,7 @@ func (s *store) get(key string, cfg core.Config) (*Filed, *stats.Ensemble, bool)
 	if e != nil {
 		return e.res, e.ens, true
 	}
-	if !s.persists(key, cfg) {
+	if !s.persists(cfg) {
 		return nil, nil, false
 	}
 	data, err := s.blobs.Get(resultKey(key))
@@ -124,15 +120,12 @@ func (s *store) get(key string, cfg core.Config) (*Filed, *stats.Ensemble, bool)
 }
 
 // put files a fresh result (with an ensemble's merged statistics) under key,
-// in the LRU and, as its runs, in the blob tier; an uncacheable result ("" key)
-// is its job's alone. The blob write is best-effort: a restarted process, or a
-// stateless replica sharing the store, then serves it without a solve.
+// in the LRU and, as its runs, in the blob tier. The blob write is
+// best-effort: a restarted process, or a stateless replica sharing the store,
+// then serves it without a solve.
 func (s *store) put(key string, cfg core.Config, f *Filed, ens *stats.Ensemble) {
-	if key == "" {
-		return
-	}
 	s.insert(key, f, ens)
-	if s.persists(key, cfg) {
+	if s.persists(cfg) {
 		if data, err := f.encode(nil); err == nil && s.blobs.Put(resultKey(key), data) == nil {
 			s.blobWrites.Inc()
 		}
@@ -183,15 +176,15 @@ func (s *store) stats() CacheStats {
 	}
 }
 
-// durable reports whether anything filed under key reaches the blob store —
-// in particular, whether its jobs' checkpoints are written there.
-func (s *store) durable(key string) bool { return s.blobs != nil && key != "" }
+// durable reports whether what is filed reaches the blob store — in
+// particular, whether jobs' checkpoints are written there.
+func (s *store) durable() bool { return s.blobs != nil }
 
 // loadCheckpoint returns the checkpoint filed under key, if any. It may have
 // been taken under another execution strategy than the job now asking, which
 // core.RestoreSimulation accepts by design.
 func (s *store) loadCheckpoint(key string) ([]byte, bool) {
-	if !s.durable(key) {
+	if !s.durable() {
 		return nil, false
 	}
 	data, err := s.blobs.Get(checkpointKey(key))
@@ -212,7 +205,7 @@ func (s *store) saveCheckpoint(key string, snapshot []byte) error {
 // dropCheckpoint removes key's checkpoint: the job finished, or the
 // checkpoint would not restore.
 func (s *store) dropCheckpoint(key string) {
-	if s.durable(key) {
+	if s.durable() {
 		s.blobs.Delete(checkpointKey(key))
 	}
 }

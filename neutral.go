@@ -56,11 +56,6 @@ type (
 	Schedule = core.Schedule
 	// Figure is one reproduced table/figure from the paper.
 	Figure = harness.Figure
-	// SourceBox is an axis-aligned particle birth region.
-	SourceBox = mesh.SourceBox
-	// Mesh is the structured density mesh (for Config.CustomDensity). It
-	// holds at most 256 distinct densities; see ErrTooManyDensities.
-	Mesh = mesh.Mesh
 	// Particle is the per-particle record (position, direction, energy,
 	// weight, RNG counter); read them from Result.Bank when
 	// Config.KeepBank is set.
@@ -273,13 +268,13 @@ var (
 	// the tally (see the Determinism section of the README); Run, Drive and
 	// Step wrap it.
 	ErrTallyOverflow = tally.ErrOverflow
-	// ErrTooManyDensities reports a density field with more than 256
-	// distinct values — a mesh cell is a one-byte material index — from a
-	// Config.CustomDensity hook or a scene; NewSimulation, Reset, Restore
-	// and RestoreSimulation return it.
+	// ErrTooManyDensities reports a scene whose background and regions
+	// paint more than 256 distinct densities — a mesh cell is a one-byte
+	// material index; NewSimulation, Reset, Restore and RestoreSimulation
+	// return it.
 	ErrTooManyDensities = mesh.ErrTooManyDensities
-	// ErrBadDensity reports a NaN, infinite or negative density painted by
-	// a Config.CustomDensity hook.
+	// ErrBadDensity reports a scene material whose density is NaN,
+	// infinite or negative; the same four doors return it.
 	ErrBadDensity = mesh.ErrBadDensity
 )
 

@@ -74,6 +74,8 @@ func TestSchemesAgreeThroughFacade(t *testing.T) {
 	}
 }
 
+// TestCustomDensityHook: a density field beyond the presets is a scene
+// region — here a dense wall across the middle of an otherwise empty domain.
 func TestCustomDensityHook(t *testing.T) {
 	cfg, err := DefaultConfig("stream")
 	if err != nil {
@@ -82,8 +84,11 @@ func TestCustomDensityHook(t *testing.T) {
 	cfg.NX, cfg.NY = 64, 64
 	cfg.Particles = 200
 	// Wall of dense material across the middle: particles must collide.
-	cfg.CustomDensity = func(m *Mesh) {
-		m.SetRegion(0, 30, 64, 34, 1e3)
+	const pitch = 2.5 / 64
+	cfg.Scene = &Scene{
+		Materials: []SceneMaterial{{Name: "near-vacuum", Density: 1e-30}, {Name: "wall", Density: 1e3}},
+		Regions:   []SceneRegion{{Material: "wall", X0: 0, X1: 2.5, Y0: 30 * pitch, Y1: 34 * pitch}},
+		Sources:   []SceneSource{{X0: 1.1875, X1: 1.3125, Y0: 1.1875, Y1: 1.3125}},
 	}
 	res, err := Run(cfg)
 	if err != nil {
@@ -97,6 +102,7 @@ func TestCustomDensityHook(t *testing.T) {
 	}
 }
 
+// TestCustomSourceHook: a birth region beyond the presets is a scene source.
 func TestCustomSourceHook(t *testing.T) {
 	cfg, err := DefaultConfig("stream")
 	if err != nil {
@@ -105,13 +111,15 @@ func TestCustomSourceHook(t *testing.T) {
 	cfg.NX, cfg.NY = 64, 64
 	cfg.Particles = 50
 	cfg.KeepBank = true
-	src := SourceBox{X0: 0.1, X1: 0.2, Y0: 2.0, Y1: 2.1}
-	cfg.CustomSource = &src
+	cfg.Scene = &Scene{
+		Materials: []SceneMaterial{{Name: "near-vacuum", Density: 1e-30}},
+		Sources:   []SceneSource{{X0: 0.1, X1: 0.2, Y0: 2.0, Y1: 2.1}},
+	}
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Bank == nil {
+	if res.Bank == nil || res.Bank.Len() != cfg.Particles {
 		t.Fatal("bank not kept")
 	}
 }
