@@ -17,11 +17,11 @@ func TestIsotropicDirectionUnit(t *testing.T) {
 	}
 }
 
-// TestDirectionOfMatchesCosSin: DirectionOf takes both components from one
-// math.Sincos, and every golden in the repository was recorded with separate
-// math.Cos and math.Sin calls. The three agree bit for bit on the toolchains
-// this was written on; one where they do not must fail here, not move a
-// golden.
+// TestDirectionOfMatchesCosSin: DirectionOf performs math.Sincos's
+// arithmetic with the octant selected on bits, and every golden in the
+// repository was recorded with separate math.Cos and math.Sin calls. They
+// agree bit for bit on the toolchains this was written on; one where they do
+// not must fail here, not move a golden.
 func TestDirectionOfMatchesCosSin(t *testing.T) {
 	check := func(w uint64) {
 		theta := 2 * math.Pi * Unit(w)
@@ -31,15 +31,22 @@ func TestDirectionOfMatchesCosSin(t *testing.T) {
 			t.Fatalf("word %#x: DirectionOf = (%x, %x), Cos/Sin = (%x, %x)", w, ux, uy, wx, wy)
 		}
 	}
-	check(0)
-	check(^uint64(0))
 	// The words on each octant boundary of the argument reduction (the
-	// angle is k·π/4 at Unit = k/8) and the representable angles beside them.
+	// angle is k·π/4 at Unit = k/8) and the 64 representable angles on each
+	// side, where the octant, its round-up and the selects change. Below
+	// k = 0 they wrap to the top words, whose angles are nearest 2π.
 	const ulp = 1 << 11 // Unit drops the low 11 bits
 	for k := uint64(0); k < 8; k++ {
-		for _, w := range []uint64{k<<61 - ulp, k << 61, k<<61 + ulp} {
-			check(w)
+		for d := uint64(0); d <= 64; d++ {
+			check(k<<61 + d*ulp)
+			check(k<<61 - d*ulp)
 		}
+	}
+	// The top words with their low bits set. x·4/π is within an ulp of 8
+	// there, so a toolchain whose product rounds to 8 shows here; either way
+	// the round-up makes the top eighth octant 8, which selects as 0.
+	for d := uint64(0); d <= 64; d++ {
+		check(^uint64(0) - d*ulp)
 	}
 	s := NewStream(2026, 0)
 	for i := 0; i < 10_000_000; i++ {
@@ -89,6 +96,10 @@ func TestMeanFreePathsDistribution(t *testing.T) {
 	}
 	if math.Abs(variance-1) > 0.05 {
 		t.Errorf("Exp(1) variance = %.4f, want 1 +/- 0.05", variance)
+	}
+	// The top word is the shortest flight, and still a flight.
+	if x := MeanFreePathsOf(^uint64(0)); !(x > 0) {
+		t.Errorf("MeanFreePathsOf(top word) = %v, want > 0", x)
 	}
 }
 

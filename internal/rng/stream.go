@@ -79,8 +79,11 @@ const twoTo53 = 9007199254740992.0
 // Unit maps a raw word to a float64 in the half-open interval [0, 1).
 func Unit(w uint64) float64 { return float64(w>>11) / twoTo53 }
 
-// UnitOpen maps a raw word to a float64 in the open interval (0, 1).
-func UnitOpen(w uint64) float64 { return (float64(w>>11) + 0.5) / twoTo53 }
+// UnitOpen maps a raw word to a float64 in the open interval (0, 1):
+// (k + 0.5)/2^53 for the word's top 53 bits k. That rounds up to 1 for the
+// top k alone, which the min maps to the largest double below 1 instead; no
+// other word's bits move.
+func UnitOpen(w uint64) float64 { return min((float64(w>>11)+0.5)/twoTo53, 1-1/twoTo53) }
 
 // Uniform returns a uniformly distributed float64 in the half-open interval
 // [0, 1).

@@ -64,6 +64,10 @@ func TestUniformInRange(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
 		t.Fatal(err)
 	}
+	// The top word, whose open-interval midpoint rounds to 1.
+	if u, v := Unit(^uint64(0)), UnitOpen(^uint64(0)); u >= 1 || v <= 0 || v >= 1 {
+		t.Errorf("top word: Unit = %v, UnitOpen = %v, want both below 1", u, v)
+	}
 }
 
 // TestUniformMoments checks the first two moments of the uniform output; a

@@ -139,3 +139,21 @@ func BenchmarkThreefry2x64(b *testing.B) {
 	}
 	_ = sink
 }
+
+// BenchmarkDirectionOf maps random words, 64 Ki of them so that no branch
+// predictor learns the sequence: the per-call cost of a collision's or a
+// birth's direction.
+func BenchmarkDirectionOf(b *testing.B) {
+	words := make([]uint64, 1<<16)
+	s := NewStream(2026, 0)
+	for i := range words {
+		words[i] = s.Next()
+	}
+	var sx, sy float64
+	for i := 0; i < b.N; i++ {
+		ux, uy := DirectionOf(words[i&(len(words)-1)])
+		sx += ux
+		sy += uy
+	}
+	_ = sx + sy
+}
