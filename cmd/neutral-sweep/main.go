@@ -21,6 +21,7 @@
 package main
 
 import (
+	"context"
 	"encoding/csv"
 	"flag"
 	"fmt"
@@ -85,11 +86,11 @@ func run() error {
 		if err := sim.Reset(cfg); err != nil {
 			return err
 		}
+		var onStep core.StepFunc
 		if tr != nil {
-			// Reset clears the trace hook, so each point attaches its own track.
-			cliutil.AttachTrace(&sim, tr.Track(fmt.Sprintf("t%02d %s", t, cliutil.Describe(cfg))))
+			onStep = cliutil.AttachTrace(tr.Track(fmt.Sprintf("t%02d %s", t, cliutil.Describe(cfg))))
 		}
-		res, err := sim.Run()
+		res, err := sim.Drive(context.Background(), nil, onStep)
 		if err != nil {
 			return err
 		}

@@ -123,9 +123,10 @@ func run() error {
 	}
 
 	var tr *telemetry.Trace
+	var traceStep core.StepFunc
 	if *trace != "" {
 		tr = telemetry.NewTrace()
-		cliutil.AttachTrace(sim, tr.Track(cliutil.Describe(cfg)))
+		traceStep = cliutil.AttachTrace(tr.Track(cliutil.Describe(cfg)))
 	}
 
 	var collector *perfcount.Collector
@@ -143,9 +144,11 @@ func run() error {
 		}
 	}
 
-	var onStep core.StepFunc
-	if *ckpt != "" {
-		onStep = func(s *core.Simulation) {
+	onStep := func(s *core.Simulation) {
+		if traceStep != nil {
+			traceStep(s)
+		}
+		if *ckpt != "" {
 			if err := core.WriteSnapshotFile(*ckpt, s.Snapshot()); err != nil {
 				fmt.Fprintf(os.Stderr, "neutral: checkpoint: %v\n", err)
 			}

@@ -120,13 +120,14 @@ func Phases(p core.PhaseTimings) []telemetry.Phase {
 	return out
 }
 
-// AttachTrace installs a per-step trace hook on sim that lays each step's
-// phase spans onto the named track. Re-attach after every Reset — Reset
-// clears the hook.
-func AttachTrace(sim *core.Simulation, track *telemetry.Track) {
-	sim.SetTrace(func(st core.StepTiming) {
+// AttachTrace returns the StepFunc that lays each completed step's phase
+// spans (Simulation.LastStep) onto track; hand it to Drive, composed with
+// any other per-step work.
+func AttachTrace(track *telemetry.Track) core.StepFunc {
+	return func(s *core.Simulation) {
+		st := s.LastStep()
 		track.AddStep(st.Step, st.Wall, Phases(st.Phases))
-	})
+	}
 }
 
 // WriteTraceFile writes the trace as Chrome trace-event JSON at path —

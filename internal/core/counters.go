@@ -113,7 +113,8 @@ func PerParticle(count uint64, particles int) float64 {
 	return float64(count) / float64(particles)
 }
 
-// PhaseTimings records where wallclock went. For Over Events the four
+// PhaseTimings records where wallclock went: a run's totals on Result, one
+// step's share on StepTiming. For Over Events the four
 // kernels are timed separately (the paper profiles them individually in
 // Fig 8); Over Particles has a single fused loop. An Over Events worker runs
 // its kernels on its own share of the particles with no barrier between them,
@@ -179,8 +180,8 @@ func (p PhaseTimings) Add(other PhaseTimings) PhaseTimings {
 	}
 }
 
-// Sub returns the per-phase difference p - other — how step-level timings
-// are recovered from the solver's cumulative accumulation.
+// Sub returns the per-phase difference p - other — how Step recovers its own
+// phase times (StepTiming.Phases) from the run's cumulative accumulation.
 func (p PhaseTimings) Sub(other PhaseTimings) PhaseTimings {
 	return PhaseTimings{
 		EventKernel:     p.EventKernel - other.EventKernel,
@@ -196,7 +197,7 @@ func (p PhaseTimings) Sub(other PhaseTimings) PhaseTimings {
 
 // Each calls fn for every non-zero phase in kernel order, using the
 // canonical kebab-case phase names shared by the trace export, the service
-// result view, and the CLI summary.
+// result and step views, and the CLI summary.
 func (p PhaseTimings) Each(fn func(name string, d time.Duration)) {
 	for _, ph := range []struct {
 		name string

@@ -24,8 +24,8 @@ type RegionProbe interface {
 }
 
 // SetRegionProbe installs (or, with nil, removes) the kernel-region probe.
-// Like SetTrace, Reset clears it: a reused simulation profiles only if the
-// new owner re-attaches.
+// Reset and Restore clear it: a reused simulation profiles only if the new
+// owner re-attaches.
 func (s *Simulation) SetRegionProbe(p RegionProbe) { s.r.probe = p }
 
 // regionStart opens a probed region; the hot paths call it at most once per

@@ -328,9 +328,10 @@ var (
 	ErrInterrupted = errors.New("core: step interrupted")
 )
 
-// StepFunc observes a simulation at each completed timestep boundary; Drive
-// invokes it between steps, outside every timed kernel region. The typical
-// use is per-step telemetry and checkpointing: the simulation is at a step
+// StepFunc observes a simulation at each completed timestep boundary — the
+// one step-boundary observer; Drive invokes it between steps, outside every
+// timed kernel region. The typical use is per-step telemetry (LastStep is the
+// step just completed) and checkpointing: the simulation is at a step
 // boundary, so Snapshot is valid inside the callback.
 type StepFunc func(*Simulation)
 
@@ -361,39 +362,22 @@ type Simulation struct {
 	res       *Result
 	next      int // next 0-based timestep to execute
 	finalized bool
-
-	// trace, when set, receives one StepTiming per completed Step. The
-	// per-step deltas are recovered from the cumulative accumulators via
-	// the two baselines below, so the hot kernel loops carry no extra
-	// bookkeeping and a nil hook costs one predictable branch per step.
-	trace     TraceFunc
-	traceWall time.Duration
-	tracePrev PhaseTimings
+	last      StepTiming // the latest completed Step's own timing
 }
 
 // StepTiming is the wallclock attribution of one completed timestep: the
-// step's total wall plus its per-phase breakdown, both as deltas over the
-// previous step boundary.
+// step's own wall — what Step added to Result.Wall — and the phase time it
+// added to Result.Phases, so a run's StepTimings sum to its Result's.
 type StepTiming struct {
 	Step   int
 	Wall   time.Duration
 	Phases PhaseTimings
 }
 
-// TraceFunc observes per-step timings. It runs synchronously on the solver
-// goroutine between steps — never inside a kernel — so implementations may
-// take locks but should stay cheap.
-type TraceFunc func(StepTiming)
-
-// SetTrace installs (or, with nil, removes) the per-step trace hook and
-// re-anchors the timing baselines at the current step boundary. Reset and
-// Restore clear the hook: a reused simulation traces only if the new owner
-// re-attaches.
-func (s *Simulation) SetTrace(f TraceFunc) {
-	s.trace = f
-	s.traceWall = s.res.Wall
-	s.tracePrev = s.res.Phases
-}
+// LastStep reports the timing of the latest completed Step; the zero
+// StepTiming before the first, and after Reset or Restore. A StepFunc reads
+// it at each boundary.
+func (s *Simulation) LastStep() StepTiming { return s.last }
 
 // NewSimulation validates the configuration and builds a simulation ready
 // for its first Step: mesh, cross-section tables, tally, worker state and
@@ -407,8 +391,8 @@ func NewSimulation(cfg Config) (*Simulation, error) {
 }
 
 // bind rebinds the simulation to cfg at step zero, the bank still to be
-// filled; a refused bind changes nothing. The trace hook and region probe are
-// cleared: a reused simulation reports only to an owner that re-attaches.
+// filled; a refused bind changes nothing. The region probe is cleared: a
+// reused simulation reports only to an owner that re-attaches.
 func (s *Simulation) bind(cfg Config) error {
 	r := s.r
 	if r == nil {
@@ -433,9 +417,6 @@ func (s *Simulation) Steps() int { return s.r.cfg.Steps }
 
 // Done reports whether every configured timestep has completed.
 func (s *Simulation) Done() bool { return s.next >= s.r.cfg.Steps }
-
-// Progress reports point-in-time completion from the live counters.
-func (s *Simulation) Progress() Progress { return s.r.progress() }
 
 // Elapsed reports the wallclock spent inside completed Steps.
 func (s *Simulation) Elapsed() time.Duration { return s.res.Wall }
@@ -481,7 +462,7 @@ func (s *Simulation) Step() error {
 		return r.overflow
 	}
 	cfg := r.cfg
-	start := time.Now()
+	start, phases := time.Now(), s.res.Phases
 	if s.next > 0 {
 		revived := r.reviveCensus()
 		// Reset done before publishing the new total so a concurrent
@@ -522,17 +503,10 @@ func (s *Simulation) Step() error {
 		s.res.Phases.Merge += time.Since(t0)
 		r.regionEnd("merge")
 	}
-	s.res.Wall += time.Since(start)
+	d := time.Since(start)
+	s.res.Wall += d
+	s.last = StepTiming{Step: s.next, Wall: d, Phases: s.res.Phases.Sub(phases)}
 	s.next++
-	if s.trace != nil {
-		s.trace(StepTiming{
-			Step:   s.next - 1,
-			Wall:   s.res.Wall - s.traceWall,
-			Phases: s.res.Phases.Sub(s.tracePrev),
-		})
-		s.traceWall = s.res.Wall
-		s.tracePrev = s.res.Phases
-	}
 	return nil
 }
 

@@ -7,9 +7,9 @@ import (
 	"repro/internal/mesh"
 )
 
-// TestStepTraceHook verifies the per-step hook fires once per Step with
-// deltas that sum to the run's cumulative wall and phase totals, and that
-// installing it leaves the physics bit-identical.
+// TestStepTraceHook verifies every Step records its own timing: LastStep
+// read at each boundary names that step, the per-step walls and phases sum to
+// the run's cumulative totals, and a stepwise run stays bit-identical to Run.
 func TestStepTraceHook(t *testing.T) {
 	for _, scheme := range []Scheme{OverParticles, OverEvents} {
 		cfg := smallConfig(mesh.CSP)
@@ -26,17 +26,14 @@ func TestStepTraceHook(t *testing.T) {
 			t.Fatal(err)
 		}
 		var timings []StepTiming
-		sim.SetTrace(func(st StepTiming) { timings = append(timings, st) })
 		for !sim.Done() {
 			if err := sim.Step(); err != nil {
 				t.Fatal(err)
 			}
+			timings = append(timings, sim.LastStep())
 		}
 		res := sim.Finalize()
 
-		if len(timings) != cfg.Steps {
-			t.Fatalf("%v: hook fired %d times, want %d", scheme, len(timings), cfg.Steps)
-		}
 		var wall time.Duration
 		var phases PhaseTimings
 		for i, st := range timings {
@@ -59,13 +56,13 @@ func TestStepTraceHook(t *testing.T) {
 			t.Errorf("%v: step phases sum to %+v, result phases %+v", scheme, phases, res.Phases)
 		}
 		if res.TallyTotal != base.TallyTotal || res.Counter != base.Counter {
-			t.Errorf("%v: traced run diverged from untraced run", scheme)
+			t.Errorf("%v: stepwise run diverged from Run", scheme)
 		}
 	}
 }
 
-// TestTraceHookMidRunAttach verifies SetTrace re-anchors its baselines so a
-// hook attached mid-run reports only subsequent steps' deltas.
+// TestTraceHookMidRunAttach verifies a read of LastStep mid-run sees the
+// step just completed alone, not the run so far.
 func TestTraceHookMidRunAttach(t *testing.T) {
 	cfg := smallConfig(mesh.Scatter)
 	cfg.Steps = 3
@@ -76,54 +73,55 @@ func TestTraceHookMidRunAttach(t *testing.T) {
 	if err := sim.Step(); err != nil {
 		t.Fatal(err)
 	}
-	var timings []StepTiming
-	sim.SetTrace(func(st StepTiming) { timings = append(timings, st) })
-	for !sim.Done() {
-		if err := sim.Step(); err != nil {
-			t.Fatal(err)
-		}
+	before, phases := sim.Elapsed(), sim.LastStep().Phases
+	if err := sim.Step(); err != nil {
+		t.Fatal(err)
 	}
-	res := sim.Finalize()
-	if len(timings) != 2 {
-		t.Fatalf("hook fired %d times, want 2", len(timings))
+	st := sim.LastStep()
+	if st.Step != 1 {
+		t.Errorf("mid-run read names step %d, want 1", st.Step)
 	}
-	if timings[0].Step != 1 || timings[1].Step != 2 {
-		t.Errorf("steps = %d, %d, want 1, 2", timings[0].Step, timings[1].Step)
+	if st.Wall != sim.Elapsed()-before || st.Wall >= sim.Elapsed() {
+		t.Errorf("step 1 wall %v, want %v (elapsed %v) — that step alone", st.Wall, sim.Elapsed()-before, sim.Elapsed())
 	}
-	var wall time.Duration
-	for _, st := range timings {
-		wall += st.Wall
-	}
-	if wall >= res.Wall {
-		t.Errorf("traced wall %v should exclude the untraced first step (total %v)", wall, res.Wall)
+	if got, want := phases.Add(st.Phases), sim.Finalize().Phases; got != want {
+		t.Errorf("steps 0 and 1 phases sum to %+v, run's %+v", got, want)
 	}
 }
 
-// TestResetClearsTrace verifies a reused simulation does not leak the
-// previous owner's hook.
+// TestResetClearsTrace verifies a rebound simulation reports no step of its
+// previous binding: Reset and Restore both zero LastStep.
 func TestResetClearsTrace(t *testing.T) {
 	cfg := smallConfig(mesh.Stream)
-	cfg.Steps = 1
+	cfg.Steps = 2
 	sim, err := NewSimulation(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fired := 0
-	sim.SetTrace(func(StepTiming) { fired++ })
+	if err := sim.Step(); err != nil {
+		t.Fatal(err)
+	}
+	snap := sim.Snapshot()
 	if _, err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if fired != 1 {
-		t.Fatalf("hook fired %d times before reset, want 1", fired)
+	if st := sim.LastStep(); st.Step != 1 || st.Wall <= 0 {
+		t.Fatalf("LastStep after the run = %+v, want step 1 with a wall", st)
 	}
 	if err := sim.Reset(cfg); err != nil {
 		t.Fatal(err)
 	}
+	if st := sim.LastStep(); st != (StepTiming{}) {
+		t.Errorf("LastStep after Reset = %+v, want zero", st)
+	}
 	if _, err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if fired != 1 {
-		t.Errorf("hook fired %d times after reset, want still 1", fired)
+	if err := sim.Restore(cfg, snap); err != nil {
+		t.Fatal(err)
+	}
+	if st := sim.LastStep(); st != (StepTiming{}) {
+		t.Errorf("LastStep after Restore = %+v, want zero", st)
 	}
 }
 

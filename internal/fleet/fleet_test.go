@@ -234,8 +234,9 @@ func waitDone(t *testing.T, j *service.Job, timeout time.Duration) {
 }
 
 // TestFleetRunsShardRemotely pins the basic dispatch path: the shard runs
-// on a worker, the job view names it, and the physics is bit-identical to
-// a local run.
+// on a worker, the job view names it, the physics is bit-identical to a
+// local run, and the coordinator's /trace serves the worker's step spans —
+// the step views it forwarded carry them.
 func TestFleetRunsShardRemotely(t *testing.T) {
 	c := newCluster(t, Options{})
 	w := c.addWorker("w1")
@@ -268,6 +269,55 @@ func TestFleetRunsShardRemotely(t *testing.T) {
 	if runs := w.engine.Stats().Runs; runs != 1 {
 		t.Errorf("worker runs = %d, want 1", runs)
 	}
+
+	spans := func(base, id string) []traceSpan {
+		t.Helper()
+		resp, err := http.Get(base + "/v1/jobs/" + id + "/trace")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s/v1/jobs/%s/trace: status %d", base, id, resp.StatusCode)
+		}
+		var doc struct{ TraceEvents []traceSpan }
+		if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+			t.Fatal(err)
+		}
+		var out []traceSpan
+		for _, ev := range doc.TraceEvents {
+			if ev.Ph == "X" {
+				out = append(out, ev)
+			}
+		}
+		return out
+	}
+	remote := w.engine.Jobs()
+	if len(remote) != 1 {
+		t.Fatalf("worker holds %d jobs, want 1", len(remote))
+	}
+	got, want := spans(c.srv.URL, j.ID()), spans(w.srv.URL, remote[0].ID())
+	steps, phases := 0, 0
+	for _, sp := range got {
+		if strings.HasPrefix(sp.Name, "step ") {
+			steps++
+		} else {
+			phases++
+		}
+	}
+	if steps != cfg.Steps || phases == 0 {
+		t.Errorf("coordinator trace has %d step and %d phase spans, want %d steps with their phases", steps, phases, cfg.Steps)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("coordinator trace spans %+v, worker's %+v", got, want)
+	}
+}
+
+// traceSpan is one complete event of a /v1/jobs/{id}/trace document.
+type traceSpan struct {
+	Name    string
+	Ph      string
+	TS, Dur float64
 }
 
 // TestFinishedShardDropsWorkerCheckpoint: a shard's worker-side job keeps its

@@ -3,6 +3,7 @@ package service
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -135,6 +136,7 @@ func TestAPIValidation(t *testing.T) {
 		`{"problem":"csp","tally":"bogus"}`,
 		`{"problem":"csp","layout":"bogus"}`,
 		`{"problem":"csp","schedule":"bogus"}`,
+		`{"problem":"csp","keep_bank":true}`,
 		`{"problem":"csp","particles":-4}`,
 		`{"problem":"csp","unknown_field":1}`,
 		`not json`,
@@ -423,10 +425,11 @@ func TestAPIStreamStepEvents(t *testing.T) {
 }
 
 // TestAPIBatch submits a mixed batch and checks per-item statuses: valid
-// specs are admitted as jobs, the invalid one carries its own error, and
-// the accepted jobs run to completion.
+// specs are admitted as jobs, the invalid one carries its own error, the
+// accepted jobs run to completion, and an item's snapshot and
+// retain_snapshot do what they do on POST /v1/jobs.
 func TestAPIBatch(t *testing.T) {
-	ts, _ := newTestServer(t, Options{Shards: 2, QueueDepth: 8})
+	ts, e := newTestServer(t, Options{Shards: 2, QueueDepth: 8})
 	body := `{"specs":[
 		{"problem":"csp","nx":64,"particles":200,"steps":2,"seed":1},
 		{"problem":"no-such-problem"},
@@ -522,6 +525,56 @@ func TestAPIBatch(t *testing.T) {
 		} else {
 			lastID = id
 		}
+	}
+
+	// An item is admitted as POST /v1/jobs admits its spec: a
+	// retain_snapshot item serves its checkpoint once done, and a snapshot
+	// item resumes from the boundary the snapshot carries.
+	seed := uint64(22)
+	seeded := Spec{Problem: "csp", NX: 64, Particles: 100, Steps: 3, Seed: &seed}
+	cfg, err := seeded.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := core.NewSimulation(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.Step(); err != nil {
+		t.Fatal(err)
+	}
+	seeded.Snapshot = sim.Snapshot()
+	seededJSON, _ := json.Marshal(seeded)
+	rresp, err := http.Post(ts.URL+"/v1/batch", "application/json", strings.NewReader(fmt.Sprintf(
+		`{"specs":[{"problem":"csp","nx":64,"particles":100,"steps":2,"seed":21,"retain_snapshot":true},%s]}`, seededJSON)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rr BatchResponse
+	err = json.NewDecoder(rresp.Body).Decode(&rr)
+	rresp.Body.Close()
+	if err != nil || len(rr.Items) != 2 || !rr.Items[0].Accepted || !rr.Items[1].Accepted {
+		t.Fatalf("snapshot batch: %+v, decode error %v", rr.Items, err)
+	}
+	for _, it := range rr.Items {
+		j, err := e.Job(it.Job.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.Wait(context.Background())
+	}
+	sresp, err := http.Get(ts.URL + "/v1/jobs/" + rr.Items[0].Job.ID + "/snapshot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sresp.Body.Close()
+	if sresp.StatusCode != http.StatusOK {
+		t.Errorf("retain_snapshot batch item: /snapshot status %d, want 200", sresp.StatusCode)
+	}
+	var jv JobView
+	getJSON(t, ts, "/v1/jobs/"+rr.Items[1].Job.ID, &jv)
+	if jv.State != StateDone || jv.ResumedFrom == nil || *jv.ResumedFrom != 1 {
+		t.Errorf("snapshot batch item: state %s, resumed from %v; want done, resumed from 1", jv.State, jv.ResumedFrom)
 	}
 
 	// Malformed batches are rejected wholesale.

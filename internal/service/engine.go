@@ -430,10 +430,6 @@ func (e *Engine) solve(j *Job, sim *core.Simulation) (*core.Result, error) {
 	if err := e.acquire(j, sim); err != nil {
 		return nil, err
 	}
-	// Per-step timing spans land on the job for /v1/jobs/{id}/trace; the
-	// next job's rebind clears the hook.
-	sim.SetTrace(j.addTiming)
-
 	var cad cadence
 	return sim.Drive(j.ctx, j.setProgress, func(s *core.Simulation) {
 		e.checkpoint(j, s, &cad)
@@ -520,11 +516,18 @@ func (e *Engine) acquire(j *Job, sim *core.Simulation) error {
 // stepViewOf summarises the simulation at the boundary it just completed.
 func stepViewOf(s *core.Simulation) StepView {
 	alive, census, dead := s.Population()
+	st := s.LastStep()
+	var phases []telemetry.Phase
+	st.Phases.Each(func(name string, d time.Duration) {
+		phases = append(phases, telemetry.Phase{Name: name, Dur: d})
+	})
 	return StepView{
 		Step:        s.StepIndex() - 1,
 		Steps:       s.Steps(),
 		TallyTotal:  s.TallyTotal(),
 		WallSeconds: s.Elapsed().Seconds(),
+		StepWall:    st.Wall,
+		Phases:      phases,
 		Alive:       alive,
 		Census:      census,
 		Dead:        dead,

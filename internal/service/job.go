@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/stats"
+	"repro/internal/telemetry"
 )
 
 // State is a job's lifecycle position.
@@ -35,8 +36,9 @@ func (s State) Terminal() bool {
 var ErrNotFinished = errors.New("service: job not finished")
 
 // StepView summarises one completed timestep of a running job — the
-// payload of the per-step SSE events and the job's step history. Every
-// boundary produces one; only some of them checkpoint (see cadence).
+// payload of the per-step SSE events and the job's step history, the one
+// per-step record from solver to coordinator. Every boundary produces one;
+// only some of them checkpoint (see cadence).
 type StepView struct {
 	// Step is the completed 0-based timestep; Steps the configured count.
 	Step  int `json:"step"`
@@ -45,6 +47,11 @@ type StepView struct {
 	TallyTotal float64 `json:"tally_total"`
 	// WallSeconds is the cumulative solver wallclock after this step.
 	WallSeconds float64 `json:"wall_seconds"`
+	// StepWall is this step's own solver wallclock and Phases its kernel
+	// phases in canonical kernel order, zero phases omitted — the spans
+	// GET /v1/jobs/{id}/trace lays out, on a coordinator too.
+	StepWall time.Duration     `json:"step_ns,omitempty"`
+	Phases   []telemetry.Phase `json:"phases,omitempty"`
 	// Alive, Census, Dead partition the bank after this step.
 	Alive  int `json:"alive"`
 	Census int `json:"census"`
@@ -116,10 +123,6 @@ type Job struct {
 	// otherwise.
 	replicas []ReplicaView
 	ensemble *stats.Ensemble
-	// timings is the per-step wallclock attribution the worker's trace
-	// hook records while solving; empty for cached jobs and ensemble
-	// parents (their replicas carry the timings).
-	timings []core.StepTiming
 	// result is the finished result as the store filed it, shared with every
 	// job served from the same one.
 	result    *Filed
@@ -290,15 +293,6 @@ func (j *Job) Replicas() []ReplicaView {
 	return append([]ReplicaView{}, j.replicas...)
 }
 
-// Timings returns the per-step timing spans recorded while solving, oldest
-// first. Empty for cached jobs and ensemble parents. A resumed job's
-// timings start at the checkpointed step.
-func (j *Job) Timings() []core.StepTiming {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return append([]core.StepTiming(nil), j.timings...)
-}
-
 // Snapshot returns the job's latest checkpoint and the step it was taken at;
 // nil when the job was not seeded and does not retain snapshots, has not
 // reached a boundary yet, or has released it — at its end, or when its result
@@ -392,13 +386,6 @@ func (j *Job) addStep(v StepView) {
 	j.mu.Lock()
 	v.Checkpoint = max(j.ckpt.step, 0)
 	j.steps = append(j.steps, v)
-	j.mu.Unlock()
-}
-
-// addTiming is the core.TraceFunc the worker installs on its simulation.
-func (j *Job) addTiming(st core.StepTiming) {
-	j.mu.Lock()
-	j.timings = append(j.timings, st)
 	j.mu.Unlock()
 }
 

@@ -278,23 +278,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !s.admit(w, r, 1) {
 		return
 	}
-	s.applyDefaultScene(&spec)
-	cfg, err := spec.Config()
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, err)
-		return
-	}
-	j, err := s.engine.SubmitWith(cfg, SubmitOptions{
-		Snapshot:       spec.Snapshot,
-		RetainSnapshot: spec.RetainSnapshot,
-		Tenant:         TenantName(r.Context()),
-	})
+	j, err := s.submitSpec(r, spec)
 	switch {
-	case errors.Is(err, ErrQueueFull):
-		s.engine.metrics.tenantShed.With(TenantName(r.Context()), "queue").Inc()
-		s.writeError(w, r, http.StatusServiceUnavailable, err)
-		return
-	case errors.Is(err, ErrClosed):
+	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrClosed):
 		s.writeError(w, r, http.StatusServiceUnavailable, err)
 		return
 	case err != nil:
@@ -311,6 +297,28 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	} else {
 		writeJSON(w, http.StatusAccepted, v)
 	}
+}
+
+// submitSpec is the one spec admission of POST /v1/jobs and of each
+// POST /v1/batch item: the spec resolved (under the server's default scene)
+// and submitted with its snapshot and retention, as the request's tenant. A
+// full queue counts as a queue shed of that tenant.
+func (s *Server) submitSpec(r *http.Request, spec Spec) (*Job, error) {
+	s.applyDefaultScene(&spec)
+	cfg, err := spec.Config()
+	if err != nil {
+		return nil, err
+	}
+	tenant := TenantName(r.Context())
+	j, err := s.engine.SubmitWith(cfg, SubmitOptions{
+		Snapshot:       spec.Snapshot,
+		RetainSnapshot: spec.RetainSnapshot,
+		Tenant:         tenant,
+	})
+	if errors.Is(err, ErrQueueFull) {
+		s.engine.metrics.tenantShed.With(tenant, "queue").Inc()
+	}
+	return j, err
 }
 
 // BatchRequest is the wire format of POST /v1/batch.
@@ -361,12 +369,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// an invalid config or a full queue fails that item, never the batch.
 	resp := BatchResponse{Items: make([]BatchItemView, len(req.Specs))}
 	for i, spec := range req.Specs {
-		s.applyDefaultScene(&spec)
-		cfg, err := spec.Config()
-		var j *Job
-		if err == nil {
-			j, err = s.engine.SubmitWith(cfg, SubmitOptions{Tenant: TenantName(r.Context())})
-		}
+		j, err := s.submitSpec(r, spec)
 		if err != nil {
 			resp.Items[i].Error = err.Error()
 			continue
@@ -577,29 +580,27 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	w.Write(data)
 }
 
-// handleTrace serves the job's per-step phase spans as Chrome trace-event
-// JSON — load it in chrome://tracing or Perfetto to see where each step's
-// wallclock went. 404s for jobs with no recorded spans (cache hits and
-// ensemble parents; an ensemble's traces live on its replica jobs).
+// handleTrace serves the job's per-step phase spans, laid out from its step
+// views, as Chrome trace-event JSON — load it in chrome://tracing or Perfetto
+// to see where each step's wallclock went. A coordinator's job serves the
+// spans its worker's step views brought. 404s for jobs with no recorded steps
+// (cache hits and ensemble parents; an ensemble's traces live on its replica
+// jobs).
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.job(w, r)
 	if !ok {
 		return
 	}
-	timings := j.Timings()
-	if len(timings) == 0 {
+	steps := j.Steps()
+	if len(steps) == 0 {
 		s.writeError(w, r, http.StatusNotFound,
 			errors.New("service: no trace recorded for job"))
 		return
 	}
 	tr := telemetry.NewTrace()
 	track := tr.Track(j.ID())
-	for _, st := range timings {
-		var phases []telemetry.Phase
-		st.Phases.Each(func(name string, d time.Duration) {
-			phases = append(phases, telemetry.Phase{Name: name, Dur: d})
-		})
-		track.AddStep(st.Step, st.Wall, phases)
+	for _, st := range steps {
+		track.AddStep(st.Step, st.StepWall, st.Phases)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	tr.WriteChrome(w)

@@ -34,7 +34,6 @@ type Spec struct {
 	WeightCutoff float64     `json:"weight_cutoff,omitempty"`
 	EnergyCutoff float64     `json:"energy_cutoff,omitempty"`
 	KeepCells    bool        `json:"keep_cells,omitempty"`
-	KeepBank     bool        `json:"keep_bank,omitempty"`
 	Source       *SourceSpec `json:"source,omitempty"`
 	// Replicas > 1 turns the submission into an ensemble job: the
 	// replicas fan out across the worker pool and the result carries
@@ -171,7 +170,6 @@ func (s Spec) Config() (core.Config, error) {
 		cfg.EnergyCutoff = s.EnergyCutoff
 	}
 	cfg.KeepCells = s.KeepCells
-	cfg.KeepBank = s.KeepBank
 	if s.Replicas < 0 {
 		return core.Config{}, fmt.Errorf("service: negative replicas %d", s.Replicas)
 	}
@@ -217,7 +215,6 @@ func SpecOf(cfg core.Config) (Spec, error) {
 		WeightCutoff: cfg.WeightCutoff,
 		EnergyCutoff: cfg.EnergyCutoff,
 		KeepCells:    cfg.KeepCells,
-		KeepBank:     cfg.KeepBank,
 		Replicas:     cfg.Replicas,
 		Replica:      cfg.Replica,
 	}

@@ -18,21 +18,6 @@ type Options struct {
 	// bank are allocated once per worker, not once per replica. 0 means
 	// min(replicas, GOMAXPROCS).
 	Workers int
-	// OnReplica, when non-nil, observes each replica as it is folded in. It
-	// is called from worker goroutines (serialised by the driver), in
-	// replica order.
-	OnReplica func(ReplicaView)
-}
-
-// ReplicaView is the per-replica completion report OnReplica receives.
-type ReplicaView struct {
-	// Replica is the 0-based replica index; Replicas the ensemble width.
-	Replica  int
-	Replicas int
-	// TallyTotal is the replica's deposited weight-eV.
-	TallyTotal float64
-	// Wall is the replica's solver wallclock.
-	Wall time.Duration
 }
 
 // Ensemble is the folded result of R independent replicas.
@@ -177,14 +162,6 @@ func RunEnsemble(ctx context.Context, cfg core.Config, opts Options) (*Ensemble,
 				ens.Totals[rep] = res.TallyTotal
 				solverWall += res.Wall
 				counters.Add(&res.Counter)
-				if opts.OnReplica != nil {
-					opts.OnReplica(ReplicaView{
-						Replica:    rep,
-						Replicas:   reps,
-						TallyTotal: res.TallyTotal,
-						Wall:       res.Wall,
-					})
-				}
 				next++
 				mu.Unlock()
 				turn.Broadcast()

@@ -9,10 +9,11 @@ import (
 )
 
 // Phase is one named slice of a step's wallclock — a solver kernel phase
-// laid out as a child span under the step span.
+// laid out as a child span under the step span. On the wire (a service step
+// view) it is {"name","ns"}, the duration exact to the nanosecond.
 type Phase struct {
-	Name string
-	Dur  time.Duration
+	Name string        `json:"name"`
+	Dur  time.Duration `json:"ns"`
 }
 
 // Trace accumulates step/phase spans across one or more tracks and renders

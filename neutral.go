@@ -82,15 +82,11 @@ type (
 	// boundary (per-step telemetry, checkpointing).
 	StepFunc = core.StepFunc
 	// PhaseTimings attributes solver wallclock to kernel phases (on
-	// Result, and per step through the trace hook).
+	// Result, and per step on StepTiming).
 	PhaseTimings = core.PhaseTimings
 	// StepTiming is one completed timestep's wallclock attribution, as
-	// delivered to the Simulation.SetTrace hook.
+	// Simulation.LastStep reports it.
 	StepTiming = core.StepTiming
-	// TraceFunc observes per-step timings; install one with
-	// Simulation.SetTrace (nil by default — a disabled hook costs
-	// nothing).
-	TraceFunc = core.TraceFunc
 	// JobStepView is one completed timestep of a service job, as
 	// streamed over the SSE "step" events and the /steps endpoint.
 	JobStepView = service.StepView
@@ -125,12 +121,8 @@ type (
 	// Ensemble is the folded result of a multi-replica run: per-cell
 	// mean, sample variance, relative error and figure of merit.
 	Ensemble = stats.Ensemble
-	// EnsembleOptions configures RunEnsemble (worker count, per-replica
-	// callback).
+	// EnsembleOptions configures RunEnsemble (worker count).
 	EnsembleOptions = stats.Options
-	// EnsembleReplicaView is the per-replica completion report delivered
-	// to EnsembleOptions.OnReplica.
-	EnsembleReplicaView = stats.ReplicaView
 
 	// Service is the simulation service engine: one bounded job queue, a
 	// pool of workers popping it, and content-addressed result cache.
