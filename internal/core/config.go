@@ -7,11 +7,12 @@
 package core
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"runtime"
+	"math"
 
 	"repro/internal/events"
 	"repro/internal/mesh"
@@ -61,8 +62,19 @@ func ParseScheme(s string) (Scheme, error) {
 	}
 }
 
-// Config fully describes a neutral run.
+// Config fully describes a neutral run in three parts: the Physics that
+// determines its histories, the Strategy that computes them and the Shape of
+// what is handed back. A job's identity is its Physics and Shape (see
+// Fingerprint), so the part a field is declared in says whether it keys one.
 type Config struct {
+	Physics
+	Strategy
+	Shape
+}
+
+// Physics determines particle histories: it is what physicsHash digests and
+// what a snapshot must share with the config it resumes under.
+type Physics struct {
 	// Scene is the declarative problem description the run simulates:
 	// materials, density regions, sources and boundary conditions. nil
 	// selects the built-in preset of Problem, so configs that predate the
@@ -85,8 +97,26 @@ type Config struct {
 	Steps int
 	// Seed drives every random stream.
 	Seed uint64
+	// Replica is this run's 0-based index within an ensemble: it shifts
+	// every particle's RNG stream identity by Replica*Particles, so replicas
+	// sample disjoint Threefry stream families under one Seed. Replica 0 is
+	// bit-identical to a standalone run of the same config.
+	Replica int
+	// WeightWindow enables weight-based population control: per-cell
+	// Russian roulette and splitting at timestep boundaries (§IV-E).
+	WeightWindow WeightWindow
+	// XSPoints is the cross-section table resolution.
+	XSPoints int
+	// WeightCutoff and EnergyCutoff terminate particle histories.
+	WeightCutoff float64
+	EnergyCutoff float64
+}
 
-	// Threads is the worker count; 0 means GOMAXPROCS.
+// Strategy decides how the histories are computed and changes no result bit:
+// the schemes are bit-equivalent and every deposit is a fixed-point tick.
+type Strategy struct {
+	// Threads is the worker count; 0 means GOMAXPROCS, resolved when a run
+	// binds the config.
 	Threads int
 	// Scheme picks Over Particles or Over Events.
 	Scheme Scheme
@@ -101,44 +131,26 @@ type Config struct {
 	// privatisation slower than atomics on all architectures (§VI-F).
 	MergePerStep bool
 	// Ordering picks the storage order of the mesh-shaped arrays (density,
-	// tally): row-major or a Z-order curve. Pure execution strategy — every
-	// externally visible per-cell view stays in logical row-major order and
-	// the physics is bit-identical across orderings.
+	// tally): row-major or a Z-order curve. Every externally visible
+	// per-cell view stays in logical row-major order.
 	Ordering mesh.Ordering
 	// SortEvery, when positive, sorts the particle bank by storage cell
-	// index every SortEvery timesteps (before the step's transport, outside
-	// both scheme loops). Sorting is a physics-preserving permutation:
-	// particle state and RNG streams ride along, only the slot order — and
-	// hence the memory access pattern of the kernels — changes. 0 disables.
+	// index every SortEvery timesteps, before the step's transport: only the
+	// slot order, and so the kernels' memory access pattern, changes.
 	SortEvery int
+}
 
-	// Replicas is the ensemble width: how many statistically independent
-	// replicas an ensemble driver (stats.RunEnsemble, the service's
-	// ensemble jobs) runs and folds into per-cell uncertainty. 0 and 1
-	// both mean a single run; the field does not change the physics of
-	// one simulation, only how many are run and how results are keyed.
+// Shape decides what is handed back, and nothing about any one history.
+type Shape struct {
+	// Replicas is the ensemble width: how many independent replicas an
+	// ensemble driver (stats.RunEnsemble, the service's ensemble jobs) runs
+	// and folds into per-cell uncertainty. 0 and 1 both mean a single run.
 	Replicas int
-	// Replica is this run's 0-based index within the ensemble. It shifts
-	// every particle's RNG stream identity by Replica*Particles, so each
-	// replica samples a structurally disjoint family of Threefry streams
-	// under the shared Seed. Replica 0 is bit-identical to a standalone
-	// run of the same config.
-	Replica int
-	// WeightWindow enables weight-based population control: per-cell
-	// Russian roulette and splitting at timestep boundaries (§IV-E).
-	WeightWindow WeightWindow
-
-	// XSPoints is the cross-section table resolution.
-	XSPoints int
-	// WeightCutoff and EnergyCutoff terminate particle histories.
-	WeightCutoff float64
-	EnergyCutoff float64
-
+	// KeepCells retains a copy of the per-cell tally on the Result.
+	KeepCells bool
 	// KeepBank retains the final particle bank on the Result for
 	// inspection (tests, validation); large runs should leave it off.
 	KeepBank bool
-	// KeepCells retains a copy of the per-cell tally on the Result.
-	KeepCells bool
 }
 
 // Progress is a point-in-time completion report for a run started with
@@ -180,46 +192,41 @@ func (p Progress) Fraction() float64 {
 // kernels.
 type ProgressFunc func(Progress)
 
-// resolvedScene returns the scene the config runs: Scene when set, the
+// resolvedScene returns the scene the physics runs: Scene when set, the
 // built-in preset of Problem otherwise.
-func (c Config) resolvedScene() (*scene.Scene, error) {
-	if c.Scene != nil {
-		return c.Scene, nil
+func (p Physics) resolvedScene() (*scene.Scene, error) {
+	if p.Scene != nil {
+		return p.Scene, nil
 	}
-	return scene.Preset(c.Problem)
+	return scene.Preset(p.Problem)
 }
 
-// sceneKey is the scene's contribution to the fingerprint and physics hash:
-// the content hash of the resolved scene, so an inline scene equivalent to a
-// preset (or to another submission's inline scene) keys identically, and the
-// Problem enum no longer leaks into any identity.
-func (c Config) sceneKey() string {
-	sc, err := c.resolvedScene()
+// sceneKey is the scene's contribution to the physics hash: the content
+// hash of the resolved scene, so an inline scene equivalent to a preset (or
+// to another submission's inline scene) keys identically, and the Problem
+// enum no longer leaks into any identity.
+func (p Physics) sceneKey() string {
+	sc, err := p.resolvedScene()
 	if err != nil {
-		return fmt.Sprintf("bad-problem-%d", int(c.Problem))
+		return fmt.Sprintf("bad-problem-%d", int(p.Problem))
 	}
 	return sc.Hash()
 }
 
-// Fingerprint is a job's identity: the physics (physicsHash — the one place
-// the history-determining fields are listed) plus the shape of what is handed
-// back. Equal fingerprints mean equal tally total, cells and leakage, bit for
-// bit, so it keys the result cache, the blob store and the fleet's
-// duplicate-discard. How the answer is computed — Threads, Scheme, Schedule,
-// Layout, atomic or private Tally, MergePerStep, Ordering, SortEvery — is not
-// part of it; Result.Config, timings and the scheme-local counters of a
-// served result describe the run that produced it. A kept bank is the
-// exception: its layout tag and slot order are the producing run's, so those
-// three fields key a KeepBank request. Every config has a fingerprint, so
-// the second return is always true: it stays only because
-// benchmark/tracejob.go reads it, and goes with the next change to
-// benchmark/.
+// Fingerprint is a job's identity: its Physics (physicsHash) plus its Shape.
+// Equal fingerprints mean equal tally total, cells and leakage, bit for bit,
+// so it keys the result cache, the blob store and the fleet's
+// duplicate-discard. Strategy is read in exactly two places, both about what
+// comes back: a null Tally keeps no cells, and a kept bank's layout tag and
+// slot order are the producing run's, so Layout, Ordering and SortEvery key a
+// KeepBank request. The second return is always true: it stays only because
+// benchmark/tracejob.go reads it, and goes with the next change to benchmark/.
 func (c Config) Fingerprint() (string, bool) {
 	h := sha256.New()
 	// The epoch: keys written when the hash still covered execution strategy
 	// (and, before that, a float tally) must never be read with this meaning.
 	h.Write([]byte("fixed-point-1 physics+shape-1 "))
-	physics := physicsHash(c)
+	physics := physicsHash(c.Physics)
 	h.Write(physics[:])
 	fmt.Fprintf(h, " replicas=%d cells=%t bank=%t null=%t ",
 		max(c.Replicas, 1), c.KeepCells, c.KeepBank, c.Tally == tally.ModeNull)
@@ -235,21 +242,24 @@ func (c Config) Fingerprint() (string, bool) {
 // behaviour is preserved (see DESIGN.md §2).
 func Default(p mesh.Problem) Config {
 	return Config{
-		Problem:      p,
-		NX:           512,
-		NY:           512,
-		Particles:    2000,
-		Timestep:     1e-7,
-		Steps:        1,
-		Seed:         9271,
-		Threads:      0,
-		Scheme:       OverParticles,
-		Schedule:     Schedule{Kind: ScheduleStatic},
-		Layout:       particle.AoS,
-		Tally:        tally.ModeAtomic,
-		XSPoints:     xs.DefaultPoints,
-		WeightCutoff: events.DefaultWeightCutoff,
-		EnergyCutoff: events.DefaultEnergyCutoff,
+		Physics: Physics{
+			Problem:      p,
+			NX:           512,
+			NY:           512,
+			Particles:    2000,
+			Timestep:     1e-7,
+			Steps:        1,
+			Seed:         9271,
+			XSPoints:     xs.DefaultPoints,
+			WeightCutoff: events.DefaultWeightCutoff,
+			EnergyCutoff: events.DefaultEnergyCutoff,
+		},
+		Strategy: Strategy{
+			Scheme:   OverParticles,
+			Schedule: Schedule{Kind: ScheduleStatic},
+			Layout:   particle.AoS,
+			Tally:    tally.ModeAtomic,
+		},
 	}
 }
 
@@ -265,84 +275,91 @@ func Paper(p mesh.Problem) Config {
 	return cfg
 }
 
-// Validate checks the configuration and applies defaults for zero values,
-// resolving a nil Scene to the Problem preset.
+// Validate checks each part, and the one rule across parts: an ensemble needs
+// a live tally. Physics resolves a nil Scene to the Problem preset and fills
+// its zero defaults, Shape maps Replicas 0 to 1, and Strategy is only checked:
+// a Threads of 0 stays 0 until a run binds the config.
 func (c *Config) Validate() error {
-	if c.Scene == nil {
-		preset, err := scene.Preset(c.Problem)
-		if err != nil {
-			return fmt.Errorf("core: %w", err)
-		}
-		c.Scene = preset
-	}
-	if err := c.Scene.Validate(); err != nil {
-		return err
-	}
-	if c.NX < 1 || c.NY < 1 {
-		return fmt.Errorf("core: mesh %dx%d must be positive", c.NX, c.NY)
-	}
-	if c.Particles < 1 {
-		return fmt.Errorf("core: particle count %d must be positive", c.Particles)
-	}
-	if c.Timestep <= 0 {
-		return fmt.Errorf("core: timestep %v must be positive", c.Timestep)
-	}
-	if c.Steps < 1 {
-		return fmt.Errorf("core: steps %d must be positive", c.Steps)
-	}
-	if c.Threads < 0 {
-		return fmt.Errorf("core: thread count %d must be non-negative", c.Threads)
-	}
-	if c.Threads == 0 {
-		c.Threads = runtime.GOMAXPROCS(0)
-	}
-	if c.XSPoints == 0 {
-		c.XSPoints = xs.DefaultPoints
-	}
-	if c.XSPoints < 2 {
-		return fmt.Errorf("core: cross-section table needs at least 2 points, got %d", c.XSPoints)
-	}
-	if c.WeightCutoff <= 0 || c.WeightCutoff >= 1 {
-		return fmt.Errorf("core: weight cutoff %v must be in (0, 1)", c.WeightCutoff)
-	}
-	if c.EnergyCutoff <= 0 {
-		return fmt.Errorf("core: energy cutoff %v must be positive", c.EnergyCutoff)
-	}
-	if c.Ordering != mesh.RowMajor && c.Ordering != mesh.Morton {
-		return fmt.Errorf("core: unknown mesh ordering %d", int(c.Ordering))
-	}
-	if c.SortEvery < 0 {
-		return fmt.Errorf("core: sort interval %d must be non-negative", c.SortEvery)
-	}
-	if c.Tally < tally.ModeAtomic || c.Tally > tally.ModeNull {
-		return fmt.Errorf("core: unknown tally mode %d", int(c.Tally))
-	}
-	if c.Replicas < 0 {
-		return fmt.Errorf("core: replica count %d must be non-negative", c.Replicas)
-	}
-	if c.Replicas == 0 {
-		c.Replicas = 1
+	if err := cmp.Or(c.Physics.validate(), c.Strategy.validate(), c.Shape.validate()); err != nil {
+		return err // the first failing part's
 	}
 	if c.Replicas > 1 && c.Tally == tally.ModeNull {
 		// A null tally keeps no cells to fold: the ensemble would complete
 		// with silently meaningless all-zero statistics.
 		return errors.New("core: ensemble statistics need a live tally, not null")
 	}
-	// Replica is deliberately not bounded by Replicas: ensemble drivers
-	// run replica r as a plain single-run config (Replicas 1, Replica r),
-	// which also keeps a replica submission from being mistaken for a
-	// nested ensemble.
-	if c.Replica < 0 {
-		return fmt.Errorf("core: replica index %d must be non-negative", c.Replica)
-	}
-	if c.WeightWindow.Enabled {
-		c.WeightWindow = c.WeightWindow.withDefaults()
-		if err := c.WeightWindow.validate(); err != nil {
-			return err
+	return nil
+}
+
+// positiveFinite reports whether v is positive and finite; NaN is not.
+func positiveFinite(v float64) bool { return v > 0 && v <= math.MaxFloat64 }
+
+func (p *Physics) validate() error {
+	if p.Scene == nil {
+		preset, err := scene.Preset(p.Problem)
+		if err != nil {
+			return fmt.Errorf("core: %w", err)
 		}
+		p.Scene = preset
 	}
-	if err := c.Schedule.validate(); err != nil {
+	if err := p.Scene.Validate(); err != nil {
 		return err
 	}
+	if err := mesh.CheckDims(p.NX, p.NY); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	if p.Particles < 1 {
+		return fmt.Errorf("core: particle count %d must be positive", p.Particles)
+	}
+	if !positiveFinite(p.Timestep) {
+		return fmt.Errorf("core: timestep %v must be positive and finite", p.Timestep)
+	}
+	if p.Steps < 1 {
+		return fmt.Errorf("core: steps %d must be positive", p.Steps)
+	}
+	if p.XSPoints == 0 {
+		p.XSPoints = xs.DefaultPoints
+	}
+	if p.XSPoints < 2 {
+		return fmt.Errorf("core: cross-section table needs at least 2 points, got %d", p.XSPoints)
+	}
+	if !(p.WeightCutoff > 0 && p.WeightCutoff < 1) {
+		return fmt.Errorf("core: weight cutoff %v must be in (0, 1)", p.WeightCutoff)
+	}
+	if !positiveFinite(p.EnergyCutoff) {
+		return fmt.Errorf("core: energy cutoff %v must be positive and finite", p.EnergyCutoff)
+	}
+	// Not bounded by Replicas: ensemble drivers run replica r as a plain
+	// single-run config (Replicas 1, Replica r).
+	if p.Replica < 0 {
+		return fmt.Errorf("core: replica index %d must be non-negative", p.Replica)
+	}
+	if p.WeightWindow.Enabled {
+		p.WeightWindow = p.WeightWindow.withDefaults()
+	}
+	return p.WeightWindow.validate()
+}
+
+func (s Strategy) validate() error {
+	if s.Threads < 0 {
+		return fmt.Errorf("core: thread count %d must be non-negative", s.Threads)
+	}
+	if s.Ordering != mesh.RowMajor && s.Ordering != mesh.Morton {
+		return fmt.Errorf("core: unknown mesh ordering %d", int(s.Ordering))
+	}
+	if s.SortEvery < 0 {
+		return fmt.Errorf("core: sort interval %d must be non-negative", s.SortEvery)
+	}
+	if s.Tally < tally.ModeAtomic || s.Tally > tally.ModeNull {
+		return fmt.Errorf("core: unknown tally mode %d", int(s.Tally))
+	}
+	return s.Schedule.validate()
+}
+
+func (s *Shape) validate() error {
+	if s.Replicas < 0 {
+		return fmt.Errorf("core: replica count %d must be non-negative", s.Replicas)
+	}
+	s.Replicas = max(s.Replicas, 1)
 	return nil
 }

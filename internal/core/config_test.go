@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -63,6 +64,18 @@ func TestValidateEnsembleAndWindowErrors(t *testing.T) {
 		{"window split cap negative", func(c *Config) {
 			c.WeightWindow = WeightWindow{Enabled: true, SplitMax: -3}
 		}},
+		{"window target NaN", func(c *Config) {
+			c.WeightWindow = WeightWindow{Enabled: true, Target: math.NaN()}
+		}},
+		{"window target +Inf", func(c *Config) {
+			c.WeightWindow = WeightWindow{Enabled: true, Target: math.Inf(1)}
+		}},
+		{"window ratio NaN", func(c *Config) {
+			c.WeightWindow = WeightWindow{Enabled: true, Ratio: math.NaN()}
+		}},
+		{"window ratio +Inf", func(c *Config) {
+			c.WeightWindow = WeightWindow{Enabled: true, Ratio: math.Inf(1)}
+		}},
 	}
 	for _, c := range bad {
 		cfg := Default(mesh.CSP)
@@ -124,6 +137,11 @@ func TestFingerprintCoversEnsembleFields(t *testing.T) {
 	defaulted.WeightWindow = WeightWindow{Enabled: true, Target: 1, Ratio: 4, SplitMax: 8}
 	if fp(expl) != fp(defaulted) {
 		t.Error("window defaults fingerprint differently from explicit values")
+	}
+	inert := base
+	inert.WeightWindow = WeightWindow{Target: 2, Ratio: 8, SplitMax: 3}
+	if fp(inert) != ref {
+		t.Error("a disabled window's knobs moved the fingerprint")
 	}
 
 	for name, mutate := range map[string]func(*Config){

@@ -3,12 +3,11 @@ package core
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/mesh"
-	"repro/internal/particle"
-	"repro/internal/scene"
 	"repro/internal/tally"
 )
 
@@ -128,13 +127,13 @@ func TestRunCtxProgress(t *testing.T) {
 	}
 }
 
-// TestFingerprint is the identity contract, stated once: a job is its physics
-// plus the shape of what it hands back. Every physics field and every shape
-// field moves the key; no execution-strategy field does, except the three
-// that decide a kept bank's layout tag and slot order, and only when the bank
-// is kept; Fingerprint and physicsHash agree on which configs are the same
-// physics, so the one field list cannot drift from the key; and every config
-// has one.
+// TestFingerprint is the identity contract, walked over Config's three parts
+// by reflection, so a field added to any part is covered with no edit here:
+// every Physics field moves physicsHash and the key; every Shape field moves
+// the key (physicsHash cannot see it: it takes a Physics); no Strategy field
+// moves the key, except the two exceptions Fingerprint documents — a null
+// tally, and Layout, Ordering and SortEvery of a KeepBank request. Every
+// move keys apart from every other, and every config has a fingerprint.
 func TestFingerprint(t *testing.T) {
 	fp := func(c Config) string {
 		t.Helper()
@@ -144,105 +143,100 @@ func TestFingerprint(t *testing.T) {
 		}
 		return k
 	}
-	type mutation struct {
-		name string
-		f    func(*Config)
-	}
-	physics := []mutation{
-		{"seed", func(c *Config) { c.Seed++ }},
-		{"particles", func(c *Config) { c.Particles++ }},
-		{"nx", func(c *Config) { c.NX++ }},
-		{"ny", func(c *Config) { c.NY++ }},
-		{"steps", func(c *Config) { c.Steps++ }},
-		{"timestep", func(c *Config) { c.Timestep *= 2 }},
-		{"weight cutoff", func(c *Config) { c.WeightCutoff *= 2 }},
-		{"energy cutoff", func(c *Config) { c.EnergyCutoff *= 2 }},
-		{"xs points", func(c *Config) { c.XSPoints++ }},
-		{"preset scene", func(c *Config) { c.Problem = mesh.Scatter }},
-		{"inline scene", func(c *Config) { c.Scene = leakScene(t) }},
-		{"custom source", func(c *Config) {
-			csp, _ := scene.Preset(mesh.CSP)
-			c.Scene = csp.WithSources(scene.Source{X0: 1, X1: 2, Y0: 1, Y1: 2})
-		}},
-		{"replica", func(c *Config) { c.Replica = 3 }},
-		{"weight window", func(c *Config) { c.WeightWindow = WeightWindow{Enabled: true} }},
-		{"weight window target", func(c *Config) { c.WeightWindow = WeightWindow{Enabled: true, Target: 0.5} }},
-	}
-	shape := []mutation{
-		{"replicas", func(c *Config) { c.Replicas = 8 }},
-		{"keep cells", func(c *Config) { c.KeepCells = true }},
-		{"keep bank", func(c *Config) { c.KeepBank = true }},
-		{"null tally", func(c *Config) { c.Tally = tally.ModeNull }},
-	}
-	bankOrder := []mutation{
-		{"layout", func(c *Config) { c.Layout = particle.SoA }},
-		{"ordering", func(c *Config) { c.Ordering = mesh.Morton }},
-		{"sort every", func(c *Config) { c.SortEvery = 1 }},
-	}
-	strategy := []mutation{
-		{"threads 1", func(c *Config) { c.Threads = 1 }},
-		{"threads 2", func(c *Config) { c.Threads = 2 }},
-		{"threads 8", func(c *Config) { c.Threads = 8 }},
-		{"over particles", func(c *Config) { c.Scheme = OverParticles }},
-		{"over events", func(c *Config) { c.Scheme = OverEvents }},
-		{"static", func(c *Config) { c.Schedule.Kind = ScheduleStatic }},
-		{"static chunk", func(c *Config) { c.Schedule.Kind = ScheduleStaticChunk }},
-		{"dynamic", func(c *Config) { c.Schedule.Kind = ScheduleDynamic }},
-		{"guided", func(c *Config) { c.Schedule.Kind = ScheduleGuided }},
-		{"chunk", func(c *Config) { c.Schedule.Chunk = 128 }},
-		{"private tally", func(c *Config) { c.Tally = tally.ModePrivate }},
-		{"merge per step", func(c *Config) { c.MergePerStep = true }},
-	}
-	apply := func(base Config, m mutation) Config {
-		m.f(&base)
-		return base
-	}
+	physics := func(c *Config) any { return &c.Physics }
+	strategy := func(c *Config) any { return &c.Strategy }
+	shape := func(c *Config) any { return &c.Shape }
+	bankKeyed := map[string]bool{"Layout": true, "Ordering": true, "SortEvery": true}
 
-	base := Default(mesh.CSP)
-	ref := fp(base)
+	// No leaf sits at a zero its part normalises (Replicas 0 ≡ 1, a window
+	// knob's 0 ≡ its default), so every mutation is a real change.
+	base := Default(mesh.Stream)
+	base.WeightWindow = WeightWindow{Enabled: true}.withDefaults()
+	base.Replicas = 2
+	ref, refPhysics := fp(base), physicsHash(base.Physics)
 	if fp(base) != ref {
 		t.Fatal("fingerprint not deterministic")
 	}
 	seen := map[string]string{ref: "the base config"}
-	for _, m := range append(physics, shape...) {
-		k := fp(apply(base, m))
+	moves := func(part string, m fieldMutation) {
+		t.Helper()
+		k := fp(m.cfg)
 		if prev, dup := seen[k]; dup {
-			t.Errorf("%s keys the same as %s", m.name, prev)
+			t.Errorf("%s.%s keys the same as %s", part, m.name, prev)
 		}
-		seen[k] = m.name
+		seen[k] = part + "." + m.name
 	}
-	for _, m := range append(strategy, bankOrder...) {
-		if fp(apply(base, m)) != ref {
-			t.Errorf("%s moved the key of a request that keeps no bank", m.name)
+	for _, m := range fieldMutations(t, base, physics) {
+		if physicsHash(m.cfg.Physics) == refPhysics {
+			t.Errorf("Physics.%s did not move the physics hash", m.name)
+		}
+		moves("Physics", m)
+	}
+	for _, m := range fieldMutations(t, base, shape) {
+		moves("Shape", m)
+	}
+	for _, m := range fieldMutations(t, base, strategy) {
+		if fp(m.cfg) != ref {
+			t.Errorf("Strategy.%s moved the key of a request that keeps no bank", m.name)
 		}
 	}
+	null := base
+	null.Tally = tally.ModeNull
+	moves("Strategy", fieldMutation{"Tally=null", null})
 
 	banked := base
 	banked.KeepBank = true
 	bankRef := fp(banked)
-	for _, m := range bankOrder {
-		k := fp(apply(banked, m))
-		if prev, dup := seen[k]; dup {
-			t.Errorf("%s did not move the key of a KeepBank request (keys the same as %s)", m.name, prev)
-		}
-		seen[k] = "keep bank + " + m.name
-	}
-	for _, m := range strategy {
-		if fp(apply(banked, m)) != bankRef {
-			t.Errorf("%s moved the key of a KeepBank request", m.name)
+	for _, m := range fieldMutations(t, banked, strategy) {
+		if bankKeyed[m.name] {
+			moves("KeepBank+Strategy", m)
+		} else if fp(m.cfg) != bankRef {
+			t.Errorf("Strategy.%s moved the key of a KeepBank request", m.name)
 		}
 	}
+}
 
-	// Shape held fixed, the key separates exactly what physicsHash separates.
-	all := []Config{base}
-	for _, m := range append(append(physics, strategy...), bankOrder...) {
-		all = append(all, apply(base, m))
-	}
-	for i, a := range all {
-		for _, b := range all[i+1:] {
-			if (fp(a) == fp(b)) != (physicsHash(a) == physicsHash(b)) {
-				t.Errorf("Fingerprint and physicsHash disagree on whether %+v and %+v are one job", a, b)
+// fieldMutation is a config that differs from a base in one leaf field.
+type fieldMutation struct {
+	name string
+	cfg  Config
+}
+
+// fieldMutations returns one fieldMutation per leaf field of the part of
+// base that part selects, walking nested structs: a bool is flipped, an
+// integer incremented, a float doubled and the scene replaced. A leaf of any
+// other kind fails the test, so no field is skipped silently.
+func fieldMutations(t *testing.T, base Config, part func(*Config) any) []fieldMutation {
+	t.Helper()
+	var out []fieldMutation
+	var walk func(typ reflect.Type, index []int, prefix string)
+	walk = func(typ reflect.Type, index []int, prefix string) {
+		for i := range typ.NumField() {
+			f := typ.Field(i)
+			idx := append(index[:len(index):len(index)], i)
+			if f.Type.Kind() == reflect.Struct {
+				walk(f.Type, idx, prefix+f.Name+".")
+				continue
 			}
+			c := base
+			v := reflect.ValueOf(part(&c)).Elem().FieldByIndex(idx)
+			switch {
+			case v.Kind() == reflect.Bool:
+				v.SetBool(!v.Bool())
+			case v.CanInt():
+				v.SetInt(v.Int() + 1)
+			case v.CanUint():
+				v.SetUint(v.Uint() + 1)
+			case v.CanFloat():
+				v.SetFloat(v.Float() * 2)
+			case v.Type() == reflect.TypeOf(c.Scene):
+				v.Set(reflect.ValueOf(leakScene(t)))
+			default:
+				t.Fatalf("no mutation for %s%s (%s)", prefix, f.Name, f.Type)
+			}
+			out = append(out, fieldMutation{prefix + f.Name, c})
 		}
 	}
+	walk(reflect.TypeOf(part(&base)).Elem(), nil, "")
+	return out
 }

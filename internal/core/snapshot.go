@@ -52,38 +52,34 @@ var ErrSnapshotCorrupt = fmt.Errorf("core: snapshot corrupt")
 // not match the configuration offered to Restore.
 var ErrSnapshotMismatch = fmt.Errorf("core: snapshot does not match config")
 
-// physicsHash digests the configuration fields that determine particle
-// histories — the identity a snapshot must share with the config it resumes
-// under, and the physics half of Config.Fingerprint; this is the only list of
-// them. Its input bytes are part of the snapshot format (the hash is in the
-// header). Execution-strategy fields (scheme, threads, schedule, layout,
-// tally mode) are deliberately excluded: the schemes are bit-equivalent and
-// the counter-based RNG makes histories ownership-independent, so a
-// checkpoint taken under one strategy may legally resume under another.
-// The scene enters through its content hash, so a checkpoint taken under a
-// preset resumes under an equivalent inline scene and vice versa. The
-// density-hook=false literal is a fixed part of the input: it keeps every
-// hash, fingerprint and snapshot written while configs could carry a
-// density hook readable.
-func physicsHash(cfg Config) [sha256.Size]byte {
+// physicsHash digests a run's Physics — the identity a snapshot must share
+// with the config it resumes under, and the physics half of
+// Config.Fingerprint. It takes the Physics part alone, so no Strategy or
+// Shape field can enter it, and TestFingerprint checks by reflection that
+// every Physics field moves it. Its input bytes are part of the snapshot
+// format (the hash is in the header). The scene enters through its content
+// hash, so a checkpoint taken under a preset resumes under an equivalent
+// inline scene and vice versa. The density-hook=false literal is a fixed
+// part of the input: it keeps every hash, fingerprint and snapshot written
+// while configs could carry a density hook readable.
+func physicsHash(p Physics) [sha256.Size]byte {
 	h := sha256.New()
 	fmt.Fprintf(h, "scene=%s nx=%d ny=%d particles=%d dt=%x steps=%d seed=%d ",
-		cfg.sceneKey(), cfg.NX, cfg.NY, cfg.Particles,
-		math.Float64bits(cfg.Timestep), cfg.Steps, cfg.Seed)
+		p.sceneKey(), p.NX, p.NY, p.Particles,
+		math.Float64bits(p.Timestep), p.Steps, p.Seed)
 	fmt.Fprintf(h, "xs=%d wcut=%x ecut=%x density-hook=false ",
-		cfg.XSPoints, math.Float64bits(cfg.WeightCutoff),
-		math.Float64bits(cfg.EnergyCutoff))
+		p.XSPoints, math.Float64bits(p.WeightCutoff),
+		math.Float64bits(p.EnergyCutoff))
 	// Replica shifts the RNG stream families; the weight window inserts
 	// population-control moves. Both change histories, so both are part of
-	// the identity. The ensemble width (Replicas) is not: it never alters
-	// one simulation's histories, so a replica checkpoint may legally
-	// resume under a different ensemble framing.
-	ww := cfg.WeightWindow
-	if ww.Enabled {
-		ww = ww.withDefaults() // canonical under validation
+	// the identity. A disabled window's knobs are inert, so they hash as
+	// zeros.
+	var ww WeightWindow
+	if p.WeightWindow.Enabled {
+		ww = p.WeightWindow.withDefaults() // canonical under validation
 	}
 	fmt.Fprintf(h, "replica=%d ww=%t,%x,%x,%d ",
-		cfg.Replica, ww.Enabled,
+		p.Replica, ww.Enabled,
 		math.Float64bits(ww.Target), math.Float64bits(ww.Ratio), ww.SplitMax)
 	var sum [sha256.Size]byte
 	h.Sum(sum[:0])
@@ -241,7 +237,7 @@ func (r *run) snapshotIdentity() (hash [sha256.Size]byte, sceneJSON []byte) {
 			// programming error, not an I/O condition.
 			panic(fmt.Sprintf("core: snapshot scene serialisation: %v", err))
 		}
-		r.snapHash, r.snapScene = physicsHash(r.cfg), sceneJSON
+		r.snapHash, r.snapScene = physicsHash(r.cfg.Physics), sceneJSON
 	}
 	return r.snapHash, r.snapScene
 }
@@ -456,7 +452,7 @@ func (s *Simulation) Restore(cfg Config, data []byte) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	if physicsHash(cfg) != storedHash {
+	if physicsHash(cfg.Physics) != storedHash {
 		return ErrSnapshotMismatch
 	}
 	if storedScene.Hash() != cfg.Scene.Hash() {

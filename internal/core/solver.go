@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -188,15 +189,19 @@ func (r *run) progress() Progress {
 }
 
 // bind points the run at cfg: the only code that turns a Config into solver
-// state. Everything that can fail — validation, the scene build, a paint the
-// mesh refused — happens before the receiver is touched, so
-// a refused bind leaves the previous binding runnable. What the previous
-// binding allocated is kept where it still fits; a zero run has nothing to
-// keep and is built from scratch. The bank is left unfilled: the caller fills
-// it from the sources (populate) or from a snapshot (Simulation.Restore).
+// state, and so the one place a Threads of 0 becomes GOMAXPROCS. Everything
+// that can fail — validation, the scene build, a paint the mesh refused —
+// happens before the receiver is touched, so a refused bind leaves the
+// previous binding runnable. What the previous binding allocated is kept
+// where it still fits; a zero run has nothing to keep and is built from
+// scratch. The bank is left unfilled: the caller fills it from the sources
+// (populate) or from a snapshot (Simulation.Restore).
 func (r *run) bind(cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
+	}
+	if cfg.Threads == 0 {
+		cfg.Threads = runtime.GOMAXPROCS(0)
 	}
 	old := r.cfg
 	// Mesh: rebuilt on any geometry or scene change. Scene identity is

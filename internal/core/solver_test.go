@@ -402,13 +402,19 @@ func TestMergePerStepCharged(t *testing.T) {
 func TestValidateErrors(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.NX = 0 },
+		func(c *Config) { c.NX = 1 << 32 }, // a cell coordinate is an int32
 		func(c *Config) { c.Particles = 0 },
 		func(c *Config) { c.Timestep = 0 },
+		func(c *Config) { c.Timestep = math.NaN() },
+		func(c *Config) { c.Timestep = math.Inf(1) },
 		func(c *Config) { c.Steps = 0 },
 		func(c *Config) { c.Threads = -1 },
 		func(c *Config) { c.WeightCutoff = 0 },
 		func(c *Config) { c.WeightCutoff = 1.5 },
+		func(c *Config) { c.WeightCutoff = math.NaN() },
 		func(c *Config) { c.EnergyCutoff = -1 },
+		func(c *Config) { c.EnergyCutoff = math.NaN() },
+		func(c *Config) { c.EnergyCutoff = math.Inf(1) },
 		func(c *Config) { c.XSPoints = 1 },
 		func(c *Config) { c.Schedule.Chunk = -2 },
 		func(c *Config) { c.Tally = tally.ModeNull + 1 },
@@ -424,8 +430,18 @@ func TestValidateErrors(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Errorf("default config rejected: %v", err)
 	}
-	if good.Threads == 0 {
-		t.Error("Validate did not default the thread count")
+	// Threads is strategy: Validate leaves 0 in place, and the run that
+	// binds the config resolves it.
+	if good.Threads != 0 {
+		t.Errorf("Validate set the thread count to %d", good.Threads)
+	}
+	res, err := Run(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := res.Config.Threads, runtime.GOMAXPROCS(0); got != want || len(res.WorkerBusy) != want {
+		t.Errorf("a run of Threads 0 reports %d threads and %d workers, want GOMAXPROCS = %d",
+			got, len(res.WorkerBusy), want)
 	}
 }
 

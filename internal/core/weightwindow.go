@@ -60,11 +60,11 @@ func (w WeightWindow) validate() error {
 	if !w.Enabled {
 		return nil
 	}
-	if w.Target <= 0 {
-		return fmt.Errorf("core: weight-window target %v must be positive", w.Target)
+	if !positiveFinite(w.Target) {
+		return fmt.Errorf("core: weight-window target %v must be positive and finite", w.Target)
 	}
-	if w.Ratio <= 1 {
-		return fmt.Errorf("core: weight-window ratio %v must exceed 1", w.Ratio)
+	if !(w.Ratio > 1 && positiveFinite(w.Ratio)) {
+		return fmt.Errorf("core: weight-window ratio %v must be finite and exceed 1", w.Ratio)
 	}
 	if w.SplitMax < 1 {
 		return fmt.Errorf("core: weight-window split cap %d must be positive", w.SplitMax)

@@ -128,8 +128,8 @@ type Mesh struct {
 
 // New allocates a mesh with every cell set to the given density.
 func New(nx, ny int, width, height, density float64) (*Mesh, error) {
-	if nx < 1 || ny < 1 {
-		return nil, fmt.Errorf("mesh: dimensions %dx%d must be positive", nx, ny)
+	if err := CheckDims(nx, ny); err != nil {
+		return nil, err
 	}
 	if width <= 0 || height <= 0 {
 		return nil, errors.New("mesh: physical extent must be positive")
@@ -147,6 +147,15 @@ func New(nx, ny int, width, height, density float64) (*Mesh, error) {
 		return nil, m.err
 	}
 	return m, nil
+}
+
+// CheckDims bounds a mesh's resolution: each side in [1, MaxInt32], as a cell
+// coordinate is an int32, and a cell count that does not overflow int.
+func CheckDims(nx, ny int) error {
+	if nx < 1 || ny < 1 || nx > math.MaxInt32 || ny > math.MaxInt32 || nx > math.MaxInt/ny {
+		return fmt.Errorf("mesh: dimensions %dx%d out of range (each side in [1, 2^31-1], cells an int)", nx, ny)
+	}
+	return nil
 }
 
 // intern returns the palette index of density d, adding it when new. It is

@@ -138,6 +138,9 @@ func TestAPIValidation(t *testing.T) {
 		`{"problem":"csp","schedule":"bogus"}`,
 		`{"problem":"csp","keep_bank":true}`,
 		`{"problem":"csp","particles":-4}`,
+		// A cell coordinate is an int32: a wider mesh is refused at the
+		// door, not by a panic in the worker that builds it.
+		`{"problem":"csp","nx":4294967296,"particles":10}`,
 		`{"problem":"csp","unknown_field":1}`,
 		`not json`,
 		// A source box is checked against the scene's domain like any

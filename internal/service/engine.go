@@ -248,15 +248,13 @@ func (e *Engine) SubmitWith(cfg core.Config, so SubmitOptions) (*Job, error) {
 }
 
 // identify validates cfg in place and returns the fingerprint it is stored
-// under. Threads stays as requested: it is no part of the identity, and 0 is
-// resolved by the engine that solves the job (see solve), which in a fleet is
-// not the one that admitted it.
+// under. Validate leaves Threads as requested, so 0 is resolved by the engine
+// that solves the job (see acquire), which in a fleet is not the one that
+// admitted it.
 func identify(cfg *core.Config) (string, error) {
-	threads := cfg.Threads
 	if err := cfg.Validate(); err != nil {
 		return "", err
 	}
-	cfg.Threads = threads
 	key, _ := cfg.Fingerprint() // always true
 	return key, nil
 }

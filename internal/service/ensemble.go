@@ -29,16 +29,13 @@ func (e *Engine) runEnsemble(j *Job) (*Filed, *stats.Ensemble, error) {
 	}
 	for r := 0; r < reps; r++ {
 		ccfg := cfg
+		ccfg.Replica = r
 		// A replica is a plain single-run job: Replicas 1 keeps it off
 		// the ensemble path (no recursion), and replica 0's config —
 		// and therefore its cache key — matches an ordinary user
-		// submission of the same run.
-		ccfg.Replicas = 1
-		ccfg.Replica = r
-		// The merger needs every replica's per-cell tally; the bank is
-		// never needed.
-		ccfg.KeepCells = true
-		ccfg.KeepBank = false
+		// submission of the same run. The merger needs every replica's
+		// per-cell tally; the bank is never needed.
+		ccfg.Shape = core.Shape{Replicas: 1, KeepCells: true}
 		// Children inherit the parent's tenant so the fair-share scheduler
 		// charges the fan-out to the submitting tenant's lanes.
 		child, err := e.SubmitWith(ccfg, SubmitOptions{Tenant: j.tenant})

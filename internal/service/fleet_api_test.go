@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -15,6 +16,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mesh"
+	"repro/internal/scene"
 )
 
 // waitState polls a job view until it reaches the wanted state.
@@ -225,8 +227,11 @@ func TestAPISnapshotEndpoint(t *testing.T) {
 
 // TestSpecOfRoundTrip pins the fleet's transport encoding: SpecOf(cfg)
 // resolved back through Spec.Config must reproduce the exact fingerprint,
-// including the optional physics (weight windows, the scene a source box
-// derives).
+// for a config with the optional physics (a weight window, the scene a
+// source box derives) and for every one-field change of its Physics and
+// Shape, walked by reflection: a field SpecOf forgot would file a worker's
+// result for other physics under the coordinator's key. KeepBank is never
+// dispatched (see Engine.tryRemote).
 func TestSpecOfRoundTrip(t *testing.T) {
 	cfg := core.Default(mesh.Stream)
 	cfg.NX, cfg.NY = 48, 48
@@ -244,32 +249,71 @@ func TestSpecOfRoundTrip(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	want, ok := cfg.Fingerprint()
-	if !ok {
-		t.Fatal("config not cacheable")
+	other, err := scene.Preset(mesh.Scatter)
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	spec, err := SpecOf(cfg)
-	if err != nil {
-		t.Fatal(err)
+	roundTrip := func(name string, c core.Config) {
+		t.Helper()
+		if err := c.Validate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want, _ := c.Fingerprint()
+		spec, err := SpecOf(c)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		back, err := spec.Config()
+		if err == nil {
+			err = back.Validate()
+		}
+		if err != nil {
+			t.Fatalf("%s: round-tripped config: %v", name, err)
+		}
+		if got, _ := back.Fingerprint(); got != want {
+			t.Errorf("%s: fingerprint changed across SpecOf round-trip:\n got %s\nwant %s", name, got, want)
+		}
 	}
-	back, err := spec.Config()
-	if err != nil {
-		t.Fatal(err)
+	roundTrip("base", cfg)
+	var mutate func(index []int, name string)
+	mutate = func(index []int, name string) {
+		c := cfg
+		v := reflect.ValueOf(&c).Elem().FieldByIndex(index)
+		switch {
+		case v.Kind() == reflect.Struct:
+			for i := range v.NumField() {
+				mutate(append(index[:len(index):len(index)], i), name+"."+v.Type().Field(i).Name)
+			}
+			return
+		case name == "Shape.KeepBank":
+			return
+		case v.Kind() == reflect.Bool:
+			v.SetBool(!v.Bool())
+		case v.CanInt():
+			v.SetInt(v.Int() + 1)
+		case v.CanUint():
+			v.SetUint(v.Uint() + 1)
+		case v.CanFloat():
+			v.SetFloat(v.Float() * 2)
+		case v.Type() == reflect.TypeOf(other):
+			v.Set(reflect.ValueOf(other))
+		default:
+			t.Fatalf("no mutation for %s (%s)", name, v.Type())
+		}
+		roundTrip(name, c)
 	}
-	if err := back.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := back.Fingerprint()
-	if !ok {
-		t.Fatal("round-tripped config not cacheable")
-	}
-	if got != want {
-		t.Errorf("fingerprint changed across SpecOf round-trip:\n got %s\nwant %s", got, want)
+	for _, part := range []string{"Physics", "Shape"} {
+		f, _ := reflect.TypeOf(cfg).FieldByName(part)
+		mutate(f.Index, part)
 	}
 
 	// A thread count travels only when the client set one: a job's config
 	// keeps 0 as 0, and the worker that receives no count applies its own.
+	spec, err := SpecOf(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	wire, _ := json.Marshal(spec)
 	if !strings.Contains(string(wire), `"threads":3`) {
 		t.Errorf("a requested thread count is missing from the encoded spec: %s", wire)

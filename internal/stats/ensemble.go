@@ -131,10 +131,8 @@ func RunEnsemble(ctx context.Context, cfg core.Config, opts Options) (*Ensemble,
 			var sim core.Simulation // rebound per replica: built once, reused after
 			for rep := w; rep < reps; rep += workers {
 				cfgR := base
-				cfgR.Replicas = 1 // a replica is a plain single run
 				cfgR.Replica = rep
-				cfgR.KeepBank = false
-				cfgR.KeepCells = false
+				cfgR.Shape = core.Shape{Replicas: 1} // a replica is a plain single run
 				var res *core.Result
 				err := ectx.Err() // a dead ensemble builds nothing more
 				if err == nil {

@@ -49,6 +49,10 @@ type (
 	// Config fully describes a run; obtain one from DefaultConfig or
 	// PaperConfig and adjust.
 	Config = core.Config
+	// Physics, Strategy and Shape are Config's three embedded parts.
+	Physics  = core.Physics
+	Strategy = core.Strategy
+	Shape    = core.Shape
 	// Result carries timings, instrumentation counters, the tally and
 	// the conservation audit.
 	Result = core.Result
