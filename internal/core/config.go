@@ -320,8 +320,8 @@ func (p *Physics) validate() error {
 	if p.XSPoints == 0 {
 		p.XSPoints = xs.DefaultPoints
 	}
-	if p.XSPoints < 2 {
-		return fmt.Errorf("core: cross-section table needs at least 2 points, got %d", p.XSPoints)
+	if p.XSPoints < 2 || p.XSPoints > xs.MaxPoints {
+		return fmt.Errorf("core: cross-section table points %d out of range [2, %d]", p.XSPoints, xs.MaxPoints)
 	}
 	if !(p.WeightCutoff > 0 && p.WeightCutoff < 1) {
 		return fmt.Errorf("core: weight cutoff %v must be in (0, 1)", p.WeightCutoff)

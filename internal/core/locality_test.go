@@ -132,9 +132,9 @@ func TestLocalitySnapshotPortable(t *testing.T) {
 	}
 }
 
-// TestLocalityReset checks Reset re-permutes a reused mesh when the ordering
-// changes: Morton → row-major → Morton across Resets of one Simulation, each
-// leg reproducing the golden tally.
+// TestLocalityReset checks Reset across orderings: Morton → row-major →
+// Morton across Resets of one Simulation, each leg on its ordering's own
+// mesh and reproducing the golden tally.
 func TestLocalityReset(t *testing.T) {
 	want := golden[mesh.CSP]
 	cfg := goldenConfig(mesh.CSP)

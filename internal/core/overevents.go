@@ -251,7 +251,7 @@ func (r *run) eventKernel(ws *workerState, active, coll, facet []int32, facetG [
 		fr := &frame[i]
 		// No register caching of the transport state across events: the
 		// density is re-read from memory for every round, through the
-		// cell's material into the memoised number densities (run.nd).
+		// cell's material into the memoised number densities (artefacts.nd).
 		// sigmaT is the bit-identical expansion of
 		// xs.Macroscopic over that factor: ((sigma*B)*nd), the order the
 		// function evaluates.

@@ -62,7 +62,7 @@ func (r *run) history(ws *workerState, p *particle.Particle) {
 	s := p.Stream(r.cfg.Seed)
 
 	// Register-cached state for the whole history. The density read lands
-	// on the memoised per-material number density (see run.nd).
+	// on the memoised per-material number density (see artefacts.nd).
 	nd := r.nd[m.Material(int(p.CellX), int(p.CellY))]
 	ws.c.DensityReads++
 	if p.CachedSigmaA < 0 {

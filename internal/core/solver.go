@@ -84,10 +84,10 @@ type workerState struct {
 	oe   oeShare
 }
 
-// run holds the solver state for one configuration.
+// run holds the solver state for one configuration, its scene's artefacts shared.
 type run struct {
+	*artefacts
 	cfg     Config
-	mesh    *mesh.Mesh
 	ctx     events.Context
 	bank    *particle.Bank
 	workers []*workerState
@@ -121,16 +121,6 @@ type run struct {
 	// gather buckets (see oeState in overevents.go).
 	oe *oeState
 
-	// wwRhoMax is the mesh's peak density, the normalisation of the
-	// per-cell weight-window target. Computed at bind time, only when the
-	// window is enabled.
-	wwRhoMax float64
-
-	// canLeak caches mesh.HasVacuum() at bind time: all-reflective
-	// scenes take the historical inlined facet path, vacuum scenes the
-	// boundary-condition-aware one.
-	canLeak bool
-
 	// logicalCells is the reusable scratch behind tallyCellsLogical: the
 	// tally remapped from storage order to the logical row-major order
 	// every external view speaks. Nil until a non-row-major run first asks.
@@ -148,16 +138,6 @@ type run struct {
 	// sort hands to Bank.Permute.
 	sortKeys []uint64
 	sortPerm []int32
-
-	// nd memoises xs.NumberDensity per material, over mesh.Palette(): a
-	// kernel's density gather is nd[mesh.Material(cx, cy)], one byte from
-	// the mesh into a table that lives in L1. The number density is the
-	// only use the kernels have for a mass density, and the conversion
-	// carries an FP divide; doing it once per material at build time
-	// leaves every sigmaT bit-identical — the kernels multiply the factor
-	// in the exact order xs.Macroscopic evaluates. Densities are painted
-	// only at bind time, so the table needs no invalidation.
-	nd [mesh.MaxDensities]float64
 
 	// probe, when non-nil, observes the timed kernel regions (see
 	// RegionProbe). Nil-guarded at every site: a disabled probe costs one
@@ -192,10 +172,10 @@ func (r *run) progress() Progress {
 // state, and so the one place a Threads of 0 becomes GOMAXPROCS. Everything
 // that can fail — validation, the scene build, a paint the mesh refused —
 // happens before the receiver is touched, so a refused bind leaves the
-// previous binding runnable. What the previous binding allocated is kept
-// where it still fits; a zero run has nothing to keep and is built from
-// scratch. The bank is left unfilled: the caller fills it from the sources
-// (populate) or from a snapshot (Simulation.Restore).
+// previous binding runnable. The scene's artefacts are the process's shared
+// ones, built and published by the first bind; the run's own state is kept
+// where it still fits. The bank is left unfilled: the caller fills it from
+// the sources (populate) or from a snapshot (Simulation.Restore).
 func (r *run) bind(cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -203,38 +183,25 @@ func (r *run) bind(cfg Config) error {
 	if cfg.Threads == 0 {
 		cfg.Threads = runtime.GOMAXPROCS(0)
 	}
-	old := r.cfg
-	// Mesh: rebuilt on any geometry or scene change. Scene identity is
-	// content, not pointer: a re-parsed copy of the same scene file reuses
-	// the painted mesh.
-	m := r.mesh
-	if m == nil || cfg.Scene.Hash() != old.Scene.Hash() || cfg.NX != old.NX || cfg.NY != old.NY {
-		var err error
-		if m, err = buildMesh(cfg); err != nil {
-			return err
+	key := artefactKey{cfg.Scene.Hash(), cfg.NX, cfg.NY, cfg.XSPoints, cfg.Ordering}
+	a := sharedArtefacts(key)
+	if a == nil {
+		m, err := buildMesh(cfg)
+		if err != nil {
+			return err // a refused build is never published
 		}
+		// The paint speaks logical coordinates; the storage order follows.
+		m.SetOrdering(cfg.Ordering)
+		a = publish(newArtefacts(key, m, xs.GeneratePair(cfg.XSPoints)))
 	}
 
 	// Nothing below can fail.
-	if r.tly != nil && (cfg.Tally != old.Tally || cfg.Threads != old.Threads || m.NumCells() != r.mesh.NumCells()) {
+	old := r.cfg
+	if r.tly != nil && (cfg.Tally != old.Tally || cfg.Threads != old.Threads || a.mesh.NumCells() != r.mesh.NumCells()) {
 		r.tly = nil // setBirth rebuilds the accumulators
 	}
-	r.mesh, r.ctx.Mesh = m, m
-	// Storage ordering is applied after the scene paint, which speaks
-	// logical coordinates, so it never needs to know where a cell's value
-	// lives. A kept mesh is re-permuted in place.
-	m.SetOrdering(cfg.Ordering)
-	for k, rho := range m.Palette() {
-		r.nd[k] = xs.NumberDensity(rho)
-	}
-	r.canLeak = m.HasVacuum()
-	r.wwRhoMax = 0
-	if cfg.WeightWindow.Enabled {
-		r.wwRhoMax = m.MaxDensity() // a pass over the cells
-	}
-	if r.ctx.XS.Capture == nil || cfg.XSPoints != old.XSPoints {
-		r.ctx.XS = xs.GeneratePair(cfg.XSPoints)
-	}
+	r.artefacts = a
+	r.ctx.Mesh, r.ctx.XS = a.mesh, a.xs
 	r.ctx.WeightCutoff = cfg.WeightCutoff
 	r.ctx.EnergyCutoff = cfg.EnergyCutoff
 	if r.bank == nil || cfg.Layout != old.Layout || old.KeepBank {
@@ -355,10 +322,10 @@ type StepFunc func(*Simulation)
 // counters as an uninterrupted Run, bit for bit: the counter-based RNG
 // makes every history independent of traversal and of when the process
 // hosting it restarts. Reset rebinds the engine to a new configuration
-// while reusing every compatible allocation (mesh, cross-section tables,
-// bank), which is how sweeps amortise setup across points; Restore does the
-// same from a snapshot. The zero Simulation is unbound: it answers only Reset
-// and Restore, which build it.
+// while reusing every compatible allocation (the bank; mesh and tables are
+// the scene's, shared), which is how sweeps amortise setup across points;
+// Restore does the same from a snapshot. The zero Simulation is unbound: it
+// answers only Reset and Restore, which build it.
 //
 // A Simulation is not safe for concurrent use; it owns goroutine pools
 // internally during Step.
@@ -615,8 +582,8 @@ func (s *Simulation) Drive(ctx context.Context, progress ProgressFunc, onStep St
 }
 
 // Reset rebinds the simulation to a new configuration, reusing every
-// allocation the change permits: the mesh and its cross-section tables
-// survive resolution-compatible sweeps, and the particle bank survives
+// allocation the change permits: the mesh and its cross-section tables are
+// the process's shared artefacts of the scene, and the particle bank survives
 // layout-compatible ones (a bank handed out through KeepBank is never
 // reused — the previous Result owns it). The bank is repopulated from the
 // new config's source and seed. NewSimulation is Reset on a zero Simulation,

@@ -147,3 +147,38 @@ func BenchmarkSnapshot(b *testing.B) {
 	}
 	b.SetBytes(int64(n))
 }
+
+// BenchmarkNewSimulation times NewSimulation on the stream_big workload's
+// problem (stream, 1536², 1 000 particles, one thread), the largest setup of
+// the benchmark, in its two regimes. repeat binds a scene the process has
+// bound before, with a new seed each time: the mesh and tables are shared.
+// cold clears the artefact memo before each bind, with the timer stopped, as
+// a fresh process binds its first scene. core.new_s is the mean per bind.
+func BenchmarkNewSimulation(b *testing.B) {
+	for _, row := range []struct {
+		name string
+		cold bool
+	}{{"repeat", false}, {"cold", true}} {
+		b.Run(row.name, func(b *testing.B) {
+			cfg := Default(mesh.Stream)
+			cfg.NX, cfg.NY = 1536, 1536
+			cfg.Particles, cfg.Threads = 1000, 1
+			if _, err := NewSimulation(cfg); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if row.cold {
+					b.StopTimer()
+					clearArtefacts()
+					b.StartTimer()
+				}
+				cfg.Seed++
+				if _, err := NewSimulation(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(b.Elapsed().Seconds()/float64(b.N), "core.new_s")
+		})
+	}
+}

@@ -402,7 +402,8 @@ func TestMergePerStepCharged(t *testing.T) {
 func TestValidateErrors(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.NX = 0 },
-		func(c *Config) { c.NX = 1 << 32 }, // a cell coordinate is an int32
+		func(c *Config) { c.NX = 1 << 32 },            // a cell coordinate is an int32
+		func(c *Config) { c.NX, c.NY = 1<<20, 1<<20 }, // more than mesh.MaxCells
 		func(c *Config) { c.Particles = 0 },
 		func(c *Config) { c.Timestep = 0 },
 		func(c *Config) { c.Timestep = math.NaN() },
@@ -416,6 +417,7 @@ func TestValidateErrors(t *testing.T) {
 		func(c *Config) { c.EnergyCutoff = math.NaN() },
 		func(c *Config) { c.EnergyCutoff = math.Inf(1) },
 		func(c *Config) { c.XSPoints = 1 },
+		func(c *Config) { c.XSPoints = 10_000_000_000 }, // more than xs.MaxPoints
 		func(c *Config) { c.Schedule.Chunk = -2 },
 		func(c *Config) { c.Tally = tally.ModeNull + 1 },
 	}

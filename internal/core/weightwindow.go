@@ -76,8 +76,8 @@ func (w WeightWindow) validate() error {
 // cell's share of the peak density, floored at MinTargetFraction.
 func (r *run) wwTarget(cx, cy int32) float64 {
 	frac := MinTargetFraction
-	if r.wwRhoMax > 0 {
-		if f := r.mesh.Density(int(cx), int(cy)) / r.wwRhoMax; f > frac {
+	if rhoMax := r.rhoMax(); rhoMax > 0 {
+		if f := r.mesh.Density(int(cx), int(cy)) / rhoMax; f > frac {
 			frac = f
 		}
 	}

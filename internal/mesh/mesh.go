@@ -149,11 +149,16 @@ func New(nx, ny int, width, height, density float64) (*Mesh, error) {
 	return m, nil
 }
 
+// MaxCells bounds a mesh's cell count: 8192², four times the cells of the
+// paper's largest mesh. A request past it is refused before anything sized by
+// it is allocated.
+const MaxCells = 1 << 26
+
 // CheckDims bounds a mesh's resolution: each side in [1, MaxInt32], as a cell
-// coordinate is an int32, and a cell count that does not overflow int.
+// coordinate is an int32, and at most MaxCells cells.
 func CheckDims(nx, ny int) error {
-	if nx < 1 || ny < 1 || nx > math.MaxInt32 || ny > math.MaxInt32 || nx > math.MaxInt/ny {
-		return fmt.Errorf("mesh: dimensions %dx%d out of range (each side in [1, 2^31-1], cells an int)", nx, ny)
+	if nx < 1 || ny < 1 || nx > math.MaxInt32 || ny > math.MaxInt32 || nx > MaxCells/ny {
+		return fmt.Errorf("mesh: dimensions %dx%d out of range (each side in [1, 2^31-1], at most %d cells)", nx, ny, MaxCells)
 	}
 	return nil
 }
@@ -191,6 +196,12 @@ func (m *Mesh) Err() error { return m.err }
 
 // NumCells reports the total cell count.
 func (m *Mesh) NumCells() int { return m.NX * m.NY }
+
+// Bytes reports the heap the mesh holds: the cell field, the palette and the
+// storage-order tables.
+func (m *Mesh) Bytes() int {
+	return len(m.mat) + 8*len(m.rho) + 4*(len(m.mortonX)+len(m.mortonY)+len(m.toStorage))
+}
 
 // EdgeBC reports the boundary condition on one domain edge.
 func (m *Mesh) EdgeBC(e Edge) BC { return m.bc[e] }

@@ -20,6 +20,8 @@ func TestNewValidation(t *testing.T) {
 		{10, 10, 1, 1, -5},
 		{10, 10, 1, 1, math.NaN()},
 		{10, 10, 1, 1, math.Inf(1)},
+		{8193, 8192, 1, 1, 1}, // one row past MaxCells
+		{3, MaxCells/3 + 1, 1, 1, 1},
 	}
 	for _, c := range cases {
 		if _, err := New(c.nx, c.ny, c.w, c.h, c.density); err == nil {
@@ -35,6 +37,11 @@ func TestNewValidation(t *testing.T) {
 	}
 	if m.NumCells() != 32 {
 		t.Errorf("NumCells = %d, want 32", m.NumCells())
+	}
+	for _, d := range [][2]int{{8192, 8192}, {3, MaxCells / 3}, {1, MaxCells}} {
+		if err := CheckDims(d[0], d[1]); err != nil {
+			t.Errorf("CheckDims(%d, %d) = %v, want nil: within MaxCells", d[0], d[1], err)
+		}
 	}
 }
 

@@ -141,6 +141,10 @@ func TestAPIValidation(t *testing.T) {
 		// A cell coordinate is an int32: a wider mesh is refused at the
 		// door, not by a panic in the worker that builds it.
 		`{"problem":"csp","nx":4294967296,"particles":10}`,
+		// So are a mesh and tables too large to build: each passes the
+		// types, and would exhaust memory in the worker that builds it.
+		`{"problem":"csp","nx":1048576,"particles":10}`,
+		`{"problem":"csp","particles":10,"xs_points":10000000000}`,
 		`{"problem":"csp","unknown_field":1}`,
 		`not json`,
 		// A source box is checked against the scene's domain like any

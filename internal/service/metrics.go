@@ -113,6 +113,13 @@ func newEngineMetrics(e *Engine, r *telemetry.Registry) *engineMetrics {
 	r.GaugeFunc("neutral_cache_capacity", "Result-cache capacity.",
 		func() float64 { return float64(e.store.stats().Capacity) })
 
+	// Process-wide: every engine in the process binds through one memo.
+	artefacts := r.CounterVec("neutral_scene_artefacts_total",
+		"Scene artefacts (painted mesh and cross-section tables) the process built, and binds that shared one built before, by outcome.",
+		"outcome")
+	artefacts.Func(func() float64 { built, _ := core.SceneArtefacts(); return float64(built) }, "built")
+	artefacts.Func(func() float64 { _, shared := core.SceneArtefacts(); return float64(shared) }, "shared")
+
 	return m
 }
 

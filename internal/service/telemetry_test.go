@@ -35,6 +35,7 @@ var coreMetricFamilies = []string{
 	"neutral_http_requests_total",
 	"neutral_checkpoint_seconds",
 	"neutral_checkpoint_skipped_total",
+	"neutral_scene_artefacts_total",
 }
 
 // TestAPIMetricsAfterJob scrapes /metrics after a completed job and asserts

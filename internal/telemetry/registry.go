@@ -297,6 +297,12 @@ func (v *CounterVec) With(values ...string) *Counter {
 	return v.fam.get(values, func() *series { return &series{counter: &Counter{}} }).counter
 }
 
+// Func installs a scrape-time callback series for the label values, under
+// CounterFunc's contract.
+func (v *CounterVec) Func(fn func() float64, values ...string) {
+	v.fam.add(&series{labelValues: values, fn: fn})
+}
+
 // GaugeVec registers a gauge family with the given label names.
 func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
 	return &GaugeVec{fam: r.register(name, help, KindGauge, labels)}

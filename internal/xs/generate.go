@@ -25,6 +25,10 @@ import "math"
 // tables.
 const DefaultPoints = 1024
 
+// MaxPoints bounds a generated table's size: 1024 times the default, at most
+// 32 MB for a pair. A request past it is refused before anything is built.
+const MaxPoints = 1 << 20
+
 // EnergyGrid returns n logarithmically spaced energies spanning
 // [1e-3 eV, 2e7 eV], the usual span of continuous-energy neutron data.
 func EnergyGrid(n int) []float64 {
@@ -42,19 +46,22 @@ func EnergyGrid(n int) []float64 {
 	return g
 }
 
+// resonances are the capture table's smooth bumps in log-energy space.
+var resonances = [...]struct{ center, width, height float64 }{
+	{math.Log(6.7), 0.15, 80},
+	{math.Log(21), 0.12, 45},
+	{math.Log(120), 0.20, 30},
+	{math.Log(2300), 0.25, 12},
+}
+
 // captureSigma is the synthetic microscopic capture cross section in barns.
 func captureSigma(e float64) float64 {
 	// 1/v component, normalised to 50 barns at thermal (0.0253 eV).
 	invV := 50 * math.Sqrt(0.0253/e)
 	// Smooth resonance bumps in log-energy space.
-	res := 0.0
-	for _, r := range [...]struct{ center, width, height float64 }{
-		{math.Log(6.7), 0.15, 80},
-		{math.Log(21), 0.12, 45},
-		{math.Log(120), 0.20, 30},
-		{math.Log(2300), 0.25, 12},
-	} {
-		d := (math.Log(e) - r.center) / r.width
+	res, le := 0.0, math.Log(e)
+	for _, r := range resonances {
+		d := (le - r.center) / r.width
 		res += r.height * math.Exp(-d*d)
 	}
 	// Fast plateau keeps absorption meaningful at source energies.

@@ -98,6 +98,19 @@ func NewPair(capture, scatter *Table) Pair {
 	return Pair{Capture: capture, Scatter: scatter, shared: shared}
 }
 
+// Bytes reports the heap the pair's tables hold, counting a shared grid and
+// bucket table once.
+func (p Pair) Bytes() int {
+	n := 0
+	for i, t := range []*Table{p.Capture, p.Scatter} {
+		n += 8 * len(t.sigmas)
+		if i == 0 || !p.shared {
+			n += 8*len(t.energies) + 4*len(t.grid.first)
+		}
+	}
+	return n
+}
+
 // Lookup evaluates both microscopic cross sections at energy e, in barns. It
 // also returns the capture table's bin and the forward steps the search
 // walked past its bucket's first bin, for instrumentation. On a shared grid
