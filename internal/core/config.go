@@ -308,8 +308,8 @@ func (p *Physics) validate() error {
 	if err := mesh.CheckDims(p.NX, p.NY); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	if p.Particles < 1 {
-		return fmt.Errorf("core: particle count %d must be positive", p.Particles)
+	if p.Particles < 1 || p.Particles > particle.MaxPopulation {
+		return fmt.Errorf("core: particle count %d out of range [1, %d]", p.Particles, particle.MaxPopulation)
 	}
 	if !positiveFinite(p.Timestep) {
 		return fmt.Errorf("core: timestep %v must be positive and finite", p.Timestep)
@@ -334,6 +334,11 @@ func (p *Physics) validate() error {
 	if p.Replica < 0 {
 		return fmt.Errorf("core: replica index %d must be non-negative", p.Replica)
 	}
+	// Source identities Replica*Particles + i stay below 2^63, rng.ChildID's
+	// split domain; past 2^64 they would wrap onto replica 0's streams.
+	if uint64(p.Replica) >= (1<<63)/uint64(p.Particles) {
+		return fmt.Errorf("core: replica index %d with %d particles puts source identities past 2^63", p.Replica, p.Particles)
+	}
 	if p.WeightWindow.Enabled {
 		p.WeightWindow = p.WeightWindow.withDefaults()
 	}
@@ -356,9 +361,12 @@ func (s Strategy) validate() error {
 	return s.Schedule.validate()
 }
 
+// MaxReplicas bounds an ensemble's width, as one /v1/batch request's fan-out.
+const MaxReplicas = 1024
+
 func (s *Shape) validate() error {
-	if s.Replicas < 0 {
-		return fmt.Errorf("core: replica count %d must be non-negative", s.Replicas)
+	if s.Replicas < 0 || s.Replicas > MaxReplicas {
+		return fmt.Errorf("core: replica count %d out of range [0, %d]", s.Replicas, MaxReplicas)
 	}
 	s.Replicas = max(s.Replicas, 1)
 	return nil

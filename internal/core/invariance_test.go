@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/mesh"
 	"repro/internal/particle"
+	"repro/internal/scene"
 	"repro/internal/tally"
 )
 
@@ -133,6 +134,42 @@ func TestResultInvariance(t *testing.T) {
 					}
 					hold(fmt.Sprintf("%s/%v/%v/particles=%d/threads=%d", sc.name, OverEvents, layout, particles, threads), got, one.res, &one)
 				}
+			}
+		}
+	}
+}
+
+// TestBirthsInvariantAcrossThreads: populate splits the births over the run's
+// threads and sums the audit baselines in slot order after the join, so a
+// freshly built simulation's Snapshot — bank, birth weight and energy, tick
+// scale — is byte-equal at any thread count. The scene's jittered weights
+// and energies make a sum taken in another order differ in its last bits.
+func TestBirthsInvariantAcrossThreads(t *testing.T) {
+	sc := &scene.Scene{
+		Materials: []scene.Material{{Name: "m", Density: 200}},
+		Sources: []scene.Source{
+			{X0: 0.2, X1: 0.7, Y0: 0.2, Y1: 0.7, Share: 2, Weight: 1.5, EnergyJitter: 0.3},
+			{X0: 1.8, X1: 2.3, Y0: 1.8, Y1: 2.3, Share: 1, Weight: 0.25, Energy: 5e6, TimeJitter: 0.8, WeightJitter: 0.2},
+		},
+	}
+	if err := sc.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for _, layout := range []particle.Layout{particle.AoS, particle.SoA} {
+		var want []byte
+		for _, threads := range []int{1, 2, 3, 7} {
+			cfg := goldenConfig(mesh.CSP)
+			cfg.Scene, cfg.Layout, cfg.Threads = sc, layout, threads
+			cfg.Particles, cfg.Replica = 1001, 3
+			sim, err := NewSimulation(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := sim.Snapshot()
+			if threads == 1 {
+				want = got
+			} else if !bytes.Equal(got, want) {
+				t.Errorf("%v: births at %d threads differ from one thread's", layout, threads)
 			}
 		}
 	}

@@ -231,13 +231,18 @@ func (r *run) bind(cfg Config) error {
 	return nil
 }
 
-// populate fills the bound bank from the scene's sources and the seed.
+// populate fills the bound bank from the scene's sources and the seed, split
+// over the run's threads; the slot-order sums after the join keep every bit.
 func (r *run) populate() {
 	cfg := r.cfg
 	// Replica r of an ensemble owns RNG stream identities
 	// [r*Particles, (r+1)*Particles), so replica families never overlap.
 	idBase := uint64(cfg.Replica) * uint64(cfg.Particles)
-	r.setBirth(particle.PopulateSources(r.bank, r.mesh, cfg.Scene.SourceTerms(), cfg.Timestep, cfg.Seed, idBase))
+	terms := cfg.Scene.SourceTerms()
+	parallelFor(cfg.Threads, r.bank.Len(), Schedule{Kind: ScheduleStatic}, func(_, lo, hi int) {
+		particle.Births(r.bank, r.mesh, terms, cfg.Timestep, cfg.Seed, idBase, lo, hi)
+	})
+	r.setBirth(r.bank.TotalWeight(), r.bank.TotalEnergy())
 }
 
 // setBirth records the conservation baselines and readies the accumulators

@@ -148,21 +148,31 @@ func BenchmarkSnapshot(b *testing.B) {
 	b.SetBytes(int64(n))
 }
 
-// BenchmarkNewSimulation times NewSimulation on the stream_big workload's
-// problem (stream, 1536², 1 000 particles, one thread), the largest setup of
-// the benchmark, in its two regimes. repeat binds a scene the process has
-// bound before, with a new seed each time: the mesh and tables are shared.
-// cold clears the artefact memo before each bind, with the timer stopped, as
-// a fresh process binds its first scene. core.new_s is the mean per bind.
+// BenchmarkNewSimulation times NewSimulation in three regimes. repeat and
+// cold take the stream_big workload's problem (stream, 1536², 1 000
+// particles, one thread), the largest setup of the benchmark. repeat binds a
+// scene the process has bound before, with a new seed each time: the mesh
+// and tables are shared. cold clears the artefact memo before each bind,
+// with the timer stopped, as a fresh process binds its first scene. The
+// births rows take the scatter_op workload's op (scatter, 512², 25 000
+// particles) at one and two threads, a repeated scene: the bind is the bank
+// and its sampling. core.new_s is the mean per bind.
 func BenchmarkNewSimulation(b *testing.B) {
 	for _, row := range []struct {
-		name string
-		cold bool
-	}{{"repeat", false}, {"cold", true}} {
+		name       string
+		problem    mesh.Problem
+		nx, n, thr int
+		cold       bool
+	}{
+		{"repeat", mesh.Stream, 1536, 1000, 1, false},
+		{"cold", mesh.Stream, 1536, 1000, 1, true},
+		{"births/t1", mesh.Scatter, 512, 25000, 1, false},
+		{"births/t2", mesh.Scatter, 512, 25000, 2, false},
+	} {
 		b.Run(row.name, func(b *testing.B) {
-			cfg := Default(mesh.Stream)
-			cfg.NX, cfg.NY = 1536, 1536
-			cfg.Particles, cfg.Threads = 1000, 1
+			cfg := Default(row.problem)
+			cfg.NX, cfg.NY = row.nx, row.nx
+			cfg.Particles, cfg.Threads = row.n, row.thr
 			if _, err := NewSimulation(cfg); err != nil {
 				b.Fatal(err)
 			}

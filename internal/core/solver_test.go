@@ -405,6 +405,10 @@ func TestValidateErrors(t *testing.T) {
 		func(c *Config) { c.NX = 1 << 32 },            // a cell coordinate is an int32
 		func(c *Config) { c.NX, c.NY = 1<<20, 1<<20 }, // more than mesh.MaxCells
 		func(c *Config) { c.Particles = 0 },
+		func(c *Config) { c.Particles = particle.MaxPopulation + 1 },
+		func(c *Config) { c.Replicas = MaxReplicas + 1 },
+		func(c *Config) { c.Particles, c.Replica = 4, 1<<62 }, // identities wrap to replica 0's
+		func(c *Config) { c.Particles, c.Replica = 2, 1<<62 }, // identities reach the split domain
 		func(c *Config) { c.Timestep = 0 },
 		func(c *Config) { c.Timestep = math.NaN() },
 		func(c *Config) { c.Timestep = math.Inf(1) },
@@ -427,6 +431,12 @@ func TestValidateErrors(t *testing.T) {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
+	}
+	// The last replica whose identities all stay below 2^63.
+	edge := Default(mesh.CSP)
+	edge.Particles, edge.Replica = 4, 1<<61-1
+	if err := edge.Validate(); err != nil {
+		t.Errorf("replica %d of 4 particles rejected: %v", edge.Replica, err)
 	}
 	good := Default(mesh.CSP)
 	if err := good.Validate(); err != nil {
@@ -457,6 +467,9 @@ func TestPaperConfig(t *testing.T) {
 	}
 	if Paper(mesh.CSP).Particles != 1_000_000 {
 		t.Error("paper csp population should be 1e6")
+	}
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("paper scatter config rejected: %v", err)
 	}
 }
 

@@ -85,8 +85,14 @@ func TestResizeReusesCapacity(t *testing.T) {
 	}
 }
 
+// populate fills the bank from one box of the paper's unit-weight source.
+func populate(b *Bank, m *mesh.Mesh, src mesh.SourceBox, dt float64, seed, idBase uint64) {
+	PopulateSources(b, m, []SourceTerm{{Box: src, Share: 1, Weight: SourceWeight, Energy: SourceEnergy}}, dt, seed, idBase)
+}
+
 // TestPopulateFamilyOffsetsIdentities: replica families must shift both the
-// stored IDs and the sampled birth states, and family 0 must be Populate.
+// stored IDs and the sampled birth states, and family 0 must be the plain
+// population.
 func TestPopulateFamilyOffsetsIdentities(t *testing.T) {
 	m, err := mesh.New(16, 16, 1, 1, 100)
 	if err != nil {
@@ -97,11 +103,11 @@ func TestPopulateFamilyOffsetsIdentities(t *testing.T) {
 	const seed = 42
 
 	plain := NewBank(AoS, n)
-	Populate(plain, m, src, 1e-7, seed)
+	populate(plain, m, src, 1e-7, seed, 0)
 	fam0 := NewBank(AoS, n)
-	PopulateFamily(fam0, m, src, 1e-7, seed, 0)
+	populate(fam0, m, src, 1e-7, seed, 0)
 	fam2 := NewBank(AoS, n)
-	PopulateFamily(fam2, m, src, 1e-7, seed, 2*n)
+	populate(fam2, m, src, 1e-7, seed, 2*n)
 
 	var p0, p1, p2 Particle
 	identical := 0
@@ -109,7 +115,7 @@ func TestPopulateFamilyOffsetsIdentities(t *testing.T) {
 		plain.Load(i, &p0)
 		fam0.Load(i, &p1)
 		if p0 != p1 {
-			t.Fatalf("family 0 differs from Populate at slot %d", i)
+			t.Fatalf("family 0 differs from the plain population at slot %d", i)
 		}
 		fam2.Load(i, &p2)
 		if p2.ID != uint64(2*n+i) {

@@ -3,6 +3,7 @@ package particle
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -99,14 +100,67 @@ func TestPopulateDeterministicAcrossLayouts(t *testing.T) {
 	const n = 500
 	a := NewBank(AoS, n)
 	s := NewBank(SoA, n)
-	Populate(a, m, src, 1e-7, 42)
-	Populate(s, m, src, 1e-7, 42)
+	populate(a, m, src, 1e-7, 42, 0)
+	populate(s, m, src, 1e-7, 42, 0)
 	var pa, ps Particle
 	for i := 0; i < n; i++ {
 		a.Load(i, &pa)
 		s.Load(i, &ps)
 		if pa != ps {
 			t.Fatalf("particle %d differs across layouts:\n%+v\n%+v", i, pa, ps)
+		}
+	}
+}
+
+// TestBirthsAnySplitMatchesPopulate: Births over any split of [0, n) into
+// ranges, in any order, followed by TotalWeight and TotalEnergy, gives
+// PopulateSources's bank and audit baselines bit for bit — the contract a
+// parallel fill rests on — for both layouts, on two jittered terms whose cut
+// falls inside ranges.
+func TestBirthsAnySplitMatchesPopulate(t *testing.T) {
+	m, err := mesh.New(64, 64, mesh.Extent, mesh.Extent, mesh.VacuumDensity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	terms := []SourceTerm{
+		{Box: mesh.SourceBox{X0: 0.2, X1: 0.7, Y0: 0.2, Y1: 0.7}, Share: 2, Weight: 1.5, Energy: SourceEnergy, EnergyJitter: 0.3},
+		{Box: mesh.SourceBox{X0: 1.8, X1: 2.3, Y0: 1.8, Y1: 2.3}, Share: 1, Weight: 0.25, Energy: 5e6,
+			EnergyJitter: 0.1, WeightJitter: 0.2, TimeJitter: 0.8},
+	}
+	const n, seed, idBase = 301, 77, 5 * 301
+	for _, layout := range []Layout{AoS, SoA} {
+		want := NewBank(layout, n)
+		wantW, wantE := PopulateSources(want, m, terms, 1e-7, seed, idBase)
+		f := func(cuts []uint16, reverse bool) bool {
+			// cuts become sorted split points in [0, n]; the ranges between
+			// them are filled in either order.
+			bounds := []int{0, n}
+			for _, c := range cuts {
+				bounds = append(bounds, int(c)%(n+1))
+			}
+			slices.Sort(bounds)
+			got := NewBank(layout, n)
+			for k := range len(bounds) - 1 {
+				if reverse {
+					k = len(bounds) - 2 - k
+				}
+				Births(got, m, terms, 1e-7, seed, idBase, bounds[k], bounds[k+1])
+			}
+			if got.TotalWeight() != wantW || got.TotalEnergy() != wantE {
+				return false
+			}
+			var pg, pw Particle
+			for i := 0; i < n; i++ {
+				got.Load(i, &pg)
+				want.Load(i, &pw)
+				if pg != pw {
+					return false
+				}
+			}
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+			t.Errorf("%v: %v", layout, err)
 		}
 	}
 }
@@ -120,7 +174,7 @@ func TestPopulateInvariants(t *testing.T) {
 	src := mesh.SourceBox{X0: c - h, X1: c + h, Y0: c - h, Y1: c + h}
 	const n = 2000
 	b := NewBank(AoS, n)
-	Populate(b, m, src, 1e-7, 7)
+	populate(b, m, src, 1e-7, 7, 0)
 	var p Particle
 	for i := 0; i < n; i++ {
 		b.Load(i, &p)
@@ -158,8 +212,8 @@ func TestPopulateSeedSensitivity(t *testing.T) {
 	src := mesh.SourceBox{X0: 0, X1: mesh.Extent / 10, Y0: 0, Y1: mesh.Extent / 10}
 	a := NewBank(AoS, 100)
 	b := NewBank(AoS, 100)
-	Populate(a, m, src, 1e-7, 1)
-	Populate(b, m, src, 1e-7, 2)
+	populate(a, m, src, 1e-7, 1, 0)
+	populate(b, m, src, 1e-7, 2, 0)
 	var pa, pb Particle
 	same := 0
 	for i := 0; i < 100; i++ {
@@ -249,7 +303,7 @@ func TestTotalsFieldDirectFastPaths(t *testing.T) {
 	}
 	for _, layout := range []Layout{AoS, SoA} {
 		b := NewBank(layout, 257)
-		Populate(b, m, mesh.SourceBox{X0: 0, X1: 1, Y0: 0, Y1: 1}, 1e-7, 42)
+		populate(b, m, mesh.SourceBox{X0: 0, X1: 1, Y0: 0, Y1: 1}, 1e-7, 42, 0)
 		var p Particle
 		for i := 0; i < b.Len(); i++ {
 			b.Load(i, &p)

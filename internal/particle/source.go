@@ -32,26 +32,6 @@ type SourceTerm struct {
 	TimeJitter float64
 }
 
-// Populate fills the bank with n freshly born particles sampled uniformly
-// from the source box with isotropic directions. Random numbers determine
-// the initial location and direction (paper §IV-F); each particle's stream
-// key is its index, so populations are identical across layouts, schemes
-// and thread counts.
-func Populate(b *Bank, m *mesh.Mesh, src mesh.SourceBox, dt float64, seed uint64) {
-	PopulateFamily(b, m, src, dt, seed, 0)
-}
-
-// PopulateFamily is Populate over a shifted identity range: particle i is
-// born with stream identity idBase+i. Ensemble replica r passes
-// idBase = r*particles, so every replica draws from a structurally disjoint
-// family of Threefry streams under one simulation seed — no replica ever
-// shares a variate with another. idBase 0 reproduces Populate exactly.
-func PopulateFamily(b *Bank, m *mesh.Mesh, src mesh.SourceBox, dt float64, seed, idBase uint64) {
-	PopulateSources(b, m, []SourceTerm{{
-		Box: src, Share: 1, Weight: SourceWeight, Energy: SourceEnergy,
-	}}, dt, seed, idBase)
-}
-
 // sourceCuts apportions n bank slots across the terms by share: term k owns
 // the index range [cuts[k-1], cuts[k]). The split is a pure function of the
 // shares and n — no random draws — so the apportionment is identical across
@@ -72,31 +52,41 @@ func sourceCuts(terms []SourceTerm, n int) []int {
 	return cuts
 }
 
-// PopulateSources fills the bank from a weighted multi-source description:
-// particle i (stream identity idBase+i) is assigned a term by the
-// deterministic share split, then samples position, direction and
-// mean-free-path budget from its own counter-based stream — the exact draws
-// of the paper's single source — followed by the term's optional jitter
-// draws. A single unit-weight, jitter-free term reproduces the historical
-// Populate bit for bit. It returns the total birth statistical weight and
-// birth weight-energy (weight-eV), the conservation-audit baselines, which
-// are exact sums over the records just stored.
+// MaxPopulation bounds a run's source population: 1.7× the paper's largest
+// (scatter's 10⁷), an AoS bank of about 2 GB.
+const MaxPopulation = 1 << 24
+
+// PopulateSources fills the bank from a weighted multi-source description
+// (Births over every slot) and returns the total birth statistical weight
+// and birth weight-energy (weight-eV), the conservation-audit baselines, as
+// TotalWeight and TotalEnergy: slot-order sums of a bank all Alive. Particle
+// i draws from stream identity idBase+i (paper §IV-F), so a population is
+// the same across layouts, schemes and thread counts, and ensemble replica
+// r, passing idBase = r*particles, draws from a family of streams no other
+// replica shares.
 func PopulateSources(b *Bank, m *mesh.Mesh, terms []SourceTerm, dt float64, seed, idBase uint64) (birthWeight, birthEnergy float64) {
+	Births(b, m, terms, dt, seed, idBase, 0, b.Len())
+	return b.TotalWeight(), b.TotalEnergy()
+}
+
+// Births fills slots [lo, hi): particle i (stream identity idBase+i) takes a
+// term by the share split over the whole bank, draws position, direction and
+// mean-free-path budget as one four-word batch, then the term's optional
+// jitters. A slot depends only on its index, so disjoint ranges may be
+// filled concurrently.
+func Births(b *Bank, m *mesh.Mesh, terms []SourceTerm, dt float64, seed, idBase uint64, lo, hi int) {
 	cuts := sourceCuts(terms, b.Len())
-	var p Particle
+	var scratch Particle
 	term := 0
-	for i := 0; i < b.Len(); i++ {
+	for i := lo; i < hi; i++ {
 		for i >= cuts[term] {
 			term++
 		}
 		t := &terms[term]
 		s := rng.NewStream(seed, idBase+uint64(i))
-		// The four fixed draws: position and direction as one batch,
-		// then the mean-free-path budget.
-		wx, wy, wDir := s.Next3()
+		wx, wy, wDir, wMFP := s.Next4()
 		x, y := rng.PointInBoxOf(wx, wy, t.Box.X0, t.Box.X1, t.Box.Y0, t.Box.Y1)
 		ux, uy := rng.DirectionOf(wDir)
-		mfp := rng.MeanFreePaths(&s)
 		energy := t.Energy
 		if t.EnergyJitter > 0 {
 			energy *= 1 + t.EnergyJitter*(2*s.Uniform()-1)
@@ -111,24 +101,20 @@ func PopulateSources(b *Bank, m *mesh.Mesh, terms []SourceTerm, dt float64, seed
 		}
 		cx, cy := m.CellOf(x, y)
 
-		p = Particle{
-			X: x, Y: y,
-			UX: ux, UY: uy,
-			Energy:         energy,
-			Weight:         weight,
-			MFPToCollision: mfp,
-			TimeToCensus:   tcens,
-			CachedSigmaA:   -1, // not yet looked up
-			CachedSigmaS:   -1,
-			CellX:          int32(cx),
-			CellY:          int32(cy),
-			ID:             idBase + uint64(i),
-			RNGCounter:     s.Counter(),
-			Status:         Alive,
+		// AoS in place, SoA by one Store. Field by field: a composite
+		// literal through a pointer is built on the stack and copied.
+		p := b.Ref(i)
+		if p == nil {
+			p = &scratch
 		}
-		b.Store(i, &p)
-		birthWeight += weight
-		birthEnergy += weight * energy
+		p.X, p.Y, p.UX, p.UY = x, y, ux, uy
+		p.Energy, p.Weight = energy, weight
+		p.MFPToCollision, p.TimeToCensus, p.Deposit = rng.MeanFreePathsOf(wMFP), tcens, 0
+		p.CachedSigmaA, p.CachedSigmaS = -1, -1 // not yet looked up
+		p.CellX, p.CellY, p.XSIndex = int32(cx), int32(cy), 0
+		p.RNGCounter, p.ID, p.Status = s.Counter(), idBase+uint64(i), Alive
+		if p == &scratch {
+			b.Store(i, p)
+		}
 	}
-	return birthWeight, birthEnergy
 }

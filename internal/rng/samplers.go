@@ -9,7 +9,7 @@ import "math"
 // authority for those draws so that Over Particles and Over Events consume
 // identical variate sequences.
 //
-// The …Of forms map raw words already drawn, by a batched Stream.Next3; a
+// The …Of forms map raw words already drawn, by a batched Next3 or Next4; a
 // stream form draws with Next and maps through the same word form, so the
 // two cannot disagree.
 

@@ -63,13 +63,22 @@ func (s *Stream) Next() uint64 {
 // consecutive Next calls would return, in order, leaving the counter three
 // further on. The three counters are known up front — the point of a
 // counter-based generator — so the blocks run interleaved (see threefry3)
-// instead of one after another. Callers with a fixed draw count per event
-// (a collision's three, the first three of a birth) use it in place of
-// serial draws; the variates and the persisted counter are the same.
+// instead of one after another. A collision, which draws exactly three
+// words, uses it in place of serial draws; the variates and the persisted
+// counter are the same.
 func (s *Stream) Next3() (w0, w1, w2 uint64) {
 	w0, w1, w2 = threefry3(s.key[0], s.key[1], s.ctr)
 	s.ctr += 3
 	return w0, w1, w2
+}
+
+// Next4 is Next3 followed by Next as one four-lane batch (threefry4): the
+// same four words, leaving the counter four further on. A birth, which
+// draws exactly four fixed words, uses it.
+func (s *Stream) Next4() (w0, w1, w2, w3 uint64) {
+	w0, w1, w2, w3 = threefry4(s.key[0], s.key[1], s.ctr)
+	s.ctr += 4
+	return w0, w1, w2, w3
 }
 
 // twoTo53 is 2^53; dividing a 53-bit integer by it yields a double with a

@@ -41,6 +41,25 @@ func TestNext3MatchesSerialDraws(t *testing.T) {
 	}
 }
 
+// TestNext4MatchesSerialDraws is Next4's contract, as Next3's above: the
+// words of four serial Next calls, in order, and the same counter after.
+func TestNext4MatchesSerialDraws(t *testing.T) {
+	f := func(seed, id, ctr uint64) bool {
+		batched, serial := ResumeStream(seed, id, ctr), ResumeStream(seed, id, ctr)
+		w0, w1, w2, w3 := batched.Next4()
+		return w0 == serial.Next() && w1 == serial.Next() && w2 == serial.Next() && w3 == serial.Next() &&
+			batched.Counter() == serial.Counter() && batched.Next() == serial.Next()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Fatal(err)
+	}
+	for _, ctr := range []uint64{0, ^uint64(0), ^uint64(0) - 1, ^uint64(0) - 2, ^uint64(0) - 3} {
+		if !f(1, 2, ctr) {
+			t.Errorf("Next4 differs from serial draws at counter %#x", ctr)
+		}
+	}
+}
+
 func TestStreamCounterAdvances(t *testing.T) {
 	s := NewStream(1, 2)
 	if s.Counter() != 0 {

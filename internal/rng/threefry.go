@@ -105,8 +105,8 @@ func inject3(a0, a1, b0, b1, c0, c1, ka, kb uint64) (uint64, uint64, uint64, uin
 // most of the core's ALUs idle; three chains side by side fill them, so the
 // batch costs about 1.5 blocks of latency instead of three. Three lanes of
 // two words plus the key schedule is also what fits the amd64 register file
-// without spills (a four-lane kernel measured no faster per word). The
-// second word of each block is not produced, so the last round skips it.
+// without spills (threefry4 is no faster per word). The second word of each
+// block is not produced, so the last round skips it.
 func threefry3(k0, k1, c uint64) (uint64, uint64, uint64) {
 	k2 := skeinKSParity ^ k0 ^ k1
 	a0, a1 := c+k0, k1
@@ -142,4 +142,63 @@ func threefry3(k0, k1, c uint64) (uint64, uint64, uint64) {
 	a0, a1, b0, b1, c0, c1 = mix3(a0, a1, b0, b1, c0, c1, rot2)
 	a0, _, b0, _, c0, _ = mix3(a0, a1, b0, b1, c0, c1, rot3)
 	return a0 + k2, b0 + k2, c0 + k2
+}
+
+// mix4 is one round on four independent word pairs.
+func mix4(a0, a1, b0, b1, c0, c1, d0, d1 uint64, r int) (uint64, uint64, uint64, uint64, uint64, uint64, uint64, uint64) {
+	a0 += a1
+	b0 += b1
+	c0 += c1
+	d0 += d1
+	a1 = bits.RotateLeft64(a1, r) ^ a0
+	b1 = bits.RotateLeft64(b1, r) ^ b0
+	c1 = bits.RotateLeft64(c1, r) ^ c0
+	d1 = bits.RotateLeft64(d1, r) ^ d0
+	return a0, a1, b0, b1, c0, c1, d0, d1
+}
+
+// inject4 adds one key-schedule pair to four word pairs.
+func inject4(a0, a1, b0, b1, c0, c1, d0, d1, ka, kb uint64) (uint64, uint64, uint64, uint64, uint64, uint64, uint64, uint64) {
+	return a0 + ka, a1 + kb, b0 + ka, b1 + kb, c0 + ka, c1 + kb, d0 + ka, d1 + kb
+}
+
+// threefry4 is threefry3 with a fourth lane, at counter (c+3,0): no faster
+// per word, but a caller that needs exactly four words saves the whole
+// serial block latency a fourth block after the batch would cost.
+func threefry4(k0, k1, c uint64) (uint64, uint64, uint64, uint64) {
+	k2 := skeinKSParity ^ k0 ^ k1
+	a0, a1 := c+k0, k1
+	b0, b1 := c+1+k0, k1
+	c0, c1 := c+2+k0, k1
+	d0, d1 := c+3+k0, k1
+
+	a0, a1, b0, b1, c0, c1, d0, d1 = mix4(a0, a1, b0, b1, c0, c1, d0, d1, rot0)
+	a0, a1, b0, b1, c0, c1, d0, d1 = mix4(a0, a1, b0, b1, c0, c1, d0, d1, rot1)
+	a0, a1, b0, b1, c0, c1, d0, d1 = mix4(a0, a1, b0, b1, c0, c1, d0, d1, rot2)
+	a0, a1, b0, b1, c0, c1, d0, d1 = mix4(a0, a1, b0, b1, c0, c1, d0, d1, rot3)
+	a0, a1, b0, b1, c0, c1, d0, d1 = inject4(a0, a1, b0, b1, c0, c1, d0, d1, k1, k2+1)
+
+	a0, a1, b0, b1, c0, c1, d0, d1 = mix4(a0, a1, b0, b1, c0, c1, d0, d1, rot4)
+	a0, a1, b0, b1, c0, c1, d0, d1 = mix4(a0, a1, b0, b1, c0, c1, d0, d1, rot5)
+	a0, a1, b0, b1, c0, c1, d0, d1 = mix4(a0, a1, b0, b1, c0, c1, d0, d1, rot6)
+	a0, a1, b0, b1, c0, c1, d0, d1 = mix4(a0, a1, b0, b1, c0, c1, d0, d1, rot7)
+	a0, a1, b0, b1, c0, c1, d0, d1 = inject4(a0, a1, b0, b1, c0, c1, d0, d1, k2, k0+2)
+
+	a0, a1, b0, b1, c0, c1, d0, d1 = mix4(a0, a1, b0, b1, c0, c1, d0, d1, rot0)
+	a0, a1, b0, b1, c0, c1, d0, d1 = mix4(a0, a1, b0, b1, c0, c1, d0, d1, rot1)
+	a0, a1, b0, b1, c0, c1, d0, d1 = mix4(a0, a1, b0, b1, c0, c1, d0, d1, rot2)
+	a0, a1, b0, b1, c0, c1, d0, d1 = mix4(a0, a1, b0, b1, c0, c1, d0, d1, rot3)
+	a0, a1, b0, b1, c0, c1, d0, d1 = inject4(a0, a1, b0, b1, c0, c1, d0, d1, k0, k1+3)
+
+	a0, a1, b0, b1, c0, c1, d0, d1 = mix4(a0, a1, b0, b1, c0, c1, d0, d1, rot4)
+	a0, a1, b0, b1, c0, c1, d0, d1 = mix4(a0, a1, b0, b1, c0, c1, d0, d1, rot5)
+	a0, a1, b0, b1, c0, c1, d0, d1 = mix4(a0, a1, b0, b1, c0, c1, d0, d1, rot6)
+	a0, a1, b0, b1, c0, c1, d0, d1 = mix4(a0, a1, b0, b1, c0, c1, d0, d1, rot7)
+	a0, a1, b0, b1, c0, c1, d0, d1 = inject4(a0, a1, b0, b1, c0, c1, d0, d1, k1, k2+4)
+
+	a0, a1, b0, b1, c0, c1, d0, d1 = mix4(a0, a1, b0, b1, c0, c1, d0, d1, rot0)
+	a0, a1, b0, b1, c0, c1, d0, d1 = mix4(a0, a1, b0, b1, c0, c1, d0, d1, rot1)
+	a0, a1, b0, b1, c0, c1, d0, d1 = mix4(a0, a1, b0, b1, c0, c1, d0, d1, rot2)
+	a0, _, b0, _, c0, _, d0, _ = mix4(a0, a1, b0, b1, c0, c1, d0, d1, rot3)
+	return a0 + k2, b0 + k2, c0 + k2, d0 + k2
 }

@@ -90,8 +90,8 @@ func TestPresetsMatchLegacyBuilder(t *testing.T) {
 }
 
 // TestPresetPopulateBitIdentical: the preset source terms drive the
-// multi-source sampler to the exact records the historical single-source
-// Populate produced.
+// multi-source sampler to the exact records of the paper's single
+// unit-weight source term over the preset's box.
 func TestPresetPopulateBitIdentical(t *testing.T) {
 	for _, p := range []mesh.Problem{mesh.Stream, mesh.Scatter, mesh.CSP} {
 		s, _ := Preset(p)
@@ -101,7 +101,8 @@ func TestPresetPopulateBitIdentical(t *testing.T) {
 		}
 		const n = 300
 		want := particle.NewBank(particle.AoS, n)
-		particle.PopulateFamily(want, m, s.SourceTerms()[0].Box, 1e-7, 42, 0)
+		particle.PopulateSources(want, m, []particle.SourceTerm{{Box: s.SourceTerms()[0].Box, Share: 1,
+			Weight: particle.SourceWeight, Energy: particle.SourceEnergy}}, 1e-7, 42, 0)
 		got := particle.NewBank(particle.AoS, n)
 		particle.PopulateSources(got, m, s.SourceTerms(), 1e-7, 42, 0)
 		var pw, pg particle.Particle

@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/telemetry"
 )
 
@@ -343,7 +344,7 @@ type BatchResponse struct {
 
 // maxBatchSpecs bounds one batch request; larger sweeps should be split so
 // admission control (the queue bound) stays meaningful.
-const maxBatchSpecs = 1024
+const maxBatchSpecs = core.MaxReplicas
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
