@@ -90,7 +90,7 @@ func run() error {
 		if tr != nil {
 			onStep = cliutil.AttachTrace(tr.Track(fmt.Sprintf("t%02d %s", t, cliutil.Describe(cfg))))
 		}
-		res, err := sim.Drive(context.Background(), nil, onStep)
+		res, err := sim.Drive(context.Background(), onStep)
 		if err != nil {
 			return err
 		}

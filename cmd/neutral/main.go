@@ -34,6 +34,7 @@ import (
 	"math"
 	"os"
 	"os/signal"
+	"time"
 
 	"repro/internal/cliutil"
 	"repro/internal/core"
@@ -160,7 +161,7 @@ func run() error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	res, err := sim.Drive(ctx, nil, onStep)
+	res, err := sim.Drive(ctx, onStep)
 	if err != nil {
 		if *ckpt != "" && (errors.Is(err, context.Canceled) || errors.Is(err, core.ErrInterrupted)) {
 			fmt.Fprintf(os.Stderr, "neutral: interrupted at step %d/%d; rerun with -resume to continue from %s\n",
@@ -179,7 +180,7 @@ func run() error {
 	}
 	printResult(res)
 	if collector != nil {
-		printCounters(collector)
+		printCounters(collector, res.Phases)
 	}
 	if *cells {
 		printTally(res, cfg)
@@ -188,26 +189,26 @@ func run() error {
 }
 
 // printCounters renders the per-phase performance-counter attribution: one
-// line per probed solver phase, one column per event that actually opened.
-func printCounters(c *perfcount.Collector) {
+// line per probed solver phase that ran, in the canonical phase order, one
+// column per event that actually opened.
+func printCounters(c *perfcount.Collector, timed core.PhaseTimings) {
 	names := c.Names()
 	phases := c.Phases()
 	if len(phases) == 0 {
 		return
 	}
 	fmt.Printf("counters     (events: %v)\n", names)
-	for _, phase := range []string{"event-kernel", "collision-kernel", "facet-kernel",
-		"tally-kernel", "fused", "merge", "control", "sort"} {
+	timed.Each(func(phase string, _ time.Duration) {
 		bucket, ok := phases[phase]
 		if !ok {
-			continue
+			return
 		}
 		fmt.Printf("  %-17s", phase)
 		for _, ev := range names {
 			fmt.Printf(" %s=%d", ev, bucket[ev])
 		}
 		fmt.Println()
-	}
+	})
 }
 
 // runEnsemble executes the multi-replica path: R independent replicas on

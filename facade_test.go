@@ -158,7 +158,7 @@ func TestFacadeRunCtxCancel(t *testing.T) {
 	if _, err := RunCtx(context.Background(), cfg, func(Progress) { reports++ }); err != nil {
 		t.Fatal(err)
 	}
-	if reports == 0 {
-		t.Fatal("no progress reports delivered")
+	if reports != cfg.Steps {
+		t.Fatalf("%d progress reports, want one per step", reports)
 	}
 }

@@ -153,43 +153,22 @@ type Shape struct {
 	KeepBank bool
 }
 
-// Progress is a point-in-time completion report for a run started with
-// RunCtx. Done counts the particle histories retired (census or death) so
-// far in the current step, out of the Total in flight when the step began.
+// Progress reports a completed timestep of a run started with RunCtx.
 type Progress struct {
-	// Step is the current timestep, 0-based.
-	Step int
-	// Steps is the configured timestep count.
-	Steps int
-	// Done is the number of histories retired in the current step.
-	Done int64
-	// Total is the number of histories in flight at the step's start.
-	Total int64
+	// Step is the completed timestep, 0-based; Steps the configured count.
+	Step, Steps int
 }
 
-// Fraction reduces the report to a single completion ratio in [0, 1].
+// Fraction reduces the report to the share of timesteps completed.
 func (p Progress) Fraction() float64 {
 	if p.Steps == 0 {
 		return 0
 	}
-	step := float64(p.Step)
-	if p.Total > 0 {
-		f := float64(p.Done) / float64(p.Total)
-		if f > 1 {
-			f = 1
-		}
-		step += f
-	}
-	if frac := step / float64(p.Steps); frac < 1 {
-		return frac
-	}
-	return 1
+	return float64(p.Step+1) / float64(p.Steps)
 }
 
-// ProgressFunc observes a run's progress. RunCtx invokes it from a single
-// monitoring goroutine at a bounded rate — never from solver workers — so
-// an implementation may be arbitrarily slow without perturbing the measured
-// kernels.
+// ProgressFunc observes a run's progress. RunCtx calls it once per completed
+// timestep, between steps, on the goroutine that called RunCtx.
 type ProgressFunc func(Progress)
 
 // resolvedScene returns the scene the physics runs: Scene when set, the
@@ -294,6 +273,10 @@ func (c *Config) Validate() error {
 // positiveFinite reports whether v is positive and finite; NaN is not.
 func positiveFinite(v float64) bool { return v > 0 && v <= math.MaxFloat64 }
 
+// MaxSteps bounds a run's timesteps: a job keeps a record of every step it
+// completes, so an unbounded count is unbounded memory on a server.
+const MaxSteps = 4096
+
 func (p *Physics) validate() error {
 	if p.Scene == nil {
 		preset, err := scene.Preset(p.Problem)
@@ -314,8 +297,8 @@ func (p *Physics) validate() error {
 	if !positiveFinite(p.Timestep) {
 		return fmt.Errorf("core: timestep %v must be positive and finite", p.Timestep)
 	}
-	if p.Steps < 1 {
-		return fmt.Errorf("core: steps %d must be positive", p.Steps)
+	if p.Steps < 1 || p.Steps > MaxSteps {
+		return fmt.Errorf("core: steps %d out of range [1, %d]", p.Steps, MaxSteps)
 	}
 	if p.XSPoints == 0 {
 		p.XSPoints = xs.DefaultPoints

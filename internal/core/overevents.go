@@ -299,9 +299,6 @@ func (r *run) eventKernel(ws *workerState, active, coll, facet []int32, facetG [
 	ws.c.DensityReads += visits
 	ws.c.OEActiveVisits += visits
 	ws.c.CensusEvents += uint64(ncen)
-	if ncen > 0 {
-		r.done.Add(int64(ncen))
-	}
 	return nc, nf, ncen
 }
 
@@ -353,9 +350,6 @@ func (r *run) collisionKernel(ws *workerState, coll, next []int32) (nk int) {
 	ws.c.RNGDraws += 3 * visits
 	ws.c.OEActiveVisits += visits
 	ws.c.Deaths += died
-	if died > 0 {
-		r.done.Add(int64(died))
-	}
 	return nk
 }
 
@@ -412,8 +406,5 @@ func (r *run) facetKernel(ws *workerState, facet []int32, facetG []uint8) (nk in
 	ws.c.OEActiveVisits += visits
 	ws.c.Reflections += reflected
 	ws.c.Escapes += escaped
-	if escaped > 0 {
-		r.done.Add(int64(escaped))
-	}
 	return nk
 }

@@ -22,10 +22,6 @@ func (r *run) stepOverParticles(res *Result) {
 		ws := r.workers[w]
 		start := time.Now()
 		var p particle.Particle
-		// Histories retired in this chunk, folded into the shared
-		// progress counter once at the end: the per-particle atomic
-		// add was a contended cache line shared by every worker.
-		retired := int64(0)
 		for i := lo; i < hi; i++ {
 			// Cancellation poll: bounded by one history, amortised
 			// over the hundreds of events a history contains.
@@ -38,10 +34,6 @@ func (r *run) stepOverParticles(res *Result) {
 			r.bank.Load(i, &p)
 			r.history(ws, &p)
 			r.bank.Store(i, &p)
-			retired++
-		}
-		if retired > 0 {
-			r.done.Add(retired)
 		}
 		ws.busy += time.Since(start)
 	})

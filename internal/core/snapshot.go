@@ -525,9 +525,6 @@ func (s *Simulation) Restore(cfg Config, data []byte) error {
 	}
 
 	r.base = counterScatter(vec)
-	r.step.Store(int64(next))
-	alive, census, _ := r.bank.CountStatus()
-	r.stepTotal.Store(int64(alive + census))
 	s.next = int(next)
 	return nil
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -144,28 +143,9 @@ type run struct {
 	// branch per kernel launch.
 	probe RegionProbe
 
-	// Cancellation and progress plumbing (RunCtx). stop is polled from
-	// the hot loops and stays read-only until a cancel, so the padding
-	// keeps it off the cache line of the counters the workers write.
+	// stop is the cancellation flag (Interrupt) the hot loops poll; it
+	// stays read-only until a cancel.
 	stop atomic.Bool
-	_    [64]byte
-	// done counts histories retired (census or death) in the current
-	// step; stepTotal is the in-flight population at the step's start;
-	// step is the current 0-based timestep. All three feed the progress
-	// monitor.
-	done      atomic.Int64
-	stepTotal atomic.Int64
-	step      atomic.Int64
-}
-
-// progress assembles a Progress report from the solver's live counters.
-func (r *run) progress() Progress {
-	return Progress{
-		Step:  int(r.step.Load()),
-		Steps: r.cfg.Steps,
-		Done:  r.done.Load(),
-		Total: r.stepTotal.Load(),
-	}
 }
 
 // bind points the run at cfg: the only code that turns a Config into solver
@@ -225,9 +205,6 @@ func (r *run) bind(cfg Config) error {
 	r.base = Counters{}
 	r.probe = nil
 	r.stop.Store(false)
-	r.done.Store(0)
-	r.step.Store(0)
-	r.stepTotal.Store(int64(cfg.Particles))
 	return nil
 }
 
@@ -441,12 +418,7 @@ func (s *Simulation) Step() error {
 	cfg := r.cfg
 	start, phases := time.Now(), s.res.Phases
 	if s.next > 0 {
-		revived := r.reviveCensus()
-		// Reset done before publishing the new total so a concurrent
-		// monitor sample never pairs the old retired count with the
-		// (smaller) new population.
-		r.done.Store(0)
-		r.stepTotal.Store(int64(revived))
+		r.reviveCensus()
 	}
 	if cfg.WeightWindow.Enabled {
 		// Population control at the boundary, before the scheme loop:
@@ -460,7 +432,6 @@ func (s *Simulation) Step() error {
 		// the control step, so the schemes stay bit-identical under it.
 		r.sortStep(s.res)
 	}
-	r.step.Store(int64(s.next))
 	switch cfg.Scheme {
 	case OverParticles:
 		r.stepOverParticles(s.res)
@@ -502,59 +473,36 @@ func (s *Simulation) Finalize() *Result {
 // Run executes every remaining timestep and finalizes — the one-shot path
 // over the stepwise engine.
 func (s *Simulation) Run() (*Result, error) {
-	return s.Drive(context.Background(), nil, nil)
+	return s.Drive(context.Background(), nil)
 }
 
-// Drive executes the remaining timesteps with cooperative cancellation,
-// optional live progress, and an optional per-step callback. It is the loop
-// RunCtx wraps: a watcher goroutine translates ctx cancellation into the
-// stop flag the solver loops poll, and a monitor goroutine samples live
-// counters for progress so user callbacks never run inside timed regions.
-// onStep, when non-nil, runs between timesteps at each completed boundary.
-// A run whose deposits left the fixed-point range returns tally.ErrOverflow
+// Drive executes the remaining timesteps with cooperative cancellation and an
+// optional per-step callback: the loop RunCtx wraps. A cancel of ctx
+// interrupts the simulation (context.AfterFunc), so the solver loops bail out
+// at their next poll of the stop flag. onStep, when non-nil, runs between
+// timesteps at each completed boundary, outside every timed region. A run
+// whose deposits left the fixed-point range returns tally.ErrOverflow
 // (wrapped) in place of a Result whose totals would be meaningless.
-func (s *Simulation) Drive(ctx context.Context, progress ProgressFunc, onStep StepFunc) (*Result, error) {
+func (s *Simulation) Drive(ctx context.Context, onStep StepFunc) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: run canceled: %w", err)
 	}
-	r := s.r
-
-	quit := make(chan struct{})
-	var aux sync.WaitGroup
-	if ctx.Done() != nil {
-		aux.Add(1)
-		go func() {
-			defer aux.Done()
-			select {
-			case <-ctx.Done():
-				r.stop.Store(true)
-			case <-quit:
-			}
-		}()
-	}
-	if progress != nil {
-		aux.Add(1)
-		go func() {
-			defer aux.Done()
-			tick := time.NewTicker(20 * time.Millisecond)
-			defer tick.Stop()
-			for {
-				select {
-				case <-tick.C:
-					progress(r.progress())
-				case <-quit:
-					return
-				}
-			}
-		}()
-	}
-	stopAux := func() {
-		close(quit)
-		aux.Wait()
-	}
+	interrupted := make(chan struct{})
+	stop := context.AfterFunc(ctx, func() {
+		s.Interrupt()
+		close(interrupted)
+	})
+	defer func() {
+		// A cancel racing the return lands before it: the next Reset of a
+		// reused simulation clears the flag, and a late store would stop
+		// that run instead.
+		if !stop() {
+			<-interrupted
+		}
+	}()
 
 	for !s.Done() {
 		err := s.Step()
@@ -562,26 +510,21 @@ func (s *Simulation) Drive(ctx context.Context, progress ProgressFunc, onStep St
 			break
 		}
 		if err != nil {
-			stopAux()
 			return nil, err
 		}
 		if onStep != nil {
 			onStep(s)
 		}
 	}
-	stopAux()
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: run canceled: %w", err)
 	}
-	if r.stop.Load() {
+	if s.r.stop.Load() {
 		return nil, ErrInterrupted
 	}
-	if progress != nil {
-		progress(r.progress())
-	}
 	res := s.Finalize()
-	if r.overflow != nil {
-		return nil, r.overflow
+	if s.r.overflow != nil {
+		return nil, s.r.overflow
 	}
 	return res, nil
 }
@@ -607,16 +550,15 @@ func Run(cfg Config) (*Result, error) {
 	return RunCtx(context.Background(), cfg, nil)
 }
 
-// RunCtx is Run with cooperative cancellation and optional live progress:
-// a thin loop over the Simulation lifecycle. When ctx is canceled the
-// solver loops bail out at their next poll of a shared stop flag — within
-// one particle history for Over Particles, within one kernel round for
-// Over Events — and RunCtx returns the context's error. progress, when
-// non-nil, receives periodic Progress reports from a dedicated monitoring
-// goroutine plus one final report before a successful return; it is never
-// called after RunCtx returns. The cancellation plumbing costs one
-// uncontended atomic load per history (or per kernel chunk), so an
-// uncanceled RunCtx matches Run's throughput.
+// RunCtx is Run with cooperative cancellation and optional progress: a thin
+// loop over the Simulation lifecycle. When ctx is canceled the solver loops
+// bail out at their next poll of a shared stop flag — within one particle
+// history for Over Particles, within one kernel round for Over Events — and
+// RunCtx returns the context's error. progress, when non-nil, receives one
+// report per completed timestep on the calling goroutine, between steps, so
+// the last report of a successful run reads Fraction 1. The cancellation
+// plumbing costs one uncontended atomic load per history (or per kernel
+// chunk), so an uncanceled RunCtx matches Run's throughput.
 func RunCtx(ctx context.Context, cfg Config, progress ProgressFunc) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -630,7 +572,11 @@ func RunCtx(ctx context.Context, cfg Config, progress ProgressFunc) (*Result, er
 	if err != nil {
 		return nil, err
 	}
-	return sim.Drive(ctx, progress, nil)
+	var onStep StepFunc
+	if progress != nil {
+		onStep = func(s *Simulation) { progress(Progress{Step: s.LastStep().Step, Steps: cfg.Steps}) }
+	}
+	return sim.Drive(ctx, onStep)
 }
 
 // finish aggregates instrumentation and runs the conservation audit.
@@ -700,10 +646,8 @@ func (r *run) leakage() (l Leakage) {
 	return l
 }
 
-// reviveCensus returns census particles to flight for the next timestep,
-// reporting how many it revived (the next step's in-flight population).
-func (r *run) reviveCensus() int {
-	revived := 0
+// reviveCensus returns census particles to flight for the next timestep.
+func (r *run) reviveCensus() {
 	var p particle.Particle
 	for i := 0; i < r.bank.Len(); i++ {
 		if r.bank.StatusOf(i) != particle.Census {
@@ -713,9 +657,7 @@ func (r *run) reviveCensus() int {
 		p.Status = particle.Alive
 		p.TimeToCensus = r.cfg.Timestep
 		r.bank.Store(i, &p)
-		revived++
 	}
-	return revived
 }
 
 // flush empties the particle's energy-deposition register into the tally

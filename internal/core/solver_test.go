@@ -413,6 +413,7 @@ func TestValidateErrors(t *testing.T) {
 		func(c *Config) { c.Timestep = math.NaN() },
 		func(c *Config) { c.Timestep = math.Inf(1) },
 		func(c *Config) { c.Steps = 0 },
+		func(c *Config) { c.Steps = MaxSteps + 1 },
 		func(c *Config) { c.Threads = -1 },
 		func(c *Config) { c.WeightCutoff = 0 },
 		func(c *Config) { c.WeightCutoff = 1.5 },

@@ -84,13 +84,12 @@ func (r *run) wwTarget(cx, cy int32) float64 {
 	return r.cfg.WeightWindow.Target * frac
 }
 
-// populationControl applies the weight window to every in-flight history and
-// reports the controlled alive population. It runs serially at the timestep
-// boundary — before the scheme loop, after census revival — so its effect is
-// a pure function of the bank state: identical for both schemes, both
-// layouts, every schedule and every thread count, and it survives a
-// snapshot/restore at the same boundary because the roulette draws come from
-// each particle's own counter-based stream.
+// populationControl applies the weight window to every in-flight history. It
+// runs serially at the timestep boundary — before the scheme loop, after
+// census revival — so its effect is a pure function of the bank state:
+// identical for both schemes, both layouts, every schedule and every thread
+// count, and it survives a snapshot/restore at the same boundary because the
+// roulette draws come from each particle's own counter-based stream.
 //
 // Roulette (weight below target/Ratio): the history survives with
 // probability weight/target and is restored to the target weight; otherwise
@@ -106,11 +105,10 @@ func (r *run) wwTarget(cx, cy int32) float64 {
 // derived stream identity (rng.ChildID) and a freshly sampled
 // mean-free-path budget from its own stream, so parent and children decohere
 // at their first flight. Splitting is exactly weight- and energy-conserving.
-func (r *run) populationControl() int {
+func (r *run) populationControl() {
 	ww := r.cfg.WeightWindow
 	ws := r.workers[0]
 	n := r.bank.Len() // children appended below start inside the window
-	alive := 0
 	var p particle.Particle
 	for i := 0; i < n; i++ {
 		if r.bank.StatusOf(i) != particle.Alive {
@@ -125,7 +123,6 @@ func (r *run) populationControl() int {
 			ws.c.WWRoulette++
 			if s.Uniform()*target < p.Weight {
 				p.Weight = target
-				alive++
 			} else {
 				p.Weight = 0
 				p.Status = particle.Dead
@@ -139,7 +136,6 @@ func (r *run) populationControl() int {
 				split = ww.SplitMax
 			}
 			if split < 2 {
-				alive++
 				continue
 			}
 			ws.c.WWSplits++
@@ -161,21 +157,16 @@ func (r *run) populationControl() int {
 			// previous round's child identities a second time.
 			p.RNGCounter++
 			r.bank.Store(i, &p)
-			alive += split
-		default:
-			alive++
 		}
 	}
-	return alive
 }
 
-// controlStep runs the population-control pass and updates the step's
-// progress accounting; Step calls it when the window is enabled.
+// controlStep runs the population-control pass, timed; Step calls it when the
+// window is enabled.
 func (r *run) controlStep(res *Result) {
 	r.regionStart("control")
 	t0 := time.Now()
-	alive := r.populationControl()
-	r.stepTotal.Store(int64(alive))
+	r.populationControl()
 	res.Phases.Control += time.Since(t0)
 	r.regionEnd("control")
 }

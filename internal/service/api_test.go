@@ -145,11 +145,13 @@ func TestAPIValidation(t *testing.T) {
 		// types, and would exhaust memory in the worker that builds it.
 		`{"problem":"csp","nx":1048576,"particles":10}`,
 		`{"problem":"csp","particles":10,"xs_points":10000000000}`,
-		// A population, an ensemble width or a replica index past its
-		// bound: the first two would exhaust memory in the worker, the
-		// third wraps onto replica 0's random streams.
+		// A population, an ensemble width, a step count or a replica index
+		// past its bound: the first three would exhaust memory (a job keeps
+		// a record per step), the fourth wraps onto replica 0's random
+		// streams.
 		`{"problem":"csp","nx":64,"particles":10000000000}`,
 		`{"problem":"csp","nx":64,"particles":10,"replicas":1000000000000}`,
+		`{"problem":"csp","nx":64,"particles":10,"steps":100000000}`,
 		`{"problem":"csp","nx":64,"particles":4,"replica":4611686018427387904}`,
 		`{"problem":"csp","unknown_field":1}`,
 		`not json`,

@@ -151,7 +151,7 @@ func TestRevokeDuringRequests(t *testing.T) {
 func TestRateLimit429RetryAfter(t *testing.T) {
 	auth := mustAuth(t, Tenant{Name: "slow", Key: "slow-key", Rate: 0.5, Burst: 1})
 	ts, e := newAuthServer(t, Options{Shards: 1}, ServerOptions{Auth: auth})
-	e.runFn = func(ctx context.Context, cfg core.Config, p core.ProgressFunc) (*core.Result, error) {
+	e.runFn = func(ctx context.Context, cfg core.Config) (*core.Result, error) {
 		return &core.Result{Config: cfg}, nil
 	}
 
@@ -194,7 +194,7 @@ func TestQueueFull503RetryAfter(t *testing.T) {
 	ts, e := newAuthServer(t, Options{Shards: 1, QueueDepth: 1}, ServerOptions{})
 	block := make(chan struct{})
 	defer close(block)
-	e.runFn = func(ctx context.Context, cfg core.Config, p core.ProgressFunc) (*core.Result, error) {
+	e.runFn = func(ctx context.Context, cfg core.Config) (*core.Result, error) {
 		select {
 		case <-block:
 		case <-ctx.Done():
@@ -268,7 +268,7 @@ func TestFairShareNoStarvation(t *testing.T) {
 	defer e.Close()
 	gate := make(chan struct{})
 	var once sync.Once
-	e.runFn = func(ctx context.Context, cfg core.Config, p core.ProgressFunc) (*core.Result, error) {
+	e.runFn = func(ctx context.Context, cfg core.Config) (*core.Result, error) {
 		once.Do(func() { <-gate }) // hold the worker until the flood is queued
 		time.Sleep(svcTime)
 		return &core.Result{Config: cfg}, nil

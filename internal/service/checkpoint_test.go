@@ -260,7 +260,7 @@ func TestSubmitBatchPerItemAdmission(t *testing.T) {
 	block := make(chan struct{})
 	e := New(Options{Shards: 1, QueueDepth: 2})
 	defer e.Close()
-	e.runFn = func(ctx context.Context, cfg core.Config, p core.ProgressFunc) (*core.Result, error) {
+	e.runFn = func(ctx context.Context, cfg core.Config) (*core.Result, error) {
 		select {
 		case <-block:
 		case <-ctx.Done():

@@ -153,7 +153,7 @@ type Engine struct {
 
 	// runFn, when non-nil, replaces the Simulation-driven solve path;
 	// tests substitute stubs through it.
-	runFn func(context.Context, core.Config, core.ProgressFunc) (*core.Result, error)
+	runFn func(context.Context, core.Config) (*core.Result, error)
 }
 
 // New builds an engine and starts its worker pool.
@@ -423,13 +423,13 @@ func (c *cadence) took(start, end time.Time) {
 // passed, so what an interrupted job loses is bounded by cost, not by steps.
 func (e *Engine) solve(j *Job, sim *core.Simulation) (*core.Result, error) {
 	if e.runFn != nil {
-		return e.runFn(j.ctx, j.cfg, j.setProgress)
+		return e.runFn(j.ctx, j.cfg)
 	}
 	if err := e.acquire(j, sim); err != nil {
 		return nil, err
 	}
 	var cad cadence
-	return sim.Drive(j.ctx, j.setProgress, func(s *core.Simulation) {
+	return sim.Drive(j.ctx, func(s *core.Simulation) {
 		e.checkpoint(j, s, &cad)
 		// Published after the checkpoint, so the boundary the step advertises
 		// (StepView.Checkpoint) is one the job already serves.

@@ -42,7 +42,7 @@ func TestJobHistoryBounded(t *testing.T) {
 		e.Close()
 	}()
 	release := make(chan struct{})
-	e.runFn = func(ctx context.Context, cfg core.Config, _ core.ProgressFunc) (*core.Result, error) {
+	e.runFn = func(ctx context.Context, cfg core.Config) (*core.Result, error) {
 		if cfg.Seed == 1 {
 			select {
 			case <-release:
@@ -147,7 +147,7 @@ func TestCheckpointInFlight(t *testing.T) {
 	mem := blob.NewMem()
 	e := New(Options{Shards: 2, Blobs: mem})
 	entered := make(chan struct{}, 2)
-	e.runFn = func(ctx context.Context, c core.Config, _ core.ProgressFunc) (*core.Result, error) {
+	e.runFn = func(ctx context.Context, c core.Config) (*core.Result, error) {
 		if c.Seed == finished.Seed {
 			return &core.Result{Config: c}, nil
 		}
@@ -218,7 +218,7 @@ func TestFinishOnlyFrom(t *testing.T) {
 	for race := 0; race < 200; race++ {
 		e := New(Options{Shards: 1})
 		entered := make(chan struct{}, 1)
-		e.runFn = func(ctx context.Context, cfg core.Config, _ core.ProgressFunc) (*core.Result, error) {
+		e.runFn = func(ctx context.Context, cfg core.Config) (*core.Result, error) {
 			if cfg.Seed != 0 {
 				return &core.Result{Config: cfg}, nil
 			}

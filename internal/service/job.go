@@ -115,7 +115,6 @@ type Job struct {
 	mu          sync.Mutex
 	state       State
 	cached      bool
-	progress    core.Progress
 	steps       []StepView
 	resumedFrom int // step the solver resumed from; -1 for a fresh run
 	// replicas and ensemble are the per-replica history and merged
@@ -158,11 +157,15 @@ type Job struct {
 
 // Status is an immutable snapshot of a job.
 type Status struct {
-	ID        string
-	State     State
-	Cached    bool
-	Progress  core.Progress
-	StepsDone int
+	ID     string
+	State  State
+	Cached bool
+	// Progress is completed timesteps over Steps (merged replicas over
+	// Replicas for an ensemble), 1 once done; Step is the last completed
+	// timestep (0 before the first), Steps the configured count.
+	Progress    float64
+	Step, Steps int
+	StepsDone   int
 	// Replicas is the ensemble width of an ensemble job (0 for plain
 	// jobs); ReplicasDone counts the replicas merged so far.
 	Replicas     int
@@ -239,17 +242,31 @@ func (j *Job) Status() Status {
 	return j.status()
 }
 
-// status is Status with j.mu held.
+// status is Status with j.mu held. Progress derives from the step records (the
+// resume point before the first), the replicas and the state alone.
 func (j *Job) status() Status {
-	ens := 0
+	steps, ens := j.cfg.Steps, 0
 	if j.cfg.Replicas > 1 {
 		ens = j.cfg.Replicas
+	}
+	done := max(j.resumedFrom, 0) // timesteps completed
+	if n := len(j.steps); n > 0 {
+		done = j.steps[n-1].Step + 1
+	}
+	progress := float64(done) / float64(steps)
+	if ens > 0 {
+		progress = float64(len(j.replicas)) / float64(ens)
+	}
+	if j.state == StateDone {
+		done, progress = steps, 1
 	}
 	return Status{
 		ID:           j.id,
 		State:        j.state,
 		Cached:       j.cached,
-		Progress:     j.progress,
+		Progress:     progress,
+		Step:         max(done-1, 0),
+		Steps:        steps,
 		StepsDone:    len(j.steps),
 		Replicas:     ens,
 		ReplicasDone: len(j.replicas),
@@ -373,13 +390,6 @@ func (j *Job) start() bool {
 	return true
 }
 
-// setProgress is the core.ProgressFunc the worker threads into RunCtx.
-func (j *Job) setProgress(p core.Progress) {
-	j.mu.Lock()
-	j.progress = p
-	j.mu.Unlock()
-}
-
 // addStep records a completed timestep, advertising the boundary of the
 // checkpoint the job holds by now.
 func (j *Job) addStep(v StepView) {
@@ -389,13 +399,11 @@ func (j *Job) addStep(v StepView) {
 	j.mu.Unlock()
 }
 
-// addReplica records a completed replica and advances the parent progress.
-// Replica reschedules accumulate onto the parent, so an ensemble view
-// reports the total failover count across its shards.
+// addReplica records a completed replica. Replica reschedules accumulate onto
+// the parent, so an ensemble view reports the total failover count.
 func (j *Job) addReplica(v ReplicaView) {
 	j.mu.Lock()
 	j.replicas = append(j.replicas, v)
-	j.progress = core.Progress{Step: len(j.replicas), Steps: v.Replicas}
 	j.reschedules += v.Reschedules
 	j.mu.Unlock()
 }
@@ -446,7 +454,6 @@ func (j *Job) applyRemoteUpdate(u RemoteUpdate) {
 	}
 	if step != nil {
 		j.steps = append(j.steps, *step)
-		j.progress = core.Progress{Step: step.Step, Steps: step.Steps}
 	}
 	j.mu.Unlock()
 }
@@ -486,15 +493,6 @@ func (j *Job) finish(from, to State, res *Filed, ens *stats.Ensemble, err error,
 	j.err = err
 	j.cached = cached
 	j.finished = time.Now()
-	if res != nil {
-		// A finished job reads 100% regardless of sampling jitter.
-		j.progress = core.Progress{
-			Step:  res.res.Config.Steps - 1,
-			Steps: res.res.Config.Steps,
-			Done:  1,
-			Total: 1,
-		}
-	}
 	if !j.retainSnap || j.worker != "" {
 		// Nothing resumes a terminal job, and the engine remembers it for a
 		// while (see Job.ckpt for the exception, and serve for its end).

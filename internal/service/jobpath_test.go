@@ -161,19 +161,19 @@ func TestEnsembleParentOneTerminalTransition(t *testing.T) {
 	boom := errors.New("stub: replica blew up")
 	for _, tc := range []struct {
 		name  string
-		run   func(ctx context.Context, cfg core.Config, p core.ProgressFunc) (*core.Result, error)
+		run   func(ctx context.Context, cfg core.Config) (*core.Result, error)
 		abort bool
 		want  State
 	}{
 		// The parent folds replicas in order, so replica 0 has to finish for
 		// replica 1's failure to be seen.
-		{"replica-fails", func(ctx context.Context, cfg core.Config, p core.ProgressFunc) (*core.Result, error) {
+		{"replica-fails", func(ctx context.Context, cfg core.Config) (*core.Result, error) {
 			if cfg.Replica == 1 {
 				return nil, boom
 			}
-			return core.RunCtx(ctx, cfg, p)
+			return core.RunCtx(ctx, cfg, nil)
 		}, false, StateFailed},
-		{"canceled", func(ctx context.Context, _ core.Config, _ core.ProgressFunc) (*core.Result, error) {
+		{"canceled", func(ctx context.Context, _ core.Config) (*core.Result, error) {
 			<-ctx.Done()
 			return nil, ctx.Err()
 		}, true, StateCanceled},

@@ -313,7 +313,7 @@ func newGatedEngine(workers int, blocks func(key string) bool) *gatedEngine {
 		release: make(chan struct{}),
 		running: map[string]int{},
 	}
-	g.runFn = func(ctx context.Context, cfg core.Config, _ core.ProgressFunc) (*core.Result, error) {
+	g.runFn = func(ctx context.Context, cfg core.Config) (*core.Result, error) {
 		key, _ := cfg.Fingerprint()
 		g.mu.Lock()
 		g.running[key]++

@@ -17,15 +17,15 @@ import (
 
 // JobView is the wire representation of a job snapshot.
 type JobView struct {
-	ID       string  `json:"id"`
-	State    State   `json:"state"`
-	Cached   bool    `json:"cached,omitempty"`
-	Progress float64 `json:"progress"`
-	Step     int     `json:"step"`
-	Steps    int     `json:"steps"`
-	// StepsDone counts the per-timestep results recorded so far
-	// (streamed as SSE "step" events).
-	StepsDone int `json:"steps_done,omitempty"`
+	ID     string `json:"id"`
+	State  State  `json:"state"`
+	Cached bool   `json:"cached,omitempty"`
+	// Progress, Step and Steps are Status's, derived from the step records
+	// StepsDone counts (streamed as SSE "step" events).
+	Progress  float64 `json:"progress"`
+	Step      int     `json:"step"`
+	Steps     int     `json:"steps"`
+	StepsDone int     `json:"steps_done,omitempty"`
 	// Replicas is the ensemble width of an ensemble job; ReplicasDone
 	// counts the replicas merged so far (streamed as SSE "replica"
 	// events). Both absent for plain jobs.
@@ -53,9 +53,9 @@ func viewOf(st Status) JobView {
 		ID:           st.ID,
 		State:        st.State,
 		Cached:       st.Cached,
-		Progress:     st.Progress.Fraction(),
-		Step:         st.Progress.Step,
-		Steps:        st.Progress.Steps,
+		Progress:     st.Progress,
+		Step:         st.Step,
+		Steps:        st.Steps,
 		StepsDone:    st.StepsDone,
 		Replicas:     st.Replicas,
 		ReplicasDone: st.ReplicasDone,

@@ -152,7 +152,7 @@ func TestEngineRunsJob(t *testing.T) {
 	if st.State != StateDone || st.Cached {
 		t.Fatalf("status = %+v", st)
 	}
-	if f := st.Progress.Fraction(); f != 1 {
+	if f := st.Progress; f != 1 {
 		t.Fatalf("finished job reports progress %v", f)
 	}
 }
@@ -326,7 +326,7 @@ func TestEngineCancelQueued(t *testing.T) {
 	e := New(Options{Shards: 1, QueueDepth: 8})
 	defer e.Close()
 	block := make(chan struct{})
-	e.runFn = func(ctx context.Context, cfg core.Config, p core.ProgressFunc) (*core.Result, error) {
+	e.runFn = func(ctx context.Context, cfg core.Config) (*core.Result, error) {
 		select {
 		case <-block:
 			return &core.Result{Config: cfg}, nil
@@ -364,7 +364,7 @@ func TestEngineQueueFull(t *testing.T) {
 	defer e.Close()
 	block := make(chan struct{})
 	defer close(block)
-	e.runFn = func(ctx context.Context, cfg core.Config, p core.ProgressFunc) (*core.Result, error) {
+	e.runFn = func(ctx context.Context, cfg core.Config) (*core.Result, error) {
 		select {
 		case <-block:
 			// Unblocked at teardown with the context still live: a

@@ -51,7 +51,7 @@ func TestStreamBytes(t *testing.T) {
 		e.Close()
 	}()
 	release := make(chan struct{})
-	e.runFn = func(ctx context.Context, cfg core.Config, _ core.ProgressFunc) (*core.Result, error) {
+	e.runFn = func(ctx context.Context, cfg core.Config) (*core.Result, error) {
 		if cfg.Seed == 1 { // the plain job waits for the test to record its steps
 			<-release
 			return &core.Result{Config: cfg, TallyTotal: 30, Wall: 3 * time.Second}, nil

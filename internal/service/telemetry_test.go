@@ -95,7 +95,7 @@ func TestAPIMetricsAfterJob(t *testing.T) {
 func TestAPIStreamHeartbeat(t *testing.T) {
 	e := New(Options{Shards: 1, QueueDepth: 4})
 	block := make(chan struct{})
-	e.runFn = func(ctx context.Context, cfg core.Config, p core.ProgressFunc) (*core.Result, error) {
+	e.runFn = func(ctx context.Context, cfg core.Config) (*core.Result, error) {
 		select {
 		case <-block:
 			return &core.Result{Config: cfg}, nil
@@ -352,7 +352,7 @@ func (s *syncBuffer) String() string {
 // where "a job still queued or running is announced 202" is pinned.
 func TestAPIAccessLog(t *testing.T) {
 	e := New(Options{Shards: 1})
-	e.runFn = func(ctx context.Context, cfg core.Config, p core.ProgressFunc) (*core.Result, error) {
+	e.runFn = func(ctx context.Context, cfg core.Config) (*core.Result, error) {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}

@@ -139,7 +139,7 @@ func RunEnsemble(ctx context.Context, cfg core.Config, opts Options) (*Ensemble,
 					err = sim.Reset(cfgR)
 				}
 				if err == nil {
-					res, err = sim.Drive(ectx, nil, nil)
+					res, err = sim.Drive(ectx, nil)
 				}
 				mu.Lock()
 				for err == nil && firstErr == nil && next != rep {

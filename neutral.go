@@ -69,11 +69,11 @@ type (
 	// ParticleLayout selects the bank memory layout (Config.Layout).
 	ParticleLayout = particle.Layout
 
-	// Progress is a point-in-time completion report delivered to the
-	// ProgressFunc passed to RunCtx.
+	// Progress reports a completed timestep to the ProgressFunc passed to
+	// RunCtx.
 	Progress = core.Progress
-	// ProgressFunc observes a run's progress from a dedicated monitor
-	// goroutine.
+	// ProgressFunc observes a run's progress: RunCtx calls it once per
+	// completed timestep, between steps, on the caller's goroutine.
 	ProgressFunc = core.ProgressFunc
 
 	// Simulation is the stateful solver engine: an explicit
@@ -241,7 +241,7 @@ func PaperConfig(problem string) (Config, error) {
 func Run(cfg Config) (*Result, error) { return core.Run(cfg) }
 
 // RunCtx executes the configured simulation with cooperative cancellation
-// and optional live progress reporting.
+// and an optional progress report per completed timestep.
 func RunCtx(ctx context.Context, cfg Config, progress ProgressFunc) (*Result, error) {
 	return core.RunCtx(ctx, cfg, progress)
 }
