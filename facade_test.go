@@ -155,10 +155,10 @@ func TestFacadeRunCtxCancel(t *testing.T) {
 	var reports int
 	cfg.Steps = 1
 	cfg.Particles = 300
-	if _, err := RunCtx(context.Background(), cfg, func(Progress) { reports++ }); err != nil {
+	if _, err := RunCtx(context.Background(), cfg, func(*Simulation) { reports++ }); err != nil {
 		t.Fatal(err)
 	}
 	if reports != cfg.Steps {
-		t.Fatalf("%d progress reports, want one per step", reports)
+		t.Fatalf("%d step reports, want one per step", reports)
 	}
 }

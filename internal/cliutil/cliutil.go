@@ -109,24 +109,13 @@ func Describe(cfg core.Config) string {
 	return fmt.Sprintf("scene-%.12s", cfg.Scene.Hash())
 }
 
-// Phases converts solver phase timings into telemetry trace phases, in
-// kernel order with zero phases dropped — the shared bridge between
-// core.PhaseTimings and the Chrome trace export.
-func Phases(p core.PhaseTimings) []telemetry.Phase {
-	var out []telemetry.Phase
-	p.Each(func(name string, d time.Duration) {
-		out = append(out, telemetry.Phase{Name: name, Dur: d})
-	})
-	return out
-}
-
 // AttachTrace returns the StepFunc that lays each completed step's phase
 // spans (Simulation.LastStep) onto track; hand it to Drive, composed with
 // any other per-step work.
 func AttachTrace(track *telemetry.Track) core.StepFunc {
 	return func(s *core.Simulation) {
 		st := s.LastStep()
-		track.AddStep(st.Step, st.Wall, Phases(st.Phases))
+		track.AddStep(st.Step, st.Wall, st.Phases.Spans())
 	}
 }
 

@@ -153,24 +153,6 @@ type Shape struct {
 	KeepBank bool
 }
 
-// Progress reports a completed timestep of a run started with RunCtx.
-type Progress struct {
-	// Step is the completed timestep, 0-based; Steps the configured count.
-	Step, Steps int
-}
-
-// Fraction reduces the report to the share of timesteps completed.
-func (p Progress) Fraction() float64 {
-	if p.Steps == 0 {
-		return 0
-	}
-	return float64(p.Step+1) / float64(p.Steps)
-}
-
-// ProgressFunc observes a run's progress. RunCtx calls it once per completed
-// timestep, between steps, on the goroutine that called RunCtx.
-type ProgressFunc func(Progress)
-
 // resolvedScene returns the scene the physics runs: Scene when set, the
 // built-in preset of Problem otherwise.
 func (p Physics) resolvedScene() (*scene.Scene, error) {
@@ -328,9 +310,14 @@ func (p *Physics) validate() error {
 	return p.WeightWindow.validate()
 }
 
+// MaxThreads bounds a run's worker count. A run holds state per thread, and
+// a private tally a copy of the mesh per thread; 1024 is 4× the 256 hardware
+// threads of KNL, the widest device in the paper.
+const MaxThreads = 1024
+
 func (s Strategy) validate() error {
-	if s.Threads < 0 {
-		return fmt.Errorf("core: thread count %d must be non-negative", s.Threads)
+	if s.Threads < 0 || s.Threads > MaxThreads {
+		return fmt.Errorf("core: thread count %d out of range [0, %d]", s.Threads, MaxThreads)
 	}
 	if s.Ordering != mesh.RowMajor && s.Ordering != mesh.Morton {
 		return fmt.Errorf("core: unknown mesh ordering %d", int(s.Ordering))

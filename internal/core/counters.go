@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"repro/internal/mesh"
+	"repro/internal/telemetry"
 )
 
 // Counters instruments the solver. Every count is maintained per worker
@@ -113,8 +114,33 @@ func PerParticle(count uint64, particles int) float64 {
 	return float64(count) / float64(particles)
 }
 
-// PhaseTimings records where wallclock went: a run's totals on Result, one
-// step's share on StepTiming. For Over Events the four
+// Phase names a timed region of a step: one of the four Over Events kernels,
+// the single Over Particles loop, or one of the serial passes. Its String is
+// the region's one canonical kebab-case name, shared by the region probe, the
+// trace export, the service's result and step views, and the CLI summaries.
+type Phase uint8
+
+const (
+	PhaseEventKernel     Phase = iota // Over Events kernel 1: distances to events, moves
+	PhaseCollisionKernel              // kernel 2: collisions
+	PhaseFacetKernel                  // kernel 3: facet crossings
+	PhaseTallyKernel                  // kernel 4: the census flush (the paper's separate tally loop, §VI-G)
+	PhaseFused                        // the single Over Particles loop
+	PhaseMerge                        // tally shard merging (private tallies only)
+	PhaseControl                      // the serial population-control pass (weight windows only)
+	PhaseSort                         // the serial periodic bank sort (Config.SortEvery only)
+	numPhases
+)
+
+var phaseNames = [numPhases]string{
+	"event-kernel", "collision-kernel", "facet-kernel", "tally-kernel", "fused", "merge", "control", "sort",
+}
+
+// String returns the phase's canonical name.
+func (ph Phase) String() string { return phaseNames[ph] }
+
+// PhaseTimings records where wallclock went, indexed by Phase: a run's totals
+// on Result, one step's share on StepTiming. For Over Events the four
 // kernels are timed separately (the paper profiles them individually in
 // Fig 8); Over Particles has a single fused loop. An Over Events worker runs
 // its kernels on its own share of the particles with no barrier between them,
@@ -122,26 +148,7 @@ func PerParticle(count uint64, particles int) float64 {
 // the time each spent inside it — the kernel's wall at one thread, and at any
 // thread count a share of the step's wall. Every other entry is the wall of a
 // launch or a serial pass.
-type PhaseTimings struct {
-	// EventKernel is time computing distances and moving particles
-	// (Over Events kernel 1).
-	EventKernel time.Duration
-	// CollisionKernel handles collisions (kernel 2).
-	CollisionKernel time.Duration
-	// FacetKernel handles facet crossings (kernel 3).
-	FacetKernel time.Duration
-	// TallyKernel is the separate atomic flush loop (kernel 4, the
-	// paper's vectorisation workaround §VI-G).
-	TallyKernel time.Duration
-	// Fused is the single Over Particles loop.
-	Fused time.Duration
-	// Merge is tally shard merging (private tallies only).
-	Merge time.Duration
-	// Control is the serial population-control pass (weight windows only).
-	Control time.Duration
-	// Sort is the serial periodic bank sort (Config.SortEvery only).
-	Sort time.Duration
-}
+type PhaseTimings [numPhases]time.Duration
 
 // OEVisitNs reports the Over Events kernel budget in nanoseconds per visited
 // slot: each per-round kernel's phase time over its share of
@@ -158,64 +165,52 @@ func (r *Result) OEVisitNs() (event, collision, facet float64) {
 		return float64(d.Nanoseconds()) / float64(visits)
 	}
 	c, ph := &r.Counter, &r.Phases
-	return per(ph.EventKernel, c.Segments), per(ph.CollisionKernel, c.CollisionEvents), per(ph.FacetKernel, c.FacetEvents)
+	return per(ph[PhaseEventKernel], c.Segments), per(ph[PhaseCollisionKernel], c.CollisionEvents), per(ph[PhaseFacetKernel], c.FacetEvents)
 }
 
 // Total sums all phases.
-func (p PhaseTimings) Total() time.Duration {
-	return p.EventKernel + p.CollisionKernel + p.FacetKernel + p.TallyKernel + p.Fused + p.Merge + p.Control + p.Sort
+func (p PhaseTimings) Total() (t time.Duration) {
+	for _, d := range p {
+		t += d
+	}
+	return t
 }
 
 // Add returns the per-phase sum p + other.
 func (p PhaseTimings) Add(other PhaseTimings) PhaseTimings {
-	return PhaseTimings{
-		EventKernel:     p.EventKernel + other.EventKernel,
-		CollisionKernel: p.CollisionKernel + other.CollisionKernel,
-		FacetKernel:     p.FacetKernel + other.FacetKernel,
-		TallyKernel:     p.TallyKernel + other.TallyKernel,
-		Fused:           p.Fused + other.Fused,
-		Merge:           p.Merge + other.Merge,
-		Control:         p.Control + other.Control,
-		Sort:            p.Sort + other.Sort,
+	for ph := range p {
+		p[ph] += other[ph]
 	}
+	return p
 }
 
 // Sub returns the per-phase difference p - other — how Step recovers its own
 // phase times (StepTiming.Phases) from the run's cumulative accumulation.
 func (p PhaseTimings) Sub(other PhaseTimings) PhaseTimings {
-	return PhaseTimings{
-		EventKernel:     p.EventKernel - other.EventKernel,
-		CollisionKernel: p.CollisionKernel - other.CollisionKernel,
-		FacetKernel:     p.FacetKernel - other.FacetKernel,
-		TallyKernel:     p.TallyKernel - other.TallyKernel,
-		Fused:           p.Fused - other.Fused,
-		Merge:           p.Merge - other.Merge,
-		Control:         p.Control - other.Control,
-		Sort:            p.Sort - other.Sort,
+	for ph := range p {
+		p[ph] -= other[ph]
+	}
+	return p
+}
+
+// Each calls fn for every non-zero phase in Phase order, under its canonical
+// name.
+func (p PhaseTimings) Each(fn func(name string, d time.Duration)) {
+	for ph, d := range p {
+		if d != 0 {
+			fn(Phase(ph).String(), d)
+		}
 	}
 }
 
-// Each calls fn for every non-zero phase in kernel order, using the
-// canonical kebab-case phase names shared by the trace export, the service
-// result and step views, and the CLI summary.
-func (p PhaseTimings) Each(fn func(name string, d time.Duration)) {
-	for _, ph := range []struct {
-		name string
-		d    time.Duration
-	}{
-		{"event-kernel", p.EventKernel},
-		{"collision-kernel", p.CollisionKernel},
-		{"facet-kernel", p.FacetKernel},
-		{"tally-kernel", p.TallyKernel},
-		{"fused", p.Fused},
-		{"merge", p.Merge},
-		{"control", p.Control},
-		{"sort", p.Sort},
-	} {
-		if ph.d != 0 {
-			fn(ph.name, ph.d)
-		}
-	}
+// Spans lists the non-zero phases in Phase order as trace spans: what a
+// service step view carries and a CLI trace lays under each step.
+func (p PhaseTimings) Spans() []telemetry.Phase {
+	var out []telemetry.Phase
+	p.Each(func(name string, d time.Duration) {
+		out = append(out, telemetry.Phase{Name: name, Dur: d})
+	})
+	return out
 }
 
 // Leakage reports the vacuum-boundary losses of a run, per domain edge

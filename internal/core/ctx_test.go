@@ -89,29 +89,30 @@ func TestRunCtxCancelMidFlight(t *testing.T) {
 	}
 }
 
-// TestRunCtxProgress asserts the progress callback fires once per completed
-// timestep, in order, and ends on a complete final report.
+// TestRunCtxProgress asserts the step observer fires once per completed
+// timestep, in order, at the boundary after it, and ends on the last step.
 func TestRunCtxProgress(t *testing.T) {
 	for _, scheme := range []Scheme{OverParticles, OverEvents} {
 		cfg := smallConfig(mesh.CSP)
 		cfg.Scheme = scheme
 		cfg.Steps = 3
-		var reports []Progress
-		_, err := RunCtx(context.Background(), cfg, func(p Progress) {
-			reports = append(reports, p)
+		var steps []int
+		_, err := RunCtx(context.Background(), cfg, func(s *Simulation) {
+			st := s.LastStep()
+			if s.StepIndex() != st.Step+1 || s.Steps() != cfg.Steps || st.Wall <= 0 {
+				t.Errorf("%v: observed at index %d of %d, last step %+v", scheme, s.StepIndex(), s.Steps(), st)
+			}
+			steps = append(steps, st.Step)
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(reports) != cfg.Steps {
-			t.Fatalf("%v: %d progress reports, want one per step (%d)", scheme, len(reports), cfg.Steps)
+		if len(steps) != cfg.Steps {
+			t.Fatalf("%v: %d step reports, want one per step (%d)", scheme, len(steps), cfg.Steps)
 		}
-		for i, p := range reports {
-			if p != (Progress{Step: i, Steps: cfg.Steps}) {
-				t.Fatalf("%v: report %d is %+v", scheme, i, p)
-			}
-			if f, want := p.Fraction(), float64(i+1)/float64(cfg.Steps); f != want {
-				t.Errorf("%v: report %d fraction %v, want %v", scheme, i, f, want)
+		for i, step := range steps {
+			if step != i {
+				t.Fatalf("%v: report %d is step %d", scheme, i, step)
 			}
 		}
 	}

@@ -278,10 +278,10 @@ func TestPhaseTimingsByScheme(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if roe.Phases.EventKernel <= 0 || roe.Phases.TallyKernel <= 0 {
+	if roe.Phases[PhaseEventKernel] <= 0 || roe.Phases[PhaseTallyKernel] <= 0 {
 		t.Errorf("over-events kernel timings missing: %+v", roe.Phases)
 	}
-	if roe.Phases.Fused != 0 {
+	if roe.Phases[PhaseFused] != 0 {
 		t.Error("over-events recorded fused-loop time")
 	}
 
@@ -290,10 +290,10 @@ func TestPhaseTimingsByScheme(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rop.Phases.Fused <= 0 {
+	if rop.Phases[PhaseFused] <= 0 {
 		t.Error("over-particles fused-loop time missing")
 	}
-	if rop.Phases.EventKernel != 0 {
+	if rop.Phases[PhaseEventKernel] != 0 {
 		t.Error("over-particles recorded kernel time")
 	}
 }

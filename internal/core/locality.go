@@ -2,7 +2,6 @@ package core
 
 import (
 	"slices"
-	"time"
 
 	"repro/internal/mesh"
 	"repro/internal/particle"
@@ -88,8 +87,7 @@ const retiredSlotKey = 1<<32 - 1
 // its RNG stream identity and counter with it; a history's variates do not
 // depend on its slot, which is what makes the permutation physics-free.
 func (r *run) sortStep(res *Result) {
-	r.regionStart("sort")
-	t0 := time.Now()
+	t0 := r.enter(PhaseSort, true)
 	n := r.bank.Len()
 	if cap(r.sortKeys) < n {
 		r.sortKeys = make([]uint64, n)
@@ -111,6 +109,5 @@ func (r *run) sortStep(res *Result) {
 		perm[i] = int32(k & (1<<32 - 1))
 	}
 	r.bank.Permute(perm)
-	res.Phases.Sort += time.Since(t0)
-	r.regionEnd("sort")
+	r.leave(PhaseSort, true, t0, &res.Phases)
 }

@@ -134,11 +134,9 @@ func (r *run) stepOverEvents(res *Result) {
 		sum = sum.Add(ws.oe.phases)
 		ws.oe = oeShare{}
 	}
-	k := time.Duration(len(r.workers))
-	res.Phases.EventKernel += sum.EventKernel / k
-	res.Phases.CollisionKernel += sum.CollisionKernel / k
-	res.Phases.FacetKernel += sum.FacetKernel / k
-	res.Phases.TallyKernel += sum.TallyKernel / k
+	for ph, d := range sum {
+		res.Phases[ph] += d / time.Duration(len(r.workers))
+	}
 	c := &r.workers[0].c
 	c.OERounds += rounds
 	c.OESlotSweeps += (4*rounds + 1) * uint64(r.bank.Len())
@@ -163,22 +161,10 @@ func (r *run) stepOverEvents(res *Result) {
 // bank. Worker 0 alone reports its kernels to the region probe, so the
 // callbacks stay paired and never nested at any thread count.
 func (r *run) oeWindow(ws *workerState, lo, hi int) {
-	sc, ph := r.oe, &ws.oe.phases
+	sc, acc := r.oe, &ws.oe.phases
 	cur, nxt := sc.active[lo:hi], sc.next[lo:hi]
 	coll, facet, facetG, census := sc.coll[lo:hi], sc.facet[lo:hi], sc.facetG[lo:hi], sc.census[lo:hi]
 	lead := ws.id == 0 // the worker the region probe hears from
-	enter := func(name string) time.Time {
-		if lead {
-			r.regionStart(name)
-		}
-		return time.Now()
-	}
-	leave := func(name string, t0 time.Time, d *time.Duration) {
-		*d += time.Since(t0)
-		if lead {
-			r.regionEnd(name)
-		}
-	}
 
 	start := time.Now()
 	n, retired, rounds := hi-lo, 0, uint64(0)
@@ -187,20 +173,20 @@ func (r *run) oeWindow(ws *workerState, lo, hi int) {
 		if r.stop.Load() {
 			return
 		}
-		t0 := enter("event-kernel")
+		t0 := r.enter(PhaseEventKernel, lead)
 		nc, nf, ncen := r.eventKernel(ws, cur[:n], coll, facet, facetG, census[retired:], rounds == 0)
-		leave("event-kernel", t0, &ph.EventKernel)
+		r.leave(PhaseEventKernel, lead, t0, acc)
 		retired += ncen
 
-		t0 = enter("collision-kernel")
+		t0 = r.enter(PhaseCollisionKernel, lead)
 		n = r.collisionKernel(ws, coll[:nc], nxt)
-		leave("collision-kernel", t0, &ph.CollisionKernel)
+		r.leave(PhaseCollisionKernel, lead, t0, acc)
 
-		// The flush time is attributed to FacetKernel; TallyKernel times the
-		// census flush pass.
-		t0 = enter("facet-kernel")
+		// The flush time is attributed to the facet kernel; the tally kernel
+		// times the census flush pass.
+		t0 = r.enter(PhaseFacetKernel, lead)
 		nf = r.facetKernel(ws, facet[:nf], facetG)
-		leave("facet-kernel", t0, &ph.FacetKernel)
+		r.leave(PhaseFacetKernel, lead, t0, acc)
 
 		// Both runs are in the order the kernels visited them, so bank
 		// access stays near-sequential.
@@ -208,12 +194,12 @@ func (r *run) oeWindow(ws *workerState, lo, hi int) {
 		cur, nxt = nxt, cur
 	}
 
-	t0 := enter("tally-kernel")
+	t0 := r.enter(PhaseTallyKernel, lead)
 	for _, slot := range census[:retired] {
 		r.flushSlot(ws, int(slot))
 	}
 	ws.c.OEActiveVisits += uint64(retired)
-	leave("tally-kernel", t0, &ph.TallyKernel)
+	r.leave(PhaseTallyKernel, lead, t0, acc)
 	ws.oe.rounds = rounds
 	ws.busy += time.Since(start)
 }

@@ -239,8 +239,8 @@ func TestOEFrameCoherent(t *testing.T) {
 						if sc.name == "vacuum" && c.Escapes == 0 {
 							t.Fatal("no escapes")
 						}
-						if sc.name == "window+sort" && (c.WWChildren == 0 || res.Phases.Sort == 0) {
-							t.Fatalf("window+sort: %d children, sort time %v", c.WWChildren, res.Phases.Sort)
+						if sc.name == "window+sort" && (c.WWChildren == 0 || res.Phases[PhaseSort] == 0) {
+							t.Fatalf("window+sort: %d children, sort time %v", c.WWChildren, res.Phases[PhaseSort])
 						}
 					})
 				}

@@ -16,8 +16,7 @@ import (
 // — "data is cached in registers between events" — and the only
 // synchronisation is the single join at the end of the loop.
 func (r *run) stepOverParticles(res *Result) {
-	r.regionStart("fused")
-	t0 := time.Now()
+	t0 := r.enter(PhaseFused, true)
 	parallelFor(r.cfg.Threads, r.bank.Len(), r.cfg.Schedule, func(w, lo, hi int) {
 		ws := r.workers[w]
 		start := time.Now()
@@ -37,8 +36,7 @@ func (r *run) stepOverParticles(res *Result) {
 		}
 		ws.busy += time.Since(start)
 	})
-	res.Phases.Fused += time.Since(t0)
-	r.regionEnd("fused")
+	r.leave(PhaseFused, true, t0, &res.Phases)
 }
 
 // history advances one particle until census, death or escape. The loop

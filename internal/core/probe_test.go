@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"testing"
 	"time"
 
@@ -89,5 +90,52 @@ func TestRegionProbeCoverage(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRegionProbeCountsPerStep pins how many regions one step reports at one
+// thread, the launches a region-counting probe sees. With the window, the
+// sort and the per-step merge on, every step reports one control, one sort
+// and one merge pass; Over Particles adds exactly one fused launch, and Over
+// Events each per-round kernel once per round of the step (its OERounds
+// delta) and one tally kernel.
+func TestRegionProbeCountsPerStep(t *testing.T) {
+	for _, scheme := range []Scheme{OverParticles, OverEvents} {
+		cfg := goldenConfig(mesh.CSP)
+		cfg.Scheme, cfg.Threads, cfg.Steps = scheme, 1, 3
+		cfg.SortEvery = 1
+		cfg.Tally = tally.ModePrivate
+		cfg.MergePerStep = true
+		cfg.WeightWindow = WeightWindow{Enabled: true}
+		sim, err := NewSimulation(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		probe := &recordingProbe{t: t}
+		sim.SetRegionProbe(probe)
+		var total uint64
+		for !sim.Done() {
+			probe.counts = nil
+			before := sim.r.workers[0].c.OERounds
+			if err := sim.Step(); err != nil {
+				t.Fatal(err)
+			}
+			rounds := sim.r.workers[0].c.OERounds - before
+			total += rounds
+			want := map[string]int{"control": 1, "sort": 1, "merge": 1}
+			if scheme == OverParticles {
+				want["fused"] = 1
+			} else if rounds > 0 {
+				n := int(rounds)
+				want["event-kernel"], want["collision-kernel"], want["facet-kernel"] = n, n, n
+				want["tally-kernel"] = 1
+			}
+			if !maps.Equal(probe.counts, want) {
+				t.Errorf("%v step %d: probe saw %v, want %v", scheme, sim.StepIndex()-1, probe.counts, want)
+			}
+		}
+		if scheme == OverEvents && total == 0 {
+			t.Error("over-events: no step ran a round")
+		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/particle"
 )
 
 // ScheduleKind mirrors the OpenMP schedule clauses the paper sweeps in
@@ -84,8 +86,9 @@ func (s Schedule) chunk() int {
 }
 
 func (s Schedule) validate() error {
-	if s.Chunk < 0 {
-		return fmt.Errorf("core: negative schedule chunk %d", s.Chunk)
+	// A chunk past the largest bank could only overflow the claim cursor.
+	if s.Chunk < 0 || s.Chunk > particle.MaxPopulation {
+		return fmt.Errorf("core: schedule chunk %d out of range [0, %d]", s.Chunk, particle.MaxPopulation)
 	}
 	switch s.Kind {
 	case ScheduleStatic, ScheduleStaticChunk, ScheduleDynamic, ScheduleGuided:

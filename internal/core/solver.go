@@ -107,9 +107,10 @@ type run struct {
 	tly        tally.Tally
 	leakWeight *tally.Private
 	leakEnergy *tally.Private
-	// overflow latches tally.ErrOverflow from a step-boundary read; the
-	// next Step and the end of Drive fail with it.
-	overflow error
+	// fault latches what ends a run early: tally.ErrOverflow from a
+	// step-boundary read, or ErrBankFull from the control pass. The next
+	// Step and the end of Drive fail with it.
+	fault error
 
 	// base carries counters restored from a snapshot; finish adds it to
 	// the live per-worker counters so a resumed run reports the same
@@ -230,7 +231,7 @@ func (r *run) populate() {
 // longer fits.
 func (r *run) setBirth(weight, energy float64) {
 	r.birthWeight, r.birthEnergy = weight, energy
-	r.overflow = nil
+	r.fault = nil
 	ws, es := tally.ScaleFor(weight), tally.ScaleFor(energy)
 	if r.tly != nil {
 		r.tly.Reset(es)
@@ -402,8 +403,9 @@ func (s *Simulation) Interrupt() { s.r.stop.Store(true) }
 // Step executes the next timestep: census revival (steps after the first),
 // one pass of the configured scheme, and the optional per-step tally merge.
 // It fails with ErrFinished once every step has run, ErrInterrupted when
-// stopped mid-step, and tally.ErrOverflow (wrapped) once a read at an earlier
-// boundary has found the deposits outside the fixed-point range.
+// stopped mid-step, tally.ErrOverflow (wrapped) once a read at an earlier
+// boundary has found the deposits outside the fixed-point range, and
+// ErrBankFull (wrapped) from the step whose splitting would overfill the bank.
 func (s *Simulation) Step() error {
 	if s.Done() {
 		return ErrFinished
@@ -412,8 +414,8 @@ func (s *Simulation) Step() error {
 	if r.stop.Load() {
 		return ErrInterrupted
 	}
-	if r.overflow != nil {
-		return r.overflow
+	if r.fault != nil {
+		return r.fault
 	}
 	cfg := r.cfg
 	start, phases := time.Now(), s.res.Phases
@@ -424,7 +426,10 @@ func (s *Simulation) Step() error {
 		// Population control at the boundary, before the scheme loop:
 		// roulette and splitting are shared serial code, so the schemes
 		// stay bit-identical under the window.
-		r.controlStep(s.res)
+		if err := r.controlStep(s.res); err != nil {
+			r.fault = err
+			return err
+		}
 	}
 	if cfg.SortEvery > 0 && s.next%cfg.SortEvery == 0 {
 		// Periodic cell sort at the boundary, after population control so
@@ -445,11 +450,9 @@ func (s *Simulation) Step() error {
 		return ErrInterrupted
 	}
 	if cfg.Tally == tally.ModePrivate && cfg.MergePerStep {
-		r.regionStart("merge")
-		t0 := time.Now()
+		t0 := r.enter(PhaseMerge, true)
 		r.tly.Ticks()
-		s.res.Phases.Merge += time.Since(t0)
-		r.regionEnd("merge")
+		r.leave(PhaseMerge, true, t0, &s.res.Phases)
 	}
 	d := time.Since(start)
 	s.res.Wall += d
@@ -523,8 +526,8 @@ func (s *Simulation) Drive(ctx context.Context, onStep StepFunc) (*Result, error
 		return nil, ErrInterrupted
 	}
 	res := s.Finalize()
-	if s.r.overflow != nil {
-		return nil, s.r.overflow
+	if s.r.fault != nil {
+		return nil, s.r.fault
 	}
 	return res, nil
 }
@@ -550,16 +553,15 @@ func Run(cfg Config) (*Result, error) {
 	return RunCtx(context.Background(), cfg, nil)
 }
 
-// RunCtx is Run with cooperative cancellation and optional progress: a thin
-// loop over the Simulation lifecycle. When ctx is canceled the solver loops
-// bail out at their next poll of a shared stop flag — within one particle
-// history for Over Particles, within one kernel round for Over Events — and
-// RunCtx returns the context's error. progress, when non-nil, receives one
-// report per completed timestep on the calling goroutine, between steps, so
-// the last report of a successful run reads Fraction 1. The cancellation
+// RunCtx is Run with cooperative cancellation and an optional step observer:
+// NewSimulation, then Drive. When ctx is canceled the solver loops bail out at
+// their next poll of a shared stop flag — within one particle history for
+// Over Particles, within one kernel round for Over Events — and RunCtx
+// returns the context's error. onStep, when non-nil, runs once per completed
+// timestep on the calling goroutine, between steps. The cancellation
 // plumbing costs one uncontended atomic load per history (or per kernel
 // chunk), so an uncanceled RunCtx matches Run's throughput.
-func RunCtx(ctx context.Context, cfg Config, progress ProgressFunc) (*Result, error) {
+func RunCtx(ctx context.Context, cfg Config, onStep StepFunc) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -571,10 +573,6 @@ func RunCtx(ctx context.Context, cfg Config, progress ProgressFunc) (*Result, er
 	sim, err := NewSimulation(cfg)
 	if err != nil {
 		return nil, err
-	}
-	var onStep StepFunc
-	if progress != nil {
-		onStep = func(s *Simulation) { progress(Progress{Step: s.LastStep().Step, Steps: cfg.Steps}) }
 	}
 	return sim.Drive(ctx, onStep)
 }
@@ -628,7 +626,7 @@ func (r *run) finish(res *Result) {
 func (r *run) tallyTotal() float64 {
 	total, err := r.tly.Total()
 	if err != nil {
-		r.overflow = fmt.Errorf("core: deposition %w", err)
+		r.fault = fmt.Errorf("core: deposition %w", err)
 	}
 	return total
 }
@@ -640,7 +638,7 @@ func (r *run) leakage() (l Leakage) {
 	copy(l.Energy[:], r.leakEnergy.Cells())
 	for _, t := range []*tally.Private{r.leakWeight, r.leakEnergy} {
 		if _, err := t.Total(); err != nil {
-			r.overflow = fmt.Errorf("core: leakage %w", err)
+			r.fault = fmt.Errorf("core: leakage %w", err)
 		}
 	}
 	return l

@@ -394,7 +394,7 @@ func TestMergePerStepCharged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Phases.Merge <= 0 {
+	if res.Phases[PhaseMerge] <= 0 {
 		t.Error("per-step merge not timed")
 	}
 }
@@ -415,6 +415,7 @@ func TestValidateErrors(t *testing.T) {
 		func(c *Config) { c.Steps = 0 },
 		func(c *Config) { c.Steps = MaxSteps + 1 },
 		func(c *Config) { c.Threads = -1 },
+		func(c *Config) { c.Threads = MaxThreads + 1 },
 		func(c *Config) { c.WeightCutoff = 0 },
 		func(c *Config) { c.WeightCutoff = 1.5 },
 		func(c *Config) { c.WeightCutoff = math.NaN() },
@@ -424,6 +425,8 @@ func TestValidateErrors(t *testing.T) {
 		func(c *Config) { c.XSPoints = 1 },
 		func(c *Config) { c.XSPoints = 10_000_000_000 }, // more than xs.MaxPoints
 		func(c *Config) { c.Schedule.Chunk = -2 },
+		func(c *Config) { c.Schedule.Chunk = particle.MaxPopulation + 1 },
+		func(c *Config) { c.Schedule = Schedule{Kind: ScheduleDynamic, Chunk: math.MaxInt} }, // overflowed the claim cursor
 		func(c *Config) { c.Tally = tally.ModeNull + 1 },
 	}
 	for i, mutate := range bad {
@@ -438,6 +441,12 @@ func TestValidateErrors(t *testing.T) {
 	edge.Particles, edge.Replica = 4, 1<<61-1
 	if err := edge.Validate(); err != nil {
 		t.Errorf("replica %d of 4 particles rejected: %v", edge.Replica, err)
+	}
+	// The last thread count and chunk accepted.
+	edge = Default(mesh.CSP)
+	edge.Threads, edge.Schedule = MaxThreads, Schedule{Kind: ScheduleDynamic, Chunk: particle.MaxPopulation}
+	if err := edge.Validate(); err != nil {
+		t.Errorf("%d threads at chunk %d rejected: %v", edge.Threads, edge.Schedule.Chunk, err)
 	}
 	good := Default(mesh.CSP)
 	if err := good.Validate(); err != nil {

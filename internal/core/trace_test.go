@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/mesh"
+	"repro/internal/telemetry"
 )
 
 // TestStepTraceHook verifies every Step records its own timing: LastStep
@@ -126,11 +127,14 @@ func TestResetClearsTrace(t *testing.T) {
 }
 
 func TestPhaseTimingsEachSub(t *testing.T) {
-	p := PhaseTimings{EventKernel: 5, CollisionKernel: 3, TallyKernel: 2, Merge: 1}
-	q := PhaseTimings{EventKernel: 2, CollisionKernel: 3}
+	p := PhaseTimings{PhaseEventKernel: 5, PhaseCollisionKernel: 3, PhaseTallyKernel: 2, PhaseMerge: 1}
+	q := PhaseTimings{PhaseEventKernel: 2, PhaseCollisionKernel: 3}
 	d := p.Sub(q)
-	if d.EventKernel != 3 || d.CollisionKernel != 0 || d.TallyKernel != 2 || d.Merge != 1 {
+	if d != (PhaseTimings{PhaseEventKernel: 3, PhaseTallyKernel: 2, PhaseMerge: 1}) {
 		t.Errorf("Sub = %+v", d)
+	}
+	if d.Add(q) != p || p.Total() != 11 {
+		t.Errorf("Add = %+v, Total = %v", d.Add(q), p.Total())
 	}
 	var names []string
 	d.Each(func(name string, dur time.Duration) { names = append(names, name) })
@@ -141,6 +145,17 @@ func TestPhaseTimingsEachSub(t *testing.T) {
 	for i := range want {
 		if names[i] != want[i] {
 			t.Fatalf("Each visited %v, want %v", names, want)
+		}
+	}
+	if spans := d.Spans(); len(spans) != 3 || spans[1] != (telemetry.Phase{Name: "tally-kernel", Dur: 2}) {
+		t.Errorf("Spans = %+v", spans)
+	}
+	// The name table is the region probe's contract: these are the names a
+	// probe hears and a trace, a result and a step view carry.
+	all := []string{"event-kernel", "collision-kernel", "facet-kernel", "tally-kernel", "fused", "merge", "control", "sort"}
+	for ph := range numPhases {
+		if ph.String() != all[ph] {
+			t.Errorf("Phase(%d) is %q, want %q", ph, ph, all[ph])
 		}
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/particle"
 	"repro/internal/rng"
@@ -35,6 +34,10 @@ type WeightWindow struct {
 	// SplitMax caps the fan-out of a single split. 0 means 8.
 	SplitMax int
 }
+
+// ErrBankFull fails a step whose weight-window splitting would grow the bank
+// past particle.MaxPopulation.
+var ErrBankFull = fmt.Errorf("core: weight-window splitting would grow the bank past %d particles (particle.MaxPopulation)", particle.MaxPopulation)
 
 // MinTargetFraction floors the per-cell window target at this share of
 // Target, so near-void cells get a finite window instead of one that
@@ -105,7 +108,9 @@ func (r *run) wwTarget(cx, cy int32) float64 {
 // derived stream identity (rng.ChildID) and a freshly sampled
 // mean-free-path budget from its own stream, so parent and children decohere
 // at their first flight. Splitting is exactly weight- and energy-conserving.
-func (r *run) populationControl() {
+// A split whose children would take the bank past particle.MaxPopulation is
+// refused before anything is appended, and the pass fails with ErrBankFull.
+func (r *run) populationControl() error {
 	ww := r.cfg.WeightWindow
 	ws := r.workers[0]
 	n := r.bank.Len() // children appended below start inside the window
@@ -131,12 +136,14 @@ func (r *run) populationControl() {
 			p.SaveStream(&s)
 			r.bank.Store(i, &p)
 		case p.Weight > target*ww.Ratio:
-			split := int(math.Ceil(p.Weight / target))
-			if split > ww.SplitMax {
-				split = ww.SplitMax
-			}
+			// Clamped before the conversion: weight/target overflows an
+			// int, or is +Inf, for a tiny target.
+			split := int(min(math.Ceil(p.Weight/target), float64(ww.SplitMax)))
 			if split < 2 {
 				continue
+			}
+			if n := r.bank.Len(); n+split-1 > particle.MaxPopulation {
+				return fmt.Errorf("%w: a %d-way split of slot %d at %d particles", ErrBankFull, split, i, n)
 			}
 			ws.c.WWSplits++
 			p.Weight /= float64(split)
@@ -159,14 +166,14 @@ func (r *run) populationControl() {
 			r.bank.Store(i, &p)
 		}
 	}
+	return nil
 }
 
 // controlStep runs the population-control pass, timed; Step calls it when the
 // window is enabled.
-func (r *run) controlStep(res *Result) {
-	r.regionStart("control")
-	t0 := time.Now()
-	r.populationControl()
-	res.Phases.Control += time.Since(t0)
-	r.regionEnd("control")
+func (r *run) controlStep(res *Result) error {
+	t0 := r.enter(PhaseControl, true)
+	err := r.populationControl()
+	r.leave(PhaseControl, true, t0, &res.Phases)
+	return err
 }

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/mesh"
@@ -299,5 +302,58 @@ func TestReplicaZeroBitIdentical(t *testing.T) {
 		if b.ID != uint64(base.Particles) {
 			t.Errorf("replica 1 first id %d, want offset %d", b.ID, base.Particles)
 		}
+	}
+}
+
+// TestWeightWindowTinyTargetSplits: a target so small that weight/target
+// overflows an int (or is +Inf) still splits to SplitMax, on both schemes.
+func TestWeightWindowTinyTargetSplits(t *testing.T) {
+	for _, scheme := range []Scheme{OverParticles, OverEvents} {
+		cfg := wwConfig(mesh.CSP)
+		cfg.Scheme, cfg.Particles, cfg.Steps = scheme, 10, 1
+		cfg.WeightWindow.Target = 1e-300
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Every source particle is above the window at the first boundary.
+		c, fan := res.Counter, uint64(cfg.WeightWindow.withDefaults().SplitMax)
+		if c.WWSplits != uint64(cfg.Particles) || c.WWChildren != (fan-1)*c.WWSplits {
+			t.Errorf("%v: %d splits, %d children; want %d splits of %d", scheme, c.WWSplits, c.WWChildren, cfg.Particles, fan)
+		}
+	}
+}
+
+// TestWeightWindowBankBound: a window whose splits would take the bank past
+// particle.MaxPopulation fails its step with ErrBankFull before it appends a
+// child, and the failure latches: the next Step and Drive fail with it too.
+func TestWeightWindowBankBound(t *testing.T) {
+	cfg := wwConfig(mesh.CSP)
+	cfg.Particles, cfg.Threads = 10, 1
+	cfg.WeightWindow = WeightWindow{Enabled: true, Target: 1e-9, SplitMax: particle.MaxPopulation}
+	sim, err := NewSimulation(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err = sim.Step()
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBankFull) {
+		t.Fatalf("Step = %v, want ErrBankFull", err)
+	}
+	if n := sim.r.bank.Len(); n != cfg.Particles {
+		t.Errorf("bank holds %d particles after the refused split, want %d", n, cfg.Particles)
+	}
+	// One child record is ~100 B, so the refused 2^24-way split would have
+	// allocated over a gigabyte.
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("the refused step allocated %d bytes", grew)
+	}
+	if err := sim.Step(); !errors.Is(err, ErrBankFull) {
+		t.Errorf("next Step = %v, want the latched ErrBankFull", err)
+	}
+	if _, err := RunCtx(context.Background(), cfg, nil); !errors.Is(err, ErrBankFull) {
+		t.Errorf("RunCtx = %v, want ErrBankFull", err)
 	}
 }

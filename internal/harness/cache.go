@@ -82,9 +82,6 @@ func CacheTable(opt Options) (*Figure, error) {
 		sum := &agg{}
 		sums[v.label] = sum
 		res.Phases.Each(func(phase string, d time.Duration) {
-			if d == 0 {
-				return
-			}
 			vals := []float64{d.Seconds() * 1e3}
 			for _, ev := range names {
 				vals = append(vals, float64(phases[phase][ev]))

@@ -153,6 +153,9 @@ func TestAPIValidation(t *testing.T) {
 		`{"problem":"csp","nx":64,"particles":10,"replicas":1000000000000}`,
 		`{"problem":"csp","nx":64,"particles":10,"steps":100000000}`,
 		`{"problem":"csp","nx":64,"particles":4,"replica":4611686018427387904}`,
+		// A thread count past core.MaxThreads: a run holds state per
+		// thread, a private tally one mesh copy each.
+		`{"problem":"csp","nx":64,"particles":10,"threads":100000000}`,
 		`{"problem":"csp","unknown_field":1}`,
 		`not json`,
 		// A source box is checked against the scene's domain like any

@@ -515,17 +515,13 @@ func (e *Engine) acquire(j *Job, sim *core.Simulation) error {
 func stepViewOf(s *core.Simulation) StepView {
 	alive, census, dead := s.Population()
 	st := s.LastStep()
-	var phases []telemetry.Phase
-	st.Phases.Each(func(name string, d time.Duration) {
-		phases = append(phases, telemetry.Phase{Name: name, Dur: d})
-	})
 	return StepView{
 		Step:        s.StepIndex() - 1,
 		Steps:       s.Steps(),
 		TallyTotal:  s.TallyTotal(),
 		WallSeconds: s.Elapsed().Seconds(),
 		StepWall:    st.Wall,
-		Phases:      phases,
+		Phases:      st.Phases.Spans(),
 		Alive:       alive,
 		Census:      census,
 		Dead:        dead,

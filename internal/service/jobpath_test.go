@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/mesh"
+	"repro/internal/particle"
 )
 
 // stubRunner is a RemoteRunner whose shard is whatever the test says.
@@ -218,5 +220,31 @@ func TestEnsembleParentOneTerminalTransition(t *testing.T) {
 					after.State, after.Finished, st.State, st.Finished)
 			}
 		})
+	}
+}
+
+// TestRunawayWindowJobFails: a weight window whose splitting would take the
+// bank past particle.MaxPopulation fails its job with core.ErrBankFull, and
+// the worker that ran it, simulation and all, runs the next job to done.
+func TestRunawayWindowJobFails(t *testing.T) {
+	e := New(Options{Shards: 1})
+	defer e.Close()
+	cfg := core.Default(mesh.CSP)
+	cfg.NX, cfg.NY, cfg.Particles = 64, 64, 10
+	cfg.WeightWindow = core.WeightWindow{Enabled: true, Target: 1e-9, SplitMax: particle.MaxPopulation}
+	j, err := e.Submit(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitDone(t, j); st.State != StateFailed || !errors.Is(st.Err, core.ErrBankFull) {
+		t.Fatalf("runaway window: state %v, error %v; want failed with ErrBankFull", st.State, st.Err)
+	}
+	cfg.WeightWindow = core.WeightWindow{}
+	next, err := e.Submit(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitDone(t, next); st.State != StateDone {
+		t.Fatalf("next job: state %v, error %v; want done", st.State, st.Err)
 	}
 }

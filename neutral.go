@@ -19,7 +19,7 @@
 //     lifecycle: explicit timesteps, checkpoint snapshots that resume bit
 //     for bit, and allocation reuse across parameter sweeps;
 //   - RunCtx / NewService expose the serving layer: cancelable runs with
-//     live progress and per-step streaming, job checkpoint/resume, batch
+//     a per-step observer, per-step streaming, job checkpoint/resume, batch
 //     submission, and the job-queue/worker-pool/result-cache engine
 //     behind the neutral-serve HTTP API (cmd/neutral-serve).
 //
@@ -68,13 +68,6 @@ type (
 	Bank = particle.Bank
 	// ParticleLayout selects the bank memory layout (Config.Layout).
 	ParticleLayout = particle.Layout
-
-	// Progress reports a completed timestep to the ProgressFunc passed to
-	// RunCtx.
-	Progress = core.Progress
-	// ProgressFunc observes a run's progress: RunCtx calls it once per
-	// completed timestep, between steps, on the caller's goroutine.
-	ProgressFunc = core.ProgressFunc
 
 	// Simulation is the stateful solver engine: an explicit
 	// New → Step → Snapshot/Restore → Finalize lifecycle over the
@@ -240,10 +233,10 @@ func PaperConfig(problem string) (Config, error) {
 // Run executes the configured simulation.
 func Run(cfg Config) (*Result, error) { return core.Run(cfg) }
 
-// RunCtx executes the configured simulation with cooperative cancellation
-// and an optional progress report per completed timestep.
-func RunCtx(ctx context.Context, cfg Config, progress ProgressFunc) (*Result, error) {
-	return core.RunCtx(ctx, cfg, progress)
+// RunCtx executes the configured simulation with cooperative cancellation,
+// handing each completed timestep's boundary to onStep when it is non-nil.
+func RunCtx(ctx context.Context, cfg Config, onStep StepFunc) (*Result, error) {
+	return core.RunCtx(ctx, cfg, onStep)
 }
 
 // Simulation lifecycle errors.
