@@ -57,6 +57,20 @@ func run() error {
 	}
 	base.NX, base.NY = *nx, *nx
 	base.Particles = *parts
+	if *maxT < 0 || *maxT > core.MaxThreads {
+		return fmt.Errorf("-max %d out of range [0, %d]", *maxT, core.MaxThreads)
+	}
+	max := *maxT
+	if max == 0 {
+		max = runtime.GOMAXPROCS(0)
+	}
+	// Every point is base at some thread count up to max: checking the
+	// widest refuses a bad flag before the header, not at the first point.
+	widest := base
+	widest.Threads = max
+	if err := widest.Validate(); err != nil {
+		return err
+	}
 
 	var tr *telemetry.Trace
 	if *trace != "" {
@@ -72,10 +86,6 @@ func run() error {
 	defer w.Flush()
 	if err := w.Write([]string{"threads", "seconds", "speedup", "efficiency", "imbalance"}); err != nil {
 		return err
-	}
-	max := *maxT
-	if max <= 0 {
-		max = runtime.GOMAXPROCS(0)
 	}
 	// One simulation for the whole sweep; each point Resets it in place.
 	var sim core.Simulation

@@ -79,27 +79,36 @@ func run() error {
 	cfg.Threads = *threads
 	cfg.Steps = *steps
 	cfg.Seed = *seed
-	if *nx > 0 {
+	// Only 0 means "the default" (or "off"); any other value is the run's,
+	// so one outside its flag's domain fails validation below.
+	if *nx != 0 {
 		cfg.NX, cfg.NY = *nx, *nx
 	}
-	if *parts > 0 {
+	if *parts != 0 {
 		cfg.Particles = *parts
 	}
 	cfg.KeepCells = *cells
-	if *rr > 0 {
+	if *rr != 0 {
 		cfg.WeightWindow = core.WeightWindow{Enabled: true, Target: *rr}
 	}
+	cfg.Replicas = *replicas
 	if *resume && *ckpt == "" {
 		return fmt.Errorf("-resume needs -checkpoint to name the snapshot file")
 	}
-	if *replicas > 1 {
+	// Refuse a bad flag before any work: the paths below validate too, but
+	// only after reading a checkpoint. On a copy, since Validate resolves the
+	// config in place.
+	probe := cfg
+	if err := probe.Validate(); err != nil {
+		return err
+	}
+	if cfg.Replicas > 1 {
 		if *ckpt != "" || *resume {
 			return fmt.Errorf("-checkpoint/-resume apply to single runs, not -replicas ensembles")
 		}
 		if *trace != "" {
 			return fmt.Errorf("-trace applies to single runs, not -replicas ensembles")
 		}
-		cfg.Replicas = *replicas
 		return runEnsemble(cfg, *cells)
 	}
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"time"
+	"unsafe"
 
 	"repro/internal/events"
 	"repro/internal/mesh"
@@ -31,7 +32,7 @@ var oeSchedule = Schedule{Kind: ScheduleStatic}
 // share no scratch, and no list is ever moved between them.
 type oeState struct {
 	active []int32 // the step's active slot indices, as gathered (sorted)
-	next   []int32 // the other half of each window's active double buffer
+	next   []int32 // the other half of each window's active double buffer, and eventKernel's deferred list
 	coll   []int32 // collision bucket for the round
 	facet  []int32 // facet bucket for the round
 	facetG []uint8 // facet geometry aligned with facet: axis<<1 | (dir>0)
@@ -148,7 +149,9 @@ func (r *run) stepOverEvents(res *Result) {
 //
 //  1. event kernel: compute times to events, pick the nearest, move the
 //     particle; gathers each particle's index into the collision or facet
-//     bucket (census particles retire into the census list);
+//     bucket (census particles retire into the census list), the facets it
+//     handed off after the plain ones, which it keeps on nxt meanwhile (free
+//     until the collision kernel writes it);
 //  2. collision kernel: handle all colliding particles (its bucket);
 //  3. facet kernel (fusing the paper's kernels 3 and 4): flush each
 //     facet-encountering particle's deposit into the cell it is leaving
@@ -174,7 +177,7 @@ func (r *run) oeWindow(ws *workerState, lo, hi int) {
 			return
 		}
 		t0 := r.enter(PhaseEventKernel, lead)
-		nc, nf, ncen := r.eventKernel(ws, cur[:n], coll, facet, facetG, census[retired:], rounds == 0)
+		nc, nf, ncen := r.eventKernel(ws, cur[:n], nxt, coll, facet, facetG, census[retired:], rounds == 0)
 		r.leave(PhaseEventKernel, lead, t0, acc)
 		retired += ncen
 
@@ -207,77 +210,117 @@ func (r *run) oeWindow(ws *workerState, lo, hi int) {
 // eventKernel is kernel 1 over active: calculate_time_to_events and
 // determine_next_event, gathering each slot into coll, facet (its geometry
 // beside it in facetG) or census, whose new lengths it returns. In the window's
-// first round (fill) it first builds the event frame of its slots.
+// first round (fill) it first builds the event frame of its slots. deferred,
+// as long as active, is scratch the kernel is done with when it returns.
 //
 // Consecutive iterations are unrelated particles, so anything data-dependent
 // the body branches on is mispredicted about as often as it varies. The body
 // is therefore flat: the facet search is straight-line code on the frame's
-// reciprocals (events.FacetAhead, events.NearerFacet), and one test — is this
-// anything but a plain facet segment? — guards the hand-off. When the facet
-// wins, 99 % of csp, the move is committed here with advance's expressions on
-// locals and the slot joins the facet bucket. A census or collision segment,
-// or axis-aligned flight the straight-line search cannot take, is handed to
-// advance with the record and frame untouched: it computes the same segment
-// again from the same values, so it picks the same event at the same bits (the
-// exit contract of the Over Particles streak). The kinematic views load the
-// fields advance reads and store the fields it can modify — for SoA that
-// skips the weight/deposit/RNG/id/status columns a pure mover never touches.
-func (r *run) eventKernel(ws *workerState, active, coll, facet []int32, facetG []uint8, census []int32, fill bool) (nc, nf, ncen int) {
-	frame, m := r.oe.frame, r.mesh
+// reciprocals (events.FacetAhead, events.NearerFacet), and one question — is
+// this a plain facet segment? — sorts the visit. If so, 99 % of csp, the move
+// is committed here with advance's expressions on locals and the slot joins
+// the facet bucket. Any other visit — cross sections a collision invalidated
+// (asked first, before the mesh read: nearly every visit of a collision-bound
+// problem), a census or collision segment, or axis-aligned flight the
+// straight-line search cannot take — is handed to advance (handOff) with the
+// record and frame untouched: it computes the same segment again from the same
+// values, so it picks the same event at the same bits (the exit contract of the
+// Over Particles streak). A facet it hands off is filed after the plain ones.
+//
+// On an AoS bank the visit loop reads and writes the records in place and
+// calls nothing: it only notes a hand-off's slot on deferred, and a second
+// pass hands those off in visit order. Go's ABI keeps no register across a
+// call, so one call site in the loop would put its state through the stack on
+// every visit. A SoA visit calls anyway — its kinematic view loads the fields
+// advance reads and stores the fields it can modify, skipping the
+// weight/deposit/RNG/id/status columns a pure mover never touches — so it
+// hands off in place rather than load its columns twice.
+func (r *run) eventKernel(ws *workerState, active, deferred, coll, facet []int32, facetG []uint8, census []int32, fill bool) (nc, nf, ncen int) {
+	frame, m, bank, nd := r.oe.frame, r.mesh, r.bank, &r.nd
+	recs := records(bank)
 	var scratch particle.Particle
 	if fill {
 		for _, slot := range active {
-			p := r.bank.View(int(slot), &scratch)
-			frame[slot].setMotion(p)
+			frame[slot].setMotion(bank.View(int(slot), &scratch))
 		}
 	}
-	for _, slot := range active {
-		i := int(slot)
-		p := r.bank.View(i, &scratch)
-		fr := &frame[i]
-		// No register caching of the transport state across events: the
-		// density is re-read from memory for every round, through the
-		// cell's material into the memoised number densities (artefacts.nd).
-		// sigmaT is the bit-identical expansion of
-		// xs.Macroscopic over that factor: ((sigma*B)*nd), the order the
-		// function evaluates.
-		nd := r.nd[m.Material(int(p.CellX), int(p.CellY))]
-		sigmaA := p.CachedSigmaA
-		sigmaT := (sigmaA + p.CachedSigmaS) * xs.BarnsToSquareMetres * nd
-
-		x, y, ux, uy := p.X, p.Y, p.UX, p.UY
-		dx, negX := events.FacetAhead(p.CellX, m.DX, x, ux, fr.invUX)
-		dy, negY := events.FacetAhead(p.CellY, m.DY, y, uy, fr.invUY)
-		d, axis, dir := events.NearerFacet(dx, dy, negX, negY)
-		dt, dm := float64(d*fr.invSpeed), float64(d*sigmaT)
-		collides := sigmaT >= events.MinSigmaT
-		ev, g := events.Facet, facetGeom(axis, dir)
-		if sigmaA < 0 || !events.Moving(ux, uy) || p.TimeToCensus < dt || collides && p.MFPToCollision <= dm {
-			ev, g = r.handOff(ws, p, fr, nd)
-		} else {
-			p.X = x + float64(ux*d)
-			p.Y = y + float64(uy*d)
-			p.TimeToCensus -= dt
-			if collides {
-				p.MFPToCollision -= dm
+	// No register caching of the transport state across events: the density
+	// is re-read from memory for every round, through the cell's material
+	// into the memoised number densities (artefacts.nd). sigmaT is the
+	// bit-identical expansion of xs.Macroscopic over that factor:
+	// ((sigma*B)*nd), the order the function evaluates. The two loops are one
+	// body but for the view and what follows a hand-off.
+	nDef := 0
+	if recs != nil {
+		frame := frame[:len(recs)] // one length: recs[slot]'s bounds check covers frame[slot]
+		for _, slot := range active {
+			p, fr := &recs[slot], &frame[slot]
+			if p.CachedSigmaA >= 0 {
+				sigmaT := (p.CachedSigmaA + p.CachedSigmaS) * xs.BarnsToSquareMetres * nd[m.Material(int(p.CellX), int(p.CellY))]
+				x, y, ux, uy := p.X, p.Y, p.UX, p.UY
+				dx, negX := events.FacetAhead(p.CellX, m.DX, x, ux, fr.invUX)
+				dy, negY := events.FacetAhead(p.CellY, m.DY, y, uy, fr.invUY)
+				d, axis, dir := events.NearerFacet(dx, dy, negX, negY)
+				dt, dm := float64(d*fr.invSpeed), float64(d*sigmaT)
+				collides := sigmaT >= events.MinSigmaT
+				if events.Moving(ux, uy) && !(p.TimeToCensus < dt) && !(collides && p.MFPToCollision <= dm) {
+					p.X = x + float64(ux*d)
+					p.Y = y + float64(uy*d)
+					p.TimeToCensus -= dt
+					if collides {
+						p.MFPToCollision -= dm
+					}
+					facet[nf] = slot
+					facetG[nf] = facetGeom(axis, dir)
+					nf++
+					continue
+				}
+			}
+			deferred[nDef] = slot
+			nDef++
+		}
+		for _, slot := range deferred[:nDef] {
+			p := &recs[slot]
+			if ev, g := r.handOff(ws, p, &frame[slot]); r.file(ev, slot, p, coll, census, &nc, &ncen) {
+				facet[nf], facetG[nf] = slot, g
+				nf++
 			}
 		}
-		switch ev {
-		case events.Facet:
-			facet[nf] = slot
-			facetG[nf] = g
-			nf++
-		case events.Collision:
-			coll[nc] = slot
-			nc++
-		case events.Census:
-			census[ncen] = slot
-			ncen++
+	} else {
+		// A facet handed off here waits on deferred, its geometry packed
+		// beside the slot, until the plain facets are filed.
+		for _, slot := range active {
+			p, fr := bank.View(int(slot), &scratch), &frame[slot]
+			if p.CachedSigmaA >= 0 {
+				sigmaT := (p.CachedSigmaA + p.CachedSigmaS) * xs.BarnsToSquareMetres * nd[m.Material(int(p.CellX), int(p.CellY))]
+				x, y, ux, uy := p.X, p.Y, p.UX, p.UY
+				dx, negX := events.FacetAhead(p.CellX, m.DX, x, ux, fr.invUX)
+				dy, negY := events.FacetAhead(p.CellY, m.DY, y, uy, fr.invUY)
+				d, axis, dir := events.NearerFacet(dx, dy, negX, negY)
+				dt, dm := float64(d*fr.invSpeed), float64(d*sigmaT)
+				collides := sigmaT >= events.MinSigmaT
+				if events.Moving(ux, uy) && !(p.TimeToCensus < dt) && !(collides && p.MFPToCollision <= dm) {
+					p.X = x + float64(ux*d)
+					p.Y = y + float64(uy*d)
+					p.TimeToCensus -= dt
+					if collides {
+						p.MFPToCollision -= dm
+					}
+					facet[nf] = slot
+					facetG[nf] = facetGeom(axis, dir)
+					nf++
+					bank.CommitKinematics(int(slot), p)
+					continue
+				}
+			}
+			if ev, g := r.handOff(ws, p, fr); r.file(ev, slot, p, coll, census, &nc, &ncen) {
+				deferred[nDef] = slot<<2 | int32(g)
+				nDef++
+			}
 		}
-		r.bank.CommitKinematics(i, p)
-		if ev == events.Census {
-			// After the commit: status is outside the kinematic field set.
-			r.bank.SetStatus(i, particle.Census)
+		for _, e := range deferred[:nDef] {
+			facet[nf], facetG[nf] = e>>2, uint8(e&3)
+			nf++
 		}
 	}
 	visits := uint64(len(active))
@@ -288,22 +331,51 @@ func (r *run) eventKernel(ws *workerState, active, coll, facet []int32, facetG [
 	return nc, nf, ncen
 }
 
+// records is an AoS bank's records as the one slice that layout stores them
+// in, nil for SoA or an empty bank. A loop that addresses records by slot
+// holds it in registers, where Bank.Ref would reload the layout and the slice
+// from the bank at every visit.
+func records(b *particle.Bank) []particle.Particle {
+	if b.Len() == 0 || b.Layout() != particle.AoS {
+		return nil
+	}
+	return unsafe.Slice(b.Ref(0), b.Len())
+}
+
 // handOff is the event kernel's general path, one particle's visit as the
 // kernel ran it before it had a flat path: refresh the cross sections a
-// collision invalidated, then advance. It is out of line so the kernel's loop
-// has one cold call site and keeps its state in registers around the hot path.
-func (r *run) handOff(ws *workerState, p *particle.Particle, fr *oeFrame, nd float64) (events.Type, uint8) {
+// collision invalidated, then advance. It reads the cell's number density
+// itself; the kernel counts one read per visit either way.
+func (r *run) handOff(ws *workerState, p *particle.Particle, fr *oeFrame) (events.Type, uint8) {
 	if p.CachedSigmaA < 0 {
 		r.lookupXS(ws, p)
 	}
+	nd := r.nd[r.mesh.Material(int(p.CellX), int(p.CellY))]
 	sigmaT := (p.CachedSigmaA + p.CachedSigmaS) * xs.BarnsToSquareMetres * nd
 	ev, axis, dir := advance(r.mesh, p, sigmaT, fr.speed, fr.invSpeed, fr.invUX, fr.invUY)
 	return ev, facetGeom(axis, dir)
 }
 
+// file publishes a handed-off visit's view and files its slot into the
+// collision or census bucket, or reports a facet for the caller to file.
+func (r *run) file(ev events.Type, slot int32, p *particle.Particle, coll, census []int32, nc, ncen *int) (facet bool) {
+	r.bank.CommitKinematics(int(slot), p)
+	switch ev {
+	case events.Collision:
+		coll[*nc] = slot
+		*nc++
+	case events.Census:
+		census[*ncen] = slot
+		*ncen++
+		// After the commit: status is outside the kinematic field set.
+		r.bank.SetStatus(int(slot), particle.Census)
+	}
+	return ev == events.Facet
+}
+
 // facetGeom packs a facet's axis and cell step into the byte that rides
 // beside the facet bucket: axis<<1 | (dir > 0).
-func facetGeom(axis, dir int) uint8 { return uint8(axis<<1 | (dir+1)>>1) }
+func facetGeom(axis, dir int) uint8 { return uint8(axis<<1 | (dir>>1 + 1)) }
 
 // collisionKernel is kernel 2 over coll: handle_collision for every colliding
 // particle. Survivors are gathered into next, whose length it returns, with

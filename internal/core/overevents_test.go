@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/events"
@@ -28,6 +29,28 @@ func sameFrame(a, b oeFrame) bool {
 		bits(a.invUX) == bits(b.invUX) && bits(a.invUY) == bits(b.invUY)
 }
 
+// oeVisitStates are the states the event kernel tests put an in-flight
+// particle in: as it stands, then each one the flat path must refuse —
+// cross sections a collision invalidated, its census clock nearly out,
+// inside the dense square with its mean-free-path budget nearly spent, and
+// flying along each axis.
+var oeVisitStates = []struct {
+	name string
+	mod  func(m *mesh.Mesh, p *particle.Particle)
+}{
+	{"as-is", func(*mesh.Mesh, *particle.Particle) {}},
+	{"xs-invalid", func(_ *mesh.Mesh, p *particle.Particle) { p.CachedSigmaA, p.CachedSigmaS = -1, -1 }},
+	{"census-due", func(_ *mesh.Mesh, p *particle.Particle) { p.TimeToCensus = 1e-13 }},
+	{"collision-due", func(m *mesh.Mesh, p *particle.Particle) {
+		// Into the middle of the dense centre square.
+		p.CellX, p.CellY = int32(m.NX/2), int32(m.NY/2)
+		p.X, p.Y = (float64(p.CellX)+0.5)*m.DX, (float64(p.CellY)+0.5)*m.DY
+		p.MFPToCollision = 1e-9
+	}},
+	{"along-x", func(_ *mesh.Mesh, p *particle.Particle) { p.UX, p.UY = math.Copysign(1, p.UX), 0 }},
+	{"along-y", func(_ *mesh.Mesh, p *particle.Particle) { p.UX, p.UY = math.Copysign(0, -1), math.Copysign(1, p.UY) }},
+}
+
 // TestOEKernelContract is the event kernel's per-particle contract, checked by
 // calling the kernel with one-slot lists: whichever path a visit takes —
 // the flat facet path or the hand-off to advance — the record ends where
@@ -36,26 +59,10 @@ func sameFrame(a, b oeFrame) bool {
 // once; and the frame still equals the values recomputed from the record. A
 // hand-off that had touched the record or the frame first could not pass: its
 // advance would start from a different state. Every in-flight particle of a
-// csp and a vacuum run is visited as it stands (facets, mostly) and again with
-// its census clock nearly out, inside the dense square with its mean-free-path
-// budget nearly spent, and flying along each axis — the states the flat path
-// must refuse.
+// csp and a vacuum run is visited in each of oeVisitStates: as it stands
+// (facets, mostly) and in every state the flat path must refuse.
 func TestOEKernelContract(t *testing.T) {
-	variants := []struct {
-		name string
-		mod  func(m *mesh.Mesh, p *particle.Particle)
-	}{
-		{"as-is", func(*mesh.Mesh, *particle.Particle) {}},
-		{"census-due", func(_ *mesh.Mesh, p *particle.Particle) { p.TimeToCensus = 1e-13 }},
-		{"collision-due", func(m *mesh.Mesh, p *particle.Particle) {
-			// Into the middle of the dense centre square.
-			p.CellX, p.CellY = int32(m.NX/2), int32(m.NY/2)
-			p.X, p.Y = (float64(p.CellX)+0.5)*m.DX, (float64(p.CellY)+0.5)*m.DY
-			p.MFPToCollision = 1e-9
-		}},
-		{"along-x", func(_ *mesh.Mesh, p *particle.Particle) { p.UX, p.UY = math.Copysign(1, p.UX), 0 }},
-		{"along-y", func(_ *mesh.Mesh, p *particle.Particle) { p.UX, p.UY = math.Copysign(0, -1), math.Copysign(1, p.UY) }},
-	}
+	variants := oeVisitStates
 	for _, layout := range []particle.Layout{particle.AoS, particle.SoA} {
 		for _, scene := range []string{"csp", "vacuum"} {
 			cfg := goldenConfig(mesh.CSP)
@@ -100,7 +107,7 @@ func TestOEKernelContract(t *testing.T) {
 					}
 
 					before := ws.c
-					nc, nf, ncen := r.eventKernel(ws, []int32{int32(i)}, sc.coll, sc.facet, sc.facetG, sc.census, true)
+					nc, nf, ncen := r.eventKernel(ws, []int32{int32(i)}, sc.next, sc.coll, sc.facet, sc.facetG, sc.census, true)
 
 					var got particle.Particle
 					r.bank.Load(i, &got)
@@ -140,6 +147,133 @@ func TestOEKernelContract(t *testing.T) {
 			if flat < 50 || seen[events.Collision] < 50 || seen[events.Census] < 50 {
 				t.Fatalf("%s/%v: %d flat facets, %d collisions, %d census: the test did not exercise every path", scene, layout, flat, seen[events.Collision], seen[events.Census])
 			}
+		}
+	}
+}
+
+// TestOEKernelWindow is the event kernel's contract over one whole window,
+// where visits that take the flat path and visits it hands off share the
+// buckets. The window is every in-flight particle of a csp run, cycling
+// through oeVisitStates with extra slots left as they stand. Each slot's
+// record and frame end as advance alone leaves them; each bucket holds the
+// slots whose event advance picks, with their geometry; and the facet bucket
+// lists the slots the flat path took, in visit order, then the facets handed
+// off, in visit order.
+func TestOEKernelWindow(t *testing.T) {
+	for _, layout := range []particle.Layout{particle.AoS, particle.SoA} {
+		cfg := goldenConfig(mesh.CSP)
+		cfg.Scheme, cfg.Layout = OverEvents, layout
+		sim, err := NewSimulation(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sim.Step(); err != nil {
+			t.Fatal(err)
+		}
+		r := sim.r
+		r.reviveCensus()
+		sc, ws := r.oe, r.workers[0]
+
+		// The window, and what advance alone makes of each of its slots.
+		type ref struct {
+			rec   particle.Particle
+			frame oeFrame
+			ev    events.Type
+			geom  uint8
+			plain bool // the flat path takes it
+		}
+		var window []int32
+		refWS := &workerState{}
+		want := map[int32]ref{}
+		for i := 0; i < r.bank.Len(); i++ {
+			if r.bank.StatusOf(i) != particle.Alive {
+				continue
+			}
+			state := len(window) % (len(oeVisitStates) + 2) // the last two as they stand
+			if state >= len(oeVisitStates) {
+				state = 0
+			}
+			var p particle.Particle
+			r.bank.Load(i, &p)
+			oeVisitStates[state].mod(r.mesh, &p)
+			r.bank.Store(i, &p)
+
+			w := ref{rec: p, frame: frameOf(r, i)}
+			if p.CachedSigmaA < 0 {
+				r.lookupXS(refWS, &w.rec)
+			}
+			sigmaT := (w.rec.CachedSigmaA + w.rec.CachedSigmaS) * xs.BarnsToSquareMetres * r.numberDensity(p.CellX, p.CellY)
+			ev, axis, dir := advance(r.mesh, &w.rec, sigmaT, w.frame.speed, w.frame.invSpeed, w.frame.invUX, w.frame.invUY)
+			if ev == events.Census {
+				w.rec.Status = particle.Census
+			}
+			w.ev, w.geom = ev, facetGeom(axis, dir)
+			w.plain = state == 0 && ev == events.Facet
+			window = append(window, int32(i))
+			want[int32(i)] = w
+		}
+
+		before := ws.c
+		nc, nf, ncen := r.eventKernel(ws, window, sc.next, sc.coll, sc.facet, sc.facetG, sc.census, true)
+
+		var wantFacet, handedFacet []int32
+		wantN := map[events.Type]int{}
+		for _, slot := range window {
+			w := want[slot]
+			var got particle.Particle
+			r.bank.Load(int(slot), &got)
+			if got != w.rec {
+				t.Fatalf("%v slot %d (%v):\n kernel  %+v\n advance %+v", layout, slot, w.ev, got, w.rec)
+			}
+			if !sameFrame(sc.frame[slot], w.frame) {
+				t.Fatalf("%v slot %d: frame %+v, recomputed %+v", layout, slot, sc.frame[slot], w.frame)
+			}
+			wantN[w.ev]++
+			switch {
+			case w.plain:
+				wantFacet = append(wantFacet, slot)
+			case w.ev == events.Facet:
+				handedFacet = append(handedFacet, slot)
+			}
+		}
+		if nc != wantN[events.Collision] || nf != wantN[events.Facet] || ncen != wantN[events.Census] {
+			t.Fatalf("%v: buckets (coll, facet, census) = (%d, %d, %d), advance picks %v", layout, nc, nf, ncen, wantN)
+		}
+		// Membership, whatever the order: each bucket holds exactly the slots
+		// whose event advance picks.
+		for ev, bucket := range map[events.Type][]int32{events.Collision: sc.coll[:nc], events.Facet: sc.facet[:nf], events.Census: sc.census[:ncen]} {
+			seen := map[int32]bool{}
+			for k, slot := range bucket {
+				w, ok := want[slot]
+				if !ok || seen[slot] || w.ev != ev {
+					t.Fatalf("%v: %v bucket entry %d is slot %d, whose event is %v (in window %t, repeated %t)", layout, ev, k, slot, w.ev, ok, seen[slot])
+				}
+				if ev == events.Facet && sc.facetG[k] != w.geom {
+					t.Fatalf("%v: facet slot %d geometry %d, advance gives %d", layout, slot, sc.facetG[k], w.geom)
+				}
+				seen[slot] = true
+			}
+		}
+		// Order: the flat path's facets in visit order, then the handed-off
+		// facets in visit order.
+		wantFacet = append(wantFacet, handedFacet...)
+		if !slices.Equal(sc.facet[:nf], wantFacet) {
+			t.Fatalf("%v: facet bucket %v, want %v", layout, sc.facet[:nf], wantFacet)
+		}
+		wc := before
+		n := uint64(len(window))
+		wc.Segments += n
+		wc.DensityReads += n
+		wc.OEActiveVisits += n
+		wc.CensusEvents += uint64(ncen)
+		wc.XSLookups += refWS.c.XSLookups
+		wc.XSSearchSteps += refWS.c.XSSearchSteps
+		if ws.c != wc {
+			t.Fatalf("%v: counters moved\n from %+v\n to   %+v\n want %+v", layout, before, ws.c, wc)
+		}
+		if len(wantFacet)-len(handedFacet) < 30 || len(handedFacet) < 5 || nc < 5 || ncen < 5 {
+			t.Fatalf("%v: %d flat facets, %d handed-off facets, %d collisions, %d census: the window does not mix the paths",
+				layout, len(wantFacet)-len(handedFacet), len(handedFacet), nc, ncen)
 		}
 	}
 }

@@ -33,24 +33,27 @@ func BenchmarkUninterruptedSolve(b *testing.B) {
 // versus Morton ordering plus the cell-sorted bank), reporting the active
 // fraction — the share of the naive scheme's slot sweeps that touched
 // in-flight work — and each per-round kernel's nanoseconds per visited slot
-// (Result.OEVisitNs) alongside ns/op. The thread count is in the row's name,
-// not the runner's core count: benchgate compares a row to a baseline recorded
-// elsewhere.
+// (Result.OEVisitNs) alongside ns/op. The scatter rows are the event kernel's
+// worst case: nearly every visit is one it hands off to advance. The thread
+// count is in the row's name, not the runner's core count: benchgate compares
+// a row to a baseline recorded elsewhere.
 func BenchmarkOverEvents(b *testing.B) {
 	for _, layout := range []particle.Layout{particle.AoS, particle.SoA} {
 		for _, loc := range []struct {
 			name    string
+			problem mesh.Problem
 			ord     mesh.Ordering
 			sort    int
 			threads int
 		}{
-			{"row-major/t1", mesh.RowMajor, 0, 1},
-			{"row-major/t2", mesh.RowMajor, 0, 2},
-			{"morton+sort/t1", mesh.Morton, 1, 1},
-			{"morton+sort/t2", mesh.Morton, 1, 2},
+			{"row-major/t1", mesh.CSP, mesh.RowMajor, 0, 1},
+			{"row-major/t2", mesh.CSP, mesh.RowMajor, 0, 2},
+			{"morton+sort/t1", mesh.CSP, mesh.Morton, 1, 1},
+			{"morton+sort/t2", mesh.CSP, mesh.Morton, 1, 2},
+			{"scatter/t1", mesh.Scatter, mesh.RowMajor, 0, 1},
 		} {
 			b.Run(fmt.Sprintf("layout=%v/%s", layout, loc.name), func(b *testing.B) {
-				cfg := Default(mesh.CSP)
+				cfg := Default(loc.problem)
 				cfg.Scheme = OverEvents
 				cfg.Layout = layout
 				cfg.Ordering = loc.ord
