@@ -59,6 +59,15 @@ func run() error {
 		}
 		devices = []*archmodel.Device{d}
 	}
+	// Only 0 keeps a number flag's documented meaning: refuse the rest before the table.
+	if *threads < 0 || *regcap < 0 {
+		return fmt.Errorf("-threads %d, -regcap %d: neither may be negative", *threads, *regcap)
+	}
+	for _, d := range devices {
+		if d.Kind == archmodel.CPU && *threads > d.MaxThreads() {
+			return fmt.Errorf("-threads %d exceeds the %d threads of %s", *threads, d.MaxThreads(), d.Name)
+		}
+	}
 	problems := []mesh.Problem{mesh.Stream, mesh.Scatter, mesh.CSP}
 	if *problem != "" {
 		p, err := mesh.ParseProblem(*problem)

@@ -67,6 +67,7 @@ import (
 	"time"
 
 	"repro/internal/cliutil"
+	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/scene"
 	"repro/internal/service"
@@ -117,6 +118,17 @@ func run() error {
 		return nil
 	})
 	flag.Parse()
+
+	// Only 0 keeps a number flag's documented meaning: refuse the rest before listening.
+	if *threads > core.MaxThreads {
+		return fmt.Errorf("-threads-per-job %d out of range [0, %d]", *threads, core.MaxThreads)
+	}
+	names := []string{"shards", "queue-depth", "threads-per-job", "max-body", "lease", "sse-heartbeat", "drain"}
+	for i, v := range []int64{int64(*shards), int64(*queueDepth), int64(*threads), *maxBody, int64(*lease), int64(*heartbeat), int64(*drain)} {
+		if v < 0 {
+			return fmt.Errorf("-%s %v is negative", names[i], flag.Lookup(names[i]).Value)
+		}
+	}
 
 	logger := cliutil.NewLogger(os.Stderr, *logJSON)
 

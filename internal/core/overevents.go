@@ -198,8 +198,17 @@ func (r *run) oeWindow(ws *workerState, lo, hi int) {
 	}
 
 	t0 := r.enter(PhaseTallyKernel, lead)
+	recs := records(r.bank)
 	for _, slot := range census[:retired] {
-		r.flushSlot(ws, int(slot))
+		if recs != nil {
+			r.flush(ws, &recs[slot])
+			continue
+		}
+		// SoA: through the deposit field view, not whole records.
+		if cx, cy, dep := r.bank.FlushDeposit(int(slot)); dep != 0 {
+			r.tly.Add(ws.id, r.mesh.StorageIndex(int(cx), int(cy)), dep)
+		}
+		ws.c.TallyFlushes++
 	}
 	ws.c.OEActiveVisits += uint64(retired)
 	r.leave(PhaseTallyKernel, lead, t0, acc)
@@ -241,7 +250,11 @@ func (r *run) eventKernel(ws *workerState, active, deferred, coll, facet []int32
 	var scratch particle.Particle
 	if fill {
 		for _, slot := range active {
-			frame[slot].setMotion(bank.View(int(slot), &scratch))
+			if recs != nil {
+				frame[slot].setMotion(&recs[slot])
+			} else {
+				frame[slot].setMotion(bank.View(int(slot), &scratch))
+			}
 		}
 	}
 	// No register caching of the transport state across events: the density
@@ -380,28 +393,34 @@ func facetGeom(axis, dir int) uint8 { return uint8(axis<<1 | (dir>>1 + 1)) }
 // collisionKernel is kernel 2 over coll: handle_collision for every colliding
 // particle. Survivors are gathered into next, whose length it returns, with
 // their frame motion recomputed — a collision is the one mid-step change of
-// energy and direction; deaths retire here.
+// energy and direction; deaths retire here. On AoS Collide works on the record.
 func (r *run) collisionKernel(ws *workerState, coll, next []int32) (nk int) {
-	frame := r.oe.frame
-	var p particle.Particle
+	frame, recs := r.oe.frame, records(r.bank)
+	var scratch particle.Particle
 	for _, slot := range coll {
-		i := int(slot)
-		r.bank.Load(i, &p)
+		i, p := int(slot), &scratch
+		if recs != nil {
+			p = &recs[i]
+		} else {
+			r.bank.Load(i, p)
+		}
 		s := p.Stream(r.cfg.Seed)
-		cr := events.Collide(&r.ctx, &p, &s, p.CachedSigmaA, p.CachedSigmaS)
+		cr := events.Collide(&r.ctx, p, &s, p.CachedSigmaA, p.CachedSigmaS)
 		if cr.Died {
-			r.flush(ws, &p)
+			r.flush(ws, p)
 		} else {
 			// Invalidate the stored cross sections; next round's event
 			// kernel re-looks them up (nothing stays in registers).
 			p.CachedSigmaA = -1
 			p.CachedSigmaS = -1
-			frame[i].setMotion(&p)
+			frame[i].setMotion(p)
 			next[nk] = slot
 			nk++
 		}
 		p.SaveStream(&s)
-		r.bank.Store(i, &p)
+		if recs == nil {
+			r.bank.Store(i, p)
+		}
 	}
 	visits, died := uint64(len(coll)), uint64(len(coll)-nk)
 	ws.c.CollisionEvents += visits
@@ -425,38 +444,68 @@ func (r *run) collisionKernel(ws *workerState, coll, next []int32) (nk int) {
 // one branch — the neighbour is outside the domain — is rare and is the only
 // place the scene's boundary conditions are consulted. Survivors are compacted
 // in place to the front of facet (escaped slots drop out of the round like
-// collision deaths do); it returns how many there are.
+// collision deaths do); it returns how many there are. On AoS, as in the
+// event kernel, the loop works on the records in place.
 func (r *run) facetKernel(ws *workerState, facet []int32, facetG []uint8) (nk int) {
 	frame, m := r.oe.frame, r.mesh
 	reflected := uint64(0)
-	for k, slot := range facet {
-		i := int(slot)
-		cx, cy, dep := r.bank.FlushDeposit(i)
-		if dep != 0 {
-			r.tly.Add(ws.id, m.StorageIndex(int(cx), int(cy)), dep)
-		}
-		g := int(facetG[k])
-		axis, dir := g>>1, 2*(g&1)-1
-		nx, ny := int(cx)+dir&(axis-1), int(cy)+dir&-axis
-		if uint(nx) < uint(m.NX) && uint(ny) < uint(m.NY) {
-			r.bank.SetCellAxis(i, 0, int32(nx))
-			r.bank.SetCellAxis(i, 1, int32(ny))
-		} else if edge := mesh.EdgeOf(axis, dir); m.EdgeBC(edge) == mesh.Vacuum {
-			wgt, we := r.bank.Escape(i)
-			r.leakWeight.Add(ws.id, int(edge), wgt)
-			r.leakEnergy.Add(ws.id, int(edge), we)
-			continue // retired: not a survivor
-		} else {
-			r.bank.NegateUAxis(i, axis)
-			if fr := &frame[i]; axis == 0 {
-				fr.invUX = -fr.invUX
-			} else {
-				fr.invUY = -fr.invUY
+	if recs := records(r.bank); recs != nil {
+		frame := frame[:len(recs)] // one length, as in eventKernel
+		for k, slot := range facet {
+			p := &recs[slot]
+			if dep := p.Deposit; dep != 0 {
+				p.Deposit = 0
+				r.tly.Add(ws.id, m.StorageIndex(int(p.CellX), int(p.CellY)), dep)
 			}
-			reflected++
+			g := int(facetG[k])
+			axis, dir := g>>1, 2*(g&1)-1
+			nx, ny := int(p.CellX)+dir&(axis-1), int(p.CellY)+dir&-axis
+			switch fr := &frame[slot]; {
+			case uint(nx) < uint(m.NX) && uint(ny) < uint(m.NY):
+				p.CellX, p.CellY = int32(nx), int32(ny)
+			case m.EdgeBC(mesh.EdgeOf(axis, dir)) == mesh.Vacuum:
+				r.escape(ws, p, axis, dir)
+				continue // retired: not a survivor
+			case axis == 0:
+				p.UX, fr.invUX = -p.UX, -fr.invUX
+				reflected++
+			default:
+				p.UY, fr.invUY = -p.UY, -fr.invUY
+				reflected++
+			}
+			facet[nk] = slot
+			nk++
 		}
-		facet[nk] = slot
-		nk++
+	} else {
+		for k, slot := range facet {
+			i := int(slot)
+			cx, cy, dep := r.bank.FlushDeposit(i)
+			if dep != 0 {
+				r.tly.Add(ws.id, m.StorageIndex(int(cx), int(cy)), dep)
+			}
+			g := int(facetG[k])
+			axis, dir := g>>1, 2*(g&1)-1
+			nx, ny := int(cx)+dir&(axis-1), int(cy)+dir&-axis
+			if uint(nx) < uint(m.NX) && uint(ny) < uint(m.NY) {
+				r.bank.SetCellAxis(i, 0, int32(nx))
+				r.bank.SetCellAxis(i, 1, int32(ny))
+			} else if edge := mesh.EdgeOf(axis, dir); m.EdgeBC(edge) == mesh.Vacuum {
+				wgt, we := r.bank.Escape(i)
+				r.leakWeight.Add(ws.id, int(edge), wgt)
+				r.leakEnergy.Add(ws.id, int(edge), we)
+				continue // retired: not a survivor
+			} else {
+				r.bank.NegateUAxis(i, axis)
+				if fr := &frame[i]; axis == 0 {
+					fr.invUX = -fr.invUX
+				} else {
+					fr.invUY = -fr.invUY
+				}
+				reflected++
+			}
+			facet[nk] = slot
+			nk++
+		}
 	}
 	visits, escaped := uint64(len(facet)), uint64(len(facet)-nk)
 	ws.c.FacetEvents += visits

@@ -382,3 +382,127 @@ func TestOEFrameCoherent(t *testing.T) {
 		}
 	}
 }
+
+// TestOEKernelLayouts runs the collision and facet kernels over one mixed
+// window on an AoS bank and on a SoA bank that start equal, and requires the
+// two to end equal: records, frames, survivor lists, tally ticks, leakage and
+// counters. The window, on the leak scene (+x and +y open to vacuum), holds
+// collision deaths and survivors, then facets of every kind: plain crossings,
+// crossings that flush a deposit (the survivors', left by their collision,
+// and a set one), reflections off the closed -x and -y edges and escapes
+// through the open +x and +y ones. Both layouts run the same kernels only
+// through different loops, so any field one loop writes and the other does
+// not shows as a difference.
+func TestOEKernelLayouts(t *testing.T) {
+	type end struct {
+		recs                []particle.Particle
+		frames              []oeFrame
+		survivors, facets   []int32
+		ticks, leakW, leakE []int64
+		c                   Counters
+	}
+	kernels := func(layout particle.Layout) end {
+		cfg := leakConfig(t)
+		// The step that puts histories in flight runs Over Particles, so the
+		// two banks start equal whatever the kernels under test do.
+		cfg.Scheme, cfg.Layout, cfg.Particles = OverParticles, layout, 1000
+		sim, err := NewSimulation(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sim.Step(); err != nil {
+			t.Fatal(err)
+		}
+		r := sim.r
+		r.reviveCensus()
+		r.ensureOE()
+		m, ws := r.mesh, r.workers[0]
+		ws.c = Counters{} // the kernels' counts alone
+		var window, coll, facet []int32
+		var geom []uint8
+		for i := 0; i < r.bank.Len() && len(window) < 120; i++ {
+			if r.bank.StatusOf(i) != particle.Alive {
+				continue
+			}
+			var p particle.Particle
+			r.bank.Load(i, &p)
+			slot, n := int32(i), len(window)
+			axis := n / 6 % 2 // alternate the axis of the edge cases
+			p.CellX, p.CellY = int32(m.NX/2), int32(m.NY/2)
+			switch n % 6 {
+			case 0, 1: // a collision: death below the weight cutoff, or a survivor
+				p.CachedSigmaA, p.CachedSigmaS = 1, 3
+				if n%6 == 0 {
+					p.Weight = r.ctx.WeightCutoff / 2
+				}
+				coll = append(coll, slot)
+			case 2, 3: // a plain crossing, the second carrying a deposit
+				if n%6 == 3 {
+					p.Deposit = 1e-3 * p.Weight * p.Energy
+				}
+				facet, geom = append(facet, slot), append(geom, facetGeom(axis, 2*(n/12%2)-1))
+			case 4: // a reflection off a closed edge
+				p.CellX, p.CellY = p.CellX*int32(axis), p.CellY*int32(1-axis)
+				facet, geom = append(facet, slot), append(geom, facetGeom(axis, -1))
+			case 5: // an escape through an open edge, with a deposit to flush first
+				if axis == 0 {
+					p.CellX = int32(m.NX - 1)
+				} else {
+					p.CellY = int32(m.NY - 1)
+				}
+				p.Deposit = 1e-3 * p.Weight * p.Energy
+				facet, geom = append(facet, slot), append(geom, facetGeom(axis, 1))
+			}
+			r.bank.Store(i, &p)
+			r.oe.frame[i].setMotion(&p)
+			window = append(window, slot)
+		}
+
+		next := make([]int32, len(coll))
+		nk := r.collisionKernel(ws, coll, next)
+		for _, slot := range next[:nk] {
+			facet, geom = append(facet, slot), append(geom, facetGeom(int(slot)%2, 1))
+		}
+		nf := r.facetKernel(ws, facet, geom)
+
+		e := end{survivors: next[:nk], facets: facet[:nf], c: ws.c}
+		for _, slot := range window {
+			var p particle.Particle
+			r.bank.Load(int(slot), &p)
+			e.recs = append(e.recs, p)
+			e.frames = append(e.frames, r.oe.frame[slot])
+		}
+		e.ticks = slices.Clone(r.tly.Ticks())
+		e.leakW, e.leakE = slices.Clone(r.leakWeight.Ticks()), slices.Clone(r.leakEnergy.Ticks())
+		return e
+	}
+
+	aos, soa := kernels(particle.AoS), kernels(particle.SoA)
+	for k := range aos.recs {
+		if aos.recs[k] != soa.recs[k] {
+			t.Fatalf("window entry %d record:\n AoS %+v\n SoA %+v", k, aos.recs[k], soa.recs[k])
+		}
+		if !sameFrame(aos.frames[k], soa.frames[k]) {
+			t.Fatalf("window entry %d frame: AoS %+v, SoA %+v", k, aos.frames[k], soa.frames[k])
+		}
+	}
+	for _, l := range []struct {
+		name     string
+		aos, soa []int64
+	}{{"tally", aos.ticks, soa.ticks}, {"leaked weight", aos.leakW, soa.leakW}, {"leaked energy", aos.leakE, soa.leakE}} {
+		if !slices.Equal(l.aos, l.soa) {
+			t.Fatalf("%s ticks differ between layouts", l.name)
+		}
+	}
+	if !slices.Equal(aos.survivors, soa.survivors) || !slices.Equal(aos.facets, soa.facets) {
+		t.Fatalf("survivors AoS %v SoA %v; facet survivors AoS %v SoA %v", aos.survivors, soa.survivors, aos.facets, soa.facets)
+	}
+	if aos.c != soa.c {
+		t.Fatalf("counters:\n AoS %+v\n SoA %+v", aos.c, soa.c)
+	}
+	c := aos.c
+	if c.Deaths < 10 || len(aos.survivors) < 10 || c.Reflections < 10 || c.Escapes < 10 {
+		t.Fatalf("the window does not mix the cases: %d deaths, %d survivors, %d reflections, %d escapes of %d facets",
+			c.Deaths, len(aos.survivors), c.Reflections, c.Escapes, c.FacetEvents)
+	}
+}

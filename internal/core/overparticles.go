@@ -119,6 +119,7 @@ func (r *run) history(ws *workerState, p *particle.Particle) {
 			default:
 				// Vacuum boundary: the history ends here and its
 				// weight-energy leaks out through this edge.
+				ws.c.Escapes++
 				r.escape(ws, p, axis, dir)
 				p.SaveStream(&s)
 				return

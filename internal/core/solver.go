@@ -247,10 +247,10 @@ func (r *run) setBirth(weight, energy float64) {
 // escape retires a history at a vacuum boundary: the carried weight-energy
 // is charged to the exit edge's leakage tally (never the deposition tally)
 // and the record is marked Escaped with zero weight. The deposit register
-// was already flushed by the facet handling, so nothing is lost.
+// was already flushed by the facet handling, so nothing is lost. The caller
+// counts the escape.
 func (r *run) escape(ws *workerState, p *particle.Particle, axis, dir int) {
 	edge := int(mesh.EdgeOf(axis, dir))
-	ws.c.Escapes++
 	r.leakWeight.Add(ws.id, edge, p.Weight)
 	r.leakEnergy.Add(ws.id, edge, p.Weight*p.Energy)
 	p.Weight = 0
@@ -673,18 +673,6 @@ func (r *run) flush(ws *workerState, p *particle.Particle) {
 		cell := r.mesh.StorageIndex(int(p.CellX), int(p.CellY))
 		r.tly.Add(ws.id, cell, p.Deposit)
 		p.Deposit = 0
-	}
-	ws.c.TallyFlushes++
-}
-
-// flushSlot is flush through the bank's deposit field view: it empties slot
-// i's deposit register into the tally cell the particle occupies without
-// streaming the whole record through a working copy. The Over Events census
-// kernel uses it; like flush it elides the zero-deposit no-op.
-func (r *run) flushSlot(ws *workerState, i int) {
-	cx, cy, dep := r.bank.FlushDeposit(i)
-	if dep != 0 {
-		r.tly.Add(ws.id, r.mesh.StorageIndex(int(cx), int(cy)), dep)
 	}
 	ws.c.TallyFlushes++
 }
