@@ -150,14 +150,6 @@ func MeasureWorkloadCfg(problem mesh.Problem, scheme core.Scheme, mod func(*core
 	return FromResult(res, paper.Particles, paper.NX), nil
 }
 
-// EventsPerParticle reports the mean events per history.
-func (w *Workload) EventsPerParticle() float64 {
-	if w.Particles == 0 {
-		return 0
-	}
-	return (w.Facets + w.Collisions + w.Census) / w.Particles
-}
-
 // ParticleRecordBytes is the per-particle record footprint, from the
 // particle package.
 const ParticleRecordBytes = float64(particle.BytesPerParticle)

@@ -319,6 +319,12 @@ func (s Strategy) validate() error {
 	if s.Threads < 0 || s.Threads > MaxThreads {
 		return fmt.Errorf("core: thread count %d out of range [0, %d]", s.Threads, MaxThreads)
 	}
+	if s.Scheme != OverParticles && s.Scheme != OverEvents {
+		return fmt.Errorf("core: unknown scheme %d", int(s.Scheme))
+	}
+	if s.Layout != particle.AoS && s.Layout != particle.SoA {
+		return fmt.Errorf("core: unknown particle layout %d", int(s.Layout))
+	}
 	if s.Ordering != mesh.RowMajor && s.Ordering != mesh.Morton {
 		return fmt.Errorf("core: unknown mesh ordering %d", int(s.Ordering))
 	}

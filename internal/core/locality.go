@@ -94,14 +94,23 @@ func (r *run) sortStep(res *Result) {
 		r.sortPerm = make([]int32, n)
 	}
 	keys := r.sortKeys[:n]
-	for i := 0; i < n; i++ {
-		key := uint64(retiredSlotKey)
-		if r.bank.StatusOf(i) == particle.Alive {
-			cx := r.bank.CellAxis(i, 0)
-			cy := r.bank.CellAxis(i, 1)
-			key = uint64(r.mesh.StorageIndex(int(cx), int(cy)))
+	key := func(i int, st particle.Status, cx, cy int32) uint64 {
+		k := uint64(retiredSlotKey)
+		if st == particle.Alive {
+			k = uint64(r.mesh.StorageIndex(int(cx), int(cy)))
 		}
-		keys[i] = key<<32 | uint64(i)
+		return k<<32 | uint64(i)
+	}
+	if recs := r.bank.Records(); recs != nil {
+		for i := range keys {
+			p := &recs[i]
+			keys[i] = key(i, p.Status, p.CellX, p.CellY)
+		}
+	} else {
+		c, _ := r.bank.Columns()
+		for i := range keys {
+			keys[i] = key(i, c.Status[i], c.CellX[i], c.CellY[i])
+		}
 	}
 	slices.Sort(keys)
 	perm := r.sortPerm[:n]

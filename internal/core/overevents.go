@@ -2,7 +2,6 @@ package core
 
 import (
 	"time"
-	"unsafe"
 
 	"repro/internal/events"
 	"repro/internal/mesh"
@@ -198,17 +197,19 @@ func (r *run) oeWindow(ws *workerState, lo, hi int) {
 	}
 
 	t0 := r.enter(PhaseTallyKernel, lead)
-	recs := records(r.bank)
-	for _, slot := range census[:retired] {
-		if recs != nil {
+	if recs := r.bank.Records(); recs != nil {
+		for _, slot := range census[:retired] {
 			r.flush(ws, &recs[slot])
-			continue
 		}
-		// SoA: through the deposit field view, not whole records.
-		if cx, cy, dep := r.bank.FlushDeposit(int(slot)); dep != 0 {
-			r.tly.Add(ws.id, r.mesh.StorageIndex(int(cx), int(cy)), dep)
+	} else {
+		c, _ := r.bank.Columns()
+		for _, slot := range census[:retired] {
+			if dep := c.Deposit[slot]; dep != 0 {
+				c.Deposit[slot] = 0
+				r.tly.Add(ws.id, r.mesh.StorageIndex(int(c.CellX[slot]), int(c.CellY[slot])), dep)
+			}
 		}
-		ws.c.TallyFlushes++
+		ws.c.TallyFlushes += uint64(retired)
 	}
 	ws.c.OEActiveVisits += uint64(retired)
 	r.leave(PhaseTallyKernel, lead, t0, acc)
@@ -236,36 +237,31 @@ func (r *run) oeWindow(ws *workerState, lo, hi int) {
 // values, so it picks the same event at the same bits (the exit contract of the
 // Over Particles streak). A facet it hands off is filed after the plain ones.
 //
-// On an AoS bank the visit loop reads and writes the records in place and
-// calls nothing: it only notes a hand-off's slot on deferred, and a second
-// pass hands those off in visit order. Go's ABI keeps no register across a
-// call, so one call site in the loop would put its state through the stack on
-// every visit. A SoA visit calls anyway — its kinematic view loads the fields
-// advance reads and stores the fields it can modify, skipping the
-// weight/deposit/RNG/id/status columns a pure mover never touches — so it
-// hands off in place rather than load its columns twice.
+// The visit loop reads and writes the bank's storage in place — the records
+// on AoS, the columns on SoA — and calls nothing: it only notes a hand-off's
+// slot on deferred, and a second pass hands those off in visit order. Go's ABI
+// keeps no register across a call, so one call site in the loop would put its
+// state through the stack on every visit. On SoA the hand-off works on a copy
+// of the twelve columns advance reads and stores back the seven it can modify;
+// the weight/deposit/RNG/id/status columns a mover never touches stay put.
 func (r *run) eventKernel(ws *workerState, active, deferred, coll, facet []int32, facetG []uint8, census []int32, fill bool) (nc, nf, ncen int) {
-	frame, m, bank, nd := r.oe.frame, r.mesh, r.bank, &r.nd
-	recs := records(bank)
-	var scratch particle.Particle
-	if fill {
-		for _, slot := range active {
-			if recs != nil {
-				frame[slot].setMotion(&recs[slot])
-			} else {
-				frame[slot].setMotion(bank.View(int(slot), &scratch))
-			}
-		}
-	}
+	frame, m, nd := r.oe.frame, r.mesh, &r.nd
+	recs := r.bank.Records()
+	c, _ := r.bank.Columns() // the slice headers in locals, not reloaded after each store
 	// No register caching of the transport state across events: the density
 	// is re-read from memory for every round, through the cell's material
 	// into the memoised number densities (artefacts.nd). sigmaT is the
 	// bit-identical expansion of xs.Macroscopic over that factor:
 	// ((sigma*B)*nd), the order the function evaluates. The two loops are one
-	// body but for the view and what follows a hand-off.
+	// body but for how a field is reached.
 	nDef := 0
 	if recs != nil {
 		frame := frame[:len(recs)] // one length: recs[slot]'s bounds check covers frame[slot]
+		if fill {
+			for _, slot := range active {
+				frame[slot].setMotion(&recs[slot])
+			}
+		}
 		for _, slot := range active {
 			p, fr := &recs[slot], &frame[slot]
 			if p.CachedSigmaA >= 0 {
@@ -292,48 +288,67 @@ func (r *run) eventKernel(ws *workerState, active, deferred, coll, facet []int32
 			deferred[nDef] = slot
 			nDef++
 		}
-		for _, slot := range deferred[:nDef] {
-			p := &recs[slot]
-			if ev, g := r.handOff(ws, p, &frame[slot]); r.file(ev, slot, p, coll, census, &nc, &ncen) {
-				facet[nf], facetG[nf] = slot, g
-				nf++
+	} else {
+		if fill {
+			var p particle.Particle
+			for _, slot := range active {
+				p.Energy, p.UX, p.UY = c.Energy[slot], c.UX[slot], c.UY[slot]
+				frame[slot].setMotion(&p)
 			}
 		}
-	} else {
-		// A facet handed off here waits on deferred, its geometry packed
-		// beside the slot, until the plain facets are filed.
 		for _, slot := range active {
-			p, fr := bank.View(int(slot), &scratch), &frame[slot]
-			if p.CachedSigmaA >= 0 {
-				sigmaT := (p.CachedSigmaA + p.CachedSigmaS) * xs.BarnsToSquareMetres * nd[m.Material(int(p.CellX), int(p.CellY))]
-				x, y, ux, uy := p.X, p.Y, p.UX, p.UY
-				dx, negX := events.FacetAhead(p.CellX, m.DX, x, ux, fr.invUX)
-				dy, negY := events.FacetAhead(p.CellY, m.DY, y, uy, fr.invUY)
+			fr := &frame[slot]
+			if sigmaA := c.CachedSigmaA[slot]; sigmaA >= 0 {
+				cx, cy := c.CellX[slot], c.CellY[slot]
+				sigmaT := (sigmaA + c.CachedSigmaS[slot]) * xs.BarnsToSquareMetres * nd[m.Material(int(cx), int(cy))]
+				x, y, ux, uy := c.X[slot], c.Y[slot], c.UX[slot], c.UY[slot]
+				dx, negX := events.FacetAhead(cx, m.DX, x, ux, fr.invUX)
+				dy, negY := events.FacetAhead(cy, m.DY, y, uy, fr.invUY)
 				d, axis, dir := events.NearerFacet(dx, dy, negX, negY)
 				dt, dm := float64(d*fr.invSpeed), float64(d*sigmaT)
 				collides := sigmaT >= events.MinSigmaT
-				if events.Moving(ux, uy) && !(p.TimeToCensus < dt) && !(collides && p.MFPToCollision <= dm) {
-					p.X = x + float64(ux*d)
-					p.Y = y + float64(uy*d)
-					p.TimeToCensus -= dt
+				if ttc, mfp := c.TimeToCensus[slot], c.MFPToCollision[slot]; events.Moving(ux, uy) && !(ttc < dt) && !(collides && mfp <= dm) {
+					c.X[slot] = x + float64(ux*d)
+					c.Y[slot] = y + float64(uy*d)
+					c.TimeToCensus[slot] = ttc - dt
 					if collides {
-						p.MFPToCollision -= dm
+						c.MFPToCollision[slot] = mfp - dm
 					}
 					facet[nf] = slot
 					facetG[nf] = facetGeom(axis, dir)
 					nf++
-					bank.CommitKinematics(int(slot), p)
 					continue
 				}
 			}
-			if ev, g := r.handOff(ws, p, fr); r.file(ev, slot, p, coll, census, &nc, &ncen) {
-				deferred[nDef] = slot<<2 | int32(g)
-				nDef++
-			}
+			deferred[nDef] = slot
+			nDef++
 		}
-		for _, e := range deferred[:nDef] {
-			facet[nf], facetG[nf] = e>>2, uint8(e&3)
+	}
+	// The hand-offs, in visit order: on the record, or on a kinematic copy
+	// of the columns.
+	var scratch particle.Particle
+	for _, slot := range deferred[:nDef] {
+		p := &scratch
+		if recs != nil {
+			p = &recs[slot]
+		} else {
+			c.LoadKinematics(int(slot), p)
+		}
+		ev, g := r.handOff(ws, p, &frame[slot])
+		if recs == nil {
+			c.StoreKinematics(int(slot), p)
+		}
+		switch ev {
+		case events.Facet:
+			facet[nf], facetG[nf] = slot, g
 			nf++
+		case events.Collision:
+			coll[nc] = slot
+			nc++
+		case events.Census:
+			census[ncen] = slot
+			ncen++
+			r.bank.SetStatus(int(slot), particle.Census)
 		}
 	}
 	visits := uint64(len(active))
@@ -342,17 +357,6 @@ func (r *run) eventKernel(ws *workerState, active, deferred, coll, facet []int32
 	ws.c.OEActiveVisits += visits
 	ws.c.CensusEvents += uint64(ncen)
 	return nc, nf, ncen
-}
-
-// records is an AoS bank's records as the one slice that layout stores them
-// in, nil for SoA or an empty bank. A loop that addresses records by slot
-// holds it in registers, where Bank.Ref would reload the layout and the slice
-// from the bank at every visit.
-func records(b *particle.Bank) []particle.Particle {
-	if b.Len() == 0 || b.Layout() != particle.AoS {
-		return nil
-	}
-	return unsafe.Slice(b.Ref(0), b.Len())
 }
 
 // handOff is the event kernel's general path, one particle's visit as the
@@ -369,23 +373,6 @@ func (r *run) handOff(ws *workerState, p *particle.Particle, fr *oeFrame) (event
 	return ev, facetGeom(axis, dir)
 }
 
-// file publishes a handed-off visit's view and files its slot into the
-// collision or census bucket, or reports a facet for the caller to file.
-func (r *run) file(ev events.Type, slot int32, p *particle.Particle, coll, census []int32, nc, ncen *int) (facet bool) {
-	r.bank.CommitKinematics(int(slot), p)
-	switch ev {
-	case events.Collision:
-		coll[*nc] = slot
-		*nc++
-	case events.Census:
-		census[*ncen] = slot
-		*ncen++
-		// After the commit: status is outside the kinematic field set.
-		r.bank.SetStatus(int(slot), particle.Census)
-	}
-	return ev == events.Facet
-}
-
 // facetGeom packs a facet's axis and cell step into the byte that rides
 // beside the facet bucket: axis<<1 | (dir > 0).
 func facetGeom(axis, dir int) uint8 { return uint8(axis<<1 | (dir>>1 + 1)) }
@@ -393,9 +380,10 @@ func facetGeom(axis, dir int) uint8 { return uint8(axis<<1 | (dir>>1 + 1)) }
 // collisionKernel is kernel 2 over coll: handle_collision for every colliding
 // particle. Survivors are gathered into next, whose length it returns, with
 // their frame motion recomputed — a collision is the one mid-step change of
-// energy and direction; deaths retire here. On AoS Collide works on the record.
+// energy and direction; deaths retire here. Collide works on the record on
+// AoS, and on a Load/Store copy on SoA: it reads and writes most fields.
 func (r *run) collisionKernel(ws *workerState, coll, next []int32) (nk int) {
-	frame, recs := r.oe.frame, records(r.bank)
+	frame, recs := r.oe.frame, r.bank.Records()
 	var scratch particle.Particle
 	for _, slot := range coll {
 		i, p := int(slot), &scratch
@@ -444,12 +432,12 @@ func (r *run) collisionKernel(ws *workerState, coll, next []int32) (nk int) {
 // one branch — the neighbour is outside the domain — is rare and is the only
 // place the scene's boundary conditions are consulted. Survivors are compacted
 // in place to the front of facet (escaped slots drop out of the round like
-// collision deaths do); it returns how many there are. On AoS, as in the
-// event kernel, the loop works on the records in place.
+// collision deaths do); it returns how many there are. As in the event
+// kernel, the loop works on the records or the columns in place.
 func (r *run) facetKernel(ws *workerState, facet []int32, facetG []uint8) (nk int) {
 	frame, m := r.oe.frame, r.mesh
 	reflected := uint64(0)
-	if recs := records(r.bank); recs != nil {
+	if recs := r.bank.Records(); recs != nil {
 		frame := frame[:len(recs)] // one length, as in eventKernel
 		for k, slot := range facet {
 			p := &recs[slot]
@@ -477,30 +465,29 @@ func (r *run) facetKernel(ws *workerState, facet []int32, facetG []uint8) (nk in
 			nk++
 		}
 	} else {
+		c, _ := r.bank.Columns()
 		for k, slot := range facet {
-			i := int(slot)
-			cx, cy, dep := r.bank.FlushDeposit(i)
-			if dep != 0 {
+			cx, cy := c.CellX[slot], c.CellY[slot]
+			if dep := c.Deposit[slot]; dep != 0 {
+				c.Deposit[slot] = 0
 				r.tly.Add(ws.id, m.StorageIndex(int(cx), int(cy)), dep)
 			}
 			g := int(facetG[k])
 			axis, dir := g>>1, 2*(g&1)-1
 			nx, ny := int(cx)+dir&(axis-1), int(cy)+dir&-axis
-			if uint(nx) < uint(m.NX) && uint(ny) < uint(m.NY) {
-				r.bank.SetCellAxis(i, 0, int32(nx))
-				r.bank.SetCellAxis(i, 1, int32(ny))
-			} else if edge := mesh.EdgeOf(axis, dir); m.EdgeBC(edge) == mesh.Vacuum {
-				wgt, we := r.bank.Escape(i)
-				r.leakWeight.Add(ws.id, int(edge), wgt)
-				r.leakEnergy.Add(ws.id, int(edge), we)
+			switch fr := &frame[slot]; {
+			case uint(nx) < uint(m.NX) && uint(ny) < uint(m.NY):
+				c.CellX[slot], c.CellY[slot] = int32(nx), int32(ny)
+			case m.EdgeBC(mesh.EdgeOf(axis, dir)) == mesh.Vacuum:
+				p := particle.Particle{Weight: c.Weight[slot], Energy: c.Energy[slot]}
+				r.escape(ws, &p, axis, dir)
+				c.Weight[slot], c.Status[slot] = p.Weight, p.Status
 				continue // retired: not a survivor
-			} else {
-				r.bank.NegateUAxis(i, axis)
-				if fr := &frame[i]; axis == 0 {
-					fr.invUX = -fr.invUX
-				} else {
-					fr.invUY = -fr.invUY
-				}
+			case axis == 0:
+				c.UX[slot], fr.invUX = -c.UX[slot], -fr.invUX
+				reflected++
+			default:
+				c.UY[slot], fr.invUY = -c.UY[slot], -fr.invUY
 				reflected++
 			}
 			facet[nk] = slot

@@ -311,15 +311,17 @@ func (s *Simulation) Snapshot() []byte {
 	w.u8(uint8(r.bank.Layout()))
 	w.u8(uint8(r.mesh.Ordering()))
 	w.u64(uint64(n))
-	var scratch particle.Particle
-	for i := 0; i < n; i++ {
-		// AoS records are serialised in place; SoA gathers the columns.
-		p := r.bank.Ref(i)
-		if p == nil {
-			r.bank.Load(i, &scratch)
-			p = &scratch
+	// AoS records are serialised in place; SoA gathers the columns.
+	if recs := r.bank.Records(); recs != nil {
+		for i := range recs {
+			w.writeParticle(&recs[i])
 		}
-		w.writeParticle(p)
+	} else {
+		var p particle.Particle
+		for i := 0; i < n; i++ {
+			r.bank.Load(i, &p)
+			w.writeParticle(&p)
+		}
 	}
 
 	w.u64(uint64(len(cells)))

@@ -428,6 +428,10 @@ func TestValidateErrors(t *testing.T) {
 		func(c *Config) { c.Schedule.Chunk = particle.MaxPopulation + 1 },
 		func(c *Config) { c.Schedule = Schedule{Kind: ScheduleDynamic, Chunk: math.MaxInt} }, // overflowed the claim cursor
 		func(c *Config) { c.Tally = tally.ModeNull + 1 },
+		func(c *Config) { c.Scheme = OverEvents + 1 },
+		func(c *Config) { c.Scheme = -1 },
+		func(c *Config) { c.Layout = particle.SoA + 1 },
+		func(c *Config) { c.Layout = -1 },
 	}
 	for i, mutate := range bad {
 		cfg := Default(mesh.CSP)

@@ -42,53 +42,56 @@ func ParseLayout(s string) (Layout, error) {
 }
 
 // Bank is a fixed-capacity store of particles in either layout. Load and
-// Store move particles between the bank and register-resident working
-// copies; they are the only access path, so the layout difference is purely
-// a memory-behaviour difference, exactly as in the C mini-app.
+// Store move one particle between the bank and a working copy in either
+// layout; a kernel that streams the bank takes its layout's storage once per
+// pass instead — Records on AoS, Columns on SoA — and indexes it directly.
 type Bank struct {
 	layout Layout
 	n      int
+	aos    []Particle // AoS storage
+	soa    Columns    // SoA storage
+}
 
-	// AoS storage.
-	aos []Particle
-
-	// SoA storage, one slice per field.
-	x, y, ux, uy, energy, weight []float64
-	mfp, tcens, deposit          []float64
-	sigmaA, sigmaS               []float64
-	cellX, cellY, xsIndex        []int32
-	rngCounter, id               []uint64
-	status                       []Status
+// Columns is a SoA bank's storage: one slice per Particle field, each Len()
+// long, slot i of every column holding particle i. Writes land in the bank.
+// Resize and Append may replace the slices, so a caller takes Columns again
+// after either.
+type Columns struct {
+	X, Y, UX, UY, Energy, Weight          []float64
+	MFPToCollision, TimeToCensus, Deposit []float64
+	CachedSigmaA, CachedSigmaS            []float64
+	CellX, CellY, XSIndex                 []int32
+	RNGCounter, ID                        []uint64
+	Status                                []Status
 }
 
 // NewBank allocates a bank of n particles in the given layout.
 func NewBank(layout Layout, n int) *Bank {
-	b := &Bank{layout: layout, n: n}
+	b := &Bank{layout: layout}
 	switch layout {
 	case AoS:
-		b.aos = make([]Particle, n)
+		b.aos = []Particle{} // non-nil even when empty: Records is nil only on SoA
 	case SoA:
-		b.x = make([]float64, n)
-		b.y = make([]float64, n)
-		b.ux = make([]float64, n)
-		b.uy = make([]float64, n)
-		b.energy = make([]float64, n)
-		b.weight = make([]float64, n)
-		b.mfp = make([]float64, n)
-		b.tcens = make([]float64, n)
-		b.deposit = make([]float64, n)
-		b.sigmaA = make([]float64, n)
-		b.sigmaS = make([]float64, n)
-		b.cellX = make([]int32, n)
-		b.cellY = make([]int32, n)
-		b.xsIndex = make([]int32, n)
-		b.rngCounter = make([]uint64, n)
-		b.id = make([]uint64, n)
-		b.status = make([]Status, n)
 	default:
 		panic(fmt.Sprintf("particle: unknown layout %v", layout))
 	}
+	b.Resize(n)
 	return b
+}
+
+// Records returns an AoS bank's records, in place, and nil for SoA.
+func (b *Bank) Records() []Particle {
+	if b.layout != AoS {
+		return nil
+	}
+	return b.aos
+}
+
+// Columns returns a copy of a SoA bank's column headers, whose elements are
+// the bank's own, and ok false for AoS. A caller cannot reslice the bank's
+// columns through it.
+func (b *Bank) Columns() (c Columns, ok bool) {
+	return b.soa, b.layout == SoA
 }
 
 // Layout reports the bank's memory layout.
@@ -98,10 +101,14 @@ func (b *Bank) Layout() Layout { return b.layout }
 func (b *Bank) Len() int { return b.n }
 
 // resized returns s with length n, reusing its backing array when the
-// capacity allows and copying into a fresh allocation otherwise — the shared
-// capacity path behind Resize and the SoA Append columns.
+// capacity allows and copying into a fresh allocation otherwise. Reused slots
+// may hold stale records from a previous run; growth re-zeroes them, so it
+// always exposes blank particles.
 func resized[T any](s []T, n int) []T {
 	if n <= cap(s) {
+		if n > len(s) {
+			clear(s[len(s):n])
+		}
 		return s[:n]
 	}
 	out := make([]T, n, growCap(cap(s), n))
@@ -143,43 +150,29 @@ func (b *Bank) Resize(n int) {
 		return
 	}
 	if b.layout == AoS {
-		if n > b.n && n <= cap(b.aos) {
-			// Reused slots may hold stale records from a previous run;
-			// re-zero them so growth always exposes blank particles.
-			clear(b.aos[b.n:n])
-		}
 		b.aos = resized(b.aos, n)
 		b.n = n
 		return
 	}
-	grow := n > b.n
-	b.x = resizedClear(b.x, b.n, n, grow)
-	b.y = resizedClear(b.y, b.n, n, grow)
-	b.ux = resizedClear(b.ux, b.n, n, grow)
-	b.uy = resizedClear(b.uy, b.n, n, grow)
-	b.energy = resizedClear(b.energy, b.n, n, grow)
-	b.weight = resizedClear(b.weight, b.n, n, grow)
-	b.mfp = resizedClear(b.mfp, b.n, n, grow)
-	b.tcens = resizedClear(b.tcens, b.n, n, grow)
-	b.deposit = resizedClear(b.deposit, b.n, n, grow)
-	b.sigmaA = resizedClear(b.sigmaA, b.n, n, grow)
-	b.sigmaS = resizedClear(b.sigmaS, b.n, n, grow)
-	b.cellX = resizedClear(b.cellX, b.n, n, grow)
-	b.cellY = resizedClear(b.cellY, b.n, n, grow)
-	b.xsIndex = resizedClear(b.xsIndex, b.n, n, grow)
-	b.rngCounter = resizedClear(b.rngCounter, b.n, n, grow)
-	b.id = resizedClear(b.id, b.n, n, grow)
-	b.status = resizedClear(b.status, b.n, n, grow)
+	c := &b.soa
+	c.X = resized(c.X, n)
+	c.Y = resized(c.Y, n)
+	c.UX = resized(c.UX, n)
+	c.UY = resized(c.UY, n)
+	c.Energy = resized(c.Energy, n)
+	c.Weight = resized(c.Weight, n)
+	c.MFPToCollision = resized(c.MFPToCollision, n)
+	c.TimeToCensus = resized(c.TimeToCensus, n)
+	c.Deposit = resized(c.Deposit, n)
+	c.CachedSigmaA = resized(c.CachedSigmaA, n)
+	c.CachedSigmaS = resized(c.CachedSigmaS, n)
+	c.CellX = resized(c.CellX, n)
+	c.CellY = resized(c.CellY, n)
+	c.XSIndex = resized(c.XSIndex, n)
+	c.RNGCounter = resized(c.RNGCounter, n)
+	c.ID = resized(c.ID, n)
+	c.Status = resized(c.Status, n)
 	b.n = n
-}
-
-// resizedClear is resized plus the stale-slot re-zeroing growth needs when
-// the backing array is reused.
-func resizedClear[T any](s []T, oldN, n int, grow bool) []T {
-	if grow && n <= cap(s) {
-		clear(s[oldN:n])
-	}
-	return resized(s, n)
 }
 
 // Load copies particle i into the working copy p.
@@ -188,23 +181,24 @@ func (b *Bank) Load(i int, p *Particle) {
 		*p = b.aos[i]
 		return
 	}
-	p.X = b.x[i]
-	p.Y = b.y[i]
-	p.UX = b.ux[i]
-	p.UY = b.uy[i]
-	p.Energy = b.energy[i]
-	p.Weight = b.weight[i]
-	p.MFPToCollision = b.mfp[i]
-	p.TimeToCensus = b.tcens[i]
-	p.Deposit = b.deposit[i]
-	p.CachedSigmaA = b.sigmaA[i]
-	p.CachedSigmaS = b.sigmaS[i]
-	p.CellX = b.cellX[i]
-	p.CellY = b.cellY[i]
-	p.XSIndex = b.xsIndex[i]
-	p.RNGCounter = b.rngCounter[i]
-	p.ID = b.id[i]
-	p.Status = b.status[i]
+	c := &b.soa
+	p.X = c.X[i]
+	p.Y = c.Y[i]
+	p.UX = c.UX[i]
+	p.UY = c.UY[i]
+	p.Energy = c.Energy[i]
+	p.Weight = c.Weight[i]
+	p.MFPToCollision = c.MFPToCollision[i]
+	p.TimeToCensus = c.TimeToCensus[i]
+	p.Deposit = c.Deposit[i]
+	p.CachedSigmaA = c.CachedSigmaA[i]
+	p.CachedSigmaS = c.CachedSigmaS[i]
+	p.CellX = c.CellX[i]
+	p.CellY = c.CellY[i]
+	p.XSIndex = c.XSIndex[i]
+	p.RNGCounter = c.RNGCounter[i]
+	p.ID = c.ID[i]
+	p.Status = c.Status[i]
 }
 
 // Store copies the working copy p back into slot i.
@@ -213,165 +207,58 @@ func (b *Bank) Store(i int, p *Particle) {
 		b.aos[i] = *p
 		return
 	}
-	b.x[i] = p.X
-	b.y[i] = p.Y
-	b.ux[i] = p.UX
-	b.uy[i] = p.UY
-	b.energy[i] = p.Energy
-	b.weight[i] = p.Weight
-	b.mfp[i] = p.MFPToCollision
-	b.tcens[i] = p.TimeToCensus
-	b.deposit[i] = p.Deposit
-	b.sigmaA[i] = p.CachedSigmaA
-	b.sigmaS[i] = p.CachedSigmaS
-	b.cellX[i] = p.CellX
-	b.cellY[i] = p.CellY
-	b.xsIndex[i] = p.XSIndex
-	b.rngCounter[i] = p.RNGCounter
-	b.id[i] = p.ID
-	b.status[i] = p.Status
+	c := &b.soa
+	c.X[i] = p.X
+	c.Y[i] = p.Y
+	c.UX[i] = p.UX
+	c.UY[i] = p.UY
+	c.Energy[i] = p.Energy
+	c.Weight[i] = p.Weight
+	c.MFPToCollision[i] = p.MFPToCollision
+	c.TimeToCensus[i] = p.TimeToCensus
+	c.Deposit[i] = p.Deposit
+	c.CachedSigmaA[i] = p.CachedSigmaA
+	c.CachedSigmaS[i] = p.CachedSigmaS
+	c.CellX[i] = p.CellX
+	c.CellY[i] = p.CellY
+	c.XSIndex[i] = p.XSIndex
+	c.RNGCounter[i] = p.RNGCounter
+	c.ID[i] = p.ID
+	c.Status[i] = p.Status
 }
 
-// LoadKinematics copies the fields the Over Events event kernel reads —
-// position, direction, energy, the distance/censustime registers, the cached
-// cross sections and the cell — into the working copy p. For AoS the whole
-// contiguous record is copied (one block copy is as cheap as picking
-// fields); for SoA only the twelve kinematic columns are touched, skipping
-// weight, deposit, RNG, id and status. The untouched fields of p are
-// UNDEFINED after a SoA load: callers must pair this with StoreKinematics
-// (never Store) and must not read the non-kinematic fields.
-func (b *Bank) LoadKinematics(i int, p *Particle) {
-	if b.layout == AoS {
-		*p = b.aos[i]
-		return
-	}
-	p.X = b.x[i]
-	p.Y = b.y[i]
-	p.UX = b.ux[i]
-	p.UY = b.uy[i]
-	p.Energy = b.energy[i]
-	p.MFPToCollision = b.mfp[i]
-	p.TimeToCensus = b.tcens[i]
-	p.CachedSigmaA = b.sigmaA[i]
-	p.CachedSigmaS = b.sigmaS[i]
-	p.CellX = b.cellX[i]
-	p.CellY = b.cellY[i]
-	p.XSIndex = b.xsIndex[i]
+// LoadKinematics copies into p the twelve fields the Over Events event
+// kernel's general path reads — position, direction, energy, the
+// distance/census registers, the cached cross sections and the cell —
+// skipping the weight, deposit, RNG, id and status columns. The other fields
+// of p keep whatever they held: pair it with StoreKinematics, never
+// Bank.Store.
+func (c *Columns) LoadKinematics(i int, p *Particle) {
+	p.X = c.X[i]
+	p.Y = c.Y[i]
+	p.UX = c.UX[i]
+	p.UY = c.UY[i]
+	p.Energy = c.Energy[i]
+	p.MFPToCollision = c.MFPToCollision[i]
+	p.TimeToCensus = c.TimeToCensus[i]
+	p.CachedSigmaA = c.CachedSigmaA[i]
+	p.CachedSigmaS = c.CachedSigmaS[i]
+	p.CellX = c.CellX[i]
+	p.CellY = c.CellY[i]
+	p.XSIndex = c.XSIndex[i]
 }
 
-// StoreKinematics writes back the fields the event kernel can modify:
-// position, the distance/census registers, and the cached cross-section
-// state. AoS stores the whole record (the loaded values ride along for the
-// untouched fields); SoA writes only the seven modified columns. Status is
-// never written — use SetStatus for the census transition.
-func (b *Bank) StoreKinematics(i int, p *Particle) {
-	if b.layout == AoS {
-		b.aos[i] = *p
-		return
-	}
-	b.x[i] = p.X
-	b.y[i] = p.Y
-	b.mfp[i] = p.MFPToCollision
-	b.tcens[i] = p.TimeToCensus
-	b.sigmaA[i] = p.CachedSigmaA
-	b.sigmaS[i] = p.CachedSigmaS
-	b.xsIndex[i] = p.XSIndex
-}
-
-// Ref returns a pointer to slot i's record for in-place access when the
-// layout stores whole records (AoS), and nil for SoA. In-place access skips
-// the two record copies a Load/Store round-trip costs; callers must fall
-// back to the copying paths when Ref returns nil.
-func (b *Bank) Ref(i int) *Particle {
-	if b.layout == AoS {
-		return &b.aos[i]
-	}
-	return nil
-}
-
-// View returns a mutable view of slot i's kinematic state: the record
-// itself for AoS (zero-copy), or scratch filled by LoadKinematics for SoA.
-// Writes through the returned pointer must be published with
-// CommitKinematics, which is a no-op when the view aliases the record.
-func (b *Bank) View(i int, scratch *Particle) *Particle {
-	if b.layout == AoS {
-		return &b.aos[i]
-	}
-	b.LoadKinematics(i, scratch)
-	return scratch
-}
-
-// CommitKinematics publishes kinematic-field writes made through a View:
-// nothing to do for AoS (the view is the record), a StoreKinematics for SoA.
-func (b *Bank) CommitKinematics(i int, p *Particle) {
-	if b.layout == AoS {
-		return
-	}
-	b.StoreKinematics(i, p)
-}
-
-// FlushDeposit reads the cell coordinates and deposit register of slot i and
-// zeroes the register — the tally-flush access path. The Over Events tally
-// and census kernels use it to flush without streaming whole records.
-func (b *Bank) FlushDeposit(i int) (cellX, cellY int32, dep float64) {
-	if b.layout == AoS {
-		p := &b.aos[i]
-		cellX, cellY, dep = p.CellX, p.CellY, p.Deposit
-		p.Deposit = 0
-		return
-	}
-	cellX, cellY, dep = b.cellX[i], b.cellY[i], b.deposit[i]
-	b.deposit[i] = 0
-	return
-}
-
-// CellAxis reads the cell coordinate of slot i along axis (0 = x, 1 = y).
-func (b *Bank) CellAxis(i, axis int) int32 {
-	if b.layout == AoS {
-		if axis == 0 {
-			return b.aos[i].CellX
-		}
-		return b.aos[i].CellY
-	}
-	if axis == 0 {
-		return b.cellX[i]
-	}
-	return b.cellY[i]
-}
-
-// SetCellAxis writes the cell coordinate of slot i along axis.
-func (b *Bank) SetCellAxis(i, axis int, v int32) {
-	if b.layout == AoS {
-		if axis == 0 {
-			b.aos[i].CellX = v
-		} else {
-			b.aos[i].CellY = v
-		}
-		return
-	}
-	if axis == 0 {
-		b.cellX[i] = v
-	} else {
-		b.cellY[i] = v
-	}
-}
-
-// NegateUAxis flips the direction component of slot i along axis — the
-// boundary-reflection write.
-func (b *Bank) NegateUAxis(i, axis int) {
-	if b.layout == AoS {
-		if axis == 0 {
-			b.aos[i].UX = -b.aos[i].UX
-		} else {
-			b.aos[i].UY = -b.aos[i].UY
-		}
-		return
-	}
-	if axis == 0 {
-		b.ux[i] = -b.ux[i]
-	} else {
-		b.uy[i] = -b.uy[i]
-	}
+// StoreKinematics writes back the seven columns that path can modify:
+// position, the distance/census registers and the cross-section state.
+// Status is not among them: the census transition is SetStatus.
+func (c *Columns) StoreKinematics(i int, p *Particle) {
+	c.X[i] = p.X
+	c.Y[i] = p.Y
+	c.MFPToCollision[i] = p.MFPToCollision
+	c.TimeToCensus[i] = p.TimeToCensus
+	c.CachedSigmaA[i] = p.CachedSigmaA
+	c.CachedSigmaS[i] = p.CachedSigmaS
+	c.XSIndex[i] = p.XSIndex
 }
 
 // Permute rearranges the bank so slot i holds the record previously in slot
@@ -415,7 +302,7 @@ func (b *Bank) StatusOf(i int) Status {
 	if b.layout == AoS {
 		return b.aos[i].Status
 	}
-	return b.status[i]
+	return b.soa.Status[i]
 }
 
 // SetStatus writes only the status of slot i.
@@ -424,7 +311,7 @@ func (b *Bank) SetStatus(i int, s Status) {
 		b.aos[i].Status = s
 		return
 	}
-	b.status[i] = s
+	b.soa.Status[i] = s
 }
 
 // GatherStatus appends the indices of every slot whose status equals s to
@@ -434,7 +321,7 @@ func (b *Bank) SetStatus(i int, s Status) {
 // column (or field), never whole records.
 func (b *Bank) GatherStatus(dst []int32, s Status) []int32 {
 	if b.layout == SoA {
-		for i, st := range b.status {
+		for i, st := range b.soa.Status {
 			if st == s {
 				dst = append(dst, int32(i))
 			}
@@ -447,24 +334,6 @@ func (b *Bank) GatherStatus(dst []int32, s Status) []int32 {
 		}
 	}
 	return dst
-}
-
-// Escape terminates slot i at a vacuum boundary: the status becomes Escaped
-// and the weight is zeroed so the population audits exclude it. It returns
-// the weight and weight-energy (weight-eV) the history carried out of the
-// domain — the per-edge leakage contribution.
-func (b *Bank) Escape(i int) (weight, weightEnergy float64) {
-	if b.layout == AoS {
-		p := &b.aos[i]
-		weight, weightEnergy = p.Weight, p.Weight*p.Energy
-		p.Weight = 0
-		p.Status = Escaped
-		return
-	}
-	weight, weightEnergy = b.weight[i], b.weight[i]*b.energy[i]
-	b.weight[i] = 0
-	b.status[i] = Escaped
-	return
 }
 
 // CountStatus tallies particles by status. Escaped particles count as dead:
@@ -491,7 +360,7 @@ func (b *Bank) CountStatus() (alive, census, dead int) {
 func (b *Bank) TotalWeight() float64 {
 	var sum float64
 	if b.layout == SoA {
-		for _, w := range b.weight {
+		for _, w := range b.soa.Weight {
 			sum += w
 		}
 		return sum
@@ -508,9 +377,9 @@ func (b *Bank) TotalWeight() float64 {
 func (b *Bank) TotalEnergy() float64 {
 	var sum float64
 	if b.layout == SoA {
-		for i := range b.status {
-			if b.status[i] == Alive || b.status[i] == Census {
-				sum += b.weight[i] * b.energy[i]
+		for i := range b.soa.Status {
+			if b.soa.Status[i] == Alive || b.soa.Status[i] == Census {
+				sum += b.soa.Weight[i] * b.soa.Energy[i]
 			}
 		}
 		return sum

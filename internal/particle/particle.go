@@ -7,8 +7,9 @@
 // and worked on for its whole history, so packing its fields into one or two
 // cache lines minimises redundant memory traffic, whereas SoA touches one
 // cache line per field and uses a single element from each. GPUs only use
-// SoA (coalescing). Both layouts live behind the Bank type so every kernel
-// runs unchanged over either.
+// SoA (coalescing). Both layouts live behind the Bank type: Load and Store
+// move one particle in either, and a kernel that streams the bank takes its
+// layout's storage once per pass (Bank.Records, Bank.Columns).
 package particle
 
 import (

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
-	"unsafe"
 
 	"repro/internal/mesh"
 )
@@ -267,29 +266,25 @@ func BenchmarkLoadStoreSoA(b *testing.B) {
 // actual SoA columns. Adding a field to the Bank without updating the
 // constant (and the snapshot format that shares the field set) fails here.
 func TestBytesPerParticleMatchesFieldSet(t *testing.T) {
-	b := NewBank(SoA, 1)
+	cols := reflect.TypeOf(Columns{})
 	got := 0
-	for _, col := range []int{
-		int(unsafe.Sizeof(b.x[0])), int(unsafe.Sizeof(b.y[0])),
-		int(unsafe.Sizeof(b.ux[0])), int(unsafe.Sizeof(b.uy[0])),
-		int(unsafe.Sizeof(b.energy[0])), int(unsafe.Sizeof(b.weight[0])),
-		int(unsafe.Sizeof(b.mfp[0])), int(unsafe.Sizeof(b.tcens[0])),
-		int(unsafe.Sizeof(b.deposit[0])), int(unsafe.Sizeof(b.sigmaA[0])),
-		int(unsafe.Sizeof(b.sigmaS[0])), int(unsafe.Sizeof(b.cellX[0])),
-		int(unsafe.Sizeof(b.cellY[0])), int(unsafe.Sizeof(b.xsIndex[0])),
-		int(unsafe.Sizeof(b.rngCounter[0])), int(unsafe.Sizeof(b.id[0])),
-		int(unsafe.Sizeof(b.status[0])),
-	} {
-		got += col
+	for i := 0; i < cols.NumField(); i++ {
+		got += int(cols.Field(i).Type.Elem().Size())
 	}
 	if got != BytesPerParticle {
 		t.Fatalf("SoA field set is %d bytes per particle, BytesPerParticle = %d", got, BytesPerParticle)
 	}
-	// The working copy must not have grown fields the bank doesn't store
-	// (padding aside, the struct covers exactly the columns).
-	nFields := reflect.TypeOf(Particle{}).NumField()
-	if nFields != 17 {
-		t.Fatalf("Particle has %d fields, bank stores 17 columns — update Bank, BytesPerParticle and the core snapshot format together", nFields)
+	// The working copy must hold exactly the columns, field for field
+	// (padding aside).
+	rec := reflect.TypeOf(Particle{})
+	if rec.NumField() != cols.NumField() {
+		t.Fatalf("Particle has %d fields, bank stores %d columns — update Bank, BytesPerParticle and the core snapshot format together", rec.NumField(), cols.NumField())
+	}
+	for i := 0; i < cols.NumField(); i++ {
+		col := cols.Field(i)
+		if f, ok := rec.FieldByName(col.Name); !ok || f.Type != col.Type.Elem() {
+			t.Errorf("column %s %v has no Particle field of its element type", col.Name, col.Type)
+		}
 	}
 }
 

@@ -76,6 +76,7 @@ func PopulateSources(b *Bank, m *mesh.Mesh, terms []SourceTerm, dt float64, seed
 // filled concurrently.
 func Births(b *Bank, m *mesh.Mesh, terms []SourceTerm, dt float64, seed, idBase uint64, lo, hi int) {
 	cuts := sourceCuts(terms, b.Len())
+	recs := b.Records()
 	var scratch Particle
 	term := 0
 	for i := lo; i < hi; i++ {
@@ -103,9 +104,9 @@ func Births(b *Bank, m *mesh.Mesh, terms []SourceTerm, dt float64, seed, idBase 
 
 		// AoS in place, SoA by one Store. Field by field: a composite
 		// literal through a pointer is built on the stack and copied.
-		p := b.Ref(i)
-		if p == nil {
-			p = &scratch
+		p := &scratch
+		if recs != nil {
+			p = &recs[i]
 		}
 		p.X, p.Y, p.UX, p.UY = x, y, ux, uy
 		p.Energy, p.Weight = energy, weight
@@ -113,7 +114,7 @@ func Births(b *Bank, m *mesh.Mesh, terms []SourceTerm, dt float64, seed, idBase 
 		p.CachedSigmaA, p.CachedSigmaS = -1, -1 // not yet looked up
 		p.CellX, p.CellY, p.XSIndex = int32(cx), int32(cy), 0
 		p.RNGCounter, p.ID, p.Status = s.Counter(), idBase+uint64(i), Alive
-		if p == &scratch {
+		if recs == nil {
 			b.Store(i, p)
 		}
 	}

@@ -47,16 +47,27 @@ func TestGatherStatus(t *testing.T) {
 	}
 }
 
-// TestFlushDeposit checks the tally-flush field view reads the cell and
-// empties the register without disturbing the rest of the record.
+// TestFlushDeposit checks the tally flush through either layout's storage:
+// reading the cell and emptying the register shows in Load and disturbs
+// nothing else.
 func TestFlushDeposit(t *testing.T) {
 	for _, layout := range []Layout{AoS, SoA} {
 		b := sampleBank(layout)
 		var before Particle
 		b.Load(3, &before)
-		cx, cy, dep := b.FlushDeposit(3)
+		var cx, cy int32
+		var dep float64
+		if recs := b.Records(); recs != nil {
+			p := &recs[3]
+			cx, cy, dep = p.CellX, p.CellY, p.Deposit
+			p.Deposit = 0
+		} else {
+			c, _ := b.Columns()
+			cx, cy, dep = c.CellX[3], c.CellY[3], c.Deposit[3]
+			c.Deposit[3] = 0
+		}
 		if cx != before.CellX || cy != before.CellY || dep != before.Deposit {
-			t.Errorf("%v: flush view (%d,%d,%v), want (%d,%d,%v)",
+			t.Errorf("%v: flush read (%d,%d,%v), want (%d,%d,%v)",
 				layout, cx, cy, dep, before.CellX, before.CellY, before.Deposit)
 		}
 		var after Particle
@@ -69,111 +80,132 @@ func TestFlushDeposit(t *testing.T) {
 	}
 }
 
-// TestAxisViews checks the facet-crossing field views against whole-record
-// loads in both layouts.
+// TestAxisViews checks the facet crossing's writes — a new cell and a
+// reflected direction — through either layout's storage show in Load.
 func TestAxisViews(t *testing.T) {
-	for _, layout := range []Layout{AoS, SoA} {
-		b := sampleBank(layout)
-		if got := b.CellAxis(2, 0); got != 2 {
-			t.Errorf("%v: CellAxis x = %d, want 2", layout, got)
-		}
-		if got := b.CellAxis(2, 1); got != 3 {
-			t.Errorf("%v: CellAxis y = %d, want 3", layout, got)
-		}
-		b.SetCellAxis(2, 0, 7)
-		b.SetCellAxis(2, 1, 8)
-		b.NegateUAxis(2, 0)
-		var p Particle
-		b.Load(2, &p)
-		if p.CellX != 7 || p.CellY != 8 || p.UX != -0.6 || p.UY != -0.8 {
-			t.Errorf("%v: axis writes landed wrong: %+v", layout, p)
-		}
-		b.NegateUAxis(2, 1)
-		b.Load(2, &p)
-		if p.UY != 0.8 {
-			t.Errorf("%v: NegateUAxis y = %v, want 0.8", layout, p.UY)
-		}
-	}
-}
-
-// TestViewCommitKinematics checks the zero-copy view contract: kinematic
-// writes through a View land in the bank after CommitKinematics, the
-// non-kinematic fields survive untouched, and AoS views alias the record.
-func TestViewCommitKinematics(t *testing.T) {
-	for _, layout := range []Layout{AoS, SoA} {
-		b := sampleBank(layout)
-		var before Particle
-		b.Load(3, &before)
-
-		var scratch Particle
-		p := b.View(3, &scratch)
-		if (layout == AoS) != (p != &scratch) {
-			t.Fatalf("%v: view aliasing wrong (scratch used: %v)", layout, p == &scratch)
-		}
-		p.X += 10
-		p.TimeToCensus = 0
-		p.MFPToCollision = 9.5
-		p.CachedSigmaA = -1
-		p.CachedSigmaS = -1
-		b.CommitKinematics(3, p)
-
-		var after Particle
-		b.Load(3, &after)
-		want := before
-		want.X += 10
-		want.TimeToCensus = 0
-		want.MFPToCollision = 9.5
-		want.CachedSigmaA = -1
-		want.CachedSigmaS = -1
-		if after != want {
-			t.Errorf("%v: commit mismatch:\n got %+v\nwant %+v", layout, after, want)
-		}
-	}
-}
-
-// TestKinematicsLoadStore checks the copying kinematic paths used by the
-// SoA kernels: a LoadKinematics/StoreKinematics round-trip publishes the
-// kinematic fields and never touches weight, deposit, RNG, id or status.
-func TestKinematicsLoadStore(t *testing.T) {
 	for _, layout := range []Layout{AoS, SoA} {
 		b := sampleBank(layout)
 		var before Particle
 		b.Load(2, &before)
-
-		var p Particle
-		b.LoadKinematics(2, &p)
-		if p.X != before.X || p.Energy != before.Energy || p.CellY != before.CellY {
-			t.Fatalf("%v: kinematic load missed fields: %+v", layout, p)
+		if recs := b.Records(); recs != nil {
+			p := &recs[2]
+			p.CellX, p.CellY, p.UX = 7, 8, -p.UX
+		} else {
+			c, _ := b.Columns()
+			c.CellX[2], c.CellY[2], c.UX[2] = 7, 8, -c.UX[2]
 		}
-		p.Y += 3
-		p.CachedSigmaS = 11
-		b.StoreKinematics(2, &p)
-
-		var after Particle
-		b.Load(2, &after)
+		var p Particle
+		b.Load(2, &p)
 		want := before
-		want.Y += 3
-		want.CachedSigmaS = 11
-		if after != want {
-			t.Errorf("%v: kinematic store mismatch:\n got %+v\nwant %+v", layout, after, want)
+		want.CellX, want.CellY, want.UX = 7, 8, -0.6
+		if p != want {
+			t.Errorf("%v: axis writes landed wrong:\n got %+v\nwant %+v", layout, p, want)
 		}
 	}
 }
 
-// TestRef checks in-place access is available exactly for AoS.
+// TestViewCommitKinematics checks each layout's storage is the bank itself —
+// a write through Records or Columns needs no commit to show in Load — and
+// that each view is nil on the other layout.
+func TestViewCommitKinematics(t *testing.T) {
+	for _, layout := range []Layout{AoS, SoA} {
+		b := sampleBank(layout)
+		recs := b.Records()
+		cols, soa := b.Columns()
+		if (recs != nil) == soa || (layout == AoS) != (recs != nil) {
+			t.Fatalf("%v: Records nil %v, Columns ok %v", layout, recs == nil, soa)
+		}
+		var before Particle
+		b.Load(3, &before)
+		if recs != nil {
+			p := &recs[3]
+			p.X += 10
+			p.TimeToCensus, p.MFPToCollision = 0, 9.5
+		} else {
+			cols.X[3] += 10
+			cols.TimeToCensus[3], cols.MFPToCollision[3] = 0, 9.5
+		}
+		var after Particle
+		b.Load(3, &after)
+		want := before
+		want.X += 10
+		want.TimeToCensus, want.MFPToCollision = 0, 9.5
+		if after != want {
+			t.Errorf("%v: write through the view mismatch:\n got %+v\nwant %+v", layout, after, want)
+		}
+	}
+}
+
+// TestKinematicsLoadStore checks the SoA kinematic pair touches exactly its
+// columns: LoadKinematics fills the twelve kinematic fields and leaves the
+// rest of the working copy at its sentinels, and StoreKinematics writes the
+// seven modified columns and leaves the other ten as they were.
+func TestKinematicsLoadStore(t *testing.T) {
+	b := sampleBank(SoA)
+	c, _ := b.Columns()
+	var before Particle
+	b.Load(2, &before)
+
+	sentinel := Particle{
+		X: -1, Y: -1, UX: -1, UY: -1, Energy: -1, Weight: -1,
+		MFPToCollision: -1, TimeToCensus: -1, Deposit: -1,
+		CachedSigmaA: -1, CachedSigmaS: -1,
+		CellX: -1, CellY: -1, XSIndex: -1,
+		RNGCounter: 99, ID: 99, Status: Escaped,
+	}
+	p := sentinel
+	c.LoadKinematics(2, &p)
+	want := before
+	want.Weight, want.Deposit = sentinel.Weight, sentinel.Deposit
+	want.RNGCounter, want.ID, want.Status = sentinel.RNGCounter, sentinel.ID, sentinel.Status
+	if p != want {
+		t.Errorf("kinematic load:\n got %+v\nwant %+v", p, want)
+	}
+
+	p = sentinel
+	c.StoreKinematics(2, &p)
+	var after Particle
+	b.Load(2, &after)
+	want = before
+	want.X, want.Y = sentinel.X, sentinel.Y
+	want.MFPToCollision, want.TimeToCensus = sentinel.MFPToCollision, sentinel.TimeToCensus
+	want.CachedSigmaA, want.CachedSigmaS, want.XSIndex = sentinel.CachedSigmaA, sentinel.CachedSigmaS, sentinel.XSIndex
+	if after != want {
+		t.Errorf("kinematic store:\n got %+v\nwant %+v", after, want)
+	}
+}
+
+// TestRef checks in-place access: Records on AoS, Columns on SoA, each absent
+// on the other layout, even for an empty bank, and a weight written through
+// either lands in the bank.
 func TestRef(t *testing.T) {
-	if p := NewBank(SoA, 2).Ref(0); p != nil {
-		t.Error("SoA Ref returned a pointer")
+	if NewBank(SoA, 2).Records() != nil || NewBank(SoA, 0).Records() != nil {
+		t.Error("a SoA bank returned records")
 	}
-	b := NewBank(AoS, 2)
-	p := b.Ref(1)
-	if p == nil {
-		t.Fatal("AoS Ref returned nil")
+	for _, n := range []int{2, 0} {
+		if c, ok := NewBank(AoS, n).Columns(); ok || c.Weight != nil {
+			t.Error("an AoS bank returned columns")
+		}
 	}
-	p.Weight = 0.125
-	var got Particle
-	b.Load(1, &got)
-	if got.Weight != 0.125 {
-		t.Error("AoS Ref write did not land in the bank")
+	if _, ok := NewBank(SoA, 0).Columns(); !ok || NewBank(AoS, 0).Records() == nil {
+		t.Error("an empty bank returned no view of its own layout")
+	}
+	for _, layout := range []Layout{AoS, SoA} {
+		b := NewBank(layout, 2)
+		if recs := b.Records(); recs != nil {
+			recs[1].Weight = 0.125
+		} else {
+			c, _ := b.Columns()
+			c.Weight[1] = 0.125
+			c.Weight = c.Weight[:1] // a copy of the headers: the bank keeps its own
+			if c, _ := b.Columns(); len(c.Weight) != b.Len() {
+				t.Errorf("reslicing a copy shortened the bank's column to %d", len(c.Weight))
+			}
+		}
+		var got Particle
+		b.Load(1, &got)
+		if got.Weight != 0.125 {
+			t.Errorf("%v: a write through the view did not land in the bank", layout)
+		}
 	}
 }

@@ -184,16 +184,6 @@ func (g *Group) Enable() error {
 	return nil
 }
 
-// Disable stops counting; the accumulated values remain readable.
-func (g *Group) Disable() error {
-	for _, ev := range g.events {
-		if err := disableEvent(ev.h); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // read takes a raw sample of every event.
 func (g *Group) read() []sample {
 	out := make([]sample, len(g.events))

@@ -58,8 +58,7 @@ const (
 	// triple scaledDelta needs to correct for counter multiplexing.
 	attrReadFormat = uint64(1 | 2)
 
-	ioctlEnable  = 0x2400 // PERF_EVENT_IOC_ENABLE
-	ioctlDisable = 0x2401 // PERF_EVENT_IOC_DISABLE
+	ioctlEnable = 0x2400 // PERF_EVENT_IOC_ENABLE
 
 	flagFdCloexec = 1 << 3 // PERF_FLAG_FD_CLOEXEC
 )
@@ -90,14 +89,6 @@ func openEvent(ev Event) (eventHandle, error) {
 
 func enableEvent(fd eventHandle) error {
 	_, _, errno := syscall.Syscall(syscall.SYS_IOCTL, uintptr(fd), ioctlEnable, 0)
-	if errno != 0 {
-		return errno
-	}
-	return nil
-}
-
-func disableEvent(fd eventHandle) error {
-	_, _, errno := syscall.Syscall(syscall.SYS_IOCTL, uintptr(fd), ioctlDisable, 0)
 	if errno != 0 {
 		return errno
 	}

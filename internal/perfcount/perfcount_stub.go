@@ -10,6 +10,5 @@ type eventHandle = int
 
 func openEvent(Event) (eventHandle, error)  { return -1, ErrUnsupported }
 func enableEvent(eventHandle) error         { return ErrUnsupported }
-func disableEvent(eventHandle) error        { return ErrUnsupported }
 func readEvent(eventHandle) (sample, error) { return sample{}, ErrUnsupported }
 func closeEvent(eventHandle)                {}
