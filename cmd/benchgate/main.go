@@ -1,144 +1,144 @@
-// Command benchgate is the CI benchmark regression gate. It parses `go test
-// -bench` output (stdin or -in), looks each benchmark up in a committed
-// baseline file, and fails when any benchmark's wallclock regressed more
-// than the threshold.
-//
-// CI runners are not the reference machine, so raw ns/op comparisons would
-// gate on host speed, not code. The gate therefore normalises by the
-// geometric mean of all current/baseline ratios: a uniformly slower host
-// shifts every ratio equally and cancels out, while one benchmark
-// regressing relative to the others stands out. On the reference machine
-// the normalisation factor is ~1 and the gate is an absolute one.
+// Command benchgate is the CI benchmark regression gate. It takes two
+// `go test -c` binaries of ./internal/core, the parent commit's and the
+// change's, runs their solver benchmark rows alternately, the side that
+// goes first flipping with each pair, and judges each row against its own
+// parent samples: host speed cancels, and a row that speeds up moves no
+// other row's verdict. A row printed by only one side is reported as new
+// or gone.
 //
 // Usage:
 //
-//	go test -bench 'OverEvents|UninterruptedSolve' -benchtime 3x -count 4 -run '^$' ./internal/core |
-//	    benchgate -baseline BENCH_pr50.json
-//
-// The baseline file carries a "benchmarks" object mapping benchmark name
-// (as printed by go test, minus the -GOMAXPROCS suffix) to ns/op. Repeated
-// lines for the same benchmark (-count N) collapse to their minimum before
-// comparison: the minimum is the noise-robust statistic on a shared runner —
-// background load only ever adds time — so CI should always pass -count.
+//	go test -c -o parent.test ./internal/core   # in a checkout of the parent
+//	go test -c -o change.test ./internal/core
+//	benchgate parent.test change.test
 package main
 
 import (
 	"bufio"
-	"encoding/json"
-	"flag"
+	"bytes"
 	"fmt"
 	"io"
-	"math"
+	"maps"
 	"os"
+	"os/exec"
 	"regexp"
+	"slices"
 	"strconv"
 )
 
+// The gate runs pairs parent/change pairs of the rows benchmarks, failing a
+// row whose median ratio passes bound in most pairs. A row spreads ~12% on a
+// shared 2-vCPU host, where 10 pairs failed a parent against itself 5 in 10.
+const (
+	pairs = 50
+	bound = 1.10
+	rows  = "BenchmarkOverEvents|BenchmarkUninterruptedSolve"
+)
+
 func main() {
-	if err := run(); err != nil {
+	if len(os.Args) != 3 {
+		fmt.Fprintln(os.Stderr, "usage: benchgate parent.test change.test")
+		os.Exit(2)
+	}
+	parent, change, err := measure(os.Args[1], os.Args[2])
+	if err == nil && report(os.Stdout, parent, change) {
+		err = fmt.Errorf("a row is over %.0f%% slower in most pairs", (bound-1)*100)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchgate:", err)
 		os.Exit(1)
 	}
 }
 
-// benchLine matches e.g. "BenchmarkOverEvents/aos-1  3  88969999 ns/op".
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
-
-func run() error {
-	var (
-		baselinePath = flag.String("baseline", "BENCH_pr50.json", "baseline JSON with a benchmarks{name: ns/op} object")
-		inPath       = flag.String("in", "", "benchmark output to check (default stdin)")
-		threshold    = flag.Float64("threshold", 1.10, "fail when normalised current/baseline exceeds this")
-	)
-	flag.Parse()
-
-	raw, err := os.ReadFile(*baselinePath)
-	if err != nil {
-		return err
-	}
-	var doc struct {
-		Benchmarks map[string]float64 `json:"benchmarks"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		return fmt.Errorf("%s: %w", *baselinePath, err)
-	}
-	if len(doc.Benchmarks) == 0 {
-		return fmt.Errorf("%s has no benchmarks object", *baselinePath)
-	}
-
-	var in io.Reader = os.Stdin
-	if *inPath != "" {
-		f, err := os.Open(*inPath)
+// measure runs the two binaries alternately, pairs times each, and returns
+// every row's ns/op samples per side in pair order.
+func measure(parentBin, changeBin string) (parent, change map[string][]float64, err error) {
+	bins, got := [2]string{parentBin, changeBin}, [2]map[string][]float64{{}, {}}
+	for i := 0; i < 2*pairs; i++ {
+		side := i%2 ^ i/2%2 // the parent goes first in even pairs, second in odd
+		// A Cmd literal runs Path as given, "parent.test" too, with no $PATH lookup.
+		cmd := &exec.Cmd{Path: bins[side], Args: []string{bins[side], "-test.bench", rows, "-test.benchtime", "3x", "-test.run", "^$"}}
+		out, err := cmd.Output()
 		if err != nil {
-			return err
+			return nil, nil, fmt.Errorf("%s: %w\n%s", bins[side], err, out)
 		}
-		defer f.Close()
-		in = f
+		parse(bytes.NewReader(out), got[side])
 	}
+	if len(got[0]) == 0 || len(got[1]) == 0 {
+		return nil, nil, fmt.Errorf("a binary printed no %s row", rows)
+	}
+	return got[0], got[1], nil
+}
 
-	// Collapse repeated lines (-count N) to the per-benchmark minimum; see
-	// the package comment for why min is the right statistic.
-	best := map[string]float64{}
-	var order []string
-	sc := bufio.NewScanner(in)
+// benchLine matches e.g. "BenchmarkOverEvents/aos-2  3  88969999 ns/op  0.35 active-fraction",
+// capturing the name without its -GOMAXPROCS suffix and the ns/op.
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+(\d+(?:\.\d+)?) ns/op`)
+
+// parse appends each benchmark line's ns/op to its row in into.
+func parse(r io.Reader, into map[string][]float64) {
+	sc := bufio.NewScanner(r)
 	for sc.Scan() {
-		m := benchLine.FindStringSubmatch(sc.Text())
-		if m == nil {
-			continue
-		}
-		if base, ok := doc.Benchmarks[m[1]]; !ok || base <= 0 {
-			continue
-		}
-		cur, err := strconv.ParseFloat(m[2], 64)
-		if err != nil {
-			continue
-		}
-		if prev, ok := best[m[1]]; !ok {
-			best[m[1]] = cur
-			order = append(order, m[1])
-		} else if cur < prev {
-			best[m[1]] = cur
+		if m := benchLine.FindStringSubmatch(sc.Text()); m != nil {
+			v, _ := strconv.ParseFloat(m[2], 64) // benchLine admits only decimals
+			into[m[1]] = append(into[m[1]], v)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
-	if len(best) == 0 {
-		return fmt.Errorf("no benchmark in the input matched a baseline entry")
-	}
+}
 
-	type entry struct {
-		name           string
-		current, ratio float64
-		baseline       float64
-	}
-	entries := make([]entry, 0, len(best))
-	for _, name := range order {
-		base := doc.Benchmarks[name]
-		cur := best[name]
-		entries = append(entries, entry{name: name, current: cur, baseline: base, ratio: cur / base})
-	}
+// verdict compares one row's paired samples.
+type verdict struct {
+	parent, change       float64 // medians, ns/op
+	iqr                  float64 // the parent's interquartile range
+	changeWon, parentWon int     // pairs each side ran faster; a tie counts for neither
+	result               string  // "better", "worse" or "unresolved"
+}
 
-	logSum := 0.0
-	for _, e := range entries {
-		logSum += math.Log(e.ratio)
-	}
-	drift := math.Exp(logSum / float64(len(entries)))
-	fmt.Printf("host drift vs baseline machine: %.2fx (geomean of %d benchmarks)\n", drift, len(entries))
-
-	failed := false
-	for _, e := range entries {
-		norm := e.ratio / drift
-		status := "ok"
-		if norm > *threshold {
-			status = "REGRESSED"
-			failed = true
+// judge compares the samples of pair i, parent[i] against change[i].
+func judge(parent, change []float64) verdict {
+	n := min(len(parent), len(change))
+	v := verdict{parent: quantile(parent, 0.5), change: quantile(change, 0.5),
+		iqr: quantile(parent, 0.75) - quantile(parent, 0.25), result: "unresolved"}
+	for i := 0; i < n; i++ {
+		if change[i] < parent[i] {
+			v.changeWon++
+		} else if change[i] > parent[i] {
+			v.parentWon++
 		}
-		fmt.Printf("%-50s base %12.0f  cur %12.0f  normalised %.3fx  %s\n",
-			e.name, e.baseline, e.current, norm, status)
 	}
-	if failed {
-		return fmt.Errorf("benchmark regression over %.0f%% threshold", (*threshold-1)*100)
+	if v.change > bound*v.parent && 2*v.parentWon > n {
+		v.result = "worse"
+	} else if bound*v.change < v.parent && 2*v.changeWon > n {
+		v.result = "better"
 	}
-	return nil
+	return v
+}
+
+// quantile interpolates linearly between the order statistics of s.
+func quantile(s []float64, q float64) float64 {
+	s = slices.Sorted(slices.Values(s))
+	pos := q * float64(len(s)-1)
+	lo := int(pos)
+	return s[lo] + (pos-float64(lo))*(s[min(lo+1, len(s)-1)]-s[lo])
+}
+
+// report writes one line per row, in name order, and reports whether any
+// row's verdict is worse.
+func report(w io.Writer, parent, change map[string][]float64) (failed bool) {
+	all := maps.Clone(parent)
+	maps.Copy(all, change)
+	for _, name := range slices.Sorted(maps.Keys(all)) {
+		p, c := parent[name], change[name]
+		switch {
+		case p == nil:
+			fmt.Fprintf(w, "%-48s new\n", name)
+		case c == nil:
+			fmt.Fprintf(w, "%-48s gone\n", name)
+		default:
+			v := judge(p, c)
+			fmt.Fprintf(w, "%-48s parent %11.0f (IQR %9.0f)  change %11.0f  %.3fx  faster in %d/%d pairs, slower in %d  %s\n",
+				name, v.parent, v.iqr, v.change, v.change/v.parent, v.changeWon, min(len(p), len(c)), v.parentWon, v.result)
+			failed = failed || v.result == "worse"
+		}
+	}
+	return failed
 }

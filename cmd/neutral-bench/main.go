@@ -11,11 +11,11 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"time"
 
@@ -30,7 +30,7 @@ func main() {
 	}
 }
 
-func run() error {
+func run() (err error) {
 	var (
 		experiment = flag.String("experiment", "", "run a single experiment (e.g. fig09); empty runs all")
 		scale      = flag.String("scale", "standard", "native run scale: quick, standard or full")
@@ -56,14 +56,20 @@ func run() error {
 	}
 	opt := harness.Options{Scale: sc}
 
-	var out io.Writer = os.Stdout
+	// A bufio.Writer keeps its first write error for every later Flush, so
+	// the renderers, which drop theirs, need not check.
+	out := bufio.NewWriter(os.Stdout)
 	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			return err
+		f, cerr := os.Create(*outPath)
+		if cerr != nil {
+			return cerr
 		}
-		defer f.Close()
-		out = f
+		defer func() {
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}()
+		out.Reset(f)
 	}
 
 	exps := harness.Experiments()
@@ -122,6 +128,9 @@ func run() error {
 		default:
 			fig.Render(out)
 		}
+		if err := out.Flush(); err != nil {
+			return err
+		}
 		fmt.Fprintf(os.Stderr, "%-12s done in %v\n", e.ID, elapsed.Round(time.Millisecond))
 	}
 	if *jsonOut {
@@ -132,7 +141,10 @@ func run() error {
 		report.Metrics = harness.MetricsSnapshot()
 		enc := json.NewEncoder(out)
 		enc.SetIndent("", "  ")
-		return enc.Encode(report)
+		if err := enc.Encode(report); err != nil {
+			return err
+		}
+		return out.Flush()
 	}
 	if *counters && group != nil {
 		totals := group.Totals()
@@ -145,7 +157,7 @@ func run() error {
 	if *metrics {
 		fmt.Fprint(out, harness.MetricsSnapshot())
 	}
-	return nil
+	return out.Flush()
 }
 
 // jsonReport is the -json document: every figure's rows and findings plus

@@ -35,8 +35,8 @@ func BenchmarkUninterruptedSolve(b *testing.B) {
 // in-flight work — and each per-round kernel's nanoseconds per visited slot
 // (Result.OEVisitNs) alongside ns/op. The scatter rows are the event kernel's
 // worst case: nearly every visit is one it hands off to advance. The thread
-// count is in the row's name, not the runner's core count: benchgate compares
-// a row to a baseline recorded elsewhere.
+// count is in the row's name, not the runner's core count, so a row runs the
+// same work on every host.
 func BenchmarkOverEvents(b *testing.B) {
 	for _, layout := range []particle.Layout{particle.AoS, particle.SoA} {
 		for _, loc := range []struct {

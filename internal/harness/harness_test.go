@@ -4,6 +4,11 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/mesh"
+	"repro/internal/particle"
+	"repro/internal/tally"
 )
 
 func quickOpts() Options { return Options{Scale: Quick} }
@@ -138,5 +143,41 @@ func TestFigureValueLookup(t *testing.T) {
 	}
 	if _, ok := f.Value("zzz", "a"); ok {
 		t.Error("bogus row found")
+	}
+}
+
+// TestRunLabelNamesStrategy: the run log pools samples by label, so two
+// configs that differ in any one Strategy field must never share one, and
+// equal configs must.
+func TestRunLabelNamesStrategy(t *testing.T) {
+	mk := func() core.Config {
+		cfg := core.Default(mesh.CSP)
+		cfg.Threads = 2
+		cfg.Schedule = core.Schedule{Kind: core.ScheduleDynamic, Chunk: 64}
+		return cfg
+	}
+	base := runLabel(mk())
+	if again := runLabel(mk()); again != base {
+		t.Errorf("equal configs: %q != %q", again, base)
+	}
+	for _, c := range []struct {
+		field string
+		set   func(*core.Config)
+	}{
+		{"Threads", func(c *core.Config) { c.Threads = 1 }},
+		{"Scheme", func(c *core.Config) { c.Scheme = core.OverEvents }},
+		{"Schedule.Kind", func(c *core.Config) { c.Schedule.Kind = core.ScheduleGuided }},
+		{"Schedule.Chunk", func(c *core.Config) { c.Schedule.Chunk = 8 }},
+		{"Layout", func(c *core.Config) { c.Layout = particle.SoA }},
+		{"Tally", func(c *core.Config) { c.Tally = tally.ModePrivate }},
+		{"MergePerStep", func(c *core.Config) { c.MergePerStep = true }},
+		{"Ordering", func(c *core.Config) { c.Ordering = mesh.Morton }},
+		{"SortEvery", func(c *core.Config) { c.SortEvery = 1 }},
+	} {
+		cfg := mk()
+		c.set(&cfg)
+		if got := runLabel(cfg); got == base {
+			t.Errorf("%s: changed config shares the label %q", c.field, base)
+		}
 	}
 }

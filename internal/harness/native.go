@@ -142,19 +142,13 @@ var (
 	runLog   = map[string][]float64{}
 )
 
-// runLabel names a configuration for the run log. Scheme, layout, ordering
-// and mesh size separate the interesting axes; two experiments that run the
-// same configuration pool their samples, which is the point — more samples,
-// tighter spread.
+// runLabel names a configuration for the run log: its problem and size, and
+// every Strategy field that changes a run's cost. Two experiments that run
+// the same configuration pool their samples, which is the point — more
+// samples, tighter spread — and two that differ in any of them never do.
 func runLabel(cfg core.Config) string {
-	label := fmt.Sprintf("%s/%s/%s/%dx%d/n%d",
-		cfg.Problem, cfg.Scheme, cfg.Layout, cfg.NX, cfg.NY, cfg.Particles)
-	if cfg.Ordering != mesh.RowMajor {
-		label += "/" + cfg.Ordering.String()
-	}
-	if cfg.SortEvery > 0 {
-		label += fmt.Sprintf("/sort%d", cfg.SortEvery)
-	}
+	label := fmt.Sprintf("%s/%s/%s/%s/%s/merge=%t/%s/sort%d/%dx%d/n%d", cfg.Problem, cfg.Scheme, cfg.Layout,
+		cfg.Schedule, cfg.Tally, cfg.MergePerStep, cfg.Ordering, cfg.SortEvery, cfg.NX, cfg.NY, cfg.Particles)
 	if cfg.Threads > 0 {
 		label += fmt.Sprintf("/t%d", cfg.Threads)
 	}

@@ -30,8 +30,6 @@ type Solver struct {
 
 	t          []float64 // temperature field
 	r, p, q, z []float64 // CG work vectors
-	steps      int
-	lastIters  int
 }
 
 // New builds a solver with a hot square in the grid centre.
@@ -61,11 +59,6 @@ func New(nx, ny int, alpha float64) (*Solver, error) {
 
 // Field returns the temperature field (not a copy).
 func (s *Solver) Field() []float64 { return s.t }
-
-// Steps reports completed timesteps; LastIterations the CG iterations of
-// the most recent one.
-func (s *Solver) Steps() int          { return s.steps }
-func (s *Solver) LastIterations() int { return s.lastIters }
 
 // Heat returns the total field energy (not conserved: Dirichlet walls leak).
 func (s *Solver) Heat() float64 {
@@ -139,8 +132,6 @@ func (s *Solver) Step(threads int) int {
 		rr = rrNew
 		xpay(s.p, s.r, beta, threads)
 	}
-	s.steps++
-	s.lastIters = iters
 	return iters
 }
 

@@ -29,9 +29,6 @@ func NewFS(dir string) (*FS, error) {
 	return &FS{root: dir}, nil
 }
 
-// Root returns the store's root directory.
-func (s *FS) Root() string { return s.root }
-
 func (s *FS) path(key string) (string, error) {
 	if err := ValidateKey(key); err != nil {
 		return "", err
