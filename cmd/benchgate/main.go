@@ -1,10 +1,10 @@
 // Command benchgate is the CI benchmark regression gate. It takes two
 // `go test -c` binaries of ./internal/core, the parent commit's and the
-// change's, runs their solver benchmark rows alternately, the side that
-// goes first flipping with each pair, and judges each row against its own
-// parent samples: host speed cancels, and a row that speeds up moves no
-// other row's verdict. A row printed by only one side is reported as new
-// or gone.
+// change's, runs them in the paired runner's alternating order
+// (stats.Alternate: the side that goes first flips with each pair) and
+// judges each solver benchmark row against its own parent samples
+// (stats.Judge): host speed cancels, and a row that speeds up moves no other
+// row's verdict. A row printed by only one side is reported as new or gone.
 //
 // Usage:
 //
@@ -24,6 +24,8 @@ import (
 	"regexp"
 	"slices"
 	"strconv"
+
+	"repro/internal/stats"
 )
 
 // The gate runs pairs parent/change pairs of the rows benchmarks, failing a
@@ -54,20 +56,20 @@ func main() {
 // every row's ns/op samples per side in pair order.
 func measure(parentBin, changeBin string) (parent, change map[string][]float64, err error) {
 	bins, got := [2]string{parentBin, changeBin}, [2]map[string][]float64{{}, {}}
-	for i := 0; i < 2*pairs; i++ {
-		side := i%2 ^ i/2%2 // the parent goes first in even pairs, second in odd
+	err = stats.Alternate(pairs, func(side int) error {
 		// A Cmd literal runs Path as given, "parent.test" too, with no $PATH lookup.
 		cmd := &exec.Cmd{Path: bins[side], Args: []string{bins[side], "-test.bench", rows, "-test.benchtime", "3x", "-test.run", "^$"}}
 		out, err := cmd.Output()
 		if err != nil {
-			return nil, nil, fmt.Errorf("%s: %w\n%s", bins[side], err, out)
+			return fmt.Errorf("%s: %w\n%s", bins[side], err, out)
 		}
 		parse(bytes.NewReader(out), got[side])
+		return nil
+	})
+	if err == nil && (len(got[0]) == 0 || len(got[1]) == 0) {
+		err = fmt.Errorf("a binary printed no %s row", rows)
 	}
-	if len(got[0]) == 0 || len(got[1]) == 0 {
-		return nil, nil, fmt.Errorf("a binary printed no %s row", rows)
-	}
-	return got[0], got[1], nil
+	return got[0], got[1], err
 }
 
 // benchLine matches e.g. "BenchmarkOverEvents/aos-2  3  88969999 ns/op  0.35 active-fraction",
@@ -85,42 +87,6 @@ func parse(r io.Reader, into map[string][]float64) {
 	}
 }
 
-// verdict compares one row's paired samples.
-type verdict struct {
-	parent, change       float64 // medians, ns/op
-	iqr                  float64 // the parent's interquartile range
-	changeWon, parentWon int     // pairs each side ran faster; a tie counts for neither
-	result               string  // "better", "worse" or "unresolved"
-}
-
-// judge compares the samples of pair i, parent[i] against change[i].
-func judge(parent, change []float64) verdict {
-	n := min(len(parent), len(change))
-	v := verdict{parent: quantile(parent, 0.5), change: quantile(change, 0.5),
-		iqr: quantile(parent, 0.75) - quantile(parent, 0.25), result: "unresolved"}
-	for i := 0; i < n; i++ {
-		if change[i] < parent[i] {
-			v.changeWon++
-		} else if change[i] > parent[i] {
-			v.parentWon++
-		}
-	}
-	if v.change > bound*v.parent && 2*v.parentWon > n {
-		v.result = "worse"
-	} else if bound*v.change < v.parent && 2*v.changeWon > n {
-		v.result = "better"
-	}
-	return v
-}
-
-// quantile interpolates linearly between the order statistics of s.
-func quantile(s []float64, q float64) float64 {
-	s = slices.Sorted(slices.Values(s))
-	pos := q * float64(len(s)-1)
-	lo := int(pos)
-	return s[lo] + (pos-float64(lo))*(s[min(lo+1, len(s)-1)]-s[lo])
-}
-
 // report writes one line per row, in name order, and reports whether any
 // row's verdict is worse.
 func report(w io.Writer, parent, change map[string][]float64) (failed bool) {
@@ -134,10 +100,10 @@ func report(w io.Writer, parent, change map[string][]float64) (failed bool) {
 		case c == nil:
 			fmt.Fprintf(w, "%-48s gone\n", name)
 		default:
-			v := judge(p, c)
+			v := stats.Judge(p, c, bound)
 			fmt.Fprintf(w, "%-48s parent %11.0f (IQR %9.0f)  change %11.0f  %.3fx  faster in %d/%d pairs, slower in %d  %s\n",
-				name, v.parent, v.iqr, v.change, v.change/v.parent, v.changeWon, min(len(p), len(c)), v.parentWon, v.result)
-			failed = failed || v.result == "worse"
+				name, v.A, v.IQR, v.B, v.B/v.A, v.BWon, v.Pairs, v.AWon, v.Result)
+			failed = failed || v.Result == "worse"
 		}
 	}
 	return failed

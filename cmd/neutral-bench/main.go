@@ -7,7 +7,11 @@
 //	neutral-bench -scale full           # paper-scale native runs (slow)
 //	neutral-bench -markdown -o EXPERIMENTS.md
 //	neutral-bench -json -o BENCH_ci.json  # machine-readable, for CI trending
-//	neutral-bench -metrics                # append harness telemetry snapshot
+//	neutral-bench -list                 # experiment ids
+//
+// Every native comparison alternates its two configurations in pairs (3 at
+// quick scale, 10 otherwise) and prints one "native:" line per paper finding
+// it tests: agrees, disagrees, or unresolved at this host's spread.
 package main
 
 import (
@@ -38,17 +42,9 @@ func run() (err error) {
 		jsonOut    = flag.Bool("json", false, "emit one machine-readable JSON document instead of rendered tables")
 		outPath    = flag.String("o", "", "write output to a file instead of stdout")
 		list       = flag.Bool("list", false, "list experiment ids and exit")
-		metrics    = flag.Bool("metrics", false, "append the harness telemetry snapshot (Prometheus text) after the tables")
 		counters   = flag.Bool("counters", false, "count perf events (cycles, cache misses, ...) over the whole suite and report totals")
 	)
 	flag.Parse()
-
-	if *list {
-		for _, e := range harness.Experiments() {
-			fmt.Println(e.ID)
-		}
-		return nil
-	}
 
 	sc, err := harness.ParseScale(*scale)
 	if err != nil {
@@ -70,6 +66,12 @@ func run() (err error) {
 			}
 		}()
 		out.Reset(f)
+	}
+	if *list {
+		for _, e := range harness.Experiments() {
+			fmt.Fprintln(out, e.ID)
+		}
+		return out.Flush()
 	}
 
 	exps := harness.Experiments()
@@ -137,8 +139,6 @@ func run() (err error) {
 		if group != nil {
 			report.Counters = group.Totals()
 		}
-		report.Runs = harness.RunStats()
-		report.Metrics = harness.MetricsSnapshot()
 		enc := json.NewEncoder(out)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(report); err != nil {
@@ -154,13 +154,11 @@ func run() (err error) {
 		}
 		fmt.Fprintln(out)
 	}
-	if *metrics {
-		fmt.Fprint(out, harness.MetricsSnapshot())
-	}
 	return out.Flush()
 }
 
-// jsonReport is the -json document: every figure's rows and findings plus
+// jsonReport is the -json document: every figure's rows, findings and
+// native claims (each with its paired medians, IQR and pairs won) plus
 // per-experiment wallclock, one self-describing artifact a CI run can
 // archive and a trend dashboard can diff across commits.
 type jsonReport struct {
@@ -170,13 +168,6 @@ type jsonReport struct {
 	// Counters holds whole-suite perf event totals, keyed by event name;
 	// null on hosts where perf_event_open offers no events.
 	Counters map[string]uint64 `json:"counters"`
-	// Runs reports the min/median/stddev wallclock of every native
-	// configuration's repeat runs — the spread behind the best-of figures.
-	Runs []harness.RunStat `json:"runs,omitempty"`
-	// Metrics is the harness telemetry snapshot in Prometheus text
-	// exposition: native runs, cumulative solver wallclock, and solver
-	// event/work counters aggregated over every experiment above.
-	Metrics string `json:"metrics,omitempty"`
 }
 
 type jsonFigure struct {

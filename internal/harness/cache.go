@@ -72,8 +72,6 @@ func CacheTable(opt Options) (*Figure, error) {
 			}
 			return nil, err
 		}
-		recordNative(res)
-		logRun(res)
 		phases := map[string]map[string]uint64{}
 		if col != nil {
 			phases = col.Phases()

@@ -17,9 +17,12 @@ import (
 type Scale int
 
 const (
-	// Quick shrinks native runs for smoke tests and CI.
+	// Quick shrinks native runs for smoke tests and CI: 3 pairs per native
+	// comparison, about a second for the full suite.
 	Quick Scale = iota
-	// Standard is the default: minutes for the full suite.
+	// Standard is the default: 10 pairs per native comparison of runs
+	// lasting ≥ 0.2 s, about four minutes for the full suite on a 2-vCPU
+	// host.
 	Standard
 	// Full uses the paper's mesh and populations where natively
 	// feasible (hours; model workloads always use paper scale).
@@ -64,6 +67,8 @@ type Figure struct {
 	// Findings summarises what this reproduction measured, in the same
 	// terms as Paper, for EXPERIMENTS.md.
 	Findings []string
+	// Claims are the native comparisons, one per paper finding tested.
+	Claims []Claim
 }
 
 // AddRow appends a data row.
@@ -138,6 +143,9 @@ func (f *Figure) Render(w io.Writer) {
 	for _, fd := range f.Findings {
 		fmt.Fprintf(w, "measured: %s\n", fd)
 	}
+	for _, c := range f.Claims {
+		fmt.Fprintf(w, "native: %s\n", c)
+	}
 	fmt.Fprintln(w)
 }
 
@@ -166,6 +174,9 @@ func (f *Figure) RenderMarkdown(w io.Writer) {
 	}
 	for _, fd := range f.Findings {
 		fmt.Fprintf(w, "- **measured:** %s\n", fd)
+	}
+	for _, c := range f.Claims {
+		fmt.Fprintf(w, "- **native:** %s\n", c)
 	}
 	fmt.Fprintln(w)
 }

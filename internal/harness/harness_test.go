@@ -5,10 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/mesh"
-	"repro/internal/particle"
-	"repro/internal/tally"
+	"repro/internal/stats"
 )
 
 func quickOpts() Options { return Options{Scale: Quick} }
@@ -74,6 +71,14 @@ func TestFigureShapes(t *testing.T) {
 	}
 	if r, ok := fig9.Value("native-csp", "oe/op"); !ok || r <= 1 {
 		t.Errorf("fig09 native csp oe/op = %v, want > 1 (over-particles wins natively too)", r)
+	}
+	if len(fig9.Claims) != len(problems) {
+		t.Errorf("fig09 has %d native claims, want one per problem", len(fig9.Claims))
+	}
+	for _, c := range fig9.Claims {
+		if c.Subject == "csp" && c.Outcome != "agrees" {
+			t.Errorf("fig09 native csp: %s, want agrees", c)
+		}
 	}
 
 	fig10, err := Figure10(quickOpts())
@@ -146,38 +151,29 @@ func TestFigureValueLookup(t *testing.T) {
 	}
 }
 
-// TestRunLabelNamesStrategy: the run log pools samples by label, so two
-// configs that differ in any one Strategy field must never share one, and
-// equal configs must.
-func TestRunLabelNamesStrategy(t *testing.T) {
-	mk := func() core.Config {
-		cfg := core.Default(mesh.CSP)
-		cfg.Threads = 2
-		cfg.Schedule = core.Schedule{Kind: core.ScheduleDynamic, Chunk: 64}
-		return cfg
-	}
-	base := runLabel(mk())
-	if again := runLabel(mk()); again != base {
-		t.Errorf("equal configs: %q != %q", again, base)
-	}
+// TestAgreement: the paper's expected direction against the runner's
+// verdict. A "within" finding needs the medians within the bound too.
+func TestAgreement(t *testing.T) {
+	v := func(result string, a, b float64) stats.Verdict { return stats.Verdict{A: a, B: b, Result: result} }
 	for _, c := range []struct {
-		field string
-		set   func(*core.Config)
+		e    expect
+		v    stats.Verdict
+		want string
 	}{
-		{"Threads", func(c *core.Config) { c.Threads = 1 }},
-		{"Scheme", func(c *core.Config) { c.Scheme = core.OverEvents }},
-		{"Schedule.Kind", func(c *core.Config) { c.Schedule.Kind = core.ScheduleGuided }},
-		{"Schedule.Chunk", func(c *core.Config) { c.Schedule.Chunk = 8 }},
-		{"Layout", func(c *core.Config) { c.Layout = particle.SoA }},
-		{"Tally", func(c *core.Config) { c.Tally = tally.ModePrivate }},
-		{"MergePerStep", func(c *core.Config) { c.MergePerStep = true }},
-		{"Ordering", func(c *core.Config) { c.Ordering = mesh.Morton }},
-		{"SortEvery", func(c *core.Config) { c.SortEvery = 1 }},
+		{faster, v("better", 1, 0.5), "agrees"},
+		{faster, v("worse", 1, 2), "disagrees"},
+		{faster, v("unresolved", 1, 0.5), "unresolved"},
+		{slower, v("worse", 1, 2), "agrees"},
+		{slower, v("better", 1, 0.5), "disagrees"},
+		{slower, v("unresolved", 1, 2), "unresolved"},
+		{within, v("unresolved", 1, 1.02), "agrees"},
+		{within, v("unresolved", 1, 0.98), "agrees"},
+		{within, v("unresolved", 1, 1.5), "unresolved"},
+		{within, v("better", 1, 0.5), "disagrees"},
+		{within, v("worse", 1, 2), "disagrees"},
 	} {
-		cfg := mk()
-		c.set(&cfg)
-		if got := runLabel(cfg); got == base {
-			t.Errorf("%s: changed config shares the label %q", c.field, base)
+		if got := agreement(c.e, c.v, 1.05); got != c.want {
+			t.Errorf("expect %d, verdict %s (%v -> %v): %s, want %s", c.e, c.v.Result, c.v.A, c.v.B, got, c.want)
 		}
 	}
 }

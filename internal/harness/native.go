@@ -2,15 +2,14 @@ package harness
 
 import (
 	"fmt"
-	"math"
 	"runtime"
-	"sort"
 	"sync"
 
 	"repro/internal/archmodel"
 	"repro/internal/core"
 	"repro/internal/mesh"
 	"repro/internal/particle"
+	"repro/internal/stats"
 )
 
 // nativeConfig sizes a native run for the requested scale. Event counts per
@@ -35,6 +34,18 @@ func nativeConfig(p mesh.Problem, opt Options) core.Config {
 	case Full:
 		cfg = core.Paper(p)
 		cfg.Threads = opt.Threads
+	}
+	return cfg
+}
+
+// pairedConfig sizes a run of a paired comparison: nativeConfig's, with
+// standard scale's populations ×20, so that one csp Over Particles run at
+// one thread lasts ≥ 0.2 s (about 0.3 s on a 2-vCPU x86 host) and host
+// noise is a small share of it.
+func pairedConfig(p mesh.Problem, opt Options) core.Config {
+	cfg := nativeConfig(p, opt)
+	if opt.Scale == Standard {
+		cfg.Particles *= 20
 	}
 	return cfg
 }
@@ -100,102 +111,87 @@ func paperWorkloadLayout(p mesh.Problem, s core.Scheme, soa bool) (archmodel.Wor
 // problems is the paper's test-case order.
 var problems = []mesh.Problem{mesh.Stream, mesh.Scatter, mesh.CSP}
 
-// runNative measures a native configuration, returning the fastest of
-// three runs: single measurements of sub-100ms runs are noisy on shared
-// hosts, and the paper's wallclock comparisons assume steady-state timings.
-// Every run (repeats included) is recorded in the harness metrics registry
-// and in the run log that backs the -json variance report.
-func runNative(cfg core.Config) (*core.Result, error) {
-	best, err := core.Run(cfg)
-	if err != nil {
-		return nil, err
+// pairs is the number of alternating pairs in which every native comparison
+// runs its two configurations (stats.Compare); quick stays the tier-1 path.
+func pairs(opt Options) int {
+	if opt.Scale == Quick {
+		return 3
 	}
-	recordNative(best)
-	logRun(best)
-	for i := 0; i < 2; i++ {
-		again, err := core.Run(cfg)
+	return 10
+}
+
+// nativeBound is the gap a native claim asks for: a median more than 5 %
+// apart, in most pairs.
+const nativeBound = 1.05
+
+// solve is a side of a paired comparison: one run of cfg, its wall seconds
+// the sample. If last is not nil, *last keeps the side's latest result for
+// the counters a figure reports beside the time.
+func solve(cfg core.Config, last **core.Result) func() (float64, error) {
+	return func() (float64, error) {
+		res, err := core.Run(cfg)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		recordNative(again)
-		logRun(again)
-		if again.Wall < best.Wall {
-			best = again
+		if last != nil {
+			*last = res
 		}
+		return res.Wall.Seconds(), nil
 	}
-	return best, nil
 }
 
-// RunStat summarises the repeat runs of one native configuration: the
-// figures report the fastest run, and this carries the spread behind that
-// number so a CI trend can tell a real regression from host noise.
-type RunStat struct {
-	Label         string  `json:"label"`
-	Runs          int     `json:"runs"`
-	MinSeconds    float64 `json:"min_seconds"`
-	MedianSeconds float64 `json:"median_seconds"`
-	StddevSeconds float64 `json:"stddev_seconds"`
-}
+// expect is the paper's finding about a configuration against a baseline.
+type expect int
 
-var (
-	runLogMu sync.Mutex
-	runLog   = map[string][]float64{}
+const (
+	faster expect = iota // faster than the baseline by more than the bound
+	slower               // slower than the baseline by more than the bound
+	within               // neither faster nor slower by more than the bound
 )
 
-// runLabel names a configuration for the run log: its problem and size, and
-// every Strategy field that changes a run's cost. Two experiments that run
-// the same configuration pool their samples, which is the point — more
-// samples, tighter spread — and two that differ in any of them never do.
-func runLabel(cfg core.Config) string {
-	label := fmt.Sprintf("%s/%s/%s/%s/%s/merge=%t/%s/sort%d/%dx%d/n%d", cfg.Problem, cfg.Scheme, cfg.Layout,
-		cfg.Schedule, cfg.Tally, cfg.MergePerStep, cfg.Ordering, cfg.SortEvery, cfg.NX, cfg.NY, cfg.Particles)
-	if cfg.Threads > 0 {
-		label += fmt.Sprintf("/t%d", cfg.Threads)
-	}
-	return label
+// Claim is one native comparison, Alt against Base, read against the
+// paper's finding: the runner's Verdict (A is Base, B is Alt) and whether
+// it agrees, disagrees, or is unresolved at this host's spread.
+type Claim struct {
+	Subject, Base, Alt string
+	Paper              string // the finding, e.g. "soa slower than aos"
+	Bound              float64
+	stats.Verdict
+	Outcome string
 }
 
-func logRun(res *core.Result) {
-	runLogMu.Lock()
-	defer runLogMu.Unlock()
-	key := runLabel(res.Config)
-	runLog[key] = append(runLog[key], res.Wall.Seconds())
+// String is the claim's "native:" line.
+func (c Claim) String() string {
+	return fmt.Sprintf("%s: %s/%s %.3f (medians %.4g and %.4g, %s IQR %.2g; %s faster in %d/%d pairs, %s in %d); paper: %s, bound %.2fx -> %s",
+		c.Subject, c.Alt, c.Base, c.B/c.A, c.A, c.B, c.Base, c.IQR, c.Alt, c.BWon, c.Pairs, c.Base, c.AWon, c.Paper, c.Bound, c.Outcome)
 }
 
-// RunStats returns min/median/stddev per native configuration, sorted by
-// label, aggregated over every native run since process start.
-func RunStats() []RunStat {
-	runLogMu.Lock()
-	defer runLogMu.Unlock()
-	out := make([]RunStat, 0, len(runLog))
-	for label, walls := range runLog {
-		s := append([]float64(nil), walls...)
-		sort.Float64s(s)
-		n := len(s)
-		median := s[n/2]
-		if n%2 == 0 {
-			median = (s[n/2-1] + s[n/2]) / 2
-		}
-		var mean, sq float64
-		for _, w := range s {
-			mean += w
-		}
-		mean /= float64(n)
-		for _, w := range s {
-			sq += (w - mean) * (w - mean)
-		}
-		var stddev float64
-		if n > 1 {
-			stddev = math.Sqrt(sq / float64(n-1))
-		}
-		out = append(out, RunStat{
-			Label:         label,
-			Runs:          n,
-			MinSeconds:    s[0],
-			MedianSeconds: median,
-			StddevSeconds: stddev,
-		})
+// agreement reads a verdict against the paper's expectation. A "within"
+// finding agrees only when neither side won most pairs past the bound and
+// the medians are within it too.
+func agreement(e expect, v stats.Verdict, bound float64) string {
+	want := map[expect]string{faster: "better", slower: "worse", within: "unresolved"}[e]
+	switch {
+	case v.Result != want && v.Result == "unresolved":
+		return "unresolved"
+	case v.Result != want:
+		return "disagrees"
+	case e == within && max(v.A, v.B) > bound*min(v.A, v.B):
+		return "unresolved"
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Label < out[j].Label })
-	return out
+	return "agrees"
+}
+
+// compare runs a (c.Base) and b (c.Alt) through the paired runner and files
+// c as a claim of f, the paper expecting Alt to be e against Base.
+func (f *Figure) compare(opt Options, c Claim, e expect, a, b func() (float64, error)) (stats.Verdict, error) {
+	v, err := stats.Compare(pairs(opt), c.Bound, a, b)
+	if err != nil {
+		return v, err
+	}
+	c.Paper = fmt.Sprintf("%s %s %s", c.Alt, map[expect]string{faster: "faster than", slower: "slower than",
+		within: fmt.Sprintf("within %.2fx of", c.Bound)}[e], c.Base)
+	c.Verdict, c.Outcome = v, agreement(e, v, c.Bound)
+	f.Claims = append(f.Claims, c)
+	return v, nil
 }

@@ -1,10 +1,9 @@
-// Package stats implements ensemble statistics for the neutral mini-app:
-// multi-replica runs folded into per-cell mean, sample variance, relative
-// error and figure of merit (FOM). A single Monte Carlo run reports a mean
-// tally with no uncertainty; production transport codes (MC/DC, OpenMC)
-// treat batch statistics as a core requirement, and FOM — 1/(relative
-// error² × runtime) — is the currency in which variance-reduction
-// techniques like the weight window are compared.
+// Package stats implements the neutral mini-app's statistics: ensembles,
+// which fold multi-replica runs into per-cell mean, variance, relative error
+// and figure of merit (FOM = 1/(relative error² × runtime)), the currency
+// production transport codes (MC/DC, OpenMC) price variance reduction in;
+// and the paired runner (Compare), which alternates two configurations so a
+// speedup claim carries its run-to-run spread.
 package stats
 
 import "math"

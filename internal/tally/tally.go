@@ -101,8 +101,6 @@ type Tally interface {
 	Total() (float64, error)
 	// Reset zeroes the tally and sets the scale of the next run's deposits.
 	Reset(s Scale)
-	// Name identifies the implementation for reports.
-	Name() string
 }
 
 // Mode selects a tally implementation.
@@ -398,9 +396,6 @@ func (a *Atomic) FootprintBytes() int {
 	return 8*len(a.dir) + 8*blockCells*held
 }
 
-// Name identifies the implementation.
-func (a *Atomic) Name() string { return "atomic" }
-
 // Private keeps one full tally mesh per worker. Adds are contention-free;
 // the cost moves to memory footprint (workers x mesh — the paper's KNL
 // example grows 0.3 GB to 31 GB at 256 threads) and to the merge.
@@ -483,9 +478,6 @@ func (p *Private) Reset(s Scale) {
 	p.scale = s
 }
 
-// Name identifies the implementation.
-func (p *Private) Name() string { return "private" }
-
 // Workers reports the shard count.
 func (p *Private) Workers() int { return len(p.shards) }
 
@@ -517,6 +509,3 @@ func (Null) Total() (float64, error) { return 0, nil }
 
 // Reset does nothing.
 func (Null) Reset(Scale) {}
-
-// Name identifies the implementation.
-func (Null) Name() string { return "null" }

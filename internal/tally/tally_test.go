@@ -20,7 +20,7 @@ func mustTotal(t *testing.T, tl Tally) float64 {
 	t.Helper()
 	total, err := tl.Total()
 	if err != nil {
-		t.Fatalf("%s: Total: %v", tl.Name(), err)
+		t.Fatalf("%T: Total: %v", tl, err)
 	}
 	return total
 }
