@@ -1,16 +1,19 @@
-// Command benchgate is the CI benchmark regression gate. It takes two
-// `go test -c` binaries of ./internal/core, the parent commit's and the
-// change's, runs them in the paired runner's alternating order
-// (stats.Alternate: the side that goes first flips with each pair) and
-// judges each solver benchmark row against its own parent samples
-// (stats.Judge): host speed cancels, and a row that speeds up moves no other
-// row's verdict. A row printed by only one side is reported as new or gone.
+// Command benchgate is the CI benchmark regression gate. It takes `go test -c`
+// binaries in parent/change pairs, one pair per package (./internal/core's
+// solver rows, ./internal/service's result rows), runs the two sides in the
+// paired runner's alternating order (stats.Alternate: the side that goes first
+// flips with each pair) and judges each benchmark row against its own parent
+// samples (stats.Judge): host speed cancels, and a row that speeds up moves no
+// other row's verdict. A row printed by only one side is reported as new or
+// gone.
 //
 // Usage:
 //
 //	go test -c -o parent.test ./internal/core   # in a checkout of the parent
+//	go test -c -o parent-service.test ./internal/service
 //	go test -c -o change.test ./internal/core
-//	benchgate parent.test change.test
+//	go test -c -o change-service.test ./internal/service
+//	benchgate parent.test change.test parent-service.test change-service.test
 package main
 
 import (
@@ -34,15 +37,26 @@ import (
 const (
 	pairs = 50
 	bound = 1.10
-	rows  = "BenchmarkOverEvents|BenchmarkUninterruptedSolve"
 )
 
+// rows are the gated benchmarks, each family at its own iteration count: a
+// solve takes tens of milliseconds, a result encode or decode tens of
+// microseconds. A binary runs every family and prints the rows it has.
+var rows = []struct{ bench, times string }{
+	{"BenchmarkOverEvents|BenchmarkUninterruptedSolve", "3x"},
+	{"BenchmarkResultJSON", "1000x"},
+}
+
 func main() {
-	if len(os.Args) != 3 {
-		fmt.Fprintln(os.Stderr, "usage: benchgate parent.test change.test")
+	if len(os.Args) < 3 || len(os.Args)%2 == 0 {
+		fmt.Fprintln(os.Stderr, "usage: benchgate parent.test change.test [parent.test change.test ...]")
 		os.Exit(2)
 	}
-	parent, change, err := measure(os.Args[1], os.Args[2])
+	var bins [2][]string
+	for i, bin := range os.Args[1:] {
+		bins[i%2] = append(bins[i%2], bin)
+	}
+	parent, change, err := measure(bins)
 	if err == nil && report(os.Stdout, parent, change) {
 		err = fmt.Errorf("a row is over %.0f%% slower in most pairs", (bound-1)*100)
 	}
@@ -52,22 +66,26 @@ func main() {
 	}
 }
 
-// measure runs the two binaries alternately, pairs times each, and returns
-// every row's ns/op samples per side in pair order.
-func measure(parentBin, changeBin string) (parent, change map[string][]float64, err error) {
-	bins, got := [2]string{parentBin, changeBin}, [2]map[string][]float64{{}, {}}
+// measure runs each side's binaries alternately with the other side's, pairs
+// times each, and returns every row's ns/op samples per side in pair order.
+func measure(bins [2][]string) (parent, change map[string][]float64, err error) {
+	got := [2]map[string][]float64{{}, {}}
 	err = stats.Alternate(pairs, func(side int) error {
-		// A Cmd literal runs Path as given, "parent.test" too, with no $PATH lookup.
-		cmd := &exec.Cmd{Path: bins[side], Args: []string{bins[side], "-test.bench", rows, "-test.benchtime", "3x", "-test.run", "^$"}}
-		out, err := cmd.Output()
-		if err != nil {
-			return fmt.Errorf("%s: %w\n%s", bins[side], err, out)
+		for _, bin := range bins[side] {
+			for _, r := range rows {
+				// A Cmd literal runs Path as given, "parent.test" too, with no $PATH lookup.
+				cmd := &exec.Cmd{Path: bin, Args: []string{bin, "-test.bench", r.bench, "-test.benchtime", r.times, "-test.run", "^$"}}
+				out, err := cmd.Output()
+				if err != nil {
+					return fmt.Errorf("%s: %w\n%s", bin, err, out)
+				}
+				parse(bytes.NewReader(out), got[side])
+			}
 		}
-		parse(bytes.NewReader(out), got[side])
 		return nil
 	})
 	if err == nil && (len(got[0]) == 0 || len(got[1]) == 0) {
-		err = fmt.Errorf("a binary printed no %s row", rows)
+		err = fmt.Errorf("a side printed no gated row")
 	}
 	return got[0], got[1], err
 }

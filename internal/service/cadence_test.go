@@ -146,15 +146,20 @@ func (s slowPuts) Put(key string, data []byte) error {
 // checkpoint costs beside the run, not a step count. Sixty cheap steps over a
 // store whose put takes 5 ms (an 80 ms budget, many times the whole run)
 // checkpoint once or little more; six steps that each dwarf an in-memory
-// checkpoint a hundredfold checkpoint at nearly every boundary.
+// checkpoint take one at every boundary whose steps since the last one
+// outlast the budget, as the job recorded its step walls and the engine its
+// checkpoint costs.
 func TestCheckpointCadenceFollowsCost(t *testing.T) {
 	// run solves cfg over blobs and reports how many boundaries checkpointed
-	// and what one cost on average, as the engine's own metrics have it.
-	run := func(t *testing.T, blobs blob.Store, cfg core.Config) (writes int, meanCost float64) {
+	// and what they cost in all, as the engine's own metrics have it, and the
+	// job's step records.
+	run := func(t *testing.T, blobs blob.Store, cfg core.Config) (writes int, cost float64, steps []StepView) {
 		t.Helper()
 		e := New(Options{Shards: 1, Blobs: blobs})
 		defer e.Close()
-		j, err := e.Submit(cfg)
+		// A retained snapshot names its boundary on every step record; with
+		// a durable store the cadence alone decides when one is taken.
+		j, err := e.SubmitWith(cfg, SubmitOptions{RetainSnapshot: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,22 +173,43 @@ func TestCheckpointCadenceFollowsCost(t *testing.T) {
 		if got := int(e.store.checkpointSeconds.Count()); got != writes {
 			t.Errorf("neutral_checkpoint_seconds has %d samples for %d checkpoints", got, writes)
 		}
-		return writes, e.store.checkpointSeconds.Sum() / float64(writes)
+		return writes, e.store.checkpointSeconds.Sum(), j.Steps()
 	}
 
 	t.Run("dear-put-cheap-steps", func(t *testing.T) {
 		const delay = 5 * time.Millisecond
-		writes, cost := run(t, slowPuts{blob.NewMem(), delay}, streamConfig(32, 100, 60, 1))
+		writes, cost, _ := run(t, slowPuts{blob.NewMem(), delay}, streamConfig(32, 100, 60, 1))
 		if writes < 1 || writes > 60/4 {
 			t.Errorf("%d checkpoints over 60 cheap steps with a 5 ms put, want at least 1 and far fewer than 60", writes)
 		}
-		if cost < delay.Seconds() {
-			t.Errorf("measured checkpoint cost %.4f s, below the put's %v alone", cost, delay)
+		if cost/float64(writes) < delay.Seconds() {
+			t.Errorf("measured checkpoint cost %.4f s, below the put's %v alone", cost/float64(writes), delay)
 		}
 	})
 	t.Run("dear-steps-cheap-put", func(t *testing.T) {
-		if writes, _ := run(t, blob.NewMem(), streamConfig(64, 200, 6, 32)); writes < 5 {
-			t.Errorf("%d checkpoints over 6 steps that each cost ~100 in-memory checkpoints, want (nearly) all 6", writes)
+		// Each step costs ~100 in-memory checkpoints, so most boundaries are
+		// due; but a checkpoint the host happened to slow stretches the
+		// interval after it, so which ones are is read from the records. A
+		// boundary skipped since the one at last is due unless the step walls
+		// since then, which its clock saw pass, fall short of the budget on
+		// the dearest checkpoint, which cost at most all of them together.
+		writes, cost, steps := run(t, blob.NewMem(), streamConfig(64, 200, 6, 32))
+		if len(steps) != 6 || steps[0].StepWall == 0 {
+			t.Fatalf("%d step records, want 6 with their walls", len(steps))
+		}
+		budget := time.Duration(checkpointBudget * cost * float64(time.Second))
+		last, since := 0, time.Duration(0)
+		for _, st := range steps {
+			since += st.StepWall
+			switch {
+			case st.Checkpoint == st.Step+1:
+				last, since = st.Checkpoint, 0
+			case last == 0:
+				t.Errorf("step %d: the first boundary did not checkpoint (holding %d)", st.Step, st.Checkpoint)
+			case since >= budget:
+				t.Errorf("boundary %d skipped %v of steps after the checkpoint at %d; %d checkpoints cost %v in all, a budget of %v",
+					st.Step+1, since, last, writes, time.Duration(cost*float64(time.Second)), budget)
+			}
 		}
 	})
 }

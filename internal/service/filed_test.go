@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -131,6 +132,47 @@ func TestFiledLossless(t *testing.T) {
 	want, werr := json.Marshal(storedResult{plainView(view), &f.cells})
 	if err != nil || werr != nil || !bytes.Equal(enc, want) {
 		t.Fatalf("filed reference result encodes unlike its view and runs (err %v, %v)", err, werr)
+	}
+}
+
+// TestFiledBodyShared: a single run's body is marshalled by its first reader
+// and every later reader, concurrent ones included, gets that same slice
+// without allocating; encode is the slice less its newline, what the blob
+// tier stores. An ensemble's body carries the serving job's statistics and is
+// built per call.
+func TestFiledBodyShared(t *testing.T) {
+	f := fileResult(referenceResult(t))
+	bodies := make([][]byte, 8)
+	var wg sync.WaitGroup
+	for i := range bodies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var err error
+			if bodies[i], err = f.body(nil); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	body := bodies[0]
+	for i, b := range bodies {
+		if len(b) != len(body) || &b[0] != &body[0] {
+			t.Fatalf("reader %d got its own body", i)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { f.body(nil) }); allocs != 0 {
+		t.Errorf("a later body allocates %.0f times", allocs)
+	}
+	enc, err := f.encode(nil)
+	if err != nil || len(enc)+1 != len(body) || &enc[0] != &body[0] || body[len(enc)] != '\n' {
+		t.Fatalf("encode is not the body less its newline (err %v)", err)
+	}
+	ens := &EnsembleView{Replicas: 2, MeanTotal: 1}
+	a, aerr := f.body(ens)
+	b, berr := f.body(ens)
+	if aerr != nil || berr != nil || &a[0] == &b[0] || !bytes.Equal(a, b) || bytes.Equal(a, body) || a[len(a)-1] != '\n' {
+		t.Fatalf("ensemble bodies: shared %t, equal %t, errs %v %v", &a[0] == &b[0], bytes.Equal(a, b), aerr, berr)
 	}
 }
 

@@ -1,11 +1,13 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"math"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -142,6 +144,11 @@ type Filed struct {
 	// dense is res with its cells expanded, built by the first Result call.
 	once  sync.Once
 	dense *core.Result
+
+	// wire is the single-run body, built by the first body(nil) call.
+	wireOnce sync.Once
+	wire     []byte
+	wireErr  error
 }
 
 // fileResult files res. res is not modified; the caller drops it, and with it
@@ -184,13 +191,27 @@ type storedResult struct {
 // plainView is ResultView without its UnmarshalJSON.
 type plainView ResultView
 
-// encode returns f's JSON form, with ens the merged statistics of an ensemble
-// job (nil for a single run): a single run's blob-tier bytes and, with a
-// newline, the body of GET /result. ParseFiled reads it back.
+// body returns f's JSON form and a newline, the body of GET /result, with ens
+// the merged statistics of an ensemble job (nil for a single run). A single
+// run's form is encoded once, and every caller shares that slice unmodified.
+func (f *Filed) body(ens *EnsembleView) ([]byte, error) {
+	marshal := func() ([]byte, error) {
+		v := f.view
+		v.Ensemble = ens
+		data, err := json.Marshal(storedResult{v, &f.cells})
+		return slices.Concat(data, []byte{'\n'}), err // a slice of exactly its size
+	}
+	if ens != nil {
+		return marshal()
+	}
+	f.wireOnce.Do(func() { f.wire, f.wireErr = marshal() })
+	return f.wire, f.wireErr
+}
+
+// encode is body without its newline: a single run's blob-tier bytes.
 func (f *Filed) encode(ens *EnsembleView) ([]byte, error) {
-	v := f.view
-	v.Ensemble = ens
-	return json.Marshal(storedResult{v, &f.cells})
+	data, err := f.body(ens)
+	return data[:len(data)-1], err
 }
 
 // ParseFiled files a result from its JSON form: a blob-tier entry, or the body
@@ -263,6 +284,84 @@ type cellRuns struct {
 	Start []int32   `json:"start,omitempty"`
 	End   []int32   `json:"end,omitempty"`
 	Vals  []float64 `json:"vals,omitempty"`
+}
+
+// plainRuns is cellRuns without its UnmarshalJSON.
+type plainRuns cellRuns
+
+// UnmarshalJSON reads the runs object as encode writes it with strconv: n,
+// start, end and vals in that order, each at most once, without space. Any
+// other form (space, null, folded, repeated or reordered names, another member,
+// a number out of range) is encoding/json's to read, with its errors.
+func (c *cellRuns) UnmarshalJSON(data []byte) error {
+	if r, ok := parseRuns(data, *c); ok {
+		*c = r
+		return nil
+	}
+	err := json.Unmarshal(data, (*plainRuns)(c))
+	if typeErr, ok := err.(*json.UnmarshalTypeError); ok && typeErr.Type == reflect.TypeOf(plainRuns{}) {
+		typeErr.Type = reflect.TypeOf(*c) // the wire type's name, not plainRuns'
+	}
+	return err
+}
+
+// parseRuns reads data over r, leaving absent members as encoding/json does; ok
+// is false for any other form. data is one valid JSON value, as encoding/json
+// hands every Unmarshaler: a number array ends at its first ']', and n at the
+// ',' or '}' after it.
+func parseRuns(data []byte, r cellRuns) (_ cellRuns, ok bool) {
+	rest, ok := bytes.CutPrefix(data, []byte{'{'})
+	sep := ""
+	for m, name := range []string{`"n":`, `"start":[`, `"end":[`, `"vals":[`} {
+		after, found := bytes.CutPrefix(rest, []byte(sep+name))
+		if !ok || !found {
+			continue
+		}
+		stop := bytes.IndexByte(after, ']')
+		if m == 0 { // n ends where the object or the next member begins
+			stop = bytes.IndexAny(after, ",}")
+		}
+		list := after[:stop]
+		switch rest, sep = after[stop+min(m, 1):], ","; m {
+		case 0:
+			n, err := strconv.ParseInt(string(list), 10, 0)
+			r.N, ok = int(n), err == nil
+		case 1:
+			r.Start, ok = numbers(list, parseInt32)
+		case 2:
+			r.End, ok = numbers(list, parseInt32)
+		case 3:
+			r.Vals, ok = numbers(list, parseFloat)
+		}
+	}
+	return r, ok && string(rest) == "}"
+}
+
+// numbers reads a comma-separated list into a slice of exactly its length
+// (empty, not nil, as encoding/json decodes []); ok is false when parse
+// rejects one, as parseInt32 does a fraction or exponent, like encoding/json.
+func numbers[T int32 | float64](list []byte, parse func([]byte) (T, bool)) (_ []T, ok bool) {
+	out := make([]T, 0, bytes.Count(list, []byte{','})+1)
+	for len(list) > 0 {
+		var num []byte
+		num, list, _ = bytes.Cut(list, []byte{','})
+		v, ok := parse(num)
+		if !ok {
+			return nil, false
+		}
+		out = append(out, v)
+	}
+	return out, true
+}
+
+func parseInt32(b []byte) (int32, bool) {
+	v, err := strconv.ParseInt(string(b), 10, 32)
+	return int32(v), err == nil
+}
+
+func parseFloat(b []byte) (float64, bool) {
+	v, err := strconv.ParseFloat(string(b), 64)
+	return v, err == nil
 }
 
 // compactCells files cells as runs. One scan of the dense cells counts the

@@ -2,7 +2,9 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -13,6 +15,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -40,9 +43,10 @@ func referenceResult(tb testing.TB) *core.Result {
 }
 
 // BenchmarkResultJSON times the fixed costs of a result's one JSON form:
-// encoding it (every GET /result and every blob-tier put), decoding it into a
-// Go client's dense view, filing it (every remote result on a coordinator,
-// every blob-tier hit), and filing a fresh result's cells as runs.
+// encoding it (once per filed result, which its blob-tier put and every GET
+// /result then share), serving it to GET /result from the LRU, decoding it
+// into a Go client's dense view, filing it (every remote result on a
+// coordinator, every blob-tier hit), and filing a fresh result's cells as runs.
 func BenchmarkResultJSON(b *testing.B) {
 	res := referenceResult(b)
 	f := fileResult(res)
@@ -53,9 +57,45 @@ func BenchmarkResultJSON(b *testing.B) {
 	b.Run("encode", func(b *testing.B) {
 		b.SetBytes(int64(len(data)))
 		for i := 0; i < b.N; i++ {
-			if _, err := f.encode(nil); err != nil {
+			// A fresh filing's first encode: what a solve pays once.
+			fresh := &Filed{res: f.res, cells: f.cells, view: f.view}
+			if _, err := fresh.encode(nil); err != nil {
 				b.Fatal(err)
 			}
+		}
+	})
+	b.Run("serve", func(b *testing.B) {
+		// GET /result of a job born from an LRU hit, through a loopback
+		// server: routing, the job lookup and writing the shared body.
+		e := New(Options{Shards: 1})
+		defer e.Close()
+		var hit *Job
+		for range 2 {
+			if hit, err = e.Submit(res.Config); err != nil {
+				b.Fatal(err)
+			}
+			if err := hit.Wait(context.Background()); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if !hit.Status().Cached {
+			b.Fatal("the repeat submit was not an LRU hit")
+		}
+		ts := httptest.NewServer(NewServer(e))
+		defer ts.Close()
+		url := ts.URL + "/v1/jobs/" + hit.ID() + "/result"
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			resp, err := http.Get(url)
+			if err != nil {
+				b.Fatal(err)
+			}
+			n, err := io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK || n != resp.ContentLength {
+				b.Fatalf("status %d, %d of %d bytes, err %v", resp.StatusCode, n, resp.ContentLength, err)
+			}
+			b.SetBytes(n)
 		}
 	})
 	b.Run("decode", func(b *testing.B) {
@@ -645,4 +685,46 @@ func TestResultEncodedOnce(t *testing.T) {
 	if got := get(ts2, blobHit.ID); e2.store.blobHits.Value() != 1 || !bytes.Equal(got, body) {
 		t.Fatalf("blob-tier hit (%v hits) served bytes unlike its stored result's", e2.store.blobHits.Value())
 	}
+}
+
+// FuzzRunsDecode pins cellRuns.UnmarshalJSON to encoding/json's own reading of
+// the runs object, which the document tests above cannot see: their reference
+// decodes runs through the same method. Any valid JSON value, decoded over
+// zero runs and over runs already set (as a repeated "runs" member decodes),
+// must leave the same fields, nil and empty told apart, or fail with the same
+// error.
+func FuzzRunsDecode(f *testing.F) {
+	for _, doc := range []string{
+		`{"n":0}`, `{}`, `{"n":3,"start":[1],"end":[3],"vals":[1,2.5]}`,
+		` { "vals" : [ 1 , -0, 5e-324 ] , "end":[1], "start":[0] , "n":1 } `,
+		`{"n":4,"start":[],"end":[ ],"vals":[-1.7976931348623157e308]}`,
+		`{"N":1}`, `{"n":1,"n":2}`, `{"n":1,"extra":[1]}`, `{"n":null}`, `{"start":null}`,
+		`{"n":"1"}`, `{"n":1.5}`, `{"n":-0}`, `{"start":[2147483648]}`, `{"start":[-2147483648]}`,
+		`{"end":[1e0]}`, `{"end":[1.0]}`, `{"vals":[1e400]}`, `{"vals":["1"]}`, `{"vals":[1,[2]]}`,
+		`{"vals":[true]}`, `{"start":[1]}`, `{"start":[01]}`, `[1,2]`, `7`, `"x"`, `null`,
+	} {
+		f.Add(doc)
+	}
+	f.Fuzz(func(t *testing.T, doc string) {
+		if !json.Valid([]byte(doc)) {
+			return // an Unmarshaler is only ever handed a valid value
+		}
+		for _, start := range []cellRuns{{}, {N: 9, Start: []int32{1}, End: []int32{2}, Vals: []float64{3}}} {
+			got, want := start, plainRuns(start)
+			got.Start, got.End, got.Vals = slices.Clone(start.Start), slices.Clone(start.End), slices.Clone(start.Vals)
+			err := got.UnmarshalJSON([]byte(doc))
+			werr := json.Unmarshal([]byte(doc), &want)
+			// Decoded alone, the fallback's errors name plainRuns for its
+			// struct; beneath a result, encoding/json names the result.
+			if err != nil && werr != nil {
+				werr = errors.New(strings.Replace(werr.Error(), "type service.plainRuns", "type service.cellRuns", 1))
+			}
+			if fmt.Sprint(err) != fmt.Sprint(werr) {
+				t.Fatalf("%q over %+v: err %v, encoding/json %v", doc, start, err, werr)
+			}
+			if err == nil && !reflect.DeepEqual(got, cellRuns(want)) {
+				t.Fatalf("%q over %+v: %+v, encoding/json %+v", doc, start, got, want)
+			}
+		}
+	})
 }

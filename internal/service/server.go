@@ -436,19 +436,19 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusConflict, err)
 	default:
 		// The result's one form, cells as their runs: a single run's body is
-		// its blob-tier bytes.
+		// its blob-tier bytes, encoded when first asked for and then shared.
 		var ens *EnsembleView
 		if e := j.Ensemble(); e != nil {
 			ens = ensembleViewOf(e, j.Config().KeepCells)
 		}
-		data, err := res.encode(ens)
-		// Marshal plus a newline, as writeJSON's Encoder writes, and its length
-		// for a one-buffer read; a view it cannot encode is an empty 200.
+		data, err := res.body(ens)
+		// The form ends in a newline, as writeJSON's Encoder writes; its length
+		// is declared for a one-buffer read; a view it cannot encode is an
+		// empty 200.
 		w.Header().Set("Content-Type", "application/json")
 		if err == nil {
-			w.Header().Set("Content-Length", strconv.Itoa(len(data)+1))
+			w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 			w.Write(data)
-			w.Write([]byte{'\n'})
 		}
 	}
 }
