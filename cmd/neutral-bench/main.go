@@ -17,14 +17,12 @@ package main
 import (
 	"bufio"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"time"
 
 	"repro/internal/harness"
-	"repro/internal/perfcount"
 )
 
 func main() {
@@ -42,7 +40,6 @@ func run() (err error) {
 		jsonOut    = flag.Bool("json", false, "emit one machine-readable JSON document instead of rendered tables")
 		outPath    = flag.String("o", "", "write output to a file instead of stdout")
 		list       = flag.Bool("list", false, "list experiment ids and exit")
-		counters   = flag.Bool("counters", false, "count perf events (cycles, cache misses, ...) over the whole suite and report totals")
 	)
 	flag.Parse()
 
@@ -83,27 +80,6 @@ func run() (err error) {
 		exps = []harness.Experiment{e}
 	}
 
-	// A process-wide counter group spanning every experiment. JSON output
-	// always carries the counters block — null when the host offers no
-	// events — so CI artifacts are schema-stable across machines.
-	var group *perfcount.Group
-	if *counters || *jsonOut {
-		g, err := perfcount.Open(perfcount.DefaultEvents()...)
-		switch {
-		case errors.Is(err, perfcount.ErrUnsupported):
-			if *counters {
-				fmt.Fprintln(os.Stderr, "neutral-bench: performance counters unsupported on this system; continuing without")
-			}
-		case err != nil:
-			return err
-		default:
-			defer g.Close()
-			if err := g.Enable(); err == nil {
-				group = g
-			}
-		}
-	}
-
 	if *markdown && !*jsonOut {
 		fmt.Fprintf(out, "# Reproduced evaluation (%s scale, generated %s)\n\n",
 			*scale, time.Now().UTC().Format("2006-01-02"))
@@ -136,23 +112,11 @@ func run() (err error) {
 		fmt.Fprintf(os.Stderr, "%-12s done in %v\n", e.ID, elapsed.Round(time.Millisecond))
 	}
 	if *jsonOut {
-		if group != nil {
-			report.Counters = group.Totals()
-		}
 		enc := json.NewEncoder(out)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(report); err != nil {
 			return err
 		}
-		return out.Flush()
-	}
-	if *counters && group != nil {
-		totals := group.Totals()
-		fmt.Fprintln(out, "== counters (whole suite) ==")
-		for _, name := range group.Names() {
-			fmt.Fprintf(out, "%-18s %d\n", name, totals[name])
-		}
-		fmt.Fprintln(out)
 	}
 	return out.Flush()
 }
@@ -165,9 +129,6 @@ type jsonReport struct {
 	Generated string       `json:"generated"`
 	Scale     string       `json:"scale"`
 	Figures   []jsonFigure `json:"figures"`
-	// Counters holds whole-suite perf event totals, keyed by event name;
-	// null on hosts where perf_event_open offers no events.
-	Counters map[string]uint64 `json:"counters"`
 }
 
 type jsonFigure struct {

@@ -51,6 +51,13 @@ type Options struct {
 	ForceSoftwareAtomics bool
 }
 
+// PaperOptions is the paper's operating point on d: every thread, compact
+// placement, atomic tally, data in the fast tier where d has one.
+func PaperOptions(d *Device, vectorised bool) Options {
+	return Options{Tally: tally.ModeAtomic, CompactPlacement: true,
+		Vectorised: vectorised, FastMem: d.FastMem != nil}
+}
+
 // Prediction is a modelled runtime with its component breakdown.
 type Prediction struct {
 	Device  string

@@ -1,9 +1,8 @@
 // Package cliutil centralises the run-configuration vocabulary of the
 // neutral command-line tools: the problem/scene/scheme/schedule/layout/tally
-// flag block and its resolution into a core.Config. cmd/neutral and
-// cmd/neutral-sweep register the whole block; cmd/neutral-serve shares the
-// scene loading. One definition means the tools cannot drift apart on flag
-// names, defaults or parsing rules.
+// flag block and its resolution into a core.Config. cmd/neutral registers
+// the whole block; cmd/neutral-serve shares the logger. One definition means
+// the tools cannot drift apart on flag names, defaults or parsing rules.
 package cliutil
 
 import (

@@ -35,16 +35,6 @@ func init() {
 	register("ensemble", EnsembleStats)
 }
 
-// modelOpts is the standard model operating point: full threads, compact
-// placement, atomic tally; KNL data in MCDRAM.
-func modelOpts(d *archmodel.Device, vectorised bool) archmodel.Options {
-	o := archmodel.Options{Tally: tally.ModeAtomic, CompactPlacement: true, Vectorised: vectorised}
-	if d.FastMem != nil {
-		o.FastMem = true
-	}
-	return o
-}
-
 // Figure03 reproduces the thread-scaling parallel-efficiency study: neutral
 // (both schemes) against flow and hot, natively on the host and on the
 // modelled Broadwell and POWER8.
@@ -222,7 +212,7 @@ func Figure05(opt Options) (*Figure, error) {
 			if err != nil {
 				return nil, err
 			}
-			o := modelOpts(dev, false)
+			o := archmodel.PaperOptions(dev, false)
 			ta := archmodel.Predict(dev, wa, o).Seconds
 			ts := archmodel.Predict(dev, ws, o).Seconds
 			f.AddRow(fmt.Sprintf("model-%s-%s", dev.Name, p), ta, ts, ts/ta)
@@ -295,7 +285,7 @@ func Figure07(opt Options) (*Figure, error) {
 			if err != nil {
 				return nil, err
 			}
-			at := modelOpts(dev, false)
+			at := archmodel.PaperOptions(dev, false)
 			pr := at
 			pr.Tally = tally.ModePrivate
 			pm := pr
@@ -358,8 +348,8 @@ func Figure08(opt Options) (*Figure, error) {
 	}
 	kernels := []string{"event", "collision", "facet"}
 	speed := func(dev *archmodel.Device, kernel string) float64 {
-		off := modelOpts(dev, false)
-		on := modelOpts(dev, true)
+		off := archmodel.PaperOptions(dev, false)
+		on := archmodel.PaperOptions(dev, true)
 		ko := archmodel.Predict(dev, w, off).KernelCompute[kernel]
 		kv := archmodel.Predict(dev, w, on).KernelCompute[kernel]
 		if kv == 0 {
@@ -392,8 +382,8 @@ func deviceFigure(id, paperNote string, dev *archmodel.Device, opt Options, nati
 		if err != nil {
 			return nil, err
 		}
-		top := archmodel.Predict(dev, wOP, modelOpts(dev, false)).Seconds
-		toe := archmodel.Predict(dev, wOE, modelOpts(dev, true)).Seconds
+		top := archmodel.Predict(dev, wOP, archmodel.PaperOptions(dev, false)).Seconds
+		toe := archmodel.Predict(dev, wOE, archmodel.PaperOptions(dev, true)).Seconds
 		f.AddRow("model-"+p.String(), top, toe, toe/top)
 	}
 	if native {
@@ -438,12 +428,9 @@ func Figure10(opt Options) (*Figure, error) {
 			if err != nil {
 				return nil, err
 			}
-			o := archmodel.Options{Tally: tally.ModeAtomic, CompactPlacement: true,
-				Vectorised: scheme == core.OverEvents}
-			dram := o
+			mc := archmodel.PaperOptions(dev, scheme == core.OverEvents) // the fast tier, MCDRAM
+			dram := mc
 			dram.FastMem = false
-			mc := o
-			mc.FastMem = true
 			td := archmodel.Predict(dev, w, dram).Seconds
 			tm := archmodel.Predict(dev, w, mc).Seconds
 			f.AddRow(fmt.Sprintf("%s-%s", scheme, p), td, tm, td/tm)
@@ -486,7 +473,7 @@ func Figure13(opt Options) (*Figure, error) {
 		return nil, err
 	}
 	dev := &archmodel.P100
-	base := modelOpts(dev, false)
+	base := archmodel.PaperOptions(dev, false)
 	natural := archmodel.Predict(dev, w, base)
 	capped := base
 	capped.RegisterCap = 64
@@ -505,8 +492,8 @@ func Figure13(opt Options) (*Figure, error) {
 		return nil, err
 	}
 	k20 := &archmodel.K20X
-	kNat := archmodel.Predict(k20, kw, modelOpts(k20, false))
-	kCap := modelOpts(k20, false)
+	kNat := archmodel.Predict(k20, kw, archmodel.PaperOptions(k20, false))
+	kCap := archmodel.PaperOptions(k20, false)
 	kCap.RegisterCap = 64
 	kCapped := archmodel.Predict(k20, kw, kCap)
 	f.AddRow("k20x-regcap64", kNat.Seconds, kCapped.Seconds, kCapped.Seconds/kNat.Seconds)
@@ -533,7 +520,7 @@ func Figure14(opt Options) (*Figure, error) {
 			if err != nil {
 				return nil, err
 			}
-			s := archmodel.Predict(dev, w, modelOpts(dev, false)).Seconds
+			s := archmodel.Predict(dev, w, archmodel.PaperOptions(dev, false)).Seconds
 			times[dev.Name][p] = s
 			vals = append(vals, s)
 		}
@@ -604,8 +591,7 @@ func TextTallyFraction(opt Options) (*Figure, error) {
 			return nil, err
 		}
 		pred := archmodel.Predict(&archmodel.Broadwell, w,
-			archmodel.Options{Tally: tally.ModeAtomic, CompactPlacement: true,
-				Vectorised: scheme == core.OverEvents})
+			archmodel.PaperOptions(&archmodel.Broadwell, scheme == core.OverEvents))
 		f.AddRow("model-broadwell-"+scheme.String(), pred.Seconds, pred.Seconds-pred.TallySeconds,
 			pred.TallyFraction())
 	}

@@ -271,8 +271,5 @@ func (c *Collector) EndRegion(name string) {
 // region → event. The maps are live; callers should copy if they keep them.
 func (c *Collector) Phases() map[string]map[string]uint64 { return c.phases }
 
-// Totals returns whole-collector counts since NewCollector.
-func (c *Collector) Totals() map[string]uint64 { return c.g.Totals() }
-
 // Close releases the underlying group.
 func (c *Collector) Close() { c.g.Close() }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"slices"
@@ -221,11 +222,15 @@ func (f *Filed) encode(ens *EnsembleView) ([]byte, error) {
 // producing process; the view it serves keeps them, and drops an ensemble
 // block, which the serving job supplies. It fails on anything encode does not
 // write: malformed JSON, a document without runs (the dense cells an older
-// engine wrote), or one that decodeResult rejects.
+// engine wrote), runs of other than cfg's cells when cfg has a mesh, or one
+// that decodeResult rejects.
 func ParseFiled(data []byte, cfg core.Config) (*Filed, error) {
 	s, err := decodeResult(data)
-	if err == nil && s.Runs == nil {
+	switch {
+	case err == nil && s.Runs == nil:
 		err = errors.New("service: result has no runs")
+	case err == nil && s.Runs.N != 0 && cfg.NX*cfg.NY > 0 && s.Runs.N != cfg.NX*cfg.NY:
+		err = fmt.Errorf("service: result runs cover %d cells, not the %dx%d mesh's", s.Runs.N, cfg.NX, cfg.NY)
 	}
 	if err != nil {
 		return nil, err
@@ -409,11 +414,11 @@ func nextRun(cells []float64, i int) (start, end int) {
 	return start, i
 }
 
-// valid reports whether c is what compactCells files: N within the int32 run
-// bounds, ascending maximal runs inside it, no value +0, and exactly the values
+// valid reports whether c is what compactCells files: N at most a mesh's
+// cells, ascending maximal runs inside it, no value +0, and exactly the values
 // the runs cover.
 func (c *cellRuns) valid() bool {
-	if c.N < 0 || c.N > math.MaxInt32 || len(c.Start) != len(c.End) {
+	if c.N < 0 || c.N > mesh.MaxCells || len(c.Start) != len(c.End) {
 		return false
 	}
 	at, covered := int32(-1), 0

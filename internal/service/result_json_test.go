@@ -254,7 +254,8 @@ func checkDecodeMatchesStdlib(t *testing.T, doc string) {
 	filed, ferr := ParseFiled([]byte(doc), core.Config{})
 	werr := json.Unmarshal([]byte(doc), &want)
 	runs := werr == nil && want.Runs != nil
-	badRuns := runs && (want.Cells != nil || !want.Runs.valid())
+	// More cells than a mesh holds is refused before expand allocates them.
+	badRuns := runs && (want.Cells != nil || want.Runs.N > mesh.MaxCells || !want.Runs.valid())
 	for _, path := range []struct {
 		name    string
 		err     error
@@ -408,6 +409,8 @@ func TestResultViewDecodeMatchesStdlib(t *testing.T) {
 		`{"Cells":[0],"runs":{"n":0}}`,
 		`{"runs":{"n":-1}}`,
 		`{"runs":{"n":2147483648}}`,
+		`{"runs":{"n":214743648}}`,
+		`{"runs":{"n":67108865}}`,
 		`{"runs":{"n":2,"start":[1],"end":[3],"vals":[1,2]}}`,
 		`{"runs":{"n":2,"start":[0],"end":[1],"vals":[0]}}`,
 		`{"runs":{"n":2,"start":[0],"end":[1],"vals":[1,2]}}`,

@@ -75,8 +75,8 @@ func TestStrategyVariantsShareOneStoredResult(t *testing.T) {
 }
 
 // TestWireFormResultBlobIsAMiss: a result blob that is not the one JSON form
-// is not read — the dense cells an older engine stored, or a document with
-// both cells and runs. The lookup misses and deletes it, and the job that then
+// is not read — the dense cells an older engine stored, a document with both
+// cells and runs, or runs of another mesh's cells. The lookup misses and deletes it, and the job that then
 // solves persists the result as its runs.
 func TestWireFormResultBlobIsAMiss(t *testing.T) {
 	cfg := ckptConfig(1)
@@ -95,7 +95,7 @@ func TestWireFormResultBlobIsAMiss(t *testing.T) {
 	}
 	mem := blob.NewMem()
 	s := newStore(0, mem, telemetry.NewRegistry())
-	for _, doc := range [][]byte{wire, []byte(`{"cells":[1,2,3],"runs":{"n":3}}`)} {
+	for _, doc := range [][]byte{wire, []byte(`{"cells":[1,2,3],"runs":{"n":3}}`), []byte(`{"runs":{"n":3}}`)} {
 		if err := mem.Put(resultKey(key), doc); err != nil {
 			t.Fatal(err)
 		}
@@ -123,6 +123,11 @@ func TestWireFormResultBlobIsAMiss(t *testing.T) {
 	}
 	if _, err := ParseFiled(data, cfg); err != nil {
 		t.Errorf("the solve did not re-persist its result as runs: %v", err)
+	}
+	other := cfg
+	other.NX++
+	if _, err := ParseFiled(data, other); err == nil {
+		t.Errorf("the runs of a %dx%d mesh were filed for a %dx%d one", cfg.NX, cfg.NY, other.NX, other.NY)
 	}
 }
 

@@ -336,12 +336,7 @@ func PredictDevices(problem, scheme string) ([]DevicePrediction, error) {
 	}
 	var out []DevicePrediction
 	for _, d := range archmodel.Devices() {
-		o := archmodel.Options{Tally: tally.ModeAtomic, CompactPlacement: true,
-			Vectorised: s == core.OverEvents}
-		if d.FastMem != nil {
-			o.FastMem = true
-		}
-		pr := archmodel.Predict(d, w, o)
+		pr := archmodel.Predict(d, w, archmodel.PaperOptions(d, s == core.OverEvents))
 		out = append(out, DevicePrediction{
 			Device:        pr.Device,
 			Seconds:       pr.Seconds,
