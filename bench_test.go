@@ -1,6 +1,6 @@
 package neutral
 
-// One benchmark per paper table/figure (DESIGN.md §5). Each regenerates its
+// One benchmark per paper table/figure (DESIGN.md §9). Each regenerates its
 // figure through the harness and reports the headline number the paper
 // plots as a custom metric, so `go test -bench=.` reproduces the entire
 // evaluation section. The paper-scale architecture-model workloads are

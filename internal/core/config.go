@@ -200,7 +200,7 @@ func (c Config) Fingerprint() (string, bool) {
 // Default returns a configuration sized so a full run completes in well
 // under a second: the paper's physics at reduced mesh resolution and
 // population. Event counts per particle scale linearly with resolution, so
-// behaviour is preserved (see DESIGN.md §2).
+// behaviour is preserved (see DESIGN.md §1).
 func Default(p mesh.Problem) Config {
 	return Config{
 		Physics: Physics{

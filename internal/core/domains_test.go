@@ -109,7 +109,7 @@ func TestRunDomainsVacuumMigrationAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	birth := particle.NewBank(vcfg.Layout, vcfg.Particles)
-	particle.PopulateSources(birth, m, vcfg.Scene.SourceTerms(), vcfg.Timestep, vcfg.Seed, 0)
+	particle.Births(birth, m, vcfg.Scene.SourceTerms(), vcfg.Timestep, vcfg.Seed, 0, 0, birth.Len())
 
 	wantMigrations := 0
 	var pb, pf particle.Particle

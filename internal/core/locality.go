@@ -8,8 +8,8 @@ import (
 	"repro/internal/tally"
 )
 
-// This file holds the cache-locality execution machinery of DESIGN.md §15:
-// the storage-order remapping that keeps every externally visible per-cell
+// This file holds the cache-locality machinery of DESIGN.md §2 and §3: the
+// storage-order remapping that keeps every externally visible per-cell
 // view in logical row-major order whatever ordering the mesh-shaped arrays
 // use internally, and the periodic cell-sorted bank pass. Both are pure
 // execution strategy — physics, counters and tallies are bit-identical with

@@ -66,7 +66,7 @@ type oeShare struct {
 // refreshed by the facet kernel at each crossing it is the same number of
 // mesh reads on csp (99 % of visits cross), but the read is a cache miss, and
 // the facet kernel has no arithmetic to hide it behind where the event kernel
-// does: measured on csp_oe, 55 against 59 M events/s (DESIGN.md §18).
+// does: measured on csp_oe, 55 against 59 M events/s (BENCH_pr15.json).
 type oeFrame struct {
 	speed, invSpeed float64 // events.Speed(Energy) and its reciprocal
 	invUX, invUY    float64 // 1/UX, 1/UY
@@ -100,7 +100,7 @@ func (r *run) ensureOE() {
 // stepOverEvents runs one timestep with the Over Events scheme (paper §V-B,
 // Listing 2): rounds of tight kernels. Nothing is cached in registers across
 // kernels — all state lives in the particle store and the event frame beside
-// it. Two things differ from the paper, neither in the physics (DESIGN.md §9).
+// it. Two things differ from the paper, neither in the physics (DESIGN.md §3).
 // Where its kernels each sweep the entire particle list testing a per-slot
 // event tag, these iterate an active-index list and per-event buckets gathered
 // by kernel 1, so a round costs O(active particles), not O(bank size). And

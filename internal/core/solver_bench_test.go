@@ -29,8 +29,8 @@ func BenchmarkUninterruptedSolve(b *testing.B) {
 
 // BenchmarkOverEvents times the compacted Over Events scheme at the default
 // configuration (the BENCH_pr3.json acceptance point), for both bank layouts
-// crossed with the locality strategies of DESIGN.md §15 (row-major storage
-// versus Morton ordering plus the cell-sorted bank), reporting the active
+// crossed with the locality strategies of DESIGN.md §2 and §3 (row-major
+// storage versus Morton ordering plus the cell-sorted bank), reporting the active
 // fraction — the share of the naive scheme's slot sweeps that touched
 // in-flight work — and each per-round kernel's nanoseconds per visited slot
 // (Result.OEVisitNs) alongside ns/op. The scatter rows are the event kernel's

@@ -102,7 +102,7 @@ func TestDistanceToFacetProperty(t *testing.T) {
 		s := rng.NewStream(seed, 0)
 		x := 2.5 * s.Uniform()
 		y := 2.5 * s.Uniform()
-		ux, uy := rng.IsotropicDirection(&s)
+		ux, uy := rng.DirectionOf(s.Next())
 		cx, cy := m.CellOf(x, y)
 		d, axis, dir := DistanceToFacet(m, x, y, ux, uy, int32(cx), int32(cy))
 		if d < 0 || dir == 0 {
@@ -422,7 +422,7 @@ func TestDistanceToFacetAgainstDivision(t *testing.T) {
 		}
 		x := m.FacetX(cx) + s.Uniform()*m.DX
 		y := m.FacetY(cy) + s.Uniform()*m.DY
-		ux, uy := rng.IsotropicDirection(&s)
+		ux, uy := rng.DirectionOf(s.Next())
 		check(x, y, ux, uy, cx, cy)
 
 		// Axis-aligned flight: one cosine exactly zero.
@@ -525,7 +525,7 @@ func TestFacetSearchMatchesSwitchForm(t *testing.T) {
 		}
 		x := m.FacetX(cx) + s.Uniform()*m.DX
 		y := m.FacetY(cy) + s.Uniform()*m.DY
-		ux, uy := rng.IsotropicDirection(&s)
+		ux, uy := rng.DirectionOf(s.Next())
 		check(x, y, ux, uy, 1/ux, 1/uy, cx, cy)
 		check(x, y, -ux, uy, -(1 / ux), 1/uy, cx, cy) // after a reflection
 

@@ -22,7 +22,7 @@ type cacheVariant struct {
 // CacheTable reproduces the cache-behaviour analysis behind the paper's
 // layout discussion as a measured table: per-kernel perf counters for each
 // particle layout, with and without the Morton mesh ordering plus periodic
-// cell-sorted bank (DESIGN.md §15). Counters attach to the solver's
+// cell-sorted bank (DESIGN.md §2 and §3). Counters attach to the solver's
 // RegionProbe hooks, so every count is attributed to exactly one kernel
 // phase. On hosts where perf_event_open offers no events at all the table
 // degrades to per-kernel wall time with a note — never an error.

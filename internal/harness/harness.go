@@ -2,8 +2,8 @@
 // evaluation (Figs 3-14 plus the in-text measurements). Each experiment
 // returns a Figure: the same series the paper plots, produced either by
 // running the instrumented solver natively (goroutines on the host) or by
-// pricing measured workloads on the architecture model — DESIGN.md §5 maps
-// each experiment to its modules.
+// pricing measured workloads on the architecture model — DESIGN.md §9
+// describes both kinds of row.
 package harness
 
 import (

@@ -87,7 +87,7 @@ func TestResizeReusesCapacity(t *testing.T) {
 
 // populate fills the bank from one box of the paper's unit-weight source.
 func populate(b *Bank, m *mesh.Mesh, src mesh.SourceBox, dt float64, seed, idBase uint64) {
-	PopulateSources(b, m, []SourceTerm{{Box: src, Share: 1, Weight: SourceWeight, Energy: SourceEnergy}}, dt, seed, idBase)
+	Births(b, m, []SourceTerm{{Box: src, Share: 1, Weight: SourceWeight, Energy: SourceEnergy}}, dt, seed, idBase, 0, b.Len())
 }
 
 // TestPopulateFamilyOffsetsIdentities: replica families must shift both the

@@ -112,8 +112,8 @@ func TestPopulateDeterministicAcrossLayouts(t *testing.T) {
 }
 
 // TestBirthsAnySplitMatchesPopulate: Births over any split of [0, n) into
-// ranges, in any order, followed by TotalWeight and TotalEnergy, gives
-// PopulateSources's bank and audit baselines bit for bit — the contract a
+// ranges, in any order, followed by TotalWeight and TotalEnergy, gives the
+// bank and audit baselines of one Births over [0, n) bit for bit — the contract a
 // parallel fill rests on — for both layouts, on two jittered terms whose cut
 // falls inside ranges.
 func TestBirthsAnySplitMatchesPopulate(t *testing.T) {
@@ -129,7 +129,8 @@ func TestBirthsAnySplitMatchesPopulate(t *testing.T) {
 	const n, seed, idBase = 301, 77, 5 * 301
 	for _, layout := range []Layout{AoS, SoA} {
 		want := NewBank(layout, n)
-		wantW, wantE := PopulateSources(want, m, terms, 1e-7, seed, idBase)
+		Births(want, m, terms, 1e-7, seed, idBase, 0, n)
+		wantW, wantE := want.TotalWeight(), want.TotalEnergy()
 		f := func(cuts []uint16, reverse bool) bool {
 			// cuts become sorted split points in [0, n]; the ranges between
 			// them are filled in either order.

@@ -56,24 +56,13 @@ func sourceCuts(terms []SourceTerm, n int) []int {
 // (scatter's 10⁷), an AoS bank of about 2 GB.
 const MaxPopulation = 1 << 24
 
-// PopulateSources fills the bank from a weighted multi-source description
-// (Births over every slot) and returns the total birth statistical weight
-// and birth weight-energy (weight-eV), the conservation-audit baselines, as
-// TotalWeight and TotalEnergy: slot-order sums of a bank all Alive. Particle
-// i draws from stream identity idBase+i (paper §IV-F), so a population is
-// the same across layouts, schemes and thread counts, and ensemble replica
-// r, passing idBase = r*particles, draws from a family of streams no other
-// replica shares.
-func PopulateSources(b *Bank, m *mesh.Mesh, terms []SourceTerm, dt float64, seed, idBase uint64) (birthWeight, birthEnergy float64) {
-	Births(b, m, terms, dt, seed, idBase, 0, b.Len())
-	return b.TotalWeight(), b.TotalEnergy()
-}
-
 // Births fills slots [lo, hi): particle i (stream identity idBase+i) takes a
 // term by the share split over the whole bank, draws position, direction and
 // mean-free-path budget as one four-word batch, then the term's optional
 // jitters. A slot depends only on its index, so disjoint ranges may be
-// filled concurrently.
+// filled concurrently, and a population is the same across layouts, schemes
+// and thread counts. Ensemble replica r passes idBase = r*particles and so
+// draws from a family of streams no other replica shares (paper §IV-F).
 func Births(b *Bank, m *mesh.Mesh, terms []SourceTerm, dt float64, seed, idBase uint64, lo, hi int) {
 	cuts := sourceCuts(terms, b.Len())
 	recs := b.Records()

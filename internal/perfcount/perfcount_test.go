@@ -2,7 +2,6 @@ package perfcount
 
 import (
 	"errors"
-	"os/exec"
 	"runtime"
 	"testing"
 )
@@ -142,24 +141,5 @@ func TestScaledDelta(t *testing.T) {
 	// Never ran: raw delta (zero) rather than a division by zero.
 	if got := scaledDelta(sample{0, 0, 0}, sample{0, 100, 0}); got != 0 {
 		t.Errorf("never-ran delta = %d, want 0", got)
-	}
-}
-
-// TestStatArgv checks both sides of the external fallback: with perf on
-// PATH it must produce a well-formed wrapped argv, without it the standard
-// ErrUnsupported skip signal.
-func TestStatArgv(t *testing.T) {
-	argv, err := StatArgv(DefaultEvents(), "/bin/true")
-	if _, lookErr := exec.LookPath("perf"); lookErr != nil {
-		if !errors.Is(err, ErrUnsupported) {
-			t.Fatalf("no perf binary, yet StatArgv = %v, want ErrUnsupported", err)
-		}
-		return
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(argv) < 6 || argv[len(argv)-1] != "/bin/true" {
-		t.Errorf("malformed perf stat argv: %v", argv)
 	}
 }

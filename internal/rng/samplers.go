@@ -67,9 +67,6 @@ var cosCoef = [...]float64{
 	4.16666666666665929218e-2,   // 0x3fa555555555554b
 }
 
-// IsotropicDirection samples a uniformly distributed unit direction in 2D.
-func IsotropicDirection(s *Stream) (ux, uy float64) { return DirectionOf(s.Next()) }
-
 // MeanFreePathsOf maps one raw word to a number of mean free paths until
 // the next collision: an Exp(1) variate, the standard analogue sampling of
 // the exponential free-flight kernel.
@@ -83,10 +80,4 @@ func MeanFreePaths(s *Stream) float64 { return MeanFreePathsOf(s.Next()) }
 // axis-aligned box [x0,x1) x [y0,y1).
 func PointInBoxOf(wx, wy uint64, x0, x1, y0, y1 float64) (x, y float64) {
 	return x0 + (x1-x0)*Unit(wx), y0 + (y1-y0)*Unit(wy)
-}
-
-// ScatterCosine samples the cosine of the centre-of-mass scattering angle,
-// isotropic in the CM frame: mu ~ U(-1, 1).
-func ScatterCosine(s *Stream) float64 {
-	return 2*s.Uniform() - 1
 }

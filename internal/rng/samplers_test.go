@@ -9,7 +9,7 @@ import (
 func TestIsotropicDirectionUnit(t *testing.T) {
 	f := func(seed, id uint64) bool {
 		s := NewStream(seed, id)
-		ux, uy := IsotropicDirection(&s)
+		ux, uy := DirectionOf(s.Next())
 		return math.Abs(ux*ux+uy*uy-1) < 1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
@@ -59,7 +59,7 @@ func TestIsotropicDirectionCoversQuadrants(t *testing.T) {
 	var quad [4]int
 	const n = 40000
 	for i := 0; i < n; i++ {
-		ux, uy := IsotropicDirection(&s)
+		ux, uy := DirectionOf(s.Next())
 		idx := 0
 		if ux < 0 {
 			idx |= 1
@@ -127,18 +127,24 @@ func TestPointInBoxBounds(t *testing.T) {
 	}
 }
 
+// TestScatterCosineRange: a collision redirects a particle to DirectionOf
+// its first word whatever its incoming direction, so the cosine of the
+// scattering angle lies in [-1, 1] with mean 0 — isotropic scatter.
 func TestScatterCosineRange(t *testing.T) {
 	s := NewStream(21, 4)
 	var sum float64
 	const n = 100000
+	ux, uy := DirectionOf(s.Next())
 	for i := 0; i < n; i++ {
-		mu := ScatterCosine(&s)
-		if mu < -1 || mu >= 1 {
-			t.Fatalf("scatter cosine %v outside [-1, 1)", mu)
+		vx, vy := DirectionOf(s.Next())
+		mu := ux*vx + uy*vy
+		if mu < -1-1e-12 || mu > 1+1e-12 {
+			t.Fatalf("scatter cosine %v outside [-1, 1]", mu)
 		}
 		sum += mu
+		ux, uy = vx, vy
 	}
 	if mean := sum / n; math.Abs(mean) > 0.01 {
-		t.Errorf("scatter cosine mean = %.4f, want 0 (isotropic CM)", mean)
+		t.Errorf("scatter cosine mean = %.4f, want 0 (isotropic)", mean)
 	}
 }

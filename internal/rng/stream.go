@@ -97,15 +97,3 @@ func UnitOpen(w uint64) float64 { return min((float64(w>>11)+0.5)/twoTo53, 1-1/t
 // Uniform returns a uniformly distributed float64 in the half-open interval
 // [0, 1).
 func (s *Stream) Uniform() float64 { return Unit(s.Next()) }
-
-// UniformOpen returns a uniformly distributed float64 in the open interval
-// (0, 1). Use it wherever a logarithm of the variate is taken.
-func (s *Stream) UniformOpen() float64 { return UnitOpen(s.Next()) }
-
-// UniformPair returns two independent uniforms in [0, 1) from a single
-// cipher block. Samplers that always consume variates in pairs may use it
-// to halve generator cost; both schemes must then call the same sampler.
-func (s *Stream) UniformPair() (float64, float64) {
-	b := s.NextBlock()
-	return Unit(b[0]), Unit(b[1])
-}

@@ -67,7 +67,7 @@ func TestStreamCounterAdvances(t *testing.T) {
 	}
 	s.Next()
 	s.Uniform()
-	s.UniformPair()
+	s.NextBlock()
 	if s.Counter() != 3 {
 		t.Fatalf("counter after 3 draws = %d, want 3", s.Counter())
 	}
@@ -77,7 +77,7 @@ func TestUniformInRange(t *testing.T) {
 	f := func(seed, id, ctr uint64) bool {
 		s := ResumeStream(seed, id, ctr)
 		u := s.Uniform()
-		v := s.UniformOpen()
+		v := UnitOpen(s.Next())
 		return u >= 0 && u < 1 && v > 0 && v < 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
@@ -156,16 +156,6 @@ func TestStreamIndependence(t *testing.T) {
 	corr := cov / math.Sqrt(va*vb)
 	if math.Abs(corr) > 0.02 {
 		t.Fatalf("correlation between adjacent streams = %.4f, want ~0", corr)
-	}
-}
-
-func TestUniformPairMatchesBlock(t *testing.T) {
-	s1 := NewStream(8, 9)
-	s2 := NewStream(8, 9)
-	u, v := s1.UniformPair()
-	b := s2.NextBlock()
-	if u != float64(b[0]>>11)/twoTo53 || v != float64(b[1]>>11)/twoTo53 {
-		t.Fatal("UniformPair does not correspond to one cipher block")
 	}
 }
 

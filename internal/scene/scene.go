@@ -303,7 +303,7 @@ func (s *Scene) Build(nx, ny int) (*mesh.Mesh, error) {
 }
 
 // SourceTerms converts the validated scene's sources to the sampler form
-// particle.PopulateSources consumes.
+// particle.Births consumes.
 func (s *Scene) SourceTerms() []particle.SourceTerm {
 	terms := make([]particle.SourceTerm, len(s.Sources))
 	for i, src := range s.Sources {

@@ -101,10 +101,10 @@ func TestPresetPopulateBitIdentical(t *testing.T) {
 		}
 		const n = 300
 		want := particle.NewBank(particle.AoS, n)
-		particle.PopulateSources(want, m, []particle.SourceTerm{{Box: s.SourceTerms()[0].Box, Share: 1,
-			Weight: particle.SourceWeight, Energy: particle.SourceEnergy}}, 1e-7, 42, 0)
+		particle.Births(want, m, []particle.SourceTerm{{Box: s.SourceTerms()[0].Box, Share: 1,
+			Weight: particle.SourceWeight, Energy: particle.SourceEnergy}}, 1e-7, 42, 0, 0, n)
 		got := particle.NewBank(particle.AoS, n)
-		particle.PopulateSources(got, m, s.SourceTerms(), 1e-7, 42, 0)
+		particle.Births(got, m, s.SourceTerms(), 1e-7, 42, 0, 0, n)
 		var pw, pg particle.Particle
 		for i := 0; i < n; i++ {
 			want.Load(i, &pw)
@@ -317,7 +317,8 @@ func TestMultiSourceApportionment(t *testing.T) {
 	}
 	const n = 1000
 	b := particle.NewBank(particle.AoS, n)
-	bw, be := particle.PopulateSources(b, m, s.SourceTerms(), 1e-7, 9, 0)
+	particle.Births(b, m, s.SourceTerms(), 1e-7, 9, 0, 0, n)
+	bw, be := b.TotalWeight(), b.TotalEnergy()
 	if bw != n || be != n*particle.SourceEnergy {
 		t.Fatalf("birth totals %g / %g, want %d / %g", bw, be, n, float64(n)*particle.SourceEnergy)
 	}
@@ -365,9 +366,9 @@ func TestSourceJitterDraws(t *testing.T) {
 	const n = 400
 	const dt = 1e-7
 	a := particle.NewBank(particle.AoS, n)
-	particle.PopulateSources(a, m, plain, dt, 3, 0)
+	particle.Births(a, m, plain, dt, 3, 0, 0, n)
 	b := particle.NewBank(particle.AoS, n)
-	particle.PopulateSources(b, m, jittered, dt, 3, 0)
+	particle.Births(b, m, jittered, dt, 3, 0, 0, n)
 	var pa, pb particle.Particle
 	varied := 0
 	for i := 0; i < n; i++ {

@@ -51,13 +51,14 @@ type tenantState struct {
 // disables authentication: every request is the anonymous tenant with no
 // rate limit.
 type Auth struct {
-	mu    sync.Mutex
-	byKey map[string]*tenantState
-	now   func() time.Time // injectable clock for deterministic tests
+	mu    sync.Mutex              // guards the tenants' buckets
+	byKey map[string]*tenantState // fixed by NewAuth, read without mu
+	now   func() time.Time        // injectable clock for deterministic tests
 }
 
 // NewAuth builds an authenticator from tenant records. Every tenant needs
-// a unique non-empty name and key; rates must be non-negative.
+// a unique non-empty name and key; rates must be non-negative, and a
+// rate-limited tenant's burst is 0 (derived) or at least 1.
 func NewAuth(tenants []Tenant) (*Auth, error) {
 	a := &Auth{byKey: map[string]*tenantState{}, now: time.Now}
 	names := map[string]bool{}
@@ -70,6 +71,9 @@ func NewAuth(tenants []Tenant) (*Auth, error) {
 		}
 		if t.Rate < 0 || t.Burst < 0 {
 			return nil, fmt.Errorf("service: tenant %q has a negative rate or burst", t.Name)
+		}
+		if t.Rate > 0 && t.Burst > 0 && t.Burst < 1 {
+			return nil, fmt.Errorf("service: tenant %q has burst %g: a rate-limited tenant's bucket must hold one job", t.Name, t.Burst)
 		}
 		if names[t.Name] {
 			return nil, fmt.Errorf("service: duplicate tenant name %q", t.Name)
@@ -165,30 +169,14 @@ func (a *Auth) authenticate(r *http.Request) (*tenantState, error) {
 	if !ok || !strings.EqualFold(scheme, "Bearer") || key == "" {
 		return nil, ErrNoKey
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	st := a.byKey[strings.TrimSpace(key)]
 	if st == nil {
 		return nil, ErrUnknownKey
 	}
-	if st.Revoked { // Revoke writes it under a.mu
+	if st.Revoked {
 		return nil, ErrRevokedKey
 	}
 	return st, nil
-}
-
-// Revoke marks a tenant's key revoked at runtime, reporting whether the
-// tenant exists. Revocation takes effect on the next request.
-func (a *Auth) Revoke(name string) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for _, st := range a.byKey {
-		if st.Name == name {
-			st.Revoked = true
-			return true
-		}
-	}
-	return false
 }
 
 const ctxKeyTenant ctxKey = 100

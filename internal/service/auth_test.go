@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -94,56 +95,6 @@ func TestAuthFailureModes(t *testing.T) {
 			t.Fatalf("%s without key: %d, want 200", path, resp.StatusCode)
 		}
 	}
-
-	// Runtime revocation takes effect on the next request.
-	if !auth.Revoke("alice") {
-		t.Fatal("Revoke(alice) reported no such tenant")
-	}
-	if resp := doReq(t, "GET", ts.URL+"/v1/jobs", "alice-key", ""); resp.StatusCode != http.StatusForbidden {
-		t.Fatalf("post-revocation: %d, want 403", resp.StatusCode)
-	}
-}
-
-// TestRevokeDuringRequests races a runtime revocation against requests that
-// present the key: each is answered 200 or 403, and every request after
-// Revoke returns is 403. Under -race it pins that the revoked flag is read
-// under the lock Revoke writes it under.
-func TestRevokeDuringRequests(t *testing.T) {
-	auth := mustAuth(t, Tenant{Name: "alice", Key: "alice-key"})
-	e := New(Options{Shards: 1})
-	defer e.Close()
-	srv := NewServerWith(e, ServerOptions{Auth: auth})
-	get := func() int {
-		req := httptest.NewRequest(http.MethodGet, "/v1/jobs", nil)
-		req.Header.Set("Authorization", "Bearer alice-key")
-		rec := httptest.NewRecorder()
-		srv.ServeHTTP(rec, req)
-		return rec.Code
-	}
-	var wg sync.WaitGroup
-	answered := make(chan struct{}, 4) // one per goroutine, sent after its first answer
-	for range 4 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range 50 {
-				if code := get(); code != http.StatusOK && code != http.StatusForbidden {
-					t.Errorf("during revocation: %d, want 200 or 403", code)
-				}
-				if i == 0 {
-					answered <- struct{}{}
-				}
-			}
-		}()
-	}
-	<-answered // revoke while the others are mid-flight
-	if !auth.Revoke("alice") {
-		t.Fatal("Revoke(alice) reported no such tenant")
-	}
-	if code := get(); code != http.StatusForbidden {
-		t.Errorf("after revocation: %d, want 403", code)
-	}
-	wg.Wait()
 }
 
 // TestRateLimit429RetryAfter saturates a 1-token bucket: the second rapid
@@ -173,18 +124,91 @@ func TestRateLimit429RetryAfter(t *testing.T) {
 	}
 }
 
-// TestBatchSpendsPerItem pins that batching is not a rate-limit bypass: a
-// 3-spec batch against a 2-token bucket is shed wholesale with 429.
+// TestBatchSpendsPerItem pins that batching is not a rate-limit bypass and
+// that no refusal promises a retry that cannot succeed: a 3-spec batch
+// against a 2-token bucket can never be admitted, so it is 413 with no
+// Retry-After; a 2-spec batch spends the bucket; the single submit after it
+// is 429 with a Retry-After.
 func TestBatchSpendsPerItem(t *testing.T) {
 	auth := mustAuth(t, Tenant{Name: "b", Key: "b-key", Rate: 0.1, Burst: 2})
-	ts, _ := newAuthServer(t, Options{Shards: 1}, ServerOptions{Auth: auth})
-	batch := `{"specs":[` + tinySpec + `,` + tinySpec + `,` + tinySpec + `]}`
-	resp := doReq(t, "POST", ts.URL+"/v1/batch", "b-key", batch)
+	ts, e := newAuthServer(t, Options{Shards: 1}, ServerOptions{Auth: auth})
+	e.runFn = func(ctx context.Context, cfg core.Config) (*core.Result, error) {
+		return &core.Result{Config: cfg}, nil
+	}
+	batch := func(n int) string {
+		specs := make([]string, n)
+		for i := range specs {
+			specs[i] = `{"problem":"csp","nx":32,"particles":50,"steps":1,"seed":` + strconv.Itoa(7+i) + `}`
+		}
+		return `{"specs":[` + strings.Join(specs, ",") + `]}`
+	}
+	resp := doReq(t, "POST", ts.URL+"/v1/batch", "b-key", batch(3))
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("3-spec batch on 2-token burst: %d, want 413", resp.StatusCode)
+	}
+	if ra := resp.Header.Get("Retry-After"); ra != "" {
+		t.Fatalf("over-burst 413 carries Retry-After %q", ra)
+	}
+	if resp := doReq(t, "POST", ts.URL+"/v1/batch", "b-key", batch(2)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("2-spec batch on 2-token burst: %d, want 200", resp.StatusCode)
+	}
+	resp = doReq(t, "POST", ts.URL+"/v1/jobs", "b-key", tinySpec)
 	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("3-spec batch on 2-token budget: %d, want 429", resp.StatusCode)
+		t.Fatalf("submit after the batch spent the bucket: %d, want 429", resp.StatusCode)
 	}
 	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("batch 429 carries no Retry-After")
+		t.Fatal("over-budget 429 carries no Retry-After")
+	}
+}
+
+// TestAuthConcurrentRequests races submissions under two keys: the key set
+// is read without the lock, the buckets under it. With the clock stopped, a
+// burst-5 bucket admits exactly 5 of 40 concurrent submissions and refuses
+// the rest 429, and every request with the revoked key is 403.
+func TestAuthConcurrentRequests(t *testing.T) {
+	auth := mustAuth(t,
+		Tenant{Name: "a", Key: "a-key", Rate: 1, Burst: 5},
+		Tenant{Name: "m", Key: "m-key", Revoked: true},
+	)
+	stopped := time.Now()
+	auth.now = func() time.Time { return stopped }
+	e := New(Options{Shards: 1})
+	defer e.Close()
+	e.runFn = func(ctx context.Context, cfg core.Config) (*core.Result, error) {
+		return &core.Result{Config: cfg}, nil
+	}
+	srv := NewServerWith(e, ServerOptions{Auth: auth})
+	post := func(key string) int {
+		req := httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(tinySpec))
+		req.Header.Set("Authorization", "Bearer "+key)
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		return rec.Code
+	}
+	var admitted, shed atomic.Int32
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 10 {
+				switch code := post("a-key"); code {
+				case http.StatusOK, http.StatusAccepted:
+					admitted.Add(1)
+				case http.StatusTooManyRequests:
+					shed.Add(1)
+				default:
+					t.Errorf("a-key submission: %d, want 200, 202 or 429", code)
+				}
+				if code := post("m-key"); code != http.StatusForbidden {
+					t.Errorf("revoked key: %d, want 403", code)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if a, s := admitted.Load(), shed.Load(); a != 5 || s != 35 {
+		t.Fatalf("admitted %d, shed %d of 40; want 5 and 35", a, s)
 	}
 }
 
@@ -402,6 +426,7 @@ func TestAuthValidation(t *testing.T) {
 		{{Name: "a", Key: ""}},
 		{{Name: AnonymousTenant, Key: "k"}},
 		{{Name: "a", Key: "k", Rate: -1}},
+		{{Name: "a", Key: "k", Rate: 1, Burst: 0.5}},
 		{{Name: "a", Key: "k1"}, {Name: "a", Key: "k2"}},
 		{{Name: "a", Key: "k"}, {Name: "b", Key: "k"}},
 	}

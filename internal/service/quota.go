@@ -31,7 +31,9 @@ func (b *bucket) init(rate, burst float64) {
 }
 
 // take spends n tokens if available. On refusal it reports how long until
-// n tokens will have refilled — the Retry-After the client is told.
+// n tokens will have refilled — the Retry-After the client is told. n must
+// not exceed burst: the bucket never holds more, so admit refuses such a
+// request before it gets here.
 func (b *bucket) take(n float64, now time.Time) (ok bool, retryAfter time.Duration) {
 	if b.rate <= 0 {
 		return true, 0
@@ -44,8 +46,7 @@ func (b *bucket) take(n float64, now time.Time) (ok bool, retryAfter time.Durati
 		b.tokens -= n
 		return true, 0
 	}
-	need := math.Min(n, b.burst) - b.tokens
-	return false, time.Duration(need / b.rate * float64(time.Second))
+	return false, time.Duration((n - b.tokens) / b.rate * float64(time.Second))
 }
 
 // Admit spends n admission tokens from the tenant's bucket, reporting how
@@ -59,12 +60,19 @@ func (a *Auth) Admit(st *tenantState, n float64) (bool, time.Duration) {
 // admit is the handler-side admission gate for job-creating endpoints:
 // it spends n tokens from the requesting tenant's rate budget and, when
 // the tenant is over budget, answers 429 with a Retry-After computed from
-// the bucket's refill rate. Returns false when the request was already
-// answered.
+// the bucket's refill rate. A request for more tokens than the bucket holds
+// would wait forever, so it is answered 413 with no Retry-After. Returns
+// false when the request was already answered.
 func (s *Server) admit(w http.ResponseWriter, r *http.Request, n int) bool {
 	st := tenantOf(r.Context())
 	if st == nil || st == anonymous {
 		return true
+	}
+	// rate and burst are fixed by NewAuth, so they are read without the lock.
+	if st.bucket.rate > 0 && float64(n) > st.bucket.burst {
+		s.writeError(w, r, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("service: %d jobs in one request exceed tenant %s's burst of %g", n, st.Name, st.bucket.burst))
+		return false
 	}
 	ok, wait := s.auth.Admit(st, float64(n))
 	if ok {

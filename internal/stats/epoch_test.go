@@ -10,7 +10,7 @@ import (
 )
 
 // Epoch agreement. The canonical segment arithmetic changed once, on purpose
-// (DESIGN.md §17: reciprocal multiplies for the facet distance and the census
+// (DESIGN.md §2: reciprocal multiplies for the facet distance and the census
 // clock, the collision decided in mean free paths). The goldens pin the new
 // arithmetic to itself; this test ties it back to the old one statistically.
 // The constants are the R = 32 ensemble mean and standard error of TallyTotal

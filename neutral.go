@@ -23,7 +23,7 @@
 //     submission, and the job-queue/worker-pool/result-cache engine
 //     behind the neutral-serve HTTP API (cmd/neutral-serve).
 //
-// See README.md for a tour and DESIGN.md for the system inventory.
+// See README.md for a tour and DESIGN.md for the architecture.
 package neutral
 
 import (
