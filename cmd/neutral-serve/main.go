@@ -35,7 +35,6 @@
 //
 //	neutral-serve -addr :8080 -fleet -keys keys.json -blob /var/lib/neutral/blob
 //	neutral-serve -addr :8081 -worker -join http://localhost:8080 -fleet-key SECRET
-//	neutral-serve -key 'ci:ci-secret:2:10'                 # inline tenant, 2 jobs/s burst 10
 //	curl -H 'Authorization: Bearer ci-secret' ...
 //
 // Observability:
@@ -66,7 +65,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/scene"
@@ -108,15 +106,6 @@ func run() error {
 		fleetKey = flag.String("fleet-key", "", "bearer key this process presents on fleet traffic (worker->coordinator and coordinator->worker requests)")
 		maxBody  = flag.Int64("max-body", 0, "request body cap in bytes on decoding endpoints, answered 413 beyond it (0 = 32 MiB)")
 	)
-	var keyFlags []service.Tenant
-	flag.Func("key", "inline tenant 'name:key[:rate[:burst]]' (repeatable; combines with -keys)", func(s string) error {
-		t, err := service.ParseKeyFlag(s)
-		if err != nil {
-			return err
-		}
-		keyFlags = append(keyFlags, t)
-		return nil
-	})
 	flag.Parse()
 
 	// Only 0 keeps a number flag's documented meaning: refuse the rest before listening.
@@ -130,7 +119,10 @@ func run() error {
 		}
 	}
 
-	logger := cliutil.NewLogger(os.Stderr, *logJSON)
+	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
+	if *logJSON {
+		logger = slog.New(slog.NewJSONHandler(os.Stderr, nil))
+	}
 
 	if *workerOn && *fleetOn {
 		return errors.New("-worker and -fleet are mutually exclusive roles")
@@ -174,18 +166,14 @@ func run() error {
 		os.Remove(probe.Name())
 	}
 
-	// Tenant keys: the file and any -key flags combine into one set; any
-	// key configured turns authentication on for the whole API.
+	// Tenant keys come from the key file, never argv, where any local user
+	// could read them; a key file turns authentication on for the whole API.
 	var auth *service.Auth
-	tenants := keyFlags
 	if *keysFile != "" {
-		fromFile, err := service.LoadKeys(*keysFile)
+		tenants, err := service.LoadKeys(*keysFile)
 		if err != nil {
 			return err
 		}
-		tenants = append(fromFile, tenants...)
-	}
-	if len(tenants) > 0 {
 		if auth, err = service.NewAuth(tenants); err != nil {
 			return err
 		}
@@ -222,7 +210,6 @@ func run() error {
 		CacheEntries:  *cacheSize,
 		ThreadsPerJob: *threads,
 		Blobs:         blobs,
-		DefaultScene:  defaultScene,
 		Registry:      registry,
 	}
 	if coordinator != nil {
@@ -238,6 +225,7 @@ func run() error {
 			Mounts:       mounts,
 			Auth:         auth,
 			MaxBodyBytes: *maxBody,
+			DefaultScene: defaultScene,
 		}),
 	}
 

@@ -34,13 +34,16 @@ import (
 	"math"
 	"os"
 	"os/signal"
+	"strings"
 	"time"
 
-	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/mesh"
+	"repro/internal/particle"
 	"repro/internal/perfcount"
+	"repro/internal/scene"
 	"repro/internal/stats"
+	"repro/internal/tally"
 	"repro/internal/telemetry"
 )
 
@@ -51,8 +54,79 @@ func main() {
 	}
 }
 
+// runFlags is the flag block that says what a run simulates and how: the
+// problem, as a preset or a -scene file, and the strategy. config resolves it.
+type runFlags struct {
+	problem, scene, scheme, schedule, layout, tally, ordering *string
+	chunk, sortEvery                                          *int
+}
+
+// registerRunFlags installs the run-configuration flags onto fs.
+func registerRunFlags(fs *flag.FlagSet) *runFlags {
+	return &runFlags{
+		problem:  fs.String("problem", "csp", "built-in test problem: stream, scatter or csp"),
+		scene:    fs.String("scene", "", "JSON scene file describing the problem (overrides -problem)"),
+		scheme:   fs.String("scheme", "over-particles", "parallelisation scheme: over-particles or over-events"),
+		schedule: fs.String("schedule", "static", "schedule: static, static-chunk, dynamic, guided"),
+		chunk:    fs.Int("chunk", 0, "schedule chunk size"),
+		layout:   fs.String("layout", "aos", "particle layout: aos or soa"),
+		tally:    fs.String("tally", "atomic", "tally: atomic, private or null"),
+		ordering: fs.String("ordering", "row-major",
+			"mesh storage ordering: row-major or morton (Z-order curve)"),
+		sortEvery: fs.Int("sort-every", 0,
+			"sort the particle bank by cell every N steps (0 disables)"),
+	}
+}
+
+// config resolves the flag block into a core.Config at default scale (or
+// paper scale when paper is set). Its one scene is the -scene file when one
+// was given and the -problem preset otherwise; -problem still sizes the run.
+func (f *runFlags) config(paper bool) (core.Config, error) {
+	p, err := mesh.ParseProblem(*f.problem)
+	if err != nil {
+		return core.Config{}, err
+	}
+	cfg := core.Default(p)
+	if paper {
+		cfg = core.Paper(p)
+	}
+	if *f.scene != "" {
+		if cfg.Scene, err = scene.LoadFile(*f.scene); err != nil {
+			return core.Config{}, err
+		}
+	}
+	if cfg.Scheme, err = core.ParseScheme(*f.scheme); err != nil {
+		return core.Config{}, err
+	}
+	kind, err := core.ParseSchedule(*f.schedule)
+	if err != nil {
+		return core.Config{}, err
+	}
+	cfg.Schedule = core.Schedule{Kind: kind, Chunk: *f.chunk}
+	if cfg.Layout, err = particle.ParseLayout(*f.layout); err != nil {
+		return core.Config{}, err
+	}
+	if cfg.Tally, err = tally.ParseMode(*f.tally); err != nil {
+		return core.Config{}, err
+	}
+	if cfg.Ordering, err = mesh.ParseOrdering(*f.ordering); err != nil {
+		return core.Config{}, err
+	}
+	cfg.SortEvery = *f.sortEvery
+	return cfg, nil
+}
+
+// describe labels the run's problem for output: its scene's name, or a hash
+// prefix for an anonymous scene.
+func describe(cfg core.Config) string {
+	if cfg.Scene.Name != "" {
+		return cfg.Scene.Name
+	}
+	return fmt.Sprintf("scene-%.12s", cfg.Scene.Hash())
+}
+
 func run() error {
-	runFlags := cliutil.Register(flag.CommandLine)
+	runFlags := registerRunFlags(flag.CommandLine)
 	var (
 		threads  = flag.Int("threads", 0, "worker count (0 = GOMAXPROCS)")
 		nx       = flag.Int("nx", 0, "mesh resolution override (0 = problem default)")
@@ -71,7 +145,7 @@ func run() error {
 	)
 	flag.Parse()
 
-	cfg, err := runFlags.Config(*paper)
+	cfg, err := runFlags.config(*paper)
 	if err != nil {
 		return err
 	}
@@ -133,10 +207,10 @@ func run() error {
 	}
 
 	var tr *telemetry.Trace
-	var traceStep core.StepFunc
+	var track *telemetry.Track
 	if *trace != "" {
 		tr = telemetry.NewTrace()
-		traceStep = cliutil.AttachTrace(tr.Track(cliutil.Describe(cfg)))
+		track = tr.Track(describe(cfg))
 	}
 
 	var collector *perfcount.Collector
@@ -155,8 +229,9 @@ func run() error {
 	}
 
 	onStep := func(s *core.Simulation) {
-		if traceStep != nil {
-			traceStep(s)
+		if track != nil { // lay the step's phase spans onto the trace
+			st := s.LastStep()
+			track.AddStep(st.Step, st.Wall, st.Phases.Spans())
 		}
 		if *ckpt != "" {
 			if err := core.WriteSnapshotFile(*ckpt, s.Snapshot()); err != nil {
@@ -182,7 +257,7 @@ func run() error {
 		os.Remove(*ckpt) // completed: the checkpoint has served its purpose
 	}
 	if tr != nil {
-		if err := cliutil.WriteTraceFile(*trace, tr); err != nil {
+		if err := writeTraceFile(*trace, tr); err != nil {
 			return fmt.Errorf("write trace: %w", err)
 		}
 		fmt.Fprintf(os.Stderr, "neutral: wrote trace to %s (load in chrome://tracing or Perfetto)\n", *trace)
@@ -195,6 +270,20 @@ func run() error {
 		printTally(res, cfg)
 	}
 	return nil
+}
+
+// writeTraceFile writes the trace as Chrome trace-event JSON at path —
+// loadable in chrome://tracing, Perfetto or Speedscope.
+func writeTraceFile(path string, tr *telemetry.Trace) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := tr.WriteChrome(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // printCounters renders the per-phase performance-counter attribution: one
@@ -232,7 +321,7 @@ func runEnsemble(cfg core.Config, printCells bool) error {
 	}
 	c := ens.Counters
 	fmt.Printf("problem      %s  (%dx%d mesh, %d particles, %d step(s), %d replicas)\n",
-		cliutil.Describe(cfg), cfg.NX, cfg.NY, cfg.Particles, cfg.Steps, ens.Replicas)
+		describe(cfg), cfg.NX, cfg.NY, cfg.Particles, cfg.Steps, ens.Replicas)
 	fmt.Printf("scheme       %s  layout %s  tally %s\n", cfg.Scheme, cfg.Layout, cfg.Tally)
 	fmt.Printf("wallclock    %v end to end, %v solver across replicas\n", ens.Wall, ens.SolverWall)
 	fmt.Printf("events       %d total across replicas (facet %d, collision %d, census %d)\n",
@@ -256,15 +345,19 @@ func printResult(res *core.Result) {
 	cfg := res.Config
 	c := res.Counter
 	fmt.Printf("problem      %s  (%dx%d mesh, %d particles, %d step(s))\n",
-		cliutil.Describe(cfg), cfg.NX, cfg.NY, cfg.Particles, cfg.Steps)
+		describe(cfg), cfg.NX, cfg.NY, cfg.Particles, cfg.Steps)
 	fmt.Printf("scheme       %s  schedule %s  layout %s  tally %s  threads %d\n",
 		cfg.Scheme, cfg.Schedule, cfg.Layout, cfg.Tally, cfg.Threads)
 	if cfg.Ordering != mesh.RowMajor || cfg.SortEvery > 0 {
 		fmt.Printf("locality     ordering %s  sort-every %d\n", cfg.Ordering, cfg.SortEvery)
 	}
 	fmt.Printf("wallclock    %v\n", res.Wall)
-	if phases := cliutil.PhaseSummary(res.Phases); phases != "" {
-		fmt.Printf("phases       %s\n", phases)
+	var phases []string
+	res.Phases.Each(func(name string, d time.Duration) {
+		phases = append(phases, fmt.Sprintf("%s %.3fs", name, d.Seconds()))
+	})
+	if len(phases) > 0 {
+		fmt.Printf("phases       %s\n", strings.Join(phases, "  "))
 	}
 	fmt.Printf("events       %d  (facet %d, collision %d, census %d)\n",
 		c.TotalEvents(), c.FacetEvents, c.CollisionEvents, c.CensusEvents)

@@ -1,4 +1,4 @@
-package cliutil
+package main
 
 import (
 	"flag"
@@ -12,10 +12,10 @@ import (
 	"repro/internal/tally"
 )
 
-func parse(t *testing.T, args ...string) (*RunFlags, *flag.FlagSet) {
+func parse(t *testing.T, args ...string) (*runFlags, *flag.FlagSet) {
 	t.Helper()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	f := Register(fs)
+	f := registerRunFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
@@ -24,19 +24,16 @@ func parse(t *testing.T, args ...string) (*RunFlags, *flag.FlagSet) {
 
 func TestConfigDefaults(t *testing.T) {
 	f, _ := parse(t)
-	cfg, err := f.Config(false)
+	cfg, err := f.config(false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := core.Default(mesh.CSP)
-	if cfg.Problem != want.Problem || cfg.NX != want.NX || cfg.Particles != want.Particles {
+	if cfg.Scene != want.Scene || cfg.NX != want.NX || cfg.Particles != want.Particles {
 		t.Errorf("default config drifted: %+v", cfg)
 	}
 	if cfg.Scheme != core.OverParticles || cfg.Layout != particle.AoS || cfg.Tally != tally.ModeAtomic {
 		t.Errorf("default strategy drifted")
-	}
-	if cfg.Scene != nil {
-		t.Error("no -scene flag but Scene set")
 	}
 }
 
@@ -44,11 +41,11 @@ func TestConfigFullBlock(t *testing.T) {
 	f, _ := parse(t,
 		"-problem", "scatter", "-scheme", "oe", "-schedule", "dynamic",
 		"-chunk", "16", "-layout", "soa", "-tally", "private")
-	cfg, err := f.Config(true)
+	cfg, err := f.config(true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Problem != mesh.Scatter || cfg.Particles != 10_000_000 {
+	if cfg.Scene != core.Default(mesh.Scatter).Scene || cfg.Particles != 10_000_000 {
 		t.Errorf("paper scatter scale not applied: %+v", cfg)
 	}
 	if cfg.Scheme != core.OverEvents || cfg.Layout != particle.SoA || cfg.Tally != tally.ModePrivate {
@@ -71,15 +68,15 @@ func TestConfigSceneFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	f, _ := parse(t, "-scene", path)
-	cfg, err := f.Config(false)
+	cfg, err := f.config(false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cfg.Scene == nil || cfg.Scene.Name != "box" || !cfg.Scene.HasVacuum() {
 		t.Fatalf("scene file not loaded into config: %+v", cfg.Scene)
 	}
-	if Describe(cfg) != "box" {
-		t.Errorf("Describe = %q, want box", Describe(cfg))
+	if describe(cfg) != "box" {
+		t.Errorf("Describe = %q, want box", describe(cfg))
 	}
 	// The config must validate and run end to end under the scene.
 	if err := cfg.Validate(); err != nil {
@@ -97,7 +94,7 @@ func TestConfigErrors(t *testing.T) {
 		{"-scene", "/does/not/exist.json"},
 	} {
 		f, _ := parse(t, args...)
-		if _, err := f.Config(false); err == nil {
+		if _, err := f.config(false); err == nil {
 			t.Errorf("%v: accepted", args)
 		}
 	}
@@ -105,15 +102,14 @@ func TestConfigErrors(t *testing.T) {
 
 func TestDescribePreset(t *testing.T) {
 	cfg := core.Default(mesh.Stream)
-	if Describe(cfg) != "stream" {
-		t.Errorf("Describe(stream) = %q", Describe(cfg))
+	if describe(cfg) != "stream" {
+		t.Errorf("describe(stream) = %q", describe(cfg))
 	}
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	// After validation the preset scene is attached; the label must not
-	// change.
-	if Describe(cfg) != "stream" {
-		t.Errorf("Describe(validated stream) = %q", Describe(cfg))
+	// Validation keeps the preset scene, so the label must not change.
+	if describe(cfg) != "stream" {
+		t.Errorf("describe(validated stream) = %q", describe(cfg))
 	}
 }

@@ -319,14 +319,8 @@ func TestDocReferencesResolve(t *testing.T) {
 	}
 }
 
-// commandFlags are the files that define the commands' flags, with the one
-// function to read in each ("" for the whole file).
-var commandFlags = []struct{ file, fn string }{
-	{"cmd/neutral/main.go", ""},
-	{"internal/cliutil/cliutil.go", "Register"},
-	{"cmd/neutral-serve/main.go", ""},
-	{"cmd/neutral-bench/main.go", ""},
-}
+// commandFlags are the files that define the commands' flags.
+var commandFlags = []string{"cmd/neutral/main.go", "cmd/neutral-serve/main.go", "cmd/neutral-bench/main.go"}
 
 // TestReadmeDocumentsEveryFlag fails for every flag of neutral, neutral-serve
 // and neutral-bench that README.md never mentions as "-name".
@@ -337,18 +331,12 @@ func TestReadmeDocumentsEveryFlag(t *testing.T) {
 	}
 	fset := token.NewFileSet()
 	n := 0
-	for _, c := range commandFlags {
-		f, err := parser.ParseFile(fset, c.file, nil, parser.SkipObjectResolution)
+	for _, file := range commandFlags {
+		f, err := parser.ParseFile(fset, file, nil, parser.SkipObjectResolution)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var root ast.Node = f
-		for _, d := range f.Decls {
-			if fn, ok := d.(*ast.FuncDecl); ok && fn.Name.Name == c.fn {
-				root = fn
-			}
-		}
-		ast.Inspect(root, func(nd ast.Node) bool {
+		ast.Inspect(f, func(nd ast.Node) bool {
 			call, ok := nd.(*ast.CallExpr)
 			if !ok {
 				return true
@@ -379,7 +367,7 @@ func TestReadmeDocumentsEveryFlag(t *testing.T) {
 			flagName, _ := strconv.Unquote(lit.Value)
 			n++
 			if !regexp.MustCompile(`(^|[^\w-])-` + regexp.QuoteMeta(flagName) + `($|[^\w-])`).Match(readme) {
-				t.Errorf("%s: flag -%s is not in README.md", c.file, flagName)
+				t.Errorf("%s: flag -%s is not in README.md", file, flagName)
 			}
 			return true
 		})

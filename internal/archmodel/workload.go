@@ -54,11 +54,11 @@ type Workload struct {
 	XSTableBytes float64
 }
 
-// FromResult converts an instrumented run into a workload, scaled from the
-// run's mesh/population to the given target scale. Facet-driven counts grow
-// linearly with mesh resolution (more facets per track length); collision
-// counts depend only on physics and population.
-func FromResult(res *core.Result, targetParticles, targetNX int) Workload {
+// FromResult converts an instrumented run of the paper problem p into a
+// workload, scaled from the run's mesh/population to the given target scale.
+// Facet-driven counts grow linearly with mesh resolution (more facets per
+// track length); collision counts depend only on physics and population.
+func FromResult(res *core.Result, p mesh.Problem, targetParticles, targetNX int) Workload {
 	cfg := res.Config
 	c := res.Counter
 	pf := float64(targetParticles) / float64(cfg.Particles)
@@ -66,7 +66,7 @@ func FromResult(res *core.Result, targetParticles, targetNX int) Workload {
 
 	w := Workload{
 		Scheme:    cfg.Scheme,
-		Problem:   cfg.Problem,
+		Problem:   p,
 		Layout:    cfg.Layout,
 		Particles: float64(targetParticles),
 		MeshCells: float64(targetNX) * float64(targetNX),
@@ -111,7 +111,7 @@ func FromResult(res *core.Result, targetParticles, targetNX int) Workload {
 	}
 
 	meshBytes := w.MeshCells * 8
-	switch cfg.Problem {
+	switch p {
 	case mesh.Scatter:
 		// Particles stay within a few mean free paths of the source
 		// box: the touched region is a small fraction of the mesh.
@@ -147,7 +147,7 @@ func MeasureWorkloadCfg(problem mesh.Problem, scheme core.Scheme, mod func(*core
 		return Workload{}, err
 	}
 	paper := core.Paper(problem)
-	return FromResult(res, paper.Particles, paper.NX), nil
+	return FromResult(res, problem, paper.Particles, paper.NX), nil
 }
 
 // ParticleRecordBytes is the per-particle record footprint, from the

@@ -43,8 +43,7 @@ func TestSceneArtefactsShared(t *testing.T) {
 	morton := base
 	morton.Ordering = mesh.Morton
 	other := base
-	other.Scene = nil
-	other.Problem = mesh.Scatter
+	other.Scene = Default(mesh.Scatter).Scene
 	for _, row := range []struct {
 		name  string
 		first Config

@@ -75,17 +75,12 @@ type Config struct {
 // Physics determines particle histories: it is what physicsHash digests and
 // what a snapshot must share with the config it resumes under.
 type Physics struct {
-	// Scene is the declarative problem description the run simulates:
-	// materials, density regions, sources and boundary conditions. nil
-	// selects the built-in preset of Problem, so configs that predate the
-	// scene layer keep their exact meaning. Validate resolves and
-	// validates it; a validated scene is immutable and may be shared
-	// across configs, replicas and goroutines.
+	// Scene is the problem the run simulates: materials, density regions,
+	// sources and boundary conditions. Default and Paper set the shared
+	// preset of a paper test case (scene.Preset); Validate refuses nil. A
+	// validated scene is immutable and may be shared across configs,
+	// replicas and goroutines.
 	Scene *scene.Scene
-	// Problem selects the paper test case preset (stream, scatter or csp)
-	// when Scene is nil; it is ignored — including by the fingerprint —
-	// when a Scene is set.
-	Problem mesh.Problem
 	// NX, NY are the mesh resolution. The paper uses 4000x4000.
 	NX, NY int
 	// Particles is the source population. The paper uses 1e6 for stream
@@ -153,27 +148,6 @@ type Shape struct {
 	KeepBank bool
 }
 
-// resolvedScene returns the scene the physics runs: Scene when set, the
-// built-in preset of Problem otherwise.
-func (p Physics) resolvedScene() (*scene.Scene, error) {
-	if p.Scene != nil {
-		return p.Scene, nil
-	}
-	return scene.Preset(p.Problem)
-}
-
-// sceneKey is the scene's contribution to the physics hash: the content
-// hash of the resolved scene, so an inline scene equivalent to a preset (or
-// to another submission's inline scene) keys identically, and the Problem
-// enum no longer leaks into any identity.
-func (p Physics) sceneKey() string {
-	sc, err := p.resolvedScene()
-	if err != nil {
-		return fmt.Sprintf("bad-problem-%d", int(p.Problem))
-	}
-	return sc.Hash()
-}
-
 // Fingerprint is a job's identity: its Physics (physicsHash) plus its Shape.
 // Equal fingerprints mean equal tally total, cells and leakage, bit for bit,
 // so it keys the result cache, the blob store and the fleet's
@@ -200,11 +174,13 @@ func (c Config) Fingerprint() (string, bool) {
 // Default returns a configuration sized so a full run completes in well
 // under a second: the paper's physics at reduced mesh resolution and
 // population. Event counts per particle scale linearly with resolution, so
-// behaviour is preserved (see DESIGN.md §1).
+// behaviour is preserved (see DESIGN.md §1). Its Scene is p's preset, nil
+// for an unknown p, which Validate refuses.
 func Default(p mesh.Problem) Config {
+	preset, _ := scene.Preset(p)
 	return Config{
 		Physics: Physics{
-			Problem:      p,
+			Scene:        preset,
 			NX:           512,
 			NY:           512,
 			Particles:    2000,
@@ -237,9 +213,9 @@ func Paper(p mesh.Problem) Config {
 }
 
 // Validate checks each part, and the one rule across parts: an ensemble needs
-// a live tally. Physics resolves a nil Scene to the Problem preset and fills
-// its zero defaults, Shape maps Replicas 0 to 1, and Strategy is only checked:
-// a Threads of 0 stays 0 until a run binds the config.
+// a live tally. Physics refuses a nil Scene and fills its zero defaults,
+// Shape maps Replicas 0 to 1, and Strategy is only checked: a Threads of 0
+// stays 0 until a run binds the config.
 func (c *Config) Validate() error {
 	if err := cmp.Or(c.Physics.validate(), c.Strategy.validate(), c.Shape.validate()); err != nil {
 		return err // the first failing part's
@@ -261,11 +237,7 @@ const MaxSteps = 4096
 
 func (p *Physics) validate() error {
 	if p.Scene == nil {
-		preset, err := scene.Preset(p.Problem)
-		if err != nil {
-			return fmt.Errorf("core: %w", err)
-		}
-		p.Scene = preset
+		return errors.New("core: config has no scene")
 	}
 	if err := p.Scene.Validate(); err != nil {
 		return err

@@ -143,13 +143,6 @@ func TestFingerprintSceneEquivalence(t *testing.T) {
 	if fp(preset) != fp(inline) {
 		t.Error("equivalent inline scene fingerprints differently from the preset")
 	}
-	// The Problem field is ignored once a scene is set.
-	inline2 := inline
-	inline2.Problem = mesh.Stream
-	if fp(inline2) != fp(inline) {
-		t.Error("problem enum leaked into a scene-driven fingerprint")
-	}
-
 	leaky := inline
 	leakySc := *inline.Scene
 	leakySc.Boundaries = scene.Boundaries{XHi: "vacuum"}
@@ -159,19 +152,28 @@ func TestFingerprintSceneEquivalence(t *testing.T) {
 	}
 }
 
-// TestValidateResolvesPresetScene: Validate attaches the problem's preset
-// scene so every downstream layer sees a non-nil scene, and rejects unknown
-// problems.
+// TestValidateResolvesPresetScene: a problem is named once, as its scene.
+// Default and Paper hand out the shared preset of each paper problem, and
+// Validate refuses a config without a scene, an unknown problem's included.
 func TestValidateResolvesPresetScene(t *testing.T) {
-	cfg := Default(mesh.Scatter)
-	if cfg.Scene != nil {
-		t.Fatal("Default should leave Scene nil")
+	for _, p := range []mesh.Problem{mesh.Stream, mesh.Scatter, mesh.CSP} {
+		preset, err := scene.Preset(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cfg := range []Config{Default(p), Paper(p)} {
+			if cfg.Scene != preset {
+				t.Errorf("%v: scene %+v, want the shared preset", p, cfg.Scene)
+			}
+			if err := cfg.Validate(); err != nil || cfg.Scene != preset {
+				t.Errorf("%v: Validate = %v, scene %p, want the preset %p", p, err, cfg.Scene, preset)
+			}
+		}
 	}
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Scene == nil || cfg.Scene.Name != "scatter" {
-		t.Fatalf("Validate did not resolve the preset scene: %+v", cfg.Scene)
+	none := Default(mesh.CSP)
+	none.Scene = nil
+	if err := none.Validate(); err == nil {
+		t.Error("config without a scene accepted")
 	}
 	bad := Default(mesh.Problem(42))
 	if err := bad.Validate(); err == nil {

@@ -59,13 +59,18 @@ var ErrSnapshotMismatch = fmt.Errorf("core: snapshot does not match config")
 // every Physics field moves it. Its input bytes are part of the snapshot
 // format (the hash is in the header). The scene enters through its content
 // hash, so a checkpoint taken under a preset resumes under an equivalent
-// inline scene and vice versa. The density-hook=false literal is a fixed
-// part of the input: it keeps every hash, fingerprint and snapshot written
-// while configs could carry a density hook readable.
+// inline scene and vice versa; a config without a scene fails validation, so
+// its empty scene key is never filed. The density-hook=false literal is a
+// fixed part of the input: it keeps every hash, fingerprint and snapshot
+// written while configs could carry a density hook readable.
 func physicsHash(p Physics) [sha256.Size]byte {
+	var sceneKey string
+	if p.Scene != nil {
+		sceneKey = p.Scene.Hash()
+	}
 	h := sha256.New()
 	fmt.Fprintf(h, "scene=%s nx=%d ny=%d particles=%d dt=%x steps=%d seed=%d ",
-		p.sceneKey(), p.NX, p.NY, p.Particles,
+		sceneKey, p.NX, p.NY, p.Particles,
 		math.Float64bits(p.Timestep), p.Steps, p.Seed)
 	fmt.Fprintf(h, "xs=%d wcut=%x ecut=%x density-hook=false ",
 		p.XSPoints, math.Float64bits(p.WeightCutoff),
@@ -227,8 +232,9 @@ func (r *snapshotReader) readParticle(p *particle.Particle) {
 // configuration alone: the physics hash and the scene in canonical JSON. The
 // scene rides along to make the checkpoint self-describing — restore verifies
 // it against the offered config, and tooling can read a checkpoint's geometry
-// without the config that produced it. A service job snapshots at every step,
-// so both are computed once per configuration (bind drops them).
+// without the config that produced it. A run may snapshot at many boundaries
+// (the CLI's -checkpoint, a service job's cost-budgeted checkpoints), so both
+// are computed once per configuration (bind drops them).
 func (r *run) snapshotIdentity() (hash [sha256.Size]byte, sceneJSON []byte) {
 	if r.snapScene == nil {
 		sceneJSON, err := r.cfg.Scene.CanonicalJSON()

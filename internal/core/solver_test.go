@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strconv"
 	"testing"
 
 	"repro/internal/mesh"
@@ -402,13 +403,10 @@ func TestMergePerStepCharged(t *testing.T) {
 func TestValidateErrors(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.NX = 0 },
-		func(c *Config) { c.NX = 1 << 32 },            // a cell coordinate is an int32
 		func(c *Config) { c.NX, c.NY = 1<<20, 1<<20 }, // more than mesh.MaxCells
 		func(c *Config) { c.Particles = 0 },
 		func(c *Config) { c.Particles = particle.MaxPopulation + 1 },
 		func(c *Config) { c.Replicas = MaxReplicas + 1 },
-		func(c *Config) { c.Particles, c.Replica = 4, 1<<62 }, // identities wrap to replica 0's
-		func(c *Config) { c.Particles, c.Replica = 2, 1<<62 }, // identities reach the split domain
 		func(c *Config) { c.Timestep = 0 },
 		func(c *Config) { c.Timestep = math.NaN() },
 		func(c *Config) { c.Timestep = math.Inf(1) },
@@ -423,7 +421,6 @@ func TestValidateErrors(t *testing.T) {
 		func(c *Config) { c.EnergyCutoff = math.NaN() },
 		func(c *Config) { c.EnergyCutoff = math.Inf(1) },
 		func(c *Config) { c.XSPoints = 1 },
-		func(c *Config) { c.XSPoints = 10_000_000_000 }, // more than xs.MaxPoints
 		func(c *Config) { c.Schedule.Chunk = -2 },
 		func(c *Config) { c.Schedule.Chunk = particle.MaxPopulation + 1 },
 		func(c *Config) { c.Schedule = Schedule{Kind: ScheduleDynamic, Chunk: math.MaxInt} }, // overflowed the claim cursor
@@ -433,6 +430,17 @@ func TestValidateErrors(t *testing.T) {
 		func(c *Config) { c.Layout = particle.SoA + 1 },
 		func(c *Config) { c.Layout = -1 },
 	}
+	// Limits only a 64-bit int can pass, held as int64 so the test compiles
+	// where int is 32 bits.
+	var cellCoord, wrapReplica, xsPoints, lastReplica int64 = 1 << 32, 1 << 62, 10_000_000_000, 1<<61 - 1
+	if strconv.IntSize == 64 {
+		bad = append(bad,
+			func(c *Config) { c.NX = int(cellCoord) },                        // a cell coordinate is an int32
+			func(c *Config) { c.Particles, c.Replica = 4, int(wrapReplica) }, // identities wrap to replica 0's
+			func(c *Config) { c.Particles, c.Replica = 2, int(wrapReplica) }, // identities reach the split domain
+			func(c *Config) { c.XSPoints = int(xsPoints) },                   // more than xs.MaxPoints
+		)
+	}
 	for i, mutate := range bad {
 		cfg := Default(mesh.CSP)
 		mutate(&cfg)
@@ -441,13 +449,15 @@ func TestValidateErrors(t *testing.T) {
 		}
 	}
 	// The last replica whose identities all stay below 2^63.
-	edge := Default(mesh.CSP)
-	edge.Particles, edge.Replica = 4, 1<<61-1
-	if err := edge.Validate(); err != nil {
-		t.Errorf("replica %d of 4 particles rejected: %v", edge.Replica, err)
+	if strconv.IntSize == 64 {
+		edge := Default(mesh.CSP)
+		edge.Particles, edge.Replica = 4, int(lastReplica)
+		if err := edge.Validate(); err != nil {
+			t.Errorf("replica %d of 4 particles rejected: %v", edge.Replica, err)
+		}
 	}
 	// The last thread count and chunk accepted.
-	edge = Default(mesh.CSP)
+	edge := Default(mesh.CSP)
 	edge.Threads, edge.Schedule = MaxThreads, Schedule{Kind: ScheduleDynamic, Chunk: particle.MaxPopulation}
 	if err := edge.Validate(); err != nil {
 		t.Errorf("%d threads at chunk %d rejected: %v", edge.Threads, edge.Schedule.Chunk, err)

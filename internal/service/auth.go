@@ -8,7 +8,6 @@ import (
 	"log/slog"
 	"net/http"
 	"os"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -124,28 +123,6 @@ func ParseKeys(data []byte) ([]Tenant, error) {
 		return nil, fmt.Errorf("service: parse keys: %w", err)
 	}
 	return f.Tenants, nil
-}
-
-// ParseKeyFlag parses one "name:key[:rate[:burst]]" command-line tenant,
-// the quick-start alternative to a keys file.
-func ParseKeyFlag(s string) (Tenant, error) {
-	parts := strings.Split(s, ":")
-	if len(parts) < 2 || len(parts) > 4 || parts[0] == "" || parts[1] == "" {
-		return Tenant{}, fmt.Errorf("service: key flag %q, want name:key[:rate[:burst]]", s)
-	}
-	t := Tenant{Name: parts[0], Key: parts[1]}
-	var err error
-	if len(parts) >= 3 {
-		if t.Rate, err = strconv.ParseFloat(parts[2], 64); err != nil {
-			return Tenant{}, fmt.Errorf("service: key flag %q: bad rate: %w", s, err)
-		}
-	}
-	if len(parts) == 4 {
-		if t.Burst, err = strconv.ParseFloat(parts[3], 64); err != nil {
-			return Tenant{}, fmt.Errorf("service: key flag %q: bad burst: %w", s, err)
-		}
-	}
-	return t, nil
 }
 
 // Authentication outcomes, mapped to status codes by the middleware.

@@ -440,7 +440,7 @@ func TestAuthValidation(t *testing.T) {
 	}
 }
 
-// TestParseKeys covers both accepted file shapes and the flag format.
+// TestParseKeys covers both accepted file shapes and a missing file.
 func TestParseKeys(t *testing.T) {
 	wrapped, err := ParseKeys([]byte(`{"tenants":[{"name":"a","key":"k","rate":2}]}`))
 	if err != nil || len(wrapped) != 1 || wrapped[0].Rate != 2 {
@@ -449,15 +449,6 @@ func TestParseKeys(t *testing.T) {
 	bare, err := ParseKeys([]byte(`[{"name":"a","key":"k"}]`))
 	if err != nil || len(bare) != 1 {
 		t.Fatalf("bare: %+v, %v", bare, err)
-	}
-	tn, err := ParseKeyFlag("team:secret:1.5:4")
-	if err != nil || tn.Name != "team" || tn.Key != "secret" || tn.Rate != 1.5 || tn.Burst != 4 {
-		t.Fatalf("flag: %+v, %v", tn, err)
-	}
-	for _, s := range []string{"", "noseparator", ":key", "name:", "a:b:notanumber", "a:b:1:2:3"} {
-		if _, err := ParseKeyFlag(s); err == nil {
-			t.Errorf("ParseKeyFlag(%q) accepted", s)
-		}
 	}
 	if _, err := LoadKeys("/nonexistent/keys.json"); err == nil {
 		t.Error("LoadKeys on a missing file returned nil error")

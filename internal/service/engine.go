@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/scene"
 	"repro/internal/service/blob"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
@@ -48,11 +47,6 @@ type Options struct {
 	// a volume — resumes in-flight work and serves finished work without
 	// recomputing. The store is the precondition for stateless workers.
 	Blobs blob.Store
-	// DefaultScene, when non-nil, is the scene applied by the HTTP layer
-	// to submissions that name neither a problem nor an inline scene —
-	// how cmd/neutral-serve's -scene flag sets a server-wide default
-	// problem. It must be validated (scene.LoadFile and Parse validate).
-	DefaultScene *scene.Scene
 	// Registry, when non-nil, is the telemetry registry the engine
 	// registers its metric families on — shared when a process hosts
 	// several instrumented subsystems. Nil means a private registry;
@@ -601,10 +595,6 @@ func (e *Engine) Stats() Stats {
 	_, s.Rejected = e.queue.Stats()
 	return s
 }
-
-// DefaultScene reports the engine's default scene for problem-less
-// submissions; nil when none was configured.
-func (e *Engine) DefaultScene() *scene.Scene { return e.opts.DefaultScene }
 
 // CheckpointInFlight writes the latest checkpoint of every non-terminal job
 // that holds one into the blob store — the SIGTERM drain path: called

@@ -50,7 +50,7 @@ func checkFiled(t *testing.T, name string, cells []float64) {
 			t.Fatalf("%s: cell %d expands to %x, was %x", name, i, math.Float64bits(got[i]), math.Float64bits(cells[i]))
 		}
 	}
-	checkEncodeRoundTrip(t, name, ResultView{TallyTotal: 2.5, Events: 9, Cells: cells})
+	checkEncodeRoundTrip(t, name, ResultView{TallyTotal: 2.5, Events: 9, Cells: cells, Counters: &core.Counters{FacetEvents: 9}})
 }
 
 // TestFiledLossless: filing a result's cells loses nothing — not a bit of any
@@ -132,6 +132,35 @@ func TestFiledLossless(t *testing.T) {
 	want, werr := json.Marshal(storedResult{plainView(view), &f.cells})
 	if err != nil || werr != nil || !bytes.Equal(enc, want) {
 		t.Fatalf("filed reference result encodes unlike its view and runs (err %v, %v)", err, werr)
+	}
+}
+
+// TestParseFiledRequiresCounters: every result encode writes carries its
+// counters, so ParseFiled refuses a single-run body without them instead of
+// rebuilding a partial counter vector from the summary fields.
+func TestParseFiledRequiresCounters(t *testing.T) {
+	res := referenceResult(t)
+	body, err := fileResult(res).body(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ParseFiled(body, res.Config); err != nil {
+		t.Fatalf("the encoded body: %v", err)
+	}
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(body, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := doc["counters"]; !ok {
+		t.Fatal("the encoded body has no counters")
+	}
+	delete(doc, "counters")
+	stripped, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ParseFiled(stripped, res.Config); err == nil {
+		t.Error("a result without counters was filed")
 	}
 }
 

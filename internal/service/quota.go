@@ -49,14 +49,6 @@ func (b *bucket) take(n float64, now time.Time) (ok bool, retryAfter time.Durati
 	return false, time.Duration((n - b.tokens) / b.rate * float64(time.Second))
 }
 
-// Admit spends n admission tokens from the tenant's bucket, reporting how
-// long the tenant must wait when refused.
-func (a *Auth) Admit(st *tenantState, n float64) (bool, time.Duration) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return st.bucket.take(n, a.now())
-}
-
 // admit is the handler-side admission gate for job-creating endpoints:
 // it spends n tokens from the requesting tenant's rate budget and, when
 // the tenant is over budget, answers 429 with a Retry-After computed from
@@ -74,7 +66,9 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, n int) bool {
 			fmt.Errorf("service: %d jobs in one request exceed tenant %s's burst of %g", n, st.Name, st.bucket.burst))
 		return false
 	}
-	ok, wait := s.auth.Admit(st, float64(n))
+	s.auth.mu.Lock()
+	ok, wait := st.bucket.take(float64(n), s.auth.now())
+	s.auth.mu.Unlock()
 	if ok {
 		return true
 	}

@@ -222,13 +222,15 @@ func (f *Filed) encode(ens *EnsembleView) ([]byte, error) {
 // producing process; the view it serves keeps them, and drops an ensemble
 // block, which the serving job supplies. It fails on anything encode does not
 // write: malformed JSON, a document without runs (the dense cells an older
-// engine wrote), runs of other than cfg's cells when cfg has a mesh, or one
-// that decodeResult rejects.
+// engine wrote) or without counters, runs of other than cfg's cells when cfg
+// has a mesh, or one that decodeResult rejects.
 func ParseFiled(data []byte, cfg core.Config) (*Filed, error) {
 	s, err := decodeResult(data)
 	switch {
 	case err == nil && s.Runs == nil:
 		err = errors.New("service: result has no runs")
+	case err == nil && s.Counters == nil:
+		err = errors.New("service: result has no counters")
 	case err == nil && s.Runs.N != 0 && cfg.NX*cfg.NY > 0 && s.Runs.N != cfg.NX*cfg.NY:
 		err = fmt.Errorf("service: result runs cover %d cells, not the %dx%d mesh's", s.Runs.N, cfg.NX, cfg.NY)
 	}
@@ -475,28 +477,15 @@ func resultViewOf(res *core.Result) ResultView {
 	}
 }
 
-// result is the inverse of resultViewOf for what ParseFiled keeps.
+// result is the inverse of resultViewOf for what ParseFiled keeps; v carries
+// counters, as every view resultViewOf writes does.
 func (v *ResultView) result(cfg core.Config) *core.Result {
 	res := &core.Result{
 		Config:     cfg,
 		TallyTotal: v.TallyTotal,
 		Cells:      v.Cells,
-	}
-	if v.WallNS != 0 {
-		res.Wall = time.Duration(v.WallNS)
-	} else { // older worker: fall back to the rounded seconds
-		res.Wall = time.Duration(v.WallSeconds * float64(time.Second))
-	}
-	if v.Counters != nil {
-		res.Counter = *v.Counters
-	} else {
-		res.Counter = core.Counters{
-			FacetEvents:     v.FacetEvents,
-			CollisionEvents: v.CollisionEvents,
-			CensusEvents:    v.CensusEvents,
-			Deaths:          v.Deaths,
-			Escapes:         v.Escapes,
-		}
+		Wall:       time.Duration(v.WallNS),
+		Counter:    *v.Counters,
 	}
 	res.Conservation.RelativeError = v.ConservationError
 	if v.Leakage != nil {

@@ -174,7 +174,7 @@ func TestResultEncodeMatchesStdlib(t *testing.T) {
 		1e20, 1e21, math.Nextafter(1e21, 0), 1e22, 1e100, math.MaxFloat64, -math.MaxFloat64,
 		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1022, 0x0.8p-1022, 1 << 53, 1<<53 + 2, 123456.789}
 	for _, f := range edges {
-		checkEncodeRoundTrip(t, strconv.FormatFloat(f, 'g', -1, 64), ResultView{Cells: []float64{f}})
+		checkEncodeRoundTrip(t, strconv.FormatFloat(f, 'g', -1, 64), ResultView{Cells: []float64{f}, Counters: &core.Counters{}})
 	}
 
 	cells := make([]float64, 0, 1_100_000)
@@ -191,7 +191,7 @@ func TestResultEncodeMatchesStdlib(t *testing.T) {
 			cells = append(cells, 0, negZero, 0) // a tally is mostly zeros
 		}
 	}
-	checkEncodeRoundTrip(t, "random", ResultView{TallyTotal: 1.5, Events: 7, Cells: cells})
+	checkEncodeRoundTrip(t, "random", ResultView{TallyTotal: 1.5, Events: 7, Cells: cells, Counters: &core.Counters{FacetEvents: 7}})
 
 	full := resultViewOf(referenceResult(t))
 	checkEncodeRoundTrip(t, "reference", full)
@@ -244,7 +244,7 @@ type plainStoredView struct {
 // and empty told apart) and every other field equal. A document with runs
 // must fail unless they are runs compactCells files and no cells stand beside
 // them, and then read as their expansion. ParseFiled accepts exactly the
-// valid runs documents.
+// valid runs documents that carry counters, as encode writes them.
 func checkDecodeMatchesStdlib(t *testing.T, doc string) {
 	t.Helper()
 	var got, direct ResultView
@@ -261,7 +261,7 @@ func checkDecodeMatchesStdlib(t *testing.T, doc string) {
 		err     error
 		wantErr bool
 	}{{"json.Unmarshal", gerr, werr != nil || badRuns}, {"UnmarshalJSON", derr, werr != nil || badRuns},
-		{"ParseFiled", ferr, !runs || badRuns}} {
+		{"ParseFiled", ferr, !runs || badRuns || want.Counters == nil}} {
 		if (path.err != nil) != path.wantErr {
 			t.Fatalf("doc %.80q: %s err %v, encoding/json %v (runs %t, malformed %t)", doc, path.name, path.err, werr, runs, badRuns)
 		}
@@ -284,7 +284,7 @@ func checkDecodeMatchesStdlib(t *testing.T, doc string) {
 	checkSameCells(t, what+"json.Unmarshal", got.Cells, want.Cells)
 	checkSameCells(t, what+"UnmarshalJSON", direct.Cells, want.Cells)
 	wantView := ResultView(want.plainResultView)
-	if runs {
+	if ferr == nil {
 		checkSameCells(t, what+"ParseFiled", filed.Result().Cells, want.Cells)
 		// ParseFiled keeps what a core.Result carries of the view.
 		fres, wres := *filed.Result(), *wantView.result(core.Config{})

@@ -131,7 +131,7 @@ func TestAPISceneValidation(t *testing.T) {
 	}
 }
 
-// TestAPIDefaultScene: an engine configured with a default scene applies it
+// TestAPIDefaultScene: a server configured with a default scene applies it
 // to submissions that name neither a problem nor a scene, while explicit
 // problems and scenes still win.
 func TestAPIDefaultScene(t *testing.T) {
@@ -144,7 +144,7 @@ func TestAPIDefaultScene(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts, e := newTestServer(t, Options{Shards: 1, QueueDepth: 4, DefaultScene: def})
+	ts, e := newAuthServer(t, Options{Shards: 1, QueueDepth: 4}, ServerOptions{DefaultScene: def})
 
 	v := submitJob(t, ts, `{"nx":64,"particles":100,"seed":7}`, false)
 	j, err := e.Job(v.ID)

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/scene"
 	"repro/internal/telemetry"
 )
 
@@ -112,6 +113,7 @@ type Server struct {
 	heartbeat time.Duration
 	auth      *Auth
 	maxBody   int64
+	defScene  *scene.Scene
 }
 
 // ServerOptions tunes the HTTP layer.
@@ -142,6 +144,11 @@ type ServerOptions struct {
 	// snapshot, small enough to stop an accidental or hostile
 	// multi-gigabyte POST from exhausting memory.
 	MaxBodyBytes int64
+	// DefaultScene, when non-nil, is the problem of submissions that name
+	// neither a problem nor an inline scene — how cmd/neutral-serve's
+	// -scene flag sets a server-wide default. It must be validated
+	// (scene.LoadFile and Parse validate).
+	DefaultScene *scene.Scene
 }
 
 // DefaultMaxBodyBytes is the request-body cap applied when
@@ -173,6 +180,7 @@ func NewServerWith(e *Engine, opts ServerOptions) *Server {
 		heartbeat: hb,
 		auth:      opts.Auth,
 		maxBody:   maxBody,
+		defScene:  opts.DefaultScene,
 	}
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	s.mux.HandleFunc("POST /v1/batch", s.handleBatch)
@@ -244,10 +252,10 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, code int, er
 }
 
 // applyDefaultScene fills a submission that names neither a problem nor an
-// inline scene with the engine's default scene, when one is configured.
+// inline scene with the server's default scene, when one is configured.
 func (s *Server) applyDefaultScene(spec *Spec) {
 	if spec.Problem == "" && spec.Scene == nil {
-		spec.Scene = s.engine.DefaultScene()
+		spec.Scene = s.defScene
 	}
 }
 

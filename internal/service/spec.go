@@ -80,8 +80,9 @@ type SourceSpec struct {
 // Config resolves the spec to a validated-shape core.Config (final
 // validation happens at Submit; a zero thread count is resolved by the
 // engine that solves the job). A spec names a problem preset, carries an
-// inline scene, or both — in which case the scene wins, as in core.Config.
-// A source box derives the job's own scene from that one (see SourceSpec).
+// inline scene, or both — in which case the scene is the job's problem and
+// the preset only sizes the defaults. A source box derives the job's own
+// scene from that one (see SourceSpec).
 func (s Spec) Config() (core.Config, error) {
 	var p mesh.Problem
 	var err error
@@ -114,15 +115,11 @@ func (s Spec) Config() (core.Config, error) {
 	if s.Paper {
 		cfg = core.Paper(p)
 	}
-	cfg.Scene = s.Scene
+	if s.Scene != nil {
+		cfg.Scene = s.Scene
+	}
 	if s.Source != nil {
-		base := s.Scene
-		if base == nil {
-			if base, err = scene.Preset(p); err != nil {
-				return core.Config{}, err
-			}
-		}
-		cfg.Scene = base.WithSources(scene.Source{
+		cfg.Scene = cfg.Scene.WithSources(scene.Source{
 			X0: s.Source.X0, X1: s.Source.X1,
 			Y0: s.Source.Y0, Y1: s.Source.Y1,
 		})
@@ -194,10 +191,10 @@ func (s Spec) Config() (core.Config, error) {
 // This is the fleet coordinator's transport encoding for dispatching a
 // shard to a remote worker: a thread count the client left unset stays off
 // the wire, so the worker applies its own budget. It requires a validated
-// config (Validate resolves the scene and fills every default).
+// config (Validate refuses a nil scene and fills every default).
 func SpecOf(cfg core.Config) (Spec, error) {
 	if cfg.Scene == nil {
-		return Spec{}, fmt.Errorf("service: config not validated (nil scene)")
+		return Spec{}, fmt.Errorf("service: config has no scene")
 	}
 	seed := cfg.Seed
 	s := Spec{

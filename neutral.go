@@ -93,8 +93,8 @@ type (
 
 	// Scene is a declarative problem description: named materials,
 	// painted density regions, weighted jittered sources and per-edge
-	// boundary conditions. Set it on Config.Scene (nil selects the
-	// Problem preset); load one from JSON with LoadScene/ParseScene.
+	// boundary conditions. Config.Scene is the run's problem (DefaultConfig
+	// and PaperConfig set a preset); load one with LoadScene/ParseScene.
 	Scene = scene.Scene
 	// SceneMaterial names a mass density for scene regions.
 	SceneMaterial = scene.Material
