@@ -1,11 +1,11 @@
 // Command benchgate is the CI benchmark regression gate. It takes `go test -c`
 // binaries in parent/change pairs, one pair per package (./internal/core's
-// solver rows, ./internal/service's result rows), runs the two sides in the
-// paired runner's alternating order (stats.Alternate: the side that goes first
-// flips with each pair) and judges each benchmark row against its own parent
-// samples (stats.Judge): host speed cancels, and a row that speeds up moves no
-// other row's verdict. A row printed by only one side is reported as new or
-// gone.
+// solve, bind and finish rows, ./internal/service's result rows), runs the
+// two sides in the paired runner's alternating order (stats.Alternate: the
+// side that goes first flips with each pair) and judges each benchmark row
+// against its own parent samples (stats.Judge): host speed cancels, and a
+// row that speeds up moves no other row's verdict. A row printed by only one
+// side is reported as new or gone.
 //
 // Usage:
 //
@@ -40,10 +40,14 @@ const (
 )
 
 // rows are the gated benchmarks, each family at its own iteration count: a
-// solve takes tens of milliseconds, a result encode or decode tens of
-// microseconds. A binary runs every family and prints the rows it has.
+// solve takes tens of milliseconds, a bind milliseconds, a finish after one
+// step (each built and stepped off the clock) tens to hundreds of
+// microseconds, a result encode or decode tens of microseconds. A binary runs
+// every family and prints the rows it has.
 var rows = []struct{ bench, times string }{
 	{"BenchmarkOverEvents|BenchmarkUninterruptedSolve", "3x"},
+	{"BenchmarkNewSimulation/(repeat|births)", "50x"},
+	{"BenchmarkFinalize", "10x"},
 	{"BenchmarkResultJSON", "1000x"},
 }
 

@@ -220,7 +220,7 @@ func (r *run) populate() {
 	parallelFor(cfg.Threads, r.bank.Len(), Schedule{Kind: ScheduleStatic}, func(_, lo, hi int) {
 		particle.Births(r.bank, r.mesh, terms, cfg.Timestep, cfg.Seed, idBase, lo, hi)
 	})
-	r.setBirth(r.bank.TotalWeight(), r.bank.TotalEnergy())
+	r.setBirth(r.bank.Totals())
 }
 
 // setBirth records the conservation baselines and readies the accumulators
@@ -590,11 +590,11 @@ func (r *run) finish(res *Result) {
 
 	// Conservation audit (meaningless for the null tally).
 	res.TallyTotal = r.tallyTotal()
-	inFlight := r.bank.TotalEnergy()
+	finalWeight, inFlight := r.bank.Totals()
 	leaked := res.Leakage.TotalEnergy()
 	res.Conservation = Conservation{
 		BirthWeight: r.birthWeight,
-		FinalWeight: r.bank.TotalWeight(),
+		FinalWeight: finalWeight,
 		BirthEnergy: r.birthEnergy,
 		Deposited:   res.TallyTotal,
 		InFlight:    inFlight,
@@ -644,17 +644,23 @@ func (r *run) leakage() (l Leakage) {
 	return l
 }
 
-// reviveCensus returns census particles to flight for the next timestep.
+// reviveCensus returns census particles to flight for the next timestep,
+// writing the two fields it changes in place.
 func (r *run) reviveCensus() {
-	var p particle.Particle
-	for i := 0; i < r.bank.Len(); i++ {
-		if r.bank.StatusOf(i) != particle.Census {
-			continue
+	ts := r.cfg.Timestep
+	if recs := r.bank.Records(); recs != nil {
+		for i := range recs {
+			if p := &recs[i]; p.Status == particle.Census {
+				p.Status, p.TimeToCensus = particle.Alive, ts
+			}
 		}
-		r.bank.Load(i, &p)
-		p.Status = particle.Alive
-		p.TimeToCensus = r.cfg.Timestep
-		r.bank.Store(i, &p)
+		return
+	}
+	c, _ := r.bank.Columns()
+	for i, st := range c.Status {
+		if st == particle.Census {
+			c.Status[i], c.TimeToCensus[i] = particle.Alive, ts
+		}
 	}
 }
 

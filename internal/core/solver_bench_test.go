@@ -153,10 +153,11 @@ func BenchmarkSnapshot(b *testing.B) {
 
 // BenchmarkNewSimulation times NewSimulation in three regimes. repeat and
 // cold take the stream_big workload's problem (stream, 1536², 1 000
-// particles, one thread), the largest setup of the benchmark. repeat binds a
-// scene the process has bound before, with a new seed each time: the mesh
-// and tables are shared. cold clears the artefact memo before each bind,
-// with the timer stopped, as a fresh process binds its first scene. The
+// particles, one thread), the largest mesh of the benchmark; the largest
+// setup is scatter_op's, about 20 times stream_big's, for its bank. repeat
+// binds a scene the process has bound before, with a new seed each time: the
+// mesh and tables are shared. cold clears the artefact memo before each
+// bind, with the timer stopped, as a fresh process binds its first scene. The
 // births rows take the scatter_op workload's op (scatter, 512², 25 000
 // particles) at one and two threads, a repeated scene: the bind is the bank
 // and its sampling. core.new_s is the mean per bind.
@@ -192,6 +193,46 @@ func BenchmarkNewSimulation(b *testing.B) {
 				}
 			}
 			b.ReportMetric(b.Elapsed().Seconds()/float64(b.N), "core.new_s")
+		})
+	}
+}
+
+// BenchmarkFinalize times Finalize after the one step of two benchmark
+// workloads' ops, each op a fresh simulation built and stepped with the timer
+// stopped, so the read is as cold as a solve's: csp_oe's (csp, 512², 2 300
+// particles, Over Events, one thread), where the tally total is most of
+// the read, and scatter_op's (scatter, 512², 25 000 particles, Over
+// Particles, one thread), where the bank's totals are. core.finalize_s is the
+// mean per call.
+func BenchmarkFinalize(b *testing.B) {
+	for _, row := range []struct {
+		name      string
+		problem   mesh.Problem
+		particles int
+		scheme    Scheme
+	}{
+		{"csp_oe", mesh.CSP, 2300, OverEvents},
+		{"scatter_op", mesh.Scatter, 25000, OverParticles},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			cfg := Default(row.problem)
+			cfg.NX, cfg.NY = 512, 512
+			cfg.Particles, cfg.Scheme, cfg.Threads, cfg.Steps = row.particles, row.scheme, 1, 1
+			b.StopTimer()
+			for i := 0; i < b.N; i++ {
+				cfg.Seed++
+				sim, err := NewSimulation(cfg)
+				if err == nil {
+					err = sim.Step()
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				sim.Finalize()
+				b.StopTimer()
+			}
+			b.ReportMetric(b.Elapsed().Seconds()/float64(b.N), "core.finalize_s")
 		})
 	}
 }

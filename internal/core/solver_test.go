@@ -254,6 +254,64 @@ func TestTallyOverflowFailsRun(t *testing.T) {
 	}
 }
 
+// TestTallyTotalIsScan: the total a run reads at every step boundary, which
+// the tally folds from its workers' running sums, is the scan of the ticks it
+// holds, bit for bit: for csp and scatter, both schemes, one and three
+// threads, the atomic and private tallies, and on from a Restore of step 2
+// into the same simulation, which reads the total it read at step 2.
+func TestTallyTotalIsScan(t *testing.T) {
+	scan := func(s *Simulation) float64 {
+		var sum int64
+		for _, v := range s.r.tly.Ticks() {
+			sum += v
+		}
+		return tally.ScaleFor(s.r.birthEnergy).Value(sum)
+	}
+	for _, p := range []mesh.Problem{mesh.CSP, mesh.Scatter} {
+		for _, scheme := range []Scheme{OverParticles, OverEvents} {
+			for _, threads := range []int{1, 3} {
+				for _, mode := range []tally.Mode{tally.ModeAtomic, tally.ModePrivate} {
+					cfg := smallConfig(p)
+					cfg.Scheme, cfg.Threads, cfg.Tally, cfg.Steps = scheme, threads, mode, 4
+					name := fmt.Sprintf("%v/%v/t%d/%v", p, scheme, threads, mode)
+					sim, err := NewSimulation(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					check := func() float64 {
+						got, want := sim.TallyTotal(), scan(sim)
+						if math.Float64bits(got) != math.Float64bits(want) {
+							t.Errorf("%s step %d: TallyTotal %.17g, the scan reads %.17g", name, sim.StepIndex(), got, want)
+						}
+						return got
+					}
+					var snap []byte
+					var atSnap float64
+					steps := func() {
+						for !sim.Done() {
+							if err := sim.Step(); err != nil {
+								t.Fatalf("%s: %v", name, err)
+							}
+							if total := check(); sim.StepIndex() == 2 && snap == nil {
+								snap, atSnap = sim.Snapshot(), total
+							}
+						}
+					}
+					check()
+					steps()
+					if err := sim.Restore(cfg, snap); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if got := check(); got != atSnap {
+						t.Errorf("%s: restored total %.17g, %.17g at the snapshot", name, got, atSnap)
+					}
+					steps()
+				}
+			}
+		}
+	}
+}
+
 // TestRefusedDensityFailsBuild: a scene whose densities a mesh cannot hold —
 // a NaN or negative material, or one distinct value more than
 // mesh.MaxDensities — must come back as the typed error from every door that

@@ -43,9 +43,11 @@ func TestPopulationControlPreservesExpectedWeight(t *testing.T) {
 		}
 		r := sim.r
 		r.reviveCensus()
-		before += r.bank.TotalWeight()
+		w, _ := r.bank.Totals()
+		before += w
 		r.populationControl()
-		after += r.bank.TotalWeight()
+		w, _ = r.bank.Totals()
+		after += w
 	}
 	if rel := math.Abs(after-before) / before; rel > 0.01 {
 		t.Errorf("control pass shifted expected total weight by %.3g relative (before %.6g, after %.6g)",

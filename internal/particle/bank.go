@@ -353,43 +353,31 @@ func (b *Bank) CountStatus() (alive, census, dead int) {
 	return alive, census, dead
 }
 
-// TotalWeight sums particle weights across the bank (population
-// conservation audits). Field-direct paths read only the weight column (and
-// the weight field for AoS) instead of streaming whole records through
-// Load, so the per-step conservation audit stays cheap on large banks.
-func (b *Bank) TotalWeight() float64 {
-	var sum float64
+// Totals sums the particle weights across the bank (population audits) and
+// the weight-scaled kinetic energy of its in-flight particles, Alive and
+// Census, in weight-eV (energy audits). One pass reads only the fields the
+// two sums need, in either layout, and each sum adds in slot order. The
+// float64 conversion keeps the product rounded before the add, so no
+// architecture fuses the two.
+func (b *Bank) Totals() (weight, energy float64) {
 	if b.layout == SoA {
-		for _, w := range b.soa.Weight {
-			sum += w
-		}
-		return sum
-	}
-	for i := range b.aos {
-		sum += b.aos[i].Weight
-	}
-	return sum
-}
-
-// TotalEnergy sums weight-scaled kinetic energy across the in-flight bank
-// (Alive and Census), in weight-eV (energy conservation audits). Like
-// TotalWeight, it reads only the fields it needs in either layout.
-func (b *Bank) TotalEnergy() float64 {
-	var sum float64
-	if b.layout == SoA {
-		for i := range b.soa.Status {
-			if b.soa.Status[i] == Alive || b.soa.Status[i] == Census {
-				sum += b.soa.Weight[i] * b.soa.Energy[i]
+		c := &b.soa
+		for i, w := range c.Weight {
+			weight += w
+			if s := c.Status[i]; s == Alive || s == Census {
+				energy += float64(w * c.Energy[i])
 			}
 		}
-		return sum
+		return weight, energy
 	}
 	for i := range b.aos {
-		if p := &b.aos[i]; p.Status == Alive || p.Status == Census {
-			sum += p.Weight * p.Energy
+		p := &b.aos[i]
+		weight += p.Weight
+		if p.Status == Alive || p.Status == Census {
+			energy += float64(p.Weight * p.Energy)
 		}
 	}
-	return sum
+	return weight, energy
 }
 
 // BytesPerParticle reports the storage footprint of one particle record —

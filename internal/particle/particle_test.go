@@ -112,7 +112,7 @@ func TestPopulateDeterministicAcrossLayouts(t *testing.T) {
 }
 
 // TestBirthsAnySplitMatchesPopulate: Births over any split of [0, n) into
-// ranges, in any order, followed by TotalWeight and TotalEnergy, gives the
+// ranges, in any order, followed by Totals, gives the
 // bank and audit baselines of one Births over [0, n) bit for bit — the contract a
 // parallel fill rests on — for both layouts, on two jittered terms whose cut
 // falls inside ranges.
@@ -130,7 +130,7 @@ func TestBirthsAnySplitMatchesPopulate(t *testing.T) {
 	for _, layout := range []Layout{AoS, SoA} {
 		want := NewBank(layout, n)
 		Births(want, m, terms, 1e-7, seed, idBase, 0, n)
-		wantW, wantE := want.TotalWeight(), want.TotalEnergy()
+		wantW, wantE := want.Totals()
 		f := func(cuts []uint16, reverse bool) bool {
 			// cuts become sorted split points in [0, n]; the ranges between
 			// them are filled in either order.
@@ -146,7 +146,7 @@ func TestBirthsAnySplitMatchesPopulate(t *testing.T) {
 				}
 				Births(got, m, terms, 1e-7, seed, idBase, bounds[k], bounds[k+1])
 			}
-			if got.TotalWeight() != wantW || got.TotalEnergy() != wantE {
+			if gotW, gotE := got.Totals(); gotW != wantW || gotE != wantE {
 				return false
 			}
 			var pg, pw Particle
@@ -199,10 +199,11 @@ func TestPopulateInvariants(t *testing.T) {
 			t.Fatalf("particle %d cell coordinates stale", i)
 		}
 	}
-	if w := b.TotalWeight(); math.Abs(w-n*SourceWeight) > 1e-9 {
+	w, e := b.Totals()
+	if math.Abs(w-n*SourceWeight) > 1e-9 {
 		t.Fatalf("total birth weight = %v, want %v", w, float64(n)*SourceWeight)
 	}
-	if e := b.TotalEnergy(); math.Abs(e-n*SourceWeight*SourceEnergy) > 1e-3 {
+	if math.Abs(e-n*SourceWeight*SourceEnergy) > 1e-3 {
 		t.Fatalf("total birth energy = %v", e)
 	}
 }
@@ -289,9 +290,9 @@ func TestBytesPerParticleMatchesFieldSet(t *testing.T) {
 	}
 }
 
-// TestTotalsFieldDirectFastPaths checks the layout-specific TotalWeight /
-// TotalEnergy paths against the one-Load-per-particle reference they
-// replaced, with a population that includes dead particles.
+// TestTotalsFieldDirectFastPaths checks the layout-specific Totals paths
+// against the one-Load-per-particle reference they replaced, with a
+// population that includes dead particles.
 func TestTotalsFieldDirectFastPaths(t *testing.T) {
 	m, err := mesh.New(64, 64, mesh.Extent, mesh.Extent, mesh.VacuumDensity)
 	if err != nil {
@@ -318,14 +319,11 @@ func TestTotalsFieldDirectFastPaths(t *testing.T) {
 			b.Load(i, &p)
 			wantW += p.Weight
 			if p.Status != Dead {
-				wantE += p.Weight * p.Energy
+				wantE += float64(p.Weight * p.Energy)
 			}
 		}
-		if got := b.TotalWeight(); got != wantW {
-			t.Errorf("%v: TotalWeight = %g, want %g", layout, got, wantW)
-		}
-		if got := b.TotalEnergy(); got != wantE {
-			t.Errorf("%v: TotalEnergy = %g, want %g", layout, got, wantE)
+		if gotW, gotE := b.Totals(); gotW != wantW || gotE != wantE {
+			t.Errorf("%v: Totals = %g, %g, want %g, %g", layout, gotW, gotE, wantW, wantE)
 		}
 	}
 }

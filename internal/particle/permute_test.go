@@ -42,7 +42,7 @@ func TestPermuteIsPermutation(t *testing.T) {
 				for i := 0; i < n; i++ {
 					b.Load(i, &old[i])
 				}
-				wantW, wantE := b.TotalWeight(), b.TotalEnergy()
+				wantW, wantE := b.Totals()
 
 				perm := make([]int32, n)
 				for i, v := range r.Perm(n) {
@@ -63,10 +63,11 @@ func TestPermuteIsPermutation(t *testing.T) {
 				}
 				// Multiset-preserving: the conservation aggregates cannot
 				// move by more than FP reassociation of the slot order.
-				if gotW := b.TotalWeight(); !approxEqual(gotW, wantW) {
+				gotW, gotE := b.Totals()
+				if !approxEqual(gotW, wantW) {
 					t.Errorf("total weight %g, want %g", gotW, wantW)
 				}
-				if gotE := b.TotalEnergy(); !approxEqual(gotE, wantE) {
+				if !approxEqual(gotE, wantE) {
 					t.Errorf("total energy %g, want %g", gotE, wantE)
 				}
 				for i := range perm {

@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sync/atomic"
 )
 
@@ -154,7 +155,7 @@ func New(mode Mode, cells, workers int) Tally { return NewScaled(mode, cells, wo
 func NewScaled(mode Mode, cells, workers int, s Scale) Tally {
 	switch mode {
 	case ModeAtomic:
-		return &Atomic{scale: s, n: cells, single: workers == 1,
+		return &Atomic{scale: s, n: cells, single: workers == 1, sums: make([]runningSum, max(workers, 1)),
 			dir: make([]atomic.Pointer[block], (cells+blockCells-1)>>blockShift)}
 	case ModePrivate:
 		return NewPrivate(cells, workers, s)
@@ -172,8 +173,8 @@ type Cell struct {
 	Ticks int64
 }
 
-// tickBlock is how many cells tickSum and appendNonZero test at once: a
-// tally is mostly zeros, and one OR over a block skips them eight at a time.
+// tickBlock is how many cells appendNonZero tests at once: a tally is mostly
+// zeros, and one OR over a block skips them eight at a time.
 const tickBlock = 8
 
 func blockIsZero(b *[tickBlock]int64) bool {
@@ -205,32 +206,36 @@ func appendNonZeroRun(dst []Cell, base int, ticks []int64) []Cell {
 // range is seen rather than wrapped.
 type tickSum struct{ lo, hi uint64 }
 
-func (s *tickSum) add(ticks []int64) {
-	lo, hi := s.lo, s.hi
-	n := len(ticks) - len(ticks)%tickBlock
-	for i := 0; i < n; i += tickBlock {
-		b := (*[tickBlock]int64)(ticks[i:])
-		if blockIsZero(b) {
-			continue
-		}
-		for _, t := range b {
-			var c uint64
-			lo, c = bits.Add64(lo, uint64(t), 0)
-			hi += c
-		}
-	}
-	for _, t := range ticks[n:] {
+func (s *tickSum) add(t int64) {
+	var c uint64
+	s.lo, c = bits.Add64(s.lo, uint64(t), 0)
+	s.hi += c
+}
+
+// fold adds each worker's running sum into one.
+func fold(sums []runningSum) (s tickSum) {
+	for i := range sums {
 		var c uint64
-		lo, c = bits.Add64(lo, uint64(t), 0)
-		hi += c
+		s.lo, c = bits.Add64(s.lo, sums[i].lo, 0)
+		s.hi += sums[i].hi + c
 	}
-	s.lo, s.hi = lo, hi
+	return s
+}
+
+// runningSum is one worker's sum of every tick it deposited, alone on its
+// cache line. A deposit only adds to its cell, a cell driven past the int64
+// range latches over, and a restore adds only cells in range, so while over
+// is clear the sum over workers is the sum over cells: Total reads it in
+// O(workers) instead of scanning the mesh.
+type runningSum struct {
+	tickSum
+	_ [48]byte
 }
 
 // value converts the sum once, at the read. over is what the deposits
-// already reported; a negative cell reads as 2^63 or more and trips the
-// range check by itself.
-func (s *tickSum) value(sc Scale, over bool) (float64, error) {
+// already reported; a deposit of MinInt64 ticks reads as 2^63 or more and
+// trips the range check by itself.
+func (s tickSum) value(sc Scale, over bool) (float64, error) {
 	if over || s.hi != 0 || int64(s.lo) < 0 {
 		return 0, ErrOverflow
 	}
@@ -288,15 +293,17 @@ type Atomic struct {
 	// over latches the first deposit that drove a cell negative, which
 	// later deposits could otherwise carry back into range.
 	over   atomic.Bool
-	ticks  []int64   // backs Ticks
-	values []float64 // backs Cells
+	sums   []runningSum // per worker; AddTicks adds to worker 0's
+	ticks  []int64      // backs Ticks
+	values []float64    // backs Cells
 }
 
 // Add deposits v into cell, which must be below the cell count. Beside the
-// add it costs one pointer load and a branch only the first deposit into a
-// block takes.
-func (a *Atomic) Add(_, cell int, v float64) {
+// add it costs one pointer load, a branch only the first deposit into a
+// block takes, and the worker's running sum.
+func (a *Atomic) Add(worker, cell int, v float64) {
 	t := a.scale.Ticks(v)
+	a.sums[worker].add(t)
 	b := a.dir[cell>>blockShift].Load()
 	if b == nil {
 		b = a.block(cell >> blockShift)
@@ -331,6 +338,7 @@ func (a *Atomic) block(i int) *block {
 // AddTicks deposits quantised ticks into cell.
 func (a *Atomic) AddTicks(cell int, ticks int64) {
 	a.block(cell >> blockShift)[cell&(blockCells-1)] += ticks
+	a.sums[0].add(ticks)
 }
 
 // held calls f with each block the directory holds and the index of its
@@ -372,11 +380,9 @@ func (a *Atomic) NonZero(dst []Cell) []Cell {
 	return dst
 }
 
-// Total returns the sum over cells.
+// Total returns the sum over cells, folded from the workers' running sums.
 func (a *Atomic) Total() (float64, error) {
-	var sum tickSum
-	a.held(func(_ int, ticks []int64) { sum.add(ticks) })
-	return sum.value(a.scale, a.over.Load())
+	return fold(a.sums).value(a.scale, a.over.Load())
 }
 
 // Reset zeroes the tally. The blocks it holds are cleared and kept, as a
@@ -384,6 +390,7 @@ func (a *Atomic) Total() (float64, error) {
 // neighbourhood.
 func (a *Atomic) Reset(s Scale) {
 	a.held(func(_ int, ticks []int64) { clear(ticks) })
+	clear(a.sums)
 	a.over.Store(false)
 	a.scale = s
 }
@@ -405,6 +412,7 @@ type Private struct {
 	// over[w] latches worker w's first deposit that drove a cell negative;
 	// each worker writes only its own element.
 	over   []bool
+	sums   []runningSum // per worker; AddTicks adds to worker 0's
 	merged []int64
 	values []float64 // backs Cells
 }
@@ -413,7 +421,7 @@ type Private struct {
 func NewPrivate(cells, workers int, s Scale) *Private {
 	workers = max(workers, 1)
 	p := &Private{scale: s, shards: make([][]int64, workers),
-		over: make([]bool, workers), merged: make([]int64, cells)}
+		over: make([]bool, workers), sums: make([]runningSum, workers), merged: make([]int64, cells)}
 	for w := range p.shards {
 		p.shards[w] = make([]int64, cells)
 	}
@@ -423,8 +431,9 @@ func NewPrivate(cells, workers int, s Scale) *Private {
 // Add deposits v into worker w's shard. Workers touch only their own shard,
 // so no synchronisation is needed — that is the whole optimisation.
 func (p *Private) Add(worker, cell int, v float64) {
-	shard := p.shards[worker]
-	sum := shard[cell] + p.scale.Ticks(v)
+	shard, t := p.shards[worker], p.scale.Ticks(v)
+	p.sums[worker].add(t)
+	sum := shard[cell] + t
 	shard[cell] = sum
 	if sum < 0 {
 		p.over[worker] = true
@@ -432,7 +441,10 @@ func (p *Private) Add(worker, cell int, v float64) {
 }
 
 // AddTicks deposits quantised ticks into cell.
-func (p *Private) AddTicks(cell int, ticks int64) { p.shards[0][cell] += ticks }
+func (p *Private) AddTicks(cell int, ticks int64) {
+	p.shards[0][cell] += ticks
+	p.sums[0].add(ticks)
+}
 
 // Ticks folds all shards into the merged mesh and returns it. Merging is
 // idempotent, and it is the cost the paper charges privatisation with: merged
@@ -457,16 +469,11 @@ func (p *Private) Cells() []float64 {
 	return p.values
 }
 
-// Total returns the sum over cells, taken over the shards: a total in range
-// bounds every merged cell, so the merge cannot have wrapped unseen.
+// Total returns the sum over the shards, folded from the workers' running
+// sums: a total in range bounds every merged cell, so the merge cannot have
+// wrapped unseen.
 func (p *Private) Total() (float64, error) {
-	var sum tickSum
-	over := false
-	for w, shard := range p.shards {
-		sum.add(shard)
-		over = over || p.over[w]
-	}
-	return sum.value(p.scale, over)
+	return fold(p.sums).value(p.scale, slices.Contains(p.over, true))
 }
 
 // Reset zeroes every shard.
@@ -475,6 +482,7 @@ func (p *Private) Reset(s Scale) {
 		clear(shard)
 	}
 	clear(p.over)
+	clear(p.sums)
 	p.scale = s
 }
 

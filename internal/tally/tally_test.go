@@ -2,17 +2,64 @@ package tally
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
 
 func newAtomic(cells, workers int) *Atomic {
 	return New(ModeAtomic, cells, workers).(*Atomic)
+}
+
+// scanTotal is the reference Total: every held tick summed in 128 bits, with
+// the deposits' overflow latch. It scans Ticks for the atomic tally and each
+// shard for the private one, whose merged cells can wrap where no shard does.
+func scanTotal(tl Tally) (float64, error) {
+	var lo, hi uint64
+	scan := func(ticks []int64) {
+		for _, t := range ticks {
+			var c uint64
+			lo, c = bits.Add64(lo, uint64(t), 0)
+			hi += c
+		}
+	}
+	var over bool
+	var s Scale
+	switch tl := tl.(type) {
+	case *Atomic:
+		scan(tl.Ticks())
+		over, s = tl.over.Load(), tl.scale
+	case *Private:
+		for _, shard := range tl.shards {
+			scan(shard)
+		}
+		over, s = slices.Contains(tl.over, true), tl.scale
+	default:
+		return tl.Total()
+	}
+	if over || hi != 0 || int64(lo) < 0 {
+		return 0, ErrOverflow
+	}
+	return s.Value(int64(lo)), nil
+}
+
+// totalIsScan reports whether Total, folded from the workers' running sums,
+// returns the bits and the error of the reference scan.
+func totalIsScan(tl Tally) error {
+	got, gerr := tl.Total()
+	want, werr := scanTotal(tl)
+	if math.Float64bits(got) != math.Float64bits(want) || gerr != werr {
+		return fmt.Errorf("%T: Total = %v, %v; the scan reads %v, %v", tl, got, gerr, want, werr)
+	}
+	return nil
 }
 
 // mustTotal reads a total that is expected to be in range.
@@ -158,9 +205,11 @@ func TestAtomicMatchesSerial(t *testing.T) {
 
 // TestDepositOrderInvariance is the contract the layers above build on: the
 // cells a multiset of deposits leaves behind depend on nothing but the
-// multiset. Any permutation of the deposits, split in any way across any
-// number of workers, through either implementation, gives identical ticks,
-// cells and total.
+// multiset. Any permutation of the deposits, split in any way across one to
+// eight workers, through either implementation, gives identical ticks, cells
+// and total. The tally is then Reset, its cells restored with AddTicks and
+// the deposits made again, which doubles every cell. At every read Total,
+// folded from the workers' running sums, is the scan of the held ticks.
 func TestDepositOrderInvariance(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -170,19 +219,42 @@ func TestDepositOrderInvariance(t *testing.T) {
 			ref.Add(0, d.cell, d.v)
 		}
 		refTotal, err := ref.Total()
-		if err != nil {
+		if err != nil || totalIsScan(ref) != nil {
 			return false
 		}
+		refTicks := slices.Clone(ref.Ticks())
+		doubled := make([]int64, len(refTicks))
+		for i, v := range refTicks {
+			doubled[i] = 2 * v
+		}
 		for _, mode := range []Mode{ModeAtomic, ModePrivate} {
-			workers := 1 + rng.Intn(8)
-			tl := New(mode, propertyCells, workers)
-			for _, i := range rng.Perm(len(ds)) {
-				tl.Add(rng.Intn(workers), ds[i].cell, ds[i].v)
-			}
-			total, err := tl.Total()
-			if err != nil || total != refTotal ||
-				!slices.Equal(tl.Ticks(), ref.Ticks()) || !slices.Equal(tl.Cells(), ref.Cells()) {
-				return false
+			for workers := 1; workers <= 8; workers++ {
+				tl := New(mode, propertyCells, workers)
+				deposit := func() {
+					for _, i := range rng.Perm(len(ds)) {
+						tl.Add(rng.Intn(workers), ds[i].cell, ds[i].v)
+					}
+				}
+				deposit()
+				total, err := tl.Total()
+				if err != nil || total != refTotal || totalIsScan(tl) != nil ||
+					!slices.Equal(tl.Ticks(), refTicks) || !slices.Equal(tl.Cells(), ref.Cells()) {
+					return false
+				}
+				tl.Reset(DefaultScale)
+				if total, err := tl.Total(); total != 0 || err != nil || totalIsScan(tl) != nil {
+					return false
+				}
+				for _, c := range ref.NonZero(nil) {
+					tl.AddTicks(c.Index, c.Ticks)
+				}
+				if total, err := tl.Total(); err != nil || total != refTotal || totalIsScan(tl) != nil {
+					return false
+				}
+				deposit()
+				if totalIsScan(tl) != nil || !slices.Equal(tl.Ticks(), doubled) {
+					return false
+				}
 			}
 		}
 		return true
@@ -221,62 +293,98 @@ func TestTickRoundTrip(t *testing.T) {
 // TestOverflow: the error fires when a cell or the total reaches 2^63 ticks —
 // four to eight times the bound the scale was built for — and not at the
 // bound or anywhere in the documented headroom; once it has fired it stays,
-// even if later deposits wrap the cell back into range.
+// even if later deposits wrap the cell back into range. Every case runs at one
+// to eight workers and again after a Reset of the same tally, and Total,
+// folded from the workers' running sums, returns the value bits and the error
+// of the reference scan each time.
 func TestOverflow(t *testing.T) {
 	s := ScaleFor(1) // one unit is 2^60 ticks: the eighth reaches 2^63
 	for _, mode := range []Mode{ModeAtomic, ModePrivate} {
 		for _, c := range []struct {
 			name    string
-			deposit func(tl Tally)
+			deposit func(tl Tally, workers int)
 			want    float64 // the total; negative when ErrOverflow is expected
 		}{
-			{"bound", func(tl Tally) { tl.Add(0, 0, 1) }, 1},
-			{"headroom", func(tl Tally) { tl.Add(0, 0, 3.999) }, 3.999},
-			{"one cell below 2^63", func(tl Tally) {
+			{"bound", func(tl Tally, _ int) { tl.Add(0, 0, 1) }, 1},
+			{"headroom", func(tl Tally, w int) { tl.Add(w-1, 0, 3.999) }, 3.999},
+			{"one cell below 2^63", func(tl Tally, w int) {
 				for i := 0; i < 7; i++ {
-					tl.Add(i%3, 0, 1)
+					tl.Add(i%w, 0, 1)
 				}
 				tl.Add(0, 0, 1-0x1p-52)
 			}, 8},
-			{"one cell at 2^63", func(tl Tally) {
+			{"one cell at 2^63", func(tl Tally, w int) {
 				for i := 0; i < 8; i++ {
-					tl.Add(i%3, 0, 1)
+					tl.Add(i%w, 0, 1)
 				}
 			}, -1},
-			{"one cell wrapped past 2^64", func(tl Tally) {
+			{"one cell wrapped past 2^64", func(tl Tally, w int) {
 				for i := 0; i < 17; i++ {
-					tl.Add(i%3, 0, 1)
+					tl.Add(i%w, 0, 1)
 				}
 			}, -1},
-			{"total at 2^63, no cell near it", func(tl Tally) {
+			{"total at 2^63, no cell near it", func(tl Tally, w int) {
 				for i := 0; i < 8; i++ {
-					tl.Add(i%3, i, 1)
+					tl.Add(i%w, i, 1)
 				}
 			}, -1},
-			{"total below 2^63", func(tl Tally) {
+			{"total past 2^64, no cell near it", func(tl Tally, w int) {
+				for i := 0; i < 20; i++ {
+					tl.Add(i%w, i%10, 1)
+				}
+			}, -1},
+			{"total below 2^63", func(tl Tally, w int) {
 				for i := 0; i < 7; i++ {
-					tl.Add(i%3, i, 1)
+					tl.Add(i%w, i, 1)
 				}
 			}, 7},
-			{"one deposit of 2^63 ticks", func(tl Tally) { tl.Add(0, 0, 8) }, -1},
-			{"NaN", func(tl Tally) { tl.Add(0, 0, math.NaN()) }, -1},
-			{"restored cells", func(tl Tally) {
+			{"one deposit of 2^63 ticks", func(tl Tally, w int) { tl.Add(w-1, 0, 8) }, -1},
+			{"NaN", func(tl Tally, w int) { tl.Add(w-1, 0, math.NaN()) }, -1},
+			{"NaN, then deposits elsewhere", func(tl Tally, w int) {
+				tl.Add(w-1, 0, math.NaN())
+				for i := 1; i < 9; i++ {
+					tl.Add(i%w, i, 0.5)
+				}
+			}, -1},
+			{"restored cells", func(tl Tally, _ int) {
 				tl.AddTicks(0, 1<<62)
 				tl.AddTicks(1, 1<<62)
 			}, -1},
+			{"restored cells below 2^63, then deposits", func(tl Tally, w int) {
+				tl.AddTicks(0, 1<<62)
+				tl.AddTicks(1, 1<<61)
+				tl.Add(w-1, 2, 1)
+			}, 7},
+			{"restored cell, then deposits past 2^63", func(tl Tally, w int) {
+				tl.AddTicks(0, 1<<62)
+				for i := 0; i < 4; i++ {
+					tl.Add(i%w, 1+i, 1)
+				}
+			}, -1},
 		} {
-			tl := NewScaled(mode, 10, 3, s)
-			c.deposit(tl)
-			got, err := tl.Total()
-			switch {
-			case c.want < 0 && !errors.Is(err, ErrOverflow):
-				t.Errorf("%v/%s: Total = %v, %v; want ErrOverflow", mode, c.name, got, err)
-			case c.want >= 0 && (err != nil || got != c.want):
-				t.Errorf("%v/%s: Total = %v, %v; want %v", mode, c.name, got, err, c.want)
-			}
-			tl.Reset(s)
-			if got, err := tl.Total(); got != 0 || err != nil {
-				t.Errorf("%v/%s: after Reset Total = %v, %v", mode, c.name, got, err)
+			for _, workers := range []int{1, 2, 3, 8} {
+				tl := NewScaled(mode, 10, workers, s)
+				for pass := range 2 {
+					name := fmt.Sprintf("%v/%s/%d workers/pass %d", mode, c.name, workers, pass)
+					c.deposit(tl, workers)
+					got, err := tl.Total()
+					switch {
+					case c.want < 0 && !errors.Is(err, ErrOverflow):
+						t.Errorf("%s: Total = %v, %v; want ErrOverflow", name, got, err)
+					case c.want >= 0 && (err != nil || got != c.want):
+						t.Errorf("%s: Total = %v, %v; want %v", name, got, err, c.want)
+					}
+					if err := totalIsScan(tl); err != nil {
+						t.Errorf("%s: %v", name, err)
+					}
+					tl.Reset(s)
+					if got, err := tl.Total(); got != 0 || err != nil {
+						t.Errorf("%s: after Reset Total = %v, %v", name, got, err)
+					}
+					if err := totalIsScan(tl); err != nil {
+						t.Errorf("%s: after Reset: %v", name, err)
+					}
+				}
 			}
 		}
 	}
@@ -365,12 +473,15 @@ func BenchmarkAtomicAddSingleWriter(b *testing.B) {
 	}
 }
 
+// BenchmarkAtomicAddContended adds into four shared cells from every
+// goroutine RunParallel starts, each as a worker of its own.
 func BenchmarkAtomicAddContended(b *testing.B) {
-	a := newAtomic(4, 2)
+	a := newAtomic(4, runtime.GOMAXPROCS(0))
+	var next atomic.Int32
 	b.RunParallel(func(pb *testing.PB) {
-		i := 0
+		w, i := int(next.Add(1)-1), 0
 		for pb.Next() {
-			a.Add(0, i&3, 1.0)
+			a.Add(w, i&3, 1.0)
 			i++
 		}
 	})
