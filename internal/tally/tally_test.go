@@ -104,7 +104,8 @@ func TestNullDiscards(t *testing.T) {
 // TestAtomicConcurrentSum hammers a small tally — and a single cell, where
 // every add contends — from many goroutines and checks the result is exact:
 // the atomic add must never lose an update, which is the whole point of the
-// atomic tally.
+// atomic tally. Total is folded from the workers' own sums, so it cannot see
+// a lost cell update; every cell is checked as well.
 func TestAtomicConcurrentSum(t *testing.T) {
 	const (
 		workers = 16
@@ -127,11 +128,20 @@ func TestAtomicConcurrentSum(t *testing.T) {
 		if got := mustTotal(t, a); got != want {
 			t.Fatalf("%d cells: atomic total = %v, want %v (lost updates)", cells, got, want)
 		}
+		for c, got := range a.Cells() {
+			if got != want/float64(cells) {
+				t.Fatalf("%d cells: cell %d = %v, want %v (lost updates)", cells, c, got, want/float64(cells))
+			}
+		}
+		if err := totalIsScan(a); err != nil {
+			t.Fatalf("%d cells: %v", cells, err)
+		}
 	}
 }
 
 // TestPrivateConcurrentSum does the same for the privatised tally, which
-// relies on shard separation instead of atomics.
+// relies on shard separation instead of atomics: each worker's shard holds
+// exactly its own deposits, and the merged cells hold them all.
 func TestPrivateConcurrentSum(t *testing.T) {
 	const (
 		workers = 16
@@ -153,6 +163,22 @@ func TestPrivateConcurrentSum(t *testing.T) {
 	want := float64(workers * adds)
 	if got := mustTotal(t, p); got != want {
 		t.Fatalf("private total = %v, want %v", got, want)
+	}
+	own := DefaultScale.Ticks(1) * adds / cells
+	for w, shard := range p.shards {
+		for c, got := range shard {
+			if got != own {
+				t.Fatalf("shard %d, cell %d = %d ticks, want %d", w, c, got, own)
+			}
+		}
+	}
+	for c, got := range p.Cells() {
+		if got != want/cells {
+			t.Fatalf("merged cell %d = %v, want %v", c, got, want/cells)
+		}
+	}
+	if err := totalIsScan(p); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -474,9 +500,10 @@ func BenchmarkAtomicAddSingleWriter(b *testing.B) {
 }
 
 // BenchmarkAtomicAddContended adds into four shared cells from every
-// goroutine RunParallel starts, each as a worker of its own.
+// goroutine RunParallel starts, each as a worker of its own. The tally has at
+// least two workers, so the locked add runs even at GOMAXPROCS 1.
 func BenchmarkAtomicAddContended(b *testing.B) {
-	a := newAtomic(4, runtime.GOMAXPROCS(0))
+	a := newAtomic(4, max(2, runtime.GOMAXPROCS(0)))
 	var next atomic.Int32
 	b.RunParallel(func(pb *testing.PB) {
 		w, i := int(next.Add(1)-1), 0
@@ -682,6 +709,14 @@ func TestFirstDepositRace(t *testing.T) {
 			if got := DefaultScale.Value(ticks[b*blockCells+100]); got != workers {
 				t.Fatalf("round %d: shared cell of block %d holds %v, want %d", round, b, got, workers)
 			}
+			for w := 0; w < workers; w++ {
+				if got := DefaultScale.Value(ticks[b*blockCells+w]); got != 1 {
+					t.Fatalf("round %d: worker %d's cell of block %d holds %v, want 1", round, w, b, got)
+				}
+			}
+		}
+		if err := totalIsScan(a); err != nil {
+			t.Fatalf("round %d: %v", round, err)
 		}
 		if got, want := a.FootprintBytes(), 8*blocks+8*blockCells*blocks; got != want {
 			t.Fatalf("round %d: footprint %d bytes, want %d", round, got, want)
