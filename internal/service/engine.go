@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -272,20 +271,23 @@ func (e *Engine) record(j *Job) {
 	// done channel closes, so ended counts the finished jobs remembered (and
 	// at most a few about to be).
 	ended := e.completed.Load() + e.failed.Load() + e.canceled.Load() - e.forgotten
-	e.order = slices.DeleteFunc(e.order, func(o *Job) bool {
-		if ended <= jobHistory {
-			return false
-		}
+	// The walk stops once the history fits, so it costs the jobs forgotten and
+	// the jobs in flight older than them, which then move up to close the gap.
+	i, live := 0, 0
+	for ; i < len(e.order) && ended > jobHistory; i++ {
 		select {
-		case <-o.done:
+		case <-e.order[i].done:
+			delete(e.jobs, e.order[i].id)
+			e.forgotten++
+			ended--
 		default:
-			return false
+			e.order[live] = e.order[i]
+			live++
 		}
-		delete(e.jobs, o.id)
-		e.forgotten++
-		ended--
-		return true
-	})
+	}
+	copy(e.order[i-live:i], e.order[:live])
+	clear(e.order[:i-live])
+	e.order = e.order[i-live:]
 }
 
 // worker takes the queue's next runnable job whenever it is free, until the

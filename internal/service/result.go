@@ -258,8 +258,13 @@ func (v *ResultView) UnmarshalJSON(data []byte) error {
 
 // decodeResult decodes data with encoding/json, whose errors name the wire type
 // ResultView. Runs must be what compactCells files, and never beside cells: a
-// document carrying both has no one reading.
+// document carrying both has no one reading. The form encode writes takes
+// decodeFiled's one pass over its runs; any other form, and every refusal, is
+// the whole document's decode.
 func decodeResult(data []byte) (s storedResult, err error) {
+	if s, ok := decodeFiled(data); ok {
+		return s, nil
+	}
 	err = json.Unmarshal(data, &s)
 	var typeErr *json.UnmarshalTypeError
 	switch {
@@ -278,6 +283,43 @@ func decodeResult(data []byte) (s storedResult, err error) {
 		err = errors.New("service: result runs are not a cell list's")
 	}
 	return s, err
+}
+
+// heads lends decodeFiled the buffer it closes the members in, so the one pass
+// allocates nothing the whole document's decode does not.
+var heads = sync.Pool{New: func() any { return new([]byte) }}
+
+// decodeFiled reads a document of the form encode writes — members, then
+// `,"runs":{…}` last — with encoding/json reading only the members before the
+// runs and parseRuns the runs. ok is false for any other form and for what
+// decodeResult refuses. The cut is the first `,"runs":{`, which encode writes
+// nowhere else: a string it writes has every quote escaped. The members must
+// be an object of at least one member holding no cells and no runs, so no
+// folded, escaped or repeated name reads differently from the whole
+// document's decode, and parseRuns accepts only JSON, so a document whose
+// two parts read is valid JSON.
+func decodeFiled(data []byte) (s storedResult, ok bool) {
+	cut := bytes.Index(data, []byte(`,"runs":{`))
+	if cut < 0 {
+		return s, false
+	}
+	head := bytes.TrimRight(data[:cut], " \t\r\n")
+	runs, ok := bytes.CutSuffix(bytes.TrimRight(data[cut+len(`,"runs":`):], " \t\r\n"), []byte{'}'})
+	if !ok || len(head) == 0 || head[len(head)-1] == '{' {
+		return s, false
+	}
+	buf := heads.Get().(*[]byte)
+	*buf = append(append((*buf)[:0], data[:cut]...), '}')
+	err := json.Unmarshal(*buf, &s)
+	if heads.Put(buf); err != nil || s.Runs != nil || s.Cells != nil {
+		return storedResult{}, false
+	}
+	r, ok := parseRuns(runs, cellRuns{})
+	if !ok || !r.valid() {
+		return storedResult{}, false
+	}
+	s.Runs = &r
+	return s, true
 }
 
 // cellRuns is a dense []float64 of N cells as its runs of non-zero cells: run
@@ -313,9 +355,9 @@ func (c *cellRuns) UnmarshalJSON(data []byte) error {
 }
 
 // parseRuns reads data over r, leaving absent members as encoding/json does; ok
-// is false for any other form. data is one valid JSON value, as encoding/json
-// hands every Unmarshaler: a number array ends at its first ']', and n at the
-// ',' or '}' after it.
+// is false for any other form. data need not be valid JSON (decodeFiled hands
+// it unchecked): a number array ends at its first ']', n at the ',' or '}'
+// after it, and every number must be JSON's.
 func parseRuns(data []byte, r cellRuns) (_ cellRuns, ok bool) {
 	rest, ok := bytes.CutPrefix(data, []byte{'{'})
 	sep := ""
@@ -328,11 +370,14 @@ func parseRuns(data []byte, r cellRuns) (_ cellRuns, ok bool) {
 		if m == 0 { // n ends where the object or the next member begins
 			stop = bytes.IndexAny(after, ",}")
 		}
+		if stop < 0 {
+			return r, false
+		}
 		list := after[:stop]
 		switch rest, sep = after[stop+min(m, 1):], ","; m {
 		case 0:
 			n, err := strconv.ParseInt(string(list), 10, 0)
-			r.N, ok = int(n), err == nil
+			r.N, ok = int(n), err == nil && jsonNumber(list)
 		case 1:
 			r.Start, ok = numbers(list, parseInt32)
 		case 2:
@@ -349,9 +394,9 @@ func parseRuns(data []byte, r cellRuns) (_ cellRuns, ok bool) {
 // rejects one, as parseInt32 does a fraction or exponent, like encoding/json.
 func numbers[T int32 | float64](list []byte, parse func([]byte) (T, bool)) (_ []T, ok bool) {
 	out := make([]T, 0, bytes.Count(list, []byte{','})+1)
-	for len(list) > 0 {
+	for more := len(list) > 0; more; {
 		var num []byte
-		num, list, _ = bytes.Cut(list, []byte{','})
+		num, list, more = bytes.Cut(list, []byte{','})
 		v, ok := parse(num)
 		if !ok {
 			return nil, false
@@ -363,12 +408,40 @@ func numbers[T int32 | float64](list []byte, parse func([]byte) (T, bool)) (_ []
 
 func parseInt32(b []byte) (int32, bool) {
 	v, err := strconv.ParseInt(string(b), 10, 32)
-	return int32(v), err == nil
+	return int32(v), err == nil && jsonNumber(b)
 }
 
 func parseFloat(b []byte) (float64, bool) {
 	v, err := strconv.ParseFloat(string(b), 64)
-	return v, err == nil
+	return v, err == nil && jsonNumber(b)
+}
+
+// jsonNumber reports whether b is a number in JSON's grammar, which strconv
+// widens: a sign, leading zeros, a bare point, hex, NaN and Inf.
+func jsonNumber(b []byte) bool {
+	b = bytes.TrimPrefix(b, []byte{'-'})
+	i := digits(b, 0)
+	ok := i == 1 || (i > 1 && b[0] != '0')
+	if i < len(b) && b[i] == '.' {
+		j := digits(b, i+1)
+		ok, i = ok && j > i+1, j
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		if i++; i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		j := digits(b, i)
+		ok, i = ok && j > i, j
+	}
+	return ok && i == len(b)
+}
+
+// digits returns the index of the first non-digit in b at or after i.
+func digits(b []byte, i int) int {
+	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+		i++
+	}
+	return i
 }
 
 // compactCells files cells as runs. One scan of the dense cells counts the

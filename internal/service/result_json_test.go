@@ -46,7 +46,8 @@ func referenceResult(tb testing.TB) *core.Result {
 // encoding it (once per filed result, which its blob-tier put and every GET
 // /result then share), serving it to GET /result from the LRU, decoding it
 // into a Go client's dense view, filing it (every remote result on a
-// coordinator, every blob-tier hit), and filing a fresh result's cells as runs.
+// coordinator, every blob-tier hit), filing a fresh result's cells as runs,
+// and a whole LRU hit as a client sees it.
 func BenchmarkResultJSON(b *testing.B) {
 	res := referenceResult(b)
 	f := fileResult(res)
@@ -119,6 +120,44 @@ func BenchmarkResultJSON(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if fileResult(res).cells.N == 0 {
 				b.Fatal("no cells filed")
+			}
+		}
+	})
+	b.Run("hit", func(b *testing.B) {
+		// A serve_mixed hit as a Go client makes it, through a loopback
+		// server whose LRU holds the reference result: POST its spec, GET
+		// the result of the job the hit made, decode it into dense cells.
+		e := New(Options{Shards: 1})
+		defer e.Close()
+		if j, err := e.Submit(res.Config); err != nil || j.Wait(context.Background()) != nil {
+			b.Fatalf("solving the reference: %v", err)
+		}
+		ts := httptest.NewServer(NewServer(e))
+		defer ts.Close()
+		const spec = `{"problem":"csp","nx":256,"particles":2000,"steps":2,"keep_cells":true}`
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(spec))
+			if err != nil {
+				b.Fatal(err)
+			}
+			var jv JobView
+			err = json.NewDecoder(resp.Body).Decode(&jv)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK || !jv.Cached {
+				b.Fatalf("submit: status %d, cached %t, err %v", resp.StatusCode, jv.Cached, err)
+			}
+			if resp, err = http.Get(ts.URL + "/v1/jobs/" + jv.ID + "/result?wait=true"); err != nil {
+				b.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			var rv ResultView
+			if err == nil {
+				err = json.Unmarshal(body, &rv)
+			}
+			if err != nil || resp.StatusCode != http.StatusOK || len(rv.Cells) != len(res.Cells) {
+				b.Fatalf("result: status %d, %d cells, err %v", resp.StatusCode, len(rv.Cells), err)
 			}
 		}
 	})
@@ -431,6 +470,31 @@ func TestResultViewDecodeMatchesStdlib(t *testing.T) {
 		`{"runs":7}`,
 		`{"runs":{"n":1,"start":[0],"end":[1],"vals":[1]}`,
 		`{"runs":{"n":1,"start":[0],"end":[1],"vals":[1]}} x`,
+		// The one pass's form with parts encoding/json reads otherwise: no
+		// member before the runs, a missing ']' or '}', numbers strconv alone
+		// would take, a folded runs member earlier, a member after, a GET
+		// /result body's newline.
+		`{,"runs":{"vals":[}`,
+		`{,"runs":{"n":0}}`,
+		`{"events":1,"runs":{"vals":[}`,
+		`{"events":1,"runs":{"n":1}`,
+		`{"events":1,"runs":{"n":2,"start":[0],"end":[1],"vals":[NaN]}}`,
+		`{"events":1,"runs":{"n":2,"start":[0],"end":[1],"vals":[Inf]}}`,
+		`{"events":1,"runs":{"n":2,"start":[0],"end":[1],"vals":[+1]}}`,
+		`{"events":1,"runs":{"n":2,"start":[0],"end":[1],"vals":[01]}}`,
+		`{"events":1,"runs":{"n":2,"start":[0],"end":[1],"vals":[.5]}}`,
+		`{"events":1,"runs":{"n":2,"start":[0],"end":[1],"vals":[1.]}}`,
+		`{"events":1,"runs":{"n":2,"start":[0],"end":[1],"vals":[0x1p-2]}}`,
+		`{"events":1,"runs":{"n":2,"start":[0],"end":[1],"vals":[1_000]}}`,
+		`{"events":1,"runs":{"n":2,"start":[0],"end":[1],"vals":[1.e5]}}`,
+		`{"events":1,"runs":{"n":2,"start":[+0],"end":[01],"vals":[1]}}`,
+		`{"events":1,"runs":{"n":+2,"start":[0],"end":[1],"vals":[1]}}`,
+		`{"events":1,"runs":{"n":02,"start":[0],"end":[1],"vals":[1]}}`,
+		`{"events":1,"runs":{"n":2,"start":[0],"end":[1],"vals":[1,]}}`,
+		`{"events":1,"runs":{"n":2,"start":[0],"end":[1],"vals":[1e-0,-0.0E+1]}}`,
+		`{"Runs":{"n":3},"events":1,"runs":{"start":[0],"end":[1],"vals":[1]}}`,
+		`{"events":1,"runs":{"n":2,"start":[0],"end":[1],"vals":[1]},"deaths":3}`,
+		"{\"events\":1,\"runs\":{\"n\":2,\"start\":[0],\"end\":[1],\"vals\":[1]}}\n",
 	} {
 		checkDecodeMatchesStdlib(t, doc)
 	}
@@ -521,6 +585,57 @@ func TestResultViewDecodeMatchesStdlib(t *testing.T) {
 		}
 		if !reflect.DeepEqual(rv.Cells, res.Cells) {
 			t.Fatal("cells changed across encode/decode")
+		}
+	}
+}
+
+// TestDecodeFiledOnePass: every shape of result encode writes, a GET /result
+// body's newline included, is read in the one pass, to what encoding/json
+// reads of the whole document, the runs' values bit for bit.
+func TestDecodeFiledOnePass(t *testing.T) {
+	var leaky Spec
+	if err := json.Unmarshal([]byte(sceneSpec("leaky", "air")), &leaky); err != nil {
+		t.Fatal(err)
+	}
+	leaky.KeepCells = true
+	cfg, err := leaky.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	vacuum, err := core.Run(cfg)
+	if err != nil || vacuum.Counter.Escapes == 0 {
+		t.Fatalf("leaky scene: %d escapes, err %v", vacuum.Counter.Escapes, err)
+	}
+	reference := referenceResult(t)
+	ens := &EnsembleView{Replicas: 2, MeanTotal: 1.5, ReplicaTotals: []float64{1, 2}, RelErr: []float64{0, 0.25, 1e-300}}
+	for _, tc := range []struct {
+		name string
+		res  *core.Result
+		ens  *EnsembleView
+	}{
+		{"csp with cells", reference, nil},
+		{"no deposit", &core.Result{TallyTotal: 0, Cells: make([]float64, 64*64)}, nil},
+		{"vacuum edge", vacuum, nil},
+		{"no kept cells", &core.Result{TallyTotal: 3, Wall: 5}, nil},
+		{"ensemble", reference, ens},
+	} {
+		body, err := fileResult(tc.res).body(tc.ens)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, data := range [][]byte{body[:len(body)-1], body} {
+			got, ok := decodeFiled(data)
+			var want storedResult
+			if err := json.Unmarshal(data, &want); err != nil || !ok {
+				t.Fatalf("%s: one pass %t, encoding/json %v", tc.name, ok, err)
+			}
+			if got.Runs.N != want.Runs.N || !slices.Equal(got.Runs.Start, want.Runs.Start) || !slices.Equal(got.Runs.End, want.Runs.End) {
+				t.Fatalf("%s: runs %+v, encoding/json %+v", tc.name, got.Runs, want.Runs)
+			}
+			checkSameCells(t, tc.name+": run values", got.Runs.Vals, want.Runs.Vals)
+			if got.Runs, want.Runs = nil, nil; !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: members differ:\n got  %+v\n want %+v", tc.name, got, want)
+			}
 		}
 	}
 }
