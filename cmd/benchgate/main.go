@@ -5,7 +5,8 @@
 // side that goes first flips with each pair) and judges each benchmark row
 // against its own parent samples (stats.Judge): host speed cancels, and a
 // row that speeds up moves no other row's verdict. A row printed by only one
-// side is reported as new or gone.
+// side is reported as new or gone. After the rows it prints each family's
+// wall per side, the gate's own budget.
 //
 // Usage:
 //
@@ -27,6 +28,7 @@ import (
 	"regexp"
 	"slices"
 	"strconv"
+	"time"
 
 	"repro/internal/stats"
 )
@@ -60,9 +62,15 @@ func main() {
 	for i, bin := range os.Args[1:] {
 		bins[i%2] = append(bins[i%2], bin)
 	}
-	parent, change, err := measure(bins)
-	if err == nil && report(os.Stdout, parent, change) {
-		err = fmt.Errorf("a row is over %.0f%% slower in most pairs", (bound-1)*100)
+	parent, change, walls, err := measure(bins)
+	if err == nil {
+		failed := report(os.Stdout, parent, change)
+		for i, r := range rows {
+			fmt.Printf("wall %-43s parent %6.1f s  change %6.1f s\n", r.bench, walls[0][i].Seconds(), walls[1][i].Seconds())
+		}
+		if failed {
+			err = fmt.Errorf("a row is over %.0f%% slower in most pairs", (bound-1)*100)
+		}
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchgate:", err)
@@ -71,15 +79,19 @@ func main() {
 }
 
 // measure runs each side's binaries alternately with the other side's, pairs
-// times each, and returns every row's ns/op samples per side in pair order.
-func measure(bins [2][]string) (parent, change map[string][]float64, err error) {
+// times each, and returns every row's ns/op samples per side in pair order and
+// each family's wall per side, summed over its runs.
+func measure(bins [2][]string) (parent, change map[string][]float64, walls [2][]time.Duration, err error) {
 	got := [2]map[string][]float64{{}, {}}
+	walls = [2][]time.Duration{make([]time.Duration, len(rows)), make([]time.Duration, len(rows))}
 	err = stats.Alternate(pairs, func(side int) error {
 		for _, bin := range bins[side] {
-			for _, r := range rows {
+			for i, r := range rows {
 				// A Cmd literal runs Path as given, "parent.test" too, with no $PATH lookup.
 				cmd := &exec.Cmd{Path: bin, Args: []string{bin, "-test.bench", r.bench, "-test.benchtime", r.times, "-test.run", "^$"}}
+				start := time.Now()
 				out, err := cmd.Output()
+				walls[side][i] += time.Since(start)
 				if err != nil {
 					return fmt.Errorf("%s: %w\n%s", bin, err, out)
 				}
@@ -91,7 +103,7 @@ func measure(bins [2][]string) (parent, change map[string][]float64, err error) 
 	if err == nil && (len(got[0]) == 0 || len(got[1]) == 0) {
 		err = fmt.Errorf("a side printed no gated row")
 	}
-	return got[0], got[1], err
+	return got[0], got[1], walls, err
 }
 
 // benchLine matches e.g. "BenchmarkOverEvents/aos-2  3  88969999 ns/op  0.35 active-fraction",

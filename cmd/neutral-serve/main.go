@@ -16,7 +16,7 @@
 // cells, "runs":{"n","start","end","vals"}: run r holds cells
 // [start[r], end[r]), whose values lie end to end in vals, and every other of
 // the n cells is zero. These are the bytes the blob store keeps;
-// service.ResultView decodes them into dense cells for a Go client.
+// service.ResultView decodes them as they are, and Cells.Dense gives the mesh.
 //
 // Running a cluster (see internal/fleet): one coordinator dispatches job
 // shards to worker processes under heartbeat-renewed leases, rescheduling

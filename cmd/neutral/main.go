@@ -417,11 +417,11 @@ func printLeakage(res *core.Result) {
 // printTally renders the deposition mesh as a coarse ASCII heat map — the
 // textual analogue of the paper's Fig 2.
 func printTally(res *core.Result, cfg core.Config) {
-	if len(res.Cells) == 0 {
+	if res.Cells.N == 0 {
 		return
 	}
 	fmt.Println("energy deposition (log shade, origin bottom-left):")
-	renderMap(res.Cells, cfg.NX, cfg.NY, true)
+	renderMap(res.Cells.Dense(nil), cfg.NX, cfg.NY, true)
 }
 
 // renderMap coarsens a per-cell field onto a 32x32 ASCII heat map, shading

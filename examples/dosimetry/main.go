@@ -60,10 +60,11 @@ func main() {
 	// Depth-dose: integrate deposition over y per x column, binned.
 	const bins = 24
 	dose := make([]float64, bins)
+	cells := res.Cells.Dense(nil)
 	for cy := 0; cy < nx; cy++ {
 		for cx := 0; cx < nx; cx++ {
 			b := cx * bins / nx
-			dose[b] += res.Cells[cy*nx+cx]
+			dose[b] += cells[cy*nx+cx]
 		}
 	}
 	maxDose, maxBin := 0.0, 0

@@ -78,12 +78,13 @@ func main() {
 	// Integrate deposition per layer, using the same integer column
 	// boundaries the density setup used.
 	layerDose := make([]float64, len(layers))
+	cells := res.Cells.Dense(nil)
 	for cy := 0; cy < nx; cy++ {
 		for cx := 0; cx < nx; cx++ {
 			for i, l := range layers {
 				from, to := cols(l.from, l.to)
 				if cx >= from && cx < to {
-					layerDose[i] += res.Cells[cy*nx+cx]
+					layerDose[i] += cells[cy*nx+cx]
 					break
 				}
 			}

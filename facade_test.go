@@ -2,6 +2,7 @@ package neutral
 
 import (
 	"context"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -107,14 +108,8 @@ func TestServiceEquivalence(t *testing.T) {
 	if served.Counter != direct.Counter {
 		t.Errorf("counters differ:\nservice %+v\ndirect  %+v", served.Counter, direct.Counter)
 	}
-	if len(served.Cells) != len(direct.Cells) {
-		t.Fatalf("cell counts differ: %d vs %d", len(served.Cells), len(direct.Cells))
-	}
-	for i := range direct.Cells {
-		if served.Cells[i] != direct.Cells[i] {
-			t.Fatalf("cell %d differs: %v vs %v (must be bit-identical)",
-				i, served.Cells[i], direct.Cells[i])
-		}
+	if !reflect.DeepEqual(served.Cells, direct.Cells) {
+		t.Fatalf("cells differ: %+v vs %+v (must be bit-identical)", served.Cells, direct.Cells)
 	}
 
 	// A repeat submission is served from the cache: same result object,

@@ -3,7 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -188,12 +188,7 @@ func sameResult(t *testing.T, what string, got, want *Result) {
 	if got.Leakage != want.Leakage {
 		t.Errorf("%s: leakage %+v, want %+v", what, got.Leakage, want.Leakage)
 	}
-	if len(got.Cells) != len(want.Cells) {
-		t.Fatalf("%s: %d cells, want %d", what, len(got.Cells), len(want.Cells))
-	}
-	for i := range got.Cells {
-		if math.Float64bits(got.Cells[i]) != math.Float64bits(want.Cells[i]) {
-			t.Fatalf("%s: cell %d = %v, want %v", what, i, got.Cells[i], want.Cells[i])
-		}
+	if !reflect.DeepEqual(got.Cells, want.Cells) {
+		t.Fatalf("%s: cells %+v, want %+v", what, got.Cells, want.Cells)
 	}
 }

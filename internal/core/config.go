@@ -141,7 +141,7 @@ type Shape struct {
 	// ensemble driver (stats.RunEnsemble, the service's ensemble jobs) runs
 	// and folds into per-cell uncertainty. 0 and 1 both mean a single run.
 	Replicas int
-	// KeepCells retains a copy of the per-cell tally on the Result.
+	// KeepCells retains the per-cell tally on the Result, as its runs.
 	KeepCells bool
 	// KeepBank retains the final particle bank on the Result for
 	// inspection (tests, validation); large runs should leave it off.

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"slices"
+	"reflect"
 	"testing"
 
 	"repro/internal/events"
@@ -90,7 +90,7 @@ func TestSchemeEquivalence(t *testing.T) {
 		if rop.TallyTotal != roe.TallyTotal {
 			t.Errorf("%v: tallies differ: %.17g vs %.17g", p, rop.TallyTotal, roe.TallyTotal)
 		}
-		if !slices.Equal(rop.Cells, roe.Cells) {
+		if !reflect.DeepEqual(rop.Cells, roe.Cells) {
 			t.Errorf("%v: per-cell tallies differ", p)
 		}
 	}
@@ -257,10 +257,8 @@ func TestCompactionEquivalenceMatrix(t *testing.T) {
 					if rop.TallyTotal != roe.TallyTotal {
 						t.Errorf("tally totals differ: %.17g vs %.17g", rop.TallyTotal, roe.TallyTotal)
 					}
-					for i := range rop.Cells {
-						if rop.Cells[i] != roe.Cells[i] {
-							t.Fatalf("cell %d differs: %v vs %v", i, rop.Cells[i], roe.Cells[i])
-						}
+					if !reflect.DeepEqual(rop.Cells, roe.Cells) {
+						t.Fatalf("cells differ: %+v vs %+v", rop.Cells, roe.Cells)
 					}
 				})
 			}
@@ -384,10 +382,8 @@ func TestStreakEquivalenceMatrix(t *testing.T) {
 									if want.TallyTotal != got.TallyTotal {
 										t.Errorf("tally totals differ: %.17g vs %.17g", want.TallyTotal, got.TallyTotal)
 									}
-									for i := range want.Cells {
-										if want.Cells[i] != got.Cells[i] {
-											t.Fatalf("cell %d differs: %v vs %v", i, want.Cells[i], got.Cells[i])
-										}
+									if !reflect.DeepEqual(want.Cells, got.Cells) {
+										t.Fatalf("cells differ: %+v vs %+v", want.Cells, got.Cells)
 									}
 									if got.Conservation.RelativeError > 1e-12 {
 										t.Errorf("conservation error %.3g", got.Conservation.RelativeError)

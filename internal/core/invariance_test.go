@@ -3,7 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"slices"
+	"reflect"
 	"testing"
 
 	"repro/internal/mesh"
@@ -70,7 +70,7 @@ func TestResultInvariance(t *testing.T) {
 			if got.res.TallyTotal != ref.TallyTotal {
 				t.Errorf("%s: tally total %.17g, reference %.17g", name, got.res.TallyTotal, ref.TallyTotal)
 			}
-			if !slices.Equal(got.res.Cells, ref.Cells) {
+			if !reflect.DeepEqual(got.res.Cells, ref.Cells) {
 				t.Errorf("%s: tally cells differ from the reference", name)
 			}
 			if got.res.Leakage != ref.Leakage {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/mesh"
@@ -78,13 +79,8 @@ func TestLocalityCellsIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Cells) != len(ref.Cells) {
-			t.Fatalf("sort=%d: %d cells, want %d", sortEvery, len(res.Cells), len(ref.Cells))
-		}
-		for i := range ref.Cells {
-			if res.Cells[i] != ref.Cells[i] {
-				t.Fatalf("sort=%d: cell %d = %.17g, want %.17g", sortEvery, i, res.Cells[i], ref.Cells[i])
-			}
+		if !reflect.DeepEqual(res.Cells, ref.Cells) {
+			t.Fatalf("sort=%d: cells %+v, want %+v", sortEvery, res.Cells, ref.Cells)
 		}
 		if res.TallyTotal != ref.TallyTotal {
 			t.Errorf("sort=%d: total %.17g, want %.17g", sortEvery, res.TallyTotal, ref.TallyTotal)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/mesh"
@@ -135,13 +136,8 @@ func sameRun(t *testing.T, what string, want, got *Result) {
 	if want.Leakage != got.Leakage {
 		t.Errorf("%s: leakage differs: %+v vs %+v", what, want.Leakage, got.Leakage)
 	}
-	if len(want.Cells) != len(got.Cells) {
-		t.Fatalf("%s: %d cells, want %d", what, len(got.Cells), len(want.Cells))
-	}
-	for i := range want.Cells {
-		if want.Cells[i] != got.Cells[i] {
-			t.Fatalf("%s: cell %d = %.17g, want %.17g", what, i, got.Cells[i], want.Cells[i])
-		}
+	if !reflect.DeepEqual(want.Cells, got.Cells) {
+		t.Fatalf("%s: cells %+v, want %+v", what, got.Cells, want.Cells)
 	}
 }
 

@@ -36,8 +36,9 @@ type Result struct {
 	WorkerBusy []time.Duration
 	// TallyTotal is the total deposited weight-energy (weight-eV).
 	TallyTotal float64
-	// Cells is a copy of the per-cell tally (KeepCells only).
-	Cells []float64
+	// Cells is the per-cell tally as its runs of non-zero cells, in logical
+	// row-major order (KeepCells only); Cells.Dense gives the mesh.
+	Cells tally.Runs
 	// Conservation is the population/energy audit.
 	Conservation Conservation
 	// AtomicConflicts is always 0: the atomic tally adds with one
@@ -606,14 +607,9 @@ func (r *run) finish(res *Result) {
 	}
 
 	if cfg.KeepCells && cfg.Tally != tally.ModeNull {
-		// From the sparse view: one zeroed slice and a store per deposited
-		// cell, in the scale setBirth gave the tally — the same bits as the
-		// dense view, without building that and copying it.
-		res.Cells = make([]float64, r.mesh.NumCells())
-		scale := tally.ScaleFor(r.birthEnergy)
-		for _, c := range r.tallyNonZeroLogical() {
-			res.Cells[c.Index] = scale.Value(c.Ticks)
-		}
+		// From the sparse view, in the scale setBirth gave the tally: what
+		// was deposited, never the mesh.
+		res.Cells = tally.RunsOf(r.mesh.NumCells(), r.tallyNonZeroLogical(), tally.ScaleFor(r.birthEnergy))
 	}
 	if cfg.KeepBank {
 		res.Bank = r.bank

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"strconv"
 	"testing"
@@ -199,10 +200,8 @@ func TestTallyModesAgree(t *testing.T) {
 		if res.TallyTotal != ref.TallyTotal {
 			t.Errorf("%v tally %.17g, single-writer %.17g", mode, res.TallyTotal, ref.TallyTotal)
 		}
-		for i := range ref.Cells {
-			if res.Cells[i] != ref.Cells[i] {
-				t.Fatalf("%v: cell %d differs: %v vs %v", mode, i, res.Cells[i], ref.Cells[i])
-			}
+		if !reflect.DeepEqual(res.Cells, ref.Cells) {
+			t.Fatalf("%v: cells differ: %+v vs %+v", mode, res.Cells, ref.Cells)
 		}
 	}
 	// Null tally runs but keeps nothing.

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/stats"
+	"repro/internal/tally"
 )
 
 // runEnsemble coordinates one ensemble job: it submits one child job per
@@ -63,9 +64,9 @@ func (e *Engine) runEnsemble(j *Job) (*Filed, *stats.Ensemble, error) {
 		if err != nil {
 			return fail(fmt.Errorf("service: ensemble replica %d: %w", r, err))
 		}
-		cells = f.cells.expand(cells)
-		acc.Add(cells)
 		res := f.res
+		cells = res.Cells.Dense(cells)
+		acc.Add(cells)
 		totals[r] = res.TallyTotal
 		solverWall += res.Wall
 		counters.Add(&res.Counter)
@@ -94,7 +95,7 @@ func (e *Engine) runEnsemble(j *Job) (*Filed, *stats.Ensemble, error) {
 		TallyTotal: ens.MeanTotal,
 	}
 	if cfg.KeepCells {
-		res.Cells = ens.Mean
+		res.Cells = tally.Compact(ens.Mean)
 	}
 	return fileResult(res), ens, nil
 }

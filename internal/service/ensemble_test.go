@@ -95,8 +95,8 @@ func TestEnsembleJobMergesReplicas(t *testing.T) {
 }
 
 // TestEnsembleReplicasStayFiled: folding an ensemble reads each replica's
-// cells from its runs, so what the store keeps of a replica stays runs — no
-// replica's stored result gains a dense copy of the mesh.
+// cells from its runs into a slice of its own, so what the store keeps of a
+// replica stays one set of runs, shared by its result and its view.
 func TestEnsembleReplicasStayFiled(t *testing.T) {
 	const reps = 4
 	e := New(Options{Shards: 2})
@@ -124,11 +124,11 @@ func TestEnsembleReplicasStayFiled(t *testing.T) {
 		switch {
 		case !ok:
 			t.Fatalf("replica %d is not in the store", v.Replica)
-		case f.cells.N == 0:
+		case len(f.res.Cells.Vals) == 0:
 			t.Fatalf("replica %d was filed without cells", v.Replica)
-		case f.dense != nil:
-			t.Errorf("replica %d: stored result holds %d dense cells beside %d run values",
-				v.Replica, len(f.dense.Cells), len(f.cells.Vals))
+		case &f.res.Cells.Vals[0] != &f.view.Cells.Vals[0]:
+			t.Errorf("replica %d: stored result and view hold two copies of %d run values",
+				v.Replica, len(f.res.Cells.Vals))
 		}
 	}
 }
@@ -297,7 +297,7 @@ func TestEnsembleHTTP(t *testing.T) {
 	if len(rv.Ensemble.RelErr) == 0 {
 		t.Error("keep_cells result carries no per-cell rel-err map")
 	}
-	if len(rv.Cells) == 0 {
+	if len(rv.Cells.Vals) == 0 {
 		t.Error("keep_cells result carries no mean cell map")
 	}
 	if rv.Ensemble.MeanTotal <= 0 {

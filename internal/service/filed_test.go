@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mesh"
+	"repro/internal/tally"
 )
 
 // checkFiled files cells and requires the stored form to be what it claims:
@@ -21,7 +22,7 @@ import (
 // back from its JSON to the same bits or failing with json.Marshal's error.
 func checkFiled(t *testing.T, name string, cells []float64) {
 	t.Helper()
-	c := compactCells(cells)
+	c := tally.Compact(cells)
 	if c.N != len(cells) || len(c.Start) != len(c.End) {
 		t.Fatalf("%s: %d cells filed as n=%d with %d starts and %d ends", name, len(cells), c.N, len(c.Start), len(c.End))
 	}
@@ -41,7 +42,7 @@ func checkFiled(t *testing.T, name string, cells []float64) {
 			t.Fatalf("%s: value %d of the runs is +0", name, i)
 		}
 	}
-	got := c.expand(nil)
+	got := c.Dense(nil)
 	if len(got) != len(cells) {
 		t.Fatalf("%s: expands to %d cells, want %d", name, len(got), len(cells))
 	}
@@ -50,7 +51,7 @@ func checkFiled(t *testing.T, name string, cells []float64) {
 			t.Fatalf("%s: cell %d expands to %x, was %x", name, i, math.Float64bits(got[i]), math.Float64bits(cells[i]))
 		}
 	}
-	checkEncodeRoundTrip(t, name, ResultView{TallyTotal: 2.5, Events: 9, Cells: cells, Counters: &core.Counters{FacetEvents: 9}})
+	checkEncodeRoundTrip(t, name, ResultView{TallyTotal: 2.5, Events: 9, Cells: c, Counters: &core.Counters{FacetEvents: 9}})
 }
 
 // TestFiledLossless: filing a result's cells loses nothing — not a bit of any
@@ -106,32 +107,18 @@ func TestFiledLossless(t *testing.T) {
 		checkFiled(t, "random", cells)
 	}
 
-	// A result without cells is kept as the very pointer it arrived as; one
-	// with cells builds its dense result once, bit for bit.
-	bare := &core.Result{TallyTotal: 3}
-	if f := fileResult(bare); f.res != bare || f.Result() != bare {
-		t.Fatal("a result without cells was not kept as its own pointer")
-	}
-	res := referenceResult(t)
-	f := fileResult(res)
-	if f.res.Cells != nil || res.Cells == nil {
-		t.Fatal("filing must take the cells out of a copy, not out of the caller's result")
-	}
-	dense := f.Result()
-	if dense != f.Result() || dense.TallyTotal != res.TallyTotal || len(dense.Cells) != len(res.Cells) {
-		t.Fatal("dense result not built once from the filed one")
-	}
-	for i := range res.Cells {
-		if math.Float64bits(dense.Cells[i]) != math.Float64bits(res.Cells[i]) {
-			t.Fatalf("reference cell %d: %v, was %v", i, dense.Cells[i], res.Cells[i])
+	// A result, with cells or without, is kept as the very pointer it
+	// arrived as, and encodes as its view.
+	for _, res := range []*core.Result{{TallyTotal: 3}, referenceResult(t)} {
+		f := fileResult(res)
+		if f.Result() != res {
+			t.Fatal("a result was not kept as its own pointer")
 		}
-	}
-	view := resultViewOf(res)
-	view.Cells = nil
-	enc, err := f.encode(nil)
-	want, werr := json.Marshal(storedResult{plainView(view), &f.cells})
-	if err != nil || werr != nil || !bytes.Equal(enc, want) {
-		t.Fatalf("filed reference result encodes unlike its view and runs (err %v, %v)", err, werr)
+		enc, err := f.encode(nil)
+		want, werr := json.Marshal(resultViewOf(res))
+		if err != nil || werr != nil || !bytes.Equal(enc, want) {
+			t.Fatalf("filed result encodes unlike its view (err %v, %v)", err, werr)
+		}
 	}
 }
 
@@ -235,7 +222,7 @@ func FuzzFiledCells(f *testing.F) {
 // that lie within their n, and what it files encodes back to bytes it reads
 // again to the same result — encoded once more, the same bytes.
 func FuzzStoredResult(f *testing.F) {
-	small := &core.Result{TallyTotal: 3, Wall: 5, Cells: []float64{0, 1, 0, 0, 2, 3, 0}}
+	small := &core.Result{TallyTotal: 3, Wall: 5, Cells: tally.Compact([]float64{0, 1, 0, 0, 2, 3, 0})}
 	for _, res := range []*core.Result{referenceResult(f), small, {TallyTotal: 3}} {
 		data, err := fileResult(res).encode(nil)
 		if err != nil {
@@ -244,11 +231,7 @@ func FuzzStoredResult(f *testing.F) {
 		f.Add(data)
 	}
 	// The dense cells an older engine wrote: a document to reject.
-	dense, err := json.Marshal(resultViewOf(small))
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(dense)
+	f.Add(denseDoc(f, small))
 	for _, doc := range []string{
 		`{}`, `{"runs":null}`, `{"runs":{"n":0}}`, `{"cells":[1],"runs":{"n":1}}`,
 		`{"runs":{"n":4,"start":[0,3],"end":[2,4],"vals":[1,-0,2.5e-300]}}`,
@@ -264,7 +247,7 @@ func FuzzStoredResult(f *testing.F) {
 		if err != nil {
 			return
 		}
-		c := &got.cells
+		c := &got.res.Cells
 		for r := range c.Start {
 			if c.Start[r] < 0 || int(c.End[r]) > c.N {
 				t.Fatalf("run %d is [%d, %d) of %d cells", r, c.Start[r], c.End[r], c.N)
@@ -278,7 +261,7 @@ func FuzzStoredResult(f *testing.F) {
 		if err != nil {
 			t.Fatalf("encoded form %.200q does not read back: %v", once, err)
 		}
-		if !sameRuns(&back.cells, c) {
+		if !sameRuns(&back.res.Cells, c) {
 			t.Fatal("runs changed through the encoded form")
 		}
 		if twice, err := back.encode(nil); err != nil || !bytes.Equal(twice, once) {
@@ -288,7 +271,7 @@ func FuzzStoredResult(f *testing.F) {
 }
 
 // sameRuns compares two filings of cells; a nil and an empty slice are alike.
-func sameRuns(a, b *cellRuns) bool {
+func sameRuns(a, b *tally.Runs) bool {
 	return a.N == b.N && slices.Equal(a.Start, b.Start) && slices.Equal(a.End, b.End) && slices.Equal(a.Vals, b.Vals)
 }
 

@@ -330,9 +330,8 @@ func (j *Job) pull() ([]byte, int) {
 
 // Result returns the completed result. It fails with ErrNotFinished while
 // the job is in flight, the run's own error for a failed job, and a
-// cancellation error for a canceled one. The engine keeps a result's cells as
-// their non-zero runs: the first call builds the dense cells, and every job
-// served from the same stored result returns that same *core.Result after.
+// cancellation error for a canceled one. Every job served from the same
+// stored result returns the same *core.Result, its cells as their runs.
 func (j *Job) Result() (*core.Result, error) {
 	j.mu.Lock()
 	res, err := j.outcome()
@@ -344,7 +343,7 @@ func (j *Job) Result() (*core.Result, error) {
 }
 
 // serve is GET /result's read, and an ensemble parent's of its replicas: the
-// result as filed, dense cells not built. A finished job's result being served
+// result as filed. A finished job's result being served
 // is the last thing a coordinator's attempt asks of its worker — its pulls all
 // happen before — so the job's checkpoint goes here; /snapshot answers 404
 // from then on.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -144,10 +145,8 @@ func TestRemoteFallbackResumesFromPulledCheckpoint(t *testing.T) {
 		t.Errorf("resumed: tally %.17g counters %+v\nwant     tally %.17g counters %+v",
 			res.TallyTotal, res.Counter, want.TallyTotal, want.Counter)
 	}
-	for i := range want.Cells {
-		if res.Cells[i] != want.Cells[i] {
-			t.Fatalf("cell %d = %.17g, want %.17g", i, res.Cells[i], want.Cells[i])
-		}
+	if !reflect.DeepEqual(res.Cells, want.Cells) {
+		t.Fatalf("cells %+v, want %+v", res.Cells, want.Cells)
 	}
 	if data, _ := j.Snapshot(); data != nil {
 		t.Error("done job still holds the pulled checkpoint")

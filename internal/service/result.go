@@ -6,37 +6,38 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"reflect"
 	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/mesh"
 	"repro/internal/stats"
+	"repro/internal/tally"
 )
 
 // ResultView is a completed run as a client reads it: the quantities it
 // consumes, flattened from core.Result (whose Config carries non-serialisable
-// hooks). On the wire the cells travel as their runs (storedResult);
-// UnmarshalJSON expands them into Cells.
+// hooks). It is also the result's one JSON form, kept in the blob tier and
+// served by GET /result: the members, then the cells as their runs, last. So
+// written, the reference 256² csp result is ≈ 9 KB, where its dense cells
+// alone were 137 KB, 99.5 % of whose numbers were zeros. Neither the engine
+// nor UnmarshalJSON builds the dense mesh; Cells.Dense does.
 type ResultView struct {
 	TallyTotal  float64 `json:"tally_total"`
 	WallSeconds float64 `json:"wall_seconds"`
 	// WallNS is the solver wallclock in integer nanoseconds — the exact
 	// transport twin of the rounded WallSeconds, so a coordinator
 	// reconstructing a remote result loses nothing.
-	WallNS            int64     `json:"wall_ns,omitempty"`
-	Events            uint64    `json:"events"`
-	FacetEvents       uint64    `json:"facet_events"`
-	CollisionEvents   uint64    `json:"collision_events"`
-	CensusEvents      uint64    `json:"census_events"`
-	Deaths            uint64    `json:"deaths"`
-	ConservationError float64   `json:"conservation_error"`
-	LoadImbalance     float64   `json:"load_imbalance"`
-	Cells             []float64 `json:"cells,omitempty"`
+	WallNS            int64   `json:"wall_ns,omitempty"`
+	Events            uint64  `json:"events"`
+	FacetEvents       uint64  `json:"facet_events"`
+	CollisionEvents   uint64  `json:"collision_events"`
+	CensusEvents      uint64  `json:"census_events"`
+	Deaths            uint64  `json:"deaths"`
+	ConservationError float64 `json:"conservation_error"`
+	LoadImbalance     float64 `json:"load_imbalance"`
 	// Escapes and Leakage report vacuum-boundary losses; both absent on
 	// all-reflective scenes.
 	Escapes uint64       `json:"escapes,omitempty"`
@@ -54,6 +55,8 @@ type ResultView struct {
 	// control); zero phases are omitted, and the block is absent when no
 	// phase recorded any time.
 	PhaseTimings map[string]float64 `json:"phase_timings,omitempty"`
+	// Cells is the per-cell tally (keep_cells only; otherwise n is 0).
+	Cells tally.Runs `json:"runs"`
 }
 
 // LeakageView is the wire form of the per-edge vacuum losses, keyed by edge
@@ -126,25 +129,18 @@ func ensembleViewOf(ens *stats.Ensemble, keepCells bool) *EnsembleView {
 }
 
 // Filed is a finished result as the engine keeps it and a coordinator receives
-// it: the core.Result without its cells, its view as served, and the cells as
-// their runs of non-zero values. A 256² csp result deposits in 336 of its
-// 65 536 cells, so what an engine remembers grows with what was deposited, not
-// with the mesh. Each result is filed once, at its source (fileResult,
-// ParseFiled), and shared by every job served from it.
+// it: the core.Result, whose cells are their runs of non-zero values, and its
+// view as served. A 256² csp result deposits in 336 of its 65 536 cells, so
+// what an engine remembers grows with what was deposited, not with the mesh.
+// Each result is filed once, at its source (fileResult, ParseFiled), and
+// shared by every job served from it.
 type Filed struct {
-	// res is the result with Cells nil — or, for a result that had no cells,
-	// the very pointer it arrived as.
-	res   *core.Result
-	cells cellRuns
-	// view is what encode writes beside the runs: resultViewOf(res) for a
-	// result filed here, the view it arrived with for a parsed one. So every
-	// tier and hop that serves the result writes the same bytes, the phase
-	// timings and load imbalance of the run that produced it included.
-	view plainView
-
-	// dense is res with its cells expanded, built by the first Result call.
-	once  sync.Once
-	dense *core.Result
+	res *core.Result
+	// view is what encode writes: resultViewOf(res) for a result filed here,
+	// the view it arrived with for a parsed one. So every tier and hop that
+	// serves the result writes the same bytes, the phase timings and load
+	// imbalance of the run that produced it included.
+	view ResultView
 
 	// wire is the single-run body, built by the first body(nil) call.
 	wireOnce sync.Once
@@ -152,42 +148,13 @@ type Filed struct {
 	wireErr  error
 }
 
-// fileResult files res. res is not modified; the caller drops it, and with it
-// the dense cells.
+// fileResult files res as it arrives; the caller must not modify it after.
 func fileResult(res *core.Result) *Filed {
-	f := &Filed{res: res, view: plainView(resultViewOf(res))}
-	f.view.Cells = nil
-	if len(res.Cells) > 0 {
-		r := *res
-		r.Cells = nil
-		f.res, f.cells = &r, compactCells(res.Cells)
-	}
-	return f
+	return &Filed{res: res, view: resultViewOf(res)}
 }
 
-// Result returns the dense result: built on the first call, the same pointer
-// on every later one. The caller must treat it as immutable. The engine never
-// calls it: dense cells are built only for a library caller.
-func (f *Filed) Result() *core.Result {
-	if f.cells.N == 0 {
-		return f.res
-	}
-	f.once.Do(func() {
-		r := *f.res
-		r.Cells = f.cells.expand(nil)
-		f.dense = &r
-	})
-	return f.dense
-}
-
-// storedResult is a result's one JSON form, kept in the blob tier and served
-// by GET /result: the view but its cells, and the cells as their runs. So
-// written, the reference 256² csp result is ≈ 9 KB, where its dense cells
-// alone were 137 KB, 99.5 % of whose numbers were zeros.
-type storedResult struct {
-	plainView
-	Runs *cellRuns `json:"runs"`
-}
+// Result returns the filed result. The caller must treat it as immutable.
+func (f *Filed) Result() *core.Result { return f.res }
 
 // plainView is ResultView without its UnmarshalJSON.
 type plainView ResultView
@@ -199,7 +166,7 @@ func (f *Filed) body(ens *EnsembleView) ([]byte, error) {
 	marshal := func() ([]byte, error) {
 		v := f.view
 		v.Ensemble = ens
-		data, err := json.Marshal(storedResult{v, &f.cells})
+		data, err := json.Marshal(v)
 		return slices.Concat(data, []byte{'\n'}), err // a slice of exactly its size
 	}
 	if ens != nil {
@@ -221,68 +188,72 @@ func (f *Filed) encode(ens *EnsembleView) ([]byte, error) {
 // leaves out the phase timings and per-worker busy spans, which describe the
 // producing process; the view it serves keeps them, and drops an ensemble
 // block, which the serving job supplies. It fails on anything encode does not
-// write: malformed JSON, a document without runs (the dense cells an older
-// engine wrote) or without counters, runs of other than cfg's cells when cfg
-// has a mesh, or one that decodeResult rejects.
+// write: what decodeResult refuses, a document without counters, or runs of
+// other than cfg's cells when cfg has a mesh.
 func ParseFiled(data []byte, cfg core.Config) (*Filed, error) {
-	s, err := decodeResult(data)
+	v, err := decodeResult(data)
 	switch {
-	case err == nil && s.Runs == nil:
-		err = errors.New("service: result has no runs")
-	case err == nil && s.Counters == nil:
+	case err == nil && v.Counters == nil:
 		err = errors.New("service: result has no counters")
-	case err == nil && s.Runs.N != 0 && cfg.NX*cfg.NY > 0 && s.Runs.N != cfg.NX*cfg.NY:
-		err = fmt.Errorf("service: result runs cover %d cells, not the %dx%d mesh's", s.Runs.N, cfg.NX, cfg.NY)
+	case err == nil && v.Cells.N != 0 && cfg.NX*cfg.NY > 0 && v.Cells.N != cfg.NX*cfg.NY:
+		err = fmt.Errorf("service: result runs cover %d cells, not the %dx%d mesh's", v.Cells.N, cfg.NX, cfg.NY)
 	}
 	if err != nil {
 		return nil, err
 	}
-	s.Ensemble = nil
-	return &Filed{res: (*ResultView)(&s.plainView).result(cfg), cells: *s.Runs, view: s.plainView}, nil
+	v.Ensemble = nil
+	return &Filed{res: v.result(cfg), view: v}, nil
 }
 
-// UnmarshalJSON reads a result in its JSON form into dense Cells, so a Go
-// client decodes GET /result with encoding/json. A document with dense cells
-// and no runs decodes as encoding/json alone would decode it.
+// UnmarshalJSON reads a result in its JSON form, so a Go client decodes GET
+// /result with encoding/json. The cells stay runs: what it allocates grows
+// with the document, not with the n it declares.
 func (v *ResultView) UnmarshalJSON(data []byte) error {
-	s, err := decodeResult(data)
-	if err != nil {
-		return err
+	r, err := decodeResult(data)
+	if err == nil {
+		*v = r
 	}
-	if s.Runs != nil && s.Runs.N > 0 {
-		s.Cells = s.Runs.expand(nil)
-	}
-	*v = ResultView(s.plainView)
-	return nil
+	return err
 }
 
-// decodeResult decodes data with encoding/json, whose errors name the wire type
-// ResultView. Runs must be what compactCells files, and never beside cells: a
-// document carrying both has no one reading. The form encode writes takes
-// decodeFiled's one pass over its runs; any other form, and every refusal, is
-// the whole document's decode.
-func decodeResult(data []byte) (s storedResult, err error) {
-	if s, ok := decodeFiled(data); ok {
-		return s, nil
+// decodeResult decodes a result document as encoding/json does, and refuses
+// runs that are not a cell list's (validRuns) and dense cells: no engine has
+// written a "cells" member since results travel as runs, so one is an error,
+// not a mesh silently dropped. The form encode writes takes decodeFiled's one
+// pass over its runs; any other form, and every refusal, is the whole
+// document's decode.
+func decodeResult(data []byte) (ResultView, error) {
+	if v, ok := decodeFiled(data); ok {
+		return v, nil
 	}
-	err = json.Unmarshal(data, &s)
-	var typeErr *json.UnmarshalTypeError
-	switch {
-	case errors.As(err, &typeErr):
-		if typeErr.Struct == "storedResult" {
-			typeErr.Struct = "ResultView"
-		}
-		typeErr.Field = strings.TrimPrefix(typeErr.Field, "plainView.")
-		if typeErr.Type == reflect.TypeOf(s) {
-			typeErr.Type = reflect.TypeOf(ResultView{})
-		}
-	case err != nil || s.Runs == nil:
-	case s.Cells != nil:
-		err = errors.New("service: result has both cells and runs")
-	case !s.Runs.valid():
+	v, err := decodeMembers(data)
+	if err == nil && !validRuns(&v.Cells) {
 		err = errors.New("service: result runs are not a cell list's")
 	}
-	return s, err
+	return v, err
+}
+
+// errDenseCells refuses a document whose cells are a dense mesh.
+var errDenseCells = errors.New("service: result has dense cells; only runs are read")
+
+// decodeMembers decodes data with encoding/json, refusing a "cells" member in
+// any spelling encoding/json matches. Its errors are encoding/json's on the
+// wire type.
+func decodeMembers(data []byte) (v ResultView, err error) {
+	var doc struct {
+		plainView
+		Dense json.RawMessage `json:"cells"`
+	}
+	switch err = json.Unmarshal(data, &doc); {
+	case err != nil:
+		type ResultView plainView // decoded again, for errors that name it
+		err = json.Unmarshal(data, new(ResultView))
+	case doc.Dense != nil:
+		err = errDenseCells
+	default:
+		v = ResultView(doc.plainView)
+	}
+	return v, err
 }
 
 // heads lends decodeFiled the buffer it closes the members in, so the one pass
@@ -294,71 +265,39 @@ var heads = sync.Pool{New: func() any { return new([]byte) }}
 // runs and parseRuns the runs. ok is false for any other form and for what
 // decodeResult refuses. The cut is the first `,"runs":{`, which encode writes
 // nowhere else: a string it writes has every quote escaped. The members must
-// be an object of at least one member holding no cells and no runs, so no
-// folded, escaped or repeated name reads differently from the whole
-// document's decode, and parseRuns accepts only JSON, so a document whose
-// two parts read is valid JSON.
-func decodeFiled(data []byte) (s storedResult, ok bool) {
+// be an object of at least one member, and parseRuns reads the runs over what
+// the members set of them, so no folded, escaped or repeated name reads
+// differently from the whole document's decode; parseRuns accepts only JSON,
+// so a document whose two parts read is valid JSON.
+func decodeFiled(data []byte) (v ResultView, ok bool) {
 	cut := bytes.Index(data, []byte(`,"runs":{`))
 	if cut < 0 {
-		return s, false
+		return v, false
 	}
 	head := bytes.TrimRight(data[:cut], " \t\r\n")
 	runs, ok := bytes.CutSuffix(bytes.TrimRight(data[cut+len(`,"runs":`):], " \t\r\n"), []byte{'}'})
 	if !ok || len(head) == 0 || head[len(head)-1] == '{' {
-		return s, false
+		return v, false
 	}
 	buf := heads.Get().(*[]byte)
 	*buf = append(append((*buf)[:0], data[:cut]...), '}')
-	err := json.Unmarshal(*buf, &s)
-	if heads.Put(buf); err != nil || s.Runs != nil || s.Cells != nil {
-		return storedResult{}, false
+	v, err := decodeMembers(*buf)
+	if heads.Put(buf); err != nil {
+		return ResultView{}, false
 	}
-	r, ok := parseRuns(runs, cellRuns{})
-	if !ok || !r.valid() {
-		return storedResult{}, false
+	if v.Cells, ok = parseRuns(runs, v.Cells); !ok || !validRuns(&v.Cells) {
+		return ResultView{}, false
 	}
-	s.Runs = &r
-	return s, true
+	return v, true
 }
 
-// cellRuns is a dense []float64 of N cells as its runs of non-zero cells: run
-// r covers cells [Start[r], End[r]), and the runs' values lie end to end in
-// Vals. A cell is zero when all of its bits are, so -0, subnormals, NaN and
-// ±Inf are kept and expand gives back the dense slice bit for bit. Runs are
-// maximal, so a slice with no zero costs its dense size plus one run. The
-// fields are exported for the result's JSON form (storedResult).
-type cellRuns struct {
-	N     int       `json:"n"`
-	Start []int32   `json:"start,omitempty"`
-	End   []int32   `json:"end,omitempty"`
-	Vals  []float64 `json:"vals,omitempty"`
-}
-
-// plainRuns is cellRuns without its UnmarshalJSON.
-type plainRuns cellRuns
-
-// UnmarshalJSON reads the runs object as encode writes it with strconv: n,
-// start, end and vals in that order, each at most once, without space. Any
-// other form (space, null, folded, repeated or reordered names, another member,
-// a number out of range) is encoding/json's to read, with its errors.
-func (c *cellRuns) UnmarshalJSON(data []byte) error {
-	if r, ok := parseRuns(data, *c); ok {
-		*c = r
-		return nil
-	}
-	err := json.Unmarshal(data, (*plainRuns)(c))
-	if typeErr, ok := err.(*json.UnmarshalTypeError); ok && typeErr.Type == reflect.TypeOf(plainRuns{}) {
-		typeErr.Type = reflect.TypeOf(*c) // the wire type's name, not plainRuns'
-	}
-	return err
-}
-
-// parseRuns reads data over r, leaving absent members as encoding/json does; ok
-// is false for any other form. data need not be valid JSON (decodeFiled hands
-// it unchecked): a number array ends at its first ']', n at the ',' or '}'
-// after it, and every number must be JSON's.
-func parseRuns(data []byte, r cellRuns) (_ cellRuns, ok bool) {
+// parseRuns reads the runs object as encode writes it with strconv — n, start,
+// end and vals in that order, each at most once, without space — over r,
+// leaving absent members as encoding/json does; ok is false for any other
+// form. data need not be valid JSON (decodeFiled hands it unchecked): a number
+// array ends at its first ']', n at the ',' or '}' after it, and every number
+// must be JSON's.
+func parseRuns(data []byte, r tally.Runs) (_ tally.Runs, ok bool) {
 	rest, ok := bytes.CutPrefix(data, []byte{'{'})
 	sep := ""
 	for m, name := range []string{`"n":`, `"start":[`, `"end":[`, `"vals":[`} {
@@ -444,55 +383,10 @@ func digits(b []byte, i int) int {
 	return i
 }
 
-// compactCells files cells as runs. One scan of the dense cells counts the
-// runs and notes their bounds (on the stack, up to 256 runs), then the stored
-// slices are allocated at exactly their size and filled from the run cells.
-func compactCells(cells []float64) cellRuns {
-	bounds, nonZero := make([]int32, 0, 512), 0
-	for s, e := nextRun(cells, 0); s < len(cells); s, e = nextRun(cells, e) {
-		bounds = append(bounds, int32(s), int32(e))
-		nonZero += e - s
-	}
-	c := cellRuns{
-		N:     len(cells),
-		Start: make([]int32, len(bounds)/2),
-		End:   make([]int32, len(bounds)/2),
-		Vals:  make([]float64, 0, nonZero),
-	}
-	for r := range c.Start {
-		s, e := bounds[2*r], bounds[2*r+1]
-		c.Start[r], c.End[r] = s, e
-		c.Vals = append(c.Vals, cells[s:e]...)
-	}
-	return c
-}
-
-// nextRun returns the first run of non-zero cells at or after i; start is
-// len(cells) when there is none. Zeros are skipped eight at a time, as
-// tally.appendNonZero skips them: a tally is mostly zeros.
-func nextRun(cells []float64, i int) (start, end int) {
-	for rest := cells[i:]; len(rest) >= 8; rest = rest[8:] {
-		b := (*[8]float64)(rest)
-		if math.Float64bits(b[0])|math.Float64bits(b[1])|math.Float64bits(b[2])|math.Float64bits(b[3])|
-			math.Float64bits(b[4])|math.Float64bits(b[5])|math.Float64bits(b[6])|math.Float64bits(b[7]) != 0 {
-			break
-		}
-		i += 8
-	}
-	for i < len(cells) && math.Float64bits(cells[i]) == 0 {
-		i++
-	}
-	start = i
-	for i < len(cells) && math.Float64bits(cells[i]) != 0 {
-		i++
-	}
-	return start, i
-}
-
-// valid reports whether c is what compactCells files: N at most a mesh's
+// validRuns reports whether c is what a result files: N at most a mesh's
 // cells, ascending maximal runs inside it, no value +0, and exactly the values
 // the runs cover.
-func (c *cellRuns) valid() bool {
+func validRuns(c *tally.Runs) bool {
 	if c.N < 0 || c.N > mesh.MaxCells || len(c.Start) != len(c.End) {
 		return false
 	}
@@ -504,22 +398,6 @@ func (c *cellRuns) valid() bool {
 		at, covered = c.End[r], covered+int(c.End[r]-s)
 	}
 	return covered == len(c.Vals) && !slices.ContainsFunc(c.Vals, func(f float64) bool { return math.Float64bits(f) == 0 })
-}
-
-// expand returns the dense cells: in dst when it has room for them, so the
-// ensemble fold reuses one slice across its replicas, else in a new slice.
-func (c *cellRuns) expand(dst []float64) []float64 {
-	if cap(dst) < c.N {
-		dst = make([]float64, c.N)
-	} else {
-		dst = dst[:c.N]
-		clear(dst)
-	}
-	vals := c.Vals
-	for r, s := range c.Start {
-		vals = vals[copy(dst[s:c.End[r]], vals):]
-	}
-	return dst
 }
 
 func resultViewOf(res *core.Result) ResultView {

@@ -15,6 +15,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -22,7 +23,10 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mesh"
+	"repro/internal/particle"
 	"repro/internal/service/blob"
+	"repro/internal/stats"
+	"repro/internal/tally"
 )
 
 // referenceResult is the service's reference job — csp, 256², 2 000
@@ -45,9 +49,9 @@ func referenceResult(tb testing.TB) *core.Result {
 // BenchmarkResultJSON times the fixed costs of a result's one JSON form:
 // encoding it (once per filed result, which its blob-tier put and every GET
 // /result then share), serving it to GET /result from the LRU, decoding it
-// into a Go client's dense view, filing it (every remote result on a
-// coordinator, every blob-tier hit), filing a fresh result's cells as runs,
-// and a whole LRU hit as a client sees it.
+// into a Go client's view, filing it (every remote result on a coordinator,
+// every blob-tier hit), filing a fresh result, and a whole LRU hit as a
+// client sees it.
 func BenchmarkResultJSON(b *testing.B) {
 	res := referenceResult(b)
 	f := fileResult(res)
@@ -59,7 +63,7 @@ func BenchmarkResultJSON(b *testing.B) {
 		b.SetBytes(int64(len(data)))
 		for i := 0; i < b.N; i++ {
 			// A fresh filing's first encode: what a solve pays once.
-			fresh := &Filed{res: f.res, cells: f.cells, view: f.view}
+			fresh := &Filed{res: f.res, view: f.view}
 			if _, err := fresh.encode(nil); err != nil {
 				b.Fatal(err)
 			}
@@ -118,7 +122,7 @@ func BenchmarkResultJSON(b *testing.B) {
 	})
 	b.Run("file", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if fileResult(res).cells.N == 0 {
+			if fileResult(res).view.Cells.N == 0 {
 				b.Fatal("no cells filed")
 			}
 		}
@@ -126,7 +130,7 @@ func BenchmarkResultJSON(b *testing.B) {
 	b.Run("hit", func(b *testing.B) {
 		// A serve_mixed hit as a Go client makes it, through a loopback
 		// server whose LRU holds the reference result: POST its spec, GET
-		// the result of the job the hit made, decode it into dense cells.
+		// the result of the job the hit made, decode it.
 		e := New(Options{Shards: 1})
 		defer e.Close()
 		if j, err := e.Submit(res.Config); err != nil || j.Wait(context.Background()) != nil {
@@ -156,27 +160,25 @@ func BenchmarkResultJSON(b *testing.B) {
 			if err == nil {
 				err = json.Unmarshal(body, &rv)
 			}
-			if err != nil || resp.StatusCode != http.StatusOK || len(rv.Cells) != len(res.Cells) {
-				b.Fatalf("result: status %d, %d cells, err %v", resp.StatusCode, len(rv.Cells), err)
+			if err != nil || resp.StatusCode != http.StatusOK || len(rv.Cells.Vals) != len(res.Cells.Vals) {
+				b.Fatalf("result: status %d, %d cell values, err %v", resp.StatusCode, len(rv.Cells.Vals), err)
 			}
 		}
 	})
 }
 
-// checkEncodeRoundTrip writes v in the one JSON form — the view but its cells,
-// and the cells as their runs — and requires the document to read back through
-// UnmarshalJSON and ParseFiled to every cell's bits (no cells reading as nil)
+// checkEncodeRoundTrip writes v in the one JSON form and requires the document
+// to read back through UnmarshalJSON and ParseFiled to every run value's bits
 // and every other field; a view JSON cannot carry (NaN, ±Inf) must fail with
-// json.Marshal's own error.
+// json.Marshal's error.
 func checkEncodeRoundTrip(t *testing.T, name string, v ResultView) {
 	t.Helper()
-	runs, bare := compactCells(v.Cells), v
-	bare.Cells = nil
-	data, err := json.Marshal(storedResult{plainView(bare), &runs})
-	if _, werr := json.Marshal(v); (err == nil) != (werr == nil) || (werr != nil && err.Error() != werr.Error()) {
-		t.Fatalf("%s: err %v, encoding/json %v", name, err, werr)
-	}
+	data, err := json.Marshal(v)
+	var unsupported *json.UnsupportedValueError
 	if err != nil {
+		if !errors.As(err, &unsupported) {
+			t.Fatalf("%s: %v", name, err)
+		}
 		return
 	}
 	var back ResultView
@@ -187,17 +189,12 @@ func checkEncodeRoundTrip(t *testing.T, name string, v ResultView) {
 	if err != nil {
 		t.Fatalf("%s: ParseFiled: %v", name, err)
 	}
-	want := v.Cells
-	if len(want) == 0 {
-		want = nil
+	checkSameCells(t, name+": UnmarshalJSON", back.Cells.Vals, v.Cells.Vals)
+	checkSameCells(t, name+": ParseFiled", filed.Result().Cells.Vals, v.Cells.Vals)
+	if !reflect.DeepEqual(back, v) {
+		t.Fatalf("%s: fields differ through UnmarshalJSON:\n got  %+v\n want %+v", name, back, v)
 	}
-	checkSameCells(t, name+": UnmarshalJSON", back.Cells, want)
-	checkSameCells(t, name+": ParseFiled", filed.Result().Cells, want)
-	if back.Cells = nil; !reflect.DeepEqual(back, bare) {
-		t.Fatalf("%s: fields differ through UnmarshalJSON:\n got  %+v\n want %+v", name, back, bare)
-	}
-	fres, wres := *filed.Result(), *bare.result(core.Config{})
-	if fres.Cells = nil; !reflect.DeepEqual(fres, wres) {
+	if fres, wres := *filed.Result(), *v.result(core.Config{}); !reflect.DeepEqual(fres, wres) {
 		t.Fatalf("%s: ParseFiled result differs:\n got  %+v\n want %+v", name, fres, wres)
 	}
 }
@@ -213,7 +210,7 @@ func TestResultEncodeMatchesStdlib(t *testing.T) {
 		1e20, 1e21, math.Nextafter(1e21, 0), 1e22, 1e100, math.MaxFloat64, -math.MaxFloat64,
 		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1022, 0x0.8p-1022, 1 << 53, 1<<53 + 2, 123456.789}
 	for _, f := range edges {
-		checkEncodeRoundTrip(t, strconv.FormatFloat(f, 'g', -1, 64), ResultView{Cells: []float64{f}, Counters: &core.Counters{}})
+		checkEncodeRoundTrip(t, strconv.FormatFloat(f, 'g', -1, 64), ResultView{Cells: tally.Compact([]float64{f}), Counters: &core.Counters{}})
 	}
 
 	cells := make([]float64, 0, 1_100_000)
@@ -230,7 +227,7 @@ func TestResultEncodeMatchesStdlib(t *testing.T) {
 			cells = append(cells, 0, negZero, 0) // a tally is mostly zeros
 		}
 	}
-	checkEncodeRoundTrip(t, "random", ResultView{TallyTotal: 1.5, Events: 7, Cells: cells, Counters: &core.Counters{FacetEvents: 7}})
+	checkEncodeRoundTrip(t, "random", ResultView{TallyTotal: 1.5, Events: 7, Cells: tally.Compact(cells), Counters: &core.Counters{FacetEvents: 7}})
 
 	full := resultViewOf(referenceResult(t))
 	checkEncodeRoundTrip(t, "reference", full)
@@ -239,16 +236,16 @@ func TestResultEncodeMatchesStdlib(t *testing.T) {
 	full.Ensemble = &EnsembleView{Replicas: 2, MeanTotal: 1e21, ReplicaTotals: []float64{0, 1}, RelErr: []float64{0, 0.5}}
 	full.PhaseTimings = map[string]float64{"fused": 0.25, "merge": 1e-7}
 	checkEncodeRoundTrip(t, "every block set", full)
-	full.Cells = full.Cells[:1]
+	full.Cells = tally.Compact(full.Cells.Dense(nil)[:1])
 	checkEncodeRoundTrip(t, "one cell", full)
-	full.Cells = []float64{}
-	checkEncodeRoundTrip(t, "empty cells", full)
-	full.Cells = nil
-	checkEncodeRoundTrip(t, "nil cells", full)
+	full.Cells = tally.Runs{N: 64}
+	checkEncodeRoundTrip(t, "no deposit", full)
+	full.Cells = tally.Runs{}
+	checkEncodeRoundTrip(t, "no cells", full)
 
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		checkEncodeRoundTrip(t, "unsupported cell", ResultView{Cells: []float64{0, bad, 1}})
-		checkEncodeRoundTrip(t, "unsupported field", ResultView{TallyTotal: bad, Cells: []float64{0, 1}})
+		checkEncodeRoundTrip(t, "unsupported cell", ResultView{Cells: tally.Compact([]float64{0, bad, 1})})
+		checkEncodeRoundTrip(t, "unsupported field", ResultView{TallyTotal: bad, Cells: tally.Compact([]float64{0, 1})})
 	}
 }
 
@@ -265,86 +262,98 @@ func checkSameCells(t *testing.T, what string, got, want []float64) {
 	}
 }
 
-// plainResultView is ResultView without its UnmarshalJSON, and
-// plainStoredView the one JSON form with it: what encoding/json alone makes
-// of a document.
+// plainResultView is ResultView without its UnmarshalJSON: what encoding/json
+// alone makes of a document.
 type plainResultView ResultView
 
-type plainStoredView struct {
-	plainResultView
-	Runs *cellRuns `json:"runs"`
+// denseDoc is res as an engine wrote it before results travelled as runs: the
+// members, and the cells as a dense array.
+func denseDoc(tb testing.TB, res *core.Result) []byte {
+	tb.Helper()
+	var doc map[string]any
+	data, err := json.Marshal(resultViewOf(res))
+	if err == nil {
+		err = json.Unmarshal(data, &doc)
+	}
+	delete(doc, "runs")
+	doc["cells"] = res.Cells.Dense(nil)
+	if data, err = json.Marshal(doc); err != nil {
+		tb.Fatal(err)
+	}
+	return data
 }
 
 // checkDecodeMatchesStdlib decodes doc three ways — json.Unmarshal into a
 // ResultView, a direct UnmarshalJSON call (which skips encoding/json's
 // pre-scan of the document) and ParseFiled — against encoding/json's own
-// reading of the one form. A document without runs must decode as
-// encoding/json decodes it: the same error, or every cell the same bits (nil
-// and empty told apart) and every other field equal. A document with runs
-// must fail unless they are runs compactCells files and no cells stand beside
-// them, and then read as their expansion. ParseFiled accepts exactly the
-// valid runs documents that carry counters, as encode writes them.
+// reading of it. Each fails where encoding/json does, with its error, and on a
+// dense cells member and runs a result does not file; otherwise each reads
+// what encoding/json reads, the run values' bits with nil and empty told
+// apart. ParseFiled also refuses a document without counters. The client's
+// decode and ParseFiled each allocate at most decodeAllocPerByte bytes per
+// byte of doc and decodeAllocFixed more, whatever n the runs declare.
 func checkDecodeMatchesStdlib(t *testing.T, doc string) {
 	t.Helper()
 	var got, direct ResultView
-	var want plainStoredView
-	gerr := json.Unmarshal([]byte(doc), &got)
+	var want plainResultView
+	var dense struct {
+		Cells json.RawMessage `json:"cells"`
+	}
+	var gerr, ferr error
+	var filed *Filed
+	ceiling := decodeAllocPerByte*uint64(len(doc)) + decodeAllocFixed
+	for _, decode := range []func(){
+		func() { gerr = json.Unmarshal([]byte(doc), &got) },
+		func() { filed, ferr = ParseFiled([]byte(doc), core.Config{}) },
+	} {
+		if n := allocated(decode); n > ceiling {
+			t.Fatalf("doc %.80q: a decode allocated %d bytes, over its ceiling of %d", doc, n, ceiling)
+		}
+	}
 	derr := direct.UnmarshalJSON([]byte(doc))
-	filed, ferr := ParseFiled([]byte(doc), core.Config{})
 	werr := json.Unmarshal([]byte(doc), &want)
-	runs := werr == nil && want.Runs != nil
-	// More cells than a mesh holds is refused before expand allocates them.
-	badRuns := runs && (want.Cells != nil || want.Runs.N > mesh.MaxCells || !want.Runs.valid())
+	refused := werr == nil && (json.Unmarshal([]byte(doc), &dense) != nil || dense.Cells != nil || !validRuns(&want.Cells))
 	for _, path := range []struct {
 		name    string
 		err     error
 		wantErr bool
-	}{{"json.Unmarshal", gerr, werr != nil || badRuns}, {"UnmarshalJSON", derr, werr != nil || badRuns},
-		{"ParseFiled", ferr, !runs || badRuns || want.Counters == nil}} {
+	}{{"json.Unmarshal", gerr, werr != nil || refused}, {"UnmarshalJSON", derr, werr != nil || refused},
+		{"ParseFiled", ferr, werr != nil || refused || want.Counters == nil}} {
 		if (path.err != nil) != path.wantErr {
-			t.Fatalf("doc %.80q: %s err %v, encoding/json %v (runs %t, malformed %t)", doc, path.name, path.err, werr, runs, badRuns)
+			t.Fatalf("doc %.80q: %s err %v, encoding/json %v (refused %t)", doc, path.name, path.err, werr, refused)
 		}
 		// The reference type's name appears in type errors; the wire type's
 		// must appear in ours.
-		if werr != nil && path.err.Error() != strings.NewReplacer("plainStoredView", "ResultView", "plainResultView.", "").Replace(werr.Error()) {
+		if werr != nil && path.err.Error() != strings.ReplaceAll(werr.Error(), "plainResultView", "ResultView") {
 			t.Fatalf("doc %.80q: %s error %q, encoding/json %q", doc, path.name, path.err, werr)
 		}
 	}
-	if werr != nil || badRuns {
+	if werr != nil || refused {
 		return
 	}
-	if runs {
-		want.Cells = nil
-		if want.Runs.N > 0 {
-			want.Cells = want.Runs.expand(nil)
-		}
-	}
 	what := fmt.Sprintf("doc %.80q: ", doc)
-	checkSameCells(t, what+"json.Unmarshal", got.Cells, want.Cells)
-	checkSameCells(t, what+"UnmarshalJSON", direct.Cells, want.Cells)
-	wantView := ResultView(want.plainResultView)
-	if ferr == nil {
-		checkSameCells(t, what+"ParseFiled", filed.Result().Cells, want.Cells)
-		// ParseFiled keeps what a core.Result carries of the view.
-		fres, wres := *filed.Result(), *wantView.result(core.Config{})
-		fres.Cells, wres.Cells = nil, nil
-		if !reflect.DeepEqual(fres, wres) {
-			t.Fatalf("doc %.80q: ParseFiled result differs:\n got  %+v\n want %+v", doc, fres, wres)
-		}
-	}
-	got.Cells, direct.Cells, wantView.Cells = nil, nil, nil
+	wantView := ResultView(want)
+	checkSameCells(t, what+"json.Unmarshal", got.Cells.Vals, want.Cells.Vals)
+	checkSameCells(t, what+"UnmarshalJSON", direct.Cells.Vals, want.Cells.Vals)
 	if !reflect.DeepEqual(got, wantView) || !reflect.DeepEqual(direct, wantView) {
 		t.Fatalf("doc %.80q: fields differ:\n got  %+v\n direct %+v\n want %+v", doc, got, direct, wantView)
+	}
+	if ferr == nil {
+		// ParseFiled keeps what a core.Result carries of the view.
+		checkSameCells(t, what+"ParseFiled", filed.Result().Cells.Vals, want.Cells.Vals)
+		if fres, wres := *filed.Result(), *wantView.result(core.Config{}); !reflect.DeepEqual(fres, wres) {
+			t.Fatalf("doc %.80q: ParseFiled result differs:\n got  %+v\n want %+v", doc, fres, wres)
+		}
 	}
 }
 
 // TestResultViewDecodeMatchesStdlib pins ResultView.UnmarshalJSON and
-// ParseFiled to encoding/json: a dense cells member in any shape decodes to
-// the same value or error, and a runs member reads as its cells exactly when
-// its runs are well formed.
+// ParseFiled to encoding/json: a dense cells member in any shape is refused
+// or fails with encoding/json's error, and a runs member reads as
+// encoding/json reads it exactly when its runs are well formed.
 func TestResultViewDecodeMatchesStdlib(t *testing.T) {
 	for _, doc := range []string{
-		// Recognised: plain number arrays in every spelling JSON allows.
+		// Dense cells, in every spelling JSON allows.
 		`{"tally_total":1.5,"cells":[0,1,2.5],"events":7}`,
 		`{"cells":[0]}`,
 		`{"cells":[-0]}`,
@@ -361,7 +370,7 @@ func TestResultViewDecodeMatchesStdlib(t *testing.T) {
 		`{"leakage":{"weight":{"cells":1},"energy":{},"total_energy":0,"cells":[9]},"cells":[1]}`,
 		`{"counters":{"cells":[1,2]}}`,
 		`{"unknown":{"cells":[1,[2],{"cells":[3]}]},"s":"a \\"cells\\":[4] ]} \\\\","cells":[5]}`,
-		// Not a non-empty number array: encoding/json's business.
+		// Cells that are not a non-empty number array, and no cells.
 		`{"cells":null}`,
 		`{"cells":[]}`,
 		`{"cells":[ ]}`,
@@ -442,7 +451,7 @@ func TestResultViewDecodeMatchesStdlib(t *testing.T) {
 		`{"runs":{"n":1,"start":[0],"end":[1],"vals":[1],"extra":[1,2]},"counters":{"FacetEvents":2}}`,
 		`{"leakage":{"weight":{"x-hi":1},"energy":{"x-hi":2},"total_energy":2},"runs":{"n":3,"start":null,"end":null}}`,
 		`{"ensemble":{"replicas":2,"rel_err":[0,0.5]},"runs":{"n":2,"start":[1],"end":[2],"vals":[0.5]}}`,
-		// Runs beside cells, or runs compactCells would not file.
+		// Runs beside cells, or runs a result does not file.
 		`{"cells":[1,2,3],"runs":{"n":3}}`,
 		`{"runs":{"n":1,"start":[0],"end":[1],"vals":[1]},"cells":[]}`,
 		`{"Cells":[0],"runs":{"n":0}}`,
@@ -555,7 +564,7 @@ func TestResultViewDecodeMatchesStdlib(t *testing.T) {
 				cells[i] = special[rnd.Intn(len(special))]
 			}
 		}
-		data, err := fileResult(&core.Result{TallyTotal: rnd.NormFloat64(), Cells: cells}).encode(nil)
+		data, err := fileResult(&core.Result{TallyTotal: rnd.NormFloat64(), Cells: tally.Compact(cells)}).encode(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -567,25 +576,26 @@ func TestResultViewDecodeMatchesStdlib(t *testing.T) {
 		checkDecodeMatchesStdlib(t, doc[:rnd.Intn(len(doc))])
 	}
 
-	// The real thing round-trips: the reference result in both forms.
+	// The real thing: the reference result as runs round-trips, and as the
+	// dense cells an older engine wrote is refused.
 	res := referenceResult(t)
-	dense, err := json.Marshal(resultViewOf(res))
-	if err != nil {
-		t.Fatal(err)
-	}
 	stored, err := fileResult(res).encode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	dense := denseDoc(t, res)
 	for _, data := range [][]byte{dense, stored} {
 		checkDecodeMatchesStdlib(t, string(data))
-		var rv ResultView
-		if err := json.Unmarshal(data, &rv); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(rv.Cells, res.Cells) {
-			t.Fatal("cells changed across encode/decode")
-		}
+	}
+	var rv ResultView
+	if err := json.Unmarshal(stored, &rv); err != nil || !reflect.DeepEqual(rv.Cells, res.Cells) {
+		t.Fatalf("cells changed across encode/decode (err %v)", err)
+	}
+	if err := json.Unmarshal(dense, &rv); !errors.Is(err, errDenseCells) {
+		t.Fatalf("dense cells decoded (err %v)", err)
+	}
+	if _, err := ParseFiled(dense, res.Config); !errors.Is(err, errDenseCells) {
+		t.Fatalf("dense cells filed (err %v)", err)
 	}
 }
 
@@ -614,7 +624,7 @@ func TestDecodeFiledOnePass(t *testing.T) {
 		ens  *EnsembleView
 	}{
 		{"csp with cells", reference, nil},
-		{"no deposit", &core.Result{TallyTotal: 0, Cells: make([]float64, 64*64)}, nil},
+		{"no deposit", &core.Result{TallyTotal: 0, Cells: tally.Runs{N: 64 * 64}}, nil},
 		{"vacuum edge", vacuum, nil},
 		{"no kept cells", &core.Result{TallyTotal: 3, Wall: 5}, nil},
 		{"ensemble", reference, ens},
@@ -625,17 +635,92 @@ func TestDecodeFiledOnePass(t *testing.T) {
 		}
 		for _, data := range [][]byte{body[:len(body)-1], body} {
 			got, ok := decodeFiled(data)
-			var want storedResult
+			var want plainResultView
 			if err := json.Unmarshal(data, &want); err != nil || !ok {
 				t.Fatalf("%s: one pass %t, encoding/json %v", tc.name, ok, err)
 			}
-			if got.Runs.N != want.Runs.N || !slices.Equal(got.Runs.Start, want.Runs.Start) || !slices.Equal(got.Runs.End, want.Runs.End) {
-				t.Fatalf("%s: runs %+v, encoding/json %+v", tc.name, got.Runs, want.Runs)
-			}
-			checkSameCells(t, tc.name+": run values", got.Runs.Vals, want.Runs.Vals)
-			if got.Runs, want.Runs = nil, nil; !reflect.DeepEqual(got, want) {
+			checkSameCells(t, tc.name+": run values", got.Cells.Vals, want.Cells.Vals)
+			if !reflect.DeepEqual(got, ResultView(want)) {
 				t.Fatalf("%s: members differ:\n got  %+v\n want %+v", tc.name, got, want)
 			}
+		}
+	}
+}
+
+// TestClientReadsWhatTheSolveKept: a Go client decoding GET /result, and a
+// coordinator filing its body, read exactly the cells the bare solve kept, by
+// the benchmark's own comparison (reflect.DeepEqual): the same type, nil
+// slices where nothing was deposited and exact ones where something was.
+func TestClientReadsWhatTheSolveKept(t *testing.T) {
+	spec := func(doc string) core.Config {
+		t.Helper()
+		var s Spec
+		if err := json.Unmarshal([]byte(doc), &s); err != nil {
+			t.Fatal(err)
+		}
+		s.KeepCells = true
+		cfg, err := s.Config()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cfg
+	}
+	csp := spec(`{"problem":"csp","nx":64,"particles":200,"seed":7}`)
+	morton, soa, ensemble := csp, csp, csp
+	morton.Ordering = mesh.Morton
+	soa.Layout = particle.SoA
+	ensemble.Replicas = 3
+	for _, tc := range []struct {
+		name    string
+		cfg     core.Config
+		deposit bool
+	}{
+		{"csp", csp, true},
+		{"no deposit", spec(strings.Replace(sceneSpec("void", "void"), "1e-10", "0", 1)), false},
+		{"vacuum edge", spec(strings.Replace(sceneSpec("leaky", "water"), "1e-10", "1", 1)), true},
+		{"morton", morton, true},
+		{"soa", soa, true},
+		{"ensemble", ensemble, true},
+	} {
+		var want tally.Runs
+		if tc.cfg.Replicas > 1 {
+			ens, err := stats.RunEnsemble(context.Background(), tc.cfg, stats.Options{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = tally.Compact(ens.Mean)
+		} else {
+			res, err := core.Run(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = res.Cells
+		}
+		if want.N != tc.cfg.NX*tc.cfg.NY || (want.Vals != nil) != tc.deposit {
+			t.Fatalf("%s: the bare solve kept %d cells, %d values", tc.name, want.N, len(want.Vals))
+		}
+
+		ts, e := newTestServer(t, Options{Shards: 1})
+		j, err := e.Submit(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + j.ID() + "/result?wait=true")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: result status %d, err %v", tc.name, resp.StatusCode, err)
+		}
+		var rv ResultView
+		if err := json.Unmarshal(body, &rv); err != nil || !reflect.DeepEqual(rv.Cells, want) {
+			t.Fatalf("%s: the client read %+v, the solve kept %+v (err %v)", tc.name, rv.Cells, want, err)
+		}
+		filed, err := ParseFiled(body, tc.cfg)
+		if err != nil || !reflect.DeepEqual(filed.Result().Cells, want) {
+			t.Fatalf("%s: filed %+v, the solve kept %+v (err %v)", tc.name, filed.Result().Cells, want, err)
 		}
 	}
 }
@@ -679,7 +764,9 @@ func TestResultContentLength(t *testing.T) {
 // FuzzResultDecode is checkDecodeMatchesStdlib over arbitrary documents. Its
 // seeds are the two document lists of TestResultViewDecodeMatchesStdlib —
 // read from this file's source, so each list has one copy — each followed by
-// the reference result in that list's form: dense cells, then runs.
+// a result in that list's form: a 64² run's dense cells, then the reference
+// result's runs. The dense reference would be 137 KB, and the fuzzer stops
+// executing while it minimizes each new input mutated from one that large.
 func FuzzResultDecode(f *testing.F) {
 	file, err := parser.ParseFile(token.NewFileSet(), "result_json_test.go", nil, 0)
 	if err != nil {
@@ -713,16 +800,17 @@ func FuzzResultDecode(f *testing.F) {
 	if len(lists) < 2 || len(lists[0]) < 50 || len(lists[1]) < 20 {
 		f.Fatalf("found %d document lists in TestResultViewDecodeMatchesStdlib", len(lists))
 	}
-	res := referenceResult(f)
-	dense, err := json.Marshal(resultViewOf(res))
+	cfg := core.Default(mesh.CSP)
+	cfg.NX, cfg.NY, cfg.Particles, cfg.KeepCells = 64, 64, 200, true
+	small, err := core.Run(cfg)
 	if err != nil {
 		f.Fatal(err)
 	}
-	stored, err := fileResult(res).encode(nil)
+	stored, err := fileResult(referenceResult(f)).encode(nil)
 	if err != nil {
 		f.Fatal(err)
 	}
-	for i, ref := range [][]byte{dense, stored} {
+	for i, ref := range [][]byte{denseDoc(f, small), stored} {
 		for _, doc := range lists[i] {
 			f.Add(doc)
 		}
@@ -731,10 +819,47 @@ func FuzzResultDecode(f *testing.F) {
 	f.Fuzz(checkDecodeMatchesStdlib)
 }
 
+// The allocation ceiling of a result decode: a number or map entry of a few
+// bytes becomes a slice element or map slot of 8 to 80, and encoding/json's
+// scanner, the type cache and the runtime's own background work take the
+// fixed part.
+const (
+	decodeAllocPerByte = 128
+	decodeAllocFixed   = 256 << 10
+)
+
+// allocated returns the heap bytes allocated while f runs, read from the
+// runtime's cumulative count; other goroutines' allocations count too.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestDecodeAllocatesByInput: a 23-byte document declaring the most cells a
+// mesh holds decodes to its runs in under a kilobyte; a dense mesh of that n
+// would be 512 MB. The least of a few tries discounts other goroutines.
+func TestDecodeAllocatesByInput(t *testing.T) {
+	doc := []byte(`{"runs":{"n":67108864}}`)
+	var rv ResultView
+	if err := json.Unmarshal(doc, &rv); err != nil || rv.Cells.N != mesh.MaxCells {
+		t.Fatalf("decoded %+v, err %v", rv.Cells, err)
+	}
+	least := uint64(math.MaxUint64)
+	for range 5 {
+		least = min(least, allocated(func() { json.Unmarshal(doc, new(ResultView)) }))
+	}
+	if t.Logf("decoding %q allocates %d bytes", doc, least); least >= 1<<10 {
+		t.Fatalf("decoding %q allocates %d bytes, want under 1 KB", doc, least)
+	}
+}
+
 // TestResultEncodedOnce: a single-run result has one JSON form. GET /result
 // on the job that computed it, on a job born from an LRU hit and on one born
 // from a blob-tier hit serves exactly the blob tier's bytes plus a newline —
-// under a tenth of the dense cells' JSON — and it decodes to the dense view.
+// under a tenth of the dense cells' JSON — and it decodes to the view.
 func TestResultEncodedOnce(t *testing.T) {
 	store := blob.NewMem()
 	ts, e := newTestServer(t, Options{Shards: 1, QueueDepth: 4, Blobs: store})
@@ -773,10 +898,7 @@ func TestResultEncodedOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dense, err := json.Marshal(resultViewOf(res))
-	if err != nil {
-		t.Fatal(err)
-	}
+	dense := denseDoc(t, res)
 	t.Logf("served %d bytes for %d of dense JSON", len(body), len(dense))
 	if len(body)*10 > len(dense) {
 		t.Errorf("served %d bytes, more than a tenth of the %d dense", len(body), len(dense))
@@ -786,7 +908,7 @@ func TestResultEncodedOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(served, resultViewOf(res)) {
-		t.Fatal("the served result does not decode to the dense view")
+		t.Fatal("the served result does not decode to the view")
 	}
 
 	hit, code := postJob(t, ts, spec)
@@ -805,12 +927,11 @@ func TestResultEncodedOnce(t *testing.T) {
 	}
 }
 
-// FuzzRunsDecode pins cellRuns.UnmarshalJSON to encoding/json's own reading of
-// the runs object, which the document tests above cannot see: their reference
-// decodes runs through the same method. Any valid JSON value, decoded over
-// zero runs and over runs already set (as a repeated "runs" member decodes),
-// must leave the same fields, nil and empty told apart, or fail with the same
-// error.
+// FuzzRunsDecode pins parseRuns to encoding/json's own reading of the runs
+// object, which the document tests above cannot see apart from the members
+// around it. Any valid JSON value, read over zero runs and over runs already
+// set (as a repeated "runs" member is read), is either declined or leaves the
+// fields encoding/json leaves, nil and empty told apart.
 func FuzzRunsDecode(f *testing.F) {
 	for _, doc := range []string{
 		`{"n":0}`, `{}`, `{"n":3,"start":[1],"end":[3],"vals":[1,2.5]}`,
@@ -825,23 +946,14 @@ func FuzzRunsDecode(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, doc string) {
 		if !json.Valid([]byte(doc)) {
-			return // an Unmarshaler is only ever handed a valid value
+			return // decodeFiled's whole document is JSON whenever its parts read
 		}
-		for _, start := range []cellRuns{{}, {N: 9, Start: []int32{1}, End: []int32{2}, Vals: []float64{3}}} {
-			got, want := start, plainRuns(start)
-			got.Start, got.End, got.Vals = slices.Clone(start.Start), slices.Clone(start.End), slices.Clone(start.Vals)
-			err := got.UnmarshalJSON([]byte(doc))
-			werr := json.Unmarshal([]byte(doc), &want)
-			// Decoded alone, the fallback's errors name plainRuns for its
-			// struct; beneath a result, encoding/json names the result.
-			if err != nil && werr != nil {
-				werr = errors.New(strings.Replace(werr.Error(), "type service.plainRuns", "type service.cellRuns", 1))
-			}
-			if fmt.Sprint(err) != fmt.Sprint(werr) {
-				t.Fatalf("%q over %+v: err %v, encoding/json %v", doc, start, err, werr)
-			}
-			if err == nil && !reflect.DeepEqual(got, cellRuns(want)) {
-				t.Fatalf("%q over %+v: %+v, encoding/json %+v", doc, start, got, want)
+		for _, start := range []tally.Runs{{}, {N: 9, Start: []int32{1}, End: []int32{2}, Vals: []float64{3}}} {
+			want := start
+			want.Start, want.End, want.Vals = slices.Clone(start.Start), slices.Clone(start.End), slices.Clone(start.Vals)
+			got, ok := parseRuns([]byte(doc), start)
+			if werr := json.Unmarshal([]byte(doc), &want); ok && (werr != nil || !reflect.DeepEqual(got, want)) {
+				t.Fatalf("%q over %+v: %+v, encoding/json %+v (err %v)", doc, start, got, want, werr)
 			}
 		}
 	})

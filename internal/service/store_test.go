@@ -2,8 +2,7 @@ package service
 
 import (
 	"context"
-	"encoding/json"
-	"slices"
+	"reflect"
 	"testing"
 	"time"
 
@@ -69,7 +68,7 @@ func TestStrategyVariantsShareOneStoredResult(t *testing.T) {
 		t.Fatalf("third strategy on a restarted engine: cached = %t, %d runs, %v blob hits; want a blob-tier hit and no solve",
 			cached, restarted.Stats().Runs, restarted.store.blobHits.Value())
 	}
-	if res.TallyTotal != first.TallyTotal || !slices.Equal(res.Cells, first.Cells) {
+	if res.TallyTotal != first.TallyTotal || !reflect.DeepEqual(res.Cells, first.Cells) {
 		t.Error("the blob tier's result differs from the one computed")
 	}
 }
@@ -89,10 +88,7 @@ func TestWireFormResultBlobIsAMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wire, err := json.Marshal(resultViewOf(ref))
-	if err != nil {
-		t.Fatal(err)
-	}
+	wire := denseDoc(t, ref)
 	mem := blob.NewMem()
 	s := newStore(0, mem, telemetry.NewRegistry())
 	for _, doc := range [][]byte{wire, []byte(`{"cells":[1,2,3],"runs":{"n":3}}`), []byte(`{"runs":{"n":3}}`)} {
@@ -114,7 +110,7 @@ func TestWireFormResultBlobIsAMiss(t *testing.T) {
 	if cached || e.Stats().Runs != 1 || e.store.blobHits.Value() != 0 {
 		t.Fatalf("cached = %t, %d runs, %v blob hits; want one solve", cached, e.Stats().Runs, e.store.blobHits.Value())
 	}
-	if res.TallyTotal != ref.TallyTotal || !slices.Equal(res.Cells, ref.Cells) {
+	if res.TallyTotal != ref.TallyTotal || !reflect.DeepEqual(res.Cells, ref.Cells) {
 		t.Error("the solve differs from the reference run")
 	}
 	data, err := mem.Get(resultKey(key))

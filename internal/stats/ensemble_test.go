@@ -40,12 +40,13 @@ func TestSingleReplicaBitIdentical(t *testing.T) {
 	if ens.MeanTotal != res.TallyTotal {
 		t.Errorf("ensemble mean total %.17g != run total %.17g", ens.MeanTotal, res.TallyTotal)
 	}
-	if len(ens.Mean) != len(res.Cells) {
-		t.Fatalf("mean has %d cells, run has %d", len(ens.Mean), len(res.Cells))
+	cells := res.Cells.Dense(nil)
+	if len(ens.Mean) != len(cells) {
+		t.Fatalf("mean has %d cells, run has %d", len(ens.Mean), len(cells))
 	}
-	for i := range res.Cells {
-		if ens.Mean[i] != res.Cells[i] {
-			t.Fatalf("cell %d: ensemble mean %v != run %v", i, ens.Mean[i], res.Cells[i])
+	for i := range cells {
+		if ens.Mean[i] != cells[i] {
+			t.Fatalf("cell %d: ensemble mean %v != run %v", i, ens.Mean[i], cells[i])
 		}
 	}
 	if ens.AvgRelErr != 0 || ens.TotalRelErr != 0 {
@@ -110,7 +111,7 @@ func TestCrossReplicaCorrelation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cells[r] = res.Cells
+		cells[r] = res.Cells.Dense(nil)
 	}
 	for a := 0; a < reps; a++ {
 		for b := a + 1; b < reps; b++ {
