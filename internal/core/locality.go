@@ -15,31 +15,6 @@ import (
 // execution strategy — physics, counters and tallies are bit-identical with
 // them on or off.
 
-// tallyCellsLogical returns the live per-cell tally indexed by logical
-// row-major cell index. Under row-major storage that is the tally's own
-// dense view (built at the call); under any other ordering the
-// values are remapped into a scratch slice owned by the run and reused
-// across calls, with the same validity contract as the underlying slice:
-// invalidated by the next Step or Reset.
-func (r *run) tallyCellsLogical() []float64 {
-	cells := r.tly.Cells()
-	if r.mesh.Ordering() == mesh.RowMajor || cells == nil {
-		return cells
-	}
-	m := r.mesh
-	if cap(r.logicalCells) < len(cells) {
-		r.logicalCells = make([]float64, len(cells))
-	}
-	out := r.logicalCells[:len(cells)]
-	for cy := 0; cy < m.NY; cy++ {
-		row := out[cy*m.NX : (cy+1)*m.NX]
-		for cx := range row {
-			row[cx] = cells[m.StorageIndex(cx, cy)]
-		}
-	}
-	return out
-}
-
 // tallyNonZeroLogical returns the tally's non-zero cells, in ticks, keyed by
 // logical index, ascending — the sparse view a snapshot stores. Under
 // row-major storage that is the tally's own sparse view, which costs what was

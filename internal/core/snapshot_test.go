@@ -190,12 +190,12 @@ func TestSnapshotRoundTripLossless(t *testing.T) {
 							layout, restoreLayout, boundary, i, want, got)
 					}
 				}
-				origCells := sim.r.tly.Cells()
-				restCells := restored.r.tly.Cells()
-				for i := range origCells {
-					if origCells[i] != restCells[i] {
-						t.Fatalf("boundary %d: tally cell %d = %g, want %g",
-							boundary, i, restCells[i], origCells[i])
+				origTicks := sim.r.tly.Ticks()
+				restTicks := restored.r.tly.Ticks()
+				for i := range origTicks {
+					if origTicks[i] != restTicks[i] {
+						t.Fatalf("boundary %d: tally cell %d = %d ticks, want %d",
+							boundary, i, restTicks[i], origTicks[i])
 					}
 				}
 				snap2 := restored.Snapshot()

@@ -122,10 +122,6 @@ type run struct {
 	// gather buckets (see oeState in overevents.go).
 	oe *oeState
 
-	// logicalCells is the reusable scratch behind tallyCellsLogical: the
-	// tally remapped from storage order to the logical row-major order
-	// every external view speaks. Nil until a non-row-major run first asks.
-	logicalCells []float64
 	// sparseCells is the reusable scratch behind tallyNonZeroLogical.
 	sparseCells []tally.Cell
 
@@ -380,15 +376,6 @@ func (s *Simulation) Elapsed() time.Duration { return s.res.Wall }
 // TallyTotal reports the energy deposited so far, in weight-eV.
 func (s *Simulation) TallyTotal() float64 { return s.r.tallyTotal() }
 
-// TallyCells returns the live per-cell tally at the current step boundary
-// (merged for privatised tallies, nil for the null tally), indexed by
-// logical row-major cell index whatever the storage ordering. The slice is
-// owned by the simulation and invalidated by the next Step or Reset; callers
-// needing a stable copy must take one (or run with Config.KeepCells). The
-// ensemble driver folds it into its accumulators in place, so replicas add
-// zero per-replica tally allocations.
-func (s *Simulation) TallyCells() []float64 { return s.r.tallyCellsLogical() }
-
 // Population tallies the bank by particle status.
 func (s *Simulation) Population() (alive, census, dead int) {
 	return s.r.bank.CountStatus()
@@ -627,11 +614,16 @@ func (r *run) tallyTotal() float64 {
 	return total
 }
 
-// leakage reads the per-edge vacuum losses off their accumulators, latching
-// an overflow as tallyTotal does.
+// leakage reads the per-edge vacuum losses off their accumulators, in the
+// scales setBirth gave them, latching an overflow as tallyTotal does.
 func (r *run) leakage() (l Leakage) {
-	copy(l.Weight[:], r.leakWeight.Cells())
-	copy(l.Energy[:], r.leakEnergy.Cells())
+	ws, es := tally.ScaleFor(r.birthWeight), tally.ScaleFor(r.birthEnergy)
+	for e, t := range r.leakWeight.Ticks() {
+		l.Weight[e] = ws.Value(t)
+	}
+	for e, t := range r.leakEnergy.Ticks() {
+		l.Energy[e] = es.Value(t)
+	}
 	for _, t := range []*tally.Private{r.leakWeight, r.leakEnergy} {
 		if _, err := t.Total(); err != nil {
 			r.fault = fmt.Errorf("core: leakage %w", err)

@@ -47,12 +47,6 @@ func (e *Engine) runEnsemble(j *Job) (*Filed, *stats.Ensemble, error) {
 	}
 
 	acc := stats.NewAccumulator(cfg.NX * cfg.NY)
-	totals := make([]float64, reps)
-	// Each replica's cells are expanded from its filed runs into this one
-	// slice: what the store keeps of a replica stays runs.
-	var cells []float64
-	var solverWall time.Duration
-	var counters core.Counters
 	start := time.Now()
 	for r, child := range children {
 		select {
@@ -65,11 +59,7 @@ func (e *Engine) runEnsemble(j *Job) (*Filed, *stats.Ensemble, error) {
 			return fail(fmt.Errorf("service: ensemble replica %d: %w", r, err))
 		}
 		res := f.res
-		cells = res.Cells.Dense(cells)
-		acc.Add(cells)
-		totals[r] = res.TallyTotal
-		solverWall += res.Wall
-		counters.Add(&res.Counter)
+		acc.Add(res)
 		st := child.Status()
 		j.addReplica(ReplicaView{
 			Replica:     r,
@@ -83,15 +73,15 @@ func (e *Engine) runEnsemble(j *Job) (*Filed, *stats.Ensemble, error) {
 		})
 	}
 
-	ens := stats.Assemble(acc, totals, solverWall, time.Since(start), counters)
+	ens := acc.Ensemble(time.Since(start))
 	// Synthesise the parent's merged Result: ensemble-mean tally and
 	// summed instrumentation, with the mean per-cell map when the caller
 	// asked to keep cells. The full statistics ride alongside in the
 	// job and the cache entry.
 	res := &core.Result{
 		Config:     cfg,
-		Wall:       solverWall,
-		Counter:    counters,
+		Wall:       ens.SolverWall,
+		Counter:    ens.Counters,
 		TallyTotal: ens.MeanTotal,
 	}
 	if cfg.KeepCells {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -70,10 +71,10 @@ type Ensemble struct {
 // Replicas ≤ 1 the ensemble is the run itself: Mean is bit-identical to the
 // per-cell tally Run produces.
 //
-// Replicas are folded into one Welford accumulator in replica order, so every
+// Replicas are folded into one Accumulator in replica order, so every
 // statistic is a function of the config alone: the worker count, and which
 // replica finished first, change only the wallclock. The service folds its
-// ensemble jobs the same way and reports the same bits (see Assemble).
+// ensemble jobs through the same Accumulator and reports the same bits.
 func RunEnsemble(ctx context.Context, cfg core.Config, opts Options) (*Ensemble, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -99,27 +100,18 @@ func RunEnsemble(ctx context.Context, cfg core.Config, opts Options) (*Ensemble,
 		base.Threads = max(1, runtime.GOMAXPROCS(0)/workers)
 	}
 
-	cells := base.NX * base.NY
 	start := time.Now()
-	ens := &Ensemble{
-		Replicas: reps,
-		Cells:    cells,
-		Totals:   make([]float64, reps),
-	}
-
-	acc := NewAccumulator(cells)
+	acc := NewAccumulator(base.NX * base.NY)
 	var (
 		wg sync.WaitGroup
-		// mu guards everything the workers fold into: acc, ens and the sums
-		// below. Replicas fold in replica order whichever finishes first —
-		// turn wakes the workers waiting for theirs — so the statistics do
-		// not depend on the worker count.
-		mu         sync.Mutex
-		turn       = sync.NewCond(&mu)
-		next       int // the replica whose fold is due
-		firstErr   error
-		solverWall time.Duration
-		counters   core.Counters
+		// mu guards acc and the fields below. Replicas fold in replica
+		// order whichever finishes first — turn wakes the workers waiting
+		// for theirs — so the statistics do not depend on the worker count,
+		// and a worker holds one result while it waits.
+		mu       sync.Mutex
+		turn     = sync.NewCond(&mu)
+		next     int // the replica whose fold is due
+		firstErr error
 	)
 	ectx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -132,7 +124,7 @@ func RunEnsemble(ctx context.Context, cfg core.Config, opts Options) (*Ensemble,
 			for rep := w; rep < reps; rep += workers {
 				cfgR := base
 				cfgR.Replica = rep
-				cfgR.Shape = core.Shape{Replicas: 1} // a replica is a plain single run
+				cfgR.Shape = core.Shape{Replicas: 1, KeepCells: true} // a replica is a plain single run
 				var res *core.Result
 				err := ectx.Err() // a dead ensemble builds nothing more
 				if err == nil {
@@ -154,12 +146,7 @@ func RunEnsemble(ctx context.Context, cfg core.Config, opts Options) (*Ensemble,
 					turn.Broadcast()
 					return
 				}
-				// Fold the live tally in place: replicas add no
-				// per-replica tally copies.
-				acc.Add(sim.TallyCells())
-				ens.Totals[rep] = res.TallyTotal
-				solverWall += res.Wall
-				counters.Add(&res.Counter)
+				acc.Add(res)
 				next++
 				mu.Unlock()
 				turn.Broadcast()
@@ -173,36 +160,23 @@ func RunEnsemble(ctx context.Context, cfg core.Config, opts Options) (*Ensemble,
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	assemble(ens, acc, solverWall, time.Since(start), counters)
-	return ens, nil
+	return acc.Ensemble(time.Since(start)), nil
 }
 
-// Assemble folds accumulated per-cell moments and per-replica totals into an
-// Ensemble — the shared back half of RunEnsemble, exposed so the service's
-// ensemble jobs (which fan replicas out across the engine's own worker pool
-// instead of this driver's) produce identical statistics.
-func Assemble(acc *Accumulator, totals []float64, solverWall, wall time.Duration, counters core.Counters) *Ensemble {
+// Ensemble returns the statistics of the replicas folded so far; wall is the
+// end-to-end time the caller measured.
+func (a *Accumulator) Ensemble(wall time.Duration) *Ensemble {
 	ens := &Ensemble{
-		Replicas: acc.Count(),
-		Cells:    len(acc.Mean()),
-		Totals:   append([]float64(nil), totals...),
+		Replicas:   a.n,
+		Cells:      len(a.mean),
+		Mean:       slices.Clone(a.mean),
+		Variance:   a.variance(),
+		RelErr:     a.relErr(),
+		Totals:     slices.Clone(a.totals),
+		SolverWall: a.solverWall,
+		Wall:       wall,
+		Counters:   a.counters,
 	}
-	assemble(ens, acc, solverWall, wall, counters)
-	return ens
-}
-
-func assemble(ens *Ensemble, acc *Accumulator, solverWall, wall time.Duration, counters core.Counters) {
-	cells := len(acc.Mean())
-	ens.Mean = append([]float64(nil), acc.Mean()...)
-	if v := acc.Variance(); v != nil {
-		ens.Variance = v
-	} else {
-		ens.Variance = make([]float64, cells)
-	}
-	ens.RelErr = acc.RelErr()
-	ens.SolverWall = solverWall
-	ens.Wall = wall
-	ens.Counters = counters
 	ens.MeanTotal, ens.TotalRelErr = scalarStats(ens.Totals)
 
 	for i, m := range ens.Mean {
@@ -221,4 +195,5 @@ func assemble(ens *Ensemble, acc *Accumulator, solverWall, wall time.Duration, c
 	if ens.AvgRelErr > 0 && ens.SolverWall > 0 {
 		ens.FOM = 1 / (ens.AvgRelErr * ens.AvgRelErr * ens.SolverWall.Seconds())
 	}
+	return ens
 }

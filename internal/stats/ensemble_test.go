@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mesh"
+	"repro/internal/particle"
 	"repro/internal/tally"
 )
 
@@ -278,5 +279,52 @@ func TestEnsembleCancellation(t *testing.T) {
 	cancel()
 	if _, err := RunEnsemble(ctx, testConfig(4), Options{Workers: 2}); err == nil {
 		t.Error("canceled ensemble returned a result")
+	}
+}
+
+// TestEnsembleStrategyInvariant: an ensemble is a function of its physics, so
+// csp at R = 4 under Morton ordering, an SoA bank, the private tally, Over
+// Events and two threads folds to the row-major, AoS, atomic, Over Particles,
+// one-thread ensemble in every per-cell and scalar statistic, bit for bit.
+// The fold reads each replica's cells in logical order whatever the storage
+// order.
+func TestEnsembleStrategyInvariant(t *testing.T) {
+	base := testConfig(4)
+	base.Threads = 1
+	variant := base
+	variant.Ordering, variant.Layout, variant.Tally = mesh.Morton, particle.SoA, tally.ModePrivate
+	variant.Scheme, variant.Threads = core.OverEvents, 2
+	var ens [2]*Ensemble
+	for i, cfg := range []core.Config{base, variant} {
+		var err error
+		if ens[i], err = RunEnsemble(context.Background(), cfg, Options{Workers: 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, got := ens[0], ens[1]
+	if want.ScoredCells == 0 {
+		t.Fatal("the reference ensemble scored no cell")
+	}
+	for _, c := range []struct {
+		name      string
+		got, want []float64
+	}{
+		{"mean", got.Mean, want.Mean}, {"variance", got.Variance, want.Variance},
+		{"relative error", got.RelErr, want.RelErr}, {"totals", got.Totals, want.Totals},
+		{"scalars", []float64{got.MeanTotal, got.TotalRelErr, got.AvgRelErr, got.MaxRelErr},
+			[]float64{want.MeanTotal, want.TotalRelErr, want.AvgRelErr, want.MaxRelErr}},
+	} {
+		if len(c.got) != len(c.want) {
+			t.Fatalf("%s: %d entries, want %d", c.name, len(c.got), len(c.want))
+		}
+		for i := range c.want {
+			if math.Float64bits(c.got[i]) != math.Float64bits(c.want[i]) {
+				t.Fatalf("%s[%d] = %v under the variant strategy, %v under the reference", c.name, i, c.got[i], c.want[i])
+			}
+		}
+	}
+	if got.Replicas != want.Replicas || got.Cells != want.Cells || got.ScoredCells != want.ScoredCells {
+		t.Errorf("replicas %d cells %d scored %d, want %d %d %d",
+			got.Replicas, got.Cells, got.ScoredCells, want.Replicas, want.Cells, want.ScoredCells)
 	}
 }

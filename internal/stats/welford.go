@@ -6,15 +6,24 @@
 // speedup claim carries its run-to-run spread.
 package stats
 
-import "math"
+import (
+	"math"
+	"time"
 
-// Accumulator folds per-replica per-cell tallies into running first and
-// second moments with Welford's algorithm. An ensemble has one, fed in
-// replica order, so the folded statistics are a function of the config alone.
+	"repro/internal/core"
+)
+
+// Accumulator is the one fold of an ensemble: it takes each replica's result
+// in replica order, folds its per-cell tally into running first and second
+// moments with Welford's algorithm and keeps its total, solver wall and
+// counters, so every statistic is a function of the config alone.
 type Accumulator struct {
-	n    int
-	mean []float64
-	m2   []float64
+	n          int
+	mean       []float64
+	m2         []float64
+	totals     []float64
+	solverWall time.Duration
+	counters   core.Counters
 }
 
 // NewAccumulator returns an accumulator over the given cell count.
@@ -22,36 +31,45 @@ func NewAccumulator(cells int) *Accumulator {
 	return &Accumulator{mean: make([]float64, cells), m2: make([]float64, cells)}
 }
 
-// Add folds one replica's per-cell tally. A nil or short slice (null tally)
-// contributes zeros for the missing cells.
-func (a *Accumulator) Add(cells []float64) {
+// Add folds the next replica's result. Its cells are walked as runs: a cell
+// outside every run takes the update of a cell holding +0, so the moments are
+// those of the dense mesh bit for bit. A result without cells (the null
+// tally) contributes zeros.
+func (a *Accumulator) Add(res *core.Result) {
 	a.n++
 	inv := 1 / float64(a.n)
-	for i := range a.mean {
-		var v float64
-		if i < len(cells) {
-			v = cells[i]
+	i, vals := 0, res.Cells.Vals
+	for r, s := range res.Cells.Start {
+		for ; i < int(s); i++ {
+			a.update(i, 0, inv)
 		}
-		d := v - a.mean[i]
-		a.mean[i] += d * inv
-		a.m2[i] += d * (v - a.mean[i])
+		for ; i < int(res.Cells.End[r]); i++ {
+			a.update(i, vals[0], inv)
+			vals = vals[1:]
+		}
 	}
+	for ; i < len(a.mean); i++ {
+		a.update(i, 0, inv)
+	}
+	a.totals = append(a.totals, res.TallyTotal)
+	a.solverWall += res.Wall
+	a.counters.Add(&res.Counter)
 }
 
-// Count reports how many replicas have been folded in.
-func (a *Accumulator) Count() int { return a.n }
+// update is Welford's step for cell i taking value v, inv = 1/n.
+func (a *Accumulator) update(i int, v, inv float64) {
+	d := v - a.mean[i]
+	a.mean[i] += d * inv
+	a.m2[i] += d * (v - a.mean[i])
+}
 
-// Mean returns the per-cell ensemble means. The slice is owned by the
-// accumulator.
-func (a *Accumulator) Mean() []float64 { return a.mean }
-
-// Variance returns the per-cell sample variances (Bessel-corrected); nil
+// variance returns the per-cell sample variances (Bessel-corrected), zero
 // with fewer than two replicas.
-func (a *Accumulator) Variance() []float64 {
-	if a.n < 2 {
-		return nil
-	}
+func (a *Accumulator) variance() []float64 {
 	out := make([]float64, len(a.m2))
+	if a.n < 2 {
+		return out
+	}
 	inv := 1 / float64(a.n-1)
 	for i, m2 := range a.m2 {
 		out[i] = m2 * inv
@@ -59,10 +77,10 @@ func (a *Accumulator) Variance() []float64 {
 	return out
 }
 
-// RelErr returns the per-cell relative error of the mean:
-// √(variance/n) / |mean|, zero where the mean is zero. This is the standard
-// Monte Carlo R statistic that FOM is built on.
-func (a *Accumulator) RelErr() []float64 {
+// relErr returns the per-cell relative error of the mean:
+// √(variance/n) / |mean|, zero where the mean is zero or with fewer than two
+// replicas. This is the standard Monte Carlo R statistic that FOM is built on.
+func (a *Accumulator) relErr() []float64 {
 	out := make([]float64, len(a.mean))
 	if a.n < 2 {
 		return out

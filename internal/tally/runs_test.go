@@ -21,7 +21,7 @@ func TestRunsOfIsCompact(t *testing.T) {
 				tly.Add(0, c, rnd.ExpFloat64())
 			}
 		}
-		cells := tly.Cells()
+		cells := values(tly, ScaleFor(1e6))
 		if cells == nil {
 			cells = make([]float64, n)
 		}

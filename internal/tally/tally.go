@@ -91,12 +91,9 @@ type Tally interface {
 	// for a tally that holds no data. The returned slice must not be mutated
 	// by the caller, and is valid until the next call or deposit.
 	Ticks() []int64
-	// Cells returns the per-cell totals converted at the read, under the
-	// same contract as Ticks.
-	Cells() []float64
 	// NonZero appends the cells that hold ticks to dst in ascending index
-	// order — the sparse view a checkpoint stores. Unlike Ticks and Cells it
-	// never builds a mesh-sized slice for a tally that does not keep one.
+	// order — the sparse view a checkpoint stores. Unlike Ticks it never
+	// builds a mesh-sized slice for a tally that does not keep one.
 	NonZero(dst []Cell) []Cell
 	// Total returns the sum over all cells, summed in ticks, or ErrOverflow.
 	Total() (float64, error)
@@ -242,18 +239,6 @@ func (s tickSum) value(sc Scale, over bool) (float64, error) {
 	return sc.Value(int64(s.lo)), nil
 }
 
-// values converts ticks into dst, allocated by the first call: a run that
-// only ever asks for Total and Ticks never pays for a float mesh.
-func values(dst []float64, ticks []int64, s Scale) []float64 {
-	if dst == nil {
-		dst = make([]float64, len(ticks))
-	}
-	for i, t := range ticks {
-		dst[i] = s.Value(t)
-	}
-	return dst
-}
-
 // blockCells is how many cells one block of the atomic tally holds: 512, one
 // 4 KB page of int64. Chosen by measurement (BENCH_pr26.json,
 // block_size_table; sizes 64 to 4096). A smaller block holds fewer bytes —
@@ -292,10 +277,9 @@ type Atomic struct {
 	single bool
 	// over latches the first deposit that drove a cell negative, which
 	// later deposits could otherwise carry back into range.
-	over   atomic.Bool
-	sums   []runningSum // per worker; AddTicks adds to worker 0's
-	ticks  []int64      // backs Ticks
-	values []float64    // backs Cells
+	over  atomic.Bool
+	sums  []runningSum // per worker; AddTicks adds to worker 0's
+	ticks []int64      // backs Ticks
 }
 
 // Add deposits v into cell, which must be below the cell count. Beside the
@@ -363,17 +347,6 @@ func (a *Atomic) Ticks() []int64 {
 	return a.ticks
 }
 
-// Cells returns the per-cell totals as one dense slice, built at the call.
-func (a *Atomic) Cells() []float64 {
-	if a.values == nil {
-		a.values = make([]float64, a.n)
-	} else {
-		clear(a.values)
-	}
-	a.held(func(base int, ticks []int64) { values(a.values[base:], ticks, a.scale) })
-	return a.values
-}
-
 // NonZero appends the cells that hold ticks.
 func (a *Atomic) NonZero(dst []Cell) []Cell {
 	a.held(func(base int, ticks []int64) { dst = appendNonZero(dst, base, ticks) })
@@ -414,7 +387,6 @@ type Private struct {
 	over   []bool
 	sums   []runningSum // per worker; AddTicks adds to worker 0's
 	merged []int64
-	values []float64 // backs Cells
 }
 
 // NewPrivate allocates a privatised tally for the given worker count.
@@ -463,12 +435,6 @@ func (p *Private) Ticks() []int64 {
 // NonZero merges and appends the cells that hold ticks.
 func (p *Private) NonZero(dst []Cell) []Cell { return appendNonZero(dst, 0, p.Ticks()) }
 
-// Cells merges and returns the per-cell totals.
-func (p *Private) Cells() []float64 {
-	p.values = values(p.values, p.Ticks(), p.scale)
-	return p.values
-}
-
 // Total returns the sum over the shards, folded from the workers' running
 // sums: a total in range bounds every merged cell, so the merge cannot have
 // wrapped unseen.
@@ -505,9 +471,6 @@ func (Null) AddTicks(_ int, _ int64) {}
 
 // Ticks returns nil: a null tally holds no data.
 func (Null) Ticks() []int64 { return nil }
-
-// Cells returns nil: a null tally holds no data.
-func (Null) Cells() []float64 { return nil }
 
 // NonZero appends nothing.
 func (Null) NonZero(dst []Cell) []Cell { return dst }

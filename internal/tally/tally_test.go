@@ -19,6 +19,20 @@ func newAtomic(cells, workers int) *Atomic {
 	return New(ModeAtomic, cells, workers).(*Atomic)
 }
 
+// values reads a tally's cells as values, its ticks through the scale s; nil
+// for a tally that holds no data.
+func values(tl Tally, s Scale) []float64 {
+	ticks := tl.Ticks()
+	if ticks == nil {
+		return nil
+	}
+	out := make([]float64, len(ticks))
+	for i, t := range ticks {
+		out[i] = s.Value(t)
+	}
+	return out
+}
+
 // scanTotal is the reference Total: every held tick summed in 128 bits, with
 // the deposits' overflow latch. It scans Ticks for the atomic tally and each
 // shard for the private one, whose merged cells can wrap where no shard does.
@@ -78,7 +92,7 @@ func TestModesBasicAccumulation(t *testing.T) {
 		tl.Add(0, 3, 1.5)
 		tl.Add(1, 3, 2.5)
 		tl.Add(2, 7, 4.0)
-		cells := tl.Cells()
+		cells := values(tl, DefaultScale)
 		if cells[3] != 4.0 || cells[7] != 4.0 {
 			t.Errorf("%v: cells = %v", mode, cells)
 		}
@@ -96,7 +110,7 @@ func TestNullDiscards(t *testing.T) {
 	tl := New(ModeNull, 10, 4)
 	tl.Add(0, 3, 100)
 	tl.AddTicks(3, 100)
-	if mustTotal(t, tl) != 0 || tl.Cells() != nil || tl.Ticks() != nil {
+	if mustTotal(t, tl) != 0 || tl.Ticks() != nil || len(tl.NonZero(nil)) != 0 {
 		t.Fatal("null tally retained data")
 	}
 }
@@ -128,7 +142,7 @@ func TestAtomicConcurrentSum(t *testing.T) {
 		if got := mustTotal(t, a); got != want {
 			t.Fatalf("%d cells: atomic total = %v, want %v (lost updates)", cells, got, want)
 		}
-		for c, got := range a.Cells() {
+		for c, got := range values(a, DefaultScale) {
 			if got != want/float64(cells) {
 				t.Fatalf("%d cells: cell %d = %v, want %v (lost updates)", cells, c, got, want/float64(cells))
 			}
@@ -172,7 +186,7 @@ func TestPrivateConcurrentSum(t *testing.T) {
 			}
 		}
 	}
-	for c, got := range p.Cells() {
+	for c, got := range values(p, DefaultScale) {
 		if got != want/cells {
 			t.Fatalf("merged cell %d = %v, want %v", c, got, want/cells)
 		}
@@ -217,7 +231,7 @@ func TestAtomicMatchesSerial(t *testing.T) {
 			return false
 		}
 		tol := float64(len(ds)) * DefaultScale.Value(1)
-		for i, v := range shared.Cells() {
+		for i, v := range values(shared, DefaultScale) {
 			if math.Abs(v-ref[i]) > tol+1e-12*ref[i] {
 				return false
 			}
@@ -264,7 +278,7 @@ func TestDepositOrderInvariance(t *testing.T) {
 				deposit()
 				total, err := tl.Total()
 				if err != nil || total != refTotal || totalIsScan(tl) != nil ||
-					!slices.Equal(tl.Ticks(), refTicks) || !slices.Equal(tl.Cells(), ref.Cells()) {
+					!slices.Equal(tl.Ticks(), refTicks) || !slices.Equal(values(tl, DefaultScale), values(ref, DefaultScale)) {
 					return false
 				}
 				tl.Reset(DefaultScale)
@@ -421,12 +435,12 @@ func TestPrivateMergeIdempotent(t *testing.T) {
 	p.Add(0, 0, 1)
 	p.Add(1, 0, 2)
 	p.Add(2, 3, 5)
-	first := slices.Clone(p.Cells())
-	if second := p.Cells(); !slices.Equal(first, second) {
+	first := values(p, DefaultScale)
+	if second := values(p, DefaultScale); !slices.Equal(first, second) {
 		t.Fatalf("merge not idempotent: %v vs %v", first, second)
 	}
 	p.Add(0, 1, 9) // dirty again
-	if got := p.Cells()[1]; got != 9 {
+	if got := values(p, DefaultScale)[1]; got != 9 {
 		t.Fatalf("merge after new add = %v, want 9", got)
 	}
 }
@@ -523,8 +537,7 @@ func BenchmarkPrivateAdd(b *testing.B) {
 
 // TestSparseViewsMatchCells pins the reads that skip the dense view to it,
 // for every implementation: Total is the sum of Ticks converted once (the
-// sum skips zero blocks), Cells is Ticks converted cell by cell, and
-// NonZero lists exactly the non-zero ticks in ascending order. The sizes
+// sum skips zero blocks), and NonZero lists exactly the non-zero ticks in ascending order. The sizes
 // straddle the eight-word blocks; the deposits leave empty blocks, full blocks
 // and a ragged tail.
 func TestSparseViewsMatchCells(t *testing.T) {
@@ -546,16 +559,13 @@ func TestSparseViewsMatchCells(t *testing.T) {
 					}
 					tl.Add(i%workers, cell, float64(x>>40)*0x1p-20+1e-9)
 				}
-				ticks, dense := tl.Ticks(), tl.Cells()
+				ticks := tl.Ticks()
 				var sum int64
 				var wantNZ []Cell
 				for i, v := range ticks {
 					sum += v
 					if v != 0 {
 						wantNZ = append(wantNZ, Cell{i, v})
-					}
-					if dense[i] != DefaultScale.Value(v) {
-						t.Fatalf("%v/%d/%d: Cells[%d] = %v, ticks say %v", mode, cells, workers, i, dense[i], DefaultScale.Value(v))
 					}
 				}
 				if got, want := mustTotal(t, tl), DefaultScale.Value(sum); got != want {
@@ -574,16 +584,16 @@ func TestSparseViewsMatchCells(t *testing.T) {
 	}
 }
 
-// TestAtomicCellsAllocatesOnDemand: a dense view's backing array exists only
-// once someone has asked for it.
+// TestAtomicCellsAllocatesOnDemand: the dense Ticks view's backing array
+// exists only once someone has asked for it.
 func TestAtomicCellsAllocatesOnDemand(t *testing.T) {
 	a := newAtomic(100, 1)
 	a.Add(0, 3, 1.5)
-	if mustTotal(t, a) != 1.5 || len(a.NonZero(nil)) != 1 || a.values != nil || a.ticks != nil {
+	if mustTotal(t, a) != 1.5 || len(a.NonZero(nil)) != 1 || a.ticks != nil {
 		t.Fatal("Total/NonZero must not materialise a dense view")
 	}
-	if c := a.Cells(); len(c) != 100 || c[3] != 1.5 {
-		t.Fatalf("Cells = %v", c[:5])
+	if c := a.Ticks(); len(c) != 100 || c[3] != DefaultScale.Ticks(1.5) {
+		t.Fatalf("Ticks = %v", c[:5])
 	}
 }
 
@@ -660,13 +670,13 @@ func TestBlockedMatchesDenseModel(t *testing.T) {
 				if !slices.Equal(a.Ticks(), model) {
 					t.Fatalf("%d cells, %d workers, step %d: Ticks differ from the model", cells, workers, step)
 				}
-				dense := a.Cells()
+				dense := values(a, scale)
 				if len(dense) != cells {
-					t.Fatalf("%d cells: Cells has %d", cells, len(dense))
+					t.Fatalf("%d cells: Ticks has %d", cells, len(dense))
 				}
 				for i, v := range model {
 					if dense[i] != scale.Value(v) {
-						t.Fatalf("%d cells, %d workers, step %d: Cells[%d] = %v, model %v", cells, workers, step, i, dense[i], scale.Value(v))
+						t.Fatalf("%d cells, %d workers, step %d: cell %d = %v, model %v", cells, workers, step, i, dense[i], scale.Value(v))
 					}
 				}
 			}
