@@ -174,3 +174,38 @@ func TestBirthsInvariantAcrossThreads(t *testing.T) {
 		}
 	}
 }
+
+// TestPopulateSumsMatchBank: populate's birth baselines, worker 0's window
+// sums continued over the rest of the bank after the join, are the bits of
+// one slot-order pass over the populated bank, and Finalize reports them as
+// Conservation's birth weight and energy. Checked where windows are empty (3
+// particles at 8 threads) and at 25 000 particles on 1, 2, 3 and 8 threads,
+// both layouts, on the jittered scene whose sums show another order.
+func TestPopulateSumsMatchBank(t *testing.T) {
+	sc := &scene.Scene{
+		Materials: []scene.Material{{Name: "m", Density: 200}},
+		Sources: []scene.Source{
+			{X0: 0.2, X1: 0.7, Y0: 0.2, Y1: 0.7, Share: 2, Weight: 1.5, EnergyJitter: 0.3},
+			{X0: 1.8, X1: 2.3, Y0: 1.8, Y1: 2.3, Share: 1, Weight: 0.25, Energy: 5e6, TimeJitter: 0.8, WeightJitter: 0.2},
+		},
+	}
+	if err := sc.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for _, layout := range []particle.Layout{particle.AoS, particle.SoA} {
+		for _, c := range []struct{ particles, threads int }{{3, 8}, {25000, 1}, {25000, 2}, {25000, 3}, {25000, 8}} {
+			cfg := goldenConfig(mesh.CSP)
+			cfg.Scene, cfg.Layout, cfg.Threads, cfg.Particles = sc, layout, c.threads, c.particles
+			sim, err := NewSimulation(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, e := sim.r.bank.SumFrom(0, 0, 0)
+			got := sim.Finalize().Conservation
+			if got.BirthWeight != w || got.BirthEnergy != e {
+				t.Errorf("%v, %d particles at %d threads: birth weight %v, energy %v; the bank sums to %v, %v",
+					layout, c.particles, c.threads, got.BirthWeight, got.BirthEnergy, w, e)
+			}
+		}
+	}
+}

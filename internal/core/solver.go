@@ -207,17 +207,25 @@ func (r *run) bind(cfg Config) error {
 }
 
 // populate fills the bound bank from the scene's sources and the seed, split
-// over the run's threads; the slot-order sums after the join keep every bit.
+// over the run's threads. Births returns each window's slot-order sums;
+// worker 0's window starts the bank, so its sums continue over the rest
+// after the join. At one thread nothing is re-read, and at any count the
+// sums keep the bits of one slot-order pass.
 func (r *run) populate() {
 	cfg := r.cfg
 	// Replica r of an ensemble owns RNG stream identities
 	// [r*Particles, (r+1)*Particles), so replica families never overlap.
 	idBase := uint64(cfg.Replica) * uint64(cfg.Particles)
 	terms := cfg.Scene.SourceTerms()
-	parallelFor(cfg.Threads, r.bank.Len(), Schedule{Kind: ScheduleStatic}, func(_, lo, hi int) {
-		particle.Births(r.bank, r.mesh, terms, cfg.Timestep, cfg.Seed, idBase, lo, hi)
+	var hi0 int
+	var weight, energy float64
+	parallelFor(cfg.Threads, r.bank.Len(), Schedule{Kind: ScheduleStatic}, func(w, lo, hi int) {
+		bw, be := particle.Births(r.bank, r.mesh, terms, cfg.Timestep, cfg.Seed, idBase, lo, hi)
+		if w == 0 {
+			hi0, weight, energy = hi, bw, be
+		}
 	})
-	r.setBirth(r.bank.Totals())
+	r.setBirth(r.bank.SumFrom(hi0, weight, energy))
 }
 
 // setBirth records the conservation baselines and readies the accumulators
@@ -578,7 +586,7 @@ func (r *run) finish(res *Result) {
 
 	// Conservation audit (meaningless for the null tally).
 	res.TallyTotal = r.tallyTotal()
-	finalWeight, inFlight := r.bank.Totals()
+	finalWeight, inFlight := r.bank.SumFrom(0, 0, 0)
 	leaked := res.Leakage.TotalEnergy()
 	res.Conservation = Conservation{
 		BirthWeight: r.birthWeight,

@@ -43,10 +43,10 @@ func TestPopulationControlPreservesExpectedWeight(t *testing.T) {
 		}
 		r := sim.r
 		r.reviveCensus()
-		w, _ := r.bank.Totals()
+		w, _ := r.bank.SumFrom(0, 0, 0)
 		before += w
 		r.populationControl()
-		w, _ = r.bank.Totals()
+		w, _ = r.bank.SumFrom(0, 0, 0)
 		after += w
 	}
 	if rel := math.Abs(after-before) / before; rel > 0.01 {

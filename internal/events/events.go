@@ -309,7 +309,7 @@ func Collide(ctx *Context, p *particle.Particle, s *rng.Stream, sigmaA, sigmaS f
 	// Implicit capture: the absorbed share of the weight deposits its
 	// energy; the history continues with reduced weight.
 	absorbed := p.Weight * sigmaA / sigmaT
-	res.Deposited += absorbed * p.Energy
+	res.Deposited += float64(absorbed * p.Energy)
 	p.Weight -= absorbed
 
 	// Elastic scatter: redirect and dampen. The three paper draws — angle
@@ -321,15 +321,15 @@ func Collide(ctx *Context, p *particle.Particle, s *rng.Stream, sigmaA, sigmaS f
 	// a light (helium-like) average target: strong moderation, but
 	// per-collision energy steps small enough that the cached
 	// cross-section bin walk stays short (paper §VI-A).
-	newEnergy := p.Energy * (ScatterAlpha + (1-ScatterAlpha)*damp)
-	res.Deposited += p.Weight * (p.Energy - newEnergy)
+	newEnergy := float64(p.Energy * (ScatterAlpha + float64((1-ScatterAlpha)*damp)))
+	res.Deposited += float64(p.Weight * (p.Energy - newEnergy))
 	p.Energy = newEnergy
 	p.UX, p.UY = rng.DirectionOf(wTheta)
 	p.MFPToCollision = rng.MeanFreePathsOf(wMFP)
 
 	// Cutoff termination: deposit what remains so energy is conserved.
 	if p.Weight < ctx.WeightCutoff || p.Energy < ctx.EnergyCutoff {
-		res.Deposited += p.Weight * p.Energy
+		res.Deposited += float64(p.Weight * p.Energy)
 		p.Weight = 0
 		p.Status = particle.Dead
 		res.Died = true

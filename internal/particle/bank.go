@@ -353,25 +353,27 @@ func (b *Bank) CountStatus() (alive, census, dead int) {
 	return alive, census, dead
 }
 
-// Totals sums the particle weights across the bank (population audits) and
-// the weight-scaled kinetic energy of its in-flight particles, Alive and
-// Census, in weight-eV (energy audits). One pass reads only the fields the
-// two sums need, in either layout, and each sum adds in slot order. The
-// float64 conversion keeps the product rounded before the add, so no
-// architecture fuses the two.
-func (b *Bank) Totals() (weight, energy float64) {
+// SumFrom continues weight and energy over slots [lo, n): it adds the
+// particle weights (population audits) and the weight-scaled kinetic energy
+// of the in-flight particles, Alive and Census, in weight-eV (energy
+// audits). Called from slot 0 with zero sums, it gives the bank's totals.
+// One pass reads only the fields the two sums need, in either layout, and
+// each sum adds in slot order. The float64 conversion keeps the product
+// rounded before the add, so no architecture fuses the two.
+func (b *Bank) SumFrom(lo int, weight, energy float64) (float64, float64) {
 	if b.layout == SoA {
 		c := &b.soa
-		for i, w := range c.Weight {
+		for i, w := range c.Weight[lo:] {
 			weight += w
-			if s := c.Status[i]; s == Alive || s == Census {
-				energy += float64(w * c.Energy[i])
+			if s := c.Status[lo+i]; s == Alive || s == Census {
+				energy += float64(w * c.Energy[lo+i])
 			}
 		}
 		return weight, energy
 	}
-	for i := range b.aos {
-		p := &b.aos[i]
+	aos := b.aos[lo:]
+	for i := range aos {
+		p := &aos[i]
 		weight += p.Weight
 		if p.Status == Alive || p.Status == Census {
 			energy += float64(p.Weight * p.Energy)

@@ -130,7 +130,7 @@ func TestBirthsAnySplitMatchesPopulate(t *testing.T) {
 	for _, layout := range []Layout{AoS, SoA} {
 		want := NewBank(layout, n)
 		Births(want, m, terms, 1e-7, seed, idBase, 0, n)
-		wantW, wantE := want.Totals()
+		wantW, wantE := want.SumFrom(0, 0, 0)
 		f := func(cuts []uint16, reverse bool) bool {
 			// cuts become sorted split points in [0, n]; the ranges between
 			// them are filled in either order.
@@ -146,7 +146,7 @@ func TestBirthsAnySplitMatchesPopulate(t *testing.T) {
 				}
 				Births(got, m, terms, 1e-7, seed, idBase, bounds[k], bounds[k+1])
 			}
-			if gotW, gotE := got.Totals(); gotW != wantW || gotE != wantE {
+			if gotW, gotE := got.SumFrom(0, 0, 0); gotW != wantW || gotE != wantE {
 				return false
 			}
 			var pg, pw Particle
@@ -199,7 +199,7 @@ func TestPopulateInvariants(t *testing.T) {
 			t.Fatalf("particle %d cell coordinates stale", i)
 		}
 	}
-	w, e := b.Totals()
+	w, e := b.SumFrom(0, 0, 0)
 	if math.Abs(w-n*SourceWeight) > 1e-9 {
 		t.Fatalf("total birth weight = %v, want %v", w, float64(n)*SourceWeight)
 	}
@@ -322,7 +322,7 @@ func TestTotalsFieldDirectFastPaths(t *testing.T) {
 				wantE += float64(p.Weight * p.Energy)
 			}
 		}
-		if gotW, gotE := b.Totals(); gotW != wantW || gotE != wantE {
+		if gotW, gotE := b.SumFrom(0, 0, 0); gotW != wantW || gotE != wantE {
 			t.Errorf("%v: Totals = %g, %g, want %g, %g", layout, gotW, gotE, wantW, wantE)
 		}
 	}

@@ -42,7 +42,7 @@ func TestPermuteIsPermutation(t *testing.T) {
 				for i := 0; i < n; i++ {
 					b.Load(i, &old[i])
 				}
-				wantW, wantE := b.Totals()
+				wantW, wantE := b.SumFrom(0, 0, 0)
 
 				perm := make([]int32, n)
 				for i, v := range r.Perm(n) {
@@ -63,7 +63,7 @@ func TestPermuteIsPermutation(t *testing.T) {
 				}
 				// Multiset-preserving: the conservation aggregates cannot
 				// move by more than FP reassociation of the slot order.
-				gotW, gotE := b.Totals()
+				gotW, gotE := b.SumFrom(0, 0, 0)
 				if !approxEqual(gotW, wantW) {
 					t.Errorf("total weight %g, want %g", gotW, wantW)
 				}

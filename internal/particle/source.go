@@ -63,48 +63,61 @@ const MaxPopulation = 1 << 24
 // filled concurrently, and a population is the same across layouts, schemes
 // and thread counts. Ensemble replica r passes idBase = r*particles and so
 // draws from a family of streams no other replica shares (paper §IV-F).
-func Births(b *Bank, m *mesh.Mesh, terms []SourceTerm, dt float64, seed, idBase uint64, lo, hi int) {
+//
+// A pass fills two slots: both cipher batches, then each slot's samplers
+// and record, so the two slots' independent work overlaps; an odd last slot
+// runs the same body alone. Births returns the window's weight and
+// weight-energy sums, each added from zero in slot order: SumFrom's
+// arithmetic, since every birth is Alive.
+func Births(b *Bank, m *mesh.Mesh, terms []SourceTerm, dt float64, seed, idBase uint64, lo, hi int) (weight, energy float64) {
 	cuts := sourceCuts(terms, b.Len())
 	recs := b.Records()
-	var scratch Particle
+	var (
+		s       [2]rng.Stream
+		w       [2][4]uint64
+		scratch Particle
+	)
 	term := 0
-	for i := lo; i < hi; i++ {
-		for i >= cuts[term] {
-			term++
+	for i := lo; i < hi; i += 2 {
+		n := min(hi-i, 2)
+		for k := range n {
+			s[k] = rng.NewStream(seed, idBase+uint64(i+k))
+			w[k][0], w[k][1], w[k][2], w[k][3] = s[k].Next4()
 		}
-		t := &terms[term]
-		s := rng.NewStream(seed, idBase+uint64(i))
-		wx, wy, wDir, wMFP := s.Next4()
-		x, y := rng.PointInBoxOf(wx, wy, t.Box.X0, t.Box.X1, t.Box.Y0, t.Box.Y1)
-		ux, uy := rng.DirectionOf(wDir)
-		energy := t.Energy
-		if t.EnergyJitter > 0 {
-			energy *= 1 + t.EnergyJitter*(2*s.Uniform()-1)
-		}
-		weight := t.Weight
-		if t.WeightJitter > 0 {
-			weight *= 1 + t.WeightJitter*(2*s.Uniform()-1)
-		}
-		tcens := dt
-		if t.TimeJitter > 0 {
-			tcens = dt * (1 - t.TimeJitter*s.Uniform())
-		}
-		cx, cy := m.CellOf(x, y)
-
-		// AoS in place, SoA by one Store. Field by field: a composite
-		// literal through a pointer is built on the stack and copied.
-		p := &scratch
-		if recs != nil {
-			p = &recs[i]
-		}
-		p.X, p.Y, p.UX, p.UY = x, y, ux, uy
-		p.Energy, p.Weight = energy, weight
-		p.MFPToCollision, p.TimeToCensus, p.Deposit = rng.MeanFreePathsOf(wMFP), tcens, 0
-		p.CachedSigmaA, p.CachedSigmaS = -1, -1 // not yet looked up
-		p.CellX, p.CellY, p.XSIndex = int32(cx), int32(cy), 0
-		p.RNGCounter, p.ID, p.Status = s.Counter(), idBase+uint64(i), Alive
-		if recs == nil {
-			b.Store(i, p)
+		for k := range n {
+			for i+k >= cuts[term] {
+				term++
+			}
+			t := &terms[term]
+			// AoS in place, SoA by one Store. Field by field: a composite
+			// literal through a pointer is built on the stack and copied.
+			p := &scratch
+			if recs != nil {
+				p = &recs[i+k]
+			}
+			p.X, p.Y = rng.PointInBoxOf(w[k][0], w[k][1], t.Box.X0, t.Box.X1, t.Box.Y0, t.Box.Y1)
+			p.UX, p.UY = rng.DirectionOf(w[k][2])
+			p.Energy, p.Weight, p.TimeToCensus = t.Energy, t.Weight, dt
+			if t.EnergyJitter > 0 {
+				p.Energy *= 1 + float64(t.EnergyJitter*(2*s[k].Uniform()-1))
+			}
+			if t.WeightJitter > 0 {
+				p.Weight *= 1 + float64(t.WeightJitter*(2*s[k].Uniform()-1))
+			}
+			if t.TimeJitter > 0 {
+				p.TimeToCensus = dt * (1 - float64(t.TimeJitter*s[k].Uniform()))
+			}
+			p.MFPToCollision, p.Deposit = rng.MeanFreePathsOf(w[k][3]), 0
+			cx, cy := m.CellOf(p.X, p.Y)
+			p.CellX, p.CellY, p.XSIndex = int32(cx), int32(cy), 0
+			p.CachedSigmaA, p.CachedSigmaS = -1, -1 // not yet looked up
+			p.RNGCounter, p.ID, p.Status = s[k].Counter(), idBase+uint64(i+k), Alive
+			weight += p.Weight
+			energy += float64(p.Weight * p.Energy)
+			if recs == nil {
+				b.Store(i+k, p)
+			}
 		}
 	}
+	return weight, energy
 }

@@ -28,17 +28,20 @@ func DirectionOf(w uint64) (ux, uy float64) {
 		pi4B = 3.77489470793079817668e-8  // 0x3e64442d00000000,
 		pi4C = 2.69515142907905952645e-15 // 0x3ce8469898cc5170,
 	)
-	x := 2 * math.Pi * Unit(w)
+	// Every product is rounded by a float64 conversion before its add or
+	// subtract: the Go spec lets a compiler fuse x*y+z into one rounding,
+	// which arm64, ppc64le, s390x and riscv64 do, and amd64 does not.
+	x := float64(2 * math.Pi * Unit(w))
 	// The octant, rounded up to even: 0, 2, 4, 6 or 8, where the top octant's
 	// 8 selects like 0. The conversions go through int64 because amd64
 	// converts a uint64 with a branch on its top bit.
 	j := uint64(int64(x * (4 / math.Pi)))
 	j += j & 1
 	y := float64(int64(j))
-	z := ((x - y*pi4A) - y*pi4B) - y*pi4C
+	z := ((x - float64(y*pi4A)) - float64(y*pi4B)) - float64(y*pi4C)
 	zz := z * z
-	c := 1.0 - 0.5*zz + zz*zz*((((((cosCoef[0]*zz)+cosCoef[1])*zz+cosCoef[2])*zz+cosCoef[3])*zz+cosCoef[4])*zz+cosCoef[5])
-	s := z + z*zz*((((((sinCoef[0]*zz)+sinCoef[1])*zz+sinCoef[2])*zz+sinCoef[3])*zz+sinCoef[4])*zz+sinCoef[5])
+	c := 1.0 - float64(0.5*zz) + float64(zz*zz*(float64((float64((float64((float64((float64(cosCoef[0]*zz)+cosCoef[1])*zz)+cosCoef[2])*zz)+cosCoef[3])*zz)+cosCoef[4])*zz)+cosCoef[5]))
+	s := z + float64(z*zz*(float64((float64((float64((float64((float64(sinCoef[0]*zz)+sinCoef[1])*zz)+sinCoef[2])*zz)+sinCoef[3])*zz)+sinCoef[4])*zz)+sinCoef[5]))
 	// Octants 2 and 6 swap the polynomials; 2 and 4 negate the cosine, 4 and
 	// 6 the sine. A shift by 63 keeps only the low bit it shifts.
 	cb, sb := math.Float64bits(c), math.Float64bits(s)
@@ -79,5 +82,5 @@ func MeanFreePaths(s *Stream) float64 { return MeanFreePathsOf(s.Next()) }
 // PointInBoxOf maps two raw words to a uniform position inside the
 // axis-aligned box [x0,x1) x [y0,y1).
 func PointInBoxOf(wx, wy uint64, x0, x1, y0, y1 float64) (x, y float64) {
-	return x0 + (x1-x0)*Unit(wx), y0 + (y1-y0)*Unit(wy)
+	return x0 + float64((x1-x0)*Unit(wx)), y0 + float64((y1-y0)*Unit(wy))
 }

@@ -85,8 +85,10 @@ func (s *Stream) Next4() (w0, w1, w2, w3 uint64) {
 // fully random mantissa.
 const twoTo53 = 9007199254740992.0
 
-// Unit maps a raw word to a float64 in the half-open interval [0, 1).
-func Unit(w uint64) float64 { return float64(w>>11) / twoTo53 }
+// Unit maps a raw word to a float64 in the half-open interval [0, 1). The
+// compiler turns the division into a product, so the conversion keeps a
+// caller's add (2*u is u+u) from fusing with it.
+func Unit(w uint64) float64 { return float64(float64(w>>11) / twoTo53) }
 
 // UnitOpen maps a raw word to a float64 in the open interval (0, 1):
 // (k + 0.5)/2^53 for the word's top 53 bits k. That rounds up to 1 for the

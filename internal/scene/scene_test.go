@@ -318,7 +318,7 @@ func TestMultiSourceApportionment(t *testing.T) {
 	const n = 1000
 	b := particle.NewBank(particle.AoS, n)
 	particle.Births(b, m, s.SourceTerms(), 1e-7, 9, 0, 0, n)
-	bw, be := b.Totals()
+	bw, be := b.SumFrom(0, 0, 0)
 	if bw != n || be != n*particle.SourceEnergy {
 		t.Fatalf("birth totals %g / %g, want %d / %g", bw, be, n, float64(n)*particle.SourceEnergy)
 	}

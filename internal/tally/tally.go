@@ -64,7 +64,7 @@ var DefaultScale = ScaleFor(1 << 30)
 // expected error of a sum of deposits at zero. A v of 2^63 ticks or more, or
 // NaN, returns math.MinInt64, which drives any cell it is added to negative.
 func (s Scale) Ticks(v float64) int64 {
-	x := v * s.mul
+	x := float64(v * s.mul)
 	switch {
 	case x < 1<<52:
 		return int64(x + 0.5)

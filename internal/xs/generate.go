@@ -62,10 +62,10 @@ func captureSigma(e float64) float64 {
 	res, le := 0.0, math.Log(e)
 	for _, r := range resonances {
 		d := (le - r.center) / r.width
-		res += r.height * math.Exp(-d*d)
+		res += float64(r.height * math.Exp(-d*d))
 	}
 	// Fast plateau keeps absorption meaningful at source energies.
-	return invV + res + 8
+	return float64(invV) + res + 8
 }
 
 // scatterSigma is the synthetic microscopic elastic-scatter cross section in
@@ -75,7 +75,7 @@ func scatterSigma(e float64) float64 {
 	// Gentle decline from 45 barns at thermal to ~28 barns at 20 MeV.
 	base := 28 + 17/(1+math.Pow(e/1e4, 0.35))
 	// Mild interference wiggle through the resonance region.
-	wiggle := 3 * math.Sin(0.9*math.Log(e+1))
+	wiggle := float64(3 * math.Sin(0.9*math.Log(e+1)))
 	s := base + wiggle
 	if s < 1 {
 		s = 1
